@@ -44,7 +44,9 @@ func runFabric(network string, nodes, depth, iters int, timeouts shard.FabricTim
 	tr, cleanup, mode := dialFabricWorkers(network, nodes, timeouts)
 	defer cleanup()
 
-	m, err := pipeline.MeasureFabricOver(data.CriteoKaggle(), nodes, depth, iters, batch, tr)
+	m, err := pipeline.MeasureFabric(data.CriteoKaggle(), pipeline.FabricProbe{
+		Nodes: nodes, Depth: depth, Iters: iters, Batch: batch, Transport: tr,
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hotline-bench:", err)
 		os.Exit(1)

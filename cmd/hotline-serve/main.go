@@ -114,7 +114,7 @@ func main() {
 				default:
 				}
 				b := gen.NextBatch(64)
-				srv.Train(func() { tr.Step(b) })
+				srv.Train(func() { tr.StepLookahead(b, nil) })
 				steps++
 			}
 		}()

@@ -30,7 +30,9 @@ func main() {
 		"nodes", "fabric", "gather wall/iter", "scatter wall/iter", "a2a KB/iter", "max diff")
 	for _, nodes := range []int{2, 4} {
 		for _, network := range []string{"inproc", "unix"} {
-			m, err := hotline.MeasureFabricDepth(cfg, nodes, depth, network, iters, batch)
+			m, err := hotline.MeasureFabric(cfg, hotline.FabricProbe{
+				Nodes: nodes, Depth: depth, Iters: iters, Batch: batch, Network: network,
+			})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -21,14 +21,12 @@ import (
 	"hotline/internal/cost"
 	"hotline/internal/data"
 	"hotline/internal/experiments"
-	"hotline/internal/metrics"
 	"hotline/internal/model"
 	"hotline/internal/par"
 	"hotline/internal/pipeline"
 	"hotline/internal/report"
 	"hotline/internal/serve"
 	"hotline/internal/shard"
-	"hotline/internal/shard/chaos"
 	"hotline/internal/train"
 )
 
@@ -58,9 +56,6 @@ func NumWorkers() int { return par.Workers() }
 // (HotlineTrainer.Depth).
 func PipelineDepth(k int) int { return train.SetDefaultPipelineDepth(k) }
 
-// DefaultPipelineDepth returns the current default prefetch pipeline depth.
-func DefaultPipelineDepth() int { return train.DefaultPipelineDepth() }
-
 // --- datasets and generators ---------------------------------------------
 
 // DatasetConfig describes one synthetic workload (paper Table II shape).
@@ -80,8 +75,6 @@ var (
 	TaobaoAlibaba = data.TaobaoAlibaba
 	// CriteoTerabyte returns the RM3 workload (DLRM, 266M rows).
 	CriteoTerabyte = data.CriteoTerabyte
-	// Avazu returns the RM4 workload (DLRM, 21 sparse features).
-	Avazu = data.Avazu
 	// SynM1 returns the 196 GB multi-hot synthetic model (Fig 28/30).
 	SynM1 = data.SynM1
 	// SynM2 returns the 390 GB multi-hot synthetic model.
@@ -105,20 +98,18 @@ type Model = model.Model
 // NewModel builds a model with deterministic weights derived from seed.
 func NewModel(cfg DatasetConfig, seed uint64) *Model { return model.New(cfg, seed) }
 
-// Trainer consumes mini-batches and updates a model.
+// Trainer is the one executor interface: StepLookahead trains on a
+// mini-batch and may stage the Lookahead() batches that follow it
+// (classification + fabric prefetch), bit-identical to batch-by-batch
+// stepping for every depth. Both executors also offer Step(b), the
+// StepLookahead(b, nil) shorthand.
 type Trainer = train.Trainer
 
 // TrainRunConfig controls a training run.
 type TrainRunConfig = train.RunConfig
 
-// CurvePoint is one evaluation sample along a training run.
-type CurvePoint = train.CurvePoint
-
-// MetricSummary bundles accuracy/AUC/logloss.
-type MetricSummary = metrics.Summary
-
 // NewBaselineTrainer returns the standard mini-batch SGD executor.
-func NewBaselineTrainer(m *Model, lr float32) Trainer { return train.NewBaseline(m, lr) }
+func NewBaselineTrainer(m *Model, lr float32) *train.Baseline { return train.NewBaseline(m, lr) }
 
 // NewHotlineTrainer returns the µ-batch executor backed by the accelerator's
 // EAL classification. Its updates are at parity with the baseline (Eq. 5).
@@ -126,42 +117,17 @@ func NewHotlineTrainer(m *Model, lr float32) *train.HotlineTrainer {
 	return train.NewHotline(m, lr)
 }
 
-// PipelinedTrainer is a Trainer with one-mini-batch lookahead: given the
-// next batch, the executor classifies it and issues its fabric prefetches
-// while the current iteration finishes (bit-identical to stepping batch by
-// batch). RunTraining feeds pipelined trainers automatically.
-type PipelinedTrainer = train.PipelinedTrainer
-
-// LookaheadTrainer is a PipelinedTrainer with a depth-k pipeline: the
-// executor stages up to k-1 future mini-batches (classification + fabric
-// prefetch), bit-identical to batch-by-batch stepping for every depth.
-// RunTraining feeds lookahead trainers that many batches ahead.
-type LookaheadTrainer = train.LookaheadTrainer
-
-// NewBaselineAdagradTrainer is the baseline executor under dense + sparse
-// Adagrad (the DLRM reference's production optimizer).
-func NewBaselineAdagradTrainer(m *Model, lr float32) Trainer {
-	return train.NewBaselineAdagrad(m, lr)
-}
-
-// NewHotlineAdagradTrainer is the Hotline µ-batch executor under dense +
-// sparse Adagrad; each table's µ-batch gradients merge into one update per
-// mini-batch, keeping parity with the Adagrad baseline.
-func NewHotlineAdagradTrainer(m *Model, lr float32) *train.HotlineTrainer {
-	return train.NewHotlineAdagrad(m, lr)
-}
-
-// RunTraining trains and returns the metric curve.
+// RunTraining trains and returns the metric curve, stepping the trainer at
+// its own pipeline depth.
 var RunTraining = train.Run
 
-// ParityReport compares baseline and Hotline executors on identical data.
-type ParityReport = train.ParityReport
+// StepAll trains on pre-drawn batches in stream order, handing each step
+// the trainer's Lookahead() following batches; before (may be nil) runs
+// ahead of step i. It returns every step's loss.
+var StepAll = train.StepAll
 
 // RunParity trains both executors from identical state (Fig 18 / Table V).
 var RunParity = train.Parity
-
-// Evaluate computes accuracy/AUC/logloss for predictions.
-var Evaluate = metrics.Evaluate
 
 // MaxModelStateDiff returns the largest absolute parameter difference
 // between two models across dense and sparse state (0 when bit-identical).
@@ -178,18 +144,9 @@ type ShardConfig = shard.Config
 // gradient scatter the topology incurs.
 type ShardService = shard.Service
 
-// ShardStats is a snapshot of a service's measured traffic: cache
-// hits/misses, gather/scatter rows and bytes, fills and evictions.
-type ShardStats = shard.Stats
-
-// CachePolicy selects the device-cache eviction policy.
-type CachePolicy = shard.Policy
-
-// Device-cache eviction policies.
-const (
-	CacheLRU   = shard.PolicyLRU
-	CacheSRRIP = shard.PolicySRRIP
-)
+// CacheSRRIP selects the SRRIP/CLOCK device-cache eviction policy in
+// ShardConfig.Policy and ShardProbe.Policy (the zero value is exact LRU).
+const CacheSRRIP = shard.PolicySRRIP
 
 // NewShardService builds a sharded embedding service. The classifier
 // decides which rows may replicate into device caches (nil admits all).
@@ -199,17 +156,11 @@ var NewShardService = shard.New
 // embedding tables partitioned across the service's nodes. Training is
 // bit-identical to NewHotlineTrainer for every node count and placement;
 // the service additionally reports the measured cache and all-to-all
-// traffic. The async gather engine is attached with overlap enabled (set
-// OverlapGather = false on the returned trainer for synchronous gathers).
+// traffic. The async gather engine is attached and gathers overlap compute
+// at the default depth (set Depth = 1 on the returned trainer for
+// synchronous gathers).
 func NewHotlineShardedTrainer(m *Model, lr float32, svc *ShardService) *train.HotlineTrainer {
 	return train.NewHotlineSharded(m, lr, svc)
-}
-
-// NewHotlineShardedAdagradTrainer is NewHotlineShardedTrainer under dense +
-// sparse Adagrad; sharded training stays bit-identical to the single-node
-// Adagrad executor (mn-adagrad scenario).
-func NewHotlineShardedAdagradTrainer(m *Model, lr float32, svc *ShardService) *train.HotlineTrainer {
-	return train.NewHotlineShardedAdagrad(m, lr, svc)
 }
 
 // ShardMeasurement carries measured sharding statistics (hit-rates,
@@ -217,50 +168,29 @@ func NewHotlineShardedAdagradTrainer(m *Model, lr float32, svc *ShardService) *t
 // for the timing models.
 type ShardMeasurement = pipeline.ShardMeasurement
 
-// MeasureShardStats replays a real access stream against a sharded service
-// under the given eviction policy and returns steady-state measurements
-// (memoised per full configuration, including the policy).
-var MeasureShardStats = pipeline.MeasureShardStats
-
 // ShardProbe configures a MeasureShard measurement: node count, cache
 // budget, batch size, eviction policy and ownership placement.
 type ShardProbe = pipeline.ShardProbe
 
-// MeasureShard is MeasureShardStats with the full probe surface, including
-// the ownership placement (round-robin, capacity-weighted, hot-aware).
+// MeasureShard replays a real access stream against a sharded service under
+// the probe's eviction policy and ownership placement (round-robin,
+// capacity-weighted, hot-aware) and returns steady-state measurements
+// (memoised per full probe identity).
 var MeasureShard = pipeline.MeasureShard
 
 // NewShardedWorkload assembles a workload whose timing models consume
 // measured sharding statistics instead of analytic popularity fractions.
 // cacheBytes <= 0 selects the dataset's scaled hot-set budget. The
-// exposed-gather fraction is measured too (MeasureOverlapExposed), so the
-// Hotline model prices overlap from the pipelined engine by default.
+// exposed-gather fraction is measured too, at pipeline depth depth (< 1
+// selects the current default), so the Hotline model prices overlap from
+// the pipelined engine by default.
 var NewShardedWorkload = pipeline.NewShardedWorkload
-
-// MeasureOverlapExposed runs the pipelined Hotline executor functionally —
-// sync vs cross-iteration prefetch — and returns the measured fraction of
-// gather wall time left exposed (memoised per dataset, node count and
-// cache budget; default pipeline depth).
-var MeasureOverlapExposed = pipeline.MeasureOverlapExposed
-
-// MeasureOverlapExposedDepth is MeasureOverlapExposed at an explicit
-// pipeline depth k (memoised per depth too): the mn-depth scenario's
-// queue-depth-vs-staleness sweep.
-var MeasureOverlapExposedDepth = pipeline.MeasureOverlapExposedDepth
-
-// NewShardedWorkloadDepth is NewShardedWorkload with the overlap measured
-// at an explicit pipeline depth k.
-var NewShardedWorkloadDepth = pipeline.NewShardedWorkloadDepth
 
 // DefaultShardCacheBytes returns the default per-node device-cache budget
 // for a dataset (its scaled hot-set budget).
 var DefaultShardCacheBytes = pipeline.DefaultShardCacheBytes
 
-// --- ownership placement and async gather overlap --------------------------
-
-// ShardPartitioner decides which node owns each embedding row; plug one
-// into ShardConfig.Part to replace the round-robin default.
-type ShardPartitioner = shard.Partitioner
+// --- ownership placement, gather overlap and the socket fabric ------------
 
 // ShardPlacementKind names the shipped ownership policies for probes and
 // reports.
@@ -273,156 +203,24 @@ const (
 	PlaceHotAware   = shard.PlaceHotAware
 )
 
-// NewRoundRobinPartitioner returns the uniform row % nodes placement.
-var NewRoundRobinPartitioner = shard.NewRoundRobin
-
-// NewCapacityWeightedPartitioner spreads rows proportionally to integer
-// per-node capacity weights (heterogeneous clusters).
-var NewCapacityWeightedPartitioner = shard.NewCapacityWeighted
-
-// NewCapacityWeightedHBMPartitioner derives the capacity-weighted placement
-// from real per-node HBM byte budgets (each node's device-memory allowance
-// at the given row footprint) instead of hand-picked weights.
-var NewCapacityWeightedHBMPartitioner = shard.NewCapacityWeightedHBM
-
-// ShardRequestCounter tallies per-node request counts from access streams;
-// its HotAware method builds the placement that pins popular rows to their
-// dominant requesting node.
-type ShardRequestCounter = shard.RequestCounter
-
-// NewShardRequestCounter returns an empty request counter for a topology.
-var NewShardRequestCounter = shard.NewRequestCounter
-
 // OverlapStats aggregates the async gather engine's measured traffic and
 // how much of its wall time stayed exposed (svc.Gatherer().Stats()).
 type OverlapStats = shard.OverlapStats
 
-// AsyncGatherer is the engine that streams planned fabric fetches into
-// staging buffers off the consumer's critical path.
-type AsyncGatherer = shard.AsyncGatherer
-
-// --- transport fabric -------------------------------------------------------
-
-// Transport moves the shard service's cross-node traffic: per-owner gather
-// fetch lists into staging buffers, and pre-reduced scatter updates back to
-// the owning node. The in-proc default is a zero-overhead direct path;
-// SocketTransport speaks the length-prefixed binary framing to real
-// NodeServer peers. Plug one in with ShardService.SetTransport before
-// tables are registered.
-type Transport = shard.Transport
-
-// InprocTransport is the explicit form of the default shared-address-space
-// fast path (bit-for-bit and allocation-for-allocation identical to not
-// setting a transport at all).
-var InprocTransport = shard.NewInproc
-
-// FabricConfig describes a socket fabric to dial: network family
-// ("unix"/"tcp"), one listen address per shard node, per-op timeout.
-type FabricConfig = shard.FabricConfig
-
-// SocketTransport is the framed-protocol Transport over unix or TCP
-// sockets, one connection per peer node.
-type SocketTransport = shard.SocketTransport
-
-// DialFabric connects a SocketTransport to already-listening node servers
-// (e.g. hotline-node worker processes).
-var DialFabric = shard.DialFabric
-
-// NodeServer is one shard node of the multi-process fabric: it owns its
-// rows authoritatively and answers framed fetch/push requests
-// (cmd/hotline-node wraps it in a process).
-type NodeServer = shard.NodeServer
-
-// ServeNode starts a NodeServer listening on the given address (unix
-// socket path, or host:port — port 0 picks a free port).
-var ServeNode = shard.ServeNode
-
-// LocalFabric bundles in-process node servers with a connected transport:
-// real sockets and framing without separate OS processes (tests, examples,
-// and hotline-bench's fallback when hotline-node is not on PATH).
-type LocalFabric = shard.LocalFabric
-
-// StartLocalFabric spins up nodes in-process NodeServers on the network
-// family ("unix" or "tcp") and dials them.
-func StartLocalFabric(nodes int, network string) (*LocalFabric, error) {
-	return shard.StartLocalFabric(nodes, network, 0, nil)
-}
-
-// --- fault tolerance & recovery ---------------------------------------------
-
-// FabricTimeouts are the socket fabric's validated timeout knobs: Dial
-// (connection establishment), IO (per-operation read/write deadlines) and
-// Retry (one recovery's total re-dial budget). Zero fields take documented
-// non-zero defaults; negative fields are a config error.
-type FabricTimeouts = shard.FabricTimeouts
-
-// ResilientTransport layers retry, re-dial, mirror resync and spare
-// adoption over a dialed SocketTransport: transient I/O failures recover,
-// protocol corruption surfaces immediately, and per-peer health is
-// observable (ShardService.PeerHealth).
-type ResilientTransport = shard.ResilientTransport
-
-// NewResilientTransport wraps a dialed socket fabric in the retry/re-dial
-// policy. The zero RetryConfig is a working production config.
-var NewResilientTransport = shard.NewResilientTransport
-
-// RetryConfig tunes the resilient layer: attempt/redial bounds, backoff
-// schedule, injectable clock, address re-resolution and spare-node
-// adoption.
-type RetryConfig = shard.RetryConfig
-
-// PeerHealth is one peer's recovery snapshot: state (alive/suspect/dead),
-// consecutive failures, re-dials, spare adoption, last error.
-type PeerHealth = shard.PeerHealth
-
-// RecoveryConfig selects the service's recovery policy: RecoverNone
-// (fail-fast, the default), RecoverRedial (transport-level retry only), or
-// RecoverAdopt (surviving nodes adopt a dead peer's shard, bit-identically).
-type RecoveryConfig = shard.RecoveryConfig
-
-// RecoveryPolicy names a recovery policy.
-type RecoveryPolicy = shard.RecoveryPolicy
-
-// Recovery policies, in escalation order.
-const (
-	RecoverNone   = shard.RecoverNone
-	RecoverRedial = shard.RecoverRedial
-	RecoverAdopt  = shard.RecoverAdopt
-)
-
-// RecoveryStats counts what recovery cost: shard adoptions, migrated and
-// resynced row payload, re-routed window fetches, recovery wall clock.
-type RecoveryStats = shard.RecoveryStats
-
-// ChaosSchedule is a deterministic fault schedule (kill/restart/delay/
-// corrupt events at training-window granularity) for recovery testing.
-type ChaosSchedule = chaos.Schedule
-
-// SeededChaosSchedule derives a deterministic kill/restart (+link-delay)
-// schedule from a seed: same inputs, same faults, every run.
-var SeededChaosSchedule = chaos.Seeded
-
-// ChaosMeasurement is one functional training run through an injected
-// fault: recovery latency, migration/resync payload, stale-served rows and
-// the bit-parity evidence against the fault-free reference.
-type ChaosMeasurement = pipeline.ChaosMeasurement
-
-// MeasureChaos kills a peer mid-training under a deterministic schedule and
-// measures what the chosen recovery policy cost (the mn-chaos scenario).
-var MeasureChaos = pipeline.MeasureChaos
+// FabricProbe configures a MeasureFabric run: node count, pipeline depth,
+// iteration/batch budget, and either the socket family of a local fabric to
+// start ("unix"/"tcp"; "inproc" measures the reference only) or an
+// already-dialed transport.
+type FabricProbe = pipeline.FabricProbe
 
 // FabricMeasurement is one functional training run over a real fabric:
 // measured gather/scatter wall clock plus bit-parity evidence against the
 // in-proc reference.
 type FabricMeasurement = pipeline.FabricMeasurement
 
-// MeasureFabric trains the pipelined executor over a socket fabric and the
-// in-proc reference and returns the measured wall times and parity.
+// MeasureFabric trains the pipelined executor over the probe's fabric and
+// the in-proc reference and returns the measured wall times and parity.
 var MeasureFabric = pipeline.MeasureFabric
-
-// MeasureFabricDepth is MeasureFabric with explicit pipeline depth,
-// iteration and batch knobs.
-var MeasureFabricDepth = pipeline.MeasureFabricDepth
 
 // --- online serving and the load harness -----------------------------------
 
@@ -440,10 +238,6 @@ type Server = serve.Server
 // in-flight predicts.
 var NewServer = serve.NewServer
 
-// ServeRequest is one inference request: a batch to score plus the drift
-// day it was drawn from.
-type ServeRequest = serve.Request
-
 // ServeCorpus is a deterministic request stream across drift days.
 type ServeCorpus = serve.Corpus
 
@@ -458,21 +252,10 @@ type LoadConfig = serve.LoadConfig
 // LoadReport is one load run's throughput and latency measurements.
 type LoadReport = serve.LoadReport
 
-// LatencySummary holds exact nearest-rank latency percentiles
-// (p50/p90/p99/p999) over a full sample set.
-type LatencySummary = serve.LatencySummary
-
 // RunLoad replays a corpus against a server at a target QPS with bounded
 // parallel request players; latency is measured from each request's
 // scheduled arrival, so saturation shows up as queueing in the tail.
 var RunLoad = serve.RunLoad
-
-// SummarizeLatency computes the exact percentile summary of a latency
-// sample set (reordering it in place).
-var SummarizeLatency = serve.Summarize
-
-// SweepPoint is one rate's report within a saturation sweep.
-type SweepPoint = serve.SweepPoint
 
 // SaturationSweep replays the corpus at each target rate, producing the
 // QPS-vs-latency curve.
@@ -520,22 +303,15 @@ type TrainingPipeline = pipeline.Pipeline
 // IterStats is one steady-state iteration's timing and phase breakdown.
 type IterStats = pipeline.IterStats
 
-// Pipeline constructors for every system the paper compares.
+// Pipeline constructors (Pipelines returns all seven systems the paper
+// compares).
 var (
 	// NewHotlinePipeline is the accelerator-pipelined Hotline system.
 	NewHotlinePipeline = pipeline.NewHotline
-	// NewHotlineCPUPipeline is the CPU-segregation ablation (§VII-D).
-	NewHotlineCPUPipeline = pipeline.NewHotlineCPU
 	// NewIntelDLRMPipeline is the hybrid CPU-GPU Intel-optimized baseline.
 	NewIntelDLRMPipeline = pipeline.NewIntelDLRM
-	// NewXDLPipeline is the parameter-server XDL baseline.
-	NewXDLPipeline = pipeline.NewXDL
-	// NewFAEPipeline is the static popularity scheduler baseline.
-	NewFAEPipeline = pipeline.NewFAE
 	// NewHugeCTRPipeline is the GPU-only (model-parallel HBM) baseline.
 	NewHugeCTRPipeline = pipeline.NewHugeCTR
-	// NewScratchPipePipeline is the idealised lookahead-cache comparator.
-	NewScratchPipePipeline = pipeline.NewScratchPipeIdeal
 )
 
 // Pipelines returns every pipeline in figure order.
@@ -558,12 +334,9 @@ var ExperimentTitle = experiments.Title
 // RunExperiment regenerates one table or figure by id, e.g. "fig19".
 func RunExperiment(id string) (*ExperimentTable, error) { return experiments.Run(id) }
 
-// ExperimentResult is one experiment's outcome within a concurrent sweep:
-// its table (or captured error) plus the wall-clock duration.
-type ExperimentResult = experiments.SweepResult
-
 // SweepExperiments runs the given experiment ids on a bounded worker pool
-// and returns one result per id in input order. workers <= 0 means NumCPU.
+// and returns one result per id in input order — its table (or captured
+// error) plus the wall-clock duration. workers <= 0 means NumCPU.
 var SweepExperiments = experiments.Sweep
 
 // EffectiveSweepWorkers reports the pool size SweepExperiments uses for a

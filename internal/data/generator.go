@@ -164,6 +164,16 @@ func (g *Generator) RowForRank(table, rank int) int32 {
 	return g.perms[table][rank]
 }
 
+// NextBatches draws the next count mini-batches of n samples each, in
+// stream order.
+func (g *Generator) NextBatches(count, n int) []*Batch {
+	bs := make([]*Batch, count)
+	for i := range bs {
+		bs[i] = g.NextBatch(n)
+	}
+	return bs
+}
+
 // NextBatch draws n samples. Consecutive calls advance the RNG stream, so an
 // epoch is a sequence of NextBatch calls.
 func (g *Generator) NextBatch(n int) *Batch {

@@ -41,8 +41,10 @@ func MNChaos() *report.Table {
 	cfg := data.CriteoKaggle()
 	for _, nodes := range []int{2, 4, 8} {
 		for _, policy := range []shard.RecoveryPolicy{shard.RecoverRedial, shard.RecoverAdopt} {
-			m, err := pipeline.MeasureChaos(cfg, nodes, 0, "unix",
-				chaosIters, chaosBatch, policy, chaosRestartAfter)
+			m, err := pipeline.MeasureChaos(cfg, pipeline.ChaosProbe{
+				Nodes: nodes, Network: "unix", Iters: chaosIters, Batch: chaosBatch,
+				Policy: policy, RestartAfter: chaosRestartAfter,
+			})
 			if err != nil {
 				t.AddRow(fmt.Sprint(nodes), policy.String(), "error: "+err.Error(),
 					"-", "-", "-", "-", "-", "-", "-", "-")

@@ -32,44 +32,32 @@ var mnDepthSweep = []int{1, 2, 4, 8}
 type depthRun struct {
 	m     *model.Model
 	stats shard.OverlapStats
-	eval  metrics.Summary
+}
+
+// heldOutEval scores a trained model on a batch disjoint from the early
+// training stream.
+func heldOutEval(fn data.Config, m *model.Model) metrics.Summary {
+	evalGen := data.NewGenerator(fn)
+	evalGen.NextBatch(1024)
+	evalBatch := evalGen.NextBatch(1024)
+	return metrics.Evaluate(m.Predict(evalBatch), evalBatch.Labels)
 }
 
 // runDepth trains the Hotline executor on sharded tables at pipeline depth
-// k (overlap=false selects the fully synchronous baseline) and evaluates
-// the final model on a held-out batch.
-func runDepth(fn data.Config, nodes, iters, batch, k int, overlap, stale bool) depthRun {
+// k (1 is the fully synchronous baseline).
+func runDepth(fn data.Config, nodes, iters, batch, k int, stale bool) depthRun {
 	const seed = 42
 	svc := shard.New(shard.Config{
 		Nodes: nodes, CacheBytes: data.ScaledHotBudget(fn),
 		RowBytes: int64(fn.EmbedDim) * 4,
 	}, nil)
+	defer svc.Close()
 	svc.SetStaleReads(stale)
 	tr := train.NewHotlineSharded(model.New(fn, seed), 0.1, svc)
-	tr.OverlapGather = overlap
 	tr.Depth = k
-	tr.LearnSamples = 512
-	gen := data.NewGenerator(fn)
-	batches := make([]*data.Batch, iters)
-	for i := range batches {
-		batches[i] = gen.NextBatch(batch)
-	}
-	for i := 0; i < iters; i++ {
-		end := i + k
-		if end > iters {
-			end = iters
-		}
-		tr.StepLookahead(batches[i], batches[i+1:end])
-	}
-
-	evalGen := data.NewGenerator(fn)
-	evalGen.NextBatch(1024)
-	evalBatch := evalGen.NextBatch(1024)
-	return depthRun{
-		m:     tr.M,
-		stats: svc.Gatherer().Stats(),
-		eval:  metrics.Evaluate(tr.M.Predict(evalBatch), evalBatch.Labels),
-	}
+	tr.LearnSamples = 512 // past the learning phase quickly
+	train.StepAll(tr, data.NewGenerator(fn).NextBatches(iters, batch), nil)
+	return depthRun{m: tr.M, stats: svc.Gatherer().Stats()}
 }
 
 // MNDepth sweeps the prefetch pipeline depth k over {1,2,4,8} at 4 nodes on
@@ -95,7 +83,7 @@ func MNDepth() *report.Table {
 	const nodes, iters, batch = 4, 10, 256
 	sys := cost.PaperCluster(nodes)
 
-	sync := runDepth(fn, nodes, iters, batch, 1, false, false)
+	sync := runDepth(fn, nodes, iters, batch, 1, false)
 
 	for _, k := range mnDepthSweep {
 		// Depth 1 runs the synchronous code path verbatim (its single
@@ -104,8 +92,8 @@ func MNDepth() *report.Table {
 		// exposure with no repair and no staleness.
 		repair, staleR := sync, sync
 		if k > 1 {
-			repair = runDepth(fn, nodes, iters, batch, k, true, false)
-			staleR = runDepth(fn, nodes, iters, batch, k, true, true)
+			repair = runDepth(fn, nodes, iters, batch, k, false)
+			staleR = runDepth(fn, nodes, iters, batch, k, true)
 		}
 
 		exposedFrac := shard.ExposedFrac(repair.stats, sync.stats)
@@ -115,7 +103,7 @@ func MNDepth() *report.Table {
 			t.Notes = "REPAIR-MODE STATE DIVERGED — see TestPipelinedOverlapDeterminism"
 		}
 
-		w := pipeline.NewShardedWorkloadDepth(cfg, 4096*nodes, sys, 0, k)
+		w := pipeline.NewShardedWorkload(cfg, 4096*nodes, sys, 0, k)
 		w.Shard.SetExposedFrac(exposedFrac)
 		t.AddRow(fmt.Sprint(k),
 			fmt.Sprint(repair.stats.Windows),
@@ -124,7 +112,7 @@ func MNDepth() *report.Table {
 			fmt.Sprintf("%.1f", float64(repair.stats.RepairBytes)/1024),
 			fmt.Sprint(staleR.stats.StaleRows),
 			fmt.Sprintf("%.2g", model.MaxStateDiff(repair.m, staleR.m)),
-			fmt.Sprintf("%+.4f", staleR.eval.AUC-repair.eval.AUC),
+			fmt.Sprintf("%+.4f", heldOutEval(fn, staleR.m).AUC-heldOutEval(fn, repair.m).AUC),
 			pipeline.NewHotline().Iteration(w).Total.String())
 	}
 	if t.Notes == "" {

@@ -15,23 +15,53 @@ var heavyExperiments = map[string]bool{
 	"mn-quant": true,
 }
 
+// testTrainIters keeps functional training short in tests; every test of
+// this package runs the registry at this one value, so a serial render is
+// comparable with the concurrent sweep's.
+const testTrainIters = 8
+
+// serialRuns memoises one serial Run per experiment id for the whole test
+// binary: TestAllExperimentsRun checks each table, TestRunAllExperiments
+// compares the concurrent sweep against the same renders, and neither
+// sweeps the registry a second time.
+var serialRuns = map[string]serialRun{}
+
+type serialRun struct {
+	rows   int
+	render string
+	err    error
+}
+
+func serialRunOf(id string) serialRun {
+	if r, ok := serialRuns[id]; ok {
+		return r
+	}
+	SetTrainIters(testTrainIters)
+	var r serialRun
+	if tab, err := Run(id); err != nil {
+		r.err = err
+	} else {
+		r.rows, r.render = len(tab.Rows), tab.Render()
+	}
+	serialRuns[id] = r
+	return r
+}
+
 func TestAllExperimentsRun(t *testing.T) {
-	SetTrainIters(12) // keep functional training short in tests
 	for _, id := range All() {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			if testing.Short() && heavyExperiments[id] {
 				t.Skip("heavy experiment; run without -short")
 			}
-			tab, err := Run(id)
-			if err != nil {
-				t.Fatal(err)
+			r := serialRunOf(id)
+			if r.err != nil {
+				t.Fatal(r.err)
 			}
-			if len(tab.Rows) == 0 {
+			if r.rows == 0 {
 				t.Fatal("experiment produced no rows")
 			}
-			out := tab.Render()
-			if !strings.Contains(out, id) {
+			if !strings.Contains(r.render, id) {
 				t.Fatal("render must include the experiment id")
 			}
 		})

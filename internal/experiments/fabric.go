@@ -38,7 +38,9 @@ func MNFabric() *report.Table {
 	for _, nodes := range []int{2, 4, 8} {
 		sys := cost.PaperCluster(nodes)
 		for _, network := range []string{"inproc", "unix"} {
-			m, err := pipeline.MeasureFabricDepth(cfg, nodes, 0, network, fabricIters, fabricBatch)
+			m, err := pipeline.MeasureFabric(cfg, pipeline.FabricProbe{
+				Nodes: nodes, Iters: fabricIters, Batch: fabricBatch, Network: network,
+			})
 			if err != nil {
 				t.AddRow(fmt.Sprint(nodes), network, "error: "+err.Error(), "-", "-", "-", "-")
 				continue

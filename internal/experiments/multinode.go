@@ -38,9 +38,10 @@ func MNScale() *report.Table {
 	cfg := data.CriteoKaggle()
 	for _, nodes := range []int{1, 2, 4, 8} {
 		sys := cost.PaperCluster(nodes)
-		m := pipeline.MeasureShardStats(cfg, nodes, pipeline.DefaultShardCacheBytes(cfg), mnBatch, shard.PolicyLRU)
+		m := pipeline.MeasureShard(cfg, pipeline.ShardProbe{
+			Nodes: nodes, CacheBytes: pipeline.DefaultShardCacheBytes(cfg), Batch: mnBatch})
 		st := shard.Stats{Nodes: nodes, GatherBytes: m.A2ABytesPerIter}
-		measured := pipeline.NewShardedWorkload(cfg, 4096*nodes, sys, 0)
+		measured := pipeline.NewShardedWorkload(cfg, 4096*nodes, sys, 0, 0)
 		analytic := pipeline.NewWorkload(cfg, 4096*nodes, sys)
 		hl := pipeline.NewHotline()
 		exposed := "-"
@@ -72,7 +73,8 @@ func MNCacheSize() *report.Table {
 	full := pipeline.DefaultShardCacheBytes(cfg)
 	for _, div := range []int64{16, 8, 4, 2, 1} {
 		cache := full / div
-		m := pipeline.MeasureShardStats(cfg, 4, cache, mnBatch, shard.PolicyLRU)
+		m := pipeline.MeasureShard(cfg, pipeline.ShardProbe{
+			Nodes: 4, CacheBytes: cache, Batch: mnBatch})
 		t.AddRow(fmt.Sprintf("%dKB", cache>>10),
 			pct(m.CacheOccupancy, 1), pct(m.HitRate, 1), pct(m.GatherFrac, 1),
 			fmt.Sprint(m.Evictions),

@@ -64,12 +64,13 @@ func MNPlacement() *report.Table {
 }
 
 // MNOverlap trains the full Hotline executor on sharded tables twice per
-// node count — once with synchronous gathers, once with the cross-iteration
-// prefetch pipeline (mini-batch i+1 classified and its non-popular fabric
-// gathers issued while iteration i finishes, streaming through the dense
-// update and the next popular pass) — and reports the measured wall-clock
-// gather time each run left exposed. The measured exposed fraction then
-// feeds the Hotline timing model in place of its analytic overlap schedule.
+// node count — once with synchronous gathers (depth 1), once with the
+// cross-iteration prefetch pipeline at the default depth (mini-batch i+1
+// classified and its non-popular fabric gathers issued while iteration i
+// finishes, streaming through the dense update and the next popular pass) —
+// and reports the measured wall-clock gather time each run left exposed.
+// The measured exposed fraction then feeds the Hotline timing model in
+// place of its analytic overlap schedule.
 func MNOverlap() *report.Table {
 	t := &report.Table{Header: []string{
 		"nodes", "prefetched rows", "sync gather", "exposed gather", "hidden",
@@ -80,57 +81,31 @@ func MNOverlap() *report.Table {
 	cfg := data.CriteoKaggle()
 	fn := cfg
 	fn.Samples = 2048
-	const iters, batch, seed = 10, 256, 42
+	const iters, batch = 10, 256
 
 	for _, nodes := range []int{2, 4} {
-		runOne := func(overlap bool) (*train.HotlineTrainer, shard.OverlapStats) {
-			svc := shard.New(shard.Config{
-				Nodes: nodes, CacheBytes: data.ScaledHotBudget(fn),
-				RowBytes: int64(fn.EmbedDim) * 4,
-			}, nil)
-			tr := train.NewHotlineSharded(model.New(fn, seed), 0.1, svc)
-			tr.OverlapGather = overlap
-			tr.LearnSamples = 512 // past the learning phase quickly
-			gen := data.NewGenerator(fn)
-			b := gen.NextBatch(batch)
-			for i := 1; i <= iters; i++ {
-				var next *data.Batch
-				if i < iters {
-					next = gen.NextBatch(batch)
-				}
-				tr.StepPipelined(b, next)
-				b = next
-			}
-			return tr, svc.Gatherer().Stats()
-		}
-		sync, syncStats := runOne(false)
-		over, overStats := runOne(true)
+		sync := runDepth(fn, nodes, iters, batch, 1, false)
+		over := runDepth(fn, nodes, iters, batch, train.DefaultPipelineDepth(), false)
 
 		// Total exposed gather per run: inline (synchronous) staged gathers
 		// plus, for the overlap run, the time Forward blocked on prefetch
 		// windows the compute did not fully hide. The run-level ratio is the
 		// measured exposed-gather fraction the timing model consumes.
-		syncExposed := syncStats.ExposedGather()
-		overExposed := overStats.ExposedGather()
-		exposedFrac := float64(overExposed) / float64(syncExposed)
-		if exposedFrac > 1 {
-			exposedFrac = 1
-		}
-		hidden := 1 - exposedFrac
+		exposedFrac := shard.ExposedFrac(over.stats, sync.stats)
 
 		parity := ""
-		if !model.DenseStateEqual(sync.M, over.M) || !model.SparseStateEqual(sync.M, over.M) {
+		if !model.DenseStateEqual(sync.m, over.m) || !model.SparseStateEqual(sync.m, over.m) {
 			parity = " [STATE DIVERGED]"
 		}
 
 		sys := cost.PaperCluster(nodes)
-		w := pipeline.NewShardedWorkload(cfg, 4096*nodes, sys, 0)
+		w := pipeline.NewShardedWorkload(cfg, 4096*nodes, sys, 0, 0)
 		w.Shard.SetExposedFrac(exposedFrac)
 		hl := pipeline.NewHotline()
 		t.AddRow(fmt.Sprint(nodes),
-			fmt.Sprint(overStats.PrefetchRows),
-			roundMS(syncExposed), roundMS(overExposed),
-			pct(hidden, 1)+parity,
+			fmt.Sprint(over.stats.PrefetchRows),
+			roundMS(sync.stats.ExposedGather()), roundMS(over.stats.ExposedGather()),
+			pct(1-exposedFrac, 1)+parity,
 			hl.Iteration(w).Total.String(),
 			pipeline.NewHotlineNoOverlap().Iteration(w).Total.String())
 	}

@@ -52,12 +52,9 @@ func runQuant(fn data.Config, nodes, iters, batch int, budget int64, q shard.Qua
 	for i := 0; i < iters; i++ {
 		losses[i] = tr.Step(gen.NextBatch(batch))
 	}
-	evalGen := data.NewGenerator(fn)
-	evalGen.NextBatch(1024)
-	evalBatch := evalGen.NextBatch(1024)
 	return quantRun{
 		m: tr.M, st: svc.Snapshot(), rows: svc.CacheEntries(), losses: losses,
-		eval: metrics.Evaluate(tr.M.Predict(evalBatch), evalBatch.Labels),
+		eval: heldOutEval(fn, tr.M),
 	}
 }
 

@@ -9,16 +9,6 @@ import (
 	"hotline/internal/report"
 )
 
-// sweepIDs returns the id set for determinism tests: the full registry
-// normally, a fast representative subset (ISA, models, three timing figures)
-// under -short.
-func sweepIDs(t *testing.T) []string {
-	if testing.Short() {
-		return []string{"tab1", "tab2", "fig19", "fig25", "fig26"}
-	}
-	return All()
-}
-
 // wallClockExperiments report measured wall-clock durations of the
 // functional layer (the async-overlap scenario, the depth sweep, the
 // serving latency knee, and the chaos recovery runs — whose restart
@@ -34,31 +24,30 @@ var wallClockExperiments = map[string]bool{
 	"mn-chaos": true,
 }
 
-// TestRunAllExperiments: every id yields a non-empty table, and the
-// concurrent sweep produces byte-identical tables to serial runs.
+// TestRunAllExperiments: one concurrent sweep of the registry — RunAll with
+// no ids defaults to every registered experiment — returns a non-empty table
+// per id in stable id order, byte-identical to the serial runs outside
+// wallClockExperiments. Under -short the sweep covers a fast representative
+// subset (ISA, models, three timing figures) instead.
 func TestRunAllExperiments(t *testing.T) {
-	SetTrainIters(8)
-	ids := sweepIDs(t)
-
-	serial := make(map[string]string, len(ids))
-	for _, id := range ids {
-		tab, err := Run(id)
-		if err != nil {
-			t.Fatalf("serial %s: %v", id, err)
-		}
-		serial[id] = tab.Render()
+	SetTrainIters(testTrainIters)
+	var ids []string // nil: RunAll's default, the full registry
+	want := All()
+	if testing.Short() {
+		ids = []string{"tab1", "tab2", "fig19", "fig25", "fig26"}
+		want = ids
 	}
 
 	tables, err := RunAll(context.Background(), ids, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != len(ids) {
-		t.Fatalf("sweep returned %d tables, want %d", len(tables), len(ids))
+	if len(tables) != len(want) {
+		t.Fatalf("sweep returned %d tables, want %d", len(tables), len(want))
 	}
 	for i, tab := range tables {
-		if tab.ID != ids[i] {
-			t.Fatalf("table %d is %s, want %s (stable id order)", i, tab.ID, ids[i])
+		if tab.ID != want[i] {
+			t.Fatalf("table %d is %s, want %s (stable id order)", i, tab.ID, want[i])
 		}
 		if len(tab.Rows) == 0 {
 			t.Fatalf("%s: empty table", tab.ID)
@@ -66,9 +55,13 @@ func TestRunAllExperiments(t *testing.T) {
 		if wallClockExperiments[tab.ID] {
 			continue
 		}
-		if got := tab.Render(); got != serial[tab.ID] {
+		serial := serialRunOf(tab.ID)
+		if serial.err != nil {
+			t.Fatalf("serial %s: %v", tab.ID, serial.err)
+		}
+		if got := tab.Render(); got != serial.render {
 			t.Errorf("%s: concurrent table differs from serial run:\n--- serial ---\n%s--- sweep ---\n%s",
-				tab.ID, serial[tab.ID], got)
+				tab.ID, serial.render, got)
 		}
 	}
 }
@@ -120,19 +113,5 @@ func TestSweepHonorsCancelledContext(t *testing.T) {
 		if !errors.Is(r.Err, context.Canceled) {
 			t.Fatalf("%s: err = %v, want context.Canceled", r.ID, r.Err)
 		}
-	}
-}
-
-func TestRunAllDefaultsToFullRegistry(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-registry sweep is slow; run without -short")
-	}
-	SetTrainIters(8)
-	tables, err := RunAll(context.Background(), nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != len(All()) {
-		t.Fatalf("default sweep produced %d tables, want %d", len(tables), len(All()))
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"hotline/internal/data"
 	"hotline/internal/pipeline"
 	"hotline/internal/report"
-	"hotline/internal/shard"
 )
 
 // The SYN scenarios bring the synthetic multi-hot models (SYN-M1/M2, the
@@ -34,9 +33,9 @@ func MNSynthetic() *report.Table {
 	const nodes = 4
 	sys := cost.PaperCluster(nodes)
 	for _, cfg := range []data.Config{data.SynM1(), data.SynM2()} {
-		m := pipeline.MeasureShardStats(cfg, nodes, pipeline.DefaultShardCacheBytes(cfg),
-			mnBatch, shard.PolicyLRU)
-		w := pipeline.NewShardedWorkload(cfg, 4096*nodes, sys, 0)
+		m := pipeline.MeasureShard(cfg, pipeline.ShardProbe{
+			Nodes: nodes, CacheBytes: pipeline.DefaultShardCacheBytes(cfg), Batch: mnBatch})
+		w := pipeline.NewShardedWorkload(cfg, 4096*nodes, sys, 0, 0)
 		exposed := "-"
 		if w.Shard.OverlapMeasured {
 			exposed = pct(w.Shard.ExposedFrac, 1)
@@ -68,9 +67,9 @@ func MNBatchSweep() *report.Table {
 	const nodes = 4
 	sys := cost.PaperCluster(nodes)
 	for _, batch := range []int{256, 512, 1024, 2048} {
-		m := pipeline.MeasureShardStats(cfg, nodes, pipeline.DefaultShardCacheBytes(cfg),
-			batch, shard.PolicyLRU)
-		w := pipeline.NewShardedWorkload(cfg, batch*nodes, sys, 0)
+		m := pipeline.MeasureShard(cfg, pipeline.ShardProbe{
+			Nodes: nodes, CacheBytes: pipeline.DefaultShardCacheBytes(cfg), Batch: batch})
+		w := pipeline.NewShardedWorkload(cfg, batch*nodes, sys, 0, 0)
 		t.AddRow(fmt.Sprint(batch),
 			pct(m.HitRate, 1), pct(m.GatherFrac, 1),
 			fmt.Sprintf("%.1f", float64(m.A2ABytesPerIter)/1024),

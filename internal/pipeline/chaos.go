@@ -18,10 +18,6 @@ import (
 // under the requested policy, with the recovery costs measured and the
 // bit-parity evidence against the fault-free in-proc reference attached.
 type ChaosMeasurement struct {
-	Fabric string
-	Nodes  int
-	Depth  int
-	Iters  int
 	// Policy is the recovery policy's name ("redial" or "adopt").
 	Policy string
 	// Schedule is the applied chaos schedule, rendered ("w1:kill(1) ...").
@@ -51,33 +47,44 @@ type ChaosMeasurement struct {
 	Stats shard.Stats
 }
 
-// MeasureChaos trains the pipelined executor functionally on a down-scaled
-// copy of cfg twice — fault-free in-proc as the reference, then over a chaos
-// fabric (one killable NodeServer per node) where the schedule kills the
-// highest-numbered peer at window 1: under RecoverRedial the peer restarts
-// on a new address after restartAfter and the transport re-dials it; under
-// RecoverAdopt it stays dead and the survivors adopt its shard. Each window
-// also issues one serve-path gather, so an outage's graceful degradation
-// (StaleServeRows) is measured in the same run. The returned measurement
-// carries the recovery costs and the bit-parity evidence; an error means
-// the run did not recover.
-func MeasureChaos(cfg data.Config, nodes, depth int, network string,
-	iters, batch int, policy shard.RecoveryPolicy, restartAfter time.Duration) (ChaosMeasurement, error) {
-	if nodes < 2 {
-		return ChaosMeasurement{}, fmt.Errorf("chaos measurement needs >= 2 nodes, got %d: %w", nodes, shard.ErrFabricConfig)
+// ChaosProbe configures one MeasureChaos measurement.
+type ChaosProbe struct {
+	Nodes        int    // shard node count (>= 2); the highest-numbered node is the victim
+	Depth        int    // prefetch pipeline depth; < 1 selects the executors' default
+	Network      string // the chaos fabric's socket family ("unix" or "tcp")
+	Iters, Batch int    // size of the functional run
+	// Policy is the recovery policy under test (RecoverRedial or
+	// RecoverAdopt).
+	Policy shard.RecoveryPolicy
+	// RestartAfter is the wall delay before the killed peer's replacement
+	// comes up under RecoverRedial.
+	RestartAfter time.Duration
+}
+
+// MeasureChaos trains the pipelined executor functionally on the probe
+// shape of cfg twice — fault-free in-proc as the reference, then over a
+// chaos fabric (one killable NodeServer per node) where the schedule kills
+// the highest-numbered peer at window 1: under RecoverRedial the peer
+// restarts on a new address after RestartAfter and the transport re-dials
+// it; under RecoverAdopt it stays dead and the survivors adopt its shard.
+// Each window also issues one serve-path gather, so an outage's graceful
+// degradation (StaleServeRows) is measured in the same run. The returned
+// measurement carries the recovery costs and the bit-parity evidence; an
+// error means the run did not recover.
+func MeasureChaos(cfg data.Config, p ChaosProbe) (ChaosMeasurement, error) {
+	if p.Nodes < 2 {
+		return ChaosMeasurement{}, fmt.Errorf("chaos measurement needs >= 2 nodes, got %d: %w", p.Nodes, shard.ErrFabricConfig)
 	}
-	if depth < 1 {
-		depth = train.DefaultPipelineDepth()
+	if p.Depth < 1 {
+		p.Depth = train.DefaultPipelineDepth()
 	}
-	fn := fabricProbeShape(cfg)
-	const seed = 42
-	victim := nodes - 1
+	victim := p.Nodes - 1
 
 	var sched chaos.Schedule
 	retry := shard.RetryConfig{}
-	switch policy {
+	switch p.Policy {
 	case shard.RecoverRedial:
-		sched = chaos.KillRestart(victim, 1, restartAfter)
+		sched = chaos.KillRestart(victim, 1, p.RestartAfter)
 		retry.MaxRedials = 40
 		retry.Budget = 30 * time.Second
 	case shard.RecoverAdopt:
@@ -86,94 +93,62 @@ func MeasureChaos(cfg data.Config, nodes, depth int, network string,
 		retry.MaxRedials = 2
 		retry.Backoff = func(int) time.Duration { return 0 }
 	default:
-		return ChaosMeasurement{}, fmt.Errorf("chaos measurement needs a recovery policy, got %v: %w", policy, shard.ErrFabricConfig)
+		return ChaosMeasurement{}, fmt.Errorf("chaos measurement needs a recovery policy, got %v: %w", p.Policy, shard.ErrFabricConfig)
 	}
 
-	runOne := func(fab *chaos.Fabric) (float64, *model.Model, *shard.Service, error) {
-		svc := shard.New(shard.Config{
-			Nodes: nodes, CacheBytes: DefaultShardCacheBytes(fn),
-			RowBytes: int64(fn.EmbedDim) * 4,
-		}, nil)
-		var rt *shard.ResilientTransport
-		if fab != nil {
-			svc.SetRecovery(shard.RecoveryConfig{Policy: policy})
-			var err error
-			if rt, err = fab.Dial(retry); err != nil {
-				svc.Close()
-				return 0, nil, nil, err
-			}
-			svc.SetTransport(rt)
-		}
-		t := train.NewHotlineSharded(model.New(fn, seed), 0.1, svc)
-		t.OverlapGather = true
-		t.Depth = depth
-		t.LearnSamples = 512
-		gen := data.NewGenerator(fn)
-		batches := make([]*data.Batch, iters)
-		for i := range batches {
-			batches[i] = gen.NextBatch(batch)
-		}
-		svc.ResetStats()
-		var loss float64
-		for i := 0; i < iters; i++ {
-			if fab != nil {
-				fab.Tick(i)
-				serveProbe(svc, batches[i])
-			}
-			end := i + depth
-			if end > iters {
-				end = iters
-			}
-			loss = t.StepLookahead(batches[i], batches[i+1:end])
-		}
-		return loss, t.M, svc, svc.FabricErr()
+	fn := probeShape(cfg)
+	run := probeRun{
+		fn: fn, nodes: p.Nodes, cacheBytes: DefaultShardCacheBytes(fn),
+		depth: p.Depth, iters: p.Iters, batch: p.Batch,
 	}
-
-	refLoss, refM, refSvc, err := runOne(nil)
+	ref, err := runProbe(run)
 	if err != nil {
 		return ChaosMeasurement{}, fmt.Errorf("chaos in-proc reference run: %w", err)
 	}
-	refSvc.Close()
 
-	fab, err := chaos.NewFabric(nodes, network, shard.FabricTimeouts{})
+	fab, err := chaos.NewFabric(p.Nodes, p.Network, shard.FabricTimeouts{})
 	if err != nil {
 		return ChaosMeasurement{}, err
 	}
 	defer fab.Close()
 	fab.SetSchedule(sched)
-	loss, fm, svc, err := runOne(fab)
+	rt, err := fab.Dial(retry)
 	if err != nil {
-		if svc != nil {
-			svc.Close()
-		}
-		return ChaosMeasurement{}, fmt.Errorf("chaos %s run (%s): %w", policy, sched, err)
+		return ChaosMeasurement{}, fmt.Errorf("chaos %s run (%s): %w", p.Policy, sched, err)
+	}
+	run.attach = func(svc *shard.Service) {
+		svc.SetRecovery(shard.RecoveryConfig{Policy: p.Policy})
+		svc.SetTransport(rt)
+	}
+	run.window = func(svc *shard.Service, i int, b *data.Batch) {
+		fab.Tick(i)
+		serveProbe(svc, b)
+	}
+	res, err := runProbe(run)
+	if err != nil {
+		return ChaosMeasurement{}, fmt.Errorf("chaos %s run (%s): %w", p.Policy, sched, err)
 	}
 
+	rec := res.svc.RecoveryStats()
 	m := ChaosMeasurement{
-		Fabric: network, Nodes: nodes, Depth: depth, Iters: iters,
-		Policy:       policy.String(),
-		Schedule:     sched.String(),
-		FinalLoss:    loss,
-		MaxStateDiff: model.MaxStateDiff(refM, fm),
-		Stats:        svc.Snapshot(),
+		Policy:         p.Policy.String(),
+		Schedule:       sched.String(),
+		FinalLoss:      res.loss,
+		MaxStateDiff:   model.MaxStateDiff(ref.m, res.m),
+		RecoveryWall:   rec.RecoveryWall + rt.RecoveryWall(),
+		Adoptions:      rec.Adoptions,
+		MigratedBytes:  rec.MigratedBytes,
+		ResyncBytes:    rec.ResyncBytes,
+		RefetchedRows:  rec.Refetches,
+		StaleServeRows: res.svc.ServeSnapshot().StaleServeRows,
+		Stats:          res.stats,
 	}
-	rec := svc.RecoveryStats()
-	m.Adoptions = rec.Adoptions
-	m.MigratedBytes = rec.MigratedBytes
-	m.ResyncBytes = rec.ResyncBytes
-	m.RefetchedRows = rec.Refetches
-	m.RecoveryWall = rec.RecoveryWall
-	if rt, ok := svc.Transport().(*shard.ResilientTransport); ok {
-		m.RecoveryWall += rt.RecoveryWall()
-	}
-	for _, h := range svc.PeerHealth() {
+	for _, h := range res.svc.PeerHealth() {
 		m.Redials += h.Redials
 	}
-	m.StaleServeRows = svc.ServeSnapshot().StaleServeRows
-	svc.Close()
-	if loss != refLoss {
+	if res.loss != ref.loss {
 		return m, fmt.Errorf("chaos %s run diverged from fault-free reference: loss %v vs %v: %w",
-			policy, loss, refLoss, shard.ErrPeerDead)
+			p.Policy, res.loss, ref.loss, shard.ErrPeerDead)
 	}
 	return m, nil
 }

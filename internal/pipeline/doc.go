@@ -12,7 +12,7 @@
 // In the DESIGN.md layering the package sits above internal/cost and
 // internal/sim and below internal/experiments. Workloads carry measured
 // inputs from the functional layers: MeasureStats probes popular-input and
-// cold-lookup fractions, and MeasureShardStats (backed by internal/shard)
+// cold-lookup fractions, and MeasureShard (backed by internal/shard)
 // replaces the analytic fractions with cache hit-rates and all-to-all
 // volumes measured against real sharded-cache state.
 package pipeline

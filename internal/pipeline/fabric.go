@@ -10,6 +10,24 @@ import (
 	"hotline/internal/train"
 )
 
+// FabricProbe configures one MeasureFabric measurement.
+type FabricProbe struct {
+	Nodes int // shard node count (>= 2)
+	Depth int // prefetch pipeline depth; < 1 selects the executors' default
+	// Iters and Batch size the functional run; zero selects 8 x 256.
+	Iters, Batch int
+	// Network names the socket family ("unix" or "tcp") of a local fabric
+	// started for the run: one NodeServer per node behind a real socket
+	// (unix sockets in a temp dir, or loopback TCP on port 0), so the wall
+	// times are honest kernel-crossing numbers even without separate OS
+	// processes. "" or "inproc" measures only the in-proc reference run.
+	Network string
+	// Transport, when set, is an already-connected fabric measured instead
+	// of a local one — the caller owns its lifetime (e.g. the hotline-bench
+	// coordinator dialing real hotline-node worker processes).
+	Transport shard.Transport
+}
+
 // FabricMeasurement is one functional training run over a real fabric
 // transport: the measured wall clock the transport spent moving gather and
 // scatter traffic — numbers the analytic cost.AllToAllTime model can be
@@ -38,118 +56,69 @@ type FabricMeasurement struct {
 	Stats shard.Stats
 }
 
-// fabricProbeShape shrinks cfg to the functional probe the fabric runs
-// train: the access stream (and therefore the fabric traffic) is untouched,
-// the MLPs are small so the run is dominated by what we are measuring.
-func fabricProbeShape(cfg data.Config) data.Config {
-	fn := cfg
-	fn.Samples = 2048
-	fn.BotMLP = []int{cfg.BotMLP[0], 64, cfg.EmbedDim}
-	fn.TopMLP = []int{64, 1}
-	return fn
+// record fills the per-run fields from one probe run over the named fabric.
+func (m *FabricMeasurement) record(fabric string, res probeResult) {
+	iters := time.Duration(m.Iters)
+	m.Fabric = fabric
+	m.FinalLoss = res.loss
+	m.GatherWallPerIter = res.stats.GatherWall / iters
+	m.ScatterWallPerIter = res.stats.ScatterWall / iters
+	m.A2ABytesPerIter = res.stats.A2ABytes() / int64(m.Iters)
+	m.Stats = res.stats
 }
 
-// MeasureFabric is MeasureFabricDepth for one transport network at the
-// given node count, with the probe's default iteration budget.
-func MeasureFabric(cfg data.Config, nodes, depth int, network string) (FabricMeasurement, error) {
-	return MeasureFabricDepth(cfg, nodes, depth, network, 8, 256)
-}
-
-// MeasureFabricDepth trains the pipelined Hotline executor functionally on a
-// down-scaled copy of cfg twice over sharded services — once on the in-proc
-// fast path as the reference, once over the requested fabric network
-// ("inproc" skips the second run) — and returns the fabric run's measured
-// gather/scatter wall clock together with its parity against the reference.
-// The fabric run starts one NodeServer per node behind a real socket
-// (unix sockets in a temp dir, or loopback TCP on port 0), so the wall
-// times are honest kernel-crossing numbers even without separate OS
-// processes.
-func MeasureFabricDepth(cfg data.Config, nodes, depth int, network string, iters, batch int) (FabricMeasurement, error) {
-	if network == "" || network == "inproc" {
-		return MeasureFabricOver(cfg, nodes, depth, iters, batch, nil)
+// MeasureFabric trains the pipelined Hotline executor functionally on the
+// probe shape of cfg twice over sharded services — once on the in-proc fast
+// path as the reference, once over the probe's fabric (skipped when the
+// probe names none) — and returns the fabric run's measured gather/scatter
+// wall clock together with its parity against the reference.
+func MeasureFabric(cfg data.Config, p FabricProbe) (FabricMeasurement, error) {
+	if p.Nodes < 2 {
+		return FabricMeasurement{}, fmt.Errorf("pipeline: fabric measurement needs >= 2 nodes, got %d", p.Nodes)
 	}
-	fab, err := shard.StartLocalFabric(nodes, network, 0, nil)
-	if err != nil {
-		return FabricMeasurement{}, fmt.Errorf("pipeline: start %s fabric: %w", network, err)
+	if p.Depth < 1 {
+		p.Depth = train.DefaultPipelineDepth()
 	}
-	defer fab.Close()
-	return MeasureFabricOver(cfg, nodes, depth, iters, batch, fab.Transport)
-}
-
-// MeasureFabricOver is MeasureFabricDepth over an already-connected
-// transport — the caller owns the fabric's lifetime (e.g. the hotline-bench
-// coordinator dialing real hotline-node worker processes). A nil transport
-// measures only the in-proc reference run.
-func MeasureFabricOver(cfg data.Config, nodes, depth int, iters, batch int, fabric shard.Transport) (FabricMeasurement, error) {
-	if nodes < 2 {
-		return FabricMeasurement{}, fmt.Errorf("pipeline: fabric measurement needs >= 2 nodes, got %d", nodes)
+	if p.Iters < 1 {
+		p.Iters = 8
 	}
-	if depth < 1 {
-		depth = train.DefaultPipelineDepth()
+	if p.Batch < 1 {
+		p.Batch = 256
 	}
-	fn := fabricProbeShape(cfg)
-	const seed = 42
-
-	runOne := func(tr shard.Transport) (float64, *model.Model, shard.Stats, error) {
-		svc := shard.New(shard.Config{
-			Nodes: nodes, CacheBytes: DefaultShardCacheBytes(fn),
-			RowBytes: int64(fn.EmbedDim) * 4,
-		}, nil)
-		if tr != nil {
-			svc.SetTransport(tr)
+	fabric := p.Transport
+	if fabric == nil && p.Network != "" && p.Network != "inproc" {
+		fab, err := shard.StartLocalFabric(p.Nodes, p.Network, 0, nil)
+		if err != nil {
+			return FabricMeasurement{}, fmt.Errorf("pipeline: start %s fabric: %w", p.Network, err)
 		}
-		defer svc.Close()
-		t := train.NewHotlineSharded(model.New(fn, seed), 0.1, svc)
-		t.OverlapGather = true
-		t.Depth = depth
-		t.LearnSamples = 512
-		gen := data.NewGenerator(fn)
-		batches := make([]*data.Batch, iters)
-		for i := range batches {
-			batches[i] = gen.NextBatch(batch)
-		}
-		svc.ResetStats()
-		var loss float64
-		for i := 0; i < iters; i++ {
-			end := i + depth
-			if end > iters {
-				end = iters
-			}
-			loss = t.StepLookahead(batches[i], batches[i+1:end])
-		}
-		return loss, t.M, svc.Snapshot(), svc.FabricErr()
+		defer fab.Close()
+		fabric = fab.Transport
 	}
 
-	refLoss, refM, refStats, err := runOne(nil)
+	fn := probeShape(cfg)
+	run := probeRun{
+		fn: fn, nodes: p.Nodes, cacheBytes: DefaultShardCacheBytes(fn),
+		depth: p.Depth, iters: p.Iters, batch: p.Batch,
+	}
+	ref, err := runProbe(run)
 	if err != nil {
 		return FabricMeasurement{}, fmt.Errorf("pipeline: in-proc reference run: %w", err)
 	}
-
-	m := FabricMeasurement{
-		Fabric: "inproc", Nodes: nodes, Depth: depth, Iters: iters,
-		FinalLoss:          refLoss,
-		GatherWallPerIter:  refStats.GatherWall / time.Duration(iters),
-		ScatterWallPerIter: refStats.ScatterWall / time.Duration(iters),
-		A2ABytesPerIter:    refStats.A2ABytes() / int64(iters),
-		Stats:              refStats,
-	}
+	m := FabricMeasurement{Nodes: p.Nodes, Depth: p.Depth, Iters: p.Iters}
+	m.record("inproc", ref)
 	if fabric == nil {
 		return m, nil
 	}
 
-	loss, fm, stats, err := runOne(fabric)
+	run.attach = func(svc *shard.Service) { svc.SetTransport(fabric) }
+	res, err := runProbe(run)
 	if err != nil {
 		return FabricMeasurement{}, fmt.Errorf("pipeline: %s fabric run: %w", fabric.Name(), err)
 	}
-	m.Fabric = fabric.Name()
-	m.FinalLoss = loss
-	m.MaxStateDiff = model.MaxStateDiff(refM, fm)
-	m.GatherWallPerIter = stats.GatherWall / time.Duration(iters)
-	m.ScatterWallPerIter = stats.ScatterWall / time.Duration(iters)
-	m.A2ABytesPerIter = stats.A2ABytes() / int64(iters)
-	m.Stats = stats
-	if loss != refLoss {
-		return m, fmt.Errorf("pipeline: %s fabric diverged from in-proc: loss %v vs %v", fabric.Name(), loss, refLoss)
+	m.record(fabric.Name(), res)
+	m.MaxStateDiff = model.MaxStateDiff(ref.m, res.m)
+	if res.loss != ref.loss {
+		return m, fmt.Errorf("pipeline: %s fabric diverged from in-proc: loss %v vs %v", fabric.Name(), res.loss, ref.loss)
 	}
 	return m, nil
 }

@@ -2,13 +2,10 @@ package pipeline
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"hotline/internal/cost"
 	"hotline/internal/data"
 	"hotline/internal/embedding"
-	"hotline/internal/model"
 	"hotline/internal/shard"
 	"hotline/internal/train"
 )
@@ -78,24 +75,6 @@ type ShardMeasurement struct {
 	// set; the Hotline timing model then prices the exposed share instead
 	// of its analytic overlap schedule.
 	ExposedFrac float64
-	// Fabric names the transport a real-fabric measurement ran over
-	// ("unix", "tcp"); empty means the fabric numbers below are unset and
-	// the timing models rely on the analytic AllToAllTime alone.
-	Fabric string
-	// GatherWallPerIter / ScatterWallPerIter are the measured per-iteration
-	// wall-clock totals the fabric transport spent on gather fetches and
-	// scatter pushes (MeasureFabricDepth) — the empirical counterparts to
-	// the analytic all-to-all model.
-	GatherWallPerIter  time.Duration
-	ScatterWallPerIter time.Duration
-}
-
-// SetFabric records a fabric measurement's wall-clock numbers on the
-// workload's shard statistics.
-func (m *ShardMeasurement) SetFabric(fm FabricMeasurement) {
-	m.Fabric = fm.Fabric
-	m.GatherWallPerIter = fm.GatherWallPerIter
-	m.ScatterWallPerIter = fm.ScatterWallPerIter
 }
 
 // SetExposedFrac records a measured exposed-gather fraction (clamped to
@@ -136,11 +115,8 @@ type ShardProbe struct {
 	Quant shard.QuantMode
 }
 
-// shardStatsCache memoises measurements per full probe identity.
-var shardStatsCache sync.Map // string -> ShardMeasurement
-
-// shardStatsMu serialises first-time measurement like workloadStatsMu.
-var shardStatsMu sync.Mutex
+// shardStats memoises measurements per full probe identity.
+var shardStats memo[ShardMeasurement]
 
 // measureIters is how many post-warm-up iterations a measurement averages.
 const measureIters = 4
@@ -148,37 +124,23 @@ const measureIters = 4
 // measureWarmup is how many iterations run before counters reset.
 const measureWarmup = 2
 
-// MeasureShardStats replays a real access stream against a sharded service
-// under the given eviction policy (round-robin ownership): it profiles an
-// epoch, builds the access-aware placement (the EAL-learned hot set),
-// preloads the hot rows into the per-node device caches, streams warm-up
-// batches, then measures steady-state cache hit-rates and gather/scatter
-// volumes over several iterations. Results are memoised per configuration
-// — the policy is part of the memo identity — and deterministic for any
-// concurrency.
-func MeasureShardStats(cfg data.Config, nodes int, cacheBytes int64, batch int, policy shard.Policy) ShardMeasurement {
-	return MeasureShard(cfg, ShardProbe{
-		Nodes: nodes, CacheBytes: cacheBytes, Batch: batch, Policy: policy,
-	})
-}
-
-// MeasureShard is MeasureShardStats with the full probe surface: eviction
-// policy plus ownership placement (round-robin, capacity-weighted with
-// optional per-node weights, or hot-aware — popular rows pinned to their
-// dominant requesting node, counted over the same stream the measurement
-// replays).
+// MeasureShard replays a real access stream against a sharded service under
+// the probe's eviction policy and ownership placement (round-robin,
+// capacity-weighted from per-node HBM budgets, or hot-aware — popular rows
+// pinned to their dominant requesting node, counted over the same stream
+// the measurement replays): it profiles an epoch, builds the access-aware
+// placement (the EAL-learned hot set), preloads the hot rows into the
+// per-node device caches, streams warm-up batches, then measures
+// steady-state cache hit-rates and gather/scatter volumes over several
+// iterations. Results are memoised per full probe identity and
+// deterministic for any concurrency.
 func MeasureShard(cfg data.Config, p ShardProbe) ShardMeasurement {
 	key := fmt.Sprintf("%s/%d/%d/%d/%s/%s/%v/%s",
 		cfg.Name, p.Nodes, p.CacheBytes, p.Batch, p.Policy, p.Placement, p.HBMBytes, p.Quant)
-	if v, ok := shardStatsCache.Load(key); ok {
-		return v.(ShardMeasurement)
-	}
-	shardStatsMu.Lock()
-	defer shardStatsMu.Unlock()
-	if v, ok := shardStatsCache.Load(key); ok {
-		return v.(ShardMeasurement)
-	}
+	return shardStats.get(key, func() ShardMeasurement { return measureShard(cfg, p) })
+}
 
+func measureShard(cfg data.Config, p ShardProbe) ShardMeasurement {
 	probe := cfg
 	if probe.Samples > 4096 {
 		probe.Samples = 4096
@@ -238,7 +200,6 @@ func MeasureShard(cfg data.Config, p ShardProbe) ShardMeasurement {
 	if st.CacheHits > 0 {
 		m.QuantHitFrac = float64(st.QuantHits) / float64(st.CacheHits)
 	}
-	shardStatsCache.Store(key, m)
 	return m
 }
 
@@ -284,43 +245,26 @@ func buildPartitioner(probe data.Config, p ShardProbe, batch int, hot shard.HotC
 // one full replica of the learned hot set (the paper's ≤512 MB HBM tier).
 func DefaultShardCacheBytes(cfg data.Config) int64 { return data.ScaledHotBudget(cfg) }
 
-// overlapCache memoises MeasureOverlapExposedDepth per (dataset, nodes,
-// cache budget, depth). The fraction is a wall-clock measurement, so
-// memoising keeps every workload built in one process — and the concurrent
-// experiment sweep — consistent.
-var overlapCache sync.Map // string -> float64
+// overlapFracs memoises MeasureOverlap per (dataset, nodes, cache budget,
+// depth).
+var overlapFracs memo[float64]
 
-// overlapMu serialises first-time overlap measurement.
-var overlapMu sync.Mutex
-
-// MeasureOverlapExposed is MeasureOverlapExposedDepth at the executors'
-// current default pipeline depth (train.DefaultPipelineDepth — 2 unless
-// hotline.PipelineDepth / hotline-bench -depth moved it), so workloads
-// price the overlap of the pipeline the executors actually run.
-func MeasureOverlapExposed(cfg data.Config, nodes int, cacheBytes int64) float64 {
-	return MeasureOverlapExposedDepth(cfg, nodes, cacheBytes, train.DefaultPipelineDepth())
-}
-
-// MeasureOverlapExposedDepth trains the pipelined Hotline executor
-// functionally on a down-sampled copy of cfg over a sharded service with
-// the given per-node device-cache budget (<= 0 selects the scaled hot-set
-// default) — once with synchronous staged gathers, once with the depth-k
-// prefetch pipeline (classification and fabric gathers for the next k-1
-// mini-batches issued while iteration i finishes, dirty rows delta-
-// repaired) — and returns the measured fraction of gather wall time the
-// pipeline left exposed, in [0, 1]. Both the cache budget and the depth
-// are part of the memo identity: a cache-starved topology has far more
-// gather traffic to hide, and a deeper pipeline has more compute to hide
-// it under, so exposure must be measured under the same knobs the
-// workload's gather stats were.
-//
-// The probe shrinks the MLPs (the access stream, and therefore the gather
-// traffic, is untouched); less compute per iteration means less time to
-// hide traffic under, so the returned fraction is a conservative estimate
-// of what the full model would hide. The mn-overlap and mn-depth scenarios
-// measure the production-shape model and override the workload's fraction
-// with it.
-func MeasureOverlapExposedDepth(cfg data.Config, nodes int, cacheBytes int64, depth int) float64 {
+// MeasureOverlap trains the Hotline executor functionally on the probe
+// shape of cfg over a sharded service with the given per-node device-cache
+// budget (<= 0 selects the scaled hot-set default) — once at depth 1
+// (synchronous staged gathers), once with the depth-k prefetch pipeline
+// (classification and fabric gathers for the next k-1 mini-batches issued
+// while iteration i finishes, dirty rows delta-repaired) — and returns the
+// measured fraction of gather wall time the pipeline left exposed, in
+// [0, 1]. depth < 1 selects the executors' current default
+// (train.DefaultPipelineDepth — 2 unless hotline.PipelineDepth /
+// hotline-bench -depth moved it). Both the cache budget and the depth are
+// part of the memo identity: a cache-starved topology has far more gather
+// traffic to hide, and a deeper pipeline has more compute to hide it under,
+// so exposure must be measured under the same knobs the workload's gather
+// stats were. The mn-overlap and mn-depth scenarios measure the
+// production-shape model and override the workload's fraction with it.
+func MeasureOverlap(cfg data.Config, nodes int, cacheBytes int64, depth int) float64 {
 	if nodes <= 1 {
 		return 0
 	}
@@ -331,72 +275,34 @@ func MeasureOverlapExposedDepth(cfg data.Config, nodes int, cacheBytes int64, de
 		depth = train.DefaultPipelineDepth()
 	}
 	if depth == 1 {
-		// The depth-1 pipeline's only window belongs to the consuming
-		// forward, so it runs the synchronous code path verbatim — its
-		// exposure is 1 by construction, and timing the ratio of two
-		// identical runs would only measure scheduler noise.
+		// The depth-1 pipeline IS the synchronous baseline — its exposure
+		// is 1 by construction, and timing the ratio of two identical runs
+		// would only measure scheduler noise.
 		return 1
 	}
 	key := fmt.Sprintf("%s/%d/%d/%d", cfg.Name, nodes, cacheBytes, depth)
-	if v, ok := overlapCache.Load(key); ok {
-		return v.(float64)
-	}
-	overlapMu.Lock()
-	defer overlapMu.Unlock()
-	if v, ok := overlapCache.Load(key); ok {
-		return v.(float64)
-	}
-
-	fn := cfg
-	fn.Samples = 2048
-	fn.BotMLP = []int{cfg.BotMLP[0], 64, cfg.EmbedDim}
-	fn.TopMLP = []int{64, 1}
-	const iters, batch, seed = 8, 256, 42
-	runOne := func(overlap bool) shard.OverlapStats {
-		svc := shard.New(shard.Config{
-			Nodes: nodes, CacheBytes: cacheBytes,
-			RowBytes: int64(fn.EmbedDim) * 4,
-		}, nil)
-		tr := train.NewHotlineSharded(model.New(fn, seed), 0.1, svc)
-		tr.OverlapGather = overlap
-		tr.Depth = depth
-		tr.LearnSamples = 512
-		gen := data.NewGenerator(fn)
-		batches := make([]*data.Batch, iters)
-		for i := range batches {
-			batches[i] = gen.NextBatch(batch)
+	return overlapFracs.get(key, func() float64 {
+		// In-proc runs record no fabric error.
+		run := probeRun{
+			fn: probeShape(cfg), nodes: nodes, cacheBytes: cacheBytes,
+			depth: 1, iters: 8, batch: 256,
 		}
-		for i := 0; i < iters; i++ {
-			end := i + depth
-			if end > iters {
-				end = iters
-			}
-			tr.StepLookahead(batches[i], batches[i+1:end])
-		}
-		return svc.Gatherer().Stats()
-	}
-	syncStats := runOne(false)
-	overStats := runOne(true)
-	f := shard.ExposedFrac(overStats, syncStats)
-	overlapCache.Store(key, f)
-	return f
+		syncRun, _ := runProbe(run)
+		run.depth = depth
+		overRun, _ := runProbe(run)
+		return shard.ExposedFrac(overRun.over, syncRun.over)
+	})
 }
 
-// NewShardedWorkload is NewShardedWorkloadDepth at the executors' current
-// default pipeline depth.
-func NewShardedWorkload(cfg data.Config, batch int, sys cost.System, cacheBytes int64) Workload {
-	return NewShardedWorkloadDepth(cfg, batch, sys, cacheBytes, train.DefaultPipelineDepth())
-}
-
-// NewShardedWorkloadDepth assembles a workload whose timing models consume
+// NewShardedWorkload assembles a workload whose timing models consume
 // measured sharding statistics (sys.Nodes simulated nodes, cacheBytes of
-// device cache per node, LRU caches over round-robin ownership) instead of
-// the analytic popularity fractions. The exposed-gather fraction is also
-// measured — the depth-k pipelined async engine against its synchronous
-// baseline (MeasureOverlapExposedDepth) — so every mn-* scenario prices
-// overlap from measurement by default instead of the analytic overlap
-// schedule, at the pipeline depth the scenario sweeps.
-func NewShardedWorkloadDepth(cfg data.Config, batch int, sys cost.System, cacheBytes int64, depth int) Workload {
+// device cache per node — <= 0 selects the scaled hot-set budget — LRU
+// caches over round-robin ownership) instead of the analytic popularity
+// fractions. The exposed-gather fraction is measured too (MeasureOverlap at
+// the given pipeline depth; depth < 1 selects the executors' current
+// default), so every mn-* scenario prices overlap from measurement instead
+// of the analytic overlap schedule, at the depth the scenario sweeps.
+func NewShardedWorkload(cfg data.Config, batch int, sys cost.System, cacheBytes int64, depth int) Workload {
 	w := NewWorkload(cfg, batch, sys)
 	if cacheBytes <= 0 {
 		cacheBytes = DefaultShardCacheBytes(cfg)
@@ -404,10 +310,10 @@ func NewShardedWorkloadDepth(cfg data.Config, batch int, sys cost.System, cacheB
 	if depth < 1 {
 		depth = train.DefaultPipelineDepth()
 	}
-	m := MeasureShardStats(cfg, sys.Nodes, cacheBytes, batch, shard.PolicyLRU)
+	m := MeasureShard(cfg, ShardProbe{Nodes: sys.Nodes, CacheBytes: cacheBytes, Batch: batch})
 	if sys.Nodes > 1 {
 		m.PipelineDepth = depth
-		m.SetExposedFrac(MeasureOverlapExposedDepth(cfg, sys.Nodes, cacheBytes, depth))
+		m.SetExposedFrac(MeasureOverlap(cfg, sys.Nodes, cacheBytes, depth))
 	}
 	w.Shard = &m
 	return w

@@ -9,9 +9,9 @@ import (
 	"hotline/internal/train"
 )
 
-func TestMeasureShardStatsBasics(t *testing.T) {
+func TestMeasureShardBasics(t *testing.T) {
 	cfg := data.CriteoKaggle()
-	m := MeasureShardStats(cfg, 4, DefaultShardCacheBytes(cfg), 1024, shard.PolicyLRU)
+	m := MeasureShard(cfg, ShardProbe{Nodes: 4, CacheBytes: DefaultShardCacheBytes(cfg), Batch: 1024})
 	if m.Nodes != 4 {
 		t.Fatalf("nodes = %d", m.Nodes)
 	}
@@ -32,18 +32,18 @@ func TestMeasureShardStatsBasics(t *testing.T) {
 	}
 }
 
-func TestMeasureShardStatsSingleNode(t *testing.T) {
+func TestMeasureShardSingleNode(t *testing.T) {
 	cfg := data.CriteoKaggle()
-	m := MeasureShardStats(cfg, 1, DefaultShardCacheBytes(cfg), 1024, shard.PolicyLRU)
+	m := MeasureShard(cfg, ShardProbe{Nodes: 1, CacheBytes: DefaultShardCacheBytes(cfg), Batch: 1024})
 	if m.RemoteFrac != 0 || m.A2ABytesPerIter != 0 {
 		t.Fatalf("single node must be all-local: %+v", m)
 	}
 }
 
-func TestMeasureShardStatsCachePressure(t *testing.T) {
+func TestMeasureShardCachePressure(t *testing.T) {
 	cfg := data.CriteoKaggle()
-	big := MeasureShardStats(cfg, 4, DefaultShardCacheBytes(cfg), 1024, shard.PolicyLRU)
-	tiny := MeasureShardStats(cfg, 4, DefaultShardCacheBytes(cfg)/16, 1024, shard.PolicyLRU)
+	big := MeasureShard(cfg, ShardProbe{Nodes: 4, CacheBytes: DefaultShardCacheBytes(cfg), Batch: 1024})
+	tiny := MeasureShard(cfg, ShardProbe{Nodes: 4, CacheBytes: DefaultShardCacheBytes(cfg) / 16, Batch: 1024})
 	if tiny.HitRate >= big.HitRate {
 		t.Fatalf("smaller cache must hit less: tiny %g vs big %g", tiny.HitRate, big.HitRate)
 	}
@@ -52,17 +52,17 @@ func TestMeasureShardStatsCachePressure(t *testing.T) {
 	}
 }
 
-// TestMeasureShardStatsPolicyKeyed is the regression test for the memo-key
+// TestMeasureShardPolicyKeyed is the regression test for the memo-key
 // bug: the eviction policy is part of the measurement identity, so a
 // policy-ablation caller can never read stats measured under a different
 // policy. Under cache pressure LRU and SRRIP behave differently, and each
 // policy's memoised result must be stable across repeated calls in either
 // order.
-func TestMeasureShardStatsPolicyKeyed(t *testing.T) {
+func TestMeasureShardPolicyKeyed(t *testing.T) {
 	cfg := data.CriteoKaggle()
 	cache := DefaultShardCacheBytes(cfg) / 16
-	srrip := MeasureShardStats(cfg, 4, cache, 1024, shard.PolicySRRIP)
-	lru := MeasureShardStats(cfg, 4, cache, 1024, shard.PolicyLRU)
+	srrip := MeasureShard(cfg, ShardProbe{Nodes: 4, CacheBytes: cache, Batch: 1024, Policy: shard.PolicySRRIP})
+	lru := MeasureShard(cfg, ShardProbe{Nodes: 4, CacheBytes: cache, Batch: 1024, Policy: shard.PolicyLRU})
 	if lru.Policy != shard.PolicyLRU || srrip.Policy != shard.PolicySRRIP {
 		t.Fatalf("measurements must record their policy: %v / %v", lru.Policy, srrip.Policy)
 	}
@@ -70,7 +70,7 @@ func TestMeasureShardStatsPolicyKeyed(t *testing.T) {
 		t.Fatal("under pressure, LRU and SRRIP measurements must differ; " +
 			"identical results mean the memo ignored the policy")
 	}
-	if again := MeasureShardStats(cfg, 4, cache, 1024, shard.PolicySRRIP); again != srrip {
+	if again := MeasureShard(cfg, ShardProbe{Nodes: 4, CacheBytes: cache, Batch: 1024, Policy: shard.PolicySRRIP}); again != srrip {
 		t.Fatal("repeated SRRIP call returned a different (cross-policy) memo entry")
 	}
 }
@@ -165,7 +165,7 @@ func TestMeasureShardQuantReprices(t *testing.T) {
 func TestHotlineConsumesExposedFrac(t *testing.T) {
 	cfg := data.CriteoKaggle()
 	sys := cost.PaperCluster(4)
-	w := NewShardedWorkload(cfg, 4096*4, sys, 0)
+	w := NewShardedWorkload(cfg, 4096*4, sys, 0, 0)
 	analytic := float64(NewHotline().Iteration(w).Total) // OverlapMeasured unset
 	iter := func(f float64) float64 {
 		w.Shard.SetExposedFrac(f)
@@ -189,7 +189,7 @@ func TestShardedWorkloadFeedsTimingModels(t *testing.T) {
 	cfg := data.CriteoKaggle()
 	sys := cost.PaperCluster(2)
 	plain := NewWorkload(cfg, 4096, sys)
-	sharded := NewShardedWorkload(cfg, 4096, sys, 0)
+	sharded := NewShardedWorkload(cfg, 4096, sys, 0, 0)
 	if sharded.Shard == nil || sharded.Shard.Nodes != 2 {
 		t.Fatal("sharded workload must carry a measurement for sys.Nodes")
 	}
@@ -214,7 +214,7 @@ func TestShardedWorkloadFeedsTimingModels(t *testing.T) {
 func TestShardedWorkloadMeasuresOverlap(t *testing.T) {
 	cfg := data.CriteoKaggle()
 	for _, nodes := range []int{2, 4} {
-		w := NewShardedWorkload(cfg, 4096*nodes, cost.PaperCluster(nodes), 0)
+		w := NewShardedWorkload(cfg, 4096*nodes, cost.PaperCluster(nodes), 0, 0)
 		if w.Shard == nil {
 			t.Fatalf("nodes=%d: workload carries no shard measurement", nodes)
 		}
@@ -226,32 +226,32 @@ func TestShardedWorkloadMeasuresOverlap(t *testing.T) {
 		}
 		// Memoisation: a second workload must see the identical fraction
 		// (the sweep's determinism depends on it).
-		w2 := NewShardedWorkload(cfg, 4096*nodes, cost.PaperCluster(nodes), 0)
+		w2 := NewShardedWorkload(cfg, 4096*nodes, cost.PaperCluster(nodes), 0, 0)
 		if w2.Shard.ExposedFrac != w.Shard.ExposedFrac {
 			t.Fatalf("nodes=%d: exposed fraction not memoised (%v vs %v)",
 				nodes, w.Shard.ExposedFrac, w2.Shard.ExposedFrac)
 		}
 	}
 	// Single node: no fabric, no overlap measurement.
-	w := NewShardedWorkload(cfg, 4096, cost.PaperCluster(1), 0)
+	w := NewShardedWorkload(cfg, 4096, cost.PaperCluster(1), 0, 0)
 	if w.Shard.OverlapMeasured {
 		t.Fatal("nodes=1 must not report a measured overlap")
 	}
 }
 
-// TestMeasureOverlapExposedDepthKeyed: the depth is part of the overlap
-// memo identity — each k gets its own measurement — and the default-depth
-// helpers agree with the explicit depth-2 probe.
-func TestMeasureOverlapExposedDepthKeyed(t *testing.T) {
+// TestMeasureOverlapDepthKeyed: the depth is part of the overlap memo
+// identity — each k gets its own measurement — and the default depth (0)
+// agrees with the explicit depth-2 probe.
+func TestMeasureOverlapDepthKeyed(t *testing.T) {
 	cfg := data.CriteoKaggle()
-	f2 := MeasureOverlapExposedDepth(cfg, 2, 0, 2)
-	if got := MeasureOverlapExposed(cfg, 2, 0); got != f2 {
-		t.Fatalf("default-depth helper diverged: %v vs %v", got, f2)
+	f2 := MeasureOverlap(cfg, 2, 0, 2)
+	if got := MeasureOverlap(cfg, 2, 0, 0); got != f2 {
+		t.Fatalf("default depth diverged: %v vs %v", got, f2)
 	}
-	if got := MeasureOverlapExposedDepth(cfg, 2, 0, 2); got != f2 {
+	if got := MeasureOverlap(cfg, 2, 0, 2); got != f2 {
 		t.Fatalf("depth measurement not memoised: %v vs %v", got, f2)
 	}
-	if f := MeasureOverlapExposedDepth(cfg, 1, 0, 4); f != 0 {
+	if f := MeasureOverlap(cfg, 1, 0, 4); f != 0 {
 		t.Fatalf("single node must expose nothing: %v", f)
 	}
 }
@@ -263,8 +263,8 @@ func TestMeasureOverlapExposedDepthKeyed(t *testing.T) {
 // 1 (not a noisy timing of two identical runs).
 func TestDepthExposedFracNonIncreasing(t *testing.T) {
 	cfg := data.CriteoKaggle()
-	f1 := MeasureOverlapExposedDepth(cfg, 4, 0, 1)
-	f2 := MeasureOverlapExposedDepth(cfg, 4, 0, 2)
+	f1 := MeasureOverlap(cfg, 4, 0, 1)
+	f2 := MeasureOverlap(cfg, 4, 0, 2)
 	if f1 != 1 {
 		t.Fatalf("depth-1 exposure must be exactly 1 (synchronous by construction), got %v", f1)
 	}
@@ -277,14 +277,14 @@ func TestDepthExposedFracNonIncreasing(t *testing.T) {
 // pipeline depth its overlap was measured at.
 func TestShardedWorkloadDepthRecorded(t *testing.T) {
 	cfg := data.CriteoKaggle()
-	w := NewShardedWorkloadDepth(cfg, 4096*2, cost.PaperCluster(2), 0, 4)
+	w := NewShardedWorkload(cfg, 4096*2, cost.PaperCluster(2), 0, 4)
 	if w.Shard == nil || !w.Shard.OverlapMeasured {
 		t.Fatal("depth workload must measure overlap")
 	}
 	if w.Shard.PipelineDepth != 4 {
 		t.Fatalf("pipeline depth not recorded: %d", w.Shard.PipelineDepth)
 	}
-	wd := NewShardedWorkload(cfg, 4096*2, cost.PaperCluster(2), 0)
+	wd := NewShardedWorkload(cfg, 4096*2, cost.PaperCluster(2), 0, 0)
 	if wd.Shard.PipelineDepth != train.DefaultPipelineDepth() {
 		t.Fatalf("default workload depth = %d want %d",
 			wd.Shard.PipelineDepth, train.DefaultPipelineDepth())

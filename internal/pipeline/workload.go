@@ -74,28 +74,43 @@ type Workload struct {
 	Shard *ShardMeasurement
 }
 
-// workloadStats caches measured popularity statistics per dataset.
-var workloadStats sync.Map // string -> [2]float64{popularFrac, coldLookupFrac}
+// memo caches one measurement per key and single-flights first-time
+// measurement: a concurrent experiment sweep measures each configuration
+// once, and every workload built in the process sees the same value — which
+// is what keeps sweeps consistent where the value is a wall-clock
+// measurement.
+type memo[V any] struct {
+	mu sync.Mutex
+	m  sync.Map // string -> V
+}
 
-// workloadStatsMu serialises first-time probes so a concurrent experiment
-// sweep measures each dataset once instead of duplicating the epoch profile.
-var workloadStatsMu sync.Mutex
+func (c *memo[V]) get(key string, measure func() V) V {
+	if v, ok := c.m.Load(key); ok {
+		return v.(V)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if v, ok := c.m.Load(key); ok {
+		return v.(V)
+	}
+	v := measure()
+	c.m.Store(key, v)
+	return v
+}
+
+// workloadStats caches {popularFrac, coldLookupFrac} per dataset name.
+var workloadStats memo[[2]float64]
 
 // MeasureStats runs the functional layer once per config to measure the
 // popular-input fraction and cold-lookup fraction under the config's hot
 // budget. Results are cached per dataset name; the function is safe for
 // concurrent use from any number of workloads.
 func MeasureStats(cfg data.Config) (popularFrac, coldLookupFrac float64) {
-	if v, ok := workloadStats.Load(cfg.Name); ok {
-		s := v.([2]float64)
-		return s[0], s[1]
-	}
-	workloadStatsMu.Lock()
-	defer workloadStatsMu.Unlock()
-	if v, ok := workloadStats.Load(cfg.Name); ok {
-		s := v.([2]float64)
-		return s[0], s[1]
-	}
+	s := workloadStats.get(cfg.Name, func() [2]float64 { return measureStats(cfg) })
+	return s[0], s[1]
+}
+
+func measureStats(cfg data.Config) [2]float64 {
 	probe := cfg
 	if probe.Samples > 4096 {
 		probe.Samples = 4096
@@ -123,10 +138,7 @@ func MeasureStats(cfg data.Config) (popularFrac, coldLookupFrac float64) {
 			popular++
 		}
 	}
-	p := float64(popular) / float64(b.Size())
-	c := float64(cold) / float64(total)
-	workloadStats.Store(cfg.Name, [2]float64{p, c})
-	return p, c
+	return [2]float64{float64(popular) / float64(b.Size()), float64(cold) / float64(total)}
 }
 
 // NewWorkload assembles a Workload with measured popularity statistics.

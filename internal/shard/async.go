@@ -368,8 +368,14 @@ func (q *gatherQueue) swapLocked() []fetchJob {
 	return jobs
 }
 
-// finish recycles a drained buffer.
+// finish recycles a drained buffer. The retired jobs are cleared first: a
+// stale fetchJob still points at its service (whose gather field is the
+// engine) and at the window's tables, and the engine's runtime cleanup holds
+// the queues — left in place, every engine that ever prefetched would be
+// reachable from its own cleanup and never collected, service and shards
+// with it.
 func (q *gatherQueue) finish(jobs []fetchJob) {
+	clear(jobs)
 	q.mu.Lock()
 	q.free = append(q.free, jobs[:0])
 	q.mu.Unlock()
@@ -482,8 +488,9 @@ func NewAsyncGatherer(nodes int) *AsyncGatherer {
 	for i := range g.queues {
 		g.queues[i] = newGatherQueue(g.c)
 	}
-	// The drainers reference only their queue and the shared counters, so
-	// the engine itself stays collectable; retire them when it goes away.
+	// A drained queue references only its (cleared) buffers and the shared
+	// counters, so the engine itself stays collectable; retire the drainers
+	// when it goes away.
 	runtime.AddCleanup(g, func(queues []*gatherQueue) {
 		for _, q := range queues {
 			q.close()

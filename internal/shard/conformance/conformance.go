@@ -64,12 +64,7 @@ const (
 
 // probeBatches replays the probe's deterministic stream.
 func probeBatches(cfg data.Config) []*data.Batch {
-	gen := data.NewGenerator(cfg)
-	bs := make([]*data.Batch, probeIters)
-	for i := range bs {
-		bs[i] = gen.NextBatch(probeBatch)
-	}
-	return bs
+	return data.NewGenerator(cfg).NextBatches(probeIters, probeBatch)
 }
 
 // runResult is one sharded training run's evidence.
@@ -80,39 +75,28 @@ type runResult struct {
 	over   shard.OverlapStats
 }
 
-// trainOver runs the pipelined Hotline executor over a sharded service with
-// the given transport, node count, depth and partitioner, on the probe's
-// fixed stream.
-func trainOver(tb testing.TB, s Suite, cfg data.Config, nodes, depth int, part shard.Partitioner) runResult {
+// trainRun runs the pipelined Hotline executor on the probe's fixed stream
+// over a sharded service with the given node count, depth and partitioner.
+// attach plugs the transport (and any recovery policy) into the fresh
+// service; before, when non-nil, runs ahead of every training window.
+func trainRun(tb testing.TB, cfg data.Config, nodes, depth int, part shard.Partitioner,
+	attach func(*shard.Service), before func(i int)) runResult {
 	tb.Helper()
 	svc := shard.New(shard.Config{
 		Nodes: nodes, CacheBytes: 64 << 10, RowBytes: int64(cfg.EmbedDim) * 4,
 		Part: part,
 	}, nil)
-	if s.NewTransport != nil {
-		if tr := s.NewTransport(tb, nodes); tr != nil {
-			svc.SetTransport(tr)
-		}
-	}
+	attach(svc)
 	defer func() {
 		if err := svc.Close(); err != nil {
 			tb.Fatalf("service close: %v", err)
 		}
 	}()
 	t := train.NewHotlineSharded(model.New(cfg, probeSeed), 0.1, svc)
-	t.OverlapGather = true
 	t.Depth = depth
 	t.LearnSamples = probeLearn
-	batches := probeBatches(cfg)
 	svc.ResetStats()
-	res := runResult{m: t.M}
-	for i := range batches {
-		end := i + depth
-		if end > len(batches) {
-			end = len(batches)
-		}
-		res.losses = append(res.losses, t.StepLookahead(batches[i], batches[i+1:end]))
-	}
+	res := runResult{m: t.M, losses: train.StepAll(t, probeBatches(cfg), before)}
 	res.stats = svc.Snapshot()
 	if g := svc.Gatherer(); g != nil {
 		res.over = g.Stats()
@@ -121,6 +105,30 @@ func trainOver(tb testing.TB, s Suite, cfg data.Config, nodes, depth int, part s
 		tb.Fatalf("fabric error after run (nodes=%d depth=%d): %v", nodes, depth, err)
 	}
 	return res
+}
+
+// attach plugs a fresh transport of the suite's family into svc.
+func (s Suite) attach(tb testing.TB, svc *shard.Service, nodes int) {
+	if s.NewTransport != nil {
+		if tr := s.NewTransport(tb, nodes); tr != nil {
+			svc.SetTransport(tr)
+		}
+	}
+}
+
+// trainOver is trainRun over the suite's transport.
+func trainOver(tb testing.TB, s Suite, cfg data.Config, nodes, depth int, part shard.Partitioner) runResult {
+	tb.Helper()
+	return trainRun(tb, cfg, nodes, depth, part, func(svc *shard.Service) { s.attach(tb, svc, nodes) }, nil)
+}
+
+// reference trains the unsharded executor on the probe's stream: the
+// single-node run every cell must reproduce — parameters bit-for-bit,
+// losses exactly.
+func reference(cfg data.Config) (*train.HotlineTrainer, []float64) {
+	ref := train.NewHotline(model.New(cfg, probeSeed), 0.1)
+	ref.LearnSamples = probeLearn
+	return ref, train.StepAll(ref, probeBatches(cfg), nil)
 }
 
 // hotAwarePart builds the hot-aware placement from the probe's own stream
@@ -139,15 +147,7 @@ func hotAwarePart(cfg data.Config, nodes int) shard.Partitioner {
 func Run(t *testing.T, s Suite) {
 	cfg := probeCfg()
 
-	// The single-node reference: the unsharded executor on the identical
-	// stream. Every (nodes, depth, placement) cell must reproduce its
-	// parameters bit-for-bit and its losses exactly.
-	ref := train.NewHotline(model.New(cfg, probeSeed), 0.1)
-	ref.LearnSamples = probeLearn
-	var refLosses []float64
-	for _, b := range probeBatches(cfg) {
-		refLosses = append(refLosses, ref.Step(b))
-	}
+	ref, refLosses := reference(cfg)
 
 	t.Run("TrainingParity", func(t *testing.T) {
 		for _, nodes := range []int{2, 4, 8} {
@@ -235,11 +235,7 @@ func newFabricFixture(tb testing.TB, s Suite, nodes, rows, dim int) *fabricFixtu
 	// and the cache layer cannot leak state between the serve and train
 	// probes below.
 	f.svc = shard.New(shard.Config{Nodes: nodes, CacheBytes: 0, RowBytes: int64(dim) * 4}, nil)
-	if s.NewTransport != nil {
-		if tr := s.NewTransport(tb, nodes); tr != nil {
-			f.svc.SetTransport(tr)
-		}
-	}
+	s.attach(tb, f.svc, nodes)
 	f.g = f.svc.EnableAsyncGather()
 	f.store = make([][]float32, rows)
 	for r := range f.store {

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"hotline/internal/data"
 	"hotline/internal/model"
 	"hotline/internal/shard"
 	"hotline/internal/train"
@@ -234,23 +233,13 @@ func RunFaults(t *testing.T, network string) {
 		svc.SetTransport(fab.Transport)
 		defer svc.Close()
 		tr := train.NewHotlineSharded(model.New(cfg, probeSeed), 0.1, svc)
-		tr.OverlapGather = true
 		tr.Depth = 2
 		tr.LearnSamples = probeLearn
-		gen := data.NewGenerator(cfg)
-		batches := make([]*data.Batch, 4)
-		for i := range batches {
-			batches[i] = gen.NextBatch(probeBatch)
-		}
-		tr.StepLookahead(batches[0], batches[1:3])
-		fab.Servers[1].Close() // the peer dies with window(s) open
-		for i := 1; i < len(batches); i++ {
-			end := i + 2
-			if end > len(batches) {
-				end = len(batches)
+		train.StepAll(tr, probeBatches(cfg), func(i int) {
+			if i == 1 {
+				fab.Servers[1].Close() // the peer dies with a window open
 			}
-			tr.StepLookahead(batches[i], batches[i+1:end])
-		}
+		})
 		if err := svc.FabricErr(); !errors.Is(err, shard.ErrPeerDead) {
 			t.Fatalf("fabric error after peer death: got %v want ErrPeerDead", err)
 		}

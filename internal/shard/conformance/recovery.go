@@ -9,7 +9,6 @@ import (
 	"hotline/internal/model"
 	"hotline/internal/shard"
 	"hotline/internal/shard/chaos"
-	"hotline/internal/train"
 )
 
 // RecoverySuite: the fault-recovery contracts of the resilient fabric,
@@ -73,13 +72,12 @@ func suiteTimeout(tb testing.TB) time.Duration {
 	return shard.DefaultFabricTimeout
 }
 
-// trainChaos is trainOver against a chaos fabric: same probe stream, same
+// trainChaos is trainRun against a chaos fabric: same probe stream, same
 // executor, with the schedule ticked once per training window and the
 // recovery policy armed.
 func trainChaos(tb testing.TB, network string, nodes, depth int, part shard.Partitioner,
 	policy shard.RecoveryPolicy, retry shard.RetryConfig, sched chaos.Schedule) runResult {
 	tb.Helper()
-	cfg := probeCfg()
 	timeout := suiteTimeout(tb)
 	fab, err := chaos.NewFabric(nodes, network, shard.FabricTimeouts{Dial: timeout, IO: timeout})
 	if err != nil {
@@ -91,57 +89,18 @@ func trainChaos(tb testing.TB, network string, nodes, depth int, part shard.Part
 		tb.Fatal(err)
 	}
 	fab.SetSchedule(sched)
-
-	svc := shard.New(shard.Config{
-		Nodes: nodes, CacheBytes: 64 << 10, RowBytes: int64(cfg.EmbedDim) * 4,
-		Part: part,
-	}, nil)
-	svc.SetRecovery(shard.RecoveryConfig{Policy: policy})
-	svc.SetTransport(rt)
-	defer func() {
-		if err := svc.Close(); err != nil {
-			tb.Fatalf("service close: %v", err)
-		}
-	}()
-
-	t := train.NewHotlineSharded(model.New(cfg, probeSeed), 0.1, svc)
-	t.OverlapGather = true
-	t.Depth = depth
-	t.LearnSamples = probeLearn
-	batches := probeBatches(cfg)
-	svc.ResetStats()
-	res := runResult{m: t.M}
-	for i := range batches {
-		fab.Tick(i)
-		end := i + depth
-		if end > len(batches) {
-			end = len(batches)
-		}
-		res.losses = append(res.losses, t.StepLookahead(batches[i], batches[i+1:end]))
-	}
-	res.stats = svc.Snapshot()
-	if g := svc.Gatherer(); g != nil {
-		res.over = g.Stats()
-	}
-	if err := svc.FabricErr(); err != nil {
-		tb.Fatalf("fabric error after recovered run (nodes=%d depth=%d policy=%v): %v",
-			nodes, depth, policy, err)
-	}
-	return res
+	return trainRun(tb, probeCfg(), nodes, depth, part, func(svc *shard.Service) {
+		svc.SetRecovery(shard.RecoveryConfig{Policy: policy})
+		svc.SetTransport(rt)
+	}, fab.Tick)
 }
 
 // RunRecovery executes the recovery contract suite on one socket family.
 func RunRecovery(t *testing.T, network string) {
 	cfg := probeCfg()
 
-	// Fault-free single-node reference: the bar every recovered run must
-	// clear bit-for-bit.
-	ref := train.NewHotline(model.New(cfg, probeSeed), 0.1)
-	ref.LearnSamples = probeLearn
-	var refLosses []float64
-	for _, b := range probeBatches(cfg) {
-		refLosses = append(refLosses, ref.Step(b))
-	}
+	// The fault-free reference is the bar every recovered run must clear.
+	ref, refLosses := reference(cfg)
 
 	assertBitIdentical := func(t *testing.T, res runResult) {
 		t.Helper()

@@ -99,45 +99,31 @@ func HotlineTrainStep(b *testing.B) {
 	}
 }
 
-// HotlineTrainStepPipelined is HotlineTrainStep through the
-// cross-iteration pipelined entry point (lookahead staged every step).
-func HotlineTrainStepPipelined(b *testing.B) {
+// trainStepStream times b.N Hotline training steps over a cycled window of
+// batches through train.StepAll, so every step is handed Depth-1 batches
+// ahead (the lookahead staged every step).
+func trainStepStream(b *testing.B, depth, window int) {
 	cfg := benchTrainCfg()
 	tr := train.NewHotline(model.New(cfg, 1), 0.1)
-	gen := data.NewGenerator(cfg)
-	cur := gen.NextBatch(64)
-	next := gen.NextBatch(64)
+	tr.Depth = depth
+	batches := data.NewGenerator(cfg).NextBatches(window, 64)
+	stream := make([]*data.Batch, b.N)
+	for i := range stream {
+		stream[i] = batches[i%window]
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.StepPipelined(cur, next)
-		cur, next = next, cur
-	}
+	train.StepAll(tr, stream, nil)
 }
+
+// HotlineTrainStepPipelined is HotlineTrainStep through the classic
+// two-deep pipeline: StepLookahead with one batch ahead.
+func HotlineTrainStepPipelined(b *testing.B) { trainStepStream(b, 2, 2) }
 
 // HotlineTrainStepDepth4 is the train step through the depth-4 lookahead
 // pipeline (three mini-batches staged ahead every step; steady state:
 // 0 allocs/op at Parallelism(1)).
-func HotlineTrainStepDepth4(b *testing.B) {
-	cfg := benchTrainCfg()
-	tr := train.NewHotline(model.New(cfg, 1), 0.1)
-	tr.Depth = 4
-	gen := data.NewGenerator(cfg)
-	const window = 8
-	batches := make([]*data.Batch, window)
-	for i := range batches {
-		batches[i] = gen.NextBatch(64)
-	}
-	look := make([]*data.Batch, tr.Depth-1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range look {
-			look[j] = batches[(i+1+j)%window]
-		}
-		tr.StepLookahead(batches[i%window], look)
-	}
-}
+func HotlineTrainStepDepth4(b *testing.B) { trainStepStream(b, 4, 8) }
 
 // ShardedPrefetchWindow measures one asynchronous gather window end to end
 // (plan → double-buffered queues → staging → consume → ring release) on a
@@ -276,8 +262,10 @@ type RecoveryResult struct {
 func ChaosRecovery() []RecoveryResult {
 	out := make([]RecoveryResult, 0, 2)
 	for _, policy := range []shard.RecoveryPolicy{shard.RecoverRedial, shard.RecoverAdopt} {
-		m, err := pipeline.MeasureChaos(data.CriteoKaggle(), 2, 0, "unix",
-			8, 256, policy, 10*time.Millisecond)
+		m, err := pipeline.MeasureChaos(data.CriteoKaggle(), pipeline.ChaosProbe{
+			Nodes: 2, Network: "unix", Iters: 8, Batch: 256,
+			Policy: policy, RestartAfter: 10 * time.Millisecond,
+		})
 		r := RecoveryResult{
 			Policy:         policy.String(),
 			Schedule:       m.Schedule,

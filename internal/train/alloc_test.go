@@ -41,24 +41,23 @@ func TestHotlineStepZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestHotlineStepPipelinedZeroAllocSteadyState repeats the contract for the
-// cross-iteration pipelined entry point (lookahead classification staged
-// every step).
-func TestHotlineStepPipelinedZeroAllocSteadyState(t *testing.T) {
+// TestHotlineStepLookaheadZeroAllocSteadyState repeats the contract with one
+// batch ahead (lookahead classification staged every step).
+func TestHotlineStepLookaheadZeroAllocSteadyState(t *testing.T) {
 	defer par.SetWorkers(par.SetWorkers(1))
 	cfg := allocCfg()
 	tr := NewHotline(model.New(cfg, 1), 0.1)
 	gen := data.NewGenerator(cfg)
 	b := gen.NextBatch(64)
-	next := gen.NextBatch(64)
-	for i := 0; i < 30; i++ {
-		tr.StepPipelined(b, next)
-		b, next = next, b
+	ahead := []*data.Batch{gen.NextBatch(64)}
+	step := func() {
+		tr.StepLookahead(b, ahead)
+		b, ahead[0] = ahead[0], b
 	}
-	if n := testing.AllocsPerRun(30, func() {
-		tr.StepPipelined(b, next)
-		b, next = next, b
-	}); n > 0 {
+	for i := 0; i < 30; i++ {
+		step()
+	}
+	if n := testing.AllocsPerRun(30, step); n > 0 {
 		t.Fatalf("pipelined Step allocated %.1f times per step, want 0", n)
 	}
 }

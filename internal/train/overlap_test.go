@@ -29,7 +29,8 @@ func buildPartitioner(t *testing.T, cfg data.Config, nodes, iters, batch int, ho
 
 // TestOverlapDeterminism is the async-overlap determinism contract: training
 // with the non-popular gather prefetched and overlapped with the popular
-// µ-batch is byte-identical to fully synchronous sharded training, for
+// µ-batch within the iteration (depth 2 stepped batch by batch) is
+// byte-identical to fully synchronous sharded training (depth 1), for
 // every node count and for both the round-robin and hot-aware placements.
 // The -race harness runs this too, so the staging hand-off is also proven
 // race-free.
@@ -48,13 +49,13 @@ func TestOverlapDeterminism(t *testing.T) {
 
 	for _, hotAware := range []bool{false, true} {
 		for _, nodes := range []int{1, 2, 4, 8} {
-			run := func(overlap bool) (*model.Model, shard.OverlapStats) {
+			run := func(depth int) (*model.Model, shard.OverlapStats) {
 				svc := shard.New(shard.Config{
 					Nodes: nodes, CacheBytes: 64 << 10, RowBytes: int64(cfg.EmbedDim) * 4,
 					Part: buildPartitioner(t, cfg, nodes, iters, batch, hotAware),
 				}, nil)
 				tr := NewHotlineSharded(model.New(cfg, seed), 0.1, svc)
-				tr.OverlapGather = overlap
+				tr.Depth = depth
 				tr.LearnSamples = 512 // the EAL's minimum useful warm-up
 				gen := data.NewGenerator(cfg)
 				for i := 0; i < iters; i++ {
@@ -62,8 +63,8 @@ func TestOverlapDeterminism(t *testing.T) {
 				}
 				return tr.M, svc.Gatherer().Stats()
 			}
-			sync, syncStats := run(false)
-			over, overStats := run(true)
+			sync, syncStats := run(1)
+			over, overStats := run(2)
 			if !model.DenseStateEqual(sync, over) {
 				t.Fatalf("nodes=%d hotAware=%v: dense state diverged", nodes, hotAware)
 			}
@@ -103,41 +104,27 @@ func TestPipelinedOverlapDeterminism(t *testing.T) {
 
 	for _, hotAware := range []bool{false, true} {
 		for _, nodes := range []int{1, 2, 4, 8} {
-			newTrainer := func(overlap bool) (*HotlineTrainer, *shard.Service) {
+			newTrainer := func(depth int) (*HotlineTrainer, *shard.Service) {
 				svc := shard.New(shard.Config{
 					Nodes: nodes, CacheBytes: 64 << 10, RowBytes: int64(cfg.EmbedDim) * 4,
 					Part: buildPartitioner(t, cfg, nodes, iters, batch, hotAware),
 				}, nil)
 				tr := NewHotlineSharded(model.New(cfg, seed), 0.1, svc)
-				tr.OverlapGather = overlap
+				tr.Depth = depth
 				tr.LearnSamples = 512
 				return tr, svc
 			}
-			batches := func() []*data.Batch {
-				gen := data.NewGenerator(cfg)
-				bs := make([]*data.Batch, iters)
-				for i := range bs {
-					bs[i] = gen.NextBatch(batch)
-				}
-				return bs
-			}()
+			batches := data.NewGenerator(cfg).NextBatches(iters, batch)
 
 			// Synchronous batch-by-batch reference.
-			ref, _ := newTrainer(false)
+			ref, _ := newTrainer(1)
 			for i := 0; i < iters; i++ {
 				ref.Step(batches[i])
 			}
 
 			for _, k := range []int{1, 2, 4, 8} {
-				tr, svc := newTrainer(true)
-				tr.Depth = k
-				for i := 0; i < iters; i++ {
-					end := i + k
-					if end > iters {
-						end = iters
-					}
-					tr.StepLookahead(batches[i], batches[i+1:end])
-				}
+				tr, svc := newTrainer(k)
+				StepAll(tr, batches, nil)
 				st := svc.Gatherer().Stats()
 				if !model.DenseStateEqual(ref.M, tr.M) {
 					t.Fatalf("k=%d nodes=%d hotAware=%v: pipelined dense state diverged", k, nodes, hotAware)
@@ -181,18 +168,7 @@ func TestDeepPipelineRepairAndStaleness(t *testing.T) {
 		tr := NewHotlineSharded(model.New(cfg, seed), 0.1, svc)
 		tr.Depth = k
 		tr.LearnSamples = 512
-		gen := data.NewGenerator(cfg)
-		batches := make([]*data.Batch, iters)
-		for i := range batches {
-			batches[i] = gen.NextBatch(batch)
-		}
-		for i := 0; i < iters; i++ {
-			end := i + k
-			if end > iters {
-				end = iters
-			}
-			tr.StepLookahead(batches[i], batches[i+1:end])
-		}
+		StepAll(tr, data.NewGenerator(cfg).NextBatches(iters, batch), nil)
 		return tr.M, svc.Gatherer().Stats()
 	}
 
@@ -215,7 +191,7 @@ func TestDeepPipelineRepairAndStaleness(t *testing.T) {
 	}
 }
 
-// TestPipelinedSpeculationMiss drives StepPipelined with a lookahead batch
+// TestPipelinedSpeculationMiss drives StepLookahead with a lookahead batch
 // that is NOT the one trained next: the stale prefetch windows must be
 // joined and discarded (never consumed against moved weights), and training
 // must keep matching a non-speculating executor fed the same EAL stream.
@@ -252,7 +228,7 @@ func TestPipelinedSpeculationMiss(t *testing.T) {
 
 	for i := 0; i < iters; i++ {
 		// Speculate on a decoy batch that will never be trained.
-		tr.StepPipelined(batches[i], decoyGen.NextBatch(batch))
+		tr.StepLookahead(batches[i], []*data.Batch{decoyGen.NextBatch(batch)})
 
 		ref.Step(batches[i])
 		ref.learn(refDecoy.NextBatch(batch)) // mirror the decoy's EAL feed

@@ -97,7 +97,7 @@ func TestConcurrentTrainersRaceFree(t *testing.T) {
 			}
 			gen := data.NewGenerator(cfg)
 			for i := 0; i < 4; i++ {
-				tr.Step(gen.NextBatch(64))
+				tr.StepLookahead(gen.NextBatch(64), nil)
 			}
 		}(k)
 	}

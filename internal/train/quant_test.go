@@ -30,14 +30,7 @@ func TestPipelinedQuantizedDeterminism(t *testing.T) {
 	cfg.TopMLP = []int{32, 1}
 	const seed, iters, batch, nodes = 42, 8, 128, 4
 
-	batches := func() []*data.Batch {
-		gen := data.NewGenerator(cfg)
-		bs := make([]*data.Batch, iters)
-		for i := range bs {
-			bs[i] = gen.NextBatch(batch)
-		}
-		return bs
-	}()
+	batches := data.NewGenerator(cfg).NextBatches(iters, batch)
 
 	fp32ref := func() *model.Model {
 		svc := shard.New(shard.Config{
@@ -52,7 +45,7 @@ func TestPipelinedQuantizedDeterminism(t *testing.T) {
 	}()
 
 	for _, q := range []shard.QuantMode{shard.QuantFP16, shard.QuantINT8, shard.QuantMixed} {
-		newTrainer := func(overlap bool) (*HotlineTrainer, *shard.Service) {
+		newTrainer := func(depth int) (*HotlineTrainer, *shard.Service) {
 			var hot shard.HotClassifier
 			if q == shard.QuantMixed {
 				hot = modHot{} // a nil classifier would degenerate Mixed to all-fp32
@@ -62,13 +55,13 @@ func TestPipelinedQuantizedDeterminism(t *testing.T) {
 				Quant: q,
 			}, hot)
 			tr := NewHotlineSharded(model.New(cfg, seed), 0.1, svc)
-			tr.OverlapGather = overlap
+			tr.Depth = depth
 			tr.LearnSamples = 512
 			return tr, svc
 		}
 
 		// Synchronous batch-by-batch reference at this quant mode.
-		ref, refSvc := newTrainer(false)
+		ref, refSvc := newTrainer(1)
 		for i := 0; i < iters; i++ {
 			ref.Step(batches[i])
 		}
@@ -83,15 +76,8 @@ func TestPipelinedQuantizedDeterminism(t *testing.T) {
 		}
 
 		for _, k := range []int{1, 2, 4, 8} {
-			tr, svc := newTrainer(true)
-			tr.Depth = k
-			for i := 0; i < iters; i++ {
-				end := i + k
-				if end > iters {
-					end = iters
-				}
-				tr.StepLookahead(batches[i], batches[i+1:end])
-			}
+			tr, svc := newTrainer(k)
+			StepAll(tr, batches, nil)
 			if !model.DenseStateEqual(ref.M, tr.M) {
 				t.Fatalf("%s k=%d: pipelined dense state diverged from synchronous", q, k)
 			}

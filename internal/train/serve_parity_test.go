@@ -26,11 +26,7 @@ func TestMixedServeTrainingParity(t *testing.T) {
 			Nodes: 4, CacheBytes: 32 << 10, RowBytes: int64(cfg.EmbedDim) * 4,
 		}, nil)
 		tr := NewHotlineSharded(model.New(cfg, seed), 0.1, svc)
-		gen := data.NewGenerator(cfg)
-		batches := make([]*data.Batch, iters)
-		for i := range batches {
-			batches[i] = gen.NextBatch(batch)
-		}
+		batches := data.NewGenerator(cfg).NextBatches(iters, batch)
 		losses := make([]float64, iters)
 
 		var srv *serve.Server
@@ -54,15 +50,12 @@ func TestMixedServeTrainingParity(t *testing.T) {
 			}()
 		}
 		for i, b := range batches {
-			var next *data.Batch
-			if i+1 < iters {
-				next = batches[i+1]
-			}
+			ahead := batches[i+1 : min(i+2, iters)]
 			if !mixed {
-				losses[i] = tr.StepPipelined(b, next)
+				losses[i] = tr.StepLookahead(b, ahead)
 				continue
 			}
-			srv.Train(func() { losses[i] = tr.StepPipelined(b, next) })
+			srv.Train(func() { losses[i] = tr.StepLookahead(b, ahead) })
 			// One synchronous predict per iteration with the next window
 			// already staged: it must not consume it.
 			srv.Predict(corpus.Requests[i%corpus.Len()].Batch)

@@ -103,16 +103,8 @@ func TestShardedAdagradTrainerParity(t *testing.T) {
 			Nodes: nodes, CacheBytes: 64 << 10, RowBytes: int64(cfg.EmbedDim) * 4,
 		}, nil)
 		hot := NewHotlineShardedAdagrad(model.New(cfg, seed), 0.1, svc)
-		gen := data.NewGenerator(cfg)
-		b := gen.NextBatch(batch)
-		for i := 1; i <= iters; i++ {
-			var next *data.Batch
-			if i < iters {
-				next = gen.NextBatch(batch)
-			}
-			hot.StepPipelined(b, next) // the pipeline must hold for Adagrad too
-			b = next
-		}
+		// One batch ahead: the pipeline must hold for Adagrad too.
+		StepAll(hot, data.NewGenerator(cfg).NextBatches(iters, batch), nil)
 		if !model.DenseStateEqual(ref.M, hot.M) || !model.SparseStateEqual(ref.M, hot.M) {
 			t.Fatalf("nodes=%d: sharded Adagrad training diverged from unsharded executor", nodes)
 		}

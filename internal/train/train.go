@@ -15,42 +15,39 @@ import (
 	"hotline/internal/tensor"
 )
 
-// Trainer consumes mini-batches and updates a model.
+// Trainer is the one executor interface: it trains on a mini-batch and may
+// stage the batches that follow it. Training state is bit-identical for
+// every lookahead — staged rows that later sparse updates rewrite are
+// delta-repaired before use — so how far ahead a caller feeds a trainer
+// changes only what overlaps, never what is computed.
 type Trainer interface {
 	Name() string
-	// Step trains on one mini-batch and returns the mean BCE loss.
-	Step(b *data.Batch) float64
 	// Model exposes the trained model for evaluation.
 	Model() *model.Model
-}
-
-// PipelinedTrainer is a Trainer that can look one mini-batch ahead: while
-// the caller consumes iteration i's result, the executor has already
-// classified mini-batch i+1 and issued its fabric prefetches. Run feeds
-// pipelined trainers automatically.
-type PipelinedTrainer interface {
-	Trainer
-	// StepPipelined trains on b and then stages next (classification +
-	// cross-iteration gather prefetch); pass nil for the final batch.
-	// Training state is bit-identical to calling Step(b) for every batch.
-	StepPipelined(b, next *data.Batch) float64
-}
-
-// LookaheadTrainer is a PipelinedTrainer whose pipeline is k windows deep:
-// the executor stages up to Lookahead() = k-1 future mini-batches
-// (classification + fabric prefetch) while the current iteration finishes.
-// Run feeds lookahead trainers that many batches ahead. Training state is
-// bit-identical to batch-by-batch stepping for every depth — staged rows
-// that later sparse updates rewrite are delta-repaired before use.
-type LookaheadTrainer interface {
-	PipelinedTrainer
 	// Lookahead returns how many batches ahead the executor stages
-	// (pipeline depth minus one; 0 disables cross-iteration staging).
+	// (pipeline depth minus one; 0 means it stages nothing).
 	Lookahead() int
-	// StepLookahead trains on b; lookahead holds the following batches in
-	// stream order (it may be shorter than Lookahead() near the end of the
-	// stream, and extra entries beyond it are ignored).
-	StepLookahead(b *data.Batch, lookahead []*data.Batch) float64
+	// StepLookahead trains on b and returns the mean BCE loss; ahead holds
+	// the following batches in stream order (it may be shorter than
+	// Lookahead() near the end of the stream, entries beyond it are
+	// ignored, and nil is always valid).
+	StepLookahead(b *data.Batch, ahead []*data.Batch) float64
+}
+
+// StepAll trains t on batches in stream order at the trainer's own depth:
+// step i is handed the Lookahead() batches that follow it. before, when
+// non-nil, runs ahead of step i (chaos schedules, serve probes, mid-run
+// evaluation). It returns every step's loss.
+func StepAll(t Trainer, batches []*data.Batch, before func(i int)) []float64 {
+	k := t.Lookahead()
+	losses := make([]float64, 0, len(batches))
+	for i, b := range batches {
+		if before != nil {
+			before(i)
+		}
+		losses = append(losses, t.StepLookahead(b, batches[i+1:min(i+1+k, len(batches))]))
+	}
+	return losses
 }
 
 // defaultPipelineDepth is the pipeline depth executors start with; zero
@@ -149,12 +146,20 @@ func (t *Baseline) Name() string {
 // Model implements Trainer.
 func (t *Baseline) Model() *model.Model { return t.M }
 
-// Step implements Trainer. The SGD path is exactly Model.TrainStep (one
-// implementation of the standard step); only the Adagrad variant lives
-// here.
+// Lookahead implements Trainer: the baseline stages nothing.
+func (t *Baseline) Lookahead() int { return 0 }
+
+// Step is StepLookahead(b, nil).
 //
 //hotline:hotpath
-func (t *Baseline) Step(b *data.Batch) float64 {
+func (t *Baseline) Step(b *data.Batch) float64 { return t.StepLookahead(b, nil) }
+
+// StepLookahead implements Trainer; the baseline ignores the batches ahead.
+// The SGD path is exactly Model.TrainStep (one implementation of the
+// standard step); only the Adagrad variant lives here.
+//
+//hotline:hotpath
+func (t *Baseline) StepLookahead(b *data.Batch, _ []*data.Batch) float64 {
 	m := t.M
 	if t.adagrad == nil {
 		return m.TrainStep(b, t.LR)
@@ -179,7 +184,10 @@ type stagedBatch struct {
 	popIdx     []int
 	nonIdx     []int
 	sub        *data.Batch // materialised non-popular µ-batch (nil when degenerate)
-	subBuf     *data.Batch // slot-owned subset buffer, lazily created
+	// subBuf backs sub. Each ring slot owns one buffer: a slot's previous
+	// subset is consumed (passes complete) before the slot is restaged, so
+	// the Depth buffers cover the whole pipeline without copies.
+	subBuf data.Batch
 }
 
 // HotlineTrainer is the µ-batch executor: the accelerator classifies each
@@ -213,9 +221,14 @@ type HotlineTrainer struct {
 	// in flight at once — the one the current iteration consumes plus up
 	// to k-1 staged for future mini-batches. Depth 1 therefore degenerates
 	// to synchronous staged gathers (the single window is issued at
-	// consume time, so nothing overlaps); depth 2 is the classic
-	// cross-iteration pipeline. Changing it mid-training aborts any staged
-	// lookahead (set it before training for clean measurements).
+	// consume time, so nothing overlaps — the synchronous ablation); depth
+	// 2 is the classic cross-iteration pipeline. At depth >= 2 on a sharded
+	// service the non-popular µ-batch's fabric gather streams while compute
+	// runs — within the iteration when a step gets no batches ahead, across
+	// iterations otherwise. Training state is bit-identical for every depth
+	// (TestOverlapDeterminism, TestPipelinedOverlapDeterminism); only the
+	// measured exposed-gather time changes. Changing it mid-training aborts
+	// any staged lookahead (set it before training for clean measurements).
 	Depth int
 
 	// LearnSamples is how many initial inputs feed the EAL before the
@@ -233,15 +246,6 @@ type HotlineTrainer struct {
 	// all-to-all traffic of the run.
 	Shard *shard.Service
 
-	// OverlapGather, on a sharded service with an async engine, prefetches
-	// the non-popular µ-batch's remote embedding rows so the fabric gather
-	// streams while compute runs — within the iteration when stepping
-	// batch-by-batch, across iterations under StepPipelined/StepLookahead.
-	// Training state is bit-identical with the flag on or off
-	// (TestOverlapDeterminism); only the measured exposed-gather time
-	// changes. NewHotlineSharded enables it.
-	OverlapGather bool
-
 	// stats
 	PopularInputs, TotalInputs int64
 
@@ -254,12 +258,12 @@ type HotlineTrainer struct {
 	popGrad, nonGrad tensor.Matrix
 
 	// lookahead ring: ring[(head+j) % Depth] is the j-th staged batch;
-	// staged counts occupied slots (at most Depth-1 — the remaining slot
-	// serves the batch currently training).
+	// staged counts occupied slots (at most Depth-1 between steps — the
+	// remaining slot serves the batch currently training, which a step
+	// stages itself when the lookahead did not).
 	ring   []stagedBatch
 	head   int
 	staged int
-	look1  [1]*data.Batch // StepPipelined's lookahead scratch
 }
 
 // NewHotline wraps a model in the Hotline executor with a default
@@ -320,25 +324,13 @@ func (t *HotlineTrainer) learn(b *data.Batch) {
 	}
 }
 
-// Step implements Trainer: segregate, run both µ-batches, update once.
+// Step is StepLookahead(b, nil): segregate, run both µ-batches, update
+// once, stage nothing.
 //
 //hotline:hotpath
 func (t *HotlineTrainer) Step(b *data.Batch) float64 { return t.StepLookahead(b, nil) }
 
-// StepPipelined implements PipelinedTrainer: StepLookahead with a
-// one-batch lookahead (the classic two-deep pipeline when Depth >= 2).
-//
-//hotline:hotpath
-func (t *HotlineTrainer) StepPipelined(b, next *data.Batch) float64 {
-	if next == nil {
-		return t.StepLookahead(b, nil)
-	}
-	t.look1[0] = next
-	return t.StepLookahead(b, t.look1[:])
-}
-
-// Lookahead implements LookaheadTrainer: the executor stages Depth-1
-// batches ahead.
+// Lookahead implements Trainer: the executor stages Depth-1 batches ahead.
 func (t *HotlineTrainer) Lookahead() int { return t.depth() - 1 }
 
 // depth normalises the public Depth knob.
@@ -351,13 +343,13 @@ func (t *HotlineTrainer) depth() int {
 	return t.Depth
 }
 
-// StepLookahead implements LookaheadTrainer: a full training step on b,
-// then the lookahead — accelerator learning + classification + fabric
-// prefetch for every not-yet-staged batch of `lookahead`, up to Depth-1
-// ahead. See the type comment for the determinism argument.
+// StepLookahead implements Trainer: a full training step on b, then the
+// lookahead — accelerator learning + classification + fabric prefetch for
+// every not-yet-staged batch of ahead, up to Depth-1 of them. See the type
+// comment for the determinism argument.
 //
 //hotline:hotpath
-func (t *HotlineTrainer) StepLookahead(b *data.Batch, lookahead []*data.Batch) float64 {
+func (t *HotlineTrainer) StepLookahead(b *data.Batch, ahead []*data.Batch) float64 {
 	if len(t.ring) != t.depth() {
 		// First step, or the Depth knob moved: restart the pipeline.
 		t.abortStaged()
@@ -365,34 +357,24 @@ func (t *HotlineTrainer) StepLookahead(b *data.Batch, lookahead []*data.Batch) f
 		t.head = 0
 	}
 
-	var pop, non []int
-	var nonSub *data.Batch
-	prefetched := false
-	var slot *stagedBatch
-	if t.staged > 0 && t.ring[t.head].batch == b {
-		// The lookahead already learned, classified and (when sharded)
-		// prefetched this batch at the end of an earlier step.
-		slot = &t.ring[t.head]
-		t.head = (t.head + 1) % len(t.ring)
-		t.staged--
-		pop, non = slot.popIdx, slot.nonIdx
-		nonSub = slot.sub
-		prefetched = slot.prefetched
-		slot.batch = nil
-		slot.sub = nil
-		slot.prefetched = false
-	} else {
+	if t.staged == 0 || t.ring[t.head].batch != b {
 		// Speculation miss (or cold start): staged windows must never be
-		// consumed against weights that moved since, so the whole
-		// lookahead is aborted before b is classified fresh.
+		// consumed against weights that moved since, so the whole lookahead
+		// is aborted and b staged fresh — learned, classified and, past
+		// depth 1, its fabric gathers issued before the popular µ-batch is
+		// dispatched, so the async engine streams the remote rows into
+		// staging while the popular pass computes and the shadow's Forward
+		// blocks only on whatever stayed exposed.
 		t.abortStaged()
-		t.learn(b)
-		cl := t.Acc.Classify(b)
-		slot = &t.ring[t.head]                                     // every slot is free after the abort
-		slot.popIdx = append(slot.popIdx[:0], cl.PopularIdx...)    //hotline:allow hotalloc classification copy into slot scratch; converges to the batch size
-		slot.nonIdx = append(slot.nonIdx[:0], cl.NonPopularIdx...) //hotline:allow hotalloc classification copy into slot scratch; converges to the batch size
-		pop, non = slot.popIdx, slot.nonIdx
+		t.stage(b)
 	}
+	// The head slot learned, classified and (when sharded) prefetched b,
+	// just now or at the end of an earlier step.
+	slot := &t.ring[t.head]
+	t.head = (t.head + 1) % len(t.ring)
+	t.staged--
+	pop, non, nonSub := slot.popIdx, slot.nonIdx, slot.sub
+	slot.batch, slot.sub, slot.prefetched = nil, nil, false
 	t.PopularInputs += int64(len(pop))
 	t.TotalInputs += int64(b.Size())
 
@@ -420,20 +402,6 @@ func (t *HotlineTrainer) StepLookahead(b *data.Batch, lookahead []*data.Batch) f
 			t.shadow = model.NewShadow(t.M)
 		}
 		t.shadow.ZeroAll()
-		if nonSub == nil {
-			nonSub = b.SubsetInto(t.subBufFor(slot), non)
-		}
-		if !prefetched && t.overlapReady() && t.depth() > 1 {
-			// Issue the non-popular µ-batch's fabric gathers before the
-			// popular µ-batch is dispatched: the async engine streams the
-			// remote rows into staging while the popular pass computes, and
-			// the shadow's Forward blocks only on whatever stayed exposed.
-			// Planning before the popular pass also fixes the cache-state
-			// order, so the service's counters are deterministic. At depth
-			// 1 the pipeline's only window belongs to the consuming
-			// forward, so the gather stays synchronous by construction.
-			t.shadow.PrefetchSparse(nonSub)
-		}
 		totalLoss = t.runSplit(b, pop, nonSub, invN)
 	}
 	if t.denseOpt == nil {
@@ -448,7 +416,7 @@ func (t *HotlineTrainer) StepLookahead(b *data.Batch, lookahead []*data.Batch) f
 	} else {
 		t.M.ApplySparse(t.LR)
 	}
-	t.stageLookahead(lookahead)
+	t.stageLookahead(ahead)
 	return totalLoss / float64(n)
 }
 
@@ -501,14 +469,15 @@ func (t *HotlineTrainer) stageLookahead(lookahead []*data.Batch) {
 	}
 }
 
-// stage runs the lookahead for one future mini-batch: accelerator learning
-// and classification (the same EAL-state sequence as stepping it directly
-// — lookahead batches are staged in stream order, each learn/classify pair
-// adjacent), then — when overlapping on a sharded service and the split is
-// real — the non-popular µ-batch's fabric prefetch. The window is planned
-// after the current step's sparse update; rows a LATER update rewrites
-// while the window waits are delta-repaired at consume time, so the staged
-// values always equal what a synchronous gather would read.
+// stage runs the lookahead for one mini-batch — a future one, or the
+// current one when nothing staged it: accelerator learning and
+// classification (the same EAL-state sequence as stepping it directly —
+// batches are staged in stream order, each learn/classify pair adjacent),
+// then — on a sharded service with an async engine, when the split is real
+// — the non-popular µ-batch's fabric prefetch. A future batch's window is
+// planned after the current step's sparse update; rows a LATER update
+// rewrites while the window waits are delta-repaired at consume time, so
+// the staged values always equal what a synchronous gather would read.
 //
 //hotline:hotpath
 func (t *HotlineTrainer) stage(nb *data.Batch) {
@@ -524,27 +493,18 @@ func (t *HotlineTrainer) stage(nb *data.Batch) {
 	if len(slot.popIdx) == 0 || len(slot.nonIdx) == 0 {
 		return
 	}
-	slot.sub = nb.SubsetInto(t.subBufFor(slot), slot.nonIdx)
-	if t.overlapReady() {
+	slot.sub = nb.SubsetInto(&slot.subBuf, slot.nonIdx)
+	// At depth 1 the pipeline's only window belongs to the consuming
+	// forward, so the gather stays synchronous by construction. Planning a
+	// window before the popular pass also fixes the cache-state order, so
+	// the service's counters are deterministic.
+	if len(t.ring) > 1 && t.overlapReady() {
 		if t.shadow == nil {
 			t.shadow = model.NewShadow(t.M)
 		}
 		t.shadow.PrefetchSparse(slot.sub)
 		slot.prefetched = true
 	}
-}
-
-// subBufFor returns a slot's lazily-created non-popular subset buffer. Each
-// ring slot owns one buffer: a slot's previous subset is consumed (passes
-// complete) before the slot is restaged, so the Depth buffers cover the
-// whole pipeline without copies.
-//
-//hotline:hotpath
-func (t *HotlineTrainer) subBufFor(slot *stagedBatch) *data.Batch {
-	if slot.subBuf == nil {
-		slot.subBuf = &data.Batch{} //hotline:allow hotalloc lazy one-time per-slot subset buffer
-	}
-	return slot.subBuf
 }
 
 // runSplit runs the popular and non-popular µ-batch passes (concurrently
@@ -569,11 +529,12 @@ func (t *HotlineTrainer) runSplit(b *data.Batch, pop []int, nonSub *data.Batch, 
 	return totalLoss
 }
 
-// overlapReady reports whether cross-µ-batch gather prefetching is active.
+// overlapReady reports whether gathers can be prefetched: the embeddings run
+// on a sharded service with an async engine attached.
 //
 //hotline:hotpath
 func (t *HotlineTrainer) overlapReady() bool {
-	return t.OverlapGather && t.Shard != nil && t.Shard.Gatherer() != nil
+	return t.Shard != nil && t.Shard.Gatherer() != nil
 }
 
 // passOn subsets idx out of b into the executor's popular-side buffer and
@@ -613,17 +574,14 @@ type RunConfig struct {
 }
 
 // Run trains for cfg.Iters mini-batches from gen, evaluating on a held-out
-// batch every EvalEvery iterations, and returns the metric curve. Trainers
-// implementing PipelinedTrainer are fed one batch ahead — and
-// LookaheadTrainers as many batches ahead as their pipeline depth stages —
-// so the executor's lookahead (classification + cross-iteration prefetch)
-// overlaps the caller's evaluation and batch generation; the batch stream
-// and the training math are identical for every depth.
+// batch every EvalEvery iterations, and returns the metric curve. The
+// stream is drawn up front and stepped at the trainer's own depth
+// (StepAll), so an executor's lookahead — classification + cross-iteration
+// prefetch — overlaps the evaluations; the batch stream and the training
+// math are identical for every depth.
 func Run(t Trainer, gen *data.Generator, cfg RunConfig) []CurvePoint {
 	if cfg.Iters <= 0 {
-		// Nothing to train; in particular, do not consume a batch from the
-		// caller's generator (the priming draw below would shift its stream).
-		return nil
+		return nil // nothing to train, nothing to evaluate
 	}
 	if cfg.EvalEvery <= 0 {
 		cfg.EvalEvery = 10
@@ -637,59 +595,24 @@ func Run(t Trainer, gen *data.Generator, cfg RunConfig) []CurvePoint {
 	evalGen.NextBatch(cfg.EvalSize)
 	evalBatch := evalGen.NextBatch(cfg.EvalSize)
 
-	pt, pipelined := t.(PipelinedTrainer)
-	ahead := 0
-	var lt LookaheadTrainer
-	if pipelined {
-		ahead = 1
-		if x, ok := t.(LookaheadTrainer); ok {
-			lt = x
-			ahead = x.Lookahead()
-		}
-	}
-	fill := ahead
-	if fill < 1 {
-		fill = 1 // even unpipelined stepping advances through `future`
-	}
+	batches := gen.NextBatches(cfg.Iters, cfg.BatchSize)
 	var curve []CurvePoint
-	var lastLoss float64
-	b := gen.NextBatch(cfg.BatchSize)
-	drawn := 1
-	// future holds the already-drawn upcoming batches, oldest first; the
-	// stream order is exactly the unpipelined one, only drawn earlier.
-	var future []*data.Batch
-	for i := 1; i <= cfg.Iters; i++ {
-		for drawn < cfg.Iters && len(future) < fill {
-			future = append(future, gen.NextBatch(cfg.BatchSize))
-			drawn++
+	eval := func(iter int) {
+		probs := t.Model().Predict(evalBatch)
+		curve = append(curve, CurvePoint{
+			Iteration: iter,
+			Metrics:   metrics.Evaluate(probs, evalBatch.Labels),
+		})
+	}
+	// The model before step i is the model after iteration i.
+	losses := StepAll(t, batches, func(i int) {
+		if i > 0 && i%cfg.EvalEvery == 0 {
+			eval(i)
 		}
-		switch {
-		case lt != nil && ahead != 1:
-			lastLoss = lt.StepLookahead(b, future)
-		case pipelined:
-			var next *data.Batch
-			if len(future) > 0 {
-				next = future[0]
-			}
-			lastLoss = pt.StepPipelined(b, next)
-		default:
-			lastLoss = t.Step(b)
-		}
-		if i%cfg.EvalEvery == 0 || i == cfg.Iters {
-			probs := t.Model().Predict(evalBatch)
-			curve = append(curve, CurvePoint{
-				Iteration: i,
-				Loss:      lastLoss,
-				Metrics:   metrics.Evaluate(probs, evalBatch.Labels),
-			})
-		}
-		if len(future) > 0 {
-			b = future[0]
-			copy(future, future[1:])
-			future = future[:len(future)-1]
-		} else {
-			b = nil
-		}
+	})
+	eval(cfg.Iters)
+	for k := range curve {
+		curve[k].Loss = losses[curve[k].Iteration-1]
 	}
 	return curve
 }
@@ -723,14 +646,9 @@ func ParityAdagrad(cfg data.Config, seed uint64, run RunConfig) ParityReport {
 // parityOf drives two executors over identical streams and reports the
 // state divergence and final metrics.
 func parityOf(base *Baseline, hot *HotlineTrainer, cfg data.Config, run RunConfig) ParityReport {
-	genA := data.NewGenerator(cfg)
-	genB := data.NewGenerator(cfg)
-	for i := 0; i < run.Iters; i++ {
-		ba := genA.NextBatch(run.BatchSize)
-		bb := genB.NextBatch(run.BatchSize)
-		base.Step(ba)
-		hot.Step(bb)
-	}
+	batches := data.NewGenerator(cfg).NextBatches(run.Iters, run.BatchSize)
+	StepAll(base, batches, nil)
+	StepAll(hot, batches, nil)
 
 	evalGen := data.NewGenerator(cfg)
 	evalGen.NextBatch(run.EvalSize)

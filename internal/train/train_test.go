@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"hotline/internal/data"
+	"hotline/internal/metrics"
 	"hotline/internal/model"
+	"hotline/internal/shard"
 )
 
 func tinyCfg() data.Config {
@@ -102,6 +104,68 @@ func TestRunProducesCurve(t *testing.T) {
 		if p.Metrics.AUC < 0.3 || p.Metrics.AUC > 1 {
 			t.Fatalf("implausible AUC %g", p.Metrics.AUC)
 		}
+	}
+}
+
+// TestRunSingleInterface is what replaced Run's per-interface switch arms:
+// fed through the one Trainer interface at the trainer's own depth, Run
+// yields exactly the curve of stepping the same executor batch by batch with
+// nothing ahead — for the baseline and for the sharded Hotline executor at
+// depths 1, 2 and 4.
+func TestRunSingleInterface(t *testing.T) {
+	cfg := data.CriteoKaggle()
+	cfg.Samples = 1024
+	cfg.BotMLP = []int{13, 32, 16}
+	cfg.TopMLP = []int{32, 1}
+	run := RunConfig{BatchSize: 128, Iters: 9, EvalEvery: 4, EvalSize: 256}
+	hotline := func(depth int) func() Trainer {
+		return func() Trainer {
+			svc := shard.New(shard.Config{
+				Nodes: 4, CacheBytes: 64 << 10, RowBytes: int64(cfg.EmbedDim) * 4,
+			}, nil)
+			tr := NewHotlineSharded(model.New(cfg, 7), 0.1, svc)
+			tr.Depth = depth
+			tr.LearnSamples = 512
+			return tr
+		}
+	}
+	baseline := func() Trainer { return NewBaseline(model.New(cfg, 7), 0.1) }
+	cases := []struct {
+		name       string
+		build, ref func() Trainer
+	}{
+		{"baseline", baseline, baseline},
+		{"hotline-depth1", hotline(1), hotline(1)},
+		{"hotline-depth2", hotline(2), hotline(1)},
+		{"hotline-depth4", hotline(4), hotline(1)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got := Run(c.build(), data.NewGenerator(cfg), run)
+
+			// Reference: batch by batch, nothing ahead, evaluated by hand.
+			ref := c.ref()
+			gen := data.NewGenerator(cfg)
+			evalGen := data.NewGenerator(cfg)
+			evalGen.NextBatch(run.EvalSize)
+			evalBatch := evalGen.NextBatch(run.EvalSize)
+			var want []CurvePoint
+			for i := 1; i <= run.Iters; i++ {
+				loss := ref.StepLookahead(gen.NextBatch(run.BatchSize), nil)
+				if i%run.EvalEvery == 0 || i == run.Iters {
+					probs := ref.Model().Predict(evalBatch)
+					want = append(want, CurvePoint{i, loss, metrics.Evaluate(probs, evalBatch.Labels)})
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("curve has %d points, want %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("point %d: Run %+v, batch-by-batch %+v", i, got[i], want[i])
+				}
+			}
+		})
 	}
 }
 
