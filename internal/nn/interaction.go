@@ -36,24 +36,33 @@ func (d *DotInteraction) OutWidth() int {
 	return d.Dim + n*(n-1)/2
 }
 
-// fwdRange computes samples [lo, hi) of the interaction output.
+// fwdRange computes samples [lo, hi) of the interaction output. Pair (i, j),
+// j < i, is output column Dim + i(i-1)/2 + j. The pairs are taken four
+// columns j..j+3 at a time, their vectors sliced once, and every later vector
+// i goes against all four through tensor.Dot4 (four independent chains, each
+// bit-equal to the one-pair loop). Where fewer than four of the columns are
+// below i (the triangle's diagonal, or the vector count's remainder, where
+// the last vector stands in) the surplus chains are computed and dropped.
 //
 //hotline:hotpath
 func (d *DotInteraction) fwdRange(out *tensor.Matrix, inputs []*tensor.Matrix, lo, hi int) {
+	last := d.NumVec - 1
 	for b := lo; b < hi; b++ {
 		row := out.Row(b)
 		copy(row[:d.Dim], inputs[0].Row(b))
-		k := d.Dim
-		for i := 1; i < d.NumVec; i++ {
-			vi := inputs[i].Row(b)
-			for j := 0; j < i; j++ {
-				vj := inputs[j].Row(b)[:len(vi)]
-				var dot float32
-				for t, v := range vi {
-					dot += v * vj[t]
+		pairs := row[d.Dim:]
+		for j := 0; j < last; j += 4 {
+			v0, v1 := inputs[j].Row(b), inputs[min(j+1, last)].Row(b)
+			v2, v3 := inputs[min(j+2, last)].Row(b), inputs[min(j+3, last)].Row(b)
+			for i := j + 1; i <= last; i++ {
+				s0, s1, s2, s3 := tensor.Dot4(inputs[i].Row(b), v0, v1, v2, v3)
+				ofI := pairs[i*(i-1)/2:][:i] // vector i's pairs
+				if o := ofI[j:min(i, j+4)]; len(o) == 4 {
+					o[0], o[1], o[2], o[3] = s0, s1, s2, s3
+				} else {
+					dots := [4]float32{s0, s1, s2, s3}
+					copy(o, dots[:])
 				}
-				row[k] = dot
-				k++
 			}
 		}
 	}
@@ -86,31 +95,47 @@ func (d *DotInteraction) Forward(inputs []*tensor.Matrix) *tensor.Matrix {
 	return out
 }
 
-// bwdRange computes samples [lo, hi) of every input gradient.
+// bwdRange computes samples [lo, hi) of every input gradient, one vector at
+// a time: the gradient of vector v is the sum over the other vectors u of
+// (output gradient of the pair u, v) x u, taken in ascending u. That is the
+// order the pair-by-pair scatter visits v in (as the pair's first vector
+// against every u < v, then as the second vector of every u > v), so each
+// element's chain is the same; gathering it per destination lets four terms
+// go through tensor.Axpy4 with the row loaded and stored once. A pair whose
+// output gradient is zero contributes no term, as in the GEMM kernels.
 //
 //hotline:hotpath
 func (d *DotInteraction) bwdRange(grads []*tensor.Matrix, gradOut *tensor.Matrix, lo, hi int) {
+	in := d.lastInputs
 	for b := lo; b < hi; b++ {
 		grow := gradOut.Row(b)
-		// Pass-through gradient for the copied dense vector.
+		// Pass-through gradient for the copied dense vector: where vector
+		// 0's chain starts. The others start from Backward's zeroing.
 		copy(grads[0].Row(b), grow[:d.Dim])
-		k := d.Dim
-		for i := 1; i < d.NumVec; i++ {
-			vi := d.lastInputs[i].Row(b)
-			gi := grads[i].Row(b)
-			for j := 0; j < i; j++ {
-				g := grow[k]
-				k++
-				if g == 0 {
-					continue
+		pairs := grow[d.Dim:]
+		for v := 0; v < d.NumVec; v++ {
+			gv := grads[v].Row(b)
+			var (
+				vec [4]int // pending terms: vector index, pair gradient
+				fac [4]float32
+				p   int
+			)
+			for u := 0; u < d.NumVec; u++ {
+				// Pair (i, j), j < i, is output column Dim + i(i-1)/2 + j.
+				i, j := max(u, v), min(u, v)
+				var g float32
+				if i != j {
+					g = pairs[i*(i-1)/2+j]
 				}
-				vj := d.lastInputs[j].Row(b)[:len(vi)]
-				gj := grads[j].Row(b)[:len(vi)]
-				gi := gi[:len(vi)]
-				for t, v := range vi {
-					gi[t] += g * vj[t]
-					gj[t] += g * v
+				vec[p&3], fac[p&3] = u, g
+				if p += tensor.NonZero(g); p == 4 {
+					tensor.Axpy4(gv, in[vec[0]].Row(b), in[vec[1]].Row(b), in[vec[2]].Row(b), in[vec[3]].Row(b),
+						fac[0], fac[1], fac[2], fac[3])
+					p = 0
 				}
+			}
+			for q := 0; q < p; q++ {
+				tensor.Axpy(gv, in[vec[q&3]].Row(b), fac[q&3])
 			}
 		}
 	}

@@ -21,66 +21,69 @@ func randMatrix(rows, cols int, rng *RNG) *Matrix {
 
 // The determinism contract of internal/par: every kernel produces
 // bit-identical results for every worker count. Odd shapes stress shard
-// boundary handling.
+// boundary handling; none of the sizes is a multiple of the kernels' block of
+// four, and the second set has an inner dimension that leaves a remainder of
+// three and fewer output columns than one MatMulTransB block, on enough rows
+// for every worker count to fork.
 func TestKernelsBitIdenticalAcrossWorkerCounts(t *testing.T) {
-	rng := NewRNG(7)
-	a := randMatrix(97, 53, rng)
-	b := randMatrix(53, 61, rng)
-	c := randMatrix(97, 61, rng)
-	d := randMatrix(97, 53, rng)
+	for _, s := range []struct{ m, k, n int }{{97, 53, 61}, {1030, 35, 2}} {
+		rng := NewRNG(7)
+		a := randMatrix(s.m, s.k, rng)
+		b := randMatrix(s.k, s.n, rng)
+		c := randMatrix(s.m, s.n, rng)
+		d := randMatrix(s.m, s.k, rng)
+		e := randMatrix(s.n, s.k, rng)
 
-	type result struct {
-		mm, mta, mtb, axpy, apply, had *Matrix
-		sums                           []float32
-	}
-	run := func(workers int) result {
-		prev := par.SetWorkers(workers)
-		defer par.SetWorkers(prev)
-		r := result{
-			mm:    New(97, 61),
-			mta:   New(53, 61), // aᵀ x c
-			mtb:   New(97, 97), // a x dᵀ
-			axpy:  a.Clone(),
-			apply: New(97, 53),
-			had:   New(97, 53),
-			sums:  make([]float32, 61),
+		type result struct {
+			mm, mta, mtb, axpy, had *Matrix
+			sums                    []float32
 		}
-		MatMul(r.mm, a, b)
-		MatMulTransA(r.mta, a, c)
-		MatMulTransB(r.mtb, a, d)
-		AxpyInto(r.axpy, 0.5, d)
-		Apply(r.apply, a, func(v float32) float32 { return v * v })
-		Hadamard(r.had, a, d)
-		for i := range r.sums {
-			r.sums[i] = 0.25 // non-zero start: SumRowsInto accumulates
-		}
-		SumRowsInto(r.sums, c)
-		return r
-	}
-
-	want := run(1)
-	for _, workers := range []int{2, 3, 8} {
-		got := run(workers)
-		pairs := []struct {
-			name string
-			a, b *Matrix
-		}{
-			{"MatMul", want.mm, got.mm},
-			{"MatMulTransA", want.mta, got.mta},
-			{"MatMulTransB", want.mtb, got.mtb},
-			{"AxpyInto", want.axpy, got.axpy},
-			{"Apply", want.apply, got.apply},
-			{"Hadamard", want.had, got.had},
-		}
-		for _, p := range pairs {
-			if !p.a.Equal(p.b) {
-				t.Fatalf("%s: workers=%d differs from workers=1", p.name, workers)
+		run := func(workers int) result {
+			prev := par.SetWorkers(workers)
+			defer par.SetWorkers(prev)
+			r := result{
+				mm:   New(s.m, s.n),
+				mta:  New(s.k, s.n), // aᵀ x c
+				mtb:  New(s.m, s.n), // a x eᵀ
+				axpy: a.Clone(),
+				had:  New(s.m, s.k),
+				sums: make([]float32, s.n),
 			}
+			MatMul(r.mm, a, b)
+			MatMulTransA(r.mta, a, c)
+			MatMulTransB(r.mtb, a, e)
+			AxpyInto(r.axpy, 0.5, d)
+			Hadamard(r.had, a, d)
+			for i := range r.sums {
+				r.sums[i] = 0.25 // non-zero start: SumRowsInto accumulates
+			}
+			SumRowsInto(r.sums, c)
+			return r
 		}
-		for i := range want.sums {
-			if want.sums[i] != got.sums[i] {
-				t.Fatalf("SumRowsInto[%d]: workers=%d %v != workers=1 %v",
-					i, workers, got.sums[i], want.sums[i])
+
+		want := run(1)
+		for _, workers := range []int{2, 3, 8} {
+			got := run(workers)
+			pairs := []struct {
+				name string
+				a, b *Matrix
+			}{
+				{"MatMul", want.mm, got.mm},
+				{"MatMulTransA", want.mta, got.mta},
+				{"MatMulTransB", want.mtb, got.mtb},
+				{"AxpyInto", want.axpy, got.axpy},
+				{"Hadamard", want.had, got.had},
+			}
+			for _, p := range pairs {
+				if _, ok := bitsEqual(p.a, p.b); !ok {
+					t.Fatalf("%s %dx%dx%d: workers=%d differs from workers=1", p.name, s.m, s.k, s.n, workers)
+				}
+			}
+			for i := range want.sums {
+				if want.sums[i] != got.sums[i] {
+					t.Fatalf("SumRowsInto[%d]: workers=%d %v != workers=1 %v",
+						i, workers, got.sums[i], want.sums[i])
+				}
 			}
 		}
 	}

@@ -21,9 +21,15 @@ import "math"
 // The round-trip kernels (RoundTripI8 / RoundTripF16) are the math core of
 // the fused dequantize-gather: they write dequantize(quantize(src)) straight
 // into a caller-owned destination without materializing the narrow row —
-// exactly the value a real warm-tier cache would serve — with the 4-wide
-// unroll idiom the dense kernels use (independent per-element chains, so the
-// result is bit-equal to the plain loop).
+// exactly the value a real warm-tier cache would serve. Elements are
+// independent, so any loop shape gives the same bits.
+//
+// The int8 kernels have two paths with the same output. A row that is all
+// finite, with a scale whose reciprocal is finite too (every embedding row),
+// takes a branch-free loop: one integer max over the sign-masked bits finds
+// both maxabs and whether anything non-finite is there, and q8Finite rounds
+// without the NaN test, the clamps or a branch on the sign. Any other row
+// takes the total path (maxAbsFinite, q8).
 
 // I8RowOverheadBytes is the per-row metadata of the int8 format (one float32
 // scale).
@@ -114,8 +120,31 @@ func F16ToF32(h uint16) float32 {
 	}
 }
 
+// f32ExpMask is the float32 exponent field; sign-masked bits at or above it
+// are an infinity or a NaN, and below it they order as the magnitudes do.
+const f32ExpMask = 0x7f800000
+
+// maxAbsBits returns the largest sign-masked bit pattern in src: the bits of
+// the largest |v| when every element is finite, and a value >= f32ExpMask
+// when any is not. Four independent integer maxima, no branch per element.
+//
+//hotline:hotpath
+func maxAbsBits(src []float32) uint32 {
+	var m0, m1, m2, m3 uint32
+	for ; len(src) >= 4; src = src[4:] {
+		m0 = max(m0, math.Float32bits(src[0])&^(1<<31))
+		m1 = max(m1, math.Float32bits(src[1])&^(1<<31))
+		m2 = max(m2, math.Float32bits(src[2])&^(1<<31))
+		m3 = max(m3, math.Float32bits(src[3])&^(1<<31))
+	}
+	for _, v := range src {
+		m0 = max(m0, math.Float32bits(v)&^(1<<31))
+	}
+	return max(m0, m1, m2, m3)
+}
+
 // maxAbsFinite returns the largest finite |v| in src (0 when src is empty or
-// holds no finite value).
+// holds no finite value): the total path's scan, for rows maxAbsBits flags.
 //
 //hotline:hotpath
 func maxAbsFinite(src []float32) float32 {
@@ -137,15 +166,25 @@ func maxAbsFinite(src []float32) float32 {
 // i8Scale derives the symmetric per-row scale, nudged down by ulps until the
 // dequantized extreme 127*scale stays finite — a row whose maxabs sits
 // within one rounding step of MaxFloat32 would otherwise overflow on the way
-// back (totality again; the slack is far inside the error bound).
+// back (totality again; the slack is far inside the error bound). inv is
+// 1/scale, and finite reports that the row may take q8Finite: every element
+// is finite and so is inv (a denormal scale's reciprocal overflows, and 0*Inf
+// is a NaN).
 //
 //hotline:hotpath
-func i8Scale(src []float32) float32 {
-	scale := maxAbsFinite(src) / 127
+func i8Scale(src []float32) (scale, inv float32, finite bool) {
+	var maxAbs float32
+	if m := maxAbsBits(src); m < f32ExpMask {
+		maxAbs, finite = math.Float32frombits(m), true
+	} else {
+		maxAbs = maxAbsFinite(src)
+	}
+	scale = maxAbs / 127
 	for 127*scale > math.MaxFloat32 {
 		scale = math.Nextafter32(scale, 0)
 	}
-	return scale
+	inv = 1 / scale
+	return scale, inv, finite && inv <= math.MaxFloat32
 }
 
 // q8 quantizes one value at 1/scale, saturating at ±127 (infinities clamp,
@@ -169,29 +208,41 @@ func q8(v, inv float32) int8 {
 	return int8(s - 0.5)
 }
 
+// q8Finite is q8 for a finite v of a row whose i8Scale reported finite. Then
+// |v*inv| stays within a few ulps of 127, so rounding half away from zero
+// (add 0.5 with v's sign, truncate) cannot reach ±128 and q8's clamps never
+// fire; the sign is copied bitwise, because a branch on it mispredicts on
+// every other element of an embedding row.
+//
+//hotline:hotpath
+func q8Finite(v, inv float32) int32 {
+	s := v * inv
+	half := math.Float32frombits(0x3f000000 | math.Float32bits(s)&(1<<31))
+	return int32(s + half)
+}
+
 // QuantizeRowI8 quantizes src into dst with a symmetric per-row scale
 // (scale = maxabs/127) and returns the scale. A row with no finite non-zero
 // value quantizes to all zeros with scale 0. len(dst) must be >= len(src).
 //
 //hotline:hotpath
 func QuantizeRowI8(dst []int8, src []float32) float32 {
-	scale := i8Scale(src)
+	dst = dst[:len(src)]
+	scale, inv, finite := i8Scale(src)
 	if scale == 0 {
-		for i := range src {
+		for i := range dst {
 			dst[i] = 0
 		}
 		return 0
 	}
-	inv := 1 / scale
-	j := 0
-	for ; j+4 <= len(src); j += 4 {
-		dst[j] = q8(src[j], inv)
-		dst[j+1] = q8(src[j+1], inv)
-		dst[j+2] = q8(src[j+2], inv)
-		dst[j+3] = q8(src[j+3], inv)
+	if finite {
+		for i, v := range src {
+			dst[i] = int8(q8Finite(v, inv))
+		}
+		return scale
 	}
-	for ; j < len(src); j++ {
-		dst[j] = q8(src[j], inv)
+	for i, v := range src {
+		dst[i] = q8(v, inv)
 	}
 	return scale
 }
@@ -253,23 +304,22 @@ func DequantizeRowF16(dst []float32, src []uint16) {
 //
 //hotline:hotpath
 func RoundTripI8(dst, src []float32) {
-	scale := i8Scale(src)
+	dst = dst[:len(src)]
+	scale, inv, finite := i8Scale(src)
 	if scale == 0 {
-		for i := range src {
+		for i := range dst {
 			dst[i] = 0
 		}
 		return
 	}
-	inv := 1 / scale
-	j := 0
-	for ; j+4 <= len(src); j += 4 {
-		dst[j] = float32(q8(src[j], inv)) * scale
-		dst[j+1] = float32(q8(src[j+1], inv)) * scale
-		dst[j+2] = float32(q8(src[j+2], inv)) * scale
-		dst[j+3] = float32(q8(src[j+3], inv)) * scale
+	if finite {
+		for i, v := range src {
+			dst[i] = float32(q8Finite(v, inv)) * scale
+		}
+		return
 	}
-	for ; j < len(src); j++ {
-		dst[j] = float32(q8(src[j], inv)) * scale
+	for i, v := range src {
+		dst[i] = float32(q8(v, inv)) * scale
 	}
 }
 

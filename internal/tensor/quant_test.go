@@ -25,6 +25,113 @@ func f16Bound(v float32) float64 {
 	return rel
 }
 
+// refQuantI8 is the int8 format's scalar specification: the one-branch-per-
+// case scan and quantizer the kernels were first written as. The production
+// kernels must return its scale and its codes bit for bit on every row,
+// finite or not.
+func refQuantI8(src []float32) (q []int8, scale float32) {
+	var maxAbs float32
+	for _, v := range src {
+		if v != v { // NaN
+			continue
+		}
+		if v < 0 {
+			v = -v
+		}
+		if v > maxAbs && v <= math.MaxFloat32 {
+			maxAbs = v
+		}
+	}
+	scale = maxAbs / 127
+	for 127*scale > math.MaxFloat32 {
+		scale = math.Nextafter32(scale, 0)
+	}
+	q = make([]int8, len(src))
+	if scale == 0 {
+		return q, 0
+	}
+	inv := 1 / scale
+	for i, v := range src {
+		s := v * inv
+		switch {
+		case v != v:
+			q[i] = 0
+		case s >= 127:
+			q[i] = 127
+		case s <= -127:
+			q[i] = -127
+		case s >= 0:
+			q[i] = int8(s + 0.5)
+		default:
+			q[i] = int8(s - 0.5)
+		}
+	}
+	return q, scale
+}
+
+// requireI8MatchesReference checks QuantizeRowI8 and RoundTripI8 against
+// refQuantI8 on one row, comparing bits.
+func requireI8MatchesReference(t *testing.T, src []float32) {
+	t.Helper()
+	wantQ, wantScale := refQuantI8(src)
+	q := make([]int8, len(src))
+	scale := QuantizeRowI8(q, src)
+	if math.Float32bits(scale) != math.Float32bits(wantScale) {
+		t.Fatalf("scale %x, reference %x (row %v)", math.Float32bits(scale), math.Float32bits(wantScale), src)
+	}
+	rt := make([]float32, len(src))
+	RoundTripI8(rt, src)
+	for i := range src {
+		if q[i] != wantQ[i] {
+			t.Fatalf("elem %d (%g, bits %x): code %d, reference %d (scale %g)", i, src[i], math.Float32bits(src[i]), q[i], wantQ[i], scale)
+		}
+		if want := float32(wantQ[i]) * wantScale; math.Float32bits(rt[i]) != math.Float32bits(want) {
+			t.Fatalf("elem %d (%g): round trip %x, reference %x", i, src[i], math.Float32bits(rt[i]), math.Float32bits(want))
+		}
+	}
+}
+
+// TestI8KernelsMatchScalarReference drives both int8 paths: rows of every
+// magnitude a float32 holds (so the scale is sometimes denormal, its
+// reciprocal sometimes infinite), a maxabs of MaxFloat32 (the ulp nudge),
+// values that land on the .5 rounding boundary, signed zeros, and rows laced
+// with NaN and infinities, at lengths on both sides of the scan's unroll.
+func TestI8KernelsMatchScalarReference(t *testing.T) {
+	rng := NewRNG(29)
+	nonFinite := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}
+	for trial := 0; trial < 4000; trial++ {
+		src := make([]float32, rng.Intn(71))
+		// Most rows share one exponent (an embedding row); every eighth is
+		// raw bit patterns, which is where the non-finite values come from.
+		exp := uint32(rng.Intn(255)) << 23
+		for i := range src {
+			u := rng.Uint64()
+			switch {
+			case trial%8 == 7:
+				src[i] = math.Float32frombits(uint32(u))
+			case u%16 == 0:
+				src[i] = math.Float32frombits(uint32(u>>32) & (1 << 31)) // ±0
+			default:
+				src[i] = math.Float32frombits(uint32(u>>32)&0x807fffff | exp)
+			}
+		}
+		if trial%8 == 6 && len(src) > 0 {
+			src[rng.Intn(len(src))] = nonFinite[trial/8%3]
+		}
+		if trial%8 == 4 && len(src) > 0 {
+			src[0] = math.MaxFloat32 // 127*scale rounds past MaxFloat32: the ulp nudge
+		}
+		if trial%8 == 5 && len(src) > 1 {
+			// Codes k+0.5 of a row whose maxabs is 127: the rounding ties.
+			src[0] = 127
+			for i := 1; i < len(src); i++ {
+				src[i] = float32(rng.Intn(253)-126) + 0.5
+			}
+		}
+		requireI8MatchesReference(t, src)
+	}
+}
+
 func TestF16ConversionExactCases(t *testing.T) {
 	cases := []struct {
 		f float32
@@ -184,7 +291,9 @@ func FuzzQuantRoundTrip(f *testing.F) {
 			src[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
 		}
 
-		// int8: scalar pipeline and fused kernel must agree exactly.
+		// int8: both kernels must match the scalar reference, and the
+		// scalar pipeline and the fused kernel must agree exactly.
+		requireI8MatchesReference(t, src)
 		q := make([]int8, n)
 		scale := QuantizeRowI8(q, src)
 		dq := make([]float32, n)
@@ -227,5 +336,23 @@ func FuzzQuantRoundTrip(f *testing.F) {
 				}
 			}
 		}
+	})
+}
+
+// BenchmarkRoundTripI8 is the warm tier's fused dequantize-gather on one
+// embedding row of the benchmark models' dimension.
+func BenchmarkRoundTripI8(b *testing.B) {
+	b.Run("64", func(b *testing.B) {
+		rng := NewRNG(1)
+		src := make([]float32, 64)
+		for i := range src {
+			src[i] = float32(rng.NormFloat64()) * 0.05
+		}
+		dst := make([]float32, len(src))
+		b.ReportAllocs()
+		for b.Loop() {
+			RoundTripI8(dst, src)
+		}
+		b.ReportMetric(float64(len(src))*float64(b.N)/b.Elapsed().Seconds(), "elem/s")
 	})
 }

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 
 	"hotline/internal/par"
 )
@@ -171,46 +172,90 @@ func (m *Matrix) String() string { return fmt.Sprintf("Matrix(%dx%d)", m.Rows, m
 // the heap at its creation point, so building one only on the parallel
 // branch keeps the steady-state training loop allocation-free.
 
-// matMulRange computes rows [lo, hi) of dst = a x b (dst rows pre-zeroed).
+// Axpy4 adds four scaled rows to dst: dst[j] += a0*b0[j], then a1*b1[j],
+// a2*b2[j], a3*b3[j], in that order. It is the micro-kernel of MatMul,
+// MatMulTransA and the interaction backward pass: each destination element
+// is loaded and stored once per four updates, and its additions happen in
+// argument order with every product rounded to float32 first (the conversion
+// forbids a fused multiply-add), so the result is bit-equal to four
+// single-term passes. The b rows must be at least len(dst) long.
 //
 //hotline:hotpath
-func matMulRange(dst, a, b *Matrix, lo, hi int) {
+func Axpy4(dst, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
+	// Reslicing to dst's length lets the compiler drop the bounds checks in
+	// the loop.
+	b0, b1, b2, b3 = b0[:len(dst)], b1[:len(dst)], b2[:len(dst)], b3[:len(dst)]
+	for j, d := range dst {
+		d += float32(a0 * b0[j])
+		d += float32(a1 * b1[j])
+		d += float32(a2 * b2[j])
+		d += float32(a3 * b3[j])
+		dst[j] = d
+	}
+}
+
+// Axpy computes dst[j] += a*b[j]: one term of the chain Axpy4 applies four
+// at a time, for the remainder of a block. b must be at least len(dst) long.
+//
+//hotline:hotpath
+func Axpy(dst, b []float32, a float32) {
+	b = b[:len(dst)]
+	for j := range dst {
+		dst[j] += float32(a * b[j])
+	}
+}
+
+// NonZero returns 1 when a != 0 and 0 when a is +0 or -0 (NaN counts as
+// non-zero, as it does for the comparison), without a branch.
+//
+//hotline:hotpath
+func NonZero(a float32) int {
+	mag := math.Float32bits(a) << 1 // all bits but the sign
+	return int((mag | -mag) >> 31)
+}
+
+// axpyRowsRange computes rows [lo, hi) of dst = x x b (dst rows pre-zeroed),
+// where element (i, k) of the left operand x is a[i*rowStride+k*innerStride]:
+// a itself for MatMul, its transpose for MatMulTransA. A term whose left
+// factor compares equal to zero (either sign) is skipped, never added; the
+// non-zero terms of a row are compacted into blocks of four for Axpy4, in
+// ascending k, and the remainder goes through Axpy one term at a time, so
+// every output element's addition chain is that of the k-ascending
+// one-term-at-a-time loop whatever the zero pattern.
+//
+//hotline:hotpath
+func axpyRowsRange(dst *Matrix, a []float32, rowStride, innerStride int, b *Matrix, lo, hi int) {
 	n := b.Cols
 	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
 		drow := dst.Row(i)
-		for k, aik := range arow {
-			if aik == 0 {
-				continue
+		var (
+			off [4]int // pending terms: offset of the b row, left factor
+			fac [4]float32
+			p   int
+		)
+		at := i * rowStride
+		for k := 0; k < b.Rows; k++ {
+			aik := a[at]
+			at += innerStride
+			// Branch-free compaction: the slot is written either way and
+			// kept only when the factor is non-zero. A ReLU output's zeros
+			// fall at random, so a branch on them mispredicts every other
+			// term.
+			off[p&3], fac[p&3] = k*n, aik
+			if p += NonZero(aik); p == 4 {
+				Axpy4(drow, b.Data[off[0]:off[0]+n], b.Data[off[1]:off[1]+n], b.Data[off[2]:off[2]+n], b.Data[off[3]:off[3]+n],
+					fac[0], fac[1], fac[2], fac[3])
+				p = 0
 			}
-			brow := b.Data[k*n : k*n+n]
-			// Reslicing drow to brow's length lets the compiler drop the
-			// bounds checks in the innermost loop.
-			axpyUnrolled(drow[:len(brow)], brow, aik)
+		}
+		for q := 0; q < p; q++ {
+			Axpy(drow, b.Data[off[q&3]:off[q&3]+n], fac[q&3])
 		}
 	}
 }
 
-// axpyUnrolled computes dst[j] += alpha*src[j] with 4-wide unrolling. Each
-// output element keeps its own addition chain, so the result is bit-equal
-// to the plain loop — the unroll only exposes instruction parallelism.
-//
-//hotline:hotpath
-func axpyUnrolled(dst, src []float32, alpha float32) {
-	j := 0
-	for ; j+4 <= len(src) && j+4 <= len(dst); j += 4 {
-		dst[j] += alpha * src[j]
-		dst[j+1] += alpha * src[j+1]
-		dst[j+2] += alpha * src[j+2]
-		dst[j+3] += alpha * src[j+3]
-	}
-	for ; j < len(src); j++ {
-		dst[j] += alpha * src[j]
-	}
-}
-
 // MatMul computes dst = a x b. dst must be a.Rows x b.Cols and must not
-// alias a or b. It uses the cache-friendly i-k-j loop order.
+// alias a or b.
 //
 //hotline:hotpath
 func MatMul(dst, a, b *Matrix) {
@@ -223,43 +268,53 @@ func MatMul(dst, a, b *Matrix) {
 	dst.Zero()
 	perRow := 2 * int64(a.Cols) * int64(b.Cols)
 	if par.Serial(a.Rows, perRow) {
-		matMulRange(dst, a, b, 0, a.Rows)
+		axpyRowsRange(dst, a.Data, a.Cols, 1, b, 0, a.Rows)
 		return
 	}
 	par.ForWork(a.Rows, perRow, func(lo, hi int) {
-		matMulRange(dst, a, b, lo, hi)
+		axpyRowsRange(dst, a.Data, a.Cols, 1, b, lo, hi)
 	})
 }
 
-// matMulTransBRange computes rows [lo, hi) of dst = a x bᵀ. Output columns
-// are processed in pairs: the two dot products keep their own k-ascending
-// accumulation chains (bit-equal to the plain loop) while their instruction
-// streams interleave.
+// Dot4 returns the dot products of x with y0..y3: the micro-kernel of
+// MatMulTransB and the interaction forward pass. The four sums are
+// independent chains, each adding its products in ascending index with every
+// product rounded to float32 first, so each is bit-equal to the plain
+// one-sum loop; carrying four shares the loads of x and lets the additions
+// overlap. The y rows must be at least len(x) long.
+//
+//hotline:hotpath
+func Dot4(x, y0, y1, y2, y3 []float32) (s0, s1, s2, s3 float32) {
+	y0, y1, y2, y3 = y0[:len(x)], y1[:len(x)], y2[:len(x)], y3[:len(x)]
+	for k, v := range x {
+		s0 += float32(v * y0[k])
+		s1 += float32(v * y1[k])
+		s2 += float32(v * y2[k])
+		s3 += float32(v * y3[k])
+	}
+	return
+}
+
+// matMulTransBRange computes rows [lo, hi) of dst = a x bᵀ, four output
+// columns at a time. A last block of fewer than four repeats b's last row:
+// the duplicate chains are computed and dropped, which costs nothing next to
+// running the remainder as single latency-bound chains.
 //
 //hotline:hotpath
 func matMulTransBRange(dst, a, b *Matrix, lo, hi int) {
+	last := b.Rows - 1
 	for i := lo; i < hi; i++ {
 		arow := a.Row(i)
 		drow := dst.Row(i)
 		j := 0
-		for ; j+2 <= b.Rows; j += 2 {
-			brow0 := b.Row(j)[:len(arow)]
-			brow1 := b.Row(j + 1)[:len(arow)]
-			var sum0, sum1 float32
-			for k, av := range arow {
-				sum0 += av * brow0[k]
-				sum1 += av * brow1[k]
-			}
-			drow[j] = sum0
-			drow[j+1] = sum1
+		for ; j+4 <= b.Rows; j += 4 {
+			d := drow[j : j+4 : j+4]
+			d[0], d[1], d[2], d[3] = Dot4(arow, b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3))
 		}
-		for ; j < b.Rows; j++ {
-			brow := b.Row(j)[:len(arow)]
-			var sum float32
-			for k, av := range arow {
-				sum += av * brow[k]
-			}
-			drow[j] = sum
+		if j < b.Rows {
+			var d [4]float32
+			d[0], d[1], d[2], d[3] = Dot4(arow, b.Row(j), b.Row(min(j+1, last)), b.Row(min(j+2, last)), b.Row(last))
+			copy(drow[j:], d[:])
 		}
 	}
 }
@@ -284,29 +339,9 @@ func MatMulTransB(dst, a, b *Matrix) {
 	})
 }
 
-// matMulTransARange computes output rows (columns of a) [lo, hi) of
-// dst = aᵀ x b, accumulating over r in ascending order — the same
-// per-element addition sequence for every shard split, so the result is
-// bit-identical to the serial r-outer loop.
-//
-//hotline:hotpath
-func matMulTransARange(dst, a, b *Matrix, lo, hi int) {
-	n := b.Cols
-	ac := a.Cols
-	for i := lo; i < hi; i++ {
-		drow := dst.Data[i*n : i*n+n]
-		for r := 0; r < a.Rows; r++ {
-			aval := a.Data[r*ac+i]
-			if aval == 0 {
-				continue
-			}
-			brow := b.Data[r*n : r*n+n]
-			axpyUnrolled(drow[:len(brow)], brow, aval)
-		}
-	}
-}
-
-// MatMulTransA computes dst = aᵀ x b. dst must be a.Cols x b.Cols.
+// MatMulTransA computes dst = aᵀ x b. dst must be a.Cols x b.Cols. Each
+// output row (a column of a) accumulates over a's rows in ascending order,
+// serially and in every shard split alike.
 //
 //hotline:hotpath
 func MatMulTransA(dst, a, b *Matrix) {
@@ -317,27 +352,13 @@ func MatMulTransA(dst, a, b *Matrix) {
 		panic(fmt.Sprintf("tensor: MatMulTransA dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Cols, b.Cols))
 	}
 	dst.Zero()
-	n := b.Cols
-	perCol := 2 * int64(a.Rows) * int64(n)
+	perCol := 2 * int64(a.Rows) * int64(b.Cols)
 	if par.Serial(a.Cols, perCol) {
-		// Cache-friendly r-outer accumulation on a single core. Per output
-		// element this is the same ascending-r addition sequence as the
-		// column-parallel form, so both orders are bit-identical.
-		for r := 0; r < a.Rows; r++ {
-			arow := a.Row(r)
-			brow := b.Row(r)
-			for i, aval := range arow {
-				if aval == 0 {
-					continue
-				}
-				axpyUnrolled(dst.Data[i*n:i*n+n], brow, aval)
-			}
-		}
+		axpyRowsRange(dst, a.Data, 1, a.Cols, b, 0, a.Cols)
 		return
 	}
-	// Parallel form: each goroutine owns whole output rows (columns of a).
 	par.ForWork(a.Cols, perCol, func(lo, hi int) {
-		matMulTransARange(dst, a, b, lo, hi)
+		axpyRowsRange(dst, a.Data, 1, a.Cols, b, lo, hi)
 	})
 }
 
@@ -392,15 +413,6 @@ func SumRowsInto(dst []float32, m *Matrix) {
 	})
 }
 
-// Add computes dst = a + b element-wise; shapes must match.
-func Add(dst, a, b *Matrix) {
-	checkSameShape("Add", a, b)
-	checkSameShape("Add(dst)", dst, a)
-	for i := range dst.Data {
-		dst.Data[i] = a.Data[i] + b.Data[i]
-	}
-}
-
 // axpyRange computes dst[lo:hi] += alpha*src[lo:hi].
 //
 //hotline:hotpath
@@ -432,17 +444,6 @@ func Scale(m *Matrix, alpha float32) {
 	for i := range m.Data {
 		m.Data[i] *= alpha
 	}
-}
-
-// Apply maps f over every element of src into dst (shapes must match; dst
-// may alias src).
-func Apply(dst, src *Matrix, f func(float32) float32) {
-	checkSameShape("Apply", dst, src)
-	par.ForWork(len(src.Data), 4, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst.Data[i] = f(src.Data[i])
-		}
-	})
 }
 
 // hadamardRange computes dst[lo:hi] = a[lo:hi] ⊙ b[lo:hi].
