@@ -51,13 +51,12 @@ func probeShape(cfg data.Config) data.Config {
 }
 
 // runProbe executes p. The returned error is the fabric error the service
-// recorded during the run.
+// recorded during the run and its Close.
 func runProbe(p probeRun) (probeResult, error) {
 	svc := shard.New(shard.Config{
 		Nodes: p.nodes, CacheBytes: p.cacheBytes,
 		RowBytes: int64(p.fn.EmbedDim) * 4,
 	}, nil)
-	defer svc.Close()
 	if p.attach != nil {
 		p.attach(svc)
 	}
@@ -71,8 +70,12 @@ func runProbe(p probeRun) (probeResult, error) {
 		before = func(i int) { p.window(svc, i, batches[i]) }
 	}
 	losses := train.StepAll(t, batches, before)
-	return probeResult{
+	res := probeResult{
 		loss: losses[len(losses)-1], m: t.M,
 		stats: svc.Snapshot(), over: svc.Gatherer().Stats(), svc: svc,
-	}, svc.FabricErr()
+	}
+	// Close before reading the fabric error: a socket fabric settles its
+	// last scatter pushes there, and one lost in flight is recorded then.
+	svc.Close()
+	return res, svc.FabricErr()
 }

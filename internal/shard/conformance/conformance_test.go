@@ -51,6 +51,17 @@ func TestConformanceFaultsTCP(t *testing.T) {
 	RunFaults(t, "tcp")
 }
 
+func TestPipelineUnix(t *testing.T) {
+	RunPipeline(t, "unix")
+}
+
+func TestPipelineTCP(t *testing.T) {
+	if testing.Short() {
+		t.Skip("unix sockets only in -short (CI deflake contract)")
+	}
+	RunPipeline(t, "tcp")
+}
+
 func TestRecoveryUnix(t *testing.T) {
 	RunRecovery(t, "unix")
 }

@@ -20,6 +20,7 @@ type faultSpec struct {
 	readDelay  time.Duration // slow peer: delay every armed read
 	truncAfter int64         // >0: EOF after this many armed read bytes
 	dropWrite  bool          // swallow armed writes (frames vanish in flight)
+	dropNext   *atomic.Bool  // swallow the next armed write only: exactly one frame vanishes
 	dupWrite   bool          // send every armed frame twice
 	corrupt    *atomic.Bool  // mangle the next armed read's first byte (the length prefix)
 }
@@ -59,8 +60,8 @@ func (c *faultConn) Read(p []byte) (int, error) {
 
 func (c *faultConn) Write(p []byte) (int, error) {
 	if c.armed.Load() {
-		if c.dropWrite {
-			return len(p), nil
+		if c.dropWrite || (c.dropNext != nil && c.dropNext.CompareAndSwap(true, false)) {
+			return len(p), nil // the transport writes one frame per Write
 		}
 		if c.dupWrite {
 			if _, err := c.Conn.Write(p); err != nil {
@@ -186,17 +187,34 @@ func RunFaults(t *testing.T, network string) {
 
 	t.Run("DuplicatedFrames", func(t *testing.T) {
 		// Every request frame is sent twice: the node answers twice, the
-		// first exchange reads the first reply cleanly, and the stale
-		// duplicate must poison the NEXT exchange as a typed error.
-		f, arm := faultFabric(t, network, 0, faultSpec{dupWrite: true})
-		seedRows(t, f, evenRows, dim)
-		arm()
-		if err := fetchInto(t, f.Transport, evenRows, dim); err != nil {
-			t.Fatalf("first fetch under duplication: %v", err)
-		}
-		err := f.Transport.Push(0, 0, evenRows, patternRow(dim))
-		if !errors.Is(err, shard.ErrPeerDead) {
-			t.Fatalf("exchange after duplicated frame: got %v want ErrPeerDead", err)
+		// fetch reads the first reply cleanly, and the stale duplicate sits
+		// in the stream. A push does not read, so it goes through; the
+		// duplicate must poison the first operation that does read — the
+		// next fetch, reaping that push's ack, or Close — as a typed error.
+		// Corruption is not retried, so the resilient layer reports it as is.
+		for _, mode := range pipeModes {
+			for _, reader := range []string{"fetch", "close"} {
+				t.Run(mode.name+"/"+reader, func(t *testing.T) {
+					fx := newPipeFixture(t, network, mode.resilient, 16, dim, 0, faultSpec{dupWrite: true})
+					fx.arm()
+					rows := fx.owned(0)
+					if _, err := fx.fetch(t, rows); err != nil {
+						t.Fatalf("first fetch under duplication: %v", err)
+					}
+					if err := fx.tr.Push(0, 0, rows, fx.src); err != nil {
+						t.Fatalf("push behind a stale duplicate reply (it does not read): %v", err)
+					}
+					var err error
+					if reader == "fetch" {
+						_, err = fx.fetch(t, rows)
+					} else {
+						err = fx.tr.Close()
+					}
+					if !errors.Is(err, shard.ErrPeerDead) || !errors.Is(err, shard.ErrBadFrame) {
+						t.Fatalf("%s after duplicated frame: got %v want ErrPeerDead wrapping ErrBadFrame", reader, err)
+					}
+				})
+			}
 		}
 	})
 

@@ -5,14 +5,10 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"hotline/internal/tensor"
 )
 
 // NodeServer is one shard node of the socket fabric: the authoritative store
@@ -23,8 +19,9 @@ import (
 //
 // The server is a strict responder: every frame the coordinator sends gets
 // exactly one reply on the same connection (hello→ack, push→ack,
-// fetch→rows, anything malformed→error), so the client can serialize
-// request/response per connection without tagging.
+// fetch→rows, anything malformed→error), in arrival order, so the client
+// can keep several requests outstanding on a connection and match the
+// replies by counting, without tagging.
 type NodeServer struct {
 	node int
 	ln   net.Listener
@@ -194,10 +191,6 @@ func (s *NodeServer) serveConn(c net.Conn) {
 			if !s.replyFetch(c, &out, &req, &rep) {
 				return
 			}
-		case opFetchQ:
-			if !s.replyFetchQuant(c, &out, &req, &rep) {
-				return
-			}
 		default:
 			s.reply(c, &out, &wireMsg{op: opError, code: wireErrBadFrame,
 				text: fmt.Sprintf("unexpected opcode %d", req.op)})
@@ -252,55 +245,12 @@ func (s *NodeServer) replyFetch(c net.Conn, out *[]byte, req, rep *wireMsg) bool
 	return s.reply(c, out, rep)
 }
 
-// replyFetchQuant answers a quantized fetch: each requested row is quantized
-// from the authoritative fp32 store at the requested width and travels at
-// that width (rows16 or rows8), so a warm-tier refill moves 2-4x fewer
-// fabric bytes than a full-precision fetch.
-func (s *NodeServer) replyFetchQuant(c net.Conn, out *[]byte, req, rep *wireMsg) bool {
-	rep.op = opRows8
-	if req.width == WidthFP16 {
-		rep.op = opRows16
-	}
-	rep.table = req.table
-	rep.dim = 0
-	rep.rows = append(rep.rows[:0], req.rows...)
-	rep.vals = rep.vals[:0]
-	rep.h16 = rep.h16[:0]
-	rep.i8 = rep.i8[:0]
-	rep.scales = rep.scales[:0]
-	s.mu.Lock()
-	for _, r := range req.rows {
-		v, ok := s.rows[key(req.table, r)]
-		if !ok {
-			s.mu.Unlock()
-			return s.reply(c, out, &wireMsg{op: opError, code: wireErrUnknownRow,
-				text: fmt.Sprintf("table %d row %d of node %d", req.table, r, s.node)})
-		}
-		if rep.dim == 0 {
-			rep.dim = len(v)
-		}
-		if req.width == WidthFP16 {
-			n := len(rep.h16)
-			rep.h16 = slices.Grow(rep.h16, len(v))[:n+len(v)]
-			tensor.QuantizeRowF16(rep.h16[n:], v)
-		} else {
-			n := len(rep.i8)
-			rep.i8 = slices.Grow(rep.i8, len(v))[:n+len(v)]
-			rep.scales = append(rep.scales, tensor.QuantizeRowI8(rep.i8[n:], v))
-		}
-	}
-	s.mu.Unlock()
-	s.fetchFrames.Add(1)
-	s.rowsServed.Add(int64(len(req.rows)))
-	return s.reply(c, out, rep)
-}
-
 // readRequest reads one request frame. The wait for the length prefix is
 // unbounded (idle connections are healthy); once a frame has started, its
 // payload must arrive within the IO deadline.
 func (s *NodeServer) readRequest(c net.Conn, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(c, hdr[:]); err != nil {
+	n, buf, err := readFrameLen(c, buf)
+	if err != nil {
 		return nil, err
 	}
 	if s.io > 0 {
@@ -309,7 +259,7 @@ func (s *NodeServer) readRequest(c net.Conn, buf []byte) ([]byte, error) {
 		}
 		defer c.SetReadDeadline(time.Time{})
 	}
-	return readFramePayload(c, hdr, buf)
+	return readFramePayload(c, n, buf)
 }
 
 // reply frames and writes one response; false means the conn is unusable.

@@ -13,6 +13,14 @@
 // fabric carries absolute row values, so replaying an operation after a
 // re-dial is idempotent — the retry loop never needs to reason about
 // partial application.
+//
+// The socket transport's pushes are pipelined: a push returns once its frame
+// is written, and a push the owner never applied surfaces later, as the
+// failure of whichever operation on that peer reaps its ack. The retry loop
+// needs no record of which pushes were in doubt. The failed operation's
+// recovery re-dials (the fresh stream owes no acks) and resyncs the peer's
+// whole shard from the mirror, which holds the current bits of every row a
+// lost push carried; then the operation replays.
 package shard
 
 import (
@@ -233,7 +241,10 @@ func (r *ResilientTransport) Fetch(table, owner int, rows []int32, st *Staging, 
 }
 
 // Push implements Transport with retry. Scatter pushes carry the rows'
-// absolute current values, so a replay after re-dial is idempotent.
+// absolute current values, so a replay after re-dial is idempotent. A nil
+// return means what the inner transport's does — the frame is on the owner's
+// ordered stream — and a push lost after that is healed by the resync of the
+// operation that discovers it.
 func (r *ResilientTransport) Push(table, owner int, rows []int32, src RowAt) error {
 	return r.do(owner, func() error { return r.inner.Push(table, owner, rows, src) })
 }

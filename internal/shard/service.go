@@ -136,7 +136,10 @@ type Stats struct {
 	// in-proc fast path GatherWall is the staging memcpy time and
 	// ScatterWall is zero (a shared address space moves no scatter bytes);
 	// on a socket fabric both are real per-window wire times — the measured
-	// counterpart of the modeled AllToAllTime.
+	// counterpart of the modeled AllToAllTime. The socket fabric pipelines
+	// its pushes, so ScatterWall is the encode and write the trainer waited
+	// for, and the owner's apply-and-ack is waited for by that owner's next
+	// fetch, inside GatherWall.
 	GatherWall, ScatterWall time.Duration
 }
 

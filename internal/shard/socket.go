@@ -3,14 +3,14 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
-
-	"hotline/internal/tensor"
 )
 
 // FabricTimeouts splits the fabric's time budget into the three places a
@@ -21,10 +21,10 @@ type FabricTimeouts struct {
 	// Dial bounds every connection attempt (initial fabric dial and every
 	// re-dial of a dead peer). Default DefaultDialTimeout.
 	Dial time.Duration
-	// IO bounds each request/response operation on a live connection. The
-	// deadline is armed per write and re-armed per read, so a peer that
-	// turns slow mid-frame cannot ride a stale deadline from the previous
-	// operation. Default DefaultIOTimeout.
+	// IO bounds each frame written to or read from a live connection. The
+	// deadline is armed afresh per frame — per request written, per reply
+	// and per owed ack read — so a peer that turns slow mid-frame cannot
+	// ride a stale deadline from the frame before. Default DefaultIOTimeout.
 	IO time.Duration
 	// Retry bounds the total wall clock a ResilientTransport spends
 	// retrying and re-dialing one dead peer before declaring it
@@ -84,22 +84,63 @@ type FabricConfig struct {
 	WrapConn func(owner int, c net.Conn) net.Conn
 }
 
-// socketPeer is the coordinator's connection to one node process. A peer is
-// strictly request/response and mutex-serialized: the gather drainers, the
+// Pipelining bounds of a peer's ordered stream. Constants, not options:
+// each follows from the protocol's frame sizes.
+const (
+	// maxOwedAcks bounds the push acks a peer may leave unread. An ack is a
+	// 5-byte frame, so this many fit any socket buffer and the node's reply
+	// write never blocks on a coordinator that is not reading yet.
+	maxOwedAcks = 64
+	// maxFetchAhead and maxFetchAheadBytes bound the chunk requests a Fetch
+	// writes before it reads their replies. The node may sit blocked in the
+	// write of a MaxFrame reply the coordinator has not begun to read, so
+	// the requests written behind it must fit the kernel's socket buffers
+	// with nobody draining them; 64 KB is under the default buffer of both
+	// socket families. Requests are row ids only — 12 KB per chunk at dim
+	// 64 — but a chunk at dim 1 asks for over 100k rows (see fetchAhead).
+	maxFetchAhead      = 8
+	maxFetchAheadBytes = 64 << 10
+	// sendBufferBytes is the kernel send buffer asked for at dial: room for
+	// two full push frames, so a step's scatter to one owner lands in the
+	// kernel while the node is still applying the previous frame instead of
+	// blocking the trainer in write.
+	sendBufferBytes = 2 * MaxFrame
+	// closeGrace is the patience of Close: how long it lets operations
+	// already in flight finish before it closes their conns under them, and
+	// how long it waits for each ack it reaps itself. A healthy exchange
+	// takes microseconds and a node applies a full frame in a few
+	// milliseconds; a hung peer costs Close this much, not an IO timeout.
+	closeGrace = 100 * time.Millisecond
+)
+
+// socketPeer is the coordinator's connection to one node process: a
+// pipelined ordered stream. The node answers every frame with exactly one
+// reply, in arrival order, so replies need no request ids — the peer counts
+// what it is owed. A push writes its frame and leaves the ack unread (owed);
+// the next operation that reads reaps the owed acks, oldest first, before
+// its own reply. Operations are mutex-serialised: the gather drainers, the
 // training thread's scatter pushes and the serve path may all address the
-// same owner concurrently, and interleaving frames on one conn would corrupt
-// the stream. A failed exchange marks the peer dead (sticky): later
-// operations fail fast with ErrPeerDead instead of hanging on a broken conn.
-// A ResilientTransport can revive a dead peer through redial, which swaps in
-// a fresh connection and clears the sticky error.
+// same owner concurrently, and interleaving one operation's frames with
+// another's would corrupt the stream. A failed send, reply or ack marks the
+// peer dead (sticky): later operations fail fast with ErrPeerDead instead of
+// hanging on a broken conn. A ResilientTransport can revive a dead peer
+// through redial, which swaps in a fresh connection, clears the sticky error
+// and forgets the acks the old stream owed.
 type socketPeer struct {
 	mu   sync.Mutex
-	conn net.Conn
 	addr string  // current dial address (re-dials may move it, e.g. a restart on a new port)
 	err  error   // sticky; nil while healthy
+	owed int     // pushes written whose acks are still unread; ≤ maxOwedAcks
 	out  []byte  // encode scratch
 	in   []byte  // reply read scratch
 	rep  wireMsg // decoded reply, slices reused
+
+	// connMu guards the conn field, never I/O on it. Operations read conn
+	// under mu alone (only a dial, holding both locks, replaces it); Close
+	// takes connMu without mu, so it can close the conn under an operation
+	// that holds mu across a blocked read or write.
+	connMu sync.Mutex
+	conn   net.Conn
 }
 
 // SocketTransport is the multi-process fabric: per-owner gather fetch lists
@@ -107,11 +148,11 @@ type socketPeer struct {
 // socket per node process. Safe for concurrent use; operations against
 // distinct owners proceed in parallel.
 type SocketTransport struct {
-	cfg    FabricConfig
-	peers  []*socketPeer
-	closed sync.Once
-	dead   bool
-	mu     sync.Mutex
+	cfg      FabricConfig
+	peers    []*socketPeer
+	dead     atomic.Bool // set by Close; new operations fail with ErrClosed
+	closed   sync.Once
+	closeErr error
 }
 
 // DialFabric connects to every node process in cfg.Addrs and verifies each
@@ -142,18 +183,34 @@ func (t *SocketTransport) dialPeerLocked(owner int, p *socketPeer) error {
 	if err != nil {
 		return fmt.Errorf("%w: dial node %d (%s %s): %w", ErrPeerDead, owner, t.cfg.Network, p.addr, err)
 	}
+	// Before WrapConn, which hides the method. Best effort: a kernel that
+	// grants less only makes a large scatter block in write sooner.
+	if sb, ok := c.(interface{ SetWriteBuffer(int) error }); ok {
+		_ = sb.SetWriteBuffer(sendBufferBytes)
+	}
 	if t.cfg.WrapConn != nil {
 		c = t.cfg.WrapConn(owner, c)
 	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.connMu.Lock()
+	if t.dead.Load() {
+		// Close ran while this dial was under way and will not see c.
+		p.connMu.Unlock()
+		c.Close()
+		return ErrClosed
+	}
 	if p.conn != nil {
 		p.conn.Close()
 	}
 	p.conn = c
+	p.connMu.Unlock()
 	p.err = nil
-	err = t.exchangeLocked(owner, p, &wireMsg{op: opHello, node: owner}, opAck)
-	p.mu.Unlock()
-	if err != nil {
+	// A fresh stream owes nothing: the acks of pushes written to the old
+	// conn died with it, and waiting for them here would time the hello out.
+	// What those pushes carried is restored by the caller's resync.
+	p.owed = 0
+	if err := t.exchange(owner, p, &wireMsg{op: opHello, node: owner}, opAck); err != nil {
 		return fmt.Errorf("hello to node %d (%s %s): %w", owner, t.cfg.Network, p.addr, err)
 	}
 	return nil
@@ -164,10 +221,7 @@ func (t *SocketTransport) dialPeerLocked(owner int, p *socketPeer) error {
 // primitive of the ResilientTransport. The caller must exclude concurrent
 // operations against this peer for the duration.
 func (t *SocketTransport) redialPeer(owner int) error {
-	t.mu.Lock()
-	dead := t.dead
-	t.mu.Unlock()
-	if dead {
+	if t.dead.Load() {
 		return ErrClosed
 	}
 	return t.dialPeerLocked(owner, t.peers[owner])
@@ -199,98 +253,181 @@ func (t *SocketTransport) peerErr(owner int) error {
 	return p.err
 }
 
+// OwedAcks reports how many pushes to owner have been written whose acks
+// are still unread — the depth of the peer's pipeline right now. It waits
+// for the operation in flight on that peer, if any.
+func (t *SocketTransport) OwedAcks(owner int) int {
+	p := t.peers[owner]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.owed
+}
+
 // Name reports the socket family ("unix" or "tcp").
 func (t *SocketTransport) Name() string { return t.cfg.Network }
 
 // Multiproc reports true: rows cross a process boundary.
 func (t *SocketTransport) Multiproc() bool { return true }
 
-// Close closes every peer connection. Idempotent; in-flight exchanges fail
-// with their conn's error and mark the peer dead.
+// Close reaps the acks every healthy peer still owes and closes the
+// connections, returning the first reap failure — a final push that never
+// reached its owner is reported, not lost silently (peers already dead
+// reported their failure to the operation that hit it). Operations still in
+// flight get closeGrace to finish; after that their conns are closed under
+// them and they fail with ErrClosed. Each reaped ack gets closeGrace too, so
+// Close never waits out an IO timeout on a hung peer, idle or mid-operation.
+// Idempotent: later calls return the first call's result.
 func (t *SocketTransport) Close() error {
 	t.closed.Do(func() {
-		t.mu.Lock()
-		t.dead = true
-		t.mu.Unlock()
-		for _, p := range t.peers {
+		t.dead.Store(true)
+		deadline := time.Now().Add(closeGrace) //hotline:allow detorder shutdown grace; a fault policy, not math
+		for owner, p := range t.peers {
 			if p == nil {
 				continue
 			}
-			p.mu.Lock()
+			idle := p.mu.TryLock()
+			for !idle && time.Now().Before(deadline) { //hotline:allow detorder shutdown grace; a fault policy, not math
+				time.Sleep(closeGrace / 200)
+				idle = p.mu.TryLock()
+			}
+			if idle && p.err == nil && p.conn != nil {
+				if err := t.reap(owner, p); err != nil && t.closeErr == nil {
+					t.closeErr = err
+				}
+			}
+			p.connMu.Lock()
 			if p.conn != nil {
 				p.conn.Close()
 			}
-			p.mu.Unlock()
+			p.connMu.Unlock()
+			if idle {
+				p.mu.Unlock()
+			}
 		}
 	})
-	return nil
+	return t.closeErr
 }
 
-// exchange runs one request/response round-trip against a peer under its
-// mutex: encode req, write the frame under a fresh write deadline, read
-// exactly one reply frame under a fresh read deadline, decode it, and demand
-// the wanted opcode (opError replies surface as their mapped typed error).
-// Any I/O or protocol failure marks the peer dead.
+// exchange is one stop-and-wait round trip — send, then recv — for the
+// hello, the one frame whose reply must be read before anything follows.
+// The caller holds p.mu.
 func (t *SocketTransport) exchange(owner int, p *socketPeer, req *wireMsg, want byte) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return t.exchangeLocked(owner, p, req, want)
+	p.out = appendMsg(p.frame(), req)
+	if err := t.send(owner, p); err != nil {
+		return err
+	}
+	return t.recv(owner, p, want)
 }
 
-// exchangeLocked is exchange with p.mu already held — for callers that must
-// also read the decoded reply (p.rep) before another operation on the same
-// peer can overwrite it.
-func (t *SocketTransport) exchangeLocked(owner int, p *socketPeer, req *wireMsg, want byte) error {
+// frame returns the peer's encode scratch, emptied, with the frame's 4-byte
+// length prefix reserved for writeFrame to fill.
+func (p *socketPeer) frame() []byte { return append(p.out[:0], 0, 0, 0, 0) }
+
+// fail marks the peer dead with a typed error and closes its conn. Both %w
+// verbs matter: callers classify on ErrPeerDead AND on the underlying codec
+// error (ErrFrameTooLarge & co) via errors.Is. The wrap carries the node id
+// and its dial address so a failure in a many-node fabric names the process
+// to look at. I/O that failed because Close closed the conn under it is
+// Close's doing, not the peer's: it is typed ErrClosed, so no recovery layer
+// tries to revive or adopt away a peer the coordinator hung up on itself.
+func (t *SocketTransport) fail(owner int, p *socketPeer, stage string, err error) error {
+	class := ErrPeerDead
+	if t.dead.Load() && errors.Is(err, net.ErrClosed) {
+		class = ErrClosed
+	}
+	p.err = fmt.Errorf("%w: node %d (%s %s) %s: %w", class, owner, t.cfg.Network, p.addr, stage, err)
+	p.conn.Close()
+	return p.err
+}
+
+// ioDeadline is the deadline of a frame read or written now: Timeouts.IO
+// away, or closeGrace once Close has begun — Close reaps what the peers owe
+// and must not wait out a full IO timeout on one that has gone silent.
+func (t *SocketTransport) ioDeadline() time.Time {
+	d := t.cfg.Timeouts.IO
+	if t.dead.Load() {
+		d = min(d, closeGrace)
+	}
+	return time.Now().Add(d) //hotline:allow detorder deadline arming; timeouts are a fault policy, not math
+}
+
+// send writes the frame staged in p.out under a fresh write deadline. It
+// does not read: what the node answers is recv's (or reap's) business. The
+// caller holds p.mu. Any failure marks the peer dead.
+//
+//hotline:hotpath
+func (t *SocketTransport) send(owner int, p *socketPeer) error {
 	if p.err != nil {
 		return p.err
 	}
-	t.mu.Lock()
-	dead := t.dead
-	t.mu.Unlock()
-	if dead {
+	if t.dead.Load() {
 		return ErrClosed
 	}
-	fail := func(stage string, err error) error {
-		// Both %w verbs matter: callers classify on ErrPeerDead AND on the
-		// underlying codec error (ErrFrameTooLarge & co) via errors.Is. The
-		// wrap carries the node id and its dial address so a failure in a
-		// many-node fabric names the process to look at.
-		p.err = fmt.Errorf("%w: node %d (%s %s) %s: %w", ErrPeerDead, owner, t.cfg.Network, p.addr, stage, err)
-		p.conn.Close()
-		return p.err
-	}
-	p.out = appendMsg(append(p.out[:0], 0, 0, 0, 0), req)
-	// Per-operation deadlines, checked: the write deadline covers exactly
-	// this frame's write, and the read deadline is re-armed AFTER the write
-	// completes, so a slow peer mid-readFrame gets the full IO budget rather
-	// than riding whatever remained of a stale combined deadline.
-	if err := p.conn.SetWriteDeadline(time.Now().Add(t.cfg.Timeouts.IO)); err != nil { //hotline:allow detorder deadline arming; timeouts are a fault policy, not math
-		return fail("arm write deadline", err)
+	// Per-frame deadlines, checked: the write deadline covers exactly this
+	// frame's write, and recv arms its own, so a slow peer mid-frame gets
+	// the full IO budget rather than riding what remained of a stale one.
+	if err := p.conn.SetWriteDeadline(t.ioDeadline()); err != nil {
+		return t.fail(owner, p, "arm write deadline", err)
 	}
 	if err := writeFrame(p.conn, p.out); err != nil {
-		return fail("write", err)
+		return t.fail(owner, p, "write", err)
 	}
-	if err := p.conn.SetReadDeadline(time.Now().Add(t.cfg.Timeouts.IO)); err != nil { //hotline:allow detorder deadline arming; timeouts are a fault policy, not math
-		return fail("arm read deadline", err)
+	return nil
+}
+
+// recv reads exactly one reply frame under a fresh read deadline, decodes
+// it into p.rep and demands the wanted opcode (an opError reply surfaces as
+// its mapped typed error and leaves the peer healthy: framing is intact, the
+// node answered). The caller holds p.mu, and p.rep is stable until its next
+// recv. Any I/O or protocol failure marks the peer dead.
+//
+//hotline:hotpath
+func (t *SocketTransport) recv(owner int, p *socketPeer, want byte) error {
+	if p.err != nil {
+		return p.err
+	}
+	if err := p.conn.SetReadDeadline(t.ioDeadline()); err != nil {
+		return t.fail(owner, p, "arm read deadline", err)
 	}
 	payload, err := readFrame(p.conn, p.in)
 	if err != nil {
-		return fail("read", err)
+		return t.fail(owner, p, "read", err)
 	}
 	p.in = payload[:cap(payload)]
 	if err := decodeMsg(payload, &p.rep); err != nil {
-		return fail("decode", err)
+		return t.fail(owner, p, "decode", err)
 	}
 	if p.rep.op == opError {
-		// A typed application error (e.g. unknown row) leaves the conn
-		// healthy — framing is intact, the node answered.
 		return wireErr(p.rep.code, p.rep.text)
 	}
 	if p.rep.op != want {
-		// A well-framed reply with the wrong opcode is a protocol
-		// violation: type it ErrBadFrame so the fault grid can classify
-		// it, and let fail mark the peer dead (the stream is desynced).
-		return fail("reply", fmt.Errorf("%w: reply opcode %d, want %d", ErrBadFrame, p.rep.op, want))
+		return t.fail(owner, p, "reply", badReply(p.rep.op, want))
+	}
+	return nil
+}
+
+// badReply types a well-framed reply with the wrong opcode: a protocol
+// violation (the stream is desynced), ErrBadFrame so the fault grid can
+// classify it.
+func badReply(got, want byte) error {
+	return fmt.Errorf("%w: reply opcode %d, want %d", ErrBadFrame, got, want)
+}
+
+// reap reads the acks the peer owes, oldest first, each under its own read
+// deadline. The failure of a push surfaces here, in whichever operation
+// reaps it: a missing or wrong ack marks the peer dead exactly as a failed
+// reply does. The caller holds p.mu.
+func (t *SocketTransport) reap(owner int, p *socketPeer) error {
+	for p.owed > 0 {
+		p.owed--
+		if err := t.recv(owner, p, opAck); err != nil {
+			if p.err == nil {
+				// An error frame in an ack's place: the node rejected the
+				// push and drops the connection after saying so.
+				return t.fail(owner, p, "ack", err)
+			}
+			return err
+		}
 	}
 	return nil
 }
@@ -306,37 +443,67 @@ func maxRowsPerFrame(dim int) int {
 }
 
 // Fetch implements Transport: the listed rows stream back from their owner
-// process into the staging buffer. Requests are chunked so neither the
-// fetch frame nor its reply exceeds MaxFrame. The local FetchFunc is
-// ignored — the whole point is that the bytes come off the socket.
+// process into the staging buffer, after the acks of every earlier push to
+// that owner — so the rows carry those pushes' bits. Requests are chunked so
+// neither a fetch frame nor its reply exceeds MaxFrame, and pipelined: the
+// chunk requests are written ahead (within maxFetchAhead) and their replies
+// read back in order, one round trip for the lot instead of one per chunk.
+// The local FetchFunc is ignored — the whole point is that the bytes come
+// off the socket.
 func (t *SocketTransport) Fetch(table, owner int, rows []int32, st *Staging, local FetchFunc) error {
 	p := t.peers[owner]
 	chunk := maxRowsPerFrame(st.dim)
-	for len(rows) > 0 {
-		n := min(len(rows), chunk)
-		if err := t.fetchChunk(table, owner, p, rows[:n], st); err != nil {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if err := t.reap(owner, p); err != nil {
+		return err
+	}
+	// rows[:replied] are staged and rows[replied:sent] requested, at most
+	// ahead chunks of them.
+	ahead := fetchAhead(chunk)
+	sent, replied := 0, 0
+	for replied < len(rows) {
+		for sent < len(rows) && sent-replied < ahead*chunk {
+			n := min(len(rows)-sent, chunk)
+			p.out = appendMsg(p.frame(), &wireMsg{op: opFetch, table: table, rows: rows[sent : sent+n]})
+			if err := t.send(owner, p); err != nil {
+				return err
+			}
+			sent += n
+		}
+		n := min(len(rows)-replied, chunk)
+		err := t.recvRows(owner, p, rows[replied:replied+n], st)
+		replied += n
+		if err != nil {
+			// A typed application error (an unknown row) leaves the stream
+			// healthy: read off the replies of the chunks already requested,
+			// whatever they say, so the next operation starts in step.
+			for ; replied < sent && p.err == nil; replied += min(sent-replied, chunk) {
+				_ = t.recv(owner, p, opRows)
+			}
 			return err
 		}
-		rows = rows[n:]
 	}
 	return nil
 }
 
-func (t *SocketTransport) fetchChunk(table, owner int, p *socketPeer, rows []int32, st *Staging) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	req := wireMsg{op: opFetch, table: table, rows: rows}
-	if err := t.exchangeLocked(owner, p, &req, opRows); err != nil {
+// fetchAhead returns how many requests of chunk rows each a Fetch may leave
+// unanswered: as many as fit maxFetchAheadBytes at the encoding's worst case
+// (5 varint bytes per row id), at least one, at most maxFetchAhead.
+func fetchAhead(chunk int) int {
+	return max(1, min(maxFetchAhead, maxFetchAheadBytes/(16+5*chunk)))
+}
+
+// recvRows reads one chunk's reply and copies its rows into their staging
+// slots. The caller holds p.mu, which keeps the decoded reply stable.
+func (t *SocketTransport) recvRows(owner int, p *socketPeer, rows []int32, st *Staging) error {
+	if err := t.recv(owner, p, opRows); err != nil {
 		return err
 	}
-	// Still under p.mu: the decoded reply is stable until the next exchange
-	// on this peer, and the lock is what keeps that exchange out.
 	rep := &p.rep
 	if len(rep.rows) != len(rows) || (len(rows) > 0 && rep.dim != st.dim) {
-		p.err = fmt.Errorf("%w: node %d (%s %s) returned %d rows dim %d, want %d rows dim %d",
-			ErrPeerDead, owner, t.cfg.Network, p.addr, len(rep.rows), rep.dim, len(rows), st.dim)
-		p.conn.Close()
-		return p.err
+		return t.fail(owner, p, "reply", fmt.Errorf("%w: %d rows dim %d, want %d rows dim %d",
+			ErrBadFrame, len(rep.rows), rep.dim, len(rows), st.dim))
 	}
 	for i, r := range rep.rows {
 		if v, ok := st.Lookup(r); ok {
@@ -346,82 +513,14 @@ func (t *SocketTransport) fetchChunk(table, owner int, p *socketPeer, rows []int
 	return nil
 }
 
-// maxQuantRowsPerFrame returns how many quantized rows of the given width fit
-// one reply frame with slack for the opcode and varint headers. Width.RowBytes
-// is exactly the wire payload per row (fp16: 2·dim; int8: dim + 4-byte scale).
-func maxQuantRowsPerFrame(dim int, w Width) int {
-	n := (MaxFrame - 64) / (5 + int(w.RowBytes(dim))) // ≤5 varint bytes per row id + payload
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// FetchQuant fetches the listed rows from their owner process at a narrow
-// wire width: the node quantizes each row from its fp32 store, the reply
-// carries the int8/fp16 bits (2-4x fewer fabric bytes than Fetch), and the
-// values are dequantized into the staging buffer here at the receiving edge.
-// The staged value is exactly dequant(quant(owner row)) — the same coherent
-// warm-tier replica the fused dequantize-gather serves from a local cache
-// hit, so a quantized refill and a quantized hit agree bit for bit.
-//
-// The default training and serve paths do not use this (they fetch exact
-// bits and quantize locally, keeping cross-transport counters and values
-// identical); it is the wire format for fabrics whose bottleneck is
-// all-to-all bytes rather than HBM.
-func (t *SocketTransport) FetchQuant(table, owner int, w Width, rows []int32, st *Staging) error {
-	if w != WidthFP16 && w != WidthINT8 {
-		return fmt.Errorf("%w: FetchQuant width %v", ErrFabricConfig, w)
-	}
-	p := t.peers[owner]
-	chunk := maxQuantRowsPerFrame(st.dim, w)
-	for len(rows) > 0 {
-		n := min(len(rows), chunk)
-		if err := t.fetchQuantChunk(table, owner, p, w, rows[:n], st); err != nil {
-			return err
-		}
-		rows = rows[n:]
-	}
-	return nil
-}
-
-func (t *SocketTransport) fetchQuantChunk(table, owner int, p *socketPeer, w Width, rows []int32, st *Staging) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	want := opRows8
-	if w == WidthFP16 {
-		want = opRows16
-	}
-	req := wireMsg{op: opFetchQ, table: table, width: w, rows: rows}
-	if err := t.exchangeLocked(owner, p, &req, want); err != nil {
-		return err
-	}
-	// Still under p.mu: the decoded reply is stable until the next exchange
-	// on this peer, and the lock is what keeps that exchange out.
-	rep := &p.rep
-	if len(rep.rows) != len(rows) || (len(rows) > 0 && rep.dim != st.dim) {
-		p.err = fmt.Errorf("%w: node %d (%s %s) returned %d quantized rows dim %d, want %d rows dim %d",
-			ErrPeerDead, owner, t.cfg.Network, p.addr, len(rep.rows), rep.dim, len(rows), st.dim)
-		p.conn.Close()
-		return p.err
-	}
-	for i, r := range rep.rows {
-		v, ok := st.Lookup(r)
-		if !ok {
-			continue
-		}
-		if w == WidthFP16 {
-			tensor.DequantizeRowF16(v, rep.h16[i*rep.dim:(i+1)*rep.dim])
-		} else {
-			tensor.DequantizeRowI8(v, rep.i8[i*rep.dim:(i+1)*rep.dim], rep.scales[i])
-		}
-	}
-	return nil
-}
-
-// Push implements Transport: the rows' current payloads travel to their
-// owner process, chunked under MaxFrame, each chunk acknowledged before the
-// next is sent — a returned nil means the owner's store has the new bits.
+// Push implements Transport: the rows' current payloads are written to
+// their owner's ordered stream, chunked under MaxFrame, and the acks are
+// left for a later operation to reap. A returned nil therefore means "on
+// the stream", not "in the owner's store": the owner applies the push before
+// it answers any later operation on this transport, which is all a reader of
+// those rows needs. A push that is lost after the write surfaces as the
+// failure of the next operation on the peer (or of Close). Acks are reaped
+// here only when maxOwedAcks of them are outstanding.
 func (t *SocketTransport) Push(table, owner int, rows []int32, src RowAt) error {
 	if len(rows) == 0 {
 		return nil
@@ -429,29 +528,22 @@ func (t *SocketTransport) Push(table, owner int, rows []int32, src RowAt) error 
 	p := t.peers[owner]
 	dim := len(src(rows[0]))
 	chunk := maxRowsPerFrame(dim)
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	for len(rows) > 0 {
 		n := min(len(rows), chunk)
-		if err := t.pushChunk(table, owner, p, rows[:n], dim, src); err != nil {
+		p.out = appendPush(p.frame(), table, dim, rows[:n], src)
+		if err := t.send(owner, p); err != nil {
 			return err
+		}
+		if p.owed++; p.owed >= maxOwedAcks {
+			if err := t.reap(owner, p); err != nil {
+				return err
+			}
 		}
 		rows = rows[n:]
 	}
 	return nil
-}
-
-func (t *SocketTransport) pushChunk(table, owner int, p *socketPeer, rows []int32, dim int, src RowAt) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	// Stage the values contiguously in the peer's scratch so appendMsg can
-	// slice them row-major; the encode copies them into the frame before
-	// the reply decode could touch the scratch again.
-	vals := p.rep.vals[:0]
-	for _, r := range rows {
-		vals = append(vals, src(r)...)
-	}
-	p.rep.vals = vals
-	req := wireMsg{op: opPush, table: table, dim: dim, rows: rows, vals: vals}
-	return t.exchangeLocked(owner, p, &req, opAck)
 }
 
 // LocalFabric is a self-contained socket fabric for tests, experiments and

@@ -2,11 +2,13 @@ package shard
 
 import (
 	"errors"
+	"io"
+	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
-
-	"hotline/internal/tensor"
 )
 
 // fabricTimeout derives the fabric's per-op timeout from the test's own
@@ -128,112 +130,6 @@ func TestSocketFabricChunking(t *testing.T) {
 	checkFetched(t, st, rows, dim)
 	if s := f.Servers[0].Stats(); s.FetchFrames < 2 || s.PushFrames < 2 {
 		t.Fatalf("expected chunked frames, got %+v", s)
-	}
-}
-
-// TestSocketFetchQuant covers the quantized wire format end to end: rows
-// pushed at fp32 come back over opRows8/opRows16 and must stage exactly the
-// fused round trip of the authoritative bits — the same value a local
-// warm-tier hit serves — while an unknown row stays a typed application
-// error that leaves the connection healthy.
-func TestSocketFetchQuant(t *testing.T) {
-	const dim = 8
-	f, err := StartLocalFabric(1, "unix", fabricTimeout(t), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	tr := f.Transport
-
-	rows := []int32{0, 2, 5}
-	if err := tr.Push(0, 0, rows, rowPattern(dim)); err != nil {
-		t.Fatalf("push: %v", err)
-	}
-	pat := rowPattern(dim)
-	for _, w := range []Width{WidthINT8, WidthFP16} {
-		st := stagingFor(rows, dim)
-		if err := tr.FetchQuant(0, 0, w, rows, st); err != nil {
-			t.Fatalf("%v fetch: %v", w, err)
-		}
-		want := make([]float32, dim)
-		lossy := false
-		for _, r := range rows {
-			exact := pat(r)
-			if w == WidthINT8 {
-				tensor.RoundTripI8(want, exact)
-			} else {
-				tensor.RoundTripF16(want, exact)
-			}
-			v, ok := st.Lookup(r)
-			if !ok {
-				t.Fatalf("%v row %d missing from staging", w, r)
-			}
-			for k := range v {
-				if v[k] != want[k] {
-					t.Fatalf("%v row %d[%d] = %v, want fused round trip %v", w, r, k, v[k], want[k])
-				}
-				if v[k] != exact[k] {
-					lossy = true
-				}
-			}
-		}
-		if !lossy {
-			t.Fatalf("%v: test rows round-trip exactly; the fidelity assertion is vacuous", w)
-		}
-	}
-
-	if err := tr.FetchQuant(0, 0, WidthINT8, []int32{99}, stagingFor([]int32{99}, dim)); !errors.Is(err, ErrUnknownRow) {
-		t.Fatalf("unknown row: got %v want ErrUnknownRow", err)
-	}
-	if err := tr.FetchQuant(0, 0, WidthFP32, rows, stagingFor(rows, dim)); !errors.Is(err, ErrFabricConfig) {
-		t.Fatalf("fp32 width: got %v want ErrFabricConfig (full-precision fetches travel as opFetch)", err)
-	}
-	// The error paths left the conn healthy: a normal fetch still works.
-	st := stagingFor(rows, dim)
-	if err := tr.Fetch(0, 0, rows, st, nil); err != nil {
-		t.Fatalf("fetch after quant errors: %v", err)
-	}
-	checkFetched(t, st, rows, dim)
-}
-
-// TestSocketFetchQuantChunking moves a quantized fetch whose reply exceeds
-// MaxFrame unchunked; the narrow widths pack more rows per frame than fp32.
-func TestSocketFetchQuantChunking(t *testing.T) {
-	const dim = 512
-	const n = 3000
-	if maxQuantRowsPerFrame(dim, WidthINT8) >= n {
-		t.Fatalf("test geometry no longer chunks: %d rows/frame", maxQuantRowsPerFrame(dim, WidthINT8))
-	}
-	if maxQuantRowsPerFrame(dim, WidthINT8) <= maxRowsPerFrame(dim) {
-		t.Fatal("int8 frames must pack more rows than fp32 frames")
-	}
-	f, err := StartLocalFabric(1, "unix", fabricTimeout(t), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-
-	rows := make([]int32, n)
-	for i := range rows {
-		rows[i] = int32(i)
-	}
-	if err := f.Transport.Push(0, 0, rows, rowPattern(dim)); err != nil {
-		t.Fatalf("push: %v", err)
-	}
-	st := stagingFor(rows, dim)
-	if err := f.Transport.FetchQuant(0, 0, WidthINT8, rows, st); err != nil {
-		t.Fatalf("quant fetch: %v", err)
-	}
-	pat := rowPattern(dim)
-	want := make([]float32, dim)
-	for _, r := range []int32{0, 1499, n - 1} { // spot-check across chunk boundaries
-		tensor.RoundTripI8(want, pat(r))
-		v, _ := st.Lookup(r)
-		for k := range v {
-			if v[k] != want[k] {
-				t.Fatalf("row %d[%d] = %v want %v", r, k, v[k], want[k])
-			}
-		}
 	}
 }
 
@@ -363,5 +259,249 @@ func TestServiceCloseWithSocketFabric(t *testing.T) {
 	err = f.Transport.Push(0, 0, []int32{0}, rowPattern(4))
 	if !errors.Is(err, ErrClosed) && !errors.Is(err, ErrPeerDead) {
 		t.Fatalf("push on closed fabric: %v", err)
+	}
+}
+
+// silentNode listens on network, answers each connection's hello and then
+// reads whatever else arrives without ever replying — a peer that hangs
+// with its socket open. It returns the address to dial.
+func silentNode(t *testing.T, network string) string {
+	t.Helper()
+	addr := "127.0.0.1:0"
+	if network == "unix" {
+		addr = t.TempDir() + "/silent.sock"
+	}
+	ln, err := net.Listen(network, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	t.Cleanup(func() {
+		ln.Close()
+		wg.Wait()
+	})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer c.Close()
+				if _, err := readFrame(c, nil); err != nil {
+					return
+				}
+				if writeFrame(c, appendMsg(make([]byte, 4), &wireMsg{op: opAck})) != nil {
+					return
+				}
+				io.Copy(io.Discard, c) // until the coordinator hangs up
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestSocketCloseUnblocksHungPeer is the regression test for Close waiting
+// behind a blocked operation: a fetch sits in its read against a peer that
+// went silent, with a 5 s IO timeout, and Close must return in a fraction of
+// that — it closes the conn under the fetch, which fails typed.
+func TestSocketCloseUnblocksHungPeer(t *testing.T) {
+	for _, network := range []string{"unix", "tcp"} {
+		t.Run(network, func(t *testing.T) {
+			if network == "tcp" && testing.Short() {
+				t.Skip("unix sockets only in -short (CI deflake contract)")
+			}
+			tr, err := DialFabric(FabricConfig{
+				Network: network, Addrs: []string{silentNode(t, network)},
+				Timeouts: FabricTimeouts{IO: 5 * time.Second},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := []int32{0, 1}
+			if err := tr.Push(0, 0, rows, rowPattern(4)); err != nil {
+				t.Fatalf("push to a silent peer (it does not read): %v", err)
+			}
+			blocked := make(chan error, 1)
+			go func() { blocked <- tr.Fetch(0, 0, rows, stagingFor(rows, 4), nil) }()
+			for tr.peers[0].mu.TryLock() { // until the fetch holds the peer
+				tr.peers[0].mu.Unlock()
+				runtime.Gosched()
+			}
+			start := time.Now()
+			tr.Close()
+			if d := time.Since(start); d > 250*time.Millisecond {
+				t.Fatalf("Close took %v behind a fetch blocked on a silent peer", d)
+			}
+			if err := <-blocked; !errors.Is(err, ErrPeerDead) && !errors.Is(err, ErrClosed) {
+				t.Fatalf("fetch interrupted by Close: got %v want ErrPeerDead or ErrClosed", err)
+			}
+		})
+	}
+}
+
+// dropConn swallows the next write once armed: one frame vanishes in flight.
+type dropConn struct {
+	net.Conn
+	drop *atomic.Bool
+}
+
+func (c *dropConn) Write(p []byte) (int, error) {
+	if c.drop.CompareAndSwap(true, false) {
+		return len(p), nil
+	}
+	return c.Conn.Write(p)
+}
+
+// TestSocketCloseReportsLostPush: the last push of a run is lost in flight
+// and nothing reads after it. Close is the operation that reaps its ack, so
+// Close reports the loss — through the service too, as a fabric error — and
+// does so within its grace, not after an IO timeout.
+func TestSocketCloseReportsLostPush(t *testing.T) {
+	drop := &atomic.Bool{}
+	f, err := StartLocalFabric(2, "unix", 5*time.Second, func(owner int, c net.Conn) net.Conn {
+		return &dropConn{Conn: c, drop: drop}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	svc := New(Config{Nodes: 2, CacheBytes: 0, RowBytes: 16}, hotSet(0))
+	svc.SetTransport(f.Transport)
+	src := rowPattern(4)
+	svc.RegisterTable(0, 4, 8, src)
+	drop.Store(true)
+	svc.PushUpdates(0, []int32{1}, src)
+	if err := svc.FabricErr(); err != nil {
+		t.Fatalf("a push lost in flight cannot fail yet: %v", err)
+	}
+	start := time.Now()
+	err = svc.Close()
+	if !errors.Is(err, ErrPeerDead) {
+		t.Fatalf("Close after a lost final push: got %v want ErrPeerDead", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Close took %v to give up on the missing ack", d)
+	}
+	if !errors.Is(svc.FabricErr(), ErrPeerDead) {
+		t.Fatalf("lost final push not recorded as a fabric error: %v", svc.FabricErr())
+	}
+	if err := svc.Close(); !errors.Is(err, ErrPeerDead) {
+		t.Fatalf("second Close: got %v want the first call's result", err)
+	}
+}
+
+// TestSocketRedialForgetsOwedAcks: a peer dies owing acks and is re-dialed
+// onto a fresh process. The new stream owes nothing — were the count kept,
+// the next reap would wait an IO timeout per ack the dead conn took along.
+func TestSocketRedialForgetsOwedAcks(t *testing.T) {
+	f, err := StartLocalFabric(1, "unix", fabricTimeout(t), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	tr := f.Transport
+	rows := []int32{0, 1, 2}
+	for i := 0; i < 3; i++ {
+		if err := tr.Push(0, 0, rows, rowPattern(4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := tr.OwedAcks(0); got != 3 {
+		t.Fatalf("%d acks owed after 3 pushes", got)
+	}
+	f.Servers[0].Close()
+	addr, err := f.localAddr("unix", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := ServeNode(0, "unix", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	tr.setPeerAddr(0, srv.Addr())
+	if err := tr.redialPeer(0); err != nil {
+		t.Fatalf("redial: %v", err)
+	}
+	if got := tr.OwedAcks(0); got != 0 {
+		t.Fatalf("%d acks owed on a freshly dialed stream", got)
+	}
+	// The stream is in step: a push and the fetch that reaps it both work.
+	if err := tr.Push(0, 0, rows, rowPattern(4)); err != nil {
+		t.Fatal(err)
+	}
+	st := stagingFor(rows, 4)
+	if err := tr.Fetch(0, 0, rows, st, nil); err != nil {
+		t.Fatal(err)
+	}
+	checkFetched(t, st, rows, 4)
+}
+
+// TestSocketUnknownRowMidPipeline: an unknown row in the first chunk of a
+// pipelined fetch is a typed application error, and the replies of the
+// chunks already requested are read off, so the stream stays in step.
+func TestSocketUnknownRowMidPipeline(t *testing.T) {
+	const dim = 2048
+	chunk := maxRowsPerFrame(dim)
+	if fetchAhead(chunk) < 3 {
+		t.Fatalf("test geometry no longer pipelines: %d requests ahead", fetchAhead(chunk))
+	}
+	f, err := StartLocalFabric(1, "unix", fabricTimeout(t), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	known := make([]int32, 3*chunk)
+	for i := range known {
+		known[i] = int32(i)
+	}
+	if err := f.Transport.Push(0, 0, known, rowPattern(dim)); err != nil {
+		t.Fatal(err)
+	}
+	rows := append([]int32{1 << 20}, known[1:]...) // the first chunk asks for a row nobody pushed
+	if err := f.Transport.Fetch(0, 0, rows, stagingFor(rows, dim), nil); !errors.Is(err, ErrUnknownRow) {
+		t.Fatalf("unknown row in chunk 1 of 3: got %v want ErrUnknownRow", err)
+	}
+	st := stagingFor(known, dim)
+	if err := f.Transport.Fetch(0, 0, known, st, nil); err != nil {
+		t.Fatalf("fetch after a mid-pipeline unknown row: %v", err)
+	}
+	checkFetched(t, st, known[len(known)-3:], dim)
+}
+
+// TestSocketSteadyStateZeroAlloc gates the socket path's allocation
+// contract: once the scratch buffers have grown, a push and the fetch that
+// reaps its ack allocate nothing — on the coordinator or on the node, which
+// serves in this process (AllocsPerRun counts every goroutine's mallocs).
+func TestSocketSteadyStateZeroAlloc(t *testing.T) {
+	f, err := StartLocalFabric(1, "unix", fabricTimeout(t), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	tr := f.Transport
+	const dim = 64
+	rows := make([]int32, 130)
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	src := flatRows(len(rows), dim)
+	st := stagingFor(rows, dim)
+	step := func() {
+		if err := tr.Push(0, 0, rows, src); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Fetch(0, 0, rows, st, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step() // grow the scratch on both sides
+	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+		t.Fatalf("steady-state socket push+fetch allocates %.1f times per op, want 0", allocs)
 	}
 }

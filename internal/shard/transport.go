@@ -61,9 +61,15 @@ type Transport interface {
 	Fetch(table, owner int, rows []int32, st *Staging, local FetchFunc) error
 	// Push delivers authoritative row payloads of one table to their owner
 	// (the pre-reduced scatter, and the initial shard sync). src yields
-	// each row's current bits.
+	// each row's current bits and may reuse one buffer across calls. A nil
+	// return means the push is ordered ahead of every later operation on
+	// this transport — a later Fetch of those rows from that owner observes
+	// the pushed bits — not that the owner has applied it yet: a transport
+	// may still be delivering it, and reports a push it then loses as the
+	// failure of a later operation on that owner, or of Close.
 	Push(table, owner int, rows []int32, src RowAt) error
-	// Close releases the transport. Idempotent.
+	// Close releases the transport, first settling what earlier pushes left
+	// undelivered; it returns the first such failure. Idempotent.
 	Close() error
 }
 
@@ -173,9 +179,13 @@ func (s *Service) RegisterTable(table, dim, rows int, src RowAt) {
 // processes — the pre-reduced scatter: each updated row travels once, to
 // the node that owns it, after local pre-reduction already merged every
 // contribution. A no-op on single-address-space transports (the update
-// already landed in the owner storage). The push is synchronous and
-// per-owner, so a later fetch of an updated row always observes the new
-// bits; its wall time accumulates into Stats.ScatterWall.
+// already landed in the owner storage). The push is ordered, not
+// synchronous: it returns once the transport has it on the owner's stream,
+// ahead of every later fetch from that owner, so a later fetch of an updated
+// row always observes the new bits. Stats.ScatterWall accumulates what the
+// trainer waited — on the socket fabric, the encode and the write; the wait
+// for the owner's ack is paid by the next fetch from that owner and lands in
+// Stats.GatherWall.
 func (s *Service) PushUpdates(table int, rows []int32, src RowAt) {
 	if !s.multiproc || len(rows) == 0 {
 		return
@@ -334,7 +344,10 @@ func (s *Service) ResetFabricErr() {
 // Close releases the fabric: the async engine's persistent drainer
 // goroutines are retired (parked drainers wake and exit; windows already
 // submitted still complete because consumers help drain in Await) and the
-// transport is closed. Idempotent and safe under concurrent callers —
+// transport is closed, which settles the scatter pushes still in flight: a
+// failure there is returned and recorded as a fabric error. A hung peer
+// cannot stall Close (see SocketTransport.Close). Idempotent and safe under
+// concurrent callers —
 // every call after the first returns the first call's result — and safe
 // with prefetch windows still open: consuming them after Close works, only
 // new asynchronous drains stop.
@@ -344,7 +357,12 @@ func (s *Service) Close() error {
 			s.gather.Close()
 		}
 		if s.tr != nil {
-			s.closeErr = s.tr.Close()
+			if err := s.tr.Close(); err != nil {
+				// A push the fabric accepted and then lost: the run's node
+				// stores ended behind the mirror, which FabricErr must say.
+				s.closeErr = err
+				s.noteFabricErr(fmt.Errorf("closing the fabric: %w", err))
+			}
 		}
 	})
 	return s.closeErr

@@ -22,28 +22,22 @@ import (
 //	fetch  table count row*                  coordinator → node
 //	rows   table count dim (row f32*dim)*    node → coordinator (fetch reply)
 //	push   table count dim (row f32*dim)*    coordinator → node
-//	ack                                      node → coordinator (push reply)
-//	error  code text                         node → coordinator (either reply)
-//	rows16 table count dim (row u16*dim)*    node → coordinator (fetchq fp16 reply)
-//	rows8  table count dim (row sc_f32 i8*dim)*  node → coordinator (fetchq int8 reply)
-//	fetchq table width count row*            coordinator → node
+//	ack                                      node → coordinator (hello / push reply)
+//	error  code text                         node → coordinator (any reply)
 //
-// The quantized replies carry narrow row payloads: rows16 is IEEE binary16
-// little-endian, rows8 is a symmetric per-row float32 scale followed by the
-// int8 elements — a fetch reply at the warm tier's storage width, 2-4x fewer
-// bytes on the wire than opRows. The codec moves the quantized bits verbatim
-// (no float conversion on decode), so encode→decode is bit-exact; the
-// transport's FetchQuant dequantizes into the staging buffer at the edge.
+// The stream is ordered and untagged: the node answers every frame with
+// exactly one reply, in arrival order, so the coordinator may have several
+// requests outstanding on one connection and match replies by counting (the
+// transport's owed-ack FIFO and its write-all-then-read chunked fetch).
+// Rows always travel at full precision; the narrow fp16/int8 formats are a
+// cache tier of the coordinator (Staging.fillQuant), not a wire format.
 const (
-	opHello  byte = 1
-	opFetch  byte = 2
-	opRows   byte = 3
-	opPush   byte = 4
-	opAck    byte = 5
-	opError  byte = 6
-	opRows16 byte = 7
-	opRows8  byte = 8
-	opFetchQ byte = 9
+	opHello byte = 1
+	opFetch byte = 2
+	opRows  byte = 3
+	opPush  byte = 4
+	opAck   byte = 5
+	opError byte = 6
 )
 
 // MaxFrame bounds a frame's payload. Large pushes and fetch replies are
@@ -77,18 +71,14 @@ const (
 // wireMsg is one decoded fabric message. Rows and Vals alias scratch owned
 // by the decoder's caller; they are consumed before the next decode.
 type wireMsg struct {
-	op     byte
-	node   int       // hello
-	table  int       // fetch / rows / push / rows16 / rows8 / fetchq
-	dim    int       // rows / push / rows16 / rows8
-	rows   []int32   // fetch / rows / push / rows16 / rows8 / fetchq
-	vals   []float32 // rows / push: len(rows)*dim values, row-major
-	width  Width     // fetchq request width (and stamped on decoded quantized replies)
-	h16    []uint16  // rows16: len(rows)*dim binary16 values, row-major
-	i8     []int8    // rows8: len(rows)*dim quantized elements, row-major
-	scales []float32 // rows8: len(rows) per-row symmetric scales
-	code   byte      // error
-	text   string    // error
+	op    byte
+	node  int       // hello
+	table int       // fetch / rows / push
+	dim   int       // rows / push
+	rows  []int32   // fetch / rows / push
+	vals  []float32 // rows / push: len(rows)*dim values, row-major
+	code  byte      // error
+	text  string    // error
 }
 
 // DecodeFrame splits one length-prefixed frame off the front of b, returning
@@ -116,18 +106,32 @@ func DecodeFrame(b []byte) (payload, rest []byte, err error) {
 // readFrame reads one frame payload from r into buf (grown if needed),
 // applying the same bounds as DecodeFrame before allocating.
 func readFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	n, buf, err := readFrameLen(r, buf)
+	if err != nil {
 		return nil, err
 	}
-	return readFramePayload(r, hdr, buf)
+	return readFramePayload(r, n, buf)
 }
 
-// readFramePayload reads a frame's body after its 4-byte length prefix has
+// readFrameLen reads a frame's 4-byte length prefix into the front of buf —
+// the caller's payload scratch, which readFramePayload then overwrites — so
+// the prefix never needs a buffer of its own (a local array would escape
+// through io.ReadFull's interface argument, one heap allocation per frame).
+// It returns the declared length and buf, grown to hold at least the prefix.
+func readFrameLen(r io.Reader, buf []byte) (uint32, []byte, error) {
+	if cap(buf) < 4 {
+		buf = make([]byte, 4, 512)
+	}
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
+		return 0, buf, err
+	}
+	return binary.BigEndian.Uint32(buf[:4]), buf, nil
+}
+
+// readFramePayload reads the n-byte body of a frame whose length prefix has
 // already arrived (the NodeServer splits the read there to arm its IO
 // deadline only once a frame has started).
-func readFramePayload(r io.Reader, hdr [4]byte, buf []byte) ([]byte, error) {
-	n := binary.BigEndian.Uint32(hdr[:])
+func readFramePayload(r io.Reader, n uint32, buf []byte) ([]byte, error) {
 	if n > MaxFrame {
 		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
@@ -189,42 +193,9 @@ func appendMsg(dst []byte, m *wireMsg) []byte {
 			dst = binary.AppendUvarint(dst, uint64(uint32(r)))
 		}
 	case opRows, opPush:
-		dst = binary.AppendUvarint(dst, uint64(m.table))
-		dst = binary.AppendUvarint(dst, uint64(len(m.rows)))
-		dst = binary.AppendUvarint(dst, uint64(m.dim))
+		dst = appendRowsHeader(dst, m.table, len(m.rows), m.dim)
 		for i, r := range m.rows {
-			dst = binary.AppendUvarint(dst, uint64(uint32(r)))
-			for _, v := range m.vals[i*m.dim : (i+1)*m.dim] {
-				dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(v))
-			}
-		}
-	case opRows16:
-		dst = binary.AppendUvarint(dst, uint64(m.table))
-		dst = binary.AppendUvarint(dst, uint64(len(m.rows)))
-		dst = binary.AppendUvarint(dst, uint64(m.dim))
-		for i, r := range m.rows {
-			dst = binary.AppendUvarint(dst, uint64(uint32(r)))
-			for _, h := range m.h16[i*m.dim : (i+1)*m.dim] {
-				dst = binary.LittleEndian.AppendUint16(dst, h)
-			}
-		}
-	case opRows8:
-		dst = binary.AppendUvarint(dst, uint64(m.table))
-		dst = binary.AppendUvarint(dst, uint64(len(m.rows)))
-		dst = binary.AppendUvarint(dst, uint64(m.dim))
-		for i, r := range m.rows {
-			dst = binary.AppendUvarint(dst, uint64(uint32(r)))
-			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(m.scales[i]))
-			for _, q := range m.i8[i*m.dim : (i+1)*m.dim] {
-				dst = append(dst, byte(q))
-			}
-		}
-	case opFetchQ:
-		dst = binary.AppendUvarint(dst, uint64(m.table))
-		dst = append(dst, byte(m.width))
-		dst = binary.AppendUvarint(dst, uint64(len(m.rows)))
-		for _, r := range m.rows {
-			dst = binary.AppendUvarint(dst, uint64(uint32(r)))
+			dst = appendRow(dst, r, m.vals[i*m.dim:(i+1)*m.dim])
 		}
 	case opAck:
 	case opError:
@@ -232,6 +203,34 @@ func appendMsg(dst []byte, m *wireMsg) []byte {
 		dst = append(dst, m.text...)
 	default:
 		panic(fmt.Sprintf("shard: appendMsg of unknown op %d", m.op))
+	}
+	return dst
+}
+
+// appendPush encodes a push of rows straight from their source: each row's
+// dim values go from src(r) into the frame with no staging copy in between.
+// src may hand back one reused buffer, so every row is consumed before the
+// next is asked for.
+func appendPush(dst []byte, table, dim int, rows []int32, src RowAt) []byte {
+	dst = appendRowsHeader(append(dst, opPush), table, len(rows), dim)
+	for _, r := range rows {
+		dst = appendRow(dst, r, src(r)[:dim])
+	}
+	return dst
+}
+
+// appendRowsHeader encodes the body prefix the rows and push messages share.
+func appendRowsHeader(dst []byte, table, count, dim int) []byte {
+	dst = binary.AppendUvarint(dst, uint64(table))
+	dst = binary.AppendUvarint(dst, uint64(count))
+	return binary.AppendUvarint(dst, uint64(dim))
+}
+
+// appendRow encodes one row id and its values.
+func appendRow(dst []byte, row int32, vals []float32) []byte {
+	dst = binary.AppendUvarint(dst, uint64(uint32(row)))
+	for _, v := range vals {
+		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(v))
 	}
 	return dst
 }
@@ -315,113 +314,6 @@ func decodeMsg(payload []byte, m *wireMsg) error {
 		if len(b) != 0 {
 			return fmt.Errorf("%w: %d trailing bytes", ErrBadFrame, len(b))
 		}
-	case opRows16:
-		if v, b, err = uvarint(b, math.MaxInt32); err != nil {
-			return err
-		}
-		m.table = int(v)
-		if v, b, err = uvarint(b, uint64(len(b))); err != nil {
-			return err
-		}
-		count := int(v)
-		if v, b, err = uvarint(b, maxWireDim); err != nil {
-			return err
-		}
-		m.dim = int(v)
-		// Bounds check before allocating: count rows of (≥1 varint byte +
-		// dim*2 binary16 bytes) must fit in what actually arrived.
-		if need := uint64(count) * (1 + 2*uint64(m.dim)); need > uint64(len(b)) {
-			return fmt.Errorf("%w: %d fp16 rows×dim %d need %d bytes, have %d",
-				ErrBadFrame, count, m.dim, need, len(b))
-		}
-		m.rows = sizeRows(m.rows, count)
-		m.h16 = sizeU16(m.h16, count*m.dim)
-		m.width = WidthFP16
-		for i := 0; i < count; i++ {
-			if v, b, err = uvarint(b, math.MaxUint32); err != nil {
-				return err
-			}
-			m.rows[i] = int32(uint32(v))
-			if len(b) < 2*m.dim {
-				return fmt.Errorf("%w: fp16 row %d values cut short", ErrTruncatedFrame, i)
-			}
-			for k := 0; k < m.dim; k++ {
-				m.h16[i*m.dim+k] = binary.LittleEndian.Uint16(b[2*k:])
-			}
-			b = b[2*m.dim:]
-		}
-		if len(b) != 0 {
-			return fmt.Errorf("%w: %d trailing bytes", ErrBadFrame, len(b))
-		}
-	case opRows8:
-		if v, b, err = uvarint(b, math.MaxInt32); err != nil {
-			return err
-		}
-		m.table = int(v)
-		if v, b, err = uvarint(b, uint64(len(b))); err != nil {
-			return err
-		}
-		count := int(v)
-		if v, b, err = uvarint(b, maxWireDim); err != nil {
-			return err
-		}
-		m.dim = int(v)
-		// Bounds check before allocating: count rows of (≥1 varint byte +
-		// 4 scale bytes + dim int8 bytes) must fit in what actually arrived.
-		if need := uint64(count) * (1 + 4 + uint64(m.dim)); need > uint64(len(b)) {
-			return fmt.Errorf("%w: %d int8 rows×dim %d need %d bytes, have %d",
-				ErrBadFrame, count, m.dim, need, len(b))
-		}
-		m.rows = sizeRows(m.rows, count)
-		m.scales = sizeVals(m.scales, count)
-		m.i8 = sizeI8(m.i8, count*m.dim)
-		m.width = WidthINT8
-		for i := 0; i < count; i++ {
-			if v, b, err = uvarint(b, math.MaxUint32); err != nil {
-				return err
-			}
-			m.rows[i] = int32(uint32(v))
-			if len(b) < 4+m.dim {
-				return fmt.Errorf("%w: int8 row %d values cut short", ErrTruncatedFrame, i)
-			}
-			m.scales[i] = math.Float32frombits(binary.LittleEndian.Uint32(b))
-			for k := 0; k < m.dim; k++ {
-				m.i8[i*m.dim+k] = int8(b[4+k])
-			}
-			b = b[4+m.dim:]
-		}
-		if len(b) != 0 {
-			return fmt.Errorf("%w: %d trailing bytes", ErrBadFrame, len(b))
-		}
-	case opFetchQ:
-		if v, b, err = uvarint(b, math.MaxInt32); err != nil {
-			return err
-		}
-		m.table = int(v)
-		if len(b) < 1 {
-			return fmt.Errorf("%w: fetchq without width", ErrBadFrame)
-		}
-		m.width = Width(b[0])
-		b = b[1:]
-		if m.width != WidthFP16 && m.width != WidthINT8 {
-			// fp32 fetches travel as opFetch; any other width byte is a
-			// protocol-version mismatch.
-			return fmt.Errorf("%w: fetchq width %d", ErrBadFrame, m.width)
-		}
-		if v, b, err = uvarint(b, uint64(len(b))); err != nil {
-			return err
-		}
-		count := int(v)
-		m.rows = sizeRows(m.rows, count)
-		for i := 0; i < count; i++ {
-			if v, b, err = uvarint(b, math.MaxUint32); err != nil {
-				return err
-			}
-			m.rows[i] = int32(uint32(v))
-		}
-		if len(b) != 0 {
-			return fmt.Errorf("%w: %d trailing bytes", ErrBadFrame, len(b))
-		}
 	case opAck:
 		if len(b) != 0 {
 			return fmt.Errorf("%w: %d trailing bytes", ErrBadFrame, len(b))
@@ -450,22 +342,6 @@ func sizeRows(s []int32, n int) []int32 {
 func sizeVals(s []float32, n int) []float32 {
 	if cap(s) < n {
 		return make([]float32, n)
-	}
-	return s[:n]
-}
-
-// sizeU16 returns s resized to n, reusing capacity.
-func sizeU16(s []uint16, n int) []uint16 {
-	if cap(s) < n {
-		return make([]uint16, n)
-	}
-	return s[:n]
-}
-
-// sizeI8 returns s resized to n, reusing capacity.
-func sizeI8(s []int8, n int) []int8 {
-	if cap(s) < n {
-		return make([]int8, n)
 	}
 	return s[:n]
 }

@@ -27,11 +27,6 @@ func TestWireRoundTrip(t *testing.T) {
 		{op: opPush, table: 0, dim: 1, rows: []int32{42}, vals: []float32{3.25}},
 		{op: opAck},
 		{op: opError, code: wireErrUnknownRow, text: "row 9 of table 1"},
-		{op: opRows16, table: 3, dim: 2, width: WidthFP16, rows: []int32{1, 8},
-			h16: []uint16{0x3c00, 0xc000, 0x7bff, 0x0001}},
-		{op: opRows8, table: 1, dim: 3, width: WidthINT8, rows: []int32{2},
-			scales: []float32{0.125}, i8: []int8{-128, 0, 127}},
-		{op: opFetchQ, table: 2, width: WidthINT8, rows: []int32{0, 5, 1 << 19}},
 	}
 	for _, want := range msgs {
 		frame := frameFor(t, &want)
@@ -57,8 +52,7 @@ func TestWireRoundTrip(t *testing.T) {
 			t.Fatalf("op %d: decodeMsg: %v", want.op, err)
 		}
 		if got.op != want.op || got.node != want.node || got.table != want.table ||
-			got.dim != want.dim || got.width != want.width ||
-			got.code != want.code || got.text != want.text {
+			got.dim != want.dim || got.code != want.code || got.text != want.text {
 			t.Fatalf("op %d: scalar mismatch: got %+v want %+v", want.op, got, want)
 		}
 		if len(got.rows) != len(want.rows) {
@@ -75,26 +69,6 @@ func TestWireRoundTrip(t *testing.T) {
 		for i := range want.vals {
 			if math.Float32bits(got.vals[i]) != math.Float32bits(want.vals[i]) {
 				t.Fatalf("op %d: vals differ at %d: %v want %v", want.op, i, got.vals[i], want.vals[i])
-			}
-		}
-		// Quantized payloads move bit-exactly: no float conversion on decode.
-		if len(got.h16) != len(want.h16) || len(got.i8) != len(want.i8) || len(got.scales) != len(want.scales) {
-			t.Fatalf("op %d: quant payload sizes %d/%d/%d want %d/%d/%d", want.op,
-				len(got.h16), len(got.i8), len(got.scales), len(want.h16), len(want.i8), len(want.scales))
-		}
-		for i := range want.h16 {
-			if got.h16[i] != want.h16[i] {
-				t.Fatalf("op %d: h16[%d] = %#x want %#x", want.op, i, got.h16[i], want.h16[i])
-			}
-		}
-		for i := range want.i8 {
-			if got.i8[i] != want.i8[i] {
-				t.Fatalf("op %d: i8[%d] = %d want %d", want.op, i, got.i8[i], want.i8[i])
-			}
-		}
-		for i := range want.scales {
-			if math.Float32bits(got.scales[i]) != math.Float32bits(want.scales[i]) {
-				t.Fatalf("op %d: scale[%d] = %v want %v", want.op, i, got.scales[i], want.scales[i])
 			}
 		}
 	}
@@ -134,13 +108,9 @@ func TestDecodeMsgRejects(t *testing.T) {
 		{"push lying geometry", []byte{opPush, 0, 2, 4, 1, 0, 0, 0}, ErrBadFrame},
 		{"ack trailing", []byte{opAck, 0}, ErrBadFrame},
 		{"error no code", []byte{opError}, ErrBadFrame},
-		{"rows16 dim too big", []byte{opRows16, 0, 1, 0xff, 0xff, 0xff, 0x07}, ErrBadFrame},
-		{"rows16 lying geometry", []byte{opRows16, 0, 2, 4, 1, 0, 0}, ErrBadFrame},
-		{"rows8 lying geometry", []byte{opRows8, 0, 2, 4, 1, 0, 0, 0, 0, 0}, ErrBadFrame},
-		{"fetchq no width", []byte{opFetchQ, 0}, ErrBadFrame},
-		{"fetchq fp32 width", []byte{opFetchQ, 0, 0, 1, 1}, ErrBadFrame},
-		{"fetchq unknown width", []byte{opFetchQ, 0, 9, 1, 1}, ErrBadFrame},
-		{"fetchq lying count", []byte{opFetchQ, 0, 2, 60, 1}, ErrBadFrame},
+		// Opcodes 7-9 were the quantized wire formats (rows16, rows8,
+		// fetchq); a well-formed frame of the old fetchq is now unknown.
+		{"retired fetchq opcode", []byte{9, 0, 2, 1, 3}, ErrBadFrame},
 	}
 	var m wireMsg
 	for _, c := range cases {
@@ -164,9 +134,6 @@ func FuzzDecodeFrame(f *testing.F) {
 		{op: opPush, table: 2, dim: 1, rows: []int32{6}, vals: []float32{-1}},
 		{op: opAck},
 		{op: opError, code: wireErrUnknownRow, text: "row 7"},
-		{op: opRows16, table: 0, dim: 2, rows: []int32{8}, h16: []uint16{0x3c00, 0xc000}},
-		{op: opRows8, table: 1, dim: 2, rows: []int32{9}, scales: []float32{0.5}, i8: []int8{1, -1}},
-		{op: opFetchQ, table: 0, width: WidthINT8, rows: []int32{3, 4}},
 	}
 	for i := range seed {
 		f.Add(frameFor(f, &seed[i]))
@@ -198,10 +165,6 @@ func FuzzDecodeFrame(f *testing.F) {
 		if len(m.rows) > len(payload) || len(m.vals)*4 > len(payload) {
 			t.Fatalf("decoded %d rows / %d vals from a %d-byte payload", len(m.rows), len(m.vals), len(payload))
 		}
-		if len(m.h16)*2 > len(payload) || len(m.i8) > len(payload) || len(m.scales)*4 > len(payload) {
-			t.Fatalf("decoded %d h16 / %d i8 / %d scales from a %d-byte payload",
-				len(m.h16), len(m.i8), len(m.scales), len(payload))
-		}
 		// Round-trip: a message the decoder accepted must re-encode to a
 		// payload the decoder reads back identically.
 		re := appendMsg(make([]byte, 4), &m)[4:]
@@ -210,7 +173,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("re-decode of accepted message failed: %v", err)
 		}
 		if m2.op != m.op || m2.node != m.node || m2.table != m.table || m2.dim != m.dim ||
-			m2.width != m.width || m2.code != m.code || m2.text != m.text || len(m2.rows) != len(m.rows) {
+			m2.code != m.code || m2.text != m.text || len(m2.rows) != len(m.rows) {
 			t.Fatalf("round-trip mismatch: %+v vs %+v", m2, m)
 		}
 		for i := range m.rows {
@@ -221,27 +184,6 @@ func FuzzDecodeFrame(f *testing.F) {
 		for i := range m.vals {
 			if math.Float32bits(m2.vals[i]) != math.Float32bits(m.vals[i]) {
 				t.Fatalf("round-trip val %d differs", i)
-			}
-		}
-		// Quantized payloads are opaque bits to the codec, so they round-trip
-		// exactly even when the fuzzer hands us NaN halves or wild scales.
-		if len(m2.h16) != len(m.h16) || len(m2.i8) != len(m.i8) || len(m2.scales) != len(m.scales) {
-			t.Fatalf("round-trip quant sizes differ: %d/%d/%d vs %d/%d/%d",
-				len(m2.h16), len(m2.i8), len(m2.scales), len(m.h16), len(m.i8), len(m.scales))
-		}
-		for i := range m.h16 {
-			if m2.h16[i] != m.h16[i] {
-				t.Fatalf("round-trip h16 %d differs", i)
-			}
-		}
-		for i := range m.i8 {
-			if m2.i8[i] != m.i8[i] {
-				t.Fatalf("round-trip i8 %d differs", i)
-			}
-		}
-		for i := range m.scales {
-			if math.Float32bits(m2.scales[i]) != math.Float32bits(m.scales[i]) {
-				t.Fatalf("round-trip scale %d differs", i)
 			}
 		}
 	})
