@@ -27,12 +27,17 @@ func allocIdx(rows, batch, lookups, salt int) [][]int32 {
 	return idx
 }
 
+// allocLookups is the gates' bag length: one block of four through the
+// blocked kernels plus a scalar tail of two.
+const allocLookups = 6
+
 // TestTableForwardBackwardZeroAlloc: the single-node bag's forward, the
-// sorted-pair backward and the sparse update reuse their scratch entirely.
+// radix-ordered backward (both pair buffers) and the sparse update reuse
+// their scratch entirely.
 func TestTableForwardBackwardZeroAlloc(t *testing.T) {
 	defer par.SetWorkers(par.SetWorkers(1))
 	tab := NewTable(256, 16, tensor.NewRNG(1))
-	idx := allocIdx(256, 32, 3, 1)
+	idx := allocIdx(256, 32, allocLookups, 1)
 	grad := tensor.New(32, 16)
 	grad.Fill(0.01)
 	for i := 0; i < 3; i++ { // warm the scratch buffers
@@ -67,7 +72,7 @@ func TestShardedForwardZeroAlloc(t *testing.T) {
 	const dim = 16
 	svc := newAllocService(t, dim)
 	sb := ShardBag(NewTable(256, dim, tensor.NewRNG(2)), svc, 0)
-	idx := allocIdx(256, 32, 3, 2)
+	idx := allocIdx(256, 32, allocLookups, 2)
 	grad := tensor.New(32, dim)
 	grad.Fill(0.01)
 	for i := 0; i < 3; i++ {
@@ -94,7 +99,7 @@ func TestPrefetchPathZeroAlloc(t *testing.T) {
 	const dim = 16
 	svc := newAllocService(t, dim)
 	sb := ShardBag(NewTable(256, dim, tensor.NewRNG(3)), svc, 0)
-	idx := allocIdx(256, 32, 3, 3)
+	idx := allocIdx(256, 32, allocLookups, 3)
 	for i := 0; i < 8; i++ {
 		sb.Prefetch(idx)
 		sb.Forward(idx)
@@ -104,5 +109,36 @@ func TestPrefetchPathZeroAlloc(t *testing.T) {
 		sb.Forward(idx)
 	}); n > 0 {
 		t.Fatalf("prefetch path allocated %.1f times per window, want 0", n)
+	}
+}
+
+// TestShardedStepZeroAlloc: one table's whole steady-state step on the
+// sharded bag — prefetch (plan, dedup stamps, cache index, staging), the
+// consuming forward, the radix-ordered backward with its scatter accounting,
+// and the blocked update — allocates nothing, with a cache small enough that
+// rows are evicted and re-admitted every step and under both update rules.
+func TestShardedStepZeroAlloc(t *testing.T) {
+	defer par.SetWorkers(par.SetWorkers(1))
+	const dim = 16
+	svc := newAllocService(t, dim)
+	sb := ShardBag(NewTable(256, dim, tensor.NewRNG(4)), svc, 0)
+	ada := NewAdagradStateFor(sb)
+	idx := allocIdx(256, 32, allocLookups, 4)
+	grad := tensor.New(32, dim)
+	grad.Fill(0.01)
+	step := func() {
+		sb.Prefetch(idx)
+		sb.Forward(idx)
+		sb.ApplySparseSGD(sb.Backward(grad), 0.01)
+		sb.ApplySparseAdagrad(ada, sb.Backward(grad), 0.01)
+	}
+	for i := 0; i < 8; i++ {
+		step()
+	}
+	if n := testing.AllocsPerRun(50, step); n > 0 {
+		t.Fatalf("sharded step allocated %.1f times, want 0", n)
+	}
+	if svc.CacheEvictions() == 0 {
+		t.Fatal("the gate's cache never evicted: the admission path was not exercised")
 	}
 }

@@ -1,0 +1,132 @@
+package embedding
+
+import (
+	"math"
+	"sort"
+	"testing"
+
+	"hotline/internal/par"
+	"hotline/internal/shard"
+	"hotline/internal/tensor"
+)
+
+// One table of the benchmark's sparse-inproc workload: 256 bags x 8 lookups
+// x dim 64, Zipf 1.6 over 24 000 rows, 4 in-proc nodes, a cache that holds
+// every row. go test -run '^$' -bench BenchmarkBag -cpu 1 ./internal/embedding/
+const (
+	benchRows    = 24000
+	benchDim     = 64
+	benchBags    = 256
+	benchLookups = 8
+	benchNodes   = 4
+	benchZipf    = 1.6
+	benchBatches = 16 // distinct index sets, cycled
+)
+
+// zipfBatches draws benchBatches index sets whose rows follow a Zipf law over
+// ranks, with ranks spread over the row range by a fixed permutation (so hot
+// rows are not neighbours, as in the generated data).
+func zipfBatches(seed uint64) [][][]int32 {
+	cdf := make([]float64, benchRows)
+	var sum float64
+	for r := range cdf {
+		sum += 1 / math.Pow(float64(r+1), benchZipf)
+		cdf[r] = sum
+	}
+	rng := tensor.NewRNG(seed)
+	out := make([][][]int32, benchBatches)
+	for i := range out {
+		out[i] = make([][]int32, benchBags)
+		for b := range out[i] {
+			bag := make([]int32, benchLookups)
+			for j := range bag {
+				rank := min(sort.SearchFloat64s(cdf, rng.Float64()*sum), benchRows-1)
+				bag[j] = int32(rank * 7919 % benchRows) // 7919 is coprime to 24000
+			}
+			out[i][b] = bag
+		}
+	}
+	return out
+}
+
+// benchBag shards one table over the workload's service, with every batch
+// run once so the caches hold their steady state.
+func benchBag(b *testing.B, batches [][][]int32) *ShardedBag {
+	b.Helper()
+	svc := shard.New(shard.Config{
+		Nodes: benchNodes, CacheBytes: benchRows * benchDim * 4, RowBytes: benchDim * 4,
+	}, nil)
+	b.Cleanup(func() { svc.Close() })
+	sb := ShardBag(NewTable(benchRows, benchDim, tensor.NewRNG(1)), svc, 0)
+	for _, idx := range batches {
+		sb.Forward(idx)
+	}
+	return sb
+}
+
+func benchGrad() *tensor.Matrix {
+	g := tensor.New(benchBags, benchDim)
+	rng := tensor.NewRNG(2)
+	for i := range g.Data {
+		g.Data[i] = float32(rng.NormFloat64())
+	}
+	return g
+}
+
+// BenchmarkBagForward times ShardedBag.Forward: the accounting walk plus the
+// pooled reduce.
+func BenchmarkBagForward(b *testing.B) {
+	defer par.SetWorkers(par.SetWorkers(1))
+	batches := zipfBatches(3)
+	sb := benchBag(b, batches)
+	i := 0
+	for b.Loop() {
+		sb.Forward(batches[i%benchBatches])
+		i++
+	}
+}
+
+// BenchmarkBagBackward times ShardedBag.BackwardIndices (scatter accounting,
+// pair ordering, adjoint reduce), then its two kernels on their own.
+func BenchmarkBagBackward(b *testing.B) {
+	defer par.SetWorkers(par.SetWorkers(1))
+	batches := zipfBatches(3)
+	grad := benchGrad()
+	b.Run("whole", func(b *testing.B) {
+		sb := benchBag(b, batches)
+		i := 0
+		for b.Loop() {
+			sb.BackwardIndices(batches[i%benchBatches], grad)
+			sb.ResetStepScratch()
+			i++
+		}
+	})
+	b.Run("order", func(b *testing.B) {
+		var a backwardArena
+		i := 0
+		for b.Loop() {
+			a.pairsByRow(batches[i%benchBatches])
+			i++
+		}
+	})
+	b.Run("reduce", func(b *testing.B) {
+		var a backwardArena
+		sg := bagBackward(&a, batches[0], grad, benchDim)
+		for b.Loop() {
+			sg.Grad.Resize(len(sg.Rows), benchDim)
+			bagBackwardRange(sg.Grad, grad, a.pairs, a.starts, 0, len(sg.Rows))
+		}
+	})
+}
+
+// BenchmarkBagApplySGD times the sparse update over one step's merged unique
+// rows.
+func BenchmarkBagApplySGD(b *testing.B) {
+	defer par.SetWorkers(par.SetWorkers(1))
+	batches := zipfBatches(3)
+	sb := benchBag(b, batches)
+	sg := sb.BackwardIndices(batches[0], benchGrad())
+	for b.Loop() {
+		sb.ApplySparseSGD(sg, 1e-6)
+	}
+}

@@ -64,12 +64,12 @@ func ShardBag(t *Table, svc *shard.Service, tableIdx int) *ShardedBag {
 	s := &ShardedBag{
 		Rows: t.Rows, Dim: t.Dim, TableIdx: tableIdx,
 		svc: svc, shards: make([]*tensor.Matrix, nodes),
-		owner: make([]int32, t.Rows), local: make([]int32, t.Rows),
+		// The service walks the partitioner once and routes its accounting by
+		// the same array the shards are laid out by.
+		owner: svc.TableOwners(tableIdx, t.Rows), local: make([]int32, t.Rows),
 	}
 	counts := make([]int, nodes)
-	for r := 0; r < t.Rows; r++ {
-		o := svc.Owner(tableIdx, int32(r))
-		s.owner[r] = int32(o)
+	for r, o := range s.owner {
 		s.local[r] = int32(counts[o])
 		counts[o]++
 	}
@@ -113,6 +113,7 @@ func (s *ShardedBag) RowView(r int) []float32 {
 //
 //hotline:hotpath
 func (s *ShardedBag) Prefetch(indices [][]int32) {
+	checkIndices(indices, s.Rows)
 	g := s.svc.Gatherer()
 	if g == nil || s.svc.Nodes() == 1 {
 		return
@@ -148,29 +149,35 @@ func (s *ShardedBag) fetchRow(row int32, dst []float32) {
 //hotline:hotpath
 func (s *ShardedBag) rowViewAt(row int32) []float32 { return s.RowView(int(row)) }
 
+// srcRow locates the values a lookup of row ix pools: the staged copy when
+// the window's plan fetched (or dequantized) the row — bit-identical to the
+// owner-shard row unless the row is served from the warm tier — and the
+// owner shard otherwise.
+//
+//hotline:hotpath
+func (s *ShardedBag) srcRow(ix int32, staged *shard.Staging) []float32 {
+	if staged != nil {
+		if v, ok := staged.Lookup(ix); ok {
+			return v
+		}
+	}
+	return s.RowView(int(ix))
+}
+
 // fwdRange computes output rows [lo, hi) of the pooled lookup, reading
-// fabric-fetched rows from the staging buffer.
+// fabric-fetched rows from the staging buffer: each output element is the
+// sum of its bag's rows in lookup order, four resolved rows per pass.
 //
 //hotline:hotpath
 func (s *ShardedBag) fwdRange(out *tensor.Matrix, indices [][]int32, staged *shard.Staging, lo, hi int) {
 	for b := lo; b < hi; b++ {
-		orow := out.Row(b)
-		for _, ix := range indices[b] {
-			if ix < 0 || int(ix) >= s.Rows {
-				panic(fmt.Sprintf("embedding: index %d out of range [0,%d)", ix, s.Rows))
-			}
-			erow := s.RowView(int(ix))
-			if staged != nil {
-				// Fabric-fetched rows are applied from the staging
-				// buffer in fixed batch order; the copies are
-				// bit-identical to the owner-shard rows.
-				if v, ok := staged.Lookup(ix); ok {
-					erow = v
-				}
-			}
-			for k := range orow {
-				orow[k] += erow[k]
-			}
+		orow, idxs := out.Row(b), indices[b]
+		for ; len(idxs) >= blockRows; idxs = idxs[blockRows:] {
+			add4(orow, s.srcRow(idxs[0], staged), s.srcRow(idxs[1], staged),
+				s.srcRow(idxs[2], staged), s.srcRow(idxs[3], staged))
+		}
+		for _, ix := range idxs {
+			add1(orow, s.srcRow(ix, staged))
 		}
 	}
 }
@@ -189,6 +196,7 @@ func (s *ShardedBag) fwdRange(out *tensor.Matrix, indices [][]int32, staged *sha
 //
 //hotline:hotpath
 func (s *ShardedBag) Forward(indices [][]int32) *tensor.Matrix {
+	checkIndices(indices, s.Rows)
 	var staged *shard.Staging
 	var win *shard.Window
 	g := s.svc.Gatherer()
@@ -241,6 +249,7 @@ func (s *ShardedBag) Forward(indices [][]int32) *tensor.Matrix {
 //
 //hotline:hotpath
 func (s *ShardedBag) ServeForward(indices [][]int32) *tensor.Matrix {
+	checkIndices(indices, s.Rows)
 	var staged *shard.Staging
 	if s.svc.Multiproc() || s.svc.Quantized() {
 		// On a real fabric the read path must actually cross it: stage the
@@ -294,16 +303,18 @@ func (s *ShardedBag) BackwardIndices(indices [][]int32, gradOut *tensor.Matrix) 
 	return bagBackward(&s.bw, indices, gradOut, s.Dim)
 }
 
-// sgdRange applies rows [lo, hi) of a sparse SGD update.
+// sgdRange applies rows [lo, hi) of a sparse SGD update, four rows per pass.
 //
 //hotline:hotpath
 func (s *ShardedBag) sgdRange(sg SparseGrad, lr float32, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		wrow := s.RowView(int(sg.Rows[i]))
-		grow := sg.Grad.Row(i)
-		for k := range wrow {
-			wrow[k] -= lr * grow[k]
-		}
+	i := lo
+	for ; i+blockRows <= hi; i += blockRows {
+		r := sg.Rows[i : i+blockRows]
+		sgd4(s.RowView(int(r[0])), s.RowView(int(r[1])), s.RowView(int(r[2])), s.RowView(int(r[3])),
+			sg.Grad.Row(i), sg.Grad.Row(i+1), sg.Grad.Row(i+2), sg.Grad.Row(i+3), lr)
+	}
+	for ; i < hi; i++ {
+		sgd1(s.RowView(int(sg.Rows[i])), sg.Grad.Row(i), lr)
 	}
 }
 

@@ -3,7 +3,6 @@ package embedding
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"hotline/internal/par"
 	"hotline/internal/tensor"
@@ -47,20 +46,69 @@ func bagLookups(indices [][]int32, dim int) int64 {
 	return lookups * int64(dim)
 }
 
-// fwdRange computes output rows [lo, hi) of the pooled lookup.
+// checkIndices panics on the first index outside [0, rows). Every entry point
+// that takes an index set runs it once, up front, on the caller's goroutine:
+// before any routing, cache admission or counter has moved, and so that the
+// kernels and the shard service's dense arrays may index by row unchecked.
+//
+//hotline:hotpath
+func checkIndices(indices [][]int32, rows int) {
+	for _, idxs := range indices {
+		for _, ix := range idxs {
+			if uint32(ix) >= uint32(rows) {
+				panic(fmt.Sprintf("embedding: index %d out of range [0,%d)", ix, rows))
+			}
+		}
+	}
+}
+
+// blockRows is how many rows the pooling, adjoint and update kernels keep in
+// flight per pass.
+const blockRows = 4
+
+// add4 adds four rows to dst, element by element in argument order:
+// dst[k] = (((dst[k] + a[k]) + b[k]) + c[k]) + d[k]. Each element is loaded
+// and stored once per four additions, and its chain is the one four add1
+// passes build — the rows in flight reorder loads, never adds. The rows
+// must be at least len(dst) long.
+//
+//hotline:hotpath
+func add4(dst, a, b, c, d []float32) {
+	// Reslicing to dst's length lets the compiler drop the bounds checks in
+	// the loop.
+	a, b, c, d = a[:len(dst)], b[:len(dst)], c[:len(dst)], d[:len(dst)]
+	for k, v := range dst {
+		v += a[k]
+		v += b[k]
+		v += c[k]
+		v += d[k]
+		dst[k] = v
+	}
+}
+
+// add1 computes dst[k] += a[k]: one term of the chain add4 applies four at a
+// time, for the remainder of a block. a must be at least len(dst) long.
+//
+//hotline:hotpath
+func add1(dst, a []float32) {
+	a = a[:len(dst)]
+	for k := range dst {
+		dst[k] += a[k]
+	}
+}
+
+// fwdRange computes output rows [lo, hi) of the pooled lookup: each output
+// element is the sum of its bag's rows in lookup order, four rows per pass.
 //
 //hotline:hotpath
 func (t *Table) fwdRange(out *tensor.Matrix, indices [][]int32, lo, hi int) {
 	for b := lo; b < hi; b++ {
-		orow := out.Row(b)
-		for _, ix := range indices[b] {
-			if ix < 0 || int(ix) >= t.Rows {
-				panic(fmt.Sprintf("embedding: index %d out of range [0,%d)", ix, t.Rows))
-			}
-			erow := t.W.Row(int(ix))[:len(orow)]
-			for k, v := range erow {
-				orow[k] += v
-			}
+		orow, idxs := out.Row(b), indices[b]
+		for ; len(idxs) >= blockRows; idxs = idxs[blockRows:] {
+			add4(orow, t.W.Row(int(idxs[0])), t.W.Row(int(idxs[1])), t.W.Row(int(idxs[2])), t.W.Row(int(idxs[3])))
+		}
+		for _, ix := range idxs {
+			add1(orow, t.W.Row(int(ix)))
 		}
 	}
 }
@@ -73,6 +121,7 @@ func (t *Table) fwdRange(out *tensor.Matrix, indices [][]int32, lo, hi int) {
 //
 //hotline:hotpath
 func (t *Table) Forward(indices [][]int32) *tensor.Matrix {
+	checkIndices(indices, t.Rows)
 	out := t.fwdOut.Resize(len(indices), t.Dim)
 	perItem := bagLookups(indices, t.Dim)
 	if par.Serial(len(indices), perItem) {
@@ -96,6 +145,7 @@ func (t *Table) Forward(indices [][]int32) *tensor.Matrix {
 //
 //hotline:hotpath
 func (t *Table) ServeForward(indices [][]int32) *tensor.Matrix {
+	checkIndices(indices, t.Rows)
 	out := t.fwdOut.Resize(len(indices), t.Dim)
 	perItem := bagLookups(indices, t.Dim)
 	if par.Serial(len(indices), perItem) {
@@ -152,16 +202,17 @@ type sparseSlot struct {
 	grad tensor.Matrix
 }
 
-// backwardArena is the reusable scratch behind bagBackward: the sorted
-// (row, sample) pair buffer plus a cursor-based ring of SparseGrad slots.
-// The cursor rewinds when a sparse update consumes the step's gradients
-// (ApplySparseSGD / ApplySparseAdagrad), so the steady-state loop reuses
-// the same slots every step.
+// backwardArena is the reusable scratch behind bagBackward: the row-ordered
+// (row, sample) pair buffer, the radix passes' second buffer, plus a
+// cursor-based ring of SparseGrad slots. The cursor rewinds when a
+// sparse update consumes the step's gradients (ApplySparseSGD /
+// ApplySparseAdagrad), so the steady-state loop reuses the same slots every
+// step.
 type backwardArena struct {
-	pairs  []int64
-	starts []int32
-	slots  []*sparseSlot
-	cur    int
+	pairs, alt []int64
+	starts     []int32
+	slots      []*sparseSlot
+	cur        int
 }
 
 // reset rewinds the slot cursor; existing slot contents stay valid until
@@ -183,29 +234,81 @@ func (a *backwardArena) acquire() *sparseSlot {
 	return s
 }
 
+// radixBits is the digit width of the pair ordering's counting passes.
+const (
+	radixBits = 8
+	radixBins = 1 << radixBits
+)
+
+// orderPairsByRow sorts the packed (row << 32 | batch position) pairs by row
+// with stable LSD counting passes over the row's digits only — one pass per
+// byte the largest row needs. Because the pairs were appended in batch order,
+// a stable sort on the row alone leaves each row's pairs in ascending batch
+// position with in-bag duplicates kept: exactly the order a comparison sort
+// on the whole key yields. It returns the ordered buffer and the spare one
+// (the passes ping-pong between them); the histogram lives on the stack.
+//
+//hotline:hotpath
+func orderPairsByRow(pairs, alt []int64, maxRow uint32) (ordered, spare []int64) {
+	var hist [radixBins]int32
+	alt = alt[:len(pairs)]
+	for shift := uint(0); maxRow>>shift != 0; shift += radixBits {
+		clear(hist[:])
+		for _, p := range pairs {
+			hist[uint64(p)>>(32+shift)&(radixBins-1)]++
+		}
+		var sum int32
+		for d, n := range hist {
+			hist[d] = sum
+			sum += n
+		}
+		for _, p := range pairs {
+			d := uint64(p) >> (32 + shift) & (radixBins - 1)
+			alt[hist[d]] = p
+			hist[d]++
+		}
+		pairs, alt = alt, pairs
+	}
+	return pairs, alt
+}
+
+// pairsByRow is bagBackward's serial first pass: flatten indices into packed
+// (row, batch position) pairs, in batch order, and put them in row order.
+// Duplicates within one bag produce identical pairs, which keep the duplicate
+// contributions just like the historical touch map's repeated appends did.
+// The result is arena scratch, valid until the next call.
+//
+//hotline:hotpath
+func (a *backwardArena) pairsByRow(indices [][]int32) []int64 {
+	pairs := a.pairs[:0]
+	var maxRow uint32
+	for b, idxs := range indices {
+		for _, ix := range idxs {
+			maxRow = max(maxRow, uint32(ix))
+			pairs = append(pairs, int64(ix)<<32|int64(uint32(b))) //hotline:allow hotalloc arena pair buffer; growth converges to the batch's lookup count
+		}
+	}
+	if cap(a.alt) < len(pairs) {
+		a.alt = make([]int64, cap(pairs)) //hotline:allow hotalloc second pair buffer; follows the first one's growth
+	}
+	a.pairs, a.alt = orderPairsByRow(pairs, a.alt, maxRow)
+	return a.pairs
+}
+
 // bagBackward is the storage-independent adjoint of sum pooling, shared by
 // Table and ShardedBag (the sparse gradient depends only on indices and the
 // output gradient, never on where rows live).
 //
 // It replaces the historical per-call map[int32][]int32 touch map with a
-// sorted (row, sample) pair buffer: pairs pack the row in the high 32 bits
-// and the batch position in the low 32, so an ascending sort groups each
-// row's contributions in batch order — exactly the serial reduction order
-// the map recorded — without allocating.
+// row-ordered (row, sample) pair buffer: pairs pack the row in the high 32
+// bits and the batch position in the low 32 and are appended in batch order,
+// so a stable ordering by row (orderPairsByRow) groups each row's
+// contributions in batch order — exactly the serial reduction order the map
+// recorded — without allocating or comparing.
 //
 //hotline:hotpath
 func bagBackward(a *backwardArena, indices [][]int32, gradOut *tensor.Matrix, dim int) SparseGrad {
-	// Pass 1 (serial): flatten and sort the (row, batch position) pairs.
-	// Duplicates within one bag produce identical pairs, which keep the
-	// duplicate contributions just like the map's repeated appends did.
-	pairs := a.pairs[:0]
-	for b, idxs := range indices {
-		for _, ix := range idxs {
-			pairs = append(pairs, int64(ix)<<32|int64(uint32(b))) //hotline:allow hotalloc arena pair buffer; growth converges to the batch's lookup count
-		}
-	}
-	a.pairs = pairs
-	slices.Sort(pairs)
+	pairs := a.pairsByRow(indices)
 
 	distinct := 0
 	for i := range pairs {
@@ -246,31 +349,68 @@ func bagBackward(a *backwardArena, indices [][]int32, gradOut *tensor.Matrix, di
 	return SparseGrad{Rows: rows, Grad: grad}
 }
 
-// bagBackwardRange fills gradient rows [lo, hi) from their pair segments.
+// bagBackwardRange fills gradient rows [lo, hi) from their pair segments:
+// each element is the sum of its row's output gradients in pair order, four
+// gradient rows per pass.
 //
 //hotline:hotpath
 func bagBackwardRange(grad, gradOut *tensor.Matrix, pairs []int64, starts []int32, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		g := grad.Row(i)
-		for p := starts[i]; p < starts[i+1]; p++ {
-			grow := gradOut.Row(int(uint32(pairs[p])))[:len(g)]
-			for k, v := range grow {
-				g[k] += v
-			}
+		g, seg := grad.Row(i), pairs[starts[i]:starts[i+1]]
+		for ; len(seg) >= blockRows; seg = seg[blockRows:] {
+			add4(g, gradOut.Row(int(uint32(seg[0]))), gradOut.Row(int(uint32(seg[1]))),
+				gradOut.Row(int(uint32(seg[2]))), gradOut.Row(int(uint32(seg[3]))))
+		}
+		for _, p := range seg {
+			add1(g, gradOut.Row(int(uint32(p))))
 		}
 	}
 }
 
-// sgdRange applies rows [lo, hi) of a sparse SGD update.
+// sgd4 applies w[k] -= lr·g[k] to four destination rows in one pass. The
+// rows of a SparseGrad are distinct, so the four updates are independent;
+// every product is rounded to float32 before the subtract (the conversion
+// forbids a fused multiply-add), so each element ends exactly as sgd1 leaves
+// it. All eight rows must be at least len(w0) long.
+//
+//hotline:hotpath
+func sgd4(w0, w1, w2, w3, g0, g1, g2, g3 []float32, lr float32) {
+	// Reslicing to w0's length lets the compiler drop the bounds checks in
+	// the loop.
+	n := len(w0)
+	w1, w2, w3 = w1[:n], w2[:n], w3[:n]
+	g0, g1, g2, g3 = g0[:n], g1[:n], g2[:n], g3[:n]
+	for k := range w0 {
+		w0[k] -= float32(lr * g0[k])
+		w1[k] -= float32(lr * g1[k])
+		w2[k] -= float32(lr * g2[k])
+		w3[k] -= float32(lr * g3[k])
+	}
+}
+
+// sgd1 applies w[k] -= lr·g[k] to one row: the remainder of a block of
+// sgd4. g must be at least len(w) long.
+//
+//hotline:hotpath
+func sgd1(w, g []float32, lr float32) {
+	g = g[:len(w)]
+	for k := range w {
+		w[k] -= float32(lr * g[k])
+	}
+}
+
+// sgdRange applies rows [lo, hi) of a sparse SGD update, four rows per pass.
 //
 //hotline:hotpath
 func (t *Table) sgdRange(sg SparseGrad, lr float32, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		wrow := t.W.Row(int(sg.Rows[i]))
-		grow := sg.Grad.Row(i)[:len(wrow)]
-		for k, v := range grow {
-			wrow[k] -= lr * v
-		}
+	i := lo
+	for ; i+blockRows <= hi; i += blockRows {
+		r := sg.Rows[i : i+blockRows]
+		sgd4(t.W.Row(int(r[0])), t.W.Row(int(r[1])), t.W.Row(int(r[2])), t.W.Row(int(r[3])),
+			sg.Grad.Row(i), sg.Grad.Row(i+1), sg.Grad.Row(i+2), sg.Grad.Row(i+3), lr)
+	}
+	for ; i < hi; i++ {
+		sgd1(t.W.Row(int(sg.Rows[i])), sg.Grad.Row(i), lr)
 	}
 }
 

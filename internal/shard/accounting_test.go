@@ -75,7 +75,7 @@ func TestAllToAllTimeTinyWindow(t *testing.T) {
 }
 
 // TestDeviceCacheResetZeroAlloc gates the Reset fix: reset-heavy
-// measurement loops must not reallocate the index map.
+// measurement loops must not reallocate the index or the slot table.
 func TestDeviceCacheResetZeroAlloc(t *testing.T) {
 	c := NewDeviceCache(64, PolicyLRU)
 	for k := uint64(0); k < 64; k++ {
@@ -95,7 +95,7 @@ func TestDeviceCacheResetZeroAlloc(t *testing.T) {
 	if c.Hits != 0 || c.Misses != 0 || c.Inserts != 0 || c.Evicts != 0 {
 		t.Fatal("Reset must zero counters")
 	}
-	// The cache must still behave after a cleared-map reset.
+	// The cache must still behave after an in-place reset.
 	c.Insert(7, WidthFP32, 1)
 	_, hit7 := c.Lookup(7)
 	_, hit8 := c.Lookup(8)

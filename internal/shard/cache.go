@@ -25,15 +25,17 @@ func (p Policy) String() string {
 const cacheRRPVMax = 3 // 2-bit RRPV
 
 // cacheSlot is one cached row's metadata. Slots form both the SRRIP ring
-// and the LRU recency list (prev/next are slot indices). A dead (recycled)
-// slot is marked by bytes == 0 — every live entry occupies at least one
-// byte — so the CLOCK sweep can skip holes left by multi-entry evictions.
+// and the LRU recency list (prev/next are slot indices; 32 bits hold any slot
+// count a byte budget can reach, and the narrower links pay for most of the
+// dense index's bytes). A dead (recycled) slot is marked by bytes == 0 — every
+// live entry occupies at least one byte — so the CLOCK sweep can skip holes
+// left by multi-entry evictions.
 type cacheSlot struct {
 	key        uint64
 	rrpv       uint8
 	width      Width
 	bytes      int32
-	prev, next int
+	prev, next int32
 }
 
 // DeviceCache is one node's bounded hot-entry cache: a byte budget of row
@@ -44,20 +46,27 @@ type cacheSlot struct {
 // only — the simulated payload derives from the shard storage through the
 // fused dequantize-gather kernel — and keeps exact hit/miss, insert and
 // eviction counters. The zero-budget cache is valid and misses every probe.
+//
+// Keys are the service's (table << 32 | row) packing, and the key → slot
+// index is dense: one []int32 per table, indexed by row, holding the slot
+// plus one (zero = absent). A probe is two array loads instead of a hash
+// probe. The Service sizes each table's index once, when the table registers
+// (SizeTable); keys of a table nobody registered grow their index at first
+// admission, geometrically.
 type DeviceCache struct {
 	policy    Policy
 	capBytes  int64
 	usedBytes int64
-	index     map[uint64]int // key -> slot
+	index     [][]int32 // index[table][row] = slot + 1; 0 = absent
 	slots     []cacheSlot
-	freeSlots []int // recycled slot indices (holes in slots)
+	freeSlots []int32 // recycled slot indices (holes in slots)
 	// LRU recency list endpoints (slot indices, -1 when empty).
-	head, tail int
+	head, tail int32
 	// used is the number of live entries.
 	used int
 	// hand is the SRRIP CLOCK pointer (an index into slots; sweeps skip
 	// dead slots).
-	hand int
+	hand int32
 
 	// Hits and Misses count Lookup probes; Inserts and Evicts count
 	// admissions and the displacements they caused. QuantHits counts the
@@ -70,9 +79,54 @@ func NewDeviceCache(capBytes int64, policy Policy) *DeviceCache {
 	if capBytes < 0 {
 		panic(fmt.Sprintf("shard: negative cache capacity %d bytes", capBytes))
 	}
-	c := &DeviceCache{policy: policy, capBytes: capBytes, head: -1, tail: -1}
-	c.index = make(map[uint64]int)
-	return c
+	return &DeviceCache{policy: policy, capBytes: capBytes, head: -1, tail: -1}
+}
+
+// SizeTable sizes one table's index for rows rows, so no probe or admission
+// of that table ever grows it. A zero-budget cache admits nothing and keeps
+// no index.
+func (c *DeviceCache) SizeTable(table, rows int) {
+	if c.capBytes == 0 {
+		return
+	}
+	for table >= len(c.index) {
+		c.index = append(c.index, nil)
+	}
+	if rows > len(c.index[table]) {
+		ix := make([]int32, rows) // exact: append would round up to a size class
+		copy(ix, c.index[table])
+		c.index[table] = ix
+	}
+}
+
+// slotOf returns the slot holding key, or -1.
+//
+//hotline:hotpath
+func (c *DeviceCache) slotOf(key uint64) int32 {
+	if t := key >> 32; t < uint64(len(c.index)) {
+		if ix := c.index[t]; uint64(uint32(key)) < uint64(len(ix)) {
+			return ix[uint32(key)] - 1
+		}
+	}
+	return -1
+}
+
+// setSlot points key at slot i (-1 removes it), growing the table's index
+// when the key lies beyond it.
+//
+//hotline:hotpath
+func (c *DeviceCache) setSlot(key uint64, i int32) {
+	t, r := int(key>>32), int(uint32(key))
+	if t >= len(c.index) || r >= len(c.index[t]) {
+		// Only a table nobody sized grows its index: geometrically, at first
+		// touch, never in steady state.
+		n := 0
+		if t < len(c.index) {
+			n = len(c.index[t])
+		}
+		c.SizeTable(t, max(r+1, n+n/2))
+	}
+	c.index[t][r] = i + 1
 }
 
 // CapacityBytes returns the byte budget.
@@ -97,10 +151,7 @@ func (c *DeviceCache) Occupancy() float64 {
 // Contains probes without touching replacement state or counters.
 //
 //hotline:hotpath
-func (c *DeviceCache) Contains(key uint64) bool {
-	_, ok := c.index[key]
-	return ok
-}
+func (c *DeviceCache) Contains(key uint64) bool { return c.slotOf(key) >= 0 }
 
 // Lookup probes the cache, updates replacement state and hit/miss counters,
 // and returns the hit entry's storage width. It never admits: admission is a
@@ -109,8 +160,8 @@ func (c *DeviceCache) Contains(key uint64) bool {
 //
 //hotline:hotpath
 func (c *DeviceCache) Lookup(key uint64) (Width, bool) {
-	i, ok := c.index[key]
-	if !ok {
+	i := c.slotOf(key)
+	if i < 0 {
 		c.Misses++
 		return WidthFP32, false
 	}
@@ -140,7 +191,7 @@ func (c *DeviceCache) Insert(key uint64, width Width, bytes int64) (admitted boo
 	if c.capBytes == 0 || bytes <= 0 || bytes > c.capBytes {
 		return false, 0
 	}
-	if i, ok := c.index[key]; ok {
+	if i := c.slotOf(key); i >= 0 {
 		if c.slots[i].width == width {
 			if c.policy == PolicySRRIP {
 				c.slots[i].rrpv = 0
@@ -161,7 +212,7 @@ func (c *DeviceCache) Insert(key uint64, width Width, bytes int64) (admitted boo
 	}
 	i := c.allocSlot()
 	c.slots[i] = cacheSlot{key: key, rrpv: cacheRRPVMax - 1, width: width, bytes: int32(bytes), prev: -1, next: -1}
-	c.index[key] = i
+	c.setSlot(key, i)
 	c.pushFront(i)
 	c.usedBytes += bytes
 	c.used++
@@ -172,21 +223,21 @@ func (c *DeviceCache) Insert(key uint64, width Width, bytes int64) (admitted boo
 // allocSlot hands out a slot index, recycling holes before growing.
 //
 //hotline:hotpath
-func (c *DeviceCache) allocSlot() int {
+func (c *DeviceCache) allocSlot() int32 {
 	if n := len(c.freeSlots); n > 0 {
 		i := c.freeSlots[n-1]
 		c.freeSlots = c.freeSlots[:n-1]
 		return i
 	}
 	c.slots = append(c.slots, cacheSlot{}) //hotline:allow hotalloc slot table grows once to the entry high-water mark, then recycles holes
-	return len(c.slots) - 1
+	return int32(len(c.slots) - 1)
 }
 
 // removeSlot unlinks and recycles one live slot (no eviction accounting).
 //
 //hotline:hotpath
-func (c *DeviceCache) removeSlot(i int) {
-	delete(c.index, c.slots[i].key)
+func (c *DeviceCache) removeSlot(i int32) {
+	c.setSlot(c.slots[i].key, -1)
 	c.unlink(i)
 	c.usedBytes -= int64(c.slots[i].bytes)
 	c.slots[i] = cacheSlot{}             // bytes == 0 marks the slot dead
@@ -201,14 +252,14 @@ func (c *DeviceCache) removeSlot(i int) {
 // skipped without aging.
 //
 //hotline:hotpath
-func (c *DeviceCache) victim() int {
+func (c *DeviceCache) victim() int32 {
 	if c.policy == PolicyLRU {
 		return c.tail
 	}
 	for {
 		i := c.hand
 		c.hand++
-		if c.hand >= len(c.slots) {
+		if int(c.hand) >= len(c.slots) {
 			c.hand = 0
 		}
 		if c.slots[i].bytes == 0 {
@@ -221,13 +272,19 @@ func (c *DeviceCache) victim() int {
 	}
 }
 
-// Reset drops all contents and counters. The index map and slot array are
-// retained (clear, not reallocate), so reset-heavy measurement loops stay
-// allocation-free — TestDeviceCacheResetZeroAlloc gates this.
+// Reset drops all contents and counters. The index and slot arrays are
+// retained: the live entries' index cells are zeroed in place (work
+// proportional to the contents, not to the tables), so reset-heavy
+// measurement loops stay allocation-free — TestDeviceCacheResetZeroAlloc
+// gates this.
 //
 //hotline:hotpath
 func (c *DeviceCache) Reset() {
-	clear(c.index)
+	for i := range c.slots {
+		if c.slots[i].bytes != 0 {
+			c.setSlot(c.slots[i].key, -1)
+		}
+	}
 	c.slots = c.slots[:0]
 	c.freeSlots = c.freeSlots[:0]
 	c.head, c.tail, c.used, c.hand = -1, -1, 0, 0
@@ -238,7 +295,7 @@ func (c *DeviceCache) Reset() {
 // --- intrusive LRU recency list ------------------------------------------
 
 //hotline:hotpath
-func (c *DeviceCache) pushFront(i int) {
+func (c *DeviceCache) pushFront(i int32) {
 	c.slots[i].prev = -1
 	c.slots[i].next = c.head
 	if c.head >= 0 {
@@ -251,7 +308,7 @@ func (c *DeviceCache) pushFront(i int) {
 }
 
 //hotline:hotpath
-func (c *DeviceCache) unlink(i int) {
+func (c *DeviceCache) unlink(i int32) {
 	p, n := c.slots[i].prev, c.slots[i].next
 	if p >= 0 {
 		c.slots[p].next = n
@@ -267,7 +324,7 @@ func (c *DeviceCache) unlink(i int) {
 }
 
 //hotline:hotpath
-func (c *DeviceCache) moveToFront(i int) {
+func (c *DeviceCache) moveToFront(i int32) {
 	if c.head == i {
 		return
 	}

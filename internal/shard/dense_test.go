@@ -1,0 +1,364 @@
+package shard
+
+import (
+	"math"
+	"slices"
+	"testing"
+	"unsafe"
+
+	"hotline/internal/tensor"
+)
+
+// mapCache is the device cache as it was before the dense index: the same
+// slot table, free list, recency list and CLOCK hand behind a Go map. It is
+// the model TestDeviceCacheMatchesMapModel holds the dense-indexed cache to.
+type mapCache struct {
+	policy    Policy
+	capBytes  int64
+	usedBytes int64
+	index     map[uint64]int
+	slots     []cacheSlot
+	free      []int
+	lru       []int // slot ids, most recent first
+	hand      int
+
+	hits, misses, inserts, evicts, quantHits int64
+	victims                                  []uint64 // keys evicted, in order
+}
+
+func newMapCache(capBytes int64, policy Policy) *mapCache {
+	return &mapCache{policy: policy, capBytes: capBytes, index: make(map[uint64]int)}
+}
+
+func (c *mapCache) touch(i int) {
+	if c.policy == PolicySRRIP {
+		c.slots[i].rrpv = 0
+		return
+	}
+	c.lru = slices.Insert(slices.DeleteFunc(c.lru, func(s int) bool { return s == i }), 0, i)
+}
+
+func (c *mapCache) lookup(key uint64) (Width, bool) {
+	i, ok := c.index[key]
+	if !ok {
+		c.misses++
+		return WidthFP32, false
+	}
+	c.hits++
+	if c.slots[i].width != WidthFP32 {
+		c.quantHits++
+	}
+	c.touch(i)
+	return c.slots[i].width, true
+}
+
+func (c *mapCache) remove(i int) {
+	delete(c.index, c.slots[i].key)
+	c.lru = slices.DeleteFunc(c.lru, func(s int) bool { return s == i })
+	c.usedBytes -= int64(c.slots[i].bytes)
+	c.slots[i] = cacheSlot{}
+	c.free = append(c.free, i)
+}
+
+func (c *mapCache) victim() int {
+	if c.policy == PolicyLRU {
+		return c.lru[len(c.lru)-1]
+	}
+	for {
+		i := c.hand
+		if c.hand++; c.hand >= len(c.slots) {
+			c.hand = 0
+		}
+		if c.slots[i].bytes == 0 {
+			continue
+		}
+		if c.slots[i].rrpv >= cacheRRPVMax {
+			return i
+		}
+		c.slots[i].rrpv++
+	}
+}
+
+func (c *mapCache) insert(key uint64, width Width, bytes int64) (bool, int) {
+	if c.capBytes == 0 || bytes <= 0 || bytes > c.capBytes {
+		return false, 0
+	}
+	if i, ok := c.index[key]; ok {
+		if c.slots[i].width == width {
+			c.touch(i)
+			return true, 0
+		}
+		c.remove(i)
+	}
+	evictions := 0
+	for c.usedBytes+bytes > c.capBytes && len(c.index) > 0 {
+		v := c.victim()
+		c.victims = append(c.victims, c.slots[v].key)
+		c.remove(v)
+		c.evicts++
+		evictions++
+	}
+	var i int
+	if n := len(c.free); n > 0 {
+		i, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		c.slots = append(c.slots, cacheSlot{})
+		i = len(c.slots) - 1
+	}
+	c.slots[i] = cacheSlot{key: key, rrpv: cacheRRPVMax - 1, width: width, bytes: int32(bytes)}
+	c.index[key] = i
+	c.lru = slices.Insert(c.lru, 0, i)
+	c.usedBytes += bytes
+	c.inserts++
+	return true, evictions
+}
+
+func (c *mapCache) reset() { *c = *newMapCache(c.capBytes, c.policy) }
+
+// TestDeviceCacheMatchesMapModel drives the dense-indexed cache and the
+// map-backed model with the same random Lookup / Insert / width-change /
+// Reset sequence, under both policies, and requires the same hit results,
+// eviction counts, victims (the resident set is compared after every
+// admission) and counters. Keys span three tables, one of them sized up
+// front and two grown at first touch.
+func TestDeviceCacheMatchesMapModel(t *testing.T) {
+	const dim, universe = 16, 96
+	widths := []Width{WidthFP32, WidthFP16, WidthINT8}
+	keys := make([]uint64, universe)
+	for i := range keys {
+		keys[i] = key(i%3, int32(i/3*7)) // rows 0,7,14,…: growth has gaps to cover
+	}
+	for _, policy := range []Policy{PolicyLRU, PolicySRRIP} {
+		rng := tensor.NewRNG(uint64(11 + policy))
+		budget := 12 * WidthFP32.RowBytes(dim)
+		c, m := NewDeviceCache(budget, policy), newMapCache(budget, policy)
+		c.SizeTable(0, universe/3*7)
+		resident := func(where string, step int) {
+			t.Helper()
+			for _, k := range keys {
+				_, want := m.index[k]
+				if c.Contains(k) != want {
+					t.Fatalf("%v step %d (%s): key %x resident = %v, model says %v (model victims so far %x)",
+						policy, step, where, k, !want, want, m.victims)
+				}
+			}
+		}
+		for step := 0; step < 20000; step++ {
+			k := keys[rng.Intn(universe)]
+			switch op := rng.Intn(100); {
+			case op < 55:
+				gw, gh := c.Lookup(k)
+				ww, wh := m.lookup(k)
+				if gw != ww || gh != wh {
+					t.Fatalf("%v step %d: Lookup(%x) = (%v, %v), model (%v, %v)", policy, step, k, gw, gh, ww, wh)
+				}
+			case op < 99:
+				// A key's width is usually a function of the key, so most
+				// re-inserts refresh; one in eight moves it to another tier.
+				w := widths[int(k)%len(widths)]
+				if rng.Intn(8) == 0 {
+					w = widths[rng.Intn(len(widths))]
+				}
+				gok, gev := c.Insert(k, w, w.RowBytes(dim))
+				wok, wev := m.insert(k, w, w.RowBytes(dim))
+				if gok != wok || gev != wev {
+					t.Fatalf("%v step %d: Insert(%x, %v) = (%v, %d evictions), model (%v, %d)", policy, step, k, w, gok, gev, wok, wev)
+				}
+				resident("after insert", step)
+			default:
+				c.Reset()
+				m.reset()
+				resident("after reset", step)
+			}
+			if c.Hits != m.hits || c.Misses != m.misses || c.Inserts != m.inserts || c.Evicts != m.evicts ||
+				c.QuantHits != m.quantHits || c.UsedBytes() != m.usedBytes || c.Len() != len(m.index) {
+				t.Fatalf("%v step %d: counters diverged: cache %+v model %+v", policy, step,
+					[]int64{c.Hits, c.Misses, c.Inserts, c.Evicts, c.QuantHits, c.UsedBytes(), int64(c.Len())},
+					[]int64{m.hits, m.misses, m.inserts, m.evicts, m.quantHits, m.usedBytes, int64(len(m.index))})
+			}
+		}
+		if m.evicts == 0 || m.quantHits == 0 {
+			t.Fatalf("%v: the sequence never evicted (%d) or hit a narrow entry (%d)", policy, m.evicts, m.quantHits)
+		}
+	}
+}
+
+// mapDedup is the accounting walks' per-call dedup as it was: a set of
+// (requesting node, row) keys, here counting what one call would gather or
+// scatter on a cacheless service — every remote lookup misses, so both walks
+// count the distinct remote (node, row) pairs.
+func mapDedup(s *Service, table int, indices [][]int32) int64 {
+	seen := make(map[uint64]struct{})
+	for b := range indices {
+		node := s.NodeOf(b)
+		for _, ix := range indices[b] {
+			if s.Owner(table, ix) != node {
+				seen[uint64(node)<<32|uint64(uint32(ix))] = struct{}{}
+			}
+		}
+	}
+	return int64(len(seen))
+}
+
+// TestStampDedupAcrossEpochWrap: the epoch-stamped dedup counts exactly what
+// the map-backed set counted, call after call, through the wrap of the epoch
+// counter — including for cells last stamped with the small epoch values the
+// restarted counter hands out again.
+func TestStampDedupAcrossEpochWrap(t *testing.T) {
+	const rows, nodes = 200, 4
+	s := New(Config{Nodes: nodes, CacheBytes: 0, RowBytes: 64}, nil)
+	s.RegisterTable(0, 16, rows, flatRows(rows, 16))
+	rng := tensor.NewRNG(21)
+	draw := func() [][]int32 {
+		idx := make([][]int32, 24)
+		for b := range idx {
+			idx[b] = make([]int32, rng.Intn(7))
+			for j := range idx[b] {
+				idx[b][j] = int32(rng.Intn(rows / 4)) // a narrow range: many repeats to dedup
+			}
+		}
+		return idx
+	}
+	check := func(when string) {
+		t.Helper()
+		idx := draw()
+		before := s.Snapshot()
+		s.RecordGather(0, idx)
+		s.RecordScatter(0, idx)
+		d, want := s.Snapshot().Sub(before), mapDedup(s, 0, idx)
+		if d.GatherRows != want || d.ScatterRows != want {
+			t.Fatalf("%s (epoch now %d): gathered %d scattered %d rows, the map dedup counts %d",
+				when, s.epoch, d.GatherRows, d.ScatterRows, want)
+		}
+	}
+	// Epochs 1… stamp cells with the values the counter restarts from.
+	for i := 0; i < 4; i++ {
+		check("fresh service")
+	}
+	s.mu.Lock()
+	s.epoch = math.MaxUint8 - 1
+	s.mu.Unlock()
+	for i := 0; i < 8; i++ {
+		check("across the wrap")
+	}
+	if s.epoch >= 16 {
+		t.Fatalf("epoch %d: the counter never wrapped", s.epoch)
+	}
+}
+
+// sparseStep is one table's accounting for one training step: the gather
+// walk with its plan released, then the scatter walk.
+func sparseStep(s *Service, table int, idx [][]int32) {
+	if plan := s.PlanGather(table, idx); plan != nil {
+		s.Gatherer().Release(s.Gatherer().GatherSync(plan, 4, func(int32, []float32) {}))
+	}
+	s.RecordScatter(table, idx)
+}
+
+// TestAccountingSteadyStateZeroAlloc: with the table registered, the gather
+// and scatter accounting walks — routing array, cache index, slot table,
+// dedup stamps, plan ring — allocate nothing, whether rows hit or are
+// evicted and re-admitted every step.
+func TestAccountingSteadyStateZeroAlloc(t *testing.T) {
+	const rows = 512
+	for _, cacheRows := range []int64{rows, 8} {
+		s := New(Config{Nodes: 4, CacheBytes: cacheRows * 16, RowBytes: 16}, nil)
+		s.EnableAsyncGather()
+		s.RegisterTable(0, 4, rows, flatRows(rows, 4))
+		rng := tensor.NewRNG(5)
+		idx := make([][]int32, 64)
+		for b := range idx {
+			idx[b] = make([]int32, 6)
+			for j := range idx[b] {
+				idx[b][j] = int32(rng.Intn(rows))
+			}
+		}
+		for i := 0; i < 4; i++ {
+			sparseStep(s, 0, idx)
+		}
+		if n := testing.AllocsPerRun(50, func() { sparseStep(s, 0, idx) }); n != 0 {
+			t.Fatalf("cache of %d rows: accounting step allocates %v/op; want 0", cacheRows, n)
+		}
+		s.Close()
+	}
+}
+
+// TestRoutingStateSizedAtRegistration: RegisterTable sizes the owner arrays,
+// the cache indexes and the stamps once — 64 steps later none of them has
+// moved — and index plus stamps cost at most 5 bytes per (node, registered
+// row): 4 for each cache's slot index, 1 for the stamps, which span only the
+// largest table.
+func TestRoutingStateSizedAtRegistration(t *testing.T) {
+	const nodes = 4
+	tableRows := []int{300, 120, 7}
+	s := New(Config{Nodes: nodes, CacheBytes: 64 * 16, RowBytes: 16}, nil)
+	s.EnableAsyncGather()
+	var registered int
+	for tb, rows := range tableRows {
+		s.RegisterTable(tb, 4, rows, flatRows(rows, 4))
+		registered += rows
+	}
+	addrs := func() []unsafe.Pointer {
+		out := []unsafe.Pointer{unsafe.Pointer(unsafe.SliceData(s.stamps))}
+		for tb := range tableRows {
+			out = append(out, unsafe.Pointer(unsafe.SliceData(s.owners[tb])))
+			for _, c := range s.caches {
+				out = append(out, unsafe.Pointer(unsafe.SliceData(c.index[tb])))
+			}
+		}
+		return out
+	}
+	before := addrs()
+	rng := tensor.NewRNG(9)
+	for step := 0; step < 64; step++ {
+		for tb, rows := range tableRows {
+			idx := make([][]int32, 32)
+			for b := range idx {
+				idx[b] = []int32{int32(rng.Intn(rows)), int32(rows - 1), int32(rng.Intn(rows))}
+			}
+			sparseStep(s, tb, idx)
+		}
+	}
+	if after := addrs(); !slices.Equal(before, after) {
+		t.Fatal("a routing array was reallocated after registration")
+	}
+	bytes := int64(cap(s.stamps))
+	for _, c := range s.caches {
+		for _, ix := range c.index {
+			bytes += int64(cap(ix)) * 4
+		}
+	}
+	if limit := int64(5 * nodes * registered); bytes > limit {
+		t.Fatalf("index + stamps hold %d bytes for %d rows on %d nodes; limit %d (5 per node and row)", bytes, registered, nodes, limit)
+	}
+	s.Close()
+}
+
+// TestUnregisteredTableGrowsAtFirstTouch: a service that accounts without
+// registering tables (measurement replays) routes and dedups the same as a
+// registered one, growing its arrays as rows appear.
+func TestUnregisteredTableGrowsAtFirstTouch(t *testing.T) {
+	reg := New(cfg(4, 8), nil)
+	reg.RegisterTable(2, 16, 5000, flatRows(1, 16))
+	bare := New(cfg(4, 8), nil)
+	rng := tensor.NewRNG(13)
+	for step := 0; step < 40; step++ {
+		idx := make([][]int32, 16)
+		for b := range idx {
+			// The row range widens step by step, so growth keeps happening
+			// in the middle of a walk.
+			idx[b] = []int32{int32(rng.Intn(50 + step*120)), int32(rng.Intn(50 + step*120))}
+		}
+		for _, s := range []*Service{reg, bare} {
+			s.RecordGather(2, idx)
+			s.RecordScatter(2, idx)
+			s.Preload(2, idx[0])
+		}
+		if a, b := reg.Snapshot(), bare.Snapshot(); a != b {
+			t.Fatalf("step %d: counters diverged:\nregistered   %+v\nunregistered %+v", step, a, b)
+		}
+	}
+	if reg.CacheEntries() != bare.CacheEntries() {
+		t.Fatalf("cache entries %d vs %d", reg.CacheEntries(), bare.CacheEntries())
+	}
+}

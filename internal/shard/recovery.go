@@ -116,6 +116,18 @@ func (f *failoverPart) Owner(table int, row int32) int {
 	return f.state.Load().route(f.base.Owner(table, row), row)
 }
 
+// routed applies the overlay, when one is armed (f may be nil), to the owner
+// the base placement gives a row — Owner for callers that already hold the
+// base owner in an array.
+//
+//hotline:hotpath
+func (f *failoverPart) routed(base int32, row int32) int {
+	if f == nil {
+		return int(base)
+	}
+	return f.state.Load().route(int(base), row)
+}
+
 func (f *failoverPart) ownerWith(st *failoverState, table int, row int32) int {
 	return st.route(f.base.Owner(table, row), row)
 }

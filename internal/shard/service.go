@@ -317,10 +317,22 @@ type Service struct {
 	// shared device caches, but never scatter gradients, so folding them
 	// into the training snapshot would skew every training-side fraction.
 	serveStats Stats
-	// dedupScratch is the per-call (requesting node, row) dedup set for
-	// gather and scatter walks, reused under the mutex so the steady-state
-	// accounting path allocates nothing.
-	dedupScratch map[uint64]struct{}
+	// owners[t][r] is the node the partitioner assigns row r of table t —
+	// the placement walked once into an array, so the accounting walks route
+	// a lookup with a load instead of an interface call. RegisterTable sizes
+	// a table's array; an unregistered table's grows at first touch. The
+	// failover overlay is applied on top (failoverPart.routed).
+	owners [][]int32
+	// stamps is the per-call (requesting node, row) dedup set of the gather
+	// and scatter walks: cell row*Nodes+node holds the epoch of the call that
+	// last saw the pair, so one epoch bump empties the set. One array serves
+	// every table (a call walks one table under the mutex); it spans the
+	// largest registered table and grows at first touch beyond that. A byte
+	// per cell keeps the set a quarter the size of a uint32 one — it is
+	// probed once per remote lookup, so its cache footprint is the cost —
+	// for one scrub of the array every 255 calls (nextEpoch).
+	stamps []uint8
+	epoch  uint8
 }
 
 // New builds a Service. hot may be nil (admit every remote row).
@@ -460,15 +472,21 @@ func (s *Service) planGather(table int, indices [][]int32, collect, serve bool) 
 	defer s.mu.Unlock()
 	st := s.statsFor(serve)
 	var plan *GatherPlan
-	// gathered dedups fabric fetches within this call (one iteration's bag);
-	// the scratch set is reused across calls under the mutex.
-	gathered := s.acquireDedup()
-	for b := range indices {
-		node := s.NodeOf(b)
+	nodes, rowBytes, fp := s.cfg.Nodes, s.cfg.RowBytes, s.failPart
+	caching, tiered := s.cfg.CacheBytes > 0, s.cfg.Quant != QuantOff
+	// The stamps dedup fabric fetches within this call (one iteration's bag).
+	own, stamps, epoch := s.tableOwners(table), s.stamps, s.nextEpoch()
+	node := 0 // NodeOf(b), stepped instead of divided
+	for _, bag := range indices {
 		cache := s.caches[node]
-		for _, ix := range indices[b] {
-			st.Lookups++
-			if s.Owner(table, ix) == node {
+		st.Lookups += int64(len(bag))
+		for _, ix := range bag {
+			if int(ix) >= len(own) {
+				own = s.growOwners(table, ix)
+				stamps = s.stamps
+			}
+			owner := fp.routed(own[ix], ix)
+			if owner == node {
 				st.Local++
 				continue
 			}
@@ -482,9 +500,14 @@ func (s *Service) planGather(table int, indices [][]int32, collect, serve bool) 
 			// pipeline depth bit-identical to batch-by-batch stepping in
 			// quantized mode: plan order may legally differ between the
 			// synchronous and lookahead executors, so a value that depended
-			// on WHEN a row was admitted would diverge.
-			w, admit := s.admitWidth(table, ix)
-			narrow := admit && w != WidthFP32 && cache.CapacityBytes() > 0
+			// on WHEN a row was admitted would diverge. Untiered caches
+			// serve every hit exact, so the rule is asked only on a miss.
+			var w Width
+			var admit, narrow bool
+			if tiered {
+				w, admit = s.admitWidth(table, ix)
+				narrow = admit && w != WidthFP32 && caching
+			}
 			if _, hit := cache.Lookup(k); hit {
 				st.CacheHits++
 				if narrow {
@@ -503,13 +526,15 @@ func (s *Service) planGather(table int, indices [][]int32, collect, serve bool) 
 				continue
 			}
 			st.CacheMisses++
+			if !tiered {
+				w, admit = s.admitWidth(table, ix)
+			}
 			// The dedup key is (requesting node, row); the table is fixed
 			// within one call.
-			nk := uint64(node)<<32 | uint64(uint32(ix))
-			if _, ok := gathered[nk]; !ok {
-				gathered[nk] = struct{}{}
+			if cell := &stamps[int(ix)*nodes+node]; *cell != epoch {
+				*cell = epoch
 				st.GatherRows++
-				st.GatherBytes += s.cfg.RowBytes
+				st.GatherBytes += rowBytes
 				if collect {
 					if plan == nil {
 						plan = s.acquirePlan(table)
@@ -523,7 +548,7 @@ func (s *Service) planGather(table int, indices [][]int32, collect, serve bool) 
 							st.DequantRows++
 						}
 					} else {
-						plan.add(ix, s.Owner(table, ix), s.cfg.RowBytes)
+						plan.add(ix, owner, rowBytes)
 					}
 				}
 			}
@@ -534,13 +559,16 @@ func (s *Service) planGather(table int, indices [][]int32, collect, serve bool) 
 			// admission, at the admitted entry's footprint — a cache hit
 			// above already skipped this path, so every Insert here admits
 			// a new key (or is refused as unfittable, moving nothing).
-			if cache.CapacityBytes() > 0 && admit {
+			if caching && admit {
 				eb := s.cfg.EntryBytes(w)
 				if ok, ev := cache.Insert(k, w, eb); ok {
 					st.Evictions += int64(ev)
 					st.FillBytes += eb
 				}
 			}
+		}
+		if node++; node == nodes {
+			node = 0
 		}
 	}
 	return plan
@@ -577,15 +605,76 @@ func (s *Service) statsFor(serve bool) *Stats {
 	return &s.stats
 }
 
-// acquireDedup returns the cleared per-call dedup scratch set. Must be
-// called (and the set fully consumed) under s.mu.
-func (s *Service) acquireDedup() map[uint64]struct{} {
-	if s.dedupScratch == nil {
-		s.dedupScratch = make(map[uint64]struct{})
-	} else {
-		clear(s.dedupScratch)
+// nextEpoch empties the (requesting node, row) dedup set for a new call by
+// moving to a stamp value no cell holds. Caller holds s.mu.
+//
+//hotline:hotpath
+func (s *Service) nextEpoch() uint8 {
+	s.epoch++
+	if s.epoch == 0 {
+		// The counter wrapped: scrub the cells so a stamp from 256 calls ago
+		// can never alias the restarted counter, and skip zero — the value
+		// of a cell no call has stamped.
+		clear(s.stamps)
+		s.epoch = 1
 	}
-	return s.dedupScratch
+	return s.epoch
+}
+
+// tableOwners returns table's dense owner array (nil before the table is
+// registered or touched). Caller holds s.mu.
+//
+//hotline:hotpath
+func (s *Service) tableOwners(table int) []int32 {
+	if table < len(s.owners) {
+		return s.owners[table]
+	}
+	return nil
+}
+
+// sizeTable extends table's routing state to span rows rows: the owner array
+// (walking the partitioner for the new rows), every cache's index, and the
+// stamps, which always span the longest owner array so the accounting walks
+// bounds-check a row once. A grown stamp array keeps its cells — they are
+// row-major, so the running call's dedup set survives. Caller holds s.mu.
+func (s *Service) sizeTable(table, rows int) []int32 {
+	for table >= len(s.owners) {
+		s.owners = append(s.owners, nil)
+	}
+	own := s.owners[table]
+	if rows <= len(own) {
+		return own
+	}
+	base := s.part
+	if s.failPart != nil {
+		base = s.failPart.base
+	}
+	grown := make([]int32, rows)
+	copy(grown, own)
+	for r := len(own); r < rows; r++ {
+		grown[r] = int32(base.Owner(table, int32(r)))
+	}
+	s.owners[table] = grown
+	if s.cfg.Nodes == 1 {
+		return grown // every access is local: nothing probes a cache or dedups
+	}
+	for _, c := range s.caches {
+		c.SizeTable(table, rows)
+	}
+	if need := rows * s.cfg.Nodes; need > len(s.stamps) {
+		stamps := make([]uint8, need)
+		copy(stamps, s.stamps)
+		s.stamps = stamps
+	}
+	return grown
+}
+
+// growOwners is the first touch of a row beyond an unregistered table's
+// routing state (accounting replays that never call RegisterTable): grow
+// geometrically, never in steady state. Caller holds s.mu.
+func (s *Service) growOwners(table int, row int32) []int32 {
+	n := len(s.tableOwners(table))
+	return s.sizeTable(table, max(int(row)+1, n+n/2))
 }
 
 // acquirePlan hands out a gather plan, recycling through the async engine's
@@ -609,22 +698,30 @@ func (s *Service) RecordScatter(table int, indices [][]int32) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sent := s.acquireDedup()
-	for b := range indices {
-		node := s.NodeOf(b)
-		for _, ix := range indices[b] {
-			if s.Owner(table, ix) == node {
+	nodes, rowBytes, fp := s.cfg.Nodes, s.cfg.RowBytes, s.failPart
+	own, stamps, epoch := s.tableOwners(table), s.stamps, s.nextEpoch()
+	var sent int64
+	node := 0 // NodeOf(b), stepped instead of divided
+	for _, bag := range indices {
+		for _, ix := range bag {
+			if int(ix) >= len(own) {
+				own = s.growOwners(table, ix)
+				stamps = s.stamps
+			}
+			if fp.routed(own[ix], ix) == node {
 				continue
 			}
-			nk := uint64(node)<<32 | uint64(uint32(ix))
-			if _, ok := sent[nk]; ok {
-				continue
+			if cell := &stamps[int(ix)*nodes+node]; *cell != epoch {
+				*cell = epoch
+				sent++
 			}
-			sent[nk] = struct{}{}
-			s.stats.ScatterRows++
-			s.stats.ScatterBytes += s.cfg.RowBytes
+		}
+		if node++; node == nodes {
+			node = 0
 		}
 	}
+	s.stats.ScatterRows += sent
+	s.stats.ScatterBytes += sent * rowBytes
 }
 
 // Preload replicates the given rows of one table into every non-owner

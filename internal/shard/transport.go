@@ -140,14 +140,28 @@ func (s *Service) Transport() Transport { return s.tr }
 // Multiproc reports whether rows cross a process boundary (socket fabric).
 func (s *Service) Multiproc() bool { return s.multiproc }
 
+// TableOwners returns the dense owner array of one table — element r is the
+// node the placement policy assigns row r, before any failover overlay —
+// walking the partitioner once for rows rows and sizing the table's routing
+// state (every device cache's index, the dedup stamps) to match. The array
+// is shared, read-only: ShardBag lays its shards out by it and the
+// accounting walks route by it, so the placement is walked once per table.
+func (s *Service) TableOwners(table, rows int) []int32 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.sizeTable(table, rows)
+}
+
 // RegisterTable declares one sharded table's geometry and row source to the
-// fabric. On the in-proc transport this only records the registration; on a
-// multi-process fabric it bulk-pushes every row to its owner node process
-// (the initial shard sync), so worker stores serve fetches from exactly the
-// bits the coordinator's mirror holds. ShardBag calls this; shadows share
-// the primary's registration.
+// fabric, sizing its routing state exactly (TableOwners), so the accounting
+// walks never grow anything for a registered table. On the in-proc transport
+// that is all; on a multi-process fabric it bulk-pushes every row to its
+// owner node process (the initial shard sync), so worker stores serve
+// fetches from exactly the bits the coordinator's mirror holds. ShardBag
+// calls this; shadows share the primary's registration.
 func (s *Service) RegisterTable(table, dim, rows int, src RowAt) {
 	s.mu.Lock()
+	s.sizeTable(table, rows)
 	s.tables = append(s.tables, tableReg{table: table, dim: dim, rows: rows, src: src})
 	s.mu.Unlock()
 	if !s.multiproc {
