@@ -23,11 +23,6 @@
 //	hotline-bench -fabric unix            # train over real hotline-node processes
 //	hotline-bench -fabric tcp -fabric-nodes 4
 //	                                      # ... 4 workers over loopback TCP
-//	hotline-bench -bench                  # micro-benchmarks -> BENCH_<date>.json
-//	hotline-bench -bench -bench-out -     # ... to stdout
-//	hotline-bench -bench -bench-baseline bench/BENCH_2026-07-30_seed.json
-//	                                      # diff vs a snapshot; >10% train-step
-//	                                      # regression fails the run
 package main
 
 import (
@@ -41,7 +36,6 @@ import (
 
 	"hotline"
 	"hotline/internal/shard"
-	"hotline/internal/tools/microbench"
 )
 
 // experimentReport is one sweep entry of the JSON report.
@@ -72,26 +66,27 @@ func main() {
 	jsonPath := flag.String("json", "", "write a JSON sweep report to this file ('-' = stdout)")
 	quiet := flag.Bool("quiet", false, "suppress table rendering (summary/JSON only)")
 	smoke := flag.Bool("smoke", false, "CI smoke mode: shortest functional training")
-	depth := flag.Int("depth", 0, "prefetch pipeline depth k for executors and the -bench report (0 = keep default, currently 2; see mn-depth for the sweep)")
+	depth := flag.Int("depth", 0, "prefetch pipeline depth k for executors (0 = keep default, currently 2; see mn-depth for the sweep)")
 	fabric := flag.String("fabric", "", `multi-process coordinator mode: train over real hotline-node worker processes on this socket family ("unix" or "tcp") and report measured vs analytic all-to-all time`)
 	fabricNodes := flag.Int("fabric-nodes", 2, "shard node count for -fabric")
 	fabricIters := flag.Int("fabric-iters", 6, "training iterations for -fabric")
 	fabricDial := flag.Duration("fabric-dial", shard.DefaultDialTimeout, "per-peer dial timeout for -fabric")
 	fabricIO := flag.Duration("fabric-io", shard.DefaultIOTimeout, "per-operation read/write deadline for -fabric (also the workers' -io-timeout)")
 	fabricRetry := flag.Duration("fabric-retry", shard.DefaultRetryTimeout, "recovery budget one peer re-dial loop may spend for -fabric")
-	bench := flag.Bool("bench", false, "run the micro-benchmarks and emit BENCH_<date>.json")
-	benchOut := flag.String("bench-out", "", "micro-benchmark output path (default BENCH_<date>.json; '-' = stdout)")
-	benchLabel := flag.String("bench-label", "", "label recorded in the benchmark report")
-	benchBaseline := flag.String("bench-baseline", "", "diff the -bench report against this BENCH json and fail on train-step regressions")
-	benchMaxRegress := flag.Float64("bench-max-regress", 0.10, "max allowed fractional ns/op regression vs -bench-baseline")
 	flag.Parse()
 
+	// flag stops at the first positional word and drops everything after it,
+	// so a stray id would silently sweep the default -exp all.
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "hotline-bench: unexpected argument %q (experiment ids go in -exp, e.g. -exp %s)\n", flag.Arg(0), flag.Arg(0))
+		os.Exit(2)
+	}
+	if *depth < 0 {
+		fmt.Fprintf(os.Stderr, "hotline-bench: -depth must be >= 1, or 0 to keep the default, got %d\n", *depth)
+		os.Exit(2)
+	}
 	if *depth > 0 {
 		hotline.PipelineDepth(*depth)
-	}
-	if *bench {
-		runMicrobench(*benchOut, *benchLabel, *parallel, *benchBaseline, *benchMaxRegress)
-		return
 	}
 	if *fabric != "" {
 		timeouts := shard.FabricTimeouts{Dial: *fabricDial, IO: *fabricIO, Retry: *fabricRetry}
@@ -200,101 +195,4 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
-}
-
-// runMicrobench executes the shared micro-benchmark targets (the same code
-// `go test -bench` runs), writes the machine-readable trajectory file and —
-// when a baseline report is given — fails on train-step regressions.
-func runMicrobench(outPath, label string, parallel int, baselinePath string, maxRegress float64) {
-	if parallel >= 0 {
-		hotline.Parallelism(parallel)
-	} else {
-		hotline.Parallelism(1) // benchmarks record the serial steady state
-	}
-	rep := microbench.Run(label, time.Now())
-	rep.Parallelism = hotline.NumWorkers()
-	for _, r := range rep.Results {
-		fmt.Fprintf(os.Stderr, "%-28s %12.0f ns/op %8d B/op %6d allocs/op\n",
-			r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
-	}
-	out, err := rep.JSON()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hotline-bench:", err)
-		os.Exit(1)
-	}
-	if outPath == "" {
-		outPath = "BENCH_" + rep.Date + ".json"
-	}
-	if outPath == "-" {
-		os.Stdout.Write(out)
-	} else if err := os.WriteFile(outPath, out, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "hotline-bench:", err)
-		os.Exit(1)
-	} else {
-		fmt.Fprintf(os.Stderr, "hotline-bench: wrote %s\n", outPath)
-	}
-	if baselinePath != "" && !diffBench(rep, baselinePath, maxRegress) {
-		os.Exit(1)
-	}
-}
-
-// benchGates are the targets the baseline diff enforces: the end-to-end
-// training-step costs the tentpole optimisations are judged on. Other
-// targets (and targets the baseline predates) are reported but never fail
-// the diff, so new benchmarks can land before the snapshot is refreshed.
-var benchGates = map[string]bool{
-	"HotlineTrainStep":          true,
-	"HotlineTrainStepPipelined": true,
-}
-
-// benchAnchor is the machine-speed calibration target: a pure arithmetic
-// kernel whose ns/op tracks the host CPU but is untouched by training-path
-// changes. Comparing a snapshot recorded on one machine against a run on
-// another (the CI runner vs the dev container) in raw ns/op would gate on
-// hardware, not code; scaling the baseline by the anchor's ratio first
-// cancels the machine difference to first order.
-const benchAnchor = "ZipfSample"
-
-// diffBench compares a fresh report against a checked-in baseline snapshot
-// and reports whether every gated target stayed within maxRegress of its
-// machine-normalised baseline ns/op.
-func diffBench(rep microbench.Report, baselinePath string, maxRegress float64) bool {
-	raw, err := os.ReadFile(baselinePath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hotline-bench:", err)
-		return false
-	}
-	var base microbench.Report
-	if err := json.Unmarshal(raw, &base); err != nil {
-		fmt.Fprintf(os.Stderr, "hotline-bench: %s: %v\n", baselinePath, err)
-		return false
-	}
-	baseNs := make(map[string]float64, len(base.Results))
-	for _, r := range base.Results {
-		baseNs[r.Name] = r.NsPerOp
-	}
-	scale := 1.0
-	for _, r := range rep.Results {
-		if r.Name == benchAnchor && baseNs[benchAnchor] > 0 && r.NsPerOp > 0 {
-			scale = r.NsPerOp / baseNs[benchAnchor]
-			fmt.Fprintf(os.Stderr, "hotline-bench: vs %s: machine scale %.2fx (%s)\n",
-				baselinePath, scale, benchAnchor)
-		}
-	}
-	ok := true
-	for _, r := range rep.Results {
-		b, have := baseNs[r.Name]
-		if !have || b <= 0 {
-			continue
-		}
-		ratio := r.NsPerOp/(b*scale) - 1
-		verdict := "ok"
-		if benchGates[r.Name] && ratio > maxRegress {
-			verdict = fmt.Sprintf("REGRESSION > %.0f%%", maxRegress*100)
-			ok = false
-		}
-		fmt.Fprintf(os.Stderr, "hotline-bench: vs %s: %-28s %+7.1f%%  %s\n",
-			baselinePath, r.Name, ratio*100, verdict)
-	}
-	return ok
 }

@@ -328,3 +328,14 @@ func TestTopKRows(t *testing.T) {
 		t.Fatal("TopKRows must be sorted")
 	}
 }
+
+// BenchmarkZipfSample measures the workload generator's inner sampler.
+func BenchmarkZipfSample(b *testing.B) {
+	z := NewZipf(1_000_000, 1.1)
+	rng := tensor.NewRNG(7)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		z.Sample(rng)
+	}
+}

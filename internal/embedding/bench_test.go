@@ -130,3 +130,42 @@ func BenchmarkBagApplySGD(b *testing.B) {
 		sb.ApplySparseSGD(sg, 1e-6)
 	}
 }
+
+// BenchmarkPrefetchWindow measures one asynchronous gather window end to end
+// (plan → double-buffered queues → staging → consume → ring release) on a
+// small 4-node service. "fp32" keeps full-width rows in an 8-row cache;
+// "int8" and "fp16" hold every remote row warm-tier resident at that width,
+// so each window stages entirely through the fused dequantize-gather kernel.
+// All three run the same index set, so a narrow width minus fp32 isolates
+// the quantization kernel.
+func BenchmarkPrefetchWindow(b *testing.B) {
+	defer par.SetWorkers(par.SetWorkers(1))
+	const dim, rows = 16, 256
+	idx := make([][]int32, 32)
+	for i := range idx {
+		idx[i] = []int32{int32(i * 7 % rows), int32(i * 13 % rows), int32(i % 7)}
+	}
+	for _, c := range []struct {
+		name      string
+		cacheRows int64
+		quant     shard.QuantMode
+	}{{"fp32", 8, shard.QuantOff}, {"int8", rows, shard.QuantINT8}, {"fp16", rows, shard.QuantFP16}} {
+		b.Run(c.name, func(b *testing.B) {
+			svc := shard.New(shard.Config{
+				Nodes: 4, CacheBytes: c.cacheRows * dim * 4, RowBytes: dim * 4,
+				Quant: c.quant,
+			}, nil)
+			b.Cleanup(func() { svc.Close() })
+			svc.EnableAsyncGather()
+			sb := ShardBag(NewTable(rows, dim, tensor.NewRNG(3)), svc, 0)
+			sb.Prefetch(idx) // warm: admit the remote rows at the cache's width
+			sb.Forward(idx)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sb.Prefetch(idx)
+				sb.Forward(idx)
+			}
+		})
+	}
+}

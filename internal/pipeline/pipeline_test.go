@@ -366,3 +366,17 @@ func TestXDLWeakScalingBatch(t *testing.T) {
 		t.Errorf("XDL weak scaling: 4GPU iter %v < 1GPU iter %v", t4, t1)
 	}
 }
+
+// BenchmarkPipelineIteration measures the full analytic timing model for
+// every pipeline on the 4-GPU Kaggle workload.
+func BenchmarkPipelineIteration(b *testing.B) {
+	w := NewWorkload(data.CriteoKaggle(), 4096, cost.PaperSystem(4))
+	pipes := All()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range pipes {
+			p.Iteration(w)
+		}
+	}
+}
