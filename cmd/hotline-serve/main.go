@@ -105,7 +105,13 @@ func main() {
 	if *doTrain {
 		gen := hotline.NewGenerator(cfg)
 		go func() {
+			// One batch is drawn ahead and handed to the step before it, so
+			// the executor's cross-iteration pipeline runs: each step stages
+			// the next batch (classification, gather window) and finds it
+			// staged, matched by pointer, when that batch trains. The batch
+			// drawn ahead when stop arrives is never trained.
 			steps := 0
+			ahead := []*hotline.Batch{gen.NextBatch(64)}
 			for {
 				select {
 				case <-stop:
@@ -113,8 +119,9 @@ func main() {
 					return
 				default:
 				}
-				b := gen.NextBatch(64)
-				srv.Train(func() { tr.StepLookahead(b, nil) })
+				b := ahead[0]
+				ahead[0] = gen.NextBatch(64)
+				srv.Train(func() { tr.StepLookahead(b, ahead) })
 				steps++
 			}
 		}()

@@ -224,18 +224,21 @@ var MeasureFabric = pipeline.MeasureFabric
 
 // --- online serving and the load harness -----------------------------------
 
-// Server answers prediction requests from weight-sharing model replicas
-// behind a read/write lock: concurrent Predicts, exclusive Train steps.
-// The read path never consumes prefetch windows or touches backward state,
-// so a mixed train+serve run leaves training bit-identical to train-only;
-// serve traffic is booked into the shard service's serve-side counters
-// (ShardService.ServeSnapshot) while still warming the shared device
-// caches.
+// Server answers prediction requests from weight-sharing model replicas,
+// beside each other and beside a trainer's passes on the same weights: a
+// request waits only for the trainer's update (the model's own parameter
+// lock orders the two) and is answered from the parameters of one step
+// boundary. The read path never consumes prefetch windows or touches
+// backward state, so a mixed train+serve run leaves training bit-identical
+// to train-only; serve traffic is booked into the shard service's
+// serve-side counters (ShardService.ServeSnapshot) while still warming the
+// shared device caches.
 type Server = serve.Server
 
 // NewServer wraps a model in n predict replicas (model shadows; n <= 0
-// means 1). Wrap training steps in Server.Train to serialise them against
-// in-flight predicts.
+// means 1). Train the model through a Trainer (or Model.TrainStep), which
+// apply their update under the model's parameter lock; Server.Train keeps
+// two trainers apart.
 var NewServer = serve.NewServer
 
 // ServeCorpus is a deterministic request stream across drift days.

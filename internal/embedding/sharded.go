@@ -245,7 +245,10 @@ func (s *ShardedBag) Forward(indices [][]int32) *tensor.Matrix {
 // The returned matrix is this instance's forward scratch. Serve replicas
 // must be shadows (ShadowBag / model.NewShadow): calling ServeForward on
 // an instance with an in-flight Forward→Backward pair would overwrite the
-// activations that backward still reads.
+// activations that backward still reads. A replica may read beside the
+// training passes, which only read rows too; against the sparse update it
+// is ordered by the model's parameter lock (model.ApplyUpdate), held by the
+// caller — nothing in this package locks rows.
 //
 //hotline:hotpath
 func (s *ShardedBag) ServeForward(indices [][]int32) *tensor.Matrix {

@@ -13,5 +13,10 @@
 // behind the embedding.Bag interface: ShardEmbeddings swaps the single-node
 // tables for shard-service-backed bags without changing any training math,
 // and NewShadow provides the weight-sharing shadows the concurrent µ-batch
-// executor needs.
+// executor and the serve replicas need.
+//
+// The model also owns the one lock that orders serving against training.
+// Parameters are only read during a pass, so passes and serve forwards run
+// side by side; they move in ApplyUpdate alone, which holds the write side
+// while ServePredictInto holds the read side for one forward.
 package model

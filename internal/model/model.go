@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"hotline/internal/data"
 	"hotline/internal/embedding"
@@ -28,6 +29,13 @@ type Model struct {
 	// Tables is the sparse parameter set behind the Bag interface: plain
 	// single-node tables by default, ShardedBags after ShardEmbeddings.
 	Tables embedding.Bags
+
+	// paramMu orders serve forwards against the trainer's writes. A model
+	// and all its shadows share one lock, as they share one set of tensors:
+	// ApplyUpdate holds the write side, ServePredictInto the read side, and
+	// training passes neither — they run on the trainer's own goroutines,
+	// which are the only writers.
+	paramMu *sync.RWMutex
 
 	// pendingSparse accumulates sparse gradients across Backward calls
 	// until ApplySparse or ZeroAll.
@@ -62,6 +70,7 @@ func New(cfg data.Config, seed uint64) *Model {
 	}
 	rng := tensor.NewRNG(seed)
 	m := &Model{Cfg: cfg}
+	m.paramMu = new(sync.RWMutex)
 	m.Bot = nn.NewMLP(cfg.BotMLP, true, rng)
 	m.Inter = nn.NewDotInteraction(cfg.EmbedDim, cfg.NumTables)
 	topSizes := append([]int{m.Inter.OutWidth()}, cfg.TopMLP...)
@@ -138,12 +147,16 @@ func (m *Model) AbortPrefetchSparse() {
 
 // NewShadow returns a model that shares m's parameter storage (dense weights
 // and embedding tables) but owns private gradient accumulators, sparse-grad
-// stash and forward caches. Two µ-batches can then run forward/backward
-// concurrently — parameters are only read during the passes — and the
-// shadow's gradients are folded back with AbsorbShadow. The shadow stays
-// valid across updates because all optimizers mutate parameters in place.
+// stash and forward caches. Parameters are only read during a pass — that
+// is the rule every reader lives by: two µ-batches run forward/backward
+// concurrently and their gradients are folded back with AbsorbShadow, and a
+// serve replica (a shadow too) answers requests beside both. The one moment
+// parameters move is ApplyUpdate, which the shadow's ServePredictInto is
+// ordered against through the lock it shares with m. The shadow stays valid
+// across updates because all optimizers mutate parameters in place.
 func NewShadow(m *Model) *Model {
 	s := &Model{Cfg: m.Cfg}
+	s.paramMu = m.paramMu
 	s.Bot = m.Bot.Shadow()
 	s.Top = m.Top.Shadow()
 	s.Inter = nn.NewDotInteraction(m.Cfg.EmbedDim, m.Cfg.NumTables)
@@ -311,6 +324,9 @@ func (m *Model) DenseParams() []nn.Param {
 
 // ApplySparse applies all stashed sparse gradients with the learning rate
 // and clears the stash. Application order is deterministic (stash order).
+// It writes embedding rows without taking the parameter lock: executors
+// reach it through ApplyUpdate, and a direct caller must have no serve
+// replica reading the same weights.
 //
 //hotline:hotpath
 func (m *Model) ApplySparse(lr float32) {
@@ -327,7 +343,8 @@ func (m *Model) ApplySparse(lr float32) {
 // the popular and non-popular µ-batches, or the TBSM timesteps — are merged
 // into a single combined SparseGrad first (rows unioned in ascending order,
 // contributions summed in stash order), exactly the full-mini-batch
-// gradient a baseline executor would apply.
+// gradient a baseline executor would apply. Like ApplySparse it takes no
+// lock; executors reach it through ApplyUpdate.
 //
 //hotline:hotpath
 func (m *Model) ApplySparseAdagrad(states []*embedding.AdagradState, lr float32) {
@@ -430,6 +447,37 @@ func (m *Model) ZeroAll() {
 	}
 }
 
+// denseStepper is a dense optimizer's update (nn.SGD and nn.Adagrad).
+type denseStepper interface {
+	Step()
+}
+
+// ApplyUpdate applies one training step's combined update (Eq. 5) — the
+// dense optimizer step, then every stashed sparse gradient: plain SGD when
+// adagrad is nil, one merged adaptive update per table otherwise — holding
+// the write side of the parameter lock throughout. It is the update bracket:
+// every write to a dense weight or an embedding row after construction
+// happens in here, together with what must be ordered with those writes —
+// WindowQueue.MarkDirty and, on a socket fabric, the scatter push (a serve
+// fetch issued after the bracket queues behind the push on the owner's
+// stream). A serve forward (ServePredictInto, on any shadow) holds the read
+// side, so it sees the parameters of exactly one step boundary; the wait
+// here is for the at most one forward per serve replica already in flight.
+// The lock is released when the update panics, so a recovered trainer panic
+// does not wedge serving.
+//
+//hotline:hotpath
+func (m *Model) ApplyUpdate(dense denseStepper, adagrad []*embedding.AdagradState, lr float32) {
+	m.paramMu.Lock()
+	defer m.paramMu.Unlock()
+	dense.Step()
+	if adagrad != nil {
+		m.ApplySparseAdagrad(adagrad, lr)
+	} else {
+		m.ApplySparse(lr)
+	}
+}
+
 // TrainStep runs one standard mini-batch SGD iteration (the baseline
 // executor) and returns the mean BCE loss.
 func (m *Model) TrainStep(b *data.Batch, lr float32) float64 {
@@ -441,8 +489,7 @@ func (m *Model) TrainStep(b *data.Batch, lr float32) float64 {
 		m.sgd = nn.NewSGD(m.DenseParams(), lr)
 	}
 	m.sgd.LR = lr
-	m.sgd.Step()
-	m.ApplySparse(lr)
+	m.ApplyUpdate(m.sgd, nil, lr)
 	return loss
 }
 
@@ -465,8 +512,13 @@ func (m *Model) ServePredict(b *data.Batch) []float32 {
 }
 
 // ServePredictInto is ServePredict writing into dst (grown as needed), so a
-// steady-state request loop allocates nothing.
+// steady-state request loop allocates nothing. It holds the read side of the
+// parameter lock for the length of the forward — released on a panic too, an
+// out-of-range index panics by design — so the answer is computed from the
+// parameters of one step boundary, whatever the trainer is doing meanwhile.
 func (m *Model) ServePredictInto(dst []float32, b *data.Batch) []float32 {
+	m.paramMu.RLock()
+	defer m.paramMu.RUnlock()
 	logits := m.forward(b, true)
 	if cap(dst) < logits.Rows {
 		dst = make([]float32, logits.Rows)

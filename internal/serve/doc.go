@@ -5,8 +5,16 @@
 // Three pieces compose:
 //
 //   - Server wraps a model in predict replicas (weight-sharing shadows with
-//     private scratch) behind a read/write lock: any number of concurrent
-//     Predicts, exclusive Train steps. Predictions take the bags' read-only
+//     private scratch). Requests run beside each other and beside the
+//     trainer's forward and backward passes — every one of them only reads
+//     parameters — and are ordered against the one moment parameters move,
+//     the update, by the lock of the model itself: model.ServePredictInto
+//     holds its read side for one forward, model.ApplyUpdate its write side
+//     for one step's update. Every answer is therefore the read-path
+//     prediction at some step boundary. Train only keeps two trainers apart,
+//     and its step must update through a train.Trainer or
+//     model.Model.TrainStep (they bracket; hand-written weight writes are
+//     not ordered against requests). Predictions take the bags' read-only
 //     ServeForward path — no scatter, no prefetch-window interaction, serve
 //     traffic booked separately — so a mixed train+serve run leaves training
 //     bit-identical to a train-only run.

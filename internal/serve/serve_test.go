@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -88,6 +89,54 @@ func TestServeTrafficAccounting(t *testing.T) {
 	}
 	if sv = svc.ServeSnapshot(); sv.CacheHits <= cold {
 		t.Fatalf("replay must hit the warmed caches: %d -> %d", cold, sv.CacheHits)
+	}
+}
+
+// TestPanickingRequestReturnsItsReplica: an out-of-range index panics up
+// front by design and a caller may recover it as a failed request. Such a
+// request must hand back its replica and its read lock: after more of them
+// than there are replicas, a good request and a training step still complete
+// (a lost replica parks the next request for good; a read lock held by a
+// parked request parks the trainer's update).
+func TestPanickingRequestReturnsItsReplica(t *testing.T) {
+	cfg := testCfg()
+	m := model.New(cfg, 9)
+	m.ShardEmbeddings(testSvc(cfg, 4))
+	s := NewServer(m, 2)
+	gen := data.NewGenerator(cfg)
+	good, bad := gen.NextBatch(8), gen.NextBatch(8)
+	bad.Sparse[0][0][0] = int32(cfg.ScaledRowsPerTable[0]) // one past the table
+	want := m.Predict(good)
+
+	var got []float32
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i <= s.Replicas(); i++ {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Error("an out-of-range request did not panic")
+					}
+				}()
+				s.Predict(bad)
+			}()
+		}
+		got = s.Predict(good)
+		s.Train(func() { m.TrainStep(good, 0.1) })
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the server is wedged after recovered request panics")
+	}
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("sample %d: served %g, Model.Predict %g", i, got[i], want[i])
+		}
+	}
+	if reqs, _ := s.Served(); reqs != 1 {
+		t.Fatalf("served %d requests, want the one that did not panic", reqs)
 	}
 }
 

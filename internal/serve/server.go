@@ -8,23 +8,27 @@ import (
 	"hotline/internal/model"
 )
 
-// Server serves click predictions from a model while allowing interleaved
-// training on the same weights.
+// Server serves click predictions from a model while a trainer keeps
+// advancing the same weights.
 //
 // Replicas are weight-sharing shadows (model.NewShadow): the parameters
 // live once, each replica owns private forward scratch, so replicas score
-// requests concurrently. A read/write lock orders serving against
-// training — Predict holds the read side (any number of concurrent
-// predicts), Train the write side (exclusive) — which keeps mixed
-// train+serve runs race-clean without ever blocking predicts on each
-// other. Serving cannot perturb training: replica lookups take the bags'
-// ServeForward path, which never consumes a prefetch window, never arms
-// backward state, and books its traffic into the shard service's serve
-// counters. The shared device caches ARE warmed by request traffic — that
-// coupling is the serving story, and it changes accounting only, never
+// requests concurrently — with each other and with the trainer's forward
+// and backward passes, which only read parameters too. What orders serving
+// against training is the model's own parameter lock, not anything in this
+// package: a replica's forward holds its read side (model.ServePredictInto)
+// and the trainer holds the write side for the update alone
+// (model.ApplyUpdate, one bracket per step), so a request waits for at most
+// one update and every answer is bit-equal to the read-path prediction at
+// some step boundary. Serving cannot perturb training: replica lookups take
+// the bags' ServeForward path, which never consumes a prefetch window,
+// never arms backward state, and books its traffic into the shard service's
+// serve counters. The shared device caches ARE warmed by request traffic —
+// that coupling is the serving story, and it changes accounting only, never
 // values.
 type Server struct {
-	mu       sync.RWMutex
+	// trainMu admits one Train closure at a time.
+	trainMu  sync.Mutex
 	replicas chan *model.Model
 
 	requests atomic.Int64
@@ -32,8 +36,8 @@ type Server struct {
 }
 
 // NewServer builds a server with n predict replicas shadowing m (n <= 0
-// defaults to 1). The caller keeps training through its own executor on m;
-// wrap each training step in Train so it serialises against predicts.
+// defaults to 1). It only reads m, so several servers may share one model.
+// The caller keeps training through its own executor on m; see Train.
 func NewServer(m *model.Model, n int) *Server {
 	if n <= 0 {
 		n = 1
@@ -55,26 +59,31 @@ func (s *Server) Predict(b *data.Batch) []float32 {
 
 // PredictInto is Predict writing into dst (grown as needed), so a request
 // player reusing one buffer allocates nothing in steady state. It blocks
-// while a Train step holds the write lock or every replica is busy; that
-// wait is real serving latency and the load harness measures it.
+// while every replica is busy, then for the trainer's update if one is
+// being applied; both waits are real serving latency and the load harness
+// measures them. The replica is taken before the parameter lock, so a
+// trainer arriving at its update waits for at most Replicas() forwards
+// already in flight, never for requests parked on the pool; and it goes
+// back on every path, a request that panics (an out-of-range index does, by
+// design) included.
 func (s *Server) PredictInto(dst []float32, b *data.Batch) []float32 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	rep := <-s.replicas
+	defer func() { s.replicas <- rep }()
 	dst = rep.ServePredictInto(dst, b)
-	s.replicas <- rep
 	s.requests.Add(1)
 	s.samples.Add(int64(b.Size()))
 	return dst
 }
 
-// Train runs one training step — any closure advancing the shared
-// weights — under the exclusive lock. In-flight predicts drain first
-// (replica passes only read parameters, so they must not overlap a
-// mutation), and new predicts wait until the step returns.
+// Train runs step, one trainer at a time. It does not keep requests out:
+// they are answered beside the step's passes and wait only for its update.
+// That is safe as long as step moves parameters only through a
+// train.Trainer or model.Model.TrainStep, which apply their update inside
+// the model's bracket (model.ApplyUpdate); a closure that writes weights by
+// hand is not ordered against predicts.
 func (s *Server) Train(step func()) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.trainMu.Lock()
+	defer s.trainMu.Unlock()
 	step()
 }
 

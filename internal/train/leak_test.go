@@ -51,7 +51,14 @@ func TestClosedServiceIsCollectable(t *testing.T) {
 	}
 	// One leaked instance is ~3.6 MB; five would be ~18 MB.
 	const margin = 4 << 20
-	if heap := liveHeap(); heap > heap1+margin {
+	heap := liveHeap()
+	// The last rounds' cleanups run on the runtime's own goroutine, which on
+	// a busy box may not have finished between two collections (1-2% of runs
+	// on 2 vCPUs); a real leak survives any number of cycles.
+	for tries := 0; heap > heap1+margin && tries < 5; tries++ {
+		heap = liveHeap()
+	}
+	if heap > heap1+margin {
 		t.Fatalf("live heap grew from %.1f MB after round 1 to %.1f MB after round %d: closed services are still reachable",
 			float64(heap1)/(1<<20), float64(heap)/(1<<20), rounds)
 	}

@@ -169,8 +169,7 @@ func (t *Baseline) StepLookahead(b *data.Batch, _ []*data.Batch) float64 {
 	loss, grad := nn.BCEWithLogitsInto(&t.bceGrad, logits, b.Labels, nn.ReduceMean)
 	m.Backward(grad, 1)
 	syncLR(t.denseOpt, t.LR)
-	t.denseOpt.Step()
-	m.ApplySparseAdagrad(t.adagrad, t.LR)
+	m.ApplyUpdate(t.denseOpt, t.adagrad, t.LR)
 	return loss
 }
 
@@ -408,14 +407,11 @@ func (t *HotlineTrainer) StepLookahead(b *data.Batch, ahead []*data.Batch) float
 		t.denseOpt = nn.NewSGD(t.M.DenseParams(), t.LR)
 	}
 	syncLR(t.denseOpt, t.LR)
-	t.denseOpt.Step()
+	// The one moment of the step that writes parameters, and so the one
+	// moment a serve replica of t.M waits for (model.Model.ApplyUpdate).
 	// The sparse update marks rows staged by open lookahead windows dirty
 	// (shard.WindowQueue.MarkDirty) so their consuming forwards repair them.
-	if t.adagrad != nil {
-		t.M.ApplySparseAdagrad(t.adagrad, t.LR)
-	} else {
-		t.M.ApplySparse(t.LR)
-	}
+	t.M.ApplyUpdate(t.denseOpt, t.adagrad, t.LR)
 	t.stageLookahead(ahead)
 	return totalLoss / float64(n)
 }
