@@ -72,7 +72,7 @@ func refAdagrad(w, accum *tensor.Matrix, rows []int32, grad *tensor.Matrix, lr, 
 	for i, r := range rows {
 		wrow, arow := w.Row(int(r)), accum.Row(int(r))
 		for k, g := range grad.Row(i) {
-			arow[k] += g * g
+			arow[k] += float32(g * g)
 			wrow[k] -= lr * g / float32(math.Sqrt(float64(arow[k]+eps)))
 		}
 	}

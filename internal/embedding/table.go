@@ -558,7 +558,7 @@ func (t *Table) ApplySparseAdagrad(st *AdagradState, sg SparseGrad, lr float32) 
 func adagradRow(wrow, arow, grow []float32, lr, eps float32) {
 	for k := range wrow {
 		g := grow[k]
-		arow[k] += g * g
+		arow[k] += float32(g * g)
 		wrow[k] -= lr * g / sqrt32(arow[k]+eps)
 	}
 }

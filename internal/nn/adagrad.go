@@ -39,7 +39,7 @@ func (a *Adagrad) Step() {
 	for i, p := range a.params {
 		acc := a.accum[i]
 		for j, g := range p.Grad.Data {
-			acc.Data[j] += g * g
+			acc.Data[j] += float32(g * g)
 			p.Value.Data[j] -= a.LR * g / float32(math.Sqrt(float64(acc.Data[j]+a.Eps)))
 		}
 	}

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"hotline/internal/par"
 	"hotline/internal/tensor"
@@ -21,6 +22,7 @@ type DotInteraction struct {
 
 	lastInputs []*tensor.Matrix
 	out        tensor.Matrix
+	vt         tensor.Matrix // one sample's vectors transposed, a row per concurrent fwdRange
 	grads      []*tensor.Matrix
 }
 
@@ -36,33 +38,45 @@ func (d *DotInteraction) OutWidth() int {
 	return d.Dim + n*(n-1)/2
 }
 
+// termBlock is the most terms fwdRange and bwdRange hand tensor.AxpyRows at
+// once (the block's row headers and factors live on their stacks); a longer
+// chain is cut into blocks, which no output bit can see.
+const termBlock = 64
+
 // fwdRange computes samples [lo, hi) of the interaction output. Pair (i, j),
-// j < i, is output column Dim + i(i-1)/2 + j. The pairs are taken four
-// columns j..j+3 at a time, their vectors sliced once, and every later vector
-// i goes against all four through tensor.Dot4 (four independent chains, each
-// bit-equal to the one-pair loop). Where fewer than four of the columns are
-// below i (the triangle's diagonal, or the vector count's remainder, where
-// the last vector stands in) the surplus chains are computed and dropped.
+// j < i, is output column Dim + i(i-1)/2 + j, so vector i's pairs are one
+// run of i columns: its dot products with vectors 0..i-1. The lanes of a dot
+// product are not independent output elements, but those i dot products are:
+// the sample's vectors are transposed into vt (component t of every vector
+// side by side; NumVec*Dim scratch private to this call), and the run is
+// then the chain ((0 + x[0]*vt[0]) + x[1]*vt[1]) + ... over vector i's
+// components x — tensor.AxpyRows with the components as factors — which is
+// every pair's own dot product, accumulated in ascending component from +0
+// with no term skipped.
 //
 //hotline:hotpath
-func (d *DotInteraction) fwdRange(out *tensor.Matrix, inputs []*tensor.Matrix, lo, hi int) {
-	last := d.NumVec - 1
+func (d *DotInteraction) fwdRange(out *tensor.Matrix, inputs []*tensor.Matrix, vt []float32, lo, hi int) {
+	var rows [termBlock][]float32
+	n := d.NumVec
 	for b := lo; b < hi; b++ {
 		row := out.Row(b)
 		copy(row[:d.Dim], inputs[0].Row(b))
 		pairs := row[d.Dim:]
-		for j := 0; j < last; j += 4 {
-			v0, v1 := inputs[j].Row(b), inputs[min(j+1, last)].Row(b)
-			v2, v3 := inputs[min(j+2, last)].Row(b), inputs[min(j+3, last)].Row(b)
-			for i := j + 1; i <= last; i++ {
-				s0, s1, s2, s3 := tensor.Dot4(inputs[i].Row(b), v0, v1, v2, v3)
-				ofI := pairs[i*(i-1)/2:][:i] // vector i's pairs
-				if o := ofI[j:min(i, j+4)]; len(o) == 4 {
-					o[0], o[1], o[2], o[3] = s0, s1, s2, s3
-				} else {
-					dots := [4]float32{s0, s1, s2, s3}
-					copy(o, dots[:])
-				}
+		clear(pairs)
+		for j, in := range inputs {
+			at := j
+			for _, x := range in.Row(b) {
+				vt[at] = x
+				at += n
+			}
+		}
+		for t0 := 0; t0 < d.Dim; t0 += termBlock {
+			t1 := min(t0+termBlock, d.Dim)
+			for t := t0; t < t1; t++ {
+				rows[t-t0] = vt[t*n : t*n+n]
+			}
+			for i := 1; i < n; i++ {
+				tensor.AxpyRows(pairs[i*(i-1)/2:][:i], rows[:t1-t0], inputs[i].Row(b)[t0:t1])
 			}
 		}
 	}
@@ -86,10 +100,13 @@ func (d *DotInteraction) Forward(inputs []*tensor.Matrix) *tensor.Matrix {
 	out := d.out.ResizeNoZero(batch, d.OutWidth()) // every cell written by fwdRange
 	perSample := int64(d.NumVec) * int64(d.NumVec) * int64(d.Dim)
 	if par.Serial(batch, perSample) {
-		d.fwdRange(out, inputs, 0, batch)
+		d.fwdRange(out, inputs, d.vt.ResizeNoZero(1, d.NumVec*d.Dim).Data, 0, batch)
 	} else {
+		// Shards run at once, so each takes a transpose slot of its own.
+		vt := d.vt.ResizeNoZero(par.Workers(), d.NumVec*d.Dim)
+		var slot atomic.Int32
 		par.ForWork(batch, perSample, func(lo, hi int) {
-			d.fwdRange(out, inputs, lo, hi)
+			d.fwdRange(out, inputs, vt.Row(int(slot.Add(1))-1), lo, hi)
 		})
 	}
 	return out
@@ -100,44 +117,56 @@ func (d *DotInteraction) Forward(inputs []*tensor.Matrix) *tensor.Matrix {
 // (output gradient of the pair u, v) x u, taken in ascending u. That is the
 // order the pair-by-pair scatter visits v in (as the pair's first vector
 // against every u < v, then as the second vector of every u > v), so each
-// element's chain is the same; gathering it per destination lets four terms
-// go through tensor.Axpy4 with the row loaded and stored once. A pair whose
-// output gradient is zero contributes no term, as in the GEMM kernels.
+// element's chain is the same; gathering v's pair gradients into one factor
+// row makes it one call of tensor.AxpyNonZeroRows. A pair whose output
+// gradient is zero contributes no term, as in the GEMM kernels; neither does
+// the zero that stands for the pair (v, v).
 //
 //hotline:hotpath
 func (d *DotInteraction) bwdRange(grads []*tensor.Matrix, gradOut *tensor.Matrix, lo, hi int) {
-	in := d.lastInputs
+	var (
+		rows [termBlock][]float32
+		facs [termBlock]float32
+	)
+	in, n := d.lastInputs, d.NumVec
 	for b := lo; b < hi; b++ {
 		grow := gradOut.Row(b)
 		// Pass-through gradient for the copied dense vector: where vector
 		// 0's chain starts. The others start from Backward's zeroing.
 		copy(grads[0].Row(b), grow[:d.Dim])
 		pairs := grow[d.Dim:]
-		for v := 0; v < d.NumVec; v++ {
-			gv := grads[v].Row(b)
-			var (
-				vec [4]int // pending terms: vector index, pair gradient
-				fac [4]float32
-				p   int
-			)
-			for u := 0; u < d.NumVec; u++ {
-				// Pair (i, j), j < i, is output column Dim + i(i-1)/2 + j.
-				i, j := max(u, v), min(u, v)
-				var g float32
-				if i != j {
-					g = pairs[i*(i-1)/2+j]
-				}
-				vec[p&3], fac[p&3] = u, g
-				if p += tensor.NonZero(g); p == 4 {
-					tensor.Axpy4(gv, in[vec[0]].Row(b), in[vec[1]].Row(b), in[vec[2]].Row(b), in[vec[3]].Row(b),
-						fac[0], fac[1], fac[2], fac[3])
-					p = 0
-				}
+		for u0 := 0; u0 < n; u0 += termBlock {
+			u1 := min(u0+termBlock, n)
+			for u := u0; u < u1; u++ {
+				rows[u-u0] = in[u].Row(b)
 			}
-			for q := 0; q < p; q++ {
-				tensor.Axpy(gv, in[vec[q&3]].Row(b), fac[q&3])
+			for v := 0; v < n; v++ {
+				pairFactors(facs[:u1-u0], pairs, v, u0)
+				tensor.AxpyNonZeroRows(grads[v].Row(b), rows[:u1-u0], facs[:u1-u0])
 			}
 		}
+	}
+}
+
+// pairFactors fills facs with the entries of pairs that belong to vector v
+// and vectors u0, u0+1, ...: pair (i, j), j < i, is column i(i-1)/2 + j, so
+// v's pairs with the vectors before it are one run and those with the
+// vectors after it lie u columns apart. The pair (v, v) does not exist and
+// reads as zero.
+//
+//hotline:hotpath
+func pairFactors(facs, pairs []float32, v, u0 int) {
+	u1 := u0 + len(facs)
+	if u0 < v {
+		copy(facs, pairs[v*(v-1)/2+u0:][:min(u1, v)-u0])
+	}
+	if u0 <= v && v < u1 {
+		facs[v-u0] = 0
+	}
+	u := max(u0, v+1)
+	for at := u*(u-1)/2 + v; u < u1; u++ {
+		facs[u-u0] = pairs[at]
+		at += u
 	}
 }
 

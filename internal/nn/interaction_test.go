@@ -99,12 +99,17 @@ func requireBitsEqual(t *testing.T, what string, want, got *tensor.Matrix) {
 
 // TestDotInteractionMatchesReference compares Forward and Backward with the
 // pair-by-pair references bit for bit, serially and sharded over two
-// workers, at vector counts on both sides of the block of four.
+// workers, at the models' vector counts and dimensions, at two vectors, at
+// dimension 1, and past the 64 terms the layer hands the kernel at once (66
+// vectors for Backward's chains, dimension 70 for Forward's).
 func TestDotInteractionMatchesReference(t *testing.T) {
-	const batch = 70 // enough work at 27 vectors for the two-worker run to fork
 	rng := tensor.NewRNG(17)
-	for _, numVec := range []int{2, 9, 27} {
-		for _, dim := range []int{1, 16, 64} {
+	for _, numVec := range []int{2, 9, 27, 66} {
+		for _, dim := range []int{1, 16, 64, 70} {
+			// Enough samples for the two-worker run to fork (par shards a
+			// loop of 2<<18 operations or more; the layer counts
+			// numVec*numVec*dim a sample).
+			batch := max(70, 2<<18/(numVec*numVec*dim)+1)
 			inputs := make([]*tensor.Matrix, numVec)
 			for i := range inputs {
 				inputs[i] = adversarialMatrix(batch, dim, rng)

@@ -10,10 +10,13 @@ import (
 // W of shape (in x out) and b of length out.
 //
 // Forward/backward scratch (the output, the per-call weight-gradient
-// staging and the input gradient) lives in per-instance buffers that are
-// resized instead of reallocated, so steady-state training allocates
-// nothing. A returned matrix is therefore valid only until the next
-// Forward/Backward call on the same instance; shadows own private scratch.
+// staging, the input gradient and the packed Wᵀ it is computed from) lives
+// in per-instance buffers that are resized instead of reallocated, so
+// steady-state training allocates nothing. A returned matrix is therefore
+// valid only until the next Forward/Backward call on the same instance;
+// shadows own private scratch (two µ-batch passes pack Wᵀ at once), and an
+// instance that never runs Backward — a serve replica — never allocates the
+// backward half.
 type Linear struct {
 	In, Out int
 	W       *tensor.Matrix // in x out
@@ -25,6 +28,7 @@ type Linear struct {
 	out       tensor.Matrix  // forward output scratch
 	gwScratch tensor.Matrix  // per-call dW staging (summed into GradW)
 	gradIn    tensor.Matrix  // backward output scratch
+	wT        tensor.Matrix  // Wᵀ, packed by each Backward for the input gradient
 }
 
 // NewLinear returns a Linear layer with Xavier-initialised weights.
@@ -68,7 +72,8 @@ func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
 }
 
 // Backward accumulates dW = xᵀ·g, db = Σrows g and returns dx = g·Wᵀ
-// (scratch owned by l, valid until the next Backward call).
+// (scratch owned by l, valid until the next Backward call). W moves between
+// steps, so Wᵀ is packed afresh by every call.
 //
 //hotline:hotpath
 func (l *Linear) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
@@ -79,8 +84,8 @@ func (l *Linear) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	tensor.MatMulTransA(gw, l.lastInput, gradOut)
 	tensor.AxpyInto(l.GradW, 1, gw)
 	tensor.SumRowsInto(l.GradB.Data, gradOut)
-	gradIn := l.gradIn.ResizeNoZero(gradOut.Rows, l.In) // fully overwritten
-	tensor.MatMulTransB(gradIn, gradOut, l.W)
+	gradIn := l.gradIn.ResizeNoZero(gradOut.Rows, l.In) // MatMulTransB zeroes its destination
+	tensor.MatMulTransB(gradIn, gradOut, l.W, &l.wT)
 	return gradIn
 }
 

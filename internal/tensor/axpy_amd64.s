@@ -1,0 +1,223 @@
+#include "textflag.h"
+
+// func hasAVX2() bool
+//
+// CPUID leaf 1 must report OSXSAVE and AVX, XCR0 must have the SSE and AVX
+// state bits set (the OS saves the YMM registers), and leaf 7 must report
+// AVX2.
+TEXT ·hasAVX2(SB), NOSPLIT, $0-1
+	MOVB $0, ret+0(FP)
+	XORL AX, AX
+	XORL CX, CX
+	CPUID
+	CMPL AX, $7
+	JB   no
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x18000000, CX // bit 27 OSXSAVE, bit 28 AVX
+	CMPL CX, $0x18000000
+	JNE  no
+	XORL CX, CX
+	XGETBV
+	ANDL $6, AX // XCR0 bit 1 SSE state, bit 2 AVX state
+	CMPL AX, $6
+	JNE  no
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	TESTL $0x20, BX // leaf 7 EBX bit 5: AVX2
+	JZ   no
+	MOVB $1, ret+0(FP)
+
+no:
+	RET
+
+// Lane masks of the last, partial vector: eight dwords of ones, then eight of
+// zeros. The eight dwords at byte offset 32-4r are r ones followed by zeros.
+DATA tailmask<>+0(SB)/8, $0xffffffffffffffff
+DATA tailmask<>+8(SB)/8, $0xffffffffffffffff
+DATA tailmask<>+16(SB)/8, $0xffffffffffffffff
+DATA tailmask<>+24(SB)/8, $0xffffffffffffffff
+DATA tailmask<>+32(SB)/8, $0
+DATA tailmask<>+40(SB)/8, $0
+DATA tailmask<>+48(SB)/8, $0
+DATA tailmask<>+56(SB)/8, $0
+GLOBL tailmask<>(SB), RODATA|NOPTR, $64
+
+// Register use of axpyRowsAVX2:
+//	DI dst, AX byte offset of the current tile in dst and in every source row,
+//	CX elements of dst not yet done, R8 all of them (n),
+//	SI/R13 the row table and its length, R12/R10 the ends of the selection
+//	and factor lists, R11 minus the term count, BX the same counting up to
+//	zero through one tile's terms;
+//	DX the current term's source row at the tile, Y8 its factor in every
+//	lane, Y9 a product, Y0-Y7 the destination tile, Y10 the tail's lane mask.
+
+// TERM loads the next term: the selected row's address at the tile and the
+// factor. A slice header is three words, so row s is at SI+24s. A selection
+// outside the table or a row shorter than n ends the call before anything of
+// that row is read.
+#define TERM \
+	MOVLQSX      (R12)(BX*4), DX  \
+	CMPQ         DX, R13          \
+	JAE          bad              \
+	LEAQ         (DX)(DX*2), DX   \
+	CMPQ         8(SI)(DX*8), R8 \
+	JLT          bad              \
+	MOVQ         (SI)(DX*8), DX   \
+	ADDQ         AX, DX           \
+	VBROADCASTSS (R10)(BX*4), Y8
+
+// NEXT steps to the following term and loops.
+#define NEXT(loop) \
+	INCQ BX   \
+	JNZ  loop
+
+// MAC is acc += round(factor * row[off:off+8]) in eight lanes: the product
+// is rounded to float32 by VMULPS before VADDPS adds it. Never a fused
+// multiply-add, which rounds once.
+#define MAC(off, acc) \
+	VMULPS off(DX), Y8, Y9 \
+	VADDPS Y9, acc, acc
+
+// func axpyRowsAVX2(dst *float32, n int, rows *[]float32, nrows int, sel *int32, facs *float32, terms int) bool
+//
+// For each term q in ascending order, dst[j] += round(facs[q] * rows[sel[q]][j])
+// for every j < n; needs n > 0 and terms > 0. The destination is cut into
+// tiles of 64, then 32, 16 and 8 elements and a masked tail; a tile stays in
+// registers while every term is added to it, so each element sees its terms
+// in list order whichever tile it falls in. Returns false, with dst partly
+// updated, on meeting a selection that is not in the table or a selected row
+// shorter than n.
+TEXT ·axpyRowsAVX2(SB), NOSPLIT, $0-57
+	MOVQ dst+0(FP), DI
+	MOVQ n+8(FP), R8
+	MOVQ rows+16(FP), SI
+	MOVQ nrows+24(FP), R13
+	MOVQ sel+32(FP), R12
+	MOVQ facs+40(FP), R10
+	MOVQ terms+48(FP), R11
+	LEAQ (R12)(R11*4), R12
+	LEAQ (R10)(R11*4), R10
+	NEGQ R11
+	MOVQ R8, CX
+	XORQ AX, AX
+
+tile64:
+	CMPQ    CX, $64
+	JLT     tile32
+	VMOVUPS 0(DI)(AX*1), Y0
+	VMOVUPS 32(DI)(AX*1), Y1
+	VMOVUPS 64(DI)(AX*1), Y2
+	VMOVUPS 96(DI)(AX*1), Y3
+	VMOVUPS 128(DI)(AX*1), Y4
+	VMOVUPS 160(DI)(AX*1), Y5
+	VMOVUPS 192(DI)(AX*1), Y6
+	VMOVUPS 224(DI)(AX*1), Y7
+	MOVQ    R11, BX
+
+term64:
+	TERM
+	MAC(0, Y0)
+	MAC(32, Y1)
+	MAC(64, Y2)
+	MAC(96, Y3)
+	MAC(128, Y4)
+	MAC(160, Y5)
+	MAC(192, Y6)
+	MAC(224, Y7)
+	NEXT(term64)
+	VMOVUPS Y0, 0(DI)(AX*1)
+	VMOVUPS Y1, 32(DI)(AX*1)
+	VMOVUPS Y2, 64(DI)(AX*1)
+	VMOVUPS Y3, 96(DI)(AX*1)
+	VMOVUPS Y4, 128(DI)(AX*1)
+	VMOVUPS Y5, 160(DI)(AX*1)
+	VMOVUPS Y6, 192(DI)(AX*1)
+	VMOVUPS Y7, 224(DI)(AX*1)
+	ADDQ    $256, AX
+	SUBQ    $64, CX
+	JMP     tile64
+
+tile32:
+	// Fewer than 64 elements are left: the bits of CX name the tiles.
+	TESTQ   $32, CX
+	JZ      tile16
+	VMOVUPS 0(DI)(AX*1), Y0
+	VMOVUPS 32(DI)(AX*1), Y1
+	VMOVUPS 64(DI)(AX*1), Y2
+	VMOVUPS 96(DI)(AX*1), Y3
+	MOVQ    R11, BX
+
+term32:
+	TERM
+	MAC(0, Y0)
+	MAC(32, Y1)
+	MAC(64, Y2)
+	MAC(96, Y3)
+	NEXT(term32)
+	VMOVUPS Y0, 0(DI)(AX*1)
+	VMOVUPS Y1, 32(DI)(AX*1)
+	VMOVUPS Y2, 64(DI)(AX*1)
+	VMOVUPS Y3, 96(DI)(AX*1)
+	ADDQ    $128, AX
+
+tile16:
+	TESTQ   $16, CX
+	JZ      tile8
+	VMOVUPS 0(DI)(AX*1), Y0
+	VMOVUPS 32(DI)(AX*1), Y1
+	MOVQ    R11, BX
+
+term16:
+	TERM
+	MAC(0, Y0)
+	MAC(32, Y1)
+	NEXT(term16)
+	VMOVUPS Y0, 0(DI)(AX*1)
+	VMOVUPS Y1, 32(DI)(AX*1)
+	ADDQ    $64, AX
+
+tile8:
+	TESTQ   $8, CX
+	JZ      tail
+	VMOVUPS 0(DI)(AX*1), Y0
+	MOVQ    R11, BX
+
+term8:
+	TERM
+	MAC(0, Y0)
+	NEXT(term8)
+	VMOVUPS Y0, 0(DI)(AX*1)
+	ADDQ    $32, AX
+
+tail:
+	// One to seven elements: masked loads and a masked store touch no
+	// memory past the end of dst or of a source row.
+	ANDQ        $7, CX
+	JZ          done
+	LEAQ        tailmask<>+32(SB), DX
+	SHLQ        $2, CX
+	SUBQ        CX, DX
+	VMOVDQU     (DX), Y10
+	VMASKMOVPS  (DI)(AX*1), Y10, Y0
+	MOVQ        R11, BX
+
+termtail:
+	TERM
+	VMASKMOVPS (DX), Y10, Y9
+	VMULPS     Y9, Y8, Y9
+	VADDPS     Y9, Y0, Y0
+	NEXT(termtail)
+	VMASKMOVPS Y0, Y10, (DI)(AX*1)
+
+done:
+	VZEROUPPER
+	MOVB $1, ret+56(FP)
+	RET
+
+bad:
+	VZEROUPPER
+	MOVB $0, ret+56(FP)
+	RET

@@ -1,0 +1,9 @@
+//go:build !amd64
+
+package tensor
+
+func hasAVX2() bool { return false }
+
+func axpyRowsAVX2(dst *float32, n int, rows *[]float32, nrows int, sel *int32, facs *float32, terms int) bool {
+	panic("tensor: no vector kernel on this architecture")
+}

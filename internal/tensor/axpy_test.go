@@ -1,0 +1,197 @@
+package tensor
+
+import (
+	"fmt"
+	"math"
+	"os"
+	"runtime"
+	"strings"
+	"testing"
+	"unsafe"
+)
+
+// setVectorKernel puts the package on the vector kernel or on the generic
+// loops until the test ends. The dispatch variable is package state, so a
+// test that calls this must not run in parallel with another.
+func setVectorKernel(t *testing.T, on bool) {
+	t.Helper()
+	if on && !hasAVX2() {
+		t.Skip("no AVX2 on this machine: the generic loops are the only path")
+	}
+	prev := vectorKernel
+	vectorKernel = on
+	t.Cleanup(func() { vectorKernel = prev })
+}
+
+// onBothPaths runs test once on the vector kernel and once on the generic
+// loops.
+func onBothPaths(t *testing.T, test func(*testing.T)) {
+	t.Run("vector", func(t *testing.T) {
+		setVectorKernel(t, true)
+		test(t)
+	})
+	t.Run("generic", func(t *testing.T) {
+		setVectorKernel(t, false)
+		test(t)
+	})
+}
+
+// TestVectorPathSelected fails when the machine has AVX2 and the package is
+// not using it, so a CI run cannot quietly test the generic loops twice. On
+// Linux the kernel's own view (/proc/cpuinfo) is checked against the CPUID
+// probe too, so a probe that wrongly says no is caught as well.
+func TestVectorPathSelected(t *testing.T) {
+	if runtime.GOARCH == "amd64" {
+		if info, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+			if listed := strings.Contains(string(info), " avx2"); listed != hasAVX2() {
+				t.Errorf("/proc/cpuinfo lists avx2: %v, but the CPUID probe says %v", listed, hasAVX2())
+			}
+		}
+	}
+	if vectorKernel != hasAVX2() {
+		t.Fatalf("vector kernel in use: %v, but AVX2 available: %v", vectorKernel, hasAVX2())
+	}
+	t.Logf("AVX2 %v: dense kernels on the %s path", hasAVX2(), map[bool]string{true: "vector", false: "generic"}[vectorKernel])
+}
+
+// TestKernelReadsSliceHeadersAsLaidOut pins what the assembly assumes about
+// a []float32 header: three words, the data pointer first, the length second.
+func TestKernelReadsSliceHeadersAsLaidOut(t *testing.T) {
+	row := make([]float32, 5, 9)
+	words := (*[3]uintptr)(unsafe.Pointer(&row))
+	if unsafe.Sizeof(row) != 3*unsafe.Sizeof(uintptr(0)) || words[0] != uintptr(unsafe.Pointer(&row[0])) || words[1] != 5 {
+		t.Fatalf("slice header is not {data, len, cap}: size %d, words %v", unsafe.Sizeof(row), *words)
+	}
+}
+
+// tameValues and wildValues are what the differential test draws factors and
+// elements from, beside unit normals. The tame ones keep every sum finite, so
+// a reordered chain or a fused multiply-add shows in the low bits: both zeros,
+// denormals, and magnitudes whose products lose bits to rounding. The wild
+// ones overflow, and bring the infinities and a NaN.
+var (
+	tameValues = []float32{
+		0, float32(math.Copysign(0, -1)), 1, -1, 0.1, -0.3, 3, 1e-3, 16777217, -1.0000001,
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 1e-41, 1e-20,
+	}
+	wildValues = []float32{
+		-1e20, math.MaxFloat32, -math.MaxFloat32, float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+	}
+)
+
+// sameBits reports whether a and b hold the same bits, any NaN matching any
+// NaN (which NaN survives when two meet is not pinned).
+func sameBits(a, b float32) bool {
+	return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b)
+}
+
+// TestVectorKernelsMatchGeneric runs AxpyRows and AxpyNonZeroRows on the
+// vector kernel and on the generic loops and compares every bit: destination
+// lengths 0-67 (empty, below one vector, whole vectors, every tail),
+// destination and sources starting at every offset 0-7 of their buffers
+// (unaligned on purpose), sources longer than the destination, 0-9 terms and
+// the counts around the block boundary. A canary element on either side of
+// the destination proves that neither path writes outside it.
+func TestVectorKernelsMatchGeneric(t *testing.T) {
+	if !hasAVX2() {
+		t.Skip("no AVX2 on this machine: the generic loops are the only path")
+	}
+	defer func(prev bool) { vectorKernel = prev }(vectorKernel)
+	const canary = 12345.5
+	rng := NewRNG(19)
+	wild := false // every other case is tame
+	draw := func() float32 {
+		switch u := rng.Uint64(); {
+		case u&1 == 0:
+			return float32(rng.NormFloat64())
+		case wild && u&6 == 0:
+			return wildValues[u>>3%uint64(len(wildValues))]
+		default:
+			return tameValues[u>>3%uint64(len(tameValues))]
+		}
+	}
+	kernels := []struct {
+		name string
+		fn   func(dst []float32, rows [][]float32, facs []float32)
+	}{{"AxpyRows", AxpyRows}, {"AxpyNonZeroRows", AxpyNonZeroRows}}
+	for _, terms := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, termBlock - 1, termBlock, termBlock + 1, 2*termBlock + 1} {
+		for n := 0; n <= 67; n++ {
+			for off := 0; off < 8; off++ {
+				wild = !wild
+				rows := make([][]float32, terms)
+				facs := make([]float32, terms)
+				for q := range rows {
+					// Each source starts at its own offset and is up to
+					// three elements longer than the destination.
+					buf := make([]float32, (off+q)%8+n+q%4)
+					for j := range buf {
+						buf[j] = draw()
+					}
+					rows[q], facs[q] = buf[(off+q)%8:], draw()
+				}
+				start := make([]float32, off+1+n+1)
+				for j := range start {
+					start[j] = draw()
+				}
+				start[off], start[off+1+n] = canary, canary
+				for _, k := range kernels {
+					var got [2][]float32
+					for path, vector := range []bool{false, true} {
+						got[path] = append([]float32(nil), start...)
+						vectorKernel = vector
+						k.fn(got[path][off+1:][:n], rows, facs)
+					}
+					for j := range start {
+						if !sameBits(got[0][j], got[1][j]) {
+							t.Fatalf("%s n=%d offset=%d terms=%d: element %d is %x on the vector kernel, %x on the generic loops",
+								k.name, n, off, terms, j-off-1, math.Float32bits(got[1][j]), math.Float32bits(got[0][j]))
+						}
+					}
+					if got[1][off] != canary || got[1][off+1+n] != canary {
+						t.Fatalf("%s n=%d offset=%d terms=%d: the vector kernel wrote outside dst", k.name, n, off, terms)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAxpyRowsRejectsShortRow: a source row shorter than the destination is
+// a caller bug, reported as a panic before the kernel reads past the row, on
+// both paths.
+func TestAxpyRowsRejectsShortRow(t *testing.T) {
+	onBothPaths(t, func(t *testing.T) {
+		for _, n := range []int{1, 8, 9, 64, 70} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("n=%d: no panic on a source row one element short", n)
+					}
+				}()
+				rows := [][]float32{make([]float32, n), make([]float32, n-1)}
+				AxpyRows(make([]float32, n), rows, []float32{1, 1})
+			}()
+		}
+	})
+}
+
+// BenchmarkAxpyRows is the micro-kernel alone at the models' row widths (64
+// columns: one full tile; 367: tiles, the short tiles and the masked tail)
+// with a remainder's and a full block's worth of terms.
+func BenchmarkAxpyRows(b *testing.B) {
+	for _, n := range []int{64, 367} {
+		for _, terms := range []int{4, termBlock} {
+			b.Run(fmt.Sprintf("%dx%d", n, terms), func(b *testing.B) {
+				rng := NewRNG(1)
+				src := benchOperand(terms, n, false, rng)
+				rows := make([][]float32, terms)
+				for q := range rows {
+					rows[q] = src.Row(q)
+				}
+				facs := benchOperand(1, terms, false, rng).Data
+				dst := make([]float32, n)
+				benchKernel(b, n*terms, func() { AxpyRows(dst, rows, facs) })
+			})
+		}
+	}
+}

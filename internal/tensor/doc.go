@@ -5,18 +5,32 @@
 // element-wise products and updates, bias broadcast, and a seeded RNG for reproducible
 // initialisation. Everything operates on row-major Matrix values.
 //
-// The GEMM family runs on two register-blocked micro-kernels. Axpy4 adds four
-// scaled rows to one destination row, which is loaded and stored once per
-// four updates; MatMul and MatMulTransA drive it from one loop
-// (axpyRowsRange, which reads the left operand through a pair of strides),
-// compacting the terms whose left factor is non-zero into blocks of four
-// without a branch, since a ReLU output's zeros fall at random. Dot4 carries
-// four dot products that share one operand's loads; MatMulTransB computes
-// four output columns per pass with it. nn.DotInteraction uses the same two
-// kernels. Blocking changes which independent elements are computed together
-// and never an element's own chain: products are added in ascending inner
-// index, each rounded to float32 before its add, and a term with a zero left
-// factor is dropped, not added (DESIGN.md, "Determinism contract").
+// The GEMM family, the dense update and nn.DotInteraction run on one
+// micro-kernel: AxpyRows adds a list of scaled source rows to one destination
+// row, and AxpyNonZeroRows is the same without the terms whose factor is
+// zero. On amd64 with AVX2 the kernel is assembly (axpy_amd64.s): eight
+// destination elements per instruction, up to 64 of them held in registers
+// while every term of the list is added, a masked last vector. Every lane is
+// a different output element, and each element's own chain is untouched:
+// its products are added in list order, each rounded to float32 by VMULPS
+// before VADDPS adds it — never a fused multiply-add — exactly as the
+// generic Go loops (axpy4, axpy1) write float32(a*b). Those loops are the
+// only path on every other machine and the reference the assembly is tested
+// against bit for bit. The machine picks the path once, from CPUID, when the
+// package loads; there is no flag, option, environment variable or build tag
+// that does, and callers cannot tell which one ran.
+//
+// MatMul and MatMulTransA drive the kernel from one loop (axpyRowsRange,
+// which reads the left operand through a pair of strides), compacting the
+// terms whose left factor is non-zero into the kernel's list without a
+// branch, since a ReLU output's zeros fall at random. A dot product's lanes
+// are not independent output elements, so nothing here computes one as
+// such: MatMulTransB packs the transpose of its right operand once per call
+// and accumulates scaled rows of it, which is the dot product's own chain
+// for every output element (ascending inner index from +0, no term
+// skipped). nn.DotInteraction does the same over a per-sample transpose.
+// Blocking changes which independent elements are computed together and
+// never an element's own chain (DESIGN.md, "Determinism contract").
 //
 // Above a size threshold the GEMM and element-wise kernels shard their
 // independent output rows/elements across the par worker pool. Each output

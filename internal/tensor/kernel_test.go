@@ -89,9 +89,14 @@ func bitsEqual(a, b *Matrix) (int, bool) {
 // TestGEMMFamilyMatchesReference compares the three kernels with their
 // references bit for bit over every rows x inner x cols combination of
 // sizes that straddle the block widths (and hold the models' own K = 13,
-// N = 1 and K = 367), serially and sharded over two workers.
-func TestGEMMFamilyMatchesReference(t *testing.T) {
+// N = 1 and K = 367; the output width also takes 7, 8 and 9, one vector and
+// its neighbours), serially and sharded over two workers, on the vector
+// kernel and on the generic loops.
+func TestGEMMFamilyMatchesReference(t *testing.T) { onBothPaths(t, testGEMMFamilyMatchesReference) }
+
+func testGEMMFamilyMatchesReference(t *testing.T) {
 	sizes := []int{1, 2, 3, 5, 13, 16, 64, 100, 367}
+	widths := append([]int{7, 8, 9}, sizes...)
 	// The output is rows x cols in all three; inner is the reduced dimension.
 	kernels := []struct {
 		name           string
@@ -100,18 +105,18 @@ func TestGEMMFamilyMatchesReference(t *testing.T) {
 	}{
 		{"MatMul", MatMul, refMatMul, false, false},
 		{"MatMulTransA", MatMulTransA, refMatMulTransA, true, false},
-		{"MatMulTransB", MatMulTransB, refMatMulTransB, false, true},
+		{"MatMulTransB", func(dst, a, b *Matrix) { MatMulTransB(dst, a, b, &Matrix{}) }, refMatMulTransB, false, true},
 	}
 	rng := NewRNG(13)
 	shape := 0
 	for _, m := range sizes {
 		for _, k := range sizes {
-			for _, n := range sizes {
+			for _, n := range widths {
 				shape++
 				// The race detector slows the kernels about tenfold: the
 				// short run keeps every seventh shape (7 is coprime to the
-				// grid's 9, so every size still appears on every axis) and
-				// leaves the 10M-MAC cubes to the full run.
+				// grid's 9 and 12, so every size still appears on every
+				// axis) and leaves the 10M-MAC cubes to the full run.
 				if testing.Short() && (shape%7 != 0 || m*k*n > 4<<20) {
 					continue
 				}
@@ -217,7 +222,8 @@ func BenchmarkMatMulTransB(b *testing.B) {
 			g := benchOperand(s.m, s.n, false, rng)
 			w := benchOperand(s.k, s.n, false, rng)
 			dst := New(s.m, s.k)
-			benchKernel(b, s.m*s.k*s.n, func() { MatMulTransB(dst, g, w) })
+			var wT Matrix
+			benchKernel(b, s.m*s.k*s.n, func() { MatMulTransB(dst, g, w, &wT) })
 		})
 	}
 }

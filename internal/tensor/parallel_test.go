@@ -23,10 +23,15 @@ func randMatrix(rows, cols int, rng *RNG) *Matrix {
 // bit-identical results for every worker count. Odd shapes stress shard
 // boundary handling; none of the sizes is a multiple of the kernels' block of
 // four, and the second set has an inner dimension that leaves a remainder of
-// three and fewer output columns than one MatMulTransB block, on enough rows
-// for every worker count to fork.
+// three and fewer output columns than one vector, on enough rows for every
+// worker count to fork; the third has enough elements for the element-wise
+// kernels to fork too. Both the vector kernel and the generic loops run.
 func TestKernelsBitIdenticalAcrossWorkerCounts(t *testing.T) {
-	for _, s := range []struct{ m, k, n int }{{97, 53, 61}, {1030, 35, 2}} {
+	onBothPaths(t, testKernelsBitIdenticalAcrossWorkerCounts)
+}
+
+func testKernelsBitIdenticalAcrossWorkerCounts(t *testing.T) {
+	for _, s := range []struct{ m, k, n int }{{97, 53, 61}, {4100, 35, 2}, {2100, 260, 1}} {
 		rng := NewRNG(7)
 		a := randMatrix(s.m, s.k, rng)
 		b := randMatrix(s.k, s.n, rng)
@@ -51,7 +56,7 @@ func TestKernelsBitIdenticalAcrossWorkerCounts(t *testing.T) {
 			}
 			MatMul(r.mm, a, b)
 			MatMulTransA(r.mta, a, c)
-			MatMulTransB(r.mtb, a, e)
+			MatMulTransB(r.mtb, a, e, &Matrix{})
 			AxpyInto(r.axpy, 0.5, d)
 			Hadamard(r.had, a, d)
 			for i := range r.sums {

@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 
 	"hotline/internal/par"
 )
@@ -172,84 +171,31 @@ func (m *Matrix) String() string { return fmt.Sprintf("Matrix(%dx%d)", m.Rows, m
 // the heap at its creation point, so building one only on the parallel
 // branch keeps the steady-state training loop allocation-free.
 
-// Axpy4 adds four scaled rows to dst: dst[j] += a0*b0[j], then a1*b1[j],
-// a2*b2[j], a3*b3[j], in that order. It is the micro-kernel of MatMul,
-// MatMulTransA and the interaction backward pass: each destination element
-// is loaded and stored once per four updates, and its additions happen in
-// argument order with every product rounded to float32 first (the conversion
-// forbids a fused multiply-add), so the result is bit-equal to four
-// single-term passes. The b rows must be at least len(dst) long.
-//
-//hotline:hotpath
-func Axpy4(dst, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
-	// Reslicing to dst's length lets the compiler drop the bounds checks in
-	// the loop.
-	b0, b1, b2, b3 = b0[:len(dst)], b1[:len(dst)], b2[:len(dst)], b3[:len(dst)]
-	for j, d := range dst {
-		d += float32(a0 * b0[j])
-		d += float32(a1 * b1[j])
-		d += float32(a2 * b2[j])
-		d += float32(a3 * b3[j])
-		dst[j] = d
-	}
-}
-
-// Axpy computes dst[j] += a*b[j]: one term of the chain Axpy4 applies four
-// at a time, for the remainder of a block. b must be at least len(dst) long.
-//
-//hotline:hotpath
-func Axpy(dst, b []float32, a float32) {
-	b = b[:len(dst)]
-	for j := range dst {
-		dst[j] += float32(a * b[j])
-	}
-}
-
-// NonZero returns 1 when a != 0 and 0 when a is +0 or -0 (NaN counts as
-// non-zero, as it does for the comparison), without a branch.
-//
-//hotline:hotpath
-func NonZero(a float32) int {
-	mag := math.Float32bits(a) << 1 // all bits but the sign
-	return int((mag | -mag) >> 31)
-}
-
 // axpyRowsRange computes rows [lo, hi) of dst = x x b (dst rows pre-zeroed),
 // where element (i, k) of the left operand x is a[i*rowStride+k*innerStride]:
 // a itself for MatMul, its transpose for MatMulTransA. A term whose left
-// factor compares equal to zero (either sign) is skipped, never added; the
-// non-zero terms of a row are compacted into blocks of four for Axpy4, in
-// ascending k, and the remainder goes through Axpy one term at a time, so
-// every output element's addition chain is that of the k-ascending
-// one-term-at-a-time loop whatever the zero pattern.
+// factor compares equal to zero (either sign) is skipped, never added: the
+// non-zero terms of a row are compacted, in ascending k, into the list the
+// kernel adds, so every output element's chain is that of the k-ascending
+// one-term-at-a-time loop whatever the zero pattern. The inner dimension is
+// walked a block of termBlock at a time with the output rows inside, so a
+// block of b is set up once and stays in cache across all of them.
 //
 //hotline:hotpath
 func axpyRowsRange(dst *Matrix, a []float32, rowStride, innerStride int, b *Matrix, lo, hi int) {
-	n := b.Cols
-	for i := lo; i < hi; i++ {
-		drow := dst.Row(i)
-		var (
-			off [4]int // pending terms: offset of the b row, left factor
-			fac [4]float32
-			p   int
-		)
-		at := i * rowStride
-		for k := 0; k < b.Rows; k++ {
-			aik := a[at]
-			at += innerStride
-			// Branch-free compaction: the slot is written either way and
-			// kept only when the factor is non-zero. A ReLU output's zeros
-			// fall at random, so a branch on them mispredicts every other
-			// term.
-			off[p&3], fac[p&3] = k*n, aik
-			if p += NonZero(aik); p == 4 {
-				Axpy4(drow, b.Data[off[0]:off[0]+n], b.Data[off[1]:off[1]+n], b.Data[off[2]:off[2]+n], b.Data[off[3]:off[3]+n],
-					fac[0], fac[1], fac[2], fac[3])
-				p = 0
-			}
+	var (
+		rows [termBlock][]float32
+		sel  [termBlock]int32
+		facs [termBlock]float32
+	)
+	for k0 := 0; k0 < b.Rows; k0 += termBlock {
+		terms := min(termBlock, b.Rows-k0)
+		for q := 0; q < terms; q++ {
+			rows[q] = b.Row(k0 + q)
 		}
-		for q := 0; q < p; q++ {
-			Axpy(drow, b.Data[off[q&3]:off[q&3]+n], fac[q&3])
+		for i := lo; i < hi; i++ {
+			p := compact(&sel, &facs, a, i*rowStride+k0*innerStride, innerStride, terms)
+			axpySelected(dst.Row(i), rows[:terms], sel[:p], facs[:p])
 		}
 	}
 }
@@ -276,66 +222,56 @@ func MatMul(dst, a, b *Matrix) {
 	})
 }
 
-// Dot4 returns the dot products of x with y0..y3: the micro-kernel of
-// MatMulTransB and the interaction forward pass. The four sums are
-// independent chains, each adding its products in ascending index with every
-// product rounded to float32 first, so each is bit-equal to the plain
-// one-sum loop; carrying four shares the loads of x and lets the additions
-// overlap. The y rows must be at least len(x) long.
+// matMulPackedRange computes rows [lo, hi) of dst = a x bT (dst rows
+// pre-zeroed) and never skips a term: row i of dst is the chain
+// ((0 + a[i][0]*bT[0]) + a[i][1]*bT[1]) + ..., every element of it a dot
+// product accumulated in ascending k from +0. The factors are a's own rows,
+// so no list is built. bT is as wide as the layer's input (367 columns under
+// Kaggle's interaction), so it is taken a panel of columns at a time: a
+// panel's block stays in the first-level cache across all the output rows.
 //
 //hotline:hotpath
-func Dot4(x, y0, y1, y2, y3 []float32) (s0, s1, s2, s3 float32) {
-	y0, y1, y2, y3 = y0[:len(x)], y1[:len(x)], y2[:len(x)], y3[:len(x)]
-	for k, v := range x {
-		s0 += float32(v * y0[k])
-		s1 += float32(v * y1[k])
-		s2 += float32(v * y2[k])
-		s3 += float32(v * y3[k])
-	}
-	return
-}
-
-// matMulTransBRange computes rows [lo, hi) of dst = a x bᵀ, four output
-// columns at a time. A last block of fewer than four repeats b's last row:
-// the duplicate chains are computed and dropped, which costs nothing next to
-// running the remainder as single latency-bound chains.
-//
-//hotline:hotpath
-func matMulTransBRange(dst, a, b *Matrix, lo, hi int) {
-	last := b.Rows - 1
-	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		j := 0
-		for ; j+4 <= b.Rows; j += 4 {
-			d := drow[j : j+4 : j+4]
-			d[0], d[1], d[2], d[3] = Dot4(arow, b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3))
-		}
-		if j < b.Rows {
-			var d [4]float32
-			d[0], d[1], d[2], d[3] = Dot4(arow, b.Row(j), b.Row(min(j+1, last)), b.Row(min(j+2, last)), b.Row(last))
-			copy(drow[j:], d[:])
+func matMulPackedRange(dst, a, bT *Matrix, lo, hi int) {
+	const panel = 64
+	var rows [termBlock][]float32
+	for c0 := 0; c0 < bT.Cols; c0 += panel {
+		c1 := min(c0+panel, bT.Cols)
+		for k0 := 0; k0 < bT.Rows; k0 += termBlock {
+			k1 := min(k0+termBlock, bT.Rows)
+			for k := k0; k < k1; k++ {
+				rows[k-k0] = bT.Row(k)[c0:c1]
+			}
+			for i := lo; i < hi; i++ {
+				AxpyRows(dst.Row(i)[c0:c1], rows[:k1-k0], a.Row(i)[k0:k1])
+			}
 		}
 	}
 }
 
-// MatMulTransB computes dst = a x bᵀ. dst must be a.Rows x b.Rows.
+// MatMulTransB computes dst = a x bᵀ. dst must be a.Rows x b.Rows. A dot
+// product's lanes are not independent output elements, so the kernel does
+// not take dot products: it packs bᵀ into bT (scratch the caller owns,
+// resized here) once per call and accumulates scaled rows of it, which makes
+// every output element the same chain a dot product is — the products of
+// a's row and b's row added in ascending index from +0, none skipped.
 //
 //hotline:hotpath
-func MatMulTransB(dst, a, b *Matrix) {
+func MatMulTransB(dst, a, b, bT *Matrix) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulTransB inner dims %d != %d", a.Cols, b.Cols))
 	}
 	if dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulTransB dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows))
 	}
+	TransposeInto(bT, b)
+	dst.Zero()
 	perRow := 2 * int64(a.Cols) * int64(b.Rows)
 	if par.Serial(a.Rows, perRow) {
-		matMulTransBRange(dst, a, b, 0, a.Rows)
+		matMulPackedRange(dst, a, bT, 0, a.Rows)
 		return
 	}
 	par.ForWork(a.Rows, perRow, func(lo, hi int) {
-		matMulTransBRange(dst, a, b, lo, hi)
+		matMulPackedRange(dst, a, bT, lo, hi)
 	})
 }
 
@@ -413,14 +349,13 @@ func SumRowsInto(dst []float32, m *Matrix) {
 	})
 }
 
-// axpyRange computes dst[lo:hi] += alpha*src[lo:hi].
+// axpyFlat computes dst[lo:hi] += alpha*src[lo:hi]: AxpyRows with one term,
+// so the product is rounded before its add here as everywhere.
 //
 //hotline:hotpath
-func axpyRange(dst *Matrix, alpha float32, src *Matrix, lo, hi int) {
-	d, s := dst.Data, src.Data
-	for i := lo; i < hi; i++ {
-		d[i] += alpha * s[i]
-	}
+func axpyFlat(dst *Matrix, alpha float32, src *Matrix, lo, hi int) {
+	rows, facs := [1][]float32{src.Data[lo:hi]}, [1]float32{alpha}
+	AxpyRows(dst.Data[lo:hi], rows[:], facs[:])
 }
 
 // AxpyInto computes dst += alpha*src element-wise.
@@ -429,11 +364,11 @@ func axpyRange(dst *Matrix, alpha float32, src *Matrix, lo, hi int) {
 func AxpyInto(dst *Matrix, alpha float32, src *Matrix) {
 	checkSameShape("AxpyInto", dst, src)
 	if par.Serial(len(dst.Data), 1) {
-		axpyRange(dst, alpha, src, 0, len(dst.Data))
+		axpyFlat(dst, alpha, src, 0, len(dst.Data))
 		return
 	}
 	par.ForWork(len(dst.Data), 1, func(lo, hi int) {
-		axpyRange(dst, alpha, src, lo, hi)
+		axpyFlat(dst, alpha, src, lo, hi)
 	})
 }
 
@@ -471,15 +406,24 @@ func Hadamard(dst, a, b *Matrix) {
 	})
 }
 
-// Transpose returns mᵀ as a new matrix.
-func Transpose(m *Matrix) *Matrix {
-	out := New(m.Cols, m.Rows)
+// TransposeInto resizes dst to m.Cols x m.Rows and writes mᵀ into it.
+//
+//hotline:hotpath
+func TransposeInto(dst, m *Matrix) {
+	dst.ResizeNoZero(m.Cols, m.Rows)
 	for r := 0; r < m.Rows; r++ {
-		row := m.Row(r)
-		for c := range row {
-			out.Data[c*m.Rows+r] = row[c]
+		at := r
+		for _, v := range m.Row(r) {
+			dst.Data[at] = v
+			at += m.Rows
 		}
 	}
+}
+
+// Transpose returns mᵀ as a new matrix.
+func Transpose(m *Matrix) *Matrix {
+	out := &Matrix{}
+	TransposeInto(out, m)
 	return out
 }
 
