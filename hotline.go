@@ -153,10 +153,11 @@ const CacheSRRIP = shard.PolicySRRIP
 var NewShardService = shard.New
 
 // NewHotlineShardedTrainer wraps a model in the Hotline executor with its
-// embedding tables partitioned across the service's nodes. Training is
+// embedding tables routed through the service (each row owned by one of
+// its nodes; the tables themselves are not copied). Training is
 // bit-identical to NewHotlineTrainer for every node count and placement;
 // the service additionally reports the measured cache and all-to-all
-// traffic. The async gather engine is attached and gathers overlap compute
+// traffic. Gathers run on the service's gather engine and overlap compute
 // at the default depth (set Depth = 1 on the returned trainer for
 // synchronous gathers).
 func NewHotlineShardedTrainer(m *Model, lr float32, svc *ShardService) *train.HotlineTrainer {
@@ -203,7 +204,7 @@ const (
 	PlaceHotAware   = shard.PlaceHotAware
 )
 
-// OverlapStats aggregates the async gather engine's measured traffic and
+// OverlapStats aggregates the service's gather engine's measured traffic and
 // how much of its wall time stayed exposed (svc.Gatherer().Stats()).
 type OverlapStats = shard.OverlapStats
 

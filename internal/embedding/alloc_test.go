@@ -54,19 +54,17 @@ func TestTableForwardBackwardZeroAlloc(t *testing.T) {
 	}
 }
 
-// newAllocService builds a 4-node service with an async engine attached.
+// newAllocService builds a 4-node service whose cache holds eight rows.
 func newAllocService(t *testing.T, dim int) *shard.Service {
 	t.Helper()
-	svc := shard.New(shard.Config{
+	return shard.New(shard.Config{
 		Nodes: 4, CacheBytes: 8 * int64(dim) * 4, RowBytes: int64(dim) * 4,
 	}, nil)
-	svc.EnableAsyncGather()
-	return svc
 }
 
-// TestShardedForwardZeroAlloc: the synchronous staged-gather path — plan,
-// staging, accounting dedup and output — cycles entirely through the
-// engine's ring and the service scratch.
+// TestShardedForwardZeroAlloc: the synchronous staged-gather path — window,
+// accounting dedup and output — cycles entirely through the engine's pool
+// and the service scratch.
 func TestShardedForwardZeroAlloc(t *testing.T) {
 	defer par.SetWorkers(par.SetWorkers(1))
 	const dim = 16
@@ -90,9 +88,9 @@ func TestShardedForwardZeroAlloc(t *testing.T) {
 }
 
 // TestPrefetchPathZeroAlloc: the asynchronous prefetch-then-consume window
-// recycles its plan, staging, handle and window entry through the engine's
-// PrefetchRing and the bag's WindowQueue, and idle owner queues are woken
-// by a cond signal to a PERSISTENT drainer goroutine — no per-window `go`
+// — plan, staging buffer, completion state and queue entry in one object —
+// recycles through the engine's pool, and idle owner queues are woken by a
+// cond signal to a PERSISTENT drainer goroutine — no per-window `go`
 // statement — so the steady-state path allocates nothing at all.
 func TestPrefetchPathZeroAlloc(t *testing.T) {
 	defer par.SetWorkers(par.SetWorkers(1))

@@ -156,7 +156,6 @@ func BenchmarkPrefetchWindow(b *testing.B) {
 				Quant: c.quant,
 			}, nil)
 			b.Cleanup(func() { svc.Close() })
-			svc.EnableAsyncGather()
 			sb := ShardBag(NewTable(rows, dim, tensor.NewRNG(3)), svc, 0)
 			sb.Prefetch(idx) // warm: admit the remote rows at the cache's width
 			sb.Forward(idx)

@@ -47,7 +47,6 @@ func TestOutOfRangeIndexPanicsUpFront(t *testing.T) {
 			svc := shard.New(shard.Config{
 				Nodes: 4, CacheBytes: 16 * dim * 4, RowBytes: dim * 4, Quant: quant,
 			}, nil)
-			svc.EnableAsyncGather()
 			sb := ShardBag(NewTable(rows, dim, tensor.NewRNG(2)), svc, 0)
 			sb.Forward([][]int32{{7, 8}, {9}}) // some state to leave untouched
 			train, serve := svc.Snapshot().WithoutWall(), svc.ServeSnapshot().WithoutWall()

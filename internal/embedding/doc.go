@@ -2,8 +2,10 @@
 // embedding tables with sum-pooled bag lookups (the EmbeddingBag operator),
 // deterministic sparse gradients and SGD updates, the two-tier
 // (GPU-HBM / CPU-DRAM) placement map that Hotline's access-aware layout
-// produces, and the multi-node ShardedBag that routes the same operator
-// through a shard.Service.
+// produces, and the multi-node ShardedBag: a Table whose lookups and
+// updates are routed through a shard.Service. Every kernel lives once, in
+// table.go; the sharded bag adds routing, accounting and the one loop that
+// pools rows a gather window staged.
 //
 // In the DESIGN.md layering the package sits between internal/tensor (raw
 // kernels) and internal/model (DLRM/TBSM assembly). Models hold their

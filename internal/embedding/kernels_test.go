@@ -139,7 +139,7 @@ func sameBits(t *testing.T, what string, got, want *tensor.Matrix) {
 // TestBlockedKernelsMatchScalarReference pins pool, adjoint, SGD and Adagrad
 // of both bag types to the scalar references, bit for bit, over bag lengths
 // 0–9, dims below, at and beyond a block, duplicates and special values, with
-// rows read from the owner shards and from staging buffers.
+// rows read from the table and from staging buffers.
 func TestBlockedKernelsMatchScalarReference(t *testing.T) {
 	const rows, nodes = 23, 4
 	for _, dim := range []int{1, 3, 16, 64, 65} {
@@ -153,18 +153,13 @@ func TestBlockedKernelsMatchScalarReference(t *testing.T) {
 		}
 		seedSpecials(gradOut, rng)
 
-		// staged: an engine is attached, and a cache of two rows per node
-		// leaves most remote rows to be fetched into the staging buffer (the
-		// rest hit, and are read from the owner shards).
+		// sharded: a cache of two rows per node leaves most remote rows to be
+		// fetched into the staging buffer (the rest hit, and are read from the
+		// table), so one bag pools from both sources.
 		bags := map[string]func() Bag{
 			"table": func() Bag { return init.Clone() },
 			"sharded": func() Bag {
 				return ShardBag(init.Clone(), shardSvc(nodes, 2, dim), 0)
-			},
-			"staged": func() Bag {
-				svc := shardSvc(nodes, 2, dim)
-				svc.EnableAsyncGather()
-				return ShardBag(init.Clone(), svc, 0)
 			},
 		}
 		for name, build := range bags {
@@ -173,8 +168,8 @@ func TestBlockedKernelsMatchScalarReference(t *testing.T) {
 			sameBits(t, name+" pool", bag.Forward(idx), wantOut)
 			if sb, ok := bag.(*ShardedBag); ok {
 				sameBits(t, name+" serve pool", sb.ServeForward(idx), wantOut)
-				if name == "staged" && sb.svc.Gatherer().Stats().SyncRows == 0 {
-					t.Fatalf("dim %d: the staged case staged no rows", dim)
+				if sb.svc.Gatherer().Stats().SyncRows == 0 {
+					t.Fatalf("dim %d: the sharded case staged no rows", dim)
 				}
 			}
 

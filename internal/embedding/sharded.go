@@ -1,90 +1,70 @@
 package embedding
 
 import (
-	"fmt"
-
 	"hotline/internal/par"
 	"hotline/internal/shard"
 	"hotline/internal/tensor"
 )
 
-// ShardedBag is the multi-node embedding-bag: the table's rows are
-// partitioned across the nodes of a shard.Service under its placement
-// policy (round-robin by default; capacity-weighted and hot-row-aware
-// partitioners relocate rows without touching any math), and every lookup
-// and gradient push is routed through the service for device-cache
-// simulation and all-to-all accounting.
+// ShardedBag is the multi-node embedding-bag: a Table whose every lookup and
+// gradient push is routed through a shard.Service — each row owned by one
+// node under the service's placement policy (round-robin by default;
+// capacity-weighted and hot-row-aware partitioners move ownership without
+// touching any math) — for device-cache simulation, all-to-all accounting
+// and, on a socket fabric, the real row traffic to the node processes.
 //
-// The operator math is bit-identical to the single-node Table for every
-// node count and placement: partitioning only relocates rows, the per-bag
-// summation order and the sparse-gradient reduction order are exactly the
-// serial ones, and the Service's accounting never touches values.
+// The rows themselves stay in the table the bag was built from: it is the
+// coordinator's authoritative mirror, and every kernel (pooling, adjoint,
+// sparse update) is the table's own. The operator math is therefore
+// bit-identical to the single-node Table for every node count and placement;
+// ownership decides routing and accounting, never values.
 // TestShardedBagBitIdentical enforces this for node counts {1,2,4,8}.
 //
-// When the service carries an async gather engine, Prefetch issues a
-// µ-batch's fabric fetches ahead of time; the matching Forward then blocks
-// only on whatever the overlap failed to hide and reads the remote rows
-// from the staging buffer. Up to pipeline-depth windows can be open at
-// once (the depth-k cross-iteration pipeline): the bag and its shadows
-// share one shard.WindowQueue registering every issued window in stream
-// order, sparse updates mark the staged rows they rewrite as dirty, and
-// the consuming Forward delta-repairs them first — so the values applied
-// are bit-identical to a synchronous gather at consume time, for any
-// depth. Like Table, forward output and sparse-gradient buffers are
-// per-instance scratch reused across calls.
+// Prefetch issues a µ-batch's fabric fetches ahead of time through the
+// service's gather engine; the matching Forward then blocks only on whatever
+// the overlap failed to hide and reads the remote rows from the window's
+// staging buffer. Up to pipeline-depth windows can be open at once (the
+// depth-k cross-iteration pipeline): the bag and its shadows share one
+// shard.WindowQueue registering every issued window in stream order, sparse
+// updates mark the staged rows they rewrite as dirty, and the consuming
+// Forward delta-repairs them first — so the values applied are bit-identical
+// to a synchronous gather at consume time, for any depth.
 type ShardedBag struct {
 	Rows, Dim int
 	// TableIdx keys the service's cache and traffic accounting.
 	TableIdx int
 
-	svc    *shard.Service
-	shards []*tensor.Matrix // shards[n] packs the rows owned by node n
-	// owner[r] / local[r] locate global row r inside its owner shard;
-	// shared (read-only) with shadows.
-	owner []int32
-	local []int32
+	svc *shard.Service
+	// tab is the row store and the kernels: the table ShardBag took over (a
+	// shadow holds a shadow of it — shared rows, private forward state and
+	// backward arena). A named field, not an embed: a promoted Shadow or Clone
+	// would hand out bags that bypass the routing.
+	tab *Table
 
 	// windows is the open prefetch-window registry and dirty-row tracker,
 	// shared with shadows (a shadow issues the lookahead windows; the
 	// primary bag's sparse updates invalidate their staged rows).
 	windows *shard.WindowQueue
 
-	lastIndices [][]int32
-	fwdOut      tensor.Matrix
-	bw          backwardArena
-	fetchFn     shard.FetchFunc // bound once; a per-call method value would allocate
-	rowAt       shard.RowAt     // bound once, like fetchFn; source for scatter pushes
+	fetchFn shard.FetchFunc // bound once; a per-call method value would allocate
+	rowAt   shard.RowAt     // bound once, like fetchFn; source for scatter pushes
 }
 
-// ShardBag partitions a table's rows across the service's nodes under its
-// placement policy, copying each row into its owner shard. The source table
-// is not retained.
+// ShardBag routes a table through the service under its placement policy.
+// The bag takes the table over — it copies nothing, t's rows are the bag's
+// rows — so a caller that keeps using t aliases the bag's parameters and
+// bypasses its routing; Clone first to keep an independent reference.
 func ShardBag(t *Table, svc *shard.Service, tableIdx int) *ShardedBag {
-	nodes := svc.Nodes()
 	s := &ShardedBag{
 		Rows: t.Rows, Dim: t.Dim, TableIdx: tableIdx,
-		svc: svc, shards: make([]*tensor.Matrix, nodes),
-		// The service walks the partitioner once and routes its accounting by
-		// the same array the shards are laid out by.
-		owner: svc.TableOwners(tableIdx, t.Rows), local: make([]int32, t.Rows),
+		svc: svc, tab: t, windows: svc.NewWindowQueue(tableIdx),
 	}
-	counts := make([]int, nodes)
-	for r, o := range s.owner {
-		s.local[r] = int32(counts[o])
-		counts[o]++
-	}
-	for n := 0; n < nodes; n++ {
-		s.shards[n] = tensor.New(counts[n], t.Dim)
-	}
-	for r := 0; r < t.Rows; r++ {
-		copy(s.shards[s.owner[r]].Row(int(s.local[r])), t.W.Row(r))
-	}
-	s.windows = svc.NewWindowQueue(tableIdx)
 	s.fetchFn = s.fetchRow
 	s.rowAt = s.rowViewAt
-	// Declare the table to the fabric: on a multi-process transport this is
-	// the initial shard sync (every row is pushed to its owner node), so
-	// worker stores serve exactly the bits the mirror above holds.
+	// Declare the table to the fabric: the service sizes its routing state
+	// for it, and on a multi-process transport this is the initial shard sync
+	// (every row is pushed to its owner node), so worker stores serve exactly
+	// the bits the table holds.
 	svc.RegisterTable(tableIdx, t.Dim, t.Rows, s.rowAt)
 	return s
 }
@@ -92,38 +72,31 @@ func ShardBag(t *Table, svc *shard.Service, tableIdx int) *ShardedBag {
 // Service returns the shard service the bag routes through.
 func (s *ShardedBag) Service() *shard.Service { return s.svc }
 
-// RowView implements Bag: a live view of row r inside its owner shard.
-//
-//hotline:hotpath
-func (s *ShardedBag) RowView(r int) []float32 {
-	return s.shards[s.owner[r]].Row(int(s.local[r]))
-}
+// RowView implements Bag: a live view of row r.
+func (s *ShardedBag) RowView(r int) []float32 { return s.tab.W.Row(r) }
 
 // Prefetch issues the asynchronous gather of a µ-batch's remote rows: the
-// service plans the fabric fetches (advancing cache state and counters
-// exactly like a synchronous gather) and the engine streams them into a
+// service plans the window (advancing cache state and counters exactly like
+// a synchronous gather) and its engine streams the rows into the window's
 // staging buffer while the caller computes something else — the Hotline
 // executor overlaps the non-popular gather with the popular µ-batch inside
 // an iteration, and the depth-k cross-iteration pipeline issues the next
 // k-1 mini-batches' gathers right after the current sparse update so they
 // stream through the dense step and the following iterations. Windows are
 // registered FIFO in the shared WindowQueue; the Forward over the same
-// index set consumes the oldest one. A no-op without an engine or on a
-// single node.
+// index set consumes the oldest one. A no-op on a single node.
 //
 //hotline:hotpath
 func (s *ShardedBag) Prefetch(indices [][]int32) {
 	checkIndices(indices, s.Rows)
-	g := s.svc.Gatherer()
-	if g == nil || s.svc.Nodes() == 1 {
+	if s.svc.Nodes() == 1 {
 		return
 	}
-	plan := s.svc.PlanGather(s.TableIdx, indices)
-	var h *shard.Handle
-	if plan != nil {
-		h = g.Submit(plan, s.Dim, s.fetchFn)
+	w := s.svc.PlanGather(s.TableIdx, indices)
+	if w != nil {
+		s.svc.Gatherer().Submit(w, s.fetchFn)
 	}
-	s.windows.Push(indices, h)
+	s.windows.Push(indices, w)
 }
 
 // AbortPrefetch joins and discards every outstanding prefetch window of
@@ -137,39 +110,37 @@ func (s *ShardedBag) AbortPrefetch() { s.windows.Abort() }
 // shared across this bag and its shadows.
 func (s *ShardedBag) PendingWindows() int { return s.windows.Len() }
 
-// fetchRow copies one owner-resident row into its staging slot.
+// fetchRow copies one row into its staging slot.
 //
 //hotline:hotpath
 func (s *ShardedBag) fetchRow(row int32, dst []float32) {
-	copy(dst, s.RowView(int(row)))
+	copy(dst, s.tab.W.Row(int(row)))
 }
 
 // rowViewAt is RowView with the fabric's signature (bound once into rowAt).
 //
 //hotline:hotpath
-func (s *ShardedBag) rowViewAt(row int32) []float32 { return s.RowView(int(row)) }
+func (s *ShardedBag) rowViewAt(row int32) []float32 { return s.tab.W.Row(int(row)) }
 
 // srcRow locates the values a lookup of row ix pools: the staged copy when
-// the window's plan fetched (or dequantized) the row — bit-identical to the
-// owner-shard row unless the row is served from the warm tier — and the
-// owner shard otherwise.
+// the window fetched (or dequantized) the row — bit-identical to the table
+// row unless the row is served from the warm tier — and the table row
+// otherwise.
 //
 //hotline:hotpath
 func (s *ShardedBag) srcRow(ix int32, staged *shard.Staging) []float32 {
-	if staged != nil {
-		if v, ok := staged.Lookup(ix); ok {
-			return v
-		}
+	if v, ok := staged.Lookup(ix); ok {
+		return v
 	}
-	return s.RowView(int(ix))
+	return s.tab.W.Row(int(ix))
 }
 
-// fwdRange computes output rows [lo, hi) of the pooled lookup, reading
-// fabric-fetched rows from the staging buffer: each output element is the
-// sum of its bag's rows in lookup order, four resolved rows per pass.
+// stagedRange is Table.fwdRange reading the window's rows from its staging
+// buffer: the same sums in the same lookup order, four resolved rows per
+// pass.
 //
 //hotline:hotpath
-func (s *ShardedBag) fwdRange(out *tensor.Matrix, indices [][]int32, staged *shard.Staging, lo, hi int) {
+func (s *ShardedBag) stagedRange(out *tensor.Matrix, indices [][]int32, staged *shard.Staging, lo, hi int) {
 	for b := lo; b < hi; b++ {
 		orow, idxs := out.Row(b), indices[b]
 		for ; len(idxs) >= blockRows; idxs = idxs[blockRows:] {
@@ -182,6 +153,27 @@ func (s *ShardedBag) fwdRange(out *tensor.Matrix, indices [][]int32, staged *sha
 	}
 }
 
+// pooled computes the pooled lookup into the instance's forward scratch,
+// reading the rows the window staged (nil or empty: none) from its buffer
+// and every other row from the table.
+//
+//hotline:hotpath
+func (s *ShardedBag) pooled(indices [][]int32, staged *shard.Staging) *tensor.Matrix {
+	if staged == nil || staged.Rows() == 0 {
+		return s.tab.pooled(indices)
+	}
+	out := s.tab.fwdOut.Resize(len(indices), s.Dim)
+	perItem := bagLookups(indices, s.Dim)
+	if par.Serial(len(indices), perItem) {
+		s.stagedRange(out, indices, staged, 0, len(indices))
+	} else {
+		par.ForWork(len(indices), perItem, func(lo, hi int) {
+			s.stagedRange(out, indices, staged, lo, hi)
+		})
+	}
+	return out
+}
+
 // Forward implements Bag: the sum-pooled lookup with shard routing. The
 // service accounting runs as a serial pre-pass (cache state must evolve in
 // batch order); the arithmetic then shards across workers exactly like the
@@ -190,43 +182,24 @@ func (s *ShardedBag) fwdRange(out *tensor.Matrix, indices [][]int32, staged *sha
 // gather, with rows dirtied by intervening sparse updates delta-repaired
 // first (or served stale under Service.SetStaleReads). A non-matching
 // forward (an evaluation pass, a popular µ-batch) leaves younger windows
-// untouched and, with an engine attached, stages its fabric rows
-// synchronously — the measured baseline the overlap is compared against.
-// Consumed staging buffers are recycled into the engine's ring.
+// untouched and plans and stages its fabric rows synchronously — the
+// measured baseline the overlap is compared against. The consumed window
+// goes back to the engine's pool.
 //
 //hotline:hotpath
 func (s *ShardedBag) Forward(indices [][]int32) *tensor.Matrix {
 	checkIndices(indices, s.Rows)
-	var staged *shard.Staging
-	var win *shard.Window
-	g := s.svc.Gatherer()
-	if w := s.windows.Match(indices); w != nil {
-		win = w
-		staged = s.windows.Consume(w, s.fetchFn)
-	} else if g != nil && s.svc.Nodes() > 1 {
-		if plan := s.svc.PlanGather(s.TableIdx, indices); plan != nil {
-			staged = g.GatherSync(plan, s.Dim, s.fetchFn)
-		}
-	} else {
-		s.svc.RecordGather(s.TableIdx, indices)
+	w := s.windows.Match(indices)
+	if w != nil {
+		s.windows.Consume(w, s.fetchFn)
+	} else if w = s.svc.PlanGather(s.TableIdx, indices); w != nil {
+		s.svc.Gatherer().GatherSync(w, s.fetchFn)
 	}
-
-	out := s.fwdOut.Resize(len(indices), s.Dim)
-	perItem := bagLookups(indices, s.Dim)
-	if par.Serial(len(indices), perItem) {
-		s.fwdRange(out, indices, staged, 0, len(indices))
-	} else {
-		par.ForWork(len(indices), perItem, func(lo, hi int) {
-			s.fwdRange(out, indices, staged, lo, hi)
-		})
+	out := s.pooled(indices, w)
+	if w != nil {
+		w.Release()
 	}
-	if staged != nil {
-		g.Release(staged)
-	}
-	if win != nil {
-		s.windows.Recycle(win)
-	}
-	s.lastIndices = indices
+	s.tab.lastIndices = indices
 	return out
 }
 
@@ -238,9 +211,9 @@ func (s *ShardedBag) Forward(indices [][]int32) *tensor.Matrix {
 // service's serve counters (ServeSnapshot) so training traffic fractions
 // stay clean. The shared device caches ARE warmed: live request traffic
 // keeps the popular rows resident for both paths, which is the serving
-// story's whole point. Rows are read directly from the owner shards — the
-// accounting pass prices the fabric gather; no staging copy is needed for
-// a read that applies no delta repair.
+// story's whole point. In one address space with untiered caches the rows
+// are read directly from the table — the accounting pass prices the fabric
+// gather; no staging copy is needed for a read that applies no delta repair.
 //
 // The returned matrix is this instance's forward scratch. Serve replicas
 // must be shadows (ShadowBag / model.NewShadow): calling ServeForward on
@@ -253,7 +226,7 @@ func (s *ShardedBag) Forward(indices [][]int32) *tensor.Matrix {
 //hotline:hotpath
 func (s *ShardedBag) ServeForward(indices [][]int32) *tensor.Matrix {
 	checkIndices(indices, s.Rows)
-	var staged *shard.Staging
+	var w *shard.Staging
 	if s.svc.Multiproc() || s.svc.Quantized() {
 		// On a real fabric the read path must actually cross it: stage the
 		// remote rows synchronously from their owner processes (timed into
@@ -261,113 +234,72 @@ func (s *ShardedBag) ServeForward(indices [][]int32) *tensor.Matrix {
 		// staging buffer. Precision-tiered caches stage too — warm-tier hits
 		// must be served through the fused dequantize-gather, not read exact
 		// from the mirror.
-		if plan := s.svc.PlanServeGather(s.TableIdx, indices); plan != nil {
-			staged = s.svc.ServeGatherSync(plan, s.Dim, s.fetchFn)
+		if w = s.svc.PlanServeGather(s.TableIdx, indices); w != nil {
+			s.svc.ServeGatherSync(w, s.fetchFn)
 		}
 	} else {
 		s.svc.RecordServeGather(s.TableIdx, indices)
 	}
-	out := s.fwdOut.Resize(len(indices), s.Dim)
-	perItem := bagLookups(indices, s.Dim)
-	if par.Serial(len(indices), perItem) {
-		s.fwdRange(out, indices, staged, 0, len(indices))
-	} else {
-		par.ForWork(len(indices), perItem, func(lo, hi int) {
-			s.fwdRange(out, indices, staged, lo, hi)
-		})
-	}
-	if staged != nil {
-		s.svc.Gatherer().Release(staged)
+	out := s.pooled(indices, w)
+	if w != nil {
+		w.Release()
 	}
 	return out
 }
 
-// Backward implements Bag.
+// Backward implements Bag: the table's adjoint plus the gradient scatter
+// accounting (each node pre-reduces locally and pushes one message per
+// distinct remote row to its owner).
 //
 //hotline:hotpath
 func (s *ShardedBag) Backward(gradOut *tensor.Matrix) SparseGrad {
-	if s.lastIndices == nil {
-		panic("embedding: Backward before Forward")
-	}
-	return s.BackwardIndices(s.lastIndices, gradOut)
+	sg := s.tab.Backward(gradOut)
+	s.svc.RecordScatter(s.TableIdx, s.tab.lastIndices)
+	return sg
 }
 
-// BackwardIndices implements Bag: the storage-independent adjoint plus the
-// gradient scatter accounting (each node pre-reduces locally and pushes one
-// message per distinct remote row to its owner).
+// BackwardIndices implements Bag: Backward against an explicit index set.
 //
 //hotline:hotpath
 func (s *ShardedBag) BackwardIndices(indices [][]int32, gradOut *tensor.Matrix) SparseGrad {
-	if gradOut.Rows != len(indices) || gradOut.Cols != s.Dim {
-		panic(fmt.Sprintf("embedding: Backward grad %dx%d want %dx%d",
-			gradOut.Rows, gradOut.Cols, len(indices), s.Dim))
-	}
+	sg := s.tab.BackwardIndices(indices, gradOut)
 	s.svc.RecordScatter(s.TableIdx, indices)
-	return bagBackward(&s.bw, indices, gradOut, s.Dim)
+	return sg
 }
 
-// sgdRange applies rows [lo, hi) of a sparse SGD update, four rows per pass.
-//
-//hotline:hotpath
-func (s *ShardedBag) sgdRange(sg SparseGrad, lr float32, lo, hi int) {
-	i := lo
-	for ; i+blockRows <= hi; i += blockRows {
-		r := sg.Rows[i : i+blockRows]
-		sgd4(s.RowView(int(r[0])), s.RowView(int(r[1])), s.RowView(int(r[2])), s.RowView(int(r[3])),
-			sg.Grad.Row(i), sg.Grad.Row(i+1), sg.Grad.Row(i+2), sg.Grad.Row(i+3), lr)
-	}
-	for ; i < hi; i++ {
-		sgd1(s.RowView(int(sg.Rows[i])), sg.Grad.Row(i), lr)
-	}
-}
-
-// ApplySparseSGD implements Bag: each owner node updates its resident rows.
-// Open prefetch windows that staged any updated row are marked dirty first
-// (and joined, so no in-flight fetch races the write); the consuming
-// forward repairs them.
+// ApplySparseSGD implements Bag: the table's update between the two halves
+// of the fabric protocol. Open prefetch windows that staged any updated row
+// are marked dirty first (and joined, so no in-flight fetch races the
+// write; the consuming forward repairs them), and the new row values are
+// mirrored to their owner processes afterwards (the pre-reduced scatter; a
+// no-op on the in-proc transport).
 //
 //hotline:mutates-rows
 //hotline:hotpath
 func (s *ShardedBag) ApplySparseSGD(sg SparseGrad, lr float32) {
 	s.windows.MarkDirty(sg.Rows)
-	perItem := int64(s.Dim) * 2
-	if par.Serial(len(sg.Rows), perItem) {
-		s.sgdRange(sg, lr, 0, len(sg.Rows))
-	} else {
-		par.ForWork(len(sg.Rows), perItem, func(lo, hi int) {
-			s.sgdRange(sg, lr, lo, hi)
-		})
-	}
-	// Mirror the new row values to their owner processes (the pre-reduced
-	// scatter). No-op on the in-proc transport.
+	s.tab.ApplySparseSGD(sg, lr)
 	s.svc.PushUpdates(s.TableIdx, sg.Rows, s.rowAt)
-	s.bw.reset()
 }
 
-// ApplySparseAdagrad implements Bag: the adaptive update runs on each
-// owner-resident row against the shared (globally indexed) accumulator, in
-// the same serial row order as the single-node table — bit-identical for
-// every node count and placement. Like the SGD path, staged copies of the
-// updated rows in open prefetch windows are marked dirty first.
+// ApplySparseAdagrad implements Bag: the table's adaptive update against the
+// (globally indexed) accumulator, bracketed like the SGD path. Only the row
+// values travel: the Adagrad accumulator is coordinator state, so the
+// scatter stays one message per distinct row.
 //
 //hotline:mutates-rows
 //hotline:hotpath
 func (s *ShardedBag) ApplySparseAdagrad(st *AdagradState, sg SparseGrad, lr float32) {
 	s.windows.MarkDirty(sg.Rows)
-	for i, ix := range sg.Rows {
-		adagradRow(s.RowView(int(ix)), st.Accum.Row(int(ix)), sg.Grad.Row(i), lr, st.Eps)
-	}
-	// Only the row values travel: the Adagrad accumulator is coordinator
-	// state, so the scatter stays one message per distinct row.
+	s.tab.ApplySparseAdagrad(st, sg, lr)
 	s.svc.PushUpdates(s.TableIdx, sg.Rows, s.rowAt)
-	s.bw.reset()
 }
 
 // ResetStepScratch rewinds the backward arena at a step boundary (see
 // Table.ResetStepScratch — shadows never see the apply-time rewind).
 //
 //hotline:hotpath
-func (s *ShardedBag) ResetStepScratch() { s.bw.reset() }
+func (s *ShardedBag) ResetStepScratch() { s.tab.ResetStepScratch() }
 
 // NumRows implements Bag.
 func (s *ShardedBag) NumRows() int { return s.Rows }
@@ -375,37 +307,29 @@ func (s *ShardedBag) NumRows() int { return s.Rows }
 // EmbedDim implements Bag.
 func (s *ShardedBag) EmbedDim() int { return s.Dim }
 
-// SizeBytes implements Bag (the logical footprint; shards add no padding).
-func (s *ShardedBag) SizeBytes() int64 { return int64(s.Rows) * int64(s.Dim) * 4 }
+// SizeBytes implements Bag.
+func (s *ShardedBag) SizeBytes() int64 { return s.tab.SizeBytes() }
 
-// ShadowBag implements Bag: the shadow shares shard storage, the placement
-// maps, the service (its accounting is mutex-guarded) AND the prefetch
-// window registry — a lookahead window issued on the shadow must be
-// visible to the primary bag's sparse updates for dirty-row tracking —
-// with private forward state.
+// ShadowBag implements Bag: the shadow shares the rows, the service (its
+// accounting is mutex-guarded) AND the prefetch window registry — a
+// lookahead window issued on the shadow must be visible to the primary
+// bag's sparse updates for dirty-row tracking — with private forward state.
 func (s *ShardedBag) ShadowBag() Bag {
 	sh := &ShardedBag{
 		Rows: s.Rows, Dim: s.Dim, TableIdx: s.TableIdx,
-		svc: s.svc, shards: s.shards, owner: s.owner, local: s.local,
-		windows: s.windows,
+		svc: s.svc, tab: s.tab.Shadow(), windows: s.windows,
 	}
 	sh.fetchFn = sh.fetchRow
 	sh.rowAt = sh.rowViewAt
 	return sh
 }
 
-// Materialize reassembles the partitioned rows into one contiguous matrix
-// (tests and state comparisons).
-func (s *ShardedBag) Materialize() *tensor.Matrix {
-	out := tensor.New(s.Rows, s.Dim)
-	for r := 0; r < s.Rows; r++ {
-		copy(out.Row(r), s.RowView(r))
-	}
-	return out
-}
+// Materialize copies the rows into a fresh matrix (tests and state
+// comparisons).
+func (s *ShardedBag) Materialize() *tensor.Matrix { return s.tab.W.Clone() }
 
-// ShardBags partitions every table across the service, preserving table
-// order (table i keeps accounting key i).
+// ShardBags routes every table through the service, preserving table order
+// (table i keeps accounting key i). Like ShardBag it takes the tables over.
 func ShardBags(ts Tables, svc *shard.Service) Bags {
 	out := make(Bags, len(ts))
 	for i, t := range ts {

@@ -123,15 +123,39 @@ func TestShardedBagShadowSharesWeights(t *testing.T) {
 		}
 	}
 	// The primary's forward cache must be untouched by the shadow's pass.
-	if sb.lastIndices != nil {
+	if sb.tab.lastIndices != nil {
 		t.Fatal("shadow forward must not disturb the primary's cache")
+	}
+}
+
+// TestShardBagTakesTheTableOver pins ShardBag's storage contract: the bag
+// and its shadows read and write the rows of the table they were built from
+// — nothing is copied or re-packed, whatever the placement — so a caller
+// that wants an independent reference must Clone before sharding.
+func TestShardBagTakesTheTableOver(t *testing.T) {
+	const rows, dim = 12, 4
+	tab := NewTable(rows, dim, tensor.NewRNG(9))
+	rc := shard.NewRequestCounter(3)
+	rc.Observe(0, [][]int32{{7, 2}, {7, 5}, {2, 11}})
+	svc := shard.New(shard.Config{
+		Nodes: 3, CacheBytes: 0, RowBytes: dim * 4, Part: rc.HotAware(nil),
+	}, nil)
+	sb := ShardBag(tab, svc, 0)
+	sh := sb.ShadowBag()
+	for r := 0; r < rows; r++ {
+		if &sb.RowView(r)[0] != &tab.W.Row(r)[0] {
+			t.Fatalf("row %d of the bag is not the table's row", r)
+		}
+		if &sh.RowView(r)[0] != &tab.W.Row(r)[0] {
+			t.Fatalf("row %d of the shadow is not the table's row", r)
+		}
 	}
 }
 
 func TestShardBagsPartitionsWholeModel(t *testing.T) {
 	ts := NewTables([]int{10, 20, 30}, 4, tensor.NewRNG(5))
 	svc := shardSvc(2, 16, 4)
-	bags := ShardBags(ts, svc)
+	bags := ShardBags(ts.Clone(), svc) // the bags take their tables over; ts stays the reference
 	if len(bags) != 3 {
 		t.Fatalf("bags = %d", len(bags))
 	}

@@ -113,15 +113,13 @@ func (t *Table) fwdRange(out *tensor.Matrix, indices [][]int32, lo, hi int) {
 	}
 }
 
-// Forward performs a sum-pooled bag lookup: indices[b] lists the rows sample
-// b accesses (multi-hot); the output row b is the element-wise sum of those
-// embedding rows. One-hot inputs simply use single-element lists. The
-// returned matrix is scratch owned by t, valid until the next Forward call
-// on this instance.
+// pooled computes the sum-pooled lookup of an already checked index set into
+// the instance's forward scratch, every row read from the table: the body of
+// Forward and ServeForward here, and of ShardedBag's when no lookup is served
+// from a staged copy.
 //
 //hotline:hotpath
-func (t *Table) Forward(indices [][]int32) *tensor.Matrix {
-	checkIndices(indices, t.Rows)
+func (t *Table) pooled(indices [][]int32) *tensor.Matrix {
 	out := t.fwdOut.Resize(len(indices), t.Dim)
 	perItem := bagLookups(indices, t.Dim)
 	if par.Serial(len(indices), perItem) {
@@ -131,6 +129,19 @@ func (t *Table) Forward(indices [][]int32) *tensor.Matrix {
 			t.fwdRange(out, indices, lo, hi)
 		})
 	}
+	return out
+}
+
+// Forward performs a sum-pooled bag lookup: indices[b] lists the rows sample
+// b accesses (multi-hot); the output row b is the element-wise sum of those
+// embedding rows. One-hot inputs simply use single-element lists. The
+// returned matrix is scratch owned by t, valid until the next Forward call
+// on this instance.
+//
+//hotline:hotpath
+func (t *Table) Forward(indices [][]int32) *tensor.Matrix {
+	checkIndices(indices, t.Rows)
+	out := t.pooled(indices)
 	t.lastIndices = indices
 	return out
 }
@@ -146,16 +157,7 @@ func (t *Table) Forward(indices [][]int32) *tensor.Matrix {
 //hotline:hotpath
 func (t *Table) ServeForward(indices [][]int32) *tensor.Matrix {
 	checkIndices(indices, t.Rows)
-	out := t.fwdOut.Resize(len(indices), t.Dim)
-	perItem := bagLookups(indices, t.Dim)
-	if par.Serial(len(indices), perItem) {
-		t.fwdRange(out, indices, 0, len(indices))
-	} else {
-		par.ForWork(len(indices), perItem, func(lo, hi int) {
-			t.fwdRange(out, indices, lo, hi)
-		})
-	}
-	return out
+	return t.pooled(indices)
 }
 
 // SparseGrad holds deduplicated per-row gradients in ascending row order, so
@@ -295,9 +297,8 @@ func (a *backwardArena) pairsByRow(indices [][]int32) []int64 {
 	return a.pairs
 }
 
-// bagBackward is the storage-independent adjoint of sum pooling, shared by
-// Table and ShardedBag (the sparse gradient depends only on indices and the
-// output gradient, never on where rows live).
+// bagBackward is the adjoint of sum pooling (the sparse gradient depends only
+// on indices and the output gradient, never on row values).
 //
 // It replaces the historical per-call map[int32][]int32 touch map with a
 // row-ordered (row, sample) pair buffer: pairs pack the row in the high 32
@@ -551,8 +552,7 @@ func (t *Table) ApplySparseAdagrad(st *AdagradState, sg SparseGrad, lr float32) 
 	t.bw.reset()
 }
 
-// adagradRow is the shared per-row adaptive step: serial element order, so
-// every Bag implementation produces bit-identical state.
+// adagradRow is the per-row adaptive step, in serial element order.
 //
 //hotline:hotpath
 func adagradRow(wrow, arow, grow []float32, lr, eps float32) {

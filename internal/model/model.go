@@ -82,11 +82,12 @@ func New(cfg data.Config, seed uint64) *Model {
 	return m
 }
 
-// ShardEmbeddings partitions every embedding table across the nodes of a
-// shard.Service (row-wise, with per-node hot-entry device caches). The
-// model's training math is bit-identical before and after — only the
-// simulated row placement and the service's traffic accounting change.
-// It panics if the embeddings are already sharded.
+// ShardEmbeddings routes every embedding table through a shard.Service
+// (each row owned by one node, with per-node hot-entry device caches). The
+// bags take the tables over — rows are not copied — and the model's
+// training math is bit-identical before and after: only the simulated row
+// ownership and the service's traffic accounting change. It panics if the
+// embeddings are already sharded.
 func (m *Model) ShardEmbeddings(svc *shard.Service) {
 	for t, b := range m.Tables {
 		tab, ok := b.(*embedding.Table)
@@ -101,8 +102,7 @@ func (m *Model) ShardEmbeddings(svc *shard.Service) {
 func (m *Model) IsTBSM() bool { return m.Attn != nil }
 
 // sparsePrefetcher is implemented by bags that can gather a µ-batch's
-// remote rows asynchronously (embedding.ShardedBag on a service with an
-// async engine).
+// remote rows asynchronously (embedding.ShardedBag).
 type sparsePrefetcher interface {
 	Prefetch(indices [][]int32)
 	AbortPrefetch()

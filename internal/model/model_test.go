@@ -2,12 +2,14 @@ package model
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"hotline/internal/data"
 	"hotline/internal/embedding"
 	"hotline/internal/metrics"
 	"hotline/internal/nn"
+	"hotline/internal/shard"
 	"hotline/internal/tensor"
 )
 
@@ -268,4 +270,33 @@ func TestTable2ModelsConstruct(t *testing.T) {
 		m.Backward(grad, 1)
 		m.ApplySparse(0.01)
 	}
+}
+
+// TestShardEmbeddingsCopiesNoRows: sharding routes the tables it is given, it
+// does not re-pack them. On the Kaggle config at 4 nodes the only memory
+// ShardEmbeddings may take is the routing state RegisterTable sizes — an
+// owner entry, a cache-index slot per node and the dedup stamps, together
+// about 24 B a row — against the 64 B a row the tables hold; a second row store
+// would allocate more than the tables themselves.
+func TestShardEmbeddingsCopiesNoRows(t *testing.T) {
+	cfg := data.CriteoKaggle()
+	m := New(cfg, 1)
+	var held, rows int64
+	for _, b := range m.Tables {
+		held += b.SizeBytes()
+		rows += int64(b.NumRows())
+	}
+	svc := shard.New(shard.Config{
+		Nodes: 4, CacheBytes: 64 << 10, RowBytes: int64(cfg.EmbedDim) * 4,
+	}, nil)
+	defer svc.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m.ShardEmbeddings(svc)
+	runtime.ReadMemStats(&after)
+	got := int64(after.TotalAlloc - before.TotalAlloc)
+	if got >= held {
+		t.Fatalf("ShardEmbeddings allocated %d B for tables holding %d B: the rows were copied", got, held)
+	}
+	t.Logf("ShardEmbeddings allocated %d B (%.1f B/row) for tables holding %d B", got, float64(got)/float64(rows), held)
 }

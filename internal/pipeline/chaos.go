@@ -154,19 +154,14 @@ func MeasureChaos(cfg data.Config, p ChaosProbe) (ChaosMeasurement, error) {
 }
 
 // serveProbe issues one serve-path gather for the batch's first sparse
-// table, exercising graceful degradation while a peer is down. Serve-side
-// staging comes from the gatherer ring and is released immediately; the
-// training counters never move.
+// table, exercising graceful degradation while a peer is down. The serve
+// window is released immediately; the training counters never move.
 func serveProbe(svc *shard.Service, b *data.Batch) {
-	g := svc.Gatherer()
-	if g == nil || len(b.Sparse) == 0 {
+	if len(b.Sparse) == 0 {
 		return
 	}
-	plan := svc.PlanServeGather(0, b.Sparse[0])
-	if plan == nil {
-		return
+	if w := svc.PlanServeGather(0, b.Sparse[0]); w != nil {
+		svc.ServeGatherSync(w, func(row int32, dst []float32) {})
+		w.Release()
 	}
-	dim := svc.Config().RowBytes / 4
-	st := svc.ServeGatherSync(plan, int(dim), func(row int32, dst []float32) {})
-	g.Release(st)
 }

@@ -1,181 +1,10 @@
 package shard
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"time"
 )
-
-// GatherPlan is the fabric work one accounting pass produced: the distinct
-// rows of one table that must cross the fabric, grouped by the node that
-// owns (and therefore streams) them, plus a staging slot for every row.
-// Plans are built under the service mutex (PlanGather) and are immutable
-// afterwards. Plans are entries of the engine's PrefetchRing: consuming a
-// window (AsyncGatherer.Release) recycles its plan, so a depth-k pipeline
-// reuses a fixed set of plans instead of allocating one per call.
-type GatherPlan struct {
-	// Table keys the accounting and the staging lookups.
-	Table int
-	// Bytes is the fabric volume the plan represents, matching the
-	// GatherBytes accounting (per-(requesting node, row) dedup, so a row two
-	// nodes miss is priced twice even though it stages once).
-	Bytes int64
-
-	perOwner [][]int32     // perOwner[o]: distinct rows owner o must stream
-	slot     map[int32]int // row -> staging slot (distinct rows only)
-
-	// quant/qwidth list the staged rows served as warm-tier cache hits: no
-	// owner streams them — the fused dequantize-gather kernel materializes
-	// each one into its staging slot from the authoritative bits at staging
-	// time (Staging.fillQuant). They occupy slots but add no fabric Bytes.
-	quant  []int32
-	qwidth []Width
-}
-
-func newGatherPlan(table, nodes int) *GatherPlan {
-	p := &GatherPlan{slot: make(map[int32]int)}
-	p.reset(table, nodes)
-	return p
-}
-
-// reset readies a recycled plan for a new window, keeping the per-owner
-// slices and the slot map's buckets.
-func (p *GatherPlan) reset(table, nodes int) {
-	p.Table = table
-	p.Bytes = 0
-	if cap(p.perOwner) < nodes {
-		p.perOwner = make([][]int32, nodes)
-	} else {
-		p.perOwner = p.perOwner[:nodes]
-		for i := range p.perOwner {
-			p.perOwner[i] = p.perOwner[i][:0]
-		}
-	}
-	clear(p.slot)
-	p.quant = p.quant[:0]
-	p.qwidth = p.qwidth[:0]
-}
-
-// add registers one fabric fetch of row from owner. Rows are staged once
-// even when several requesting nodes fetch them (identical payload), while
-// Bytes accumulates the full per-node fabric volume.
-//
-//hotline:hotpath
-func (p *GatherPlan) add(row int32, owner int, rowBytes int64) {
-	p.Bytes += rowBytes
-	if _, ok := p.slot[row]; ok {
-		return
-	}
-	p.slot[row] = len(p.slot)
-	p.perOwner[owner] = append(p.perOwner[owner], row) //hotline:allow hotalloc per-owner lists are plan-ring scratch; growth converges to the gather high-water mark
-}
-
-// addQuant registers one warm-tier cache hit for staging through the fused
-// dequantize-gather kernel. It reports whether the row claimed a fresh slot:
-// a row already staged keeps its first planner's treatment (a fabric fetch
-// stays exact fp32 even if another node later hits it quantized, and a
-// quantized hit keeps its dequantized value even if another node later
-// misses — the miss still accounts its GatherBytes). First-planner-wins is
-// deterministic because planGather walks indices in order.
-//
-//hotline:hotpath
-func (p *GatherPlan) addQuant(row int32, w Width) bool {
-	if _, ok := p.slot[row]; ok {
-		return false
-	}
-	p.slot[row] = len(p.slot)
-	p.quant = append(p.quant, row) //hotline:allow hotalloc quant lists are plan-ring scratch; growth converges to the gather high-water mark
-	p.qwidth = append(p.qwidth, w) //hotline:allow hotalloc quant lists are plan-ring scratch; growth converges to the gather high-water mark
-	return true
-}
-
-// Rows returns the number of distinct staged rows.
-func (p *GatherPlan) Rows() int { return len(p.slot) }
-
-// FabricRows returns the staged rows that actually cross the fabric
-// (Rows minus the warm-tier hits the fused kernel materializes locally).
-func (p *GatherPlan) FabricRows() int { return len(p.slot) - len(p.quant) }
-
-// Staging is the landing buffer for one gather window's fetched rows: a
-// dense rows x dim matrix plus the row -> slot map from the plan. Workers
-// fill disjoint slots concurrently; consumers read it only after the
-// window's Handle reports completion, then apply the rows in their own
-// fixed iteration order. Under the depth-k pipeline a staged row can go
-// stale (a later sparse update rewrites the owner row while the window is
-// open); the WindowQueue's dirty-row tracker repairs exactly those rows
-// before consumption, which keeps every depth bit-identical to batch-by-
-// batch stepping. Stagings are ring entries like plans: AsyncGatherer.
-// Release recycles the buffer (and the plan it shares its slot map with).
-type Staging struct {
-	dim  int
-	buf  []float32
-	slot map[int32]int
-	plan *GatherPlan // recycled together with the staging
-	// widths records each slot's serving precision (empty = all fp32; sized
-	// only when the plan staged warm-tier hits). The repair path consults it
-	// to re-run the fused kernel instead of re-fetching.
-	widths []Width
-}
-
-// Lookup returns the staged copy of row, if the plan fetched it.
-//
-//hotline:hotpath
-func (st *Staging) Lookup(row int32) ([]float32, bool) {
-	i, ok := st.slot[row]
-	if !ok {
-		return nil, false
-	}
-	return st.buf[i*st.dim : (i+1)*st.dim], true
-}
-
-// Has reports whether the plan staged row, without touching the buffer (so
-// it is safe while fetches are still in flight — the slot map is immutable
-// after planning).
-//
-//hotline:hotpath
-func (st *Staging) Has(row int32) bool {
-	_, ok := st.slot[row]
-	return ok
-}
-
-// Rows returns the staged row count.
-func (st *Staging) Rows() int { return len(st.slot) }
-
-// Width returns the precision a staged row is served at (WidthFP32 for rows
-// that crossed the fabric exactly, and for rows the plan never staged).
-//
-//hotline:hotpath
-func (st *Staging) Width(row int32) Width {
-	if len(st.widths) == 0 {
-		return WidthFP32
-	}
-	i, ok := st.slot[row]
-	if !ok {
-		return WidthFP32
-	}
-	return st.widths[i]
-}
-
-// fillQuant runs the fused dequantize-gather kernel over the plan's
-// warm-tier rows: each row's current authoritative bits are fetched into its
-// staging slot and round-tripped through the entry's width in place —
-// exactly the value a coherent quantized replica would serve — with zero
-// allocations (the kernels tolerate aliasing). Runs on the planning
-// goroutine before any fabric job is enqueued, so it never races worker
-// fills (slots are disjoint) or sparse updates (same thread).
-//
-//hotline:hotpath
-func (st *Staging) fillQuant(fetch FetchFunc) {
-	p := st.plan
-	for i, row := range p.quant {
-		s := st.slot[row]
-		dst := st.buf[s*st.dim : (s+1)*st.dim]
-		fetch(row, dst)
-		dequantRowInto(dst, dst, p.qwidth[i])
-		st.widths[s] = p.qwidth[i]
-	}
-}
 
 // FetchFunc copies one owner-resident row into its staging slot. It runs on
 // gather workers concurrently with compute, so it must only read the
@@ -183,50 +12,7 @@ func (st *Staging) fillQuant(fetch FetchFunc) {
 // updates join any window whose staged rows they touch before mutating).
 type FetchFunc func(row int32, dst []float32)
 
-// Handle tracks one submitted gather window. Await may be called exactly
-// once per window; the handle is recycled into the engine's ring when it
-// returns.
-type Handle struct {
-	g       *AsyncGatherer
-	staging *Staging
-
-	mu      sync.Mutex
-	cond    sync.Cond // cond.L = &mu
-	pending int
-}
-
-// jobDone retires one per-owner fetch job.
-func (h *Handle) jobDone() {
-	h.mu.Lock()
-	h.pending--
-	if h.pending == 0 {
-		h.cond.Broadcast()
-	}
-	h.mu.Unlock()
-}
-
-// Await blocks until every fetch of the window has landed and returns the
-// staging buffer. The calling goroutine helps drain outstanding queue
-// buffers instead of idling, and the blocked wall time is accounted as
-// exposed gather time — the part of the fabric traffic the overlap failed
-// to hide. The handle is recycled on return; pass the staging to
-// AsyncGatherer.Release once its rows are consumed.
-func (h *Handle) Await() *Staging {
-	start := time.Now() //hotline:allow detorder measured exposed-gather wall; never feeds math
-	for _, q := range h.g.queues {
-		q.drainOn()
-	}
-	h.mu.Lock()
-	for h.pending > 0 {
-		h.cond.Wait()
-	}
-	h.mu.Unlock()
-	st := h.staging
-	h.g.noteExposed(time.Since(start), h) //hotline:allow detorder measured exposed-gather wall; never feeds math
-	return st
-}
-
-// OverlapStats aggregates what the async engine moved and how much of it
+// OverlapStats aggregates what the gather engine moved and how much of it
 // the overlap hid. All durations are wall-clock measurements of the
 // functional layer (they feed scenario reports and the measured
 // exposed-gather fraction, never any training math).
@@ -280,17 +66,12 @@ func ExposedFrac(overlap, sync OverlapStats) float64 {
 	return f
 }
 
-// fetchJob is one owner node's contribution to a gather window. svc routes
-// the fetch through the service's transport (timing it into the gather wall
-// meter); a nil svc (engine built standalone via NewAsyncGatherer) fetches
-// straight through the FetchFunc like the in-proc transport would.
+// fetchJob is one owner node's contribution to a gather window: the rows
+// w.perOwner[owner], fetched through the service's transport into w.
 type fetchJob struct {
-	svc   *Service
-	table int
+	w     *Staging
 	owner int
-	rows  []int32
 	fetch FetchFunc
-	h     *Handle
 }
 
 // engineCounters is the stats cell shared by the engine and its persistent
@@ -369,11 +150,11 @@ func (q *gatherQueue) swapLocked() []fetchJob {
 }
 
 // finish recycles a drained buffer. The retired jobs are cleared first: a
-// stale fetchJob still points at its service (whose gather field is the
-// engine) and at the window's tables, and the engine's runtime cleanup holds
-// the queues — left in place, every engine that ever prefetched would be
-// reachable from its own cleanup and never collected, service and shards
-// with it.
+// stale fetchJob still points at its window (whose engine's service holds the
+// registered tables) and at the bag's fetch closure, and the engine's runtime
+// cleanup holds the queues — left in place, every engine that ever prefetched
+// would be reachable from its own cleanup and never collected, service and
+// tables with it.
 func (q *gatherQueue) finish(jobs []fetchJob) {
 	clear(jobs)
 	q.mu.Lock()
@@ -436,54 +217,42 @@ func (q *gatherQueue) close() {
 func runJobs(jobs []fetchJob, c *engineCounters) {
 	start := time.Now() //hotline:allow detorder measured drainer-busy wall; never feeds math
 	for _, j := range jobs {
-		st := j.h.staging
-		if j.svc != nil {
-			j.svc.transportFetch(j.table, j.owner, j.rows, st, j.fetch)
-		} else {
-			for _, row := range j.rows {
-				i := st.slot[row]
-				j.fetch(row, st.buf[i*st.dim:(i+1)*st.dim])
-			}
-		}
-		j.h.jobDone()
+		w := j.w
+		w.g.svc.transportFetch(w.table, j.owner, w.perOwner[j.owner], w, j.fetch)
+		w.jobDone()
 	}
 	c.noteBusy(time.Since(start)) //hotline:allow detorder measured drainer-busy wall; never feeds math
 }
 
-// AsyncGatherer executes gather plans off the consumer's critical path: one
-// job queue per owner node (the node streaming its resident rows over the
-// fabric), drained by a persistent per-queue goroutine that parks when its
-// queue runs dry. Submit issues a window; the returned Handle's Await
-// blocks only for whatever the overlap failed to hide. GatherSync runs the
-// same plan inline, timing the fully exposed cost the synchronous path
-// pays.
+// AsyncGatherer is a service's gather engine (Service.Gatherer): it executes
+// planned windows off the consumer's critical path — one job queue per owner
+// node (the node streaming its resident rows over the fabric), drained by a
+// persistent per-queue goroutine that parks when its queue runs dry. Submit
+// issues a window; its Await blocks only for whatever the overlap failed to
+// hide. GatherSync runs the same window inline, timing the fully exposed
+// cost the synchronous path pays.
 //
-// Plans, stagings and handles pool through a PrefetchRing that grows to the
-// pipeline's peak window count — one window per table, depth k iterations
-// deep — and is then reused verbatim, so the steady-state prefetch path
-// allocates nothing. Consumers return a window with Release when they have
-// read its staged rows. Drainer goroutines start lazily on the first
-// Submit and are retired by Close (or automatically when the engine
-// becomes unreachable).
+// Windows pool through the engine: the pool grows to the pipeline's peak
+// window count — one window per table, depth k iterations deep — and is then
+// reused verbatim, so the steady-state prefetch path allocates nothing.
+// Drainer goroutines start lazily on the first Submit, so a service that
+// only records, or only gathers synchronously, parks none; they are retired
+// by Close (or automatically when the engine becomes unreachable).
 type AsyncGatherer struct {
+	svc    *Service // fetches route through its transport; read-only
 	queues []*gatherQueue
 	c      *engineCounters
-	ring   *PrefetchRing
-	// svc, when the engine is attached to a service (EnableAsyncGather),
-	// routes fetches through the service's transport; nil engines fetch
-	// straight through the FetchFunc. Read-only after attach.
-	svc *Service
+
+	poolMu sync.Mutex
+	pool   []*Staging // released windows awaiting reuse
 }
 
-// NewAsyncGatherer builds an engine for a topology of `nodes` owner nodes.
-func NewAsyncGatherer(nodes int) *AsyncGatherer {
-	if nodes < 1 {
-		panic(fmt.Sprintf("shard: async gatherer over %d nodes", nodes))
-	}
+// newAsyncGatherer builds the engine of svc: one queue per owner node.
+func newAsyncGatherer(svc *Service) *AsyncGatherer {
 	g := &AsyncGatherer{
-		queues: make([]*gatherQueue, nodes),
+		svc:    svc,
+		queues: make([]*gatherQueue, svc.cfg.Nodes),
 		c:      &engineCounters{},
-		ring:   NewPrefetchRing(),
 	}
 	for i := range g.queues {
 		g.queues[i] = newGatherQueue(g.c)
@@ -508,98 +277,80 @@ func (g *AsyncGatherer) Close() {
 	}
 }
 
-// Ring exposes the engine's prefetch ring (plans, stagings and handles pool
-// through it).
-func (g *AsyncGatherer) Ring() *PrefetchRing { return g.ring }
-
-// AcquirePlan hands out a recycled (or new) plan for a window over the
-// engine's topology. The service's PlanGather calls this so plans cycle
-// through the ring instead of being allocated per accounting pass.
-func (g *AsyncGatherer) AcquirePlan(table int) *GatherPlan {
-	return g.ring.Plan(table, len(g.queues))
+// acquire hands out a released (or new) window, empty, keyed to table: the
+// accounting walk takes one at the first row that needs staging, a
+// WindowQueue one to stand for a prefetch that planned nothing.
+func (g *AsyncGatherer) acquire(table int) *Staging {
+	var w *Staging
+	g.poolMu.Lock()
+	if n := len(g.pool); n > 0 {
+		w = g.pool[n-1]
+		g.pool = g.pool[:n-1]
+	}
+	g.poolMu.Unlock()
+	if w == nil {
+		w = &Staging{g: g, perOwner: make([][]int32, len(g.queues)), slot: make(map[int32]int)}
+		w.cond.L = &w.mu
+	}
+	w.table = table
+	return w
 }
 
-// Release recycles a consumed window: the staging buffer and the plan whose
-// slot map it shares go back into the ring. Callers must not touch the
-// staging (or any row slice obtained from Lookup) afterwards. Releasing is
-// optional — an unreleased window is simply collected by the GC — so
-// external users of Submit/GatherSync that predate the ring keep working.
-func (g *AsyncGatherer) Release(st *Staging) { g.ring.ReleaseStaging(st) }
-
-// Submit issues one gather window asynchronously and returns its Handle.
-// The submitting goroutine yields once so the drainers get scheduled even
-// on a single-CPU host — the window then streams while the caller's compute
-// runs, which is exactly the overlap the paper's pipeline performs in
-// hardware.
+// Submit issues one planned window asynchronously; Await it before reading
+// its rows. The submitting goroutine yields once so the drainers get
+// scheduled even on a single-CPU host — the window then streams while the
+// caller's compute runs, which is exactly the overlap the paper's pipeline
+// performs in hardware.
 //
 //hotline:stats-writer
-func (g *AsyncGatherer) Submit(plan *GatherPlan, dim int, fetch FetchFunc) *Handle {
-	h := g.ring.Handle()
-	h.g = g
-	h.staging = g.ring.Staging(plan, dim)
-	if len(plan.quant) > 0 {
-		h.staging.fillQuant(fetch)
-	}
+func (g *AsyncGatherer) Submit(w *Staging, fetch FetchFunc) {
+	w.fillQuant(fetch)
 	jobs := 0
-	for _, rows := range plan.perOwner {
+	for _, rows := range w.perOwner {
 		if len(rows) > 0 {
 			jobs++
 		}
 	}
 	g.c.mu.Lock()
 	g.c.stats.Windows++
-	g.c.stats.PrefetchRows += int64(plan.FabricRows())
-	g.c.stats.PrefetchBytes += plan.Bytes
+	g.c.stats.PrefetchRows += int64(w.fabricRows())
+	g.c.stats.PrefetchBytes += w.bytes
 	g.c.mu.Unlock()
+	w.inFlight = true
 	if jobs == 0 {
-		return h
+		return
 	}
-	h.mu.Lock()
-	h.pending = jobs
-	h.mu.Unlock()
-	for owner, rows := range plan.perOwner {
-		if len(rows) == 0 {
-			continue
+	w.mu.Lock()
+	w.pending = jobs
+	w.mu.Unlock()
+	for owner, rows := range w.perOwner {
+		if len(rows) > 0 {
+			g.queues[owner].enqueue(fetchJob{w: w, owner: owner, fetch: fetch})
 		}
-		g.queues[owner].enqueue(fetchJob{svc: g.svc, table: plan.Table, owner: owner, rows: rows, fetch: fetch, h: h})
 	}
 	runtime.Gosched()
-	return h
 }
 
-// GatherSync executes a plan inline on the calling goroutine and returns
-// the filled staging buffer. The wall time is accounted as synchronous
-// (fully exposed) gather time — the baseline the overlap is measured
-// against.
+// GatherSync fills a planned window inline on the calling goroutine. The
+// wall time is accounted as synchronous (fully exposed) gather time — the
+// baseline the overlap is measured against.
 //
 //hotline:stats-writer
-func (g *AsyncGatherer) GatherSync(plan *GatherPlan, dim int, fetch FetchFunc) *Staging {
+func (g *AsyncGatherer) GatherSync(w *Staging, fetch FetchFunc) {
 	start := time.Now() //hotline:allow detorder measured sync-gather wall; never feeds math
-	st := g.ring.Staging(plan, dim)
-	if len(plan.quant) > 0 {
-		st.fillQuant(fetch)
-	}
-	for owner, rows := range plan.perOwner {
-		if len(rows) == 0 {
-			continue
-		}
-		if g.svc != nil {
-			g.svc.transportFetch(plan.Table, owner, rows, st, fetch)
-			continue
-		}
-		for _, row := range rows {
-			i := st.slot[row]
-			fetch(row, st.buf[i*st.dim:(i+1)*st.dim])
+	w.fillQuant(fetch)
+	for owner, rows := range w.perOwner {
+		if len(rows) > 0 {
+			g.svc.transportFetch(w.table, owner, rows, w, fetch)
 		}
 	}
 	el := time.Since(start) //hotline:allow detorder measured sync-gather wall; never feeds math
 	g.c.mu.Lock()
 	g.c.stats.SyncWindows++
-	g.c.stats.SyncRows += int64(plan.FabricRows())
-	g.c.stats.SyncBytes += plan.Bytes
+	g.c.stats.SyncRows += int64(w.fabricRows())
+	g.c.stats.SyncBytes += w.bytes
 	g.c.stats.SyncGather += el
 	g.c.mu.Unlock()
-	return st
 }
 
 // Stats snapshots the overlap counters.
@@ -635,13 +386,11 @@ func (g *AsyncGatherer) noteStale(rows int) {
 	g.c.mu.Unlock()
 }
 
-// noteExposed accounts one Await's blocked wall time and recycles the
-// handle.
+// noteExposed accounts one Await's blocked wall time.
 //
 //hotline:stats-writer
-func (g *AsyncGatherer) noteExposed(d time.Duration, h *Handle) {
+func (g *AsyncGatherer) noteExposed(d time.Duration) {
 	g.c.mu.Lock()
 	g.c.stats.Exposed += d
 	g.c.mu.Unlock()
-	g.ring.ReleaseHandle(h)
 }

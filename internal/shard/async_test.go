@@ -9,7 +9,7 @@ import (
 // position 0 (node 0) touches rows {0, 1}, position 1 (node 1) touches
 // {0, 1}; with nothing hot and no cache, rows 1 (for node 0) and 0 (for
 // node 1) cross the fabric.
-func planFor(t *testing.T) (*Service, *GatherPlan) {
+func planFor(t *testing.T) (*Service, *Staging) {
 	t.Helper()
 	s := New(Config{Nodes: 2, CacheBytes: 0, RowBytes: 64}, hotSet(0))
 	plan := s.PlanGather(0, [][]int32{{0, 1}, {0, 1}})
@@ -39,8 +39,11 @@ func TestPlanGatherContents(t *testing.T) {
 	if plan.Rows() != 2 {
 		t.Fatalf("staged rows = %d want 2", plan.Rows())
 	}
-	if plan.Bytes != 2*64 {
-		t.Fatalf("plan bytes = %d", plan.Bytes)
+	if plan.bytes != 2*64 {
+		t.Fatalf("plan bytes = %d", plan.bytes)
+	}
+	if len(plan.buf) != 2*16 {
+		t.Fatalf("buffer holds %d floats, want two rows of the configured 16", len(plan.buf))
 	}
 	// Rows staged under their owners: row 0 on node 0, row 1 on node 1.
 	if len(plan.perOwner[0]) != 1 || plan.perOwner[0][0] != 0 {
@@ -64,16 +67,16 @@ func TestPlanGatherNilWhenNothingCrosses(t *testing.T) {
 }
 
 func TestAsyncGatherStagesRows(t *testing.T) {
-	_, plan := planFor(t)
-	g := NewAsyncGatherer(2)
+	s, st := planFor(t)
+	g := s.Gatherer()
 	var fetches atomic.Int64
-	h := g.Submit(plan, 4, func(row int32, dst []float32) {
+	g.Submit(st, func(row int32, dst []float32) {
 		fetches.Add(1)
 		for k := range dst {
 			dst[k] = float32(row)*10 + float32(k)
 		}
 	})
-	st := h.Await()
+	st.Await()
 	if fetches.Load() != 2 {
 		t.Fatalf("fetches = %d want 2", fetches.Load())
 	}
@@ -91,33 +94,33 @@ func TestAsyncGatherStagesRows(t *testing.T) {
 	if _, ok := st.Lookup(7); ok {
 		t.Fatal("unfetched row must miss the staging buffer")
 	}
-	s := g.Stats()
-	if s.Windows != 1 || s.PrefetchRows != 2 || s.PrefetchBytes != 2*64 {
-		t.Fatalf("stats: %+v", s)
+	if ov := g.Stats(); ov.Windows != 1 || ov.PrefetchRows != 2 || ov.PrefetchBytes != 2*64 {
+		t.Fatalf("stats: %+v", ov)
 	}
 }
 
 func TestAsyncGatherManyWindows(t *testing.T) {
 	// Many in-flight windows across nodes exercise the double-buffered
 	// queues; every window's staging must land fully.
-	s := New(Config{Nodes: 4, CacheBytes: 0, RowBytes: 64}, hotSet(0))
-	g := NewAsyncGatherer(4)
+	s := New(Config{Nodes: 4, CacheBytes: 0, RowBytes: 4}, hotSet(0))
+	g := s.Gatherer()
 	fetch := func(row int32, dst []float32) { dst[0] = float32(row) }
-	var handles []*Handle
+	var handles []*Staging
 	for it := 0; it < 64; it++ {
 		idx := make([][]int32, 8)
 		for b := range idx {
 			idx[b] = []int32{int32((it + b) % 32), int32((it*3 + b) % 32)}
 		}
-		if plan := s.PlanGather(0, idx); plan != nil {
-			handles = append(handles, g.Submit(plan, 1, fetch))
+		if w := s.PlanGather(0, idx); w != nil {
+			g.Submit(w, fetch)
+			handles = append(handles, w)
 		}
 	}
 	if len(handles) == 0 {
 		t.Fatal("expected fabric traffic")
 	}
-	for _, h := range handles {
-		st := h.Await()
+	for _, st := range handles {
+		st.Await()
 		for row, slot := range st.slot {
 			if st.buf[slot] != float32(row) {
 				t.Fatalf("row %d staged %g", row, st.buf[slot])
@@ -130,9 +133,9 @@ func TestAsyncGatherManyWindows(t *testing.T) {
 }
 
 func TestGatherSyncAccountsExposedTime(t *testing.T) {
-	_, plan := planFor(t)
-	g := NewAsyncGatherer(2)
-	st := g.GatherSync(plan, 4, func(row int32, dst []float32) { dst[0] = float32(row) })
+	svc, st := planFor(t)
+	g := svc.Gatherer()
+	g.GatherSync(st, func(row int32, dst []float32) { dst[0] = float32(row) })
 	if st.Rows() != 2 {
 		t.Fatalf("staged rows = %d", st.Rows())
 	}

@@ -97,10 +97,7 @@ func trainRun(tb testing.TB, cfg data.Config, nodes, depth int, part shard.Parti
 	t.LearnSamples = probeLearn
 	svc.ResetStats()
 	res := runResult{m: t.M, losses: train.StepAll(t, probeBatches(cfg), before)}
-	res.stats = svc.Snapshot()
-	if g := svc.Gatherer(); g != nil {
-		res.over = g.Stats()
-	}
+	res.stats, res.over = svc.Snapshot(), svc.Gatherer().Stats()
 	if err := svc.FabricErr(); err != nil {
 		tb.Fatalf("fabric error after run (nodes=%d depth=%d): %v", nodes, depth, err)
 	}
@@ -225,18 +222,17 @@ type fabricFixture struct {
 	g     *shard.AsyncGatherer
 	store [][]float32
 	fetch shard.FetchFunc
-	dim   int
 }
 
 func newFabricFixture(tb testing.TB, s Suite, nodes, rows, dim int) *fabricFixture {
 	tb.Helper()
-	f := &fabricFixture{dim: dim}
+	f := &fabricFixture{}
 	// Pure remote (no device caches): every remote row crosses the fabric,
 	// and the cache layer cannot leak state between the serve and train
 	// probes below.
 	f.svc = shard.New(shard.Config{Nodes: nodes, CacheBytes: 0, RowBytes: int64(dim) * 4}, nil)
 	s.attach(tb, f.svc, nodes)
-	f.g = f.svc.EnableAsyncGather()
+	f.g = f.svc.Gatherer()
 	f.store = make([][]float32, rows)
 	for r := range f.store {
 		f.store[r] = make([]float32, dim)
@@ -257,9 +253,9 @@ func runServeSeparation(t *testing.T, s Suite) {
 	defer f.svc.Close()
 
 	trainIdx := [][]int32{{1, 5}, {2, 6}, {3, 7}, {4, 8}}
-	if plan := f.svc.PlanGather(0, trainIdx); plan != nil {
-		st := f.g.GatherSync(plan, f.dim, f.fetch)
-		f.g.Release(st)
+	if w := f.svc.PlanGather(0, trainIdx); w != nil {
+		f.g.GatherSync(w, f.fetch)
+		w.Release()
 	}
 	train := f.svc.Snapshot()
 	if train.Lookups == 0 {
@@ -267,8 +263,8 @@ func runServeSeparation(t *testing.T, s Suite) {
 	}
 
 	serveIdx := [][]int32{{9, 13}, {10, 14}, {11, 15}, {12, 16}}
-	if plan := f.svc.PlanServeGather(0, serveIdx); plan != nil {
-		st := f.svc.ServeGatherSync(plan, f.dim, f.fetch)
+	if st := f.svc.PlanServeGather(0, serveIdx); st != nil {
+		f.svc.ServeGatherSync(st, f.fetch)
 		for _, row := range []int32{9, 13} {
 			if v, ok := st.Lookup(row); ok {
 				if want := float32(row * 100); v[0] != want {
@@ -276,7 +272,7 @@ func runServeSeparation(t *testing.T, s Suite) {
 				}
 			}
 		}
-		f.g.Release(st)
+		st.Release()
 	}
 	serve := f.svc.ServeSnapshot()
 	if serve.Lookups == 0 {
@@ -297,12 +293,12 @@ func runCleanShutdown(t *testing.T, s Suite) {
 	f := newFabricFixture(t, s, 4, 32, 8)
 	idx := [][]int32{{1, 2}, {5, 6}}
 	q := f.svc.NewWindowQueue(0)
-	plan := f.svc.PlanGather(0, idx)
-	if plan == nil {
+	w := f.svc.PlanGather(0, idx)
+	if w == nil {
 		t.Fatal("probe plan needed no fabric fetches")
 	}
-	h := f.g.Submit(plan, f.dim, f.fetch)
-	q.Push(idx, h)
+	f.g.Submit(w, f.fetch)
+	q.Push(idx, w)
 
 	// Close with the window still open — twice, concurrently would also be
 	// legal (covered by the shard package's own lifecycle test); the
@@ -310,14 +306,11 @@ func runCleanShutdown(t *testing.T, s Suite) {
 	if err := f.svc.Close(); err != nil {
 		t.Fatalf("close with open window: %v", err)
 	}
-	w := q.Match(idx)
-	if w == nil {
+	st := q.Match(idx)
+	if st == nil {
 		t.Fatal("open window lost across Close")
 	}
-	st := q.Consume(w, f.fetch)
-	if st == nil {
-		t.Fatal("no staging after Close")
-	}
+	q.Consume(st, f.fetch)
 	// Rows 1 and 2 are requested by batch position 0 (node 0) and owned by
 	// nodes 1 and 2 under round-robin — both must have crossed the fabric.
 	for _, row := range []int32{1, 2} {
@@ -329,8 +322,7 @@ func runCleanShutdown(t *testing.T, s Suite) {
 			t.Fatalf("row %d = %v want %v", row, v[0], want)
 		}
 	}
-	f.g.Release(st)
-	q.Recycle(w)
+	st.Release()
 	if err := f.svc.Close(); err != nil {
 		t.Fatalf("second close: %v", err)
 	}

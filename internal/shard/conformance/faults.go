@@ -110,21 +110,19 @@ func patternRow(dim int) shard.RowAt {
 	}
 }
 
-// fetchInto issues one Fetch of rows from owner 0 through a service-built
-// staging buffer, returning the transport's error.
+// fetchInto issues one Fetch of rows from owner 0 into a service-planned
+// window, returning the transport's error.
 func fetchInto(t *testing.T, tr shard.Transport, rows []int32, dim int) error {
 	t.Helper()
 	svc := shard.New(shard.Config{Nodes: 2, CacheBytes: 0, RowBytes: int64(dim) * 4}, nil)
-	g := svc.EnableAsyncGather()
 	// Build an index set whose remote plan is exactly `rows` on owner 0:
 	// batch position 1 (node 1) requesting rows owned by node 0 (even ids).
 	idx := [][]int32{nil, rows}
-	plan := svc.PlanGather(0, idx)
-	if plan == nil {
+	st := svc.PlanGather(0, idx)
+	if st == nil {
 		t.Fatal("fault probe plan is empty")
 	}
-	st := g.Ring().Staging(plan, dim)
-	defer g.Release(st)
+	defer st.Release()
 	return tr.Fetch(0, 0, rows, st, nil)
 }
 

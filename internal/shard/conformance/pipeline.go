@@ -38,7 +38,6 @@ type pipeFixture struct {
 	svc   *shard.Service
 	store [][]float32
 	src   shard.RowAt
-	dim   int
 	arm   func()
 	// moved, when set, is where re-dials find node 0 (a restarted process).
 	moved atomic.Pointer[string]
@@ -46,7 +45,7 @@ type pipeFixture struct {
 
 func newPipeFixture(t *testing.T, network string, resilient bool, rows, dim int, timeout time.Duration, spec faultSpec) *pipeFixture {
 	t.Helper()
-	fx := &pipeFixture{dim: dim}
+	fx := &pipeFixture{}
 	fx.fab, fx.arm = faultFabric(t, network, timeout, spec)
 	fx.bare = fx.fab.Transport
 	fx.tr = fx.bare
@@ -100,15 +99,14 @@ func (fx *pipeFixture) owned(node int) []int32 {
 	return rows
 }
 
-// fetch reads node 0's rows over the transport into a fresh staging buffer.
+// fetch reads node 0's rows over the transport into a freshly planned window.
 func (fx *pipeFixture) fetch(t *testing.T, rows []int32) (*shard.Staging, error) {
 	t.Helper()
 	// Batch position 1 is dealt to node 1, so node 0's rows are remote to it.
-	plan := fx.svc.PlanGather(0, [][]int32{nil, rows})
-	if plan == nil {
+	st := fx.svc.PlanGather(0, [][]int32{nil, rows})
+	if st == nil {
 		t.Fatal("pipeline probe plan is empty")
 	}
-	st := fx.svc.Gatherer().Ring().Staging(plan, fx.dim)
 	return st, fx.tr.Fetch(0, 0, rows, st, nil)
 }
 

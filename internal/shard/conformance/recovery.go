@@ -64,12 +64,12 @@ func adoptRetry() shard.RetryConfig {
 func suiteTimeout(tb testing.TB) time.Duration {
 	if t, ok := tb.(*testing.T); ok {
 		if d, ok := t.Deadline(); ok {
-			if rem := time.Until(d) / 2; rem < shard.DefaultFabricTimeout {
+			if rem := time.Until(d) / 2; rem < shard.DefaultIOTimeout {
 				return rem
 			}
 		}
 	}
-	return shard.DefaultFabricTimeout
+	return shard.DefaultIOTimeout
 }
 
 // trainChaos is trainRun against a chaos fabric: same probe stream, same
@@ -188,7 +188,6 @@ func runServeOutage(t *testing.T, network string) {
 	svc.SetRecovery(shard.RecoveryConfig{Policy: shard.RecoverRedial})
 	svc.SetTransport(rt)
 	defer svc.Close()
-	g := svc.EnableAsyncGather()
 	store := make([][]float32, rows)
 	for r := range store {
 		store[r] = make([]float32, dim)
@@ -206,11 +205,11 @@ func runServeOutage(t *testing.T, network string) {
 	// batch position 0 (node 0) they must cross the fabric.
 	serveIdx := [][]int32{{1, 5, 9}}
 	serveOnce := func() *shard.Staging {
-		plan := svc.PlanServeGather(0, serveIdx)
-		if plan == nil {
+		st := svc.PlanServeGather(0, serveIdx)
+		if st == nil {
 			t.Fatal("serve plan needed no fabric fetches")
 		}
-		st := svc.ServeGatherSync(plan, dim, fetch)
+		svc.ServeGatherSync(st, fetch)
 		for _, row := range serveIdx[0] {
 			if v, ok := st.Lookup(row); ok {
 				if want := float32(row * 100); v[0] != want {
@@ -222,7 +221,7 @@ func runServeOutage(t *testing.T, network string) {
 	}
 
 	// Healthy baseline.
-	g.Release(serveOnce())
+	serveOnce().Release()
 	if n := svc.ServeSnapshot().StaleServeRows; n != 0 {
 		t.Fatalf("healthy serve counted %d stale rows", n)
 	}
@@ -230,7 +229,7 @@ func runServeOutage(t *testing.T, network string) {
 	// Outage: node 1 down, no restart yet. Serving keeps answering — from
 	// the mirror — and counts every owed row stale.
 	fab.Kill(1)
-	g.Release(serveOnce())
+	serveOnce().Release()
 	stale := svc.ServeSnapshot().StaleServeRows
 	if stale != int64(len(serveIdx[0])) {
 		t.Fatalf("outage serve counted %d stale rows, want %d", stale, len(serveIdx[0]))
@@ -247,7 +246,7 @@ func runServeOutage(t *testing.T, network string) {
 	if err := fab.Restart(1); err != nil {
 		t.Fatal(err)
 	}
-	g.Release(serveOnce())
+	serveOnce().Release()
 	if got := svc.ServeSnapshot().StaleServeRows; got != stale {
 		t.Fatalf("StaleServeRows grew to %d after the peer returned", got)
 	}
@@ -260,9 +259,9 @@ func runServeOutage(t *testing.T, network string) {
 	trainBefore := svc.Snapshot()
 	serveBefore := svc.ServeSnapshot()
 	trainIdx := [][]int32{{2, 6, 10}}
-	if plan := svc.PlanGather(0, trainIdx); plan != nil {
-		st := g.GatherSync(plan, dim, fetch)
-		g.Release(st)
+	if w := svc.PlanGather(0, trainIdx); w != nil {
+		svc.Gatherer().GatherSync(w, fetch)
+		w.Release()
 	}
 	if got := svc.ServeSnapshot(); got.WithoutWall() != serveBefore.WithoutWall() {
 		t.Fatalf("post-recovery training leaked into serve counters:\n got %+v\nwas %+v", got, serveBefore)

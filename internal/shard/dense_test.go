@@ -247,23 +247,23 @@ func TestStampDedupAcrossEpochWrap(t *testing.T) {
 }
 
 // sparseStep is one table's accounting for one training step: the gather
-// walk with its plan released, then the scatter walk.
+// walk with its window filled and released, then the scatter walk.
 func sparseStep(s *Service, table int, idx [][]int32) {
-	if plan := s.PlanGather(table, idx); plan != nil {
-		s.Gatherer().Release(s.Gatherer().GatherSync(plan, 4, func(int32, []float32) {}))
+	if w := s.PlanGather(table, idx); w != nil {
+		s.Gatherer().GatherSync(w, func(int32, []float32) {})
+		w.Release()
 	}
 	s.RecordScatter(table, idx)
 }
 
 // TestAccountingSteadyStateZeroAlloc: with the table registered, the gather
 // and scatter accounting walks — routing array, cache index, slot table,
-// dedup stamps, plan ring — allocate nothing, whether rows hit or are
+// dedup stamps, window pool — allocate nothing, whether rows hit or are
 // evicted and re-admitted every step.
 func TestAccountingSteadyStateZeroAlloc(t *testing.T) {
 	const rows = 512
 	for _, cacheRows := range []int64{rows, 8} {
 		s := New(Config{Nodes: 4, CacheBytes: cacheRows * 16, RowBytes: 16}, nil)
-		s.EnableAsyncGather()
 		s.RegisterTable(0, 4, rows, flatRows(rows, 4))
 		rng := tensor.NewRNG(5)
 		idx := make([][]int32, 64)
@@ -292,7 +292,6 @@ func TestRoutingStateSizedAtRegistration(t *testing.T) {
 	const nodes = 4
 	tableRows := []int{300, 120, 7}
 	s := New(Config{Nodes: nodes, CacheBytes: 64 * 16, RowBytes: 16}, nil)
-	s.EnableAsyncGather()
 	var registered int
 	for tb, rows := range tableRows {
 		s.RegisterTable(tb, 4, rows, flatRows(rows, 4))

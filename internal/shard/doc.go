@@ -9,8 +9,9 @@
 // link models price the measured traffic) and internal/embedding (whose
 // ShardedBag routes every lookup and gradient through a Service). The
 // functional layers stay bit-identical to their single-node counterparts —
-// sharding only decides where a row physically lives and what its access
-// costs — while the Service's counters turn the paper's Figure-30-style
+// sharding only decides which node a row is routed to and accounted on (on a
+// socket fabric, which node process stores it) and what its access costs —
+// while the Service's counters turn the paper's Figure-30-style
 // multi-node claims from closed-form estimates into measured behaviour:
 // cache hit-rates, bytes moved per iteration, all-to-all times, and the
 // fraction of gather time left exposed come from replaying real access
@@ -29,22 +30,23 @@
 // admitted into the cache on the way through. A zero cache budget is the
 // explicit pure-remote mode: no admissions and no fill traffic.
 //
-// Gathers can run asynchronously: PlanGather performs the exact accounting
-// walk of RecordGather and also returns the distinct remote rows grouped
-// by owner; the AsyncGatherer streams each owner's rows through per-node
-// queues — drained by persistent, cond-woken goroutines — into a Staging
-// buffer while the consumer computes, and Handle.Await blocks only on what
-// the overlap failed to hide — the measured exposed-gather time the
-// mn-overlap and mn-depth scenarios and the Hotline timing model consume.
-// Plans, stagings and handles pool through a PrefetchRing sized by the
-// pipeline's peak window count, so the steady-state path allocates
-// nothing.
+// The unit of fabric work is one window (Staging): PlanGather performs the
+// exact accounting walk of RecordGather and also hands out the window to
+// stage — the distinct remote rows grouped by owner, a landing buffer sized
+// for them — as one pooled object. The service's gather engine
+// (AsyncGatherer, Service.Gatherer) fills it: inline (GatherSync), or through
+// per-node queues — drained by persistent, cond-woken goroutines — while the
+// consumer computes (Submit), after which Await blocks only on what the
+// overlap failed to hide — the measured exposed-gather time the mn-overlap
+// and mn-depth scenarios and the Hotline timing model consume. Release
+// returns the window to the engine's pool, which grows to the pipeline's
+// peak window count, so the steady-state path allocates nothing.
 //
 // A depth-k pipeline keeps up to k windows open per table. The WindowQueue
 // is its dirty-row tracker: issued windows register FIFO, a sparse update
 // marks the staged rows it is about to rewrite dirty (joining in-flight
 // fetches first, so no fetch races a write), and the consuming forward
-// delta-repairs exactly those rows from the owner shards — every depth is
+// delta-repairs exactly those rows from their owners — every depth is
 // therefore bit-identical to batch-by-batch stepping. The opt-in stale
 // mode (Service.SetStaleReads) skips the repair, serves issue-time values
 // and counts them, so the accuracy cost of staleness is measured rather

@@ -10,8 +10,8 @@ import (
 // node in [0, Nodes). It replaces the substrate's original hard-coded
 // round-robin rule, so non-uniform placements (capacity-weighted shards,
 // popular rows co-located with their dominant requesters) plug into the
-// Service, the ShardedBag storage layout and the traffic accounting without
-// touching any training math.
+// Service's routing and traffic accounting — and, on a socket fabric, decide
+// which node process stores a row — without touching any training math.
 type Partitioner interface {
 	// Owner returns the node that owns row `row` of table `table`.
 	Owner(table int, row int32) int

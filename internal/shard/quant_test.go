@@ -38,22 +38,19 @@ func TestQuantizedHitServesFusedRoundTrip(t *testing.T) {
 	qt := quantTable{dim: dim}
 	s := New(Config{Nodes: 2, CacheBytes: 1 << 12, RowBytes: dim * 4, Quant: QuantINT8}, nil)
 	g := s.Gatherer()
-	if g == nil {
-		t.Fatal("quantized service must auto-attach the async engine")
-	}
 	idx := [][]int32{{1}} // batch position 0 = node 0; row 1 owned by node 1
 
 	// First touch: miss — the fill transfer is priced as a full fabric row,
 	// but the staged value is the round trip of the row being admitted.
-	plan := s.PlanGather(0, idx)
-	if plan == nil {
+	st := s.PlanGather(0, idx)
+	if st == nil {
 		t.Fatal("first touch must plan (it stages the quantized fill)")
 	}
-	if plan.FabricRows() != 0 || plan.Rows() != 1 || plan.Bytes != 0 {
+	if st.fabricRows() != 0 || st.Rows() != 1 || st.bytes != 0 {
 		t.Fatalf("quantize-on-fill plan: fabric=%d staged=%d bytes=%d, want 0/1/0",
-			plan.FabricRows(), plan.Rows(), plan.Bytes)
+			st.fabricRows(), st.Rows(), st.bytes)
 	}
-	st := g.GatherSync(plan, dim, qt.fetch)
+	g.GatherSync(st, qt.fetch)
 	v, ok := st.Lookup(1)
 	if !ok {
 		t.Fatal("row 1 must stage")
@@ -69,20 +66,20 @@ func TestQuantizedHitServesFusedRoundTrip(t *testing.T) {
 	if st.Width(1) != WidthINT8 {
 		t.Fatalf("quantized fill width = %v, want int8", st.Width(1))
 	}
-	g.Release(st)
+	st.Release()
 
 	// Second touch: warm-tier hit, served through the fused kernel.
-	plan = s.PlanGather(0, idx)
-	if plan == nil {
+	st = s.PlanGather(0, idx)
+	if st == nil {
 		t.Fatal("quantized hit must still produce a plan (it stages)")
 	}
-	if plan.FabricRows() != 0 || plan.Rows() != 1 {
-		t.Fatalf("quant hit plan: fabric=%d staged=%d, want 0/1", plan.FabricRows(), plan.Rows())
+	if st.fabricRows() != 0 || st.Rows() != 1 {
+		t.Fatalf("quant hit plan: fabric=%d staged=%d, want 0/1", st.fabricRows(), st.Rows())
 	}
-	if plan.Bytes != 0 {
-		t.Fatalf("quant hit moved %d fabric bytes, want 0", plan.Bytes)
+	if st.bytes != 0 {
+		t.Fatalf("quant hit moved %d fabric bytes, want 0", st.bytes)
 	}
-	st = g.GatherSync(plan, dim, qt.fetch)
+	g.GatherSync(st, qt.fetch)
 	v, ok = st.Lookup(1)
 	if !ok {
 		t.Fatal("quant hit must stage")
@@ -102,7 +99,7 @@ func TestQuantizedHitServesFusedRoundTrip(t *testing.T) {
 	if !lossy {
 		t.Fatal("test rows must make the int8 round trip lossy, or the assertion is vacuous")
 	}
-	g.Release(st)
+	st.Release()
 
 	snap := s.Snapshot()
 	if snap.CacheHits != 1 || snap.QuantHits != 1 || snap.DequantRows != 2 {
@@ -125,22 +122,22 @@ func TestMixedModeTiersByPopularity(t *testing.T) {
 	g := s.Gatherer()
 	idx := [][]int32{{1, 3}} // both remote for node 0
 
-	plan := s.PlanGather(0, idx) // both miss, both admitted
-	st := g.GatherSync(plan, dim, qt.fetch)
-	g.Release(st)
+	st := s.PlanGather(0, idx) // both miss, both admitted
+	g.GatherSync(st, qt.fetch)
+	st.Release()
 
-	plan = s.PlanGather(0, idx) // both hit, tiers differ
-	if plan == nil {
+	st = s.PlanGather(0, idx) // both hit, tiers differ
+	if st == nil {
 		t.Fatal("second touch must plan (warm hit stages)")
 	}
-	st = g.GatherSync(plan, dim, qt.fetch)
+	g.GatherSync(st, qt.fetch)
 	if w := st.Width(3); w != WidthINT8 {
 		t.Fatalf("warm row width = %v, want int8", w)
 	}
 	if st.Has(1) {
 		t.Fatal("hot fp32 hit must not stage at all (served from the shard like any cache hit)")
 	}
-	g.Release(st)
+	st.Release()
 
 	snap := s.Snapshot()
 	if snap.CacheHits != 2 || snap.QuantHits != 1 {
@@ -176,14 +173,13 @@ func TestServePathServesQuantized(t *testing.T) {
 	const dim = 16
 	qt := quantTable{dim: dim}
 	s := New(Config{Nodes: 2, CacheBytes: 1 << 12, RowBytes: dim * 4, Quant: QuantINT8}, nil)
-	g := s.Gatherer()
 	idx := [][]int32{{1}}
 
-	plan := s.PlanServeGather(0, idx) // miss: admits int8
-	st := s.ServeGatherSync(plan, dim, qt.fetch)
-	g.Release(st)
-	plan = s.PlanServeGather(0, idx) // warm hit
-	st = s.ServeGatherSync(plan, dim, qt.fetch)
+	st := s.PlanServeGather(0, idx) // miss: admits int8
+	s.ServeGatherSync(st, qt.fetch)
+	st.Release()
+	st = s.PlanServeGather(0, idx) // warm hit
+	s.ServeGatherSync(st, qt.fetch)
 	v, ok := st.Lookup(1)
 	if !ok || st.Width(1) != WidthINT8 {
 		t.Fatalf("serve quant hit not staged quantized (ok=%v width=%v)", ok, st.Width(1))
@@ -195,7 +191,7 @@ func TestServePathServesQuantized(t *testing.T) {
 			t.Fatalf("serve elem %d = %g, want %g", k, v[k], want[k])
 		}
 	}
-	g.Release(st)
+	st.Release()
 
 	sv := s.ServeSnapshot()
 	if sv.QuantHits != 1 || sv.DequantRows != 2 {
@@ -252,22 +248,22 @@ func TestQuantRepairMatchesSyncGather(t *testing.T) {
 	idx := [][]int32{{1}}
 
 	// Warm the cache: row 1 becomes an int8 entry.
-	plan := s.PlanGather(0, idx)
-	g.Release(g.GatherSync(plan, dim, fetch))
+	st := s.PlanGather(0, idx)
+	g.GatherSync(st, fetch)
+	st.Release()
 
 	// Issue a prefetch window whose staged row is then updated.
-	plan = s.PlanGather(0, idx)
-	h := g.Submit(plan, dim, fetch)
-	q.Push(idx, h)
+	st = s.PlanGather(0, idx)
+	g.Submit(st, fetch)
+	q.Push(idx, st)
 	q.MarkDirty([]int32{1})
 	for k := range store[1] {
 		store[1][k] += 5 // the sparse update the window must observe
 	}
-	w := q.Match(idx)
-	if w == nil {
+	if q.Match(idx) != st {
 		t.Fatal("window must match its index set")
 	}
-	st := q.Consume(w, fetch)
+	q.Consume(st, fetch)
 	v, ok := st.Lookup(1)
 	if !ok {
 		t.Fatal("row 1 must stage")
@@ -279,8 +275,7 @@ func TestQuantRepairMatchesSyncGather(t *testing.T) {
 			t.Fatalf("repaired elem %d = %g, want re-quantized current bits %g", k, v[k], want[k])
 		}
 	}
-	g.Release(st)
-	q.Recycle(w)
+	st.Release()
 
 	// Repair accounting: one row at the int8 footprint, no fabric fetch.
 	os := g.Stats()

@@ -319,12 +319,8 @@ func TestServeDegradesToMirror(t *testing.T) {
 		},
 	})
 	defer svc.Close()
-	// The serve plan wants odd (node-1-owned) rows.
+	// The serve window wants odd (node-1-owned) rows for node 0.
 	rows := []int32{1, 3, 5}
-	plan := newGatherPlan(0, 2)
-	for _, r := range rows {
-		plan.add(r, 1, 32)
-	}
 	local := func(row int32, dst []float32) {
 		for k := range dst {
 			dst[k] = float32(row)*1000 + float32(k)
@@ -332,9 +328,10 @@ func TestServeDegradesToMirror(t *testing.T) {
 	}
 
 	f.Servers[1].Close()
-	st := svc.ServeGatherSync(plan, 8, local)
+	st := svc.PlanServeGather(0, [][]int32{rows})
+	svc.ServeGatherSync(st, local)
 	checkFetched(t, st, rows, 8)
-	svc.Gatherer().Release(st)
+	st.Release()
 	if got := svc.ServeSnapshot().StaleServeRows; got != int64(len(rows)) {
 		t.Fatalf("StaleServeRows = %d, want %d", got, len(rows))
 	}
@@ -354,9 +351,10 @@ func TestServeDegradesToMirror(t *testing.T) {
 	defer srv.Close()
 	restarted = srv
 	before := svc.ServeSnapshot().StaleServeRows
-	st2 := svc.ServeGatherSync(plan, 8, local)
-	checkFetched(t, st2, rows, 8)
-	svc.Gatherer().Release(st2)
+	st = svc.PlanServeGather(0, [][]int32{rows})
+	svc.ServeGatherSync(st, local)
+	checkFetched(t, st, rows, 8)
+	st.Release()
 	if got := svc.ServeSnapshot().StaleServeRows; got != before {
 		t.Fatalf("StaleServeRows grew to %d after the peer returned", got)
 	}

@@ -260,8 +260,8 @@ type Service struct {
 	hot  HotClassifier
 	part Partitioner
 
-	// gather is the optional async prefetch engine (EnableAsyncGather);
-	// read-only after attach.
+	// gather is the service's gather engine: it pools the windows the
+	// accounting walk plans and fetches them, inline or on its drainers.
 	gather *AsyncGatherer
 
 	// tr is the fabric transport rows travel over (SetTransport; defaults
@@ -348,12 +348,7 @@ func New(cfg Config, hot HotClassifier) *Service {
 	for n := range s.caches {
 		s.caches[n] = NewDeviceCache(cfg.CacheBytes, cfg.Policy)
 	}
-	if cfg.Quant != QuantOff {
-		// Quantized hits are served through staged gathers (the fused
-		// dequantize-gather runs at staging-acquisition time), so tiered
-		// caches always route through the async engine's staging buffers.
-		s.EnableAsyncGather()
-	}
+	s.gather = newAsyncGatherer(s)
 	return s
 }
 
@@ -375,21 +370,10 @@ func (s *Service) Partitioner() Partitioner { return s.part }
 //hotline:hotpath
 func (s *Service) Owner(table int, row int32) int { return s.part.Owner(table, row) }
 
-// EnableAsyncGather attaches (or returns the already-attached) asynchronous
-// gather engine. With an engine attached, ShardedBag forwards route fabric
-// fetches through staging buffers — synchronously when no prefetch was
-// issued, overlapped with compute when one was — and the engine measures
-// how much of the gather time stayed exposed. Attach before training starts;
-// the field is read without the service mutex afterwards.
-func (s *Service) EnableAsyncGather() *AsyncGatherer {
-	if s.gather == nil {
-		s.gather = NewAsyncGatherer(s.cfg.Nodes)
-		s.gather.svc = s
-	}
-	return s.gather
-}
-
-// Gatherer returns the attached async gather engine, or nil.
+// Gatherer returns the service's gather engine (never nil): it executes the
+// windows PlanGather hands out — overlapped with compute (Submit) or inline
+// (GatherSync) — and its Stats measure how much of the gather time stayed
+// exposed.
 func (s *Service) Gatherer() *AsyncGatherer { return s.gather }
 
 // SetStaleReads toggles the opt-in stale-read mode: when on, depth-k
@@ -432,20 +416,21 @@ func (s *Service) RecordServeGather(table int, indices [][]int32) {
 }
 
 // PlanGather performs RecordGather's full accounting pass and additionally
-// returns the fabric fetch plan: the distinct rows that must cross the
-// fabric into the requesting side's staging buffer, grouped by owner node.
-// It returns nil when nothing needs fetching (single node, or every remote
-// access was a cache hit). The async gather engine executes the plan; cache
-// state and counters advance exactly as a plain RecordGather would.
-func (s *Service) PlanGather(table int, indices [][]int32) *GatherPlan {
+// returns the window to stage: the distinct rows that must reach the
+// requesting side's staging buffer, those that cross the fabric grouped by
+// owner node, and the buffer sized for them. It returns nil when nothing
+// needs staging (single node, or every remote access was an exact cache
+// hit). The gather engine fills the window (Submit / GatherSync); cache state
+// and counters advance exactly as a plain RecordGather would. Release the
+// window once its rows are consumed.
+func (s *Service) PlanGather(table int, indices [][]int32) *Staging {
 	return s.planGather(table, indices, true, false)
 }
 
 // PlanServeGather is PlanGather for the read-only inference path: the same
 // accounting as RecordServeGather (serve counters, shared cache state) plus
-// the fabric fetch plan a multi-process transport executes to actually move
-// the remote rows (ServeGatherSync).
-func (s *Service) PlanServeGather(table int, indices [][]int32) *GatherPlan {
+// the window ServeGatherSync fills to actually move the remote rows.
+func (s *Service) PlanServeGather(table int, indices [][]int32) *Staging {
 	return s.planGather(table, indices, true, true)
 }
 
@@ -454,7 +439,7 @@ func (s *Service) PlanServeGather(table int, indices [][]int32) *GatherPlan {
 // cache state is shared between the two paths by design.
 //
 //hotline:stats-writer
-func (s *Service) planGather(table int, indices [][]int32, collect, serve bool) *GatherPlan {
+func (s *Service) planGather(table int, indices [][]int32, collect, serve bool) *Staging {
 	if s.cfg.Nodes == 1 {
 		// Single node: every access is local; count and return.
 		var n int64
@@ -471,7 +456,7 @@ func (s *Service) planGather(table int, indices [][]int32, collect, serve bool) 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.statsFor(serve)
-	var plan *GatherPlan
+	var plan *Staging
 	nodes, rowBytes, fp := s.cfg.Nodes, s.cfg.RowBytes, s.failPart
 	caching, tiered := s.cfg.CacheBytes > 0, s.cfg.Quant != QuantOff
 	// The stamps dedup fabric fetches within this call (one iteration's bag).
@@ -516,7 +501,7 @@ func (s *Service) planGather(table int, indices [][]int32, collect, serve bool) 
 					st.QuantHits++
 					if collect {
 						if plan == nil {
-							plan = s.acquirePlan(table)
+							plan = s.gather.acquire(table)
 						}
 						if plan.addQuant(ix, w) {
 							st.DequantRows++
@@ -537,7 +522,7 @@ func (s *Service) planGather(table int, indices [][]int32, collect, serve bool) 
 				st.GatherBytes += rowBytes
 				if collect {
 					if plan == nil {
-						plan = s.acquirePlan(table)
+						plan = s.gather.acquire(table)
 					}
 					if narrow {
 						// The miss still prices a full fabric row above (the
@@ -571,7 +556,22 @@ func (s *Service) planGather(table int, indices [][]int32, collect, serve bool) 
 			node = 0
 		}
 	}
+	if plan != nil {
+		plan.sizeBuffer(s.tableDim(table))
+	}
 	return plan
+}
+
+// tableDim returns the row width a window over table stages at: the table's
+// registered dimension, or the configured row footprint's for a table nobody
+// registered. Caller holds s.mu.
+func (s *Service) tableDim(table int) int {
+	for i := range s.tables {
+		if s.tables[i].table == table {
+			return s.tables[i].dim
+		}
+	}
+	return s.cfg.Dim()
 }
 
 // admitWidth is the tiering admission rule for one remote row: whether the
@@ -675,15 +675,6 @@ func (s *Service) sizeTable(table, rows int) []int32 {
 func (s *Service) growOwners(table int, row int32) []int32 {
 	n := len(s.tableOwners(table))
 	return s.sizeTable(table, max(int(row)+1, n+n/2))
-}
-
-// acquirePlan hands out a gather plan, recycling through the async engine's
-// ring when one is attached.
-func (s *Service) acquirePlan(table int) *GatherPlan {
-	if s.gather != nil {
-		return s.gather.AcquirePlan(table)
-	}
-	return newGatherPlan(table, s.cfg.Nodes)
 }
 
 // RecordScatter accounts the gradient push-back for one bag's backward

@@ -40,10 +40,6 @@ const (
 	DefaultRetryTimeout = 30 * time.Second
 )
 
-// DefaultFabricTimeout is the historical single-knob default, kept as the
-// per-operation (IO) bound.
-const DefaultFabricTimeout = DefaultIOTimeout
-
 // Validate rejects negative budgets (zero means "use the default").
 func (t FabricTimeouts) Validate() error {
 	if t.Dial < 0 || t.IO < 0 || t.Retry < 0 {

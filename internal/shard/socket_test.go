@@ -16,11 +16,11 @@ import (
 // whole run out (the deflake contract: no fixed sleeps, no fixed ports).
 func fabricTimeout(t *testing.T) time.Duration {
 	if d, ok := t.Deadline(); ok {
-		if rem := time.Until(d) / 2; rem < DefaultFabricTimeout {
+		if rem := time.Until(d) / 2; rem < DefaultIOTimeout {
 			return rem
 		}
 	}
-	return DefaultFabricTimeout
+	return DefaultIOTimeout
 }
 
 // stagingFor builds a bare staging buffer keyed by the given rows.
@@ -222,19 +222,15 @@ func TestServiceCloseIdempotent(t *testing.T) {
 
 	// The open window survives Close: Match + Consume still deliver the
 	// staged bits.
-	w := q.Match(idx)
-	if w == nil {
+	st := q.Match(idx)
+	if st == nil {
 		t.Fatal("window lost across Close")
 	}
-	st := q.Consume(w, f.fetch)
-	if st == nil {
-		t.Fatal("no staging after Close")
-	}
+	q.Consume(st, f.fetch)
 	if v, ok := st.Lookup(3); !ok || v[0] != 300 {
 		t.Fatalf("staged row 3 = %v, %v", v, ok)
 	}
-	f.g.Release(st)
-	q.Recycle(w)
+	st.Release()
 }
 
 // TestServiceCloseWithSocketFabric closes a service whose transport is a

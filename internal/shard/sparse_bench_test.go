@@ -54,7 +54,6 @@ func sparseService(b *testing.B, batches [][][]int32) *Service {
 	b.Helper()
 	s := New(Config{Nodes: sparseNodes, CacheBytes: sparseRows * sparseDim * 4, RowBytes: sparseDim * 4}, nil)
 	b.Cleanup(func() { s.Close() })
-	s.EnableAsyncGather()
 	s.RegisterTable(0, sparseDim, sparseRows, flatRows(sparseRows, sparseDim))
 	for _, idx := range batches {
 		s.RecordGather(0, idx)

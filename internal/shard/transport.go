@@ -109,9 +109,7 @@ type tableReg struct {
 // SetTransport installs the fabric transport rows travel over; the default
 // is the in-proc fast path. Call it on a fresh service — before any table
 // is registered (ShardBag / Model.ShardEmbeddings) and before training — so
-// the initial shard sync reaches the right fabric. A multi-process
-// transport auto-attaches the async gather engine: every fabric fetch is
-// staged, which is what gives the socket path its measured wall times.
+// the initial shard sync reaches the right fabric.
 func (s *Service) SetTransport(tr Transport) {
 	if tr == nil {
 		tr = NewInproc()
@@ -129,9 +127,6 @@ func (s *Service) SetTransport(tr Transport) {
 		// the service restores its shard from the authoritative mirror.
 		rt.setResync(s.resyncOwner)
 	}
-	if s.multiproc {
-		s.EnableAsyncGather()
-	}
 }
 
 // Transport returns the installed fabric transport (never nil).
@@ -140,25 +135,16 @@ func (s *Service) Transport() Transport { return s.tr }
 // Multiproc reports whether rows cross a process boundary (socket fabric).
 func (s *Service) Multiproc() bool { return s.multiproc }
 
-// TableOwners returns the dense owner array of one table — element r is the
-// node the placement policy assigns row r, before any failover overlay —
-// walking the partitioner once for rows rows and sizing the table's routing
-// state (every device cache's index, the dedup stamps) to match. The array
-// is shared, read-only: ShardBag lays its shards out by it and the
-// accounting walks route by it, so the placement is walked once per table.
-func (s *Service) TableOwners(table, rows int) []int32 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sizeTable(table, rows)
-}
-
 // RegisterTable declares one sharded table's geometry and row source to the
-// fabric, sizing its routing state exactly (TableOwners), so the accounting
-// walks never grow anything for a registered table. On the in-proc transport
+// fabric and sizes its routing state exactly — the dense owner array (the
+// partitioner walked once), every device cache's index, the dedup stamps — so
+// the accounting walks never grow anything for a registered table, and
+// windows planned over it stage rows dim wide. On the in-proc transport
 // that is all; on a multi-process fabric it bulk-pushes every row to its
 // owner node process (the initial shard sync), so worker stores serve
-// fetches from exactly the bits the coordinator's mirror holds. ShardBag
-// calls this; shadows share the primary's registration.
+// fetches from exactly the bits the coordinator's mirror — the table src
+// reads — holds. ShardBag calls this; shadows share the primary's
+// registration.
 func (s *Service) RegisterTable(table, dim, rows int, src RowAt) {
 	s.mu.Lock()
 	s.sizeTable(table, rows)
@@ -256,10 +242,10 @@ func (s *Service) transportFetch(table, owner int, rows []int32, st *Staging, lo
 	return s.fetchVia(&s.gatherWallNS, table, owner, rows, st, local)
 }
 
-// ServeGatherSync stages a serve plan's fabric rows synchronously through
-// the transport (the read path of a multi-process fabric); the wall time
-// books into the serve-side counters (ServeSnapshot().GatherWall). Release
-// the returned staging to the gatherer once its rows are consumed.
+// ServeGatherSync fills a serve window synchronously through the transport
+// (the read path of a multi-process fabric); the wall time books into the
+// serve-side counters (ServeSnapshot().GatherWall). Release the window once
+// its rows are consumed.
 //
 // On a resilient fabric the serve path degrades instead of erroring: each
 // per-owner fetch gets exactly one attempt (FetchFast — at most an
@@ -267,23 +253,20 @@ func (s *Service) transportFetch(table, owner int, rows []int32, st *Staging, lo
 // owner's rows are answered from the coordinator's warmed mirror, counted
 // as StaleServeRows in the serve snapshot. When the peer returns, the probe
 // reconnects it and the counter stops — serving un-degrades by itself.
-func (s *Service) ServeGatherSync(plan *GatherPlan, dim int, local FetchFunc) *Staging {
-	st := s.gather.ring.Staging(plan, dim)
-	if len(plan.quant) > 0 {
-		st.fillQuant(local)
-	}
+func (s *Service) ServeGatherSync(w *Staging, local FetchFunc) {
+	w.fillQuant(local)
 	rt, degrade := s.tr.(*ResilientTransport)
-	for owner, rows := range plan.perOwner {
+	for owner, rows := range w.perOwner {
 		if len(rows) == 0 {
 			continue
 		}
 		if degrade {
 			start := time.Now() //hotline:allow detorder measured serve wall; never feeds math
-			err := rt.FetchFast(plan.Table, owner, rows, st, local)
+			err := rt.FetchFast(w.table, owner, rows, w, local)
 			s.serveWallNS.Add(time.Since(start).Nanoseconds()) //hotline:allow detorder measured serve wall; never feeds math
 			if err != nil {
 				for _, r := range rows {
-					if v, ok := st.Lookup(r); ok {
+					if v, ok := w.Lookup(r); ok {
 						local(r, v)
 					}
 				}
@@ -291,9 +274,8 @@ func (s *Service) ServeGatherSync(plan *GatherPlan, dim int, local FetchFunc) *S
 			}
 			continue
 		}
-		s.fetchVia(&s.serveWallNS, plan.Table, owner, rows, st, local)
+		s.fetchVia(&s.serveWallNS, w.table, owner, rows, w, local)
 	}
-	return st
 }
 
 // noteStaleServe counts serve rows answered from the mirror during an
@@ -355,7 +337,7 @@ func (s *Service) ResetFabricErr() {
 	s.errMu.Unlock()
 }
 
-// Close releases the fabric: the async engine's persistent drainer
+// Close releases the fabric: the gather engine's persistent drainer
 // goroutines are retired (parked drainers wake and exit; windows already
 // submitted still complete because consumers help drain in Await) and the
 // transport is closed, which settles the scatter pushes still in flight: a
@@ -367,9 +349,7 @@ func (s *Service) ResetFabricErr() {
 // new asynchronous drains stop.
 func (s *Service) Close() error {
 	s.closeOnce.Do(func() {
-		if s.gather != nil {
-			s.gather.Close()
-		}
+		s.gather.Close()
 		if s.tr != nil {
 			if err := s.tr.Close(); err != nil {
 				// A push the fabric accepted and then lost: the run's node

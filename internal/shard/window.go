@@ -3,39 +3,237 @@ package shard
 import (
 	"slices"
 	"sync"
+	"time"
 )
 
-// Window is one issued, not-yet-consumed prefetch window of a depth-k
-// pipeline: the index set it was planned for, the in-flight handle (until
-// the window is joined) or the landed staging buffer, and the dirty list —
-// staged rows a later sparse update rewrote, which must be delta-repaired
-// before the window's values may feed a forward pass.
-type Window struct {
-	indices [][]int32
-	handle  *Handle  // in flight; nil once joined (or when the plan was empty)
-	staging *Staging // set on join; nil when the plan needed no fetches
-	dirty   []int32  // staged rows invalidated since issue (may repeat)
+// Staging is one gather window: the working parameters of one µ-batch on
+// their way from the owner nodes to the consumer. It is the plan, the
+// landing buffer, the completion state and the prefetch-queue entry of that
+// window in one pooled object, with one acquire (Service.PlanGather /
+// PlanServeGather) and one Release:
+//
+//   - The plan — the distinct rows of one table that must be staged, a slot
+//     for each, the rows that cross the fabric grouped by the owner node that
+//     streams them — is built under the service mutex by the accounting walk
+//     and is immutable afterwards, so membership tests (Has) are safe while
+//     fetches are still in flight.
+//   - The buffer is a dense rows x dim matrix, sized where the window is
+//     planned. Workers fill disjoint slots concurrently; consumers read it
+//     (Lookup) only after Await, then apply the rows in their own fixed
+//     iteration order.
+//   - An issued window (AsyncGatherer.Submit) completes when its last
+//     per-owner fetch retires; Await blocks for whatever is still missing.
+//   - In a depth-k pipeline the window waits in its table's WindowQueue with
+//     the index set it was planned for and a dirty list: a staged row can go
+//     stale while the window is open (a later sparse update rewrites the owner
+//     row), and the queue repairs exactly those rows before consumption, which
+//     keeps every depth bit-identical to batch-by-batch stepping.
+//
+// A window belongs to the engine that planned it and to exactly one user
+// between acquire and Release; a depth-k pipeline cycles through a fixed set
+// of them, so the steady-state path allocates nothing.
+type Staging struct {
+	g *AsyncGatherer // the engine whose pool the window cycles through
+
+	table int // keys the accounting and the fabric fetches
+	// bytes is the fabric volume the plan represents, matching the
+	// GatherBytes accounting (per-(requesting node, row) dedup, so a row two
+	// nodes miss is priced twice even though it stages once).
+	bytes    int64
+	perOwner [][]int32     // perOwner[o]: distinct rows owner o must stream
+	slot     map[int32]int // row -> staging slot (distinct rows only)
+	// quant/qwidth list the staged rows served as warm-tier cache hits: no
+	// owner streams them — the fused dequantize-gather kernel materializes
+	// each one into its staging slot from the authoritative bits at staging
+	// time (fillQuant). They occupy slots but add no fabric bytes.
+	quant  []int32
+	qwidth []Width
+
+	dim int
+	buf []float32
+	// widths records each slot's serving precision (empty = all fp32; sized
+	// only when the plan staged warm-tier hits). The repair path consults it
+	// to re-run the fused kernel instead of re-fetching.
+	widths []Width
+
+	mu       sync.Mutex
+	cond     sync.Cond // cond.L = &mu
+	pending  int       // per-owner fetch jobs still out
+	inFlight bool      // submitted and not yet awaited
+
+	indices [][]int32 // the index set a queued window was planned for
+	dirty   []int32   // staged rows invalidated since issue (may repeat)
 }
 
-// pendingStaging returns the window's staging buffer whether or not the
-// window has been joined (the slot map is immutable after planning, so
-// membership tests are safe while fetches are still in flight).
-func (w *Window) pendingStaging() *Staging {
-	if w.staging != nil {
-		return w.staging
+// add registers one fabric fetch of row from owner. Rows are staged once
+// even when several requesting nodes fetch them (identical payload), while
+// bytes accumulates the full per-node fabric volume.
+//
+//hotline:hotpath
+func (w *Staging) add(row int32, owner int, rowBytes int64) {
+	w.bytes += rowBytes
+	if _, ok := w.slot[row]; ok {
+		return
 	}
-	if w.handle != nil {
-		return w.handle.staging
-	}
-	return nil
+	w.slot[row] = len(w.slot)
+	w.perOwner[owner] = append(w.perOwner[owner], row) //hotline:allow hotalloc per-owner lists are pooled window scratch; growth converges to the gather high-water mark
 }
 
-// join waits for the window's fetches to land (at most once).
-func (w *Window) join() {
-	if w.handle != nil {
-		w.staging = w.handle.Await()
-		w.handle = nil
+// addQuant registers one warm-tier cache hit for staging through the fused
+// dequantize-gather kernel. It reports whether the row claimed a fresh slot:
+// a row already staged keeps its first planner's treatment (a fabric fetch
+// stays exact fp32 even if another node later hits it quantized, and a
+// quantized hit keeps its dequantized value even if another node later
+// misses — the miss still accounts its GatherBytes). First-planner-wins is
+// deterministic because planGather walks indices in order.
+//
+//hotline:hotpath
+func (w *Staging) addQuant(row int32, wd Width) bool {
+	if _, ok := w.slot[row]; ok {
+		return false
 	}
+	w.slot[row] = len(w.slot)
+	w.quant = append(w.quant, row)  //hotline:allow hotalloc quant lists are pooled window scratch; growth converges to the gather high-water mark
+	w.qwidth = append(w.qwidth, wd) //hotline:allow hotalloc quant lists are pooled window scratch; growth converges to the gather high-water mark
+	return true
+}
+
+// sizeBuffer sizes the landing buffer for the finished plan: one dim-wide
+// slot per staged row, and the per-slot width table only for windows that
+// stage warm-tier hits (everything defaults to fp32 and fillQuant marks its
+// slots).
+func (w *Staging) sizeBuffer(dim int) {
+	n := len(w.slot)
+	w.dim = dim
+	if cap(w.buf) < n*dim {
+		w.buf = make([]float32, n*dim)
+	}
+	w.buf = w.buf[:n*dim]
+	w.widths = w.widths[:0]
+	if len(w.quant) > 0 {
+		if cap(w.widths) < n {
+			w.widths = make([]Width, n)
+		}
+		w.widths = w.widths[:n]
+		clear(w.widths)
+	}
+}
+
+// Rows returns the number of distinct staged rows.
+func (w *Staging) Rows() int { return len(w.slot) }
+
+// fabricRows returns the staged rows that actually cross the fabric
+// (Rows minus the warm-tier hits the fused kernel materializes locally).
+func (w *Staging) fabricRows() int { return len(w.slot) - len(w.quant) }
+
+// Lookup returns the staged copy of row, if the plan fetched it.
+//
+//hotline:hotpath
+func (w *Staging) Lookup(row int32) ([]float32, bool) {
+	i, ok := w.slot[row]
+	if !ok {
+		return nil, false
+	}
+	return w.buf[i*w.dim : (i+1)*w.dim], true
+}
+
+// Has reports whether the plan staged row, without touching the buffer (so
+// it is safe while fetches are still in flight).
+//
+//hotline:hotpath
+func (w *Staging) Has(row int32) bool {
+	_, ok := w.slot[row]
+	return ok
+}
+
+// Width returns the precision a staged row is served at (WidthFP32 for rows
+// that crossed the fabric exactly, and for rows the plan never staged).
+//
+//hotline:hotpath
+func (w *Staging) Width(row int32) Width {
+	if len(w.widths) == 0 {
+		return WidthFP32
+	}
+	i, ok := w.slot[row]
+	if !ok {
+		return WidthFP32
+	}
+	return w.widths[i]
+}
+
+// fillQuant runs the fused dequantize-gather kernel over the plan's
+// warm-tier rows: each row's current authoritative bits are fetched into its
+// staging slot and round-tripped through the entry's width in place —
+// exactly the value a coherent quantized replica would serve — with zero
+// allocations (the kernels tolerate aliasing). Runs on the planning
+// goroutine before any fabric job is enqueued, so it never races worker
+// fills (slots are disjoint) or sparse updates (same thread).
+//
+//hotline:hotpath
+func (w *Staging) fillQuant(fetch FetchFunc) {
+	for i, row := range w.quant {
+		s := w.slot[row]
+		dst := w.buf[s*w.dim : (s+1)*w.dim]
+		fetch(row, dst)
+		dequantRowInto(dst, dst, w.qwidth[i])
+		w.widths[s] = w.qwidth[i]
+	}
+}
+
+// jobDone retires one per-owner fetch job.
+func (w *Staging) jobDone() {
+	w.mu.Lock()
+	w.pending--
+	if w.pending == 0 {
+		w.cond.Broadcast()
+	}
+	w.mu.Unlock()
+}
+
+// Await blocks until every fetch of a submitted window has landed. The
+// calling goroutine helps drain outstanding queue buffers instead of idling,
+// and the blocked wall time is accounted as exposed gather time — the part
+// of the fabric traffic the overlap failed to hide. Only the first call
+// after a Submit waits; on a landed (or never submitted) window it returns
+// at once.
+func (w *Staging) Await() {
+	if !w.inFlight {
+		return
+	}
+	w.inFlight = false
+	start := time.Now() //hotline:allow detorder measured exposed-gather wall; never feeds math
+	for _, q := range w.g.queues {
+		q.drainOn()
+	}
+	w.mu.Lock()
+	for w.pending > 0 {
+		w.cond.Wait()
+	}
+	w.mu.Unlock()
+	w.g.noteExposed(time.Since(start)) //hotline:allow detorder measured exposed-gather wall; never feeds math
+}
+
+// Release returns a consumed window to its engine's pool, reset. Callers
+// must not touch it (or any row slice obtained from Lookup) afterwards, and
+// must not release a window whose fetches are still in flight.
+func (w *Staging) Release() {
+	w.bytes = 0
+	for o := range w.perOwner {
+		w.perOwner[o] = w.perOwner[o][:0]
+	}
+	clear(w.slot)
+	w.quant, w.qwidth = w.quant[:0], w.qwidth[:0]
+	w.indices = nil
+	w.dirty = w.dirty[:0]
+	w.g.poolMu.Lock()
+	w.g.pool = append(w.g.pool, w)
+	w.g.poolMu.Unlock()
+}
+
+// discard joins a window nobody will consume and releases it.
+func (w *Staging) discard() {
+	w.Await()
+	w.Release()
 }
 
 // WindowQueue is the dirty-row tracker of one table's prefetch pipeline: a
@@ -55,16 +253,12 @@ func (w *Window) join() {
 //     the owner shards — the delta repair — unless the service is in the
 //     opt-in stale mode (SetStaleReads), where the stale values are served
 //     as-is and only counted (OverlapStats.StaleRows).
-//
-// Windows recycle through a free list, so the steady-state depth-k path
-// allocates nothing once the pipeline reaches its peak depth.
 type WindowQueue struct {
 	svc   *Service
 	table int // accounting key of the table this queue repairs through the fabric
 
 	mu   sync.Mutex
-	open []*Window // FIFO, oldest window first
-	free []*Window
+	open []*Staging // FIFO, oldest window first
 }
 
 // NewWindowQueue returns an empty window registry for one table, routing
@@ -85,59 +279,37 @@ func (q *WindowQueue) Len() int {
 // most k windows (k <= 8 in every shipped sweep), so the bound only bites
 // a caller that prefetches but whose forwards never match — e.g. index
 // slices rebuilt between Prefetch and Forward, which Match's identity test
-// rejects. Evicting the oldest window (joined, released, recycled) keeps
-// such a caller's memory and MarkDirty scans bounded instead of leaking a
-// staging buffer per call.
+// rejects. Evicting the oldest window (joined and released) keeps such a
+// caller's memory and MarkDirty scans bounded instead of leaking a window
+// per call.
 const maxOpenWindows = 64
 
-// Push registers an issued window for indices. h is nil when the plan
-// needed no fabric fetches (the window is then an empty marker keeping the
-// FIFO aligned with the lookahead order). If the queue is already at
-// maxOpenWindows the oldest window is discarded like an aborted
-// speculation — its accounting already happened.
-func (q *WindowQueue) Push(indices [][]int32, h *Handle) {
+// Push registers a submitted window for indices. w is nil when the plan
+// needed no fabric fetches: an empty window then keeps the FIFO aligned with
+// the lookahead order. If the queue is already at maxOpenWindows the oldest
+// window is discarded like an aborted speculation — its accounting already
+// happened.
+func (q *WindowQueue) Push(indices [][]int32, w *Staging) {
+	if w == nil {
+		w = q.svc.gather.acquire(q.table)
+	}
+	w.indices = indices
 	q.mu.Lock()
 	if len(q.open) >= maxOpenWindows {
-		q.discardLocked(q.open[0])
+		q.open[0].discard()
 		copy(q.open, q.open[1:])
 		q.open = q.open[:len(q.open)-1]
 	}
-	var w *Window
-	if n := len(q.free); n > 0 {
-		w = q.free[n-1]
-		q.free = q.free[:n-1]
-	} else {
-		w = &Window{}
-	}
-	w.indices = indices
-	w.handle = h
-	w.staging = nil
-	w.dirty = w.dirty[:0]
 	q.open = append(q.open, w)
 	q.mu.Unlock()
-}
-
-// discardLocked joins a window, releases its staging to the engine and
-// recycles the entry. Caller holds q.mu.
-func (q *WindowQueue) discardLocked(w *Window) {
-	w.join()
-	if w.staging != nil {
-		if g := q.svc.Gatherer(); g != nil {
-			g.Release(w.staging)
-		}
-	}
-	w.indices = nil
-	w.handle = nil
-	w.staging = nil
-	q.free = append(q.free, w)
 }
 
 // Match pops and returns the oldest open window iff it was planned for
 // exactly the given index set; otherwise it returns nil and leaves the
 // queue untouched (younger windows stay valid for later batches — a
 // non-matching forward, e.g. an evaluation pass, must not disturb the
-// pipeline). Pass the popped window to Consume, then Recycle.
-func (q *WindowQueue) Match(indices [][]int32) *Window {
+// pipeline). Pass the popped window to Consume, then Release it.
+func (q *WindowQueue) Match(indices [][]int32) *Staging {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if len(q.open) == 0 || !sameIndexSet(q.open[0].indices, indices) {
@@ -158,77 +330,58 @@ func (q *WindowQueue) MarkDirty(rows []int32) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for _, w := range q.open {
-		st := w.pendingStaging()
-		if st == nil {
+		if w.Rows() == 0 {
 			continue
 		}
 		for _, r := range rows {
-			if !st.Has(r) {
+			if !w.Has(r) {
 				continue
 			}
-			w.join()
+			w.Await()
 			w.dirty = append(w.dirty, r)
 		}
 	}
 }
 
-// Consume joins a window popped by Match and returns its staging buffer
-// (nil when the plan was empty) with every dirty row repaired — re-fetched
-// from its owner shard via fetch, so the staged values are bit-identical to
-// what a synchronous gather would read now. In stale mode the repair is
-// skipped and the distinct dirtied rows are counted instead. Release the
-// staging to the engine, then Recycle the window.
-func (q *WindowQueue) Consume(w *Window, fetch FetchFunc) *Staging {
-	w.join()
-	st := w.staging
-	if st == nil || len(w.dirty) == 0 {
-		return st
+// Consume joins a window popped by Match and repairs every dirty row —
+// re-fetched from its owner shard via fetch, so the staged values are
+// bit-identical to what a synchronous gather would read now. In stale mode
+// the repair is skipped and the distinct dirtied rows are counted instead.
+func (q *WindowQueue) Consume(w *Staging, fetch FetchFunc) {
+	w.Await()
+	if len(w.dirty) == 0 {
+		return
 	}
 	// Dedup in place: repeated updates to one staged row repair it once.
 	slices.Sort(w.dirty)
 	w.dirty = slices.Compact(w.dirty)
 	if q.svc.StaleReads() {
-		q.svc.Gatherer().noteStale(len(w.dirty))
-		return st
+		q.svc.gather.noteStale(len(w.dirty))
+		return
 	}
 	var repairBytes int64
 	for i, r := range w.dirty {
-		if !st.Has(r) {
-			continue
-		}
-		if wd := st.Width(r); wd != WidthFP32 {
+		if wd := w.Width(r); wd != WidthFP32 {
 			// Warm-tier staged row: re-run the fused dequantize-gather on the
 			// row's current bits — the refreshed coherent replica — instead of
 			// a fabric fetch. Identical to what a synchronous quantized gather
 			// would serve now, so every depth stays bit-identical to
 			// batch-by-batch stepping in quantized mode too. The refresh push
 			// a real warm replica would receive is priced at the entry width.
-			if dst, ok := st.Lookup(r); ok {
+			if dst, ok := w.Lookup(r); ok {
 				fetch(r, dst)
 				dequantRowInto(dst, dst, wd)
 			}
-			repairBytes += wd.RowBytes(st.dim)
+			repairBytes += wd.RowBytes(w.dim)
 			continue
 		}
 		// Per-row fabric re-fetch from the row's owner; the one-element
 		// sub-slice of the dirty list keeps the steady-state path
 		// allocation-free.
-		q.svc.transportFetch(q.table, q.svc.Owner(q.table, r), w.dirty[i:i+1], st, fetch)
+		q.svc.transportFetch(q.table, q.svc.Owner(q.table, r), w.dirty[i:i+1], w, fetch)
 		repairBytes += q.svc.Config().RowBytes
 	}
-	q.svc.Gatherer().noteRepair(len(w.dirty), repairBytes)
-	return st
-}
-
-// Recycle returns a consumed window to the free list (after its staging has
-// been released to the engine).
-func (q *WindowQueue) Recycle(w *Window) {
-	w.indices = nil
-	w.handle = nil
-	w.staging = nil
-	q.mu.Lock()
-	q.free = append(q.free, w)
-	q.mu.Unlock()
+	q.svc.gather.noteRepair(len(w.dirty), repairBytes)
 }
 
 // Abort joins and discards every open window (its accounting already
@@ -240,7 +393,7 @@ func (q *WindowQueue) Abort() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for _, w := range q.open {
-		q.discardLocked(w)
+		w.discard()
 	}
 	q.open = q.open[:0]
 }

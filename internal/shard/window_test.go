@@ -1,11 +1,12 @@
 package shard
 
 import (
+	"runtime"
 	"testing"
 )
 
-// windowFixture builds a 2-node pure-remote service with an engine, a
-// float32 backing store of `rows` rows, and a fetch function reading it.
+// windowFixture builds a 2-node pure-remote service, a float32 backing store
+// of `rows` rows, and a fetch function reading it.
 type windowFixture struct {
 	svc   *Service
 	g     *AsyncGatherer
@@ -17,7 +18,7 @@ func newWindowFixture(t *testing.T, rows, dim int) *windowFixture {
 	t.Helper()
 	f := &windowFixture{}
 	f.svc = New(Config{Nodes: 2, CacheBytes: 0, RowBytes: int64(dim) * 4}, hotSet(0))
-	f.g = f.svc.EnableAsyncGather()
+	f.g = f.svc.Gatherer()
 	f.store = make([][]float32, rows)
 	for r := range f.store {
 		f.store[r] = make([]float32, dim)
@@ -31,12 +32,11 @@ func newWindowFixture(t *testing.T, rows, dim int) *windowFixture {
 
 // issue plans and submits one window over the index set and registers it.
 func (f *windowFixture) issue(q *WindowQueue, idx [][]int32) {
-	plan := f.svc.PlanGather(0, idx)
-	var h *Handle
-	if plan != nil {
-		h = f.g.Submit(plan, len(f.store[0]), f.fetch)
+	w := f.svc.PlanGather(0, idx)
+	if w != nil {
+		f.g.Submit(w, f.fetch)
 	}
-	q.Push(idx, h)
+	q.Push(idx, w)
 }
 
 func TestWindowQueueMatchIsFIFOAndExact(t *testing.T) {
@@ -61,17 +61,16 @@ func TestWindowQueueMatchIsFIFOAndExact(t *testing.T) {
 	if wa == nil {
 		t.Fatal("oldest window must match its index set")
 	}
-	st := q.Consume(wa, f.fetch)
-	if v, ok := st.Lookup(1); !ok || v[0] != 100 {
+	q.Consume(wa, f.fetch)
+	if v, ok := wa.Lookup(1); !ok || v[0] != 100 {
 		t.Fatalf("staged row 1 = %v ok=%v", v, ok)
 	}
-	f.g.Release(st)
-	q.Recycle(wa)
+	wa.Release()
 	if wb := q.Match(idxB); wb == nil {
 		t.Fatal("second window must match after the first is consumed")
 	} else {
-		f.g.Release(q.Consume(wb, f.fetch))
-		q.Recycle(wb)
+		q.Consume(wb, f.fetch)
+		wb.Release()
 	}
 	if q.Len() != 0 {
 		t.Fatalf("open windows = %d want 0", q.Len())
@@ -89,8 +88,8 @@ func TestWindowQueueDirtyRowRepair(t *testing.T) {
 	q.MarkDirty([]int32{1, 1, 5}) // repeats and un-staged rows are fine
 	f.store[1][0] = -42
 
-	w := q.Match(idx)
-	st := q.Consume(w, f.fetch)
+	st := q.Match(idx)
+	q.Consume(st, f.fetch)
 	if v, _ := st.Lookup(1); v[0] != -42 {
 		t.Fatalf("dirty row not repaired: %v", v)
 	}
@@ -104,8 +103,7 @@ func TestWindowQueueDirtyRowRepair(t *testing.T) {
 	if stats.StaleRows != 0 {
 		t.Fatalf("repair mode counted stale rows: %+v", stats)
 	}
-	f.g.Release(st)
-	q.Recycle(w)
+	st.Release()
 }
 
 func TestWindowQueueStaleMode(t *testing.T) {
@@ -118,8 +116,8 @@ func TestWindowQueueStaleMode(t *testing.T) {
 	q.MarkDirty([]int32{1})
 	f.store[1][0] = -42
 
-	w := q.Match(idx)
-	st := q.Consume(w, f.fetch)
+	st := q.Match(idx)
+	q.Consume(st, f.fetch)
 	if v, _ := st.Lookup(1); v[0] != 100 {
 		t.Fatalf("stale mode must serve the issue-time value, got %v", v)
 	}
@@ -127,8 +125,7 @@ func TestWindowQueueStaleMode(t *testing.T) {
 	if stats.StaleRows != 1 || stats.RepairRows != 0 {
 		t.Fatalf("stale accounting: %+v", stats)
 	}
-	f.g.Release(st)
-	q.Recycle(w)
+	st.Release()
 }
 
 func TestWindowQueueAbortDiscardsAll(t *testing.T) {
@@ -149,7 +146,7 @@ func TestWindowQueueAbortDiscardsAll(t *testing.T) {
 
 func TestWindowQueueEmptyPlanWindow(t *testing.T) {
 	// All-local accesses plan nothing; the empty window keeps the FIFO
-	// aligned and consumes to a nil staging.
+	// aligned and consumes to no staged rows.
 	f := newWindowFixture(t, 8, 4)
 	q := f.svc.NewWindowQueue(0)
 	idx := [][]int32{{0}, {1}} // node 0 owns row 0, node 1 owns row 1
@@ -158,10 +155,10 @@ func TestWindowQueueEmptyPlanWindow(t *testing.T) {
 	if w == nil {
 		t.Fatal("empty-plan window must still match")
 	}
-	if st := q.Consume(w, f.fetch); st != nil {
-		t.Fatalf("empty-plan window staged %d rows", st.Rows())
+	if q.Consume(w, f.fetch); w.Rows() != 0 {
+		t.Fatalf("empty-plan window staged %d rows", w.Rows())
 	}
-	q.Recycle(w)
+	w.Release()
 }
 
 func TestWindowQueueBoundsOpenWindows(t *testing.T) {
@@ -177,27 +174,81 @@ func TestWindowQueueBoundsOpenWindows(t *testing.T) {
 	}
 }
 
-func TestPrefetchRingRecycles(t *testing.T) {
-	r := NewPrefetchRing()
-	p := r.Plan(3, 2)
-	p.add(7, 1, 64)
-	st := r.Staging(p, 4)
-	if st.plan != p || st.Rows() != 1 {
-		t.Fatalf("staging binding: %+v", st)
+// TestReleasedWindowComesBackReset pins the pool's contract on the one
+// pooled type: Release hands the same object to the next plan, with nothing
+// of the previous window — plan, width table, queue entry — left on it.
+func TestReleasedWindowComesBackReset(t *testing.T) {
+	f := newWindowFixture(t, 8, 4)
+	q := f.svc.NewWindowQueue(0)
+	idx := [][]int32{{0, 1}, {0, 1}}
+	f.issue(q, idx)
+	q.MarkDirty([]int32{1})
+	w := q.Match(idx)
+	q.Consume(w, f.fetch)
+	if w.Rows() != 2 || w.bytes != 2*16 || w.table != 0 || len(w.buf) != 2*4 {
+		t.Fatalf("window before release: rows %d bytes %d table %d buf %d", w.Rows(), w.bytes, w.table, len(w.buf))
 	}
-	r.ReleaseStaging(st)
-	p2 := r.Plan(0, 2)
-	if p2 != p {
-		t.Fatal("released plan must be recycled")
+	w.Release()
+
+	// The empty marker of an all-local prefetch draws from the same pool.
+	local := [][]int32{{0}, {1}}
+	f.issue(q, local)
+	w2 := q.Match(local)
+	if w2 != w {
+		t.Fatal("released window must be recycled")
 	}
-	if p2.Rows() != 0 || p2.Bytes != 0 || p2.Table != 0 {
-		t.Fatalf("recycled plan not reset: %+v", p2)
+	if w2.Rows() != 0 || w2.bytes != 0 || w2.fabricRows() != 0 || len(w2.dirty) != 0 || w2.inFlight {
+		t.Fatalf("recycled window not reset: %+v", w2)
 	}
-	h := r.Handle()
-	r.ReleaseHandle(h)
-	if r.Handle() != h {
-		t.Fatal("released handle must be recycled")
+	for o, rows := range w2.perOwner {
+		if len(rows) != 0 {
+			t.Fatalf("recycled window still lists %v for owner %d", rows, o)
+		}
 	}
+	w2.Release()
+
+	// And a plan over another table re-keys it.
+	w3 := f.svc.PlanGather(3, idx)
+	if w3 != w {
+		t.Fatal("released window must be recycled for the next plan")
+	}
+	if w3.table != 3 || w3.Rows() != 2 || w3.indices != nil {
+		t.Fatalf("re-planned window: table %d rows %d indices %v", w3.table, w3.Rows(), w3.indices)
+	}
+	w3.Release()
+}
+
+// TestRecordOnlyServiceParksNoGoroutine pins what lets every service own its
+// engine: drainers start at the first Submit, one per owner that has rows to
+// stream, so accounting replays, the in-proc serve read and synchronous
+// staging cost no goroutine.
+func TestRecordOnlyServiceParksNoGoroutine(t *testing.T) {
+	const nodes = 4
+	before := runtime.NumGoroutine()
+	s := New(Config{Nodes: nodes, CacheBytes: 0, RowBytes: 16}, nil)
+	defer s.Close()
+	idx := [][]int32{{1, 2, 3}, {4, 6, 7}, {0, 1}, {2, 5}}
+	fetch := func(row int32, dst []float32) { dst[0] = float32(row) }
+	s.RecordGather(0, idx)
+	s.RecordServeGather(0, idx)
+	s.RecordScatter(0, idx)
+	w := s.PlanGather(0, idx)
+	s.Gatherer().GatherSync(w, fetch)
+	w.Release()
+	w = s.PlanServeGather(0, idx)
+	s.ServeGatherSync(w, fetch)
+	w.Release()
+	if got := runtime.NumGoroutine(); got != before {
+		t.Fatalf("a service that never submitted runs %d goroutines, %d before it was built", got, before)
+	}
+
+	w = s.PlanGather(0, idx)
+	s.Gatherer().Submit(w, fetch)
+	if got := runtime.NumGoroutine(); got > before+nodes {
+		t.Fatalf("the first Submit started %d goroutines over %d owners", got-before, nodes)
+	}
+	w.Await()
+	w.Release()
 }
 
 func TestAsyncGathererCloseStillCompletes(t *testing.T) {
@@ -205,11 +256,11 @@ func TestAsyncGathererCloseStillCompletes(t *testing.T) {
 	// submitted windows themselves in Await — nothing hangs or is lost.
 	f := newWindowFixture(t, 8, 4)
 	f.g.Close()
-	plan := f.svc.PlanGather(0, [][]int32{{0, 1}, {0, 1}})
-	h := f.g.Submit(plan, 4, f.fetch)
-	st := h.Await()
+	st := f.svc.PlanGather(0, [][]int32{{0, 1}, {0, 1}})
+	f.g.Submit(st, f.fetch)
+	st.Await()
 	if v, ok := st.Lookup(1); !ok || v[0] != 100 {
 		t.Fatalf("post-close window staged %v ok=%v", v, ok)
 	}
-	f.g.Release(st)
+	st.Release()
 }

@@ -10,8 +10,9 @@ import (
 )
 
 // TestClosedServiceIsCollectable is the regression test for the immortal
-// service: the async engine's recycled job buffers kept stale
-// fetchJob{svc, fetch, h} entries, the engine's runtime cleanup holds those
+// service: the gather engine's recycled job buffers kept stale
+// fetchJob{w, owner, fetch} entries (a window points at its engine, the
+// engine at its service), the engine's runtime cleanup holds those
 // queues as its argument, and svc.gather is the engine — so every service
 // that ever prefetched stayed reachable from its own cleanup, with its
 // sharded tables and push buffers (~3.6 MB per 4-node Kaggle instance).

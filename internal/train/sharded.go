@@ -13,13 +13,12 @@ import (
 // and all-to-all traffic — so the Eq. 5 parity argument carries over
 // unchanged while svc.Snapshot() reports what the topology actually moved.
 //
-// The service's async gather engine is attached: at the default depth the
-// non-popular µ-batch's fabric gathers stream while the popular µ-batch
+// Fabric gathers run on the service's gather engine: at the default depth
+// the non-popular µ-batch's windows stream while the popular µ-batch
 // computes, and svc.Gatherer().Stats() reports how much gather time stayed
 // exposed. Set Depth = 1 for the synchronous ablation (same traffic, fully
 // exposed gathers).
 func NewHotlineSharded(m *model.Model, lr float32, svc *shard.Service) *HotlineTrainer {
-	svc.EnableAsyncGather()
 	m.ShardEmbeddings(svc)
 	t := NewHotline(m, lr)
 	t.Shard = svc

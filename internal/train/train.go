@@ -198,13 +198,13 @@ type stagedBatch struct {
 // (Depth, default 2): at the END of each step — after the sparse update,
 // exactly when the paper's accelerator classifies ahead while the GPUs
 // train — it runs the accelerator's learning + classification for up to
-// k-1 future mini-batches and, on a sharded service with an async engine,
-// issues their non-popular µ-batches' fabric gathers, so up to k gather
+// k-1 future mini-batches and, on a sharded service, issues their
+// non-popular µ-batches' fabric gathers, so up to k gather
 // windows stream concurrently with compute. Training state is bit-identical
 // to the unpipelined executor for every depth: the EAL sees batches in the
 // same order (each lookahead batch's learn/classify pair runs in stream
 // order), and staged rows that a later sparse update rewrites are
-// delta-repaired from their owner shard before the consuming forward
+// delta-repaired from their owner before the consuming forward
 // (shard.WindowQueue) — unless the service opts into stale reads, which
 // trades exactness for the repair traffic and is measured, not assumed.
 //
@@ -469,8 +469,8 @@ func (t *HotlineTrainer) stageLookahead(lookahead []*data.Batch) {
 // current one when nothing staged it: accelerator learning and
 // classification (the same EAL-state sequence as stepping it directly —
 // batches are staged in stream order, each learn/classify pair adjacent),
-// then — on a sharded service with an async engine, when the split is real
-// — the non-popular µ-batch's fabric prefetch. A future batch's window is
+// then — on a sharded service, when the split is real — the non-popular
+// µ-batch's fabric prefetch. A future batch's window is
 // planned after the current step's sparse update; rows a LATER update
 // rewrites while the window waits are delta-repaired at consume time, so
 // the staged values always equal what a synchronous gather would read.
@@ -494,7 +494,7 @@ func (t *HotlineTrainer) stage(nb *data.Batch) {
 	// forward, so the gather stays synchronous by construction. Planning a
 	// window before the popular pass also fixes the cache-state order, so
 	// the service's counters are deterministic.
-	if len(t.ring) > 1 && t.overlapReady() {
+	if len(t.ring) > 1 && t.Shard != nil {
 		if t.shadow == nil {
 			t.shadow = model.NewShadow(t.M)
 		}
@@ -523,14 +523,6 @@ func (t *HotlineTrainer) runSplit(b *data.Batch, pop []int, nonSub *data.Batch, 
 	}
 	t.M.AbsorbShadow(t.shadow)
 	return totalLoss
-}
-
-// overlapReady reports whether gathers can be prefetched: the embeddings run
-// on a sharded service with an async engine attached.
-//
-//hotline:hotpath
-func (t *HotlineTrainer) overlapReady() bool {
-	return t.Shard != nil && t.Shard.Gatherer() != nil
 }
 
 // passOn subsets idx out of b into the executor's popular-side buffer and
