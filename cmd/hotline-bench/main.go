@@ -18,11 +18,10 @@
 //	hotline-bench -exp fig18 -iters 200   # longer functional training
 //	hotline-bench -exp all -json report.json -quiet
 //	hotline-bench -exp mn-depth           # prefetch depth sweep (exposure vs repair)
-//	hotline-bench -exp mn-scale -depth 4  # scenarios at pipeline depth 4
 //	hotline-bench -smoke                  # fast CI smoke sweep
 //	hotline-bench -fabric unix            # train over real hotline-node processes
-//	hotline-bench -fabric tcp -fabric-nodes 4
-//	                                      # ... 4 workers over loopback TCP
+//	hotline-bench -fabric tcp -fabric-nodes 4 -depth 4
+//	                                      # ... 4 workers over loopback TCP, 4 windows deep
 package main
 
 import (
@@ -66,7 +65,7 @@ func main() {
 	jsonPath := flag.String("json", "", "write a JSON sweep report to this file ('-' = stdout)")
 	quiet := flag.Bool("quiet", false, "suppress table rendering (summary/JSON only)")
 	smoke := flag.Bool("smoke", false, "CI smoke mode: shortest functional training")
-	depth := flag.Int("depth", 0, "prefetch pipeline depth k for executors (0 = keep default, currently 2; see mn-depth for the sweep)")
+	depth := flag.Int("depth", 0, "prefetch pipeline depth k of the -fabric run (0 = the default, 2; -exp mn-depth is the sweep)")
 	fabric := flag.String("fabric", "", `multi-process coordinator mode: train over real hotline-node worker processes on this socket family ("unix" or "tcp") and report measured vs analytic all-to-all time`)
 	fabricNodes := flag.Int("fabric-nodes", 2, "shard node count for -fabric")
 	fabricIters := flag.Int("fabric-iters", 6, "training iterations for -fabric")
@@ -82,11 +81,12 @@ func main() {
 		os.Exit(2)
 	}
 	if *depth < 0 {
-		fmt.Fprintf(os.Stderr, "hotline-bench: -depth must be >= 1, or 0 to keep the default, got %d\n", *depth)
+		fmt.Fprintf(os.Stderr, "hotline-bench: -depth must be >= 1, or 0 for the default (2), got %d\n", *depth)
 		os.Exit(2)
 	}
-	if *depth > 0 {
-		hotline.PipelineDepth(*depth)
+	if *depth > 0 && *fabric == "" {
+		fmt.Fprintln(os.Stderr, "hotline-bench: -depth is the pipeline depth of a -fabric run; experiments sweep the depth themselves (-exp mn-depth)")
+		os.Exit(2)
 	}
 	if *fabric != "" {
 		timeouts := shard.FabricTimeouts{Dial: *fabricDial, IO: *fabricIO, Retry: *fabricRetry}

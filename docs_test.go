@@ -335,3 +335,36 @@ func TestDocsNameRealIdentifiers(t *testing.T) {
 		}
 	}
 }
+
+var mdPath = regexp.MustCompile(`[\w./-]*\w\.md\b`)
+
+// TestDocsNameRealFiles: a document that was never written, or was deleted,
+// lives on where prose points at it. Every *.md path written in a package
+// comment (doc.go), README, DESIGN or the verify skill must be a file of the
+// tree, by its path from the root. (.go and .json names are not checked: the
+// docs write suffixes like _test.go, bare file names relative to a package and
+// example outputs like report.json.)
+func TestDocsNameRealFiles(t *testing.T) {
+	paths := slices.Clone(docFiles)
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err == nil && d.Name() == "doc.go" {
+			paths = append(paths, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, path := range paths {
+		for _, name := range mdPath.FindAllString(readDoc(t, path), -1) {
+			checked++
+			if _, err := os.Stat(filepath.Clean(name)); err != nil {
+				t.Errorf("%s: names %s, which is not in the tree", path, name)
+			}
+		}
+	}
+	if len(paths) < len(docFiles)+10 || checked < 10 {
+		t.Fatalf("read %d files and checked %d names; the walk is broken", len(paths), checked)
+	}
+}

@@ -43,19 +43,6 @@ func Parallelism(n int) int { return par.SetWorkers(n) }
 // NumWorkers returns the effective worker count (>= 1).
 func NumWorkers() int { return par.Workers() }
 
-// PipelineDepth sets the prefetch pipeline depth k newly built Hotline
-// executors use — how many gather windows may be in flight at once (the one
-// the current iteration consumes plus k-1 staged for future mini-batches) —
-// and returns the previous default. Depth 1 degenerates to synchronous
-// staged gathers; depth 2 (the default) is the classic cross-iteration
-// pipeline; deeper queues hide more fabric traffic at the cost of dirty-row
-// repair traffic. Training state is bit-identical for every depth: staged
-// rows rewritten by intervening sparse updates are delta-repaired before
-// use (unless ShardService.SetStaleReads opts into measured staleness).
-// k < 1 restores the default. Executors also expose the knob per-instance
-// (HotlineTrainer.Depth).
-func PipelineDepth(k int) int { return train.SetDefaultPipelineDepth(k) }
-
 // --- datasets and generators ---------------------------------------------
 
 // DatasetConfig describes one synthetic workload (paper Table II shape).
@@ -183,8 +170,8 @@ var MeasureShard = pipeline.MeasureShard
 // measured sharding statistics instead of analytic popularity fractions.
 // cacheBytes <= 0 selects the dataset's scaled hot-set budget. The
 // exposed-gather fraction is measured too, at pipeline depth depth (< 1
-// selects the current default), so the Hotline model prices overlap from
-// the pipelined engine by default.
+// selects 2, the depth executors start with), so the Hotline model prices
+// overlap from the pipelined engine by default.
 var NewShardedWorkload = pipeline.NewShardedWorkload
 
 // DefaultShardCacheBytes returns the default per-node device-cache budget

@@ -240,7 +240,7 @@ func TestHotRowsSorted(t *testing.T) {
 func TestSparseAdagradUpdatesTouchedRows(t *testing.T) {
 	rng := tensor.NewRNG(21)
 	tab := NewTable(4, 2, rng)
-	st := NewAdagradState(tab)
+	st := NewAdagradStateFor(tab)
 	before := tab.W.Clone()
 	tab.Forward([][]int32{{1}})
 	sg := tab.Backward(tensor.FromSlice(1, 2, []float32{2, 0}))
@@ -261,9 +261,9 @@ func TestSparseAdagradUpdatesTouchedRows(t *testing.T) {
 // baseline; two per-µ-batch updates do not (see nn.TestAdagradRequires...).
 func TestSparseAdagradAccumulationDiscipline(t *testing.T) {
 	base := NewTable(2, 1, tensor.NewRNG(5))
-	baseSt := NewAdagradState(base)
+	baseSt := NewAdagradStateFor(base)
 	split := base.Clone()
-	splitSt := NewAdagradState(split)
+	splitSt := NewAdagradStateFor(split)
 
 	full := SparseGrad{Rows: []int32{0}, Grad: tensor.FromSlice(1, 1, []float32{1.0})}
 	base.ApplySparseAdagrad(baseSt, full, 0.1)

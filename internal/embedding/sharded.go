@@ -30,7 +30,6 @@ import (
 // Forward delta-repairs them first — so the values applied are bit-identical
 // to a synchronous gather at consume time, for any depth.
 type ShardedBag struct {
-	Rows, Dim int
 	// TableIdx keys the service's cache and traffic accounting.
 	TableIdx int
 
@@ -55,10 +54,7 @@ type ShardedBag struct {
 // rows — so a caller that keeps using t aliases the bag's parameters and
 // bypasses its routing; Clone first to keep an independent reference.
 func ShardBag(t *Table, svc *shard.Service, tableIdx int) *ShardedBag {
-	s := &ShardedBag{
-		Rows: t.Rows, Dim: t.Dim, TableIdx: tableIdx,
-		svc: svc, tab: t, windows: svc.NewWindowQueue(tableIdx),
-	}
+	s := &ShardedBag{TableIdx: tableIdx, svc: svc, tab: t, windows: svc.NewWindowQueue(tableIdx)}
 	s.fetchFn = s.fetchRow
 	s.rowAt = s.rowViewAt
 	// Declare the table to the fabric: the service sizes its routing state
@@ -88,7 +84,7 @@ func (s *ShardedBag) RowView(r int) []float32 { return s.tab.W.Row(r) }
 //
 //hotline:hotpath
 func (s *ShardedBag) Prefetch(indices [][]int32) {
-	checkIndices(indices, s.Rows)
+	checkIndices(indices, s.tab.Rows)
 	if s.svc.Nodes() == 1 {
 		return
 	}
@@ -162,8 +158,8 @@ func (s *ShardedBag) pooled(indices [][]int32, staged *shard.Staging) *tensor.Ma
 	if staged == nil || staged.Rows() == 0 {
 		return s.tab.pooled(indices)
 	}
-	out := s.tab.fwdOut.Resize(len(indices), s.Dim)
-	perItem := bagLookups(indices, s.Dim)
+	out := s.tab.fwdOut.Resize(len(indices), s.tab.Dim)
+	perItem := bagLookups(indices, s.tab.Dim)
 	if par.Serial(len(indices), perItem) {
 		s.stagedRange(out, indices, staged, 0, len(indices))
 	} else {
@@ -188,7 +184,7 @@ func (s *ShardedBag) pooled(indices [][]int32, staged *shard.Staging) *tensor.Ma
 //
 //hotline:hotpath
 func (s *ShardedBag) Forward(indices [][]int32) *tensor.Matrix {
-	checkIndices(indices, s.Rows)
+	checkIndices(indices, s.tab.Rows)
 	w := s.windows.Match(indices)
 	if w != nil {
 		s.windows.Consume(w, s.fetchFn)
@@ -225,7 +221,7 @@ func (s *ShardedBag) Forward(indices [][]int32) *tensor.Matrix {
 //
 //hotline:hotpath
 func (s *ShardedBag) ServeForward(indices [][]int32) *tensor.Matrix {
-	checkIndices(indices, s.Rows)
+	checkIndices(indices, s.tab.Rows)
 	var w *shard.Staging
 	if s.svc.Multiproc() || s.svc.Quantized() {
 		// On a real fabric the read path must actually cross it: stage the
@@ -302,10 +298,10 @@ func (s *ShardedBag) ApplySparseAdagrad(st *AdagradState, sg SparseGrad, lr floa
 func (s *ShardedBag) ResetStepScratch() { s.tab.ResetStepScratch() }
 
 // NumRows implements Bag.
-func (s *ShardedBag) NumRows() int { return s.Rows }
+func (s *ShardedBag) NumRows() int { return s.tab.Rows }
 
 // EmbedDim implements Bag.
-func (s *ShardedBag) EmbedDim() int { return s.Dim }
+func (s *ShardedBag) EmbedDim() int { return s.tab.Dim }
 
 // SizeBytes implements Bag.
 func (s *ShardedBag) SizeBytes() int64 { return s.tab.SizeBytes() }
@@ -315,10 +311,7 @@ func (s *ShardedBag) SizeBytes() int64 { return s.tab.SizeBytes() }
 // lookahead window issued on the shadow must be visible to the primary
 // bag's sparse updates for dirty-row tracking — with private forward state.
 func (s *ShardedBag) ShadowBag() Bag {
-	sh := &ShardedBag{
-		Rows: s.Rows, Dim: s.Dim, TableIdx: s.TableIdx,
-		svc: s.svc, tab: s.tab.Shadow(), windows: s.windows,
-	}
+	sh := &ShardedBag{TableIdx: s.TableIdx, svc: s.svc, tab: s.tab.Shadow(), windows: s.windows}
 	sh.fetchFn = sh.fetchRow
 	sh.rowAt = sh.rowViewAt
 	return sh
@@ -327,13 +320,3 @@ func (s *ShardedBag) ShadowBag() Bag {
 // Materialize copies the rows into a fresh matrix (tests and state
 // comparisons).
 func (s *ShardedBag) Materialize() *tensor.Matrix { return s.tab.W.Clone() }
-
-// ShardBags routes every table through the service, preserving table order
-// (table i keeps accounting key i). Like ShardBag it takes the tables over.
-func ShardBags(ts Tables, svc *shard.Service) Bags {
-	out := make(Bags, len(ts))
-	for i, t := range ts {
-		out[i] = ShardBag(t, svc, i)
-	}
-	return out
-}

@@ -155,7 +155,10 @@ func TestShardBagTakesTheTableOver(t *testing.T) {
 func TestShardBagsPartitionsWholeModel(t *testing.T) {
 	ts := NewTables([]int{10, 20, 30}, 4, tensor.NewRNG(5))
 	svc := shardSvc(2, 16, 4)
-	bags := ShardBags(ts.Clone(), svc) // the bags take their tables over; ts stays the reference
+	bags := make(Bags, len(ts))
+	for i, tab := range ts.Clone() { // the bags take their tables over; ts stays the reference
+		bags[i] = ShardBag(tab, svc, i)
+	}
 	if len(bags) != 3 {
 		t.Fatalf("bags = %d", len(bags))
 	}

@@ -526,11 +526,6 @@ type AdagradState struct {
 	Eps   float32
 }
 
-// NewAdagradState returns a zeroed accumulator for table t.
-func NewAdagradState(t *Table) *AdagradState {
-	return &AdagradState{Accum: tensor.New(t.Rows, t.Dim), Eps: 1e-8}
-}
-
 // NewAdagradStateFor returns a zeroed accumulator shaped for any Bag. The
 // accumulator is indexed by global row, so the same state drives a
 // single-node Table and a ShardedBag identically.

@@ -15,8 +15,8 @@ import (
 // µ-batch executor over sharded embedding tables. The Bag lift of
 // ApplySparseAdagrad (globally-indexed accumulators, fixed serial row
 // order) makes sharded Adagrad bit-identical to the single-node executor
-// for every node count, while the merged per-mini-batch update keeps the
-// µ-batch executor at accuracy parity with the Adagrad baseline.
+// for every node count, while the rule's merged per-mini-batch update keeps
+// the µ-batch executor at accuracy parity with the Adagrad baseline.
 
 func init() {
 	registry["mn-adagrad"] = regEntry{"Multi-node sharded training under Adagrad (measured)", MNAdagrad}
@@ -41,12 +41,13 @@ func MNAdagrad() *report.Table {
 	const batch, seed = 128, 404
 	run := train.RunConfig{BatchSize: batch, Iters: iters, EvalEvery: iters, EvalSize: 512}
 
+	newModel := func() *model.Model { return model.New(fn, seed).SetOptimizer(model.NewAdagrad) }
 	// References: the unsharded Adagrad Hotline executor and the Adagrad
 	// baseline, trained on the identical stream.
-	ref := train.NewHotlineAdagrad(model.New(fn, seed), 0.1)
+	ref := train.NewHotline(newModel(), 0.1)
 	ref.LearnSamples = 512
 	train.Run(ref, data.NewGenerator(fn), run)
-	base := train.NewBaselineAdagrad(model.New(fn, seed), 0.1)
+	base := train.NewBaseline(newModel(), 0.1)
 	train.Run(base, data.NewGenerator(fn), run)
 
 	for _, nodes := range []int{1, 2, 4} {
@@ -54,7 +55,7 @@ func MNAdagrad() *report.Table {
 			Nodes: nodes, CacheBytes: data.ScaledHotBudget(fn),
 			RowBytes: int64(fn.EmbedDim) * 4,
 		}, nil)
-		tr := train.NewHotlineShardedAdagrad(model.New(fn, seed), 0.1, svc)
+		tr := train.NewHotlineSharded(newModel(), 0.1, svc)
 		tr.LearnSamples = 512
 		curve := train.Run(tr, data.NewGenerator(fn), run)
 		last := curve[len(curve)-1]
@@ -74,9 +75,9 @@ func MNAdagrad() *report.Table {
 			refCell,
 			fmt.Sprintf("%.3g", model.MaxStateDiff(base.M, tr.M)))
 	}
-	t.Notes = "Adagrad is non-linear in the gradient, so the executor merges each " +
-		"table's µ-batch gradients into ONE update per mini-batch (Model." +
-		"ApplySparseAdagrad); sharding must then be bit-identical to the single-node " +
+	t.Notes = "Adagrad is non-linear in the gradient, so the rule merges each " +
+		"table's µ-batch gradients into ONE update per mini-batch (model." +
+		"NewAdagrad); sharding must then be bit-identical to the single-node " +
 		"Adagrad executor, and the divergence from the baseline stays at float-" +
 		"reduction-order scale"
 	return t

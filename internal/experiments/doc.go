@@ -2,8 +2,8 @@
 // evaluation (§VI-§VII) from this repository's substrates, plus the
 // design-choice ablations (abl-*) and the multi-node sharded-embedding
 // scenarios (mn-*). Each experiment returns a report.Table whose rows
-// mirror the paper's series; EXPERIMENTS.md records the paper-vs-measured
-// comparison.
+// mirror the paper's series; the tables hotline-bench prints are the
+// paper-vs-measured record.
 //
 // In the DESIGN.md layering this is the top internal layer: experiments
 // compose every substrate below (data, model, train, accel, shard,

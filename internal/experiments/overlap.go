@@ -85,7 +85,7 @@ func MNOverlap() *report.Table {
 
 	for _, nodes := range []int{2, 4} {
 		sync := runDepth(fn, nodes, iters, batch, 1, false)
-		over := runDepth(fn, nodes, iters, batch, train.DefaultPipelineDepth(), false)
+		over := runDepth(fn, nodes, iters, batch, train.DefaultDepth, false)
 
 		// Total exposed gather per run: inline (synchronous) staged gathers
 		// plus, for the overlap run, the time Forward blocked on prefetch

@@ -3,10 +3,12 @@
 // (RM1, with a behaviour-sequence table and an attention layer), following
 // the architectures in the paper's Table II.
 //
-// A Model supports full functional training (forward, backward, SGD), with
-// gradient accumulation across multiple Backward calls so the Hotline
+// A Model supports full functional training (forward, backward, update),
+// with gradient accumulation across multiple Backward calls so the Hotline
 // executor can run popular and non-popular µ-batches separately and update
 // once — the mechanism behind the paper's accuracy-parity proof (Eq. 5).
+// What that one update is, is the model's Optimizer: SGD from New, Adagrad
+// through SetOptimizer(NewAdagrad), with the rule's state kept by the rule.
 //
 // In the DESIGN.md layering the package sits between the kernel layers
 // (tensor/nn/embedding) and the executors (train). Sparse parameters live

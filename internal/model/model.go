@@ -2,7 +2,6 @@ package model
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"hotline/internal/data"
@@ -37,8 +36,12 @@ type Model struct {
 	// which are the only writers.
 	paramMu *sync.RWMutex
 
+	// opt is the update rule ApplyUpdate steps: SGD from New, whatever
+	// SetOptimizer installed since, nil on a shadow.
+	opt Optimizer
+
 	// pendingSparse accumulates sparse gradients across Backward calls
-	// until ApplySparse or ZeroAll.
+	// until ApplyUpdate or ZeroAll.
 	pendingSparse []tableGrad
 
 	// forward caches
@@ -51,8 +54,6 @@ type Model struct {
 	inputsBuf   []*tensor.Matrix // interaction inputs, one slot per vector
 	gradScaled  tensor.Matrix    // Backward's scaled-gradient staging
 	fws         tensor.Workspace // per-Forward workspace (TBSM sequence state)
-	optWS       tensor.Workspace // sparse-optimizer merge workspace
-	sgd         *nn.SGD          // TrainStep's cached dense optimizer
 	bceGrad     tensor.Matrix    // TrainStep's loss-gradient buffer
 }
 
@@ -79,6 +80,7 @@ func New(cfg data.Config, seed uint64) *Model {
 		m.Attn = nn.NewAttention(cfg.EmbedDim, cfg.TimeSteps)
 	}
 	m.Tables = embedding.NewTables(cfg.ScaledRowsPerTable, cfg.EmbedDim, rng).Bags()
+	m.opt = NewSGD(m)
 	return m
 }
 
@@ -153,7 +155,8 @@ func (m *Model) AbortPrefetchSparse() {
 // serve replica (a shadow too) answers requests beside both. The one moment
 // parameters move is ApplyUpdate, which the shadow's ServePredictInto is
 // ordered against through the lock it shares with m. The shadow stays valid
-// across updates because all optimizers mutate parameters in place.
+// across updates because every rule mutates parameters in place; it carries
+// no rule of its own (see ApplyUpdate).
 func NewShadow(m *Model) *Model {
 	s := &Model{Cfg: m.Cfg}
 	s.paramMu = m.paramMu
@@ -281,7 +284,7 @@ func (m *Model) forwardSequence(b *data.Batch, serve bool) *tensor.Matrix {
 
 // Backward accumulates gradients for dL/dlogits. Dense parameter gradients
 // add into the MLP accumulators; sparse gradients are stashed (scaled by
-// scale) until ApplySparse. Multiple Backward calls between updates model
+// scale) until ApplyUpdate. Multiple Backward calls between updates model
 // µ-batch accumulation.
 //
 //hotline:hotpath
@@ -322,111 +325,6 @@ func (m *Model) DenseParams() []nn.Param {
 	return m.denseParams
 }
 
-// ApplySparse applies all stashed sparse gradients with the learning rate
-// and clears the stash. Application order is deterministic (stash order).
-// It writes embedding rows without taking the parameter lock: executors
-// reach it through ApplyUpdate, and a direct caller must have no serve
-// replica reading the same weights.
-//
-//hotline:hotpath
-func (m *Model) ApplySparse(lr float32) {
-	for _, tg := range m.pendingSparse {
-		m.Tables[tg.table].ApplySparseSGD(tg.grad, lr*tg.scale)
-	}
-	m.pendingSparse = m.pendingSparse[:0]
-}
-
-// ApplySparseAdagrad applies all stashed sparse gradients as ONE adaptive
-// update per table against the globally-indexed accumulators (one state per
-// table, see embedding.NewAdagradStateFor) and clears the stash. Because
-// Adagrad is non-linear in the gradient, the stash entries of each table —
-// the popular and non-popular µ-batches, or the TBSM timesteps — are merged
-// into a single combined SparseGrad first (rows unioned in ascending order,
-// contributions summed in stash order), exactly the full-mini-batch
-// gradient a baseline executor would apply. Like ApplySparse it takes no
-// lock; executors reach it through ApplyUpdate.
-//
-//hotline:hotpath
-func (m *Model) ApplySparseAdagrad(states []*embedding.AdagradState, lr float32) {
-	if len(states) != len(m.Tables) {
-		panic(fmt.Sprintf("model: ApplySparseAdagrad wants %d states, got %d", len(m.Tables), len(states)))
-	}
-	m.optWS.Reset()
-	for t := range m.Tables {
-		merged := m.mergeSparse(t)
-		if merged.Grad == nil {
-			continue
-		}
-		m.Tables[t].ApplySparseAdagrad(states[t], merged, lr)
-	}
-	m.pendingSparse = m.pendingSparse[:0]
-}
-
-// mergeSparse folds every stash entry of one table into a single combined
-// SparseGrad (scales applied). Entries keep their stash order, so the
-// per-row addition sequence is deterministic.
-func (m *Model) mergeSparse(table int) embedding.SparseGrad {
-	var first *tableGrad
-	count := 0
-	for i := range m.pendingSparse {
-		if m.pendingSparse[i].table == table {
-			if first == nil {
-				first = &m.pendingSparse[i]
-			}
-			count++
-		}
-	}
-	if first == nil {
-		return embedding.SparseGrad{}
-	}
-	if count == 1 && first.scale == 1 {
-		return first.grad
-	}
-	// Union pass: collect distinct rows in ascending order. Every entry's
-	// rows are already sorted, so a presence bitmap over the touched range
-	// would also work; the simple merge below stays O(total rows) and
-	// allocation-free through the optimizer workspace.
-	dim := first.grad.Grad.Cols
-	total := 0
-	for i := range m.pendingSparse {
-		if m.pendingSparse[i].table == table {
-			total += len(m.pendingSparse[i].grad.Rows)
-		}
-	}
-	scratch := m.optWS.Int32(total)[:0]
-	for i := range m.pendingSparse {
-		if m.pendingSparse[i].table == table {
-			scratch = append(scratch, m.pendingSparse[i].grad.Rows...)
-		}
-	}
-	slices.Sort(scratch)
-	rows := slices.Compact(scratch)
-	grad := m.optWS.Matrix(len(rows), dim)
-	// slot[row] via binary search over the sorted distinct rows (every
-	// entry's rows are present by construction).
-	for i := range m.pendingSparse {
-		tg := &m.pendingSparse[i]
-		if tg.table != table {
-			continue
-		}
-		for j, r := range tg.grad.Rows {
-			gi, _ := slices.BinarySearch(rows, r)
-			dst := grad.Row(gi)
-			src := tg.grad.Grad.Row(j)
-			if tg.scale == 1 {
-				for k := range dst {
-					dst[k] += src[k]
-				}
-			} else {
-				for k := range dst {
-					dst[k] += tg.scale * src[k]
-				}
-			}
-		}
-	}
-	return embedding.SparseGrad{Rows: rows, Grad: grad}
-}
-
 // stepScratchResetter is implemented by bags whose per-step scratch must be
 // rewound at the step boundary (shadow bags never see the apply-time
 // rewind — their gradients are applied through the primary tables).
@@ -447,49 +345,39 @@ func (m *Model) ZeroAll() {
 	}
 }
 
-// denseStepper is a dense optimizer's update (nn.SGD and nn.Adagrad).
-type denseStepper interface {
-	Step()
-}
-
-// ApplyUpdate applies one training step's combined update (Eq. 5) — the
-// dense optimizer step, then every stashed sparse gradient: plain SGD when
-// adagrad is nil, one merged adaptive update per table otherwise — holding
-// the write side of the parameter lock throughout. It is the update bracket:
-// every write to a dense weight or an embedding row after construction
-// happens in here, together with what must be ordered with those writes —
-// WindowQueue.MarkDirty and, on a socket fabric, the scatter push (a serve
-// fetch issued after the bracket queues behind the push on the owner's
-// stream). A serve forward (ServePredictInto, on any shadow) holds the read
-// side, so it sees the parameters of exactly one step boundary; the wait
-// here is for the at most one forward per serve replica already in flight.
-// The lock is released when the update panics, so a recovered trainer panic
-// does not wedge serving.
+// ApplyUpdate applies one training step's combined update (Eq. 5) at
+// learning rate lr — the model's rule (Optimizer) steps the dense
+// parameters, then every stashed sparse gradient, and clears the stash —
+// holding the write side of the parameter lock throughout. It is the update
+// bracket: every write to a dense weight or an embedding row after
+// construction happens in here, together with what must be ordered with
+// those writes — WindowQueue.MarkDirty and, on a socket fabric, the scatter
+// push (a serve fetch issued after the bracket queues behind the push on the
+// owner's stream). A serve forward (ServePredictInto, on any shadow) holds
+// the read side, so it sees the parameters of exactly one step boundary; the
+// wait here is for the at most one forward per serve replica already in
+// flight. The lock is released when the update panics, so a recovered
+// trainer panic does not wedge serving. A shadow carries no rule — its
+// gradients reach the parameters through AbsorbShadow — and panics here.
 //
 //hotline:hotpath
-func (m *Model) ApplyUpdate(dense denseStepper, adagrad []*embedding.AdagradState, lr float32) {
+func (m *Model) ApplyUpdate(lr float32) {
+	if m.opt == nil {
+		panic("model: ApplyUpdate on a shadow; absorb it into the model it shadows and update that")
+	}
 	m.paramMu.Lock()
 	defer m.paramMu.Unlock()
-	dense.Step()
-	if adagrad != nil {
-		m.ApplySparseAdagrad(adagrad, lr)
-	} else {
-		m.ApplySparse(lr)
-	}
+	m.opt.step(lr)
 }
 
-// TrainStep runs one standard mini-batch SGD iteration (the baseline
-// executor) and returns the mean BCE loss.
+// TrainStep runs one standard full-mini-batch iteration under the model's
+// rule (the baseline executor) and returns the mean BCE loss.
 func (m *Model) TrainStep(b *data.Batch, lr float32) float64 {
 	m.ZeroAll()
 	logits := m.Forward(b)
 	loss, grad := nn.BCEWithLogitsInto(&m.bceGrad, logits, b.Labels, nn.ReduceMean)
 	m.Backward(grad, 1)
-	if m.sgd == nil {
-		m.sgd = nn.NewSGD(m.DenseParams(), lr)
-	}
-	m.sgd.LR = lr
-	m.ApplyUpdate(m.sgd, nil, lr)
+	m.ApplyUpdate(lr)
 	return loss
 }
 

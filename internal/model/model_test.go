@@ -199,17 +199,17 @@ func TestApplySparseClearsPending(t *testing.T) {
 	}
 	table0 := m.Tables[0].(*embedding.Table)
 	before := table0.W.Clone()
-	m.ApplySparse(0.5)
+	m.ApplyUpdate(0.5)
 	if len(m.pendingSparse) != 0 {
-		t.Fatal("ApplySparse must clear the stash")
+		t.Fatal("ApplyUpdate must clear the stash")
 	}
 	if tensor.MaxAbsDiff(before, table0.W) == 0 {
-		t.Fatal("ApplySparse should change embeddings")
+		t.Fatal("ApplyUpdate should change embeddings")
 	}
 	after := table0.W.Clone()
-	m.ApplySparse(0.5) // no-op now
+	m.ApplyUpdate(0.5) // no sparse gradient left to apply
 	if tensor.MaxAbsDiff(after, table0.W) != 0 {
-		t.Fatal("second ApplySparse must be a no-op")
+		t.Fatal("a second ApplyUpdate must leave the embeddings alone")
 	}
 }
 
@@ -268,7 +268,7 @@ func TestTable2ModelsConstruct(t *testing.T) {
 		logits := m.Forward(b)
 		_, grad := nn.BCEWithLogits(logits, b.Labels, nn.ReduceMean)
 		m.Backward(grad, 1)
-		m.ApplySparse(0.01)
+		m.ApplyUpdate(0.01)
 	}
 }
 

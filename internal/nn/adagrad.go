@@ -44,9 +44,3 @@ func (a *Adagrad) Step() {
 		}
 	}
 }
-
-// ZeroGrads clears all gradient accumulators (not the Adagrad state).
-func (a *Adagrad) ZeroGrads() { ZeroGrads(a.params) }
-
-// Params exposes the optimized parameter set.
-func (a *Adagrad) Params() []Param { return a.params }

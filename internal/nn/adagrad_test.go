@@ -62,7 +62,7 @@ func TestAdagradLearnsToyProblem(t *testing.T) {
 	first := BCELossOnly(m.Forward(x), targets, ReduceMean)
 	var last float64
 	for epoch := 0; epoch < 150; epoch++ {
-		opt.ZeroGrads()
+		ZeroGrads(m.Params())
 		logits := m.Forward(x)
 		var g *tensor.Matrix
 		last, g = BCEWithLogits(logits, targets, ReduceMean)

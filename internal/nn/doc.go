@@ -1,7 +1,8 @@
 // Package nn implements the dense neural-network components of DLRM and
 // TBSM: linear layers, activations, MLP stacks, the DLRM dot-product feature
 // interaction, the TBSM attention layer, binary cross-entropy loss and the
-// SGD/Adagrad optimizers.
+// dense halves of the SGD and Adagrad update rules (internal/model joins
+// them to their sparse halves).
 //
 // All layers use hand-written backpropagation over internal/tensor matrices.
 // Every forward call caches what its backward pass needs; Backward must be

@@ -386,7 +386,7 @@ func TestSGDStep(t *testing.T) {
 			t.Fatalf("SGD step wrong at %d", i)
 		}
 	}
-	opt.ZeroGrads()
+	ZeroGrads(l.Params())
 	if l.GradW.Data[0] != 0 {
 		t.Fatal("ZeroGrads failed")
 	}
@@ -410,7 +410,7 @@ func TestMLPLearnsToyProblem(t *testing.T) {
 	first := BCELossOnly(m.Forward(x), targets, ReduceMean)
 	var last float64
 	for epoch := 0; epoch < 200; epoch++ {
-		opt.ZeroGrads()
+		ZeroGrads(m.Params())
 		logits := m.Forward(x)
 		var g *tensor.Matrix
 		last, g = BCEWithLogits(logits, targets, ReduceMean)

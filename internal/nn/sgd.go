@@ -4,7 +4,7 @@ import "hotline/internal/tensor"
 
 // SGD is a plain stochastic-gradient-descent optimizer over dense params.
 // (DLRM's reference implementation also uses plain SGD for dense layers;
-// sparse embedding rows are updated by embedding.SparseSGD.)
+// sparse embedding rows are updated by embedding.Bag.ApplySparseSGD.)
 type SGD struct {
 	LR     float32
 	params []Param
@@ -23,9 +23,3 @@ func (s *SGD) Step() {
 		tensor.AxpyInto(p.Value, -s.LR, p.Grad)
 	}
 }
-
-// ZeroGrads clears all gradient accumulators.
-func (s *SGD) ZeroGrads() { ZeroGrads(s.params) }
-
-// Params exposes the optimized parameter set.
-func (s *SGD) Params() []Param { return s.params }

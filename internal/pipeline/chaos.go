@@ -76,7 +76,7 @@ func MeasureChaos(cfg data.Config, p ChaosProbe) (ChaosMeasurement, error) {
 		return ChaosMeasurement{}, fmt.Errorf("chaos measurement needs >= 2 nodes, got %d: %w", p.Nodes, shard.ErrFabricConfig)
 	}
 	if p.Depth < 1 {
-		p.Depth = train.DefaultPipelineDepth()
+		p.Depth = train.DefaultDepth
 	}
 	victim := p.Nodes - 1
 

@@ -77,7 +77,7 @@ func MeasureFabric(cfg data.Config, p FabricProbe) (FabricMeasurement, error) {
 		return FabricMeasurement{}, fmt.Errorf("pipeline: fabric measurement needs >= 2 nodes, got %d", p.Nodes)
 	}
 	if p.Depth < 1 {
-		p.Depth = train.DefaultPipelineDepth()
+		p.Depth = train.DefaultDepth
 	}
 	if p.Iters < 1 {
 		p.Iters = 8

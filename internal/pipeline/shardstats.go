@@ -256,14 +256,13 @@ var overlapFracs memo[float64]
 // (classification and fabric gathers for the next k-1 mini-batches issued
 // while iteration i finishes, dirty rows delta-repaired) — and returns the
 // measured fraction of gather wall time the pipeline left exposed, in
-// [0, 1]. depth < 1 selects the executors' current default
-// (train.DefaultPipelineDepth — 2 unless hotline.PipelineDepth /
-// hotline-bench -depth moved it). Both the cache budget and the depth are
-// part of the memo identity: a cache-starved topology has far more gather
-// traffic to hide, and a deeper pipeline has more compute to hide it under,
-// so exposure must be measured under the same knobs the workload's gather
-// stats were. The mn-overlap and mn-depth scenarios measure the
-// production-shape model and override the workload's fraction with it.
+// [0, 1]. depth < 1 selects train.DefaultDepth. Both the cache budget and
+// the depth are part of the memo identity: a cache-starved topology has far
+// more gather traffic to hide, and a deeper pipeline has more compute to
+// hide it under, so exposure must be measured under the same knobs the
+// workload's gather stats were. The mn-overlap and mn-depth scenarios
+// measure the production-shape model and override the workload's fraction
+// with it.
 func MeasureOverlap(cfg data.Config, nodes int, cacheBytes int64, depth int) float64 {
 	if nodes <= 1 {
 		return 0
@@ -272,7 +271,7 @@ func MeasureOverlap(cfg data.Config, nodes int, cacheBytes int64, depth int) flo
 		cacheBytes = DefaultShardCacheBytes(cfg)
 	}
 	if depth < 1 {
-		depth = train.DefaultPipelineDepth()
+		depth = train.DefaultDepth
 	}
 	if depth == 1 {
 		// The depth-1 pipeline IS the synchronous baseline — its exposure
@@ -299,16 +298,16 @@ func MeasureOverlap(cfg data.Config, nodes int, cacheBytes int64, depth int) flo
 // device cache per node — <= 0 selects the scaled hot-set budget — LRU
 // caches over round-robin ownership) instead of the analytic popularity
 // fractions. The exposed-gather fraction is measured too (MeasureOverlap at
-// the given pipeline depth; depth < 1 selects the executors' current
-// default), so every mn-* scenario prices overlap from measurement instead
-// of the analytic overlap schedule, at the depth the scenario sweeps.
+// the given pipeline depth; depth < 1 selects train.DefaultDepth), so every
+// mn-* scenario prices overlap from measurement instead of the analytic
+// overlap schedule, at the depth the scenario sweeps.
 func NewShardedWorkload(cfg data.Config, batch int, sys cost.System, cacheBytes int64, depth int) Workload {
 	w := NewWorkload(cfg, batch, sys)
 	if cacheBytes <= 0 {
 		cacheBytes = DefaultShardCacheBytes(cfg)
 	}
 	if depth < 1 {
-		depth = train.DefaultPipelineDepth()
+		depth = train.DefaultDepth
 	}
 	m := MeasureShard(cfg, ShardProbe{Nodes: sys.Nodes, CacheBytes: cacheBytes, Batch: batch})
 	if sys.Nodes > 1 {

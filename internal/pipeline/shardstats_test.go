@@ -285,8 +285,8 @@ func TestShardedWorkloadDepthRecorded(t *testing.T) {
 		t.Fatalf("pipeline depth not recorded: %d", w.Shard.PipelineDepth)
 	}
 	wd := NewShardedWorkload(cfg, 4096*2, cost.PaperCluster(2), 0, 0)
-	if wd.Shard.PipelineDepth != train.DefaultPipelineDepth() {
+	if wd.Shard.PipelineDepth != train.DefaultDepth {
 		t.Fatalf("default workload depth = %d want %d",
-			wd.Shard.PipelineDepth, train.DefaultPipelineDepth())
+			wd.Shard.PipelineDepth, train.DefaultDepth)
 	}
 }

@@ -75,15 +75,15 @@ type runResult struct {
 	over   shard.OverlapStats
 }
 
-// trainRun runs the pipelined Hotline executor on the probe's fixed stream
-// over a sharded service with the given node count, depth and partitioner.
-// attach plugs the transport (and any recovery policy) into the fresh
-// service; before, when non-nil, runs ahead of every training window.
-func trainRun(tb testing.TB, cfg data.Config, nodes, depth int, part shard.Partitioner,
+// trainRun runs the pipelined Hotline executor for m on the probe's fixed
+// stream over a sharded service with the given node count, depth and
+// partitioner. attach plugs the transport (and any recovery policy) into the
+// fresh service; before, when non-nil, runs ahead of every training window.
+func trainRun(tb testing.TB, m *model.Model, nodes, depth int, part shard.Partitioner,
 	attach func(*shard.Service), before func(i int)) runResult {
 	tb.Helper()
 	svc := shard.New(shard.Config{
-		Nodes: nodes, CacheBytes: 64 << 10, RowBytes: int64(cfg.EmbedDim) * 4,
+		Nodes: nodes, CacheBytes: 64 << 10, RowBytes: int64(m.Cfg.EmbedDim) * 4,
 		Part: part,
 	}, nil)
 	attach(svc)
@@ -92,11 +92,11 @@ func trainRun(tb testing.TB, cfg data.Config, nodes, depth int, part shard.Parti
 			tb.Fatalf("service close: %v", err)
 		}
 	}()
-	t := train.NewHotlineSharded(model.New(cfg, probeSeed), 0.1, svc)
+	t := train.NewHotlineSharded(m, 0.1, svc)
 	t.Depth = depth
 	t.LearnSamples = probeLearn
 	svc.ResetStats()
-	res := runResult{m: t.M, losses: train.StepAll(t, probeBatches(cfg), before)}
+	res := runResult{m: t.M, losses: train.StepAll(t, probeBatches(m.Cfg), before)}
 	res.stats, res.over = svc.Snapshot(), svc.Gatherer().Stats()
 	if err := svc.FabricErr(); err != nil {
 		tb.Fatalf("fabric error after run (nodes=%d depth=%d): %v", nodes, depth, err)
@@ -114,18 +114,18 @@ func (s Suite) attach(tb testing.TB, svc *shard.Service, nodes int) {
 }
 
 // trainOver is trainRun over the suite's transport.
-func trainOver(tb testing.TB, s Suite, cfg data.Config, nodes, depth int, part shard.Partitioner) runResult {
+func trainOver(tb testing.TB, s Suite, m *model.Model, nodes, depth int, part shard.Partitioner) runResult {
 	tb.Helper()
-	return trainRun(tb, cfg, nodes, depth, part, func(svc *shard.Service) { s.attach(tb, svc, nodes) }, nil)
+	return trainRun(tb, m, nodes, depth, part, func(svc *shard.Service) { s.attach(tb, svc, nodes) }, nil)
 }
 
-// reference trains the unsharded executor on the probe's stream: the
-// single-node run every cell must reproduce — parameters bit-for-bit,
-// losses exactly.
-func reference(cfg data.Config) (*train.HotlineTrainer, []float64) {
-	ref := train.NewHotline(model.New(cfg, probeSeed), 0.1)
+// reference trains the unsharded executor for m on the probe's stream: the
+// single-node run every cell under m's rule must reproduce — parameters
+// bit-for-bit, losses exactly.
+func reference(m *model.Model) (*train.HotlineTrainer, []float64) {
+	ref := train.NewHotline(m, 0.1)
 	ref.LearnSamples = probeLearn
-	return ref, train.StepAll(ref, probeBatches(cfg), nil)
+	return ref, train.StepAll(ref, probeBatches(m.Cfg), nil)
 }
 
 // hotAwarePart builds the hot-aware placement from the probe's own stream
@@ -144,35 +144,45 @@ func hotAwarePart(cfg data.Config, nodes int) shard.Partitioner {
 func Run(t *testing.T, s Suite) {
 	cfg := probeCfg()
 
-	ref, refLosses := reference(cfg)
-
 	t.Run("TrainingParity", func(t *testing.T) {
-		for _, nodes := range []int{2, 4, 8} {
-			for _, depth := range []int{1, 2, 4} {
-				for _, placement := range []string{"rr", "hot"} {
-					nodes, depth, placement := nodes, depth, placement
-					name := formatCell(nodes, depth, placement)
-					t.Run(name, func(t *testing.T) {
-						var part shard.Partitioner
-						if placement == "hot" {
-							part = hotAwarePart(cfg, nodes)
-						}
-						res := trainOver(t, s, cfg, nodes, depth, part)
-						for i, l := range res.losses {
-							if l != refLosses[i] {
-								t.Fatalf("iter %d loss %v, single-node reference %v", i, l, refLosses[i])
+		grids := []struct {
+			prefix     string
+			rule       func(*model.Model) model.Optimizer
+			nodes      []int
+			depths     []int
+			placements []string
+		}{
+			{"", model.NewSGD, []int{2, 4, 8}, []int{1, 2, 4}, []string{"rr", "hot"}},
+			// The push of adaptively updated rows, compared once per family.
+			{"adagrad_", model.NewAdagrad, []int{2}, []int{2}, []string{"rr"}},
+		}
+		for _, g := range grids {
+			ref, refLosses := reference(model.New(cfg, probeSeed).SetOptimizer(g.rule))
+			for _, nodes := range g.nodes {
+				for _, depth := range g.depths {
+					for _, placement := range g.placements {
+						t.Run(g.prefix+formatCell(nodes, depth, placement), func(t *testing.T) {
+							var part shard.Partitioner
+							if placement == "hot" {
+								part = hotAwarePart(cfg, nodes)
 							}
-						}
-						if d := model.MaxStateDiff(ref.M, res.m); d != 0 {
-							t.Fatalf("parameters diverged from single-node reference: max diff %g", d)
-						}
-						if res.stats.GatherBytes == 0 || res.stats.ScatterBytes == 0 {
-							t.Fatalf("no fabric traffic accounted: %+v", res.stats)
-						}
-						if depth > 1 && res.over.Windows == 0 {
-							t.Fatalf("depth %d ran no prefetch windows: %+v", depth, res.over)
-						}
-					})
+							res := trainOver(t, s, model.New(cfg, probeSeed).SetOptimizer(g.rule), nodes, depth, part)
+							for i, l := range res.losses {
+								if l != refLosses[i] {
+									t.Fatalf("iter %d loss %v, single-node reference %v", i, l, refLosses[i])
+								}
+							}
+							if d := model.MaxStateDiff(ref.M, res.m); d != 0 {
+								t.Fatalf("parameters diverged from single-node reference: max diff %g", d)
+							}
+							if res.stats.GatherBytes == 0 || res.stats.ScatterBytes == 0 {
+								t.Fatalf("no fabric traffic accounted: %+v", res.stats)
+							}
+							if depth > 1 && res.over.Windows == 0 {
+								t.Fatalf("depth %d ran no prefetch windows: %+v", depth, res.over)
+							}
+						})
+					}
 				}
 			}
 		}
@@ -184,8 +194,8 @@ func Run(t *testing.T, s Suite) {
 		// wall clocks aside.
 		inproc := Suite{Name: "inproc"}
 		for _, nodes := range []int{2, 4} {
-			want := trainOver(t, inproc, cfg, nodes, 2, nil).stats.WithoutWall()
-			got := trainOver(t, s, cfg, nodes, 2, nil).stats.WithoutWall()
+			want := trainOver(t, inproc, model.New(cfg, probeSeed), nodes, 2, nil).stats.WithoutWall()
+			got := trainOver(t, s, model.New(cfg, probeSeed), nodes, 2, nil).stats.WithoutWall()
 			if got != want {
 				t.Fatalf("nodes=%d: counters diverged from in-proc:\n got %+v\nwant %+v", nodes, got, want)
 			}
@@ -195,9 +205,9 @@ func Run(t *testing.T, s Suite) {
 	t.Run("DepthDeterminism", func(t *testing.T) {
 		// The depth-k window ring with dirty-row repair must be
 		// bit-deterministic in k over the transport.
-		base := trainOver(t, s, cfg, 2, 1, nil)
+		base := trainOver(t, s, model.New(cfg, probeSeed), 2, 1, nil)
 		for _, depth := range []int{2, 4} {
-			res := trainOver(t, s, cfg, 2, depth, nil)
+			res := trainOver(t, s, model.New(cfg, probeSeed), 2, depth, nil)
 			if d := model.MaxStateDiff(base.m, res.m); d != 0 {
 				t.Fatalf("depth %d diverged from depth 1: max diff %g", depth, d)
 			}

@@ -89,7 +89,7 @@ func trainChaos(tb testing.TB, network string, nodes, depth int, part shard.Part
 		tb.Fatal(err)
 	}
 	fab.SetSchedule(sched)
-	return trainRun(tb, probeCfg(), nodes, depth, part, func(svc *shard.Service) {
+	return trainRun(tb, model.New(probeCfg(), probeSeed), nodes, depth, part, func(svc *shard.Service) {
 		svc.SetRecovery(shard.RecoveryConfig{Policy: policy})
 		svc.SetTransport(rt)
 	}, fab.Tick)
@@ -100,7 +100,7 @@ func RunRecovery(t *testing.T, network string) {
 	cfg := probeCfg()
 
 	// The fault-free reference is the bar every recovered run must clear.
-	ref, refLosses := reference(cfg)
+	ref, refLosses := reference(model.New(cfg, probeSeed))
 
 	assertBitIdentical := func(t *testing.T, res runResult) {
 		t.Helper()

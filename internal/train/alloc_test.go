@@ -177,7 +177,7 @@ func TestBaselineStepZeroAllocSteadyState(t *testing.T) {
 func TestAdagradStepSteadyStateAllocs(t *testing.T) {
 	defer par.SetWorkers(par.SetWorkers(1))
 	cfg := allocCfg()
-	tr := NewHotlineAdagrad(model.New(cfg, 1), 0.1)
+	tr := NewHotline(model.New(cfg, 1).SetOptimizer(model.NewAdagrad), 0.1)
 	gen := data.NewGenerator(cfg)
 	b := gen.NextBatch(64)
 	for i := 0; i < 30; i++ {

@@ -1,7 +1,9 @@
 // Package train provides the functional training executors: the baseline
-// mini-batch SGD loop and the Hotline executor that fragments every
+// full-mini-batch loop and the Hotline executor that fragments every
 // mini-batch into popular and non-popular µ-batches (classified by the
 // accelerator's EAL) and accumulates their gradients into a single update.
+// Executors schedule passes; the update rule and its state are the model's
+// (model.Optimizer), applied at the executor's LR.
 //
 // This is the layer behind the paper's accuracy-parity claim (§IV-A,
 // Eq. 5): because L_hotline = L_popular + L_non-popular = L_baseline, both

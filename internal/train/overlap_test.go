@@ -1,6 +1,7 @@
 package train
 
 import (
+	"fmt"
 	"testing"
 
 	"hotline/internal/data"
@@ -25,6 +26,28 @@ func buildPartitioner(t *testing.T, cfg data.Config, nodes, iters, batch int, ho
 		}
 	}
 	return rc.HotAware(nil)
+}
+
+// updateRules is the optimizer axis of the pipelined determinism grids: the
+// update rule every model of a cell trains under. Adagrad at depth >= 3 is
+// dirty-row repair after an adaptive update; Adagrad under a quantized cache
+// is warm-tier dequantisation under one.
+var updateRules = []struct {
+	name  string
+	build func(*model.Model) model.Optimizer
+}{
+	{"sgd", model.NewSGD},
+	{"adagrad", model.NewAdagrad},
+}
+
+// ruleGrid returns the node counts and pipeline depths a rule's cells run
+// at: the full grid, except that -short samples Adagrad at nodes {2, 4} x
+// k {1, 4}.
+func ruleGrid(rule string) (nodes, depths []int) {
+	if testing.Short() && rule != "sgd" {
+		return []int{2, 4}, []int{1, 4}
+	}
+	return []int{1, 2, 4, 8}, []int{1, 2, 4, 8}
 }
 
 // TestOverlapDeterminism is the async-overlap determinism contract: training
@@ -92,8 +115,9 @@ func TestOverlapDeterminism(t *testing.T) {
 // while iteration i finishes, staged rows dirty-repaired after intervening
 // sparse updates — is byte-identical to fully synchronous batch-by-batch
 // sharded training, for every depth k in {1,2,4,8} x nodes {1,2,4,8} x
-// both the round-robin and hot-aware placements. The -race harness runs
-// this too, so the window-ring hand-off and the persistent drainers are
+// both the round-robin and hot-aware placements x both update rules (the
+// Adagrad half is sampled under -short, see ruleGrid). The -race harness
+// runs this too, so the window-ring hand-off and the persistent drainers are
 // also proven race-free.
 func TestPipelinedOverlapDeterminism(t *testing.T) {
 	cfg := data.CriteoKaggle()
@@ -101,46 +125,52 @@ func TestPipelinedOverlapDeterminism(t *testing.T) {
 	cfg.BotMLP = []int{13, 32, 16}
 	cfg.TopMLP = []int{32, 1}
 	const seed, iters, batch = 42, 8, 128
+	batches := data.NewGenerator(cfg).NextBatches(iters, batch)
 
-	for _, hotAware := range []bool{false, true} {
-		for _, nodes := range []int{1, 2, 4, 8} {
-			newTrainer := func(depth int) (*HotlineTrainer, *shard.Service) {
-				svc := shard.New(shard.Config{
-					Nodes: nodes, CacheBytes: 64 << 10, RowBytes: int64(cfg.EmbedDim) * 4,
-					Part: buildPartitioner(t, cfg, nodes, iters, batch, hotAware),
-				}, nil)
-				tr := NewHotlineSharded(model.New(cfg, seed), 0.1, svc)
-				tr.Depth = depth
-				tr.LearnSamples = 512
-				return tr, svc
-			}
-			batches := data.NewGenerator(cfg).NextBatches(iters, batch)
+	for _, rule := range updateRules {
+		nodesGrid, depths := ruleGrid(rule.name)
+		for _, hotAware := range []bool{false, true} {
+			for _, nodes := range nodesGrid {
+				newTrainer := func(depth int) (*HotlineTrainer, *shard.Service) {
+					svc := shard.New(shard.Config{
+						Nodes: nodes, CacheBytes: 64 << 10, RowBytes: int64(cfg.EmbedDim) * 4,
+						Part: buildPartitioner(t, cfg, nodes, iters, batch, hotAware),
+					}, nil)
+					tr := NewHotlineSharded(model.New(cfg, seed).SetOptimizer(rule.build), 0.1, svc)
+					tr.Depth = depth
+					tr.LearnSamples = 512
+					return tr, svc
+				}
 
-			// Synchronous batch-by-batch reference.
-			ref, _ := newTrainer(1)
-			for i := 0; i < iters; i++ {
-				ref.Step(batches[i])
-			}
+				// Synchronous batch-by-batch reference.
+				ref, _ := newTrainer(1)
+				for i := 0; i < iters; i++ {
+					ref.Step(batches[i])
+				}
 
-			for _, k := range []int{1, 2, 4, 8} {
-				tr, svc := newTrainer(k)
-				StepAll(tr, batches, nil)
-				st := svc.Gatherer().Stats()
-				if !model.DenseStateEqual(ref.M, tr.M) {
-					t.Fatalf("k=%d nodes=%d hotAware=%v: pipelined dense state diverged", k, nodes, hotAware)
-				}
-				if !model.SparseStateEqual(ref.M, tr.M) {
-					t.Fatalf("k=%d nodes=%d hotAware=%v: pipelined sparse state diverged", k, nodes, hotAware)
-				}
-				if nodes > 1 && k > 1 && st.Windows == 0 {
-					t.Fatalf("k=%d nodes=%d hotAware=%v: pipelined run issued no prefetch windows", k, nodes, hotAware)
-				}
-				if k == 1 && st.Windows != 0 {
-					t.Fatalf("k=%d nodes=%d hotAware=%v: depth-1 pipeline must gather synchronously, issued %d windows",
-						k, nodes, hotAware, st.Windows)
-				}
-				if st.StaleRows != 0 {
-					t.Fatalf("k=%d nodes=%d hotAware=%v: repair mode consumed %d stale rows", k, nodes, hotAware, st.StaleRows)
+				for _, k := range depths {
+					cell := fmt.Sprintf("%s k=%d nodes=%d hotAware=%v", rule.name, k, nodes, hotAware)
+					tr, svc := newTrainer(k)
+					StepAll(tr, batches, nil)
+					st := svc.Gatherer().Stats()
+					if !model.DenseStateEqual(ref.M, tr.M) {
+						t.Fatalf("%s: pipelined dense state diverged", cell)
+					}
+					if !model.SparseStateEqual(ref.M, tr.M) {
+						t.Fatalf("%s: pipelined sparse state diverged", cell)
+					}
+					if nodes > 1 && k > 1 && st.Windows == 0 {
+						t.Fatalf("%s: pipelined run issued no prefetch windows", cell)
+					}
+					if k == 1 && st.Windows != 0 {
+						t.Fatalf("%s: depth-1 pipeline must gather synchronously, issued %d windows", cell, st.Windows)
+					}
+					if st.StaleRows != 0 {
+						t.Fatalf("%s: repair mode consumed %d stale rows", cell, st.StaleRows)
+					}
+					if k >= 4 && nodes > 1 && st.RepairRows == 0 {
+						t.Fatalf("%s: no dirty row was repaired; the depth proves nothing about repair", cell)
+					}
 				}
 			}
 		}

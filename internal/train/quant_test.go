@@ -16,13 +16,15 @@ type modHot struct{}
 func (modHot) IsHot(_ int, row int32) bool { return row%4 == 0 }
 
 // TestPipelinedQuantizedDeterminism extends the depth-k determinism
-// contract to the precision-tiered caches: for every quantized cache mode
-// and every pipeline depth k, training with StepLookahead is byte-identical
-// to fully synchronous batch-by-batch training under the SAME mode — the
-// warm tier's fused dequantize-gather and the dirty-row repair path must
-// produce the same bits whether a staged row is consumed immediately or k-1
-// iterations later. (Quantized training legitimately differs from fp32
-// training; what may never differ is pipelined vs unpipelined.)
+// contract to the precision-tiered caches: for every quantized cache mode,
+// every pipeline depth k and both update rules (the Adagrad half sampled
+// under -short, see ruleGrid), training with StepLookahead is
+// byte-identical to fully synchronous batch-by-batch training under the SAME
+// mode — the warm tier's fused dequantize-gather and the dirty-row repair
+// path must produce the same bits whether a staged row is consumed
+// immediately or k-1 iterations later. (Quantized training legitimately
+// differs from fp32 training; what may never differ is pipelined vs
+// unpipelined.)
 func TestPipelinedQuantizedDeterminism(t *testing.T) {
 	cfg := data.CriteoKaggle()
 	cfg.Samples = 1024
@@ -32,20 +34,9 @@ func TestPipelinedQuantizedDeterminism(t *testing.T) {
 
 	batches := data.NewGenerator(cfg).NextBatches(iters, batch)
 
-	fp32ref := func() *model.Model {
-		svc := shard.New(shard.Config{
-			Nodes: nodes, CacheBytes: 64 << 10, RowBytes: int64(cfg.EmbedDim) * 4,
-		}, nil)
-		tr := NewHotlineSharded(model.New(cfg, seed), 0.1, svc)
-		tr.LearnSamples = 512
-		for i := 0; i < iters; i++ {
-			tr.Step(batches[i])
-		}
-		return tr.M
-	}()
-
-	for _, q := range []shard.QuantMode{shard.QuantFP16, shard.QuantINT8, shard.QuantMixed} {
-		newTrainer := func(depth int) (*HotlineTrainer, *shard.Service) {
+	for _, rule := range updateRules {
+		_, depths := ruleGrid(rule.name)
+		newTrainer := func(q shard.QuantMode, depth int) (*HotlineTrainer, *shard.Service) {
 			var hot shard.HotClassifier
 			if q == shard.QuantMixed {
 				hot = modHot{} // a nil classifier would degenerate Mixed to all-fp32
@@ -54,38 +45,44 @@ func TestPipelinedQuantizedDeterminism(t *testing.T) {
 				Nodes: nodes, CacheBytes: 64 << 10, RowBytes: int64(cfg.EmbedDim) * 4,
 				Quant: q,
 			}, hot)
-			tr := NewHotlineSharded(model.New(cfg, seed), 0.1, svc)
+			tr := NewHotlineSharded(model.New(cfg, seed).SetOptimizer(rule.build), 0.1, svc)
 			tr.Depth = depth
 			tr.LearnSamples = 512
 			return tr, svc
 		}
-
-		// Synchronous batch-by-batch reference at this quant mode.
-		ref, refSvc := newTrainer(1)
+		fp32ref, _ := newTrainer(shard.QuantOff, DefaultDepth)
 		for i := 0; i < iters; i++ {
-			ref.Step(batches[i])
-		}
-		if st := refSvc.Snapshot(); st.QuantHits == 0 || st.DequantRows == 0 {
-			t.Fatalf("%s: reference run never served a warm-tier hit (quantHits=%d dequantRows=%d); the grid is vacuous",
-				q, st.QuantHits, st.DequantRows)
-		}
-		// The quantized reference must actually train differently from fp32
-		// — otherwise "pipelined == synchronous" would hold trivially.
-		if model.DenseStateEqual(fp32ref, ref.M) && model.SparseStateEqual(fp32ref, ref.M) {
-			t.Fatalf("%s: quantized training is bit-identical to fp32; the warm tier served exact values", q)
+			fp32ref.Step(batches[i])
 		}
 
-		for _, k := range []int{1, 2, 4, 8} {
-			tr, svc := newTrainer(k)
-			StepAll(tr, batches, nil)
-			if !model.DenseStateEqual(ref.M, tr.M) {
-				t.Fatalf("%s k=%d: pipelined dense state diverged from synchronous", q, k)
+		for _, q := range []shard.QuantMode{shard.QuantFP16, shard.QuantINT8, shard.QuantMixed} {
+			// Synchronous batch-by-batch reference at this quant mode.
+			ref, refSvc := newTrainer(q, 1)
+			for i := 0; i < iters; i++ {
+				ref.Step(batches[i])
 			}
-			if !model.SparseStateEqual(ref.M, tr.M) {
-				t.Fatalf("%s k=%d: pipelined sparse state diverged from synchronous", q, k)
+			if st := refSvc.Snapshot(); st.QuantHits == 0 || st.DequantRows == 0 {
+				t.Fatalf("%s %s: reference run never served a warm-tier hit (quantHits=%d dequantRows=%d); the grid is vacuous",
+					rule.name, q, st.QuantHits, st.DequantRows)
 			}
-			if st := svc.Gatherer().Stats(); st.StaleRows != 0 {
-				t.Fatalf("%s k=%d: repair mode consumed %d stale rows", q, k, st.StaleRows)
+			// The quantized reference must actually train differently from fp32
+			// — otherwise "pipelined == synchronous" would hold trivially.
+			if model.DenseStateEqual(fp32ref.M, ref.M) && model.SparseStateEqual(fp32ref.M, ref.M) {
+				t.Fatalf("%s %s: quantized training is bit-identical to fp32; the warm tier served exact values", rule.name, q)
+			}
+
+			for _, k := range depths {
+				tr, svc := newTrainer(q, k)
+				StepAll(tr, batches, nil)
+				if !model.DenseStateEqual(ref.M, tr.M) {
+					t.Fatalf("%s %s k=%d: pipelined dense state diverged from synchronous", rule.name, q, k)
+				}
+				if !model.SparseStateEqual(ref.M, tr.M) {
+					t.Fatalf("%s %s k=%d: pipelined sparse state diverged from synchronous", rule.name, q, k)
+				}
+				if st := svc.Gatherer().Stats(); st.StaleRows != 0 {
+					t.Fatalf("%s %s k=%d: repair mode consumed %d stale rows", rule.name, q, k, st.StaleRows)
+				}
 			}
 		}
 	}

@@ -124,10 +124,10 @@ func TestServedAnswersAreStepBoundaries(t *testing.T) {
 			return hotline(NewHotlineSharded(model.New(cfg, seed), lr, newSvc(t, shard.QuantOff, nil, "unix")))
 		}},
 		{"hotline-adagrad/inproc4", func(t *testing.T) Trainer {
-			return hotline(NewHotlineShardedAdagrad(model.New(cfg, seed), lr, newSvc(t, shard.QuantOff, nil, "")))
+			return hotline(NewHotlineSharded(model.New(cfg, seed).SetOptimizer(model.NewAdagrad), lr, newSvc(t, shard.QuantOff, nil, "")))
 		}},
 		{"baseline-sgd/inproc4", func(t *testing.T) Trainer { return NewBaseline(shardedModel(t), lr) }},
-		{"baseline-adagrad/inproc4", func(t *testing.T) Trainer { return NewBaselineAdagrad(shardedModel(t), lr) }},
+		{"baseline-adagrad/inproc4", func(t *testing.T) Trainer { return NewBaseline(shardedModel(t).SetOptimizer(model.NewAdagrad), lr) }},
 	}
 
 	for _, c := range cells {

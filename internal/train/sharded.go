@@ -24,13 +24,3 @@ func NewHotlineSharded(m *model.Model, lr float32, svc *shard.Service) *HotlineT
 	t.Shard = svc
 	return t
 }
-
-// NewHotlineShardedAdagrad is NewHotlineSharded under dense + sparse
-// Adagrad (the mn-adagrad scenario's executor). The sparse accumulators are
-// globally indexed, so sharded training matches the single-node Adagrad
-// executor bit for bit, like the SGD path.
-func NewHotlineShardedAdagrad(m *model.Model, lr float32, svc *shard.Service) *HotlineTrainer {
-	t := NewHotlineSharded(m, lr, svc)
-	t.EnableAdagrad()
-	return t
-}

@@ -92,7 +92,7 @@ func TestShardedAdagradTrainerParity(t *testing.T) {
 	cfg := shardedCfg()
 	const seed, iters, batch = 77, 4, 64
 
-	ref := NewHotlineAdagrad(model.New(cfg, seed), 0.1)
+	ref := NewHotline(model.New(cfg, seed).SetOptimizer(model.NewAdagrad), 0.1)
 	refGen := data.NewGenerator(cfg)
 	for i := 0; i < iters; i++ {
 		ref.Step(refGen.NextBatch(batch))
@@ -102,7 +102,7 @@ func TestShardedAdagradTrainerParity(t *testing.T) {
 		svc := shard.New(shard.Config{
 			Nodes: nodes, CacheBytes: 64 << 10, RowBytes: int64(cfg.EmbedDim) * 4,
 		}, nil)
-		hot := NewHotlineShardedAdagrad(model.New(cfg, seed), 0.1, svc)
+		hot := NewHotlineSharded(model.New(cfg, seed).SetOptimizer(model.NewAdagrad), 0.1, svc)
 		// One batch ahead: the pipeline must hold for Adagrad too.
 		StepAll(hot, data.NewGenerator(cfg).NextBatches(iters, batch), nil)
 		if !model.DenseStateEqual(ref.M, hot.M) || !model.SparseStateEqual(ref.M, hot.M) {

@@ -2,11 +2,9 @@ package train
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"hotline/internal/accel"
 	"hotline/internal/data"
-	"hotline/internal/embedding"
 	"hotline/internal/metrics"
 	"hotline/internal/model"
 	"hotline/internal/nn"
@@ -50,98 +48,24 @@ func StepAll(t Trainer, batches []*data.Batch, before func(i int)) []float64 {
 	return losses
 }
 
-// defaultPipelineDepth is the pipeline depth executors start with; zero
-// reads as the depth-2 default (the classic cross-iteration pipeline, one
-// mini-batch of lookahead). Atomic like par's worker knob: workloads and
-// sweep goroutines read it concurrently with callers moving it.
-var defaultPipelineDepth atomic.Int32
+// DefaultDepth is the pipeline depth NewHotline starts an executor with, and
+// the depth a measurement that is given none prices: the classic
+// cross-iteration pipeline, one mini-batch of lookahead. An executor's own
+// depth is its Depth field.
+const DefaultDepth = 2
 
-// SetDefaultPipelineDepth sets the pipeline depth newly built Hotline
-// executors use (k >= 1; depth 1 degenerates to synchronous staged
-// gathers — the pipeline's only window belongs to the consuming forward,
-// so nothing prefetches — and depth k stages k-1 mini-batches ahead) and
-// returns the previous default. The public hotline.PipelineDepth knob
-// wraps this.
-func SetDefaultPipelineDepth(k int) int {
-	if k < 1 {
-		k = 2
-	}
-	if prev := defaultPipelineDepth.Swap(int32(k)); prev > 0 {
-		return int(prev)
-	}
-	return 2
-}
-
-// DefaultPipelineDepth returns the current default pipeline depth.
-func DefaultPipelineDepth() int {
-	if d := defaultPipelineDepth.Load(); d > 0 {
-		return int(d)
-	}
-	return 2
-}
-
-// denseOptimizer is the dense update rule an executor caches across steps
-// (nn.SGD and nn.Adagrad both satisfy it).
-type denseOptimizer interface {
-	Step()
-}
-
-// syncLR pushes the executor's (public, user-mutable) learning rate into
-// the cached optimizer, so assigning t.LR mid-training keeps working like
-// it did when the optimizer was rebuilt every step.
-func syncLR(opt denseOptimizer, lr float32) {
-	switch o := opt.(type) {
-	case *nn.SGD:
-		o.LR = lr
-	case *nn.Adagrad:
-		o.LR = lr
-	}
-}
-
-// Baseline is the standard full-mini-batch executor (SGD by default; see
-// EnableAdagrad).
+// Baseline is the standard full-mini-batch executor: every step is
+// Model.TrainStep under the model's update rule (model.Optimizer).
 type Baseline struct {
 	M  *model.Model
 	LR float32
-
-	denseOpt denseOptimizer
-	adagrad  []*embedding.AdagradState
-	bceGrad  tensor.Matrix
 }
 
 // NewBaseline wraps a model in the standard executor.
 func NewBaseline(m *model.Model, lr float32) *Baseline { return &Baseline{M: m, LR: lr} }
 
-// NewBaselineAdagrad is NewBaseline with dense and sparse Adagrad.
-func NewBaselineAdagrad(m *model.Model, lr float32) *Baseline {
-	t := NewBaseline(m, lr)
-	t.EnableAdagrad()
-	return t
-}
-
-// EnableAdagrad switches the executor to dense + sparse Adagrad (the DLRM
-// reference's production optimizer). Must be called before the first Step.
-func (t *Baseline) EnableAdagrad() {
-	t.denseOpt = nn.NewAdagrad(t.M.DenseParams(), t.LR)
-	t.adagrad = newAdagradStates(t.M)
-}
-
-// newAdagradStates builds one globally-indexed accumulator per table.
-func newAdagradStates(m *model.Model) []*embedding.AdagradState {
-	states := make([]*embedding.AdagradState, len(m.Tables))
-	for i, b := range m.Tables {
-		states[i] = embedding.NewAdagradStateFor(b)
-	}
-	return states
-}
-
 // Name implements Trainer.
-func (t *Baseline) Name() string {
-	if t.adagrad != nil {
-		return "baseline-adagrad"
-	}
-	return "baseline"
-}
+func (t *Baseline) Name() string { return "baseline" }
 
 // Model implements Trainer.
 func (t *Baseline) Model() *model.Model { return t.M }
@@ -155,22 +79,10 @@ func (t *Baseline) Lookahead() int { return 0 }
 func (t *Baseline) Step(b *data.Batch) float64 { return t.StepLookahead(b, nil) }
 
 // StepLookahead implements Trainer; the baseline ignores the batches ahead.
-// The SGD path is exactly Model.TrainStep (one implementation of the
-// standard step); only the Adagrad variant lives here.
 //
 //hotline:hotpath
 func (t *Baseline) StepLookahead(b *data.Batch, _ []*data.Batch) float64 {
-	m := t.M
-	if t.adagrad == nil {
-		return m.TrainStep(b, t.LR)
-	}
-	m.ZeroAll()
-	logits := m.Forward(b)
-	loss, grad := nn.BCEWithLogitsInto(&t.bceGrad, logits, b.Labels, nn.ReduceMean)
-	m.Backward(grad, 1)
-	syncLR(t.denseOpt, t.LR)
-	m.ApplyUpdate(t.denseOpt, t.adagrad, t.LR)
-	return loss
+	return t.M.TrainStep(b, t.LR)
 }
 
 // stagedBatch is one slot of the executor's lookahead ring: a future
@@ -248,10 +160,6 @@ type HotlineTrainer struct {
 	// stats
 	PopularInputs, TotalInputs int64
 
-	// optimizer state (cached across steps)
-	denseOpt denseOptimizer
-	adagrad  []*embedding.AdagradState
-
 	// step scratch
 	popSub           data.Batch
 	popGrad, nonGrad tensor.Matrix
@@ -266,38 +174,19 @@ type HotlineTrainer struct {
 }
 
 // NewHotline wraps a model in the Hotline executor with a default
-// accelerator configuration and the package default pipeline depth.
+// accelerator configuration at DefaultDepth. The update rule is the model's
+// (model.Optimizer): the executor applies it at LR, whatever LR is when the
+// step ends, and keeps no optimizer state of its own.
 func NewHotline(m *model.Model, lr float32) *HotlineTrainer {
 	cfg := accel.DefaultConfig()
 	return &HotlineTrainer{
 		M: m, LR: lr, Acc: accel.New(cfg), LearnSamples: 1536,
-		Depth: DefaultPipelineDepth(),
+		Depth: DefaultDepth,
 	}
-}
-
-// NewHotlineAdagrad is NewHotline with dense and sparse Adagrad.
-func NewHotlineAdagrad(m *model.Model, lr float32) *HotlineTrainer {
-	t := NewHotline(m, lr)
-	t.EnableAdagrad()
-	return t
-}
-
-// EnableAdagrad switches the executor to dense + sparse Adagrad. The
-// µ-batch gradients of each table are merged into one combined update per
-// mini-batch (Adagrad is non-linear in the gradient — see
-// Model.ApplySparseAdagrad). Must be called before the first Step.
-func (t *HotlineTrainer) EnableAdagrad() {
-	t.denseOpt = nn.NewAdagrad(t.M.DenseParams(), t.LR)
-	t.adagrad = newAdagradStates(t.M)
 }
 
 // Name implements Trainer.
-func (t *HotlineTrainer) Name() string {
-	if t.adagrad != nil {
-		return "hotline-adagrad"
-	}
-	return "hotline"
-}
+func (t *HotlineTrainer) Name() string { return "hotline" }
 
 // Model implements Trainer.
 func (t *HotlineTrainer) Model() *model.Model { return t.M }
@@ -403,15 +292,11 @@ func (t *HotlineTrainer) StepLookahead(b *data.Batch, ahead []*data.Batch) float
 		t.shadow.ZeroAll()
 		totalLoss = t.runSplit(b, pop, nonSub, invN)
 	}
-	if t.denseOpt == nil {
-		t.denseOpt = nn.NewSGD(t.M.DenseParams(), t.LR)
-	}
-	syncLR(t.denseOpt, t.LR)
 	// The one moment of the step that writes parameters, and so the one
 	// moment a serve replica of t.M waits for (model.Model.ApplyUpdate).
 	// The sparse update marks rows staged by open lookahead windows dirty
 	// (shard.WindowQueue.MarkDirty) so their consuming forwards repair them.
-	t.M.ApplyUpdate(t.denseOpt, t.adagrad, t.LR)
+	t.M.ApplyUpdate(t.LR)
 	t.stageLookahead(ahead)
 	return totalLoss / float64(n)
 }
@@ -620,20 +505,6 @@ type ParityReport struct {
 func Parity(cfg data.Config, seed uint64, run RunConfig) ParityReport {
 	base := NewBaseline(model.New(cfg, seed), 0.1)
 	hot := NewHotline(model.New(cfg, seed), 0.1)
-	return parityOf(base, hot, cfg, run)
-}
-
-// ParityAdagrad is Parity under dense + sparse Adagrad on both executors
-// (the mn-adagrad scenario's accuracy check).
-func ParityAdagrad(cfg data.Config, seed uint64, run RunConfig) ParityReport {
-	base := NewBaselineAdagrad(model.New(cfg, seed), 0.1)
-	hot := NewHotlineAdagrad(model.New(cfg, seed), 0.1)
-	return parityOf(base, hot, cfg, run)
-}
-
-// parityOf drives two executors over identical streams and reports the
-// state divergence and final metrics.
-func parityOf(base *Baseline, hot *HotlineTrainer, cfg data.Config, run RunConfig) ParityReport {
 	batches := data.NewGenerator(cfg).NextBatches(run.Iters, run.BatchSize)
 	StepAll(base, batches, nil)
 	StepAll(hot, batches, nil)

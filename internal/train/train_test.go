@@ -74,6 +74,58 @@ func TestParityBaselineVsHotline(t *testing.T) {
 	}
 }
 
+// TestLRIsLive: LR is a field the caller may assign between steps, on both
+// executors and under both rules — the rate reaches the rule as an argument
+// of every update, nothing caches it. Two steps at 0.1, then two at 0.05,
+// against a model the test itself steps at those rates (bit for bit for the
+// baseline, to float-reduction order for the µ-batch executor), and against
+// the same executor left at 0.1, which the assignment must have moved.
+func TestLRIsLive(t *testing.T) {
+	cfg := tinyCfg()
+	const seed, tol = 5, 1e-5
+	batches := data.NewGenerator(cfg).NextBatches(4, 128)
+	schedule := []float32{0.1, 0.1, 0.05, 0.05}
+	constant := []float32{0.1, 0.1, 0.1, 0.1}
+	executors := []struct {
+		name  string
+		exact bool
+		build func(m *model.Model) (Trainer, *float32)
+	}{
+		{"baseline", true, func(m *model.Model) (Trainer, *float32) {
+			tr := NewBaseline(m, 0.1)
+			return tr, &tr.LR
+		}},
+		{"hotline", false, func(m *model.Model) (Trainer, *float32) {
+			tr := NewHotline(m, 0.1)
+			tr.LearnSamples = 128 // classify for real from the second step on
+			return tr, &tr.LR
+		}},
+	}
+	for _, rule := range updateRules {
+		ref := model.New(cfg, seed).SetOptimizer(rule.build)
+		for i, b := range batches {
+			ref.TrainStep(b, schedule[i])
+		}
+		for _, ex := range executors {
+			run := func(rates []float32) *model.Model {
+				tr, lr := ex.build(model.New(cfg, seed).SetOptimizer(rule.build))
+				for i, b := range batches {
+					*lr = rates[i]
+					tr.StepLookahead(b, nil)
+				}
+				return tr.Model()
+			}
+			got := run(schedule)
+			if d := model.MaxStateDiff(ref, got); d > tol || (ex.exact && d != 0) {
+				t.Errorf("%s/%s: assigning LR mid-run left the state %g from the reference", ex.name, rule.name, d)
+			}
+			if d := model.MaxStateDiff(run(constant), got); d < 100*tol {
+				t.Errorf("%s/%s: halving LR moved the state by only %g", ex.name, rule.name, d)
+			}
+		}
+	}
+}
+
 // Per-step loss parity: on the same batch from the same state, the Hotline
 // µ-batch loss must equal the baseline loss (Eq. 5 directly).
 func TestPerStepLossParity(t *testing.T) {
