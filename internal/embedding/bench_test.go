@@ -10,27 +10,44 @@ import (
 	"hotline/internal/tensor"
 )
 
-// One table of the benchmark's sparse-inproc workload: 256 bags x 8 lookups
-// x dim 64, Zipf 1.6 over 24 000 rows, 4 in-proc nodes, a cache that holds
-// every row. go test -run '^$' -bench BenchmarkBag -cpu 1 ./internal/embedding/
+// The bag shapes the repository benchmark's workloads run, one table each, at
+// batch 256 on 4 in-proc nodes with a cache that holds every row, plus a long
+// bag. go test -run '^$' -bench BenchmarkBag -cpu 1 ./internal/embedding/
 const (
-	benchRows    = 24000
-	benchDim     = 64
 	benchBags    = 256
-	benchLookups = 8
 	benchNodes   = 4
-	benchZipf    = 1.6
 	benchBatches = 16 // distinct index sets, cycled
 )
 
-// zipfBatches draws benchBatches index sets whose rows follow a Zipf law over
-// ranks, with ranks spread over the row range by a fixed permutation (so hot
-// rows are not neighbours, as in the generated data).
-func zipfBatches(seed uint64) [][][]int32 {
-	cdf := make([]float64, benchRows)
+// bagShape is one sub-benchmark: lookups rows per bag of width dim, drawn by
+// a Zipf law of exponent zipf over rows rows.
+type bagShape struct {
+	name               string
+	lookups, dim, rows int
+	zipf               float64
+}
+
+var bagShapes = []bagShape{
+	// Kaggle (dense-local, serve-mixed): one-hot bags, below kernelWork (16 of
+	// 32 elements), so pooling and the adjoint stay on the Go loops.
+	{"1x16", 1, 16, 24000, 1.6},
+	// SYN-MH as sparse-inproc runs it: the kernel's own shape.
+	{"8x64", 8, 64, 24000, 1.6},
+	// A long bag: a full block of rows per kernel call.
+	{"32x64", 32, 64, 24000, 1.6},
+	// SYN-MH under fabric-unix's access law, over as many rows as its eight
+	// tables hold together (19 MB, beyond L2): the rows mostly miss.
+	{"8x64-flat", 8, 64, 75000, 1.05},
+}
+
+// zipfBatches draws benchBatches index sets whose rows follow the shape's
+// Zipf law over ranks, with ranks spread over the row range by a fixed
+// permutation (so hot rows are not neighbours, as in the generated data).
+func zipfBatches(seed uint64, sh bagShape) [][][]int32 {
+	cdf := make([]float64, sh.rows)
 	var sum float64
 	for r := range cdf {
-		sum += 1 / math.Pow(float64(r+1), benchZipf)
+		sum += 1 / math.Pow(float64(r+1), sh.zipf)
 		cdf[r] = sum
 	}
 	rng := tensor.NewRNG(seed)
@@ -38,10 +55,10 @@ func zipfBatches(seed uint64) [][][]int32 {
 	for i := range out {
 		out[i] = make([][]int32, benchBags)
 		for b := range out[i] {
-			bag := make([]int32, benchLookups)
+			bag := make([]int32, sh.lookups)
 			for j := range bag {
-				rank := min(sort.SearchFloat64s(cdf, rng.Float64()*sum), benchRows-1)
-				bag[j] = int32(rank * 7919 % benchRows) // 7919 is coprime to 24000
+				rank := min(sort.SearchFloat64s(cdf, rng.Float64()*sum), sh.rows-1)
+				bag[j] = int32(rank * 7919 % sh.rows) // 7919 is coprime to every row count here
 			}
 			out[i][b] = bag
 		}
@@ -51,21 +68,21 @@ func zipfBatches(seed uint64) [][][]int32 {
 
 // benchBag shards one table over the workload's service, with every batch
 // run once so the caches hold their steady state.
-func benchBag(b *testing.B, batches [][][]int32) *ShardedBag {
+func benchBag(b *testing.B, sh bagShape, batches [][][]int32) *ShardedBag {
 	b.Helper()
 	svc := shard.New(shard.Config{
-		Nodes: benchNodes, CacheBytes: benchRows * benchDim * 4, RowBytes: benchDim * 4,
+		Nodes: benchNodes, CacheBytes: int64(sh.rows) * int64(sh.dim) * 4, RowBytes: int64(sh.dim) * 4,
 	}, nil)
 	b.Cleanup(func() { svc.Close() })
-	sb := ShardBag(NewTable(benchRows, benchDim, tensor.NewRNG(1)), svc, 0)
+	sb := ShardBag(NewTable(sh.rows, sh.dim, tensor.NewRNG(1)), svc, 0)
 	for _, idx := range batches {
 		sb.Forward(idx)
 	}
 	return sb
 }
 
-func benchGrad() *tensor.Matrix {
-	g := tensor.New(benchBags, benchDim)
+func benchGrad(dim int) *tensor.Matrix {
+	g := tensor.New(benchBags, dim)
 	rng := tensor.NewRNG(2)
 	for i := range g.Data {
 		g.Data[i] = float32(rng.NormFloat64())
@@ -73,62 +90,70 @@ func benchGrad() *tensor.Matrix {
 	return g
 }
 
+// forShapes runs one sub-benchmark per bag shape, at one worker.
+func forShapes(b *testing.B, run func(b *testing.B, sh bagShape, batches [][][]int32)) {
+	defer par.SetWorkers(par.SetWorkers(1))
+	for _, sh := range bagShapes {
+		b.Run(sh.name, func(b *testing.B) { run(b, sh, zipfBatches(3, sh)) })
+	}
+}
+
 // BenchmarkBagForward times ShardedBag.Forward: the accounting walk plus the
 // pooled reduce.
 func BenchmarkBagForward(b *testing.B) {
-	defer par.SetWorkers(par.SetWorkers(1))
-	batches := zipfBatches(3)
-	sb := benchBag(b, batches)
-	i := 0
-	for b.Loop() {
-		sb.Forward(batches[i%benchBatches])
-		i++
-	}
+	forShapes(b, func(b *testing.B, sh bagShape, batches [][][]int32) {
+		sb := benchBag(b, sh, batches)
+		i := 0
+		for b.Loop() {
+			sb.Forward(batches[i%benchBatches])
+			i++
+		}
+	})
 }
 
 // BenchmarkBagBackward times ShardedBag.BackwardIndices (scatter accounting,
 // pair ordering, adjoint reduce), then its two kernels on their own.
 func BenchmarkBagBackward(b *testing.B) {
-	defer par.SetWorkers(par.SetWorkers(1))
-	batches := zipfBatches(3)
-	grad := benchGrad()
-	b.Run("whole", func(b *testing.B) {
-		sb := benchBag(b, batches)
-		i := 0
-		for b.Loop() {
-			sb.BackwardIndices(batches[i%benchBatches], grad)
-			sb.ResetStepScratch()
-			i++
-		}
-	})
-	b.Run("order", func(b *testing.B) {
-		var a backwardArena
-		i := 0
-		for b.Loop() {
-			a.pairsByRow(batches[i%benchBatches])
-			i++
-		}
-	})
-	b.Run("reduce", func(b *testing.B) {
-		var a backwardArena
-		sg := bagBackward(&a, batches[0], grad, benchDim)
-		for b.Loop() {
-			sg.Grad.Resize(len(sg.Rows), benchDim)
-			bagBackwardRange(sg.Grad, grad, a.pairs, a.starts, 0, len(sg.Rows))
-		}
+	forShapes(b, func(b *testing.B, sh bagShape, batches [][][]int32) {
+		grad := benchGrad(sh.dim)
+		b.Run("whole", func(b *testing.B) {
+			sb := benchBag(b, sh, batches)
+			i := 0
+			for b.Loop() {
+				sb.BackwardIndices(batches[i%benchBatches], grad)
+				sb.ResetStepScratch()
+				i++
+			}
+		})
+		b.Run("order", func(b *testing.B) {
+			var a backwardArena
+			i := 0
+			for b.Loop() {
+				a.pairsByRow(batches[i%benchBatches])
+				i++
+			}
+		})
+		b.Run("reduce", func(b *testing.B) {
+			var a backwardArena
+			sg := bagBackward(&a, batches[0], grad, sh.dim)
+			for b.Loop() {
+				sg.Grad.Resize(len(sg.Rows), sh.dim)
+				bagBackwardRange(sg.Grad, grad, a.pairs, a.starts, 0, len(sg.Rows))
+			}
+		})
 	})
 }
 
 // BenchmarkBagApplySGD times the sparse update over one step's merged unique
 // rows.
 func BenchmarkBagApplySGD(b *testing.B) {
-	defer par.SetWorkers(par.SetWorkers(1))
-	batches := zipfBatches(3)
-	sb := benchBag(b, batches)
-	sg := sb.BackwardIndices(batches[0], benchGrad())
-	for b.Loop() {
-		sb.ApplySparseSGD(sg, 1e-6)
-	}
+	forShapes(b, func(b *testing.B, sh bagShape, batches [][][]int32) {
+		sb := benchBag(b, sh, batches)
+		sg := sb.BackwardIndices(batches[0], benchGrad(sh.dim))
+		for b.Loop() {
+			sb.ApplySparseSGD(sg, 1e-6)
+		}
+	})
 }
 
 // BenchmarkPrefetchWindow measures one asynchronous gather window end to end

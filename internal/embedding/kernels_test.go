@@ -1,18 +1,20 @@
 package embedding
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
 
+	"hotline/internal/par"
 	"hotline/internal/shard"
 	"hotline/internal/tensor"
 )
 
-// The blocked kernels (add4/add1 behind the pool and the adjoint, sgd4/sgd1
-// behind the update, the radix pair order) may reorder loads, never adds: the
-// references below are the one-row-at-a-time loops and the comparison sort
-// they replaced, and every comparison is on the bits.
+// The kernels (tensor.AddRows or tensor.AddRow behind the pool and the adjoint,
+// tensor.AxpyIntoRows behind the update, the radix pair order) may reorder
+// loads, never adds: the references below are the one-row-at-a-time loops and
+// the comparison sort they replaced, and every comparison is on the bits.
 
 // refPool is sum pooling one lookup at a time: each output element starts at
 // +0 and adds its bag's rows in lookup order.
@@ -93,13 +95,16 @@ func seedSpecials(m *tensor.Matrix, rng *tensor.RNG) {
 	}
 }
 
-// kernelIndices draws bags of every length 0–9 (so every block count and
-// every tail length occurs), with in-bag duplicates: both by chance over a
-// small row range and forced, including a bag that is one row nine times.
+// kernelIndices draws bags of every length 0–9, of 15–17 and of the lengths
+// around a driver's row block and past two of them (so bags fall on both
+// sides of kernelWork at every dim, small and kernel bags alternate in runs
+// of every length, and every block count and remainder occurs), with in-bag
+// duplicates: both by chance over a small row range and forced, including a
+// bag that is one row nine times.
 func kernelIndices(rng *tensor.RNG, rows int) [][]int32 {
 	var idx [][]int32
 	for rep := 0; rep < 3; rep++ {
-		for n := 0; n <= 9; n++ {
+		for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, rowBlock - 1, rowBlock, rowBlock + 1, 2*rowBlock + 1} {
 			bag := make([]int32, n)
 			for j := range bag {
 				bag[j] = int32(rng.Intn(rows))
@@ -138,11 +143,12 @@ func sameBits(t *testing.T, what string, got, want *tensor.Matrix) {
 
 // TestBlockedKernelsMatchScalarReference pins pool, adjoint, SGD and Adagrad
 // of both bag types to the scalar references, bit for bit, over bag lengths
-// 0–9, dims below, at and beyond a block, duplicates and special values, with
-// rows read from the table and from staging buffers.
+// 0–9, 15–17, 31–33 and 65, dims below, at and beyond a vector and a tile,
+// duplicates and special values, with rows read from the table and from
+// staging buffers.
 func TestBlockedKernelsMatchScalarReference(t *testing.T) {
 	const rows, nodes = 23, 4
-	for _, dim := range []int{1, 3, 16, 64, 65} {
+	for _, dim := range []int{1, 3, 7, 8, 16, 64, 65, 67} {
 		rng := tensor.NewRNG(uint64(100 + dim))
 		init := NewTable(rows, dim, rng)
 		seedSpecials(init.W, rng)
@@ -180,9 +186,11 @@ func TestBlockedKernelsMatchScalarReference(t *testing.T) {
 			}
 			sameBits(t, name+" adjoint", sg.Grad, wantGrad)
 
+			// A rate that is no power of two: lr·g then rounds, so a fused
+			// multiply-add in the update would show.
 			want := init.W.Clone()
-			refSGD(want, wantRows, wantGrad, 0.125)
-			bag.ApplySparseSGD(sg, 0.125)
+			refSGD(want, wantRows, wantGrad, 0.1)
+			bag.ApplySparseSGD(sg, 0.1)
 			sameBits(t, name+" sgd", materialize(bag), want)
 
 			st, accum := NewAdagradStateFor(bag), tensor.New(rows, dim)
@@ -287,5 +295,81 @@ func TestStagedRowsArePooledFromStaging(t *testing.T) {
 	sameBits(t, "int8-tier pool", out, want)
 	if refPool(init.W, idx).Equal(want) {
 		t.Fatal("the int8 round trip changed nothing: the test cannot tell staging from the shards")
+	}
+}
+
+// TestSmallBagsStayOnTheGoLoop: a bag below kernelWork — Kaggle's one-hot
+// lookup at dim 16 above all — never reaches the assembly body, and one at or
+// above it does. Which loop summed a bag cannot be told from its bits, so the
+// probe hands both a caller bug they refuse in different words: source rows
+// one element narrower than the destination. The Go loop's reslice panics
+// with a runtime error; the kernel reports a short source row.
+func TestSmallBagsStayOnTheGoLoop(t *testing.T) {
+	const kernel = "tensor: AddRows source row shorter than dst"
+	paths := map[string]func(dim, lookups int){
+		"pool": func(dim, lookups int) {
+			tab := &Table{Rows: 4, Dim: dim, W: tensor.New(4, dim-1)}
+			tab.Forward([][]int32{make([]int32, lookups)})
+		},
+		"adjoint": func(dim, lookups int) {
+			var a backwardArena
+			bagBackward(&a, [][]int32{make([]int32, lookups)}, tensor.New(1, dim-1), dim)
+		},
+	}
+	for name, run := range paths {
+		probe := func(dim, lookups int) (msg string) {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			run(dim, lookups)
+			return "no panic"
+		}
+		if probe(64, 8) != kernel {
+			t.Skipf("%s: an 8x64 bag is not on the vector kernel: this machine runs the generic loops only", name)
+		}
+		for _, c := range []struct {
+			dim, lookups int
+			onKernel     bool
+		}{
+			{16, 1, false}, {16, 2, true}, {8, 3, false}, {8, 4, true},
+			{1, kernelWork - 1, false}, {1, kernelWork, true}, {kernelWork - 1, 1, false}, {kernelWork, 1, true},
+		} {
+			if msg := probe(c.dim, c.lookups); (msg == kernel) != c.onKernel {
+				t.Errorf("%s: %d lookups at dim %d: on the kernel %v, want %v (%s)", name, c.lookups, c.dim, msg == kernel, c.onKernel, msg)
+			}
+		}
+	}
+}
+
+// TestPoolSplitFollowsTheBatchNotItsFirstBag: a batch whose first bag is
+// empty and its rotation (the empty bag last) hold the same work, so they
+// pick the same serial-or-forked split — here the forked one, which the
+// first bag's length alone would have refused the first batch — and produce
+// the same bits at one worker and at two.
+func TestPoolSplitFollowsTheBatchNotItsFirstBag(t *testing.T) {
+	const rows, dim, bags, lookups = 50, 64, 1024, 8
+	rng := tensor.NewRNG(11)
+	tab := NewTable(rows, dim, rng)
+	batch := make([][]int32, bags)
+	for b := 1; b < bags; b++ {
+		batch[b] = make([]int32, lookups)
+		for j := range batch[b] {
+			batch[b][j] = int32(rng.Intn(rows))
+		}
+	}
+	rotated := append(append([][]int32(nil), batch[1:]...), batch[0])
+
+	defer par.SetWorkers(par.SetWorkers(2))
+	work := poolWork(bags, checkIndices(batch, rows), dim)
+	if w := poolWork(bags, checkIndices(rotated, rows), dim); w != work {
+		t.Fatalf("per-bag work %d for the batch, %d for its rotation", work, w)
+	}
+	if par.Serial(bags, work) {
+		t.Fatalf("a batch of %d lookups at dim %d runs serially at two workers", (bags-1)*lookups, dim)
+	}
+	for name, idx := range map[string][][]int32{"first bag empty": batch, "rotated": rotated} {
+		want := refPool(tab.W, idx)
+		for _, workers := range []int{1, 2} {
+			par.SetWorkers(workers)
+			sameBits(t, fmt.Sprintf("%s, %d workers", name, workers), tab.Forward(idx), want)
+		}
 	}
 }

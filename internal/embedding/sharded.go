@@ -132,34 +132,44 @@ func (s *ShardedBag) srcRow(ix int32, staged *shard.Staging) []float32 {
 }
 
 // stagedRange is Table.fwdRange reading the window's rows from its staging
-// buffer: the same sums in the same lookup order, four resolved rows per
-// pass.
+// buffer: the same sums in the same lookup order. It is one loop, not
+// fwdRange's two: srcRow's map lookup is a call on every row, so there is no
+// call-free loop for small bags to split off.
 //
 //hotline:hotpath
 func (s *ShardedBag) stagedRange(out *tensor.Matrix, indices [][]int32, staged *shard.Staging, lo, hi int) {
+	need := kernelRows(s.tab.Dim)
+	var rows [rowBlock][]float32
 	for b := lo; b < hi; b++ {
 		orow, idxs := out.Row(b), indices[b]
-		for ; len(idxs) >= blockRows; idxs = idxs[blockRows:] {
-			add4(orow, s.srcRow(idxs[0], staged), s.srcRow(idxs[1], staged),
-				s.srcRow(idxs[2], staged), s.srcRow(idxs[3], staged))
+		if len(idxs) < need {
+			for _, ix := range idxs {
+				tensor.AddRow(orow, s.srcRow(ix, staged))
+			}
+			continue
 		}
-		for _, ix := range idxs {
-			add1(orow, s.srcRow(ix, staged))
+		for len(idxs) > 0 {
+			c := min(len(idxs), rowBlock)
+			for q, ix := range idxs[:c] {
+				rows[q] = s.srcRow(ix, staged)
+			}
+			tensor.AddRows(orow, rows[:c])
+			idxs = idxs[c:]
 		}
 	}
 }
 
-// pooled computes the pooled lookup into the instance's forward scratch,
-// reading the rows the window staged (nil or empty: none) from its buffer
-// and every other row from the table.
+// pooled computes the pooled lookup of lookups lookups into the instance's
+// forward scratch, reading the rows the window staged (nil or empty: none)
+// from its buffer and every other row from the table.
 //
 //hotline:hotpath
-func (s *ShardedBag) pooled(indices [][]int32, staged *shard.Staging) *tensor.Matrix {
+func (s *ShardedBag) pooled(indices [][]int32, lookups int, staged *shard.Staging) *tensor.Matrix {
 	if staged == nil || staged.Rows() == 0 {
-		return s.tab.pooled(indices)
+		return s.tab.pooled(indices, lookups)
 	}
 	out := s.tab.fwdOut.Resize(len(indices), s.tab.Dim)
-	perItem := bagLookups(indices, s.tab.Dim)
+	perItem := poolWork(len(indices), lookups, s.tab.Dim)
 	if par.Serial(len(indices), perItem) {
 		s.stagedRange(out, indices, staged, 0, len(indices))
 	} else {
@@ -184,14 +194,14 @@ func (s *ShardedBag) pooled(indices [][]int32, staged *shard.Staging) *tensor.Ma
 //
 //hotline:hotpath
 func (s *ShardedBag) Forward(indices [][]int32) *tensor.Matrix {
-	checkIndices(indices, s.tab.Rows)
+	lookups := checkIndices(indices, s.tab.Rows)
 	w := s.windows.Match(indices)
 	if w != nil {
 		s.windows.Consume(w, s.fetchFn)
 	} else if w = s.svc.PlanGather(s.TableIdx, indices); w != nil {
 		s.svc.Gatherer().GatherSync(w, s.fetchFn)
 	}
-	out := s.pooled(indices, w)
+	out := s.pooled(indices, lookups, w)
 	if w != nil {
 		w.Release()
 	}
@@ -221,7 +231,7 @@ func (s *ShardedBag) Forward(indices [][]int32) *tensor.Matrix {
 //
 //hotline:hotpath
 func (s *ShardedBag) ServeForward(indices [][]int32) *tensor.Matrix {
-	checkIndices(indices, s.tab.Rows)
+	lookups := checkIndices(indices, s.tab.Rows)
 	var w *shard.Staging
 	if s.svc.Multiproc() || s.svc.Quantized() {
 		// On a real fabric the read path must actually cross it: stage the
@@ -236,7 +246,7 @@ func (s *ShardedBag) ServeForward(indices [][]int32) *tensor.Matrix {
 	} else {
 		s.svc.RecordServeGather(s.TableIdx, indices)
 	}
-	out := s.pooled(indices, w)
+	out := s.pooled(indices, lookups, w)
 	if w != nil {
 		w.Release()
 	}

@@ -37,91 +37,126 @@ func NewTable(rows, dim int, rng *tensor.RNG) *Table {
 	return t
 }
 
-// bagLookups estimates the per-sample scalar work of a pooled lookup.
-func bagLookups(indices [][]int32, dim int) int64 {
-	lookups := int64(1)
-	if len(indices) > 0 {
-		lookups += int64(len(indices[0]))
-	}
-	return lookups * int64(dim)
-}
-
-// checkIndices panics on the first index outside [0, rows). Every entry point
-// that takes an index set runs it once, up front, on the caller's goroutine:
-// before any routing, cache admission or counter has moved, and so that the
-// kernels and the shard service's dense arrays may index by row unchecked.
+// poolWork estimates the per-bag scalar work of a pooled lookup over bags
+// bags holding lookups lookups in all: the mean bag's adds plus the output
+// row's clear. The batch's total sizes the par.Serial / par.ForWork split,
+// never one bag's length — a batch whose first bag is empty is as much work
+// as its rotation.
 //
 //hotline:hotpath
-func checkIndices(indices [][]int32, rows int) {
+func poolWork(bags, lookups, dim int) int64 {
+	if bags == 0 {
+		return 0
+	}
+	return int64(bags+lookups) * int64(dim) / int64(bags)
+}
+
+// checkIndices panics on the first index outside [0, rows) and returns the
+// number of lookups it walked. Every entry point that takes an index set runs
+// it once, up front, on the caller's goroutine: before any routing, cache
+// admission or counter has moved, and so that the kernels and the shard
+// service's dense arrays may index by row unchecked.
+//
+//hotline:hotpath
+func checkIndices(indices [][]int32, rows int) (lookups int) {
 	for _, idxs := range indices {
+		lookups += len(idxs)
 		for _, ix := range idxs {
 			if uint32(ix) >= uint32(rows) {
 				panic(fmt.Sprintf("embedding: index %d out of range [0,%d)", ix, rows))
 			}
 		}
 	}
+	return lookups
 }
 
-// blockRows is how many rows the pooling, adjoint and update kernels keep in
-// flight per pass.
-const blockRows = 4
+// kernelWork is the least a bag must hold, in elements over all its rows, to
+// be summed by the vector kernel. A smaller bag — Kaggle's one-hot lookup at
+// dim 16 — is a copy's worth of work, and resolving its row into a list for
+// an assembly call costs more than the adds it saves, so the Go loop
+// (tensor.AddRow) keeps it. A property of the input, decided per bag and
+// nowhere per workload; BenchmarkBagForward's 1x16 case is the measured line.
+const kernelWork = 32
 
-// add4 adds four rows to dst, element by element in argument order:
-// dst[k] = (((dst[k] + a[k]) + b[k]) + c[k]) + d[k]. Each element is loaded
-// and stored once per four additions, and its chain is the one four add1
-// passes build — the rows in flight reorder loads, never adds. The rows
-// must be at least len(dst) long.
+// rowBlock is the most rows a driver resolves for one kernel call: its list
+// of row slices lives on the driver's stack. A longer bag is cut into blocks,
+// which no output bit can see (the destination is stored and reloaded between
+// two blocks, exactly).
+const rowBlock = 32
+
+// kernelRows is the least number of rows of width dim that make a bag worth
+// the kernel: kernelWork elements' worth, rounded up.
 //
 //hotline:hotpath
-func add4(dst, a, b, c, d []float32) {
-	// Reslicing to dst's length lets the compiler drop the bounds checks in
-	// the loop.
-	a, b, c, d = a[:len(dst)], b[:len(dst)], c[:len(dst)], d[:len(dst)]
-	for k, v := range dst {
-		v += a[k]
-		v += b[k]
-		v += c[k]
-		v += d[k]
-		dst[k] = v
-	}
-}
-
-// add1 computes dst[k] += a[k]: one term of the chain add4 applies four at a
-// time, for the remainder of a block. a must be at least len(dst) long.
-//
-//hotline:hotpath
-func add1(dst, a []float32) {
-	a = a[:len(dst)]
-	for k := range dst {
-		dst[k] += a[k]
-	}
-}
+func kernelRows(dim int) int { return (kernelWork + dim - 1) / max(dim, 1) }
 
 // fwdRange computes output rows [lo, hi) of the pooled lookup: each output
-// element is the sum of its bag's rows in lookup order, four rows per pass.
+// element is the sum of its bag's rows in lookup order. Bags below kernelWork
+// are the Go loop's, bags at or above it the vector kernel's: addSmallBags
+// takes the range's leading small bags — all of a one-hot batch — and addBags
+// everything from the first kernel bag on.
 //
 //hotline:hotpath
 func (t *Table) fwdRange(out *tensor.Matrix, indices [][]int32, lo, hi int) {
-	for b := lo; b < hi; b++ {
-		orow, idxs := out.Row(b), indices[b]
-		for ; len(idxs) >= blockRows; idxs = idxs[blockRows:] {
-			add4(orow, t.W.Row(int(idxs[0])), t.W.Row(int(idxs[1])), t.W.Row(int(idxs[2])), t.W.Row(int(idxs[3])))
+	need := kernelRows(t.Dim)
+	if b := t.addSmallBags(out, indices, need, lo, hi); b < hi {
+		t.addBags(out, indices, need, b, hi)
+	}
+}
+
+// addSmallBags pools bags [b, hi) one row at a time, by the Go loop, up to
+// the first that holds need rows or more, and returns that bag's position
+// (hi when there is none). Its loop holds no call, so a batch of one-hot bags
+// keeps everything in registers, as it did before there was a kernel: a call
+// anywhere in the loop makes the compiler spill them, bag after bag.
+//
+//hotline:hotpath
+func (t *Table) addSmallBags(out *tensor.Matrix, indices [][]int32, need, b, hi int) int {
+	for ; b < hi && len(indices[b]) < need; b++ {
+		orow := out.Row(b)
+		for _, ix := range indices[b] {
+			tensor.AddRow(orow, t.W.Row(int(ix)))
 		}
-		for _, ix := range idxs {
-			add1(orow, t.W.Row(int(ix)))
+	}
+	return b
+}
+
+// addBags pools bags [b, hi): one of need rows or more has its rows resolved
+// into a stack block of slices and summed by tensor.AddRows with the output
+// row held in registers, a block per call; a smaller one in between is added
+// one row at a time, as in addSmallBags.
+//
+//hotline:hotpath
+func (t *Table) addBags(out *tensor.Matrix, indices [][]int32, need, b, hi int) {
+	var rows [rowBlock][]float32
+	for ; b < hi; b++ {
+		orow, idxs := out.Row(b), indices[b]
+		if len(idxs) < need {
+			for _, ix := range idxs {
+				tensor.AddRow(orow, t.W.Row(int(ix)))
+			}
+			continue
+		}
+		for len(idxs) > 0 {
+			c := min(len(idxs), rowBlock)
+			for q, ix := range idxs[:c] {
+				rows[q] = t.W.Row(int(ix))
+			}
+			tensor.AddRows(orow, rows[:c])
+			idxs = idxs[c:]
 		}
 	}
 }
 
-// pooled computes the sum-pooled lookup of an already checked index set into
-// the instance's forward scratch, every row read from the table: the body of
-// Forward and ServeForward here, and of ShardedBag's when no lookup is served
-// from a staged copy.
+// pooled computes the sum-pooled lookup of an already checked index set of
+// lookups lookups into the instance's forward scratch, every row read from
+// the table: the body of Forward and ServeForward here, and of ShardedBag's
+// when no lookup is served from a staged copy.
 //
 //hotline:hotpath
-func (t *Table) pooled(indices [][]int32) *tensor.Matrix {
+func (t *Table) pooled(indices [][]int32, lookups int) *tensor.Matrix {
 	out := t.fwdOut.Resize(len(indices), t.Dim)
-	perItem := bagLookups(indices, t.Dim)
+	perItem := poolWork(len(indices), lookups, t.Dim)
 	if par.Serial(len(indices), perItem) {
 		t.fwdRange(out, indices, 0, len(indices))
 	} else {
@@ -140,8 +175,7 @@ func (t *Table) pooled(indices [][]int32) *tensor.Matrix {
 //
 //hotline:hotpath
 func (t *Table) Forward(indices [][]int32) *tensor.Matrix {
-	checkIndices(indices, t.Rows)
-	out := t.pooled(indices)
+	out := t.pooled(indices, checkIndices(indices, t.Rows))
 	t.lastIndices = indices
 	return out
 }
@@ -156,8 +190,7 @@ func (t *Table) Forward(indices [][]int32) *tensor.Matrix {
 //
 //hotline:hotpath
 func (t *Table) ServeForward(indices [][]int32) *tensor.Matrix {
-	checkIndices(indices, t.Rows)
-	return t.pooled(indices)
+	return t.pooled(indices, checkIndices(indices, t.Rows))
 }
 
 // SparseGrad holds deduplicated per-row gradients in ascending row order, so
@@ -222,6 +255,20 @@ type backwardArena struct {
 //
 //hotline:hotpath
 func (a *backwardArena) reset() { a.cur = 0 }
+
+// ResetStepScratch rewinds the backward arena at a step boundary. Shadow
+// bags need this: their SparseGrads are absorbed into the primary model's
+// stash and applied through the PRIMARY tables, so the apply-time rewind
+// never fires on the shadow instance — Model.ZeroAll calls this instead.
+//
+// Its place in the file is also text layout: declared here, ahead of the
+// adjoint's drivers, it put the tensor.AddRow loops of addSmallSegments and
+// addSegments inside one 64-byte line each in PR 23's benchmark build (across
+// two, a one-hot batch reads about 30% slower). Nothing pins that; re-check
+// with the verify skill's objdump line before relying on it or moving this.
+//
+//hotline:hotpath
+func (t *Table) ResetStepScratch() { t.bw.reset() }
 
 // acquire hands out the next slot, pooling up to maxArenaSlots.
 func (a *backwardArena) acquire() *sparseSlot {
@@ -351,68 +398,63 @@ func bagBackward(a *backwardArena, indices [][]int32, gradOut *tensor.Matrix, di
 }
 
 // bagBackwardRange fills gradient rows [lo, hi) from their pair segments:
-// each element is the sum of its row's output gradients in pair order, four
-// gradient rows per pass.
+// each element is the sum of its row's output gradients in pair order, split
+// between the Go loop and the kernel as in Table.fwdRange.
 //
 //hotline:hotpath
 func bagBackwardRange(grad, gradOut *tensor.Matrix, pairs []int64, starts []int32, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	need := kernelRows(grad.Cols)
+	if i := addSmallSegments(grad, gradOut, pairs, starts, need, lo, hi); i < hi {
+		addSegments(grad, gradOut, pairs, starts, need, i, hi)
+	}
+}
+
+// addSmallSegments is Table.addSmallBags over gradient rows [i, hi): a row's
+// bag is its pair segment, the rows the output gradients at the pairs' batch
+// positions.
+//
+//hotline:hotpath
+func addSmallSegments(grad, gradOut *tensor.Matrix, pairs []int64, starts []int32, need, i, hi int) int {
+	for ; i < hi && int(starts[i+1]-starts[i]) < need; i++ {
+		g := grad.Row(i)
+		for _, p := range pairs[starts[i]:starts[i+1]] {
+			tensor.AddRow(g, gradOut.Row(int(uint32(p))))
+		}
+	}
+	return i
+}
+
+// addSegments is Table.addBags over gradient rows [i, hi).
+//
+//hotline:hotpath
+func addSegments(grad, gradOut *tensor.Matrix, pairs []int64, starts []int32, need, i, hi int) {
+	var rows [rowBlock][]float32
+	for ; i < hi; i++ {
 		g, seg := grad.Row(i), pairs[starts[i]:starts[i+1]]
-		for ; len(seg) >= blockRows; seg = seg[blockRows:] {
-			add4(g, gradOut.Row(int(uint32(seg[0]))), gradOut.Row(int(uint32(seg[1]))),
-				gradOut.Row(int(uint32(seg[2]))), gradOut.Row(int(uint32(seg[3]))))
+		if len(seg) < need {
+			for _, p := range seg {
+				tensor.AddRow(g, gradOut.Row(int(uint32(p))))
+			}
+			continue
 		}
-		for _, p := range seg {
-			add1(g, gradOut.Row(int(uint32(p))))
+		for len(seg) > 0 {
+			c := min(len(seg), rowBlock)
+			for q, p := range seg[:c] {
+				rows[q] = gradOut.Row(int(uint32(p)))
+			}
+			tensor.AddRows(g, rows[:c])
+			seg = seg[c:]
 		}
 	}
 }
 
-// sgd4 applies w[k] -= lr·g[k] to four destination rows in one pass. The
-// rows of a SparseGrad are distinct, so the four updates are independent;
-// every product is rounded to float32 before the subtract (the conversion
-// forbids a fused multiply-add), so each element ends exactly as sgd1 leaves
-// it. All eight rows must be at least len(w0) long.
-//
-//hotline:hotpath
-func sgd4(w0, w1, w2, w3, g0, g1, g2, g3 []float32, lr float32) {
-	// Reslicing to w0's length lets the compiler drop the bounds checks in
-	// the loop.
-	n := len(w0)
-	w1, w2, w3 = w1[:n], w2[:n], w3[:n]
-	g0, g1, g2, g3 = g0[:n], g1[:n], g2[:n], g3[:n]
-	for k := range w0 {
-		w0[k] -= float32(lr * g0[k])
-		w1[k] -= float32(lr * g1[k])
-		w2[k] -= float32(lr * g2[k])
-		w3[k] -= float32(lr * g3[k])
-	}
-}
-
-// sgd1 applies w[k] -= lr·g[k] to one row: the remainder of a block of
-// sgd4. g must be at least len(w) long.
-//
-//hotline:hotpath
-func sgd1(w, g []float32, lr float32) {
-	g = g[:len(w)]
-	for k := range w {
-		w[k] -= float32(lr * g[k])
-	}
-}
-
-// sgdRange applies rows [lo, hi) of a sparse SGD update, four rows per pass.
+// sgdRange applies rows [lo, hi) of a sparse SGD update, w[k] -= lr·g[k], as
+// tensor.AxpyIntoRows with the factor -lr: a sign flip commutes with
+// rounding, so w + float32((-lr)·g) is w - float32(lr·g) bit for bit.
 //
 //hotline:hotpath
 func (t *Table) sgdRange(sg SparseGrad, lr float32, lo, hi int) {
-	i := lo
-	for ; i+blockRows <= hi; i += blockRows {
-		r := sg.Rows[i : i+blockRows]
-		sgd4(t.W.Row(int(r[0])), t.W.Row(int(r[1])), t.W.Row(int(r[2])), t.W.Row(int(r[3])),
-			sg.Grad.Row(i), sg.Grad.Row(i+1), sg.Grad.Row(i+2), sg.Grad.Row(i+3), lr)
-	}
-	for ; i < hi; i++ {
-		sgd1(t.W.Row(int(sg.Rows[i])), sg.Grad.Row(i), lr)
-	}
+	tensor.AxpyIntoRows(t.W, sg.Rows[lo:hi], sg.Grad.Data[lo*t.Dim:hi*t.Dim], -lr)
 }
 
 // ApplySparseSGD performs W[row] -= lr·grad for every row in sg. Rows in a
@@ -433,14 +475,6 @@ func (t *Table) ApplySparseSGD(sg SparseGrad, lr float32) {
 	}
 	t.bw.reset()
 }
-
-// ResetStepScratch rewinds the backward arena at a step boundary. Shadow
-// bags need this: their SparseGrads are absorbed into the primary model's
-// stash and applied through the PRIMARY tables, so the apply-time rewind
-// never fires on the shadow instance — Model.ZeroAll calls this instead.
-//
-//hotline:hotpath
-func (t *Table) ResetStepScratch() { t.bw.reset() }
 
 // SizeBytes returns the table's parameter footprint (float32 entries).
 func (t *Table) SizeBytes() int64 { return int64(t.Rows) * int64(t.Dim) * 4 }

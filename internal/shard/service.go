@@ -323,6 +323,10 @@ type Service struct {
 	// a table's array; an unregistered table's grows at first touch. The
 	// failover overlay is applied on top (failoverPart.routed).
 	owners [][]int32
+	// dims[t] is the row width a window over table t stages at, sized with
+	// owners: the configured row footprint's until RegisterTable declares the
+	// table's own.
+	dims []int
 	// stamps is the per-call (requesting node, row) dedup set of the gather
 	// and scatter walks: cell row*Nodes+node holds the epoch of the call that
 	// last saw the pair, so one epoch bump empties the set. One array serves
@@ -557,21 +561,10 @@ func (s *Service) planGather(table int, indices [][]int32, collect, serve bool) 
 		}
 	}
 	if plan != nil {
-		plan.sizeBuffer(s.tableDim(table))
+		// A planned row went through sizeTable, so dims spans the table.
+		plan.sizeBuffer(s.dims[table])
 	}
 	return plan
-}
-
-// tableDim returns the row width a window over table stages at: the table's
-// registered dimension, or the configured row footprint's for a table nobody
-// registered. Caller holds s.mu.
-func (s *Service) tableDim(table int) int {
-	for i := range s.tables {
-		if s.tables[i].table == table {
-			return s.tables[i].dim
-		}
-	}
-	return s.cfg.Dim()
 }
 
 // admitWidth is the tiering admission rule for one remote row: whether the
@@ -632,14 +625,16 @@ func (s *Service) tableOwners(table int) []int32 {
 	return nil
 }
 
-// sizeTable extends table's routing state to span rows rows: the owner array
-// (walking the partitioner for the new rows), every cache's index, and the
-// stamps, which always span the longest owner array so the accounting walks
-// bounds-check a row once. A grown stamp array keeps its cells — they are
-// row-major, so the running call's dedup set survives. Caller holds s.mu.
+// sizeTable extends table's routing state to span rows rows: its slot in
+// owners and dims, the owner array (walking the partitioner for the new
+// rows), every cache's index, and the stamps, which always span the longest
+// owner array so the accounting walks bounds-check a row once. A grown stamp
+// array keeps its cells — they are row-major, so the running call's dedup set
+// survives. Caller holds s.mu.
 func (s *Service) sizeTable(table, rows int) []int32 {
 	for table >= len(s.owners) {
 		s.owners = append(s.owners, nil)
+		s.dims = append(s.dims, s.cfg.Dim())
 	}
 	own := s.owners[table]
 	if rows <= len(own) {

@@ -148,6 +148,7 @@ func (s *Service) Multiproc() bool { return s.multiproc }
 func (s *Service) RegisterTable(table, dim, rows int, src RowAt) {
 	s.mu.Lock()
 	s.sizeTable(table, rows)
+	s.dims[table] = dim
 	s.tables = append(s.tables, tableReg{table: table, dim: dim, rows: rows, src: src})
 	s.mu.Unlock()
 	if !s.multiproc {

@@ -155,3 +155,95 @@ func axpy1(dst, b []float32, a float32) {
 		dst[j] += float32(a * b[j])
 	}
 }
+
+// AddRows adds rows to dst: for each q in ascending order, dst[j] +=
+// rows[q][j] for every j. It is AxpyRows with every factor 1 (x·1 is exact,
+// so the chain is the same: destination, then rows ascending) on a sibling
+// assembly body that has no multiply, no selection and no factor list: the
+// reducer under the embedding bag's pooled sum and its adjoint. Without AVX2
+// it is the generic Go loops (add4, AddRow), the reference the body is tested
+// against. Every row must be at least len(dst) long.
+//
+//hotline:hotpath
+func AddRows(dst []float32, rows [][]float32) {
+	if len(dst) == 0 || len(rows) == 0 {
+		return
+	}
+	if !vectorKernel {
+		addRowsGeneric(dst, rows)
+		return
+	}
+	if !addRowsAVX2(&dst[0], len(dst), &rows[0], len(rows)) {
+		panic("tensor: AddRows source row shorter than dst")
+	}
+}
+
+// addRowsGeneric is AddRows in portable Go: four rows per pass over dst,
+// then the remainder one row at a time.
+//
+//hotline:hotpath
+func addRowsGeneric(dst []float32, rows [][]float32) {
+	for ; len(rows) >= 4; rows = rows[4:] {
+		add4(dst, rows[0], rows[1], rows[2], rows[3])
+	}
+	for _, r := range rows {
+		AddRow(dst, r)
+	}
+}
+
+// add4 adds four rows to dst, element by element in argument order:
+// dst[k] = (((dst[k] + a[k]) + b[k]) + c[k]) + d[k]. Each element is loaded
+// and stored once per four additions, and its chain is the one four AddRow
+// passes build — the rows in flight reorder loads, never adds.
+//
+//hotline:hotpath
+func add4(dst, a, b, c, d []float32) {
+	a, b, c, d = a[:len(dst)], b[:len(dst)], c[:len(dst)], d[:len(dst)]
+	for k, v := range dst {
+		v += a[k]
+		v += b[k]
+		v += c[k]
+		v += d[k]
+		dst[k] = v
+	}
+}
+
+// AddRow computes dst[k] += a[k]: one term of the chain AddRows applies to a
+// whole list, as a Go loop on every machine. It is the generic path's
+// remainder, and what the embedding bag adds a small bag with: below a few
+// dozen elements a call into the assembly costs more than the adds it saves.
+// a must be at least len(dst) long.
+//
+//hotline:hotpath
+func AddRow(dst, a []float32) {
+	a = a[:len(dst)]
+	for k := range dst {
+		dst[k] += a[k]
+	}
+}
+
+// AxpyIntoRows adds scaled rows to the listed rows of dst: for each i in
+// ascending order, dst.Row(at[i])[j] += float32(a * src[i*dst.Cols+j]) for
+// every j — the sparse update, one destination row per term where AxpyRows
+// has one destination for all terms. Each product is rounded to float32
+// before its add, never fused, so the vector body and the generic loop
+// (axpy1, a row at a time) agree bit for bit. src holds len(at) rows of
+// dst.Cols elements; every at[i] must be a row of dst.
+//
+//hotline:hotpath
+func AxpyIntoRows(dst *Matrix, at []int32, src []float32, a float32) {
+	n := dst.Cols
+	src, data := src[:len(at)*n], dst.Data[:dst.Rows*n]
+	if n == 0 || len(at) == 0 {
+		return
+	}
+	if !vectorKernel {
+		for i, r := range at {
+			axpy1(dst.Row(int(r)), src[i*n:(i+1)*n], a)
+		}
+		return
+	}
+	if !axpyIntoRowsAVX2(&data[0], dst.Rows, n, &at[0], len(at), &src[0], a) {
+		panic("tensor: AxpyIntoRows row outside dst")
+	}
+}

@@ -11,3 +11,19 @@ func hasAVX2() bool
 //
 //go:noescape
 func axpyRowsAVX2(dst *float32, n int, rows *[]float32, nrows int, sel *int32, facs *float32, terms int) bool
+
+// addRowsAVX2 is AddRows for n >= 1 elements at dst and terms >= 1 rows,
+// eight elements per instruction. It reports false, leaving dst partly
+// updated, when a row is shorter than n; it reads and writes nothing outside
+// the slices it was handed.
+//
+//go:noescape
+func addRowsAVX2(dst *float32, n int, rows *[]float32, terms int) bool
+
+// axpyIntoRowsAVX2 is AxpyIntoRows for count >= 1 rows of n >= 1 elements
+// into the row-major nrows x n matrix at dst. It reports false, leaving the
+// rows before it updated, when an at[i] is outside [0, nrows); it reads and
+// writes nothing outside dst's nrows*n elements and src's count*n.
+//
+//go:noescape
+func axpyIntoRowsAVX2(dst *float32, nrows, n int, at *int32, count int, src *float32, a float32) bool

@@ -221,3 +221,252 @@ bad:
 	VZEROUPPER
 	MOVB $0, ret+56(FP)
 	RET
+
+// Register use of addRowsAVX2: DI, AX, CX, R8, DX, Y0-Y7 and Y10 as above;
+//	SI the first row's slice header, R9 the current term's, R11 the term
+//	count, BX the same counting down to zero through one tile's terms.
+
+// ROW loads the next row's address at the tile and steps to the following
+// header. A row shorter than n ends the call before anything of it is read.
+#define ROW \
+	CMPQ 8(R9), R8  \
+	JLT  addbad     \
+	MOVQ (R9), DX   \
+	ADDQ AX, DX     \
+	ADDQ $24, R9
+
+// MORE counts the term and loops.
+#define MORE(loop) \
+	DECQ BX   \
+	JNZ  loop
+
+// func addRowsAVX2(dst *float32, n int, rows *[]float32, terms int) bool
+//
+// axpyRowsAVX2 with every factor 1 and no selection: for each row q in
+// ascending order, dst[j] += rows[q][j] for every j < n; needs n > 0 and
+// terms > 0. The same tiles, the same masked tail, one VADDPS where the
+// other has a VMULPS and a VADDPS. Returns false, with dst partly updated,
+// on meeting a row shorter than n.
+TEXT ·addRowsAVX2(SB), NOSPLIT, $0-33
+	MOVQ dst+0(FP), DI
+	MOVQ n+8(FP), R8
+	MOVQ rows+16(FP), SI
+	MOVQ terms+24(FP), R11
+	MOVQ R8, CX
+	XORQ AX, AX
+
+add64:
+	CMPQ    CX, $64
+	JLT     add32
+	VMOVUPS 0(DI)(AX*1), Y0
+	VMOVUPS 32(DI)(AX*1), Y1
+	VMOVUPS 64(DI)(AX*1), Y2
+	VMOVUPS 96(DI)(AX*1), Y3
+	VMOVUPS 128(DI)(AX*1), Y4
+	VMOVUPS 160(DI)(AX*1), Y5
+	VMOVUPS 192(DI)(AX*1), Y6
+	VMOVUPS 224(DI)(AX*1), Y7
+	MOVQ    SI, R9
+	MOVQ    R11, BX
+
+row64:
+	ROW
+	VADDPS 0(DX), Y0, Y0
+	VADDPS 32(DX), Y1, Y1
+	VADDPS 64(DX), Y2, Y2
+	VADDPS 96(DX), Y3, Y3
+	VADDPS 128(DX), Y4, Y4
+	VADDPS 160(DX), Y5, Y5
+	VADDPS 192(DX), Y6, Y6
+	VADDPS 224(DX), Y7, Y7
+	MORE(row64)
+	VMOVUPS Y0, 0(DI)(AX*1)
+	VMOVUPS Y1, 32(DI)(AX*1)
+	VMOVUPS Y2, 64(DI)(AX*1)
+	VMOVUPS Y3, 96(DI)(AX*1)
+	VMOVUPS Y4, 128(DI)(AX*1)
+	VMOVUPS Y5, 160(DI)(AX*1)
+	VMOVUPS Y6, 192(DI)(AX*1)
+	VMOVUPS Y7, 224(DI)(AX*1)
+	ADDQ    $256, AX
+	SUBQ    $64, CX
+	JMP     add64
+
+add32:
+	TESTQ   $32, CX
+	JZ      add16
+	VMOVUPS 0(DI)(AX*1), Y0
+	VMOVUPS 32(DI)(AX*1), Y1
+	VMOVUPS 64(DI)(AX*1), Y2
+	VMOVUPS 96(DI)(AX*1), Y3
+	MOVQ    SI, R9
+	MOVQ    R11, BX
+
+row32:
+	ROW
+	VADDPS 0(DX), Y0, Y0
+	VADDPS 32(DX), Y1, Y1
+	VADDPS 64(DX), Y2, Y2
+	VADDPS 96(DX), Y3, Y3
+	MORE(row32)
+	VMOVUPS Y0, 0(DI)(AX*1)
+	VMOVUPS Y1, 32(DI)(AX*1)
+	VMOVUPS Y2, 64(DI)(AX*1)
+	VMOVUPS Y3, 96(DI)(AX*1)
+	ADDQ    $128, AX
+
+add16:
+	TESTQ   $16, CX
+	JZ      add8
+	VMOVUPS 0(DI)(AX*1), Y0
+	VMOVUPS 32(DI)(AX*1), Y1
+	MOVQ    SI, R9
+	MOVQ    R11, BX
+
+row16:
+	ROW
+	VADDPS 0(DX), Y0, Y0
+	VADDPS 32(DX), Y1, Y1
+	MORE(row16)
+	VMOVUPS Y0, 0(DI)(AX*1)
+	VMOVUPS Y1, 32(DI)(AX*1)
+	ADDQ    $64, AX
+
+add8:
+	TESTQ   $8, CX
+	JZ      addtail
+	VMOVUPS 0(DI)(AX*1), Y0
+	MOVQ    SI, R9
+	MOVQ    R11, BX
+
+row8:
+	ROW
+	VADDPS 0(DX), Y0, Y0
+	MORE(row8)
+	VMOVUPS Y0, 0(DI)(AX*1)
+	ADDQ    $32, AX
+
+addtail:
+	ANDQ        $7, CX
+	JZ          adddone
+	LEAQ        tailmask<>+32(SB), DX
+	SHLQ        $2, CX
+	SUBQ        CX, DX
+	VMOVDQU     (DX), Y10
+	VMASKMOVPS  (DI)(AX*1), Y10, Y0
+	MOVQ        SI, R9
+	MOVQ        R11, BX
+
+rowtail:
+	ROW
+	VMASKMOVPS (DX), Y10, Y9
+	VADDPS     Y9, Y0, Y0
+	MORE(rowtail)
+	VMASKMOVPS Y0, Y10, (DI)(AX*1)
+
+adddone:
+	VZEROUPPER
+	MOVB $1, ret+32(FP)
+	RET
+
+addbad:
+	VZEROUPPER
+	MOVB $0, ret+32(FP)
+	RET
+
+// func axpyIntoRowsAVX2(dst *float32, nrows, n int, at *int32, count int, src *float32, a float32) bool
+//
+// The sparse update's list body: for each i < count in ascending order,
+// dst[at[i]*n+j] += round(a * src[i*n+j]) for every j < n, where dst is a
+// row-major nrows x n matrix; needs n > 0 and count > 0. One destination row
+// per term instead of one destination for all, so nothing stays in
+// registers across terms: each row is 32 elements at a time, then 8, then
+// the masked tail, with the product rounded by VMULPS before VADDPS adds it
+// (MAC). Returns false, with the rows before it updated, on meeting an
+// at[i] outside [0, nrows).
+//
+// DI dst, R13 nrows, R8 n and R9 its bytes, R12 the next at[i], BX the terms
+// left, SI the current source row, DX the current destination row, AX the
+// byte offset in both, CX the elements of the row not yet done, Y8 the
+// factor in every lane, Y10 the tail's lane mask.
+TEXT ·axpyIntoRowsAVX2(SB), NOSPLIT, $0-57
+	MOVQ         dst+0(FP), DI
+	MOVQ         nrows+8(FP), R13
+	MOVQ         n+16(FP), R8
+	MOVQ         at+24(FP), R12
+	MOVQ         count+32(FP), BX
+	MOVQ         src+40(FP), SI
+	VBROADCASTSS a+48(FP), Y8
+	LEAQ         (R8*4), R9
+	MOVQ         R8, CX
+	ANDQ         $7, CX
+	SHLQ         $2, CX
+	LEAQ         tailmask<>+32(SB), DX
+	SUBQ         CX, DX
+	VMOVDQU      (DX), Y10
+
+into:
+	MOVLQZX (R12), DX
+	CMPQ    DX, R13
+	JAE     intobad
+	IMULQ   R9, DX
+	ADDQ    DI, DX
+	MOVQ    R8, CX
+	XORQ    AX, AX
+
+into32:
+	CMPQ    CX, $32
+	JLT     into8
+	VMOVUPS 0(DX)(AX*1), Y0
+	VMOVUPS 32(DX)(AX*1), Y1
+	VMOVUPS 64(DX)(AX*1), Y2
+	VMOVUPS 96(DX)(AX*1), Y3
+	VMULPS  0(SI)(AX*1), Y8, Y4
+	VMULPS  32(SI)(AX*1), Y8, Y5
+	VMULPS  64(SI)(AX*1), Y8, Y6
+	VMULPS  96(SI)(AX*1), Y8, Y7
+	VADDPS  Y4, Y0, Y0
+	VADDPS  Y5, Y1, Y1
+	VADDPS  Y6, Y2, Y2
+	VADDPS  Y7, Y3, Y3
+	VMOVUPS Y0, 0(DX)(AX*1)
+	VMOVUPS Y1, 32(DX)(AX*1)
+	VMOVUPS Y2, 64(DX)(AX*1)
+	VMOVUPS Y3, 96(DX)(AX*1)
+	ADDQ    $128, AX
+	SUBQ    $32, CX
+	JMP     into32
+
+into8:
+	CMPQ    CX, $8
+	JLT     intotail
+	VMOVUPS (DX)(AX*1), Y0
+	VMULPS  (SI)(AX*1), Y8, Y4
+	VADDPS  Y4, Y0, Y0
+	VMOVUPS Y0, (DX)(AX*1)
+	ADDQ    $32, AX
+	SUBQ    $8, CX
+	JMP     into8
+
+intotail:
+	TESTQ      CX, CX
+	JZ         intonext
+	VMASKMOVPS (DX)(AX*1), Y10, Y0
+	VMASKMOVPS (SI)(AX*1), Y10, Y4
+	VMULPS     Y4, Y8, Y4
+	VADDPS     Y4, Y0, Y0
+	VMASKMOVPS Y0, Y10, (DX)(AX*1)
+
+intonext:
+	ADDQ $4, R12
+	ADDQ R9, SI
+	DECQ BX
+	JNZ  into
+	VZEROUPPER
+	MOVB $1, ret+56(FP)
+	RET
+
+intobad:
+	VZEROUPPER
+	MOVB $0, ret+56(FP)
+	RET

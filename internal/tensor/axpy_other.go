@@ -7,3 +7,11 @@ func hasAVX2() bool { return false }
 func axpyRowsAVX2(dst *float32, n int, rows *[]float32, nrows int, sel *int32, facs *float32, terms int) bool {
 	panic("tensor: no vector kernel on this architecture")
 }
+
+func addRowsAVX2(dst *float32, n int, rows *[]float32, terms int) bool {
+	panic("tensor: no vector kernel on this architecture")
+}
+
+func axpyIntoRowsAVX2(dst *float32, nrows, n int, at *int32, count int, src *float32, a float32) bool {
+	panic("tensor: no vector kernel on this architecture")
+}

@@ -85,8 +85,9 @@ func sameBits(a, b float32) bool {
 	return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b)
 }
 
-// TestVectorKernelsMatchGeneric runs AxpyRows and AxpyNonZeroRows on the
-// vector kernel and on the generic loops and compares every bit: destination
+// TestVectorKernelsMatchGeneric runs AxpyRows, AxpyNonZeroRows, AddRows and
+// AxpyIntoRows on the vector kernel and on the generic loops and compares every
+// bit: destination
 // lengths 0-67 (empty, below one vector, whole vectors, every tail),
 // destination and sources starting at every offset 0-7 of their buffers
 // (unaligned on purpose), sources longer than the destination, 0-9 terms and
@@ -113,13 +114,18 @@ func TestVectorKernelsMatchGeneric(t *testing.T) {
 	kernels := []struct {
 		name string
 		fn   func(dst []float32, rows [][]float32, facs []float32)
-	}{{"AxpyRows", AxpyRows}, {"AxpyNonZeroRows", AxpyNonZeroRows}}
+	}{
+		{"AxpyRows", AxpyRows}, {"AxpyNonZeroRows", AxpyNonZeroRows},
+		{"AddRows", func(dst []float32, rows [][]float32, _ []float32) { AddRows(dst, rows) }},
+	}
 	for _, terms := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, termBlock - 1, termBlock, termBlock + 1, 2*termBlock + 1} {
 		for n := 0; n <= 67; n++ {
 			for off := 0; off < 8; off++ {
 				wild = !wild
 				rows := make([][]float32, terms)
 				facs := make([]float32, terms)
+				bufs := make([][]float32, terms) // the sources with their margins
+				var saved []float32              // and a copy of them all
 				for q := range rows {
 					// Each source starts at its own offset and is up to
 					// three elements longer than the destination.
@@ -128,6 +134,7 @@ func TestVectorKernelsMatchGeneric(t *testing.T) {
 						buf[j] = draw()
 					}
 					rows[q], facs[q] = buf[(off+q)%8:], draw()
+					bufs[q], saved = buf, append(saved, buf...)
 				}
 				start := make([]float32, off+1+n+1)
 				for j := range start {
@@ -150,37 +157,124 @@ func TestVectorKernelsMatchGeneric(t *testing.T) {
 					if got[1][off] != canary || got[1][off+1+n] != canary {
 						t.Fatalf("%s n=%d offset=%d terms=%d: the vector kernel wrote outside dst", k.name, n, off, terms)
 					}
+					at := 0
+					for q, buf := range bufs {
+						for j, v := range buf {
+							if math.Float32bits(v) != math.Float32bits(saved[at+j]) {
+								t.Fatalf("%s n=%d offset=%d terms=%d: source %d was written at %d", k.name, n, off, terms, q, j)
+							}
+						}
+						at += len(buf)
+					}
+				}
+			}
+		}
+	}
+
+	// AxpyIntoRows has one destination row per term: the same row widths and
+	// offsets, 0-9 terms into a matrix of three rows more than that, with a
+	// row listed twice (the second update starts from the first's result),
+	// the first and the last row, and a canary on either side of the matrix
+	// and of the sources.
+	for _, terms := range []int{0, 1, 2, 3, 4, 5, 9} {
+		for n := 0; n <= 67; n++ {
+			for off := 0; off < 8; off++ {
+				wild = !wild
+				nrows := terms + 3
+				at := make([]int32, terms)
+				for i := range at {
+					at[i] = int32(rng.Intn(nrows))
+				}
+				switch {
+				case terms >= 3:
+					at[0], at[1], at[terms-1] = int32(nrows-1), 0, int32(nrows-1)
+				case terms == 2:
+					at[0], at[1] = int32(nrows-1), 0
+				}
+				start := make([]float32, off+1+nrows*n+1)
+				src := make([]float32, (off+3)%8+1+terms*n+1)
+				for _, buf := range [][]float32{start, src} {
+					for j := range buf {
+						buf[j] = draw()
+					}
+				}
+				srcAt := (off+3)%8 + 1
+				start[off], start[off+1+nrows*n], src[srcAt-1], src[srcAt+terms*n] = canary, canary, canary, canary
+				savedSrc, a := append([]float32(nil), src...), draw()
+				var got [2][]float32
+				for path, vector := range []bool{false, true} {
+					got[path] = append([]float32(nil), start...)
+					vectorKernel = vector
+					AxpyIntoRows(FromSlice(nrows, n, got[path][off+1:][:nrows*n]), at, src[srcAt:][:terms*n], a)
+				}
+				for j := range start {
+					if !sameBits(got[0][j], got[1][j]) {
+						t.Fatalf("AxpyIntoRows n=%d offset=%d terms=%d rows %v: element %d is %x on the vector kernel, %x on the generic loops",
+							n, off, terms, at, j-off-1, math.Float32bits(got[1][j]), math.Float32bits(got[0][j]))
+					}
+				}
+				if got[1][off] != canary || got[1][off+1+nrows*n] != canary {
+					t.Fatalf("AxpyIntoRows n=%d offset=%d terms=%d: the vector kernel wrote outside dst", n, off, terms)
+				}
+				for j, v := range src {
+					if math.Float32bits(v) != math.Float32bits(savedSrc[j]) {
+						t.Fatalf("AxpyIntoRows n=%d offset=%d terms=%d: the source was written at %d", n, off, terms, j-srcAt)
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestAxpyRowsRejectsShortRow: a source row shorter than the destination is
-// a caller bug, reported as a panic before the kernel reads past the row, on
-// both paths.
-func TestAxpyRowsRejectsShortRow(t *testing.T) {
+// TestAxpyIntoRowsRejectsRowOutsideDst: a listed row that dst does not have
+// is a caller bug, reported as a panic before anything outside dst is
+// touched, on both paths.
+func TestAxpyIntoRowsRejectsRowOutsideDst(t *testing.T) {
 	onBothPaths(t, func(t *testing.T) {
-		for _, n := range []int{1, 8, 9, 64, 70} {
+		for _, bad := range []int32{3, -1, math.MaxInt32, math.MinInt32} {
 			func() {
 				defer func() {
 					if recover() == nil {
-						t.Errorf("n=%d: no panic on a source row one element short", n)
+						t.Errorf("no panic on row %d of a 3-row matrix", bad)
 					}
 				}()
-				rows := [][]float32{make([]float32, n), make([]float32, n-1)}
-				AxpyRows(make([]float32, n), rows, []float32{1, 1})
+				AxpyIntoRows(New(3, 9), []int32{1, bad}, make([]float32, 18), 1)
 			}()
+		}
+	})
+}
+
+// TestAxpyRowsRejectsShortRow: a source row shorter than the destination is
+// a caller bug, reported as a panic before the kernel reads past the row, on
+// both paths and in both bodies.
+func TestAxpyRowsRejectsShortRow(t *testing.T) {
+	kernels := map[string]func(dst []float32, rows [][]float32){
+		"AxpyRows": func(dst []float32, rows [][]float32) { AxpyRows(dst, rows, []float32{1, 1}) },
+		"AddRows":  AddRows,
+	}
+	onBothPaths(t, func(t *testing.T) {
+		for name, kernel := range kernels {
+			for _, n := range []int{1, 8, 9, 64, 70} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("%s n=%d: no panic on a source row one element short", name, n)
+						}
+					}()
+					kernel(make([]float32, n), [][]float32{make([]float32, n), make([]float32, n-1)})
+				}()
+			}
 		}
 	})
 }
 
 // BenchmarkAxpyRows is the micro-kernel alone at the models' row widths (64
 // columns: one full tile; 367: tiles, the short tiles and the masked tail)
-// with a remainder's and a full block's worth of terms.
+// with a remainder's, an 8-hot bag's (to read beside BenchmarkAddRows) and a
+// full block's worth of terms.
 func BenchmarkAxpyRows(b *testing.B) {
 	for _, n := range []int{64, 367} {
-		for _, terms := range []int{4, termBlock} {
+		for _, terms := range []int{4, 8, termBlock} {
 			b.Run(fmt.Sprintf("%dx%d", n, terms), func(b *testing.B) {
 				rng := NewRNG(1)
 				src := benchOperand(terms, n, false, rng)
@@ -193,5 +287,23 @@ func BenchmarkAxpyRows(b *testing.B) {
 				benchKernel(b, n*terms, func() { AxpyRows(dst, rows, facs) })
 			})
 		}
+	}
+}
+
+// BenchmarkAddRows is the sum body alone at the bag's shapes: an 8-hot bag
+// and a hot row's long adjoint segment at dim 64. BenchmarkAxpyRows at 64x8
+// and 64x64 is the same chain with unit factors' worth of multiplies: what
+// the sibling body has to beat to exist.
+func BenchmarkAddRows(b *testing.B) {
+	for _, terms := range []int{8, termBlock} {
+		b.Run(fmt.Sprintf("64x%d", terms), func(b *testing.B) {
+			src := benchOperand(terms, 64, false, NewRNG(1))
+			rows := make([][]float32, terms)
+			for q := range rows {
+				rows[q] = src.Row(q)
+			}
+			dst := make([]float32, 64)
+			benchKernel(b, 64*terms, func() { AddRows(dst, rows) })
+		})
 	}
 }

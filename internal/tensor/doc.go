@@ -8,14 +8,18 @@
 // The GEMM family, the dense update and nn.DotInteraction run on one
 // micro-kernel: AxpyRows adds a list of scaled source rows to one destination
 // row, and AxpyNonZeroRows is the same without the terms whose factor is
-// zero. On amd64 with AVX2 the kernel is assembly (axpy_amd64.s): eight
+// zero. The embedding bag runs on two siblings of it in the same file:
+// AddRows is AxpyRows with every factor 1 and no multiply (the pooled sum
+// and its adjoint), and AxpyIntoRows has one destination row per term
+// instead of one for all (the sparse SGD update, with the factor -lr). On
+// amd64 with AVX2 the kernel is assembly (axpy_amd64.s): eight
 // destination elements per instruction, up to 64 of them held in registers
 // while every term of the list is added, a masked last vector. Every lane is
 // a different output element, and each element's own chain is untouched:
 // its products are added in list order, each rounded to float32 by VMULPS
 // before VADDPS adds it — never a fused multiply-add — exactly as the
-// generic Go loops (axpy4, axpy1) write float32(a*b). Those loops are the
-// only path on every other machine and the reference the assembly is tested
+// generic Go loops (axpy4, axpy1; add4, AddRow) write float32(a*b). Those loops
+// are the only path on every other machine and the reference the assembly is tested
 // against bit for bit. The machine picks the path once, from CPUID, when the
 // package loads; there is no flag, option, environment variable or build tag
 // that does, and callers cannot tell which one ran.

@@ -525,6 +525,3 @@ func (p ParityReport) String() string {
 	return fmt.Sprintf("max state diff %.3g | baseline %v | hotline %v | popular %.1f%%",
 		p.MaxStateDiff, p.Baseline, p.Hotline, p.PopularFrac*100)
 }
-
-// Seed helper used by tests/examples to derive per-run seeds.
-func Seed(base uint64, k int) uint64 { return base ^ tensor.NewRNG(uint64(k)).Uint64() }

@@ -8,6 +8,7 @@ import (
 	"hotline/internal/metrics"
 	"hotline/internal/model"
 	"hotline/internal/shard"
+	"hotline/internal/tensor"
 )
 
 func tinyCfg() data.Config {
@@ -231,6 +232,9 @@ func TestHotlineLearns(t *testing.T) {
 		t.Fatalf("hotline executor failed to learn: AUC %.3f", final)
 	}
 }
+
+// Seed derives the per-run seed k of a test that trains several models.
+func Seed(base uint64, k int) uint64 { return base ^ tensor.NewRNG(uint64(k)).Uint64() }
 
 func TestSeedDerivation(t *testing.T) {
 	if Seed(1, 2) == Seed(1, 3) {
