@@ -35,10 +35,12 @@ var bagShapes = []bagShape{
 	{"8x64", 8, 64, 24000, 1.6},
 	// A long bag: a full block of rows per kernel call.
 	{"32x64", 32, 64, 24000, 1.6},
-	// SYN-MH under fabric-unix's access law, over as many rows as its eight
-	// tables hold together (19 MB, beyond L2): the rows mostly miss.
-	{"8x64-flat", 8, 64, 75000, 1.05},
+	flatShape,
 }
+
+// flatShape is SYN-MH under fabric-unix's access law, over as many rows as
+// its eight tables hold together (19 MB, beyond L2): the rows mostly miss.
+var flatShape = bagShape{"8x64-flat", 8, 64, 75000, 1.05}
 
 // zipfBatches draws benchBatches index sets whose rows follow the shape's
 // Zipf law over ranks, with ranks spread over the row range by a fixed
@@ -162,7 +164,10 @@ func BenchmarkBagApplySGD(b *testing.B) {
 // "int8" and "fp16" hold every remote row warm-tier resident at that width,
 // so each window stages entirely through the fused dequantize-gather kernel.
 // All three run the same index set, so a narrow width minus fp32 isolates
-// the quantization kernel.
+// the quantization kernel. "int8-8x64-flat" is the warm-tier fill at
+// fabric-unix's shape: flatShape's 256 8-hot bags over 75 000 rows of dim 64
+// on 4 nodes, every remote row int8 — about a thousand rows a window, read
+// from a table beyond L2 — cycling through benchBatches index sets.
 func BenchmarkPrefetchWindow(b *testing.B) {
 	defer par.SetWorkers(par.SetWorkers(1))
 	const dim, rows = 16, 256
@@ -192,4 +197,24 @@ func BenchmarkPrefetchWindow(b *testing.B) {
 			}
 		})
 	}
+	b.Run("int8-"+flatShape.name, func(b *testing.B) {
+		sh, batches := flatShape, zipfBatches(3, flatShape)
+		svc := shard.New(shard.Config{
+			Nodes: benchNodes, CacheBytes: int64(sh.rows) * int64(sh.dim) * 4, RowBytes: int64(sh.dim) * 4,
+			Quant: shard.QuantINT8,
+		}, nil)
+		b.Cleanup(func() { svc.Close() })
+		sb := ShardBag(NewTable(sh.rows, sh.dim, tensor.NewRNG(3)), svc, 0)
+		for _, idx := range batches {
+			sb.Forward(idx) // warm: admit every remote row at int8
+		}
+		b.ReportAllocs()
+		i := 0
+		for b.Loop() {
+			idx := batches[i%benchBatches]
+			sb.Prefetch(idx)
+			sb.Forward(idx)
+			i++
+		}
+	})
 }

@@ -304,7 +304,7 @@ func (g *AsyncGatherer) acquire(table int) *Staging {
 //
 //hotline:stats-writer
 func (g *AsyncGatherer) Submit(w *Staging, fetch FetchFunc) {
-	w.fillQuant(fetch)
+	w.fillQuant()
 	jobs := 0
 	for _, rows := range w.perOwner {
 		if len(rows) > 0 {
@@ -338,7 +338,7 @@ func (g *AsyncGatherer) Submit(w *Staging, fetch FetchFunc) {
 //hotline:stats-writer
 func (g *AsyncGatherer) GatherSync(w *Staging, fetch FetchFunc) {
 	start := time.Now() //hotline:allow detorder measured sync-gather wall; never feeds math
-	w.fillQuant(fetch)
+	w.fillQuant()
 	for owner, rows := range w.perOwner {
 		if len(rows) > 0 {
 			g.svc.transportFetch(w.table, owner, rows, w, fetch)

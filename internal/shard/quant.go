@@ -9,9 +9,11 @@ import "hotline/internal/tensor"
 // width. Hot rows stay fp32; warm rows are admitted at a narrow width (int8
 // with a symmetric per-row scale, or fp16), so the same byte budget holds
 // 2-4x more rows. A hit on a narrow entry is served through the fused
-// dequantize-gather kernel: the row's current authoritative bits are pushed
-// through quantize→dequantize straight into the pooled staging buffer — the
-// value a coherent warm-tier replica would hold — so the quantization error
+// dequantize-gather kernel: the row's current authoritative bits are read
+// from the table's registered row view (RegisterTable's src) and pushed
+// through quantize→dequantize straight into the pooled staging buffer, with
+// the next rows prefetched (Staging.fillQuant) — the value a coherent
+// warm-tier replica would hold — so the quantization error
 // is real and measured (mn-quant prices it in AUC), while the repair path
 // re-runs the same kernel on dirty rows, keeping every pipeline depth
 // bit-identical to batch-by-batch stepping in quantized mode. With

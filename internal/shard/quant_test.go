@@ -8,7 +8,8 @@ import (
 
 // quantTable is a little authoritative row store for quant-path tests: rows
 // deterministic, values chosen so the int8 round trip is lossy (the staged
-// value must visibly differ from the exact row).
+// value must visibly differ from the exact row). row is the view a test
+// registers (warm-tier rows are read from it), fetch the fabric's copy.
 type quantTable struct {
 	dim int
 }
@@ -37,6 +38,7 @@ func TestQuantizedHitServesFusedRoundTrip(t *testing.T) {
 	const dim = 16
 	qt := quantTable{dim: dim}
 	s := New(Config{Nodes: 2, CacheBytes: 1 << 12, RowBytes: dim * 4, Quant: QuantINT8}, nil)
+	s.RegisterTable(0, dim, 8, qt.row)
 	g := s.Gatherer()
 	idx := [][]int32{{1}} // batch position 0 = node 0; row 1 owned by node 1
 
@@ -119,6 +121,7 @@ func TestMixedModeTiersByPopularity(t *testing.T) {
 	qt := quantTable{dim: dim}
 	hot := hotSet(0, 1) // row 1 is hot; row 3 is warm
 	s := New(Config{Nodes: 2, CacheBytes: 1 << 12, RowBytes: dim * 4, Quant: QuantMixed}, hot)
+	s.RegisterTable(0, dim, 8, qt.row)
 	g := s.Gatherer()
 	idx := [][]int32{{1, 3}} // both remote for node 0
 
@@ -173,6 +176,7 @@ func TestServePathServesQuantized(t *testing.T) {
 	const dim = 16
 	qt := quantTable{dim: dim}
 	s := New(Config{Nodes: 2, CacheBytes: 1 << 12, RowBytes: dim * 4, Quant: QuantINT8}, nil)
+	s.RegisterTable(0, dim, 8, qt.row)
 	idx := [][]int32{{1}}
 
 	st := s.PlanServeGather(0, idx) // miss: admits int8
@@ -243,6 +247,7 @@ func TestQuantRepairMatchesSyncGather(t *testing.T) {
 	fetch := func(row int32, dst []float32) { copy(dst, store[row]) }
 
 	s := New(Config{Nodes: 2, CacheBytes: 1 << 12, RowBytes: dim * 4, Quant: QuantINT8}, nil)
+	s.RegisterTable(0, dim, len(store), func(row int32) []float32 { return store[row] })
 	g := s.Gatherer()
 	q := s.NewWindowQueue(0)
 	idx := [][]int32{{1}}

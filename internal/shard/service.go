@@ -325,8 +325,10 @@ type Service struct {
 	owners [][]int32
 	// dims[t] is the row width a window over table t stages at, sized with
 	// owners: the configured row footprint's until RegisterTable declares the
-	// table's own.
+	// table's own. srcs[t] is the row view RegisterTable declared (nil
+	// before): what a window's warm-tier rows are read from.
 	dims []int
+	srcs []RowAt
 	// stamps is the per-call (requesting node, row) dedup set of the gather
 	// and scatter walks: cell row*Nodes+node holds the epoch of the call that
 	// last saw the pair, so one epoch bump empties the set. One array serves
@@ -561,8 +563,10 @@ func (s *Service) planGather(table int, indices [][]int32, collect, serve bool) 
 		}
 	}
 	if plan != nil {
-		// A planned row went through sizeTable, so dims spans the table.
+		// A planned row went through sizeTable, so dims and srcs span the
+		// table.
 		plan.sizeBuffer(s.dims[table])
+		plan.src = s.srcs[table]
 	}
 	return plan
 }
@@ -626,7 +630,7 @@ func (s *Service) tableOwners(table int) []int32 {
 }
 
 // sizeTable extends table's routing state to span rows rows: its slot in
-// owners and dims, the owner array (walking the partitioner for the new
+// owners, dims and srcs, the owner array (walking the partitioner for the new
 // rows), every cache's index, and the stamps, which always span the longest
 // owner array so the accounting walks bounds-check a row once. A grown stamp
 // array keeps its cells — they are row-major, so the running call's dedup set
@@ -635,6 +639,7 @@ func (s *Service) sizeTable(table, rows int) []int32 {
 	for table >= len(s.owners) {
 		s.owners = append(s.owners, nil)
 		s.dims = append(s.dims, s.cfg.Dim())
+		s.srcs = append(s.srcs, nil)
 	}
 	own := s.owners[table]
 	if rows <= len(own) {

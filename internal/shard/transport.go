@@ -139,16 +139,17 @@ func (s *Service) Multiproc() bool { return s.multiproc }
 // fabric and sizes its routing state exactly — the dense owner array (the
 // partitioner walked once), every device cache's index, the dedup stamps — so
 // the accounting walks never grow anything for a registered table, and
-// windows planned over it stage rows dim wide. On the in-proc transport
-// that is all; on a multi-process fabric it bulk-pushes every row to its
-// owner node process (the initial shard sync), so worker stores serve
-// fetches from exactly the bits the coordinator's mirror — the table src
-// reads — holds. ShardBag calls this; shadows share the primary's
+// windows planned over it stage rows dim wide and round their warm-tier rows
+// straight from src (a quantized window needs its table registered). On the
+// in-proc transport that is all; on a multi-process fabric it bulk-pushes
+// every row to its owner node process (the initial shard sync), so worker
+// stores serve fetches from exactly the bits the coordinator's mirror — the
+// table src reads — holds. ShardBag calls this; shadows share the primary's
 // registration.
 func (s *Service) RegisterTable(table, dim, rows int, src RowAt) {
 	s.mu.Lock()
 	s.sizeTable(table, rows)
-	s.dims[table] = dim
+	s.dims[table], s.srcs[table] = dim, src
 	s.tables = append(s.tables, tableReg{table: table, dim: dim, rows: rows, src: src})
 	s.mu.Unlock()
 	if !s.multiproc {
@@ -255,7 +256,7 @@ func (s *Service) transportFetch(table, owner int, rows []int32, st *Staging, lo
 // as StaleServeRows in the serve snapshot. When the peer returns, the probe
 // reconnects it and the counter stops — serving un-degrades by itself.
 func (s *Service) ServeGatherSync(w *Staging, local FetchFunc) {
-	w.fillQuant(local)
+	w.fillQuant()
 	rt, degrade := s.tr.(*ResilientTransport)
 	for owner, rows := range w.perOwner {
 		if len(rows) == 0 {

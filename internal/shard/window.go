@@ -4,6 +4,8 @@ import (
 	"slices"
 	"sync"
 	"time"
+
+	"hotline/internal/tensor"
 )
 
 // Staging is one gather window: the working parameters of one µ-batch on
@@ -48,6 +50,9 @@ type Staging struct {
 	// time (fillQuant). They occupy slots but add no fabric bytes.
 	quant  []int32
 	qwidth []Width
+	// src is the row view the table registered, set by the planner: where
+	// fillQuant and the warm-row repair read those authoritative bits.
+	src RowAt
 
 	dim int
 	buf []float32
@@ -161,21 +166,31 @@ func (w *Staging) Width(row int32) Width {
 	return w.widths[i]
 }
 
+// quantAhead is how many warm rows ahead of the one it rounds fillQuant
+// prefetches. The rows are the non-popular tail, spread over the whole table,
+// so nearly every one misses in cache; the plan lists them all before the
+// fill starts, so their loads can be asked for early. Sized by
+// BenchmarkPrefetchWindow/int8-8x64-flat (fabric-unix's shape).
+const quantAhead = 4
+
 // fillQuant runs the fused dequantize-gather kernel over the plan's
-// warm-tier rows: each row's current authoritative bits are fetched into its
-// staging slot and round-tripped through the entry's width in place —
-// exactly the value a coherent quantized replica would serve — with zero
-// allocations (the kernels tolerate aliasing). Runs on the planning
-// goroutine before any fabric job is enqueued, so it never races worker
-// fills (slots are disjoint) or sparse updates (same thread).
+// warm-tier rows: each row's current authoritative bits are read straight
+// from the table's registered row view (src) and round-tripped through the
+// entry's width into its staging slot — exactly the value a coherent
+// quantized replica would serve — with no copy in between and zero
+// allocations. While it rounds one row, the row quantAhead places later is
+// prefetched. Runs on the planning goroutine before any fabric job is
+// enqueued, so it never races worker fills (slots are disjoint) or sparse
+// updates (same thread).
 //
 //hotline:hotpath
-func (w *Staging) fillQuant(fetch FetchFunc) {
+func (w *Staging) fillQuant() {
 	for i, row := range w.quant {
+		if next := i + quantAhead; next < len(w.quant) {
+			tensor.PrefetchRow(w.src(w.quant[next]))
+		}
 		s := w.slot[row]
-		dst := w.buf[s*w.dim : (s+1)*w.dim]
-		fetch(row, dst)
-		dequantRowInto(dst, dst, w.qwidth[i])
+		dequantRowInto(w.buf[s*w.dim:(s+1)*w.dim], w.src(row), w.qwidth[i])
 		w.widths[s] = w.qwidth[i]
 	}
 }
@@ -343,8 +358,9 @@ func (q *WindowQueue) MarkDirty(rows []int32) {
 	}
 }
 
-// Consume joins a window popped by Match and repairs every dirty row —
-// re-fetched from its owner shard via fetch, so the staged values are
+// Consume joins a window popped by Match and repairs every dirty row — a
+// fabric row re-fetched from its owner shard via fetch, a warm-tier row
+// round-tripped again from the table's row view — so the staged values are
 // bit-identical to what a synchronous gather would read now. In stale mode
 // the repair is skipped and the distinct dirtied rows are counted instead.
 func (q *WindowQueue) Consume(w *Staging, fetch FetchFunc) {
@@ -369,8 +385,7 @@ func (q *WindowQueue) Consume(w *Staging, fetch FetchFunc) {
 			// batch-by-batch stepping in quantized mode too. The refresh push
 			// a real warm replica would receive is priced at the entry width.
 			if dst, ok := w.Lookup(r); ok {
-				fetch(r, dst)
-				dequantRowInto(dst, dst, wd)
+				dequantRowInto(dst, w.src(r), wd)
 			}
 			repairBytes += wd.RowBytes(w.dim)
 			continue

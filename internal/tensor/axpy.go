@@ -2,9 +2,10 @@ package tensor
 
 import "math"
 
-// vectorKernel says whether AxpyRows runs the AVX2 kernel. The machine
-// decides, once, when the package loads; no flag, option or environment
-// variable does, and nothing but this package's tests writes it afterwards.
+// vectorKernel says whether the AVX2 bodies run: AxpyRows and its siblings,
+// the int8 round trip, and PrefetchRow's prefetch. The machine decides,
+// once, when the package loads; no flag, option or environment variable
+// does, and nothing but this package's tests writes it afterwards.
 var vectorKernel = hasAVX2()
 
 // termBlock is the most terms the assembly kernel is handed at once: a

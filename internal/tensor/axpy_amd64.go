@@ -27,3 +27,23 @@ func addRowsAVX2(dst *float32, n int, rows *[]float32, terms int) bool
 //
 //go:noescape
 func axpyIntoRowsAVX2(dst *float32, nrows, n int, at *int32, count int, src *float32, a float32) bool
+
+// maxAbsBitsAVX2 is maxAbsBits over n >= 1 elements at src, eight per
+// instruction; it reads nothing past them.
+//
+//go:noescape
+func maxAbsBitsAVX2(src *float32, n int) uint32
+
+// roundTripI8AVX2 is RoundTripI8's finite path over n >= 1 elements:
+// dst[i] = float32(q8Finite(src[i], inv)) * scale, eight per instruction. dst
+// may be src; it writes nothing outside dst's n elements.
+//
+//go:noescape
+func roundTripI8AVX2(dst, src *float32, n int, inv, scale float32)
+
+// prefetchLines asks for every 64-byte line holding one of the n >= 1
+// elements at p to be brought into the cache (PREFETCHT0). It is a hint: it
+// reads nothing and cannot fault.
+//
+//go:noescape
+func prefetchLines(p *float32, n int)

@@ -470,3 +470,174 @@ intobad:
 	VZEROUPPER
 	MOVB $0, ret+56(FP)
 	RET
+
+// func maxAbsBitsAVX2(src *float32, n int) uint32
+//
+// The int8 scan: the largest sign-masked bit pattern among n > 0 elements at
+// src, as maxAbsBits computes it — VPAND clears the sign, VPMAXUD keeps the
+// unsigned maximum, four accumulators for 32 elements a step, then 8 a step
+// and a masked tail whose cleared lanes load as +0 (bits 0, the identity of
+// the maximum). The eight lanes of the four accumulators are folded last.
+//
+// SI the next element, CX the elements left, Y15 0x7fffffff in every lane,
+// Y0-Y3 the running maxima, Y10 the tail's lane mask.
+TEXT ·maxAbsBitsAVX2(SB), NOSPLIT, $0-20
+	MOVQ     src+0(FP), SI
+	MOVQ     n+8(FP), CX
+	VPCMPEQD Y15, Y15, Y15
+	VPSRLD   $1, Y15, Y15
+	VPXOR    Y0, Y0, Y0
+	VPXOR    Y1, Y1, Y1
+	VPXOR    Y2, Y2, Y2
+	VPXOR    Y3, Y3, Y3
+
+scan32:
+	CMPQ    CX, $32
+	JLT     scan8
+	VPAND   0(SI), Y15, Y4
+	VPAND   32(SI), Y15, Y5
+	VPAND   64(SI), Y15, Y6
+	VPAND   96(SI), Y15, Y7
+	VPMAXUD Y4, Y0, Y0
+	VPMAXUD Y5, Y1, Y1
+	VPMAXUD Y6, Y2, Y2
+	VPMAXUD Y7, Y3, Y3
+	ADDQ    $128, SI
+	SUBQ    $32, CX
+	JMP     scan32
+
+scan8:
+	CMPQ    CX, $8
+	JLT     scantail
+	VPAND   (SI), Y15, Y4
+	VPMAXUD Y4, Y0, Y0
+	ADDQ    $32, SI
+	SUBQ    $8, CX
+	JMP     scan8
+
+scantail:
+	TESTQ      CX, CX
+	JZ         scanfold
+	LEAQ       tailmask<>+32(SB), DX
+	SHLQ       $2, CX
+	SUBQ       CX, DX
+	VMOVDQU    (DX), Y10
+	VMASKMOVPS (SI), Y10, Y4
+	VPAND      Y4, Y15, Y4
+	VPMAXUD    Y4, Y0, Y0
+
+scanfold:
+	VPMAXUD      Y1, Y0, Y0
+	VPMAXUD      Y3, Y2, Y2
+	VPMAXUD      Y2, Y0, Y0
+	VEXTRACTI128 $1, Y0, X1
+	VPMAXUD      X1, X0, X0
+	VPSHUFD      $0x4e, X0, X1
+	VPMAXUD      X1, X0, X0
+	VPSHUFD      $0xb1, X0, X1
+	VPMAXUD      X1, X0, X0
+	VMOVD        X0, AX
+	MOVL         AX, ret+16(FP)
+	VZEROUPPER
+	RET
+
+// ROUND is the finite round trip of one vector in place: s = v*inv (VMULPS),
+// plus 0.5 carrying s's sign (the sign bit masked out of s, OR'd into 0.5),
+// truncated to an integer (VCVTTPS2DQ, as Go's int32(f) does; never the
+// rounding VCVTPS2DQ, which would send ties to even), back to float32 and
+// times scale. Every step rounds as q8Finite's float32 operations do.
+#define ROUND(r, t) \
+	VMULPS     r, Y8, r  \
+	VPAND      r, Y10, t \
+	VPOR       t, Y11, t \
+	VADDPS     t, r, r   \
+	VCVTTPS2DQ r, r      \
+	VCVTDQ2PS  r, r      \
+	VMULPS     r, Y9, r
+
+// func roundTripI8AVX2(dst, src *float32, n int, inv, scale float32)
+//
+// RoundTripI8's finite path over n > 0 elements: 32 elements a step, then 8,
+// then a masked tail. Every vector is loaded before its result is stored, so
+// dst may be src.
+//
+// DI dst, SI src, AX the byte offset in both, CX the elements left, Y8 inv
+// and Y9 scale in every lane, Y10 the sign bit, Y11 0.5, Y12 the tail's lane
+// mask.
+TEXT ·roundTripI8AVX2(SB), NOSPLIT, $0-32
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         n+16(FP), CX
+	VBROADCASTSS inv+24(FP), Y8
+	VBROADCASTSS scale+28(FP), Y9
+	VPCMPEQD     Y10, Y10, Y10
+	VPSLLD       $31, Y10, Y10
+	MOVL         $0x3f000000, DX
+	VMOVD        DX, X11
+	VPBROADCASTD X11, Y11
+	XORQ         AX, AX
+
+round32:
+	CMPQ    CX, $32
+	JLT     round8
+	VMOVUPS 0(SI)(AX*1), Y0
+	VMOVUPS 32(SI)(AX*1), Y1
+	VMOVUPS 64(SI)(AX*1), Y2
+	VMOVUPS 96(SI)(AX*1), Y3
+	ROUND(Y0, Y4)
+	ROUND(Y1, Y5)
+	ROUND(Y2, Y6)
+	ROUND(Y3, Y7)
+	VMOVUPS Y0, 0(DI)(AX*1)
+	VMOVUPS Y1, 32(DI)(AX*1)
+	VMOVUPS Y2, 64(DI)(AX*1)
+	VMOVUPS Y3, 96(DI)(AX*1)
+	ADDQ    $128, AX
+	SUBQ    $32, CX
+	JMP     round32
+
+round8:
+	CMPQ    CX, $8
+	JLT     roundtail
+	VMOVUPS (SI)(AX*1), Y0
+	ROUND(Y0, Y4)
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	SUBQ    $8, CX
+	JMP     round8
+
+roundtail:
+	// One to seven elements: the masked load reads, and the masked store
+	// writes, nothing past the end of src or dst.
+	TESTQ      CX, CX
+	JZ         rounddone
+	LEAQ       tailmask<>+32(SB), DX
+	SHLQ       $2, CX
+	SUBQ       CX, DX
+	VMOVDQU    (DX), Y12
+	VMASKMOVPS (SI)(AX*1), Y12, Y0
+	ROUND(Y0, Y4)
+	VMASKMOVPS Y0, Y12, (DI)(AX*1)
+
+rounddone:
+	VZEROUPPER
+	RET
+
+// func prefetchLines(p *float32, n int)
+//
+// PREFETCHT0 on every 64-byte line from the one holding p[0] to the one
+// holding p[n-1]: a row about to be read, requested ahead of its loads so its
+// cache misses overlap other work. A prefetch is a hint — it cannot fault and
+// loads nothing into a register — and it uses no vector register.
+TEXT ·prefetchLines(SB), NOSPLIT, $0-16
+	MOVQ p+0(FP), AX
+	MOVQ n+8(FP), CX
+	LEAQ (AX)(CX*4), CX
+	ANDQ $-64, AX
+
+line:
+	PREFETCHT0 (AX)
+	ADDQ       $64, AX
+	CMPQ       AX, CX
+	JB         line
+	RET

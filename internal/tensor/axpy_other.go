@@ -15,3 +15,15 @@ func addRowsAVX2(dst *float32, n int, rows *[]float32, terms int) bool {
 func axpyIntoRowsAVX2(dst *float32, nrows, n int, at *int32, count int, src *float32, a float32) bool {
 	panic("tensor: no vector kernel on this architecture")
 }
+
+func maxAbsBitsAVX2(src *float32, n int) uint32 {
+	panic("tensor: no vector kernel on this architecture")
+}
+
+func roundTripI8AVX2(dst, src *float32, n int, inv, scale float32) {
+	panic("tensor: no vector kernel on this architecture")
+}
+
+func prefetchLines(p *float32, n int) {
+	panic("tensor: no vector kernel on this architecture")
+}

@@ -36,6 +36,16 @@ func onBothPaths(t *testing.T, test func(*testing.T)) {
 	})
 }
 
+// kernelPaths lists the values of vectorKernel this machine can run: the
+// generic loops, then the vector kernel where there is AVX2. A fuzz target,
+// which cannot start subtests, sets the variable from it directly.
+func kernelPaths() []bool {
+	if hasAVX2() {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
 // TestVectorPathSelected fails when the machine has AVX2 and the package is
 // not using it, so a CI run cannot quietly test the generic loops twice. On
 // Linux the kernel's own view (/proc/cpuinfo) is checked against the CPUID

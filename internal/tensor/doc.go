@@ -24,6 +24,17 @@
 // package loads; there is no flag, option, environment variable or build tag
 // that does, and callers cannot tell which one ran.
 //
+// The warm tier's int8 round trip (RoundTripI8) follows the same rules in
+// the same file: its finite path — the sign-masked scan, then per element a
+// VMULPS by 1/scale, a 0.5 carrying the product's sign, VADDPS, the
+// truncating VCVTTPS2DQ that Go's int32(f) is, VCVTDQ2PS and a VMULPS by the
+// scale — is the Go loop's float32 operations eight lanes at a time, with
+// the Go loop kept as its reference; the scale, the total path for rows with
+// a NaN or an infinity, and fp16 stay in Go. PrefetchRow is the one hint in
+// the package: PREFETCHT0 on every line of a row the caller will read soon
+// (the warm-tier fill, whose rows miss by construction), a no-op without the
+// vector kernel.
+//
 // MatMul and MatMulTransA drive the kernel from one loop (axpyRowsRange,
 // which reads the left operand through a pair of strides), compacting the
 // terms whose left factor is non-zero into the kernel's list without a

@@ -29,7 +29,11 @@ import "math"
 // takes a branch-free loop: one integer max over the sign-masked bits finds
 // both maxabs and whether anything non-finite is there, and q8Finite rounds
 // without the NaN test, the clamps or a branch on the sign. Any other row
-// takes the total path (maxAbsFinite, q8).
+// takes the total path (maxAbsFinite, q8). On amd64 with AVX2 the scan and
+// the finite round trip are assembly (maxAbsBitsAVX2, roundTripI8AVX2 in
+// axpy_amd64.s), eight elements per instruction with the same float32
+// operations in the same order per element; the per-row scale (i8Scale), the
+// total path and fp16 stay in Go.
 
 // I8RowOverheadBytes is the per-row metadata of the int8 format (one float32
 // scale).
@@ -126,10 +130,15 @@ const f32ExpMask = 0x7f800000
 
 // maxAbsBits returns the largest sign-masked bit pattern in src: the bits of
 // the largest |v| when every element is finite, and a value >= f32ExpMask
-// when any is not. Four independent integer maxima, no branch per element.
+// when any is not. Four independent integer maxima, no branch per element;
+// with AVX2, the same maxima eight lanes wide (maxAbsBitsAVX2). An integer
+// maximum has one answer in any order, so the two agree on every row.
 //
 //hotline:hotpath
 func maxAbsBits(src []float32) uint32 {
+	if vectorKernel && len(src) > 0 {
+		return maxAbsBitsAVX2(&src[0], len(src))
+	}
 	var m0, m1, m2, m3 uint32
 	for ; len(src) >= 4; src = src[4:] {
 		m0 = max(m0, math.Float32bits(src[0])&^(1<<31))
@@ -300,7 +309,9 @@ func DequantizeRowF16(dst []float32, src []uint16) {
 // RoundTripI8 writes dequantize(quantize(src)) into dst without
 // materializing the int8 row — the fused dequantize-gather kernel for the
 // warm tier's int8 format. dst and src may alias. len(dst) must be >=
-// len(src).
+// len(src). With AVX2 the finite path runs on the assembly body
+// (roundTripI8AVX2); the Go loop below it is the reference it is tested
+// against, and the total path stays in Go on every machine.
 //
 //hotline:hotpath
 func RoundTripI8(dst, src []float32) {
@@ -313,6 +324,11 @@ func RoundTripI8(dst, src []float32) {
 		return
 	}
 	if finite {
+		if vectorKernel {
+			// scale != 0, so src is not empty.
+			roundTripI8AVX2(&dst[0], &src[0], len(src), inv, scale)
+			return
+		}
 		for i, v := range src {
 			dst[i] = float32(q8Finite(v, inv)) * scale
 		}
@@ -320,6 +336,20 @@ func RoundTripI8(dst, src []float32) {
 	}
 	for i, v := range src {
 		dst[i] = float32(q8(v, inv)) * scale
+	}
+}
+
+// PrefetchRow asks the cache for every line of row ahead of its use
+// (PREFETCHT0 per 64-byte line) and returns at once: the warm-tier fill
+// calls it on the rows it will round a few rows from now, which miss by
+// construction, so their memory latency overlaps the rounding of the rows
+// before them. A hint only — no value anywhere changes — and a no-op without
+// the vector kernel.
+//
+//hotline:hotpath
+func PrefetchRow(row []float32) {
+	if vectorKernel && len(row) > 0 {
+		prefetchLines(&row[0], len(row))
 	}
 }
 

@@ -2,7 +2,10 @@ package tensor
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -95,8 +98,13 @@ func requireI8MatchesReference(t *testing.T, src []float32) {
 // magnitude a float32 holds (so the scale is sometimes denormal, its
 // reciprocal sometimes infinite), a maxabs of MaxFloat32 (the ulp nudge),
 // values that land on the .5 rounding boundary, signed zeros, and rows laced
-// with NaN and infinities, at lengths on both sides of the scan's unroll.
+// with NaN and infinities, at lengths on both sides of the scan's unroll —
+// on the vector kernel and on the generic loops.
 func TestI8KernelsMatchScalarReference(t *testing.T) {
+	onBothPaths(t, testI8KernelsMatchScalarReference)
+}
+
+func testI8KernelsMatchScalarReference(t *testing.T) {
 	rng := NewRNG(29)
 	nonFinite := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}
 	for trial := 0; trial < 4000; trial++ {
@@ -130,6 +138,147 @@ func TestI8KernelsMatchScalarReference(t *testing.T) {
 		}
 		requireI8MatchesReference(t, src)
 	}
+}
+
+// i8Rows returns the rows of length n the int8 differential grid runs, by
+// name. Each non-empty one takes the assembly body on the vector path —
+// normals with ±0 and denormals mixed in, rows whose scaled values sit
+// exactly on k+0.5 (a tie goes away from zero, never to even), a maxabs of
+// ±MaxFloat32 (the scale's ulp nudge) — unless its name starts "total:":
+// those must take the total path in Go on both (a NaN or an infinity
+// anywhere, and a denormal maxabs, whose scale's reciprocal overflows).
+func i8Rows(rng *RNG, n int) map[string][]float32 {
+	rows := map[string][]float32{}
+	row := func(name string, v func(i int) float32) {
+		r := make([]float32, n)
+		for i := range r {
+			r[i] = v(i)
+		}
+		rows[name] = r
+	}
+	row("normal", func(i int) float32 {
+		switch u := rng.Uint64(); {
+		case i > 0 && u%8 == 0:
+			return math.Float32frombits(uint32(u>>32) & (1 << 31)) // ±0
+		case i > 0 && u%8 == 1:
+			return math.Float32frombits(uint32(u>>32)&0x807fffff | 1) // a denormal
+		default:
+			return float32(rng.NormFloat64()) * 0.05
+		}
+	})
+	for _, e := range []float64{-20, 0, 30} {
+		// The scale is 127*2^e/127 = 2^e, so v*inv is k+0.5 exactly.
+		p := float32(math.Ldexp(1, int(e)))
+		row(fmt.Sprintf("ties-2^%g", e), func(i int) float32 {
+			if i == n-1 {
+				return -127 * p
+			}
+			return (float32(rng.Intn(253)-126) + 0.5) * p
+		})
+	}
+	row("nudge", func(i int) float32 {
+		if i == 0 {
+			return -math.MaxFloat32
+		}
+		return float32(rng.NormFloat64()) * 1e37
+	})
+	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(-1))} {
+		at := rng.Intn(max(n, 1))
+		row("total:"+fmt.Sprint(bad), func(i int) float32 {
+			if i == at {
+				return bad
+			}
+			return float32(rng.NormFloat64())
+		})
+	}
+	row("total:denormal", func(i int) float32 {
+		return math.Float32frombits(uint32(rng.Uint64())&0x807fffff | 1)
+	})
+	return rows
+}
+
+// TestRoundTripI8VectorMatchesGeneric compares RoundTripI8 on the vector
+// kernel with the generic loops bit for bit over every length 0-67 (empty,
+// below one vector, whole vectors, every tail) at every offset 0-7 of the
+// buffers (unaligned on purpose), with dst a separate row and dst the source
+// row itself. A canary on either side of dst proves that neither path writes
+// outside it, and the separate source row must come back untouched.
+func TestRoundTripI8VectorMatchesGeneric(t *testing.T) {
+	if !hasAVX2() {
+		t.Skip("no AVX2 on this machine: the generic loops are the only path")
+	}
+	defer func(prev bool) { vectorKernel = prev }(vectorKernel)
+	const canary = 12345.5
+	rng := NewRNG(31)
+	for n := 0; n <= 67; n++ {
+		for off := 0; off < 8; off++ {
+			for name, src := range i8Rows(rng, n) {
+				if _, _, finite := i8Scale(src); n > 0 && finite == strings.HasPrefix(name, "total:") {
+					t.Fatalf("%s n=%d: i8Scale says finite=%v", name, n, finite)
+				}
+				for _, alias := range []bool{false, true} {
+					var got [2][]float32
+					for path, vector := range []bool{false, true} {
+						buf := make([]float32, off+1+n+1)
+						buf[off], buf[off+1+n] = canary, canary
+						dst := buf[off+1:][:n]
+						in := append(make([]float32, (off+5)%8), src...)[(off+5)%8:]
+						if alias {
+							copy(dst, src)
+							in = dst
+						}
+						vectorKernel = vector
+						RoundTripI8(dst, in)
+						if !alias && !slices.Equal(bitsOf(in), bitsOf(src)) {
+							t.Fatalf("%s n=%d offset=%d vector=%v: the source was written", name, n, off, vector)
+						}
+						got[path] = buf
+					}
+					for j := range got[0] {
+						if math.Float32bits(got[0][j]) != math.Float32bits(got[1][j]) {
+							t.Fatalf("%s n=%d offset=%d alias=%v: element %d is %x on the vector kernel, %x on the generic loops",
+								name, n, off, alias, j-off-1, math.Float32bits(got[1][j]), math.Float32bits(got[0][j]))
+						}
+					}
+					if got[1][off] != canary || got[1][off+1+n] != canary {
+						t.Fatalf("%s n=%d offset=%d alias=%v: the vector kernel wrote outside dst", name, n, off, alias)
+					}
+				}
+			}
+		}
+	}
+}
+
+// bitsOf returns the bit patterns of a row, so rows holding NaN compare.
+func bitsOf(row []float32) []uint32 {
+	b := make([]uint32, len(row))
+	for i, v := range row {
+		b[i] = math.Float32bits(v)
+	}
+	return b
+}
+
+// TestPrefetchRowChangesNothing: the prefetch is a hint, on rows of every
+// length and alignment, including one that ends at the last element of its
+// allocation.
+func TestPrefetchRowChangesNothing(t *testing.T) {
+	onBothPaths(t, func(t *testing.T) {
+		buf := make([]float32, 200)
+		for i := range buf {
+			buf[i] = float32(i)
+		}
+		for n := 0; n <= 67; n++ {
+			for off := 0; off < 8; off++ {
+				PrefetchRow(buf[off : off+n])
+				PrefetchRow(buf[len(buf)-n:])
+			}
+		}
+		for i, v := range buf {
+			if v != float32(i) {
+				t.Fatalf("element %d changed to %g", i, v)
+			}
+		}
+	})
 }
 
 func TestF16ConversionExactCases(t *testing.T) {
@@ -279,7 +428,9 @@ func FuzzQuantRoundTrip(f *testing.F) {
 	addRow(float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 1e-30)
 	addRow(65504, 70000, -65505)
 	addRow(math.MaxFloat32, -math.MaxFloat32, math.SmallestNonzeroFloat32)
-	f.Add([]byte{1, 2, 3}) // ragged tail, decodes to an empty row
+	addRow(127, 0.5, -0.5, 1.5, -2.5, 126.5, -126.5, 0, -3.5)     // ties, past one vector
+	addRow(1e-41, -1e-40, 0, math.SmallestNonzeroFloat32, -1e-39) // a denormal maxabs
+	f.Add([]byte{1, 2, 3})                                        // ragged tail, decodes to an empty row
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		n := len(b) / 4
@@ -291,26 +442,30 @@ func FuzzQuantRoundTrip(f *testing.F) {
 			src[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
 		}
 
-		// int8: both kernels must match the scalar reference, and the
-		// scalar pipeline and the fused kernel must agree exactly.
-		requireI8MatchesReference(t, src)
-		q := make([]int8, n)
-		scale := QuantizeRowI8(q, src)
-		dq := make([]float32, n)
-		DequantizeRowI8(dq, q, scale)
-		fused := make([]float32, n)
-		RoundTripI8(fused, src)
-		for i, v := range src {
-			if dq[i] != fused[i] {
-				t.Fatalf("i8 elem %d: fused %g != scalar %g", i, fused[i], dq[i])
-			}
-			if math.IsNaN(float64(fused[i])) || math.IsInf(float64(fused[i]), 0) {
-				t.Fatalf("i8 elem %d: non-finite output %g from input %g", i, fused[i], v)
-			}
-			finite := !math.IsNaN(float64(v)) && !math.IsInf(float64(v), 0)
-			if finite && scale > 0 && !math.IsInf(float64(float32(1)/scale), 0) {
-				if err := math.Abs(float64(fused[i] - v)); err > i8Bound(scale) {
-					t.Fatalf("i8 elem %d: error %g exceeds bound %g (v=%g scale=%g)", i, err, i8Bound(scale), v, scale)
+		// int8, on every path the machine has: both kernels must match the
+		// scalar reference, and the scalar pipeline and the fused kernel must
+		// agree exactly.
+		defer func(prev bool) { vectorKernel = prev }(vectorKernel)
+		for _, vectorKernel = range kernelPaths() {
+			requireI8MatchesReference(t, src)
+			q := make([]int8, n)
+			scale := QuantizeRowI8(q, src)
+			dq := make([]float32, n)
+			DequantizeRowI8(dq, q, scale)
+			fused := make([]float32, n)
+			RoundTripI8(fused, src)
+			for i, v := range src {
+				if dq[i] != fused[i] {
+					t.Fatalf("i8 elem %d (vector %v): fused %g != scalar %g", i, vectorKernel, fused[i], dq[i])
+				}
+				if math.IsNaN(float64(fused[i])) || math.IsInf(float64(fused[i]), 0) {
+					t.Fatalf("i8 elem %d (vector %v): non-finite output %g from input %g", i, vectorKernel, fused[i], v)
+				}
+				finite := !math.IsNaN(float64(v)) && !math.IsInf(float64(v), 0)
+				if finite && scale > 0 && !math.IsInf(float64(float32(1)/scale), 0) {
+					if err := math.Abs(float64(fused[i] - v)); err > i8Bound(scale) {
+						t.Fatalf("i8 elem %d (vector %v): error %g exceeds bound %g (v=%g scale=%g)", i, vectorKernel, err, i8Bound(scale), v, scale)
+					}
 				}
 			}
 		}
