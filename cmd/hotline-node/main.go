@@ -49,7 +49,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "hotline-node: -io-timeout must be >= 0, got %s\n", *ioTimeout)
 		os.Exit(2)
 	}
-	srv, err := shard.ServeNodeTimeout(*node, *network, *listen, *ioTimeout)
+	srv, err := shard.ServeNode(*node, *network, *listen, *ioTimeout)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hotline-node:", err)
 		os.Exit(1)

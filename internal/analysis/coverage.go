@@ -20,7 +20,7 @@ import (
 //   - nodes are function declarations, keyed "pkgpath::Recv.Name";
 //   - an edge runs from a declaration to every *types.Func its body
 //     references (calls, method values, and functions passed as values
-//     all count — the fetchFn/rowAt bindings are reference edges);
+//     all count — the ShardedBag.rowAt binding is a reference edge);
 //   - dynamic dispatch is bridged by name: reaching an interface method
 //     (a key with no body, e.g. embedding::Bag.Forward) marks every
 //     module method of the same name reachable.

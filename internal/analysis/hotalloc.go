@@ -198,7 +198,7 @@ func paramType(sig *types.Signature, i int, ellipsis bool) types.Type {
 
 // checkMethodValue flags bound method values (s.Method used as a value):
 // each binds receiver and method into a fresh closure. Hot code binds
-// them once at construction (ShardedBag.fetchFn's pattern).
+// them once at construction (ShardedBag.rowAt's pattern).
 func (w *hotallocWalker) checkMethodValue(sel *ast.SelectorExpr, stack []ast.Node) {
 	s, ok := w.pass.Info.Selections[sel]
 	if !ok || s.Kind() != types.MethodVal {

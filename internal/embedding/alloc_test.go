@@ -136,7 +136,7 @@ func TestShardedStepZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(50, step); n > 0 {
 		t.Fatalf("sharded step allocated %.1f times, want 0", n)
 	}
-	if svc.CacheEvictions() == 0 {
+	if svc.Snapshot().Evictions == 0 {
 		t.Fatal("the gate's cache never evicted: the admission path was not exercised")
 	}
 }

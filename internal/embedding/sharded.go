@@ -45,8 +45,9 @@ type ShardedBag struct {
 	// primary bag's sparse updates invalidate their staged rows).
 	windows *shard.WindowQueue
 
-	fetchFn shard.FetchFunc // bound once; a per-call method value would allocate
-	rowAt   shard.RowAt     // bound once, like fetchFn; source for scatter pushes
+	// rowAt is the row view the table registers and every scatter push sends
+	// from, bound once: a per-call method value would allocate.
+	rowAt shard.RowAt
 }
 
 // ShardBag routes a table through the service under its placement policy.
@@ -55,12 +56,12 @@ type ShardedBag struct {
 // bypasses its routing; Clone first to keep an independent reference.
 func ShardBag(t *Table, svc *shard.Service, tableIdx int) *ShardedBag {
 	s := &ShardedBag{TableIdx: tableIdx, svc: svc, tab: t, windows: svc.NewWindowQueue(tableIdx)}
-	s.fetchFn = s.fetchRow
 	s.rowAt = s.rowViewAt
 	// Declare the table to the fabric: the service sizes its routing state
-	// for it, and on a multi-process transport this is the initial shard sync
-	// (every row is pushed to its owner node), so worker stores serve exactly
-	// the bits the table holds.
+	// for it and copies every staged row from its view, and on a
+	// multi-process transport this is the initial shard sync (every row is
+	// pushed to its owner node), so worker stores serve exactly the bits the
+	// table holds.
 	svc.RegisterTable(tableIdx, t.Dim, t.Rows, s.rowAt)
 	return s
 }
@@ -90,7 +91,7 @@ func (s *ShardedBag) Prefetch(indices [][]int32) {
 	}
 	w := s.svc.PlanGather(s.TableIdx, indices)
 	if w != nil {
-		s.svc.Gatherer().Submit(w, s.fetchFn)
+		s.svc.Gatherer().Submit(w)
 	}
 	s.windows.Push(indices, w)
 }
@@ -105,13 +106,6 @@ func (s *ShardedBag) AbortPrefetch() { s.windows.Abort() }
 // PendingWindows reports the open (issued, unconsumed) prefetch windows
 // shared across this bag and its shadows.
 func (s *ShardedBag) PendingWindows() int { return s.windows.Len() }
-
-// fetchRow copies one row into its staging slot.
-//
-//hotline:hotpath
-func (s *ShardedBag) fetchRow(row int32, dst []float32) {
-	copy(dst, s.tab.W.Row(int(row)))
-}
 
 // rowViewAt is RowView with the fabric's signature (bound once into rowAt).
 //
@@ -197,9 +191,9 @@ func (s *ShardedBag) Forward(indices [][]int32) *tensor.Matrix {
 	lookups := checkIndices(indices, s.tab.Rows)
 	w := s.windows.Match(indices)
 	if w != nil {
-		s.windows.Consume(w, s.fetchFn)
+		s.windows.Consume(w)
 	} else if w = s.svc.PlanGather(s.TableIdx, indices); w != nil {
-		s.svc.Gatherer().GatherSync(w, s.fetchFn)
+		s.svc.Gatherer().GatherSync(w)
 	}
 	out := s.pooled(indices, lookups, w)
 	if w != nil {
@@ -241,7 +235,7 @@ func (s *ShardedBag) ServeForward(indices [][]int32) *tensor.Matrix {
 		// must be served through the fused dequantize-gather, not read exact
 		// from the mirror.
 		if w = s.svc.PlanServeGather(s.TableIdx, indices); w != nil {
-			s.svc.ServeGatherSync(w, s.fetchFn)
+			s.svc.ServeGatherSync(w)
 		}
 	} else {
 		s.svc.RecordServeGather(s.TableIdx, indices)
@@ -322,7 +316,6 @@ func (s *ShardedBag) SizeBytes() int64 { return s.tab.SizeBytes() }
 // bag's sparse updates for dirty-row tracking — with private forward state.
 func (s *ShardedBag) ShadowBag() Bag {
 	sh := &ShardedBag{TableIdx: s.TableIdx, svc: s.svc, tab: s.tab.Shadow(), windows: s.windows}
-	sh.fetchFn = sh.fetchRow
 	sh.rowAt = sh.rowViewAt
 	return sh
 }

@@ -170,12 +170,11 @@ func MNCachePolicy() *report.Table {
 		}
 		run(2) // warm up
 		svc.ResetStats()
-		evBefore := svc.CacheEvictions()
 		run(4)
 		st := svc.Snapshot()
 		t.AddRow(pol.String(),
 			pct(st.HitRate(), 1), pct(st.GatherFrac(), 1),
-			fmt.Sprint(svc.CacheEvictions()-evBefore),
+			fmt.Sprint(st.Evictions),
 			fmt.Sprintf("%.1f", float64(st.A2ABytes())/4/1024))
 	}
 	t.Notes = "same replacement-policy question as the EAL (Fig 15), asked of the " +

@@ -161,7 +161,7 @@ func serveProbe(svc *shard.Service, b *data.Batch) {
 		return
 	}
 	if w := svc.PlanServeGather(0, b.Sparse[0]); w != nil {
-		svc.ServeGatherSync(w, func(row int32, dst []float32) {})
+		svc.ServeGatherSync(w)
 		w.Release()
 	}
 }

@@ -175,7 +175,6 @@ func measureShard(cfg data.Config, p ShardProbe) ShardMeasurement {
 		iteration()
 	}
 	svc.ResetStats()
-	before := svc.CacheEvictions()
 	for i := 0; i < measureIters; i++ {
 		iteration()
 	}
@@ -193,7 +192,7 @@ func measureShard(cfg data.Config, p ShardProbe) ShardMeasurement {
 		ScatterFrac:       st.ScatterFrac(),
 		A2ABytesPerIter:   st.A2ABytes() / measureIters,
 		CacheOccupancy:    svc.CacheOccupancy(),
-		Evictions:         svc.CacheEvictions() - before,
+		Evictions:         st.Evictions,
 		Quant:             p.Quant.String(),
 		CacheRows:         svc.CacheEntries(),
 	}

@@ -6,12 +6,6 @@ import (
 	"time"
 )
 
-// FetchFunc copies one owner-resident row into its staging slot. It runs on
-// gather workers concurrently with compute, so it must only read the
-// underlying storage (which is stable while a window is in flight: sparse
-// updates join any window whose staged rows they touch before mutating).
-type FetchFunc func(row int32, dst []float32)
-
 // OverlapStats aggregates what the gather engine moved and how much of it
 // the overlap hid. All durations are wall-clock measurements of the
 // functional layer (they feed scenario reports and the measured
@@ -67,11 +61,13 @@ func ExposedFrac(overlap, sync OverlapStats) float64 {
 }
 
 // fetchJob is one owner node's contribution to a gather window: the rows
-// w.perOwner[owner], fetched through the service's transport into w.
+// w.perOwner[owner], fetched through the service's transport into w. It
+// runs on a drainer concurrently with compute; the rows it reads are stable
+// while the window is in flight (sparse updates join any window whose staged
+// rows they touch before mutating).
 type fetchJob struct {
 	w     *Staging
 	owner int
-	fetch FetchFunc
 }
 
 // engineCounters is the stats cell shared by the engine and its persistent
@@ -150,11 +146,11 @@ func (q *gatherQueue) swapLocked() []fetchJob {
 }
 
 // finish recycles a drained buffer. The retired jobs are cleared first: a
-// stale fetchJob still points at its window (whose engine's service holds the
-// registered tables) and at the bag's fetch closure, and the engine's runtime
-// cleanup holds the queues — left in place, every engine that ever prefetched
-// would be reachable from its own cleanup and never collected, service and
-// tables with it.
+// stale fetchJob still points at its window, whose engine's service holds the
+// registered tables and their row views, and the engine's runtime cleanup
+// holds the queues — left in place, every engine that ever prefetched would
+// be reachable from its own cleanup and never collected, service and tables
+// with it.
 func (q *gatherQueue) finish(jobs []fetchJob) {
 	clear(jobs)
 	q.mu.Lock()
@@ -218,7 +214,7 @@ func runJobs(jobs []fetchJob, c *engineCounters) {
 	start := time.Now() //hotline:allow detorder measured drainer-busy wall; never feeds math
 	for _, j := range jobs {
 		w := j.w
-		w.g.svc.transportFetch(w.table, j.owner, w.perOwner[j.owner], w, j.fetch)
+		w.g.svc.transportFetch(w.table, j.owner, w.perOwner[j.owner], w)
 		w.jobDone()
 	}
 	c.noteBusy(time.Since(start)) //hotline:allow detorder measured drainer-busy wall; never feeds math
@@ -303,7 +299,7 @@ func (g *AsyncGatherer) acquire(table int) *Staging {
 // performs in hardware.
 //
 //hotline:stats-writer
-func (g *AsyncGatherer) Submit(w *Staging, fetch FetchFunc) {
+func (g *AsyncGatherer) Submit(w *Staging) {
 	w.fillQuant()
 	jobs := 0
 	for _, rows := range w.perOwner {
@@ -325,7 +321,7 @@ func (g *AsyncGatherer) Submit(w *Staging, fetch FetchFunc) {
 	w.mu.Unlock()
 	for owner, rows := range w.perOwner {
 		if len(rows) > 0 {
-			g.queues[owner].enqueue(fetchJob{w: w, owner: owner, fetch: fetch})
+			g.queues[owner].enqueue(fetchJob{w: w, owner: owner})
 		}
 	}
 	runtime.Gosched()
@@ -336,12 +332,12 @@ func (g *AsyncGatherer) Submit(w *Staging, fetch FetchFunc) {
 // baseline the overlap is measured against.
 //
 //hotline:stats-writer
-func (g *AsyncGatherer) GatherSync(w *Staging, fetch FetchFunc) {
+func (g *AsyncGatherer) GatherSync(w *Staging) {
 	start := time.Now() //hotline:allow detorder measured sync-gather wall; never feeds math
 	w.fillQuant()
 	for owner, rows := range w.perOwner {
 		if len(rows) > 0 {
-			g.svc.transportFetch(w.table, owner, rows, w, fetch)
+			g.svc.transportFetch(w.table, owner, rows, w)
 		}
 	}
 	el := time.Since(start) //hotline:allow detorder measured sync-gather wall; never feeds math

@@ -8,10 +8,12 @@ import (
 // planFor builds a service + plan over a fixed 2-node access set: batch
 // position 0 (node 0) touches rows {0, 1}, position 1 (node 1) touches
 // {0, 1}; with nothing hot and no cache, rows 1 (for node 0) and 0 (for
-// node 1) cross the fabric.
-func planFor(t *testing.T) (*Service, *Staging) {
+// node 1) cross the fabric. The table is registered with src as its row
+// view (two rows of 16).
+func planFor(t *testing.T, src RowAt) (*Service, *Staging) {
 	t.Helper()
 	s := New(Config{Nodes: 2, CacheBytes: 0, RowBytes: 64}, hotSet(0))
+	s.RegisterTable(0, 16, 2, src)
 	plan := s.PlanGather(0, [][]int32{{0, 1}, {0, 1}})
 	if plan == nil {
 		t.Fatal("plan must carry fabric fetches")
@@ -35,7 +37,7 @@ func TestPlanGatherMatchesRecordGather(t *testing.T) {
 }
 
 func TestPlanGatherContents(t *testing.T) {
-	_, plan := planFor(t)
+	_, plan := planFor(t, flatRows(2, 16))
 	if plan.Rows() != 2 {
 		t.Fatalf("staged rows = %d want 2", plan.Rows())
 	}
@@ -67,15 +69,14 @@ func TestPlanGatherNilWhenNothingCrosses(t *testing.T) {
 }
 
 func TestAsyncGatherStagesRows(t *testing.T) {
-	s, st := planFor(t)
-	g := s.Gatherer()
+	view := flatRows(2, 16) // element k of row r holds r*16+k
 	var fetches atomic.Int64
-	g.Submit(st, func(row int32, dst []float32) {
+	s, st := planFor(t, func(row int32) []float32 {
 		fetches.Add(1)
-		for k := range dst {
-			dst[k] = float32(row)*10 + float32(k)
-		}
+		return view(row)
 	})
+	g := s.Gatherer()
+	g.Submit(st)
 	st.Await()
 	if fetches.Load() != 2 {
 		t.Fatalf("fetches = %d want 2", fetches.Load())
@@ -86,7 +87,7 @@ func TestAsyncGatherStagesRows(t *testing.T) {
 			t.Fatalf("row %d not staged", row)
 		}
 		for k := range v {
-			if v[k] != float32(row)*10+float32(k) {
+			if v[k] != float32(row)*16+float32(k) {
 				t.Fatalf("row %d slot %d = %g", row, k, v[k])
 			}
 		}
@@ -103,8 +104,8 @@ func TestAsyncGatherManyWindows(t *testing.T) {
 	// Many in-flight windows across nodes exercise the double-buffered
 	// queues; every window's staging must land fully.
 	s := New(Config{Nodes: 4, CacheBytes: 0, RowBytes: 4}, hotSet(0))
+	s.RegisterTable(0, 1, 32, flatRows(32, 1)) // row r holds r
 	g := s.Gatherer()
-	fetch := func(row int32, dst []float32) { dst[0] = float32(row) }
 	var handles []*Staging
 	for it := 0; it < 64; it++ {
 		idx := make([][]int32, 8)
@@ -112,7 +113,7 @@ func TestAsyncGatherManyWindows(t *testing.T) {
 			idx[b] = []int32{int32((it + b) % 32), int32((it*3 + b) % 32)}
 		}
 		if w := s.PlanGather(0, idx); w != nil {
-			g.Submit(w, fetch)
+			g.Submit(w)
 			handles = append(handles, w)
 		}
 	}
@@ -133,9 +134,9 @@ func TestAsyncGatherManyWindows(t *testing.T) {
 }
 
 func TestGatherSyncAccountsExposedTime(t *testing.T) {
-	svc, st := planFor(t)
+	svc, st := planFor(t, flatRows(2, 16))
 	g := svc.Gatherer()
-	g.GatherSync(st, func(row int32, dst []float32) { dst[0] = float32(row) })
+	g.GatherSync(st)
 	if st.Rows() != 2 {
 		t.Fatalf("staged rows = %d", st.Rows())
 	}

@@ -44,8 +44,10 @@ type cacheSlot struct {
 // denominated in HBM bytes end-to-end, matching how placement reasons
 // (NewCapacityWeightedHBM). It stores identifiers, widths and footprints
 // only — the simulated payload derives from the shard storage through the
-// fused dequantize-gather kernel — and keeps exact hit/miss, insert and
-// eviction counters. The zero-budget cache is valid and misses every probe.
+// fused dequantize-gather kernel. It keeps no event counters: Lookup and
+// Insert return what happened, and the Service counts each hit, miss and
+// eviction once, in Stats. The zero-budget cache is valid and misses every
+// probe.
 //
 // Keys are the service's (table << 32 | row) packing, and the key → slot
 // index is dense: one []int32 per table, indexed by row, holding the slot
@@ -67,11 +69,6 @@ type DeviceCache struct {
 	// hand is the SRRIP CLOCK pointer (an index into slots; sweeps skip
 	// dead slots).
 	hand int32
-
-	// Hits and Misses count Lookup probes; Inserts and Evicts count
-	// admissions and the displacements they caused. QuantHits counts the
-	// Hits that landed on sub-fp32 (warm-tier) entries.
-	Hits, Misses, Inserts, Evicts, QuantHits int64
 }
 
 // NewDeviceCache returns a cache with a budget of capBytes of row storage.
@@ -153,8 +150,8 @@ func (c *DeviceCache) Occupancy() float64 {
 //hotline:hotpath
 func (c *DeviceCache) Contains(key uint64) bool { return c.slotOf(key) >= 0 }
 
-// Lookup probes the cache, updates replacement state and hit/miss counters,
-// and returns the hit entry's storage width. It never admits: admission is a
+// Lookup probes the cache, updates replacement state, and reports whether
+// key hit and the hit entry's storage width. It never admits: admission is a
 // separate policy decision made by the Service (the popularity classifier
 // picks the tier).
 //
@@ -162,14 +159,9 @@ func (c *DeviceCache) Contains(key uint64) bool { return c.slotOf(key) >= 0 }
 func (c *DeviceCache) Lookup(key uint64) (Width, bool) {
 	i := c.slotOf(key)
 	if i < 0 {
-		c.Misses++
 		return WidthFP32, false
 	}
-	c.Hits++
 	w := c.slots[i].width
-	if w != WidthFP32 {
-		c.QuantHits++
-	}
 	if c.policy == PolicySRRIP {
 		c.slots[i].rrpv = 0 // near re-reference
 	} else {
@@ -207,7 +199,6 @@ func (c *DeviceCache) Insert(key uint64, width Width, bytes int64) (admitted boo
 	for c.usedBytes+bytes > c.capBytes && c.used > 0 {
 		v := c.victim()
 		c.removeSlot(v)
-		c.Evicts++
 		evictions++
 	}
 	i := c.allocSlot()
@@ -216,7 +207,6 @@ func (c *DeviceCache) Insert(key uint64, width Width, bytes int64) (admitted boo
 	c.pushFront(i)
 	c.usedBytes += bytes
 	c.used++
-	c.Inserts++
 	return true, evictions
 }
 
@@ -272,11 +262,10 @@ func (c *DeviceCache) victim() int32 {
 	}
 }
 
-// Reset drops all contents and counters. The index and slot arrays are
-// retained: the live entries' index cells are zeroed in place (work
-// proportional to the contents, not to the tables), so reset-heavy
-// measurement loops stay allocation-free — TestDeviceCacheResetZeroAlloc
-// gates this.
+// Reset drops all contents. The index and slot arrays are retained: the
+// live entries' index cells are zeroed in place (work proportional to the
+// contents, not to the tables), so reset-heavy measurement loops stay
+// allocation-free — TestDeviceCacheResetZeroAlloc gates this.
 //
 //hotline:hotpath
 func (c *DeviceCache) Reset() {
@@ -289,7 +278,6 @@ func (c *DeviceCache) Reset() {
 	c.freeSlots = c.freeSlots[:0]
 	c.head, c.tail, c.used, c.hand = -1, -1, 0, 0
 	c.usedBytes = 0
-	c.Hits, c.Misses, c.Inserts, c.Evicts, c.QuantHits = 0, 0, 0, 0, 0
 }
 
 // --- intrusive LRU recency list ------------------------------------------

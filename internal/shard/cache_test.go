@@ -25,8 +25,8 @@ func TestLRUEvictsLeastRecent(t *testing.T) {
 	if !c.Contains(1) || !c.Contains(3) {
 		t.Fatal("1 and 3 must survive")
 	}
-	if c.Evicts != 1 || c.Inserts != 3 {
-		t.Fatalf("counters: evicts=%d inserts=%d", c.Evicts, c.Inserts)
+	if c.Len() != 2 || c.UsedBytes() != 2 {
+		t.Fatalf("len %d used %d, want 2/2", c.Len(), c.UsedBytes())
 	}
 }
 
@@ -38,14 +38,16 @@ func TestSRRIPKeepsReReferencedEntries(t *testing.T) {
 	// Promote 1 and 2 to near re-reference; scan keys 10..17 through.
 	c.Lookup(1)
 	c.Lookup(2)
+	evicts := 0
 	for k := uint64(10); k < 18; k++ {
-		ins(c, k)
+		_, ev := ins(c, k)
+		evicts += ev
 	}
 	// The re-referenced entries should have outlived at least the first
 	// wave of scan insertions (scan resistance vs LRU, which would have
 	// dropped everything).
-	if c.Evicts != 8 {
-		t.Fatalf("evicts = %d want 8", c.Evicts)
+	if evicts != 8 {
+		t.Fatalf("evicts = %d want 8", evicts)
 	}
 	if c.Len() != 4 {
 		t.Fatalf("len = %d want 4", c.Len())
@@ -60,8 +62,8 @@ func TestZeroCapacityCacheAlwaysMisses(t *testing.T) {
 	if hit(c, 1) {
 		t.Fatal("zero-capacity cache can never hit")
 	}
-	if c.Misses != 1 || c.Occupancy() != 0 {
-		t.Fatalf("counters: misses=%d occ=%g", c.Misses, c.Occupancy())
+	if c.Len() != 0 || c.Occupancy() != 0 {
+		t.Fatalf("len=%d occ=%g", c.Len(), c.Occupancy())
 	}
 }
 
@@ -85,8 +87,8 @@ func TestCacheReset(t *testing.T) {
 		ins(c, k)
 	}
 	c.Reset()
-	if c.Len() != 0 || c.Hits != 0 || c.Evicts != 0 || c.UsedBytes() != 0 {
-		t.Fatal("reset must clear contents and counters")
+	if c.Len() != 0 || c.UsedBytes() != 0 || hit(c, 7) {
+		t.Fatal("reset must clear contents")
 	}
 	ins(c, 42)
 	if !c.Contains(42) {
@@ -94,13 +96,21 @@ func TestCacheReset(t *testing.T) {
 	}
 }
 
+// TestCacheHitMissCounters: Lookup reports a hit and a miss, and the
+// Service counts each cache event once, in its Stats.
 func TestCacheHitMissCounters(t *testing.T) {
 	c := NewDeviceCache(8, PolicyLRU)
 	ins(c, 5)
-	c.Lookup(5)
-	c.Lookup(6)
-	if c.Hits != 1 || c.Misses != 1 {
-		t.Fatalf("hits=%d misses=%d", c.Hits, c.Misses)
+	if !hit(c, 5) || hit(c, 6) {
+		t.Fatal("Lookup must report 5 as a hit and 6 as a miss")
+	}
+
+	s := New(cfg(2, 8), nil)
+	idx := [][]int32{{1}} // node 0 probes its cache for node 1's row
+	s.RecordGather(0, idx)
+	s.RecordGather(0, idx)
+	if st := s.Snapshot(); st.CacheHits != 1 || st.CacheMisses != 1 || st.Evictions != 0 {
+		t.Fatalf("hits=%d misses=%d evictions=%d, want 1/1/0", st.CacheHits, st.CacheMisses, st.Evictions)
 	}
 }
 
@@ -147,8 +157,8 @@ func TestWideInsertEvictsSeveralNarrow(t *testing.T) {
 	if ev < 2 {
 		t.Fatalf("wide insert evicted %d narrow rows, want >= 2", ev)
 	}
-	if int64(ev) != c.Evicts {
-		t.Fatalf("returned evictions %d != counter %d", ev, c.Evicts)
+	if c.Len() != 8-ev+1 {
+		t.Fatalf("len %d after %d evictions from 8 rows and one admission", c.Len(), ev)
 	}
 	if c.UsedBytes() > budget {
 		t.Fatalf("used %d > budget %d after mixed-width eviction", c.UsedBytes(), budget)
@@ -179,12 +189,12 @@ func TestWidthChangeReadmits(t *testing.T) {
 	c := NewDeviceCache(WidthFP32.RowBytes(dim)*4, PolicyLRU)
 	c.Insert(7, WidthINT8, WidthINT8.RowBytes(dim))
 	before := c.UsedBytes()
-	c.Insert(7, WidthFP32, WidthFP32.RowBytes(dim))
+	_, ev := c.Insert(7, WidthFP32, WidthFP32.RowBytes(dim))
 	if c.Len() != 1 {
 		t.Fatalf("len = %d want 1 after width change", c.Len())
 	}
-	if c.Evicts != 0 {
-		t.Fatalf("width change counted %d evictions, want 0", c.Evicts)
+	if ev != 0 {
+		t.Fatalf("width change counted %d evictions, want 0", ev)
 	}
 	if c.UsedBytes() == before {
 		t.Fatal("usedBytes must track the new width")
@@ -195,7 +205,8 @@ func TestWidthChangeReadmits(t *testing.T) {
 }
 
 // TestLookupReportsWidthAndQuantHits: hits on narrow entries report their
-// width and bump the QuantHits counter; fp32 hits do not.
+// width, fp32 hits report fp32, and the Service counts a warm-tier hit once
+// as a QuantHit.
 func TestLookupReportsWidthAndQuantHits(t *testing.T) {
 	c := NewDeviceCache(1024, PolicyLRU)
 	c.Insert(1, WidthFP32, 64)
@@ -210,8 +221,13 @@ func TestLookupReportsWidthAndQuantHits(t *testing.T) {
 	if w, ok := c.Lookup(1); !ok || w != WidthFP32 {
 		t.Fatalf("Lookup(1) = (%v, %v)", w, ok)
 	}
-	if c.QuantHits != 2 || c.Hits != 3 {
-		t.Fatalf("quantHits=%d hits=%d, want 2/3", c.QuantHits, c.Hits)
+
+	s := New(Config{Nodes: 2, CacheBytes: 1 << 12, RowBytes: 64, Quant: QuantINT8}, nil)
+	idx := [][]int32{{1}} // node 0 probes its cache for node 1's row
+	s.RecordGather(0, idx)
+	s.RecordGather(0, idx)
+	if st := s.Snapshot(); st.QuantHits != 1 || st.CacheHits != 1 {
+		t.Fatalf("quantHits=%d hits=%d, want 1/1", st.QuantHits, st.CacheHits)
 	}
 }
 

@@ -90,7 +90,7 @@ func (f *Fabric) startNode(node int) error {
 		// predecessor's socket file.
 		addr = fmt.Sprintf("%s/n%d_%d.sock", f.dir, node, gen)
 	}
-	srv, err := shard.ServeNode(node, f.network, addr)
+	srv, err := shard.ServeNode(node, f.network, addr, 0)
 	if err != nil {
 		return err
 	}

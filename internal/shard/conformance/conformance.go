@@ -231,7 +231,6 @@ type fabricFixture struct {
 	svc   *shard.Service
 	g     *shard.AsyncGatherer
 	store [][]float32
-	fetch shard.FetchFunc
 }
 
 func newFabricFixture(tb testing.TB, s Suite, nodes, rows, dim int) *fabricFixture {
@@ -250,7 +249,6 @@ func newFabricFixture(tb testing.TB, s Suite, nodes, rows, dim int) *fabricFixtu
 			f.store[r][k] = float32(r*100 + k)
 		}
 	}
-	f.fetch = func(row int32, dst []float32) { copy(dst, f.store[row]) }
 	f.svc.RegisterTable(0, dim, rows, func(row int32) []float32 { return f.store[row] })
 	if err := f.svc.FabricErr(); err != nil {
 		tb.Fatalf("initial shard sync: %v", err)
@@ -264,7 +262,7 @@ func runServeSeparation(t *testing.T, s Suite) {
 
 	trainIdx := [][]int32{{1, 5}, {2, 6}, {3, 7}, {4, 8}}
 	if w := f.svc.PlanGather(0, trainIdx); w != nil {
-		f.g.GatherSync(w, f.fetch)
+		f.g.GatherSync(w)
 		w.Release()
 	}
 	train := f.svc.Snapshot()
@@ -274,7 +272,7 @@ func runServeSeparation(t *testing.T, s Suite) {
 
 	serveIdx := [][]int32{{9, 13}, {10, 14}, {11, 15}, {12, 16}}
 	if st := f.svc.PlanServeGather(0, serveIdx); st != nil {
-		f.svc.ServeGatherSync(st, f.fetch)
+		f.svc.ServeGatherSync(st)
 		for _, row := range []int32{9, 13} {
 			if v, ok := st.Lookup(row); ok {
 				if want := float32(row * 100); v[0] != want {
@@ -307,7 +305,7 @@ func runCleanShutdown(t *testing.T, s Suite) {
 	if w == nil {
 		t.Fatal("probe plan needed no fabric fetches")
 	}
-	f.g.Submit(w, f.fetch)
+	f.g.Submit(w)
 	q.Push(idx, w)
 
 	// Close with the window still open — twice, concurrently would also be
@@ -320,7 +318,7 @@ func runCleanShutdown(t *testing.T, s Suite) {
 	if st == nil {
 		t.Fatal("open window lost across Close")
 	}
-	q.Consume(st, f.fetch)
+	q.Consume(st)
 	// Rows 1 and 2 are requested by batch position 0 (node 0) and owned by
 	// nodes 1 and 2 under round-robin — both must have crossed the fabric.
 	for _, row := range []int32{1, 2} {

@@ -261,7 +261,7 @@ func RunPipeline(t *testing.T, network string) {
 				if network == "unix" {
 					addr = t.TempDir() + "/n0.sock"
 				}
-				srv, err := shard.ServeNode(0, network, addr)
+				srv, err := shard.ServeNode(0, network, addr, 0)
 				if err != nil {
 					t.Fatal(err)
 				}

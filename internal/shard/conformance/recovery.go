@@ -195,7 +195,6 @@ func runServeOutage(t *testing.T, network string) {
 			store[r][k] = float32(r*100 + k)
 		}
 	}
-	fetch := func(row int32, dst []float32) { copy(dst, store[row]) }
 	svc.RegisterTable(0, dim, rows, func(row int32) []float32 { return store[row] })
 	if err := svc.FabricErr(); err != nil {
 		t.Fatalf("initial shard sync: %v", err)
@@ -209,7 +208,7 @@ func runServeOutage(t *testing.T, network string) {
 		if st == nil {
 			t.Fatal("serve plan needed no fabric fetches")
 		}
-		svc.ServeGatherSync(st, fetch)
+		svc.ServeGatherSync(st)
 		for _, row := range serveIdx[0] {
 			if v, ok := st.Lookup(row); ok {
 				if want := float32(row * 100); v[0] != want {
@@ -260,7 +259,7 @@ func runServeOutage(t *testing.T, network string) {
 	serveBefore := svc.ServeSnapshot()
 	trainIdx := [][]int32{{2, 6, 10}}
 	if w := svc.PlanGather(0, trainIdx); w != nil {
-		svc.Gatherer().GatherSync(w, fetch)
+		svc.Gatherer().GatherSync(w)
 		w.Release()
 	}
 	if got := svc.ServeSnapshot(); got.WithoutWall() != serveBefore.WithoutWall() {

@@ -22,8 +22,10 @@ type mapCache struct {
 	lru       []int // slot ids, most recent first
 	hand      int
 
-	hits, misses, inserts, evicts, quantHits int64
-	victims                                  []uint64 // keys evicted, in order
+	// evicts and quantHits are the model's own tallies, kept to show the
+	// random sequence reached both; victims lists the keys evicted, in order.
+	evicts, quantHits int64
+	victims           []uint64
 }
 
 func newMapCache(capBytes int64, policy Policy) *mapCache {
@@ -41,10 +43,8 @@ func (c *mapCache) touch(i int) {
 func (c *mapCache) lookup(key uint64) (Width, bool) {
 	i, ok := c.index[key]
 	if !ok {
-		c.misses++
 		return WidthFP32, false
 	}
-	c.hits++
 	if c.slots[i].width != WidthFP32 {
 		c.quantHits++
 	}
@@ -109,7 +109,6 @@ func (c *mapCache) insert(key uint64, width Width, bytes int64) (bool, int) {
 	c.index[key] = i
 	c.lru = slices.Insert(c.lru, 0, i)
 	c.usedBytes += bytes
-	c.inserts++
 	return true, evictions
 }
 
@@ -117,10 +116,10 @@ func (c *mapCache) reset() { *c = *newMapCache(c.capBytes, c.policy) }
 
 // TestDeviceCacheMatchesMapModel drives the dense-indexed cache and the
 // map-backed model with the same random Lookup / Insert / width-change /
-// Reset sequence, under both policies, and requires the same hit results,
-// eviction counts, victims (the resident set is compared after every
-// admission) and counters. Keys span three tables, one of them sized up
-// front and two grown at first touch.
+// Reset sequence, under both policies, and requires, operation by operation,
+// the same Lookup and Insert results, victims (the resident set is compared
+// after every admission), entry count and bytes held. Keys span three
+// tables, one of them sized up front and two grown at first touch.
 func TestDeviceCacheMatchesMapModel(t *testing.T) {
 	const dim, universe = 16, 96
 	widths := []Width{WidthFP32, WidthFP16, WidthINT8}
@@ -170,11 +169,9 @@ func TestDeviceCacheMatchesMapModel(t *testing.T) {
 				m.reset()
 				resident("after reset", step)
 			}
-			if c.Hits != m.hits || c.Misses != m.misses || c.Inserts != m.inserts || c.Evicts != m.evicts ||
-				c.QuantHits != m.quantHits || c.UsedBytes() != m.usedBytes || c.Len() != len(m.index) {
-				t.Fatalf("%v step %d: counters diverged: cache %+v model %+v", policy, step,
-					[]int64{c.Hits, c.Misses, c.Inserts, c.Evicts, c.QuantHits, c.UsedBytes(), int64(c.Len())},
-					[]int64{m.hits, m.misses, m.inserts, m.evicts, m.quantHits, m.usedBytes, int64(len(m.index))})
+			if c.UsedBytes() != m.usedBytes || c.Len() != len(m.index) {
+				t.Fatalf("%v step %d: cache holds %d entries in %d bytes, model %d in %d", policy, step,
+					c.Len(), c.UsedBytes(), len(m.index), m.usedBytes)
 			}
 		}
 		if m.evicts == 0 || m.quantHits == 0 {
@@ -250,7 +247,7 @@ func TestStampDedupAcrossEpochWrap(t *testing.T) {
 // walk with its window filled and released, then the scatter walk.
 func sparseStep(s *Service, table int, idx [][]int32) {
 	if w := s.PlanGather(table, idx); w != nil {
-		s.Gatherer().GatherSync(w, func(int32, []float32) {})
+		s.Gatherer().GatherSync(w)
 		w.Release()
 	}
 	s.RecordScatter(table, idx)
@@ -300,7 +297,7 @@ func TestRoutingStateSizedAtRegistration(t *testing.T) {
 	addrs := func() []unsafe.Pointer {
 		out := []unsafe.Pointer{unsafe.Pointer(unsafe.SliceData(s.stamps))}
 		for tb := range tableRows {
-			out = append(out, unsafe.Pointer(unsafe.SliceData(s.owners[tb])))
+			out = append(out, unsafe.Pointer(unsafe.SliceData(s.tables[tb].owners)))
 			for _, c := range s.caches {
 				out = append(out, unsafe.Pointer(unsafe.SliceData(c.index[tb])))
 			}

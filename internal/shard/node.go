@@ -56,18 +56,14 @@ type NodeStats struct {
 // addresses to bind an ephemeral port) and serves the node's row store until
 // Close. The accept loop runs in the background; Addr reports the bound
 // address.
-func ServeNode(node int, network, addr string) (*NodeServer, error) {
-	return ServeNodeTimeout(node, network, addr, 0)
-}
-
-// ServeNodeTimeout is ServeNode with a per-frame IO deadline: once a
-// request's length prefix has arrived, reading its payload and writing the
-// reply must each finish within ioTimeout, so a coordinator that stalls
-// mid-frame cannot pin a handler goroutine (and its conn) forever. Waiting
-// for the next request is never bounded — coordinator connections idle
-// between training windows by design. Zero disables the deadline; negative
-// is a config error.
-func ServeNodeTimeout(node int, network, addr string, ioTimeout time.Duration) (*NodeServer, error) {
+//
+// ioTimeout is a per-frame IO deadline: once a request's length prefix has
+// arrived, reading its payload and writing the reply must each finish within
+// it, so a coordinator that stalls mid-frame cannot pin a handler goroutine
+// (and its conn) forever. Waiting for the next request is never bounded —
+// coordinator connections idle between training windows by design. Zero
+// disables the deadline; negative is a config error.
+func ServeNode(node int, network, addr string, ioTimeout time.Duration) (*NodeServer, error) {
 	if ioTimeout < 0 {
 		return nil, fmt.Errorf("%w: node %d negative io timeout %s", ErrFabricConfig, node, ioTimeout)
 	}

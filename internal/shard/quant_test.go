@@ -9,7 +9,7 @@ import (
 // quantTable is a little authoritative row store for quant-path tests: rows
 // deterministic, values chosen so the int8 round trip is lossy (the staged
 // value must visibly differ from the exact row). row is the view a test
-// registers (warm-tier rows are read from it), fetch the fabric's copy.
+// registers: every staged row, warm-tier or fetched, is read from it.
 type quantTable struct {
 	dim int
 }
@@ -20,12 +20,6 @@ func (qt quantTable) row(row int32) []float32 {
 		v[k] = float32(row)*1.7 + float32(k)*0.313 + 0.111
 	}
 	return v
-}
-
-func (qt quantTable) fetch(row int32, dst []float32) {
-	for k := range dst {
-		dst[k] = float32(row)*1.7 + float32(k)*0.313 + 0.111
-	}
 }
 
 // TestQuantizedHitServesFusedRoundTrip: a warm-tier row's staged value must
@@ -52,7 +46,7 @@ func TestQuantizedHitServesFusedRoundTrip(t *testing.T) {
 		t.Fatalf("quantize-on-fill plan: fabric=%d staged=%d bytes=%d, want 0/1/0",
 			st.fabricRows(), st.Rows(), st.bytes)
 	}
-	g.GatherSync(st, qt.fetch)
+	g.GatherSync(st)
 	v, ok := st.Lookup(1)
 	if !ok {
 		t.Fatal("row 1 must stage")
@@ -81,7 +75,7 @@ func TestQuantizedHitServesFusedRoundTrip(t *testing.T) {
 	if st.bytes != 0 {
 		t.Fatalf("quant hit moved %d fabric bytes, want 0", st.bytes)
 	}
-	g.GatherSync(st, qt.fetch)
+	g.GatherSync(st)
 	v, ok = st.Lookup(1)
 	if !ok {
 		t.Fatal("quant hit must stage")
@@ -126,14 +120,14 @@ func TestMixedModeTiersByPopularity(t *testing.T) {
 	idx := [][]int32{{1, 3}} // both remote for node 0
 
 	st := s.PlanGather(0, idx) // both miss, both admitted
-	g.GatherSync(st, qt.fetch)
+	g.GatherSync(st)
 	st.Release()
 
 	st = s.PlanGather(0, idx) // both hit, tiers differ
 	if st == nil {
 		t.Fatal("second touch must plan (warm hit stages)")
 	}
-	g.GatherSync(st, qt.fetch)
+	g.GatherSync(st)
 	if w := st.Width(3); w != WidthINT8 {
 		t.Fatalf("warm row width = %v, want int8", w)
 	}
@@ -180,10 +174,10 @@ func TestServePathServesQuantized(t *testing.T) {
 	idx := [][]int32{{1}}
 
 	st := s.PlanServeGather(0, idx) // miss: admits int8
-	s.ServeGatherSync(st, qt.fetch)
+	s.ServeGatherSync(st)
 	st.Release()
 	st = s.PlanServeGather(0, idx) // warm hit
-	s.ServeGatherSync(st, qt.fetch)
+	s.ServeGatherSync(st)
 	v, ok := st.Lookup(1)
 	if !ok || st.Width(1) != WidthINT8 {
 		t.Fatalf("serve quant hit not staged quantized (ok=%v width=%v)", ok, st.Width(1))
@@ -244,8 +238,6 @@ func TestQuantRepairMatchesSyncGather(t *testing.T) {
 		}
 		store[r] = row
 	}
-	fetch := func(row int32, dst []float32) { copy(dst, store[row]) }
-
 	s := New(Config{Nodes: 2, CacheBytes: 1 << 12, RowBytes: dim * 4, Quant: QuantINT8}, nil)
 	s.RegisterTable(0, dim, len(store), func(row int32) []float32 { return store[row] })
 	g := s.Gatherer()
@@ -254,12 +246,12 @@ func TestQuantRepairMatchesSyncGather(t *testing.T) {
 
 	// Warm the cache: row 1 becomes an int8 entry.
 	st := s.PlanGather(0, idx)
-	g.GatherSync(st, fetch)
+	g.GatherSync(st)
 	st.Release()
 
 	// Issue a prefetch window whose staged row is then updated.
 	st = s.PlanGather(0, idx)
-	g.Submit(st, fetch)
+	g.Submit(st)
 	q.Push(idx, st)
 	q.MarkDirty([]int32{1})
 	for k := range store[1] {
@@ -268,7 +260,7 @@ func TestQuantRepairMatchesSyncGather(t *testing.T) {
 	if q.Match(idx) != st {
 		t.Fatal("window must match its index set")
 	}
-	q.Consume(st, fetch)
+	q.Consume(st)
 	v, ok := st.Lookup(1)
 	if !ok {
 		t.Fatal("row 1 must stage")

@@ -139,10 +139,7 @@ func (f *failoverPart) Name() string { return f.base.Name() }
 // fresh service — before tables register — so ownership routing and the
 // initial shard sync agree from the first row.
 func (s *Service) SetRecovery(cfg RecoveryConfig) {
-	s.mu.Lock()
-	registered := len(s.tables)
-	s.mu.Unlock()
-	if registered > 0 {
+	if s.anyRegistered() {
 		panic("shard: SetRecovery after tables were registered; arm recovery on a fresh service")
 	}
 	if cfg.MaxFailovers == 0 {
@@ -198,12 +195,33 @@ func (s *Service) adoptable(err error) bool {
 		errors.Is(err, ErrPeerDead) && !errors.Is(err, ErrClosed)
 }
 
-// recoverFetch re-routes one failed per-owner fetch after shard adoption:
-// fail the dead owner over, re-group the rows by their post-failover owners
-// and re-fetch. Bounded rounds cover cascading failures (a re-routed fetch
-// landing on another dying peer). Returns nil when every row landed —
-// recovery succeeded and no fabric error is recorded.
-func (s *Service) recoverFetch(table, owner int, rows []int32, st *Staging, local FetchFunc, cause error) error {
+// recoverFetch re-routes one failed per-owner gather fetch (reroute); each
+// re-fetched group counts as refetched rows.
+func (s *Service) recoverFetch(table, owner int, rows []int32, st *Staging, cause error) error {
+	return s.reroute(table, owner, rows, cause, func(o int, rs []int32) error {
+		err := s.tr.Fetch(table, o, rs, st, nil)
+		if err == nil {
+			s.noteRefetch(int64(len(rs)))
+		}
+		return err
+	})
+}
+
+// recoverPush re-routes one failed per-owner scatter push (reroute).
+func (s *Service) recoverPush(table, owner int, rows []int32, src RowAt, cause error) error {
+	return s.reroute(table, owner, rows, cause, func(o int, rs []int32) error {
+		return s.tr.Push(table, o, rs, src)
+	})
+}
+
+// reroute recovers one failed per-owner operation by shard adoption: fail
+// the dead owner over, re-group the rows by their post-failover owners and
+// run op again on each group. Both directions replay safely: fetches and
+// pushes carry absolute mirror values. Bounded rounds cover cascading
+// failures (a re-routed operation landing on another dying peer). Returns
+// nil when every row landed — recovery succeeded and no fabric error is
+// recorded.
+func (s *Service) reroute(table, owner int, rows []int32, cause error, op func(owner int, rows []int32) error) error {
 	if !s.adoptable(cause) {
 		return cause
 	}
@@ -230,59 +248,12 @@ func (s *Service) recoverFetch(table, owner int, rows []int32, st *Staging, loca
 			if len(rs) == 0 {
 				continue
 			}
-			if ferr := s.tr.Fetch(table, o, rs, st, local); ferr != nil {
+			if ferr := op(o, rs); ferr != nil {
 				if !s.adoptable(ferr) {
 					return ferr
 				}
 				pending = append(pending, rs...)
 				deadOwner, err = o, ferr
-				continue
-			}
-			s.noteRefetch(int64(len(rs)))
-		}
-		if len(pending) == 0 {
-			return nil
-		}
-	}
-	return err
-}
-
-// recoverPush is recoverFetch for the scatter direction: after adoption the
-// failed rows re-group by their new owners and push again (idempotent —
-// pushes carry absolute mirror values).
-func (s *Service) recoverPush(table, owner int, rows []int32, src RowAt, cause error) error {
-	if !s.adoptable(cause) {
-		return cause
-	}
-	start := time.Now() //hotline:allow detorder measured recovery wall; never feeds math
-	defer func() {
-		s.noteRecoveryWall(time.Since(start)) //hotline:allow detorder measured recovery wall; never feeds math
-	}()
-	pending := rows
-	deadOwner := owner
-	err := cause
-	for round := 0; round < s.cfg.Nodes; round++ {
-		if ferr := s.failoverDead(deadOwner); ferr != nil {
-			return fmt.Errorf("failover of node %d: %w", deadOwner, ferr)
-		}
-		byOwner := make([][]int32, s.cfg.Nodes)
-		for _, r := range pending {
-			o := s.Owner(table, r)
-			byOwner[o] = append(byOwner[o], r)
-		}
-		pending = pending[:0:0]
-		err = nil
-		for o, rs := range byOwner {
-			if len(rs) == 0 {
-				continue
-			}
-			if ferr := s.tr.Push(table, o, rs, src); ferr != nil {
-				if !s.adoptable(ferr) {
-					return ferr
-				}
-				pending = append(pending, rs...)
-				deadOwner, err = o, ferr
-				continue
 			}
 		}
 		if len(pending) == 0 {
@@ -337,20 +308,16 @@ func (s *Service) failoverDead(dead int) error {
 	oldState := s.failPart.state.Load()
 	newState := &failoverState{dead: newDead, survivors: survivors}
 
-	s.mu.Lock()
-	tables := append([]tableReg(nil), s.tables...)
-	s.mu.Unlock()
-
 	// Migrate before swapping: every row whose owner changes is pushed to
 	// its new owner first, so the overlay only ever routes to nodes that
 	// hold the row.
 	var migRows, migBytes int64
-	for _, t := range tables {
+	for table, t := range s.registered() {
 		byOwner := make([][]int32, s.cfg.Nodes)
 		for r := 0; r < t.rows; r++ {
 			row := int32(r)
-			oldO := s.failPart.ownerWith(oldState, t.table, row)
-			newO := s.failPart.ownerWith(newState, t.table, row)
+			oldO := s.failPart.ownerWith(oldState, table, row)
+			newO := s.failPart.ownerWith(newState, table, row)
 			if oldO != newO {
 				byOwner[newO] = append(byOwner[newO], row)
 			}
@@ -359,8 +326,8 @@ func (s *Service) failoverDead(dead int) error {
 			if len(rs) == 0 {
 				continue
 			}
-			if err := s.tr.Push(t.table, o, rs, t.src); err != nil {
-				return fmt.Errorf("migrating %d rows of table %d to node %d: %w", len(rs), t.table, o, err)
+			if err := s.tr.Push(table, o, rs, t.src); err != nil {
+				return fmt.Errorf("migrating %d rows of table %d to node %d: %w", len(rs), table, o, err)
 			}
 			migRows += int64(len(rs))
 			migBytes += int64(len(rs)) * int64(t.dim) * 4
@@ -384,22 +351,19 @@ func (s *Service) failoverDead(dead int) error {
 // store) and pushes through the direct inner transport so it cannot recurse
 // into the retry layer.
 func (s *Service) resyncOwner(owner int, direct Transport) error {
-	s.mu.Lock()
-	tables := append([]tableReg(nil), s.tables...)
-	s.mu.Unlock()
 	var rrows, rbytes int64
-	for _, t := range tables {
+	for table, t := range s.registered() {
 		var rows []int32
 		for r := 0; r < t.rows; r++ {
-			if s.Owner(t.table, int32(r)) == owner {
+			if s.Owner(table, int32(r)) == owner {
 				rows = append(rows, int32(r))
 			}
 		}
 		if len(rows) == 0 {
 			continue
 		}
-		if err := direct.Push(t.table, owner, rows, t.src); err != nil {
-			return fmt.Errorf("resync of table %d (%d rows) to node %d: %w", t.table, len(rows), owner, err)
+		if err := direct.Push(table, owner, rows, t.src); err != nil {
+			return fmt.Errorf("resync of table %d (%d rows) to node %d: %w", table, len(rows), owner, err)
 		}
 		rrows += int64(len(rows))
 		rbytes += int64(len(rows)) * int64(t.dim) * 4

@@ -236,8 +236,8 @@ func (r *ResilientTransport) Close() error { return r.inner.Close() }
 // Fetch implements Transport with retry: transient failures trigger
 // recovery (re-dial + resync) and the fetch replays — idempotent, the rows
 // stream absolute values. Corruption-class failures surface immediately.
-func (r *ResilientTransport) Fetch(table, owner int, rows []int32, st *Staging, local FetchFunc) error {
-	return r.do(owner, func() error { return r.inner.Fetch(table, owner, rows, st, local) })
+func (r *ResilientTransport) Fetch(table, owner int, rows []int32, st *Staging, _ FetchFunc) error {
+	return r.do(owner, func() error { return r.inner.Fetch(table, owner, rows, st, nil) })
 }
 
 // Push implements Transport with retry. Scatter pushes carry the rows'
@@ -254,11 +254,11 @@ func (r *ResilientTransport) Push(table, owner int, rows []int32, src RowAt) err
 // recovery probe (re-dial + resync, single-flight, budget-free) so serving
 // un-degrades by itself when the peer returns, and otherwise fails fast so
 // the caller can answer from warmed caches instead.
-func (r *ResilientTransport) FetchFast(table, owner int, rows []int32, st *Staging, local FetchFunc) error {
+func (r *ResilientTransport) FetchFast(table, owner int, rows []int32, st *Staging) error {
 	p := r.peers[owner]
 	if PeerState(p.state.Load()) == PeerAlive && !p.gone.Load() {
 		p.mu.RLock()
-		err := r.inner.Fetch(table, owner, rows, st, local)
+		err := r.inner.Fetch(table, owner, rows, st, nil)
 		p.mu.RUnlock()
 		if err == nil {
 			r.noteSuccess(p)
@@ -273,7 +273,7 @@ func (r *ResilientTransport) FetchFast(table, owner int, rows []int32, st *Stagi
 		return err
 	}
 	p.mu.RLock()
-	err := r.inner.Fetch(table, owner, rows, st, local)
+	err := r.inner.Fetch(table, owner, rows, st, nil)
 	p.mu.RUnlock()
 	if err == nil {
 		r.noteSuccess(p)

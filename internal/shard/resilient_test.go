@@ -88,7 +88,7 @@ func TestResilientRedialRevives(t *testing.T) {
 		},
 	})
 	fx.fab.Servers[1].Close()
-	srv, err := ServeNode(1, "unix", t.TempDir()+"/restart.sock")
+	srv, err := ServeNode(1, "unix", t.TempDir()+"/restart.sock", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestResilientRedialRevives(t *testing.T) {
 // — and traffic resumes with ownership (and therefore training bits)
 // unchanged.
 func TestResilientSpareAdoptsIdentity(t *testing.T) {
-	spare, err := ServeNode(1, "unix", t.TempDir()+"/spare.sock")
+	spare, err := ServeNode(1, "unix", t.TempDir()+"/spare.sock", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestServiceSurvivorAdoption(t *testing.T) {
 	// Rows owned by node 1 under round-robin (odd rows).
 	rows := []int32{1, 3, 5, 7}
 	st := stagingFor(rows, 8)
-	if err := svc.transportFetch(0, 1, rows, st, nil); err != nil {
+	if err := svc.transportFetch(0, 1, rows, st); err != nil {
 		t.Fatalf("fetch across survivor adoption: %v", err)
 	}
 	checkFetched(t, st, rows, 8)
@@ -268,7 +268,7 @@ func TestServiceAdoptionNotArmedFailsFast(t *testing.T) {
 	defer svc.Close()
 	f.Servers[1].Close()
 	rows := []int32{1, 3}
-	if err := svc.transportFetch(0, 1, rows, stagingFor(rows, 8), nil); !errors.Is(err, ErrPeerDead) {
+	if err := svc.transportFetch(0, 1, rows, stagingFor(rows, 8)); !errors.Is(err, ErrPeerDead) {
 		t.Fatalf("fetch without adoption = %v, want ErrPeerDead", err)
 	}
 	if svc.FabricErr() == nil {
@@ -321,15 +321,10 @@ func TestServeDegradesToMirror(t *testing.T) {
 	defer svc.Close()
 	// The serve window wants odd (node-1-owned) rows for node 0.
 	rows := []int32{1, 3, 5}
-	local := func(row int32, dst []float32) {
-		for k := range dst {
-			dst[k] = float32(row)*1000 + float32(k)
-		}
-	}
 
 	f.Servers[1].Close()
 	st := svc.PlanServeGather(0, [][]int32{rows})
-	svc.ServeGatherSync(st, local)
+	svc.ServeGatherSync(st)
 	checkFetched(t, st, rows, 8)
 	st.Release()
 	if got := svc.ServeSnapshot().StaleServeRows; got != int64(len(rows)) {
@@ -344,7 +339,7 @@ func TestServeDegradesToMirror(t *testing.T) {
 
 	// Peer returns on a new port; the next serve gather probes, re-dials,
 	// resyncs and stops counting stale rows.
-	srv, err := ServeNode(1, "unix", t.TempDir()+"/back.sock")
+	srv, err := ServeNode(1, "unix", t.TempDir()+"/back.sock", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +347,7 @@ func TestServeDegradesToMirror(t *testing.T) {
 	restarted = srv
 	before := svc.ServeSnapshot().StaleServeRows
 	st = svc.PlanServeGather(0, [][]int32{rows})
-	svc.ServeGatherSync(st, local)
+	svc.ServeGatherSync(st)
 	checkFetched(t, st, rows, 8)
 	st.Release()
 	if got := svc.ServeSnapshot().StaleServeRows; got != before {

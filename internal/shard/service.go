@@ -2,6 +2,8 @@ package shard
 
 import (
 	"fmt"
+	"iter"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -309,26 +311,16 @@ type Service struct {
 
 	mu     sync.Mutex
 	caches []*DeviceCache
-	// tables records every registered sharded table (RegisterTable).
-	tables []tableReg
+	// tables[t] is table t's record: its routing array, and what
+	// RegisterTable declared. RegisterTable sizes it; an unregistered table's
+	// record grows at first touch (sizeTable).
+	tables []tableState
 	stats  Stats
 	// serveStats accounts the read-only inference path separately from the
 	// training counters: Serve gathers move real fabric bytes and warm the
 	// shared device caches, but never scatter gradients, so folding them
 	// into the training snapshot would skew every training-side fraction.
 	serveStats Stats
-	// owners[t][r] is the node the partitioner assigns row r of table t —
-	// the placement walked once into an array, so the accounting walks route
-	// a lookup with a load instead of an interface call. RegisterTable sizes
-	// a table's array; an unregistered table's grows at first touch. The
-	// failover overlay is applied on top (failoverPart.routed).
-	owners [][]int32
-	// dims[t] is the row width a window over table t stages at, sized with
-	// owners: the configured row footprint's until RegisterTable declares the
-	// table's own. srcs[t] is the row view RegisterTable declared (nil
-	// before): what a window's warm-tier rows are read from.
-	dims []int
-	srcs []RowAt
 	// stamps is the per-call (requesting node, row) dedup set of the gather
 	// and scatter walks: cell row*Nodes+node holds the epoch of the call that
 	// last saw the pair, so one epoch bump empties the set. One array serves
@@ -339,6 +331,25 @@ type Service struct {
 	// for one scrub of the array every 255 calls (nextEpoch).
 	stamps []uint8
 	epoch  uint8
+}
+
+// tableState is one table's record in the service.
+type tableState struct {
+	// owners[r] is the node the partitioner assigns row r — the placement
+	// walked once into an array, so the accounting walks route a lookup with
+	// a load instead of an interface call. The failover overlay is applied
+	// on top (failoverPart.routed).
+	owners []int32
+	// dim is the row width a window over the table stages at: the configured
+	// row footprint's until RegisterTable declares the table's own.
+	dim int
+	// rows, src and registered are what RegisterTable declared: the table's
+	// length and its row view, the one source every window copies rows from
+	// and every push, migration and resync sends. An unregistered table has
+	// none; its owner array spans the rows touched so far.
+	rows       int
+	src        RowAt
+	registered bool
 }
 
 // New builds a Service. hot may be nil (admit every remote row).
@@ -563,10 +574,10 @@ func (s *Service) planGather(table int, indices [][]int32, collect, serve bool) 
 		}
 	}
 	if plan != nil {
-		// A planned row went through sizeTable, so dims and srcs span the
-		// table.
-		plan.sizeBuffer(s.dims[table])
-		plan.src = s.srcs[table]
+		// A planned row went through sizeTable, so the table has a record.
+		t := &s.tables[table]
+		plan.sizeBuffer(t.dim)
+		plan.src = t.src
 	}
 	return plan
 }
@@ -623,25 +634,23 @@ func (s *Service) nextEpoch() uint8 {
 //
 //hotline:hotpath
 func (s *Service) tableOwners(table int) []int32 {
-	if table < len(s.owners) {
-		return s.owners[table]
+	if table < len(s.tables) {
+		return s.tables[table].owners
 	}
 	return nil
 }
 
-// sizeTable extends table's routing state to span rows rows: its slot in
-// owners, dims and srcs, the owner array (walking the partitioner for the new
-// rows), every cache's index, and the stamps, which always span the longest
-// owner array so the accounting walks bounds-check a row once. A grown stamp
-// array keeps its cells — they are row-major, so the running call's dedup set
-// survives. Caller holds s.mu.
+// sizeTable extends table's routing state to span rows rows: its record in
+// tables, the owner array (walking the partitioner for the new rows), every
+// cache's index, and the stamps, which always span the longest owner array
+// so the accounting walks bounds-check a row once. A grown stamp array keeps
+// its cells — they are row-major, so the running call's dedup set survives.
+// Caller holds s.mu.
 func (s *Service) sizeTable(table, rows int) []int32 {
-	for table >= len(s.owners) {
-		s.owners = append(s.owners, nil)
-		s.dims = append(s.dims, s.cfg.Dim())
-		s.srcs = append(s.srcs, nil)
+	for table >= len(s.tables) {
+		s.tables = append(s.tables, tableState{dim: s.cfg.Dim()})
 	}
-	own := s.owners[table]
+	own := s.tables[table].owners
 	if rows <= len(own) {
 		return own
 	}
@@ -654,7 +663,7 @@ func (s *Service) sizeTable(table, rows int) []int32 {
 	for r := len(own); r < rows; r++ {
 		grown[r] = int32(base.Owner(table, int32(r)))
 	}
-	s.owners[table] = grown
+	s.tables[table].owners = grown
 	if s.cfg.Nodes == 1 {
 		return grown // every access is local: nothing probes a cache or dedups
 	}
@@ -675,6 +684,31 @@ func (s *Service) sizeTable(table, rows int) []int32 {
 func (s *Service) growOwners(table int, row int32) []int32 {
 	n := len(s.tableOwners(table))
 	return s.sizeTable(table, max(int(row)+1, n+n/2))
+}
+
+// registered yields every registered table's index and record, in table
+// order, from a copy of the records taken under s.mu — the setup and
+// recovery paths push each one's rows without holding the lock.
+func (s *Service) registered() iter.Seq2[int, tableState] {
+	s.mu.Lock()
+	tables := slices.Clone(s.tables)
+	s.mu.Unlock()
+	return func(yield func(int, tableState) bool) {
+		for table, t := range tables {
+			if t.registered && !yield(table, t) {
+				return
+			}
+		}
+	}
+}
+
+// anyRegistered reports whether a table has registered: the point after
+// which the transport and the recovery policy are fixed.
+func (s *Service) anyRegistered() bool {
+	for range s.registered() {
+		return true
+	}
+	return false
 }
 
 // RecordScatter accounts the gradient push-back for one bag's backward
@@ -813,17 +847,6 @@ func (s *Service) CacheEntries() int {
 	var n int
 	for _, c := range s.caches {
 		n += c.Len()
-	}
-	return n
-}
-
-// CacheEvictions sums per-cache eviction counters (lifetime, not window).
-func (s *Service) CacheEvictions() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var n int64
-	for _, c := range s.caches {
-		n += c.Evicts
 	}
 	return n
 }

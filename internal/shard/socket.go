@@ -444,9 +444,8 @@ func maxRowsPerFrame(dim int) int {
 // neither a fetch frame nor its reply exceeds MaxFrame, and pipelined: the
 // chunk requests are written ahead (within maxFetchAhead) and their replies
 // read back in order, one round trip for the lot instead of one per chunk.
-// The local FetchFunc is ignored — the whole point is that the bytes come
-// off the socket.
-func (t *SocketTransport) Fetch(table, owner int, rows []int32, st *Staging, local FetchFunc) error {
+// The bytes come off the socket, never from the coordinator's row view.
+func (t *SocketTransport) Fetch(table, owner int, rows []int32, st *Staging, _ FetchFunc) error {
 	p := t.peers[owner]
 	chunk := maxRowsPerFrame(st.dim)
 	p.mu.Lock()
@@ -565,7 +564,7 @@ func StartLocalFabric(nodes int, network string, timeout time.Duration, wrap fun
 		if err != nil {
 			return nil, err
 		}
-		srv, err := ServeNode(n, network, addr)
+		srv, err := ServeNode(n, network, addr, 0)
 		if err != nil {
 			f.Close()
 			return nil, err

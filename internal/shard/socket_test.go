@@ -179,7 +179,7 @@ func TestSocketTransportClosedOps(t *testing.T) {
 }
 
 func TestNodeServerCloseIdempotent(t *testing.T) {
-	srv, err := ServeNode(0, "unix", t.TempDir()+"/n.sock")
+	srv, err := ServeNode(0, "unix", t.TempDir()+"/n.sock", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestServiceCloseIdempotent(t *testing.T) {
 	if st == nil {
 		t.Fatal("window lost across Close")
 	}
-	q.Consume(st, f.fetch)
+	q.Consume(st)
 	if v, ok := st.Lookup(3); !ok || v[0] != 300 {
 		t.Fatalf("staged row 3 = %v, %v", v, ok)
 	}
@@ -415,7 +415,7 @@ func TestSocketRedialForgetsOwedAcks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := ServeNode(0, "unix", addr)
+	srv, err := ServeNode(0, "unix", addr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

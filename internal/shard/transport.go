@@ -26,9 +26,18 @@ var (
 )
 
 // RowAt returns the authoritative payload of one row from the coordinator's
-// mirror (e.g. ShardedBag.RowView). It is the source for scatter pushes and
-// the initial shard sync; the returned slice is read, never retained.
+// mirror (e.g. ShardedBag.RowView). A table declares it once, to
+// RegisterTable, and it is the only row source there is: scatter pushes, the
+// initial shard sync, migration and resync push from it, and the in-proc
+// fetch, the warm-tier fill and the degraded serve read copy from it. The
+// returned slice is read, never retained.
 type RowAt func(row int32) []float32
+
+// FetchFunc is the type of Transport.Fetch's last parameter, which no
+// implementation reads: every caller in this module passes nil. It stays in
+// the signature because implementations outside the package (the benchmark
+// harness's traced transport) are written against it.
+type FetchFunc func(row int32, dst []float32)
 
 // Transport moves embedding rows between the coordinator and the shard
 // nodes: per-owner gather fetch lists stream owner-resident rows into
@@ -37,12 +46,10 @@ type RowAt func(row int32) []float32
 // The Service times every call (Stats.GatherWall / Stats.ScatterWall), so a
 // transport's implementation cost is what the fabric measurement reports.
 //
-// Two implementations ship: the in-proc fast path (NewInproc), which serves
-// fetches straight from the coordinator's row mirror — bit-for-bit and
-// allocation-for-allocation identical to the direct calls the service made
-// before the abstraction — and the socket fabric (DialFabric), where each
-// owner is a real OS process reached over a length-prefixed binary framing
-// on unix or TCP sockets.
+// Two implementations ship: the in-proc fast path (NewInproc), which copies
+// fetched rows straight from the row view the table registered, and the
+// socket fabric (DialFabric), where each owner is a real OS process reached
+// over a length-prefixed binary framing on unix or TCP sockets.
 //
 // Implementations must be safe for concurrent use: gather drainer
 // goroutines, the training path and the serve path all issue operations
@@ -55,10 +62,11 @@ type Transport interface {
 	// space transports (the mirror IS the owner storage).
 	Multiproc() bool
 	// Fetch copies the listed owner-resident rows of one table into their
-	// staging slots (st.Lookup(row) locates each destination). local reads
-	// the coordinator's mirror; the in-proc fast path serves fetches from
-	// it directly, socket transports ignore it and ask the owner process.
-	Fetch(table, owner int, rows []int32, st *Staging, local FetchFunc) error
+	// staging slots (st.Lookup(row) locates each destination). The in-proc
+	// fast path reads them from the table's registered row view, socket
+	// transports ask the owner process. The last parameter is unused and
+	// always nil (see FetchFunc).
+	Fetch(table, owner int, rows []int32, st *Staging, _ FetchFunc) error
 	// Push delivers authoritative row payloads of one table to their owner
 	// (the pre-reduced scatter, and the initial shard sync). src yields
 	// each row's current bits and may reuse one buffer across calls. A nil
@@ -73,10 +81,10 @@ type Transport interface {
 	Close() error
 }
 
-// inproc is the single-address-space fast path: fetches read the
-// coordinator's row mirror via the caller-supplied FetchFunc — exactly the
-// direct call the service performed before the Transport seam — and pushes
-// are no-ops (the mirror is the owner storage). Stateless and always open.
+// inproc is the single-address-space fast path: a fetch copies each row
+// from the row view its table registered (the window carries it), and
+// pushes are no-ops (the mirror is the owner storage). Stateless and always
+// open.
 type inproc struct{}
 
 // NewInproc returns the in-proc fast-path transport (the default of every
@@ -87,10 +95,10 @@ func (inproc) Name() string    { return "inproc" }
 func (inproc) Multiproc() bool { return false }
 
 //hotline:hotpath
-func (inproc) Fetch(table, owner int, rows []int32, st *Staging, local FetchFunc) error {
+func (inproc) Fetch(_, _ int, rows []int32, st *Staging, _ FetchFunc) error {
 	for _, r := range rows {
 		if v, ok := st.Lookup(r); ok {
-			local(r, v)
+			copy(v, st.src(r))
 		}
 	}
 	return nil
@@ -98,13 +106,6 @@ func (inproc) Fetch(table, owner int, rows []int32, st *Staging, local FetchFunc
 
 func (inproc) Push(int, int, []int32, RowAt) error { return nil }
 func (inproc) Close() error                        { return nil }
-
-// tableReg is one registered sharded table (geometry + row source), kept so
-// a multi-process fabric can re-derive ownership for pushes and diagnostics.
-type tableReg struct {
-	table, dim, rows int
-	src              RowAt
-}
 
 // SetTransport installs the fabric transport rows travel over; the default
 // is the in-proc fast path. Call it on a fresh service — before any table
@@ -114,10 +115,7 @@ func (s *Service) SetTransport(tr Transport) {
 	if tr == nil {
 		tr = NewInproc()
 	}
-	s.mu.Lock()
-	registered := len(s.tables)
-	s.mu.Unlock()
-	if registered > 0 {
+	if s.anyRegistered() {
 		panic("shard: SetTransport after tables were registered; install the transport on a fresh service")
 	}
 	s.tr = tr
@@ -138,19 +136,20 @@ func (s *Service) Multiproc() bool { return s.multiproc }
 // RegisterTable declares one sharded table's geometry and row source to the
 // fabric and sizes its routing state exactly — the dense owner array (the
 // partitioner walked once), every device cache's index, the dedup stamps — so
-// the accounting walks never grow anything for a registered table, and
-// windows planned over it stage rows dim wide and round their warm-tier rows
-// straight from src (a quantized window needs its table registered). On the
-// in-proc transport that is all; on a multi-process fabric it bulk-pushes
-// every row to its owner node process (the initial shard sync), so worker
-// stores serve fetches from exactly the bits the coordinator's mirror — the
-// table src reads — holds. ShardBag calls this; shadows share the primary's
+// the accounting walks never grow anything for a registered table. Windows
+// planned over it stage rows dim wide and copy them from src: the in-proc
+// fetch, the warm-tier round trip and the degraded serve read all read it, so
+// a window that is filled needs its table registered. On the in-proc
+// transport that is all; on a multi-process fabric it bulk-pushes every row
+// to its owner node process (the initial shard sync), so worker stores serve
+// fetches from exactly the bits the coordinator's mirror — the table src
+// reads — holds. ShardBag calls this; shadows share the primary's
 // registration.
 func (s *Service) RegisterTable(table, dim, rows int, src RowAt) {
 	s.mu.Lock()
 	s.sizeTable(table, rows)
-	s.dims[table], s.srcs[table] = dim, src
-	s.tables = append(s.tables, tableReg{table: table, dim: dim, rows: rows, src: src})
+	t := &s.tables[table]
+	t.dim, t.rows, t.src, t.registered = dim, rows, src, true
 	s.mu.Unlock()
 	if !s.multiproc {
 		return
@@ -226,12 +225,12 @@ func (s *Service) PushUpdates(table int, rows []int32, src RowAt) {
 // into the given wall-clock meter. A failure first offers itself to shard
 // adoption (recoverFetch re-routes the rows to surviving owners); only an
 // unrecovered failure is recorded as a fabric error.
-func (s *Service) fetchVia(wall *atomic.Int64, table, owner int, rows []int32, st *Staging, local FetchFunc) error {
+func (s *Service) fetchVia(wall *atomic.Int64, table, owner int, rows []int32, st *Staging) error {
 	start := time.Now() //hotline:allow detorder measured gather wall; never feeds math
-	err := s.tr.Fetch(table, owner, rows, st, local)
+	err := s.tr.Fetch(table, owner, rows, st, nil)
 	wall.Add(time.Since(start).Nanoseconds()) //hotline:allow detorder measured gather wall; never feeds math
 	if err != nil {
-		err = s.recoverFetch(table, owner, rows, st, local, err)
+		err = s.recoverFetch(table, owner, rows, st, err)
 	}
 	if err != nil {
 		s.noteFabricErr(fmt.Errorf("gather fetch of table %d from node %d: %w", table, owner, err))
@@ -240,8 +239,8 @@ func (s *Service) fetchVia(wall *atomic.Int64, table, owner int, rows []int32, s
 }
 
 // transportFetch is fetchVia on the training-side gather meter.
-func (s *Service) transportFetch(table, owner int, rows []int32, st *Staging, local FetchFunc) error {
-	return s.fetchVia(&s.gatherWallNS, table, owner, rows, st, local)
+func (s *Service) transportFetch(table, owner int, rows []int32, st *Staging) error {
+	return s.fetchVia(&s.gatherWallNS, table, owner, rows, st)
 }
 
 // ServeGatherSync fills a serve window synchronously through the transport
@@ -252,10 +251,12 @@ func (s *Service) transportFetch(table, owner int, rows []int32, st *Staging, lo
 // On a resilient fabric the serve path degrades instead of erroring: each
 // per-owner fetch gets exactly one attempt (FetchFast — at most an
 // opportunistic re-dial probe, never a backoff sleep), and an unreachable
-// owner's rows are answered from the coordinator's warmed mirror, counted
-// as StaleServeRows in the serve snapshot. When the peer returns, the probe
-// reconnects it and the counter stops — serving un-degrades by itself.
-func (s *Service) ServeGatherSync(w *Staging, local FetchFunc) {
+// owner's rows are answered from the coordinator's warmed mirror — the
+// table's registered row view, copied as the in-proc fetch copies it —
+// counted as StaleServeRows in the serve snapshot. When the peer returns,
+// the probe reconnects it and the counter stops — serving un-degrades by
+// itself.
+func (s *Service) ServeGatherSync(w *Staging) {
 	w.fillQuant()
 	rt, degrade := s.tr.(*ResilientTransport)
 	for owner, rows := range w.perOwner {
@@ -264,19 +265,15 @@ func (s *Service) ServeGatherSync(w *Staging, local FetchFunc) {
 		}
 		if degrade {
 			start := time.Now() //hotline:allow detorder measured serve wall; never feeds math
-			err := rt.FetchFast(w.table, owner, rows, w, local)
+			err := rt.FetchFast(w.table, owner, rows, w)
 			s.serveWallNS.Add(time.Since(start).Nanoseconds()) //hotline:allow detorder measured serve wall; never feeds math
 			if err != nil {
-				for _, r := range rows {
-					if v, ok := w.Lookup(r); ok {
-						local(r, v)
-					}
-				}
+				inproc{}.Fetch(w.table, owner, rows, w, nil)
 				s.noteStaleServe(int64(len(rows)))
 			}
 			continue
 		}
-		s.fetchVia(&s.serveWallNS, w.table, owner, rows, w, local)
+		s.fetchVia(&s.serveWallNS, w.table, owner, rows, w)
 	}
 }
 

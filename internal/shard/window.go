@@ -51,7 +51,9 @@ type Staging struct {
 	quant  []int32
 	qwidth []Width
 	// src is the row view the table registered, set by the planner: where
-	// fillQuant and the warm-row repair read those authoritative bits.
+	// the in-proc fetch, fillQuant and the warm-row repair read the
+	// authoritative bits (nil for a table nobody registered, whose window
+	// can be planned but not filled).
 	src RowAt
 
 	dim int
@@ -359,11 +361,12 @@ func (q *WindowQueue) MarkDirty(rows []int32) {
 }
 
 // Consume joins a window popped by Match and repairs every dirty row — a
-// fabric row re-fetched from its owner shard via fetch, a warm-tier row
-// round-tripped again from the table's row view — so the staged values are
-// bit-identical to what a synchronous gather would read now. In stale mode
-// the repair is skipped and the distinct dirtied rows are counted instead.
-func (q *WindowQueue) Consume(w *Staging, fetch FetchFunc) {
+// fabric row re-fetched from its owner shard over the transport, a warm-tier
+// row round-tripped again from the table's row view — so the staged values
+// are bit-identical to what a synchronous gather would read now. In stale
+// mode the repair is skipped and the distinct dirtied rows are counted
+// instead.
+func (q *WindowQueue) Consume(w *Staging) {
 	w.Await()
 	if len(w.dirty) == 0 {
 		return
@@ -393,7 +396,7 @@ func (q *WindowQueue) Consume(w *Staging, fetch FetchFunc) {
 		// Per-row fabric re-fetch from the row's owner; the one-element
 		// sub-slice of the dirty list keeps the steady-state path
 		// allocation-free.
-		q.svc.transportFetch(q.table, q.svc.Owner(q.table, r), w.dirty[i:i+1], w, fetch)
+		q.svc.transportFetch(q.table, q.svc.Owner(q.table, r), w.dirty[i:i+1], w)
 		repairBytes += q.svc.Config().RowBytes
 	}
 	q.svc.gather.noteRepair(len(w.dirty), repairBytes)

@@ -1,17 +1,17 @@
 package shard
 
 import (
+	"math"
 	"runtime"
 	"testing"
 )
 
-// windowFixture builds a 2-node pure-remote service, a float32 backing store
-// of `rows` rows, and a fetch function reading it.
+// windowFixture builds a 2-node pure-remote service and a float32 backing
+// store of `rows` rows, registered as table 0's row view.
 type windowFixture struct {
 	svc   *Service
 	g     *AsyncGatherer
 	store [][]float32
-	fetch FetchFunc
 }
 
 func newWindowFixture(t *testing.T, rows, dim int) *windowFixture {
@@ -26,7 +26,7 @@ func newWindowFixture(t *testing.T, rows, dim int) *windowFixture {
 			f.store[r][k] = float32(r*100 + k)
 		}
 	}
-	f.fetch = func(row int32, dst []float32) { copy(dst, f.store[row]) }
+	f.svc.RegisterTable(0, dim, rows, func(row int32) []float32 { return f.store[row] })
 	return f
 }
 
@@ -34,7 +34,7 @@ func newWindowFixture(t *testing.T, rows, dim int) *windowFixture {
 func (f *windowFixture) issue(q *WindowQueue, idx [][]int32) {
 	w := f.svc.PlanGather(0, idx)
 	if w != nil {
-		f.g.Submit(w, f.fetch)
+		f.g.Submit(w)
 	}
 	q.Push(idx, w)
 }
@@ -61,7 +61,7 @@ func TestWindowQueueMatchIsFIFOAndExact(t *testing.T) {
 	if wa == nil {
 		t.Fatal("oldest window must match its index set")
 	}
-	q.Consume(wa, f.fetch)
+	q.Consume(wa)
 	if v, ok := wa.Lookup(1); !ok || v[0] != 100 {
 		t.Fatalf("staged row 1 = %v ok=%v", v, ok)
 	}
@@ -69,7 +69,7 @@ func TestWindowQueueMatchIsFIFOAndExact(t *testing.T) {
 	if wb := q.Match(idxB); wb == nil {
 		t.Fatal("second window must match after the first is consumed")
 	} else {
-		q.Consume(wb, f.fetch)
+		q.Consume(wb)
 		wb.Release()
 	}
 	if q.Len() != 0 {
@@ -89,7 +89,7 @@ func TestWindowQueueDirtyRowRepair(t *testing.T) {
 	f.store[1][0] = -42
 
 	st := q.Match(idx)
-	q.Consume(st, f.fetch)
+	q.Consume(st)
 	if v, _ := st.Lookup(1); v[0] != -42 {
 		t.Fatalf("dirty row not repaired: %v", v)
 	}
@@ -106,6 +106,48 @@ func TestWindowQueueDirtyRowRepair(t *testing.T) {
 	st.Release()
 }
 
+// TestInprocFetchReadsTheRegisteredView: the registered row view is the only
+// row source. The in-proc transport, handed no fetch function, stages a
+// registered table's rows bit for bit, and a dirty-row repair after a row of
+// the view changed restages the view's new bits.
+func TestInprocFetchReadsTheRegisteredView(t *testing.T) {
+	f := newWindowFixture(t, 8, 4)
+	f.store[3][2] = float32(math.Inf(-1))
+	f.store[5][1] = math.Float32frombits(0x7fc00123) // a NaN with a payload
+	idx := [][]int32{{1, 3, 5}, {0, 2, 4}}           // odd rows remote to node 0, even to node 1
+	w := f.svc.PlanGather(0, idx)
+	for owner, rows := range w.perOwner {
+		if err := NewInproc().Fetch(0, owner, rows, w, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sameBits := func(when string) {
+		t.Helper()
+		for _, r := range []int32{0, 1, 2, 3, 4, 5} {
+			v, ok := w.Lookup(r)
+			if !ok {
+				t.Fatalf("%s: row %d not staged", when, r)
+			}
+			for k, want := range f.store[r] {
+				if math.Float32bits(v[k]) != math.Float32bits(want) {
+					t.Fatalf("%s: row %d[%d] = %v, the view holds %v", when, r, k, v[k], want)
+				}
+			}
+		}
+	}
+	sameBits("fetch")
+	w.Release()
+
+	q := f.svc.NewWindowQueue(0)
+	f.issue(q, idx)
+	q.MarkDirty([]int32{3})
+	f.store[3][0], f.store[3][2] = -7.25, math.Float32frombits(0x7f800001)
+	w = q.Match(idx)
+	q.Consume(w)
+	sameBits("repair")
+	w.Release()
+}
+
 func TestWindowQueueStaleMode(t *testing.T) {
 	f := newWindowFixture(t, 8, 4)
 	f.svc.SetStaleReads(true)
@@ -117,7 +159,7 @@ func TestWindowQueueStaleMode(t *testing.T) {
 	f.store[1][0] = -42
 
 	st := q.Match(idx)
-	q.Consume(st, f.fetch)
+	q.Consume(st)
 	if v, _ := st.Lookup(1); v[0] != 100 {
 		t.Fatalf("stale mode must serve the issue-time value, got %v", v)
 	}
@@ -155,7 +197,7 @@ func TestWindowQueueEmptyPlanWindow(t *testing.T) {
 	if w == nil {
 		t.Fatal("empty-plan window must still match")
 	}
-	if q.Consume(w, f.fetch); w.Rows() != 0 {
+	if q.Consume(w); w.Rows() != 0 {
 		t.Fatalf("empty-plan window staged %d rows", w.Rows())
 	}
 	w.Release()
@@ -184,7 +226,7 @@ func TestReleasedWindowComesBackReset(t *testing.T) {
 	f.issue(q, idx)
 	q.MarkDirty([]int32{1})
 	w := q.Match(idx)
-	q.Consume(w, f.fetch)
+	q.Consume(w)
 	if w.Rows() != 2 || w.bytes != 2*16 || w.table != 0 || len(w.buf) != 2*4 {
 		t.Fatalf("window before release: rows %d bytes %d table %d buf %d", w.Rows(), w.bytes, w.table, len(w.buf))
 	}
@@ -227,23 +269,23 @@ func TestRecordOnlyServiceParksNoGoroutine(t *testing.T) {
 	before := runtime.NumGoroutine()
 	s := New(Config{Nodes: nodes, CacheBytes: 0, RowBytes: 16}, nil)
 	defer s.Close()
+	s.RegisterTable(0, 4, 8, flatRows(8, 4))
 	idx := [][]int32{{1, 2, 3}, {4, 6, 7}, {0, 1}, {2, 5}}
-	fetch := func(row int32, dst []float32) { dst[0] = float32(row) }
 	s.RecordGather(0, idx)
 	s.RecordServeGather(0, idx)
 	s.RecordScatter(0, idx)
 	w := s.PlanGather(0, idx)
-	s.Gatherer().GatherSync(w, fetch)
+	s.Gatherer().GatherSync(w)
 	w.Release()
 	w = s.PlanServeGather(0, idx)
-	s.ServeGatherSync(w, fetch)
+	s.ServeGatherSync(w)
 	w.Release()
 	if got := runtime.NumGoroutine(); got != before {
 		t.Fatalf("a service that never submitted runs %d goroutines, %d before it was built", got, before)
 	}
 
 	w = s.PlanGather(0, idx)
-	s.Gatherer().Submit(w, fetch)
+	s.Gatherer().Submit(w)
 	if got := runtime.NumGoroutine(); got > before+nodes {
 		t.Fatalf("the first Submit started %d goroutines over %d owners", got-before, nodes)
 	}
@@ -257,7 +299,7 @@ func TestAsyncGathererCloseStillCompletes(t *testing.T) {
 	f := newWindowFixture(t, 8, 4)
 	f.g.Close()
 	st := f.svc.PlanGather(0, [][]int32{{0, 1}, {0, 1}})
-	f.g.Submit(st, f.fetch)
+	f.g.Submit(st)
 	st.Await()
 	if v, ok := st.Lookup(1); !ok || v[0] != 100 {
 		t.Fatalf("post-close window staged %v ok=%v", v, ok)

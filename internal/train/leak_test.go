@@ -11,7 +11,7 @@ import (
 
 // TestClosedServiceIsCollectable is the regression test for the immortal
 // service: the gather engine's recycled job buffers kept stale
-// fetchJob{w, owner, fetch} entries (a window points at its engine, the
+// fetchJob entries (a job points at its window, a window at its engine, the
 // engine at its service), the engine's runtime cleanup holds those
 // queues as its argument, and svc.gather is the engine — so every service
 // that ever prefetched stayed reachable from its own cleanup, with its
