@@ -144,38 +144,13 @@ func MNCachePolicy() *report.Table {
 	t := &report.Table{Header: []string{
 		"policy", "cache hit", "gather", "evictions", "a2a KB/iter"}}
 	cfg := data.CriteoKaggle()
-	probe := cfg
-	probe.Samples = 4096
-	const nodes = 4
 	for _, pol := range []shard.Policy{shard.PolicyLRU, shard.PolicySRRIP} {
-		prof := data.ProfileEpoch(data.NewGenerator(probe), 512)
-		placement := embedding.PlacementFromCounts(
-			prof.Counts(), probe.NumTables, probe.EmbedDim, data.ScaledHotBudget(probe))
-		svc := shard.New(shard.Config{
-			Nodes: nodes, CacheBytes: pipeline.DefaultShardCacheBytes(probe) / 4,
-			RowBytes: int64(probe.EmbedDim) * 4, Policy: pol,
-		}, placement)
-		for tbl := 0; tbl < probe.NumTables; tbl++ {
-			svc.Preload(tbl, placement.HotRows(tbl))
-		}
-		gen := data.NewGenerator(probe)
-		run := func(iters int) {
-			for i := 0; i < iters; i++ {
-				b := gen.NextBatch(mnBatch)
-				for tbl := range b.Sparse {
-					svc.RecordGather(tbl, b.Sparse[tbl])
-					svc.RecordScatter(tbl, b.Sparse[tbl])
-				}
-			}
-		}
-		run(2) // warm up
-		svc.ResetStats()
-		run(4)
-		st := svc.Snapshot()
+		m := pipeline.MeasureShard(cfg, pipeline.ShardProbe{
+			Nodes: 4, CacheBytes: pipeline.DefaultShardCacheBytes(cfg) / 4, Batch: mnBatch, Policy: pol})
 		t.AddRow(pol.String(),
-			pct(st.HitRate(), 1), pct(st.GatherFrac(), 1),
-			fmt.Sprint(st.Evictions),
-			fmt.Sprintf("%.1f", float64(st.A2ABytes())/4/1024))
+			pct(m.HitRate, 1), pct(m.GatherFrac, 1),
+			fmt.Sprint(m.Evictions),
+			fmt.Sprintf("%.1f", float64(m.A2ABytesPerIter)/1024))
 	}
 	t.Notes = "same replacement-policy question as the EAL (Fig 15), asked of the " +
 		"device cache: re-reference prediction vs strict recency under a Zipf tail"

@@ -117,7 +117,7 @@ func MeasureChaos(cfg data.Config, p ChaosProbe) (ChaosMeasurement, error) {
 		return ChaosMeasurement{}, fmt.Errorf("chaos %s run (%s): %w", p.Policy, sched, err)
 	}
 	run.attach = func(svc *shard.Service) {
-		svc.SetRecovery(shard.RecoveryConfig{Policy: p.Policy})
+		svc.SetRecovery(p.Policy)
 		svc.SetTransport(rt)
 	}
 	run.window = func(svc *shard.Service, i int, b *data.Batch) {

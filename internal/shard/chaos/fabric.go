@@ -4,7 +4,6 @@ package chaos
 
 import (
 	"fmt"
-	"net"
 	"os"
 	"sync"
 	"time"
@@ -16,33 +15,19 @@ import (
 // node is a real NodeServer behind a real socket, killable mid-run and
 // restartable on a fresh address with an empty store (exactly what a
 // SIGTERM'd and re-spawned hotline-node process looks like to the
-// coordinator). The fabric's connection wrapper injects the schedule's link
-// faults — and because re-dials run through the same wrapper, a revived
-// connection stays subject to the schedule.
+// coordinator).
 type Fabric struct {
 	network  string
-	nodes    int
 	timeouts shard.FabricTimeouts
 	dir      string
 
-	mu        sync.Mutex
-	servers   []*shard.NodeServer // nil while killed
-	addrs     []string            // current dial address per node
-	gen       []int               // address generation (restarts move)
-	delay     []time.Duration     // injected per-read link delay
-	delayLeft []int               // remaining windows of the link delay
-	corrupt   []bool              // poison the next reply read
-	timers    []*time.Timer
-	schedule  Schedule
-	timeline  []TimelineEntry
-	closed    bool
-}
-
-// TimelineEntry is one applied chaos action with its wall timestamp —
-// the raw material for recovery-latency reporting.
-type TimelineEntry struct {
-	At   time.Time
-	What string
+	mu       sync.Mutex
+	servers  []*shard.NodeServer // nil while killed
+	addrs    []string            // current dial address per node
+	gen      []int               // address generation (restarts move)
+	timers   []*time.Timer
+	schedule Schedule
+	closed   bool
 }
 
 // NewFabric starts nodes NodeServers on the given socket family with no
@@ -52,15 +37,11 @@ func NewFabric(nodes int, network string, timeouts shard.FabricTimeouts) (*Fabri
 		return nil, fmt.Errorf("%w: chaos fabric network %q", shard.ErrFabricConfig, network)
 	}
 	f := &Fabric{
-		network:   network,
-		nodes:     nodes,
-		timeouts:  timeouts.WithDefaults(),
-		servers:   make([]*shard.NodeServer, nodes),
-		addrs:     make([]string, nodes),
-		gen:       make([]int, nodes),
-		delay:     make([]time.Duration, nodes),
-		delayLeft: make([]int, nodes),
-		corrupt:   make([]bool, nodes),
+		network:  network,
+		timeouts: timeouts.WithDefaults(),
+		servers:  make([]*shard.NodeServer, nodes),
+		addrs:    make([]string, nodes),
+		gen:      make([]int, nodes),
 	}
 	if network == "unix" {
 		d, err := os.MkdirTemp("", "hlchaos")
@@ -108,13 +89,6 @@ func (f *Fabric) Addrs() []string {
 	return append([]string(nil), f.addrs...)
 }
 
-// Server returns node's live NodeServer (nil while killed).
-func (f *Fabric) Server(node int) *shard.NodeServer {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.servers[node]
-}
-
 // Resolve reports a node's current dial address — the ResilientTransport's
 // Resolve hook, pointing re-dials at restarted processes.
 func (f *Fabric) Resolve(owner int) (string, error) {
@@ -123,8 +97,8 @@ func (f *Fabric) Resolve(owner int) (string, error) {
 	return f.addrs[owner], nil
 }
 
-// Dial connects a ResilientTransport to the fabric, wiring the chaos
-// connection wrapper and (unless the caller supplied one) the Resolve hook.
+// Dial connects a ResilientTransport to the fabric, wiring (unless the
+// caller supplied one) the Resolve hook.
 func (f *Fabric) Dial(retry shard.RetryConfig) (*shard.ResilientTransport, error) {
 	if retry.Resolve == nil {
 		retry.Resolve = f.Resolve
@@ -133,7 +107,6 @@ func (f *Fabric) Dial(retry shard.RetryConfig) (*shard.ResilientTransport, error
 		Network:  f.network,
 		Addrs:    f.Addrs(),
 		Timeouts: f.timeouts,
-		WrapConn: f.wrap,
 	})
 	if err != nil {
 		return nil, err
@@ -148,11 +121,10 @@ func (f *Fabric) SetSchedule(s Schedule) {
 	f.mu.Unlock()
 }
 
-// Tick applies every scheduled event for training window w, then ages the
-// link delays by one window. Kills and link faults apply immediately;
-// restarts arm a wall-clock timer — a training loop blocked inside the
-// transport's retry never advances windows, so only a timer can revive the
-// peer it is waiting for.
+// Tick applies every scheduled event for training window w. Kills apply
+// immediately; restarts arm a wall-clock timer — a training loop blocked
+// inside the transport's retry never advances windows, so only a timer can
+// revive the peer it is waiting for.
 func (f *Fabric) Tick(w int) {
 	f.mu.Lock()
 	var kills []int
@@ -166,21 +138,6 @@ func (f *Fabric) Tick(w int) {
 			kills = append(kills, e.Peer)
 		case RestartPeer:
 			restarts = append(restarts, e)
-		case DelayLink:
-			f.delay[e.Peer] = e.Delay
-			f.delayLeft[e.Peer] = e.Windows
-			f.note("w%d: delay link %d by %s for %d windows", w, e.Peer, e.Delay, e.Windows)
-		case CorruptFrame:
-			f.corrupt[e.Peer] = true
-			f.note("w%d: corrupt next frame from %d", w, e.Peer)
-		}
-	}
-	for n := range f.delayLeft {
-		if f.delayLeft[n] > 0 {
-			f.delayLeft[n]--
-			if f.delayLeft[n] == 0 {
-				f.delay[n] = 0
-			}
 		}
 	}
 	f.mu.Unlock()
@@ -188,7 +145,7 @@ func (f *Fabric) Tick(w int) {
 		f.Kill(peer)
 	}
 	for _, e := range restarts {
-		f.armRestart(w, e)
+		f.armRestart(e)
 	}
 }
 
@@ -198,7 +155,6 @@ func (f *Fabric) Kill(peer int) {
 	f.mu.Lock()
 	srv := f.servers[peer]
 	f.servers[peer] = nil
-	f.note("kill node %d", peer)
 	f.mu.Unlock()
 	if srv != nil {
 		srv.Close()
@@ -206,16 +162,14 @@ func (f *Fabric) Kill(peer int) {
 }
 
 // armRestart schedules a wall-delayed restart of a killed peer.
-func (f *Fabric) armRestart(w int, e Event) {
+func (f *Fabric) armRestart(e Event) {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	if f.closed {
-		f.mu.Unlock()
 		return
 	}
-	f.note("w%d: restart of node %d armed in %s", w, e.Peer, e.After)
 	t := time.AfterFunc(e.After, func() { f.Restart(e.Peer) })
 	f.timers = append(f.timers, t)
-	f.mu.Unlock()
 }
 
 // Restart launches a fresh, empty node process for peer on a new address.
@@ -223,30 +177,12 @@ func (f *Fabric) armRestart(w int, e Event) {
 // the service's resync restores the shard from the mirror.
 func (f *Fabric) Restart(peer int) error {
 	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
+	closed := f.closed
+	f.mu.Unlock()
+	if closed {
 		return fmt.Errorf("%w: chaos fabric closed", shard.ErrClosed)
 	}
-	f.mu.Unlock()
-	if err := f.startNode(peer); err != nil {
-		return err
-	}
-	f.mu.Lock()
-	f.note("node %d restarted on %s", peer, f.addrs[peer])
-	f.mu.Unlock()
-	return nil
-}
-
-// Timeline returns the applied chaos actions with wall timestamps.
-func (f *Fabric) Timeline() []TimelineEntry {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]TimelineEntry(nil), f.timeline...)
-}
-
-// note appends a timeline entry. Caller holds f.mu.
-func (f *Fabric) note(format string, args ...any) {
-	f.timeline = append(f.timeline, TimelineEntry{At: time.Now(), What: fmt.Sprintf(format, args...)})
+	return f.startNode(peer)
 }
 
 // Close stops pending restart timers, every live node, and removes the
@@ -273,49 +209,4 @@ func (f *Fabric) Close() error {
 		os.RemoveAll(f.dir)
 	}
 	return nil
-}
-
-// linkState reads the current fault state of one peer link.
-func (f *Fabric) linkState(peer int) (delay time.Duration, corrupt bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.delay[peer], f.corrupt[peer]
-}
-
-// takeCorrupt consumes the peer's one-shot corruption flag.
-func (f *Fabric) takeCorrupt(peer int) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	was := f.corrupt[peer]
-	f.corrupt[peer] = false
-	return was
-}
-
-// wrap is the FabricConfig.WrapConn injector: every coordinator→node
-// connection — including each re-dial — reads replies through the fault
-// state the schedule maintains.
-func (f *Fabric) wrap(owner int, c net.Conn) net.Conn {
-	return &chaosConn{Conn: c, f: f, peer: owner}
-}
-
-// chaosConn injects link faults on the reply direction: an armed DelayLink
-// sleeps before each read, and an armed CorruptFrame flips the first byte
-// of the next read — the length prefix — so the frame can never decode
-// (the non-retriable corruption class).
-type chaosConn struct {
-	net.Conn
-	f    *Fabric
-	peer int
-}
-
-func (c *chaosConn) Read(p []byte) (int, error) {
-	delay, corrupt := c.f.linkState(c.peer)
-	if delay > 0 {
-		time.Sleep(delay)
-	}
-	n, err := c.Conn.Read(p)
-	if corrupt && n > 0 && c.f.takeCorrupt(c.peer) {
-		p[0] ^= 0xa5
-	}
-	return n, err
 }

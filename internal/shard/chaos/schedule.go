@@ -1,13 +1,13 @@
 //hotline:typed-errors
 
 // Package chaos is the deterministic fault scheduler for the shard fabric:
-// a seeded Schedule of kill/restart/delay/corrupt events driven against a
-// restartable in-process fabric (Fabric), so recovery tests and the
-// mn-chaos scenario inject byte-identical fault sequences on every run.
+// a Schedule of kill/restart events driven against a restartable in-process
+// fabric (Fabric), so recovery tests and the mn-chaos scenario inject
+// byte-identical fault sequences on every run.
 //
 // Determinism is the whole point — a recovery property that only holds for
-// one lucky interleaving is not a property. Schedules are pure data derived
-// from a seed; the harness applies them at training-window granularity
+// one lucky interleaving is not a property. Schedules are pure data; the
+// harness applies them at training-window granularity
 // (Tick) with the single deliberate exception of restarts, which fire on a
 // wall-clock timer: a training loop blocked inside the transport's retry
 // path cannot advance windows, so a window-gated restart would deadlock the
@@ -16,7 +16,6 @@ package chaos
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"time"
 )
@@ -32,12 +31,6 @@ const (
 	// RestartPeer starts a fresh, empty node process for the peer on a new
 	// address, After the event's wall delay.
 	RestartPeer
-	// DelayLink adds a per-frame read delay on the coordinator↔peer link
-	// for the next Windows training windows.
-	DelayLink
-	// CorruptFrame corrupts the next reply frame read from the peer (a
-	// flipped length prefix — never a valid frame again).
-	CorruptFrame
 )
 
 // String names the kind.
@@ -47,10 +40,6 @@ func (k Kind) String() string {
 		return "kill"
 	case RestartPeer:
 		return "restart"
-	case DelayLink:
-		return "delay"
-	case CorruptFrame:
-		return "corrupt"
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
@@ -64,10 +53,6 @@ type Event struct {
 	Peer int
 	// After delays a RestartPeer on the wall clock past its window's tick.
 	After time.Duration
-	// Windows is a DelayLink's duration in training windows.
-	Windows int
-	// Delay is a DelayLink's added per-frame read delay.
-	Delay time.Duration
 }
 
 // Schedule is a deterministic fault sequence, ordered by window.
@@ -87,9 +72,6 @@ func (s Schedule) String() string {
 		if e.Kind == RestartPeer && e.After > 0 {
 			fmt.Fprintf(&b, "+%s", e.After)
 		}
-		if e.Kind == DelayLink {
-			fmt.Fprintf(&b, "×%dw/%s", e.Windows, e.Delay)
-		}
 	}
 	return b.String()
 }
@@ -107,32 +89,4 @@ func KillRestart(peer, window int, after time.Duration) Schedule {
 // back (the shard-adoption scenario).
 func Kill(peer, window int) Schedule {
 	return Schedule{{Window: window, Kind: KillPeer, Peer: peer}}
-}
-
-// Seeded derives a deterministic schedule from seed: one kill+restart of a
-// random peer, plus events random link delays spread over the windows. The
-// same (seed, windows, nodes, events) always yields the same schedule.
-// Frame corruption is deliberately absent — it is non-retriable by design
-// (TransientFabricErr), so a generated corruption would void the very
-// recovery run the schedule exists to drive; corruption tests build their
-// Event explicitly.
-func Seeded(seed int64, windows, nodes, events int) Schedule {
-	rng := rand.New(rand.NewSource(seed))
-	if windows < 2 {
-		windows = 2
-	}
-	victim := rng.Intn(nodes)
-	killAt := 1 + rng.Intn(windows-1)
-	s := KillRestart(victim, killAt, time.Duration(5+rng.Intn(20))*time.Millisecond)
-	for i := 0; i < events; i++ {
-		// Fault a peer other than the kill victim so the generated extras
-		// never mask the kill/restart recovery under test.
-		peer := rng.Intn(nodes)
-		if peer == victim {
-			peer = (peer + 1) % nodes
-		}
-		s = append(s, Event{Window: rng.Intn(windows), Kind: DelayLink, Peer: peer,
-			Windows: 1 + rng.Intn(2), Delay: time.Duration(1+rng.Intn(3)) * time.Millisecond})
-	}
-	return s
 }

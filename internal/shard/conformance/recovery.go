@@ -90,7 +90,7 @@ func trainChaos(tb testing.TB, network string, nodes, depth int, part shard.Part
 	}
 	fab.SetSchedule(sched)
 	return trainRun(tb, model.New(probeCfg(), probeSeed), nodes, depth, part, func(svc *shard.Service) {
-		svc.SetRecovery(shard.RecoveryConfig{Policy: policy})
+		svc.SetRecovery(policy)
 		svc.SetTransport(rt)
 	}, fab.Tick)
 }
@@ -185,7 +185,6 @@ func runServeOutage(t *testing.T, network string) {
 	}
 
 	svc := shard.New(shard.Config{Nodes: nodes, CacheBytes: 0, RowBytes: dim * 4}, nil)
-	svc.SetRecovery(shard.RecoveryConfig{Policy: shard.RecoverRedial})
 	svc.SetTransport(rt)
 	defer svc.Close()
 	store := make([][]float32, rows)

@@ -3,53 +3,47 @@
 // Service-level recovery: shard adoption when a peer is past saving.
 //
 // The ResilientTransport handles everything that can be fixed at the
-// connection level — retry, re-dial, resync, spare identity adoption. This
-// file handles the case it cannot: a peer declared unrecoverable while
-// training still needs its rows. The coordinator's mirror is authoritative
-// (all training math happens there; node stores are replicas fed absolute
-// row values), so failover is a pure routing change: repartition the dead
-// node's rows over the survivors, push their current bits from the mirror,
-// and re-route the failed fetches. Every staged row a forward consumes
-// still holds exactly the bits a fault-free run would have staged — repairs
-// and re-fetches always read current mirror state, and the dirty-row
-// tracker already forces a repair wherever an update intervened — so
-// training after failover is bit-identical to the fault-free fixed-
-// placement run.
+// connection level — retry, re-dial, resync. This file handles the case it
+// cannot: a peer declared unrecoverable while training still needs its rows.
+// The coordinator's mirror is authoritative (all training math happens
+// there; node stores are replicas fed absolute row values), so failover is a
+// pure routing change: repartition the dead node's rows over the survivors,
+// push their current bits from the mirror, and re-route the failed fetches.
+// Every staged row a forward consumes still holds exactly the bits a
+// fault-free run would have staged — repairs and re-fetches always read
+// current mirror state, and the dirty-row tracker already forces a repair
+// wherever an update intervened — so training after failover is
+// bit-identical to the fault-free fixed-placement run.
 package shard
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 )
 
-// RecoveryPolicy selects what the service does when the fabric reports a
-// dead peer.
+// RecoveryPolicy selects whether the service adopts a dead peer's shard.
+// Re-dialing is not a policy: a ResilientTransport retries, re-dials and
+// resyncs on its own, and any other transport fails fast.
 type RecoveryPolicy int
 
 const (
-	// RecoverNone is the fail-fast default: the first fabric error sticks
-	// and the run is void (the pre-recovery behavior, still what the fault
-	// classification suite asserts).
-	RecoverNone RecoveryPolicy = iota
-	// RecoverRedial relies on the transport layer alone: transient failures
-	// retry, dead peers re-dial (optionally onto a restarted process or a
-	// spare adopting the dead node's identity) and resync from the mirror.
-	// A peer that exhausts the retry budget fails the run.
-	RecoverRedial
-	// RecoverAdopt adds shard adoption on top of RecoverRedial: when a peer
-	// is unrecoverable, the surviving nodes adopt its rows — ownership
-	// repartitions, the mirror migrates the rows, failed operations
-	// re-route — and the run completes without it.
+	// RecoverRedial, the zero value, adopts nothing: the transport's
+	// re-dial is all the recovery there is, and a peer that exhausts its
+	// retry budget fails the run.
+	RecoverRedial RecoveryPolicy = iota
+	// RecoverAdopt adds shard adoption: when a peer is unrecoverable, the
+	// surviving nodes adopt its rows — ownership repartitions, the mirror
+	// migrates the rows, failed operations re-route — and the run completes
+	// without it, down to the last node standing.
 	RecoverAdopt
 )
 
 // String names the policy for reports.
 func (p RecoveryPolicy) String() string {
 	switch p {
-	case RecoverNone:
-		return "fail-fast"
 	case RecoverRedial:
 		return "redial"
 	case RecoverAdopt:
@@ -58,18 +52,9 @@ func (p RecoveryPolicy) String() string {
 	return fmt.Sprintf("RecoveryPolicy(%d)", int(p))
 }
 
-// RecoveryConfig arms a Service's recovery behavior (SetRecovery).
-type RecoveryConfig struct {
-	Policy RecoveryPolicy
-	// MaxFailovers bounds how many peers may be adopted away in one run
-	// (cascading failures). Zero defaults to Nodes-1 — adopt until one
-	// node remains.
-	MaxFailovers int
-}
-
 // RecoveryStats counts the recovery subsystem's work. Fetch re-routes and
-// row migration happen on the coordinator; redials, spare adoptions and
-// per-peer health live in PeerHealth.
+// row migration happen on the coordinator; redials and per-peer health live
+// in PeerHealth.
 type RecoveryStats struct {
 	// Adoptions counts survivor failovers (dead peers whose shard the
 	// remaining nodes adopted).
@@ -77,8 +62,8 @@ type RecoveryStats struct {
 	// MigratedRows / MigratedBytes count rows pushed to their new owners
 	// during failover (repair/migration traffic, separate from scatter).
 	MigratedRows, MigratedBytes int64
-	// ResyncRows / ResyncBytes count rows re-pushed to a revived (re-dialed
-	// or spare) peer restoring its shard from the mirror.
+	// ResyncRows / ResyncBytes count rows re-pushed to a revived (re-dialed)
+	// peer restoring its shard from the mirror.
 	ResyncRows, ResyncBytes int64
 	// Refetches counts rows whose failed gather fetch was re-routed to a
 	// surviving owner and completed.
@@ -89,7 +74,8 @@ type RecoveryStats struct {
 }
 
 // failoverState is one immutable ownership overlay: rows whose base owner
-// is dead spread uniformly over the survivors. Swapped in atomically so the
+// is dead spread uniformly over the survivors, and dead is the service's one
+// record of the nodes adopted away (DeadNodes). Swapped in atomically so the
 // hot-path Owner read never takes a lock.
 type failoverState struct {
 	dead      []bool
@@ -97,7 +83,7 @@ type failoverState struct {
 }
 
 func (st *failoverState) route(base int, row int32) int {
-	if st == nil || !st.dead[base] {
+	if !st.dead[base] {
 		return base
 	}
 	return int(st.survivors[uint32(row)%uint32(len(st.survivors))])
@@ -137,25 +123,18 @@ func (f *failoverPart) Name() string { return f.base.Name() }
 
 // SetRecovery arms the recovery policy. Like SetTransport it must run on a
 // fresh service — before tables register — so ownership routing and the
-// initial shard sync agree from the first row.
-func (s *Service) SetRecovery(cfg RecoveryConfig) {
+// initial shard sync agree from the first row. RecoverRedial is the default
+// and changes nothing; RecoverAdopt installs the failover overlay.
+func (s *Service) SetRecovery(p RecoveryPolicy) {
 	if s.anyRegistered() {
 		panic("shard: SetRecovery after tables were registered; arm recovery on a fresh service")
 	}
-	if cfg.MaxFailovers == 0 {
-		cfg.MaxFailovers = s.cfg.Nodes - 1
-	}
-	s.recovery = cfg
-	s.deadNodes = make([]bool, s.cfg.Nodes)
-	if cfg.Policy == RecoverAdopt {
+	if p == RecoverAdopt {
 		fp := &failoverPart{base: s.part}
-		s.part = fp
-		s.failPart = fp
+		fp.state.Store(&failoverState{dead: make([]bool, s.cfg.Nodes)})
+		s.part, s.failPart = fp, fp
 	}
 }
-
-// Recovery returns the armed recovery configuration.
-func (s *Service) Recovery() RecoveryConfig { return s.recovery }
 
 // PeerHealth snapshots per-peer fabric health — the primary observability
 // surface for a resilient fabric (nil on transports without a recovery
@@ -176,10 +155,11 @@ func (s *Service) RecoveryStats() RecoveryStats {
 
 // DeadNodes returns the nodes adopted away by failover, in id order.
 func (s *Service) DeadNodes() []int {
-	s.recoverMu.Lock()
-	defer s.recoverMu.Unlock()
+	if s.failPart == nil {
+		return nil
+	}
 	var out []int
-	for n, d := range s.deadNodes {
+	for n, d := range s.failPart.state.Load().dead {
 		if d {
 			out = append(out, n)
 		}
@@ -191,8 +171,7 @@ func (s *Service) DeadNodes() []int {
 // the adopt policy is armed and the error is dead-peer-class (not an
 // application error, not a closing fabric).
 func (s *Service) adoptable(err error) bool {
-	return s.recovery.Policy == RecoverAdopt &&
-		errors.Is(err, ErrPeerDead) && !errors.Is(err, ErrClosed)
+	return s.failPart != nil && errors.Is(err, ErrPeerDead) && !errors.Is(err, ErrClosed)
 }
 
 // recoverFetch re-routes one failed per-owner gather fetch (reroute); each
@@ -271,41 +250,26 @@ func (s *Service) reroute(table, owner int, rows []int32, cause error, op func(o
 // second caller for the same peer finds it already failed over and returns
 // nil. Commit is all-or-nothing — a migration push failure leaves the old
 // overlay in place (the caller's bounded rounds will fail the pushed-to
-// peer over too and re-enter).
+// peer over too and re-enter). Adoption cascades until one node remains;
+// failing the last one over is an ErrPeerDead.
 func (s *Service) failoverDead(dead int) error {
 	s.recoverMu.Lock()
 	defer s.recoverMu.Unlock()
-	if s.recovery.Policy != RecoverAdopt || s.failPart == nil {
-		return fmt.Errorf("%w: shard adoption not armed", ErrFabricConfig)
-	}
-	if dead < 0 || dead >= s.cfg.Nodes {
-		return fmt.Errorf("%w: failover of unknown node %d", ErrFabricConfig, dead)
-	}
-	if s.deadNodes[dead] {
+	oldState := s.failPart.state.Load()
+	if oldState.dead[dead] {
 		return nil
 	}
-	failed := 0
-	for _, d := range s.deadNodes {
-		if d {
-			failed++
-		}
-	}
-	if failed >= s.recovery.MaxFailovers {
-		return fmt.Errorf("%w: node %d dead but failover budget (%d) is spent", ErrPeerDead, dead, s.recovery.MaxFailovers)
-	}
-	newDead := make([]bool, s.cfg.Nodes)
-	copy(newDead, s.deadNodes)
+	newDead := slices.Clone(oldState.dead)
 	newDead[dead] = true
 	var survivors []int32
-	for n := 0; n < s.cfg.Nodes; n++ {
-		if !newDead[n] {
+	for n, d := range newDead {
+		if !d {
 			survivors = append(survivors, int32(n))
 		}
 	}
 	if len(survivors) == 0 {
 		return fmt.Errorf("%w: node %d was the last node standing", ErrPeerDead, dead)
 	}
-	oldState := s.failPart.state.Load()
 	newState := &failoverState{dead: newDead, survivors: survivors}
 
 	// Migrate before swapping: every row whose owner changes is pushed to
@@ -335,7 +299,6 @@ func (s *Service) failoverDead(dead int) error {
 	}
 
 	s.failPart.state.Store(newState)
-	s.deadNodes[dead] = true
 	s.recStatsMu.Lock()
 	s.recStats.Adoptions++
 	s.recStats.MigratedRows += migRows

@@ -1,18 +1,18 @@
 //hotline:typed-errors
 
-// Resilient fabric layer: retry, re-dial and spare adoption around the
-// fail-fast SocketTransport.
+// Resilient fabric layer: retry and re-dial around the fail-fast
+// SocketTransport.
 //
 // The socket transport deliberately knows nothing about recovery — one bad
 // frame and the peer is sticky-dead. ResilientTransport layers policy on
 // top: it classifies each failure (transient I/O retries, protocol
 // corruption surfaces immediately), re-dials dead peers under a bounded
-// backoff schedule with an injectable clock, resyncs a freshly dialed
-// (empty) node from the coordinator's authoritative mirror, and can hand a
-// dead node's identity to a spare process. Every fetch and scatter in the
-// fabric carries absolute row values, so replaying an operation after a
-// re-dial is idempotent — the retry loop never needs to reason about
-// partial application.
+// backoff schedule — at the address Resolve reports, when it is set — and
+// resyncs a freshly dialed (empty) node from the coordinator's
+// authoritative mirror. Every fetch and scatter in the fabric carries
+// absolute row values, so replaying an operation after a re-dial is
+// idempotent — the retry loop never needs to reason about partial
+// application.
 //
 // The socket transport's pushes are pipelined: a push returns once its frame
 // is written, and a push the owner never applied surfaces later, as the
@@ -42,6 +42,7 @@ const (
 	PeerSuspect
 	// PeerDead: the retry budget is exhausted; the peer is unrecoverable
 	// and only shard adoption (Service-level failover) can route around it.
+	// Terminal: nothing re-dials a dead peer, not even a serve probe.
 	PeerDead
 )
 
@@ -63,17 +64,15 @@ func (s PeerState) String() string {
 // FabricErr.
 type PeerHealth struct {
 	Node     int
-	Addr     string // current dial address (moves on restart/spare adoption)
+	Addr     string // current dial address (moves when Resolve reports a restart)
 	State    PeerState
 	Failures int    // consecutive failed operations since the last success
 	Redials  int    // successful re-dials over the peer's lifetime
-	Adopted  bool   // a spare process holds this node's identity
 	LastErr  string // most recent failure, "" while healthy
 }
 
 // RetryConfig tunes the resilient layer. The zero value is a working
-// production config; tests inject Sleep/Now/Backoff to make recovery
-// schedules deterministic.
+// production config; tests set Backoff to zero to recover without pauses.
 type RetryConfig struct {
 	// MaxAttempts bounds how many times one operation runs (first try
 	// included), each retry preceded by a successful recovery. Default 3.
@@ -87,24 +86,11 @@ type RetryConfig struct {
 	// Backoff returns the pause before redial attempt n (0-based).
 	// Default: 1ms doubling per attempt, capped at 250ms.
 	Backoff func(attempt int) time.Duration
-	// Sleep and Now are the injectable clock. Defaults: time.Sleep,
-	// time.Now.
-	Sleep func(time.Duration)
-	Now   func() time.Time
 	// Resolve, when set, is asked for the peer's current address before
 	// each redial — the hook a restart harness uses to point the fabric at
 	// a node re-listening on a new port. Returning "" keeps the current
 	// address; returning an error skips this redial attempt.
 	Resolve func(owner int) (string, error)
-	// Spares are standby node addresses. After SpareAfter failed redials
-	// of a dead peer's own address, the next spare adopts the peer's
-	// identity: its address swaps in, the fabric re-dials it, and Resync
-	// restores the shard — ownership never changes, so training bits
-	// don't either.
-	Spares []string
-	// SpareAfter is how many failed redials precede spare adoption.
-	// Default 2.
-	SpareAfter int
 }
 
 func (c RetryConfig) withDefaults() RetryConfig {
@@ -120,15 +106,6 @@ func (c RetryConfig) withDefaults() RetryConfig {
 			return min(d, 250*time.Millisecond)
 		}
 	}
-	if c.Sleep == nil {
-		c.Sleep = time.Sleep
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
-	if c.SpareAfter == 0 {
-		c.SpareAfter = 2
-	}
 	return c
 }
 
@@ -136,7 +113,8 @@ func (c RetryConfig) withDefaults() RetryConfig {
 // inner transport call; recovery holds mu.Lock across redial+resync so no
 // fetch can race a freshly dialed, not-yet-resynced (empty) node. recMu
 // single-flights recovery: concurrent failers queue behind it and find the
-// peer already revived.
+// peer already revived. state is the peer's one liveness record; only
+// recoverPeer, under recMu, stores PeerDead.
 type rPeer struct {
 	mu    sync.RWMutex
 	recMu sync.Mutex
@@ -144,11 +122,21 @@ type rPeer struct {
 	state   atomic.Int32
 	fails   atomic.Int32
 	redials atomic.Int32
-	adopted atomic.Bool
-	gone    atomic.Bool // unrecoverable; only failover routes around it
 
 	errMu   sync.Mutex
 	lastErr error
+}
+
+func (p *rPeer) loadState() PeerState { return PeerState(p.state.Load()) }
+
+// setState moves the peer to s unless it is dead: PeerDead is terminal.
+func (p *rPeer) setState(s PeerState) {
+	for {
+		cur := p.state.Load()
+		if PeerState(cur) == PeerDead || p.state.CompareAndSwap(cur, int32(s)) {
+			return
+		}
+	}
 }
 
 func (p *rPeer) setErr(err error) {
@@ -163,9 +151,27 @@ func (p *rPeer) lastError() error {
 	return p.lastErr
 }
 
-// ResilientTransport wraps a SocketTransport with retry, re-dial, resync
-// and spare adoption. It implements Transport and is safe for concurrent
-// use; recovery of one peer never blocks traffic to the others.
+// run runs op once under the peer's read lock and records the outcome:
+// success makes the peer alive, failure suspect (a dead peer stays dead).
+func (p *rPeer) run(op func() error) error {
+	p.mu.RLock()
+	err := op()
+	p.mu.RUnlock()
+	if err != nil {
+		p.fails.Add(1)
+		p.setErr(err)
+		p.setState(PeerSuspect)
+		return err
+	}
+	p.setState(PeerAlive)
+	p.fails.Store(0)
+	p.setErr(nil)
+	return nil
+}
+
+// ResilientTransport wraps a SocketTransport with retry, re-dial and
+// resync. It implements Transport and is safe for concurrent use; recovery
+// of one peer never blocks traffic to the others.
 type ResilientTransport struct {
 	inner *SocketTransport
 	cfg   RetryConfig
@@ -173,17 +179,14 @@ type ResilientTransport struct {
 
 	// resync restores a freshly (re-)dialed node's shard from the
 	// coordinator mirror, pushing through direct so it cannot recurse into
-	// this layer's locks. Wired by Service.SetTransport.
-	resyncMu sync.Mutex
-	resync   func(owner int, direct Transport) error
-
-	spareMu   sync.Mutex
-	spareNext int
+	// this layer's locks. Service.SetTransport wires it before any traffic;
+	// read-only after. A fabric without one revives peers with empty stores,
+	// which is only correct for processes resynced some other way.
+	resync func(owner int, direct Transport) error
 
 	// recoveryWallNS accumulates the wall clock spent inside successful
 	// recoveries (backoff sleeps, redials, resync) — the transport-side
-	// recovery latency the mn-chaos scenario reports. Measured with the
-	// injectable cfg.Now clock.
+	// recovery latency the mn-chaos scenario reports.
 	recoveryWallNS atomic.Int64
 }
 
@@ -193,7 +196,7 @@ func NewResilientTransport(inner *SocketTransport, cfg RetryConfig) (*ResilientT
 	if inner == nil {
 		return nil, fmt.Errorf("%w: resilient layer needs a dialed SocketTransport", ErrFabricConfig)
 	}
-	if cfg.MaxAttempts < 0 || cfg.MaxRedials < 0 || cfg.Budget < 0 || cfg.SpareAfter < 0 {
+	if cfg.MaxAttempts < 0 || cfg.MaxRedials < 0 || cfg.Budget < 0 {
 		return nil, fmt.Errorf("%w: negative retry bound in %+v", ErrFabricConfig, cfg)
 	}
 	cfg = cfg.withDefaults()
@@ -205,22 +208,6 @@ func NewResilientTransport(inner *SocketTransport, cfg RetryConfig) (*ResilientT
 		r.peers[i] = &rPeer{}
 	}
 	return r, nil
-}
-
-// setResync installs the mirror-resync callback (called by
-// Service.SetTransport; a fabric without one revives peers with empty
-// stores, which is only correct for freshly restarted processes that are
-// resynced some other way).
-func (r *ResilientTransport) setResync(fn func(owner int, direct Transport) error) {
-	r.resyncMu.Lock()
-	r.resync = fn
-	r.resyncMu.Unlock()
-}
-
-func (r *ResilientTransport) getResync() func(owner int, direct Transport) error {
-	r.resyncMu.Lock()
-	defer r.resyncMu.Unlock()
-	return r.resync
 }
 
 // Name reports the inner socket family; the retry layer is policy, not a
@@ -250,37 +237,23 @@ func (r *ResilientTransport) Push(table, owner int, rows []int32, src RowAt) err
 }
 
 // FetchFast is the serve path's fetch: exactly one attempt, no backoff
-// sleeps. Against a non-alive peer it makes at most one opportunistic
+// sleeps. Against a suspect peer it makes at most one opportunistic
 // recovery probe (re-dial + resync, single-flight, budget-free) so serving
-// un-degrades by itself when the peer returns, and otherwise fails fast so
-// the caller can answer from warmed caches instead.
+// un-degrades by itself when the peer returns; against a dead one, and
+// whenever the probe fails, it fails fast so the caller can answer from
+// warmed caches instead.
 func (r *ResilientTransport) FetchFast(table, owner int, rows []int32, st *Staging) error {
 	p := r.peers[owner]
-	if PeerState(p.state.Load()) == PeerAlive && !p.gone.Load() {
-		p.mu.RLock()
-		err := r.inner.Fetch(table, owner, rows, st, nil)
-		p.mu.RUnlock()
-		if err == nil {
-			r.noteSuccess(p)
-			return nil
-		}
-		r.noteFailure(p, err)
-		if !TransientFabricErr(err) {
+	op := func() error { return r.inner.Fetch(table, owner, rows, st, nil) }
+	if p.loadState() == PeerAlive {
+		if err := p.run(op); err == nil || !TransientFabricErr(err) {
 			return err
 		}
 	}
 	if err := r.probePeer(owner); err != nil {
 		return err
 	}
-	p.mu.RLock()
-	err := r.inner.Fetch(table, owner, rows, st, nil)
-	p.mu.RUnlock()
-	if err == nil {
-		r.noteSuccess(p)
-		return nil
-	}
-	r.noteFailure(p, err)
-	return err
+	return p.run(op)
 }
 
 // PeerHealth snapshots every peer's recovery state, ordered by node id.
@@ -290,10 +263,9 @@ func (r *ResilientTransport) PeerHealth() []PeerHealth {
 		h := PeerHealth{
 			Node:     i,
 			Addr:     r.inner.peerAddr(i),
-			State:    PeerState(p.state.Load()),
+			State:    p.loadState(),
 			Failures: int(p.fails.Load()),
 			Redials:  int(p.redials.Load()),
-			Adopted:  p.adopted.Load(),
 		}
 		if err := p.lastError(); err != nil {
 			h.LastErr = err.Error()
@@ -330,43 +302,19 @@ func (r *ResilientTransport) do(owner int, op func() error) error {
 	p := r.peers[owner]
 	var lastErr error
 	for attempt := 0; attempt < r.cfg.MaxAttempts; attempt++ {
-		if p.gone.Load() {
-			return r.deadErr(owner, p)
-		}
-		if attempt > 0 || PeerState(p.state.Load()) != PeerAlive {
+		if attempt > 0 || p.loadState() != PeerAlive {
 			if err := r.recoverPeer(owner); err != nil {
 				return err
 			}
 		}
-		p.mu.RLock()
-		err := op()
-		p.mu.RUnlock()
-		if err == nil {
-			r.noteSuccess(p)
-			return nil
-		}
-		r.noteFailure(p, err)
-		if !TransientFabricErr(err) {
+		err := p.run(op)
+		if err == nil || !TransientFabricErr(err) {
 			return err
 		}
 		lastErr = err
 	}
 	return fmt.Errorf("%w: node %d (%s %s) still failing after %d attempts: %w",
 		ErrPeerDead, owner, r.inner.cfg.Network, r.inner.peerAddr(owner), r.cfg.MaxAttempts, lastErr)
-}
-
-func (r *ResilientTransport) noteSuccess(p *rPeer) {
-	p.state.Store(int32(PeerAlive))
-	p.fails.Store(0)
-	p.setErr(nil)
-}
-
-func (r *ResilientTransport) noteFailure(p *rPeer, err error) {
-	p.fails.Add(1)
-	p.setErr(err)
-	if !p.gone.Load() {
-		p.state.Store(int32(PeerSuspect))
-	}
 }
 
 // deadErr describes an unrecoverable peer, wrapping its terminal error.
@@ -379,55 +327,52 @@ func (r *ResilientTransport) deadErr(owner int, p *rPeer) error {
 		ErrPeerDead, owner, r.inner.cfg.Network, r.inner.peerAddr(owner), last)
 }
 
-// recoverPeer revives one peer: bounded backoff re-dials (optionally
-// re-resolved or spare-adopted addresses), then a mirror resync, all while
-// holding the peer's write lock so no operation can observe the
-// half-revived (empty) node. Single-flight: concurrent failers block on
-// recMu and find the peer already alive. Exhausting the budget marks the
-// peer unrecoverable — from then on only shard adoption serves its rows.
+// recoverPeer revives one peer: bounded backoff re-dials, each followed by
+// a mirror resync under the peer's write lock (revive), so no operation can
+// observe the half-revived (empty) node. Single-flight: concurrent failers
+// block on recMu and find the peer already alive. Exhausting the budget
+// marks the peer dead — from then on only shard adoption serves its rows.
 func (r *ResilientTransport) recoverPeer(owner int) error {
 	p := r.peers[owner]
 	p.recMu.Lock()
 	defer p.recMu.Unlock()
-	if p.gone.Load() {
+	switch p.loadState() {
+	case PeerDead:
 		return r.deadErr(owner, p)
-	}
-	if PeerState(p.state.Load()) == PeerAlive {
+	case PeerAlive:
 		return nil // another flight already revived it
 	}
-	start := r.cfg.Now()
+	start := time.Now() //hotline:allow detorder measured recovery wall and retry budget; never feeds math
 	deadline := start.Add(r.cfg.Budget)
 	lastErr := p.lastError()
 	for attempt := 0; ; attempt++ {
-		if attempt >= r.cfg.MaxRedials || r.cfg.Now().After(deadline) {
-			p.gone.Store(true)
+		if attempt >= r.cfg.MaxRedials || time.Now().After(deadline) { //hotline:allow detorder retry budget on the wall clock; never feeds math
 			p.state.Store(int32(PeerDead))
 			err := fmt.Errorf("%w: node %d (%s %s) unrecoverable after %d redials: %w",
 				ErrPeerDead, owner, r.inner.cfg.Network, r.inner.peerAddr(owner), attempt, lastErr)
 			p.setErr(err)
 			return err
 		}
-		r.cfg.Sleep(r.cfg.Backoff(attempt))
-		r.retarget(owner, p, attempt)
+		time.Sleep(r.cfg.Backoff(attempt))
 		if err := r.revive(owner, p); err != nil {
 			lastErr = err
-			p.setErr(err)
 			continue
 		}
-		r.recoveryWallNS.Add(r.cfg.Now().Sub(start).Nanoseconds())
+		r.recoveryWallNS.Add(time.Since(start).Nanoseconds()) //hotline:allow detorder measured recovery wall; never feeds math
 		return nil
 	}
 }
 
 // RecoveryWall reports the cumulative wall clock successful recoveries took
-// (from first failure handling to revival), measured on the injected clock.
+// (from first failure handling to revival).
 func (r *ResilientTransport) RecoveryWall() time.Duration {
 	return time.Duration(r.recoveryWallNS.Load())
 }
 
 // probePeer is recoverPeer for the serve path: one redial attempt, no
 // sleeps, no budget consumption, and TryLock instead of blocking — a serve
-// gather never waits behind a training-side recovery.
+// gather never waits behind a training-side recovery. It never re-dials a
+// dead peer.
 func (r *ResilientTransport) probePeer(owner int) error {
 	p := r.peers[owner]
 	if !p.recMu.TryLock() {
@@ -438,57 +383,44 @@ func (r *ResilientTransport) probePeer(owner int) error {
 			ErrPeerDead, owner, r.inner.cfg.Network, r.inner.peerAddr(owner))
 	}
 	defer p.recMu.Unlock()
-	if PeerState(p.state.Load()) == PeerAlive && !p.gone.Load() {
+	switch p.loadState() {
+	case PeerDead:
+		return r.deadErr(owner, p)
+	case PeerAlive:
 		return nil
 	}
-	start := r.cfg.Now()
-	r.retarget(owner, p, 0)
+	start := time.Now() //hotline:allow detorder measured recovery wall; never feeds math
 	if err := r.revive(owner, p); err != nil {
-		p.setErr(err)
 		return err
 	}
-	r.recoveryWallNS.Add(r.cfg.Now().Sub(start).Nanoseconds())
+	r.recoveryWallNS.Add(time.Since(start).Nanoseconds()) //hotline:allow detorder measured recovery wall; never feeds math
 	return nil
 }
 
-// retarget updates the peer's dial address ahead of a redial: Resolve wins
-// (a restart harness reporting the new port); otherwise, once attempt
-// passes SpareAfter, the next spare address adopts the peer's identity.
-func (r *ResilientTransport) retarget(owner int, p *rPeer, attempt int) {
+// revive re-dials the peer — at the address Resolve reports, when it reports
+// one (a restart harness naming the new port) — and resyncs its shard from
+// the mirror, under the write lock that keeps every operation out until the
+// node holds correct bits again. A failure becomes the peer's last error.
+func (r *ResilientTransport) revive(owner int, p *rPeer) error {
 	if r.cfg.Resolve != nil {
 		if addr, err := r.cfg.Resolve(owner); err == nil && addr != "" {
 			r.inner.setPeerAddr(owner, addr)
-			return
 		}
 	}
-	if attempt < r.cfg.SpareAfter || p.adopted.Load() {
-		return
-	}
-	r.spareMu.Lock()
-	defer r.spareMu.Unlock()
-	if r.spareNext < len(r.cfg.Spares) {
-		r.inner.setPeerAddr(owner, r.cfg.Spares[r.spareNext])
-		r.spareNext++
-		p.adopted.Store(true)
-	}
-}
-
-// revive re-dials the peer at its current address and resyncs its shard
-// from the mirror, under the write lock that keeps every operation out
-// until the node holds correct bits again.
-func (r *ResilientTransport) revive(owner int, p *rPeer) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if err := r.inner.redialPeer(owner); err != nil {
-		return err
-	}
-	if resync := r.getResync(); resync != nil {
-		if err := resync(owner, r.inner); err != nil {
-			return fmt.Errorf("%w: node %d (%s %s) resync after redial: %w",
-				ErrPeerDead, owner, r.inner.cfg.Network, r.inner.peerAddr(owner), err)
+	err := r.inner.redialPeer(owner)
+	if err == nil && r.resync != nil {
+		if rerr := r.resync(owner, r.inner); rerr != nil {
+			err = fmt.Errorf("%w: node %d (%s %s) resync after redial: %w",
+				ErrPeerDead, owner, r.inner.cfg.Network, r.inner.peerAddr(owner), rerr)
 		}
 	}
-	p.state.Store(int32(PeerAlive))
+	if err != nil {
+		p.setErr(err)
+		return err
+	}
+	p.setState(PeerAlive)
 	p.fails.Store(0)
 	p.redials.Add(1)
 	p.setErr(nil)

@@ -9,10 +9,8 @@ import (
 	"time"
 )
 
-// noSleep is the injected clock for recovery tests: backoff costs nothing,
-// the budget never expires on wall time, and schedules are deterministic.
-func noSleep(cfg *RetryConfig) {
-	cfg.Sleep = func(time.Duration) {}
+// noBackoff makes recovery tests re-dial without pausing between attempts.
+func noBackoff(cfg *RetryConfig) {
 	cfg.Backoff = func(int) time.Duration { return 0 }
 }
 
@@ -40,7 +38,7 @@ func TestTransientFabricErrClassification(t *testing.T) {
 }
 
 // resilientFixture is a 2-node local fabric behind a ResilientTransport
-// with an injected (sleepless) clock, its rows pre-pushed and a resync
+// with no re-dial backoff, its rows pre-pushed and a resync
 // callback restoring them on revival.
 type resilientFixture struct {
 	fab  *LocalFabric
@@ -57,16 +55,16 @@ func newResilientFixture(t *testing.T, cfg RetryConfig) *resilientFixture {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { f.Close() })
-	noSleep(&cfg)
+	noBackoff(&cfg)
 	rt, err := NewResilientTransport(f.Transport, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rows := []int32{1, 3, 5, 7}
 	fx := &resilientFixture{fab: f, rt: rt, rows: rows, dim: dim}
-	rt.setResync(func(owner int, direct Transport) error {
+	rt.resync = func(owner int, direct Transport) error {
 		return direct.Push(0, owner, rows, rowPattern(dim))
-	})
+	}
 	if err := rt.Push(0, 1, rows, rowPattern(dim)); err != nil {
 		t.Fatal(err)
 	}
@@ -106,37 +104,6 @@ func TestResilientRedialRevives(t *testing.T) {
 	}
 	if h.LastErr != "" {
 		t.Fatalf("healthy peer still reports error %q", h.LastErr)
-	}
-}
-
-// TestResilientSpareAdoptsIdentity kills a node with no restart in sight:
-// after SpareAfter failed re-dials of the dead address, the configured
-// spare process adopts the node's identity — address swap, re-dial, resync
-// — and traffic resumes with ownership (and therefore training bits)
-// unchanged.
-func TestResilientSpareAdoptsIdentity(t *testing.T) {
-	spare, err := ServeNode(1, "unix", t.TempDir()+"/spare.sock", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer spare.Close()
-	fx := newResilientFixture(t, RetryConfig{
-		Spares:     []string{spare.Addr()},
-		SpareAfter: 2,
-	})
-	fx.fab.Servers[1].Close()
-
-	st := stagingFor(fx.rows, fx.dim)
-	if err := fx.rt.Fetch(0, 1, fx.rows, st, nil); err != nil {
-		t.Fatalf("fetch across spare adoption: %v", err)
-	}
-	checkFetched(t, st, fx.rows, fx.dim)
-	h := fx.rt.PeerHealth()[1]
-	if !h.Adopted || h.State != PeerAlive || h.Addr != spare.Addr() {
-		t.Fatalf("peer 1 health after spare adoption = %+v", h)
-	}
-	if s := spare.Stats(); s.RowsHeld != len(fx.rows) {
-		t.Fatalf("spare holds %d rows, want %d", s.RowsHeld, len(fx.rows))
 	}
 }
 
@@ -206,13 +173,13 @@ func serviceRecoveryFixture(t *testing.T, policy RecoveryPolicy, retry RetryConf
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { f.Close() })
-	noSleep(&retry)
+	noBackoff(&retry)
 	rt, err := NewResilientTransport(f.Transport, retry)
 	if err != nil {
 		t.Fatal(err)
 	}
 	svc := New(Config{Nodes: 2, CacheBytes: 0, RowBytes: dim * 4}, nil)
-	svc.SetRecovery(RecoveryConfig{Policy: policy})
+	svc.SetRecovery(policy)
 	svc.SetTransport(rt)
 	svc.RegisterTable(0, dim, rows, rowPattern(dim))
 	if err := svc.FabricErr(); err != nil {
@@ -257,6 +224,33 @@ func TestServiceSurvivorAdoption(t *testing.T) {
 	svc.PushUpdates(0, rows, rowPattern(8))
 	if err := svc.FabricErr(); err != nil {
 		t.Fatalf("push after adoption: %v", err)
+	}
+}
+
+// TestServiceAdoptionCascadesToTheLastNode kills both nodes of a 2-node
+// adopt service in turn: the survivor adopts the first, and failing the
+// last node standing over is a recorded ErrPeerDead — never a panic or a
+// hang — with only the first node adopted away.
+func TestServiceAdoptionCascadesToTheLastNode(t *testing.T) {
+	svc, f := serviceRecoveryFixture(t, RecoverAdopt, RetryConfig{MaxRedials: 1, MaxAttempts: 1})
+	defer svc.Close()
+	f.Servers[1].Close()
+	rows := []int32{1, 3}
+	if err := svc.transportFetch(0, 1, rows, stagingFor(rows, 8)); err != nil {
+		t.Fatalf("fetch across the first adoption: %v", err)
+	}
+
+	f.Servers[0].Close()
+	rows = []int32{0, 1, 2}
+	err := svc.transportFetch(0, 0, rows, stagingFor(rows, 8))
+	if !errors.Is(err, ErrPeerDead) {
+		t.Fatalf("fetch with no node left = %v, want ErrPeerDead", err)
+	}
+	if ferr := svc.FabricErr(); !errors.Is(ferr, ErrPeerDead) {
+		t.Fatalf("FabricErr = %v, want ErrPeerDead recorded", ferr)
+	}
+	if dead := svc.DeadNodes(); len(dead) != 1 || dead[0] != 1 {
+		t.Fatalf("DeadNodes = %v, want [1]", dead)
 	}
 }
 
@@ -355,5 +349,56 @@ func TestServeDegradesToMirror(t *testing.T) {
 	}
 	if h := svc.PeerHealth()[1]; h.State != PeerAlive {
 		t.Fatalf("peer 1 health after return = %+v", h)
+	}
+}
+
+// TestDeadPeerStaysDead: a peer the training path gave up on is dead for
+// good. Once it is back on a new port, serve gathers still answer its rows
+// from the mirror and fail fast: they neither re-dial it nor resync it.
+func TestDeadPeerStaysDead(t *testing.T) {
+	var restarted *NodeServer
+	svc, f := serviceRecoveryFixture(t, RecoverRedial, RetryConfig{
+		MaxRedials:  1,
+		MaxAttempts: 2,
+		Resolve: func(owner int) (string, error) {
+			if owner == 1 && restarted != nil {
+				return restarted.Addr(), nil
+			}
+			return "", nil
+		},
+	})
+	defer svc.Close()
+	f.Servers[1].Close()
+	rows := []int32{1, 3, 5}
+	if err := svc.transportFetch(0, 1, rows, stagingFor(rows, 8)); !errors.Is(err, ErrPeerDead) {
+		t.Fatalf("training fetch from a killed peer = %v, want ErrPeerDead", err)
+	}
+	if h := svc.PeerHealth()[1]; h.State != PeerDead {
+		t.Fatalf("peer 1 after the training give-up = %+v", h)
+	}
+
+	srv, err := ServeNode(1, "unix", t.TempDir()+"/back.sock", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	restarted = srv
+	resync := svc.RecoveryStats().ResyncRows
+	stale := svc.ServeSnapshot().StaleServeRows
+	const serves = 3
+	for i := 0; i < serves; i++ {
+		st := svc.PlanServeGather(0, [][]int32{rows})
+		svc.ServeGatherSync(st)
+		checkFetched(t, st, rows, 8)
+		st.Release()
+	}
+	if h := svc.PeerHealth()[1]; h.State != PeerDead || h.Redials != 0 {
+		t.Fatalf("peer 1 after serving past its death = %+v, want dead with no redials", h)
+	}
+	if got := svc.RecoveryStats().ResyncRows; got != resync {
+		t.Fatalf("ResyncRows %d -> %d: a dead peer was resynced", resync, got)
+	}
+	if got := svc.ServeSnapshot().StaleServeRows - stale; got != serves*int64(len(rows)) {
+		t.Fatalf("StaleServeRows grew by %d, want %d", got, serves*len(rows))
 	}
 }

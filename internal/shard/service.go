@@ -283,14 +283,12 @@ type Service struct {
 	fabricErr  error
 	fabricErrN int
 
-	// recovery is the armed recovery policy (SetRecovery; read-only after
-	// arming, which must precede table registration and training).
-	recovery RecoveryConfig
-	// failPart is the failover ownership overlay (nil unless RecoverAdopt
-	// armed); recoverMu single-flights failover and guards deadNodes.
+	// failPart is the failover ownership overlay, non-nil exactly when
+	// SetRecovery(RecoverAdopt) armed shard adoption (read-only after
+	// arming, which must precede table registration and training);
+	// recoverMu single-flights failover.
 	failPart  *failoverPart
 	recoverMu sync.Mutex
-	deadNodes []bool
 	// recStatsMu guards the recovery counters.
 	recStatsMu sync.Mutex
 	recStats   RecoveryStats

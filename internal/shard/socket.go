@@ -74,9 +74,9 @@ type FabricConfig struct {
 	// zero fields select their documented defaults (see FabricTimeouts).
 	Timeouts FabricTimeouts
 	// WrapConn, when set, wraps each freshly dialed peer connection — the
-	// fault-injection seam the conformance suite and the chaos harness use
-	// to drop, corrupt, truncate or delay frames. Re-dials are wrapped the
-	// same way. Production fabrics leave it nil.
+	// fault-injection seam the conformance suite uses to drop, corrupt,
+	// truncate or delay frames (and the benchmark to trace them). Re-dials
+	// are wrapped the same way. Production fabrics leave it nil.
 	WrapConn func(owner int, c net.Conn) net.Conn
 }
 
@@ -223,9 +223,8 @@ func (t *SocketTransport) redialPeer(owner int) error {
 	return t.dialPeerLocked(owner, t.peers[owner])
 }
 
-// setPeerAddr moves a peer's dial address (a node restarted on a new port,
-// or a spare process adopting the dead peer's shard). Takes effect on the
-// next redialPeer.
+// setPeerAddr moves a peer's dial address (a node restarted on a new port).
+// Takes effect on the next redialPeer.
 func (t *SocketTransport) setPeerAddr(owner int, addr string) {
 	p := t.peers[owner]
 	p.mu.Lock()

@@ -121,9 +121,9 @@ func (s *Service) SetTransport(tr Transport) {
 	s.tr = tr
 	s.multiproc = tr.Multiproc()
 	if rt, ok := tr.(*ResilientTransport); ok {
-		// A revived (re-dialed or spare) peer starts with an empty store;
+		// A revived (re-dialed) peer starts with an empty store;
 		// the service restores its shard from the authoritative mirror.
-		rt.setResync(s.resyncOwner)
+		rt.resync = s.resyncOwner
 	}
 }
 
