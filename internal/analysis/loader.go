@@ -138,11 +138,6 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 // Fset returns the shared file set all loaded syntax uses.
 func (l *Loader) Fset() *token.FileSet { return l.fset }
 
-// ModulePackages returns every module package path in `go list` order.
-func (l *Loader) ModulePackages() []string {
-	return append([]string(nil), l.order...)
-}
-
 // Load type-checks the named module package (non-test sources).
 func (l *Loader) Load(path string) (*Package, error) { return l.check(path) }
 

@@ -10,6 +10,10 @@ import "hotline/internal/tensor"
 type Bag interface {
 	// Forward performs the sum-pooled bag lookup for indices[b] per sample.
 	Forward(indices [][]int32) *tensor.Matrix
+	// ServeForward is Forward on the online-inference read path: it never
+	// arms Backward and leaves the training-side state (prefetch windows,
+	// training counters) alone. Serve replicas call it on shadows.
+	ServeForward(indices [][]int32) *tensor.Matrix
 	// Backward folds the pooled output gradient back onto the rows of the
 	// last Forward call.
 	Backward(gradOut *tensor.Matrix) SparseGrad
@@ -23,6 +27,10 @@ type Bag interface {
 	// produce bit-identical state. Pass the full mini-batch gradient — the
 	// step is non-linear in g.
 	ApplySparseAdagrad(st *AdagradState, sg SparseGrad, lr float32)
+	// ResetStepScratch rewinds the per-step backward scratch at a step
+	// boundary; a shadow's gradients are applied through its primary, so
+	// the apply-time rewind never reaches it.
+	ResetStepScratch()
 	// NumRows returns the table's row count.
 	NumRows() int
 	// EmbedDim returns the embedding dimension.

@@ -188,23 +188,13 @@ func (m *Model) AbsorbShadow(s *Model) {
 	s.pendingSparse = s.pendingSparse[:0]
 }
 
-// serveForwarder is implemented by bags with a dedicated read path
-// (ShardedBag routes serve traffic into separate counters and bypasses the
-// prefetch-window machinery; Table simply skips arming Backward).
-type serveForwarder interface {
-	ServeForward(indices [][]int32) *tensor.Matrix
-}
-
 // bagForward dispatches one table lookup down the training or the serving
-// path. Every in-tree bag implements serveForwarder; the Forward fallback
-// keeps external Bag implementations working on the serve path too.
+// path.
 //
 //hotline:hotpath
 func bagForward(b embedding.Bag, indices [][]int32, serve bool) *tensor.Matrix {
 	if serve {
-		if sf, ok := b.(serveForwarder); ok {
-			return sf.ServeForward(indices)
-		}
+		return b.ServeForward(indices)
 	}
 	return b.Forward(indices)
 }
@@ -325,13 +315,6 @@ func (m *Model) DenseParams() []nn.Param {
 	return m.denseParams
 }
 
-// stepScratchResetter is implemented by bags whose per-step scratch must be
-// rewound at the step boundary (shadow bags never see the apply-time
-// rewind — their gradients are applied through the primary tables).
-type stepScratchResetter interface {
-	ResetStepScratch()
-}
-
 // ZeroAll clears dense gradient accumulators, drops stashed sparse grads
 // and rewinds the bags' step scratch (every executor calls it once per
 // step on each model it drives, including shadows).
@@ -339,9 +322,7 @@ func (m *Model) ZeroAll() {
 	nn.ZeroGrads(m.DenseParams())
 	m.pendingSparse = m.pendingSparse[:0]
 	for _, b := range m.Tables {
-		if r, ok := b.(stepScratchResetter); ok {
-			r.ResetStepScratch()
-		}
+		b.ResetStepScratch()
 	}
 }
 

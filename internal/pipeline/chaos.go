@@ -51,7 +51,7 @@ type ChaosMeasurement struct {
 type ChaosProbe struct {
 	Nodes        int    // shard node count (>= 2); the highest-numbered node is the victim
 	Depth        int    // prefetch pipeline depth; < 1 selects the executors' default
-	Network      string // the chaos fabric's socket family ("unix" or "tcp")
+	Network      string // the local fabric's socket family ("unix" or "tcp")
 	Iters, Batch int    // size of the functional run
 	// Policy is the recovery policy under test (RecoverRedial or
 	// RecoverAdopt).
@@ -63,10 +63,11 @@ type ChaosProbe struct {
 
 // MeasureChaos trains the pipelined executor functionally on the probe
 // shape of cfg twice — fault-free in-proc as the reference, then over a
-// chaos fabric (one killable NodeServer per node) where the schedule kills
-// the highest-numbered peer at window 1: under RecoverRedial the peer
-// restarts on a new address after RestartAfter and the transport re-dials
-// it; under RecoverAdopt it stays dead and the survivors adopt its shard.
+// shard.LocalFabric (one killable NodeServer per node) where the chaos
+// schedule kills the highest-numbered peer at window 1: under RecoverRedial
+// the peer restarts on a new address after RestartAfter and the transport
+// re-dials it; under RecoverAdopt it stays dead and the survivors adopt its
+// shard.
 // Each window also issues one serve-path gather, so an outage's graceful
 // degradation (StaleServeRows) is measured in the same run. The returned
 // measurement carries the recovery costs and the bit-parity evidence; an
@@ -106,13 +107,13 @@ func MeasureChaos(cfg data.Config, p ChaosProbe) (ChaosMeasurement, error) {
 		return ChaosMeasurement{}, fmt.Errorf("chaos in-proc reference run: %w", err)
 	}
 
-	fab, err := chaos.NewFabric(p.Nodes, p.Network, shard.FabricTimeouts{})
+	fab, err := shard.StartLocalFabric(p.Nodes, p.Network, 0, nil)
 	if err != nil {
 		return ChaosMeasurement{}, err
 	}
 	defer fab.Close()
-	fab.SetSchedule(sched)
-	rt, err := fab.Dial(retry)
+	retry.Resolve = fab.Resolve
+	rt, err := shard.NewResilientTransport(fab.Transport, retry)
 	if err != nil {
 		return ChaosMeasurement{}, fmt.Errorf("chaos %s run (%s): %w", p.Policy, sched, err)
 	}
@@ -121,7 +122,7 @@ func MeasureChaos(cfg data.Config, p ChaosProbe) (ChaosMeasurement, error) {
 		svc.SetTransport(rt)
 	}
 	run.window = func(svc *shard.Service, i int, b *data.Batch) {
-		fab.Tick(i)
+		sched.Apply(fab, i)
 		serveProbe(svc, b)
 	}
 	res, err := runProbe(run)

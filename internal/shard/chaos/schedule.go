@@ -1,23 +1,25 @@
 //hotline:typed-errors
 
-// Package chaos is the deterministic fault scheduler for the shard fabric:
-// a Schedule of kill/restart events driven against a restartable in-process
-// fabric (Fabric), so recovery tests and the mn-chaos scenario inject
+// Package chaos is the deterministic fault schedule for the shard fabric: a
+// Schedule of kill/restart events that Apply drives against a
+// shard.LocalFabric, so recovery tests and the mn-chaos scenario inject
 // byte-identical fault sequences on every run.
 //
 // Determinism is the whole point — a recovery property that only holds for
-// one lucky interleaving is not a property. Schedules are pure data; the
-// harness applies them at training-window granularity
-// (Tick) with the single deliberate exception of restarts, which fire on a
-// wall-clock timer: a training loop blocked inside the transport's retry
-// path cannot advance windows, so a window-gated restart would deadlock the
-// very scenario it exists to test.
+// one lucky interleaving is not a property. Schedules are pure data; Apply
+// fires them at training-window granularity with the single deliberate
+// exception of restarts, which fire on a wall-clock timer
+// (LocalFabric.RestartAfter): a training loop blocked inside the transport's
+// retry path cannot advance windows, so a window-gated restart would
+// deadlock the very scenario it exists to test.
 package chaos
 
 import (
 	"fmt"
 	"strings"
 	"time"
+
+	"hotline/internal/shard"
 )
 
 // Kind is one chaos event type.
@@ -46,12 +48,12 @@ func (k Kind) String() string {
 
 // Event is one scheduled fault.
 type Event struct {
-	// Window is the training window at which the event fires (Tick(w)).
+	// Window is the training window Apply fires the event at.
 	Window int
 	Kind   Kind
 	// Peer is the target node.
 	Peer int
-	// After delays a RestartPeer on the wall clock past its window's tick.
+	// After delays a RestartPeer on the wall clock past its window.
 	After time.Duration
 }
 
@@ -74,6 +76,22 @@ func (s Schedule) String() string {
 		}
 	}
 	return b.String()
+}
+
+// Apply fires the schedule's events for training window on f, in schedule
+// order: a kill at once, a restart After its wall delay.
+func (s Schedule) Apply(f *shard.LocalFabric, window int) {
+	for _, e := range s {
+		if e.Window != window {
+			continue
+		}
+		switch e.Kind {
+		case KillPeer:
+			f.Kill(e.Peer)
+		case RestartPeer:
+			f.RestartAfter(e.Peer, e.After)
+		}
+	}
 }
 
 // KillRestart is the canonical single-fault schedule: kill peer at window,

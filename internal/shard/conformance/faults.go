@@ -253,7 +253,7 @@ func RunFaults(t *testing.T, network string) {
 		tr.LearnSamples = probeLearn
 		train.StepAll(tr, probeBatches(cfg), func(i int) {
 			if i == 1 {
-				fab.Servers[1].Close() // the peer dies with a window open
+				fab.Kill(1) // the peer dies with a window open
 			}
 		})
 		if err := svc.FabricErr(); !errors.Is(err, shard.ErrPeerDead) {

@@ -39,8 +39,6 @@ type pipeFixture struct {
 	store [][]float32
 	src   shard.RowAt
 	arm   func()
-	// moved, when set, is where re-dials find node 0 (a restarted process).
-	moved atomic.Pointer[string]
 }
 
 func newPipeFixture(t *testing.T, network string, resilient bool, rows, dim int, timeout time.Duration, spec faultSpec) *pipeFixture {
@@ -52,12 +50,7 @@ func newPipeFixture(t *testing.T, network string, resilient bool, rows, dim int,
 	if resilient {
 		rt, err := shard.NewResilientTransport(fx.bare, shard.RetryConfig{
 			Backoff: func(int) time.Duration { return 0 },
-			Resolve: func(owner int) (string, error) {
-				if addr := fx.moved.Load(); owner == 0 && addr != nil {
-					return *addr, nil
-				}
-				return "", nil
-			},
+			Resolve: fx.fab.Resolve,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -256,18 +249,11 @@ func RunPipeline(t *testing.T, network string) {
 				if fx.bare.OwedAcks(0) == 0 {
 					t.Fatal("no pushes outstanding at the kill")
 				}
-				fx.fab.Servers[0].Close()
-				addr := "127.0.0.1:0"
-				if network == "unix" {
-					addr = t.TempDir() + "/n0.sock"
-				}
-				srv, err := shard.ServeNode(0, network, addr, 0)
-				if err != nil {
+				fx.fab.Kill(0)
+				if err := fx.fab.Restart(0); err != nil {
 					t.Fatal(err)
 				}
-				defer srv.Close()
-				addr = srv.Addr()
-				fx.moved.Store(&addr)
+				addr := fx.fab.Servers[0].Addr()
 
 				fx.mustMatchMirror(t, rows)
 				if got := fx.bare.OwedAcks(0); got != 0 {

@@ -72,27 +72,34 @@ func suiteTimeout(tb testing.TB) time.Duration {
 	return shard.DefaultIOTimeout
 }
 
-// trainChaos is trainRun against a chaos fabric: same probe stream, same
-// executor, with the schedule ticked once per training window and the
-// recovery policy armed.
-func trainChaos(tb testing.TB, network string, nodes, depth int, part shard.Partitioner,
-	policy shard.RecoveryPolicy, retry shard.RetryConfig, sched chaos.Schedule) runResult {
+// resilientFabric starts a local fabric and puts a ResilientTransport over
+// it whose re-dials follow restarted nodes (Resolve is the fabric's).
+func resilientFabric(tb testing.TB, network string, nodes int, retry shard.RetryConfig) (*shard.LocalFabric, *shard.ResilientTransport) {
 	tb.Helper()
-	timeout := suiteTimeout(tb)
-	fab, err := chaos.NewFabric(nodes, network, shard.FabricTimeouts{Dial: timeout, IO: timeout})
+	fab, err := shard.StartLocalFabric(nodes, network, suiteTimeout(tb), nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { fab.Close() })
-	rt, err := fab.Dial(retry)
+	retry.Resolve = fab.Resolve
+	rt, err := shard.NewResilientTransport(fab.Transport, retry)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	fab.SetSchedule(sched)
+	return fab, rt
+}
+
+// trainChaos is trainRun against a local fabric: same probe stream, same
+// executor, with the schedule applied once per training window and the
+// recovery policy armed.
+func trainChaos(tb testing.TB, network string, nodes, depth int, part shard.Partitioner,
+	policy shard.RecoveryPolicy, retry shard.RetryConfig, sched chaos.Schedule) runResult {
+	tb.Helper()
+	fab, rt := resilientFabric(tb, network, nodes, retry)
 	return trainRun(tb, model.New(probeCfg(), probeSeed), nodes, depth, part, func(svc *shard.Service) {
 		svc.SetRecovery(policy)
 		svc.SetTransport(rt)
-	}, fab.Tick)
+	}, func(w int) { sched.Apply(fab, w) })
 }
 
 // RunRecovery executes the recovery contract suite on one socket family.
@@ -174,15 +181,7 @@ func RunRecovery(t *testing.T, network string) {
 // train+serve traffic behaves exactly as on a healthy fabric.
 func runServeOutage(t *testing.T, network string) {
 	const nodes, rows, dim = 4, 64, 8
-	fab, err := chaos.NewFabric(nodes, network, shard.FabricTimeouts{Dial: suiteTimeout(t), IO: suiteTimeout(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fab.Close()
-	rt, err := fab.Dial(redialRetry())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fab, rt := resilientFabric(t, network, nodes, redialRetry())
 
 	svc := shard.New(shard.Config{Nodes: nodes, CacheBytes: 0, RowBytes: dim * 4}, nil)
 	svc.SetTransport(rt)

@@ -38,8 +38,8 @@ func TestTransientFabricErrClassification(t *testing.T) {
 }
 
 // resilientFixture is a 2-node local fabric behind a ResilientTransport
-// with no re-dial backoff, its rows pre-pushed and a resync
-// callback restoring them on revival.
+// with no re-dial backoff and the fabric's Resolve, its rows pre-pushed and
+// a resync callback restoring them on revival.
 type resilientFixture struct {
 	fab  *LocalFabric
 	rt   *ResilientTransport
@@ -56,6 +56,7 @@ func newResilientFixture(t *testing.T, cfg RetryConfig) *resilientFixture {
 	}
 	t.Cleanup(func() { f.Close() })
 	noBackoff(&cfg)
+	cfg.Resolve = f.Resolve
 	rt, err := NewResilientTransport(f.Transport, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -76,22 +77,11 @@ func newResilientFixture(t *testing.T, cfg RetryConfig) *resilientFixture {
 // Resolve hook, resyncs the empty store from the row source, and the
 // original fetch replays successfully — the caller never sees the outage.
 func TestResilientRedialRevives(t *testing.T) {
-	var restarted *NodeServer
-	fx := newResilientFixture(t, RetryConfig{
-		Resolve: func(owner int) (string, error) {
-			if owner == 1 && restarted != nil {
-				return restarted.Addr(), nil
-			}
-			return "", nil
-		},
-	})
-	fx.fab.Servers[1].Close()
-	srv, err := ServeNode(1, "unix", t.TempDir()+"/restart.sock", 0)
-	if err != nil {
+	fx := newResilientFixture(t, RetryConfig{})
+	fx.fab.Kill(1)
+	if err := fx.fab.Restart(1); err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	restarted = srv
 
 	st := stagingFor(fx.rows, fx.dim)
 	if err := fx.rt.Fetch(0, 1, fx.rows, st, nil); err != nil {
@@ -99,7 +89,7 @@ func TestResilientRedialRevives(t *testing.T) {
 	}
 	checkFetched(t, st, fx.rows, fx.dim)
 	h := fx.rt.PeerHealth()[1]
-	if h.State != PeerAlive || h.Redials < 1 || h.Addr != srv.Addr() {
+	if h.State != PeerAlive || h.Redials < 1 || h.Addr != fx.fab.Servers[1].Addr() {
 		t.Fatalf("peer 1 health after revival = %+v", h)
 	}
 	if h.LastErr != "" {
@@ -114,7 +104,7 @@ func TestResilientRedialRevives(t *testing.T) {
 func TestResilientGivesUpPastBudget(t *testing.T) {
 	fx := newResilientFixture(t, RetryConfig{MaxRedials: 2})
 	deadAddr := fx.rt.inner.peerAddr(1)
-	fx.fab.Servers[1].Close()
+	fx.fab.Kill(1)
 
 	err := fx.rt.Fetch(0, 1, fx.rows, stagingFor(fx.rows, fx.dim), nil)
 	if !errors.Is(err, ErrPeerDead) {
@@ -163,8 +153,8 @@ func TestResilientCorruptionDoesNotRetry(t *testing.T) {
 }
 
 // serviceRecoveryFixture builds a pure-remote 2-node Service over a
-// resilient local fabric with the given recovery policy armed and one
-// registered 32-row table.
+// resilient local fabric (re-dials follow the fabric's Resolve) with the
+// given recovery policy armed and one registered 32-row table.
 func serviceRecoveryFixture(t *testing.T, policy RecoveryPolicy, retry RetryConfig) (*Service, *LocalFabric) {
 	t.Helper()
 	const dim, rows = 8, 32
@@ -174,6 +164,7 @@ func serviceRecoveryFixture(t *testing.T, policy RecoveryPolicy, retry RetryConf
 	}
 	t.Cleanup(func() { f.Close() })
 	noBackoff(&retry)
+	retry.Resolve = f.Resolve
 	rt, err := NewResilientTransport(f.Transport, retry)
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +186,7 @@ func serviceRecoveryFixture(t *testing.T, policy RecoveryPolicy, retry RetryConf
 func TestServiceSurvivorAdoption(t *testing.T) {
 	svc, f := serviceRecoveryFixture(t, RecoverAdopt, RetryConfig{MaxRedials: 1, MaxAttempts: 1})
 	defer svc.Close()
-	f.Servers[1].Close()
+	f.Kill(1)
 
 	// Rows owned by node 1 under round-robin (odd rows).
 	rows := []int32{1, 3, 5, 7}
@@ -234,13 +225,13 @@ func TestServiceSurvivorAdoption(t *testing.T) {
 func TestServiceAdoptionCascadesToTheLastNode(t *testing.T) {
 	svc, f := serviceRecoveryFixture(t, RecoverAdopt, RetryConfig{MaxRedials: 1, MaxAttempts: 1})
 	defer svc.Close()
-	f.Servers[1].Close()
+	f.Kill(1)
 	rows := []int32{1, 3}
 	if err := svc.transportFetch(0, 1, rows, stagingFor(rows, 8)); err != nil {
 		t.Fatalf("fetch across the first adoption: %v", err)
 	}
 
-	f.Servers[0].Close()
+	f.Kill(0)
 	rows = []int32{0, 1, 2}
 	err := svc.transportFetch(0, 0, rows, stagingFor(rows, 8))
 	if !errors.Is(err, ErrPeerDead) {
@@ -260,7 +251,7 @@ func TestServiceAdoptionCascadesToTheLastNode(t *testing.T) {
 func TestServiceAdoptionNotArmedFailsFast(t *testing.T) {
 	svc, f := serviceRecoveryFixture(t, RecoverRedial, RetryConfig{MaxRedials: 1, MaxAttempts: 1})
 	defer svc.Close()
-	f.Servers[1].Close()
+	f.Kill(1)
 	rows := []int32{1, 3}
 	if err := svc.transportFetch(0, 1, rows, stagingFor(rows, 8)); !errors.Is(err, ErrPeerDead) {
 		t.Fatalf("fetch without adoption = %v, want ErrPeerDead", err)
@@ -302,21 +293,12 @@ func TestFabricErrAggregates(t *testing.T) {
 // erroring, counts StaleServeRows in the serve snapshot only, and
 // un-degrades by itself once the peer is back.
 func TestServeDegradesToMirror(t *testing.T) {
-	var restarted *NodeServer
-	svc, f := serviceRecoveryFixture(t, RecoverRedial, RetryConfig{
-		MaxRedials: 1,
-		Resolve: func(owner int) (string, error) {
-			if owner == 1 && restarted != nil {
-				return restarted.Addr(), nil
-			}
-			return "", nil
-		},
-	})
+	svc, f := serviceRecoveryFixture(t, RecoverRedial, RetryConfig{MaxRedials: 1})
 	defer svc.Close()
 	// The serve window wants odd (node-1-owned) rows for node 0.
 	rows := []int32{1, 3, 5}
 
-	f.Servers[1].Close()
+	f.Kill(1)
 	st := svc.PlanServeGather(0, [][]int32{rows})
 	svc.ServeGatherSync(st)
 	checkFetched(t, st, rows, 8)
@@ -333,12 +315,9 @@ func TestServeDegradesToMirror(t *testing.T) {
 
 	// Peer returns on a new port; the next serve gather probes, re-dials,
 	// resyncs and stops counting stale rows.
-	srv, err := ServeNode(1, "unix", t.TempDir()+"/back.sock", 0)
-	if err != nil {
+	if err := f.Restart(1); err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	restarted = srv
 	before := svc.ServeSnapshot().StaleServeRows
 	st = svc.PlanServeGather(0, [][]int32{rows})
 	svc.ServeGatherSync(st)
@@ -356,19 +335,9 @@ func TestServeDegradesToMirror(t *testing.T) {
 // good. Once it is back on a new port, serve gathers still answer its rows
 // from the mirror and fail fast: they neither re-dial it nor resync it.
 func TestDeadPeerStaysDead(t *testing.T) {
-	var restarted *NodeServer
-	svc, f := serviceRecoveryFixture(t, RecoverRedial, RetryConfig{
-		MaxRedials:  1,
-		MaxAttempts: 2,
-		Resolve: func(owner int) (string, error) {
-			if owner == 1 && restarted != nil {
-				return restarted.Addr(), nil
-			}
-			return "", nil
-		},
-	})
+	svc, f := serviceRecoveryFixture(t, RecoverRedial, RetryConfig{MaxRedials: 1, MaxAttempts: 2})
 	defer svc.Close()
-	f.Servers[1].Close()
+	f.Kill(1)
 	rows := []int32{1, 3, 5}
 	if err := svc.transportFetch(0, 1, rows, stagingFor(rows, 8)); !errors.Is(err, ErrPeerDead) {
 		t.Fatalf("training fetch from a killed peer = %v, want ErrPeerDead", err)
@@ -377,12 +346,9 @@ func TestDeadPeerStaysDead(t *testing.T) {
 		t.Fatalf("peer 1 after the training give-up = %+v", h)
 	}
 
-	srv, err := ServeNode(1, "unix", t.TempDir()+"/back.sock", 0)
-	if err != nil {
+	if err := f.Restart(1); err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	restarted = srv
 	resync := svc.RecoveryStats().ResyncRows
 	stale := svc.ServeSnapshot().StaleServeRows
 	const serves = 3

@@ -240,14 +240,6 @@ func (t *SocketTransport) peerAddr(owner int) string {
 	return p.addr
 }
 
-// peerErr returns a peer's sticky error (nil while healthy).
-func (t *SocketTransport) peerErr(owner int) error {
-	p := t.peers[owner]
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.err
-}
-
 // OwedAcks reports how many pushes to owner have been written whose acks
 // are still unread — the depth of the peer's pipeline right now. It waits
 // for the operation in flight on that peer, if any.
@@ -543,11 +535,24 @@ func (t *SocketTransport) Push(table, owner int, rows []int32, src RowAt) error 
 // LocalFabric is a self-contained socket fabric for tests, experiments and
 // single-machine runs: every NodeServer runs in-process behind a real unix
 // or port-0 TCP socket, so frames still cross the kernel and the wall-clock
-// numbers are honest socket numbers, without spawning OS processes.
+// numbers are honest socket numbers, without spawning OS processes. Its
+// nodes can be killed and restarted mid-run, empty and on a fresh address —
+// what a SIGTERM'd and re-spawned hotline-node process looks like to the
+// coordinator — which is how every recovery path is exercised.
 type LocalFabric struct {
 	Transport *SocketTransport
-	Servers   []*NodeServer
-	dir       string
+	// Servers[n] is node n's server, nil while node n is killed. Kill,
+	// Restart and a due RestartAfter replace entries under the fabric's
+	// lock: read it only while none of them can run.
+	Servers []*NodeServer
+	network string
+	dir     string // unix socket dir, "" on tcp
+
+	mu      sync.Mutex
+	gen     []int // per-node listen generation: a restart never reuses an address
+	timers  []*time.Timer
+	pending sync.WaitGroup // RestartAfter timers not yet finished or stopped
+	closed  bool
 }
 
 // StartLocalFabric listens one NodeServer per node and dials the fabric.
@@ -556,20 +561,28 @@ type LocalFabric struct {
 // selects the defaults) and wrap is FabricConfig.WrapConn (nil for a
 // healthy fabric).
 func StartLocalFabric(nodes int, network string, timeout time.Duration, wrap func(int, net.Conn) net.Conn) (*LocalFabric, error) {
-	f := &LocalFabric{Servers: make([]*NodeServer, 0, nodes)}
-	addrs := make([]string, 0, nodes)
-	for n := 0; n < nodes; n++ {
-		addr, err := f.localAddr(network, n)
+	f := &LocalFabric{Servers: make([]*NodeServer, nodes), network: network, gen: make([]int, nodes)}
+	switch network {
+	case "unix":
+		// Keep the path short: unix socket paths cap near 100 bytes.
+		d, err := os.MkdirTemp("", "hlfab")
 		if err != nil {
 			return nil, err
 		}
-		srv, err := ServeNode(n, network, addr, 0)
+		f.dir = d
+	case "tcp":
+	default:
+		return nil, fmt.Errorf("%w: unknown fabric network %q", ErrFabricConfig, network)
+	}
+	addrs := make([]string, nodes)
+	for n := range nodes {
+		srv, err := f.serve(n)
 		if err != nil {
 			f.Close()
 			return nil, err
 		}
-		f.Servers = append(f.Servers, srv)
-		addrs = append(addrs, srv.Addr())
+		f.Servers[n] = srv
+		addrs[n] = srv.Addr()
 	}
 	tr, err := DialFabric(FabricConfig{
 		Network: network, Addrs: addrs,
@@ -584,52 +597,109 @@ func StartLocalFabric(nodes int, network string, timeout time.Duration, wrap fun
 	return f, nil
 }
 
-// localAddr picks a fresh listen address for one in-process node: a socket
-// path under the fabric's temp dir ("unix"), or loopback port 0 ("tcp").
-// Repeated calls for the same node yield distinct paths, so a restarted
-// node never fights its predecessor's socket file.
-func (f *LocalFabric) localAddr(network string, node int) (string, error) {
-	switch network {
-	case "unix":
-		if f.dir == "" {
-			// Keep the path short: unix socket paths cap near 100 bytes.
-			d, err := os.MkdirTemp("", "hlfab")
-			if err != nil {
-				return "", err
-			}
-			f.dir = d
-		}
-		for gen := 0; ; gen++ {
-			addr := filepath.Join(f.dir, fmt.Sprintf("n%d_%d.sock", node, gen))
-			if _, err := os.Stat(addr); os.IsNotExist(err) {
-				return addr, nil
-			}
-		}
-	case "tcp":
-		return "127.0.0.1:0", nil
-	default:
-		return "", fmt.Errorf("%w: unknown fabric network %q", ErrFabricConfig, network)
+// serve listens a fresh, empty node n: on unix at a generation-suffixed path
+// (a closed unix listener unlinks its file, so "the first free path" would
+// hand a restarted node its predecessor's address), on tcp at loopback port
+// 0. The caller holds f.mu or is StartLocalFabric.
+func (f *LocalFabric) serve(n int) (*NodeServer, error) {
+	addr := "127.0.0.1:0"
+	if f.network == "unix" {
+		addr = filepath.Join(f.dir, fmt.Sprintf("n%d_%d.sock", n, f.gen[n]))
+	}
+	f.gen[n]++
+	return ServeNode(n, f.network, addr, 0)
+}
+
+// Kill closes node n's server — the in-process equivalent of SIGTERM
+// (hotline-node's signal handler calls exactly this Close). Killing a killed
+// node does nothing.
+func (f *LocalFabric) Kill(n int) {
+	f.mu.Lock()
+	srv := f.Servers[n]
+	f.Servers[n] = nil
+	f.mu.Unlock()
+	if srv != nil {
+		srv.Close()
 	}
 }
 
-// Close tears the fabric down: transport first, then the servers, then the
-// socket dir. Idempotent.
+// Restart starts node n again, empty and on an address it never had; a live
+// node n is killed first. A ResilientTransport whose Resolve is f.Resolve
+// finds it at its next re-dial, and the service's resync restores its shard
+// from the mirror. After Close it starts nothing and returns ErrClosed.
+func (f *LocalFabric) Restart(n int) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed {
+		return fmt.Errorf("%w: local fabric node %d restart", ErrClosed, n)
+	}
+	if old := f.Servers[n]; old != nil {
+		old.Close()
+		f.Servers[n] = nil
+	}
+	// Listening under the lock orders this restart against Close: either
+	// Close finds the new server in Servers, or this finds closed set.
+	srv, err := f.serve(n)
+	if err != nil {
+		return err
+	}
+	f.Servers[n] = srv
+	return nil
+}
+
+// RestartAfter restarts node n d from now, on the wall clock: a training
+// loop blocked inside the transport's retry never reaches its next window,
+// so only a timer can revive the peer it waits for. Close cancels it.
+func (f *LocalFabric) RestartAfter(n int, d time.Duration) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed {
+		return
+	}
+	f.pending.Add(1)
+	f.timers = append(f.timers, time.AfterFunc(d, func() {
+		defer f.pending.Done()
+		// Its only failures are ErrClosed, which is the cancellation, and a
+		// listen error, which the re-dial that finds no node reports.
+		_ = f.Restart(n)
+	}))
+}
+
+// Resolve reports node n's current dial address, "" while it is killed. It
+// is a RetryConfig.Resolve: re-dials follow a restarted node to its new
+// address.
+func (f *LocalFabric) Resolve(n int) (string, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.Servers[n] == nil {
+		return "", nil
+	}
+	return f.Servers[n].Addr(), nil
+}
+
+// Close tears the fabric down: pending restarts first (it returns only once
+// none can run), then the transport, the servers and the socket dir.
+// Idempotent.
 func (f *LocalFabric) Close() error {
+	f.mu.Lock()
+	f.closed = true // RestartAfter arms no more timers
+	timers := f.timers
+	f.mu.Unlock()
+	for _, t := range timers {
+		if t.Stop() {
+			f.pending.Done()
+		}
+	}
+	f.pending.Wait()
 	var first error
 	if f.Transport != nil {
 		first = f.Transport.Close()
 	}
-	for _, s := range f.Servers {
-		if s == nil {
-			continue
-		}
-		if err := s.Close(); err != nil && first == nil {
-			first = err
-		}
+	for n := range f.Servers {
+		f.Kill(n)
 	}
 	if f.dir != "" {
 		os.RemoveAll(f.dir)
-		f.dir = ""
 	}
 	return first
 }

@@ -147,7 +147,7 @@ func TestSocketPeerDeathIsSticky(t *testing.T) {
 	if err := f.Transport.Push(0, 1, rows, rowPattern(dim)); err != nil {
 		t.Fatal(err)
 	}
-	f.Servers[1].Close()
+	f.Kill(1)
 	for i := 0; i < 2; i++ {
 		err := f.Transport.Fetch(0, 1, rows, stagingFor(rows, dim), nil)
 		if !errors.Is(err, ErrPeerDead) {
@@ -410,17 +410,11 @@ func TestSocketRedialForgetsOwedAcks(t *testing.T) {
 	if got := tr.OwedAcks(0); got != 3 {
 		t.Fatalf("%d acks owed after 3 pushes", got)
 	}
-	f.Servers[0].Close()
-	addr, err := f.localAddr("unix", 0)
-	if err != nil {
+	f.Kill(0)
+	if err := f.Restart(0); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := ServeNode(0, "unix", addr, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	tr.setPeerAddr(0, srv.Addr())
+	tr.setPeerAddr(0, f.Servers[0].Addr())
 	if err := tr.redialPeer(0); err != nil {
 		t.Fatalf("redial: %v", err)
 	}
@@ -436,6 +430,73 @@ func TestSocketRedialForgetsOwedAcks(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkFetched(t, st, rows, 4)
+}
+
+// TestLocalFabricKillRestart pins the node lifecycle the recovery paths are
+// proven with: a killed node resolves to nothing and fails fetches typed, a
+// restarted one is empty at an address it never had, and Close leaves no
+// node, no pending restart and no goroutine behind — a restart that Close
+// cancelled starts nothing, and one that races Close does not outlive it.
+func TestLocalFabricKillRestart(t *testing.T) {
+	for _, network := range []string{"unix", "tcp"} {
+		t.Run(network, func(t *testing.T) {
+			if network == "tcp" && testing.Short() {
+				t.Skip("unix sockets only in -short (CI deflake contract)")
+			}
+			base := runtime.NumGoroutine()
+			f, err := StartLocalFabric(2, network, fabricTimeout(t), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			rows := []int32{1, 3}
+			if err := f.Transport.Push(0, 1, rows, rowPattern(4)); err != nil {
+				t.Fatal(err)
+			}
+			killed, _ := f.Resolve(1)
+
+			f.Kill(1)
+			if addr, err := f.Resolve(1); addr != "" || err != nil {
+				t.Fatalf("Resolve of a killed node = %q, %v; want \"\", nil", addr, err)
+			}
+			if err := f.Transport.Fetch(0, 1, rows, stagingFor(rows, 4), nil); !errors.Is(err, ErrPeerDead) {
+				t.Fatalf("fetch from a killed node: got %v want ErrPeerDead", err)
+			}
+
+			if err := f.Restart(1); err != nil {
+				t.Fatal(err)
+			}
+			addr, _ := f.Resolve(1)
+			if addr == "" || addr == killed {
+				t.Fatalf("restarted node listens at %q, killed one was at %q", addr, killed)
+			}
+			if s := f.Servers[1].Stats(); s.RowsHeld != 0 {
+				t.Fatalf("restarted node holds %d rows, want an empty store", s.RowsHeld)
+			}
+
+			f.Kill(0)
+			f.Kill(1)
+			f.RestartAfter(0, 0)         // races Close
+			f.RestartAfter(1, time.Hour) // cancelled by Close: were it not, Close would wait an hour
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Restart(1); !errors.Is(err, ErrClosed) {
+				t.Fatalf("Restart after Close: got %v want ErrClosed", err)
+			}
+			for n, s := range f.Servers {
+				if s != nil {
+					t.Fatalf("node %d has a server after Close", n)
+				}
+			}
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after Close, %d before the fabric", runtime.NumGoroutine(), base)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
 }
 
 // TestSocketUnknownRowMidPipeline: an unknown row in the first chunk of a

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Time is simulated time in nanoseconds since the start of the run.
 type Time int64
@@ -81,78 +78,3 @@ func (r *Resource) Schedule(ready Time, d Duration) (start, end Time) {
 
 // Reset makes the resource free at time 0 again.
 func (r *Resource) Reset() { r.free = 0 }
-
-// Span is one recorded occupancy interval.
-type Span struct {
-	Resource string
-	Phase    string
-	Start    Time
-	End      Time
-}
-
-// Dur returns the span length.
-func (s Span) Dur() Duration { return s.End - s.Start }
-
-// Recorder collects spans for breakdown and Gantt-style analyses.
-type Recorder struct {
-	Spans []Span
-}
-
-// Record appends a span. Zero-length spans are kept (they carry phase
-// attribution for instantaneous events).
-func (r *Recorder) Record(resource, phase string, start, end Time) {
-	if end < start {
-		panic(fmt.Sprintf("sim: span end %d before start %d (%s/%s)", end, start, resource, phase))
-	}
-	r.Spans = append(r.Spans, Span{Resource: resource, Phase: phase, Start: start, End: end})
-}
-
-// BusyByPhase sums span durations per phase label. Note this is occupancy,
-// not critical-path time; overlapped spans both count.
-func (r *Recorder) BusyByPhase() map[string]Duration {
-	out := make(map[string]Duration)
-	for _, s := range r.Spans {
-		out[s.Phase] += s.Dur()
-	}
-	return out
-}
-
-// BusyByResource sums span durations per resource.
-func (r *Recorder) BusyByResource() map[string]Duration {
-	out := make(map[string]Duration)
-	for _, s := range r.Spans {
-		out[s.Resource] += s.Dur()
-	}
-	return out
-}
-
-// Makespan returns the latest span end time (0 for an empty recorder).
-func (r *Recorder) Makespan() Time {
-	var m Time
-	for _, s := range r.Spans {
-		if s.End > m {
-			m = s.End
-		}
-	}
-	return m
-}
-
-// CheckNoOverlap verifies that no two spans on the same resource overlap —
-// the causality invariant of calendar scheduling. It returns the first
-// violating pair, if any.
-func (r *Recorder) CheckNoOverlap() error {
-	byRes := make(map[string][]Span)
-	for _, s := range r.Spans {
-		byRes[s.Resource] = append(byRes[s.Resource], s)
-	}
-	for res, spans := range byRes {
-		sort.Slice(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start })
-		for i := 1; i < len(spans); i++ {
-			if spans[i].Start < spans[i-1].End {
-				return fmt.Errorf("sim: overlap on %s: [%v,%v) and [%v,%v)",
-					res, spans[i-1].Start, spans[i-1].End, spans[i].Start, spans[i].End)
-			}
-		}
-	}
-	return nil
-}
