@@ -71,7 +71,6 @@ func main() {
 	fabricIters := flag.Int("fabric-iters", 6, "training iterations for -fabric")
 	fabricDial := flag.Duration("fabric-dial", shard.DefaultDialTimeout, "per-peer dial timeout for -fabric")
 	fabricIO := flag.Duration("fabric-io", shard.DefaultIOTimeout, "per-operation read/write deadline for -fabric (also the workers' -io-timeout)")
-	fabricRetry := flag.Duration("fabric-retry", shard.DefaultRetryTimeout, "recovery budget one peer re-dial loop may spend for -fabric")
 	flag.Parse()
 
 	// flag stops at the first positional word and drops everything after it,
@@ -89,7 +88,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *fabric != "" {
-		timeouts := shard.FabricTimeouts{Dial: *fabricDial, IO: *fabricIO, Retry: *fabricRetry}
+		timeouts := shard.FabricTimeouts{Dial: *fabricDial, IO: *fabricIO}
 		if err := timeouts.Validate(); err != nil {
 			fmt.Fprintln(os.Stderr, "hotline-bench:", err)
 			os.Exit(2)

@@ -58,7 +58,7 @@ func main() {
 	fmt.Println("\nMeasured vs analytic multi-node Hotline iteration (Criteo Kaggle):")
 	for _, nodes := range []int{2, 4} {
 		sys := hotline.PaperCluster(nodes)
-		measured := hotline.NewShardedWorkload(hotline.CriteoKaggle(), 4096*nodes, sys, 0, 0)
+		measured := hotline.NewShardedWorkload(hotline.CriteoKaggle(), 4096*nodes, sys)
 		analytic := hotline.NewWorkload(hotline.CriteoKaggle(), 4096*nodes, sys)
 		hl := hotline.NewHotlinePipeline()
 		fmt.Printf("  %d nodes: measured %v  analytic %v  (cache hit %.1f%%)\n",

@@ -167,11 +167,11 @@ type ShardProbe = pipeline.ShardProbe
 var MeasureShard = pipeline.MeasureShard
 
 // NewShardedWorkload assembles a workload whose timing models consume
-// measured sharding statistics instead of analytic popularity fractions.
-// cacheBytes <= 0 selects the dataset's scaled hot-set budget. The
-// exposed-gather fraction is measured too, at pipeline depth depth (< 1
-// selects 2, the depth executors start with), so the Hotline model prices
-// overlap from the pipelined engine by default.
+// measured sharding statistics instead of analytic popularity fractions,
+// with the dataset's scaled hot-set budget of device cache per node. The
+// exposed-gather fraction is measured too, at depth 2 (the depth executors
+// start with), so the Hotline model prices overlap from the pipelined
+// engine.
 var NewShardedWorkload = pipeline.NewShardedWorkload
 
 // DefaultShardCacheBytes returns the default per-node device-cache budget

@@ -244,7 +244,7 @@ func TestPopularInputFractionMatchesPaper(t *testing.T) {
 		prof := ProfileEpoch(g, 512)
 		budget := ScaledHotBudget(cfg)
 		placement := embedding.PlacementFromCounts(prof.Counts(), cfg.NumTables, cfg.EmbedDim, budget)
-		frac := PopularInputFraction(NewGenerator(cfg), placement, 2048)
+		frac := PopularInputFraction(NewGenerator(cfg), 2048, placement.IsHot)
 		if frac < 0.55 || frac > 0.97 {
 			t.Errorf("%s: popular fraction %.2f outside plausible paper range", cfg.Name, frac)
 		}

@@ -112,20 +112,42 @@ func ProfileEpoch(gen *Generator, batchSize int) *AccessProfile {
 	return p
 }
 
-// PopularInputFraction classifies nSamples fresh inputs against the placement
-// and returns the fraction that are popular (all accesses GPU-resident).
-func PopularInputFraction(gen *Generator, placement *embedding.Placement, nSamples int) float64 {
+// PopularInputFraction classifies nSamples fresh inputs from gen and returns
+// the fraction that are popular: every access the input makes is one hot
+// holds (a placement's IsHot, a tracker's Contains, an oracle's set).
+func PopularInputFraction(gen *Generator, nSamples int, hot func(table int, row int32) bool) float64 {
 	if nSamples <= 0 {
 		return 0
 	}
 	popular := 0
 	b := gen.NextBatch(nSamples)
+inputs:
 	for i := 0; i < nSamples; i++ {
-		if placement.InputIsPopular(b.SampleSparse(i)) {
-			popular++
+		for t := range b.Sparse {
+			for _, ix := range b.Sparse[t][i] {
+				if !hot(t, ix) {
+					continue inputs
+				}
+			}
 		}
+		popular++
 	}
 	return float64(popular) / float64(nSamples)
+}
+
+// Replay feeds every lookup of n fresh batches of batchSize inputs from gen
+// to touch, in stream order — a tracker's learning phase.
+func Replay(gen *Generator, n, batchSize int, touch func(table int, row int32)) {
+	for i := 0; i < n; i++ {
+		b := gen.NextBatch(batchSize)
+		for t := range b.Sparse {
+			for _, idxs := range b.Sparse[t] {
+				for _, ix := range idxs {
+					touch(t, ix)
+				}
+			}
+		}
+	}
 }
 
 // ScaledHotBudget is the downscaled analogue of the paper's 512 MB

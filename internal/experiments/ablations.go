@@ -23,33 +23,17 @@ func init() {
 // trainEALOnEpoch feeds a few scaled batches through an EAL and returns the
 // fraction of a fresh evaluation batch classified popular.
 func trainEALOnEpoch(cfg data.Config, eal *accel.EAL, learnBatches, batchSize int) float64 {
-	gen := data.NewGenerator(cfg)
-	for i := 0; i < learnBatches; i++ {
-		b := gen.NextBatch(batchSize)
-		for tbl := range b.Sparse {
-			for _, idxs := range b.Sparse[tbl] {
-				for _, ix := range idxs {
-					eal.Touch(tbl, ix)
-				}
-			}
-		}
+	data.Replay(data.NewGenerator(cfg), learnBatches, batchSize, func(tbl int, ix int32) { eal.Touch(tbl, ix) })
+	return data.PopularInputFraction(data.NewGenerator(cfg), 1024, eal.Contains)
+}
+
+// oracleSet is the oracle's tracked set as a membership func.
+func oracleSet(o *accel.OracleLFU) func(table int, row int32) bool {
+	tracked := o.TrackedSet()
+	return func(table int, row int32) bool {
+		_, ok := tracked[uint64(table)<<32|uint64(uint32(row))]
+		return ok
 	}
-	eval := data.NewGenerator(cfg).NextBatch(1024)
-	pop := 0
-	for i := 0; i < eval.Size(); i++ {
-		isPop := true
-		for tbl := range eval.Sparse {
-			for _, ix := range eval.Sparse[tbl][i] {
-				if !eal.Contains(tbl, ix) {
-					isPop = false
-				}
-			}
-		}
-		if isPop {
-			pop++
-		}
-	}
-	return float64(pop) / float64(eval.Size())
 }
 
 // AblEALPolicy compares SRRIP against FIFO replacement and the Oracle LFU
@@ -68,34 +52,8 @@ func AblEALPolicy() *report.Table {
 		srrip := trainEALOnEpoch(probe, accel.NewEAL(base), 8, 512)
 
 		oracle := accel.NewOracleLFU(accel.NewEAL(base).Capacity())
-		gen := data.NewGenerator(probe)
-		for i := 0; i < 4; i++ {
-			b := gen.NextBatch(512)
-			for tbl := range b.Sparse {
-				for _, idxs := range b.Sparse[tbl] {
-					for _, ix := range idxs {
-						oracle.Touch(tbl, ix)
-					}
-				}
-			}
-		}
-		tracked := oracle.TrackedSet()
-		eval := data.NewGenerator(probe).NextBatch(1024)
-		pop := 0
-		for i := 0; i < eval.Size(); i++ {
-			isPop := true
-			for tbl := range eval.Sparse {
-				for _, ix := range eval.Sparse[tbl][i] {
-					if _, ok := tracked[uint64(tbl)<<32|uint64(uint32(ix))]; !ok {
-						isPop = false
-					}
-				}
-			}
-			if isPop {
-				pop++
-			}
-		}
-		oraclePop := float64(pop) / float64(eval.Size())
+		data.Replay(data.NewGenerator(probe), 4, 512, oracle.Touch)
+		oraclePop := data.PopularInputFraction(data.NewGenerator(probe), 1024, oracleSet(oracle))
 
 		t.AddRow(cfg.Name, pct(fifo, 1), pct(srrip, 1), pct(oraclePop, 1))
 	}

@@ -10,7 +10,6 @@ import (
 	"hotline/internal/pipeline"
 	"hotline/internal/report"
 	"hotline/internal/shard"
-	"hotline/internal/train"
 )
 
 // The depth scenario measures the queue-depth-vs-staleness tradeoff of the
@@ -28,12 +27,6 @@ func init() {
 // mnDepthSweep is the pipeline depths the scenario measures.
 var mnDepthSweep = []int{1, 2, 4, 8}
 
-// depthRun is one functional training run of the depth sweep.
-type depthRun struct {
-	m     *model.Model
-	stats shard.OverlapStats
-}
-
 // heldOutEval scores a trained model on a batch disjoint from the early
 // training stream.
 func heldOutEval(fn data.Config, m *model.Model) metrics.Summary {
@@ -43,21 +36,16 @@ func heldOutEval(fn data.Config, m *model.Model) metrics.Summary {
 	return metrics.Evaluate(m.Predict(evalBatch), evalBatch.Labels)
 }
 
-// runDepth trains the Hotline executor on sharded tables at pipeline depth
-// k (1 is the fully synchronous baseline).
-func runDepth(fn data.Config, nodes, iters, batch, k int, stale bool) depthRun {
-	const seed = 42
-	svc := shard.New(shard.Config{
-		Nodes: nodes, CacheBytes: data.ScaledHotBudget(fn),
-		RowBytes: int64(fn.EmbedDim) * 4,
-	}, nil)
-	defer svc.Close()
-	svc.SetStaleReads(stale)
-	tr := train.NewHotlineSharded(model.New(fn, seed), 0.1, svc)
-	tr.Depth = k
-	tr.LearnSamples = 512 // past the learning phase quickly
-	train.StepAll(tr, data.NewGenerator(fn).NextBatches(iters, batch), nil)
-	return depthRun{m: tr.M, stats: svc.Gatherer().Stats()}
+// depthProbe is the mn-overlap / mn-depth run: the full-size model trained
+// on sharded tables at pipeline depth k (1 is the fully synchronous
+// baseline), serving dirtied rows stale instead of repairing them under
+// stale.
+func depthProbe(fn data.Config, nodes, k int, stale bool) pipeline.Probe {
+	return pipeline.Probe{
+		Shard: shard.Config{Nodes: nodes, CacheBytes: data.ScaledHotBudget(fn)},
+		Depth: k, Iters: 10, Batch: 256,
+		Attach: func(svc *shard.Service) { svc.SetStaleReads(stale) },
+	}
 }
 
 // MNDepth sweeps the prefetch pipeline depth k over {1,2,4,8} at 4 nodes on
@@ -80,10 +68,11 @@ func MNDepth() *report.Table {
 	cfg := data.CriteoKaggle()
 	fn := cfg
 	fn.Samples = 2048
-	const nodes, iters, batch = 4, 10, 256
-	sys := cost.PaperCluster(nodes)
+	const nodes = 4
+	w := pipeline.NewShardedWorkload(cfg, 4096*nodes, cost.PaperCluster(nodes))
 
-	sync := runDepth(fn, nodes, iters, batch, 1, false)
+	// In-proc runs record no fabric error.
+	sync, _ := depthProbe(fn, nodes, 1, false).Train(fn)
 
 	for _, k := range mnDepthSweep {
 		// Depth 1 runs the synchronous code path verbatim (its single
@@ -92,27 +81,26 @@ func MNDepth() *report.Table {
 		// exposure with no repair and no staleness.
 		repair, staleR := sync, sync
 		if k > 1 {
-			repair = runDepth(fn, nodes, iters, batch, k, false)
-			staleR = runDepth(fn, nodes, iters, batch, k, true)
+			repair, _ = depthProbe(fn, nodes, k, false).Train(fn)
+			staleR, _ = depthProbe(fn, nodes, k, true).Train(fn)
 		}
 
-		exposedFrac := shard.ExposedFrac(repair.stats, sync.stats)
-		if model.MaxStateDiff(sync.m, repair.m) != 0 {
+		exposedFrac := shard.ExposedFrac(repair.Overlap, sync.Overlap)
+		if model.MaxStateDiff(sync.Model, repair.Model) != 0 {
 			// Repair mode must stay bit-identical to batch-by-batch
 			// stepping; a divergence here is a bug, surface it loudly.
 			t.Notes = "REPAIR-MODE STATE DIVERGED — see TestPipelinedOverlapDeterminism"
 		}
 
-		w := pipeline.NewShardedWorkload(cfg, 4096*nodes, sys, 0, k)
 		w.Shard.SetExposedFrac(exposedFrac)
 		t.AddRow(fmt.Sprint(k),
-			fmt.Sprint(repair.stats.Windows),
+			fmt.Sprint(repair.Overlap.Windows),
 			pct(exposedFrac, 1),
-			fmt.Sprint(repair.stats.RepairRows),
-			fmt.Sprintf("%.1f", float64(repair.stats.RepairBytes)/1024),
-			fmt.Sprint(staleR.stats.StaleRows),
-			fmt.Sprintf("%.2g", model.MaxStateDiff(repair.m, staleR.m)),
-			fmt.Sprintf("%+.4f", heldOutEval(fn, staleR.m).AUC-heldOutEval(fn, repair.m).AUC),
+			fmt.Sprint(repair.Overlap.RepairRows),
+			fmt.Sprintf("%.1f", float64(repair.Overlap.RepairBytes)/1024),
+			fmt.Sprint(staleR.Overlap.StaleRows),
+			fmt.Sprintf("%.2g", model.MaxStateDiff(repair.Model, staleR.Model)),
+			fmt.Sprintf("%+.4f", heldOutEval(fn, staleR.Model).AUC-heldOutEval(fn, repair.Model).AUC),
 			pipeline.NewHotline().Iteration(w).Total.String())
 	}
 	if t.Notes == "" {

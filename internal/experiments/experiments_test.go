@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"hotline/internal/report"
 )
 
 // heavyExperiments run functional training or large design-space probes and
@@ -27,7 +30,7 @@ const testTrainIters = 8
 var serialRuns = map[string]serialRun{}
 
 type serialRun struct {
-	rows   int
+	table  *report.Table
 	render string
 	err    error
 }
@@ -41,7 +44,7 @@ func serialRunOf(id string) serialRun {
 	if tab, err := Run(id); err != nil {
 		r.err = err
 	} else {
-		r.rows, r.render = len(tab.Rows), tab.Render()
+		r.table, r.render = tab, tab.Render()
 	}
 	serialRuns[id] = r
 	return r
@@ -58,14 +61,35 @@ func TestAllExperimentsRun(t *testing.T) {
 			if r.err != nil {
 				t.Fatal(r.err)
 			}
-			if r.rows == 0 {
+			if len(r.table.Rows) == 0 {
 				t.Fatal("experiment produced no rows")
 			}
 			if !strings.Contains(r.render, id) {
 				t.Fatal("render must include the experiment id")
 			}
+			if f := failedClaim(r.table); f != "" {
+				t.Fatalf("the scenario reports a failed claim: %s", f)
+			}
 		})
 	}
+}
+
+// failedClaim returns what a table reports as failed — an "error:" cell, a
+// DIVERGED marker in a cell or the note, or a non-zero "max diff" (the
+// bit-parity column of mn-fabric and mn-chaos) — or "" when every claim held.
+func failedClaim(tab *report.Table) string {
+	if strings.Contains(tab.Notes, "DIVERGED") {
+		return tab.Notes
+	}
+	diff := slices.Index(tab.Header, "max diff")
+	for _, row := range tab.Rows {
+		for i, cell := range row {
+			if strings.HasPrefix(cell, "error:") || strings.Contains(cell, "DIVERGED") || (i == diff && cell != "0") {
+				return strings.Join(row, " | ")
+			}
+		}
+	}
+	return ""
 }
 
 func TestRunUnknown(t *testing.T) {

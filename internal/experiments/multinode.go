@@ -41,7 +41,7 @@ func MNScale() *report.Table {
 		m := pipeline.MeasureShard(cfg, pipeline.ShardProbe{
 			Nodes: nodes, CacheBytes: pipeline.DefaultShardCacheBytes(cfg), Batch: mnBatch})
 		st := shard.Stats{Nodes: nodes, GatherBytes: m.A2ABytesPerIter}
-		measured := pipeline.NewShardedWorkload(cfg, 4096*nodes, sys, 0, 0)
+		measured := pipeline.NewShardedWorkload(cfg, 4096*nodes, sys)
 		analytic := pipeline.NewWorkload(cfg, 4096*nodes, sys)
 		hl := pipeline.NewHotline()
 		exposed := "-"

@@ -81,30 +81,30 @@ func MNOverlap() *report.Table {
 	cfg := data.CriteoKaggle()
 	fn := cfg
 	fn.Samples = 2048
-	const iters, batch = 10, 256
 
 	for _, nodes := range []int{2, 4} {
-		sync := runDepth(fn, nodes, iters, batch, 1, false)
-		over := runDepth(fn, nodes, iters, batch, train.DefaultDepth, false)
+		// In-proc runs record no fabric error.
+		sync, _ := depthProbe(fn, nodes, 1, false).Train(fn)
+		over, _ := depthProbe(fn, nodes, train.DefaultDepth, false).Train(fn)
 
 		// Total exposed gather per run: inline (synchronous) staged gathers
 		// plus, for the overlap run, the time Forward blocked on prefetch
 		// windows the compute did not fully hide. The run-level ratio is the
 		// measured exposed-gather fraction the timing model consumes.
-		exposedFrac := shard.ExposedFrac(over.stats, sync.stats)
+		exposedFrac := shard.ExposedFrac(over.Overlap, sync.Overlap)
 
 		parity := ""
-		if !model.DenseStateEqual(sync.m, over.m) || !model.SparseStateEqual(sync.m, over.m) {
+		if !model.DenseStateEqual(sync.Model, over.Model) || !model.SparseStateEqual(sync.Model, over.Model) {
 			parity = " [STATE DIVERGED]"
 		}
 
 		sys := cost.PaperCluster(nodes)
-		w := pipeline.NewShardedWorkload(cfg, 4096*nodes, sys, 0, 0)
+		w := pipeline.NewShardedWorkload(cfg, 4096*nodes, sys)
 		w.Shard.SetExposedFrac(exposedFrac)
 		hl := pipeline.NewHotline()
 		t.AddRow(fmt.Sprint(nodes),
-			fmt.Sprint(over.stats.PrefetchRows),
-			roundMS(sync.stats.ExposedGather()), roundMS(over.stats.ExposedGather()),
+			fmt.Sprint(over.Overlap.PrefetchRows),
+			roundMS(sync.Overlap.ExposedGather()), roundMS(over.Overlap.ExposedGather()),
 			pct(1-exposedFrac, 1)+parity,
 			hl.Iteration(w).Total.String(),
 			pipeline.NewHotlineNoOverlap().Iteration(w).Total.String())

@@ -6,11 +6,10 @@ import (
 
 	"hotline/internal/data"
 	"hotline/internal/embedding"
-	"hotline/internal/metrics"
 	"hotline/internal/model"
+	"hotline/internal/pipeline"
 	"hotline/internal/report"
 	"hotline/internal/shard"
-	"hotline/internal/train"
 )
 
 // The quant scenario measures the precision-tiered device caches: at one
@@ -28,33 +27,13 @@ func init() {
 // mnQuantSweep is the cache formats the scenario measures.
 var mnQuantSweep = []shard.QuantMode{shard.QuantOff, shard.QuantFP16, shard.QuantINT8, shard.QuantMixed}
 
-// quantRun is one functional training run of the precision sweep.
-type quantRun struct {
-	m      *model.Model
-	st     shard.Stats
-	rows   int       // steady-state cached rows across nodes
-	losses []float64 // per-iteration losses (the fp32 bit-identity witness)
-	eval   metrics.Summary
-}
-
-// runQuant trains the Hotline executor batch-by-batch on sharded tables
-// whose device caches use the given precision mode at a fixed byte budget,
-// and evaluates the final model on a held-out batch.
-func runQuant(fn data.Config, nodes, iters, batch int, budget int64, q shard.QuantMode, hot shard.HotClassifier) quantRun {
-	const seed = 42
-	svc := shard.New(shard.Config{
-		Nodes: nodes, CacheBytes: budget, RowBytes: int64(fn.EmbedDim) * 4, Quant: q,
-	}, hot)
-	tr := train.NewHotlineSharded(model.New(fn, seed), 0.1, svc)
-	tr.LearnSamples = 512
-	gen := data.NewGenerator(fn)
-	losses := make([]float64, iters)
-	for i := 0; i < iters; i++ {
-		losses[i] = tr.Step(gen.NextBatch(batch))
-	}
-	return quantRun{
-		m: tr.M, st: svc.Snapshot(), rows: svc.CacheEntries(), losses: losses,
-		eval: heldOutEval(fn, tr.M),
+// quantProbe is one mn-quant run: the full-size model trained on 4 nodes
+// whose device caches hold format q at the sweep's fixed byte budget,
+// classified by q's repriced hot set.
+func quantProbe(fn data.Config, iters int, q shard.QuantMode) pipeline.Probe {
+	return pipeline.Probe{
+		Shard: shard.Config{Nodes: 4, CacheBytes: mnQuantBudget(fn), Quant: q},
+		Hot:   mnQuantClassifier(fn, mnQuantBudget(fn), q), Iters: iters, Batch: 256,
 	}
 }
 
@@ -103,32 +82,33 @@ func MNQuant() *report.Table {
 		"A2A KB/iter", "fill KB", "max |Δw| vs fp32", "ΔAUC vs fp32"}}
 	fn := data.CriteoKaggle()
 	fn.Samples = 2048
-	const nodes, iters, batch = 4, 10, 256
-	budget := mnQuantBudget(fn)
+	const iters = 10
 
-	ref := runQuant(fn, nodes, iters, batch, budget, shard.QuantOff, mnQuantClassifier(fn, budget, shard.QuantOff))
+	// In-proc runs record no fabric error.
+	ref, _ := quantProbe(fn, iters, shard.QuantOff).Train(fn)
+	refAUC := heldOutEval(fn, ref.Model).AUC
 	for _, q := range mnQuantSweep {
 		// The fp32 row re-runs its own reference configuration: any nonzero
 		// divergence or loss mismatch means quantization-off is not inert.
-		r := runQuant(fn, nodes, iters, batch, budget, q, mnQuantClassifier(fn, budget, q))
-		div := model.MaxStateDiff(ref.m, r.m)
-		if q == shard.QuantOff && (div != 0 || !slices.Equal(ref.losses, r.losses)) {
+		r, _ := quantProbe(fn, iters, q).Train(fn)
+		div := model.MaxStateDiff(ref.Model, r.Model)
+		if q == shard.QuantOff && (div != 0 || !slices.Equal(ref.Losses, r.Losses)) {
 			t.Notes = "FP32 RERUN DIVERGED — quantization-off must be bit-identical, see TestQuantOffBitIdentical"
 		}
 		t.AddRow(q.String(),
-			fmt.Sprint(r.rows),
-			pct(r.st.HitRate(), 1),
-			pct(quantHitFrac(r.st), 1),
-			fmt.Sprintf("%.1f", float64(r.st.A2ABytes())/float64(iters)/1024),
-			fmt.Sprintf("%.1f", float64(r.st.FillBytes)/1024),
+			fmt.Sprint(r.Service.CacheEntries()),
+			pct(r.Stats.HitRate(), 1),
+			pct(quantHitFrac(r.Stats), 1),
+			fmt.Sprintf("%.1f", float64(r.Stats.A2ABytes())/float64(iters)/1024),
+			fmt.Sprintf("%.1f", float64(r.Stats.FillBytes)/1024),
 			fmt.Sprintf("%.2g", div),
-			fmt.Sprintf("%+.4f", r.eval.AUC-ref.eval.AUC))
+			fmt.Sprintf("%+.4f", heldOutEval(fn, r.Model).AUC-refAUC))
 	}
 	if t.Notes == "" {
 		t.Notes = fmt.Sprintf("functional layer, fixed %d KB device cache per node (¼ of the fp32 hot set): "+
 			"warm rows are stored narrow and served through the fused dequantize-gather kernel, so the same "+
 			"bytes hold more of the head of the skewed distribution — more hits, fewer all-to-all bytes — "+
-			"while the Δw and ΔAUC columns price the quantization error that buys", budget/1024)
+			"while the Δw and ΔAUC columns price the quantization error that buys", mnQuantBudget(fn)/1024)
 	}
 	return t
 }

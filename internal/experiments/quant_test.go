@@ -21,33 +21,35 @@ func TestQuantCapacityFrontier(t *testing.T) {
 	}
 	fn := data.CriteoKaggle()
 	fn.Samples = 2048
-	const nodes, iters, batch = 4, 10, 256
-	budget := mnQuantBudget(fn)
-	run := func(q shard.QuantMode) quantRun {
-		return runQuant(fn, nodes, iters, batch, budget, q, mnQuantClassifier(fn, budget, q))
+	run := func(q shard.QuantMode) (shard.Stats, int) {
+		r, err := quantProbe(fn, 10, q).Train(fn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Stats, r.Service.CacheEntries()
 	}
-	fp32 := run(shard.QuantOff)
-	if fp32.st.QuantHits != 0 || fp32.rows == 0 {
+	fp32, fp32Rows := run(shard.QuantOff)
+	if fp32.QuantHits != 0 || fp32Rows == 0 {
 		t.Fatalf("fp32 baseline must cache rows and serve no quantized hits: rows=%d quantHits=%d",
-			fp32.rows, fp32.st.QuantHits)
+			fp32Rows, fp32.QuantHits)
 	}
 
 	for _, q := range []shard.QuantMode{shard.QuantFP16, shard.QuantINT8, shard.QuantMixed} {
-		r := run(q)
-		if r.st.HitRate() <= fp32.st.HitRate() {
+		st, rows := run(q)
+		if st.HitRate() <= fp32.HitRate() {
 			t.Errorf("%s hit rate %.4f must strictly beat fp32's %.4f at the same budget",
-				q, r.st.HitRate(), fp32.st.HitRate())
+				q, st.HitRate(), fp32.HitRate())
 		}
-		if r.st.A2ABytes() >= fp32.st.A2ABytes() {
+		if st.A2ABytes() >= fp32.A2ABytes() {
 			t.Errorf("%s moved %d all-to-all bytes, fp32 %d; the narrow tier must move strictly fewer",
-				q, r.st.A2ABytes(), fp32.st.A2ABytes())
+				q, st.A2ABytes(), fp32.A2ABytes())
 		}
-		if r.st.QuantHits == 0 {
+		if st.QuantHits == 0 {
 			t.Errorf("%s served no warm-tier hits; the fused kernel never ran", q)
 		}
-		if q == shard.QuantMixed && r.rows < 2*fp32.rows {
+		if q == shard.QuantMixed && rows < 2*fp32Rows {
 			t.Errorf("hot-fp32+warm-int8 holds %d rows vs %d fp32 at the same budget; want >= 2x",
-				r.rows, fp32.rows)
+				rows, fp32Rows)
 		}
 	}
 }
@@ -62,15 +64,16 @@ func TestQuantOffBitIdentical(t *testing.T) {
 	}
 	fn := data.CriteoKaggle()
 	fn.Samples = 2048
-	const nodes, iters, batch = 4, 6, 256
-	budget := mnQuantBudget(fn)
-	hot := mnQuantClassifier(fn, budget, shard.QuantOff)
-	a := runQuant(fn, nodes, iters, batch, budget, shard.QuantOff, hot)
-	b := runQuant(fn, nodes, iters, batch, budget, shard.QuantOff, hot)
-	if !slices.Equal(a.losses, b.losses) {
-		t.Fatalf("fp32 losses diverged:\n%v\n%v", a.losses, b.losses)
+	p := quantProbe(fn, 6, shard.QuantOff)
+	a, errA := p.Train(fn)
+	b, errB := p.Train(fn)
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
 	}
-	if d := model.MaxStateDiff(a.m, b.m); d != 0 {
+	if !slices.Equal(a.Losses, b.Losses) {
+		t.Fatalf("fp32 losses diverged:\n%v\n%v", a.Losses, b.Losses)
+	}
+	if d := model.MaxStateDiff(a.Model, b.Model); d != 0 {
 		t.Fatalf("fp32 reruns diverged: max |Δw| = %g, want exactly 0", d)
 	}
 }

@@ -15,10 +15,10 @@ import (
 // timer is real time, so the recovery wall and the number of serve
 // probes landing inside the outage vary run to run). Their timing cells
 // legitimately vary, so the byte-identical sweep contract skips them;
-// everything structural about them is still checked — for mn-chaos the
-// bit-identity claim itself (max diff 0) is enforced inside MeasureChaos,
-// which errors on any loss divergence. mn-serve is NOT in this set: it
-// reports only traffic counters, which must stay deterministic.
+// everything structural about them is still checked — their claims (no
+// error row, no DIVERGED marker, max diff 0 on mn-fabric and mn-chaos) fail
+// TestAllExperimentsRun. mn-serve is NOT in this set: it reports only
+// traffic counters, which must stay deterministic.
 var wallClockExperiments = map[string]bool{
 	"mn-overlap": true, "mn-depth": true, "mn-qps": true, "mn-fabric": true,
 	"mn-chaos": true,

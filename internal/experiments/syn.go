@@ -35,7 +35,7 @@ func MNSynthetic() *report.Table {
 	for _, cfg := range []data.Config{data.SynM1(), data.SynM2()} {
 		m := pipeline.MeasureShard(cfg, pipeline.ShardProbe{
 			Nodes: nodes, CacheBytes: pipeline.DefaultShardCacheBytes(cfg), Batch: mnBatch})
-		w := pipeline.NewShardedWorkload(cfg, 4096*nodes, sys, 0, 0)
+		w := pipeline.NewShardedWorkload(cfg, 4096*nodes, sys)
 		exposed := "-"
 		if w.Shard.OverlapMeasured {
 			exposed = pct(w.Shard.ExposedFrac, 1)
@@ -69,7 +69,7 @@ func MNBatchSweep() *report.Table {
 	for _, batch := range []int{256, 512, 1024, 2048} {
 		m := pipeline.MeasureShard(cfg, pipeline.ShardProbe{
 			Nodes: nodes, CacheBytes: pipeline.DefaultShardCacheBytes(cfg), Batch: batch})
-		w := pipeline.NewShardedWorkload(cfg, batch*nodes, sys, 0, 0)
+		w := pipeline.NewShardedWorkload(cfg, batch*nodes, sys)
 		t.AddRow(fmt.Sprint(batch),
 			pct(m.HitRate, 1), pct(m.GatherFrac, 1),
 			fmt.Sprintf("%.1f", float64(m.A2ABytesPerIter)/1024),

@@ -25,7 +25,7 @@ func Fig6AccessSkew() *report.Table {
 		med := counts[len(counts)/2]
 		placement := embedding.PlacementFromCounts(
 			prof.Counts(), probe.NumTables, probe.EmbedDim, data.ScaledHotBudget(probe))
-		popFrac := data.PopularInputFraction(data.NewGenerator(probe), placement, 2048)
+		popFrac := data.PopularInputFraction(data.NewGenerator(probe), 2048, placement.IsHot)
 		t.AddRow(cfg.Name,
 			fmt.Sprint(prof.DistinctRows()), fmt.Sprint(counts[0]), fmt.Sprint(med),
 			fmt.Sprintf("%.0fx", prof.SkewRatio()), fmt.Sprintf("%.0f%%", popFrac*100))
@@ -99,48 +99,17 @@ func Fig15SRRIPvsOracle() *report.Table {
 		eal := accel.NewEAL(ealCfg)
 		oracle := accel.NewOracleLFU(eal.Capacity())
 
-		gen := data.NewGenerator(probe)
-		for i := 0; i < 4; i++ {
-			b := gen.NextBatch(512)
-			for tbl := range b.Sparse {
-				for _, idxs := range b.Sparse[tbl] {
-					for _, ix := range idxs {
-						eal.Touch(tbl, ix)
-						oracle.Touch(tbl, ix)
-					}
-				}
-			}
-		}
-		tracked := oracle.TrackedSet()
-		eval := data.NewGenerator(probe).NextBatch(1024)
-		var popEAL, popOracle int
-		for i := 0; i < eval.Size(); i++ {
-			ealPop, oraPop := true, true
-			for tbl := range eval.Sparse {
-				for _, ix := range eval.Sparse[tbl][i] {
-					if !eal.Contains(tbl, ix) {
-						ealPop = false
-					}
-					if _, ok := tracked[uint64(tbl)<<32|uint64(uint32(ix))]; !ok {
-						oraPop = false
-					}
-				}
-			}
-			if ealPop {
-				popEAL++
-			}
-			if oraPop {
-				popOracle++
-			}
-		}
+		data.Replay(data.NewGenerator(probe), 4, 512, func(tbl int, ix int32) {
+			eal.Touch(tbl, ix)
+			oracle.Touch(tbl, ix)
+		})
+		popEAL := data.PopularInputFraction(data.NewGenerator(probe), 1024, eal.Contains)
+		popOracle := data.PopularInputFraction(data.NewGenerator(probe), 1024, oracleSet(oracle))
 		ratio := 0.0
 		if popOracle > 0 {
-			ratio = float64(popEAL) / float64(popOracle)
+			ratio = popEAL / popOracle
 		}
-		t.AddRow(cfg.Name,
-			pct(float64(popOracle), float64(eval.Size())),
-			pct(float64(popEAL), float64(eval.Size())),
-			fmt.Sprintf("%.2f", ratio))
+		t.AddRow(cfg.Name, pct(popOracle, 1), pct(popEAL, 1), fmt.Sprintf("%.2f", ratio))
 	}
 	t.Notes = "paper: SRRIP tracks ~90% of the oracle's frequently-accessed set"
 	return t
@@ -182,33 +151,7 @@ func Fig27EALSize() *report.Table {
 		row := []string{cfg.Name}
 		for _, size := range sizes {
 			eal := accel.NewEAL(accel.EALConfig{SizeBytes: size, Banks: 8, Ways: 8, BytesPerEntry: 2, Seed: 7})
-			gen := data.NewGenerator(probe)
-			for i := 0; i < 4; i++ {
-				b := gen.NextBatch(512)
-				for tbl := range b.Sparse {
-					for _, idxs := range b.Sparse[tbl] {
-						for _, ix := range idxs {
-							eal.Touch(tbl, ix)
-						}
-					}
-				}
-			}
-			eval := data.NewGenerator(probe).NextBatch(1024)
-			pop := 0
-			for i := 0; i < eval.Size(); i++ {
-				isPop := true
-				for tbl := range eval.Sparse {
-					for _, ix := range eval.Sparse[tbl][i] {
-						if !eal.Contains(tbl, ix) {
-							isPop = false
-						}
-					}
-				}
-				if isPop {
-					pop++
-				}
-			}
-			row = append(row, pct(float64(pop), float64(eval.Size())))
+			row = append(row, pct(trainEALOnEpoch(probe, eal, 4, 512), 1))
 		}
 		t.AddRow(row...)
 	}

@@ -57,14 +57,14 @@ type FabricMeasurement struct {
 }
 
 // record fills the per-run fields from one probe run over the named fabric.
-func (m *FabricMeasurement) record(fabric string, res probeResult) {
+func (m *FabricMeasurement) record(fabric string, res ProbeResult) {
 	iters := time.Duration(m.Iters)
 	m.Fabric = fabric
-	m.FinalLoss = res.loss
-	m.GatherWallPerIter = res.stats.GatherWall / iters
-	m.ScatterWallPerIter = res.stats.ScatterWall / iters
-	m.A2ABytesPerIter = res.stats.A2ABytes() / int64(m.Iters)
-	m.Stats = res.stats
+	m.FinalLoss = res.Losses[len(res.Losses)-1]
+	m.GatherWallPerIter = res.Stats.GatherWall / iters
+	m.ScatterWallPerIter = res.Stats.ScatterWall / iters
+	m.A2ABytesPerIter = res.Stats.A2ABytes() / int64(m.Iters)
+	m.Stats = res.Stats
 }
 
 // MeasureFabric trains the pipelined Hotline executor functionally on the
@@ -95,12 +95,12 @@ func MeasureFabric(cfg data.Config, p FabricProbe) (FabricMeasurement, error) {
 		fabric = fab.Transport
 	}
 
-	fn := probeShape(cfg)
-	run := probeRun{
-		fn: fn, nodes: p.Nodes, cacheBytes: DefaultShardCacheBytes(fn),
-		depth: p.Depth, iters: p.Iters, batch: p.Batch,
+	fn := ProbeShape(cfg)
+	run := Probe{
+		Shard: shard.Config{Nodes: p.Nodes, CacheBytes: DefaultShardCacheBytes(fn)},
+		Depth: p.Depth, Iters: p.Iters, Batch: p.Batch,
 	}
-	ref, err := runProbe(run)
+	ref, err := run.Train(fn)
 	if err != nil {
 		return FabricMeasurement{}, fmt.Errorf("pipeline: in-proc reference run: %w", err)
 	}
@@ -109,16 +109,17 @@ func MeasureFabric(cfg data.Config, p FabricProbe) (FabricMeasurement, error) {
 	if fabric == nil {
 		return m, nil
 	}
+	refLoss := m.FinalLoss
 
-	run.attach = func(svc *shard.Service) { svc.SetTransport(fabric) }
-	res, err := runProbe(run)
+	run.Attach = func(svc *shard.Service) { svc.SetTransport(fabric) }
+	res, err := run.Train(fn)
 	if err != nil {
 		return FabricMeasurement{}, fmt.Errorf("pipeline: %s fabric run: %w", fabric.Name(), err)
 	}
 	m.record(fabric.Name(), res)
-	m.MaxStateDiff = model.MaxStateDiff(ref.m, res.m)
-	if res.loss != ref.loss {
-		return m, fmt.Errorf("pipeline: %s fabric diverged from in-proc: loss %v vs %v", fabric.Name(), res.loss, ref.loss)
+	m.MaxStateDiff = model.MaxStateDiff(ref.Model, res.Model)
+	if m.FinalLoss != refLoss {
+		return m, fmt.Errorf("pipeline: %s fabric diverged from in-proc: loss %v vs %v", fabric.Name(), m.FinalLoss, refLoss)
 	}
 	return m, nil
 }

@@ -60,10 +60,6 @@ type ShardMeasurement struct {
 	// Evictions counts device-cache displacements during the measured
 	// window (cache-pressure indicator for the ablations).
 	Evictions int64
-	// PipelineDepth is the prefetch pipeline depth k the overlap
-	// measurement ran at (how many gather windows may be in flight at
-	// once); 0 means no overlap measurement was taken.
-	PipelineDepth int
 	// OverlapMeasured reports that a functional overlap run (the
 	// mn-overlap / mn-depth scenarios) measured ExposedFrac; the zero
 	// value means unmeasured, so the timing models keep their analytic
@@ -133,27 +129,29 @@ const measureWarmup = 2
 // per-node device caches, streams warm-up batches, then measures
 // steady-state cache hit-rates and gather/scatter volumes over several
 // iterations. Results are memoised per full probe identity and
-// deterministic for any concurrency.
+// deterministic for any concurrency. The replayed batch is capped at
+// maxShardBatch, so probes that differ only above the cap share one entry.
 func MeasureShard(cfg data.Config, p ShardProbe) ShardMeasurement {
+	p.Batch = min(p.Batch, maxShardBatch)
 	key := fmt.Sprintf("%s/%d/%d/%d/%s/%s/%v/%s",
 		cfg.Name, p.Nodes, p.CacheBytes, p.Batch, p.Policy, p.Placement, p.HBMBytes, p.Quant)
 	return shardStats.get(key, func() ShardMeasurement { return measureShard(cfg, p) })
 }
+
+// maxShardBatch caps the mini-batch MeasureShard replays: the fractions it
+// measures are scale-free, so a larger batch would only cost time.
+const maxShardBatch = 2048
 
 func measureShard(cfg data.Config, p ShardProbe) ShardMeasurement {
 	probe := cfg
 	if probe.Samples > 4096 {
 		probe.Samples = 4096
 	}
-	batch := p.Batch
-	if batch > 2048 {
-		batch = 2048
-	}
 	prof := data.ProfileEpoch(data.NewGenerator(probe), 512)
 	placement := embedding.PlacementFromCounts(
 		prof.Counts(), probe.NumTables, probe.EmbedDim, data.ScaledHotBudget(probe))
 
-	part := buildPartitioner(probe, p, batch, placement)
+	part := buildPartitioner(probe, p, placement)
 	svc := shard.New(shard.Config{
 		Nodes: p.Nodes, CacheBytes: p.CacheBytes, RowBytes: int64(probe.EmbedDim) * 4,
 		Policy: p.Policy, Part: part, Quant: p.Quant,
@@ -165,7 +163,7 @@ func measureShard(cfg data.Config, p ShardProbe) ShardMeasurement {
 
 	gen := data.NewGenerator(probe)
 	iteration := func() {
-		b := gen.NextBatch(batch)
+		b := gen.NextBatch(p.Batch)
 		for t := range b.Sparse {
 			svc.RecordGather(t, b.Sparse[t])
 			svc.RecordScatter(t, b.Sparse[t])
@@ -206,7 +204,7 @@ func measureShard(cfg data.Config, p ShardProbe) ShardMeasurement {
 // partitioner counts per-node requests over exactly the batches the
 // measurement will replay (a fresh generator yields the identical stream),
 // then pins each popular row to its dominant requester.
-func buildPartitioner(probe data.Config, p ShardProbe, batch int, hot shard.HotClassifier) shard.Partitioner {
+func buildPartitioner(probe data.Config, p ShardProbe, hot shard.HotClassifier) shard.Partitioner {
 	switch p.Placement {
 	case shard.PlaceCapacity:
 		// Ownership weights derive from the real per-node HBM byte
@@ -228,7 +226,7 @@ func buildPartitioner(probe data.Config, p ShardProbe, batch int, hot shard.HotC
 		rc := shard.NewRequestCounter(p.Nodes)
 		gen := data.NewGenerator(probe)
 		for i := 0; i < measureWarmup+measureIters; i++ {
-			b := gen.NextBatch(batch)
+			b := gen.NextBatch(p.Batch)
 			for t := range b.Sparse {
 				rc.Observe(t, b.Sparse[t])
 			}
@@ -244,30 +242,23 @@ func buildPartitioner(probe data.Config, p ShardProbe, batch int, hot shard.HotC
 // one full replica of the learned hot set (the paper's ≤512 MB HBM tier).
 func DefaultShardCacheBytes(cfg data.Config) int64 { return data.ScaledHotBudget(cfg) }
 
-// overlapFracs memoises MeasureOverlap per (dataset, nodes, cache budget,
-// depth).
+// overlapFracs memoises MeasureOverlap per (dataset, nodes, depth).
 var overlapFracs memo[float64]
 
 // MeasureOverlap trains the Hotline executor functionally on the probe
-// shape of cfg over a sharded service with the given per-node device-cache
-// budget (<= 0 selects the scaled hot-set default) — once at depth 1
-// (synchronous staged gathers), once with the depth-k prefetch pipeline
-// (classification and fabric gathers for the next k-1 mini-batches issued
-// while iteration i finishes, dirty rows delta-repaired) — and returns the
-// measured fraction of gather wall time the pipeline left exposed, in
-// [0, 1]. depth < 1 selects train.DefaultDepth. Both the cache budget and
-// the depth are part of the memo identity: a cache-starved topology has far
-// more gather traffic to hide, and a deeper pipeline has more compute to
-// hide it under, so exposure must be measured under the same knobs the
-// workload's gather stats were. The mn-overlap and mn-depth scenarios
-// measure the production-shape model and override the workload's fraction
-// with it.
-func MeasureOverlap(cfg data.Config, nodes int, cacheBytes int64, depth int) float64 {
+// shape of cfg over a sharded service with the scaled hot-set cache budget
+// per node — once at depth 1 (synchronous staged gathers), once with the
+// depth-k prefetch pipeline (classification and fabric gathers for the next
+// k-1 mini-batches issued while iteration i finishes, dirty rows
+// delta-repaired) — and returns the measured fraction of gather wall time
+// the pipeline left exposed, in [0, 1]. depth < 1 selects
+// train.DefaultDepth. The depth is part of the memo identity: a deeper
+// pipeline has more compute to hide the gathers under. The mn-overlap and
+// mn-depth scenarios measure the production-shape model and override the
+// workload's fraction with it.
+func MeasureOverlap(cfg data.Config, nodes, depth int) float64 {
 	if nodes <= 1 {
 		return 0
-	}
-	if cacheBytes <= 0 {
-		cacheBytes = DefaultShardCacheBytes(cfg)
 	}
 	if depth < 1 {
 		depth = train.DefaultDepth
@@ -278,40 +269,33 @@ func MeasureOverlap(cfg data.Config, nodes int, cacheBytes int64, depth int) flo
 		// would only measure scheduler noise.
 		return 1
 	}
-	key := fmt.Sprintf("%s/%d/%d/%d", cfg.Name, nodes, cacheBytes, depth)
+	key := fmt.Sprintf("%s/%d/%d", cfg.Name, nodes, depth)
 	return overlapFracs.get(key, func() float64 {
 		// In-proc runs record no fabric error.
-		run := probeRun{
-			fn: probeShape(cfg), nodes: nodes, cacheBytes: cacheBytes,
-			depth: 1, iters: 8, batch: 256,
+		run := Probe{
+			Shard: shard.Config{Nodes: nodes, CacheBytes: DefaultShardCacheBytes(cfg)},
+			Depth: 1, Iters: 8, Batch: 256,
 		}
-		syncRun, _ := runProbe(run)
-		run.depth = depth
-		overRun, _ := runProbe(run)
-		return shard.ExposedFrac(overRun.over, syncRun.over)
+		fn := ProbeShape(cfg)
+		syncRun, _ := run.Train(fn)
+		run.Depth = depth
+		overRun, _ := run.Train(fn)
+		return shard.ExposedFrac(overRun.Overlap, syncRun.Overlap)
 	})
 }
 
 // NewShardedWorkload assembles a workload whose timing models consume
-// measured sharding statistics (sys.Nodes simulated nodes, cacheBytes of
-// device cache per node — <= 0 selects the scaled hot-set budget — LRU
-// caches over round-robin ownership) instead of the analytic popularity
-// fractions. The exposed-gather fraction is measured too (MeasureOverlap at
-// the given pipeline depth; depth < 1 selects train.DefaultDepth), so every
-// mn-* scenario prices overlap from measurement instead of the analytic
-// overlap schedule, at the depth the scenario sweeps.
-func NewShardedWorkload(cfg data.Config, batch int, sys cost.System, cacheBytes int64, depth int) Workload {
+// measured sharding statistics (sys.Nodes simulated nodes, the scaled
+// hot-set budget of device cache per node, LRU caches over round-robin
+// ownership) instead of the analytic popularity fractions. The
+// exposed-gather fraction is measured too (MeasureOverlap at
+// train.DefaultDepth), so every mn-* scenario prices overlap from
+// measurement instead of the analytic overlap schedule.
+func NewShardedWorkload(cfg data.Config, batch int, sys cost.System) Workload {
 	w := NewWorkload(cfg, batch, sys)
-	if cacheBytes <= 0 {
-		cacheBytes = DefaultShardCacheBytes(cfg)
-	}
-	if depth < 1 {
-		depth = train.DefaultDepth
-	}
-	m := MeasureShard(cfg, ShardProbe{Nodes: sys.Nodes, CacheBytes: cacheBytes, Batch: batch})
+	m := MeasureShard(cfg, ShardProbe{Nodes: sys.Nodes, CacheBytes: DefaultShardCacheBytes(cfg), Batch: batch})
 	if sys.Nodes > 1 {
-		m.PipelineDepth = depth
-		m.SetExposedFrac(MeasureOverlap(cfg, sys.Nodes, cacheBytes, depth))
+		m.SetExposedFrac(MeasureOverlap(cfg, sys.Nodes, train.DefaultDepth))
 	}
 	w.Shard = &m
 	return w

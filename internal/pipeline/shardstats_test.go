@@ -6,7 +6,6 @@ import (
 	"hotline/internal/cost"
 	"hotline/internal/data"
 	"hotline/internal/shard"
-	"hotline/internal/train"
 )
 
 func TestMeasureShardBasics(t *testing.T) {
@@ -72,6 +71,27 @@ func TestMeasureShardPolicyKeyed(t *testing.T) {
 	}
 	if again := MeasureShard(cfg, ShardProbe{Nodes: 4, CacheBytes: cache, Batch: 1024, Policy: shard.PolicySRRIP}); again != srrip {
 		t.Fatal("repeated SRRIP call returned a different (cross-policy) memo entry")
+	}
+}
+
+// TestMeasureShardKeysTheReplayedBatch: the replayed batch is capped, so
+// two probes that differ only above the cap replay the same stream and must
+// share one memo entry instead of measuring it twice.
+func TestMeasureShardKeysTheReplayedBatch(t *testing.T) {
+	cfg := data.CriteoKaggle()
+	entries := func() int {
+		n := 0
+		shardStats.m.Range(func(any, any) bool { n++; return true })
+		return n
+	}
+	before := entries()
+	a := MeasureShard(cfg, ShardProbe{Nodes: 3, CacheBytes: DefaultShardCacheBytes(cfg), Batch: 2 * maxShardBatch})
+	b := MeasureShard(cfg, ShardProbe{Nodes: 3, CacheBytes: DefaultShardCacheBytes(cfg), Batch: 4 * maxShardBatch})
+	if got := entries() - before; got != 1 {
+		t.Fatalf("two probes above the batch cap added %d memo entries, want 1", got)
+	}
+	if a != b {
+		t.Fatal("probes replaying the same capped batch measured differently")
 	}
 }
 
@@ -165,7 +185,7 @@ func TestMeasureShardQuantReprices(t *testing.T) {
 func TestHotlineConsumesExposedFrac(t *testing.T) {
 	cfg := data.CriteoKaggle()
 	sys := cost.PaperCluster(4)
-	w := NewShardedWorkload(cfg, 4096*4, sys, 0, 0)
+	w := NewShardedWorkload(cfg, 4096*4, sys)
 	analytic := float64(NewHotline().Iteration(w).Total) // OverlapMeasured unset
 	iter := func(f float64) float64 {
 		w.Shard.SetExposedFrac(f)
@@ -189,7 +209,7 @@ func TestShardedWorkloadFeedsTimingModels(t *testing.T) {
 	cfg := data.CriteoKaggle()
 	sys := cost.PaperCluster(2)
 	plain := NewWorkload(cfg, 4096, sys)
-	sharded := NewShardedWorkload(cfg, 4096, sys, 0, 0)
+	sharded := NewShardedWorkload(cfg, 4096, sys)
 	if sharded.Shard == nil || sharded.Shard.Nodes != 2 {
 		t.Fatal("sharded workload must carry a measurement for sys.Nodes")
 	}
@@ -214,7 +234,7 @@ func TestShardedWorkloadFeedsTimingModels(t *testing.T) {
 func TestShardedWorkloadMeasuresOverlap(t *testing.T) {
 	cfg := data.CriteoKaggle()
 	for _, nodes := range []int{2, 4} {
-		w := NewShardedWorkload(cfg, 4096*nodes, cost.PaperCluster(nodes), 0, 0)
+		w := NewShardedWorkload(cfg, 4096*nodes, cost.PaperCluster(nodes))
 		if w.Shard == nil {
 			t.Fatalf("nodes=%d: workload carries no shard measurement", nodes)
 		}
@@ -226,14 +246,14 @@ func TestShardedWorkloadMeasuresOverlap(t *testing.T) {
 		}
 		// Memoisation: a second workload must see the identical fraction
 		// (the sweep's determinism depends on it).
-		w2 := NewShardedWorkload(cfg, 4096*nodes, cost.PaperCluster(nodes), 0, 0)
+		w2 := NewShardedWorkload(cfg, 4096*nodes, cost.PaperCluster(nodes))
 		if w2.Shard.ExposedFrac != w.Shard.ExposedFrac {
 			t.Fatalf("nodes=%d: exposed fraction not memoised (%v vs %v)",
 				nodes, w.Shard.ExposedFrac, w2.Shard.ExposedFrac)
 		}
 	}
 	// Single node: no fabric, no overlap measurement.
-	w := NewShardedWorkload(cfg, 4096, cost.PaperCluster(1), 0, 0)
+	w := NewShardedWorkload(cfg, 4096, cost.PaperCluster(1))
 	if w.Shard.OverlapMeasured {
 		t.Fatal("nodes=1 must not report a measured overlap")
 	}
@@ -244,14 +264,14 @@ func TestShardedWorkloadMeasuresOverlap(t *testing.T) {
 // agrees with the explicit depth-2 probe.
 func TestMeasureOverlapDepthKeyed(t *testing.T) {
 	cfg := data.CriteoKaggle()
-	f2 := MeasureOverlap(cfg, 2, 0, 2)
-	if got := MeasureOverlap(cfg, 2, 0, 0); got != f2 {
+	f2 := MeasureOverlap(cfg, 2, 2)
+	if got := MeasureOverlap(cfg, 2, 0); got != f2 {
 		t.Fatalf("default depth diverged: %v vs %v", got, f2)
 	}
-	if got := MeasureOverlap(cfg, 2, 0, 2); got != f2 {
+	if got := MeasureOverlap(cfg, 2, 2); got != f2 {
 		t.Fatalf("depth measurement not memoised: %v vs %v", got, f2)
 	}
-	if f := MeasureOverlap(cfg, 1, 0, 4); f != 0 {
+	if f := MeasureOverlap(cfg, 1, 4); f != 0 {
 		t.Fatalf("single node must expose nothing: %v", f)
 	}
 }
@@ -263,30 +283,12 @@ func TestMeasureOverlapDepthKeyed(t *testing.T) {
 // 1 (not a noisy timing of two identical runs).
 func TestDepthExposedFracNonIncreasing(t *testing.T) {
 	cfg := data.CriteoKaggle()
-	f1 := MeasureOverlap(cfg, 4, 0, 1)
-	f2 := MeasureOverlap(cfg, 4, 0, 2)
+	f1 := MeasureOverlap(cfg, 4, 1)
+	f2 := MeasureOverlap(cfg, 4, 2)
 	if f1 != 1 {
 		t.Fatalf("depth-1 exposure must be exactly 1 (synchronous by construction), got %v", f1)
 	}
 	if f2 > f1 {
 		t.Fatalf("exposed fraction must be non-increasing from k=1 (%v) to k=2 (%v)", f1, f2)
-	}
-}
-
-// TestShardedWorkloadDepthRecorded: a depth-swept workload records the
-// pipeline depth its overlap was measured at.
-func TestShardedWorkloadDepthRecorded(t *testing.T) {
-	cfg := data.CriteoKaggle()
-	w := NewShardedWorkload(cfg, 4096*2, cost.PaperCluster(2), 0, 4)
-	if w.Shard == nil || !w.Shard.OverlapMeasured {
-		t.Fatal("depth workload must measure overlap")
-	}
-	if w.Shard.PipelineDepth != 4 {
-		t.Fatalf("pipeline depth not recorded: %d", w.Shard.PipelineDepth)
-	}
-	wd := NewShardedWorkload(cfg, 4096*2, cost.PaperCluster(2), 0, 0)
-	if wd.Shard.PipelineDepth != train.DefaultDepth {
-		t.Fatalf("default workload depth = %d want %d",
-			wd.Shard.PipelineDepth, train.DefaultDepth)
 	}
 }

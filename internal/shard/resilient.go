@@ -80,8 +80,8 @@ type RetryConfig struct {
 	// MaxRedials bounds dial attempts within one recovery. Default 8.
 	MaxRedials int
 	// Budget bounds one recovery's total wall clock; exhausted budget
-	// declares the peer unrecoverable. Zero uses the inner transport's
-	// FabricTimeouts.Retry.
+	// declares the peer unrecoverable (the point where shard adoption
+	// takes over). Default 30s.
 	Budget time.Duration
 	// Backoff returns the pause before redial attempt n (0-based).
 	// Default: 1ms doubling per attempt, capped at 250ms.
@@ -99,6 +99,9 @@ func (c RetryConfig) withDefaults() RetryConfig {
 	}
 	if c.MaxRedials == 0 {
 		c.MaxRedials = 8
+	}
+	if c.Budget == 0 {
+		c.Budget = 30 * time.Second
 	}
 	if c.Backoff == nil {
 		c.Backoff = func(attempt int) time.Duration {
@@ -200,9 +203,6 @@ func NewResilientTransport(inner *SocketTransport, cfg RetryConfig) (*ResilientT
 		return nil, fmt.Errorf("%w: negative retry bound in %+v", ErrFabricConfig, cfg)
 	}
 	cfg = cfg.withDefaults()
-	if cfg.Budget == 0 {
-		cfg.Budget = inner.cfg.Timeouts.Retry
-	}
 	r := &ResilientTransport{inner: inner, cfg: cfg, peers: make([]*rPeer, len(inner.peers))}
 	for i := range r.peers {
 		r.peers[i] = &rPeer{}

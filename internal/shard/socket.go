@@ -26,23 +26,17 @@ type FabricTimeouts struct {
 	// and per owed ack read — so a peer that turns slow mid-frame cannot
 	// ride a stale deadline from the frame before. Default DefaultIOTimeout.
 	IO time.Duration
-	// Retry bounds the total wall clock a ResilientTransport spends
-	// retrying and re-dialing one dead peer before declaring it
-	// unrecoverable (the point where shard adoption takes over). Default
-	// DefaultRetryTimeout.
-	Retry time.Duration
 }
 
 // Fabric timeout defaults. A zero FabricTimeouts field selects its default.
 const (
-	DefaultDialTimeout  = 5 * time.Second
-	DefaultIOTimeout    = 10 * time.Second
-	DefaultRetryTimeout = 30 * time.Second
+	DefaultDialTimeout = 5 * time.Second
+	DefaultIOTimeout   = 10 * time.Second
 )
 
 // Validate rejects negative budgets (zero means "use the default").
 func (t FabricTimeouts) Validate() error {
-	if t.Dial < 0 || t.IO < 0 || t.Retry < 0 {
+	if t.Dial < 0 || t.IO < 0 {
 		return fmt.Errorf("%w: negative timeout in %+v", ErrFabricConfig, t)
 	}
 	return nil
@@ -57,9 +51,6 @@ func (t FabricTimeouts) WithDefaults() FabricTimeouts {
 	if t.IO == 0 {
 		t.IO = DefaultIOTimeout
 	}
-	if t.Retry == 0 {
-		t.Retry = DefaultRetryTimeout
-	}
 	return t
 }
 
@@ -70,8 +61,8 @@ type FabricConfig struct {
 	Network string
 	// Addrs[owner] is the listen address of owner's node process.
 	Addrs []string
-	// Timeouts bounds dialing, per-operation I/O and the re-dial budget;
-	// zero fields select their documented defaults (see FabricTimeouts).
+	// Timeouts bounds dialing and per-operation I/O; zero fields select
+	// their documented defaults (see FabricTimeouts).
 	Timeouts FabricTimeouts
 	// WrapConn, when set, wraps each freshly dialed peer connection — the
 	// fault-injection seam the conformance suite uses to drop, corrupt,
