@@ -52,7 +52,7 @@ func runFabric(network string, nodes, depth, iters int, timeouts shard.FabricTim
 		os.Exit(1)
 	}
 	sys := cost.PaperCluster(nodes)
-	analytic := shard.Stats{Nodes: nodes, GatherBytes: m.A2ABytesPerIter}.AllToAllTime(sys)
+	analytic := pipeline.AllToAllTime(shard.Stats{Nodes: nodes, GatherBytes: m.A2ABytesPerIter}, sys)
 	fmt.Printf("fabric:            %s (%s)\n", m.Fabric, mode)
 	fmt.Printf("nodes x depth:     %d x %d (%d iters, batch %d)\n", m.Nodes, m.Depth, m.Iters, batch)
 	fmt.Printf("gather wall/iter:  %s\n", m.GatherWallPerIter)

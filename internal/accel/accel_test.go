@@ -2,6 +2,7 @@ package accel
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -404,35 +405,84 @@ func TestClassifyZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestClassifyMemoMatchesDirectProbe: the per-call memo must be invisible —
-// classification with the memo equals per-lookup EAL.Contains probes.
-func TestClassifyMemoMatchesDirectProbe(t *testing.T) {
-	cfg := data.CriteoKaggle()
-	acc := New(DefaultConfig())
-	gen := data.NewGenerator(cfg)
-	for i := 0; i < 2; i++ {
-		acc.LearnBatch(gen.NextBatch(1024))
-	}
-	for trial := 0; trial < 3; trial++ {
-		b := gen.NextBatch(512)
-		cl := acc.Classify(b)
-		popular := map[int]bool{}
-		for _, i := range cl.PopularIdx {
-			popular[i] = true
-		}
-		for i := 0; i < b.Size(); i++ {
-			want := true
-			for tab := range b.Sparse {
-				for _, ix := range b.Sparse[tab][i] {
-					if !acc.EAL.Contains(tab, ix) {
-						want = false
-					}
+// directClassify is Classify without the memo: one EAL.Contains probe per
+// lookup.
+func directClassify(e *EAL, b *data.Batch) Classification {
+	var cl Classification
+	for i := 0; i < b.Size(); i++ {
+		popular := true
+		for t := range b.Sparse {
+			for _, ix := range b.Sparse[t][i] {
+				cl.TotalLookups++
+				if !e.Contains(t, ix) {
+					popular = false
+					cl.ColdLookups++
 				}
 			}
-			if popular[i] != want {
-				t.Fatalf("trial %d sample %d: memoised classification %v, direct probe %v",
-					trial, i, popular[i], want)
-			}
 		}
+		if popular {
+			cl.PopularIdx = append(cl.PopularIdx, i)
+		} else {
+			cl.NonPopularIdx = append(cl.NonPopularIdx, i)
+		}
+	}
+	return cl
+}
+
+func sameClassification(a, b Classification) bool {
+	return slices.Equal(a.PopularIdx, b.PopularIdx) && slices.Equal(a.NonPopularIdx, b.NonPopularIdx) &&
+		a.ColdLookups == b.ColdLookups && a.TotalLookups == b.TotalLookups
+}
+
+// TestClassifyMemoMatchesDirectProbe: the memo must be invisible. It lives
+// across Classify calls until the EAL's contents change, so a fixed schedule
+// interleaves classification with every way they change — sampled and
+// forced learning into an EAL small enough to evict, a reset, another EAL —
+// and each classification must equal one built from direct EAL.Contains
+// probes. A classification with no change since the last one must reuse the
+// memo's epoch.
+func TestClassifyMemoMatchesDirectProbe(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.EAL.SizeBytes = 16 << 10 // 8K entries: learning evicts
+	cfg.SampleRate = 0.25
+	acc := New(cfg)
+	gen := data.NewGenerator(data.CriteoKaggle())
+	for step := 0; step < 48; step++ {
+		b := gen.NextBatch(256)
+		switch step % 16 {
+		case 5:
+			acc.EAL.Reset()
+		case 11:
+			acc.EAL = NewEAL(cfg.EAL)
+		}
+		if step%3 == 0 {
+			acc.LearnBatch(b)
+		}
+		acc.MaybeLearn(b)
+		if got, want := acc.Classify(b), directClassify(acc.EAL, b); !sameClassification(got, want) {
+			t.Fatalf("step %d: memoised classification %+v, direct probes %+v", step, got, want)
+		}
+		epoch := acc.memo.epoch
+		other := gen.NextBatch(256)
+		if got, want := acc.Classify(other), directClassify(acc.EAL, other); !sameClassification(got, want) {
+			t.Fatalf("step %d, unlearned batch: memoised classification %+v, direct probes %+v", step, got, want)
+		}
+		if acc.memo.epoch != epoch {
+			t.Fatalf("step %d: the memo restarted (epoch %d -> %d) with the EAL unchanged", step, epoch, acc.memo.epoch)
+		}
+	}
+}
+
+// TestClassifyMemoEpochWrap: when the memo's epoch counter wraps, no cell may
+// answer — least of all one nothing has written, which holds key 0 (table 0,
+// row 0) at epoch 0 with the answer "not tracked".
+func TestClassifyMemoEpochWrap(t *testing.T) {
+	acc := New(DefaultConfig())
+	acc.EAL.Touch(0, 0) // table 0, row 0 is tracked; row 1 is not
+	acc.memo.epoch = math.MaxUint32
+	b := &data.Batch{Sparse: [][][]int32{{{0}, {1}}}, Labels: make([]float32, 2)}
+	want := Classification{PopularIdx: []int{0}, NonPopularIdx: []int{1}, ColdLookups: 1, TotalLookups: 2}
+	if got := acc.Classify(b); !sameClassification(got, want) {
+		t.Fatalf("classification across the epoch wrap = %+v, want %+v", got, want)
 	}
 }

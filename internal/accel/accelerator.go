@@ -1,9 +1,6 @@
 package accel
 
-import (
-	"hotline/internal/data"
-	"hotline/internal/sim"
-)
+import "hotline/internal/data"
 
 // Config bundles the full accelerator configuration (Table IV defaults).
 type Config struct {
@@ -33,7 +30,6 @@ func DefaultConfig() Config {
 type Accelerator struct {
 	Cfg Config
 	EAL *EAL
-	seg *SegregationModel
 	// learning statistics
 	SampledBatches int64
 	TotalBatches   int64
@@ -46,58 +42,69 @@ type Accelerator struct {
 // memoBits sizes the classification memo (2^14 entries ≈ 256 KB).
 const memoBits = 14
 
-// classifyMemo is a direct-mapped, epoch-tagged memo of EAL probe results,
-// valid within one Classify call (the EAL is read-only during
-// classification, and the epoch advances on every call). Zipf-skewed
-// batches repeat their head rows constantly, so most probes skip the
-// Feistel hash and the 8-way set scan entirely — this models the hardware's
-// ability to service repeated identifiers from its port buffers rather than
-// re-walking SRAM banks.
+// classifyMemo is a direct-mapped, epoch-tagged memo of EAL probe results.
+// A probe's answer depends only on the EAL's contents, which change only
+// when an entry is inserted or the EAL is reset (EAL.gen counts both), never
+// on a learning hit. So an epoch lasts until that generation moves, or until
+// the accelerator is handed another EAL, and serves every Classify call in
+// between. Zipf-skewed batches repeat their head rows constantly, so most
+// probes skip the Feistel hash and the 8-way set scan entirely — this models
+// the hardware's ability to service repeated identifiers from its port
+// buffers rather than re-walking SRAM banks.
 type classifyMemo struct {
-	keys   []uint64
-	epochs []uint32
-	vals   []bool
-	epoch  uint32
+	cells []memoCell
+	epoch uint32
+	// eal and gen are the EAL and generation the current epoch answers for.
+	eal *EAL
+	gen uint64
+}
+
+// memoCell is one memo entry: key, epoch and answer side by side, so a probe
+// touches one cache line. Epoch 0 is never current, so a cell nothing wrote
+// answers no key.
+type memoCell struct {
+	key   uint64
+	epoch uint32
+	val   bool
+}
+
+// sync starts a new epoch unless the current one answers for e as it is now.
+//
+//hotline:hotpath
+func (m *classifyMemo) sync(e *EAL) {
+	if m.eal == e && m.gen == e.gen {
+		return
+	}
+	if m.cells == nil { // the first sync: no EAL was answered for yet
+		m.cells = make([]memoCell, 1<<memoBits) //hotline:allow hotalloc lazy one-time memo init
+	}
+	m.eal, m.gen = e, e.gen
+	m.epoch++
+	if m.epoch == 0 {
+		// The counter wrapped: scrub the cells so an entry from 2^32 epochs
+		// ago can never alias the restarted counter, and skip zero — the
+		// epoch of a cell nothing has written.
+		clear(m.cells)
+		m.epoch = 1
+	}
 }
 
 // lookup probes the memo; compute is consulted (and memoised) on a miss.
 //
 //hotline:hotpath
 func (m *classifyMemo) lookup(key uint64, compute func() bool) bool {
-	if m.keys == nil {
-		n := 1 << memoBits
-		m.keys = make([]uint64, n)   //hotline:allow hotalloc lazy one-time memo init
-		m.epochs = make([]uint32, n) //hotline:allow hotalloc lazy one-time memo init
-		m.vals = make([]bool, n)     //hotline:allow hotalloc lazy one-time memo init
-	}
-	h := (key * 0x9E3779B97F4A7C15) >> (64 - memoBits)
-	if m.keys[h] == key && m.epochs[h] == m.epoch {
-		return m.vals[h]
+	c := &m.cells[(key*0x9E3779B97F4A7C15)>>(64-memoBits)]
+	if c.key == key && c.epoch == m.epoch {
+		return c.val
 	}
 	v := compute()
-	m.keys[h], m.epochs[h], m.vals[h] = key, m.epoch, v
+	*c = memoCell{key: key, epoch: m.epoch, val: v}
 	return v
-}
-
-// nextEpoch invalidates the memo (start of a new Classify call).
-//
-//hotline:hotpath
-func (m *classifyMemo) nextEpoch() {
-	m.epoch++
-	if m.epoch == 0 && m.keys != nil {
-		// uint32 wrap: scrub stale tags so an ancient entry can never alias
-		// the restarted epoch counter.
-		clear(m.keys)
-	}
 }
 
 // New builds an accelerator.
 func New(cfg Config) *Accelerator {
-	return &Accelerator{
-		Cfg: cfg,
-		EAL: NewEAL(cfg.EAL),
-		seg: NewSegregationModel(cfg.Engines, cfg.EAL),
-	}
+	return &Accelerator{Cfg: cfg, EAL: NewEAL(cfg.EAL)}
 }
 
 // LearnBatch feeds every access of a sampled mini-batch into the EAL
@@ -166,7 +173,8 @@ func (c Classification) PopularFraction() float64 {
 //hotline:hotpath
 func (a *Accelerator) Classify(b *data.Batch) Classification {
 	cl := Classification{PopularIdx: a.popScratch[:0], NonPopularIdx: a.nonScratch[:0]}
-	a.memo.nextEpoch()
+	eal := a.EAL
+	a.memo.sync(eal)
 	n := b.Size()
 	for i := 0; i < n; i++ {
 		popular := true
@@ -174,7 +182,7 @@ func (a *Accelerator) Classify(b *data.Batch) Classification {
 			for _, ix := range b.Sparse[t][i] {
 				cl.TotalLookups++
 				key := uint64(t)<<32 | uint64(uint32(ix))
-				tracked := a.memo.lookup(key, func() bool { return a.EAL.Contains(t, ix) }) //hotline:allow hotalloc non-escaping predicate; memo.lookup invokes it inline or not at all
+				tracked := a.memo.lookup(key, func() bool { return eal.Contains(t, ix) }) //hotline:allow hotalloc non-escaping predicate; memo.lookup invokes it inline or not at all
 				if !tracked {
 					popular = false
 					cl.ColdLookups++
@@ -189,10 +197,4 @@ func (a *Accelerator) Classify(b *data.Batch) Classification {
 	}
 	a.popScratch, a.nonScratch = cl.PopularIdx, cl.NonPopularIdx
 	return cl
-}
-
-// SegregationTime returns the accelerator time to classify a mini-batch
-// with the given lookup count.
-func (a *Accelerator) SegregationTime(totalLookups int64) sim.Duration {
-	return a.seg.SegregationTime(totalLookups)
 }

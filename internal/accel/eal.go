@@ -74,6 +74,10 @@ type EAL struct {
 	bankShift uint32
 	setMask   uint32
 
+	// gen counts the changes to what Contains answers: every insert and
+	// Reset advance it, a Touch hit (which moves only an RRPV) does not.
+	gen uint64
+
 	// statistics
 	Hits, Misses, Inserts, Evicts int64
 }
@@ -191,6 +195,7 @@ func (e *EAL) Touch(table int, row int32) bool {
 //
 //hotline:hotpath
 func (e *EAL) insert(setIdx int, ways []ealEntry, tag uint32) {
+	e.gen++
 	for i := range ways {
 		if !ways[i].valid {
 			ways[i] = ealEntry{valid: true, rrpv: rrpvMax - 1, tag: tag}
@@ -234,6 +239,7 @@ func (e *EAL) Occupancy() float64 {
 
 // Reset clears contents and statistics (a fresh learning phase).
 func (e *EAL) Reset() {
+	e.gen++
 	for i := range e.entries {
 		e.entries[i] = ealEntry{}
 	}

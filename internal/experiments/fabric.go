@@ -26,7 +26,7 @@ const (
 // row — once on the in-proc fast path, once over a real unix-socket fabric
 // where every shard node is a NodeServer behind its own socket — and
 // reports the transport's measured per-iteration gather/scatter wall clock
-// next to the analytic AllToAllTime the timing models price. The "max
+// next to the analytic pipeline.AllToAllTime the timing models price. The "max
 // diff" column is the bit-parity evidence: the socket run must reproduce
 // the in-proc parameters exactly (0 means bit-identical), so the measured
 // wall times are for provably the same computation.
@@ -49,7 +49,7 @@ func MNFabric() *report.Table {
 			t.AddRow(fmt.Sprint(nodes), m.Fabric,
 				m.GatherWallPerIter.String(), m.ScatterWallPerIter.String(),
 				fmt.Sprintf("%.1f", float64(m.A2ABytesPerIter)/1024),
-				st.AllToAllTime(sys).String(),
+				pipeline.AllToAllTime(st, sys).String(),
 				fmt.Sprintf("%g", m.MaxStateDiff))
 		}
 	}

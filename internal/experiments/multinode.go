@@ -51,7 +51,7 @@ func MNScale() *report.Table {
 		t.AddRow(fmt.Sprint(nodes),
 			pct(m.HitRate, 1), pct(m.RemoteFrac, 1), pct(m.GatherFrac, 1),
 			fmt.Sprintf("%.1f", float64(m.A2ABytesPerIter)/1024),
-			st.AllToAllTime(sys).String(),
+			pipeline.AllToAllTime(st, sys).String(),
 			exposed,
 			hl.Iteration(measured).Total.String(),
 			hl.Iteration(analytic).Total.String())
@@ -123,7 +123,7 @@ func MNEvolvingSkew() *report.Table {
 			}
 		}
 		st := svc.Snapshot()
-		a2a := float64(st.AllToAllTime(sys))
+		a2a := float64(pipeline.AllToAllTime(st, sys))
 		if day == 0 {
 			day0 = a2a
 		}

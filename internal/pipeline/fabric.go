@@ -4,11 +4,35 @@ import (
 	"fmt"
 	"time"
 
+	"hotline/internal/cost"
 	"hotline/internal/data"
 	"hotline/internal/model"
 	"hotline/internal/shard"
+	"hotline/internal/sim"
 	"hotline/internal/train"
 )
+
+// AllToAllTime prices a shard snapshot's gather+scatter volume with the cost
+// models. The snapshot's own node count is authoritative for both the guard
+// and the exchange: s.Nodes participants each move their per-node share, and
+// the traffic stays on intra-node NVLink only when those participants all
+// fit inside sys's single box (sys.Nodes <= 1 and at most one shard node per
+// GPU); any disagreement — more shard nodes than one box holds, or a
+// multi-box system — prices the inter-node fabric.
+func AllToAllTime(s shard.Stats, sys cost.System) sim.Duration {
+	if s.Nodes <= 1 {
+		return 0
+	}
+	// Ceiling division: a per-window Sub delta smaller than the node count
+	// must still price at least one byte per participant, not truncate to
+	// zero fabric time (tiny windows otherwise read as free).
+	perNode := (s.A2ABytes() + int64(s.Nodes) - 1) / int64(s.Nodes)
+	link := sys.IB
+	if sys.Nodes <= 1 && s.Nodes <= sys.GPUsPerNode {
+		link = sys.NVLink
+	}
+	return cost.AllToAllTime(link, perNode, s.Nodes)
+}
 
 // FabricProbe configures one MeasureFabric measurement.
 type FabricProbe struct {
@@ -30,7 +54,7 @@ type FabricProbe struct {
 
 // FabricMeasurement is one functional training run over a real fabric
 // transport: the measured wall clock the transport spent moving gather and
-// scatter traffic — numbers the analytic cost.AllToAllTime model can be
+// scatter traffic — numbers the analytic AllToAllTime model can be
 // compared against — plus the bit-parity evidence (final loss and maximum
 // parameter divergence) against the in-proc reference run of the identical
 // stream.

@@ -1,10 +1,6 @@
 package shard
 
-import (
-	"testing"
-
-	"hotline/internal/cost"
-)
+import "testing"
 
 // TestPreloadRepeatedNoDoubleCount is the regression test for the fill
 // double-count: re-preloading rows that are already resident refreshes
@@ -44,33 +40,6 @@ func TestPreloadRefreshKeepsRecency(t *testing.T) {
 	s.RecordGather(0, [][]int32{{1}}) // node 0 probes row 1
 	if st := s.Snapshot(); st.CacheHits != 1 {
 		t.Fatalf("refreshed row must survive the eviction: %+v", st)
-	}
-}
-
-// TestAllToAllTimeTinyWindow is the regression test for the truncating
-// per-node division: a per-window Sub delta smaller than the node count
-// used to price zero bytes per participant, so tiny windows moved free of
-// any bandwidth cost. The slow fabric makes the single rounded-up byte
-// observable at Duration granularity (on the paper's IB it is sub-ns).
-func TestAllToAllTimeTinyWindow(t *testing.T) {
-	slow := cost.PaperCluster(4)
-	slow.IB = cost.LinkSpec{Name: "slow", Bandwidth: 1, A2AEff: 1} // 1 byte/s
-	tiny := Stats{Nodes: 8, GatherBytes: 3}                        // 3 bytes across 8 nodes
-	zero := Stats{Nodes: 8}
-	// The regression: 3/8 truncated to 0 bytes per node, so a tiny delta
-	// priced exactly like an empty one — the bandwidth term vanished.
-	if got, free := tiny.AllToAllTime(slow), zero.AllToAllTime(slow); got <= free {
-		t.Fatalf("tiny window priced like empty (%v <= %v); per-node share must round up", got, free)
-	}
-	// Ceiling, not floor: 3 bytes over 8 nodes price like 1 byte per node.
-	if got, want := tiny.AllToAllTime(slow), cost.AllToAllTime(slow.IB, 1, 8); got != want {
-		t.Fatalf("tiny window = %v want ceil pricing %v", got, want)
-	}
-	// Exact multiples are unchanged by the rounding.
-	sys := cost.PaperCluster(4)
-	even := Stats{Nodes: 4, GatherBytes: 1 << 20}
-	if got, want := even.AllToAllTime(sys), cost.AllToAllTime(sys.IB, 1<<18, 4); got != want {
-		t.Fatalf("even split = %v want %v", got, want)
 	}
 }
 

@@ -273,10 +273,11 @@ func (g *AsyncGatherer) Close() {
 	}
 }
 
-// acquire hands out a released (or new) window, empty, keyed to table: the
-// accounting walk takes one at the first row that needs staging, a
-// WindowQueue one to stand for a prefetch that planned nothing.
-func (g *AsyncGatherer) acquire(table int) *Staging {
+// acquire hands out a released (or new) window, empty, keyed to table, with a
+// slot table for a plan over at most lookups rows: the accounting walk takes
+// one at the first row that needs staging, a WindowQueue one to stand for a
+// prefetch that planned nothing.
+func (g *AsyncGatherer) acquire(table, lookups int) *Staging {
 	var w *Staging
 	g.poolMu.Lock()
 	if n := len(g.pool); n > 0 {
@@ -285,10 +286,11 @@ func (g *AsyncGatherer) acquire(table int) *Staging {
 	}
 	g.poolMu.Unlock()
 	if w == nil {
-		w = &Staging{g: g, perOwner: make([][]int32, len(g.queues)), slot: make(map[int32]int)}
+		w = &Staging{g: g, perOwner: make([][]int32, len(g.queues))}
 		w.cond.L = &w.mu
 	}
 	w.table = table
+	w.reserve(lookups)
 	return w
 }
 

@@ -122,9 +122,9 @@ func TestAsyncGatherManyWindows(t *testing.T) {
 	}
 	for _, st := range handles {
 		st.Await()
-		for row, slot := range st.slot {
-			if st.buf[slot] != float32(row) {
-				t.Fatalf("row %d staged %g", row, st.buf[slot])
+		for _, c := range st.cells {
+			if slot := c.slot1 - 1; slot >= 0 && st.buf[slot] != float32(c.row) {
+				t.Fatalf("row %d staged %g", c.row, st.buf[slot])
 			}
 		}
 	}

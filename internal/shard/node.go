@@ -27,9 +27,9 @@ type NodeServer struct {
 	ln   net.Listener
 	io   time.Duration // per-frame IO deadline; 0 = none
 
-	mu    sync.Mutex
-	rows  map[uint64][]float32 // key(table,row) → authoritative payload
-	conns map[net.Conn]struct{}
+	mu     sync.Mutex
+	tables []nodeTable // tables[t]: the rows of table t this node holds
+	conns  map[net.Conn]struct{}
 
 	closeOnce sync.Once
 	closed    atomic.Bool
@@ -40,6 +40,65 @@ type NodeServer struct {
 	pushFrames  atomic.Int64 // push requests applied
 	rowsServed  atomic.Int64 // rows returned by fetches
 	rowsStored  atomic.Int64 // rows written by pushes
+}
+
+// The bounds a push's ids must stay under. A node's index spans the highest
+// row pushed, so unlike a payload it grows with an id, not with the bytes
+// that arrived: these keep one lying frame from allocating gigabytes. A table
+// of maxNodeRows rows is 16 GB of fp32 payload at dim 64, so the index stays
+// a small share of any real one.
+const (
+	maxNodeTables = 1 << 16
+	maxNodeRows   = 1 << 26
+)
+
+// nodeTable is one table's share of a node's store: the rows the node holds,
+// packed in the order they first arrived, and an index from row to payload.
+type nodeTable struct {
+	dim  int       // fixed by the table's first push; 0 until then
+	slot []int32   // slot[row] = payload index + 1, 0 = not held; spans the highest row pushed
+	vals []float32 // the held rows, dim values each, in payload-index order
+}
+
+// row returns the held payload of row r, or nil when the node does not hold
+// it (a negative r included).
+//
+//hotline:hotpath
+func (t *nodeTable) row(r int32) []float32 {
+	if uint32(r) >= uint32(len(t.slot)) {
+		return nil
+	}
+	p := int(t.slot[r]) - 1
+	if p < 0 {
+		return nil
+	}
+	return t.vals[p*t.dim : (p+1)*t.dim]
+}
+
+// hold gives every row of rows not held yet a payload slot, growing the
+// index to span them and the slab to fit them; a frame that only rewrites
+// held rows, as every steady-state push does, allocates nothing. The slab
+// grows to exactly what a large frame needs, so the initial sync's few big
+// frames leave no spare capacity, and by at least a quarter otherwise.
+func (t *nodeTable) hold(rows []int32) {
+	n := len(t.vals) / t.dim
+	for _, r := range rows {
+		if int(r) >= len(t.slot) {
+			t.slot = append(t.slot, make([]int32, int(r)+1-len(t.slot))...)
+		}
+		if t.slot[r] == 0 {
+			n++
+			t.slot[r] = int32(n)
+		}
+	}
+	need := n * t.dim
+	if need <= cap(t.vals) {
+		t.vals = t.vals[:need]
+		return
+	}
+	grown := make([]float32, need, max(need, cap(t.vals)+cap(t.vals)/4))
+	copy(grown, t.vals)
+	t.vals = grown
 }
 
 // NodeStats is a snapshot of one node process's serving counters.
@@ -73,7 +132,6 @@ func ServeNode(node int, network, addr string, ioTimeout time.Duration) (*NodeSe
 	}
 	s := &NodeServer{
 		node: node, ln: ln, io: ioTimeout,
-		rows:  make(map[uint64][]float32),
 		conns: make(map[net.Conn]struct{}),
 	}
 	s.wg.Add(1)
@@ -90,8 +148,13 @@ func (s *NodeServer) Node() int { return s.node }
 
 // Stats snapshots the serving counters.
 func (s *NodeServer) Stats() NodeStats {
+	held := 0
 	s.mu.Lock()
-	held := len(s.rows)
+	for _, t := range s.tables {
+		if t.dim > 0 {
+			held += len(t.vals) / t.dim
+		}
+	}
 	s.mu.Unlock()
 	return NodeStats{
 		Node:        s.node,
@@ -179,7 +242,13 @@ func (s *NodeServer) serveConn(c net.Conn) {
 				return
 			}
 		case opPush:
-			s.applyPush(&req)
+			if err := s.applyPush(&req); err != nil {
+				// A refused push: the coordinator reads the error in the
+				// ack's place and gives the peer up, so the conn goes too.
+				s.reply(c, &out, &wireMsg{op: opError, code: wireErrBadFrame,
+					text: fmt.Sprintf("node %d: %v", s.node, err)})
+				return
+			}
 			if !s.reply(c, &out, &wireMsg{op: opAck}) {
 				return
 			}
@@ -195,23 +264,49 @@ func (s *NodeServer) serveConn(c net.Conn) {
 	}
 }
 
-// applyPush stores the pushed row payloads (copying out of the frame).
-func (s *NodeServer) applyPush(req *wireMsg) {
-	s.mu.Lock()
-	for i, r := range req.rows {
-		k := key(req.table, r)
-		dst := s.rows[k]
-		if cap(dst) < req.dim {
-			dst = make([]float32, req.dim)
-		} else {
-			dst = dst[:req.dim]
+// applyPush stores the pushed row payloads (copying out of the frame). A
+// table's dim is fixed by its first push; a push at another dim, or with an
+// id past the store's bounds, is refused whole and stores nothing.
+func (s *NodeServer) applyPush(req *wireMsg) error {
+	if len(req.rows) > 0 {
+		if err := s.store(req); err != nil {
+			return err
 		}
-		copy(dst, req.vals[i*req.dim:(i+1)*req.dim])
-		s.rows[k] = dst
 	}
-	s.mu.Unlock()
 	s.pushFrames.Add(1)
 	s.rowsStored.Add(int64(len(req.rows)))
+	return nil
+}
+
+// store writes a non-empty push into its table's record.
+func (s *NodeServer) store(req *wireMsg) error {
+	switch {
+	case req.table >= maxNodeTables:
+		return fmt.Errorf("%w: table %d is past the store's %d tables", ErrBadFrame, req.table, maxNodeTables)
+	case req.dim < 1:
+		return fmt.Errorf("%w: table %d pushed at dim %d", ErrBadFrame, req.table, req.dim)
+	}
+	for _, r := range req.rows {
+		if uint32(r) >= maxNodeRows {
+			return fmt.Errorf("%w: table %d row %d is outside the store's [0, %d)", ErrBadFrame, req.table, r, maxNodeRows)
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if req.table >= len(s.tables) {
+		s.tables = append(s.tables, make([]nodeTable, req.table+1-len(s.tables))...)
+	}
+	t := &s.tables[req.table]
+	if t.dim == 0 {
+		t.dim = req.dim
+	} else if req.dim != t.dim {
+		return fmt.Errorf("%w: table %d pushed at dim %d, held at dim %d", ErrBadFrame, req.table, req.dim, t.dim)
+	}
+	t.hold(req.rows)
+	for i, r := range req.rows {
+		copy(t.row(r), req.vals[i*t.dim:(i+1)*t.dim])
+	}
+	return nil
 }
 
 // replyFetch answers a fetch with the requested rows, or an unknown-row
@@ -219,19 +314,20 @@ func (s *NodeServer) applyPush(req *wireMsg) {
 func (s *NodeServer) replyFetch(c net.Conn, out *[]byte, req, rep *wireMsg) bool {
 	rep.op = opRows
 	rep.table = req.table
-	rep.dim = 0
 	rep.rows = append(rep.rows[:0], req.rows...)
 	rep.vals = rep.vals[:0]
 	s.mu.Lock()
+	var t nodeTable // an unpushed table holds no row
+	if req.table < len(s.tables) {
+		t = s.tables[req.table]
+	}
+	rep.dim = t.dim
 	for _, r := range req.rows {
-		v, ok := s.rows[key(req.table, r)]
-		if !ok {
+		v := t.row(r)
+		if v == nil {
 			s.mu.Unlock()
 			return s.reply(c, out, &wireMsg{op: opError, code: wireErrUnknownRow,
 				text: fmt.Sprintf("table %d row %d of node %d", req.table, r, s.node)})
-		}
-		if rep.dim == 0 {
-			rep.dim = len(v)
 		}
 		rep.vals = append(rep.vals, v...)
 	}

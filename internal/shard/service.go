@@ -7,9 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"hotline/internal/cost"
-	"hotline/internal/sim"
 )
 
 // HotClassifier decides which rows count as popular and may be replicated
@@ -131,10 +128,10 @@ type Stats struct {
 	// in-proc fast path GatherWall is the staging memcpy time and
 	// ScatterWall is zero (a shared address space moves no scatter bytes);
 	// on a socket fabric both are real per-window wire times — the measured
-	// counterpart of the modeled AllToAllTime. The socket fabric pipelines
-	// its pushes, so ScatterWall is the encode and write the trainer waited
-	// for, and the owner's apply-and-ack is waited for by that owner's next
-	// fetch, inside GatherWall.
+	// counterpart of the modeled pipeline.AllToAllTime. The socket fabric
+	// pipelines its pushes, so ScatterWall is the encode and write the trainer
+	// waited for, and the owner's apply-and-ack is waited for by that owner's
+	// next fetch, inside GatherWall.
 	GatherWall, ScatterWall time.Duration
 }
 
@@ -215,28 +212,6 @@ func (s Stats) Sub(prev Stats) Stats {
 func (s Stats) WithoutWall() Stats {
 	s.GatherWall, s.ScatterWall = 0, 0
 	return s
-}
-
-// AllToAllTime prices the snapshot's gather+scatter volume with the cost
-// models. The snapshot's own node count is authoritative for both the guard
-// and the exchange: s.Nodes participants each move their per-node share, and
-// the traffic stays on intra-node NVLink only when those participants all
-// fit inside sys's single box (sys.Nodes <= 1 and at most one shard node per
-// GPU); any disagreement — more shard nodes than one box holds, or a
-// multi-box system — prices the inter-node fabric.
-func (s Stats) AllToAllTime(sys cost.System) sim.Duration {
-	if s.Nodes <= 1 {
-		return 0
-	}
-	// Ceiling division: a per-window Sub delta smaller than the node count
-	// must still price at least one byte per participant, not truncate to
-	// zero fabric time (tiny windows otherwise read as free).
-	perNode := (s.A2ABytes() + int64(s.Nodes) - 1) / int64(s.Nodes)
-	link := sys.IB
-	if sys.Nodes <= 1 && s.Nodes <= sys.GPUsPerNode {
-		link = sys.NVLink
-	}
-	return cost.AllToAllTime(link, perNode, s.Nodes)
 }
 
 // Service is the sharded embedding substrate: N nodes, each owning a
@@ -448,22 +423,23 @@ func (s *Service) PlanServeGather(table int, indices [][]int32) *Staging {
 //
 //hotline:stats-writer
 func (s *Service) planGather(table int, indices [][]int32, collect, serve bool) *Staging {
+	lookups := 0 // also bounds the distinct rows a plan stages
+	for _, bag := range indices {
+		lookups += len(bag)
+	}
 	if s.cfg.Nodes == 1 {
 		// Single node: every access is local; count and return.
-		var n int64
-		for b := range indices {
-			n += int64(len(indices[b]))
-		}
 		s.mu.Lock()
 		st := s.statsFor(serve)
-		st.Lookups += n
-		st.Local += n
+		st.Lookups += int64(lookups)
+		st.Local += int64(lookups)
 		s.mu.Unlock()
 		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.statsFor(serve)
+	st.Lookups += int64(lookups)
 	var plan *Staging
 	nodes, rowBytes, fp := s.cfg.Nodes, s.cfg.RowBytes, s.failPart
 	caching, tiered := s.cfg.CacheBytes > 0, s.cfg.Quant != QuantOff
@@ -472,7 +448,6 @@ func (s *Service) planGather(table int, indices [][]int32, collect, serve bool) 
 	node := 0 // NodeOf(b), stepped instead of divided
 	for _, bag := range indices {
 		cache := s.caches[node]
-		st.Lookups += int64(len(bag))
 		for _, ix := range bag {
 			if int(ix) >= len(own) {
 				own = s.growOwners(table, ix)
@@ -509,7 +484,7 @@ func (s *Service) planGather(table int, indices [][]int32, collect, serve bool) 
 					st.QuantHits++
 					if collect {
 						if plan == nil {
-							plan = s.gather.acquire(table)
+							plan = s.gather.acquire(table, lookups)
 						}
 						if plan.addQuant(ix, w) {
 							st.DequantRows++
@@ -530,7 +505,7 @@ func (s *Service) planGather(table int, indices [][]int32, collect, serve bool) 
 				st.GatherBytes += rowBytes
 				if collect {
 					if plan == nil {
-						plan = s.gather.acquire(table)
+						plan = s.gather.acquire(table, lookups)
 					}
 					if narrow {
 						// The miss still prices a full fabric row above (the

@@ -1,10 +1,6 @@
 package shard
 
-import (
-	"testing"
-
-	"hotline/internal/cost"
-)
+import "testing"
 
 // mapClassifier marks an explicit set of rows hot.
 type mapClassifier map[uint64]struct{}
@@ -164,43 +160,6 @@ func TestStatsFractionsAndDeltas(t *testing.T) {
 	}
 	if gf := b.GatherFrac(); gf != 0.25 {
 		t.Fatalf("gather frac = %g", gf)
-	}
-}
-
-// TestAllToAllTimeLinkSelection is the regression test for the guard/link
-// disagreement: the snapshot's node count is authoritative, and NVLink only
-// applies when all shard nodes fit one box of the given system.
-func TestAllToAllTimeLinkSelection(t *testing.T) {
-	const bytes = 1 << 20
-	box4 := cost.PaperSystem(4)     // single box, 4 GPUs
-	cluster := cost.PaperCluster(4) // 4 IB-connected boxes
-
-	if got := (Stats{Nodes: 1, GatherBytes: bytes}).AllToAllTime(box4); got != 0 {
-		t.Fatalf("single shard node must move nothing: %v", got)
-	}
-
-	// 4 shard nodes inside one 4-GPU box: intra-node NVLink.
-	in := Stats{Nodes: 4, GatherBytes: bytes}
-	if got, want := in.AllToAllTime(box4), cost.AllToAllTime(box4.NVLink, bytes/4, 4); got != want {
-		t.Fatalf("intra-box a2a = %v want NVLink %v", got, want)
-	}
-
-	// The regression: 8 shard nodes cannot fit a 4-GPU box, so pricing the
-	// traffic over NVLink (the old sys.Nodes-only rule) used the wrong
-	// link; it must cross the inter-node fabric.
-	out := Stats{Nodes: 8, GatherBytes: bytes}
-	if got, want := out.AllToAllTime(box4), cost.AllToAllTime(box4.IB, bytes/8, 8); got != want {
-		t.Fatalf("overflowing a2a = %v want IB %v", got, want)
-	}
-	if nv := cost.AllToAllTime(box4.NVLink, bytes/8, 8); out.AllToAllTime(box4) == nv {
-		t.Fatal("overflowing topology must not be priced over NVLink")
-	}
-
-	// A multi-box system always prices the fabric, with the snapshot's own
-	// participant count (2 shard nodes on a 4-node cluster).
-	two := Stats{Nodes: 2, GatherBytes: bytes}
-	if got, want := two.AllToAllTime(cluster), cost.AllToAllTime(cluster.IB, bytes/2, 2); got != want {
-		t.Fatalf("cluster a2a = %v want IB over s.Nodes %v", got, want)
 	}
 }
 

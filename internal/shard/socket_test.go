@@ -25,11 +25,12 @@ func fabricTimeout(t *testing.T) time.Duration {
 
 // stagingFor builds a bare staging buffer keyed by the given rows.
 func stagingFor(rows []int32, dim int) *Staging {
-	slot := make(map[int32]int, len(rows))
-	for i, r := range rows {
-		slot[r] = i
+	st := &Staging{dim: dim, buf: make([]float32, len(rows)*dim)}
+	st.reserve(len(rows))
+	for _, r := range rows {
+		st.claim(r)
 	}
-	return &Staging{dim: dim, buf: make([]float32, len(rows)*dim), slot: slot}
+	return st
 }
 
 // rowPattern yields a deterministic, row-distinct payload.

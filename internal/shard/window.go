@@ -15,10 +15,11 @@ import (
 // PlanServeGather) and one Release:
 //
 //   - The plan — the distinct rows of one table that must be staged, a slot
-//     for each, the rows that cross the fabric grouped by the owner node that
-//     streams them — is built under the service mutex by the accounting walk
-//     and is immutable afterwards, so membership tests (Has) are safe while
-//     fetches are still in flight.
+//     for each in an open-addressed table sized to the plan, the rows that
+//     cross the fabric grouped by the owner node that streams them — is built
+//     under the service mutex by the accounting walk and is immutable
+//     afterwards, so membership tests (Has) are safe while fetches are still
+//     in flight.
 //   - The buffer is a dense rows x dim matrix, sized where the window is
 //     planned. Workers fill disjoint slots concurrently; consumers read it
 //     (Lookup) only after Await, then apply the rows in their own fixed
@@ -42,14 +43,19 @@ type Staging struct {
 	// GatherBytes accounting (per-(requesting node, row) dedup, so a row two
 	// nodes miss is priced twice even though it stages once).
 	bytes    int64
-	perOwner [][]int32     // perOwner[o]: distinct rows owner o must stream
-	slot     map[int32]int // row -> staging slot (distinct rows only)
-	// quant/qwidth list the staged rows served as warm-tier cache hits: no
-	// owner streams them — the fused dequantize-gather kernel materializes
-	// each one into its staging slot from the authoritative bits at staging
-	// time (fillQuant). They occupy slots but add no fabric bytes.
-	quant  []int32
-	qwidth []Width
+	perOwner [][]int32 // perOwner[o]: distinct rows owner o must stream
+	// cells is the row -> staging slot table, open-addressed with linear
+	// probing. acquire sizes it to at least twice the plan's lookups, so it is
+	// never more than half full and a probe always ends; it stays with the
+	// pooled window, and shift keeps the hash's top bits that index it.
+	cells []slotCell
+	shift uint32
+	rows  int32 // distinct rows staged: slots 0..rows-1 are taken
+	// quant lists the staged rows served as warm-tier cache hits: no owner
+	// streams them — the fused dequantize-gather kernel materializes each one
+	// into its staging slot from the authoritative bits at staging time
+	// (fillQuant). They occupy slots but add no fabric bytes.
+	quant []quantRow
 	// src is the row view the table registered, set by the planner: where
 	// the in-proc fetch, fillQuant and the warm-row repair read the
 	// authoritative bits (nil for a table nobody registered, whose window
@@ -79,11 +85,9 @@ type Staging struct {
 //hotline:hotpath
 func (w *Staging) add(row int32, owner int, rowBytes int64) {
 	w.bytes += rowBytes
-	if _, ok := w.slot[row]; ok {
-		return
+	if _, fresh := w.claim(row); fresh {
+		w.perOwner[owner] = append(w.perOwner[owner], row) //hotline:allow hotalloc per-owner lists are pooled window scratch; growth converges to the gather high-water mark
 	}
-	w.slot[row] = len(w.slot)
-	w.perOwner[owner] = append(w.perOwner[owner], row) //hotline:allow hotalloc per-owner lists are pooled window scratch; growth converges to the gather high-water mark
 }
 
 // addQuant registers one warm-tier cache hit for staging through the fused
@@ -96,13 +100,82 @@ func (w *Staging) add(row int32, owner int, rowBytes int64) {
 //
 //hotline:hotpath
 func (w *Staging) addQuant(row int32, wd Width) bool {
-	if _, ok := w.slot[row]; ok {
-		return false
+	slot, fresh := w.claim(row)
+	if fresh {
+		w.quant = append(w.quant, quantRow{row, slot, wd}) //hotline:allow hotalloc the quant list is pooled window scratch; growth converges to the gather high-water mark
 	}
-	w.slot[row] = len(w.slot)
-	w.quant = append(w.quant, row)  //hotline:allow hotalloc quant lists are pooled window scratch; growth converges to the gather high-water mark
-	w.qwidth = append(w.qwidth, wd) //hotline:allow hotalloc quant lists are pooled window scratch; growth converges to the gather high-water mark
-	return true
+	return fresh
+}
+
+// slotCell is one cell of a window's slot table: a staged row and its slot
+// plus one, so the zero cell is empty.
+type slotCell struct {
+	row, slot1 int32
+}
+
+// quantRow is one warm-tier row of a plan: the row, the slot it claimed and
+// the width the fused kernel round-trips it through.
+type quantRow struct {
+	row, slot int32
+	wd        Width
+}
+
+// reserve readies an empty slot table for a plan of at most lookups rows:
+// the smallest power of two of at least 2*lookups cells (16 at least), so the
+// table is never more than half full. It reuses the pooled window's cells,
+// which Release leaves cleared.
+func (w *Staging) reserve(lookups int) {
+	bits := uint32(4)
+	for 1<<bits < 2*lookups {
+		bits++
+	}
+	if n := 1 << bits; cap(w.cells) < n {
+		w.cells = make([]slotCell, n)
+	} else {
+		w.cells = w.cells[:n]
+	}
+	w.shift = 32 - bits
+}
+
+// home is row's first cell in the slot table (Fibonacci hashing: the top
+// bits of the product).
+//
+//hotline:hotpath
+func (w *Staging) home(row int32) uint32 { return uint32(row) * 0x9E3779B1 >> w.shift }
+
+// claim returns row's staging slot, assigning the next free one when the plan
+// has not staged row yet (fresh).
+//
+//hotline:hotpath
+func (w *Staging) claim(row int32) (slot int32, fresh bool) {
+	mask := uint32(len(w.cells) - 1)
+	for i := w.home(row); ; i = (i + 1) & mask {
+		c := &w.cells[i]
+		if c.slot1 == 0 {
+			if 2*(int(w.rows)+1) > len(w.cells) {
+				panic("shard: window slot table sized below its plan")
+			}
+			w.rows++
+			c.row, c.slot1 = row, w.rows
+			return w.rows - 1, true
+		}
+		if c.row == row {
+			return c.slot1 - 1, false
+		}
+	}
+}
+
+// find returns row's staging slot, or -1 when the plan did not stage it.
+//
+//hotline:hotpath
+func (w *Staging) find(row int32) int32 {
+	mask := uint32(len(w.cells) - 1)
+	for i := w.home(row); ; i = (i + 1) & mask {
+		c := w.cells[i]
+		if c.slot1 == 0 || c.row == row {
+			return c.slot1 - 1
+		}
+	}
 }
 
 // sizeBuffer sizes the landing buffer for the finished plan: one dim-wide
@@ -110,7 +183,7 @@ func (w *Staging) addQuant(row int32, wd Width) bool {
 // stage warm-tier hits (everything defaults to fp32 and fillQuant marks its
 // slots).
 func (w *Staging) sizeBuffer(dim int) {
-	n := len(w.slot)
+	n := int(w.rows)
 	w.dim = dim
 	if cap(w.buf) < n*dim {
 		w.buf = make([]float32, n*dim)
@@ -127,18 +200,18 @@ func (w *Staging) sizeBuffer(dim int) {
 }
 
 // Rows returns the number of distinct staged rows.
-func (w *Staging) Rows() int { return len(w.slot) }
+func (w *Staging) Rows() int { return int(w.rows) }
 
 // fabricRows returns the staged rows that actually cross the fabric
 // (Rows minus the warm-tier hits the fused kernel materializes locally).
-func (w *Staging) fabricRows() int { return len(w.slot) - len(w.quant) }
+func (w *Staging) fabricRows() int { return int(w.rows) - len(w.quant) }
 
 // Lookup returns the staged copy of row, if the plan fetched it.
 //
 //hotline:hotpath
 func (w *Staging) Lookup(row int32) ([]float32, bool) {
-	i, ok := w.slot[row]
-	if !ok {
+	i := int(w.find(row))
+	if i < 0 {
 		return nil, false
 	}
 	return w.buf[i*w.dim : (i+1)*w.dim], true
@@ -148,10 +221,7 @@ func (w *Staging) Lookup(row int32) ([]float32, bool) {
 // it is safe while fetches are still in flight).
 //
 //hotline:hotpath
-func (w *Staging) Has(row int32) bool {
-	_, ok := w.slot[row]
-	return ok
-}
+func (w *Staging) Has(row int32) bool { return w.find(row) >= 0 }
 
 // Width returns the precision a staged row is served at (WidthFP32 for rows
 // that crossed the fabric exactly, and for rows the plan never staged).
@@ -161,8 +231,8 @@ func (w *Staging) Width(row int32) Width {
 	if len(w.widths) == 0 {
 		return WidthFP32
 	}
-	i, ok := w.slot[row]
-	if !ok {
+	i := w.find(row)
+	if i < 0 {
 		return WidthFP32
 	}
 	return w.widths[i]
@@ -187,13 +257,13 @@ const quantAhead = 4
 //
 //hotline:hotpath
 func (w *Staging) fillQuant() {
-	for i, row := range w.quant {
+	for i, q := range w.quant {
 		if next := i + quantAhead; next < len(w.quant) {
-			tensor.PrefetchRow(w.src(w.quant[next]))
+			tensor.PrefetchRow(w.src(w.quant[next].row))
 		}
-		s := w.slot[row]
-		dequantRowInto(w.buf[s*w.dim:(s+1)*w.dim], w.src(row), w.qwidth[i])
-		w.widths[s] = w.qwidth[i]
+		s := int(q.slot)
+		dequantRowInto(w.buf[s*w.dim:(s+1)*w.dim], w.src(q.row), q.wd)
+		w.widths[s] = q.wd
 	}
 }
 
@@ -238,8 +308,9 @@ func (w *Staging) Release() {
 	for o := range w.perOwner {
 		w.perOwner[o] = w.perOwner[o][:0]
 	}
-	clear(w.slot)
-	w.quant, w.qwidth = w.quant[:0], w.qwidth[:0]
+	clear(w.cells)
+	w.rows = 0
+	w.quant = w.quant[:0]
 	w.indices = nil
 	w.dirty = w.dirty[:0]
 	w.g.poolMu.Lock()
@@ -308,7 +379,7 @@ const maxOpenWindows = 64
 // happened.
 func (q *WindowQueue) Push(indices [][]int32, w *Staging) {
 	if w == nil {
-		w = q.svc.gather.acquire(q.table)
+		w = q.svc.gather.acquire(q.table, 0)
 	}
 	w.indices = indices
 	q.mu.Lock()
