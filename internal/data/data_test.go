@@ -1,7 +1,11 @@
 package data
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -44,15 +48,43 @@ func TestZipfSampleMatchesMass(t *testing.T) {
 	}
 }
 
-func TestZipfRanksForMass(t *testing.T) {
-	z := NewZipf(1000, 1.1)
-	k := z.RanksForMass(0.75)
-	if m := z.MassOfTop(k); m < 0.75 {
-		t.Fatalf("top-%d mass %g < 0.75", k, m)
-	}
-	if k > 1 {
-		if m := z.MassOfTop(k - 1); m >= 0.75 {
-			t.Fatalf("k not minimal: top-%d already has %g", k-1, m)
+// TestZipfGuideMatchesBinarySearch checks the guide-table inversion against
+// its oracle, a binary search over the CDF: on random draws (the same u for
+// both, from a copy of the RNG), on every bucket edge j/G, and on each
+// sampled rank's CDF value and the float just below it.
+func TestZipfGuideMatchesBinarySearch(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 7, 8, 9, 1024, 1025, 24_000} {
+		for _, s := range []float64{0, 0.5, 1.05, 1.6, 3} {
+			z := NewZipf(n, s)
+			rng := tensor.NewRNG(uint64(n)*31 + uint64(s*100))
+			check := func(u float64, got int) {
+				if want := sort.SearchFloat64s(z.cdf, u); got != want {
+					t.Fatalf("n=%d s=%g u=%v: guide walk %d, binary search %d", n, s, u, got, want)
+				}
+			}
+			sampled := map[int]bool{}
+			for range 20_000 {
+				peek := *rng
+				u := peek.Float64()
+				r := z.Sample(rng)
+				check(u, r)
+				sampled[r] = true
+			}
+			G := len(z.guide)
+			if G < n || G&(G-1) != 0 || (G > 1 && G/2 >= n) {
+				t.Fatalf("n=%d: guide size %d is not the smallest power of two >= n", n, G)
+			}
+			for j := 0; j < G; j++ {
+				u := float64(j) / float64(G)
+				check(u, z.rank(u))
+			}
+			for r := range sampled {
+				for _, u := range []float64{z.cdf[r], math.Nextafter(z.cdf[r], 0)} {
+					if u < 1 {
+						check(u, z.rank(u))
+					}
+				}
+			}
 		}
 	}
 }
@@ -167,6 +199,13 @@ func TestGeneratorShapes(t *testing.T) {
 	}
 	if len(b.Sparse[1][0]) != 1 {
 		t.Fatalf("non-sequence table should be one-hot, got %d", len(b.Sparse[1][0]))
+	}
+	// Samples share a slab per table; an append must reallocate, never
+	// write into the next sample's lookups.
+	next := b.Sparse[0][1][0]
+	_ = append(b.Sparse[0][0], -1)
+	if b.Sparse[0][1][0] != next {
+		t.Fatal("append to one sample's lookups overwrote its neighbour's")
 	}
 	for tbl := range b.Sparse {
 		rows := cfg.ScaledRowsPerTable[tbl]
@@ -329,6 +368,36 @@ func TestTopKRows(t *testing.T) {
 	}
 }
 
+// synMHShape is the multi-hot benchmark model's shape: 8 tables of 2 000 to
+// 24 000 rows, 8 pooled lookups each.
+func synMHShape(zipf float64) Config {
+	rows := []int{24000, 16000, 12000, 8000, 6000, 4000, 3000, 2000}
+	full := make([]int64, len(rows))
+	for i, r := range rows {
+		full[i] = int64(r) * 1000
+	}
+	return Config{
+		Name: "SYN-MH", RM: "SYN-MH",
+		DenseFeatures: 13, NumTables: len(rows),
+		FullRowsPerTable: full, ScaledRowsPerTable: rows,
+		LookupsPerTable: 8, ZipfS: zipf, DriftPerDay: 0.10, HotFracRows: 0.20,
+		EmbedDim: 64, BotMLP: []int{13, 64}, TopMLP: []int{1},
+		Samples: 4096, ScaleFactor: 1000, FullSizeGB: 19,
+	}
+}
+
+// TestNextBatchAllocsPerTable gates the generator's allocations: one index
+// slab and one view slice per table plus a constant, never one per sample.
+func TestNextBatchAllocsPerTable(t *testing.T) {
+	for _, cfg := range []Config{CriteoKaggle(), synMHShape(1.05), TaobaoAlibaba()} {
+		g := NewGenerator(cfg)
+		got := testing.AllocsPerRun(5, func() { g.NextBatch(256) })
+		if limit := float64(2*cfg.NumTables + 8); got > limit {
+			t.Errorf("%s: NextBatch(256) allocates %.0f times, want at most %.0f", cfg.Name, got, limit)
+		}
+	}
+}
+
 // BenchmarkZipfSample measures the workload generator's inner sampler.
 func BenchmarkZipfSample(b *testing.B) {
 	z := NewZipf(1_000_000, 1.1)
@@ -337,5 +406,82 @@ func BenchmarkZipfSample(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		z.Sample(rng)
+	}
+}
+
+// BenchmarkNextBatch measures one batch-256 draw at the Kaggle RM2 and
+// SYN-MH shapes, the batches the end-to-end benchmark pre-generates.
+func BenchmarkNextBatch(b *testing.B) {
+	for _, cfg := range []Config{CriteoKaggle(), synMHShape(1.05)} {
+		b.Run(cfg.RM, func(b *testing.B) {
+			g := NewGenerator(cfg)
+			b.ReportAllocs()
+			for b.Loop() {
+				g.NextBatch(256)
+			}
+		})
+	}
+}
+
+// streamDigest hashes the first three NextBatch(64) draws of cfg (from day
+// if it is not 0): the dense bits, the sparse ids in table, sample, lookup
+// order, then the label bits, batch by batch.
+func streamDigest(cfg Config, day int) string {
+	g := NewGenerator(cfg)
+	if day != 0 {
+		g.SetDay(day)
+	}
+	h := sha256.New()
+	var w [4]byte
+	put := func(v uint32) {
+		binary.LittleEndian.PutUint32(w[:], v)
+		h.Write(w[:])
+	}
+	for range 3 {
+		b := g.NextBatch(64)
+		for _, v := range b.Dense.Data {
+			put(math.Float32bits(v))
+		}
+		for _, tbl := range b.Sparse {
+			for _, idxs := range tbl {
+				for _, ix := range idxs {
+					put(uint32(ix))
+				}
+			}
+		}
+		for _, l := range b.Labels {
+			put(math.Float32bits(l))
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestGeneratorStreamDigest pins the generated stream across builds: every
+// consumer (batch pools, serve corpora, ProfileEpoch, the experiments)
+// trains on exactly these bits, so a faster sampler must reproduce them.
+// TestGeneratorDeterministic only compares a binary with itself.
+func TestGeneratorStreamDigest(t *testing.T) {
+	flat, steep := CriteoKaggle(), CriteoKaggle()
+	flat.Name, flat.ZipfS = "Kaggle s=0", 0
+	steep.Name, steep.ZipfS = "Kaggle s=3", 3
+	cases := []struct {
+		cfg  Config
+		day  int
+		want string
+	}{
+		{CriteoKaggle(), 0, "25cc28f3705a0818283ea03158cf78c991debe07d4b80c8ff4413f1778d080e1"},
+		{TaobaoAlibaba(), 0, "edefed915c3efa8c9fb4a208a91a4ad81a9a2de4458439a0750af6c7191e690c"},
+		{CriteoTerabyte(), 0, "2dc07d0af1739bb94a2cfb204775ef8705fe1ff9dfc879368dcf73351b5411c3"},
+		{Avazu(), 0, "35896ef2324c73c18eebf1eaa353bcffdcabc2ae44cec56641a6c3e7985e01f6"},
+		{SynM1(), 0, "82ebee3afe730ed3a0ade5800db4dcf32e057f66fb5e53e2b23acfefca9f1b79"},
+		{SynM2(), 0, "be482a5692e5409d3885ddea697622f2d88cd73134416dea38b93e5196950bb1"},
+		{flat, 0, "2d481ef2dfcf2e392be916e9e1edce6b9e5f05321c01de46b5feeeaaaf4d3e05"},
+		{steep, 0, "42db7cfac9ad4e6afa9f47eda11da7776a390c52d0e9fb11684772b0c5d26b13"},
+		{CriteoKaggle(), 2, "8ee21509bf5a0d3aa72eeccf74729497d5e0b65762926984fa746337215cfa44"},
+	}
+	for _, c := range cases {
+		if got := streamDigest(c.cfg, c.day); got != c.want {
+			t.Errorf("%s day %d: stream digest %s, want %s", c.cfg.Name, c.day, got, c.want)
+		}
 	}
 }

@@ -23,16 +23,6 @@ type Batch struct {
 // Size returns the number of samples in the batch.
 func (b *Batch) Size() int { return len(b.Labels) }
 
-// SampleSparse returns the per-table index lists of one sample
-// (view, not copy).
-func (b *Batch) SampleSparse(i int) [][]int32 {
-	out := make([][]int32, len(b.Sparse))
-	for t := range b.Sparse {
-		out[t] = b.Sparse[t][i]
-	}
-	return out
-}
-
 // Subset extracts the samples at the given positions into a new Batch,
 // preserving order. The Hotline executor uses this to materialise popular and
 // non-popular µ-batches.
@@ -176,6 +166,10 @@ func (g *Generator) NextBatches(count, n int) []*Batch {
 
 // NextBatch draws n samples. Consecutive calls advance the RNG stream, so an
 // epoch is a sequence of NextBatch calls.
+//
+// Each table's indices live in one slab of n*k entries; sample i holds the
+// view slab[i*k:(i+1)*k] capped at its own end, so an append to one sample's
+// list reallocates instead of overwriting its neighbour's.
 func (g *Generator) NextBatch(n int) *Batch {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -186,26 +180,30 @@ func (g *Generator) NextBatch(n int) *Batch {
 		Labels: make([]float32, n),
 	}
 	for t := range b.Sparse {
+		k := cfg.LookupsPerTable
+		if cfg.TimeSteps > 1 && t == 0 {
+			k = cfg.TimeSteps // behaviour-sequence table
+		}
+		slab := make([]int32, n*k)
 		b.Sparse[t] = make([][]int32, n)
+		for i := range b.Sparse[t] {
+			b.Sparse[t][i] = slab[i*k : (i+1)*k : (i+1)*k]
+		}
 	}
+	sample := make([][]int32, cfg.NumTables) // the labeler's view of sample i
 	for i := 0; i < n; i++ {
 		drow := b.Dense.Row(i)
 		for f := range drow {
 			drow[f] = float32(g.rng.NormFloat64())
 		}
-		for t := 0; t < cfg.NumTables; t++ {
-			k := cfg.LookupsPerTable
-			if cfg.TimeSteps > 1 && t == 0 {
-				k = cfg.TimeSteps // behaviour-sequence table
+		for t, z := range g.zipfs {
+			idxs, perm := b.Sparse[t][i], g.perms[t]
+			for j := range idxs {
+				idxs[j] = perm[z.Sample(g.rng)]
 			}
-			idxs := make([]int32, k)
-			for j := 0; j < k; j++ {
-				rank := g.zipfs[t].Sample(g.rng)
-				idxs[j] = g.perms[t][rank]
-			}
-			b.Sparse[t][i] = idxs
+			sample[t] = idxs
 		}
-		b.Labels[i] = g.labeler.label(drow, b.SampleSparse(i), g.rng)
+		b.Labels[i] = g.labeler.label(drow, sample, g.rng)
 	}
 	return b
 }
