@@ -27,7 +27,7 @@ func main() {
 	cfg.Samples = 2048
 	const iters, batch, seed, nodes = 10, 256, 42, 4
 
-	run := func(depth int, stale bool) (*hotline.Model, hotline.OverlapStats) {
+	run := func(depth int, stale bool) (*hotline.Model, hotline.ShardStats) {
 		svc := hotline.NewShardService(hotline.ShardConfig{
 			Nodes:      nodes,
 			CacheBytes: hotline.DefaultShardCacheBytes(cfg),

@@ -191,9 +191,10 @@ const (
 	PlaceHotAware   = shard.PlaceHotAware
 )
 
-// OverlapStats aggregates the service's gather engine's measured traffic and
-// how much of its wall time stayed exposed (svc.Gatherer().Stats()).
-type OverlapStats = shard.OverlapStats
+// ShardStats is a sharded service's counter block (svc.Snapshot()): the
+// traffic it routed, the transport walls, its gather engine's measured
+// traffic and how much of that wall time stayed exposed, and recovery.
+type ShardStats = shard.Stats
 
 // FabricProbe configures a MeasureFabric run: node count, pipeline depth,
 // iteration/batch budget, and either the socket family of a local fabric to

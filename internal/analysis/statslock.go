@@ -6,23 +6,23 @@ import (
 	"go/types"
 )
 
-// Statslock enforces the counter discipline on shard.Stats and
-// shard.OverlapStats: their fields are shared, mutex-guarded state, so a
-// write anywhere except the declared accounting functions (annotated
-// //hotline:stats-writer — the Record*/note*/Preload family, which hold
-// the service mutex) is either a data race or a counter that silently
-// diverges from the conformance suite's cross-transport equality
-// invariant. Mutating a value-typed local copy (snapshot arithmetic like
-// Stats.Sub) is always fine — copies cannot race.
+// Statslock enforces the counter discipline on shard.Stats: a service's
+// counter blocks are shared state behind one mutex, so a field write
+// anywhere except the declared accounting functions (annotated
+// //hotline:stats-writer — the fold of a call's counts and the list of
+// counter addresses it walks) is either a data race or a counter that
+// silently diverges from the conformance suite's cross-transport equality
+// invariant. Mutating a value-typed local copy (a call's delta, or snapshot
+// arithmetic like Stats.Sub) is always fine — copies cannot race.
 var Statslock = &Analyzer{
 	Name: "statslock",
-	Doc: "restrict shard.Stats / shard.OverlapStats field writes to " +
+	Doc: "restrict shard.Stats field writes to " +
 		"//hotline:stats-writer functions (or value-typed local copies)",
 	Run: runStatslock,
 }
 
 // statsTypes are the guarded counter blocks.
-var statsTypes = map[string]bool{"Stats": true, "OverlapStats": true}
+var statsTypes = map[string]bool{"Stats": true}
 
 func runStatslock(pass *Pass) error {
 	for _, f := range pass.Files {
@@ -73,7 +73,7 @@ func checkStatsWrite(pass *Pass, fn *ast.FuncDecl, writer bool, lhs ast.Expr, po
 	if isValueLocal(pass, fn, sel.X) {
 		return // mutating a copy; cannot race the shared counters
 	}
-	pass.Report(pos, "field %s of shard.%s written outside a //hotline:stats-writer function; route the count through the Record*/note*/Reset* accounting methods", sel.Sel.Name, name)
+	pass.Report(pos, "field %s of shard.%s written outside a //hotline:stats-writer function; count it into a local Stats and fold that in once (Service.count)", sel.Sel.Name, name)
 }
 
 // isValueLocal reports whether the base expression is a value-typed

@@ -6,7 +6,7 @@ import "hotline/internal/shard"
 
 type holder struct {
 	stats shard.Stats
-	over  shard.OverlapStats
+	serve shard.Stats
 }
 
 func (h *holder) bump() {
@@ -14,7 +14,7 @@ func (h *holder) bump() {
 }
 
 func (h *holder) stale() {
-	h.over.StaleRows++ // want "field StaleRows of shard.OverlapStats written outside"
+	h.serve.StaleRows++ // want "field StaleRows of shard.Stats written outside"
 }
 
 func escape(h *holder) *int64 {

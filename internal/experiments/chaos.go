@@ -108,7 +108,7 @@ func chaosRow(fn data.Config, run pipeline.Probe, ref pipeline.ProbeResult, poli
 		return nil, fmt.Errorf("%s run diverged from the fault-free reference: loss %v vs %v", policy, loss, want)
 	}
 	svc := res.Service
-	rec := svc.RecoveryStats()
+	rec := svc.Snapshot()
 	redials := 0
 	for _, h := range svc.PeerHealth() {
 		redials += h.Redials

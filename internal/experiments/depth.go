@@ -85,7 +85,7 @@ func MNDepth() *report.Table {
 			staleR, _ = depthProbe(fn, nodes, k, true).Train(fn)
 		}
 
-		exposedFrac := shard.ExposedFrac(repair.Overlap, sync.Overlap)
+		exposedFrac := shard.ExposedFrac(repair.Stats, sync.Stats)
 		if model.MaxStateDiff(sync.Model, repair.Model) != 0 {
 			// Repair mode must stay bit-identical to batch-by-batch
 			// stepping; a divergence here is a bug, surface it loudly.
@@ -94,11 +94,11 @@ func MNDepth() *report.Table {
 
 		w.Shard.SetExposedFrac(exposedFrac)
 		t.AddRow(fmt.Sprint(k),
-			fmt.Sprint(repair.Overlap.Windows),
+			fmt.Sprint(repair.Stats.Windows),
 			pct(exposedFrac, 1),
-			fmt.Sprint(repair.Overlap.RepairRows),
-			fmt.Sprintf("%.1f", float64(repair.Overlap.RepairBytes)/1024),
-			fmt.Sprint(staleR.Overlap.StaleRows),
+			fmt.Sprint(repair.Stats.RepairRows),
+			fmt.Sprintf("%.1f", float64(repair.Stats.RepairBytes)/1024),
+			fmt.Sprint(staleR.Stats.StaleRows),
 			fmt.Sprintf("%.2g", model.MaxStateDiff(repair.Model, staleR.Model)),
 			fmt.Sprintf("%+.4f", heldOutEval(fn, staleR.Model).AUC-heldOutEval(fn, repair.Model).AUC),
 			pipeline.NewHotline().Iteration(w).Total.String())

@@ -91,7 +91,7 @@ func MNOverlap() *report.Table {
 		// plus, for the overlap run, the time Forward blocked on prefetch
 		// windows the compute did not fully hide. The run-level ratio is the
 		// measured exposed-gather fraction the timing model consumes.
-		exposedFrac := shard.ExposedFrac(over.Overlap, sync.Overlap)
+		exposedFrac := shard.ExposedFrac(over.Stats, sync.Stats)
 
 		parity := ""
 		if !model.DenseStateEqual(sync.Model, over.Model) || !model.SparseStateEqual(sync.Model, over.Model) {
@@ -103,8 +103,8 @@ func MNOverlap() *report.Table {
 		w.Shard.SetExposedFrac(exposedFrac)
 		hl := pipeline.NewHotline()
 		t.AddRow(fmt.Sprint(nodes),
-			fmt.Sprint(over.Overlap.PrefetchRows),
-			roundMS(sync.Overlap.ExposedGather()), roundMS(over.Overlap.ExposedGather()),
+			fmt.Sprint(over.Stats.PrefetchRows),
+			roundMS(sync.Stats.ExposedGather()), roundMS(over.Stats.ExposedGather()),
 			pct(1-exposedFrac, 1)+parity,
 			hl.Iteration(w).Total.String(),
 			pipeline.NewHotlineNoOverlap().Iteration(w).Total.String())

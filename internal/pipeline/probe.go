@@ -35,8 +35,7 @@ type Probe struct {
 type ProbeResult struct {
 	Losses  []float64 // per-iteration training losses
 	Model   *model.Model
-	Stats   shard.Stats
-	Overlap shard.OverlapStats
+	Stats   shard.Stats // the training counters, the gather engine's included
 	Service *shard.Service
 }
 
@@ -76,7 +75,7 @@ func (p Probe) Train(fn data.Config) (ProbeResult, error) {
 		before = func(i int) { p.Window(svc, i, batches[i]) }
 	}
 	res := ProbeResult{Losses: train.StepAll(t, batches, before), Model: t.M, Service: svc}
-	res.Stats, res.Overlap = svc.Snapshot(), svc.Gatherer().Stats()
+	res.Stats = svc.Snapshot()
 	// Close before reading the fabric error: a socket fabric settles its
 	// last scatter pushes there, and one lost in flight is recorded then.
 	svc.Close()

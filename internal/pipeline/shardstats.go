@@ -280,7 +280,7 @@ func MeasureOverlap(cfg data.Config, nodes, depth int) float64 {
 		syncRun, _ := run.Train(fn)
 		run.Depth = depth
 		overRun, _ := run.Train(fn)
-		return shard.ExposedFrac(overRun.Overlap, syncRun.Overlap)
+		return shard.ExposedFrac(overRun.Stats, syncRun.Stats)
 	})
 }
 

@@ -102,12 +102,14 @@ func TestServeGatherAccounting(t *testing.T) {
 		t.Fatalf("training must see serve-warmed caches: %+v", st)
 	}
 
+	countEverything(t, s)
+	train := s.Snapshot()
 	s.ResetServeStats()
-	if sv = s.ServeSnapshot(); sv.Lookups != 0 {
+	if sv = s.ServeSnapshot(); sv != (Stats{Nodes: 2}) {
 		t.Fatalf("ResetServeStats must zero serve counters: %+v", sv)
 	}
-	if st := s.Snapshot(); st.Lookups != 4 {
-		t.Fatalf("ResetServeStats must keep training counters: %+v", st)
+	if st := s.Snapshot(); st != train {
+		t.Fatalf("ResetServeStats must keep training counters:\n got %+v\nwant %+v", st, train)
 	}
 	if sv.Nodes != 2 {
 		// Nodes is stamped on snapshot like the training side.

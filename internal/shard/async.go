@@ -6,60 +6,6 @@ import (
 	"time"
 )
 
-// OverlapStats aggregates what the gather engine moved and how much of it
-// the overlap hid. All durations are wall-clock measurements of the
-// functional layer (they feed scenario reports and the measured
-// exposed-gather fraction, never any training math).
-type OverlapStats struct {
-	// Windows counts submitted prefetch windows; SyncWindows counts
-	// synchronous (non-prefetched) staged gathers.
-	Windows, SyncWindows int64
-	// PrefetchRows / PrefetchBytes total the fabric volume issued
-	// asynchronously; SyncRows / SyncBytes the volume fetched inline.
-	PrefetchRows, SyncRows   int64
-	PrefetchBytes, SyncBytes int64
-	// RepairRows / RepairBytes total the dirty-row delta repairs a depth-k
-	// pipeline shipped: rows staged at issue time that a later sparse
-	// update rewrote, re-fetched from their owner shard before the window
-	// was consumed. Depth k <= 2 never repairs (no update intervenes);
-	// deeper lookahead trades this extra traffic for more hiding time.
-	RepairRows, RepairBytes int64
-	// StaleRows counts distinct dirtied rows consumed WITHOUT repair under
-	// the opt-in stale mode (Service.SetStaleReads) — the rows whose
-	// staleness the mn-depth scenario prices in accuracy.
-	StaleRows int64
-	// GatherBusy is the summed time workers spent copying rows (both modes).
-	GatherBusy time.Duration
-	// Exposed is the summed wall time consumers were blocked in Await —
-	// gather time the overlap did not hide.
-	Exposed time.Duration
-	// SyncGather is the summed wall time of inline staged gathers, i.e. the
-	// fully exposed cost the synchronous path pays for the same traffic.
-	SyncGather time.Duration
-}
-
-// ExposedGather returns the total gather wall time this engine left on the
-// consumer's critical path: inline (synchronous) staged gathers plus the
-// time consumers were blocked in Await. Comparing it between an
-// overlap-off and an overlap-on run of the same workload yields the
-// exposed-gather fraction the mn-overlap/mn-depth scenarios feed the
-// timing models.
-func (s OverlapStats) ExposedGather() time.Duration { return s.SyncGather + s.Exposed }
-
-// ExposedFrac returns this engine's exposed share of the given synchronous
-// gather baseline, clamped to [0, 1] (0 = fully hidden).
-func ExposedFrac(overlap, sync OverlapStats) float64 {
-	base := sync.ExposedGather()
-	if base <= 0 {
-		return 0
-	}
-	f := float64(overlap.ExposedGather()) / float64(base)
-	if f > 1 {
-		f = 1
-	}
-	return f
-}
-
 // fetchJob is one owner node's contribution to a gather window: the rows
 // w.perOwner[owner], fetched through the service's transport into w. It
 // runs on a drainer concurrently with compute; the rows it reads are stable
@@ -68,23 +14,6 @@ func ExposedFrac(overlap, sync OverlapStats) float64 {
 type fetchJob struct {
 	w     *Staging
 	owner int
-}
-
-// engineCounters is the stats cell shared by the engine and its persistent
-// drainer goroutines. It deliberately lives outside AsyncGatherer so a
-// parked drainer keeps only its queue (and this cell) alive — the engine
-// itself stays collectable, and its cleanup closes the queues.
-type engineCounters struct {
-	mu    sync.Mutex
-	stats OverlapStats
-}
-
-//
-//hotline:stats-writer
-func (c *engineCounters) noteBusy(d time.Duration) {
-	c.mu.Lock()
-	c.stats.GatherBusy += d
-	c.mu.Unlock()
 }
 
 // gatherQueue is one owner node's job queue, drained by a persistent
@@ -97,12 +26,11 @@ type gatherQueue struct {
 	cond            sync.Cond // wakes the persistent drainer; cond.L = &mu
 	fill            []fetchJob
 	free            [][]fetchJob // drained buffers awaiting reuse
-	c               *engineCounters
 	started, closed bool
 }
 
-func newGatherQueue(c *engineCounters) *gatherQueue {
-	q := &gatherQueue{c: c}
+func newGatherQueue() *gatherQueue {
+	q := &gatherQueue{}
 	q.cond.L = &q.mu
 	return q
 }
@@ -174,7 +102,7 @@ func (q *gatherQueue) drainLoop() {
 			return
 		}
 		q.mu.Unlock()
-		runJobs(jobs, q.c)
+		runJobs(jobs)
 		q.finish(jobs)
 	}
 }
@@ -188,7 +116,7 @@ func (q *gatherQueue) drainOn() {
 	if jobs == nil {
 		return
 	}
-	runJobs(jobs, q.c)
+	runJobs(jobs)
 	q.finish(jobs)
 }
 
@@ -207,17 +135,23 @@ func (q *gatherQueue) close() {
 	q.mu.Unlock()
 }
 
-// runJobs executes fetches and accounts worker busy time. Transport errors
-// are recorded on the owning service (Service.FabricErr); the job still
-// retires so Await never deadlocks on a dead peer.
-func runJobs(jobs []fetchJob, c *engineCounters) {
+// runJobs executes fetches and counts their wall and the worker's busy time
+// into the service, which it reaches through the jobs' window, so a parked
+// drainer holds no engine. Transport errors are recorded on the owning
+// service (Service.FabricErr); the job still retires so Await never
+// deadlocks on a dead peer.
+func runJobs(jobs []fetchJob) {
 	start := time.Now() //hotline:allow detorder measured drainer-busy wall; never feeds math
+	svc := jobs[0].w.g.svc
+	var st Stats
 	for _, j := range jobs {
 		w := j.w
-		w.g.svc.transportFetch(w.table, j.owner, w.perOwner[j.owner], w)
+		wall, _ := svc.transportFetch(w.table, j.owner, w.perOwner[j.owner], w)
+		st.GatherWall += wall
 		w.jobDone()
 	}
-	c.noteBusy(time.Since(start)) //hotline:allow detorder measured drainer-busy wall; never feeds math
+	st.GatherBusy = time.Since(start) //hotline:allow detorder measured drainer-busy wall; never feeds math
+	svc.count(false, &st)
 }
 
 // AsyncGatherer is a service's gather engine (Service.Gatherer): it executes
@@ -235,9 +169,8 @@ func runJobs(jobs []fetchJob, c *engineCounters) {
 // only records, or only gathers synchronously, parks none; they are retired
 // by Close (or automatically when the engine becomes unreachable).
 type AsyncGatherer struct {
-	svc    *Service // fetches route through its transport; read-only
+	svc    *Service // fetches route through its transport and count into it; read-only
 	queues []*gatherQueue
-	c      *engineCounters
 
 	poolMu sync.Mutex
 	pool   []*Staging // released windows awaiting reuse
@@ -248,14 +181,12 @@ func newAsyncGatherer(svc *Service) *AsyncGatherer {
 	g := &AsyncGatherer{
 		svc:    svc,
 		queues: make([]*gatherQueue, svc.cfg.Nodes),
-		c:      &engineCounters{},
 	}
 	for i := range g.queues {
-		g.queues[i] = newGatherQueue(g.c)
+		g.queues[i] = newGatherQueue()
 	}
-	// A drained queue references only its (cleared) buffers and the shared
-	// counters, so the engine itself stays collectable; retire the drainers
-	// when it goes away.
+	// A drained queue references only its (cleared) buffers, so the engine
+	// itself stays collectable; retire the drainers when it goes away.
 	runtime.AddCleanup(g, func(queues []*gatherQueue) {
 		for _, q := range queues {
 			q.close()
@@ -299,8 +230,6 @@ func (g *AsyncGatherer) acquire(table, lookups int) *Staging {
 // scheduled even on a single-CPU host — the window then streams while the
 // caller's compute runs, which is exactly the overlap the paper's pipeline
 // performs in hardware.
-//
-//hotline:stats-writer
 func (g *AsyncGatherer) Submit(w *Staging) {
 	w.fillQuant()
 	jobs := 0
@@ -309,11 +238,7 @@ func (g *AsyncGatherer) Submit(w *Staging) {
 			jobs++
 		}
 	}
-	g.c.mu.Lock()
-	g.c.stats.Windows++
-	g.c.stats.PrefetchRows += int64(w.fabricRows())
-	g.c.stats.PrefetchBytes += w.bytes
-	g.c.mu.Unlock()
+	g.svc.count(false, &Stats{Windows: 1, PrefetchRows: int64(w.fabricRows()), PrefetchBytes: w.bytes})
 	w.inFlight = true
 	if jobs == 0 {
 		return
@@ -332,63 +257,20 @@ func (g *AsyncGatherer) Submit(w *Staging) {
 // GatherSync fills a planned window inline on the calling goroutine. The
 // wall time is accounted as synchronous (fully exposed) gather time — the
 // baseline the overlap is measured against.
-//
-//hotline:stats-writer
 func (g *AsyncGatherer) GatherSync(w *Staging) {
 	start := time.Now() //hotline:allow detorder measured sync-gather wall; never feeds math
 	w.fillQuant()
+	st := Stats{SyncWindows: 1, SyncRows: int64(w.fabricRows()), SyncBytes: w.bytes}
 	for owner, rows := range w.perOwner {
 		if len(rows) > 0 {
-			g.svc.transportFetch(w.table, owner, rows, w)
+			wall, _ := g.svc.transportFetch(w.table, owner, rows, w)
+			st.GatherWall += wall
 		}
 	}
-	el := time.Since(start) //hotline:allow detorder measured sync-gather wall; never feeds math
-	g.c.mu.Lock()
-	g.c.stats.SyncWindows++
-	g.c.stats.SyncRows += int64(w.fabricRows())
-	g.c.stats.SyncBytes += w.bytes
-	g.c.stats.SyncGather += el
-	g.c.mu.Unlock()
+	st.SyncGather = time.Since(start) //hotline:allow detorder measured sync-gather wall; never feeds math
+	g.svc.count(false, &st)
 }
 
-// Stats snapshots the overlap counters.
-func (g *AsyncGatherer) Stats() OverlapStats {
-	g.c.mu.Lock()
-	defer g.c.mu.Unlock()
-	return g.c.stats
-}
-
-// ResetStats zeroes the overlap counters (e.g. after warm-up windows).
-func (g *AsyncGatherer) ResetStats() {
-	g.c.mu.Lock()
-	defer g.c.mu.Unlock()
-	g.c.stats = OverlapStats{}
-}
-
-// noteRepair accounts one window's dirty-row delta repair.
-//
-//hotline:stats-writer
-func (g *AsyncGatherer) noteRepair(rows int, bytes int64) {
-	g.c.mu.Lock()
-	g.c.stats.RepairRows += int64(rows)
-	g.c.stats.RepairBytes += bytes
-	g.c.mu.Unlock()
-}
-
-// noteStale accounts dirtied rows consumed without repair (stale mode).
-//
-//hotline:stats-writer
-func (g *AsyncGatherer) noteStale(rows int) {
-	g.c.mu.Lock()
-	g.c.stats.StaleRows += int64(rows)
-	g.c.mu.Unlock()
-}
-
-// noteExposed accounts one Await's blocked wall time.
-//
-//hotline:stats-writer
-func (g *AsyncGatherer) noteExposed(d time.Duration) {
-	g.c.mu.Lock()
-	g.c.stats.Exposed += d
-	g.c.mu.Unlock()
-}
+// Stats snapshots the service's training counters, which hold the engine's
+// (Stats.Windows through Stats.SyncGather).
+func (g *AsyncGatherer) Stats() Stats { return g.svc.Snapshot() }

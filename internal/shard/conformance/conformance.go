@@ -72,7 +72,6 @@ type runResult struct {
 	losses []float64
 	m      *model.Model
 	stats  shard.Stats
-	over   shard.OverlapStats
 }
 
 // trainRun runs the pipelined Hotline executor for m on the probe's fixed
@@ -97,7 +96,7 @@ func trainRun(tb testing.TB, m *model.Model, nodes, depth int, part shard.Partit
 	t.LearnSamples = probeLearn
 	svc.ResetStats()
 	res := runResult{m: t.M, losses: train.StepAll(t, probeBatches(m.Cfg), before)}
-	res.stats, res.over = svc.Snapshot(), svc.Gatherer().Stats()
+	res.stats = svc.Snapshot()
 	if err := svc.FabricErr(); err != nil {
 		tb.Fatalf("fabric error after run (nodes=%d depth=%d): %v", nodes, depth, err)
 	}
@@ -178,8 +177,8 @@ func Run(t *testing.T, s Suite) {
 							if res.stats.GatherBytes == 0 || res.stats.ScatterBytes == 0 {
 								t.Fatalf("no fabric traffic accounted: %+v", res.stats)
 							}
-							if depth > 1 && res.over.Windows == 0 {
-								t.Fatalf("depth %d ran no prefetch windows: %+v", depth, res.over)
+							if depth > 1 && res.stats.Windows == 0 {
+								t.Fatalf("depth %d ran no prefetch windows: %+v", depth, res.stats)
 							}
 						})
 					}
@@ -211,7 +210,7 @@ func Run(t *testing.T, s Suite) {
 			if d := model.MaxStateDiff(base.m, res.m); d != 0 {
 				t.Fatalf("depth %d diverged from depth 1: max diff %g", depth, d)
 			}
-			if res.over.Windows == 0 {
+			if res.stats.Windows == 0 {
 				t.Fatalf("depth %d: no windows issued", depth)
 			}
 		}

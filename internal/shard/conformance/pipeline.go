@@ -179,7 +179,7 @@ func RunPipeline(t *testing.T, network string) {
 				if h := fx.svc.PeerHealth()[0]; h.State != shard.PeerAlive || h.Redials != 1 {
 					t.Fatalf("peer 0 after healing a lost push: %+v", h)
 				}
-				if rs := fx.svc.RecoveryStats(); rs.ResyncRows == 0 {
+				if rs := fx.svc.Snapshot(); rs.ResyncRows == 0 {
 					t.Fatalf("healed without a resync: %+v", rs)
 				}
 				if err := fx.svc.FabricErr(); err != nil {

@@ -52,27 +52,6 @@ func (p RecoveryPolicy) String() string {
 	return fmt.Sprintf("RecoveryPolicy(%d)", int(p))
 }
 
-// RecoveryStats counts the recovery subsystem's work. Fetch re-routes and
-// row migration happen on the coordinator; redials and per-peer health live
-// in PeerHealth.
-type RecoveryStats struct {
-	// Adoptions counts survivor failovers (dead peers whose shard the
-	// remaining nodes adopted).
-	Adoptions int
-	// MigratedRows / MigratedBytes count rows pushed to their new owners
-	// during failover (repair/migration traffic, separate from scatter).
-	MigratedRows, MigratedBytes int64
-	// ResyncRows / ResyncBytes count rows re-pushed to a revived (re-dialed)
-	// peer restoring its shard from the mirror.
-	ResyncRows, ResyncBytes int64
-	// Refetches counts rows whose failed gather fetch was re-routed to a
-	// surviving owner and completed.
-	Refetches int64
-	// RecoveryWall is the wall clock spent inside failover and re-routing
-	// (recovery latency; excludes the transport layer's own redial backoff).
-	RecoveryWall time.Duration
-}
-
 // failoverState is one immutable ownership overlay: rows whose base owner
 // is dead spread uniformly over the survivors, and dead is the service's one
 // record of the nodes adopted away (DeadNodes). Swapped in atomically so the
@@ -146,13 +125,6 @@ func (s *Service) PeerHealth() []PeerHealth {
 	return nil
 }
 
-// RecoveryStats snapshots the recovery subsystem's counters.
-func (s *Service) RecoveryStats() RecoveryStats {
-	s.recStatsMu.Lock()
-	defer s.recStatsMu.Unlock()
-	return s.recStats
-}
-
 // DeadNodes returns the nodes adopted away by failover, in id order.
 func (s *Service) DeadNodes() []int {
 	if s.failPart == nil {
@@ -177,13 +149,16 @@ func (s *Service) adoptable(err error) bool {
 // recoverFetch re-routes one failed per-owner gather fetch (reroute); each
 // re-fetched group counts as refetched rows.
 func (s *Service) recoverFetch(table, owner int, rows []int32, st *Staging, cause error) error {
-	return s.reroute(table, owner, rows, cause, func(o int, rs []int32) error {
+	var refetched Stats
+	err := s.reroute(table, owner, rows, cause, func(o int, rs []int32) error {
 		err := s.tr.Fetch(table, o, rs, st, nil)
 		if err == nil {
-			s.noteRefetch(int64(len(rs)))
+			refetched.Refetches += int64(len(rs))
 		}
 		return err
 	})
+	s.count(false, &refetched)
+	return err
 }
 
 // recoverPush re-routes one failed per-owner scatter push (reroute).
@@ -206,7 +181,7 @@ func (s *Service) reroute(table, owner int, rows []int32, cause error, op func(o
 	}
 	start := time.Now() //hotline:allow detorder measured recovery wall; never feeds math
 	defer func() {
-		s.noteRecoveryWall(time.Since(start)) //hotline:allow detorder measured recovery wall; never feeds math
+		s.count(false, &Stats{RecoveryWall: time.Since(start)}) //hotline:allow detorder measured recovery wall; never feeds math
 	}()
 	pending := rows
 	deadOwner := owner
@@ -299,11 +274,7 @@ func (s *Service) failoverDead(dead int) error {
 	}
 
 	s.failPart.state.Store(newState)
-	s.recStatsMu.Lock()
-	s.recStats.Adoptions++
-	s.recStats.MigratedRows += migRows
-	s.recStats.MigratedBytes += migBytes
-	s.recStatsMu.Unlock()
+	s.count(false, &Stats{Adoptions: 1, MigratedRows: migRows, MigratedBytes: migBytes})
 	return nil
 }
 
@@ -331,21 +302,6 @@ func (s *Service) resyncOwner(owner int, direct Transport) error {
 		rrows += int64(len(rows))
 		rbytes += int64(len(rows)) * int64(t.dim) * 4
 	}
-	s.recStatsMu.Lock()
-	s.recStats.ResyncRows += rrows
-	s.recStats.ResyncBytes += rbytes
-	s.recStatsMu.Unlock()
+	s.count(false, &Stats{ResyncRows: rrows, ResyncBytes: rbytes})
 	return nil
-}
-
-func (s *Service) noteRefetch(rows int64) {
-	s.recStatsMu.Lock()
-	s.recStats.Refetches += rows
-	s.recStatsMu.Unlock()
-}
-
-func (s *Service) noteRecoveryWall(d time.Duration) {
-	s.recStatsMu.Lock()
-	s.recStats.RecoveryWall += d
-	s.recStatsMu.Unlock()
 }

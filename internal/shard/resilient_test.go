@@ -191,7 +191,7 @@ func TestServiceSurvivorAdoption(t *testing.T) {
 	// Rows owned by node 1 under round-robin (odd rows).
 	rows := []int32{1, 3, 5, 7}
 	st := stagingFor(rows, 8)
-	if err := svc.transportFetch(0, 1, rows, st); err != nil {
+	if _, err := svc.transportFetch(0, 1, rows, st); err != nil {
 		t.Fatalf("fetch across survivor adoption: %v", err)
 	}
 	checkFetched(t, st, rows, 8)
@@ -201,9 +201,9 @@ func TestServiceSurvivorAdoption(t *testing.T) {
 	if dead := svc.DeadNodes(); len(dead) != 1 || dead[0] != 1 {
 		t.Fatalf("DeadNodes = %v, want [1]", dead)
 	}
-	rs := svc.RecoveryStats()
+	rs := svc.Snapshot()
 	if rs.Adoptions != 1 || rs.MigratedRows == 0 || rs.Refetches == 0 {
-		t.Fatalf("RecoveryStats = %+v", rs)
+		t.Fatalf("recovery counts = %+v", rs)
 	}
 	// Ownership now routes every former node-1 row to the survivor.
 	for _, r := range rows {
@@ -227,13 +227,13 @@ func TestServiceAdoptionCascadesToTheLastNode(t *testing.T) {
 	defer svc.Close()
 	f.Kill(1)
 	rows := []int32{1, 3}
-	if err := svc.transportFetch(0, 1, rows, stagingFor(rows, 8)); err != nil {
+	if _, err := svc.transportFetch(0, 1, rows, stagingFor(rows, 8)); err != nil {
 		t.Fatalf("fetch across the first adoption: %v", err)
 	}
 
 	f.Kill(0)
 	rows = []int32{0, 1, 2}
-	err := svc.transportFetch(0, 0, rows, stagingFor(rows, 8))
+	_, err := svc.transportFetch(0, 0, rows, stagingFor(rows, 8))
 	if !errors.Is(err, ErrPeerDead) {
 		t.Fatalf("fetch with no node left = %v, want ErrPeerDead", err)
 	}
@@ -253,7 +253,7 @@ func TestServiceAdoptionNotArmedFailsFast(t *testing.T) {
 	defer svc.Close()
 	f.Kill(1)
 	rows := []int32{1, 3}
-	if err := svc.transportFetch(0, 1, rows, stagingFor(rows, 8)); !errors.Is(err, ErrPeerDead) {
+	if _, err := svc.transportFetch(0, 1, rows, stagingFor(rows, 8)); !errors.Is(err, ErrPeerDead) {
 		t.Fatalf("fetch without adoption = %v, want ErrPeerDead", err)
 	}
 	if svc.FabricErr() == nil {
@@ -339,7 +339,7 @@ func TestDeadPeerStaysDead(t *testing.T) {
 	defer svc.Close()
 	f.Kill(1)
 	rows := []int32{1, 3, 5}
-	if err := svc.transportFetch(0, 1, rows, stagingFor(rows, 8)); !errors.Is(err, ErrPeerDead) {
+	if _, err := svc.transportFetch(0, 1, rows, stagingFor(rows, 8)); !errors.Is(err, ErrPeerDead) {
 		t.Fatalf("training fetch from a killed peer = %v, want ErrPeerDead", err)
 	}
 	if h := svc.PeerHealth()[1]; h.State != PeerDead {
@@ -349,7 +349,7 @@ func TestDeadPeerStaysDead(t *testing.T) {
 	if err := f.Restart(1); err != nil {
 		t.Fatal(err)
 	}
-	resync := svc.RecoveryStats().ResyncRows
+	resync := svc.Snapshot().ResyncRows
 	stale := svc.ServeSnapshot().StaleServeRows
 	const serves = 3
 	for i := 0; i < serves; i++ {
@@ -361,7 +361,7 @@ func TestDeadPeerStaysDead(t *testing.T) {
 	if h := svc.PeerHealth()[1]; h.State != PeerDead || h.Redials != 0 {
 		t.Fatalf("peer 1 after serving past its death = %+v, want dead with no redials", h)
 	}
-	if got := svc.RecoveryStats().ResyncRows; got != resync {
+	if got := svc.Snapshot().ResyncRows; got != resync {
 		t.Fatalf("ResyncRows %d -> %d: a dead peer was resynced", resync, got)
 	}
 	if got := svc.ServeSnapshot().StaleServeRows - stale; got != serves*int64(len(rows)) {

@@ -86,7 +86,9 @@ func (c Config) Placement() string {
 	return c.Part.Name()
 }
 
-// Stats is a snapshot of a Service's traffic counters. All row counters are
+// Stats is a snapshot of one of a Service's two counter blocks, training
+// (Snapshot) or serve (ServeSnapshot). Every field but Nodes is a counter, a
+// time.Duration exactly when it measures wall clock. All row counters are
 // in embedding rows; byte counters already include the row footprint.
 type Stats struct {
 	Nodes int
@@ -133,6 +135,77 @@ type Stats struct {
 	// waited for, and the owner's apply-and-ack is waited for by that owner's
 	// next fetch, inside GatherWall.
 	GatherWall, ScatterWall time.Duration
+
+	// The gather engine's counts (Service.Gatherer): what it moved and how
+	// much of it the overlap hid. All durations are wall-clock measurements
+	// of the functional layer (they feed scenario reports and the measured
+	// exposed-gather fraction, never any training math).
+
+	// Windows counts submitted prefetch windows; SyncWindows counts
+	// synchronous (non-prefetched) staged gathers.
+	Windows, SyncWindows int64
+	// PrefetchRows / PrefetchBytes total the fabric volume issued
+	// asynchronously; SyncRows / SyncBytes the volume fetched inline.
+	PrefetchRows, SyncRows   int64
+	PrefetchBytes, SyncBytes int64
+	// RepairRows / RepairBytes total the dirty-row delta repairs a depth-k
+	// pipeline shipped: rows staged at issue time that a later sparse
+	// update rewrote, re-fetched from their owner shard before the window
+	// was consumed. Depth k <= 2 never repairs (no update intervenes);
+	// deeper lookahead trades this extra traffic for more hiding time.
+	RepairRows, RepairBytes int64
+	// StaleRows counts distinct dirtied rows consumed WITHOUT repair under
+	// the opt-in stale mode (Service.SetStaleReads) — the rows whose
+	// staleness the mn-depth scenario prices in accuracy.
+	StaleRows int64
+	// GatherBusy is the summed time workers spent copying rows (both modes).
+	GatherBusy time.Duration
+	// Exposed is the summed wall time consumers were blocked in Await —
+	// gather time the overlap did not hide.
+	Exposed time.Duration
+	// SyncGather is the summed wall time of inline staged gathers, i.e. the
+	// fully exposed cost the synchronous path pays for the same traffic.
+	SyncGather time.Duration
+
+	// The recovery subsystem's counts. Fetch re-routes and row migration
+	// happen on the coordinator; redials and per-peer health live in
+	// PeerHealth.
+
+	// Adoptions counts survivor failovers (dead peers whose shard the
+	// remaining nodes adopted).
+	Adoptions int64
+	// MigratedRows / MigratedBytes count rows pushed to their new owners
+	// during failover (repair/migration traffic, separate from scatter).
+	MigratedRows, MigratedBytes int64
+	// ResyncRows / ResyncBytes count rows re-pushed to a revived (re-dialed)
+	// peer restoring its shard from the mirror.
+	ResyncRows, ResyncBytes int64
+	// Refetches counts rows whose failed gather fetch was re-routed to a
+	// surviving owner and completed.
+	Refetches int64
+	// RecoveryWall is the wall clock spent inside failover and re-routing
+	// (recovery latency; excludes the transport layer's own redial backoff).
+	RecoveryWall time.Duration
+}
+
+// counts returns the address of every counter of s — every field but Nodes —
+// in one fixed order: the one list Sub and the service's fold of a call's
+// counts (Service.count) walk.
+//
+//hotline:stats-writer
+func (s *Stats) counts() [34]*int64 {
+	return [...]*int64{
+		&s.Lookups, &s.Local, &s.CacheHits, &s.CacheMisses, &s.QuantHits,
+		&s.DequantRows, &s.GatherRows, &s.GatherBytes, &s.ScatterRows,
+		&s.ScatterBytes, &s.FillBytes, &s.Evictions, &s.StaleServeRows,
+		(*int64)(&s.GatherWall), (*int64)(&s.ScatterWall),
+		&s.Windows, &s.SyncWindows, &s.PrefetchRows, &s.SyncRows,
+		&s.PrefetchBytes, &s.SyncBytes, &s.RepairRows, &s.RepairBytes,
+		&s.StaleRows, (*int64)(&s.GatherBusy), (*int64)(&s.Exposed),
+		(*int64)(&s.SyncGather),
+		&s.Adoptions, &s.MigratedRows, &s.MigratedBytes, &s.ResyncRows,
+		&s.ResyncBytes, &s.Refetches, (*int64)(&s.RecoveryWall),
+	}
 }
 
 // HitRate returns device-cache hits over all remote lookups.
@@ -184,33 +257,45 @@ func (s Stats) ScatterFrac() float64 {
 // A2ABytes returns the total all-to-all volume: gathers plus scatters.
 func (s Stats) A2ABytes() int64 { return s.GatherBytes + s.ScatterBytes }
 
-// Sub returns s minus prev, counter-wise (for per-window deltas).
-func (s Stats) Sub(prev Stats) Stats {
-	d := s
-	d.Lookups -= prev.Lookups
-	d.Local -= prev.Local
-	d.CacheHits -= prev.CacheHits
-	d.CacheMisses -= prev.CacheMisses
-	d.QuantHits -= prev.QuantHits
-	d.DequantRows -= prev.DequantRows
-	d.GatherRows -= prev.GatherRows
-	d.GatherBytes -= prev.GatherBytes
-	d.ScatterRows -= prev.ScatterRows
-	d.ScatterBytes -= prev.ScatterBytes
-	d.FillBytes -= prev.FillBytes
-	d.Evictions -= prev.Evictions
-	d.StaleServeRows -= prev.StaleServeRows
-	d.GatherWall -= prev.GatherWall
-	d.ScatterWall -= prev.ScatterWall
-	return d
+// ExposedGather returns the total gather wall time this engine left on the
+// consumer's critical path: inline (synchronous) staged gathers plus the
+// time consumers were blocked in Await. Comparing it between an
+// overlap-off and an overlap-on run of the same workload yields the
+// exposed-gather fraction the mn-overlap/mn-depth scenarios feed the
+// timing models.
+func (s Stats) ExposedGather() time.Duration { return s.SyncGather + s.Exposed }
+
+// ExposedFrac returns this engine's exposed share of the given synchronous
+// gather baseline, clamped to [0, 1] (0 = fully hidden).
+func ExposedFrac(overlap, sync Stats) float64 {
+	base := sync.ExposedGather()
+	if base <= 0 {
+		return 0
+	}
+	f := float64(overlap.ExposedGather()) / float64(base)
+	if f > 1 {
+		f = 1
+	}
+	return f
 }
 
-// WithoutWall returns the snapshot with its wall-clock meters cleared: the
-// pure traffic counters, which must be exactly equal across transports for
-// the same workload (the conformance suite's counter invariant), while the
-// wall times are measurements and legitimately differ.
+// Sub returns s minus prev, counter-wise (for per-window deltas).
+func (s Stats) Sub(prev Stats) Stats {
+	to, from := s.counts(), prev.counts()
+	for i, c := range to {
+		*c -= *from[i]
+	}
+	return s
+}
+
+// WithoutWall returns the snapshot with its wall-clock meters — exactly its
+// time.Duration fields — cleared: the pure traffic counters, which must be
+// exactly equal across transports for the same workload (the conformance
+// suite's counter invariant), while the wall times are measurements and
+// legitimately differ.
 func (s Stats) WithoutWall() Stats {
-	s.GatherWall, s.ScatterWall = 0, 0
+	s.GatherWall, s.ScatterWall, s.RecoveryWall = 0, 0, 0
+	s.GatherBusy, s.Exposed, s.SyncGather = 0, 0, 0
 	return s
 }
 
@@ -240,11 +325,15 @@ type Service struct {
 	tr        Transport
 	multiproc bool
 
-	// gatherWallNS / scatterWallNS / serveWallNS meter the wall time spent
-	// inside transport calls (atomic: gather drainers, the training path
-	// and the serve path all move traffic concurrently). Snapshots read
-	// them into Stats.GatherWall / Stats.ScatterWall.
-	gatherWallNS, scatterWallNS, serveWallNS atomic.Int64
+	// statsMu guards the two counter blocks; each call counts into a local
+	// Stats and folds it in once (count).
+	statsMu sync.Mutex
+	stats   Stats // training: the walks, the walls, the engine, recovery
+	// serveStats accounts the read-only inference path separately from the
+	// training counters: Serve gathers move real fabric bytes and warm the
+	// shared device caches, but never scatter gradients, so folding them
+	// into the training snapshot would skew every training-side fraction.
+	serveStats Stats
 
 	// errMu guards the aggregated fabric error (noteFabricErr).
 	errMu      sync.Mutex
@@ -257,9 +346,6 @@ type Service struct {
 	// recoverMu single-flights failover.
 	failPart  *failoverPart
 	recoverMu sync.Mutex
-	// recStatsMu guards the recovery counters.
-	recStatsMu sync.Mutex
-	recStats   RecoveryStats
 
 	// pushMu serialises PushUpdates' per-owner grouping scratch.
 	pushMu     sync.Mutex
@@ -281,12 +367,6 @@ type Service struct {
 	// RegisterTable declared. RegisterTable sizes it; an unregistered table's
 	// record grows at first touch (sizeTable).
 	tables []tableState
-	stats  Stats
-	// serveStats accounts the read-only inference path separately from the
-	// training counters: Serve gathers move real fabric bytes and warm the
-	// shared device caches, but never scatter gradients, so folding them
-	// into the training snapshot would skew every training-side fraction.
-	serveStats Stats
 	// stamps is the per-call (requesting node, row) dedup set of the gather
 	// and scatter walks: cell row*Nodes+node holds the epoch of the call that
 	// last saw the pair, so one epoch bump empties the set. One array serves
@@ -361,7 +441,7 @@ func (s *Service) Gatherer() *AsyncGatherer { return s.gather }
 
 // SetStaleReads toggles the opt-in stale-read mode: when on, depth-k
 // prefetch windows skip the dirty-row repair and serve staged rows exactly
-// as fetched at issue time (counted in OverlapStats.StaleRows). Off — the
+// as fetched at issue time (counted in Stats.StaleRows). Off — the
 // default — every window is delta-repaired before use, keeping any
 // pipeline depth bit-identical to batch-by-batch stepping.
 func (s *Service) SetStaleReads(on bool) { s.stale.Store(on) }
@@ -420,26 +500,23 @@ func (s *Service) PlanServeGather(table int, indices [][]int32) *Staging {
 // planGather is the shared accounting walk behind RecordGather /
 // RecordServeGather / PlanGather. serve selects the serve-side counter set;
 // cache state is shared between the two paths by design.
-//
-//hotline:stats-writer
 func (s *Service) planGather(table int, indices [][]int32, collect, serve bool) *Staging {
+	var st Stats
+	// The call's counts fold in once, after s.mu is released: deferred calls
+	// run last first.
+	defer s.count(serve, &st)
 	lookups := 0 // also bounds the distinct rows a plan stages
 	for _, bag := range indices {
 		lookups += len(bag)
 	}
+	st.Lookups = int64(lookups)
 	if s.cfg.Nodes == 1 {
 		// Single node: every access is local; count and return.
-		s.mu.Lock()
-		st := s.statsFor(serve)
-		st.Lookups += int64(lookups)
-		st.Local += int64(lookups)
-		s.mu.Unlock()
+		st.Local = st.Lookups
 		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.statsFor(serve)
-	st.Lookups += int64(lookups)
 	var plan *Staging
 	nodes, rowBytes, fp := s.cfg.Nodes, s.cfg.RowBytes, s.failPart
 	caching, tiered := s.cfg.CacheBytes > 0, s.cfg.Quant != QuantOff
@@ -571,14 +648,6 @@ func (s *Service) admitWidth(table int, ix int32) (Width, bool) {
 	return s.cfg.Quant.hotWidth(), true
 }
 
-// statsFor returns the training or serve counter set. Caller holds s.mu.
-func (s *Service) statsFor(serve bool) *Stats {
-	if serve {
-		return &s.serveStats
-	}
-	return &s.stats
-}
-
 // nextEpoch empties the (requesting node, row) dedup set for a new call by
 // moving to a stamp value no cell holds. Caller holds s.mu.
 //
@@ -681,12 +750,12 @@ func (s *Service) anyRegistered() bool {
 // pass: every node locally pre-reduces its gradient contributions, then
 // sends one row-sized message per distinct remote row it touched to that
 // row's owner.
-//
-//hotline:stats-writer
 func (s *Service) RecordScatter(table int, indices [][]int32) {
 	if s.cfg.Nodes == 1 {
 		return
 	}
+	var st Stats
+	defer s.count(false, &st) // after s.mu is released
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	nodes, rowBytes, fp := s.cfg.Nodes, s.cfg.RowBytes, s.failPart
@@ -711,8 +780,7 @@ func (s *Service) RecordScatter(table int, indices [][]int32) {
 			node = 0
 		}
 	}
-	s.stats.ScatterRows += sent
-	s.stats.ScatterBytes += sent * rowBytes
+	st.ScatterRows, st.ScatterBytes = sent, sent*rowBytes
 }
 
 // Preload replicates the given rows of one table into every non-owner
@@ -721,12 +789,12 @@ func (s *Service) RecordScatter(table int, indices [][]int32) {
 // deterministically keeps the most recently preloaded suffix. Fill traffic
 // counts actual admissions only: re-preloading an already-resident row just
 // refreshes its replacement state and moves no bytes across the fabric.
-//
-//hotline:stats-writer
 func (s *Service) Preload(table int, rows []int32) {
 	if s.cfg.Nodes == 1 {
 		return
 	}
+	var st Stats
+	defer s.count(false, &st) // after s.mu is released
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// Preloaded rows are the learning phase's popular set, so they enter at
@@ -742,23 +810,39 @@ func (s *Service) Preload(table int, rows []int32) {
 			}
 			resident := cache.Contains(k)
 			ok, ev := cache.Insert(k, w, eb)
-			s.stats.Evictions += int64(ev)
+			st.Evictions += int64(ev)
 			if ok && !resident {
-				s.stats.FillBytes += eb
+				st.FillBytes += eb
 			}
 		}
 	}
 }
 
-// Snapshot returns the current counters (with Nodes and the measured
-// transport wall times filled in).
+// count folds one call's counts into the training block, or the serve block
+// when serve is set.
+//
+//hotline:stats-writer
+func (s *Service) count(serve bool, d *Stats) {
+	s.statsMu.Lock()
+	dst := &s.stats
+	if serve {
+		dst = &s.serveStats
+	}
+	to, from := dst.counts(), d.counts()
+	for i, c := range to {
+		*c += *from[i]
+	}
+	s.statsMu.Unlock()
+}
+
+// Snapshot returns the training counters (with Nodes filled in): the
+// accounting walks' traffic, the measured transport wall times, the gather
+// engine's counts and recovery's.
 func (s *Service) Snapshot() Stats {
-	s.mu.Lock()
+	s.statsMu.Lock()
 	st := s.stats
-	s.mu.Unlock()
+	s.statsMu.Unlock()
 	st.Nodes = s.cfg.Nodes
-	st.GatherWall = time.Duration(s.gatherWallNS.Load())
-	st.ScatterWall = time.Duration(s.scatterWallNS.Load())
 	return st
 }
 
@@ -766,31 +850,27 @@ func (s *Service) Snapshot() Stats {
 // Nodes filled in): every Serve/Predict gather routed through
 // RecordServeGather, separate from the training snapshot.
 func (s *Service) ServeSnapshot() Stats {
-	s.mu.Lock()
+	s.statsMu.Lock()
 	st := s.serveStats
-	s.mu.Unlock()
+	s.statsMu.Unlock()
 	st.Nodes = s.cfg.Nodes
-	st.GatherWall = time.Duration(s.serveWallNS.Load())
 	return st
 }
 
-// ResetStats zeroes the traffic counters but keeps cache contents (steady
+// ResetStats zeroes the training counters but keeps cache contents (steady
 // state), so warm-up windows can be excluded from measurements.
 func (s *Service) ResetStats() {
-	s.mu.Lock()
+	s.statsMu.Lock()
 	s.stats = Stats{}
-	s.mu.Unlock()
-	s.gatherWallNS.Store(0)
-	s.scatterWallNS.Store(0)
+	s.statsMu.Unlock()
 }
 
 // ResetServeStats zeroes the serve-path counters, keeping cache contents
 // and the training counters (per-day serve windows under drift).
 func (s *Service) ResetServeStats() {
-	s.mu.Lock()
+	s.statsMu.Lock()
 	s.serveStats = Stats{}
-	s.mu.Unlock()
-	s.serveWallNS.Store(0)
+	s.statsMu.Unlock()
 }
 
 // CacheOccupancy returns the mean device-cache occupancy across nodes.

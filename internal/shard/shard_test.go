@@ -1,6 +1,10 @@
 package shard
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+	"time"
+)
 
 // mapClassifier marks an explicit set of rows hot.
 type mapClassifier map[uint64]struct{}
@@ -132,16 +136,93 @@ func TestPreloadFillsNonOwners(t *testing.T) {
 	}
 }
 
+// countEverything leaves a count in every part of both blocks of a
+// two-node s, on a table 1 it registers: an accounting walk's, an engine's
+// (an inline gather), a recovery's (a resync) and the serve path's.
+func countEverything(t *testing.T, s *Service) {
+	t.Helper()
+	s.RegisterTable(1, 16, 2, flatRows(2, 16))
+	s.RecordServeGather(1, [][]int32{{0}, {0}})
+	w := s.PlanGather(1, [][]int32{{0, 1}, {0, 1}})
+	if w == nil {
+		t.Fatal("plan must carry a fabric fetch")
+	}
+	s.Gatherer().GatherSync(w)
+	w.Release()
+	if err := s.resyncOwner(1, NewInproc()); err != nil {
+		t.Fatal(err)
+	}
+	st, sv := s.Snapshot(), s.ServeSnapshot()
+	if st.Lookups == 0 || st.SyncWindows != 1 || st.ResyncRows == 0 || sv.Lookups == 0 {
+		t.Fatalf("counts missing:\ntrain %+v\nserve %+v", st, sv)
+	}
+}
+
 func TestResetStatsKeepsCacheState(t *testing.T) {
 	s := New(cfg(2, 8), nil)
 	s.RecordGather(0, [][]int32{{0, 1}, {0, 1}})
+	countEverything(t, s)
+	serve := s.ServeSnapshot()
 	s.ResetStats()
-	if st := s.Snapshot(); st.Lookups != 0 {
-		t.Fatalf("reset must zero counters: %+v", st)
+	if st := s.Snapshot(); st != (Stats{Nodes: 2}) {
+		t.Fatalf("reset must zero the whole training block: %+v", st)
+	}
+	if sv := s.ServeSnapshot(); sv != serve {
+		t.Fatalf("ResetStats must keep the serve block:\n got %+v\nwant %+v", sv, serve)
 	}
 	s.RecordGather(0, [][]int32{{0, 1}, {0, 1}})
 	if st := s.Snapshot(); st.CacheHits != 2 {
 		t.Fatalf("cache contents must survive ResetStats: %+v", st)
+	}
+}
+
+// TestStatsCountsEveryField: counts lists every counter of Stats — each
+// int64 and time.Duration field but Nodes — exactly once, so Sub, the fold
+// of a call's counts and the cross-transport comparison cover a field the
+// day it is added; and WithoutWall clears exactly the time.Duration fields.
+func TestStatsCountsEveryField(t *testing.T) {
+	var s Stats
+	typ := reflect.TypeFor[Stats]()
+	field := map[*int64]int{} // counter address -> field index
+	for i := range typ.NumField() {
+		f := typ.Field(i)
+		if f.Name == "Nodes" {
+			continue
+		}
+		if k := f.Type.Kind(); k != reflect.Int64 {
+			t.Fatalf("field %s is a %s: a counter is an int64 or a time.Duration", f.Name, f.Type)
+		}
+		addr := reflect.ValueOf(&s).Elem().Field(i).Addr()
+		field[addr.Convert(reflect.TypeFor[*int64]()).Interface().(*int64)] = i
+	}
+	seen := map[*int64]bool{}
+	for i, c := range s.counts() {
+		if _, ok := field[c]; !ok || seen[c] {
+			t.Fatalf("counts()[%d] is nil, a repeat or not a counter field", i)
+		}
+		seen[c] = true
+	}
+	for c, i := range field {
+		if !seen[c] {
+			t.Fatalf("counts() leaves out field %s", typ.Field(i).Name)
+		}
+	}
+
+	// Every counter 1..n, Nodes 7.
+	s.Nodes = 7
+	for i, c := range s.counts() {
+		*c = int64(i + 1)
+	}
+	bare := reflect.ValueOf(s.WithoutWall())
+	for i := range typ.NumField() {
+		f, v := typ.Field(i), bare.Field(i)
+		wall := f.Type == reflect.TypeFor[time.Duration]()
+		if cleared := v.Int() == 0; cleared != wall {
+			t.Fatalf("WithoutWall: field %s (wall %v) is %d", f.Name, wall, v.Int())
+		}
+	}
+	if d := s.Sub(s); d != (Stats{Nodes: 7}) {
+		t.Fatalf("s.Sub(s) = %+v, want zero counters and Nodes kept", d)
 	}
 }
 

@@ -5,7 +5,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 )
 
@@ -205,13 +204,14 @@ func (s *Service) PushUpdates(table int, rows []int32, src RowAt) {
 		groups[o] = append(groups[o], r)
 	}
 	s.pushGroups = groups
+	var st Stats
 	for o, rs := range groups {
 		if len(rs) == 0 {
 			continue
 		}
 		start := time.Now() //hotline:allow detorder measured scatter wall; never feeds math
 		err := s.tr.Push(table, o, rs, src)
-		s.scatterWallNS.Add(time.Since(start).Nanoseconds()) //hotline:allow detorder measured scatter wall; never feeds math
+		st.ScatterWall += time.Since(start) //hotline:allow detorder measured scatter wall; never feeds math
 		if err != nil {
 			err = s.recoverPush(table, o, rs, src, err)
 		}
@@ -219,28 +219,25 @@ func (s *Service) PushUpdates(table int, rows []int32, src RowAt) {
 			s.noteFabricErr(fmt.Errorf("scatter push of table %d to node %d: %w", table, o, err))
 		}
 	}
+	s.count(false, &st)
 }
 
-// fetchVia routes one per-owner fetch list through the transport, timing it
-// into the given wall-clock meter. A failure first offers itself to shard
-// adoption (recoverFetch re-routes the rows to surviving owners); only an
-// unrecovered failure is recorded as a fabric error.
-func (s *Service) fetchVia(wall *atomic.Int64, table, owner int, rows []int32, st *Staging) error {
+// transportFetch routes one per-owner fetch list through the transport and
+// returns the wall time the transport call took, for the caller to count. A
+// failure first offers itself to shard adoption (recoverFetch re-routes the
+// rows to surviving owners); only an unrecovered failure is recorded as a
+// fabric error.
+func (s *Service) transportFetch(table, owner int, rows []int32, st *Staging) (time.Duration, error) {
 	start := time.Now() //hotline:allow detorder measured gather wall; never feeds math
 	err := s.tr.Fetch(table, owner, rows, st, nil)
-	wall.Add(time.Since(start).Nanoseconds()) //hotline:allow detorder measured gather wall; never feeds math
+	wall := time.Since(start) //hotline:allow detorder measured gather wall; never feeds math
 	if err != nil {
 		err = s.recoverFetch(table, owner, rows, st, err)
 	}
 	if err != nil {
 		s.noteFabricErr(fmt.Errorf("gather fetch of table %d from node %d: %w", table, owner, err))
 	}
-	return err
-}
-
-// transportFetch is fetchVia on the training-side gather meter.
-func (s *Service) transportFetch(table, owner int, rows []int32, st *Staging) error {
-	return s.fetchVia(&s.gatherWallNS, table, owner, rows, st)
+	return wall, err
 }
 
 // ServeGatherSync fills a serve window synchronously through the transport
@@ -255,10 +252,11 @@ func (s *Service) transportFetch(table, owner int, rows []int32, st *Staging) er
 // table's registered row view, copied as the in-proc fetch copies it —
 // counted as StaleServeRows in the serve snapshot. When the peer returns,
 // the probe reconnects it and the counter stops — serving un-degrades by
-// itself.
+// itself. The call's walls and stale rows fold into the serve block once.
 func (s *Service) ServeGatherSync(w *Staging) {
 	w.fillQuant()
 	rt, degrade := s.tr.(*ResilientTransport)
+	var st Stats
 	for owner, rows := range w.perOwner {
 		if len(rows) == 0 {
 			continue
@@ -266,25 +264,17 @@ func (s *Service) ServeGatherSync(w *Staging) {
 		if degrade {
 			start := time.Now() //hotline:allow detorder measured serve wall; never feeds math
 			err := rt.FetchFast(w.table, owner, rows, w)
-			s.serveWallNS.Add(time.Since(start).Nanoseconds()) //hotline:allow detorder measured serve wall; never feeds math
+			st.GatherWall += time.Since(start) //hotline:allow detorder measured serve wall; never feeds math
 			if err != nil {
 				inproc{}.Fetch(w.table, owner, rows, w, nil)
-				s.noteStaleServe(int64(len(rows)))
+				st.StaleServeRows += int64(len(rows))
 			}
 			continue
 		}
-		s.fetchVia(&s.serveWallNS, w.table, owner, rows, w)
+		wall, _ := s.transportFetch(w.table, owner, rows, w)
+		st.GatherWall += wall
 	}
-}
-
-// noteStaleServe counts serve rows answered from the mirror during an
-// outage.
-//
-//hotline:stats-writer
-func (s *Service) noteStaleServe(rows int64) {
-	s.mu.Lock()
-	s.serveStats.StaleServeRows += rows
-	s.mu.Unlock()
+	s.count(true, &st)
 }
 
 // maxAggregatedFabricErrs bounds how many distinct failures FabricErr

@@ -297,7 +297,7 @@ func (w *Staging) Await() {
 		w.cond.Wait()
 	}
 	w.mu.Unlock()
-	w.g.noteExposed(time.Since(start)) //hotline:allow detorder measured exposed-gather wall; never feeds math
+	w.g.svc.count(false, &Stats{Exposed: time.Since(start)}) //hotline:allow detorder measured exposed-gather wall; never feeds math
 }
 
 // Release returns a consumed window to its engine's pool, reset. Callers
@@ -340,7 +340,7 @@ func (w *Staging) discard() {
 //   - Consume joins the popped window and re-fetches its dirty rows from
 //     the owner shards — the delta repair — unless the service is in the
 //     opt-in stale mode (SetStaleReads), where the stale values are served
-//     as-is and only counted (OverlapStats.StaleRows).
+//     as-is and only counted (Stats.StaleRows).
 type WindowQueue struct {
 	svc   *Service
 	table int // accounting key of the table this queue repairs through the fabric
@@ -446,10 +446,10 @@ func (q *WindowQueue) Consume(w *Staging) {
 	slices.Sort(w.dirty)
 	w.dirty = slices.Compact(w.dirty)
 	if q.svc.StaleReads() {
-		q.svc.gather.noteStale(len(w.dirty))
+		q.svc.count(false, &Stats{StaleRows: int64(len(w.dirty))})
 		return
 	}
-	var repairBytes int64
+	st := Stats{RepairRows: int64(len(w.dirty))}
 	for i, r := range w.dirty {
 		if wd := w.Width(r); wd != WidthFP32 {
 			// Warm-tier staged row: re-run the fused dequantize-gather on the
@@ -461,16 +461,17 @@ func (q *WindowQueue) Consume(w *Staging) {
 			if dst, ok := w.Lookup(r); ok {
 				dequantRowInto(dst, w.src(r), wd)
 			}
-			repairBytes += wd.RowBytes(w.dim)
+			st.RepairBytes += wd.RowBytes(w.dim)
 			continue
 		}
 		// Per-row fabric re-fetch from the row's owner; the one-element
 		// sub-slice of the dirty list keeps the steady-state path
 		// allocation-free.
-		q.svc.transportFetch(q.table, q.svc.Owner(q.table, r), w.dirty[i:i+1], w)
-		repairBytes += q.svc.Config().RowBytes
+		wall, _ := q.svc.transportFetch(q.table, q.svc.Owner(q.table, r), w.dirty[i:i+1], w)
+		st.GatherWall += wall
+		st.RepairBytes += q.svc.Config().RowBytes
 	}
-	q.svc.gather.noteRepair(len(w.dirty), repairBytes)
+	q.svc.count(false, &st)
 }
 
 // Abort joins and discards every open window (its accounting already

@@ -72,7 +72,7 @@ func TestOverlapDeterminism(t *testing.T) {
 
 	for _, hotAware := range []bool{false, true} {
 		for _, nodes := range []int{1, 2, 4, 8} {
-			run := func(depth int) (*model.Model, shard.OverlapStats) {
+			run := func(depth int) (*model.Model, shard.Stats) {
 				svc := shard.New(shard.Config{
 					Nodes: nodes, CacheBytes: 64 << 10, RowBytes: int64(cfg.EmbedDim) * 4,
 					Part: buildPartitioner(t, cfg, nodes, iters, batch, hotAware),
@@ -190,7 +190,7 @@ func TestDeepPipelineRepairAndStaleness(t *testing.T) {
 	cfg.TopMLP = []int{32, 1}
 	const seed, iters, batch, k = 42, 10, 128, 8
 
-	run := func(stale bool) (*model.Model, shard.OverlapStats) {
+	run := func(stale bool) (*model.Model, shard.Stats) {
 		svc := shard.New(shard.Config{
 			Nodes: 4, CacheBytes: 64 << 10, RowBytes: int64(cfg.EmbedDim) * 4,
 		}, nil)

@@ -118,9 +118,8 @@ func TestQuantOffMatchesSeedBehavior(t *testing.T) {
 	if !model.DenseStateEqual(ma, mb) || !model.SparseStateEqual(ma, mb) {
 		t.Fatal("explicit QuantOff diverged from the zero-value config")
 	}
-	sa.GatherWall, sb.GatherWall = 0, 0 // wall clock is the one legitimately noisy field
-	sa.ScatterWall, sb.ScatterWall = 0, 0
-	if sa != sb {
+	// Wall clocks are the legitimately noisy fields.
+	if sa, sb := sa.WithoutWall(), sb.WithoutWall(); sa != sb {
 		t.Fatalf("stats diverged:\n%+v\n%+v", sa, sb)
 	}
 	if sa.QuantHits != 0 || sa.DequantRows != 0 {
