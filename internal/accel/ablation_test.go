@@ -8,11 +8,11 @@ import (
 )
 
 func smallCfg() EALConfig {
-	return EALConfig{SizeBytes: 4 << 10, Banks: 4, Ways: 8, BytesPerEntry: 2, Seed: 3}
+	return EALConfig{SizeBytes: 4 << 10, Banks: 4, Ways: 8, Seed: 3}
 }
 
 func TestFIFOEvictsInInsertionOrder(t *testing.T) {
-	cfg := EALConfig{SizeBytes: 16, Banks: 1, Ways: 2, BytesPerEntry: 2, Seed: 1, Policy: PolicyFIFO}
+	cfg := EALConfig{SizeBytes: 16, Banks: 1, Ways: 2, Seed: 1, Policy: PolicyFIFO}
 	// 1 bank, 4 sets of 2 ways. Find three keys mapping to the same set.
 	e := NewEAL(cfg)
 	var keys []int32
@@ -139,7 +139,7 @@ func TestTouchImpliesContainsProperty(t *testing.T) {
 // Property: the EAL never tracks more identifiers than its capacity.
 func TestCapacityBoundProperty(t *testing.T) {
 	f := func(seed uint64) bool {
-		cfg := EALConfig{SizeBytes: 512, Banks: 2, Ways: 4, BytesPerEntry: 2, Seed: uint32(seed)}
+		cfg := EALConfig{SizeBytes: 512, Banks: 2, Ways: 4, Seed: uint32(seed)}
 		e := NewEAL(cfg)
 		rng := tensor.NewRNG(seed)
 		for i := 0; i < 4*e.Capacity(); i++ {

@@ -70,7 +70,7 @@ func TestEALCapacityMatchesPaper(t *testing.T) {
 }
 
 func TestEALHitPromotesAndTracks(t *testing.T) {
-	e := NewEAL(EALConfig{SizeBytes: 1 << 12, Banks: 4, Ways: 4, BytesPerEntry: 2, Seed: 1})
+	e := NewEAL(EALConfig{SizeBytes: 1 << 12, Banks: 4, Ways: 4, Seed: 1})
 	if e.Touch(0, 42) {
 		t.Fatal("first touch must miss")
 	}
@@ -89,7 +89,7 @@ func TestEALHitPromotesAndTracks(t *testing.T) {
 }
 
 func TestEALEvictsUnderPressure(t *testing.T) {
-	e := NewEAL(EALConfig{SizeBytes: 256, Banks: 2, Ways: 2, BytesPerEntry: 2, Seed: 1})
+	e := NewEAL(EALConfig{SizeBytes: 256, Banks: 2, Ways: 2, Seed: 1})
 	cap := e.Capacity()
 	for i := 0; i < cap*4; i++ {
 		e.Touch(0, int32(i))
@@ -110,7 +110,7 @@ func TestEALEvictsUnderPressure(t *testing.T) {
 // hot set repeatedly, stream a long scan through, hot set should survive
 // better than scan entries.
 func TestSRRIPScanResistance(t *testing.T) {
-	e := NewEAL(EALConfig{SizeBytes: 4 << 10, Banks: 4, Ways: 8, BytesPerEntry: 2, Seed: 3})
+	e := NewEAL(EALConfig{SizeBytes: 4 << 10, Banks: 4, Ways: 8, Seed: 3})
 	hot := 64
 	for r := 0; r < 20; r++ {
 		for i := 0; i < hot; i++ {
@@ -137,7 +137,7 @@ func TestEALTracksMostOfOracle(t *testing.T) {
 	cfg := data.CriteoKaggle()
 	cfg.Samples = 2048
 	gen := data.NewGenerator(cfg)
-	ealCfg := EALConfig{SizeBytes: 1 << 14, Banks: 8, Ways: 8, BytesPerEntry: 2, Seed: 5}
+	ealCfg := EALConfig{SizeBytes: 1 << 14, Banks: 8, Ways: 8, Seed: 5}
 	e := NewEAL(ealCfg)
 	oracle := NewOracleLFU(e.Capacity())
 	for i := 0; i < 4; i++ {

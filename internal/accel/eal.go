@@ -2,6 +2,7 @@ package accel
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -22,12 +23,8 @@ type EALConfig struct {
 	SizeBytes int64
 	// Banks is the number of independently ported banks (default 64).
 	Banks int
-	// Ways is the set associativity of each bank.
+	// Ways is the set associativity of each bank (at most 8).
 	Ways int
-	// BytesPerEntry models the 17-bit entry (valid + 2-bit RRPV + 14-bit
-	// identifier) padded to storage granularity; the paper's 4 MB / 2M
-	// blocks gives 2 bytes.
-	BytesPerEntry int64
 	// Seed keys the Feistel randomizer.
 	Seed uint32
 	// Policy selects the replacement policy (default SRRIP).
@@ -39,32 +36,51 @@ type EALConfig struct {
 
 // DefaultEALConfig is the paper's Table IV configuration.
 func DefaultEALConfig() EALConfig {
-	return EALConfig{SizeBytes: 4 << 20, Banks: 64, Ways: 8, BytesPerEntry: 2, Seed: 0x40714E}
+	return EALConfig{SizeBytes: 4 << 20, Banks: 64, Ways: 8, Seed: 0x40714E}
 }
+
+// entryBytes is the SRAM an entry costs: one 16-bit identifier lane (the
+// paper's 4 MB / 2M blocks). The 2-bit RRPVs live beside the lanes, one
+// word per set, and are not counted against SizeBytes.
+const entryBytes = 2
 
 // Entries returns the total tracked-entry capacity.
-func (c EALConfig) Entries() int { return int(c.SizeBytes / c.BytesPerEntry) }
+func (c EALConfig) Entries() int { return int(c.SizeBytes / entryBytes) }
 
-const rrpvMax = 3 // 2-bit RRPV
-
-// ealEntry is one SRAM block.
-type ealEntry struct {
-	valid bool
-	rrpv  uint8
-	tag   uint32 // scattered key (models the 14-bit identifier + set index)
-}
+const (
+	rrpvMax = 3 // 2-bit RRPV
+	maxWays = 8 // the RRPV fields of one set fill a uint16
+)
 
 // EAL is the Embedding Access Logger: a cache-like structure that tracks
 // frequently-accessed embedding identifiers with SRRIP replacement
 // (2-bit RRPV, insertion at rrpvMax-1, promotion to 0 on hit). Entries hold
 // only identifiers — never embedding data — which is how 4 MB of SRAM can
 // track the hot set of multi-GB tables.
+//
+// A key's bank and set fix it modulo Banks·sets (its low 18 bits at Table
+// IV), so a way stores only the rest, the identifier q = key / (Banks·sets):
+// 14 bits at Table IV.
 type EAL struct {
-	Cfg      EALConfig
-	feistel  *Feistel
-	sets     int // sets per bank
-	entries  []ealEntry
-	fifoNext []uint8 // per-set round-robin pointer (PolicyFIFO)
+	Cfg     EALConfig
+	feistel *Feistel
+	sets    int // sets per bank
+
+	// lo holds each way's q+1, Ways lanes per set in set order; 0 marks an
+	// invalid way. hi holds the high 16 bits of q+1 and is nil when q+1
+	// always fits 16 bits (Table IV); smaller geometries need it to stay
+	// exact.
+	lo, hi []uint16
+	// meta is one word per set. Under SRRIP it holds way i's RRPV in bits
+	// 2i and 2i+1; under FIFO its low byte is the set's insertion counter.
+	meta []uint16
+	// ones has a 1 in the low bit of every way's RRPV field: adding it ages
+	// the whole set by one step.
+	ones uint16
+	// rawSpan is the identifier range one table covers in NoRandomizer
+	// mode, ceil(2^26 / (Banks·sets)): q = table·rawSpan + row/(Banks·sets)
+	// separates every (table < 64, row < 2^26) key that shares a set.
+	rawSpan uint32
 
 	// pow2 is set when banks and sets are both powers of two (the paper
 	// configuration): locate then uses masks and shifts instead of the two
@@ -73,6 +89,7 @@ type EAL struct {
 	bankMask  uint32
 	bankShift uint32
 	setMask   uint32
+	idShift   uint32 // log2(Banks·sets)
 
 	// gen counts the changes to what Contains answers: every insert and
 	// Reset advance it, a Touch hit (which moves only an RRPV) does not.
@@ -87,23 +104,40 @@ func NewEAL(cfg EALConfig) *EAL {
 	total := cfg.Entries()
 	perBank := total / cfg.Banks
 	sets := perBank / cfg.Ways
-	if sets < 1 {
+	// Two sets over all banks at least: q+1 then fits 32 bits for every key.
+	if sets < 1 || cfg.Banks*sets < 2 {
 		panic(fmt.Sprintf("accel: EAL too small: %d entries over %d banks x %d ways", total, cfg.Banks, cfg.Ways))
 	}
+	if cfg.Ways > maxWays {
+		panic(fmt.Sprintf("accel: EAL too wide: %d ways, at most %d", cfg.Ways, maxWays))
+	}
+	// The largest q+1 a key in the domain HashKey assumes (table < 64,
+	// 0 <= row < 2^26) can need: more than 16 bits takes the hi lanes.
+	span := uint64(cfg.Banks * sets)
+	rawSpan := (1<<26 + span - 1) / span
+	maxID := (1<<32-1)/span + 1
+	if cfg.NoRandomizer {
+		maxID = 64 * rawSpan
+	}
+	n := cfg.Banks * sets * cfg.Ways
 	e := &EAL{
-		Cfg:      cfg,
-		feistel:  NewFeistel(cfg.Seed),
-		sets:     sets,
-		entries:  make([]ealEntry, cfg.Banks*sets*cfg.Ways),
-		fifoNext: make([]uint8, cfg.Banks*sets),
+		Cfg:     cfg,
+		feistel: NewFeistel(cfg.Seed),
+		sets:    sets,
+		lo:      make([]uint16, n),
+		meta:    make([]uint16, cfg.Banks*sets),
+		ones:    0x5555 >> (16 - 2*cfg.Ways),
+		rawSpan: uint32(rawSpan),
+	}
+	if maxID > 0xFFFF {
+		e.hi = make([]uint16, n)
 	}
 	if isPow2(cfg.Banks) && isPow2(sets) {
 		e.pow2 = true
 		e.bankMask = uint32(cfg.Banks - 1)
 		e.setMask = uint32(sets - 1)
-		for 1<<e.bankShift < cfg.Banks {
-			e.bankShift++
-		}
+		e.bankShift = uint32(bits.TrailingZeros(uint(cfg.Banks)))
+		e.idShift = uint32(bits.TrailingZeros64(span))
 	}
 	return e
 }
@@ -114,36 +148,53 @@ func isPow2(v int) bool { return v > 0 && v&(v-1) == 0 }
 // Capacity returns the number of identifiers the EAL can track.
 func (e *EAL) Capacity() int { return e.Cfg.Banks * e.sets * e.Cfg.Ways }
 
-// locate returns the bank, set and tag for a (table, row) key.
+// locate returns the bank, the set within it and the stored identifier
+// (q+1, never 0) for a (table, row) key.
 //
 //hotline:hotpath
-func (e *EAL) locate(table int, row int32) (bank, set int, tag uint32) {
+func (e *EAL) locate(table int, row int32) (bank, set int, id uint32) {
 	var h uint32
 	if e.Cfg.NoRandomizer {
 		// Raw indexing: hot heads of every table share the same low index
 		// bits, so they collide into the same banks and sets (the
 		// thrashing the Feistel network exists to prevent).
 		h = uint32(row)
-		tag = uint32(table)<<26 ^ uint32(row)
 	} else {
 		h = e.feistel.HashKey(table, row)
-		tag = h
 	}
+	var q uint32
 	if e.pow2 {
-		// Same bank/set mapping as the division form below, via masks.
+		// Same mapping as the division form below, via masks.
 		bank = int(h & e.bankMask)
 		set = int((h >> e.bankShift) & e.setMask)
-		return
+		q = h >> e.idShift
+	} else {
+		hb := h / uint32(e.Cfg.Banks)
+		q = hb / uint32(e.sets)
+		bank = int(h - hb*uint32(e.Cfg.Banks))
+		set = int(hb - q*uint32(e.sets))
 	}
-	bank = int(h % uint32(e.Cfg.Banks))
-	set = int((h / uint32(e.Cfg.Banks)) % uint32(e.sets))
-	return
+	if e.Cfg.NoRandomizer {
+		q += uint32(table) * e.rawSpan
+	}
+	return bank, set, q + 1
 }
 
+// find returns the way of set s that holds id, or -1.
+//
 //hotline:hotpath
-func (e *EAL) setSlice(bank, set int) []ealEntry {
-	base := (bank*e.sets + set) * e.Cfg.Ways
-	return e.entries[base : base+e.Cfg.Ways]
+func (e *EAL) find(s int, id uint32) int {
+	base := s * e.Cfg.Ways
+	lanes := e.lo[base : base+e.Cfg.Ways]
+	lo := uint16(id)
+	for i, l := range lanes {
+		// An invalid lane reads 0 and id is never 0, so the lane compare
+		// alone rejects it when hi is nil; with hi, (0, 0) never equals id.
+		if l == lo && (e.hi == nil || e.hi[base+i] == uint16(id>>16)) {
+			return i
+		}
+	}
+	return -1
 }
 
 // Bank returns which bank services the key (used by the conflict model).
@@ -157,16 +208,8 @@ func (e *EAL) Bank(table int, row int32) int {
 //
 //hotline:hotpath
 func (e *EAL) Contains(table int, row int32) bool {
-	bank, set, tag := e.locate(table, row)
-	for _, ent := range e.setSlice(bank, set) {
-		// Tags are Feistel-scattered, so the tag compare almost always
-		// fails first; checking it before the valid bit short-circuits the
-		// common miss.
-		if ent.tag == tag && ent.valid {
-			return true
-		}
-	}
-	return false
+	bank, set, id := e.locate(table, row)
+	return e.find(bank*e.sets+set, id) >= 0
 }
 
 // Touch is the learning-phase access: on hit the entry's RRPV promotes to 0
@@ -175,77 +218,90 @@ func (e *EAL) Contains(table int, row int32) bool {
 //
 //hotline:hotpath
 func (e *EAL) Touch(table int, row int32) bool {
-	bank, set, tag := e.locate(table, row)
-	ways := e.setSlice(bank, set)
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			ways[i].rrpv = 0
-			e.Hits++
-			return true
+	bank, set, id := e.locate(table, row)
+	s := bank*e.sets + set
+	if i := e.find(s, id); i >= 0 {
+		if e.Cfg.Policy == PolicySRRIP { // FIFO's meta word is its counter
+			e.meta[s] &^= rrpvMax << (2 * i)
 		}
+		e.Hits++
+		return true
 	}
 	e.Misses++
-	e.insert(bank*e.sets+set, ways, tag)
+	e.insert(s, id)
 	return false
 }
 
-// insert places tag per the configured policy. SRRIP: find an invalid way
-// or an rrpv==max victim, aging the set until one appears. FIFO: evict in
-// round-robin insertion order.
+// insert places id in set s per the configured policy: the lowest invalid
+// way if there is one, else the victim evict picks.
 //
 //hotline:hotpath
-func (e *EAL) insert(setIdx int, ways []ealEntry, tag uint32) {
+func (e *EAL) insert(s int, id uint32) {
 	e.gen++
-	for i := range ways {
-		if !ways[i].valid {
-			ways[i] = ealEntry{valid: true, rrpv: rrpvMax - 1, tag: tag}
-			e.Inserts++
-			return
-		}
+	e.Inserts++
+	base := s * e.Cfg.Ways
+	i := 0
+	for i < e.Cfg.Ways && e.valid(base+i) {
+		i++
 	}
-	if e.Cfg.Policy == PolicyFIFO {
-		i := int(e.fifoNext[setIdx]) % len(ways)
-		e.fifoNext[setIdx]++
-		ways[i] = ealEntry{valid: true, rrpv: rrpvMax - 1, tag: tag}
-		e.Inserts++
+	if i == e.Cfg.Ways {
 		e.Evicts++
-		return
+		i = e.evict(s)
+	} else if e.Cfg.Policy == PolicySRRIP {
+		e.meta[s] = e.meta[s]&^(rrpvMax<<(2*i)) | (rrpvMax-1)<<(2*i)
 	}
-	for {
-		for i := range ways {
-			if ways[i].rrpv == rrpvMax {
-				ways[i] = ealEntry{valid: true, rrpv: rrpvMax - 1, tag: tag}
-				e.Inserts++
-				e.Evicts++
-				return
-			}
-		}
-		for i := range ways {
-			ways[i].rrpv++
-		}
+	e.lo[base+i] = uint16(id)
+	if e.hi != nil {
+		e.hi[base+i] = uint16(id >> 16)
 	}
+}
+
+// evict picks the way of full set s to replace. FIFO: round-robin in
+// insertion order, counted in 8 bits (a Ways that does not divide 256
+// restarts at way 0 when the count wraps). SRRIP: the lowest way at rrpvMax, aging the set until
+// one appears (no field is at rrpvMax while it ages, so none carries); the
+// victim's field drops to rrpvMax-1, the insertion RRPV.
+//
+//hotline:hotpath
+func (e *EAL) evict(s int) int {
+	m := e.meta[s]
+	if e.Cfg.Policy == PolicyFIFO {
+		next := uint8(m)
+		e.meta[s] = uint16(next + 1)
+		return int(next) % e.Cfg.Ways
+	}
+	for m&(m>>1)&e.ones == 0 {
+		m += e.ones
+	}
+	i := bits.TrailingZeros16(m&(m>>1)&e.ones) / 2
+	e.meta[s] = m - 1<<(2*i)
+	return i
+}
+
+// valid reports whether lane j holds an identifier.
+//
+//hotline:hotpath
+func (e *EAL) valid(j int) bool {
+	return e.lo[j] != 0 || e.hi != nil && e.hi[j] != 0
 }
 
 // Occupancy returns the fraction of valid entries.
 func (e *EAL) Occupancy() float64 {
 	n := 0
-	for _, ent := range e.entries {
-		if ent.valid {
+	for j := range e.lo {
+		if e.valid(j) {
 			n++
 		}
 	}
-	return float64(n) / float64(len(e.entries))
+	return float64(n) / float64(len(e.lo))
 }
 
 // Reset clears contents and statistics (a fresh learning phase).
 func (e *EAL) Reset() {
 	e.gen++
-	for i := range e.entries {
-		e.entries[i] = ealEntry{}
-	}
-	for i := range e.fifoNext {
-		e.fifoNext[i] = 0
-	}
+	clear(e.lo)
+	clear(e.hi)
+	clear(e.meta)
 	e.Hits, e.Misses, e.Inserts, e.Evicts = 0, 0, 0, 0
 }
 

@@ -44,7 +44,7 @@ func AblEALPolicy() *report.Table {
 	for _, cfg := range data.AllDatasets() {
 		probe := cfg
 		probe.Samples = 2048
-		base := accel.EALConfig{SizeBytes: 48 << 10, Banks: 8, Ways: 8, BytesPerEntry: 2, Seed: 7}
+		base := accel.EALConfig{SizeBytes: 48 << 10, Banks: 8, Ways: 8, Seed: 7}
 
 		fifoCfg := base
 		fifoCfg.Policy = accel.PolicyFIFO
@@ -69,7 +69,7 @@ func AblFeistel() *report.Table {
 	for _, cfg := range data.AllDatasets() {
 		probe := cfg
 		probe.Samples = 2048
-		base := accel.EALConfig{SizeBytes: 48 << 10, Banks: 8, Ways: 8, BytesPerEntry: 2, Seed: 7}
+		base := accel.EALConfig{SizeBytes: 48 << 10, Banks: 8, Ways: 8, Seed: 7}
 		raw := base
 		raw.NoRandomizer = true
 		rawPop := trainEALOnEpoch(probe, accel.NewEAL(raw), 8, 512)
@@ -112,7 +112,7 @@ func AblSampling() *report.Table {
 		probe.Samples = 8192
 		const full = 40 // 512-input batches in the probe epoch
 		for _, rate := range []float64{0.01, 0.05, 0.20, 1.00} {
-			eal := accel.NewEAL(accel.EALConfig{SizeBytes: 48 << 10, Banks: 8, Ways: 8, BytesPerEntry: 2, Seed: 7})
+			eal := accel.NewEAL(accel.EALConfig{SizeBytes: 48 << 10, Banks: 8, Ways: 8, Seed: 7})
 			learn := int(float64(full)*rate + 0.5)
 			if learn < 1 {
 				learn = 1

@@ -95,7 +95,7 @@ func Fig15SRRIPvsOracle() *report.Table {
 		probe.Samples = 2048
 		// Scaled EAL: the datasets are ~1000x downscaled, so a few KB of
 		// tracker SRAM corresponds to the paper's 4 MB.
-		ealCfg := accel.EALConfig{SizeBytes: 16 << 10, Banks: 16, Ways: 8, BytesPerEntry: 2, Seed: 7}
+		ealCfg := accel.EALConfig{SizeBytes: 16 << 10, Banks: 16, Ways: 8, Seed: 7}
 		eal := accel.NewEAL(ealCfg)
 		oracle := accel.NewOracleLFU(eal.Capacity())
 
@@ -150,7 +150,7 @@ func Fig27EALSize() *report.Table {
 		probe.Samples = 2048
 		row := []string{cfg.Name}
 		for _, size := range sizes {
-			eal := accel.NewEAL(accel.EALConfig{SizeBytes: size, Banks: 8, Ways: 8, BytesPerEntry: 2, Seed: 7})
+			eal := accel.NewEAL(accel.EALConfig{SizeBytes: size, Banks: 8, Ways: 8, Seed: 7})
 			row = append(row, pct(trainEALOnEpoch(probe, eal, 4, 512), 1))
 		}
 		t.AddRow(row...)
