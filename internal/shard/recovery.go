@@ -8,7 +8,9 @@
 // The coordinator's mirror is authoritative (all training math happens
 // there; node stores are replicas fed absolute row values), so failover is a
 // pure routing change: repartition the dead node's rows over the survivors,
-// push their current bits from the mirror, and re-route the failed fetches.
+// push their current bits from the mirror, install owner arrays that route
+// them there, and re-route the failed fetches. The owner arrays are the only
+// routing state.
 // Every staged row a forward consumes still holds exactly the bits a
 // fault-free run would have staged — repairs and re-fetches always read
 // current mirror state, and the dirty-row tracker already forces a repair
@@ -20,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync/atomic"
 	"time"
 )
 
@@ -52,66 +53,45 @@ func (p RecoveryPolicy) String() string {
 	return fmt.Sprintf("RecoveryPolicy(%d)", int(p))
 }
 
-// failoverState is one immutable ownership overlay: rows whose base owner
-// is dead spread uniformly over the survivors, and dead is the service's one
-// record of the nodes adopted away (DeadNodes). Swapped in atomically so the
-// hot-path Owner read never takes a lock.
+// failoverState is one immutable adoption record: the nodes adopted away
+// (DeadNodes) and the survivors, over which the rows whose placed owner is
+// dead spread uniformly.
 type failoverState struct {
 	dead      []bool
 	survivors []int32
 }
 
+// route returns the owner of a row whose placed owner is base: base while it
+// is alive (always, when st is nil), else the survivor that adopted the row.
 func (st *failoverState) route(base int, row int32) int {
-	if !st.dead[base] {
+	if st == nil || !st.dead[base] {
 		return base
 	}
 	return int(st.survivors[uint32(row)%uint32(len(st.survivors))])
 }
 
-// failoverPart wraps the configured Partitioner with the failover overlay.
-// Installed by SetRecovery(RecoverAdopt) before any table registers, so
-// ownership reads are overlay-aware from the start and failover is a single
-// atomic pointer swap — no lock ever appears on the Owner hot path.
-type failoverPart struct {
-	base  Partitioner
-	state atomic.Pointer[failoverState]
-}
-
-func (f *failoverPart) Owner(table int, row int32) int {
-	return f.state.Load().route(f.base.Owner(table, row), row)
-}
-
-// routed applies the overlay, when one is armed (f may be nil), to the owner
-// the base placement gives a row — Owner for callers that already hold the
-// base owner in an array.
-//
-//hotline:hotpath
-func (f *failoverPart) routed(base int32, row int32) int {
-	if f == nil {
-		return int(base)
+// placeOwners fills own[from:] with the owners of table's rows from on under
+// the adoption record st: the configured placement, routed around the dead.
+// Every entry is recomputed from the placement, so each adoption moves the
+// same rows to the same survivors whatever the arrays held before. The one
+// caller of Partitioner.Owner.
+func (s *Service) placeOwners(own []int32, table, from int, st *failoverState) {
+	for r := from; r < len(own); r++ {
+		own[r] = int32(st.route(s.part.Owner(table, int32(r)), int32(r)))
 	}
-	return f.state.Load().route(int(base), row)
 }
-
-func (f *failoverPart) ownerWith(st *failoverState, table int, row int32) int {
-	return st.route(f.base.Owner(table, row), row)
-}
-
-func (f *failoverPart) Nodes() int   { return f.base.Nodes() }
-func (f *failoverPart) Name() string { return f.base.Name() }
 
 // SetRecovery arms the recovery policy. Like SetTransport it must run on a
 // fresh service — before tables register — so ownership routing and the
 // initial shard sync agree from the first row. RecoverRedial is the default
-// and changes nothing; RecoverAdopt installs the failover overlay.
+// and changes nothing; RecoverAdopt starts an adoption record with no node
+// dead.
 func (s *Service) SetRecovery(p RecoveryPolicy) {
 	if s.anyRegistered() {
 		panic("shard: SetRecovery after tables were registered; arm recovery on a fresh service")
 	}
 	if p == RecoverAdopt {
-		fp := &failoverPart{base: s.part}
-		fp.state.Store(&failoverState{dead: make([]bool, s.cfg.Nodes)})
-		s.part, s.failPart = fp, fp
+		s.fail.Store(&failoverState{dead: make([]bool, s.cfg.Nodes)})
 	}
 }
 
@@ -127,11 +107,12 @@ func (s *Service) PeerHealth() []PeerHealth {
 
 // DeadNodes returns the nodes adopted away by failover, in id order.
 func (s *Service) DeadNodes() []int {
-	if s.failPart == nil {
+	st := s.fail.Load()
+	if st == nil {
 		return nil
 	}
 	var out []int
-	for n, d := range s.failPart.state.Load().dead {
+	for n, d := range st.dead {
 		if d {
 			out = append(out, n)
 		}
@@ -143,7 +124,7 @@ func (s *Service) DeadNodes() []int {
 // the adopt policy is armed and the error is dead-peer-class (not an
 // application error, not a closing fabric).
 func (s *Service) adoptable(err error) bool {
-	return s.failPart != nil && errors.Is(err, ErrPeerDead) && !errors.Is(err, ErrClosed)
+	return s.fail.Load() != nil && errors.Is(err, ErrPeerDead) && !errors.Is(err, ErrClosed)
 }
 
 // recoverFetch re-routes one failed per-owner gather fetch (reroute); each
@@ -191,10 +172,10 @@ func (s *Service) reroute(table, owner int, rows []int32, cause error, op func(o
 			return fmt.Errorf("failover of node %d: %w", deadOwner, ferr)
 		}
 		// Re-group by post-failover owner. Recovery path: allocation is fine.
+		own := s.owners(table, int(slices.Max(pending))+1)
 		byOwner := make([][]int32, s.cfg.Nodes)
 		for _, r := range pending {
-			o := s.Owner(table, r)
-			byOwner[o] = append(byOwner[o], r)
+			byOwner[own[r]] = append(byOwner[own[r]], r)
 		}
 		pending = pending[:0:0]
 		err = nil
@@ -217,20 +198,20 @@ func (s *Service) reroute(table, owner int, rows []int32, cause error, op func(o
 	return err
 }
 
-// failoverDead fails one unrecoverable peer over to the survivors:
-// recompute the ownership overlay without it, push every row that moves to
-// its new owner (current mirror bits — the authoritative values), and only
-// then swap the overlay in, so a concurrent plan can never route a fetch to
-// a node that does not hold the row yet. Single-flight and idempotent: a
-// second caller for the same peer finds it already failed over and returns
-// nil. Commit is all-or-nothing — a migration push failure leaves the old
-// overlay in place (the caller's bounded rounds will fail the pushed-to
-// peer over too and re-enter). Adoption cascades until one node remains;
-// failing the last one over is an ErrPeerDead.
+// failoverDead fails one unrecoverable peer over to the survivors: record it
+// dead, push every row that moves to its new owner (current mirror bits — the
+// authoritative values), and only then install fresh owner arrays for every
+// table, so a concurrent plan can never route a fetch to a node that does not
+// hold the row yet. Single-flight and idempotent: a second caller for the
+// same peer finds it already failed over and returns nil. Commit is
+// all-or-nothing — a migration push failure leaves the old record and arrays
+// in place (the caller's bounded rounds will fail the pushed-to peer over too
+// and re-enter). Adoption cascades until one node remains; failing the last
+// one over is an ErrPeerDead.
 func (s *Service) failoverDead(dead int) error {
 	s.recoverMu.Lock()
 	defer s.recoverMu.Unlock()
-	oldState := s.failPart.state.Load()
+	oldState := s.fail.Load()
 	if oldState.dead[dead] {
 		return nil
 	}
@@ -247,18 +228,17 @@ func (s *Service) failoverDead(dead int) error {
 	}
 	newState := &failoverState{dead: newDead, survivors: survivors}
 
-	// Migrate before swapping: every row whose owner changes is pushed to
-	// its new owner first, so the overlay only ever routes to nodes that
-	// hold the row.
+	// Migrate before installing: every row whose owner changes is pushed to
+	// its new owner first, so the arrays only ever route to nodes that hold
+	// the row.
 	var migRows, migBytes int64
 	for table, t := range s.registered() {
+		placed := make([]int32, t.rows)
+		s.placeOwners(placed, table, 0, newState)
 		byOwner := make([][]int32, s.cfg.Nodes)
-		for r := 0; r < t.rows; r++ {
-			row := int32(r)
-			oldO := s.failPart.ownerWith(oldState, table, row)
-			newO := s.failPart.ownerWith(newState, table, row)
-			if oldO != newO {
-				byOwner[newO] = append(byOwner[newO], row)
+		for r, o := range placed {
+			if o != t.owners[r] {
+				byOwner[o] = append(byOwner[o], int32(r))
 			}
 		}
 		for o, rs := range byOwner {
@@ -273,7 +253,14 @@ func (s *Service) failoverDead(dead int) error {
 		}
 	}
 
-	s.failPart.state.Store(newState)
+	s.mu.Lock()
+	s.fail.Store(newState)
+	for table := range s.tables {
+		own := make([]int32, len(s.tables[table].owners))
+		s.placeOwners(own, table, 0, newState)
+		s.tables[table].owners = own
+	}
+	s.mu.Unlock()
 	s.count(false, &Stats{Adoptions: 1, MigratedRows: migRows, MigratedBytes: migBytes})
 	return nil
 }
@@ -288,8 +275,8 @@ func (s *Service) resyncOwner(owner int, direct Transport) error {
 	var rrows, rbytes int64
 	for table, t := range s.registered() {
 		var rows []int32
-		for r := 0; r < t.rows; r++ {
-			if s.Owner(table, int32(r)) == owner {
+		for r, o := range t.owners[:t.rows] {
+			if int(o) == owner {
 				rows = append(rows, int32(r))
 			}
 		}

@@ -311,8 +311,9 @@ func (s Stats) WithoutWall() Stats {
 // concurrent recording only the cache interleaving — never any training
 // math — depends on scheduling.
 type Service struct {
-	cfg  Config
-	hot  HotClassifier
+	cfg Config
+	hot HotClassifier
+	// part is the configured placement; only placeOwners asks it.
 	part Partitioner
 
 	// gather is the service's gather engine: it pools the windows the
@@ -340,11 +341,11 @@ type Service struct {
 	fabricErr  error
 	fabricErrN int
 
-	// failPart is the failover ownership overlay, non-nil exactly when
-	// SetRecovery(RecoverAdopt) armed shard adoption (read-only after
-	// arming, which must precede table registration and training);
-	// recoverMu single-flights failover.
-	failPart  *failoverPart
+	// fail is the adoption record, non-nil exactly when
+	// SetRecovery(RecoverAdopt) armed shard adoption (which must precede
+	// table registration and training); failoverDead replaces it, under mu,
+	// with the owner arrays it implies. recoverMu single-flights failover.
+	fail      atomic.Pointer[failoverState]
 	recoverMu sync.Mutex
 
 	// pushMu serialises PushUpdates' per-owner grouping scratch.
@@ -381,10 +382,11 @@ type Service struct {
 
 // tableState is one table's record in the service.
 type tableState struct {
-	// owners[r] is the node the partitioner assigns row r — the placement
-	// walked once into an array, so the accounting walks route a lookup with
-	// a load instead of an interface call. The failover overlay is applied
-	// on top (failoverPart.routed).
+	// owners[r] is the node that owns row r: the placement walked once into
+	// an array (placeOwners), every row an adoption moved already on its
+	// survivor. It is the service's only routing state, and a published array
+	// is never written: sizeTable grows it into a copy, and an adoption
+	// installs fresh arrays (failoverDead).
 	owners []int32
 	// dim is the row width a window over the table stages at: the configured
 	// row footprint's until RegisterTable declares the table's own.
@@ -424,14 +426,21 @@ func (s *Service) Nodes() int { return s.cfg.Nodes }
 // Config returns the service configuration.
 func (s *Service) Config() Config { return s.cfg }
 
-// Partitioner returns the ownership policy in effect.
-func (s *Service) Partitioner() Partitioner { return s.part }
+// Owner returns the node that owns a row of a table: the row's entry in the
+// table's owner array.
+func (s *Service) Owner(table int, row int32) int {
+	return int(s.owners(table, int(row)+1)[row])
+}
 
-// Owner returns the node that owns a row of a table under the service's
-// placement policy.
-//
-//hotline:hotpath
-func (s *Service) Owner(table int, row int32) int { return s.part.Owner(table, row) }
+// owners returns table's owner array, sized to span at least rows rows. The
+// array is never written once published, so the caller reads it without
+// s.mu: a fetch routed by an array that an adoption has since replaced fails
+// at the dead owner and re-routes by the new arrays (reroute).
+func (s *Service) owners(table, rows int) []int32 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.sizeTable(table, rows)
+}
 
 // Gatherer returns the service's gather engine (never nil): it executes the
 // windows PlanGather hands out — overlapped with compute (Submit) or inline
@@ -518,7 +527,7 @@ func (s *Service) planGather(table int, indices [][]int32, collect, serve bool) 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var plan *Staging
-	nodes, rowBytes, fp := s.cfg.Nodes, s.cfg.RowBytes, s.failPart
+	nodes, rowBytes := s.cfg.Nodes, s.cfg.RowBytes
 	caching, tiered := s.cfg.CacheBytes > 0, s.cfg.Quant != QuantOff
 	// The stamps dedup fabric fetches within this call (one iteration's bag).
 	own, stamps, epoch := s.tableOwners(table), s.stamps, s.nextEpoch()
@@ -530,7 +539,7 @@ func (s *Service) planGather(table int, indices [][]int32, collect, serve bool) 
 				own = s.growOwners(table, ix)
 				stamps = s.stamps
 			}
-			owner := fp.routed(own[ix], ix)
+			owner := int(own[ix])
 			if owner == node {
 				st.Local++
 				continue
@@ -676,7 +685,7 @@ func (s *Service) tableOwners(table int) []int32 {
 }
 
 // sizeTable extends table's routing state to span rows rows: its record in
-// tables, the owner array (walking the partitioner for the new rows), every
+// tables, the owner array (placing the new rows into a grown copy), every
 // cache's index, and the stamps, which always span the longest owner array
 // so the accounting walks bounds-check a row once. A grown stamp array keeps
 // its cells — they are row-major, so the running call's dedup set survives.
@@ -689,15 +698,9 @@ func (s *Service) sizeTable(table, rows int) []int32 {
 	if rows <= len(own) {
 		return own
 	}
-	base := s.part
-	if s.failPart != nil {
-		base = s.failPart.base
-	}
 	grown := make([]int32, rows)
 	copy(grown, own)
-	for r := len(own); r < rows; r++ {
-		grown[r] = int32(base.Owner(table, int32(r)))
-	}
+	s.placeOwners(grown, table, len(own), s.fail.Load())
 	s.tables[table].owners = grown
 	if s.cfg.Nodes == 1 {
 		return grown // every access is local: nothing probes a cache or dedups
@@ -758,7 +761,7 @@ func (s *Service) RecordScatter(table int, indices [][]int32) {
 	defer s.count(false, &st) // after s.mu is released
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	nodes, rowBytes, fp := s.cfg.Nodes, s.cfg.RowBytes, s.failPart
+	nodes, rowBytes := s.cfg.Nodes, s.cfg.RowBytes
 	own, stamps, epoch := s.tableOwners(table), s.stamps, s.nextEpoch()
 	var sent int64
 	node := 0 // NodeOf(b), stepped instead of divided
@@ -768,7 +771,7 @@ func (s *Service) RecordScatter(table int, indices [][]int32) {
 				own = s.growOwners(table, ix)
 				stamps = s.stamps
 			}
-			if fp.routed(own[ix], ix) == node {
+			if int(own[ix]) == node {
 				continue
 			}
 			if cell := &stamps[int(ix)*nodes+node]; *cell != epoch {
@@ -801,9 +804,12 @@ func (s *Service) Preload(table int, rows []int32) {
 	// the hot tier's width (fp32 under QuantOff and QuantMixed).
 	w := s.cfg.Quant.hotWidth()
 	eb := s.cfg.EntryBytes(w)
+	own := s.tableOwners(table)
 	for _, ix := range rows {
-		owner := s.Owner(table, ix)
-		k := key(table, ix)
+		if int(ix) >= len(own) {
+			own = s.growOwners(table, ix)
+		}
+		owner, k := int(own[ix]), key(table, ix)
 		for n, cache := range s.caches {
 			if n == owner || cache.CapacityBytes() == 0 {
 				continue

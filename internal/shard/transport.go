@@ -5,6 +5,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -146,7 +147,7 @@ func (s *Service) Multiproc() bool { return s.multiproc }
 // registration.
 func (s *Service) RegisterTable(table, dim, rows int, src RowAt) {
 	s.mu.Lock()
-	s.sizeTable(table, rows)
+	own := s.sizeTable(table, rows)
 	t := &s.tables[table]
 	t.dim, t.rows, t.src, t.registered = dim, rows, src, true
 	s.mu.Unlock()
@@ -157,8 +158,7 @@ func (s *Service) RegisterTable(table, dim, rows int, src RowAt) {
 	// counted as scatter wall time (it replicates initial state, it is not
 	// training traffic).
 	byOwner := make([][]int32, s.cfg.Nodes)
-	for r := 0; r < rows; r++ {
-		o := s.Owner(table, int32(r))
+	for r, o := range own[:rows] {
 		byOwner[o] = append(byOwner[o], int32(r))
 	}
 	for o, rs := range byOwner {
@@ -199,9 +199,9 @@ func (s *Service) PushUpdates(table int, rows []int32, src RowAt) {
 	for i := range groups {
 		groups[i] = groups[i][:0]
 	}
+	own := s.owners(table, int(slices.Max(rows))+1)
 	for _, r := range rows {
-		o := s.Owner(table, r)
-		groups[o] = append(groups[o], r)
+		groups[own[r]] = append(groups[own[r]], r)
 	}
 	s.pushGroups = groups
 	var st Stats
@@ -316,14 +316,6 @@ func (s *Service) FabricErrCount() int {
 	s.errMu.Lock()
 	defer s.errMu.Unlock()
 	return s.fabricErrN
-}
-
-// ResetFabricErr clears the recorded fabric errors (fault-injection tests).
-func (s *Service) ResetFabricErr() {
-	s.errMu.Lock()
-	s.fabricErr = nil
-	s.fabricErrN = 0
-	s.errMu.Unlock()
 }
 
 // Close releases the fabric: the gather engine's persistent drainer

@@ -450,6 +450,7 @@ func (q *WindowQueue) Consume(w *Staging) {
 		return
 	}
 	st := Stats{RepairRows: int64(len(w.dirty))}
+	own := q.svc.owners(q.table, int(w.dirty[len(w.dirty)-1])+1) // sorted: the last row is the largest
 	for i, r := range w.dirty {
 		if wd := w.Width(r); wd != WidthFP32 {
 			// Warm-tier staged row: re-run the fused dequantize-gather on the
@@ -467,7 +468,7 @@ func (q *WindowQueue) Consume(w *Staging) {
 		// Per-row fabric re-fetch from the row's owner; the one-element
 		// sub-slice of the dirty list keeps the steady-state path
 		// allocation-free.
-		wall, _ := q.svc.transportFetch(q.table, q.svc.Owner(q.table, r), w.dirty[i:i+1], w)
+		wall, _ := q.svc.transportFetch(q.table, int(own[r]), w.dirty[i:i+1], w)
 		st.GatherWall += wall
 		st.RepairBytes += q.svc.Config().RowBytes
 	}

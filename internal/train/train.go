@@ -271,12 +271,10 @@ func (t *HotlineTrainer) StepLookahead(b *data.Batch, ahead []*data.Batch) float
 	t.M.ZeroAll()
 	var totalLoss float64
 	if len(pop) == 0 || len(non) == 0 {
-		// Degenerate split: a single µ-batch runs on the primary model.
-		if len(pop) > 0 {
-			totalLoss += t.passOn(t.M, b, pop, invN, &t.popGrad)
-		}
-		if len(non) > 0 {
-			totalLoss += t.passOn(t.M, b, non, invN, &t.popGrad)
+		// Degenerate split: the one µ-batch is b itself — every sample, in
+		// order — and runs on the primary model. An empty batch runs none.
+		if n > 0 {
+			totalLoss = passInto(t.M, b, invN, &t.popGrad)
 		}
 	} else {
 		// Popular µ-batch on the primary model (it is dispatched to the
