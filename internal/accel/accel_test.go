@@ -184,29 +184,6 @@ func TestParallelRequestsMatchFig16(t *testing.T) {
 	}
 }
 
-func TestSegregationTimeFastAndMonotone(t *testing.T) {
-	m := NewSegregationModel(DefaultEngineConfig(), DefaultEALConfig())
-	t4k := m.SegregationTime(4096 * 26)
-	t16k := m.SegregationTime(16384 * 26)
-	if t16k <= t4k {
-		t.Fatal("segregation time must grow with lookups")
-	}
-	// The accelerator must be orders of magnitude faster than the CPU's
-	// ~60ms (paper Figure 7 vs accelerator pipeline).
-	if t4k.Millis() > 1 {
-		t.Fatalf("accelerator segregation of 4K batch = %v, want < 1ms", t4k)
-	}
-}
-
-func TestReducerTime(t *testing.T) {
-	r := DefaultReducerConfig()
-	t1 := r.ReduceTime(100, 64)
-	t2 := r.ReduceTime(200, 64)
-	if t2 <= t1 {
-		t.Fatal("reduce time must grow with rows")
-	}
-}
-
 func TestEDRAMCapacityMatchesPaper(t *testing.T) {
 	// §V-A: 2.5 MB of eDRAM stages mini-batches of up to 16K inputs.
 	ed := DefaultInputEDRAM()

@@ -1,9 +1,6 @@
 package accel
 
-import (
-	"hotline/internal/sim"
-	"hotline/internal/tensor"
-)
+import "hotline/internal/tensor"
 
 // EngineConfig sizes the parallel lookup-engine array (paper §V-C,
 // Table IV: 64 engines at 350 MHz, fed from a 512-entry request queue).
@@ -16,11 +13,6 @@ type EngineConfig struct {
 // DefaultEngineConfig is the paper's Table IV configuration.
 func DefaultEngineConfig() EngineConfig {
 	return EngineConfig{Engines: 64, QueueSize: 512, FreqHz: 350e6}
-}
-
-// CycleTime returns one accelerator clock period.
-func (c EngineConfig) CycleTime() sim.Duration {
-	return sim.Duration(1e9 / c.FreqHz)
 }
 
 // ParallelRequestsPerIteration estimates how many queued EAL requests issue
@@ -49,35 +41,6 @@ func ParallelRequestsPerIteration(queue, banks, engines int, trials int) float64
 	return total / float64(trials)
 }
 
-// SegregationModel converts mini-batch classification work into accelerator
-// time. throughput is lookups retired per cycle (bounded by both the engine
-// count and the bank-parallelism of the EAL).
-type SegregationModel struct {
-	Eng EngineConfig
-	EAL EALConfig
-	// perLookupCycles is the pipeline depth cost amortised to 1 per lookup.
-	throughput float64
-}
-
-// NewSegregationModel derives the sustained lookup throughput from the
-// engine and EAL configurations.
-func NewSegregationModel(eng EngineConfig, eal EALConfig) *SegregationModel {
-	par := ParallelRequestsPerIteration(eng.QueueSize, eal.Banks, eng.Engines, 64)
-	if par < 1 {
-		par = 1
-	}
-	return &SegregationModel{Eng: eng, EAL: eal, throughput: par}
-}
-
-// SegregationTime returns the time to classify a mini-batch with the given
-// total lookup count (batch × average lookups per input) and assemble the
-// two µ-batches. Constants: 1 cycle per issued request plus a fixed
-// pipeline ramp of ~200 cycles per mini-batch.
-func (m *SegregationModel) SegregationTime(totalLookups int64) sim.Duration {
-	cycles := float64(totalLookups)/m.throughput + 200
-	return sim.Duration(cycles * float64(m.Eng.CycleTime()))
-}
-
 // ReducerConfig sizes the reducer ALU array (Table IV: 16 ALUs).
 type ReducerConfig struct {
 	ALUs   int
@@ -86,13 +49,6 @@ type ReducerConfig struct {
 
 // DefaultReducerConfig is the paper's Table IV configuration.
 func DefaultReducerConfig() ReducerConfig { return ReducerConfig{ALUs: 16, FreqHz: 350e6} }
-
-// ReduceTime models pooling nRows embedding rows of dim floats into bag
-// sums: one float add per element, ALUs elements per cycle.
-func (r ReducerConfig) ReduceTime(nRows int64, dim int) sim.Duration {
-	cycles := float64(nRows*int64(dim)) / float64(r.ALUs)
-	return sim.Duration(cycles * 1e9 / r.FreqHz)
-}
 
 // InputEDRAMConfig models the 2.5 MB input staging buffer that holds the
 // non-popular µ-batch (paper §V-A: up to 16K inputs).

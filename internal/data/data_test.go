@@ -290,6 +290,54 @@ func TestPopularInputFractionMatchesPaper(t *testing.T) {
 	}
 }
 
+// TestPopularInputFractionRule pins the paper's classification rule exactly:
+// an input is popular only when every access it makes, across all tables,
+// is hot — one cold access makes the whole input non-popular.
+func TestPopularInputFractionRule(t *testing.T) {
+	cfg := CriteoKaggle()
+	cfg.Samples = 4096
+	const n = 512
+	// Mixed: a profiled hot set over 26 one-hot tables, so inputs are
+	// popular, non-popular on a single lookup, or further from the hot set.
+	placement := embedding.PlacementFromCounts(ProfileEpoch(NewGenerator(cfg), 512).Counts(),
+		cfg.NumTables, cfg.EmbedDim, ScaledHotBudget(cfg))
+	mixed := placement.IsHot
+	b := NewGenerator(cfg).NextBatch(n)
+	popular, partly := 0, 0
+	for i := 0; i < n; i++ {
+		cold := 0
+		for tb := range b.Sparse {
+			for _, ix := range b.Sparse[tb][i] {
+				if !mixed(tb, ix) {
+					cold++
+				}
+			}
+		}
+		if cold == 0 {
+			popular++
+		} else if cold == 1 {
+			partly++
+		}
+	}
+	if popular == 0 || popular == n || partly == 0 {
+		t.Fatalf("predicate must mix: %d popular, %d with one cold access, of %d", popular, partly, n)
+	}
+	if got, want := PopularInputFraction(NewGenerator(cfg), n, mixed), float64(popular)/n; got != want {
+		t.Fatalf("mixed: fraction %v, direct count %v", got, want)
+	}
+	allHot := func(int, int32) bool { return true }
+	allCold := func(int, int32) bool { return false }
+	if got := PopularInputFraction(NewGenerator(cfg), n, allHot); got != 1 {
+		t.Fatalf("all-hot: fraction %v, want 1", got)
+	}
+	if got := PopularInputFraction(NewGenerator(cfg), n, allCold); got != 0 {
+		t.Fatalf("all-cold: fraction %v, want 0", got)
+	}
+	if got := PopularInputFraction(NewGenerator(cfg), 0, allHot); got != 0 {
+		t.Fatalf("no samples: fraction %v, want 0", got)
+	}
+}
+
 func TestDayDriftChangesPopularSet(t *testing.T) {
 	cfg := CriteoTerabyte()
 	same := DayOverlap(cfg, 0, 3, 3, 100)

@@ -57,7 +57,7 @@ func TestShardedAdagradBitParity(t *testing.T) {
 }
 
 // TestShardedAdagradHotAwarePlacement repeats the parity check under a
-// non-uniform (hot-aware) partitioner: relocating rows must never change
+// non-uniform (hot-aware) placement: relocating rows must never change
 // the optimizer trajectory.
 func TestShardedAdagradHotAwarePlacement(t *testing.T) {
 	const rows, dim = 64, 4

@@ -166,32 +166,19 @@ func TestTablesAggregate(t *testing.T) {
 
 func TestPlacementBasics(t *testing.T) {
 	p := NewPlacement(2, 4)
-	if p.TierOf(0, 5) != TierCPU {
+	if p.IsHot(0, 5) {
 		t.Fatal("default tier should be CPU")
 	}
 	p.MarkHot(0, 5)
 	p.MarkHot(0, 5) // idempotent
-	if p.TierOf(0, 5) != TierGPU || !p.IsHot(0, 5) {
+	if !p.IsHot(0, 5) {
 		t.Fatal("MarkHot failed")
 	}
 	if p.HotBytes != 16 {
 		t.Fatalf("HotBytes = %d", p.HotBytes)
 	}
-	if p.HotRowCount(0) != 1 || p.TotalHotRows() != 1 {
+	if len(p.HotRows(0)) != 1 || len(p.HotRows(1)) != 0 {
 		t.Fatal("hot counts wrong")
-	}
-}
-
-func TestInputIsPopular(t *testing.T) {
-	p := NewPlacement(2, 4)
-	p.MarkHot(0, 1)
-	p.MarkHot(1, 2)
-	if !p.InputIsPopular([][]int32{{1}, {2}}) {
-		t.Fatal("all-hot input should be popular")
-	}
-	// A single cold access anywhere makes the input non-popular.
-	if p.InputIsPopular([][]int32{{1}, {2, 3}}) {
-		t.Fatal("input with one cold access must be non-popular")
 	}
 }
 
@@ -204,8 +191,8 @@ func TestPlacementFromCountsRespectsBudget(t *testing.T) {
 	}
 	dim := 4 // 16 bytes/row
 	p := PlacementFromCounts(counts, 2, dim, 32)
-	if p.TotalHotRows() != 2 {
-		t.Fatalf("budget 32B should fit 2 rows, got %d", p.TotalHotRows())
+	if n := len(p.HotRows(0)) + len(p.HotRows(1)); n != 2 {
+		t.Fatalf("budget 32B should fit 2 rows, got %d", n)
 	}
 	if !p.IsHot(1, 0) || !p.IsHot(0, 0) {
 		t.Fatal("hottest rows should win the budget")

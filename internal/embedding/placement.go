@@ -5,16 +5,6 @@ import (
 	"sort"
 )
 
-// Tier says where an embedding row physically lives in the simulated system.
-type Tier uint8
-
-const (
-	// TierCPU rows live in host DRAM (the not-frequently-accessed majority).
-	TierCPU Tier = iota
-	// TierGPU rows are replicated in every GPU's HBM (frequently accessed).
-	TierGPU
-)
-
 // hotBitmapMaxRows bounds the dense-bitmap fast path of a hot set: rows
 // below the bound live in a bitmap (grown lazily to the highest marked row,
 // at most 256 KB per table), rows above it fall back to a map. Every scaled
@@ -103,7 +93,9 @@ func (h *hotSet) rows() []int32 {
 
 // Placement records, per table, which rows are GPU-resident. It is the
 // product of Hotline's access-aware layout (learning phase) or FAE's offline
-// profiler, and is consumed by the runtime schedulers.
+// profiler, and is consumed by the runtime schedulers. An input is popular
+// when every row it touches, across all tables, is hot (the rule
+// data.PopularInputFraction and the accelerator's Classify apply).
 type Placement struct {
 	hot      []hotSet // per table: set of GPU-resident rows
 	Dim      int
@@ -116,9 +108,6 @@ func NewPlacement(numTables, dim int) *Placement {
 	return &Placement{hot: make([]hotSet, numTables), Dim: dim}
 }
 
-// NumTables returns the table count.
-func (p *Placement) NumTables() int { return len(p.hot) }
-
 // MarkHot places row of table on the GPU tier.
 func (p *Placement) MarkHot(table int, row int32) {
 	if p.hot[table].mark(row) {
@@ -126,49 +115,15 @@ func (p *Placement) MarkHot(table int, row int32) {
 	}
 }
 
-// TierOf reports where a row lives.
-func (p *Placement) TierOf(table int, row int32) Tier {
-	if p.hot[table].has(row) {
-		return TierGPU
-	}
-	return TierCPU
-}
-
 // IsHot reports whether a row is GPU-resident.
 func (p *Placement) IsHot(table int, row int32) bool {
 	return p.hot[table].has(row)
-}
-
-// HotRowCount returns the number of GPU-resident rows in one table.
-func (p *Placement) HotRowCount(table int) int { return p.hot[table].count }
-
-// TotalHotRows returns the GPU-resident row count across all tables.
-func (p *Placement) TotalHotRows() int {
-	n := 0
-	for i := range p.hot {
-		n += p.hot[i].count
-	}
-	return n
 }
 
 // HotRows returns the sorted hot rows of one table (deterministic iteration
 // for replication and tests).
 func (p *Placement) HotRows(table int) []int32 {
 	return p.hot[table].rows()
-}
-
-// InputIsPopular reports whether a sample is popular: every index it touches,
-// across all tables, must be GPU-resident (the paper's classification rule —
-// one cold access makes the whole input non-popular).
-func (p *Placement) InputIsPopular(sparse [][]int32) bool {
-	for table, idxs := range sparse {
-		for _, ix := range idxs {
-			if !p.IsHot(table, ix) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // AccessCount is a (table, row) access-frequency record.

@@ -66,7 +66,7 @@ func TestHotSetBitmapEquivalence(t *testing.T) {
 }
 
 // TestPlacementBitmapSemantics covers the Placement surface over the new
-// hot sets: byte accounting, per-table counts and popularity classification.
+// hot sets: byte accounting, per-table counts and membership.
 func TestPlacementBitmapSemantics(t *testing.T) {
 	p := NewPlacement(2, 8)
 	p.MarkHot(0, 3)
@@ -74,29 +74,20 @@ func TestPlacementBitmapSemantics(t *testing.T) {
 	p.MarkHot(0, hotBitmapMaxRows+7)
 	p.MarkHot(1, 100)
 
-	if p.TotalHotRows() != 3 {
-		t.Fatalf("TotalHotRows = %d, want 3", p.TotalHotRows())
+	if n := len(p.HotRows(0)) + len(p.HotRows(1)); n != 3 {
+		t.Fatalf("hot rows = %d, want 3", n)
 	}
 	if p.HotBytes != 3*8*4 {
 		t.Fatalf("HotBytes = %d, want %d", p.HotBytes, 3*8*4)
 	}
-	if p.HotRowCount(0) != 2 || p.HotRowCount(1) != 1 {
-		t.Fatalf("per-table counts = %d/%d, want 2/1", p.HotRowCount(0), p.HotRowCount(1))
+	if len(p.HotRows(0)) != 2 || len(p.HotRows(1)) != 1 {
+		t.Fatalf("per-table counts = %d/%d, want 2/1", len(p.HotRows(0)), len(p.HotRows(1)))
 	}
 	if !p.IsHot(0, 3) || !p.IsHot(0, hotBitmapMaxRows+7) || !p.IsHot(1, 100) {
 		t.Fatal("marked rows must be hot")
 	}
 	if p.IsHot(0, 4) || p.IsHot(1, hotBitmapMaxRows+7) || p.IsHot(0, 100) {
 		t.Fatal("unmarked rows must be cold")
-	}
-	if p.TierOf(0, 3) != TierGPU || p.TierOf(0, 5) != TierCPU {
-		t.Fatal("TierOf mismatch")
-	}
-	if !p.InputIsPopular([][]int32{{3}, {100}}) {
-		t.Fatal("all-hot input must be popular")
-	}
-	if p.InputIsPopular([][]int32{{3}, {101}}) {
-		t.Fatal("one cold access must make the input non-popular")
 	}
 	want := []int32{3, hotBitmapMaxRows + 7}
 	got := p.HotRows(0)

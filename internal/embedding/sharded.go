@@ -9,7 +9,7 @@ import (
 // ShardedBag is the multi-node embedding-bag: a Table whose every lookup and
 // gradient push is routed through a shard.Service — each row owned by one
 // node under the service's placement policy (round-robin by default;
-// capacity-weighted and hot-row-aware partitioners move ownership without
+// capacity-weighted and hot-row-aware placements move ownership without
 // touching any math) — for device-cache simulation, all-to-all accounting
 // and, on a socket fabric, the real row traffic to the node processes.
 //

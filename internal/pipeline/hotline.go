@@ -49,13 +49,11 @@ func (h *Hotline) Iteration(w Workload) IterStats {
 	nGPU := sys.TotalGPUs()
 	ph := Breakdown{}
 
-	seg := accel.NewSegregationModel(h.Accel.Engines, h.Accel.EAL)
-
 	// Segregation of the *next* mini-batch runs on the accelerator during
 	// the current iteration; at microsecond scale it is fully hidden, so
 	// only the learning-phase sampling (5% of batches re-profiled) shows
 	// up, amortised, as overhead.
-	segTime := seg.SegregationTime(w.TotalLookups())
+	segTime := segregationTime(h.Accel.Engines, h.Accel.EAL, w.TotalLookups())
 	learnAmortised := scaleDur(segTime, h.Accel.SampleRate)
 
 	// --- popular µ-batch on GPUs, gather on accelerator, in parallel ---
@@ -84,7 +82,7 @@ func (h *Hotline) Iteration(w Workload) IterStats {
 	}
 	coldRows := scaleI64(w.TotalLookups(), coldFrac)
 	gather := cost.DMAGatherTime(sys, coldRows, w.RowBytes())
-	reducer := h.Accel.Reducer.ReduceTime(coldRows, w.Cfg.EmbedDim)
+	reducer := reduceTime(h.Accel.Reducer, coldRows, w.Cfg.EmbedDim)
 	gatherStart := sim.Time(0)
 	if h.NoOverlap {
 		gatherStart = popEnd
@@ -140,6 +138,29 @@ func (h *Hotline) Iteration(w Workload) IterStats {
 	ph[PhaseOverhead] = cost.PerIterHostOverhead + learnAmortised
 
 	return IterStats{Total: ph.Total(), Phases: ph}
+}
+
+// segregationTime prices classifying a mini-batch of totalLookups lookups
+// (batch × average lookups per input) on the accelerator and assembling the
+// two µ-batches: one cycle per issued request at the sustained issue rate —
+// the requests that go out per scheduler iteration, bounded by the engine
+// count and the EAL's bank parallelism — plus a fixed ramp of ~200 cycles
+// per mini-batch. The clock period is truncated to whole nanoseconds (2 ns
+// at 350 MHz), the period every fig/tab table is priced at.
+func segregationTime(eng accel.EngineConfig, eal accel.EALConfig, totalLookups int64) sim.Duration {
+	par := accel.ParallelRequestsPerIteration(eng.QueueSize, eal.Banks, eng.Engines, 64)
+	if par < 1 {
+		par = 1
+	}
+	cycles := float64(totalLookups)/par + 200
+	return sim.Duration(cycles * float64(sim.Duration(1e9/eng.FreqHz)))
+}
+
+// reduceTime prices pooling nRows embedding rows of dim floats into bag sums
+// on the reducer: one float add per element, ALUs elements per cycle.
+func reduceTime(r accel.ReducerConfig, nRows int64, dim int) sim.Duration {
+	cycles := float64(nRows*int64(dim)) / float64(r.ALUs)
+	return sim.Duration(cycles * 1e9 / r.FreqHz)
 }
 
 // scaleI64 multiplies an int64 by a float factor.

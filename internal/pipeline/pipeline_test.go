@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"hotline/internal/accel"
 	"hotline/internal/cost"
 	"hotline/internal/data"
 )
@@ -215,6 +216,29 @@ func TestHotlineCPUComparison(t *testing.T) {
 			t.Errorf("accelerator advantage should grow with GPUs: %.2f after %.2f", gm, prev)
 		}
 		prev = gm
+	}
+}
+
+func TestSegregationTimeFastAndMonotone(t *testing.T) {
+	eng, eal := accel.DefaultEngineConfig(), accel.DefaultEALConfig()
+	t4k := segregationTime(eng, eal, 4096*26)
+	t16k := segregationTime(eng, eal, 16384*26)
+	if t16k <= t4k {
+		t.Fatal("segregation time must grow with lookups")
+	}
+	// The accelerator must be orders of magnitude faster than the CPU's
+	// ~60ms (paper Figure 7 vs accelerator pipeline).
+	if t4k.Millis() > 1 {
+		t.Fatalf("accelerator segregation of 4K batch = %v, want < 1ms", t4k)
+	}
+}
+
+func TestReducerTime(t *testing.T) {
+	r := accel.DefaultReducerConfig()
+	t1 := reduceTime(r, 100, 64)
+	t2 := reduceTime(r, 200, 64)
+	if t2 <= t1 {
+		t.Fatal("reduce time must grow with rows")
 	}
 }
 

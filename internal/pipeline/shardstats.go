@@ -107,7 +107,7 @@ type ShardProbe struct {
 	// placement reprices its ownership weights off the effective row
 	// footprint: a node's HBM budget holds CacheBytes / WarmWidth.RowBytes
 	// rows, so narrowing the warm tier raises the rows-per-node weights
-	// the partitioner spreads ownership by.
+	// the placement spreads ownership by.
 	Quant shard.QuantMode
 }
 
@@ -151,7 +151,7 @@ func measureShard(cfg data.Config, p ShardProbe) ShardMeasurement {
 	placement := embedding.PlacementFromCounts(
 		prof.Counts(), probe.NumTables, probe.EmbedDim, data.ScaledHotBudget(probe))
 
-	part := buildPartitioner(probe, p, placement)
+	part := buildOwnership(probe, p, placement)
 	svc := shard.New(shard.Config{
 		Nodes: p.Nodes, CacheBytes: p.CacheBytes, RowBytes: int64(probe.EmbedDim) * 4,
 		Policy: p.Policy, Part: part, Quant: p.Quant,
@@ -182,7 +182,7 @@ func measureShard(cfg data.Config, p ShardProbe) ShardMeasurement {
 		Nodes:             p.Nodes,
 		CacheBytesPerNode: p.CacheBytes,
 		Policy:            p.Policy,
-		Placement:         svc.Config().Placement(),
+		Placement:         p.Placement.String(),
 		HitRate:           st.HitRate(),
 		LocalFrac:         st.LocalFrac(),
 		RemoteFrac:        st.RemoteFrac(),
@@ -200,11 +200,11 @@ func measureShard(cfg data.Config, p ShardProbe) ShardMeasurement {
 	return m
 }
 
-// buildPartitioner realises a probe's placement policy. The hot-aware
-// partitioner counts per-node requests over exactly the batches the
+// buildOwnership realises a probe's placement policy. The hot-aware
+// placement counts per-node requests over exactly the batches the
 // measurement will replay (a fresh generator yields the identical stream),
 // then pins each popular row to its dominant requester.
-func buildPartitioner(probe data.Config, p ShardProbe, hot shard.HotClassifier) shard.Partitioner {
+func buildOwnership(probe data.Config, p ShardProbe, hot shard.HotClassifier) *shard.Ownership {
 	switch p.Placement {
 	case shard.PlaceCapacity:
 		// Ownership weights derive from the real per-node HBM byte

@@ -76,9 +76,9 @@ type runResult struct {
 
 // trainRun runs the pipelined Hotline executor for m on the probe's fixed
 // stream over a sharded service with the given node count, depth and
-// partitioner. attach plugs the transport (and any recovery policy) into the
+// placement. attach plugs the transport (and any recovery policy) into the
 // fresh service; before, when non-nil, runs ahead of every training window.
-func trainRun(tb testing.TB, m *model.Model, nodes, depth int, part shard.Partitioner,
+func trainRun(tb testing.TB, m *model.Model, nodes, depth int, part *shard.Ownership,
 	attach func(*shard.Service), before func(i int)) runResult {
 	tb.Helper()
 	svc := shard.New(shard.Config{
@@ -113,7 +113,7 @@ func (s Suite) attach(tb testing.TB, svc *shard.Service, nodes int) {
 }
 
 // trainOver is trainRun over the suite's transport.
-func trainOver(tb testing.TB, s Suite, m *model.Model, nodes, depth int, part shard.Partitioner) runResult {
+func trainOver(tb testing.TB, s Suite, m *model.Model, nodes, depth int, part *shard.Ownership) runResult {
 	tb.Helper()
 	return trainRun(tb, m, nodes, depth, part, func(svc *shard.Service) { s.attach(tb, svc, nodes) }, nil)
 }
@@ -129,7 +129,7 @@ func reference(m *model.Model) (*train.HotlineTrainer, []float64) {
 
 // hotAwarePart builds the hot-aware placement from the probe's own stream
 // (every observed row pinned to its dominant requester).
-func hotAwarePart(cfg data.Config, nodes int) shard.Partitioner {
+func hotAwarePart(cfg data.Config, nodes int) *shard.Ownership {
 	rc := shard.NewRequestCounter(nodes)
 	for _, b := range probeBatches(cfg) {
 		for t := range b.Sparse {
@@ -161,7 +161,7 @@ func Run(t *testing.T, s Suite) {
 				for _, depth := range g.depths {
 					for _, placement := range g.placements {
 						t.Run(g.prefix+formatCell(nodes, depth, placement), func(t *testing.T) {
-							var part shard.Partitioner
+							var part *shard.Ownership
 							if placement == "hot" {
 								part = hotAwarePart(cfg, nodes)
 							}

@@ -92,7 +92,7 @@ func resilientFabric(tb testing.TB, network string, nodes int, retry shard.Retry
 // trainChaos is trainRun against a local fabric: same probe stream, same
 // executor, with the schedule applied once per training window and the
 // recovery policy armed.
-func trainChaos(tb testing.TB, network string, nodes, depth int, part shard.Partitioner,
+func trainChaos(tb testing.TB, network string, nodes, depth int, part *shard.Ownership,
 	policy shard.RecoveryPolicy, retry shard.RetryConfig, sched chaos.Schedule) runResult {
 	tb.Helper()
 	fab, rt := resilientFabric(tb, network, nodes, retry)
@@ -133,7 +133,7 @@ func RunRecovery(t *testing.T, network string) {
 				for _, placement := range []string{"rr", "hot"} {
 					nodes, depth, placement := nodes, depth, placement
 					t.Run(formatCell(nodes, depth, placement), func(t *testing.T) {
-						var part shard.Partitioner
+						var part *shard.Ownership
 						if placement == "hot" {
 							part = hotAwarePart(cfg, nodes)
 						}
@@ -158,7 +158,7 @@ func RunRecovery(t *testing.T, network string) {
 				for _, placement := range []string{"rr", "hot"} {
 					nodes, depth, placement := nodes, depth, placement
 					t.Run(formatCell(nodes, depth, placement), func(t *testing.T) {
-						var part shard.Partitioner
+						var part *shard.Ownership
 						if placement == "hot" {
 							part = hotAwarePart(cfg, nodes)
 						}

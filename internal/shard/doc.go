@@ -18,13 +18,14 @@
 // streams against real cache state.
 //
 // Topology model: samples are dealt round-robin to nodes by batch position
-// (NodeOf), and row ownership is a Partitioner — round-robin (row r of
-// every table lives on node r mod N, the default), capacity-weighted
-// (proportional to per-node capacity; NewCapacityWeightedHBM derives the
-// weights from real per-node HBM byte budgets), or hot-row-aware
-// (RequestCounter tallies per-node request counts and HotAware pins each
-// popular row to its dominant requester, shrinking both gather and
-// gradient-scatter volume). Remote lookups first probe the requesting
+// (NodeOf), and row ownership is one Ownership value: a repeating owner
+// schedule under an optional table of pinned rows. Round-robin (row r of
+// every table lives on node r mod N, the default) is the schedule 0…N−1;
+// capacity-weighted interleaves nodes in proportion to per-node capacity
+// (NewCapacityWeightedHBM derives the weights from real per-node HBM byte
+// budgets); hot-row-aware is round-robin with each popular row pinned to
+// its dominant requester (RequestCounter tallies per-node request counts and
+// HotAware pins), shrinking both gather and gradient-scatter volume. Remote lookups first probe the requesting
 // node's device cache; misses are gathered over the fabric once per
 // iteration (intra-batch dedup) and popularity-classified rows are
 // admitted into the cache on the way through. A zero cache budget is the

@@ -5,20 +5,22 @@ import (
 	"sort"
 )
 
-// Partitioner decides which node owns each embedding row. Ownership must be
-// deterministic and total: the same (table, row) always maps to the same
-// node in [0, Nodes). It replaces the substrate's original hard-coded
-// round-robin rule, so non-uniform placements (capacity-weighted shards,
-// popular rows co-located with their dominant requesters) plug into the
-// Service's routing and traffic accounting — and, on a socket fabric, decide
-// which node process stores a row — without touching any training math.
-type Partitioner interface {
-	// Owner returns the node that owns row `row` of table `table`.
-	Owner(table int, row int32) int
-	// Nodes returns the node count the partitioner spreads rows across.
-	Nodes() int
-	// Name labels the placement policy in reports and measurement memo keys.
-	Name() string
+// Ownership decides which node owns each embedding row: a deterministic,
+// total function of (table, row) onto [0, Nodes). Non-uniform placements
+// (capacity-weighted shards, popular rows co-located with their dominant
+// requesters) plug into the Service's routing and traffic accounting — and,
+// on a socket fabric, decide which node process stores a row — without
+// touching any training math.
+//
+// Every placement is a repeating owner schedule (row r lives on
+// schedule[r mod len]) under an optional table of pinned rows: round-robin is
+// the schedule 0…N−1, capacity-weighted an interleaved one, and hot-aware is
+// round-robin with its popular rows pinned.
+type Ownership struct {
+	kind     PlacementKind
+	nodes    int
+	schedule []int32          // repeating owner pattern, interleaved for balance
+	pinned   map[uint64]int32 // hot-aware only: key(table,row) -> owner node
 }
 
 // PlacementKind names the ownership policies the substrate ships, for
@@ -46,29 +48,35 @@ func (k PlacementKind) String() string {
 	return "round-robin"
 }
 
-// --- round-robin -----------------------------------------------------------
+// Owner returns the node that owns row `row` of table `table`.
+//
+//hotline:hotpath
+func (o *Ownership) Owner(table int, row int32) int {
+	if o.pinned != nil {
+		if n, ok := o.pinned[key(table, row)]; ok {
+			return int(n)
+		}
+	}
+	return int(o.schedule[int(row)%len(o.schedule)])
+}
 
-type roundRobin struct{ nodes int }
+// Nodes returns the node count the placement spreads rows across.
+func (o *Ownership) Nodes() int { return o.nodes }
 
-// NewRoundRobin returns the uniform partitioner: row r of every table lives
-// on node r mod nodes (the substrate's original hard-coded rule).
-func NewRoundRobin(nodes int) Partitioner {
+// Kind returns the placement policy, for reports and measurement memo keys.
+func (o *Ownership) Kind() PlacementKind { return o.kind }
+
+// NewRoundRobin returns the uniform placement: row r of every table lives on
+// node r mod nodes (the substrate's original hard-coded rule).
+func NewRoundRobin(nodes int) *Ownership {
 	if nodes < 1 {
 		panic(fmt.Sprintf("shard: round-robin over %d nodes", nodes))
 	}
-	return roundRobin{nodes: nodes}
-}
-
-//hotline:hotpath
-func (p roundRobin) Owner(table int, row int32) int { return int(row) % p.nodes }
-func (p roundRobin) Nodes() int                     { return p.nodes }
-func (p roundRobin) Name() string                   { return PlaceRoundRobin.String() }
-
-// --- capacity-weighted -----------------------------------------------------
-
-type capacityWeighted struct {
-	schedule []int32 // repeating owner pattern, interleaved for balance
-	nodes    int
+	o := &Ownership{kind: PlaceRoundRobin, nodes: nodes, schedule: make([]int32, nodes)}
+	for n := range o.schedule {
+		o.schedule[n] = int32(n)
+	}
+	return o
 }
 
 // NewCapacityWeighted spreads rows in proportion to integer per-node
@@ -78,7 +86,7 @@ type capacityWeighted struct {
 // consecutive rows still spread across nodes while node n ends up with
 // weights[n]/sum of every table. A zero weight is allowed (the node owns no
 // rows but still deals samples and caches replicas).
-func NewCapacityWeighted(weights []int) Partitioner {
+func NewCapacityWeighted(weights []int) *Ownership {
 	if len(weights) == 0 {
 		panic("shard: capacity-weighted with no weights")
 	}
@@ -95,23 +103,16 @@ func NewCapacityWeighted(weights []int) Partitioner {
 	if total == 0 {
 		panic("shard: capacity-weighted with all-zero weights")
 	}
-	p := capacityWeighted{nodes: len(weights), schedule: make([]int32, 0, total)}
+	o := &Ownership{kind: PlaceCapacity, nodes: len(weights), schedule: make([]int32, 0, total)}
 	for round := 0; round < maxW; round++ {
 		for n, w := range weights {
 			if round < w {
-				p.schedule = append(p.schedule, int32(n))
+				o.schedule = append(o.schedule, int32(n))
 			}
 		}
 	}
-	return p
+	return o
 }
-
-//hotline:hotpath
-func (p capacityWeighted) Owner(table int, row int32) int {
-	return int(p.schedule[int(row)%len(p.schedule)])
-}
-func (p capacityWeighted) Nodes() int   { return p.nodes }
-func (p capacityWeighted) Name() string { return PlaceCapacity.String() }
 
 // NewCapacityWeightedHBM derives the capacity-weighted placement from real
 // per-node HBM byte budgets — each node's device-memory allowance for its
@@ -122,7 +123,7 @@ func (p capacityWeighted) Name() string { return PlaceCapacity.String() }
 // A node whose budget holds no full row gets weight zero (it owns no rows
 // but still deals samples and caches replicas); at least one budget must
 // hold a row.
-func NewCapacityWeightedHBM(hbmBytes []int64, rowBytes int64) Partitioner {
+func NewCapacityWeightedHBM(hbmBytes []int64, rowBytes int64) *Ownership {
 	if len(hbmBytes) == 0 {
 		panic("shard: capacity-weighted placement with no HBM budgets")
 	}
@@ -155,53 +156,11 @@ func gcd(a, b int) int {
 	return a
 }
 
-// --- hot-row-aware ---------------------------------------------------------
-
-// Assigned overrides ownership for an explicit set of rows and delegates
-// everything else to a base partitioner. It is the mechanism behind the
-// hot-aware placement: the overrides are the popular rows, pinned to their
-// dominant requesters, while the cold tail keeps the base layout.
-type Assigned struct {
-	base   Partitioner
-	assign map[uint64]int32 // key(table,row) -> owner node
-	name   string
-}
-
-// NewAssigned returns an empty override layer on top of base.
-func NewAssigned(base Partitioner, name string) *Assigned {
-	return &Assigned{base: base, assign: make(map[uint64]int32), name: name}
-}
-
-// Assign pins (table, row) to node. Later assignments overwrite earlier ones.
-func (a *Assigned) Assign(table int, row int32, node int) {
-	if node < 0 || node >= a.base.Nodes() {
-		panic(fmt.Sprintf("shard: assign row to node %d of %d", node, a.base.Nodes()))
-	}
-	a.assign[key(table, row)] = int32(node)
-}
-
-// Overrides returns how many rows carry explicit ownership.
-func (a *Assigned) Overrides() int { return len(a.assign) }
-
-// Owner implements Partitioner.
-func (a *Assigned) Owner(table int, row int32) int {
-	if n, ok := a.assign[key(table, row)]; ok {
-		return int(n)
-	}
-	return a.base.Owner(table, row)
-}
-
-// Nodes implements Partitioner.
-func (a *Assigned) Nodes() int { return a.base.Nodes() }
-
-// Name implements Partitioner.
-func (a *Assigned) Name() string { return a.name }
-
 // RequestCounter tallies, per (table, row), how often each node requests the
 // row, with samples dealt to nodes round-robin by batch position exactly
 // like Service.NodeOf. Feed it the access stream the placement should
 // optimise for (the learning-phase profile), then build the hot-aware
-// partitioner from the tallies.
+// placement from the tallies.
 type RequestCounter struct {
 	nodes  int
 	counts map[uint64][]int64 // key(table,row) -> per-node request counts
@@ -238,12 +197,12 @@ func (rc *RequestCounter) Observe(table int, indices [][]int32) {
 // for each popular row becomes local and its gather and gradient-scatter
 // messages disappear. Rows the classifier rejects — and rows never observed
 // — keep the round-robin fallback. A nil classifier pins every observed row.
-func (rc *RequestCounter) HotAware(hot HotClassifier) Partitioner {
-	a := NewAssigned(NewRoundRobin(rc.nodes), PlaceHotAware.String())
+func (rc *RequestCounter) HotAware(hot HotClassifier) *Ownership {
+	o := NewRoundRobin(rc.nodes)
+	o.kind, o.pinned = PlaceHotAware, make(map[uint64]int32)
 	// Sorted key walk: map iteration order must not leak into anything
-	// observable (Assign is last-writer-wins per distinct key, but a
-	// deterministic walk keeps the build reproducible under -race and easy
-	// to debug).
+	// observable (each key is pinned once, but a deterministic walk keeps
+	// the build reproducible under -race and easy to debug).
 	keys := make([]uint64, 0, len(rc.counts))
 	for k := range rc.counts {
 		keys = append(keys, k)
@@ -260,7 +219,7 @@ func (rc *RequestCounter) HotAware(hot HotClassifier) Partitioner {
 				best = n
 			}
 		}
-		a.Assign(table, row, best)
+		o.pinned[k] = int32(best)
 	}
-	return a
+	return o
 }

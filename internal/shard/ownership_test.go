@@ -2,10 +2,10 @@ package shard
 
 import "testing"
 
-func TestRoundRobinPartitioner(t *testing.T) {
+func TestRoundRobinOwnership(t *testing.T) {
 	p := NewRoundRobin(4)
-	if p.Nodes() != 4 || p.Name() != "round-robin" {
-		t.Fatalf("round-robin identity: %d %q", p.Nodes(), p.Name())
+	if p.Nodes() != 4 || p.Kind() != PlaceRoundRobin {
+		t.Fatalf("round-robin identity: %d %v", p.Nodes(), p.Kind())
 	}
 	for r := int32(0); r < 32; r++ {
 		if p.Owner(3, r) != int(r)%4 {
@@ -53,8 +53,8 @@ func TestCapacityWeightedHBMBudgets(t *testing.T) {
 	// Real per-node HBM byte budgets: 32 KB / 16 KB / 16 KB / 8 KB at 64 B
 	// per row hold 512 / 256 / 256 / 128 rows -> weights reduce to 4:2:2:1.
 	p := NewCapacityWeightedHBM([]int64{32 << 10, 16 << 10, 16 << 10, 8 << 10}, 64)
-	if p.Nodes() != 4 || p.Name() != "capacity-weighted" {
-		t.Fatalf("identity: %d %q", p.Nodes(), p.Name())
+	if p.Nodes() != 4 || p.Kind() != PlaceCapacity {
+		t.Fatalf("identity: %d %v", p.Nodes(), p.Kind())
 	}
 	counts := make([]int, 4)
 	const rows = 9000
@@ -97,21 +97,21 @@ func TestCapacityWeightedHBMValidation(t *testing.T) {
 	}
 }
 
-func TestAssignedOverridesWithFallback(t *testing.T) {
-	a := NewAssigned(NewRoundRobin(4), "test")
-	a.Assign(0, 7, 2) // round-robin owner would be 3
-	a.Assign(1, 7, 1) // ownership is per-table
-	if got := a.Owner(0, 7); got != 2 {
-		t.Fatalf("override ignored: %d", got)
+func TestHotAwarePinsPerTableWithFallback(t *testing.T) {
+	// Row 7 (round-robin owner 3) is requested only by node 2 in table 0 and
+	// only by node 1 in table 1; row 6 is never observed.
+	rc := NewRequestCounter(4)
+	rc.Observe(0, [][]int32{nil, nil, {7}})
+	rc.Observe(1, [][]int32{nil, {7}})
+	p := rc.HotAware(nil)
+	if got := p.Owner(0, 7); got != 2 {
+		t.Fatalf("pin ignored: %d", got)
 	}
-	if got := a.Owner(1, 7); got != 1 {
-		t.Fatalf("per-table override: %d", got)
+	if got := p.Owner(1, 7); got != 1 {
+		t.Fatalf("per-table pin: %d", got)
 	}
-	if got := a.Owner(0, 6); got != 2 {
+	if got := p.Owner(0, 6); got != 2 {
 		t.Fatalf("fallback row: %d", got)
-	}
-	if a.Overrides() != 2 {
-		t.Fatalf("overrides = %d", a.Overrides())
 	}
 }
 
@@ -136,8 +136,8 @@ func TestHotAwarePinsDominantRequester(t *testing.T) {
 	if got := p.Owner(0, 9); got != 1 {
 		t.Fatalf("cold row must keep round-robin: node %d", got)
 	}
-	if p.Name() != PlaceHotAware.String() {
-		t.Fatalf("name = %q", p.Name())
+	if p.Kind() != PlaceHotAware {
+		t.Fatalf("kind = %v", p.Kind())
 	}
 }
 
@@ -159,7 +159,7 @@ func TestHotAwareReducesTrafficOnSkew(t *testing.T) {
 		return idx
 	}
 	hot := hotSet(0, 0, 1, 2, 3)
-	run := func(part Partitioner) Stats {
+	run := func(part *Ownership) Stats {
 		svc := New(Config{Nodes: nodes, CacheBytes: 0, RowBytes: 64, Part: part}, hot)
 		for it := 0; it < iters; it++ {
 			idx := stream(it)
@@ -183,9 +183,9 @@ func TestHotAwareReducesTrafficOnSkew(t *testing.T) {
 	}
 }
 
-func TestServiceRejectsMismatchedPartitioner(t *testing.T) {
+func TestServiceRejectsMismatchedOwnership(t *testing.T) {
 	cfg := Config{Nodes: 4, CacheBytes: 0, RowBytes: 64, Part: NewRoundRobin(2)}
 	if err := cfg.Validate(); err == nil {
-		t.Fatal("partitioner/node mismatch must fail validation")
+		t.Fatal("placement/node mismatch must fail validation")
 	}
 }

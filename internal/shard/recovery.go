@@ -74,7 +74,7 @@ func (st *failoverState) route(base int, row int32) int {
 // the adoption record st: the configured placement, routed around the dead.
 // Every entry is recomputed from the placement, so each adoption moves the
 // same rows to the same survivors whatever the arrays held before. The one
-// caller of Partitioner.Owner.
+// caller of Ownership.Owner.
 func (s *Service) placeOwners(own []int32, table, from int, st *failoverState) {
 	for r := from; r < len(own); r++ {
 		own[r] = int32(st.route(s.part.Owner(table, int32(r)), int32(r)))

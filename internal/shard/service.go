@@ -35,9 +35,9 @@ type Config struct {
 	// untiered cache). See QuantMode.
 	Quant QuantMode
 	// Part decides row ownership. Nil selects the round-robin baseline
-	// (row r of every table lives on node r mod Nodes); see NewRoundRobin,
-	// NewCapacityWeighted and RequestCounter.HotAware for the alternatives.
-	Part Partitioner
+	// (row r of every table lives on node r mod Nodes); NewCapacityWeighted,
+	// NewCapacityWeightedHBM and RequestCounter.HotAware build the others.
+	Part *Ownership
 }
 
 // Validate checks the configuration.
@@ -57,8 +57,8 @@ func (c Config) Validate() error {
 			c.CacheBytes, c.Quant.WarmWidth(), minRow)
 	}
 	if c.Part != nil && c.Part.Nodes() != c.Nodes {
-		return fmt.Errorf("shard: partitioner %q spreads over %d nodes, config has %d",
-			c.Part.Name(), c.Part.Nodes(), c.Nodes)
+		return fmt.Errorf("shard: %s placement spreads over %d nodes, config has %d",
+			c.Part.Kind(), c.Part.Nodes(), c.Nodes)
 	}
 	return nil
 }
@@ -76,15 +76,6 @@ func (c Config) EntryBytes(w Width) int64 { return w.RowBytes(c.Dim()) }
 // PureRemote reports whether the service runs without device caches (every
 // remote lookup crosses the fabric, no replication fill traffic).
 func (c Config) PureRemote() bool { return c.CacheBytes == 0 }
-
-// Placement returns the ownership policy name ("round-robin" for the nil
-// default).
-func (c Config) Placement() string {
-	if c.Part == nil {
-		return PlaceRoundRobin.String()
-	}
-	return c.Part.Name()
-}
 
 // Stats is a snapshot of one of a Service's two counter blocks, training
 // (Snapshot) or serve (ServeSnapshot). Every field but Nodes is a counter, a
@@ -314,7 +305,7 @@ type Service struct {
 	cfg Config
 	hot HotClassifier
 	// part is the configured placement; only placeOwners asks it.
-	part Partitioner
+	part *Ownership
 
 	// gather is the service's gather engine: it pools the windows the
 	// accounting walk plans and fetches them, inline or on its drainers.

@@ -135,7 +135,7 @@ func (s *Service) Multiproc() bool { return s.multiproc }
 
 // RegisterTable declares one sharded table's geometry and row source to the
 // fabric and sizes its routing state exactly — the dense owner array (the
-// partitioner walked once), every device cache's index, the dedup stamps — so
+// placement walked once), every device cache's index, the dedup stamps — so
 // the accounting walks never grow anything for a registered table. Windows
 // planned over it stage rows dim wide and copy them from src: the in-proc
 // fetch, the warm-tier round trip and the degraded serve read all read it, so

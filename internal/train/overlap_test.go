@@ -9,10 +9,10 @@ import (
 	"hotline/internal/shard"
 )
 
-// buildPartitioner realises one of the placements the determinism contract
+// buildOwnership realises one of the placements the determinism contract
 // covers: nil (round-robin default) or a hot-aware layout counted over the
 // test's own access stream.
-func buildPartitioner(t *testing.T, cfg data.Config, nodes, iters, batch int, hotAware bool) shard.Partitioner {
+func buildOwnership(t *testing.T, cfg data.Config, nodes, iters, batch int, hotAware bool) *shard.Ownership {
 	t.Helper()
 	if !hotAware {
 		return nil
@@ -75,7 +75,7 @@ func TestOverlapDeterminism(t *testing.T) {
 			run := func(depth int) (*model.Model, shard.Stats) {
 				svc := shard.New(shard.Config{
 					Nodes: nodes, CacheBytes: 64 << 10, RowBytes: int64(cfg.EmbedDim) * 4,
-					Part: buildPartitioner(t, cfg, nodes, iters, batch, hotAware),
+					Part: buildOwnership(t, cfg, nodes, iters, batch, hotAware),
 				}, nil)
 				tr := NewHotlineSharded(model.New(cfg, seed), 0.1, svc)
 				tr.Depth = depth
@@ -134,7 +134,7 @@ func TestPipelinedOverlapDeterminism(t *testing.T) {
 				newTrainer := func(depth int) (*HotlineTrainer, *shard.Service) {
 					svc := shard.New(shard.Config{
 						Nodes: nodes, CacheBytes: 64 << 10, RowBytes: int64(cfg.EmbedDim) * 4,
-						Part: buildPartitioner(t, cfg, nodes, iters, batch, hotAware),
+						Part: buildOwnership(t, cfg, nodes, iters, batch, hotAware),
 					}, nil)
 					tr := NewHotlineSharded(model.New(cfg, seed).SetOptimizer(rule.build), 0.1, svc)
 					tr.Depth = depth
