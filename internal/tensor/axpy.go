@@ -23,9 +23,10 @@ var inOrder = func() (sel [termBlock]int32) {
 }()
 
 // AxpyRows adds scaled rows to dst: for each q in ascending order,
-// dst[j] += float32(facs[q] * rows[q][j]) for every j. With AxpyNonZeroRows
-// it is the one micro-kernel under the GEMM family, the dense update and both
-// interaction passes. Every destination element is an independent chain — its
+// dst[j] += float32(facs[q] * rows[q][j]) for every j. It is the one
+// micro-kernel under the GEMM family and the dense update (MatMul and
+// MatMulTransA hand it only their non-zero terms, through compact). Every
+// destination element is an independent chain — its
 // products are added in list order, each rounded to float32 before its add,
 // never a fused multiply-add — so the result is bit-equal to len(rows)
 // one-term passes however many elements or terms an implementation keeps in
@@ -38,25 +39,6 @@ func AxpyRows(dst []float32, rows [][]float32, facs []float32) {
 	for len(rows) > 0 {
 		c := min(len(rows), termBlock)
 		axpySelected(dst, rows[:c], inOrder[:c], facs[:c])
-		rows, facs = rows[c:], facs[c:]
-	}
-}
-
-// AxpyNonZeroRows is AxpyRows without the terms whose factor compares equal
-// to zero, +0 or -0: they are skipped, never added (adding 0*x is not the
-// identity when x is an infinity or a NaN, or when the sum so far is -0).
-//
-//hotline:hotpath
-func AxpyNonZeroRows(dst []float32, rows [][]float32, facs []float32) {
-	var (
-		sel  [termBlock]int32
-		kept [termBlock]float32
-	)
-	facs = facs[:len(rows)]
-	for len(rows) > 0 {
-		c := min(len(rows), termBlock)
-		p := compact(&sel, &kept, facs, 0, 1, c)
-		axpySelected(dst, rows[:c], sel[:p], kept[:p])
 		rows, facs = rows[c:], facs[c:]
 	}
 }

@@ -47,3 +47,24 @@ func roundTripI8AVX2(dst, src *float32, n int, inv, scale float32)
 //
 //go:noescape
 func prefetchLines(p *float32, n int)
+
+// dotLanesAVX2 is DotLanes for pairs >= 1 blocks of comps >= 1 rows; the
+// caller has checked every length it reads and writes.
+//
+//go:noescape
+func dotLanesAVX2(dst, a, b *float32, stride, pairs, comps int)
+
+// axpyLanesAVX2 is AxpyLanes for rows >= 1 rows of dst and terms >= 1 terms,
+// start nil for +0. It reports false, leaving dst partly updated, when an
+// at[u] is outside [0, nfacs); it reads and writes nothing outside the
+// slices it was handed.
+//
+//go:noescape
+func axpyLanesAVX2(dst, start *float32, rows int, x *float32, stride int, facs *float32, nfacs int, at *int32, terms int) bool
+
+// transpose8AVX2 is TransposeBlock for a block of rowTiles >= 1 by colTiles
+// >= 1 whole 8x8 tiles; the caller has checked every length it reads and
+// writes.
+//
+//go:noescape
+func transpose8AVX2(dst *float32, dstStride int, src *float32, srcStride int, rowTiles, colTiles int)

@@ -641,3 +641,402 @@ line:
 	CMPQ       AX, CX
 	JB         line
 	RET
+
+// DOT is acc += round(a * b) in eight lanes, a in Y8: the product is rounded
+// to float32 by VMULPS before VADDPS adds it, as in MAC.
+#define DOT(b, acc) \
+	VMULPS b, Y8, Y9 \
+	VADDPS Y9, acc, acc
+
+// func dotLanesAVX2(dst *float32, a *float32, b *float32, stride int, pairs int, comps int)
+//
+// DotLanes for pairs > 0 blocks of comps > 0 rows: eight blocks at a time,
+// then the one to seven left over. A row of a is loaded once and multiplied
+// by the same row of every block of the tile; each accumulator is one
+// block's eight chains, started from +0 and fed its rows in order.
+//
+// DI dst, R10 a, BX the tile's first block of b, R8 stride and R12 three
+// strides in bytes, DX the blocks left, R11 comps; in a tile's loop SI the
+// current row of a, AX the same row of the tile's first block and R9 of its
+// fifth, CX the rows left, Y8 a's row, Y9 a product, Y0-Y7 the accumulators.
+// A block past the last is never read: R9 may point beyond b.
+TEXT ·dotLanesAVX2(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), R10
+	MOVQ b+16(FP), BX
+	MOVQ stride+24(FP), R8
+	MOVQ pairs+32(FP), DX
+	MOVQ comps+40(FP), R11
+	SHLQ $2, R8
+	LEAQ (R8)(R8*2), R12
+
+dottile:
+	CMPQ   DX, $8
+	JLT    dotrest
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	MOVQ   R10, SI
+	MOVQ   BX, AX
+	LEAQ   (BX)(R8*4), R9
+	MOVQ   R11, CX
+
+dot8:
+	VMOVUPS (SI), Y8
+	DOT((AX), Y0)
+	DOT((AX)(R8*1), Y1)
+	DOT((AX)(R8*2), Y2)
+	DOT((AX)(R12*1), Y3)
+	DOT((R9), Y4)
+	DOT((R9)(R8*1), Y5)
+	DOT((R9)(R8*2), Y6)
+	DOT((R9)(R12*1), Y7)
+	ADDQ    $32, SI
+	ADDQ    $32, AX
+	ADDQ    $32, R9
+	DECQ    CX
+	JNZ     dot8
+	VMOVUPS Y0, 0(DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	VMOVUPS Y4, 128(DI)
+	VMOVUPS Y5, 160(DI)
+	VMOVUPS Y6, 192(DI)
+	VMOVUPS Y7, 224(DI)
+	ADDQ    $256, DI
+	LEAQ    (BX)(R8*8), BX
+	SUBQ    $8, DX
+	JMP     dottile
+
+dotrest:
+	// One to seven blocks: the same loop, leaving it after the DX-th
+	// accumulator (the same branch every row, so it predicts).
+	TESTQ  DX, DX
+	JZ     dotdone
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	MOVQ   R10, SI
+	MOVQ   BX, AX
+	LEAQ   (BX)(R8*4), R9
+	MOVQ   R11, CX
+
+dotn:
+	VMOVUPS (SI), Y8
+	DOT((AX), Y0)
+	CMPQ    DX, $2
+	JLT     dotnext
+	DOT((AX)(R8*1), Y1)
+	CMPQ    DX, $3
+	JLT     dotnext
+	DOT((AX)(R8*2), Y2)
+	CMPQ    DX, $4
+	JLT     dotnext
+	DOT((AX)(R12*1), Y3)
+	CMPQ    DX, $5
+	JLT     dotnext
+	DOT((R9), Y4)
+	CMPQ    DX, $6
+	JLT     dotnext
+	DOT((R9)(R8*1), Y5)
+	CMPQ    DX, $7
+	JLT     dotnext
+	DOT((R9)(R8*2), Y6)
+
+dotnext:
+	ADDQ    $32, SI
+	ADDQ    $32, AX
+	ADDQ    $32, R9
+	DECQ    CX
+	JNZ     dotn
+	VMOVUPS Y0, 0(DI)
+	CMPQ    DX, $2
+	JLT     dotdone
+	VMOVUPS Y1, 32(DI)
+	CMPQ    DX, $3
+	JLT     dotdone
+	VMOVUPS Y2, 64(DI)
+	CMPQ    DX, $4
+	JLT     dotdone
+	VMOVUPS Y3, 96(DI)
+	CMPQ    DX, $5
+	JLT     dotdone
+	VMOVUPS Y4, 128(DI)
+	CMPQ    DX, $6
+	JLT     dotdone
+	VMOVUPS Y5, 160(DI)
+	CMPQ    DX, $7
+	JLT     dotdone
+	VMOVUPS Y6, 192(DI)
+
+dotdone:
+	VZEROUPPER
+	RET
+
+// FACTOR loads the next term's factor row into Y8, the lanes whose factor
+// compares equal to zero (+0 or -0; never a NaN) as a mask into Y10 and as
+// bits into DX. A factor row outside facs ends the call before it is read.
+#define FACTOR \
+	MOVLQSX   (R12)(BX*4), DX \
+	CMPQ      DX, R13         \
+	JAE       lanebad         \
+	SHLQ      $5, DX          \
+	VMOVUPS   (R10)(DX*1), Y8 \
+	VCMPPS    $0, Y11, Y8, Y10 \
+	VMOVMSKPS Y10, DX
+
+// LMAC is acc += round(factor * x) in eight lanes, as MAC with the factor
+// row in Y8 in place of one broadcast factor.
+#define LMAC(off, acc) \
+	VMULPS off(SI), Y8, Y9 \
+	VADDPS Y9, acc, acc
+
+// LSEL is LMAC with -0 (Y12) selected in place of the product in the lanes
+// Y10 marks: a zero factor's lane adds -0, which leaves every value as it
+// is, where multiplying by the zero could make a NaN or turn -0 into +0.
+#define LSEL(off, acc) \
+	VMULPS    off(SI), Y8, Y9  \
+	VBLENDVPS Y10, Y12, Y9, Y9 \
+	VADDPS    Y9, acc, acc
+
+// func axpyLanesAVX2(dst *float32, start *float32, rows int, x *float32, stride int, facs *float32, nfacs int, at *int32, terms int) bool
+//
+// AxpyLanes for rows > 0 rows of dst and terms > 0 terms: dst is cut into
+// tiles of eight rows, then single rows; a tile is loaded from start (or is
+// +0 when start is nil) and stays in registers while every term is added to
+// it, in order, then is stored to dst. A term whose eight factors are all
+// zero is skipped, one with none zero takes the plain products, and the rest
+// select -0 in their zero lanes. Returns false, with dst partly updated, on
+// meeting an at[u] outside [0, nfacs).
+//
+// DI the current tile of dst, AX the same tile of start (0 throughout when
+// start is nil), CX the rows not yet done, R9 the tile in x's first block,
+// R8 stride in bytes, R10 facs, R13 nfacs, R12 the end of at, R11 minus the
+// term count, BX the same counting up to zero through one tile's terms, SI
+// the tile in the current term's block; Y8 the factor row, Y10 its zero
+// lanes, Y11 +0 and Y12 -0 in every lane, Y0-Y7 the tile.
+TEXT ·axpyLanesAVX2(SB), NOSPLIT, $0-73
+	MOVQ     dst+0(FP), DI
+	MOVQ     start+8(FP), AX
+	MOVQ     rows+16(FP), CX
+	MOVQ     x+24(FP), R9
+	MOVQ     stride+32(FP), R8
+	MOVQ     facs+40(FP), R10
+	MOVQ     nfacs+48(FP), R13
+	MOVQ     at+56(FP), R12
+	MOVQ     terms+64(FP), R11
+	SHLQ     $2, R8
+	LEAQ     (R12)(R11*4), R12
+	NEGQ     R11
+	VXORPS   Y11, Y11, Y11
+	VPCMPEQD Y12, Y12, Y12
+	VPSLLD   $31, Y12, Y12
+
+lanetile:
+	CMPQ    CX, $8
+	JLT     lanerow
+	VXORPS  Y0, Y0, Y0
+	VXORPS  Y1, Y1, Y1
+	VXORPS  Y2, Y2, Y2
+	VXORPS  Y3, Y3, Y3
+	VXORPS  Y4, Y4, Y4
+	VXORPS  Y5, Y5, Y5
+	VXORPS  Y6, Y6, Y6
+	VXORPS  Y7, Y7, Y7
+	TESTQ   AX, AX
+	JZ      lanestart
+	VMOVUPS 0(AX), Y0
+	VMOVUPS 32(AX), Y1
+	VMOVUPS 64(AX), Y2
+	VMOVUPS 96(AX), Y3
+	VMOVUPS 128(AX), Y4
+	VMOVUPS 160(AX), Y5
+	VMOVUPS 192(AX), Y6
+	VMOVUPS 224(AX), Y7
+	ADDQ    $256, AX
+
+lanestart:
+	MOVQ R9, SI
+	MOVQ R11, BX
+
+laneterm:
+	FACTOR
+	CMPL  DX, $0xff
+	JEQ   lanenext
+	TESTL DX, DX
+	JNZ   lanemixed
+	LMAC(0, Y0)
+	LMAC(32, Y1)
+	LMAC(64, Y2)
+	LMAC(96, Y3)
+	LMAC(128, Y4)
+	LMAC(160, Y5)
+	LMAC(192, Y6)
+	LMAC(224, Y7)
+	JMP   lanenext
+
+lanemixed:
+	LSEL(0, Y0)
+	LSEL(32, Y1)
+	LSEL(64, Y2)
+	LSEL(96, Y3)
+	LSEL(128, Y4)
+	LSEL(160, Y5)
+	LSEL(192, Y6)
+	LSEL(224, Y7)
+
+lanenext:
+	ADDQ    R8, SI
+	INCQ    BX
+	JNZ     laneterm
+	VMOVUPS Y0, 0(DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	VMOVUPS Y4, 128(DI)
+	VMOVUPS Y5, 160(DI)
+	VMOVUPS Y6, 192(DI)
+	VMOVUPS Y7, 224(DI)
+	ADDQ    $256, DI
+	ADDQ    $256, R9
+	SUBQ    $8, CX
+	JMP     lanetile
+
+lanerow:
+	// One to seven rows, one at a time; the select of no lanes is the
+	// plain product, so every term that is not all zero takes it.
+	TESTQ   CX, CX
+	JZ      laneok
+	VXORPS  Y0, Y0, Y0
+	TESTQ   AX, AX
+	JZ      rowstart
+	VMOVUPS (AX), Y0
+	ADDQ    $32, AX
+
+rowstart:
+	MOVQ R9, SI
+	MOVQ R11, BX
+
+rowterm:
+	FACTOR
+	CMPL DX, $0xff
+	JEQ  rownext
+	LSEL(0, Y0)
+
+rownext:
+	ADDQ    R8, SI
+	INCQ    BX
+	JNZ     rowterm
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, R9
+	DECQ    CX
+	JMP     lanerow
+
+laneok:
+	VZEROUPPER
+	MOVB $1, ret+72(FP)
+	RET
+
+lanebad:
+	VZEROUPPER
+	MOVB $0, ret+72(FP)
+	RET
+
+// TR4 transposes the 4x4 block in each 128-bit half of a, b, c, d (a row
+// each) in place, through t0-t3: VUNPCKLPS/VUNPCKHPS interleave the rows
+// pairwise; then for each pair of result rows one VSHUFPS swaps the middle
+// of the two interleaved rows and two VBLENDPS pick the halves, which keeps
+// two of the shuffle port's four steps on the blend ports.
+#define TR4(a, b, c, d, t0, t1, t2, t3) \
+	VUNPCKLPS b, a, t0          \
+	VUNPCKHPS b, a, t1          \
+	VUNPCKLPS d, c, t2          \
+	VUNPCKHPS d, c, t3          \
+	VSHUFPS   $0x4e, t2, t0, b \
+	VBLENDPS  $0xcc, b, t0, a  \
+	VBLENDPS  $0xcc, t2, b, b  \
+	VSHUFPS   $0x4e, t3, t1, d \
+	VBLENDPS  $0xcc, d, t1, c  \
+	VBLENDPS  $0xcc, t3, d, d
+
+// func transpose8AVX2(dst *float32, dstStride int, src *float32, srcStride int, rowTiles, colTiles int)
+//
+// TransposeBlock's body for a block of rowTiles x colTiles whole 8x8 tiles:
+// tile (r, k) is rows 8r to 8r+7 of src from column 8k, written as rows 8k
+// to 8k+7 of dst from column 8r. Each register is loaded with four columns
+// of a row j in its low half and of row j+4 in its high half, so the
+// in-half 4x4 transposes leave every register holding one whole row of the
+// result and no shuffle crosses the halves.
+//
+// SI and BX src's rows 0 and 4 of the tile, R9 srcStride and R11 three of
+// it in bytes; DI and DX dst's rows 0 and 4 of the tile, R8 dstStride and
+// R10 three of it in bytes; CX the tiles left in the strip, R12 the strips
+// left; AX and R13 the strip's start in src and in dst.
+TEXT ·transpose8AVX2(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ dstStride+8(FP), R8
+	MOVQ src+16(FP), SI
+	MOVQ srcStride+24(FP), R9
+	MOVQ rowTiles+32(FP), R12
+	SHLQ $2, R8
+	SHLQ $2, R9
+	LEAQ (R8)(R8*2), R10
+	LEAQ (R9)(R9*2), R11
+
+trstrip:
+	MOVQ colTiles+40(FP), CX
+	MOVQ SI, AX
+	MOVQ DI, R13
+	LEAQ (SI)(R9*4), BX
+	LEAQ (DI)(R8*4), DX
+
+tr8:
+	VMOVUPS     (SI), X0
+	VINSERTF128 $1, (BX), Y0, Y0
+	VMOVUPS     (SI)(R9*1), X1
+	VINSERTF128 $1, (BX)(R9*1), Y1, Y1
+	VMOVUPS     (SI)(R9*2), X2
+	VINSERTF128 $1, (BX)(R9*2), Y2, Y2
+	VMOVUPS     (SI)(R11*1), X3
+	VINSERTF128 $1, (BX)(R11*1), Y3, Y3
+	VMOVUPS     16(SI), X4
+	VINSERTF128 $1, 16(BX), Y4, Y4
+	VMOVUPS     16(SI)(R9*1), X5
+	VINSERTF128 $1, 16(BX)(R9*1), Y5, Y5
+	VMOVUPS     16(SI)(R9*2), X6
+	VINSERTF128 $1, 16(BX)(R9*2), Y6, Y6
+	VMOVUPS     16(SI)(R11*1), X7
+	VINSERTF128 $1, 16(BX)(R11*1), Y7, Y7
+	TR4(Y0, Y1, Y2, Y3, Y8, Y9, Y10, Y11)
+	TR4(Y4, Y5, Y6, Y7, Y12, Y13, Y14, Y15)
+	VMOVUPS     Y0, (DI)
+	VMOVUPS     Y1, (DI)(R8*1)
+	VMOVUPS     Y2, (DI)(R8*2)
+	VMOVUPS     Y3, (DI)(R10*1)
+	VMOVUPS     Y4, (DX)
+	VMOVUPS     Y5, (DX)(R8*1)
+	VMOVUPS     Y6, (DX)(R8*2)
+	VMOVUPS     Y7, (DX)(R10*1)
+	ADDQ        $32, SI
+	ADDQ        $32, BX
+	LEAQ        (DI)(R8*8), DI
+	LEAQ        (DX)(R8*8), DX
+	DECQ        CX
+	JNZ         tr8
+	LEAQ        (AX)(R9*8), SI
+	LEAQ        32(R13), DI
+	DECQ        R12
+	JNZ         trstrip
+	VZEROUPPER
+	RET

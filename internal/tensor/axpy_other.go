@@ -27,3 +27,15 @@ func roundTripI8AVX2(dst, src *float32, n int, inv, scale float32) {
 func prefetchLines(p *float32, n int) {
 	panic("tensor: no vector kernel on this architecture")
 }
+
+func dotLanesAVX2(dst, a, b *float32, stride, pairs, comps int) {
+	panic("tensor: no vector kernel on this architecture")
+}
+
+func axpyLanesAVX2(dst, start *float32, rows int, x *float32, stride int, facs *float32, nfacs int, at *int32, terms int) bool {
+	panic("tensor: no vector kernel on this architecture")
+}
+
+func transpose8AVX2(dst *float32, dstStride int, src *float32, srcStride int, rowTiles, colTiles int) {
+	panic("tensor: no vector kernel on this architecture")
+}

@@ -95,14 +95,16 @@ func sameBits(a, b float32) bool {
 	return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b)
 }
 
-// TestVectorKernelsMatchGeneric runs AxpyRows, AxpyNonZeroRows, AddRows and
+// TestVectorKernelsMatchGeneric runs AxpyRows, AddRows and
 // AxpyIntoRows on the vector kernel and on the generic loops and compares every
 // bit: destination
 // lengths 0-67 (empty, below one vector, whole vectors, every tail),
 // destination and sources starting at every offset 0-7 of their buffers
 // (unaligned on purpose), sources longer than the destination, 0-9 terms and
 // the counts around the block boundary. A canary element on either side of
-// the destination proves that neither path writes outside it.
+// the destination proves that neither path writes outside it. The lane
+// bodies (DotLanes, AxpyLanes) and TransposeBlock follow, each over its own
+// shapes.
 func TestVectorKernelsMatchGeneric(t *testing.T) {
 	if !hasAVX2() {
 		t.Skip("no AVX2 on this machine: the generic loops are the only path")
@@ -125,7 +127,7 @@ func TestVectorKernelsMatchGeneric(t *testing.T) {
 		name string
 		fn   func(dst []float32, rows [][]float32, facs []float32)
 	}{
-		{"AxpyRows", AxpyRows}, {"AxpyNonZeroRows", AxpyNonZeroRows},
+		{"AxpyRows", AxpyRows},
 		{"AddRows", func(dst []float32, rows [][]float32, _ []float32) { AddRows(dst, rows) }},
 	}
 	for _, terms := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, termBlock - 1, termBlock, termBlock + 1, 2*termBlock + 1} {
@@ -234,6 +236,185 @@ func TestVectorKernelsMatchGeneric(t *testing.T) {
 			}
 		}
 	}
+
+	// run calls fn on a copy of dst on each path and fails unless both
+	// leave the same bits, with a canary on either side of dst untouched.
+	run := func(what string, dst []float32, fn func(dst []float32)) {
+		t.Helper()
+		var got [2][]float32
+		for path, vector := range []bool{false, true} {
+			got[path] = append(append([]float32{canary}, dst...), canary)
+			vectorKernel = vector
+			fn(got[path][1 : 1+len(dst)])
+		}
+		for j := range got[0] {
+			if !sameBits(got[0][j], got[1][j]) {
+				t.Fatalf("%s: element %d is %x on the vector kernel, %x on the generic loops",
+					what, j-1, math.Float32bits(got[1][j]), math.Float32bits(got[0][j]))
+			}
+		}
+		if got[1][0] != canary || got[1][len(dst)+1] != canary {
+			t.Fatalf("%s: the vector kernel wrote outside dst", what)
+		}
+	}
+	fill := func(n int) []float32 {
+		buf := make([]float32, n)
+		for j := range buf {
+			buf[j] = draw()
+		}
+		return buf
+	}
+
+	// DotLanes: 0-17 blocks (a whole tile of eight and every remainder on
+	// either side of it) of 0-17 rows, blocks a row or two further apart
+	// than they are long.
+	for pairs := 0; pairs <= 17; pairs++ {
+		for comps := 0; comps <= 17; comps++ {
+			wild = !wild
+			stride := Lanes * (comps + pairs%3)
+			a, b := fill(Lanes*comps), fill(max(0, (pairs-1)*stride+Lanes*comps))
+			run(fmt.Sprintf("DotLanes pairs=%d comps=%d", pairs, comps), fill(Lanes*pairs),
+				func(dst []float32) { DotLanes(dst, a, b, stride, pairs, comps) })
+		}
+	}
+
+	// AxpyLanes: 1-8 live lanes (the lanes past them have zero factors, as a
+	// partial group's do), 0-9 terms, 0-17 rows (a tile of eight and every
+	// tail on either side of it), factor rows listed in any order, twice,
+	// and a row of zeros; chains started from +0, from dst itself and from
+	// a block of their own.
+	for live := 1; live <= Lanes; live++ {
+		for terms := 0; terms <= 9; terms++ {
+			for rows := 0; rows <= 17; rows++ {
+				wild = !wild
+				nfacs := terms + 2
+				facs := fill(Lanes * nfacs)
+				for r := range nfacs {
+					clear(facs[Lanes*r+live : Lanes*(r+1)])
+				}
+				clear(facs[Lanes*(nfacs-1):])
+				at := make([]int32, terms)
+				for u := range at {
+					at[u] = int32(rng.Intn(nfacs))
+				}
+				stride := Lanes * (rows + terms%2)
+				x := fill(max(0, (terms-1)*stride+Lanes*rows))
+				start := fill(Lanes * rows)
+				for from, name := range []string{"+0", "dst", "start"} {
+					run(fmt.Sprintf("AxpyLanes live=%d terms=%d rows=%d at=%v from %s", live, terms, rows, at, name), fill(Lanes*rows),
+						func(dst []float32) { AxpyLanes(dst, [][]float32{nil, dst, start}[from], x, stride, facs, at) })
+				}
+			}
+		}
+	}
+
+	// TransposeBlock: 0-17 rows and columns (whole 8x8 tiles and every edge
+	// beside them) between strides one or three wider than the block.
+	for rows := 0; rows <= 17; rows++ {
+		for cols := 0; cols <= 17; cols++ {
+			wild = !wild
+			srcStride, dstStride := cols+1, rows+3
+			src := fill(max(0, (rows-1)*srcStride+cols))
+			run(fmt.Sprintf("TransposeBlock %dx%d", rows, cols), fill(max(0, (cols-1)*dstStride+rows)),
+				func(dst []float32) { TransposeBlock(dst, dstStride, src, srcStride, rows, cols) })
+		}
+	}
+}
+
+// TestLaneBodiesMatchScalarReference pins what the generic lane loops compute
+// against plain scalar chains (the bodies are compared with those loops
+// above): DotLanes is one dot product per lane from +0, AxpyLanes one
+// gradient chain per lane whose zero factors add nothing, TransposeBlock
+// the transpose. Run on both paths.
+func TestLaneBodiesMatchScalarReference(t *testing.T) {
+	onBothPaths(t, func(t *testing.T) {
+		rng := NewRNG(23)
+		const pairs, comps, terms = 11, 9, 5
+		a, b := benchOperand(1, Lanes*comps, false, rng).Data, benchOperand(pairs, Lanes*comps, false, rng).Data
+		dst := make([]float32, Lanes*pairs)
+		DotLanes(dst, a, b, Lanes*comps, pairs, comps)
+		for k := range pairs {
+			for l := range Lanes {
+				var want float32
+				for c := range comps {
+					want += float32(a[Lanes*c+l] * b[Lanes*(k*comps+c)+l])
+				}
+				if math.Float32bits(dst[Lanes*k+l]) != math.Float32bits(want) {
+					t.Fatalf("DotLanes block %d lane %d = %v, scalar chain %v", k, l, dst[Lanes*k+l], want)
+				}
+			}
+		}
+
+		negZero := float32(math.Copysign(0, -1))
+		inf := float32(math.Inf(1))
+		facs := []float32{0, negZero, 2, 0, -1, 0.5, 0, 3} // one factor row
+		x := benchOperand(terms, Lanes*comps, false, rng).Data
+		x[1] = inf // lane 1 of term 0 meets a -0 factor
+		start := make([]float32, Lanes*comps)
+		start[0] = negZero // lane 0 has only zero factors: stays -0
+		got := make([]float32, len(start))
+		AxpyLanes(got, start, x, Lanes*comps, facs, make([]int32, terms))
+		for c := range comps {
+			for l := range Lanes {
+				want := start[Lanes*c+l]
+				for u := range terms {
+					if facs[l] != 0 {
+						want += float32(facs[l] * x[Lanes*(u*comps+c)+l])
+					}
+				}
+				if math.Float32bits(got[Lanes*c+l]) != math.Float32bits(want) {
+					t.Fatalf("AxpyLanes row %d lane %d = %x, scalar chain %x", c, l, math.Float32bits(got[Lanes*c+l]), math.Float32bits(want))
+				}
+			}
+		}
+
+		src := benchOperand(13, 19, false, rng)
+		tr := New(19, 13)
+		TransposeBlock(tr.Data, 13, src.Data, 19, 13, 19)
+		if at, ok := bitsEqual(Transpose(src), tr); !ok {
+			t.Fatalf("TransposeBlock element %d differs from the transpose", at)
+		}
+	})
+}
+
+// TestLaneBodiesRejectBadShapes: a block list shorter than the call needs, a
+// factor row that facs does not have and a transpose that does not fit its
+// destination are caller bugs, reported as a panic before the kernel reads
+// or writes past a slice, on both paths.
+func TestLaneBodiesRejectBadShapes(t *testing.T) {
+	cases := map[string]func(){
+		"DotLanes short b":   func() { DotLanes(make([]float32, 16), make([]float32, 24), make([]float32, 47), 24, 2, 3) },
+		"DotLanes short dst": func() { DotLanes(make([]float32, 15), make([]float32, 24), make([]float32, 48), 24, 2, 3) },
+		"AxpyLanes short x": func() {
+			AxpyLanes(make([]float32, 16), nil, make([]float32, 31), 16, make([]float32, 8), []int32{0, 0})
+		},
+		"AxpyLanes ragged dst": func() {
+			AxpyLanes(make([]float32, 12), nil, make([]float32, 32), 16, make([]float32, 8), []int32{0, 0})
+		},
+		"AxpyLanes short start": func() {
+			AxpyLanes(make([]float32, 16), make([]float32, 8), make([]float32, 32), 16, make([]float32, 8), []int32{0, 0})
+		},
+		"AxpyLanes row past facs": func() {
+			AxpyLanes(make([]float32, 16), nil, make([]float32, 32), 16, make([]float32, 16), []int32{0, 2})
+		},
+		"AxpyLanes negative row": func() {
+			AxpyLanes(make([]float32, 16), nil, make([]float32, 32), 16, make([]float32, 16), []int32{-1, 0})
+		},
+		"TransposeBlock short dst": func() { TransposeBlock(make([]float32, 63), 8, make([]float32, 64), 8, 8, 8) },
+		"TransposeBlock short src": func() { TransposeBlock(make([]float32, 64), 8, make([]float32, 63), 8, 8, 8) },
+	}
+	onBothPaths(t, func(t *testing.T) {
+		for name, call := range cases {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: no panic", name)
+					}
+				}()
+				call()
+			}()
+		}
+	})
 }
 
 // TestAxpyIntoRowsRejectsRowOutsideDst: a listed row that dst does not have

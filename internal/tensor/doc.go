@@ -5,11 +5,11 @@
 // element-wise products and updates, bias broadcast, and a seeded RNG for reproducible
 // initialisation. Everything operates on row-major Matrix values.
 //
-// The GEMM family, the dense update and nn.DotInteraction run on one
-// micro-kernel: AxpyRows adds a list of scaled source rows to one destination
-// row, and AxpyNonZeroRows is the same without the terms whose factor is
-// zero. The embedding bag runs on two siblings of it in the same file:
-// AddRows is AxpyRows with every factor 1 and no multiply (the pooled sum
+// The GEMM family and the dense update run on one micro-kernel: AxpyRows
+// adds a list of scaled source rows to one destination row (MatMul and
+// MatMulTransA hand it only the terms whose factor is not zero). The
+// embedding bag runs on two siblings of it in the same file: AddRows is
+// AxpyRows with every factor 1 and no multiply (the pooled sum
 // and its adjoint), and AxpyIntoRows has one destination row per term
 // instead of one for all (the sparse SGD update, with the factor -lr). On
 // amd64 with AVX2 the kernel is assembly (axpy_amd64.s): eight
@@ -43,9 +43,21 @@
 // such: MatMulTransB packs the transpose of its right operand once per call
 // and accumulates scaled rows of it, which is the dot product's own chain
 // for every output element (ascending inner index from +0, no term
-// skipped). nn.DotInteraction does the same over a per-sample transpose.
-// Blocking changes which independent elements are computed together and
-// never an element's own chain (DESIGN.md, "Determinism contract").
+// skipped). Blocking changes which independent elements are computed
+// together and never an element's own chain (DESIGN.md, "Determinism
+// contract").
+//
+// nn.DotInteraction runs on the lane bodies in lanes.go, with one sample in
+// each of the eight lanes of a vector: TransposeBlock moves a group of eight
+// samples' vectors into lane blocks and the results back out (an AVX2 8x8
+// transpose body, Go loops at the edges); DotLanes runs eight pairs' dot
+// products in eight accumulators, each lane its own sample's chain from +0
+// in ascending component; AxpyLanes runs a gradient's chains over the other
+// vectors, each lane scaled by its own sample's pair gradient and -0
+// selected in place of the product where that gradient is zero. The same
+// rules hold: VMULPS then VADDPS, never fused, the generic Go loops as the
+// only path elsewhere and the reference the assembly is tested against bit
+// for bit.
 //
 // Above a size threshold the GEMM and element-wise kernels shard their
 // independent output rows/elements across the par worker pool. Each output
