@@ -289,7 +289,7 @@ func (m *Model) Backward(gradLogits *tensor.Matrix, scale float32) {
 	}
 	gFeat := m.Top.Backward(g)
 	gInputs := m.Inter.Backward(gFeat)
-	m.Bot.Backward(gInputs[0])
+	m.Bot.BackwardParams(gInputs[0]) // the dense features take no gradient
 	for t := 0; t < m.Cfg.NumTables; t++ {
 		gEmb := gInputs[t+1]
 		if m.IsTBSM() && t == 0 {

@@ -21,6 +21,9 @@ type Optimizer interface {
 	// gradient of the rule's model at learning rate lr, then clears the
 	// stash. ApplyUpdate calls it holding the parameter lock.
 	step(lr float32)
+	// state lists the matrices the rule carries from one step to the next,
+	// in a fixed order; nil for a rule that keeps none.
+	state() []*tensor.Matrix
 }
 
 // SetOptimizer replaces m's update rule with the one build returns for it,
@@ -31,6 +34,11 @@ func (m *Model) SetOptimizer(build func(*Model) Optimizer) *Model {
 	m.opt = build(m)
 	return m
 }
+
+// RuleState returns the state m's update rule carries between steps (see
+// Optimizer): nothing under SGD, Adagrad's dense accumulators and then one
+// row accumulator per table. The matrices are the rule's own, not copies.
+func (m *Model) RuleState() []*tensor.Matrix { return m.opt.state() }
 
 // sgd is plain stochastic gradient descent, dense and sparse. It is linear
 // in the gradient, so stash entries are applied one by one.
@@ -43,6 +51,8 @@ type sgd struct {
 func NewSGD(m *Model) Optimizer {
 	return &sgd{m: m, dense: nn.NewSGD(m.DenseParams(), 0)}
 }
+
+func (r *sgd) state() []*tensor.Matrix { return nil }
 
 // step applies the stash in stash order, each entry through its table's
 // ApplySparseSGD.
@@ -78,6 +88,14 @@ func NewAdagrad(m *Model) Optimizer {
 		r.rows[t] = embedding.NewAdagradStateFor(b)
 	}
 	return r
+}
+
+func (r *adagrad) state() []*tensor.Matrix {
+	s := r.dense.Accumulators()
+	for _, rows := range r.rows {
+		s = append(s, rows.Accum)
+	}
+	return s
 }
 
 // step applies the stash as ONE adaptive update per table. Because Adagrad

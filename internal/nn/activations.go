@@ -20,16 +20,22 @@ type ReLU struct {
 // NewReLU returns a ReLU layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// reluRange computes elements [lo, hi) of max(x, 0) and the mask.
+// reluRange computes elements [lo, hi) of max(x, 0) and the mask without a
+// branch (a ReLU's input is negative about half the time, at random): the
+// output is v where 0 < v and +0 everywhere else, -0 and NaN included, and
+// the mask 1 or +0. A float32 v is greater than zero exactly when its bits
+// less one, unsigned, are below those of +Inf (+Inf itself included): the
+// sign of that difference, taken in 64 bits, keeps or clears all of v's
+// bits and those of 1.
 //
 //hotline:hotpath
 func reluRange(out, mask, x *tensor.Matrix, lo, hi int) {
-	o, mk, xd := out.Data, mask.Data, x.Data
-	for i := lo; i < hi; i++ {
-		if v := xd[i]; v > 0 {
-			o[i] = v
-			mk[i] = 1
-		}
+	o, mk, xd := out.Data[lo:hi], mask.Data[lo:hi], x.Data[lo:hi]
+	for i, v := range xd {
+		b := math.Float32bits(v)
+		keep := uint32((int64(b-1) - 0x7f800000) >> 63)
+		o[i] = math.Float32frombits(b & keep)
+		mk[i] = math.Float32frombits(0x3f800000 & keep)
 	}
 }
 
@@ -37,8 +43,8 @@ func reluRange(out, mask, x *tensor.Matrix, lo, hi int) {
 //
 //hotline:hotpath
 func (r *ReLU) Forward(x *tensor.Matrix) *tensor.Matrix {
-	out := r.out.Resize(x.Rows, x.Cols)
-	mask := r.mask.Resize(x.Rows, x.Cols)
+	out := r.out.ResizeNoZero(x.Rows, x.Cols)   // reluRange writes every cell
+	mask := r.mask.ResizeNoZero(x.Rows, x.Cols) // and every mask cell
 	if par.Serial(len(x.Data), 1) {
 		reluRange(out, mask, x, 0, len(x.Data))
 	} else {

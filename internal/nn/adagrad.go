@@ -32,6 +32,10 @@ func NewAdagrad(params []Param, lr float32) *Adagrad {
 	return a
 }
 
+// Accumulators returns a fresh list of the squared-gradient accumulators,
+// one per parameter in the order NewAdagrad was given them.
+func (a *Adagrad) Accumulators() []*tensor.Matrix { return append([]*tensor.Matrix(nil), a.accum...) }
+
 // Step applies p -= lr·g/√(G+eps) with G += g² element-wise.
 //
 //hotline:hotpath

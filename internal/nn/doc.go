@@ -7,7 +7,10 @@
 // All layers use hand-written backpropagation over internal/tensor matrices.
 // Every forward call caches what its backward pass needs; Backward must be
 // called after Forward with a gradient of the same shape as the forward
-// output, and returns the gradient with respect to the layer input.
+// output, and returns the gradient with respect to the layer input —
+// except BackwardParams on a Linear or an MLP, which accumulates the same
+// parameter gradients for a stack whose input gradient nobody reads (the
+// bottom MLP, fed by the dense features) and does not compute it.
 //
 // In the DESIGN.md layering the package sits directly above internal/tensor
 // and below internal/model, which assembles these layers into full DLRM and

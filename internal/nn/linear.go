@@ -77,6 +77,17 @@ func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
 //
 //hotline:hotpath
 func (l *Linear) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
+	l.BackwardParams(gradOut)
+	gradIn := l.gradIn.ResizeNoZero(gradOut.Rows, l.In) // MatMulTransB zeroes its destination
+	tensor.MatMulTransB(gradIn, gradOut, l.W, &l.wT)
+	return gradIn
+}
+
+// BackwardParams is Backward for a layer whose input gradient nobody reads:
+// it accumulates dW and db exactly as Backward does and computes no dx.
+//
+//hotline:hotpath
+func (l *Linear) BackwardParams(gradOut *tensor.Matrix) {
 	if l.lastInput == nil {
 		panic("nn: Linear.Backward before Forward")
 	}
@@ -84,9 +95,6 @@ func (l *Linear) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	tensor.MatMulTransA(gw, l.lastInput, gradOut)
 	tensor.AxpyInto(l.GradW, 1, gw)
 	tensor.SumRowsInto(l.GradB.Data, gradOut)
-	gradIn := l.gradIn.ResizeNoZero(gradOut.Rows, l.In) // MatMulTransB zeroes its destination
-	tensor.MatMulTransB(gradIn, gradOut, l.W, &l.wT)
-	return gradIn
 }
 
 // Params returns the weight and bias parameters.

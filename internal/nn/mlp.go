@@ -71,6 +71,19 @@ func (m *MLP) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	return gradOut
 }
 
+// BackwardParams is Backward for a stack whose input gradient nobody reads
+// (a bottom MLP fed by the dense features): every parameter gradient
+// accumulates exactly as under Backward, and the first layer computes no
+// input gradient.
+//
+//hotline:hotpath
+func (m *MLP) BackwardParams(gradOut *tensor.Matrix) {
+	for i := len(m.layers) - 1; i > 0; i-- {
+		gradOut = m.layers[i].Backward(gradOut)
+	}
+	m.layers[0].(*Linear).BackwardParams(gradOut)
+}
+
 // Params returns the parameters of every layer in order. The slice is
 // memoised (parameter and gradient storage is stable for the life of the
 // MLP), so the per-step optimizer path performs no allocations.

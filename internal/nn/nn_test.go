@@ -105,6 +105,61 @@ func TestReLU(t *testing.T) {
 	}
 }
 
+// refReLURange is the branchy loop reluRange replaced, over outputs that
+// start at +0: v and 1 where v > 0, nothing written elsewhere.
+func refReLURange(out, mask, x []float32) {
+	for i, v := range x {
+		if v > 0 {
+			out[i], mask[i] = v, 1
+		}
+	}
+}
+
+// TestReLUMatchesBranchyReference: the branch-free ReLU writes the bits the
+// branchy loop left in zeroed buffers, output and mask, for +0, -0, ±
+// denormals, ±Inf, NaNs of either sign and payload, normals and the largest
+// finite values, over ranges that start and end anywhere; and nothing
+// outside its range.
+func TestReLUMatchesBranchyReference(t *testing.T) {
+	specials := []uint32{
+		0, 0x80000000, 1, 0x80000001, 0x007fffff, 0x807fffff, 0x00800000, 0x80800000,
+		0x7f7fffff, 0xff7fffff, 0x7f800000, 0xff800000, 0x7f800001, 0xff800001, 0x7fc00000, 0xffc00000, 0x7fffffff, 0xffffffff,
+		0x3f800000, 0xbf800000,
+	}
+	rng := tensor.NewRNG(8)
+	x := tensor.New(1, 3*len(specials))
+	for i := range x.Data {
+		if i < len(specials) {
+			x.Data[i] = math.Float32frombits(specials[i])
+		} else {
+			x.Data[i] = float32(rng.NormFloat64())
+		}
+	}
+	n := len(x.Data)
+	wantOut, wantMask := make([]float32, n), make([]float32, n)
+	refReLURange(wantOut, wantMask, x.Data)
+	const canary = 12345.5
+	for lo := 0; lo <= n; lo += 7 {
+		for hi := lo; hi <= n; hi += 5 {
+			out, mask := tensor.New(1, n), tensor.New(1, n)
+			out.Fill(canary)
+			mask.Fill(canary)
+			reluRange(out, mask, x, lo, hi)
+			for i := range n {
+				wo, wm := float32(canary), float32(canary)
+				if lo <= i && i < hi {
+					wo, wm = wantOut[i], wantMask[i]
+				}
+				if math.Float32bits(out.Data[i]) != math.Float32bits(wo) || math.Float32bits(mask.Data[i]) != math.Float32bits(wm) {
+					t.Fatalf("range [%d, %d) element %d (input %08x): out %08x mask %08x, want %08x %08x", lo, hi, i,
+						math.Float32bits(x.Data[i]), math.Float32bits(out.Data[i]), math.Float32bits(mask.Data[i]),
+						math.Float32bits(wo), math.Float32bits(wm))
+				}
+			}
+		}
+	}
+}
+
 func TestSigmoidStable(t *testing.T) {
 	if v := SigmoidScalar(1000); v != 1 {
 		t.Fatalf("sigmoid(1000) = %g", v)
@@ -187,6 +242,35 @@ func TestMLPGradCheck(t *testing.T) {
 		num := numericalGrad(x, i, loss)
 		if math.Abs(num-float64(gx.Data[i])) > 1e-2*math.Max(0.05, math.Abs(num)) {
 			t.Fatalf("x grad[%d]: analytic %g numeric %g", i, gx.Data[i], num)
+		}
+	}
+}
+
+// TestMLPBackwardParamsMatchesBackward: the parameters-only backward leaves
+// every parameter gradient bit for bit where Backward leaves it, on top of
+// gradients already accumulated, for a stack with and without a final ReLU.
+func TestMLPBackwardParamsMatchesBackward(t *testing.T) {
+	for _, reluAfterLast := range []bool{false, true} {
+		rng := tensor.NewRNG(6)
+		full := NewMLP([]int{13, 24, 9}, reluAfterLast, rng)
+		params := full.Shadow()
+		x, g := tensor.New(37, 13), tensor.New(37, 9)
+		tensor.NormalInit(x, 1, rng)
+		for round := range 2 {
+			tensor.NormalInit(g, 1, rng)
+			full.Forward(x)
+			full.Backward(g)
+			params.Forward(x)
+			params.BackwardParams(g)
+			for i, p := range full.Params() {
+				q := params.Params()[i]
+				for j, v := range p.Grad.Data {
+					if math.Float32bits(v) != math.Float32bits(q.Grad.Data[j]) {
+						t.Fatalf("reluAfterLast=%v round %d: %s grad[%d] = %x under BackwardParams, %x under Backward",
+							reluAfterLast, round, p.Name, j, math.Float32bits(q.Grad.Data[j]), math.Float32bits(v))
+					}
+				}
+			}
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package tensor
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // vectorKernel says whether the AVX2 bodies run: AxpyRows and its siblings,
 // the int8 round trip, and PrefetchRow's prefetch. The machine decides,
@@ -136,6 +139,83 @@ func axpy1(dst, b []float32, a float32) {
 	b = b[:len(dst)]
 	for j := range dst {
 		dst[j] += float32(a * b[j])
+	}
+}
+
+// axpyStrided adds the terms of a GEMM row to dst straight from its
+// operands: for each q < terms in ascending order whose factor f =
+// a[q*aStride] does not compare equal to zero, dst[j] += float32(f *
+// b[q*bStride+j]) for every j — the chain of axpySelected over the
+// compacted list, with no list. It returns how many factors were zero. With
+// AVX2 it is the assembly kernel (axpySelected's tiles, a zero factor
+// skipped by a branch); without, the generic Go loop, also its reference.
+//
+//hotline:hotpath
+func axpyStrided(dst, b []float32, bStride int, a []float32, aStride, terms int) int {
+	if len(dst) == 0 || terms <= 0 {
+		return 0
+	}
+	if bStride < 0 || aStride <= 0 {
+		panic("tensor: axpyStrided needs a positive factor stride and a row stride of at least zero")
+	}
+	// Every element either path reads, checked before the call.
+	b, a = b[:(terms-1)*bStride+len(dst)], a[:(terms-1)*aStride+1]
+	if !vectorKernel {
+		return axpyStridedGeneric(dst, b, bStride, a, aStride, terms)
+	}
+	return axpyStridedAVX2(&dst[0], len(dst), &b[0], bStride, &a[0], aStride, terms)
+}
+
+// axpyStridedGeneric is axpyStrided in portable Go, one term at a time.
+//
+//hotline:hotpath
+func axpyStridedGeneric(dst, b []float32, bStride int, a []float32, aStride, terms int) (zeros int) {
+	for q := range terms {
+		if f := a[q*aStride]; f != 0 {
+			axpy1(dst, b[q*bStride:], f)
+		} else {
+			zeros++
+		}
+	}
+	return zeros
+}
+
+// gemvLanes adds a one-column GEMM's terms to dst with the output elements
+// in the lanes: for each t < len(s) in ascending order, dst[j] +=
+// float32(x[t*stride+j] * s[t]) for every j whose x[t*stride+j] does not
+// compare equal to zero. Row t of x holds term t's left factor of every
+// output element, so each element's chain is the reference's: its factors
+// in ascending t, a zero one skipped. With AVX2 it is assembly (-0 selected
+// in a zero factor's lane, AxpyLanes' select); without, the generic Go
+// loop, also its reference.
+//
+//hotline:hotpath
+func gemvLanes(dst, x []float32, stride int, s []float32) {
+	if len(dst) == 0 || len(s) == 0 {
+		return
+	}
+	if stride < 0 {
+		panic(fmt.Sprintf("tensor: gemvLanes stride %d", stride))
+	}
+	x = x[:(len(s)-1)*stride+len(dst)]
+	if !vectorKernel {
+		gemvLanesGeneric(dst, x, stride, s)
+		return
+	}
+	gemvLanesAVX2(&dst[0], len(dst), &x[0], stride, &s[0], len(s))
+}
+
+// gemvLanesGeneric is gemvLanes in portable Go, one term at a time.
+//
+//hotline:hotpath
+func gemvLanesGeneric(dst, x []float32, stride int, s []float32) {
+	for t, f := range s {
+		xt := x[t*stride:][:len(dst)]
+		for j, v := range xt {
+			if v != 0 {
+				dst[j] += float32(v * f)
+			}
+		}
 	}
 }
 

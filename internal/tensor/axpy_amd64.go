@@ -12,6 +12,13 @@ func hasAVX2() bool
 //go:noescape
 func axpyRowsAVX2(dst *float32, n int, rows *[]float32, nrows int, sel *int32, facs *float32, terms int) bool
 
+// axpyStridedAVX2 is axpyStrided for n >= 1 elements at dst, terms >= 1
+// terms and aStride >= 1; the caller has checked every length it reads and
+// writes. It returns the number of zero factors.
+//
+//go:noescape
+func axpyStridedAVX2(dst *float32, n int, b *float32, bStride int, a *float32, aStride int, terms int) int
+
 // addRowsAVX2 is AddRows for n >= 1 elements at dst and terms >= 1 rows,
 // eight elements per instruction. It reports false, leaving dst partly
 // updated, when a row is shorter than n; it reads and writes nothing outside
@@ -68,3 +75,9 @@ func axpyLanesAVX2(dst, start *float32, rows int, x *float32, stride int, facs *
 //
 //go:noescape
 func transpose8AVX2(dst *float32, dstStride int, src *float32, srcStride int, rowTiles, colTiles int)
+
+// gemvLanesAVX2 is gemvLanes for n >= 1 elements at dst and terms >= 1
+// terms; the caller has checked every length it reads and writes.
+//
+//go:noescape
+func gemvLanesAVX2(dst *float32, n int, x *float32, stride int, s *float32, terms int)

@@ -222,6 +222,199 @@ bad:
 	MOVB $0, ret+56(FP)
 	RET
 
+// Register use of axpyStridedAVX2: DI, AX, CX, Y0-Y7, Y8, Y9 and Y10 as in
+//	axpyRowsAVX2; SI the first source row and R9 the row stride in bytes,
+//	R10 the first factor, R13 the factor stride in bytes and R11 the end of
+//	the factors, DX the current term's source row at the tile and R12 its
+//	factor, BX the factor's bits, R8 the zero factors met in this tile.
+
+// STERM loads the next term's factor, or leaves for zero (with the flags of
+// the factor's bits less the sign) when it compares equal to zero.
+#define STERM(zero) \
+	MOVL         (R12), BX \
+	ADDL         BX, BX    \
+	JZ           zero      \
+	VBROADCASTSS (R12), Y8
+
+// SNEXT steps to the following term's row and factor, and loops.
+#define SNEXT(loop) \
+	ADDQ R9, DX   \
+	ADDQ R13, R12 \
+	CMPQ R12, R11 \
+	JNE  loop
+
+// SSTART points DX and R12 at the first term for the tile at AX.
+#define SSTART \
+	LEAQ (SI)(AX*1), DX \
+	MOVQ R10, R12       \
+	XORL R8, R8
+
+// func axpyStridedAVX2(dst *float32, n int, b *float32, bStride int, a *float32, aStride int, terms int) int
+//
+// The GEMM kernel on its operands in place: for each term q < terms in
+// ascending order whose factor f = a[q*aStride] does not compare equal to
+// zero, dst[j] += round(f * b[q*bStride+j]) for every j < n; needs n > 0 and
+// terms > 0. A zero factor (+0 or -0) is skipped by a branch, which predicts
+// when zeros are rare. The tiles, the masked tail and the chain are
+// axpyRowsAVX2's, with no list and no row table. Returns how many factors
+// were zero (every tile meets the same ones).
+TEXT ·axpyStridedAVX2(SB), NOSPLIT, $0-64
+	MOVQ dst+0(FP), DI
+	MOVQ n+8(FP), CX
+	MOVQ b+16(FP), SI
+	MOVQ bStride+24(FP), R9
+	MOVQ a+32(FP), R10
+	MOVQ aStride+40(FP), R13
+	MOVQ terms+48(FP), R11
+	SHLQ $2, R9
+	SHLQ $2, R13
+	IMULQ R13, R11
+	ADDQ R10, R11
+	XORQ AX, AX
+
+stile64:
+	CMPQ    CX, $64
+	JLT     stile32
+	VMOVUPS 0(DI)(AX*1), Y0
+	VMOVUPS 32(DI)(AX*1), Y1
+	VMOVUPS 64(DI)(AX*1), Y2
+	VMOVUPS 96(DI)(AX*1), Y3
+	VMOVUPS 128(DI)(AX*1), Y4
+	VMOVUPS 160(DI)(AX*1), Y5
+	VMOVUPS 192(DI)(AX*1), Y6
+	VMOVUPS 224(DI)(AX*1), Y7
+	SSTART
+
+sterm64:
+	STERM(szero64)
+	MAC(0, Y0)
+	MAC(32, Y1)
+	MAC(64, Y2)
+	MAC(96, Y3)
+	MAC(128, Y4)
+	MAC(160, Y5)
+	MAC(192, Y6)
+	MAC(224, Y7)
+
+snext64:
+	SNEXT(sterm64)
+	VMOVUPS Y0, 0(DI)(AX*1)
+	VMOVUPS Y1, 32(DI)(AX*1)
+	VMOVUPS Y2, 64(DI)(AX*1)
+	VMOVUPS Y3, 96(DI)(AX*1)
+	VMOVUPS Y4, 128(DI)(AX*1)
+	VMOVUPS Y5, 160(DI)(AX*1)
+	VMOVUPS Y6, 192(DI)(AX*1)
+	VMOVUPS Y7, 224(DI)(AX*1)
+	ADDQ    $256, AX
+	SUBQ    $64, CX
+	JMP     stile64
+
+szero64:
+	INCQ R8
+	JMP  snext64
+
+stile32:
+	TESTQ   $32, CX
+	JZ      stile16
+	VMOVUPS 0(DI)(AX*1), Y0
+	VMOVUPS 32(DI)(AX*1), Y1
+	VMOVUPS 64(DI)(AX*1), Y2
+	VMOVUPS 96(DI)(AX*1), Y3
+	SSTART
+
+sterm32:
+	STERM(szero32)
+	MAC(0, Y0)
+	MAC(32, Y1)
+	MAC(64, Y2)
+	MAC(96, Y3)
+
+snext32:
+	SNEXT(sterm32)
+	VMOVUPS Y0, 0(DI)(AX*1)
+	VMOVUPS Y1, 32(DI)(AX*1)
+	VMOVUPS Y2, 64(DI)(AX*1)
+	VMOVUPS Y3, 96(DI)(AX*1)
+	ADDQ    $128, AX
+	JMP     stile16
+
+szero32:
+	INCQ R8
+	JMP  snext32
+
+stile16:
+	TESTQ   $16, CX
+	JZ      stile8
+	VMOVUPS 0(DI)(AX*1), Y0
+	VMOVUPS 32(DI)(AX*1), Y1
+	SSTART
+
+sterm16:
+	STERM(szero16)
+	MAC(0, Y0)
+	MAC(32, Y1)
+
+snext16:
+	SNEXT(sterm16)
+	VMOVUPS Y0, 0(DI)(AX*1)
+	VMOVUPS Y1, 32(DI)(AX*1)
+	ADDQ    $64, AX
+	JMP     stile8
+
+szero16:
+	INCQ R8
+	JMP  snext16
+
+stile8:
+	TESTQ   $8, CX
+	JZ      stail
+	VMOVUPS 0(DI)(AX*1), Y0
+	SSTART
+
+sterm8:
+	STERM(szero8)
+	MAC(0, Y0)
+
+snext8:
+	SNEXT(sterm8)
+	VMOVUPS Y0, 0(DI)(AX*1)
+	ADDQ    $32, AX
+	JMP     stail
+
+szero8:
+	INCQ R8
+	JMP  snext8
+
+stail:
+	ANDQ       $7, CX
+	JZ         sdone
+	LEAQ       tailmask<>+32(SB), DX
+	SHLQ       $2, CX
+	SUBQ       CX, DX
+	VMOVDQU    (DX), Y10
+	VMASKMOVPS (DI)(AX*1), Y10, Y0
+	SSTART
+
+stermtail:
+	STERM(szerotail)
+	VMASKMOVPS (DX), Y10, Y9
+	VMULPS     Y9, Y8, Y9
+	VADDPS     Y9, Y0, Y0
+
+snexttail:
+	SNEXT(stermtail)
+	VMASKMOVPS Y0, Y10, (DI)(AX*1)
+
+sdone:
+	VZEROUPPER
+	MOVQ R8, ret+56(FP)
+	RET
+
+szerotail:
+	INCQ R8
+	JMP  snexttail
+
 // Register use of addRowsAVX2: DI, AX, CX, R8, DX, Y0-Y7 and Y10 as above;
 //	SI the first row's slice header, R9 the current term's, R11 the term
 //	count, BX the same counting down to zero through one tile's terms.
@@ -1038,5 +1231,178 @@ tr8:
 	LEAQ        32(R13), DI
 	DECQ        R12
 	JNZ         trstrip
+	VZEROUPPER
+	RET
+
+// GSEL is acc += round(x * s) in eight lanes, x loaded from off(DX) and s
+// in every lane of Y8, with -0 (Y12) selected in place of the product in
+// the lanes where x compares equal to zero (+0 or -0, against Y11): such a
+// lane adds nothing, as LSEL's zero-factor lanes do.
+#define GSEL(off, acc) \
+	VMOVUPS   off(DX), Y9      \
+	VCMPPS    $0, Y11, Y9, Y10 \
+	VMULPS    Y8, Y9, Y9       \
+	VBLENDVPS Y10, Y12, Y9, Y9 \
+	VADDPS    Y9, acc, acc
+
+// GTERM broadcasts the next term's scale.
+#define GTERM \
+	VBROADCASTSS (R11)(BX*1), Y8
+
+// GNEXT steps to the following term's row and scale, and loops.
+#define GNEXT(loop) \
+	ADDQ R9, DX \
+	ADDQ $4, BX \
+	JNZ  loop
+
+// GSTART points DX and BX at the first term for the tile at AX.
+#define GSTART \
+	LEAQ (SI)(AX*1), DX \
+	MOVQ R10, BX
+
+// func gemvLanesAVX2(dst *float32, n int, x *float32, stride int, s *float32, terms int)
+//
+// The one-column GEMM with its elements in the lanes: for each term t <
+// terms in ascending order, dst[j] += round(x[t*stride+j] * s[t]) for every j
+// < n whose x[t*stride+j] does not compare equal to zero; needs n > 0 and
+// terms > 0. The lane is the element: a row of x holds one factor per output
+// element, and the zero test is per lane, by -0 selected in place of the
+// product (x + -0 is x for every x). The destination is cut into
+// axpyRowsAVX2's tiles and masked tail, each held in registers across every
+// term.
+//
+// DI dst, AX the byte offset of the tile in dst and in every row of x, CX
+// the elements left, SI x, R9 stride in bytes, R11 the end of s and R10
+// minus its length in bytes; in a tile's loop DX the current row at the tile
+// and BX its scale's offset from R11, counting up to zero; Y8 the
+// scale in every lane, Y9 x and then the product, Y10 x's zero lanes, Y11
+// +0 and Y12 -0 in every lane, Y13 the tail's lane mask, Y0-Y7 the tile.
+TEXT ·gemvLanesAVX2(SB), NOSPLIT, $0-48
+	MOVQ     dst+0(FP), DI
+	MOVQ     n+8(FP), CX
+	MOVQ     x+16(FP), SI
+	MOVQ     stride+24(FP), R9
+	MOVQ     s+32(FP), R11
+	MOVQ     terms+40(FP), R10
+	SHLQ     $2, R9
+	SHLQ     $2, R10
+	ADDQ     R10, R11
+	NEGQ     R10
+	XORQ     AX, AX
+	VXORPS   Y11, Y11, Y11
+	VPCMPEQD Y12, Y12, Y12
+	VPSLLD   $31, Y12, Y12
+
+gtile64:
+	CMPQ    CX, $64
+	JLT     gtile32
+	VMOVUPS 0(DI)(AX*1), Y0
+	VMOVUPS 32(DI)(AX*1), Y1
+	VMOVUPS 64(DI)(AX*1), Y2
+	VMOVUPS 96(DI)(AX*1), Y3
+	VMOVUPS 128(DI)(AX*1), Y4
+	VMOVUPS 160(DI)(AX*1), Y5
+	VMOVUPS 192(DI)(AX*1), Y6
+	VMOVUPS 224(DI)(AX*1), Y7
+	GSTART
+
+gterm64:
+	GTERM
+	GSEL(0, Y0)
+	GSEL(32, Y1)
+	GSEL(64, Y2)
+	GSEL(96, Y3)
+	GSEL(128, Y4)
+	GSEL(160, Y5)
+	GSEL(192, Y6)
+	GSEL(224, Y7)
+	GNEXT(gterm64)
+	VMOVUPS Y0, 0(DI)(AX*1)
+	VMOVUPS Y1, 32(DI)(AX*1)
+	VMOVUPS Y2, 64(DI)(AX*1)
+	VMOVUPS Y3, 96(DI)(AX*1)
+	VMOVUPS Y4, 128(DI)(AX*1)
+	VMOVUPS Y5, 160(DI)(AX*1)
+	VMOVUPS Y6, 192(DI)(AX*1)
+	VMOVUPS Y7, 224(DI)(AX*1)
+	ADDQ    $256, AX
+	SUBQ    $64, CX
+	JMP     gtile64
+
+gtile32:
+	TESTQ   $32, CX
+	JZ      gtile16
+	VMOVUPS 0(DI)(AX*1), Y0
+	VMOVUPS 32(DI)(AX*1), Y1
+	VMOVUPS 64(DI)(AX*1), Y2
+	VMOVUPS 96(DI)(AX*1), Y3
+	GSTART
+
+gterm32:
+	GTERM
+	GSEL(0, Y0)
+	GSEL(32, Y1)
+	GSEL(64, Y2)
+	GSEL(96, Y3)
+	GNEXT(gterm32)
+	VMOVUPS Y0, 0(DI)(AX*1)
+	VMOVUPS Y1, 32(DI)(AX*1)
+	VMOVUPS Y2, 64(DI)(AX*1)
+	VMOVUPS Y3, 96(DI)(AX*1)
+	ADDQ    $128, AX
+
+gtile16:
+	TESTQ   $16, CX
+	JZ      gtile8
+	VMOVUPS 0(DI)(AX*1), Y0
+	VMOVUPS 32(DI)(AX*1), Y1
+	GSTART
+
+gterm16:
+	GTERM
+	GSEL(0, Y0)
+	GSEL(32, Y1)
+	GNEXT(gterm16)
+	VMOVUPS Y0, 0(DI)(AX*1)
+	VMOVUPS Y1, 32(DI)(AX*1)
+	ADDQ    $64, AX
+
+gtile8:
+	TESTQ   $8, CX
+	JZ      gtail
+	VMOVUPS 0(DI)(AX*1), Y0
+	GSTART
+
+gterm8:
+	GTERM
+	GSEL(0, Y0)
+	GNEXT(gterm8)
+	VMOVUPS Y0, 0(DI)(AX*1)
+	ADDQ    $32, AX
+
+gtail:
+	// One to seven elements: masked loads read, and the masked store
+	// writes, nothing past the end of dst or of a row of x. A masked-off
+	// lane loads as +0 and adds -0 to a destination lane that is not stored.
+	ANDQ       $7, CX
+	JZ         gdone
+	LEAQ       tailmask<>+32(SB), DX
+	SHLQ       $2, CX
+	SUBQ       CX, DX
+	VMOVDQU    (DX), Y13
+	VMASKMOVPS (DI)(AX*1), Y13, Y0
+	GSTART
+
+gtermtail:
+	GTERM
+	VMASKMOVPS (DX), Y13, Y9
+	VCMPPS     $0, Y11, Y9, Y10
+	VMULPS     Y8, Y9, Y9
+	VBLENDVPS  Y10, Y12, Y9, Y9
+	VADDPS     Y9, Y0, Y0
+	GNEXT(gtermtail)
+	VMASKMOVPS Y0, Y13, (DI)(AX*1)
+
+gdone:
 	VZEROUPPER
 	RET

@@ -8,6 +8,10 @@ func axpyRowsAVX2(dst *float32, n int, rows *[]float32, nrows int, sel *int32, f
 	panic("tensor: no vector kernel on this architecture")
 }
 
+func axpyStridedAVX2(dst *float32, n int, b *float32, bStride int, a *float32, aStride int, terms int) int {
+	panic("tensor: no vector kernel on this architecture")
+}
+
 func addRowsAVX2(dst *float32, n int, rows *[]float32, terms int) bool {
 	panic("tensor: no vector kernel on this architecture")
 }
@@ -37,5 +41,9 @@ func axpyLanesAVX2(dst, start *float32, rows int, x *float32, stride int, facs *
 }
 
 func transpose8AVX2(dst *float32, dstStride int, src *float32, srcStride int, rowTiles, colTiles int) {
+	panic("tensor: no vector kernel on this architecture")
+}
+
+func gemvLanesAVX2(dst *float32, n int, x *float32, stride int, s *float32, terms int) {
 	panic("tensor: no vector kernel on this architecture")
 }

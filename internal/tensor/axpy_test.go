@@ -103,7 +103,8 @@ func sameBits(a, b float32) bool {
 // (unaligned on purpose), sources longer than the destination, 0-9 terms and
 // the counts around the block boundary. A canary element on either side of
 // the destination proves that neither path writes outside it. The lane
-// bodies (DotLanes, AxpyLanes) and TransposeBlock follow, each over its own
+// bodies (DotLanes, AxpyLanes), the GEMM's in-place kernel (axpyStrided), the
+// one-column body (gemvLanes) and TransposeBlock follow, each over its own
 // shapes.
 func TestVectorKernelsMatchGeneric(t *testing.T) {
 	if !hasAVX2() {
@@ -308,6 +309,42 @@ func TestVectorKernelsMatchGeneric(t *testing.T) {
 		}
 	}
 
+	// axpyStrided, the GEMM kernel on its operands in place: 0-67 elements,
+	// counts of terms around a tile's and a block's, factors one or three
+	// apart, source rows a few elements longer than dst apart. Both paths
+	// must also count the same zero factors.
+	for _, terms := range []int{1, 2, 3, 4, 5, 9, termBlock - 1, termBlock, termBlock + 1} {
+		for n := 0; n <= 67; n++ {
+			wild = !wild
+			bStride, aStride := n+terms%4, 1+2*(n%2)
+			b, a := fill(max(0, (terms-1)*bStride+n)), fill((terms-1)*aStride+1)
+			var zeros [2]int
+			run(fmt.Sprintf("axpyStrided n=%d terms=%d", n, terms), fill(n), func(dst []float32) {
+				if vectorKernel {
+					zeros[1] = axpyStrided(dst, b, bStride, a, aStride, terms)
+				} else {
+					zeros[0] = axpyStrided(dst, b, bStride, a, aStride, terms)
+				}
+			})
+			if zeros[0] != zeros[1] {
+				t.Fatalf("axpyStrided n=%d terms=%d: %d zero factors on the vector kernel, %d on the generic loop", n, terms, zeros[1], zeros[0])
+			}
+		}
+	}
+
+	// gemvLanes, the one-column GEMM with the elements in the lanes: 0-67
+	// elements (every tile and tail), 1-33 terms, rows of x a few elements
+	// longer than dst apart.
+	for _, terms := range []int{1, 2, 3, 5, 9, 33} {
+		for n := 0; n <= 67; n++ {
+			wild = !wild
+			stride := n + terms%3
+			x, scales := fill(max(0, (terms-1)*stride+n)), fill(terms)
+			run(fmt.Sprintf("gemvLanes n=%d terms=%d", n, terms), fill(n),
+				func(dst []float32) { gemvLanes(dst, x, stride, scales) })
+		}
+	}
+
 	// TransposeBlock: 0-17 rows and columns (whole 8x8 tiles and every edge
 	// beside them) between strides one or three wider than the block.
 	for rows := 0; rows <= 17; rows++ {
@@ -378,8 +415,8 @@ func TestLaneBodiesMatchScalarReference(t *testing.T) {
 }
 
 // TestLaneBodiesRejectBadShapes: a block list shorter than the call needs, a
-// factor row that facs does not have and a transpose that does not fit its
-// destination are caller bugs, reported as a panic before the kernel reads
+// factor row that facs does not have, a transpose that does not fit its
+// destination and operands shorter than their strides say are caller bugs, reported as a panic before the kernel reads
 // or writes past a slice, on both paths.
 func TestLaneBodiesRejectBadShapes(t *testing.T) {
 	cases := map[string]func(){
@@ -400,6 +437,16 @@ func TestLaneBodiesRejectBadShapes(t *testing.T) {
 		"AxpyLanes negative row": func() {
 			AxpyLanes(make([]float32, 16), nil, make([]float32, 32), 16, make([]float32, 16), []int32{-1, 0})
 		},
+		"axpyStrided short b": func() {
+			axpyStrided(make([]float32, 8), make([]float32, 17), 10, []float32{1, 1}, 1, 2)
+		},
+		"axpyStrided short a": func() {
+			axpyStrided(make([]float32, 8), make([]float32, 18), 10, []float32{1, 1}, 2, 2)
+		},
+		"axpyStrided zero factor stride": func() {
+			axpyStrided(make([]float32, 8), make([]float32, 18), 10, []float32{1, 1}, 0, 2)
+		},
+		"gemvLanes short x":        func() { gemvLanes(make([]float32, 8), make([]float32, 17), 10, []float32{1, 1}) },
 		"TransposeBlock short dst": func() { TransposeBlock(make([]float32, 63), 8, make([]float32, 64), 8, 8, 8) },
 		"TransposeBlock short src": func() { TransposeBlock(make([]float32, 64), 8, make([]float32, 63), 8, 8, 8) },
 	}

@@ -6,8 +6,8 @@
 // initialisation. Everything operates on row-major Matrix values.
 //
 // The GEMM family and the dense update run on one micro-kernel: AxpyRows
-// adds a list of scaled source rows to one destination row (MatMul and
-// MatMulTransA hand it only the terms whose factor is not zero). The
+// adds a list of scaled source rows to one destination row, and
+// axpyStrided is the same body reading its terms in place (below). The
 // embedding bag runs on two siblings of it in the same file: AddRows is
 // AxpyRows with every factor 1 and no multiply (the pooled sum
 // and its adjoint), and AxpyIntoRows has one destination row per term
@@ -36,9 +36,18 @@
 // vector kernel.
 //
 // MatMul and MatMulTransA drive the kernel from one loop (axpyRowsRange,
-// which reads the left operand through a pair of strides), compacting the
-// terms whose left factor is non-zero into the kernel's list without a
-// branch, since a ReLU output's zeros fall at random. A dot product's lanes
+// which reads the left operand through a pair of strides), a block of 64
+// terms of a row at a time, and skip every term whose left factor is zero.
+// A block either goes to the kernel in place (axpyStrided: factors by
+// stride, source rows by the right operand's row stride, a zero factor
+// skipped by a branch) or is first compacted into a list of its non-zero
+// terms without a branch (compact, then the list body), since a ReLU
+// output's zeros fall at random; each row takes the form the zeros of the
+// row before it favour, and both leave the same bits. With one output
+// column there is one chain per output element, so the elements go in the
+// lanes (gemvLanes, a zero factor's lane adding -0): MatMulTransA reads
+// them off the left operand's rows, MatMul off a transposed block of them.
+// A dot product's lanes
 // are not independent output elements, so nothing here computes one as
 // such: MatMulTransB packs the transpose of its right operand once per call
 // and accumulates scaled rows of it, which is the dot product's own chain

@@ -92,6 +92,9 @@ func bitsEqual(a, b *Matrix) (int, bool) {
 // N = 1 and K = 367; the output width also takes 7, 8 and 9, one vector and
 // its neighbours), serially and sharded over two workers, on the vector
 // kernel and on the generic loops.
+//
+// Then every operand family of gemmFamilies over shapes that cross the
+// term block and the lane tiles, one-column products included.
 func TestGEMMFamilyMatchesReference(t *testing.T) { onBothPaths(t, testGEMMFamilyMatchesReference) }
 
 func testGEMMFamilyMatchesReference(t *testing.T) {
@@ -147,20 +150,159 @@ func testGEMMFamilyMatchesReference(t *testing.T) {
 			}
 		}
 	}
+
+	// The left factors' zero pattern decides how a block reaches the kernel
+	// (read in place, or compacted into a list) and a one-column GEMM runs
+	// on the lanes, so the same kernels meet every pattern: left operands
+	// with no zero, only zeros of either sign, one zero per 64-term block
+	// (first, middle or last), half zeros, rows that switch between none
+	// and half, and ±0, denormals, ±Inf and NaN against right operands
+	// holding ±Inf. Any NaN matches any NaN here: which one survives when
+	// two meet is not pinned.
+	for f, fam := range gemmFamilies {
+		shape = 0
+		for _, m := range []int{1, 9, 120} {
+			for _, k := range []int{13, 64, 65, 367} {
+				for _, n := range []int{1, 7, 16, 40, 67} {
+					shape++
+					if testing.Short() && (shape+f)%5 != 0 {
+						continue
+					}
+					for _, kn := range kernels {
+						x := fam.left(m, k, rng) // the left operand as the reference reads it, m x k
+						a, b := x, fam.right(k, n, rng)
+						if kn.transA {
+							a = Transpose(x)
+						}
+						if kn.transB {
+							b = Transpose(b)
+						}
+						want := New(m, n)
+						kn.ref(want, a, b)
+						for _, workers := range []int{1, 2} {
+							got := New(m, n)
+							got.Fill(12345.5)
+							prev := par.SetWorkers(workers)
+							kn.kernel(got, a, b)
+							par.SetWorkers(prev)
+							for i, v := range want.Data {
+								if !sameBits(v, got.Data[i]) {
+									t.Fatalf("%s %s %dx%dx%d workers=%d: element %d = %x, reference %x", kn.name, fam.name, m, k, n,
+										workers, i, math.Float32bits(got.Data[i]), math.Float32bits(v))
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
+// gemmFamily is an operand family of the GEMM differential test: left
+// builds the m x k left operand (the inner index runs along a row), right
+// the k x n right one.
+type gemmFamily struct {
+	name        string
+	left, right func(rows, cols int, rng *RNG) *Matrix
+}
+
+var gemmFamilies = func() []gemmFamily {
+	negZero := float32(math.Copysign(0, -1))
+	normals := func(rows, cols int, rng *RNG) *Matrix {
+		m := New(rows, cols)
+		for i := range m.Data {
+			if m.Data[i] = float32(rng.NormFloat64()); m.Data[i] == 0 {
+				m.Data[i] = 1
+			}
+		}
+		return m
+	}
+	// zeroInBlock puts one zero, of either sign, in every termBlock-term
+	// block of each row, at the position pick chooses in a block of count.
+	zeroInBlock := func(pick func(count int) int) func(rows, cols int, rng *RNG) *Matrix {
+		return func(rows, cols int, rng *RNG) *Matrix {
+			m := normals(rows, cols, rng)
+			for r := range rows {
+				for k0 := 0; k0 < cols; k0 += termBlock {
+					z := float32(0)
+					if rng.Uint64()&1 == 0 {
+						z = negZero
+					}
+					m.Row(r)[k0+pick(min(termBlock, cols-k0))] = z
+				}
+			}
+			return m
+		}
+	}
+	from := func(values []float32) func(rows, cols int, rng *RNG) *Matrix {
+		return func(rows, cols int, rng *RNG) *Matrix {
+			m := New(rows, cols)
+			for i := range m.Data {
+				if u := rng.Uint64(); u&3 == 0 {
+					m.Data[i] = float32(rng.NormFloat64())
+				} else {
+					m.Data[i] = values[u>>2%uint64(len(values))]
+				}
+			}
+			return m
+		}
+	}
+	return []gemmFamily{
+		{"no zeros", normals, adversarialMatrix},
+		{"all zeros", func(rows, cols int, rng *RNG) *Matrix {
+			m := New(rows, cols)
+			for i := range m.Data {
+				if rng.Uint64()&1 == 0 {
+					m.Data[i] = negZero
+				}
+			}
+			return m
+		}, adversarialMatrix},
+		{"zero first in a block", zeroInBlock(func(int) int { return 0 }), adversarialMatrix},
+		{"zero mid-block", zeroInBlock(func(c int) int { return c / 2 }), adversarialMatrix},
+		{"zero last in a block", zeroInBlock(func(c int) int { return c - 1 }), adversarialMatrix},
+		{"half zeros", adversarialMatrix, adversarialMatrix},
+		{"rows switch", func(rows, cols int, rng *RNG) *Matrix {
+			m := normals(rows, cols, rng)
+			for r := 1; r < rows; r += 2 {
+				reluColumns(&Matrix{Rows: 1, Cols: cols, Data: m.Row(r)}, cols)
+			}
+			return m
+		}, adversarialMatrix},
+		{"specials", from([]float32{
+			0, negZero, math.SmallestNonzeroFloat32, -1e-41, float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+		}), from([]float32{float32(math.Inf(1)), float32(math.Inf(-1))})},
+	}
+}()
+
 // gemmShapes are the GEMMs the benchmark models run at batch 256: the
-// Kaggle top and bottom first layers, a ReLU-fed hidden layer, and SYN-MH's
-// one-layer 100 -> 1 top. relu marks a left operand that is a ReLU output
+// Kaggle top and bottom first layers, a ReLU-fed hidden layer, SYN-MH's
+// one-layer 100 -> 1 top and Kaggle's 64 -> 1 output layer; the Kaggle top
+// layer again with the interaction output's real zero pattern (its first 16
+// columns are the bottom MLP's ReLU outputs) and at the serve request size,
+// 32. relu is how many leading columns of the left operand are ReLU outputs
 // (about half zeros).
 var gemmShapes = []struct {
 	m, k, n int
-	relu    bool
+	relu    int
 }{
-	{256, 367, 64, false},
-	{256, 13, 64, false},
-	{256, 64, 16, true},
-	{256, 100, 1, true},
+	{256, 367, 64, 0},
+	{256, 13, 64, 0},
+	{256, 64, 16, 64},
+	{256, 100, 1, 100},
+	{256, 64, 1, 64},
+	{256, 367, 64, 16},
+	{32, 367, 64, 0},
+}
+
+// gemmName names a shape: m x k x n, and the ReLU-fed columns when only
+// some are.
+func gemmName(m, k, n, relu int) string {
+	if relu > 0 && relu < k {
+		return fmt.Sprintf("%dx%dx%d-relu%d", m, k, n, relu)
+	}
+	return fmt.Sprintf("%dx%dx%d", m, k, n)
 }
 
 // benchOperand is a unit-normal matrix, passed through a ReLU when relu.
@@ -168,12 +310,28 @@ func benchOperand(rows, cols int, relu bool, rng *RNG) *Matrix {
 	m := New(rows, cols)
 	NormalInit(m, 1, rng)
 	if relu {
-		for i, v := range m.Data {
+		reluColumns(m, cols)
+	}
+	return m
+}
+
+// reluColumns passes the first cols columns of m through a ReLU.
+func reluColumns(m *Matrix, cols int) {
+	for r := range m.Rows {
+		row := m.Row(r)[:cols]
+		for i, v := range row {
 			if v < 0 {
-				m.Data[i] = 0
+				row[i] = 0
 			}
 		}
 	}
+}
+
+// gemmLeft is a shape's left operand: unit normals, the first relu columns
+// through a ReLU.
+func gemmLeft(rows, cols, relu int, rng *RNG) *Matrix {
+	m := benchOperand(rows, cols, false, rng)
+	reluColumns(m, relu)
 	return m
 }
 
@@ -191,9 +349,9 @@ func benchKernel(b *testing.B, macs int, fn func()) {
 // BenchmarkMatMul is Linear.Forward's GEMM: x (m x k) times W (k x n).
 func BenchmarkMatMul(b *testing.B) {
 	for _, s := range gemmShapes {
-		b.Run(fmt.Sprintf("%dx%dx%d", s.m, s.k, s.n), func(b *testing.B) {
+		b.Run(gemmName(s.m, s.k, s.n, s.relu), func(b *testing.B) {
 			rng := NewRNG(1)
-			x := benchOperand(s.m, s.k, s.relu, rng)
+			x := gemmLeft(s.m, s.k, s.relu, rng)
 			w := benchOperand(s.k, s.n, false, rng)
 			dst := New(s.m, s.n)
 			benchKernel(b, s.m*s.k*s.n, func() { MatMul(dst, x, w) })
@@ -204,9 +362,9 @@ func BenchmarkMatMul(b *testing.B) {
 // BenchmarkMatMulTransA is the weight gradient xᵀ (k x m) times g (m x n).
 func BenchmarkMatMulTransA(b *testing.B) {
 	for _, s := range gemmShapes {
-		b.Run(fmt.Sprintf("%dx%dx%d", s.m, s.k, s.n), func(b *testing.B) {
+		b.Run(gemmName(s.m, s.k, s.n, s.relu), func(b *testing.B) {
 			rng := NewRNG(1)
-			x := benchOperand(s.m, s.k, s.relu, rng)
+			x := gemmLeft(s.m, s.k, s.relu, rng)
 			g := benchOperand(s.m, s.n, false, rng)
 			dst := New(s.k, s.n)
 			benchKernel(b, s.m*s.k*s.n, func() { MatMulTransA(dst, x, g) })
@@ -217,7 +375,7 @@ func BenchmarkMatMulTransA(b *testing.B) {
 // BenchmarkMatMulTransB is the input gradient g (m x n) times Wᵀ (n x k).
 func BenchmarkMatMulTransB(b *testing.B) {
 	for _, s := range gemmShapes {
-		b.Run(fmt.Sprintf("%dx%dx%d", s.m, s.k, s.n), func(b *testing.B) {
+		b.Run(gemmName(s.m, s.k, s.n, s.relu), func(b *testing.B) {
 			rng := NewRNG(1)
 			g := benchOperand(s.m, s.n, false, rng)
 			w := benchOperand(s.k, s.n, false, rng)

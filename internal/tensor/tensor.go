@@ -174,12 +174,21 @@ func (m *Matrix) String() string { return fmt.Sprintf("Matrix(%dx%d)", m.Rows, m
 // axpyRowsRange computes rows [lo, hi) of dst = x x b (dst rows pre-zeroed),
 // where element (i, k) of the left operand x is a[i*rowStride+k*innerStride]:
 // a itself for MatMul, its transpose for MatMulTransA. A term whose left
-// factor compares equal to zero (either sign) is skipped, never added: the
-// non-zero terms of a row are compacted, in ascending k, into the list the
-// kernel adds, so every output element's chain is that of the k-ascending
-// one-term-at-a-time loop whatever the zero pattern. The inner dimension is
-// walked a block of termBlock at a time with the output rows inside, so a
-// block of b is set up once and stays in cache across all of them.
+// factor compares equal to zero (either sign) is skipped, never added, so
+// every output element's chain is that of the k-ascending one-term-at-a-time
+// loop whatever the zero pattern. The inner dimension is walked a block of
+// termBlock at a time with the output rows inside, so a block of b is set up
+// once and stays in cache across all of them.
+//
+// A row's block goes to the kernel one of two ways, which leave the same
+// bits: compacted first into a list of its non-zero terms (compact, then
+// axpySelected), which costs a pass over the factors but no mispredicted
+// branch, or read in place (axpyStrided: the factors by stride, a zero one
+// skipped by a branch). Either way counts the zeros it met. A block's first
+// row takes the list, and each next row reads in place unless the row
+// before it held more than one zero in listZeros: a ReLU output's zeros
+// fall at random, about half of its terms, where a branch costs more than
+// the pass; the other operands hold almost none.
 //
 //hotline:hotpath
 func axpyRowsRange(dst *Matrix, a []float32, rowStride, innerStride int, b *Matrix, lo, hi int) {
@@ -193,9 +202,45 @@ func axpyRowsRange(dst *Matrix, a []float32, rowStride, innerStride int, b *Matr
 		for q := 0; q < terms; q++ {
 			rows[q] = b.Row(k0 + q)
 		}
+		zeros := terms
 		for i := lo; i < hi; i++ {
-			p := compact(&sel, &facs, a, i*rowStride+k0*innerStride, innerStride, terms)
+			at := i*rowStride + k0*innerStride
+			if zeros*listZeros <= terms {
+				zeros = axpyStrided(dst.Row(i), b.Data[k0*b.Cols:], b.Cols, a[at:], innerStride, terms)
+				continue
+			}
+			p := compact(&sel, &facs, a, at, innerStride, terms)
 			axpySelected(dst.Row(i), rows[:terms], sel[:p], facs[:p])
+			zeros = terms - p
+		}
+	}
+}
+
+// listZeros sets where axpyRowsRange turns to the compacted list: above one
+// zero factor in listZeros. It moves speed only, never a bit.
+const listZeros = 4
+
+// gemvSamples and gemvTerms are the block matVecRange transposes at once:
+// gemvSamples rows of the left operand by gemvTerms of its columns, on the
+// stack.
+const gemvSamples, gemvTerms = 64, 32
+
+// matVecRange computes rows [lo, hi) of dst = a x b for a b of one column
+// (dst rows pre-zeroed): each output element is a dot product, so the
+// elements go in the lanes. A block of a's rows is transposed, so that a
+// term's factors for gemvSamples output elements lie side by side, and
+// gemvLanes adds the block's terms to them; the next block of terms picks
+// up from the stored sums, which no bit can see.
+//
+//hotline:hotpath
+func matVecRange(dst, a, b *Matrix, lo, hi int) {
+	var block [gemvSamples * gemvTerms]float32
+	for i0 := lo; i0 < hi; i0 += gemvSamples {
+		rows := min(gemvSamples, hi-i0)
+		for k0 := 0; k0 < a.Cols; k0 += gemvTerms {
+			terms := min(gemvTerms, a.Cols-k0)
+			TransposeBlock(block[:], rows, a.Data[i0*a.Cols+k0:], a.Cols, rows, terms)
+			gemvLanes(dst.Data[i0:i0+rows], block[:], rows, b.Data[k0:k0+terms])
 		}
 	}
 }
@@ -214,12 +259,24 @@ func MatMul(dst, a, b *Matrix) {
 	dst.Zero()
 	perRow := 2 * int64(a.Cols) * int64(b.Cols)
 	if par.Serial(a.Rows, perRow) {
-		axpyRowsRange(dst, a.Data, a.Cols, 1, b, 0, a.Rows)
+		matMulRange(dst, a, b, 0, a.Rows)
 		return
 	}
 	par.ForWork(a.Rows, perRow, func(lo, hi int) {
-		axpyRowsRange(dst, a.Data, a.Cols, 1, b, lo, hi)
+		matMulRange(dst, a, b, lo, hi)
 	})
+}
+
+// matMulRange computes rows [lo, hi) of dst = a x b (dst rows pre-zeroed):
+// a one-column b on the lanes, any other on the row kernel.
+//
+//hotline:hotpath
+func matMulRange(dst, a, b *Matrix, lo, hi int) {
+	if b.Cols == 1 {
+		matVecRange(dst, a, b, lo, hi)
+		return
+	}
+	axpyRowsRange(dst, a.Data, a.Cols, 1, b, lo, hi)
 }
 
 // matMulPackedRange computes rows [lo, hi) of dst = a x bT (dst rows
@@ -277,7 +334,9 @@ func MatMulTransB(dst, a, b, bT *Matrix) {
 
 // MatMulTransA computes dst = aᵀ x b. dst must be a.Cols x b.Cols. Each
 // output row (a column of a) accumulates over a's rows in ascending order,
-// serially and in every shard split alike.
+// serially and in every shard split alike. With one column in b, the output
+// elements are the lanes: a row of a already holds one factor of each, side
+// by side.
 //
 //hotline:hotpath
 func MatMulTransA(dst, a, b *Matrix) {
@@ -290,12 +349,24 @@ func MatMulTransA(dst, a, b *Matrix) {
 	dst.Zero()
 	perCol := 2 * int64(a.Rows) * int64(b.Cols)
 	if par.Serial(a.Cols, perCol) {
-		axpyRowsRange(dst, a.Data, 1, a.Cols, b, 0, a.Cols)
+		matMulTransARange(dst, a, b, 0, a.Cols)
 		return
 	}
 	par.ForWork(a.Cols, perCol, func(lo, hi int) {
-		axpyRowsRange(dst, a.Data, 1, a.Cols, b, lo, hi)
+		matMulTransARange(dst, a, b, lo, hi)
 	})
+}
+
+// matMulTransARange computes rows [lo, hi) of dst = aᵀ x b (dst rows
+// pre-zeroed).
+//
+//hotline:hotpath
+func matMulTransARange(dst, a, b *Matrix, lo, hi int) {
+	if b.Cols == 1 {
+		gemvLanes(dst.Data[lo:hi], a.Data[lo:], a.Cols, b.Data)
+		return
+	}
+	axpyRowsRange(dst, a.Data, 1, a.Cols, b, lo, hi)
 }
 
 // AddBiasRow adds bias (length m.Cols) to every row of m in place.
