@@ -13,7 +13,7 @@ import (
 // without a want, or want without a diagnostic, fails the test. Fixtures
 // are invisible to `go list ./...` (testdata is ignored), so they may
 // violate every contract freely — and they import real module packages
-// (shard.WindowQueue, shard.Stats, internal/par) so the analyzers are
+// (shard.Service, shard.Stats, internal/par) so the analyzers are
 // exercised against the types they key on in production.
 
 var wantRe = regexp.MustCompile(`// want "([^"]*)"`)

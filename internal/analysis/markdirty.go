@@ -10,18 +10,18 @@ const shardPkg = "hotline/internal/shard"
 
 // Markdirty enforces the window-repair protocol from the depth-k
 // prefetch pipeline: a sparse update must announce the rows it is about
-// to rewrite (WindowQueue.MarkDirty joins any open window that staged
-// one, so no in-flight fetch races the write, and the consuming Forward
+// to rewrite (Service.MarkDirty joins any open window that staged one,
+// so no in-flight fetch races the write, and the consuming Forward
 // delta-repairs them) BEFORE the first mutation. Statically:
 //
 //   - a function annotated //hotline:mutates-rows must call MarkDirty as
 //     its first effectful statement, unconditionally;
-//   - a function that calls WindowQueue.MarkDirty outside package shard
+//   - a function that calls Service.MarkDirty outside package shard
 //     must carry the annotation, so the mutator set stays declared.
 var Markdirty = &Analyzer{
 	Name: "markdirty",
 	Doc: "require //hotline:mutates-rows functions to call " +
-		"WindowQueue.MarkDirty before the first row mutation",
+		"Service.MarkDirty before the first row mutation",
 	Run: runMarkdirty,
 }
 
@@ -40,21 +40,21 @@ func runMarkdirty(pass *Pass) error {
 			case annotated:
 				checkMarkDirtyOrder(pass, fn)
 			case hasCall && pass.Pkg.Path() != shardPkg:
-				pass.Report(fn.Pos(), "%s calls WindowQueue.MarkDirty but is not annotated //hotline:mutates-rows; declare the mutation so the protocol check covers it", fn.Name.Name)
+				pass.Report(fn.Pos(), "%s calls Service.MarkDirty but is not annotated //hotline:mutates-rows; declare the mutation so the protocol check covers it", fn.Name.Name)
 			}
 		}
 	}
 	return nil
 }
 
-// isMarkDirtyCall reports whether the call is WindowQueue.MarkDirty.
+// isMarkDirtyCall reports whether the call is Service.MarkDirty.
 func isMarkDirtyCall(pass *Pass, call *ast.CallExpr) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "MarkDirty" {
 		return false
 	}
 	pkg, name := namedType(pass.TypeOf(sel.X))
-	return pkg == shardPkg && name == "WindowQueue"
+	return pkg == shardPkg && name == "Service"
 }
 
 func containsMarkDirty(pass *Pass, body *ast.BlockStmt) bool {
@@ -91,7 +91,7 @@ func checkMarkDirtyOrder(pass *Pass, fn *ast.FuncDecl) {
 			return
 		}
 	}
-	pass.Report(fn.Pos(), "%s is annotated //hotline:mutates-rows but never calls WindowQueue.MarkDirty; open prefetch windows would serve rows this function rewrites", fn.Name.Name)
+	pass.Report(fn.Pos(), "%s is annotated //hotline:mutates-rows but never calls Service.MarkDirty; open prefetch windows would serve rows this function rewrites", fn.Name.Name)
 }
 
 func containsMarkDirtyStmt(pass *Pass, stmt ast.Stmt) bool {

@@ -1,12 +1,12 @@
 // Package markdirty is the markdirty analyzer's fixture, exercising the
-// window-repair protocol against the real shard.WindowQueue type.
+// window-repair protocol against the real shard.Service type.
 package markdirty
 
 import "hotline/internal/shard"
 
 //hotline:mutates-rows
-func good(q *shard.WindowQueue, rows []int32, w []float32) {
-	q.MarkDirty(rows)
+func good(s *shard.Service, rows []int32, w []float32) {
+	s.MarkDirty(0, rows)
 	for i := range w {
 		w[i] = 0
 	}
@@ -16,16 +16,16 @@ func good(q *shard.WindowQueue, rows []int32, w []float32) {
 // mark; the protocol is still satisfied.
 //
 //hotline:mutates-rows
-func guarded(q *shard.WindowQueue, rows []int32, w []float32) {
+func guarded(s *shard.Service, rows []int32, w []float32) {
 	if len(rows) == 0 {
 		return
 	}
-	q.MarkDirty(rows)
+	s.MarkDirty(0, rows)
 	w[0] = 1
 }
 
 //hotline:mutates-rows
-func never(w []float32) { // want "never calls WindowQueue.MarkDirty"
+func never(w []float32) { // want "never calls Service.MarkDirty"
 	_ = len(w)
 }
 
@@ -37,19 +37,19 @@ func unmarked(w []float32) {
 }
 
 //hotline:mutates-rows
-func late(q *shard.WindowQueue, rows []int32, w []float32) {
+func late(s *shard.Service, rows []int32, w []float32) {
 	w[0] = 1 // want "may mutate rows before calling MarkDirty"
-	q.MarkDirty(rows)
+	s.MarkDirty(0, rows)
 }
 
 //hotline:mutates-rows
-func conditional(q *shard.WindowQueue, rows []int32, w []float32) {
+func conditional(s *shard.Service, rows []int32, w []float32) {
 	if len(rows) > 0 { // want "calls MarkDirty conditionally"
-		q.MarkDirty(rows)
+		s.MarkDirty(0, rows)
 	}
 	w[0] = 1
 }
 
-func undeclared(q *shard.WindowQueue, rows []int32) { // want "not annotated //hotline:mutates-rows"
-	q.MarkDirty(rows)
+func undeclared(s *shard.Service, rows []int32) { // want "not annotated //hotline:mutates-rows"
+	s.MarkDirty(0, rows)
 }

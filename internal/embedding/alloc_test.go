@@ -88,7 +88,7 @@ func TestShardedForwardZeroAlloc(t *testing.T) {
 }
 
 // TestPrefetchPathZeroAlloc: the asynchronous prefetch-then-consume window
-// — plan, staging buffer, completion state and queue entry in one object —
+// — plan, staging buffer, completion state and dirty list in one object —
 // recycles through the engine's pool, and idle owner queues are woken by a
 // cond signal to a PERSISTENT drainer goroutine — no per-window `go`
 // statement — so the steady-state path allocates nothing at all.

@@ -66,8 +66,8 @@ func TestOutOfRangeIndexPanicsUpFront(t *testing.T) {
 			if svc.CacheEntries() != entries || svc.CacheOccupancy() != occ {
 				t.Fatalf("quant %v: cache occupancy moved: %d entries -> %d", quant, entries, svc.CacheEntries())
 			}
-			if n := sb.PendingWindows(); n != 0 {
-				t.Fatalf("quant %v: %d prefetch windows were pushed", quant, n)
+			if n := len(sb.staged); n != 0 {
+				t.Fatalf("quant %v: %d prefetch windows were staged", quant, n)
 			}
 			if got := svc.Gatherer().Stats(); got.Windows != overlap.Windows || got.SyncWindows != overlap.SyncWindows {
 				t.Fatalf("quant %v: gather windows were issued: %+v -> %+v", quant, overlap, got)

@@ -21,14 +21,15 @@ import (
 // TestShardedBagBitIdentical enforces this for node counts {1,2,4,8}.
 //
 // Prefetch issues a µ-batch's fabric fetches ahead of time through the
-// service's gather engine; the matching Forward then blocks only on whatever
-// the overlap failed to hide and reads the remote rows from the window's
-// staging buffer. Up to pipeline-depth windows can be open at once (the
-// depth-k cross-iteration pipeline): the bag and its shadows share one
-// shard.WindowQueue registering every issued window in stream order, sparse
-// updates mark the staged rows they rewrite as dirty, and the consuming
-// Forward delta-repairs them first — so the values applied are bit-identical
-// to a synchronous gather at consume time, for any depth.
+// service's gather engine; the Forward that takes the window blocks only on
+// what the overlap failed to hide and reads the remote rows from the
+// window's staging buffer. Up to pipeline-depth windows can be open at once
+// (the depth-k cross-iteration pipeline): each instance keeps the windows it
+// prefetched in order and its forwards take them oldest first, sparse
+// updates (through any instance of the table) mark the staged rows they
+// rewrite as dirty (shard.Service.MarkDirty), and the consuming Forward
+// delta-repairs them first — so the values applied are bit-identical to a
+// synchronous gather at consume time, for any depth.
 type ShardedBag struct {
 	// TableIdx keys the service's cache and traffic accounting.
 	TableIdx int
@@ -40,10 +41,10 @@ type ShardedBag struct {
 	// would hand out bags that bypass the routing.
 	tab *Table
 
-	// windows is the open prefetch-window registry and dirty-row tracker,
-	// shared with shadows (a shadow issues the lookahead windows; the
-	// primary bag's sparse updates invalidate their staged rows).
-	windows *shard.WindowQueue
+	// staged holds the windows this instance prefetched and has not yet
+	// consumed, oldest first: one entry per Prefetch, nil where the plan
+	// staged nothing.
+	staged []*shard.Staging
 
 	// rowAt is the row view the table registers and every scatter push sends
 	// from, bound once: a per-call method value would allocate.
@@ -55,7 +56,7 @@ type ShardedBag struct {
 // rows — so a caller that keeps using t aliases the bag's parameters and
 // bypasses its routing; Clone first to keep an independent reference.
 func ShardBag(t *Table, svc *shard.Service, tableIdx int) *ShardedBag {
-	s := &ShardedBag{TableIdx: tableIdx, svc: svc, tab: t, windows: svc.NewWindowQueue(tableIdx)}
+	s := &ShardedBag{TableIdx: tableIdx, svc: svc, tab: t}
 	s.rowAt = s.rowViewAt
 	// Declare the table to the fabric: the service sizes its routing state
 	// for it and copies every staged row from its view, and on a
@@ -79,9 +80,10 @@ func (s *ShardedBag) RowView(r int) []float32 { return s.tab.W.Row(r) }
 // executor overlaps the non-popular gather with the popular µ-batch inside
 // an iteration, and the depth-k cross-iteration pipeline issues the next
 // k-1 mini-batches' gathers right after the current sparse update so they
-// stream through the dense step and the following iterations. Windows are
-// registered FIFO in the shared WindowQueue; the Forward over the same
-// index set consumes the oldest one. A no-op on a single node.
+// stream through the dense step and the following iterations. The
+// instance's forwards take its windows in the order it prefetched them, so
+// each Prefetch must be followed, in order, by the Forward of the same
+// indices. A no-op on a single node.
 //
 //hotline:hotpath
 func (s *ShardedBag) Prefetch(indices [][]int32) {
@@ -93,19 +95,24 @@ func (s *ShardedBag) Prefetch(indices [][]int32) {
 	if w != nil {
 		s.svc.Gatherer().Submit(w)
 	}
-	s.windows.Push(indices, w)
+	s.staged = append(s.staged, w) //hotline:allow hotalloc the staged list grows to the pipeline depth once and is reused
 }
 
-// AbortPrefetch joins and discards every outstanding prefetch window of
-// this bag and its shadows (their accounting already happened — wasted
-// prefetches). The executor calls it when a pipelined lookahead turns out
-// not to match the batches actually trained, so a reused index buffer can
-// never satisfy a stale window.
-func (s *ShardedBag) AbortPrefetch() { s.windows.Abort() }
-
-// PendingWindows reports the open (issued, unconsumed) prefetch windows
-// shared across this bag and its shadows.
-func (s *ShardedBag) PendingWindows() int { return s.windows.Len() }
+// AbortPrefetch joins and discards every window this instance prefetched and
+// has not consumed (their accounting already happened — wasted prefetches).
+// The executor calls it on the instance that prefetched when a pipelined
+// lookahead turns out not to match the batches actually trained, so no
+// forward consumes a window staged for another batch.
+func (s *ShardedBag) AbortPrefetch() {
+	for _, w := range s.staged {
+		if w != nil {
+			w.Await()
+			w.Release()
+		}
+	}
+	clear(s.staged)
+	s.staged = s.staged[:0]
+}
 
 // rowViewAt is RowView with the fabric's signature (bound once into rowAt).
 //
@@ -177,21 +184,26 @@ func (s *ShardedBag) pooled(indices [][]int32, lookups int, staged *shard.Stagin
 // Forward implements Bag: the sum-pooled lookup with shard routing. The
 // service accounting runs as a serial pre-pass (cache state must evolve in
 // batch order); the arithmetic then shards across workers exactly like the
-// single-node operator. When the oldest open Prefetch window matches the
-// index set it is consumed — blocking only on the exposed remainder of the
-// gather, with rows dirtied by intervening sparse updates delta-repaired
-// first (or served stale under Service.SetStaleReads). A non-matching
-// forward (an evaluation pass, a popular µ-batch) leaves younger windows
-// untouched and plans and stages its fabric rows synchronously — the
-// measured baseline the overlap is compared against. The consumed window
-// goes back to the engine's pool.
+// single-node operator. When the instance has prefetched windows it takes
+// the oldest — blocking only on the exposed remainder of the gather, with
+// rows dirtied by intervening sparse updates delta-repaired first (or served
+// stale under Service.SetStaleReads); an entry whose plan staged nothing is
+// not planned again. With nothing prefetched the forward plans and stages
+// its fabric rows synchronously — the measured baseline the overlap is
+// compared against. The consumed window goes back to the engine's pool.
 //
 //hotline:hotpath
 func (s *ShardedBag) Forward(indices [][]int32) *tensor.Matrix {
 	lookups := checkIndices(indices, s.tab.Rows)
-	w := s.windows.Match(indices)
-	if w != nil {
-		s.windows.Consume(w)
+	var w *shard.Staging
+	if len(s.staged) > 0 {
+		w = s.staged[0]
+		n := copy(s.staged, s.staged[1:])
+		s.staged[n] = nil
+		s.staged = s.staged[:n]
+		if w != nil {
+			w.Consume()
+		}
 	} else if w = s.svc.PlanGather(s.TableIdx, indices); w != nil {
 		s.svc.Gatherer().GatherSync(w)
 	}
@@ -205,8 +217,8 @@ func (s *ShardedBag) Forward(indices [][]int32) *tensor.Matrix {
 
 // ServeForward is the online-inference read path: the pooled lookup with
 // serve-side routing. Unlike Forward it is strictly read-only with respect
-// to training machinery — it never matches or consumes a prefetch window
-// (open lookahead windows belong to the training stream and must survive a
+// to training machinery — it never consumes a prefetch window (open
+// lookahead windows belong to the training stream and must survive a
 // concurrent predict), never arms Backward, and books its traffic into the
 // service's serve counters (ServeSnapshot) so training traffic fractions
 // stay clean. The shared device caches ARE warmed: live request traffic
@@ -277,7 +289,7 @@ func (s *ShardedBag) BackwardIndices(indices [][]int32, gradOut *tensor.Matrix) 
 //hotline:mutates-rows
 //hotline:hotpath
 func (s *ShardedBag) ApplySparseSGD(sg SparseGrad, lr float32) {
-	s.windows.MarkDirty(sg.Rows)
+	s.svc.MarkDirty(s.TableIdx, sg.Rows)
 	s.tab.ApplySparseSGD(sg, lr)
 	s.svc.PushUpdates(s.TableIdx, sg.Rows, s.rowAt)
 }
@@ -290,7 +302,7 @@ func (s *ShardedBag) ApplySparseSGD(sg SparseGrad, lr float32) {
 //hotline:mutates-rows
 //hotline:hotpath
 func (s *ShardedBag) ApplySparseAdagrad(st *AdagradState, sg SparseGrad, lr float32) {
-	s.windows.MarkDirty(sg.Rows)
+	s.svc.MarkDirty(s.TableIdx, sg.Rows)
 	s.tab.ApplySparseAdagrad(st, sg, lr)
 	s.svc.PushUpdates(s.TableIdx, sg.Rows, s.rowAt)
 }
@@ -310,12 +322,12 @@ func (s *ShardedBag) EmbedDim() int { return s.tab.Dim }
 // SizeBytes implements Bag.
 func (s *ShardedBag) SizeBytes() int64 { return s.tab.SizeBytes() }
 
-// ShadowBag implements Bag: the shadow shares the rows, the service (its
-// accounting is mutex-guarded) AND the prefetch window registry — a
-// lookahead window issued on the shadow must be visible to the primary
-// bag's sparse updates for dirty-row tracking — with private forward state.
+// ShadowBag implements Bag: the shadow shares the rows and the service (its
+// accounting is mutex-guarded, and its MarkDirty reaches every open window of
+// the table, so the primary bag's sparse updates repair what a shadow
+// prefetched), with private forward state and prefetch windows.
 func (s *ShardedBag) ShadowBag() Bag {
-	sh := &ShardedBag{TableIdx: s.TableIdx, svc: s.svc, tab: s.tab.Shadow(), windows: s.windows}
+	sh := &ShardedBag{TableIdx: s.TableIdx, svc: s.svc, tab: s.tab.Shadow()}
 	sh.rowAt = sh.rowViewAt
 	return sh
 }

@@ -116,11 +116,12 @@ type sparsePrefetcher interface {
 // the non-popular µ-batch before dispatching the popular one — and, in the
 // depth-k cross-iteration pipeline, for up to k-1 FUTURE mini-batches
 // right after the current sparse update — overlapping the fabric traffic
-// with compute. Windows are registered FIFO per bag, and rows a later
-// sparse update rewrites are delta-repaired before consumption, so staging
-// ahead never changes training state. The TBSM sequence table is skipped
-// (its per-timestep index sets are built inside Forward) and everything
-// else is a no-op on non-prefetching bags.
+// with compute. A bag's forwards take its windows in prefetch order, so the
+// model that prefetched runs the forwards; rows a later sparse update
+// rewrites are delta-repaired before consumption, so staging ahead never
+// changes training state. The TBSM sequence table is skipped (its
+// per-timestep index sets are built inside Forward) and everything else is
+// a no-op on non-prefetching bags.
 //
 //hotline:hotpath
 func (m *Model) PrefetchSparse(b *data.Batch) {
@@ -134,11 +135,11 @@ func (m *Model) PrefetchSparse(b *data.Batch) {
 	}
 }
 
-// AbortPrefetchSparse joins and discards every outstanding prefetch window
-// (the whole staged lookahead, however deep). The pipelined executor calls
-// it when a lookahead speculated on batches that are not the ones actually
-// trained next, so a stale window can never be consumed against a reused
-// index buffer.
+// AbortPrefetchSparse joins and discards every prefetch window this model's
+// bags hold (the whole staged lookahead, however deep). The pipelined
+// executor calls it on the model that prefetched when a lookahead speculated
+// on batches that are not the ones actually trained next, so a stale window
+// can never be consumed by a forward of another batch.
 func (m *Model) AbortPrefetchSparse() {
 	for _, bag := range m.Tables {
 		if p, ok := bag.(sparsePrefetcher); ok {
@@ -332,7 +333,7 @@ func (m *Model) ZeroAll() {
 // holding the write side of the parameter lock throughout. It is the update
 // bracket: every write to a dense weight or an embedding row after
 // construction happens in here, together with what must be ordered with
-// those writes — WindowQueue.MarkDirty and, on a socket fabric, the scatter
+// those writes — shard.Service.MarkDirty and, on a socket fabric, the scatter
 // push (a serve fetch issued after the bracket queues behind the push on the
 // owner's stream). A serve forward (ServePredictInto, on any shadow) holds
 // the read side, so it sees the parameters of exactly one step boundary; the

@@ -174,6 +174,11 @@ type AsyncGatherer struct {
 
 	poolMu sync.Mutex
 	pool   []*Staging // released windows awaiting reuse
+
+	// open holds the submitted windows not yet released: the ones a sparse
+	// update may have to mark dirty (Service.MarkDirty).
+	openMu sync.Mutex
+	open   []*Staging
 }
 
 // newAsyncGatherer builds the engine of svc: one queue per owner node.
@@ -206,8 +211,7 @@ func (g *AsyncGatherer) Close() {
 
 // acquire hands out a released (or new) window, empty, keyed to table, with a
 // slot table for a plan over at most lookups rows: the accounting walk takes
-// one at the first row that needs staging, a WindowQueue one to stand for a
-// prefetch that planned nothing.
+// one at the first row that needs staging.
 func (g *AsyncGatherer) acquire(table, lookups int) *Staging {
 	var w *Staging
 	g.poolMu.Lock()
@@ -225,12 +229,15 @@ func (g *AsyncGatherer) acquire(table, lookups int) *Staging {
 	return w
 }
 
-// Submit issues one planned window asynchronously; Await it before reading
-// its rows. The submitting goroutine yields once so the drainers get
-// scheduled even on a single-CPU host — the window then streams while the
-// caller's compute runs, which is exactly the overlap the paper's pipeline
-// performs in hardware.
+// Submit issues one planned window asynchronously and adds it to the open
+// set until its Release; Await (or Consume) it before reading its rows. The
+// submitting goroutine yields once so the drainers get scheduled even on a
+// single-CPU host — the window then streams while the caller's compute runs,
+// which is exactly the overlap the paper's pipeline performs in hardware.
 func (g *AsyncGatherer) Submit(w *Staging) {
+	g.openMu.Lock()
+	g.open = append(g.open, w)
+	g.openMu.Unlock()
 	w.fillQuant()
 	jobs := 0
 	for _, rows := range w.perOwner {

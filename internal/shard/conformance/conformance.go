@@ -299,13 +299,11 @@ func runServeSeparation(t *testing.T, s Suite) {
 func runCleanShutdown(t *testing.T, s Suite) {
 	f := newFabricFixture(t, s, 4, 32, 8)
 	idx := [][]int32{{1, 2}, {5, 6}}
-	q := f.svc.NewWindowQueue(0)
-	w := f.svc.PlanGather(0, idx)
-	if w == nil {
+	st := f.svc.PlanGather(0, idx)
+	if st == nil {
 		t.Fatal("probe plan needed no fabric fetches")
 	}
-	f.g.Submit(w)
-	q.Push(idx, w)
+	f.g.Submit(st)
 
 	// Close with the window still open — twice, concurrently would also be
 	// legal (covered by the shard package's own lifecycle test); the
@@ -313,11 +311,7 @@ func runCleanShutdown(t *testing.T, s Suite) {
 	if err := f.svc.Close(); err != nil {
 		t.Fatalf("close with open window: %v", err)
 	}
-	st := q.Match(idx)
-	if st == nil {
-		t.Fatal("open window lost across Close")
-	}
-	q.Consume(st)
+	st.Consume()
 	// Rows 1 and 2 are requested by batch position 0 (node 0) and owned by
 	// nodes 1 and 2 under round-robin — both must have crossed the fabric.
 	for _, row := range []int32{1, 2} {

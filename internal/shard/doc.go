@@ -43,12 +43,14 @@
 // returns the window to the engine's pool, which grows to the pipeline's
 // peak window count, so the steady-state path allocates nothing.
 //
-// A depth-k pipeline keeps up to k windows open per table. The WindowQueue
-// is its dirty-row tracker: issued windows register FIFO, a sparse update
-// marks the staged rows it is about to rewrite dirty (joining in-flight
-// fetches first, so no fetch races a write), and the consuming forward
-// delta-repairs exactly those rows from their owners — every depth is
-// therefore bit-identical to batch-by-batch stepping. The opt-in stale
+// A depth-k pipeline keeps up to k windows open per table, each held by the
+// consumer that prefetched it. The engine tracks what may go stale: Submit
+// adds a window to its open set and Release takes it out, a sparse update
+// marks the staged rows it is about to rewrite dirty (Service.MarkDirty,
+// joining in-flight fetches first, so no fetch races a write), and the
+// consuming forward delta-repairs exactly those rows from their owners
+// (Staging.Consume) — every depth is therefore bit-identical to
+// batch-by-batch stepping. The opt-in stale
 // mode (Service.SetStaleReads) skips the repair, serves issue-time values
 // and counts them, so the accuracy cost of staleness is measured rather
 // than assumed.

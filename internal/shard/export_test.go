@@ -7,3 +7,10 @@ func (g *AsyncGatherer) PooledWindows() int {
 	defer g.poolMu.Unlock()
 	return len(g.pool)
 }
+
+// OpenWindows reports how many submitted windows are not yet released.
+func (g *AsyncGatherer) OpenWindows() int {
+	g.openMu.Lock()
+	defer g.openMu.Unlock()
+	return len(g.open)
+}

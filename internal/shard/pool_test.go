@@ -12,10 +12,10 @@ import (
 
 // TestWindowPoolPlateaus: the sharded executor at depth 4 makes windows only
 // while its pipeline fills. Every window a step uses — the lookahead's
-// prefetches, the popular pass's synchronous stagings, the empty markers of
-// all-local prefetches — comes from the engine's one pool and goes back to
-// it, so 300 further steps find the pool exactly as the first twenty left
-// it, at no more than tables x depth x 2 windows. One worker keeps the two
+// prefetches and the popular pass's synchronous stagings — comes from the
+// engine's one pool and goes back to it (and so leaves the open set), so
+// 300 further steps find the pool exactly as the first twenty left it, at
+// no more than tables x depth x 2 windows. One worker keeps the two
 // µ-batch passes from overlapping, which makes the peak exact.
 func TestWindowPoolPlateaus(t *testing.T) {
 	defer par.SetWorkers(par.SetWorkers(1))
@@ -42,6 +42,9 @@ func TestWindowPoolPlateaus(t *testing.T) {
 	train.StepAll(tr, batches[warm:], nil)
 	if got := svc.Gatherer().PooledWindows(); got != filled {
 		t.Fatalf("pool grew from %d windows after %d steps to %d after %d more", filled, warm, got, steps)
+	}
+	if n := svc.Gatherer().OpenWindows(); n != 0 {
+		t.Fatalf("%d windows still open after the stream's last step", n)
 	}
 	t.Logf("pool: %d windows for %d tables at depth %d", filled, cfg.NumTables, depth)
 	if limit := cfg.NumTables * depth * 2; filled > limit {

@@ -241,7 +241,6 @@ func TestQuantRepairMatchesSyncGather(t *testing.T) {
 	s := New(Config{Nodes: 2, CacheBytes: 1 << 12, RowBytes: dim * 4, Quant: QuantINT8}, nil)
 	s.RegisterTable(0, dim, len(store), func(row int32) []float32 { return store[row] })
 	g := s.Gatherer()
-	q := s.NewWindowQueue(0)
 	idx := [][]int32{{1}}
 
 	// Warm the cache: row 1 becomes an int8 entry.
@@ -252,15 +251,11 @@ func TestQuantRepairMatchesSyncGather(t *testing.T) {
 	// Issue a prefetch window whose staged row is then updated.
 	st = s.PlanGather(0, idx)
 	g.Submit(st)
-	q.Push(idx, st)
-	q.MarkDirty([]int32{1})
+	s.MarkDirty(0, []int32{1})
 	for k := range store[1] {
 		store[1][k] += 5 // the sparse update the window must observe
 	}
-	if q.Match(idx) != st {
-		t.Fatal("window must match its index set")
-	}
-	q.Consume(st)
+	st.Consume()
 	v, ok := st.Lookup(1)
 	if !ok {
 		t.Fatal("row 1 must stage")

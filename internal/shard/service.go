@@ -348,7 +348,7 @@ type Service struct {
 
 	// stale selects the opt-in stale-read mode of the depth-k pipeline:
 	// windows consume their staged rows as fetched at issue time, skipping
-	// the dirty-row repair (WindowQueue.Consume) and merely counting the
+	// the dirty-row repair (Staging.Consume) and merely counting the
 	// stale rows. Training then diverges from batch-by-batch stepping — the
 	// accuracy cost the mn-depth scenario measures.
 	stale atomic.Bool

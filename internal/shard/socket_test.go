@@ -202,9 +202,7 @@ func TestNodeServerCloseIdempotent(t *testing.T) {
 // drainers retire, but consumers help drain.
 func TestServiceCloseIdempotent(t *testing.T) {
 	f := newWindowFixture(t, 16, 4)
-	q := f.svc.NewWindowQueue(0)
-	idx := [][]int32{{1, 3}, {1, 3}}
-	f.issue(q, idx)
+	st := f.issue([][]int32{{1, 3}, {1, 3}})
 
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -221,13 +219,9 @@ func TestServiceCloseIdempotent(t *testing.T) {
 		t.Fatal("Close after concurrent Close:", err)
 	}
 
-	// The open window survives Close: Match + Consume still deliver the
-	// staged bits.
-	st := q.Match(idx)
-	if st == nil {
-		t.Fatal("window lost across Close")
-	}
-	q.Consume(st)
+	// The open window survives Close: Consume still delivers the staged
+	// bits.
+	st.Consume()
 	if v, ok := st.Lookup(3); !ok || v[0] != 300 {
 		t.Fatalf("staged row 3 = %v, %v", v, ok)
 	}

@@ -10,7 +10,7 @@ import (
 
 // Staging is one gather window: the working parameters of one µ-batch on
 // their way from the owner nodes to the consumer. It is the plan, the
-// landing buffer, the completion state and the prefetch-queue entry of that
+// landing buffer, the completion state and the dirty-row list of that
 // window in one pooled object, with one acquire (Service.PlanGather /
 // PlanServeGather) and one Release:
 //
@@ -26,11 +26,11 @@ import (
 //     iteration order.
 //   - An issued window (AsyncGatherer.Submit) completes when its last
 //     per-owner fetch retires; Await blocks for whatever is still missing.
-//   - In a depth-k pipeline the window waits in its table's WindowQueue with
-//     the index set it was planned for and a dirty list: a staged row can go
-//     stale while the window is open (a later sparse update rewrites the owner
-//     row), and the queue repairs exactly those rows before consumption, which
-//     keeps every depth bit-identical to batch-by-batch stepping.
+//   - In a depth-k pipeline a submitted window stays in its engine's open
+//     set until Release, with a dirty list: a staged row can go stale while
+//     the window is open (a later sparse update rewrites the owner row,
+//     Service.MarkDirty), and Consume repairs exactly those rows, which keeps
+//     every depth bit-identical to batch-by-batch stepping.
 //
 // A window belongs to the engine that planned it and to exactly one user
 // between acquire and Release; a depth-k pipeline cycles through a fixed set
@@ -74,8 +74,7 @@ type Staging struct {
 	pending  int       // per-owner fetch jobs still out
 	inFlight bool      // submitted and not yet awaited
 
-	indices [][]int32 // the index set a queued window was planned for
-	dirty   []int32   // staged rows invalidated since issue (may repeat)
+	dirty []int32 // staged rows invalidated since issue (may repeat)
 }
 
 // add registers one fabric fetch of row from owner. Rows are staged once
@@ -300,10 +299,24 @@ func (w *Staging) Await() {
 	w.g.svc.count(false, &Stats{Exposed: time.Since(start)}) //hotline:allow detorder measured exposed-gather wall; never feeds math
 }
 
-// Release returns a consumed window to its engine's pool, reset. Callers
-// must not touch it (or any row slice obtained from Lookup) afterwards, and
-// must not release a window whose fetches are still in flight.
+// Release returns a consumed window to its engine's pool, reset, and takes
+// it out of the engine's open set. Callers must not touch it (or any row
+// slice obtained from Lookup) afterwards, and must not release a window whose
+// fetches are still in flight.
 func (w *Staging) Release() {
+	g := w.g
+	g.openMu.Lock()
+	for i, o := range g.open {
+		if o == w {
+			// The slot past the end keeps a pointer to one of the engine's
+			// own windows until the next Submit overwrites it.
+			last := len(g.open) - 1
+			g.open[i] = g.open[last]
+			g.open = g.open[:last]
+			break
+		}
+	}
+	g.openMu.Unlock()
 	w.bytes = 0
 	for o := range w.perOwner {
 		w.perOwner[o] = w.perOwner[o][:0]
@@ -311,114 +324,23 @@ func (w *Staging) Release() {
 	clear(w.cells)
 	w.rows = 0
 	w.quant = w.quant[:0]
-	w.indices = nil
 	w.dirty = w.dirty[:0]
-	w.g.poolMu.Lock()
-	w.g.pool = append(w.g.pool, w)
-	w.g.poolMu.Unlock()
+	g.poolMu.Lock()
+	g.pool = append(g.pool, w)
+	g.poolMu.Unlock()
 }
 
-// discard joins a window nobody will consume and releases it.
-func (w *Staging) discard() {
-	w.Await()
-	w.Release()
-}
-
-// WindowQueue is the dirty-row tracker of one table's prefetch pipeline: a
-// FIFO of open windows shared by a sharded bag and all of its shadows (a
-// window is issued by the executor's lookahead on a shadow but invalidated
-// by sparse updates applied through the primary bag, so the registry must
-// span sharers). It keeps every pipeline depth bit-identical to
-// batch-by-batch stepping:
-//
-//   - Push registers an issued window in stream order.
-//   - MarkDirty, called by a sparse update BEFORE it mutates rows, joins
-//     every open window that staged any updated row (so no fetch can race
-//     the write) and records those rows as dirty.
-//   - Match pops the oldest window iff it was planned for exactly the
-//     requested index set.
-//   - Consume joins the popped window and re-fetches its dirty rows from
-//     the owner shards — the delta repair — unless the service is in the
-//     opt-in stale mode (SetStaleReads), where the stale values are served
-//     as-is and only counted (Stats.StaleRows).
-type WindowQueue struct {
-	svc   *Service
-	table int // accounting key of the table this queue repairs through the fabric
-
-	mu   sync.Mutex
-	open []*Staging // FIFO, oldest window first
-}
-
-// NewWindowQueue returns an empty window registry for one table, routing
-// through s (delta repairs re-fetch dirty rows from their owner over the
-// service's transport).
-func (s *Service) NewWindowQueue(table int) *WindowQueue {
-	return &WindowQueue{svc: s, table: table}
-}
-
-// Len returns the number of open (issued, unconsumed) windows.
-func (q *WindowQueue) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.open)
-}
-
-// maxOpenWindows bounds the FIFO: a well-behaved depth-k pipeline holds at
-// most k windows (k <= 8 in every shipped sweep), so the bound only bites
-// a caller that prefetches but whose forwards never match — e.g. index
-// slices rebuilt between Prefetch and Forward, which Match's identity test
-// rejects. Evicting the oldest window (joined and released) keeps such a
-// caller's memory and MarkDirty scans bounded instead of leaking a window
-// per call.
-const maxOpenWindows = 64
-
-// Push registers a submitted window for indices. w is nil when the plan
-// needed no fabric fetches: an empty window then keeps the FIFO aligned with
-// the lookahead order. If the queue is already at maxOpenWindows the oldest
-// window is discarded like an aborted speculation — its accounting already
-// happened.
-func (q *WindowQueue) Push(indices [][]int32, w *Staging) {
-	if w == nil {
-		w = q.svc.gather.acquire(q.table, 0)
-	}
-	w.indices = indices
-	q.mu.Lock()
-	if len(q.open) >= maxOpenWindows {
-		q.open[0].discard()
-		copy(q.open, q.open[1:])
-		q.open = q.open[:len(q.open)-1]
-	}
-	q.open = append(q.open, w)
-	q.mu.Unlock()
-}
-
-// Match pops and returns the oldest open window iff it was planned for
-// exactly the given index set; otherwise it returns nil and leaves the
-// queue untouched (younger windows stay valid for later batches — a
-// non-matching forward, e.g. an evaluation pass, must not disturb the
-// pipeline). Pass the popped window to Consume, then Release it.
-func (q *WindowQueue) Match(indices [][]int32) *Staging {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.open) == 0 || !sameIndexSet(q.open[0].indices, indices) {
-		return nil
-	}
-	w := q.open[0]
-	copy(q.open, q.open[1:])
-	q.open = q.open[:len(q.open)-1]
-	return w
-}
-
-// MarkDirty records that a sparse update is about to rewrite the given
-// rows: every open window that staged one of them is joined (fetches
-// complete before the caller mutates storage) and the row is added to its
-// dirty list for repair at consume time. rows may contain repeats; the
-// repair pass dedups.
-func (q *WindowQueue) MarkDirty(rows []int32) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for _, w := range q.open {
-		if w.Rows() == 0 {
+// MarkDirty records that a sparse update of table is about to rewrite the
+// given rows: every open window of the table that staged one of them is
+// joined (fetches complete before the caller mutates storage) and the row is
+// added to its dirty list for repair at consume time. rows may contain
+// repeats; the repair pass dedups.
+func (s *Service) MarkDirty(table int, rows []int32) {
+	g := s.gather
+	g.openMu.Lock()
+	defer g.openMu.Unlock()
+	for _, w := range g.open {
+		if w.table != table {
 			continue
 		}
 		for _, r := range rows {
@@ -431,26 +353,27 @@ func (q *WindowQueue) MarkDirty(rows []int32) {
 	}
 }
 
-// Consume joins a window popped by Match and repairs every dirty row — a
-// fabric row re-fetched from its owner shard over the transport, a warm-tier
-// row round-tripped again from the table's row view — so the staged values
-// are bit-identical to what a synchronous gather would read now. In stale
-// mode the repair is skipped and the distinct dirtied rows are counted
-// instead.
-func (q *WindowQueue) Consume(w *Staging) {
+// Consume joins the window and repairs every dirty row — a fabric row
+// re-fetched from its owner shard over the transport, a warm-tier row
+// round-tripped again from the table's row view — so the staged values are
+// bit-identical to what a synchronous gather would read now. In stale mode
+// (Service.SetStaleReads) the repair is skipped and the distinct dirtied rows
+// are counted instead. Release the window after reading it.
+func (w *Staging) Consume() {
 	w.Await()
 	if len(w.dirty) == 0 {
 		return
 	}
+	svc := w.g.svc
 	// Dedup in place: repeated updates to one staged row repair it once.
 	slices.Sort(w.dirty)
 	w.dirty = slices.Compact(w.dirty)
-	if q.svc.StaleReads() {
-		q.svc.count(false, &Stats{StaleRows: int64(len(w.dirty))})
+	if svc.StaleReads() {
+		svc.count(false, &Stats{StaleRows: int64(len(w.dirty))})
 		return
 	}
 	st := Stats{RepairRows: int64(len(w.dirty))}
-	own := q.svc.owners(q.table, int(w.dirty[len(w.dirty)-1])+1) // sorted: the last row is the largest
+	own := svc.owners(w.table, int(w.dirty[len(w.dirty)-1])+1) // sorted: the last row is the largest
 	for i, r := range w.dirty {
 		if wd := w.Width(r); wd != WidthFP32 {
 			// Warm-tier staged row: re-run the fused dequantize-gather on the
@@ -468,31 +391,9 @@ func (q *WindowQueue) Consume(w *Staging) {
 		// Per-row fabric re-fetch from the row's owner; the one-element
 		// sub-slice of the dirty list keeps the steady-state path
 		// allocation-free.
-		wall, _ := q.svc.transportFetch(q.table, int(own[r]), w.dirty[i:i+1], w)
+		wall, _ := svc.transportFetch(w.table, int(own[r]), w.dirty[i:i+1], w)
 		st.GatherWall += wall
-		st.RepairBytes += q.svc.Config().RowBytes
+		st.RepairBytes += svc.Config().RowBytes
 	}
-	q.svc.count(false, &st)
-}
-
-// Abort joins and discards every open window (its accounting already
-// happened — wasted prefetches, like any real system that speculated
-// wrong). The executor calls it when a pipelined lookahead turns out not to
-// match the batches actually trained, so a reused index buffer can never
-// satisfy a stale window.
-func (q *WindowQueue) Abort() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for _, w := range q.open {
-		w.discard()
-	}
-	q.open = q.open[:0]
-}
-
-// sameIndexSet reports whether a and b are the same index set (the same
-// backing slice — the executor prefetches and forwards the identical
-// µ-batch view). Empty sets never match: an empty prefetch carries no
-// traffic, so consuming it would only mask a caller bug.
-func sameIndexSet(a, b [][]int32) bool {
-	return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0]
+	svc.count(false, &st)
 }

@@ -30,66 +30,26 @@ func newWindowFixture(t *testing.T, rows, dim int) *windowFixture {
 	return f
 }
 
-// issue plans and submits one window over the index set and registers it.
-func (f *windowFixture) issue(q *WindowQueue, idx [][]int32) {
+// issue plans and submits one window over the index set.
+func (f *windowFixture) issue(idx [][]int32) *Staging {
 	w := f.svc.PlanGather(0, idx)
-	if w != nil {
-		f.g.Submit(w)
-	}
-	q.Push(idx, w)
+	f.g.Submit(w)
+	return w
 }
 
-func TestWindowQueueMatchIsFIFOAndExact(t *testing.T) {
+func TestWindowDirtyRowRepair(t *testing.T) {
 	f := newWindowFixture(t, 8, 4)
-	q := f.svc.NewWindowQueue(0)
-	idxA := [][]int32{{0, 1}, {0, 1}}
-	idxB := [][]int32{{2, 3}, {2, 3}}
-	f.issue(q, idxA)
-	f.issue(q, idxB)
-	if q.Len() != 2 {
-		t.Fatalf("open windows = %d want 2", q.Len())
-	}
-	// A younger window must not be served while an older one is open, and
-	// a foreign index set must not disturb the queue.
-	if w := q.Match(idxB); w != nil {
-		t.Fatal("younger window served out of order")
-	}
-	if w := q.Match([][]int32{{0, 1}, {0, 1}}); w != nil {
-		t.Fatal("equal-content but different-identity index set must not match")
-	}
-	wa := q.Match(idxA)
-	if wa == nil {
-		t.Fatal("oldest window must match its index set")
-	}
-	q.Consume(wa)
-	if v, ok := wa.Lookup(1); !ok || v[0] != 100 {
-		t.Fatalf("staged row 1 = %v ok=%v", v, ok)
-	}
-	wa.Release()
-	if wb := q.Match(idxB); wb == nil {
-		t.Fatal("second window must match after the first is consumed")
-	} else {
-		q.Consume(wb)
-		wb.Release()
-	}
-	if q.Len() != 0 {
-		t.Fatalf("open windows = %d want 0", q.Len())
-	}
-}
-
-func TestWindowQueueDirtyRowRepair(t *testing.T) {
-	f := newWindowFixture(t, 8, 4)
-	q := f.svc.NewWindowQueue(0)
 	idx := [][]int32{{0, 1}, {0, 1}} // rows 0 and 1 both cross the fabric
-	f.issue(q, idx)
+	st := f.issue(idx)
 
 	// A sparse update rewrites row 1 after the window was issued: marking
 	// joins the in-flight fetches first, so the mutation cannot race them.
-	q.MarkDirty([]int32{1, 1, 5}) // repeats and un-staged rows are fine
+	// An update of another table leaves the window alone.
+	f.svc.MarkDirty(1, []int32{0})
+	f.svc.MarkDirty(0, []int32{1, 1, 5}) // repeats and un-staged rows are fine
 	f.store[1][0] = -42
 
-	st := q.Match(idx)
-	q.Consume(st)
+	st.Consume()
 	if v, _ := st.Lookup(1); v[0] != -42 {
 		t.Fatalf("dirty row not repaired: %v", v)
 	}
@@ -138,28 +98,23 @@ func TestInprocFetchReadsTheRegisteredView(t *testing.T) {
 	sameBits("fetch")
 	w.Release()
 
-	q := f.svc.NewWindowQueue(0)
-	f.issue(q, idx)
-	q.MarkDirty([]int32{3})
+	w = f.issue(idx)
+	f.svc.MarkDirty(0, []int32{3})
 	f.store[3][0], f.store[3][2] = -7.25, math.Float32frombits(0x7f800001)
-	w = q.Match(idx)
-	q.Consume(w)
+	w.Consume()
 	sameBits("repair")
 	w.Release()
 }
 
-func TestWindowQueueStaleMode(t *testing.T) {
+func TestWindowStaleMode(t *testing.T) {
 	f := newWindowFixture(t, 8, 4)
 	f.svc.SetStaleReads(true)
-	q := f.svc.NewWindowQueue(0)
-	idx := [][]int32{{0, 1}, {0, 1}}
-	f.issue(q, idx)
+	st := f.issue([][]int32{{0, 1}, {0, 1}})
 
-	q.MarkDirty([]int32{1})
+	f.svc.MarkDirty(0, []int32{1})
 	f.store[1][0] = -42
 
-	st := q.Match(idx)
-	q.Consume(st)
+	st.Consume()
 	if v, _ := st.Lookup(1); v[0] != 100 {
 		t.Fatalf("stale mode must serve the issue-time value, got %v", v)
 	}
@@ -170,92 +125,50 @@ func TestWindowQueueStaleMode(t *testing.T) {
 	st.Release()
 }
 
-func TestWindowQueueAbortDiscardsAll(t *testing.T) {
-	f := newWindowFixture(t, 8, 4)
-	q := f.svc.NewWindowQueue(0)
-	idxA := [][]int32{{0, 1}, {0, 1}}
-	idxB := [][]int32{{2, 3}, {2, 3}}
-	f.issue(q, idxA)
-	f.issue(q, idxB)
-	q.Abort()
-	if q.Len() != 0 {
-		t.Fatalf("abort left %d windows open", q.Len())
-	}
-	if w := q.Match(idxA); w != nil {
-		t.Fatal("aborted window must not match")
-	}
-}
-
-func TestWindowQueueEmptyPlanWindow(t *testing.T) {
-	// All-local accesses plan nothing; the empty window keeps the FIFO
-	// aligned and consumes to no staged rows.
-	f := newWindowFixture(t, 8, 4)
-	q := f.svc.NewWindowQueue(0)
-	idx := [][]int32{{0}, {1}} // node 0 owns row 0, node 1 owns row 1
-	f.issue(q, idx)
-	w := q.Match(idx)
-	if w == nil {
-		t.Fatal("empty-plan window must still match")
-	}
-	if q.Consume(w); w.Rows() != 0 {
-		t.Fatalf("empty-plan window staged %d rows", w.Rows())
-	}
-	w.Release()
-}
-
-func TestWindowQueueBoundsOpenWindows(t *testing.T) {
-	// A caller that prefetches but never pointer-matches its forwards must
-	// not leak windows: the FIFO evicts its oldest entry past the cap.
-	f := newWindowFixture(t, 8, 4)
-	q := f.svc.NewWindowQueue(0)
-	for i := 0; i < 3*maxOpenWindows; i++ {
-		f.issue(q, [][]int32{{0, 1}, {0, 1}}) // fresh slice header each call
-	}
-	if q.Len() != maxOpenWindows {
-		t.Fatalf("open windows = %d want cap %d", q.Len(), maxOpenWindows)
-	}
-}
-
 // TestReleasedWindowComesBackReset pins the pool's contract on the one
-// pooled type: Release hands the same object to the next plan, with nothing
-// of the previous window — plan, width table, queue entry — left on it.
+// pooled type: Release takes the window out of the engine's open set and
+// hands the same object to the next plan, with nothing of the previous
+// window — plan, width table, dirty list, completion state — left on it.
 func TestReleasedWindowComesBackReset(t *testing.T) {
 	f := newWindowFixture(t, 8, 4)
-	q := f.svc.NewWindowQueue(0)
 	idx := [][]int32{{0, 1}, {0, 1}}
-	f.issue(q, idx)
-	q.MarkDirty([]int32{1})
-	w := q.Match(idx)
-	q.Consume(w)
+	w := f.issue(idx)
+	if n := f.g.OpenWindows(); n != 1 {
+		t.Fatalf("a submitted window is not open: %d open", n)
+	}
+	f.svc.MarkDirty(0, []int32{1})
+	w.Consume()
 	if w.Rows() != 2 || w.bytes != 2*16 || w.table != 0 || len(w.buf) != 2*4 {
 		t.Fatalf("window before release: rows %d bytes %d table %d buf %d", w.Rows(), w.bytes, w.table, len(w.buf))
 	}
 	w.Release()
+	if n := f.g.OpenWindows(); n != 0 {
+		t.Fatalf("a released window is still open: %d open", n)
+	}
 
-	// The empty marker of an all-local prefetch draws from the same pool.
-	local := [][]int32{{0}, {1}}
-	f.issue(q, local)
-	w2 := q.Match(local)
+	// The next plan draws the same object, reset.
+	w2 := f.svc.PlanGather(0, [][]int32{{1}, {0}})
 	if w2 != w {
 		t.Fatal("released window must be recycled")
 	}
-	if w2.Rows() != 0 || w2.bytes != 0 || w2.fabricRows() != 0 || len(w2.dirty) != 0 || w2.inFlight {
+	if w2.Rows() != 2 || w2.bytes != 2*16 || len(w2.dirty) != 0 || w2.inFlight {
 		t.Fatalf("recycled window not reset: %+v", w2)
 	}
-	for o, rows := range w2.perOwner {
-		if len(rows) != 0 {
-			t.Fatalf("recycled window still lists %v for owner %d", rows, o)
-		}
-	}
 	w2.Release()
+	if n := f.g.OpenWindows(); n != 0 {
+		t.Fatalf("a window never submitted left %d open", n)
+	}
 
 	// And a plan over another table re-keys it.
 	w3 := f.svc.PlanGather(3, idx)
 	if w3 != w {
 		t.Fatal("released window must be recycled for the next plan")
 	}
-	if w3.table != 3 || w3.Rows() != 2 || w3.indices != nil {
-		t.Fatalf("re-planned window: table %d rows %d indices %v", w3.table, w3.Rows(), w3.indices)
+	if w3.table != 3 || w3.Rows() != 2 {
+		t.Fatalf("re-planned window: table %d rows %d", w3.table, w3.Rows())
+	}
+	if listed := len(w3.perOwner[0]) + len(w3.perOwner[1]); listed != 2 {
+		t.Fatalf("re-planned window lists %d fetches for 2 rows: %v", listed, w3.perOwner)
 	}
 	w3.Release()
 }

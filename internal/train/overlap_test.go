@@ -223,48 +223,60 @@ func TestDeepPipelineRepairAndStaleness(t *testing.T) {
 
 // TestPipelinedSpeculationMiss drives StepLookahead with a lookahead batch
 // that is NOT the one trained next: the stale prefetch windows must be
-// joined and discarded (never consumed against moved weights), and training
-// must keep matching a non-speculating executor fed the same EAL stream.
+// joined and discarded (never consumed against moved weights, nor by the
+// forward of another batch), and training must keep matching a
+// non-speculating executor fed the same EAL stream. The decoys come from the
+// same day, skipped past the trained batches, so their splits are real and
+// every step discards a staged window set. Under the mixed tiers a window
+// consumed by the wrong forward serves the wrong warm rows; fp32 alone
+// cannot tell, because any window's rows read exact.
 func TestPipelinedSpeculationMiss(t *testing.T) {
 	cfg := data.CriteoKaggle()
 	cfg.Samples = 1024
 	cfg.BotMLP = []int{13, 32, 16}
 	cfg.TopMLP = []int{32, 1}
-	const seed, iters, batch = 42, 6, 128
+	const seed, iters, batch = 42, 12, 128
 
-	svc := shard.New(shard.Config{
-		Nodes: 4, CacheBytes: 64 << 10, RowBytes: int64(cfg.EmbedDim) * 4,
-	}, nil)
-	tr := NewHotlineSharded(model.New(cfg, seed), 0.1, svc)
-	tr.LearnSamples = 512
-	gen := data.NewGenerator(cfg)
-	decoyGen := data.NewGenerator(cfg)
-	decoyGen.SetDay(1)
-	var batches []*data.Batch
-	for i := 0; i < iters; i++ {
-		batches = append(batches, gen.NextBatch(batch))
+	batches := data.NewGenerator(cfg).NextBatches(iters, batch)
+	decoys := func() *data.Generator {
+		g := data.NewGenerator(cfg)
+		g.NextBatches(iters, batch) // skip the trained batches
+		return g
 	}
+	for _, q := range []shard.QuantMode{shard.QuantOff, shard.QuantMixed} {
+		newTrainer := func() (*HotlineTrainer, *shard.Service) {
+			var hot shard.HotClassifier
+			if q == shard.QuantMixed {
+				hot = modHot{} // a nil classifier would degenerate Mixed to all-fp32
+			}
+			svc := shard.New(shard.Config{
+				Nodes: 4, CacheBytes: 64 << 10, RowBytes: int64(cfg.EmbedDim) * 4, Quant: q,
+			}, hot)
+			tr := NewHotlineSharded(model.New(cfg, seed), 0.1, svc)
+			tr.LearnSamples = 512
+			return tr, svc
+		}
+		tr, svc := newTrainer()
+		// Reference: the same batches AND the same EAL learning stream,
+		// including the decoy lookaheads (a lookahead commits its
+		// accelerator learning even when the speculation misses).
+		ref, _ := newTrainer()
+		decoyGen, refDecoy := decoys(), decoys()
+		for i := 0; i < iters; i++ {
+			// Speculate on a decoy batch that will never be trained.
+			tr.StepLookahead(batches[i], []*data.Batch{decoyGen.NextBatch(batch)})
 
-	// Reference: the same batches AND the same EAL learning stream,
-	// including the decoy lookaheads (a lookahead commits its accelerator
-	// learning even when the speculation misses).
-	refSvc := shard.New(shard.Config{
-		Nodes: 4, CacheBytes: 64 << 10, RowBytes: int64(cfg.EmbedDim) * 4,
-	}, nil)
-	ref := NewHotlineSharded(model.New(cfg, seed), 0.1, refSvc)
-	ref.LearnSamples = 512
-	refDecoy := data.NewGenerator(cfg)
-	refDecoy.SetDay(1)
-
-	for i := 0; i < iters; i++ {
-		// Speculate on a decoy batch that will never be trained.
-		tr.StepLookahead(batches[i], []*data.Batch{decoyGen.NextBatch(batch)})
-
-		ref.Step(batches[i])
-		ref.learn(refDecoy.NextBatch(batch)) // mirror the decoy's EAL feed
-	}
-	if !model.DenseStateEqual(tr.M, ref.M) || !model.SparseStateEqual(tr.M, ref.M) {
-		t.Fatal("speculation misses must not change training state")
+			ref.Step(batches[i])
+			ref.learn(refDecoy.NextBatch(batch)) // mirror the decoy's EAL feed
+		}
+		windows := svc.Gatherer().Stats().Windows
+		if windows == 0 {
+			t.Fatalf("%s: the run staged no windows; the test is vacuous", q)
+		}
+		t.Logf("%s: %d windows staged in %d steps", q, windows, iters)
+		if !model.DenseStateEqual(tr.M, ref.M) || !model.SparseStateEqual(tr.M, ref.M) {
+			t.Fatalf("%s: speculation misses must not change training state", q)
+		}
 	}
 }
 

@@ -86,15 +86,14 @@ func (t *Baseline) StepLookahead(b *data.Batch, _ []*data.Batch) float64 {
 }
 
 // stagedBatch is one slot of the executor's lookahead ring: a future
-// mini-batch with its copied classification, the materialised non-popular
-// µ-batch and whether its fabric gathers are already in flight. Slots (and
-// their buffers) are reused across steps.
+// mini-batch with its copied classification and the materialised
+// non-popular µ-batch (whose fabric gathers, on a sharded service, the
+// shadow has in flight). Slots (and their buffers) are reused across steps.
 type stagedBatch struct {
-	batch      *data.Batch
-	prefetched bool
-	popIdx     []int
-	nonIdx     []int
-	sub        *data.Batch // materialised non-popular µ-batch (nil when degenerate)
+	batch  *data.Batch
+	popIdx []int
+	nonIdx []int
+	sub    *data.Batch // materialised non-popular µ-batch (nil when degenerate)
 	// subBuf backs sub. Each ring slot owns one buffer: a slot's previous
 	// subset is consumed (passes complete) before the slot is restaged, so
 	// the Depth buffers cover the whole pipeline without copies.
@@ -117,7 +116,7 @@ type stagedBatch struct {
 // same order (each lookahead batch's learn/classify pair runs in stream
 // order), and staged rows that a later sparse update rewrites are
 // delta-repaired from their owner before the consuming forward
-// (shard.WindowQueue) — unless the service opts into stale reads, which
+// (shard.Staging.Consume) — unless the service opts into stale reads, which
 // trades exactness for the repair traffic and is measured, not assumed.
 //
 // Step scratch (µ-batch buffers, classification copies, loss gradients,
@@ -262,7 +261,7 @@ func (t *HotlineTrainer) StepLookahead(b *data.Batch, ahead []*data.Batch) float
 	t.head = (t.head + 1) % len(t.ring)
 	t.staged--
 	pop, non, nonSub := slot.popIdx, slot.nonIdx, slot.sub
-	slot.batch, slot.sub, slot.prefetched = nil, nil, false
+	slot.batch, slot.sub = nil, nil
 	t.PopularInputs += int64(len(pop))
 	t.TotalInputs += int64(b.Size())
 
@@ -293,36 +292,31 @@ func (t *HotlineTrainer) StepLookahead(b *data.Batch, ahead []*data.Batch) float
 	// The one moment of the step that writes parameters, and so the one
 	// moment a serve replica of t.M waits for (model.Model.ApplyUpdate).
 	// The sparse update marks rows staged by open lookahead windows dirty
-	// (shard.WindowQueue.MarkDirty) so their consuming forwards repair them.
+	// (shard.Service.MarkDirty) so their consuming forwards repair them.
 	t.M.ApplyUpdate(t.LR)
 	t.stageLookahead(ahead)
 	return totalLoss / float64(n)
 }
 
-// abortStaged discards the whole staged lookahead: every open prefetch
-// window is joined and dropped (its accounting already happened — wasted
-// speculation), and the ring slots are freed. The committed accelerator
-// learning is NOT undone, matching the real system: the EAL saw those
-// inputs whether or not the speculation paid off.
+// abortStaged discards the whole staged lookahead: every prefetch window
+// the shadow holds is joined and dropped (its accounting already happened —
+// wasted speculation), and the ring slots are freed. The committed
+// accelerator learning is NOT undone, matching the real system: the EAL saw
+// those inputs whether or not the speculation paid off.
 //
 //hotline:hotpath
 func (t *HotlineTrainer) abortStaged() {
 	if t.staged == 0 {
 		return
 	}
-	aborted := false
 	for j := 0; j < t.staged; j++ {
 		s := &t.ring[(t.head+j)%len(t.ring)]
-		if s.prefetched {
-			aborted = true
-		}
 		s.batch = nil
 		s.sub = nil
-		s.prefetched = false
 	}
 	t.staged = 0
-	if aborted {
-		t.M.AbortPrefetchSparse()
+	if t.shadow != nil {
+		t.shadow.AbortPrefetchSparse()
 	}
 }
 
@@ -367,7 +361,6 @@ func (t *HotlineTrainer) stage(nb *data.Batch) {
 	slot.popIdx = append(slot.popIdx[:0], cl.PopularIdx...)    //hotline:allow hotalloc classification copy into slot scratch; converges to the batch size
 	slot.nonIdx = append(slot.nonIdx[:0], cl.NonPopularIdx...) //hotline:allow hotalloc classification copy into slot scratch; converges to the batch size
 	slot.sub = nil
-	slot.prefetched = false
 	t.staged++
 	if len(slot.popIdx) == 0 || len(slot.nonIdx) == 0 {
 		return
@@ -382,7 +375,6 @@ func (t *HotlineTrainer) stage(nb *data.Batch) {
 			t.shadow = model.NewShadow(t.M)
 		}
 		t.shadow.PrefetchSparse(slot.sub)
-		slot.prefetched = true
 	}
 }
 
