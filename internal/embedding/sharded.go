@@ -1,6 +1,8 @@
 package embedding
 
 import (
+	"fmt"
+
 	"hotline/internal/par"
 	"hotline/internal/shard"
 	"hotline/internal/tensor"
@@ -54,8 +56,12 @@ type ShardedBag struct {
 // ShardBag routes a table through the service under its placement policy.
 // The bag takes the table over — it copies nothing, t's rows are the bag's
 // rows — so a caller that keeps using t aliases the bag's parameters and
-// bypasses its routing; Clone first to keep an independent reference.
+// bypasses its routing; Clone first to keep an independent reference. The
+// table must be as wide as the service's rows (shard.Config.Dim).
 func ShardBag(t *Table, svc *shard.Service, tableIdx int) *ShardedBag {
+	if d := svc.Config().Dim(); t.Dim != d {
+		panic(fmt.Sprintf("embedding: table %d is %d wide, the shard service's rows %d", tableIdx, t.Dim, d))
+	}
 	s := &ShardedBag{TableIdx: tableIdx, svc: svc, tab: t}
 	s.rowAt = s.rowViewAt
 	// Declare the table to the fabric: the service sizes its routing state
@@ -63,7 +69,7 @@ func ShardBag(t *Table, svc *shard.Service, tableIdx int) *ShardedBag {
 	// multi-process transport this is the initial shard sync (every row is
 	// pushed to its owner node), so worker stores serve exactly the bits the
 	// table holds.
-	svc.RegisterTable(tableIdx, t.Dim, t.Rows, s.rowAt)
+	svc.RegisterTable(tableIdx, t.Rows, s.rowAt)
 	return s
 }
 
@@ -83,14 +89,11 @@ func (s *ShardedBag) RowView(r int) []float32 { return s.tab.W.Row(r) }
 // stream through the dense step and the following iterations. The
 // instance's forwards take its windows in the order it prefetched them, so
 // each Prefetch must be followed, in order, by the Forward of the same
-// indices. A no-op on a single node.
+// indices.
 //
 //hotline:hotpath
 func (s *ShardedBag) Prefetch(indices [][]int32) {
 	checkIndices(indices, s.tab.Rows)
-	if s.svc.Nodes() == 1 {
-		return
-	}
 	w := s.svc.PlanGather(s.TableIdx, indices)
 	if w != nil {
 		s.svc.Gatherer().Submit(w)

@@ -1,6 +1,7 @@
 package embedding
 
 import (
+	"strings"
 	"testing"
 
 	"hotline/internal/shard"
@@ -150,6 +151,21 @@ func TestShardBagTakesTheTableOver(t *testing.T) {
 			t.Fatalf("row %d of the shadow is not the table's row", r)
 		}
 	}
+}
+
+// TestShardBagRejectsAnotherWidth: a table enters the service at the
+// service's one row width (shard.Config.Dim); ShardBag panics on any other,
+// naming both widths.
+func TestShardBagRejectsAnotherWidth(t *testing.T) {
+	svc := shardSvc(2, 0, 8)
+	defer svc.Close()
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "4 wide") || !strings.Contains(msg, "rows 8") {
+			t.Fatalf("ShardBag of a dim-4 table on a dim-8 service: panic %q, want one naming both widths", msg)
+		}
+	}()
+	ShardBag(NewTable(6, 4, tensor.NewRNG(1)), svc, 0)
 }
 
 func TestShardBagsPartitionsWholeModel(t *testing.T) {

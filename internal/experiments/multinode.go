@@ -107,6 +107,7 @@ func MNEvolvingSkew() *report.Table {
 		RowBytes: int64(probe.EmbedDim) * 4,
 	}, placement)
 	for tbl := 0; tbl < probe.NumTables; tbl++ {
+		svc.RegisterTable(tbl, probe.ScaledRowsPerTable[tbl], nil) // a replay: no window is filled
 		svc.Preload(tbl, placement.HotRows(tbl))
 	}
 

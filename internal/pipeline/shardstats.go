@@ -156,8 +156,11 @@ func measureShard(cfg data.Config, p ShardProbe) ShardMeasurement {
 		Nodes: p.Nodes, CacheBytes: p.CacheBytes, RowBytes: int64(probe.EmbedDim) * 4,
 		Policy: p.Policy, Part: part, Quant: p.Quant,
 	}, placement)
-	// Replicate the learned hot set (bounded caches keep what fits).
+	// Declare the tables (an accounting replay: no window is ever filled,
+	// so there is no row view), then replicate the learned hot set (bounded
+	// caches keep what fits).
 	for t := 0; t < probe.NumTables; t++ {
+		svc.RegisterTable(t, probe.ScaledRowsPerTable[t], nil)
 		svc.Preload(t, placement.HotRows(t))
 	}
 

@@ -7,7 +7,7 @@ import "testing"
 // their replacement state but moves no bytes, so FillBytes must count
 // actual admissions only.
 func TestPreloadRepeatedNoDoubleCount(t *testing.T) {
-	s := New(cfg(4, 8), nil)
+	s := register(New(cfg(4, 8), nil), 3, 0)
 	s.Preload(0, []int32{0, 1})
 	first := s.Snapshot().FillBytes
 	if want := int64(6 * 64); first != want { // 2 rows x 3 non-owner caches
@@ -30,7 +30,7 @@ func TestPreloadRepeatedNoDoubleCount(t *testing.T) {
 // repeated preload still touches replacement state (the row stays at the
 // recency front) even though it accounts nothing.
 func TestPreloadRefreshKeepsRecency(t *testing.T) {
-	s := New(cfg(2, 2), nil) // 2-row caches on 2 nodes
+	s := register(New(cfg(2, 2), nil), 6, 0) // 2-row caches on 2 nodes
 	// Node 0's cache (non-owner of odd rows under round-robin): preload
 	// rows 1 and 3, refresh 1, then preload 5 — LRU must evict 3, not 1.
 	s.Preload(0, []int32{1, 3})
@@ -46,7 +46,7 @@ func TestPreloadRefreshKeepsRecency(t *testing.T) {
 // TestDeviceCacheResetZeroAlloc gates the Reset fix: reset-heavy
 // measurement loops must not reallocate the index or the slot table.
 func TestDeviceCacheResetZeroAlloc(t *testing.T) {
-	c := NewDeviceCache(64, PolicyLRU)
+	c := newCache(64, PolicyLRU)
 	for k := uint64(0); k < 64; k++ {
 		c.Insert(k, WidthFP32, 1)
 	}
@@ -77,7 +77,7 @@ func TestDeviceCacheResetZeroAlloc(t *testing.T) {
 // lands in ServeSnapshot (never the training snapshot), warms the shared
 // caches, and has no scatter side.
 func TestServeGatherAccounting(t *testing.T) {
-	s := New(cfg(2, 8), nil)
+	s := register(New(cfg(2, 8), nil), 2, 0)
 	s.RecordServeGather(0, [][]int32{{0, 1}, {0, 1}})
 
 	if st := s.Snapshot(); st.Lookups != 0 {
@@ -122,7 +122,7 @@ func TestServeGatherAccounting(t *testing.T) {
 
 // TestServeGatherSingleNode: the single-node serve path is all-local.
 func TestServeGatherSingleNode(t *testing.T) {
-	s := New(cfg(1, 8), nil)
+	s := register(New(cfg(1, 8), nil), 3, 0)
 	s.RecordServeGather(0, [][]int32{{0, 1, 2}})
 	sv := s.ServeSnapshot()
 	if sv.Lookups != 3 || sv.Local != 3 || sv.GatherRows != 0 {

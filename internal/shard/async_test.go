@@ -13,7 +13,7 @@ import (
 func planFor(t *testing.T, src RowAt) (*Service, *Staging) {
 	t.Helper()
 	s := New(Config{Nodes: 2, CacheBytes: 0, RowBytes: 64}, hotSet(0))
-	s.RegisterTable(0, 16, 2, src)
+	s.RegisterTable(0, 2, src)
 	plan := s.PlanGather(0, [][]int32{{0, 1}, {0, 1}})
 	if plan == nil {
 		t.Fatal("plan must carry fabric fetches")
@@ -25,8 +25,8 @@ func TestPlanGatherMatchesRecordGather(t *testing.T) {
 	// PlanGather must advance counters and cache state exactly like
 	// RecordGather on the identical stream.
 	idx := [][]int32{{0, 1, 5}, {0, 2, 5}, {3, 1}}
-	a := New(Config{Nodes: 2, CacheBytes: 4 * 64, RowBytes: 64}, nil)
-	b := New(Config{Nodes: 2, CacheBytes: 4 * 64, RowBytes: 64}, nil)
+	a := register(New(Config{Nodes: 2, CacheBytes: 4 * 64, RowBytes: 64}, nil), 6, 0)
+	b := register(New(Config{Nodes: 2, CacheBytes: 4 * 64, RowBytes: 64}, nil), 6, 0)
 	for i := 0; i < 3; i++ {
 		a.RecordGather(0, idx)
 		b.PlanGather(0, idx)
@@ -57,12 +57,12 @@ func TestPlanGatherContents(t *testing.T) {
 }
 
 func TestPlanGatherNilWhenNothingCrosses(t *testing.T) {
-	s := New(Config{Nodes: 2, CacheBytes: 0, RowBytes: 64}, nil)
+	s := register(New(Config{Nodes: 2, CacheBytes: 0, RowBytes: 64}, nil), 2, 0)
 	// Node 0 touching its own row 0, node 1 its own row 1: all local.
 	if plan := s.PlanGather(0, [][]int32{{0}, {1}}); plan != nil {
 		t.Fatalf("all-local plan must be nil, got %+v", plan)
 	}
-	one := New(Config{Nodes: 1, CacheBytes: 0, RowBytes: 64}, nil)
+	one := register(New(Config{Nodes: 1, CacheBytes: 0, RowBytes: 64}, nil), 2, 0)
 	if plan := one.PlanGather(0, [][]int32{{0, 1}}); plan != nil {
 		t.Fatal("single-node plan must be nil")
 	}
@@ -104,7 +104,7 @@ func TestAsyncGatherManyWindows(t *testing.T) {
 	// Many in-flight windows across nodes exercise the double-buffered
 	// queues; every window's staging must land fully.
 	s := New(Config{Nodes: 4, CacheBytes: 0, RowBytes: 4}, hotSet(0))
-	s.RegisterTable(0, 1, 32, flatRows(32, 1)) // row r holds r
+	s.RegisterTable(0, 32, flatRows(32, 1)) // row r holds r
 	g := s.Gatherer()
 	var handles []*Staging
 	for it := 0; it < 64; it++ {
@@ -155,7 +155,7 @@ func TestPureRemoteCacheMode(t *testing.T) {
 	// CacheBytes = 0 is the explicit pure-remote mode: everything remote
 	// crosses the fabric, nothing is admitted, and — the regression — no
 	// fill traffic is accounted for admissions that cannot happen.
-	s := New(Config{Nodes: 2, CacheBytes: 0, RowBytes: 64}, nil)
+	s := register(New(Config{Nodes: 2, CacheBytes: 0, RowBytes: 64}, nil), 2, 0)
 	if !s.Config().PureRemote() {
 		t.Fatal("zero cache must report PureRemote")
 	}

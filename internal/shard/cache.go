@@ -53,8 +53,8 @@ type cacheSlot struct {
 // index is dense: one []int32 per table, indexed by row, holding the slot
 // plus one (zero = absent). A probe is two array loads instead of a hash
 // probe. The Service sizes each table's index once, when the table registers
-// (SizeTable); keys of a table nobody registered grow their index at first
-// admission, geometrically.
+// (SizeTable), and nothing grows it after that: the Service's walks admit
+// only rows of registered tables, which lie inside their index.
 type DeviceCache struct {
 	policy    Policy
 	capBytes  int64
@@ -108,22 +108,12 @@ func (c *DeviceCache) slotOf(key uint64) int32 {
 	return -1
 }
 
-// setSlot points key at slot i (-1 removes it), growing the table's index
-// when the key lies beyond it.
+// setSlot points key at slot i (-1 removes it). The key's table must be
+// sized (SizeTable) to span its row.
 //
 //hotline:hotpath
 func (c *DeviceCache) setSlot(key uint64, i int32) {
-	t, r := int(key>>32), int(uint32(key))
-	if t >= len(c.index) || r >= len(c.index[t]) {
-		// Only a table nobody sized grows its index: geometrically, at first
-		// touch, never in steady state.
-		n := 0
-		if t < len(c.index) {
-			n = len(c.index[t])
-		}
-		c.SizeTable(t, max(r+1, n+n/2))
-	}
-	c.index[t][r] = i + 1
+	c.index[key>>32][uint32(key)] = i + 1
 }
 
 // CapacityBytes returns the byte budget.

@@ -10,7 +10,7 @@ func ins(c *DeviceCache, k uint64) (bool, int) { return c.Insert(k, WidthFP32, 1
 func hit(c *DeviceCache, k uint64) bool { _, ok := c.Lookup(k); return ok }
 
 func TestLRUEvictsLeastRecent(t *testing.T) {
-	c := NewDeviceCache(2, PolicyLRU)
+	c := newCache(2, PolicyLRU)
 	ins(c, 1)
 	ins(c, 2)
 	if !hit(c, 1) { // 1 becomes most recent
@@ -31,7 +31,7 @@ func TestLRUEvictsLeastRecent(t *testing.T) {
 }
 
 func TestSRRIPKeepsReReferencedEntries(t *testing.T) {
-	c := NewDeviceCache(4, PolicySRRIP)
+	c := newCache(4, PolicySRRIP)
 	for k := uint64(1); k <= 4; k++ {
 		ins(c, k)
 	}
@@ -55,7 +55,7 @@ func TestSRRIPKeepsReReferencedEntries(t *testing.T) {
 }
 
 func TestZeroCapacityCacheAlwaysMisses(t *testing.T) {
-	c := NewDeviceCache(0, PolicyLRU)
+	c := newCache(0, PolicyLRU)
 	if ok, _ := ins(c, 1); ok {
 		t.Fatal("zero-capacity insert must be a no-op")
 	}
@@ -68,7 +68,7 @@ func TestZeroCapacityCacheAlwaysMisses(t *testing.T) {
 }
 
 func TestInsertExistingRefreshes(t *testing.T) {
-	c := NewDeviceCache(2, PolicyLRU)
+	c := newCache(2, PolicyLRU)
 	ins(c, 1)
 	ins(c, 2)
 	ins(c, 1) // refresh, not duplicate
@@ -82,7 +82,7 @@ func TestInsertExistingRefreshes(t *testing.T) {
 }
 
 func TestCacheReset(t *testing.T) {
-	c := NewDeviceCache(4, PolicySRRIP)
+	c := newCache(4, PolicySRRIP)
 	for k := uint64(0); k < 8; k++ {
 		ins(c, k)
 	}
@@ -99,13 +99,13 @@ func TestCacheReset(t *testing.T) {
 // TestCacheHitMissCounters: Lookup reports a hit and a miss, and the
 // Service counts each cache event once, in its Stats.
 func TestCacheHitMissCounters(t *testing.T) {
-	c := NewDeviceCache(8, PolicyLRU)
+	c := newCache(8, PolicyLRU)
 	ins(c, 5)
 	if !hit(c, 5) || hit(c, 6) {
 		t.Fatal("Lookup must report 5 as a hit and 6 as a miss")
 	}
 
-	s := New(cfg(2, 8), nil)
+	s := register(New(cfg(2, 8), nil), 2, 0)
 	idx := [][]int32{{1}} // node 0 probes its cache for node 1's row
 	s.RecordGather(0, idx)
 	s.RecordGather(0, idx)
@@ -121,8 +121,8 @@ func TestCacheHitMissCounters(t *testing.T) {
 func TestByteBudgetHoldsMoreNarrowRows(t *testing.T) {
 	const dim = 32
 	budget := WidthFP32.RowBytes(dim) * 64 // exactly 64 fp32 rows
-	fp32 := NewDeviceCache(budget, PolicyLRU)
-	i8 := NewDeviceCache(budget, PolicyLRU)
+	fp32 := newCache(budget, PolicyLRU)
+	i8 := newCache(budget, PolicyLRU)
 	for k := uint64(0); k < 10_000; k++ {
 		fp32.Insert(k, WidthFP32, WidthFP32.RowBytes(dim))
 		i8.Insert(k, WidthINT8, WidthINT8.RowBytes(dim))
@@ -149,7 +149,7 @@ func TestByteBudgetHoldsMoreNarrowRows(t *testing.T) {
 func TestWideInsertEvictsSeveralNarrow(t *testing.T) {
 	const dim = 16
 	budget := WidthINT8.RowBytes(dim) * 8 // 8 int8 rows, 160 bytes
-	c := NewDeviceCache(budget, PolicyLRU)
+	c := newCache(budget, PolicyLRU)
 	for k := uint64(0); k < 8; k++ {
 		c.Insert(k, WidthINT8, WidthINT8.RowBytes(dim))
 	}
@@ -171,7 +171,7 @@ func TestWideInsertEvictsSeveralNarrow(t *testing.T) {
 // TestUnfittableEntryRefused: an entry wider than the whole budget is
 // refused without evicting anything.
 func TestUnfittableEntryRefused(t *testing.T) {
-	c := NewDeviceCache(16, PolicyLRU)
+	c := newCache(16, PolicyLRU)
 	ins(c, 1)
 	if ok, ev := c.Insert(2, WidthFP32, 64); ok || ev != 0 {
 		t.Fatalf("unfittable insert: admitted=%v evictions=%d, want refusal", ok, ev)
@@ -186,7 +186,7 @@ func TestUnfittableEntryRefused(t *testing.T) {
 // replacement as an eviction.
 func TestWidthChangeReadmits(t *testing.T) {
 	const dim = 8
-	c := NewDeviceCache(WidthFP32.RowBytes(dim)*4, PolicyLRU)
+	c := newCache(WidthFP32.RowBytes(dim)*4, PolicyLRU)
 	c.Insert(7, WidthINT8, WidthINT8.RowBytes(dim))
 	before := c.UsedBytes()
 	_, ev := c.Insert(7, WidthFP32, WidthFP32.RowBytes(dim))
@@ -208,7 +208,7 @@ func TestWidthChangeReadmits(t *testing.T) {
 // width, fp32 hits report fp32, and the Service counts a warm-tier hit once
 // as a QuantHit.
 func TestLookupReportsWidthAndQuantHits(t *testing.T) {
-	c := NewDeviceCache(1024, PolicyLRU)
+	c := newCache(1024, PolicyLRU)
 	c.Insert(1, WidthFP32, 64)
 	c.Insert(2, WidthINT8, 20)
 	c.Insert(3, WidthFP16, 32)
@@ -222,7 +222,7 @@ func TestLookupReportsWidthAndQuantHits(t *testing.T) {
 		t.Fatalf("Lookup(1) = (%v, %v)", w, ok)
 	}
 
-	s := New(Config{Nodes: 2, CacheBytes: 1 << 12, RowBytes: 64, Quant: QuantINT8}, nil)
+	s := register(New(Config{Nodes: 2, CacheBytes: 1 << 12, RowBytes: 64, Quant: QuantINT8}, nil), 2, 0)
 	idx := [][]int32{{1}} // node 0 probes its cache for node 1's row
 	s.RecordGather(0, idx)
 	s.RecordGather(0, idx)
@@ -236,7 +236,7 @@ func TestLookupReportsWidthAndQuantHits(t *testing.T) {
 func TestSRRIPSweepSkipsRecycledSlots(t *testing.T) {
 	const dim = 16
 	budget := WidthINT8.RowBytes(dim) * 12
-	c := NewDeviceCache(budget, PolicySRRIP)
+	c := newCache(budget, PolicySRRIP)
 	for k := uint64(0); k < 12; k++ {
 		c.Insert(k, WidthINT8, WidthINT8.RowBytes(dim))
 	}

@@ -248,7 +248,7 @@ func newFabricFixture(tb testing.TB, s Suite, nodes, rows, dim int) *fabricFixtu
 			f.store[r][k] = float32(r*100 + k)
 		}
 	}
-	f.svc.RegisterTable(0, dim, rows, func(row int32) []float32 { return f.store[row] })
+	f.svc.RegisterTable(0, rows, func(row int32) []float32 { return f.store[row] })
 	if err := f.svc.FabricErr(); err != nil {
 		tb.Fatalf("initial shard sync: %v", err)
 	}

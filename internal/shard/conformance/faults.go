@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -115,6 +116,7 @@ func patternRow(dim int) shard.RowAt {
 func fetchInto(t *testing.T, tr shard.Transport, rows []int32, dim int) error {
 	t.Helper()
 	svc := shard.New(shard.Config{Nodes: 2, CacheBytes: 0, RowBytes: int64(dim) * 4}, nil)
+	svc.RegisterTable(0, int(slices.Max(rows))+1, nil) // the socket fetch fills the window
 	// Build an index set whose remote plan is exactly `rows` on owner 0:
 	// batch position 1 (node 1) requesting rows owned by node 0 (even ids).
 	idx := [][]int32{nil, rows}

@@ -66,7 +66,7 @@ func newPipeFixture(t *testing.T, network string, resilient bool, rows, dim int,
 	fx.svc = shard.New(shard.Config{Nodes: 2, CacheBytes: 0, RowBytes: int64(dim) * 4}, nil)
 	fx.svc.SetTransport(fx.tr)
 	t.Cleanup(func() { fx.svc.Close() })
-	fx.svc.RegisterTable(0, dim, rows, fx.src)
+	fx.svc.RegisterTable(0, rows, fx.src)
 	if err := fx.svc.FabricErr(); err != nil {
 		t.Fatalf("initial shard sync: %v", err)
 	}

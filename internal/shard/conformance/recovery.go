@@ -193,7 +193,7 @@ func runServeOutage(t *testing.T, network string) {
 			store[r][k] = float32(r*100 + k)
 		}
 	}
-	svc.RegisterTable(0, dim, rows, func(row int32) []float32 { return store[row] })
+	svc.RegisterTable(0, rows, func(row int32) []float32 { return store[row] })
 	if err := svc.FabricErr(); err != nil {
 		t.Fatalf("initial shard sync: %v", err)
 	}

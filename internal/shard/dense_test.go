@@ -3,6 +3,7 @@ package shard
 import (
 	"math"
 	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -119,19 +120,21 @@ func (c *mapCache) reset() { *c = *newMapCache(c.capBytes, c.policy) }
 // Reset sequence, under both policies, and requires, operation by operation,
 // the same Lookup and Insert results, victims (the resident set is compared
 // after every admission), entry count and bytes held. Keys span three
-// tables, one of them sized up front and two grown at first touch.
+// tables, each sized up front as registration sizes it.
 func TestDeviceCacheMatchesMapModel(t *testing.T) {
 	const dim, universe = 16, 96
 	widths := []Width{WidthFP32, WidthFP16, WidthINT8}
 	keys := make([]uint64, universe)
 	for i := range keys {
-		keys[i] = key(i%3, int32(i/3*7)) // rows 0,7,14,…: growth has gaps to cover
+		keys[i] = key(i%3, int32(i/3*7)) // rows 0,7,14,…: the index has gaps
 	}
 	for _, policy := range []Policy{PolicyLRU, PolicySRRIP} {
 		rng := tensor.NewRNG(uint64(11 + policy))
 		budget := 12 * WidthFP32.RowBytes(dim)
 		c, m := NewDeviceCache(budget, policy), newMapCache(budget, policy)
-		c.SizeTable(0, universe/3*7)
+		for tb := range 3 {
+			c.SizeTable(tb, universe/3*7)
+		}
 		resident := func(where string, step int) {
 			t.Helper()
 			for _, k := range keys {
@@ -204,7 +207,7 @@ func mapDedup(s *Service, table int, indices [][]int32) int64 {
 func TestStampDedupAcrossEpochWrap(t *testing.T) {
 	const rows, nodes = 200, 4
 	s := New(Config{Nodes: nodes, CacheBytes: 0, RowBytes: 64}, nil)
-	s.RegisterTable(0, 16, rows, flatRows(rows, 16))
+	s.RegisterTable(0, rows, flatRows(rows, 16))
 	rng := tensor.NewRNG(21)
 	draw := func() [][]int32 {
 		idx := make([][]int32, 24)
@@ -261,7 +264,7 @@ func TestAccountingSteadyStateZeroAlloc(t *testing.T) {
 	const rows = 512
 	for _, cacheRows := range []int64{rows, 8} {
 		s := New(Config{Nodes: 4, CacheBytes: cacheRows * 16, RowBytes: 16}, nil)
-		s.RegisterTable(0, 4, rows, flatRows(rows, 4))
+		s.RegisterTable(0, rows, flatRows(rows, 4))
 		rng := tensor.NewRNG(5)
 		idx := make([][]int32, 64)
 		for b := range idx {
@@ -291,7 +294,7 @@ func TestRoutingStateSizedAtRegistration(t *testing.T) {
 	s := New(Config{Nodes: nodes, CacheBytes: 64 * 16, RowBytes: 16}, nil)
 	var registered int
 	for tb, rows := range tableRows {
-		s.RegisterTable(tb, 4, rows, flatRows(rows, 4))
+		s.RegisterTable(tb, rows, flatRows(rows, 4))
 		registered += rows
 	}
 	addrs := func() []unsafe.Pointer {
@@ -330,31 +333,32 @@ func TestRoutingStateSizedAtRegistration(t *testing.T) {
 	s.Close()
 }
 
-// TestUnregisteredTableGrowsAtFirstTouch: a service that accounts without
-// registering tables (measurement replays) routes and dedups the same as a
-// registered one, growing its arrays as rows appear.
-func TestUnregisteredTableGrowsAtFirstTouch(t *testing.T) {
-	reg := New(cfg(4, 8), nil)
-	reg.RegisterTable(2, 16, 5000, flatRows(1, 16))
-	bare := New(cfg(4, 8), nil)
-	rng := tensor.NewRNG(13)
-	for step := 0; step < 40; step++ {
-		idx := make([][]int32, 16)
-		for b := range idx {
-			// The row range widens step by step, so growth keeps happening
-			// in the middle of a walk.
-			idx[b] = []int32{int32(rng.Intn(50 + step*120)), int32(rng.Intn(50 + step*120))}
-		}
-		for _, s := range []*Service{reg, bare} {
-			s.RecordGather(2, idx)
-			s.RecordScatter(2, idx)
-			s.Preload(2, idx[0])
-		}
-		if a, b := reg.Snapshot(), bare.Snapshot(); a != b {
-			t.Fatalf("step %d: counters diverged:\nregistered   %+v\nunregistered %+v", step, a, b)
-		}
-	}
-	if reg.CacheEntries() != bare.CacheEntries() {
-		t.Fatalf("cache entries %d vs %d", reg.CacheEntries(), bare.CacheEntries())
+// TestUnregisteredTableWalkPanics: registration is the only way a table
+// enters the service. Every walk over a table never registered — beside a
+// registered one — panics, naming the table, and leaves the service usable.
+func TestUnregisteredTableWalkPanics(t *testing.T) {
+	s := register(New(cfg(4, 8), nil), 16, 0)
+	defer s.Close()
+	idx := [][]int32{{1, 2}, {3}}
+	for _, w := range []struct {
+		name string
+		walk func()
+	}{
+		{"RecordGather", func() { s.RecordGather(2, idx) }},
+		{"PlanGather", func() { s.PlanGather(2, idx) }},
+		{"RecordScatter", func() { s.RecordScatter(2, idx) }},
+		{"Preload", func() { s.Preload(2, idx[0]) }},
+		{"Owner", func() { s.Owner(2, 1) }},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "table 2 ") {
+					t.Errorf("%s on an unregistered table: panic %q, want one naming table 2", w.name, msg)
+				}
+			}()
+			w.walk()
+		}()
+		s.RecordGather(0, idx) // the walk released the mutex
 	}
 }

@@ -160,7 +160,7 @@ func TestHotAwareReducesTrafficOnSkew(t *testing.T) {
 	}
 	hot := hotSet(0, 0, 1, 2, 3)
 	run := func(part *Ownership) Stats {
-		svc := New(Config{Nodes: nodes, CacheBytes: 0, RowBytes: 64, Part: part}, hot)
+		svc := register(New(Config{Nodes: nodes, CacheBytes: 0, RowBytes: 64, Part: part}, hot), 256, 0)
 		for it := 0; it < iters; it++ {
 			idx := stream(it)
 			svc.RecordGather(0, idx)

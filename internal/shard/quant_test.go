@@ -32,7 +32,7 @@ func TestQuantizedHitServesFusedRoundTrip(t *testing.T) {
 	const dim = 16
 	qt := quantTable{dim: dim}
 	s := New(Config{Nodes: 2, CacheBytes: 1 << 12, RowBytes: dim * 4, Quant: QuantINT8}, nil)
-	s.RegisterTable(0, dim, 8, qt.row)
+	s.RegisterTable(0, 8, qt.row)
 	g := s.Gatherer()
 	idx := [][]int32{{1}} // batch position 0 = node 0; row 1 owned by node 1
 
@@ -115,7 +115,7 @@ func TestMixedModeTiersByPopularity(t *testing.T) {
 	qt := quantTable{dim: dim}
 	hot := hotSet(0, 1) // row 1 is hot; row 3 is warm
 	s := New(Config{Nodes: 2, CacheBytes: 1 << 12, RowBytes: dim * 4, Quant: QuantMixed}, hot)
-	s.RegisterTable(0, dim, 8, qt.row)
+	s.RegisterTable(0, 8, qt.row)
 	g := s.Gatherer()
 	idx := [][]int32{{1, 3}} // both remote for node 0
 
@@ -170,7 +170,7 @@ func TestServePathServesQuantized(t *testing.T) {
 	const dim = 16
 	qt := quantTable{dim: dim}
 	s := New(Config{Nodes: 2, CacheBytes: 1 << 12, RowBytes: dim * 4, Quant: QuantINT8}, nil)
-	s.RegisterTable(0, dim, 8, qt.row)
+	s.RegisterTable(0, 8, qt.row)
 	idx := [][]int32{{1}}
 
 	st := s.PlanServeGather(0, idx) // miss: admits int8
@@ -212,7 +212,7 @@ func TestWarmTierHoldsMoreRowsEndToEnd(t *testing.T) {
 		stream[0] = append(stream[0], r)
 	}
 	run := func(q QuantMode) int {
-		s := New(Config{Nodes: 2, CacheBytes: budget, RowBytes: dim * 4, Quant: q}, nil)
+		s := register(New(Config{Nodes: 2, CacheBytes: budget, RowBytes: dim * 4, Quant: q}, nil), len(stream[0]), 0)
 		s.RecordGather(0, stream)
 		return s.CacheEntries()
 	}
@@ -239,7 +239,7 @@ func TestQuantRepairMatchesSyncGather(t *testing.T) {
 		store[r] = row
 	}
 	s := New(Config{Nodes: 2, CacheBytes: 1 << 12, RowBytes: dim * 4, Quant: QuantINT8}, nil)
-	s.RegisterTable(0, dim, len(store), func(row int32) []float32 { return store[row] })
+	s.RegisterTable(0, len(store), func(row int32) []float32 { return store[row] })
 	g := s.Gatherer()
 	idx := [][]int32{{1}}
 

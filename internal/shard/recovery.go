@@ -70,13 +70,13 @@ func (st *failoverState) route(base int, row int32) int {
 	return int(st.survivors[uint32(row)%uint32(len(st.survivors))])
 }
 
-// placeOwners fills own[from:] with the owners of table's rows from on under
-// the adoption record st: the configured placement, routed around the dead.
-// Every entry is recomputed from the placement, so each adoption moves the
-// same rows to the same survivors whatever the arrays held before. The one
-// caller of Ownership.Owner.
-func (s *Service) placeOwners(own []int32, table, from int, st *failoverState) {
-	for r := from; r < len(own); r++ {
+// placeOwners fills own with the owners of table's rows under the adoption
+// record st: the configured placement, routed around the dead. Every entry is
+// recomputed from the placement, so each adoption moves the same rows to the
+// same survivors whatever the arrays held before. The one caller of
+// Ownership.Owner.
+func (s *Service) placeOwners(own []int32, table int, st *failoverState) {
+	for r := range own {
 		own[r] = int32(st.route(s.part.Owner(table, int32(r)), int32(r)))
 	}
 }
@@ -172,7 +172,7 @@ func (s *Service) reroute(table, owner int, rows []int32, cause error, op func(o
 			return fmt.Errorf("failover of node %d: %w", deadOwner, ferr)
 		}
 		// Re-group by post-failover owner. Recovery path: allocation is fine.
-		own := s.owners(table, int(slices.Max(pending))+1)
+		own := s.owners(table)
 		byOwner := make([][]int32, s.cfg.Nodes)
 		for _, r := range pending {
 			byOwner[own[r]] = append(byOwner[own[r]], r)
@@ -233,8 +233,8 @@ func (s *Service) failoverDead(dead int) error {
 	// the row.
 	var migRows, migBytes int64
 	for table, t := range s.registered() {
-		placed := make([]int32, t.rows)
-		s.placeOwners(placed, table, 0, newState)
+		placed := make([]int32, len(t.owners))
+		s.placeOwners(placed, table, newState)
 		byOwner := make([][]int32, s.cfg.Nodes)
 		for r, o := range placed {
 			if o != t.owners[r] {
@@ -249,16 +249,18 @@ func (s *Service) failoverDead(dead int) error {
 				return fmt.Errorf("migrating %d rows of table %d to node %d: %w", len(rs), table, o, err)
 			}
 			migRows += int64(len(rs))
-			migBytes += int64(len(rs)) * int64(t.dim) * 4
+			migBytes += int64(len(rs)) * s.cfg.RowBytes
 		}
 	}
 
 	s.mu.Lock()
 	s.fail.Store(newState)
-	for table := range s.tables {
-		own := make([]int32, len(s.tables[table].owners))
-		s.placeOwners(own, table, 0, newState)
-		s.tables[table].owners = own
+	for table, t := range s.tables {
+		if t.owners != nil {
+			own := make([]int32, len(t.owners))
+			s.placeOwners(own, table, newState)
+			s.tables[table].owners = own
+		}
 	}
 	s.mu.Unlock()
 	s.count(false, &Stats{Adoptions: 1, MigratedRows: migRows, MigratedBytes: migBytes})
@@ -275,7 +277,7 @@ func (s *Service) resyncOwner(owner int, direct Transport) error {
 	var rrows, rbytes int64
 	for table, t := range s.registered() {
 		var rows []int32
-		for r, o := range t.owners[:t.rows] {
+		for r, o := range t.owners {
 			if int(o) == owner {
 				rows = append(rows, int32(r))
 			}
@@ -287,7 +289,7 @@ func (s *Service) resyncOwner(owner int, direct Transport) error {
 			return fmt.Errorf("resync of table %d (%d rows) to node %d: %w", table, len(rows), owner, err)
 		}
 		rrows += int64(len(rows))
-		rbytes += int64(len(rows)) * int64(t.dim) * 4
+		rbytes += int64(len(rows)) * s.cfg.RowBytes
 	}
 	s.count(false, &Stats{ResyncRows: rrows, ResyncBytes: rbytes})
 	return nil

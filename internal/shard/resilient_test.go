@@ -172,7 +172,7 @@ func serviceRecoveryFixture(t *testing.T, policy RecoveryPolicy, retry RetryConf
 	svc := New(Config{Nodes: 2, CacheBytes: 0, RowBytes: dim * 4}, nil)
 	svc.SetRecovery(policy)
 	svc.SetTransport(rt)
-	svc.RegisterTable(0, dim, rows, rowPattern(dim))
+	svc.RegisterTable(0, rows, rowPattern(dim))
 	if err := svc.FabricErr(); err != nil {
 		t.Fatalf("initial sync: %v", err)
 	}
@@ -248,22 +248,25 @@ func TestServiceAdoptionCascadesToTheLastNode(t *testing.T) {
 // TestAdoptionRewritesTheOwnerArrays adopts node 3, then node 2, of a 4-node
 // in-proc service (the in-proc push is a no-op, so failoverDead runs bare).
 // Every row's owner is recomputed from the placement at each adoption: its
-// placed owner while that node lives, else survivors[row % 2] — for a table
-// registered before both adoptions, one touched unregistered before them and
-// one first touched after them. The walks route by the same arrays, so a
-// one-lookup gather from the owner's batch position is local.
+// placed owner while that node lives, else survivors[row % 2] — for two
+// tables registered before both adoptions (one of them walked before them)
+// and one registered after them, whose registration places its rows around
+// the dead nodes. The walks route by the same arrays, so a one-lookup gather
+// from the owner's batch position is local.
 func TestAdoptionRewritesTheOwnerArrays(t *testing.T) {
 	const nodes, dim, rows = 4, 4, 64
 	svc := New(Config{Nodes: nodes, CacheBytes: 0, RowBytes: dim * 4}, nil)
 	defer svc.Close()
 	svc.SetRecovery(RecoverAdopt)
-	svc.RegisterTable(0, dim, rows, rowPattern(dim))
+	svc.RegisterTable(0, rows, rowPattern(dim))
+	svc.RegisterTable(1, rows, rowPattern(dim))
 	svc.RecordGather(1, [][]int32{{rows - 1}})
 	for _, dead := range []int{3, 2} {
 		if err := svc.failoverDead(dead); err != nil {
 			t.Fatalf("failover of node %d: %v", dead, err)
 		}
 	}
+	svc.RegisterTable(2, rows, rowPattern(dim))
 	if dead := svc.DeadNodes(); len(dead) != 2 || dead[0] != 2 || dead[1] != 3 {
 		t.Fatalf("DeadNodes = %v, want [2 3]", dead)
 	}
@@ -274,8 +277,6 @@ func TestAdoptionRewritesTheOwnerArrays(t *testing.T) {
 			if want >= 2 {
 				want = survivors[r%2]
 			}
-			// The gather first, so the table touched only now grows its
-			// array in the walk.
 			indices := make([][]int32, want+1)
 			indices[want] = []int32{r}
 			before := svc.Snapshot().Local

@@ -10,9 +10,9 @@ import (
 )
 
 // HotClassifier decides which rows count as popular and may be replicated
-// into device caches. embedding.Placement satisfies it directly; adapters
-// can wrap the accelerator's EAL. A nil classifier admits every remote row
-// (pure demand-cache mode, the admission ablation baseline).
+// into device caches; embedding.Placement, the learned hot set, is the one
+// implementation. A nil classifier admits every remote row (pure
+// demand-cache mode, the admission ablation baseline).
 type HotClassifier interface {
 	IsHot(table int, row int32) bool
 }
@@ -355,40 +355,34 @@ type Service struct {
 
 	mu     sync.Mutex
 	caches []*DeviceCache
-	// tables[t] is table t's record: its routing array, and what
-	// RegisterTable declared. RegisterTable sizes it; an unregistered table's
-	// record grows at first touch (sizeTable).
+	// tables[t] is table t's record: RegisterTable writes it, an adoption
+	// replaces its owner array, and a walk over a table without one panics
+	// (tableOwners).
 	tables []tableState
 	// stamps is the per-call (requesting node, row) dedup set of the gather
 	// and scatter walks: cell row*Nodes+node holds the epoch of the call that
 	// last saw the pair, so one epoch bump empties the set. One array serves
 	// every table (a call walks one table under the mutex); it spans the
-	// largest registered table and grows at first touch beyond that. A byte
-	// per cell keeps the set a quarter the size of a uint32 one — it is
-	// probed once per remote lookup, so its cache footprint is the cost —
-	// for one scrub of the array every 255 calls (nextEpoch).
+	// largest registered table. A byte per cell keeps the set a quarter the
+	// size of a uint32 one — it is probed once per remote lookup, so its
+	// cache footprint is the cost — for one scrub of the array every 255
+	// calls (nextEpoch).
 	stamps []uint8
 	epoch  uint8
 }
 
-// tableState is one table's record in the service.
+// tableState is one registered table's record in the service.
 type tableState struct {
-	// owners[r] is the node that owns row r: the placement walked once into
-	// an array (placeOwners), every row an adoption moved already on its
-	// survivor. It is the service's only routing state, and a published array
-	// is never written: sizeTable grows it into a copy, and an adoption
-	// installs fresh arrays (failoverDead).
+	// owners[r] is the node that owns row r, one entry per row of the table:
+	// the placement walked once into an array (placeOwners), every row an
+	// adoption moved already on its survivor. It is the service's only
+	// routing state, non-nil exactly when the table is registered, and a
+	// published array is never written: an adoption installs fresh arrays
+	// (failoverDead).
 	owners []int32
-	// dim is the row width a window over the table stages at: the configured
-	// row footprint's until RegisterTable declares the table's own.
-	dim int
-	// rows, src and registered are what RegisterTable declared: the table's
-	// length and its row view, the one source every window copies rows from
-	// and every push, migration and resync sends. An unregistered table has
-	// none; its owner array spans the rows touched so far.
-	rows       int
-	src        RowAt
-	registered bool
+	// src is the row view RegisterTable declared: the one source every window
+	// copies rows from and every push, migration and resync sends.
+	src RowAt
 }
 
 // New builds a Service. hot may be nil (admit every remote row).
@@ -420,17 +414,17 @@ func (s *Service) Config() Config { return s.cfg }
 // Owner returns the node that owns a row of a table: the row's entry in the
 // table's owner array.
 func (s *Service) Owner(table int, row int32) int {
-	return int(s.owners(table, int(row)+1)[row])
+	return int(s.owners(table)[row])
 }
 
-// owners returns table's owner array, sized to span at least rows rows. The
-// array is never written once published, so the caller reads it without
-// s.mu: a fetch routed by an array that an adoption has since replaced fails
-// at the dead owner and re-routes by the new arrays (reroute).
-func (s *Service) owners(table, rows int) []int32 {
+// owners returns table's owner array. The array is never written once
+// published, so the caller reads it without s.mu: a fetch routed by an array
+// that an adoption has since replaced fails at the dead owner and re-routes
+// by the new arrays (reroute).
+func (s *Service) owners(table int) []int32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.sizeTable(table, rows)
+	return s.tableOwners(table)
 }
 
 // Gatherer returns the service's gather engine (never nil): it executes the
@@ -482,10 +476,10 @@ func (s *Service) RecordServeGather(table int, indices [][]int32) {
 // returns the window to stage: the distinct rows that must reach the
 // requesting side's staging buffer, those that cross the fabric grouped by
 // owner node, and the buffer sized for them. It returns nil when nothing
-// needs staging (single node, or every remote access was an exact cache
-// hit). The gather engine fills the window (Submit / GatherSync); cache state
-// and counters advance exactly as a plain RecordGather would. Release the
-// window once its rows are consumed.
+// needs staging (every access was local or an exact cache hit). The gather
+// engine fills the window (Submit / GatherSync); cache state and counters
+// advance exactly as a plain RecordGather would. Release the window once its
+// rows are consumed.
 func (s *Service) PlanGather(table int, indices [][]int32) *Staging {
 	return s.planGather(table, indices, true, false)
 }
@@ -510,11 +504,6 @@ func (s *Service) planGather(table int, indices [][]int32, collect, serve bool) 
 		lookups += len(bag)
 	}
 	st.Lookups = int64(lookups)
-	if s.cfg.Nodes == 1 {
-		// Single node: every access is local; count and return.
-		st.Local = st.Lookups
-		return nil
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var plan *Staging
@@ -526,10 +515,6 @@ func (s *Service) planGather(table int, indices [][]int32, collect, serve bool) 
 	for _, bag := range indices {
 		cache := s.caches[node]
 		for _, ix := range bag {
-			if int(ix) >= len(own) {
-				own = s.growOwners(table, ix)
-				stamps = s.stamps
-			}
 			owner := int(own[ix])
 			if owner == node {
 				st.Local++
@@ -617,10 +602,8 @@ func (s *Service) planGather(table int, indices [][]int32, collect, serve bool) 
 		}
 	}
 	if plan != nil {
-		// A planned row went through sizeTable, so the table has a record.
-		t := &s.tables[table]
-		plan.sizeBuffer(t.dim)
-		plan.src = t.src
+		plan.sizeBuffer(s.cfg.Dim())
+		plan.src = s.tables[table].src
 	}
 	return plan
 }
@@ -664,55 +647,16 @@ func (s *Service) nextEpoch() uint8 {
 	return s.epoch
 }
 
-// tableOwners returns table's dense owner array (nil before the table is
-// registered or touched). Caller holds s.mu.
+// tableOwners returns table's owner array, and panics when the table was
+// never registered: the walks ask once per call, and the array's length
+// bounds every row they index. Caller holds s.mu.
 //
 //hotline:hotpath
 func (s *Service) tableOwners(table int) []int32 {
-	if table < len(s.tables) {
+	if table < len(s.tables) && s.tables[table].owners != nil {
 		return s.tables[table].owners
 	}
-	return nil
-}
-
-// sizeTable extends table's routing state to span rows rows: its record in
-// tables, the owner array (placing the new rows into a grown copy), every
-// cache's index, and the stamps, which always span the longest owner array
-// so the accounting walks bounds-check a row once. A grown stamp array keeps
-// its cells — they are row-major, so the running call's dedup set survives.
-// Caller holds s.mu.
-func (s *Service) sizeTable(table, rows int) []int32 {
-	for table >= len(s.tables) {
-		s.tables = append(s.tables, tableState{dim: s.cfg.Dim()})
-	}
-	own := s.tables[table].owners
-	if rows <= len(own) {
-		return own
-	}
-	grown := make([]int32, rows)
-	copy(grown, own)
-	s.placeOwners(grown, table, len(own), s.fail.Load())
-	s.tables[table].owners = grown
-	if s.cfg.Nodes == 1 {
-		return grown // every access is local: nothing probes a cache or dedups
-	}
-	for _, c := range s.caches {
-		c.SizeTable(table, rows)
-	}
-	if need := rows * s.cfg.Nodes; need > len(s.stamps) {
-		stamps := make([]uint8, need)
-		copy(stamps, s.stamps)
-		s.stamps = stamps
-	}
-	return grown
-}
-
-// growOwners is the first touch of a row beyond an unregistered table's
-// routing state (accounting replays that never call RegisterTable): grow
-// geometrically, never in steady state. Caller holds s.mu.
-func (s *Service) growOwners(table int, row int32) []int32 {
-	n := len(s.tableOwners(table))
-	return s.sizeTable(table, max(int(row)+1, n+n/2))
+	panic(fmt.Sprintf("shard: table %d is not registered (RegisterTable)", table))
 }
 
 // registered yields every registered table's index and record, in table
@@ -724,7 +668,7 @@ func (s *Service) registered() iter.Seq2[int, tableState] {
 	s.mu.Unlock()
 	return func(yield func(int, tableState) bool) {
 		for table, t := range tables {
-			if t.registered && !yield(table, t) {
+			if t.owners != nil && !yield(table, t) {
 				return
 			}
 		}
@@ -745,9 +689,6 @@ func (s *Service) anyRegistered() bool {
 // sends one row-sized message per distinct remote row it touched to that
 // row's owner.
 func (s *Service) RecordScatter(table int, indices [][]int32) {
-	if s.cfg.Nodes == 1 {
-		return
-	}
 	var st Stats
 	defer s.count(false, &st) // after s.mu is released
 	s.mu.Lock()
@@ -758,10 +699,6 @@ func (s *Service) RecordScatter(table int, indices [][]int32) {
 	node := 0 // NodeOf(b), stepped instead of divided
 	for _, bag := range indices {
 		for _, ix := range bag {
-			if int(ix) >= len(own) {
-				own = s.growOwners(table, ix)
-				stamps = s.stamps
-			}
 			if int(own[ix]) == node {
 				continue
 			}
@@ -784,9 +721,6 @@ func (s *Service) RecordScatter(table int, indices [][]int32) {
 // counts actual admissions only: re-preloading an already-resident row just
 // refreshes its replacement state and moves no bytes across the fabric.
 func (s *Service) Preload(table int, rows []int32) {
-	if s.cfg.Nodes == 1 {
-		return
-	}
 	var st Stats
 	defer s.count(false, &st) // after s.mu is released
 	s.mu.Lock()
@@ -797,9 +731,6 @@ func (s *Service) Preload(table int, rows []int32) {
 	eb := s.cfg.EntryBytes(w)
 	own := s.tableOwners(table)
 	for _, ix := range rows {
-		if int(ix) >= len(own) {
-			own = s.growOwners(table, ix)
-		}
 		owner, k := int(own[ix]), key(table, ix)
 		for n, cache := range s.caches {
 			if n == owner || cache.CapacityBytes() == 0 {

@@ -26,6 +26,23 @@ func cfg(nodes int, cacheRows int) Config {
 	return Config{Nodes: nodes, CacheBytes: int64(cacheRows) * 64, RowBytes: 64}
 }
 
+// register registers each of tables on s at rows rows with no row view — the
+// accounting tests walk tables but fill no window — and returns s.
+func register(s *Service, rows int, tables ...int) *Service {
+	for _, tb := range tables {
+		s.RegisterTable(tb, rows, nil)
+	}
+	return s
+}
+
+// newCache is NewDeviceCache with table 0's index sized, as the Service sizes
+// a registered table's, for the rows the cache tests key (below 10 000).
+func newCache(capBytes int64, policy Policy) *DeviceCache {
+	c := NewDeviceCache(capBytes, policy)
+	c.SizeTable(0, 10_000)
+	return c
+}
+
 func TestConfigValidate(t *testing.T) {
 	if err := (Config{Nodes: 0, RowBytes: 64}).Validate(); err == nil {
 		t.Fatal("0 nodes must fail validation")
@@ -39,7 +56,7 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestSingleNodeIsAllLocal(t *testing.T) {
-	s := New(cfg(1, 16), nil)
+	s := register(New(cfg(1, 16), nil), 4, 0)
 	s.RecordGather(0, [][]int32{{0, 1}, {2, 3}})
 	s.RecordScatter(0, [][]int32{{0, 1}, {2, 3}})
 	st := s.Snapshot()
@@ -52,7 +69,7 @@ func TestSingleNodeIsAllLocal(t *testing.T) {
 }
 
 func TestOwnerAndNodeRoundRobin(t *testing.T) {
-	s := New(cfg(4, 0), nil)
+	s := register(New(cfg(4, 0), nil), 16, 0)
 	for r := int32(0); r < 16; r++ {
 		if s.Owner(0, r) != int(r)%4 {
 			t.Fatalf("owner of row %d = %d", r, s.Owner(0, r))
@@ -65,7 +82,7 @@ func TestOwnerAndNodeRoundRobin(t *testing.T) {
 
 func TestGatherRoutesAndAccounts(t *testing.T) {
 	// 2 nodes, cache big enough for everything, everything hot.
-	s := New(cfg(2, 16), nil)
+	s := register(New(cfg(2, 16), nil), 2, 0)
 	// Batch position 0 -> node 0, position 1 -> node 1.
 	// Row 0 owned by node 0, row 1 by node 1.
 	s.RecordGather(0, [][]int32{{0, 1}, {0, 1}})
@@ -93,7 +110,7 @@ func TestGatherRoutesAndAccounts(t *testing.T) {
 
 func TestGatherDedupsWithinCall(t *testing.T) {
 	// Cold (non-hot) row 1 accessed twice by node 0 in one call: one fetch.
-	s := New(cfg(2, 16), hotSet(0)) // nothing hot
+	s := register(New(cfg(2, 16), hotSet(0)), 2, 0) // nothing hot
 	s.RecordGather(0, [][]int32{{1, 1}})
 	st := s.Snapshot()
 	if st.CacheMisses != 2 || st.GatherRows != 1 {
@@ -107,7 +124,7 @@ func TestGatherDedupsWithinCall(t *testing.T) {
 }
 
 func TestScatterDedupsPerNode(t *testing.T) {
-	s := New(cfg(2, 0), nil)
+	s := register(New(cfg(2, 0), nil), 2, 0)
 	// Positions 0 and 2 are node 0; both touch remote row 1 -> one message.
 	// Position 1 (node 1) touches remote row 0 -> one message.
 	s.RecordScatter(0, [][]int32{{1}, {0}, {1}})
@@ -118,7 +135,7 @@ func TestScatterDedupsPerNode(t *testing.T) {
 }
 
 func TestPreloadFillsNonOwners(t *testing.T) {
-	s := New(cfg(4, 8), nil)
+	s := register(New(cfg(4, 8), nil), 2, 0)
 	s.Preload(0, []int32{0, 1})
 	st := s.Snapshot()
 	// Each row replicates to 3 non-owner caches.
@@ -141,7 +158,7 @@ func TestPreloadFillsNonOwners(t *testing.T) {
 // (an inline gather), a recovery's (a resync) and the serve path's.
 func countEverything(t *testing.T, s *Service) {
 	t.Helper()
-	s.RegisterTable(1, 16, 2, flatRows(2, 16))
+	s.RegisterTable(1, 2, flatRows(2, 16))
 	s.RecordServeGather(1, [][]int32{{0}, {0}})
 	w := s.PlanGather(1, [][]int32{{0, 1}, {0, 1}})
 	if w == nil {
@@ -159,7 +176,7 @@ func countEverything(t *testing.T, s *Service) {
 }
 
 func TestResetStatsKeepsCacheState(t *testing.T) {
-	s := New(cfg(2, 8), nil)
+	s := register(New(cfg(2, 8), nil), 2, 0)
 	s.RecordGather(0, [][]int32{{0, 1}, {0, 1}})
 	countEverything(t, s)
 	serve := s.ServeSnapshot()
@@ -227,7 +244,7 @@ func TestStatsCountsEveryField(t *testing.T) {
 }
 
 func TestStatsFractionsAndDeltas(t *testing.T) {
-	s := New(cfg(2, 16), nil)
+	s := register(New(cfg(2, 16), nil), 2, 0)
 	s.RecordGather(0, [][]int32{{0, 1}, {0, 1}})
 	a := s.Snapshot()
 	s.RecordGather(0, [][]int32{{0, 1}, {0, 1}})
@@ -248,7 +265,7 @@ func TestDeterministicReplay(t *testing.T) {
 	// Identical access streams on identical services produce identical
 	// counters and cache contents, including under a tight cache.
 	run := func() Stats {
-		s := New(Config{Nodes: 4, CacheBytes: 4 * 64, RowBytes: 64, Policy: PolicySRRIP}, nil)
+		s := register(New(Config{Nodes: 4, CacheBytes: 4 * 64, RowBytes: 64, Policy: PolicySRRIP}, nil), 64, 0)
 		for i := 0; i < 50; i++ {
 			idx := make([][]int32, 8)
 			for b := range idx {

@@ -364,7 +364,7 @@ func TestSocketCloseReportsLostPush(t *testing.T) {
 	svc := New(Config{Nodes: 2, CacheBytes: 0, RowBytes: 16}, hotSet(0))
 	svc.SetTransport(f.Transport)
 	src := rowPattern(4)
-	svc.RegisterTable(0, 4, 8, src)
+	svc.RegisterTable(0, 8, src)
 	drop.Store(true)
 	svc.PushUpdates(0, []int32{1}, src)
 	if err := svc.FabricErr(); err != nil {

@@ -54,7 +54,7 @@ func sparseService(b *testing.B, batches [][][]int32) *Service {
 	b.Helper()
 	s := New(Config{Nodes: sparseNodes, CacheBytes: sparseRows * sparseDim * 4, RowBytes: sparseDim * 4}, nil)
 	b.Cleanup(func() { s.Close() })
-	s.RegisterTable(0, sparseDim, sparseRows, flatRows(sparseRows, sparseDim))
+	s.RegisterTable(0, sparseRows, flatRows(sparseRows, sparseDim))
 	for _, idx := range batches {
 		s.RecordGather(0, idx)
 	}
@@ -91,6 +91,7 @@ func BenchmarkRecordScatter(b *testing.B) {
 func BenchmarkDeviceCacheLookup(b *testing.B) {
 	batches := zipfBatches(3)
 	c := NewDeviceCache(sparseRows*sparseDim*4, PolicyLRU)
+	c.SizeTable(0, sparseRows)
 	for r := int32(0); r < sparseRows; r++ {
 		c.Insert(key(0, r), WidthFP32, sparseDim*4)
 	}

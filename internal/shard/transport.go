@@ -5,7 +5,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 )
 
@@ -127,29 +126,39 @@ func (s *Service) SetTransport(tr Transport) {
 	}
 }
 
-// Transport returns the installed fabric transport (never nil).
-func (s *Service) Transport() Transport { return s.tr }
-
 // Multiproc reports whether rows cross a process boundary (socket fabric).
 func (s *Service) Multiproc() bool { return s.multiproc }
 
-// RegisterTable declares one sharded table's geometry and row source to the
-// fabric and sizes its routing state exactly — the dense owner array (the
-// placement walked once), every device cache's index, the dedup stamps — so
-// the accounting walks never grow anything for a registered table. Windows
-// planned over it stage rows dim wide and copy them from src: the in-proc
-// fetch, the warm-tier round trip and the degraded serve read all read it, so
-// a window that is filled needs its table registered. On the in-proc
-// transport that is all; on a multi-process fabric it bulk-pushes every row
-// to its owner node process (the initial shard sync), so worker stores serve
-// fetches from exactly the bits the coordinator's mirror — the table src
-// reads — holds. ShardBag calls this; shadows share the primary's
-// registration.
-func (s *Service) RegisterTable(table, dim, rows int, src RowAt) {
+// RegisterTable declares one sharded table of rows rows, each
+// Config.Dim() wide, and its row source to the service; a table enters the
+// service no other way, and a walk over a table never registered panics. It
+// sizes the table's routing state once — the dense owner array (the
+// placement walked once, around any node an adoption has taken out), every
+// device cache's index, the dedup stamps — so the accounting walks never
+// grow anything. Windows planned over the table copy their rows from src:
+// the in-proc fetch, the warm-tier round trip and the degraded serve read
+// all read it, and a multi-process fabric pushes from it, so src may be nil
+// only on an in-proc service that never fills a window (an accounting
+// replay). On the in-proc transport that is all; on a
+// multi-process fabric it bulk-pushes every row to its owner node process
+// (the initial shard sync), so worker stores serve fetches from exactly the
+// bits the coordinator's mirror — the table src reads — holds. ShardBag
+// calls this; shadows share the primary's registration.
+func (s *Service) RegisterTable(table, rows int, src RowAt) {
+	own := make([]int32, rows)
 	s.mu.Lock()
-	own := s.sizeTable(table, rows)
-	t := &s.tables[table]
-	t.dim, t.rows, t.src, t.registered = dim, rows, src, true
+	s.placeOwners(own, table, s.fail.Load())
+	for table >= len(s.tables) {
+		s.tables = append(s.tables, tableState{})
+	}
+	s.tables[table] = tableState{owners: own, src: src}
+	for _, c := range s.caches {
+		c.SizeTable(table, rows)
+	}
+	if need := rows * s.cfg.Nodes; need > len(s.stamps) {
+		// No walk is in flight under s.mu, so no stamp needs keeping.
+		s.stamps = make([]uint8, need)
+	}
 	s.mu.Unlock()
 	if !s.multiproc {
 		return
@@ -158,7 +167,7 @@ func (s *Service) RegisterTable(table, dim, rows int, src RowAt) {
 	// counted as scatter wall time (it replicates initial state, it is not
 	// training traffic).
 	byOwner := make([][]int32, s.cfg.Nodes)
-	for r, o := range own[:rows] {
+	for r, o := range own {
 		byOwner[o] = append(byOwner[o], int32(r))
 	}
 	for o, rs := range byOwner {
@@ -199,7 +208,7 @@ func (s *Service) PushUpdates(table int, rows []int32, src RowAt) {
 	for i := range groups {
 		groups[i] = groups[i][:0]
 	}
-	own := s.owners(table, int(slices.Max(rows))+1)
+	own := s.owners(table)
 	for _, r := range rows {
 		groups[own[r]] = append(groups[own[r]], r)
 	}

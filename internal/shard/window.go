@@ -58,8 +58,8 @@ type Staging struct {
 	quant []quantRow
 	// src is the row view the table registered, set by the planner: where
 	// the in-proc fetch, fillQuant and the warm-row repair read the
-	// authoritative bits (nil for a table nobody registered, whose window
-	// can be planned but not filled).
+	// authoritative bits (nil for a table registered without one, whose
+	// window can be planned but not filled).
 	src RowAt
 
 	dim int
@@ -373,7 +373,7 @@ func (w *Staging) Consume() {
 		return
 	}
 	st := Stats{RepairRows: int64(len(w.dirty))}
-	own := svc.owners(w.table, int(w.dirty[len(w.dirty)-1])+1) // sorted: the last row is the largest
+	own := svc.owners(w.table)
 	for i, r := range w.dirty {
 		if wd := w.Width(r); wd != WidthFP32 {
 			// Warm-tier staged row: re-run the fused dequantize-gather on the

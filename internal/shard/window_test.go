@@ -26,7 +26,7 @@ func newWindowFixture(t *testing.T, rows, dim int) *windowFixture {
 			f.store[r][k] = float32(r*100 + k)
 		}
 	}
-	f.svc.RegisterTable(0, dim, rows, func(row int32) []float32 { return f.store[row] })
+	f.svc.RegisterTable(0, rows, func(row int32) []float32 { return f.store[row] })
 	return f
 }
 
@@ -160,6 +160,7 @@ func TestReleasedWindowComesBackReset(t *testing.T) {
 	}
 
 	// And a plan over another table re-keys it.
+	register(f.svc, 8, 3)
 	w3 := f.svc.PlanGather(3, idx)
 	if w3 != w {
 		t.Fatal("released window must be recycled for the next plan")
@@ -182,7 +183,7 @@ func TestRecordOnlyServiceParksNoGoroutine(t *testing.T) {
 	before := runtime.NumGoroutine()
 	s := New(Config{Nodes: nodes, CacheBytes: 0, RowBytes: 16}, nil)
 	defer s.Close()
-	s.RegisterTable(0, 4, 8, flatRows(8, 4))
+	s.RegisterTable(0, 8, flatRows(8, 4))
 	idx := [][]int32{{1, 2, 3}, {4, 6, 7}, {0, 1}, {2, 5}}
 	s.RecordGather(0, idx)
 	s.RecordServeGather(0, idx)

@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"hash"
 	"math"
+	"sync"
 	"testing"
 
 	"hotline/internal/data"
+	"hotline/internal/embedding"
 	"hotline/internal/model"
 	"hotline/internal/shard"
 )
@@ -45,34 +47,47 @@ var digestDatasets = map[string]func() data.Config{
 
 // runDigests is the checked-in table: one SHA-256 per dataset, executor,
 // quant mode and rule, computed before the dense GEMM drivers and ReLU were
-// rewritten. Both executors agree on Kaggle, whose bags hold one row each;
+// rewritten (the mixed-tier entries before the shard service dropped its
+// grow-at-first-touch routing path). Both executors agree on Kaggle, whose bags hold one row each;
 // on the multi-hot datasets Hotline's µ-batches sum a row's gradients in
 // another order. Change an entry only in a change that says why.
 var runDigests = map[string]string{
-	"kaggle/baseline/fp32/adagrad": "11277ee049fc95ef68a6ba8a531c35f60490952f98923c21d22bacb4a306a252",
-	"kaggle/baseline/fp32/sgd":     "3d189b3bb48f1918d019f3b28da9495a8efa03ce124018149c5f1e446bd97b12",
-	"kaggle/baseline/int8/adagrad": "893d774fa85a731c91cf33a0a87b0201693cf2fa10a98dbe3697f6737cf3e16b",
-	"kaggle/baseline/int8/sgd":     "4db8044f858ddbbc0ec803c0b81c395acabd403edfc9bd654e9d7381901cd9ca",
-	"kaggle/hotline/fp32/adagrad":  "11277ee049fc95ef68a6ba8a531c35f60490952f98923c21d22bacb4a306a252",
-	"kaggle/hotline/fp32/sgd":      "3d189b3bb48f1918d019f3b28da9495a8efa03ce124018149c5f1e446bd97b12",
-	"kaggle/hotline/int8/adagrad":  "893d774fa85a731c91cf33a0a87b0201693cf2fa10a98dbe3697f6737cf3e16b",
-	"kaggle/hotline/int8/sgd":      "4db8044f858ddbbc0ec803c0b81c395acabd403edfc9bd654e9d7381901cd9ca",
-	"synmh/baseline/fp32/adagrad":  "b54b58e62693e50fad20b2b83492d3b76499cebe2b54070e18d390c47ce93899",
-	"synmh/baseline/fp32/sgd":      "e4080ead22d2721fcd2123234d3f8e1171e1d2739f6360bec6b099b00a7d3152",
-	"synmh/baseline/int8/adagrad":  "43c554abd0aa6f55d203467594ca08090d0700bdf94b7c82e3464a7bdc5ba2c5",
-	"synmh/baseline/int8/sgd":      "affc5f7ce80f054418d54375e8d56e866dfc7c52b46f831c0ec05e00f27e684f",
-	"synmh/hotline/fp32/adagrad":   "f61248f6ed1790cec74b609d9bb29628f5bdb18af3a5bee35277215dd342785c",
-	"synmh/hotline/fp32/sgd":       "e1b1b0a93380532c118068c35c3f190c8fd2df552d56fb7847b06937c9a15da9",
-	"synmh/hotline/int8/adagrad":   "a5a8bc32f5d21904133ac91b86e34f9ec9edf4fd1acdddec25cbaf221534ae94",
-	"synmh/hotline/int8/sgd":       "d123d4bc9aa9adf8c983d7c8c922d7d7ddde7a12bc873a337e4d62edbb15b100",
-	"tbsm/baseline/fp32/adagrad":   "d0c6133839c096b44625120b416d15aa210cd863aca4a2775dd3f90f9f6d553f",
-	"tbsm/baseline/fp32/sgd":       "b761d708c10901baddd66b7b5f1306a41b4b056498c9b64eef328110faa8e315",
-	"tbsm/baseline/int8/adagrad":   "97cc5a19a80dff217aa395be52bfa998a55f5a195e02e18982f8d6414bfa609f",
-	"tbsm/baseline/int8/sgd":       "0ffe205fb132a42d02b6ccae8b0cdf8aeed8ed08b32ed755bc178940adf6bca8",
-	"tbsm/hotline/fp32/adagrad":    "77702e0738edf195157ec28c33a894b2e0f349f78f5c45122dd32a62b8b919bf",
-	"tbsm/hotline/fp32/sgd":        "7cd3c1b780542d38cc5d4b8102dc5cffffd8e27bc11fa34d6c4cb395ac80b95c",
-	"tbsm/hotline/int8/adagrad":    "978efc235585205ef3afe0739e5e14e20d6dcd4dc50e0e2fa8a60526c0aa8688",
-	"tbsm/hotline/int8/sgd":        "72fa39b259aa920aaa0e121feeb7d617f63083818f4cada074a8fb428579df0a",
+	"kaggle/baseline/fp32/adagrad":               "11277ee049fc95ef68a6ba8a531c35f60490952f98923c21d22bacb4a306a252",
+	"kaggle/baseline/fp32/sgd":                   "3d189b3bb48f1918d019f3b28da9495a8efa03ce124018149c5f1e446bd97b12",
+	"kaggle/baseline/hot-fp32+warm-int8/adagrad": "25663d49c02ed1a81bbc315ef5326cdf5b3de32a9677c1e4d2490315c9979e46",
+	"kaggle/baseline/hot-fp32+warm-int8/sgd":     "44523b96521172fbe271884e1490e86350f3216a946a6ea1e6a0a98acfbd4d17",
+	"kaggle/baseline/int8/adagrad":               "893d774fa85a731c91cf33a0a87b0201693cf2fa10a98dbe3697f6737cf3e16b",
+	"kaggle/baseline/int8/sgd":                   "4db8044f858ddbbc0ec803c0b81c395acabd403edfc9bd654e9d7381901cd9ca",
+	"kaggle/hotline/fp32/adagrad":                "11277ee049fc95ef68a6ba8a531c35f60490952f98923c21d22bacb4a306a252",
+	"kaggle/hotline/fp32/sgd":                    "3d189b3bb48f1918d019f3b28da9495a8efa03ce124018149c5f1e446bd97b12",
+	"kaggle/hotline/hot-fp32+warm-int8/adagrad":  "25663d49c02ed1a81bbc315ef5326cdf5b3de32a9677c1e4d2490315c9979e46",
+	"kaggle/hotline/hot-fp32+warm-int8/sgd":      "44523b96521172fbe271884e1490e86350f3216a946a6ea1e6a0a98acfbd4d17",
+	"kaggle/hotline/int8/adagrad":                "893d774fa85a731c91cf33a0a87b0201693cf2fa10a98dbe3697f6737cf3e16b",
+	"kaggle/hotline/int8/sgd":                    "4db8044f858ddbbc0ec803c0b81c395acabd403edfc9bd654e9d7381901cd9ca",
+	"synmh/baseline/fp32/adagrad":                "b54b58e62693e50fad20b2b83492d3b76499cebe2b54070e18d390c47ce93899",
+	"synmh/baseline/fp32/sgd":                    "e4080ead22d2721fcd2123234d3f8e1171e1d2739f6360bec6b099b00a7d3152",
+	"synmh/baseline/hot-fp32+warm-int8/adagrad":  "9e243af464b6c327b7c16c8be3766580408706a41b4eb953e32f65ba829de885",
+	"synmh/baseline/hot-fp32+warm-int8/sgd":      "ec88a8a45aedae64f41e0fd4b63d3f9743483fa56557c4bf7cd22e1a4686b851",
+	"synmh/baseline/int8/adagrad":                "43c554abd0aa6f55d203467594ca08090d0700bdf94b7c82e3464a7bdc5ba2c5",
+	"synmh/baseline/int8/sgd":                    "affc5f7ce80f054418d54375e8d56e866dfc7c52b46f831c0ec05e00f27e684f",
+	"synmh/hotline/fp32/adagrad":                 "f61248f6ed1790cec74b609d9bb29628f5bdb18af3a5bee35277215dd342785c",
+	"synmh/hotline/fp32/sgd":                     "e1b1b0a93380532c118068c35c3f190c8fd2df552d56fb7847b06937c9a15da9",
+	"synmh/hotline/hot-fp32+warm-int8/adagrad":   "c7d0eb48c95f6876eb18b908e1da48473be2445aef6d3a3eb3f029485681f031",
+	"synmh/hotline/hot-fp32+warm-int8/sgd":       "9354406362e4251387d3e951338b9fa5feec3ef02687a11948a24e9e07abcf33",
+	"synmh/hotline/int8/adagrad":                 "a5a8bc32f5d21904133ac91b86e34f9ec9edf4fd1acdddec25cbaf221534ae94",
+	"synmh/hotline/int8/sgd":                     "d123d4bc9aa9adf8c983d7c8c922d7d7ddde7a12bc873a337e4d62edbb15b100",
+	"tbsm/baseline/fp32/adagrad":                 "d0c6133839c096b44625120b416d15aa210cd863aca4a2775dd3f90f9f6d553f",
+	"tbsm/baseline/fp32/sgd":                     "b761d708c10901baddd66b7b5f1306a41b4b056498c9b64eef328110faa8e315",
+	"tbsm/baseline/hot-fp32+warm-int8/adagrad":   "d3982dfafb264fbb0b8f0cb3447a1f2b12307aef4fe0173175ffd2bddd6324e9",
+	"tbsm/baseline/hot-fp32+warm-int8/sgd":       "e4fdb189337e331040fe8af6231ddb726603f4804dbaea94c5c5b29222181af9",
+	"tbsm/baseline/int8/adagrad":                 "97cc5a19a80dff217aa395be52bfa998a55f5a195e02e18982f8d6414bfa609f",
+	"tbsm/baseline/int8/sgd":                     "0ffe205fb132a42d02b6ccae8b0cdf8aeed8ed08b32ed755bc178940adf6bca8",
+	"tbsm/hotline/fp32/adagrad":                  "77702e0738edf195157ec28c33a894b2e0f349f78f5c45122dd32a62b8b919bf",
+	"tbsm/hotline/fp32/sgd":                      "7cd3c1b780542d38cc5d4b8102dc5cffffd8e27bc11fa34d6c4cb395ac80b95c",
+	"tbsm/hotline/hot-fp32+warm-int8/adagrad":    "c79b0312840dc7d866b411c4a6a5735605ef9d964040eeceae2d7261f357277d",
+	"tbsm/hotline/hot-fp32+warm-int8/sgd":        "98e21d19acb114279d241e74cf15bbbd0218377b458a197e1e9bb25fa5ac749a",
+	"tbsm/hotline/int8/adagrad":                  "978efc235585205ef3afe0739e5e14e20d6dcd4dc50e0e2fa8a60526c0aa8688",
+	"tbsm/hotline/int8/sgd":                      "72fa39b259aa920aaa0e121feeb7d617f63083818f4cada074a8fb428579df0a",
 }
 
 // digestCell is one training run of the digest grid.
@@ -110,9 +125,14 @@ func runDigest(t *testing.T, c digestCell) string {
 	}
 	var svc *shard.Service
 	if c.nodes > 1 {
+		const cache = 64 << 10
+		var hot shard.HotClassifier
+		if c.quant == shard.QuantMixed {
+			hot = digestHotSet(c.dataset, cfg, cache/2)
+		}
 		svc = shard.New(shard.Config{
-			Nodes: c.nodes, CacheBytes: 64 << 10, RowBytes: int64(cfg.EmbedDim) * 4, Quant: c.quant,
-		}, nil)
+			Nodes: c.nodes, CacheBytes: cache, RowBytes: int64(cfg.EmbedDim) * 4, Quant: c.quant,
+		}, hot)
 		defer svc.Close()
 	}
 	var tr Trainer
@@ -133,6 +153,9 @@ func runDigest(t *testing.T, c digestCell) string {
 		tr = h
 	}
 	StepAll(tr, batches, nil)
+	if c.quant == shard.QuantMixed && svc.Snapshot().QuantHits == 0 {
+		t.Errorf("%s depth %d nodes %d: no warm-tier hit, the mixed cell trains as fp32", c.class(), c.depth, c.nodes)
+	}
 
 	h := sha256.New()
 	for _, p := range m.DenseParams() {
@@ -150,6 +173,23 @@ func runDigest(t *testing.T, c digestCell) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// digestHotSets memoises digestHotSet per dataset.
+var digestHotSets sync.Map
+
+// digestHotSet is the mixed cells' classifier, learned as the benchmark
+// learns its own: the exact fp32 hot set of a 512-sample-batch profile epoch
+// at budget bytes. A nil classifier would count every row as hot and turn
+// QuantMixed into all-fp32.
+func digestHotSet(dataset string, cfg data.Config, budget int64) shard.HotClassifier {
+	if p, ok := digestHotSets.Load(dataset); ok {
+		return p.(*embedding.Placement)
+	}
+	prof := data.ProfileEpoch(data.NewGenerator(cfg), 512)
+	p := embedding.PlacementFromCounts(prof.Counts(), cfg.NumTables, cfg.EmbedDim, budget)
+	digestHotSets.Store(dataset, p)
+	return p
+}
+
 func putFloats(h hash.Hash, vs []float32) {
 	var buf [4]byte
 	for _, v := range vs {
@@ -158,16 +198,17 @@ func putFloats(h hash.Hash, vs []float32) {
 	}
 }
 
-// digestGrid is executor x depth {1, 4} x quant {off, int8} x rule {SGD,
+// digestGrid is executor x depth {1, 4} x quant {off, int8, mixed} x rule {SGD,
 // Adagrad} x nodes {1, 4} x dataset, less the cells that mean nothing: a
 // quantized cache needs a sharded service, and the baseline executor has no
-// pipeline depth.
+// pipeline depth. The mixed cells run on a learned classifier (digestHotSet)
+// and fail when they serve no warm-tier hit.
 func digestGrid() []digestCell {
 	var cells []digestCell
 	for _, ds := range []string{"kaggle", "synmh", "tbsm"} {
 		for _, ex := range []string{"baseline", "hotline"} {
 			for _, nodes := range []int{1, 4} {
-				for _, q := range []shard.QuantMode{shard.QuantOff, shard.QuantINT8} {
+				for _, q := range []shard.QuantMode{shard.QuantOff, shard.QuantINT8, shard.QuantMixed} {
 					if q != shard.QuantOff && nodes == 1 {
 						continue
 					}
