@@ -120,6 +120,14 @@ func (p *Placement) IsHot(table int, row int32) bool {
 	return p.hot[table].has(row)
 }
 
+// HotBits returns table's hot-row bitmap (shard.HotBitmap): row r below
+// 64*len(bits) is hot exactly when bit r&63 of bits[r>>6] is set, and IsHot
+// answers every row past it. The slice is the placement's own: read it, never
+// write it, and take it again after MarkHot.
+func (p *Placement) HotBits(table int) []uint64 {
+	return p.hot[table].bits
+}
+
 // HotRows returns the sorted hot rows of one table (deterministic iteration
 // for replication and tests).
 func (p *Placement) HotRows(table int) []int32 {

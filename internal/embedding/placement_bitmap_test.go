@@ -3,6 +3,7 @@ package embedding
 import (
 	"testing"
 
+	"hotline/internal/shard"
 	"hotline/internal/tensor"
 )
 
@@ -93,5 +94,30 @@ func TestPlacementBitmapSemantics(t *testing.T) {
 	got := p.HotRows(0)
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("HotRows(0) = %v, want %v", got, want)
+	}
+}
+
+// The shard walk reads a Placement's hot set through its bitmap.
+var _ shard.HotBitmap = (*Placement)(nil)
+
+// TestHotBitsMatchIsHot: every row a table's hot bitmap spans reads as IsHot
+// answers, and a hot row past the bitmap (the overflow range) is one IsHot
+// alone knows.
+func TestHotBitsMatchIsHot(t *testing.T) {
+	p := NewPlacement(2, 8)
+	for _, r := range []int32{0, 5, 63, 64, 700, hotBitmapMaxRows + 3} {
+		p.MarkHot(0, r)
+	}
+	bits := p.HotBits(0)
+	for r := int32(0); r < int32(64*len(bits)); r++ {
+		if bit := bits[r>>6]&(1<<(r&63)) != 0; bit != p.IsHot(0, r) {
+			t.Fatalf("row %d: bitmap says %v, IsHot %v", r, bit, p.IsHot(0, r))
+		}
+	}
+	if r := int32(hotBitmapMaxRows + 3); int(r>>6) < len(bits) || !p.IsHot(0, r) {
+		t.Fatalf("overflow row %d: bitmap spans %d words, IsHot %v", r, len(bits), p.IsHot(0, r))
+	}
+	if n := len(p.HotBits(1)); n != 0 {
+		t.Fatalf("a table with no hot row has a %d-word bitmap", n)
 	}
 }

@@ -1,6 +1,10 @@
 package shard
 
-import "testing"
+import (
+	"testing"
+
+	"hotline/internal/tensor"
+)
 
 // TestPreloadRepeatedNoDoubleCount is the regression test for the fill
 // double-count: re-preloading rows that are already resident refreshes
@@ -127,5 +131,83 @@ func TestServeGatherSingleNode(t *testing.T) {
 	sv := s.ServeSnapshot()
 	if sv.Lookups != 3 || sv.Local != 3 || sv.GatherRows != 0 {
 		t.Fatalf("single-node serve: %+v", sv)
+	}
+}
+
+// ruleHot classifies rows by a rule, asked through IsHot only.
+type ruleHot func(row int32) bool
+
+func (h ruleHot) IsHot(_ int, row int32) bool { return h(row) }
+
+// bitsHot is the same rule with its verdicts on the first rows laid out as a
+// hot bitmap (HotBitmap); it records the rows IsHot is asked about.
+type bitsHot struct {
+	rule  ruleHot
+	bits  []uint64
+	asked []int32
+}
+
+func (h *bitsHot) IsHot(table int, row int32) bool {
+	h.asked = append(h.asked, row)
+	return h.rule.IsHot(table, row)
+}
+
+func (h *bitsHot) HotBits(int) []uint64 { return h.bits }
+
+// TestWalkReadsTheHotBitmap: the gather walk reads a classifier's hot bitmap
+// inline and asks IsHot only about rows past it, and it counts, stages and
+// admits exactly what the same classifier does without the bitmap — under
+// the tiered mode, whose hits ask the classifier too, with evicting caches.
+func TestWalkReadsTheHotBitmap(t *testing.T) {
+	const rows, covered, dim = 512, 256, 8
+	rule := ruleHot(func(row int32) bool { return row%3 == 0 })
+	bits := &bitsHot{rule: rule, bits: make([]uint64, covered/64)}
+	for r := int32(0); r < covered; r++ {
+		if rule(r) {
+			bits.bits[r>>6] |= 1 << (r & 63)
+		}
+	}
+	svc := func(hot HotClassifier) *Service {
+		s := New(Config{Nodes: 4, CacheBytes: 24 * dim * 4, RowBytes: dim * 4, Quant: QuantMixed}, hot)
+		t.Cleanup(func() { s.Close() })
+		s.RegisterTable(0, rows, flatRows(rows, dim))
+		return s
+	}
+	withBits, without := svc(bits), svc(rule)
+	rng := tensor.NewRNG(5)
+	for range 40 {
+		idx := make([][]int32, 32)
+		for b := range idx {
+			idx[b] = make([]int32, 1+rng.Intn(4))
+			for j := range idx[b] {
+				idx[b][j] = int32(rng.Intn(rows))
+			}
+		}
+		w1, w2 := withBits.PlanGather(0, idx), without.PlanGather(0, idx)
+		if (w1 == nil) != (w2 == nil) || w1 != nil && (w1.Rows() != w2.Rows() || len(w1.quant) != len(w2.quant)) {
+			t.Fatalf("the bitmap walk staged a different window")
+		}
+		if w1 != nil {
+			w1.Release()
+			w2.Release()
+		}
+	}
+	got, want := withBits.Snapshot().WithoutWall(), without.Snapshot().WithoutWall()
+	if got != want {
+		t.Fatalf("counts with the hot bitmap %+v, with IsHot alone %+v", got, want)
+	}
+	if got.Evictions == 0 || got.QuantHits == 0 {
+		t.Fatalf("the walks never evicted (%d) or hit the warm tier (%d)", got.Evictions, got.QuantHits)
+	}
+	if withBits.CacheEntries() != without.CacheEntries() {
+		t.Fatalf("caches hold %d entries with the bitmap, %d without", withBits.CacheEntries(), without.CacheEntries())
+	}
+	if len(bits.asked) == 0 {
+		t.Fatal("no row past the bitmap was asked about")
+	}
+	for _, r := range bits.asked {
+		if r < covered {
+			t.Fatalf("IsHot asked about row %d, inside the bitmap", r)
+		}
 	}
 }

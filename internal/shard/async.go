@@ -209,26 +209,6 @@ func (g *AsyncGatherer) Close() {
 	}
 }
 
-// acquire hands out a released (or new) window, empty, keyed to table, with a
-// slot table for a plan over at most lookups rows: the accounting walk takes
-// one at the first row that needs staging.
-func (g *AsyncGatherer) acquire(table, lookups int) *Staging {
-	var w *Staging
-	g.poolMu.Lock()
-	if n := len(g.pool); n > 0 {
-		w = g.pool[n-1]
-		g.pool = g.pool[:n-1]
-	}
-	g.poolMu.Unlock()
-	if w == nil {
-		w = &Staging{g: g, perOwner: make([][]int32, len(g.queues))}
-		w.cond.L = &w.mu
-	}
-	w.table = table
-	w.reserve(lookups)
-	return w
-}
-
 // Submit issues one planned window asynchronously and adds it to the open
 // set until its Release; Await (or Consume) it before reading its rows. The
 // submitting goroutine yields once so the drainers get scheduled even on a

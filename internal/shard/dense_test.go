@@ -35,7 +35,7 @@ func newMapCache(capBytes int64, policy Policy) *mapCache {
 
 func (c *mapCache) touch(i int) {
 	if c.policy == PolicySRRIP {
-		c.slots[i].rrpv = 0
+		c.slots[i].state = 0
 		return
 	}
 	c.lru = slices.Insert(slices.DeleteFunc(c.lru, func(s int) bool { return s == i }), 0, i)
@@ -73,10 +73,10 @@ func (c *mapCache) victim() int {
 		if c.slots[i].bytes == 0 {
 			continue
 		}
-		if c.slots[i].rrpv >= cacheRRPVMax {
+		if c.slots[i].state >= cacheRRPVMax {
 			return i
 		}
-		c.slots[i].rrpv++
+		c.slots[i].state++
 	}
 }
 
@@ -106,7 +106,7 @@ func (c *mapCache) insert(key uint64, width Width, bytes int64) (bool, int) {
 		c.slots = append(c.slots, cacheSlot{})
 		i = len(c.slots) - 1
 	}
-	c.slots[i] = cacheSlot{key: key, rrpv: cacheRRPVMax - 1, width: width, bytes: int32(bytes)}
+	c.slots[i] = cacheSlot{key: key, state: cacheRRPVMax - 1, width: width, bytes: int32(bytes)}
 	c.index[key] = i
 	c.lru = slices.Insert(c.lru, 0, i)
 	c.usedBytes += bytes
@@ -120,7 +120,10 @@ func (c *mapCache) reset() { *c = *newMapCache(c.capBytes, c.policy) }
 // Reset sequence, under both policies, and requires, operation by operation,
 // the same Lookup and Insert results, victims (the resident set is compared
 // after every admission), entry count and bytes held. Keys span three
-// tables, each sized up front as registration sizes it.
+// tables, each sized up front as registration sizes it. A second phase
+// alternates runs of hits and refreshes on resident keys, each longer than an
+// LRU cache's batch of deferred uses (so the cache returns to deferring and
+// flushes a full batch), with bursts of admissions that evict.
 func TestDeviceCacheMatchesMapModel(t *testing.T) {
 	const dim, universe = 16, 96
 	widths := []Width{WidthFP32, WidthFP16, WidthINT8}
@@ -145,15 +148,35 @@ func TestDeviceCacheMatchesMapModel(t *testing.T) {
 				}
 			}
 		}
+		lookup := func(step int, k uint64) {
+			t.Helper()
+			gw, gh := c.Lookup(k)
+			ww, wh := m.lookup(k)
+			if gw != ww || gh != wh {
+				t.Fatalf("%v step %d: Lookup(%x) = (%v, %v), model (%v, %v)", policy, step, k, gw, gh, ww, wh)
+			}
+		}
+		insert := func(step int, k uint64, w Width) {
+			t.Helper()
+			gok, gev := c.Insert(k, w, w.RowBytes(dim))
+			wok, wev := m.insert(k, w, w.RowBytes(dim))
+			if gok != wok || gev != wev {
+				t.Fatalf("%v step %d: Insert(%x, %v) = (%v, %d evictions), model (%v, %d)", policy, step, k, w, gok, gev, wok, wev)
+			}
+			resident("after insert", step)
+		}
+		held := func(step int) {
+			t.Helper()
+			if c.UsedBytes() != m.usedBytes || c.Len() != len(m.index) {
+				t.Fatalf("%v step %d: cache holds %d entries in %d bytes, model %d in %d", policy, step,
+					c.Len(), c.UsedBytes(), len(m.index), m.usedBytes)
+			}
+		}
 		for step := 0; step < 20000; step++ {
 			k := keys[rng.Intn(universe)]
 			switch op := rng.Intn(100); {
 			case op < 55:
-				gw, gh := c.Lookup(k)
-				ww, wh := m.lookup(k)
-				if gw != ww || gh != wh {
-					t.Fatalf("%v step %d: Lookup(%x) = (%v, %v), model (%v, %v)", policy, step, k, gw, gh, ww, wh)
-				}
+				lookup(step, k)
 			case op < 99:
 				// A key's width is usually a function of the key, so most
 				// re-inserts refresh; one in eight moves it to another tier.
@@ -161,24 +184,46 @@ func TestDeviceCacheMatchesMapModel(t *testing.T) {
 				if rng.Intn(8) == 0 {
 					w = widths[rng.Intn(len(widths))]
 				}
-				gok, gev := c.Insert(k, w, w.RowBytes(dim))
-				wok, wev := m.insert(k, w, w.RowBytes(dim))
-				if gok != wok || gev != wev {
-					t.Fatalf("%v step %d: Insert(%x, %v) = (%v, %d evictions), model (%v, %d)", policy, step, k, w, gok, gev, wok, wev)
-				}
-				resident("after insert", step)
+				insert(step, k, w)
 			default:
 				c.Reset()
 				m.reset()
 				resident("after reset", step)
 			}
-			if c.UsedBytes() != m.usedBytes || c.Len() != len(m.index) {
-				t.Fatalf("%v step %d: cache holds %d entries in %d bytes, model %d in %d", policy, step,
-					c.Len(), c.UsedBytes(), len(m.index), m.usedBytes)
-			}
+			held(step)
 		}
 		if m.evicts == 0 || m.quantHits == 0 {
 			t.Fatalf("%v: the sequence never evicted (%d) or hit a narrow entry (%d)", policy, m.evicts, m.quantHits)
+		}
+
+		evicts := m.evicts
+		step := 20000
+		for range 12 {
+			var hold []uint64
+			for _, k := range keys {
+				if _, ok := m.index[k]; ok {
+					hold = append(hold, k)
+				}
+			}
+			for range 3*lruBatch + 17 {
+				k := hold[rng.Intn(len(hold))]
+				if rng.Intn(4) == 0 {
+					insert(step, k, m.slots[m.index[k]].width) // a same-width refresh
+				} else {
+					lookup(step, k)
+				}
+				held(step)
+				step++
+			}
+			for range 1 + rng.Intn(6) {
+				k := keys[rng.Intn(universe)]
+				insert(step, k, widths[int(k)%len(widths)])
+				held(step)
+				step++
+			}
+		}
+		if m.evicts == evicts {
+			t.Fatalf("%v: the hit runs' bursts never evicted", policy)
 		}
 	}
 }

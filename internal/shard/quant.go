@@ -102,6 +102,25 @@ func (m QuantMode) WarmWidth() Width {
 	}
 }
 
+// admit is the tiering admission rule for one remote row of the given
+// popularity: whether the probing node's cache admits it and at what storage
+// width. Uniform modes (QuantOff, QuantFP16, QuantINT8) keep the popularity
+// gate — only classified-hot rows replicate, at the mode's single width.
+// QuantMixed admits everything: classified-hot rows at full fp32, the rest
+// into the warm tier at int8 (a nil classifier counts every row as hot, so
+// Mixed degenerates to all-fp32 — tiering needs a real popularity signal).
+//
+//hotline:hotpath
+func (m QuantMode) admit(hot bool) (Width, bool) {
+	if m == QuantMixed {
+		if hot {
+			return WidthFP32, true
+		}
+		return WidthINT8, true
+	}
+	return m.hotWidth(), hot
+}
+
 // hotWidth returns the width popularity-classified rows are admitted at.
 func (m QuantMode) hotWidth() Width {
 	switch m {

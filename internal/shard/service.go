@@ -11,10 +11,23 @@ import (
 
 // HotClassifier decides which rows count as popular and may be replicated
 // into device caches; embedding.Placement, the learned hot set, is the one
-// implementation. A nil classifier admits every remote row (pure
-// demand-cache mode, the admission ablation baseline).
+// implementation, and also a HotBitmap, so the gather walk reads its verdicts
+// inline and asks IsHot only about rows past the bitmap. A nil classifier
+// admits every remote row (pure demand-cache mode, the admission ablation
+// baseline).
 type HotClassifier interface {
 	IsHot(table int, row int32) bool
+}
+
+// HotBitmap is what a HotClassifier may add so the accounting walk reads the
+// hot set inline instead of asking IsHot once per remote lookup: the set as
+// one bitmap per table. embedding.Placement implements it.
+type HotBitmap interface {
+	// HotBits returns table's hot-row bitmap: a row r below 64*len(bits) is
+	// hot exactly when bit r&63 of bits[r>>6] is set, and a row past it is
+	// answered by IsHot. The walk takes the view once per call, under the
+	// service mutex, and never writes it.
+	HotBits(table int) []uint64
 }
 
 // Config sizes a sharded embedding service.
@@ -304,6 +317,8 @@ func (s Stats) WithoutWall() Stats {
 type Service struct {
 	cfg Config
 	hot HotClassifier
+	// bitmap is hot's bitmap view, nil when the classifier keeps none.
+	bitmap HotBitmap
 	// part is the configured placement; only placeOwners asks it.
 	part *Ownership
 
@@ -395,6 +410,7 @@ func New(cfg Config, hot HotClassifier) *Service {
 		part = NewRoundRobin(cfg.Nodes)
 	}
 	s := &Service{cfg: cfg, hot: hot, part: part, caches: make([]*DeviceCache, cfg.Nodes), tr: NewInproc()}
+	s.bitmap, _ = hot.(HotBitmap)
 	for n := range s.caches {
 		s.caches[n] = NewDeviceCache(cfg.CacheBytes, cfg.Policy)
 	}
@@ -494,141 +510,203 @@ func (s *Service) PlanServeGather(table int, indices [][]int32) *Staging {
 // planGather is the shared accounting walk behind RecordGather /
 // RecordServeGather / PlanGather. serve selects the serve-side counter set;
 // cache state is shared between the two paths by design.
+//
+// The common case is one straight loop: a local row, and a remote row its
+// node's cache holds, cost a routing load, an index load and (a hit) the
+// cache's deferred use, with the call's counts kept in locals. A miss and a
+// warm-tier hit — plans, stamps, admission, eviction — run out of line
+// (gatherWalk), and the plan stays nil until a row needs staging.
+//
+// The serving width is a pure policy function of the row (QuantMode.admit),
+// never of cache residency: a narrow-tier row is served through the fused
+// quantize→dequantize round trip from its very first touch — the fill that
+// admits it quantizes it, and the forward reads the dequantized replica —
+// not just on later hits. Residency-independent values are what keep every
+// pipeline depth bit-identical to batch-by-batch stepping in quantized mode:
+// plan order may legally differ between the synchronous and lookahead
+// executors, so a value that depended on WHEN a row was admitted would
+// diverge. Untiered caches serve every hit exact, so only a miss asks the
+// classifier.
 func (s *Service) planGather(table int, indices [][]int32, collect, serve bool) *Staging {
-	var st Stats
+	g := gatherWalk{s: s, table: table, collect: collect}
 	// The call's counts fold in once, after s.mu is released: deferred calls
 	// run last first.
+	var st Stats
 	defer s.count(serve, &st)
-	lookups := 0 // also bounds the distinct rows a plan stages
 	for _, bag := range indices {
-		lookups += len(bag)
+		g.lookups += len(bag) // also bounds the distinct rows a plan stages
 	}
-	st.Lookups = int64(lookups)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var plan *Staging
-	nodes, rowBytes := s.cfg.Nodes, s.cfg.RowBytes
-	caching, tiered := s.cfg.CacheBytes > 0, s.cfg.Quant != QuantOff
-	// The stamps dedup fabric fetches within this call (one iteration's bag).
-	own, stamps, epoch := s.tableOwners(table), s.stamps, s.nextEpoch()
+	own := s.tableOwners(table)
+	g.stamps, g.epoch = s.stamps, s.nextEpoch()
+	if s.bitmap != nil {
+		g.bits = s.bitmap.HotBits(table)
+	}
+	// A tiered cache serves a hit narrow exactly when the row's popularity
+	// is warm: the cold rows under QuantMixed, the hot ones under the
+	// uniform narrow modes (which admit no cold row).
+	tiered := s.cfg.Quant != QuantOff && s.cfg.CacheBytes > 0
+	warm := s.cfg.Quant != QuantMixed
+	var local, hits int64
+	nodes := s.cfg.Nodes
 	node := 0 // NodeOf(b), stepped instead of divided
 	for _, bag := range indices {
 		cache := s.caches[node]
+		cix := cache.tableIndex(table)
 		for _, ix := range bag {
 			owner := int(own[ix])
 			if owner == node {
-				st.Local++
+				local++
 				continue
 			}
-			k := key(table, ix)
-			// The serving width is a pure policy function of the row
-			// (admitWidth), never of cache residency: a narrow-tier row is
-			// served through the fused quantize→dequantize round trip from
-			// its very first touch — the fill that admits it quantizes it,
-			// and the forward reads the dequantized replica — not just on
-			// later hits. Residency-independent values are what keep every
-			// pipeline depth bit-identical to batch-by-batch stepping in
-			// quantized mode: plan order may legally differ between the
-			// synchronous and lookahead executors, so a value that depended
-			// on WHEN a row was admitted would diverge. Untiered caches
-			// serve every hit exact, so the rule is asked only on a miss.
-			var w Width
-			var admit, narrow bool
-			if tiered {
-				w, admit = s.admitWidth(table, ix)
-				narrow = admit && w != WidthFP32 && caching
-			}
-			if _, hit := cache.Lookup(k); hit {
-				st.CacheHits++
-				if narrow {
-					// Warm-tier hit: served through the fused dequantize-
-					// gather kernel at staging time.
-					st.QuantHits++
-					if collect {
-						if plan == nil {
-							plan = s.gather.acquire(table, lookups)
+			if uint(ix) < uint(len(cix)) {
+				if i := cix[ix] - 1; i >= 0 {
+					if !cache.mark(i) { // DeviceCache.use, its common case inline
+						cache.useSlow(i)
+					}
+					hits++
+					if tiered {
+						hot, known := hotBit(g.bits, ix)
+						if !known {
+							hot = g.askHot(ix)
 						}
-						if plan.addQuant(ix, w) {
-							st.DequantRows++
+						if hot == warm {
+							g.warmHit(ix)
 						}
 					}
-				}
-				continue
-			}
-			st.CacheMisses++
-			if !tiered {
-				w, admit = s.admitWidth(table, ix)
-			}
-			// The dedup key is (requesting node, row); the table is fixed
-			// within one call.
-			if cell := &stamps[int(ix)*nodes+node]; *cell != epoch {
-				*cell = epoch
-				st.GatherRows++
-				st.GatherBytes += rowBytes
-				if collect {
-					if plan == nil {
-						plan = s.gather.acquire(table, lookups)
-					}
-					if narrow {
-						// The miss still prices a full fabric row above (the
-						// fill transfer), but the staged value is the fused
-						// round trip of the row being admitted — exactly what
-						// reading the just-filled warm entry would serve.
-						if plan.addQuant(ix, w) {
-							st.DequantRows++
-						}
-					} else {
-						plan.add(ix, owner, rowBytes)
-					}
+					continue
 				}
 			}
-			// Admission replicates rows into the probing cache at the width
-			// the tiering mode assigns them (admitWidth); the explicit
-			// pure-remote mode (zero capacity) admits nothing and must
-			// account no fill traffic. Fill bytes move only on actual
-			// admission, at the admitted entry's footprint — a cache hit
-			// above already skipped this path, so every Insert here admits
-			// a new key (or is refused as unfittable, moving nothing).
-			if caching && admit {
-				eb := s.cfg.EntryBytes(w)
-				if ok, ev := cache.Insert(k, w, eb); ok {
-					st.Evictions += int64(ev)
-					st.FillBytes += eb
-				}
-			}
+			g.miss(cache, node, owner, ix)
 		}
 		if node++; node == nodes {
 			node = 0
 		}
 	}
-	if plan != nil {
-		plan.sizeBuffer(s.cfg.Dim())
-		plan.src = s.tables[table].src
+	st = Stats{
+		Lookups: int64(g.lookups), Local: local, CacheHits: hits, CacheMisses: g.misses,
+		QuantHits: g.quantHits, DequantRows: g.dequantRows, GatherRows: g.gatherRows,
+		GatherBytes: g.gatherBytes, FillBytes: g.fillBytes, Evictions: g.evictions,
 	}
-	return plan
+	if g.plan != nil {
+		g.plan.sizeBuffer(s.cfg.Dim())
+		g.plan.src = s.tables[table].src
+	}
+	return g.plan
 }
 
-// admitWidth is the tiering admission rule for one remote row: whether the
-// probing node's cache admits it and at what storage width. Uniform modes
-// (QuantOff, QuantFP16, QuantINT8) keep the popularity gate — only
-// classified-hot rows replicate, at the mode's single width. QuantMixed
-// admits everything: classified-hot rows at full fp32, the rest into the
-// warm tier at int8 (a nil classifier counts every row as hot, so Mixed
-// degenerates to all-fp32 — tiering needs a real popularity signal).
+// gatherWalk is one planGather call's state beyond its straight loop: what a
+// miss and a warm-tier hit read, the plan they build and the counts they add.
+type gatherWalk struct {
+	s       *Service
+	table   int
+	lookups int
+	collect bool
+	stamps  []uint8
+	epoch   uint8
+	// bits is the classifier's hot bitmap of the table (HotBitmap), nil when
+	// it keeps none.
+	bits []uint64
+	plan *Staging
+	// The counts the out-of-line paths add, each a Stats counter.
+	misses, quantHits, dequantRows, gatherRows, gatherBytes, fillBytes, evictions int64
+}
+
+// hotBit reads row ix's bit of a hot bitmap; known is false past the bitmap.
 //
 //hotline:hotpath
-func (s *Service) admitWidth(table int, ix int32) (Width, bool) {
-	hot := s.hot == nil || s.hot.IsHot(table, ix)
-	if s.cfg.Quant == QuantMixed {
-		if hot {
-			return WidthFP32, true
+func hotBit(bits []uint64, ix int32) (hot, known bool) {
+	if w := uint(ix) >> 6; w < uint(len(bits)) {
+		return bits[w]&(1<<(uint(ix)&63)) != 0, true
+	}
+	return false, false
+}
+
+// askHot is the classifier's verdict on a row of the walked table past its
+// hot bitmap (hotBit): IsHot's, and true for every row without a classifier.
+//
+//hotline:hotpath
+func (g *gatherWalk) askHot(ix int32) bool {
+	return g.s.hot == nil || g.s.hot.IsHot(g.table, ix)
+}
+
+// planned returns the call's plan, acquiring it at the first row that needs
+// staging.
+//
+//hotline:hotpath
+func (g *gatherWalk) planned() *Staging {
+	if g.plan == nil {
+		g.plan = g.s.gather.acquire(g.table, g.lookups)
+	}
+	return g.plan
+}
+
+// warmHit counts a hit on a warm-tier (sub-fp32) entry, which the fused
+// dequantize-gather kernel serves at the mode's warm width at staging time.
+//
+//hotline:hotpath
+func (g *gatherWalk) warmHit(ix int32) {
+	g.quantHits++
+	if g.collect {
+		if g.planned().addQuant(ix, g.s.cfg.Quant.WarmWidth()) {
+			g.dequantRows++
 		}
-		return WidthINT8, true
 	}
-	if !hot {
-		return WidthFP32, false
+}
+
+// miss accounts a remote lookup the requesting node's cache does not hold: a
+// fabric fetch once per distinct (requesting node, row) in the call, staged
+// in the plan, and the admission of the row into the cache at the width the
+// tiering mode assigns it.
+//
+//hotline:hotpath
+func (g *gatherWalk) miss(cache *DeviceCache, node, owner int, ix int32) {
+	s := g.s
+	g.misses++
+	caching := s.cfg.CacheBytes > 0
+	var w Width
+	var admit bool
+	if caching {
+		hot, known := hotBit(g.bits, ix)
+		if !known {
+			hot = g.askHot(ix)
+		}
+		w, admit = s.cfg.Quant.admit(hot)
 	}
-	return s.cfg.Quant.hotWidth(), true
+	// The dedup key is (requesting node, row); the table is fixed within one
+	// call.
+	if cell := &g.stamps[int(ix)*s.cfg.Nodes+node]; *cell != g.epoch {
+		*cell = g.epoch
+		g.gatherRows++
+		g.gatherBytes += s.cfg.RowBytes
+		if g.collect {
+			if admit && w != WidthFP32 {
+				// The miss still prices a full fabric row above (the fill
+				// transfer), but the staged value is the fused round trip of
+				// the row being admitted — exactly what reading the
+				// just-filled warm entry would serve.
+				if g.planned().addQuant(ix, w) {
+					g.dequantRows++
+				}
+			} else {
+				g.planned().add(ix, owner, s.cfg.RowBytes)
+			}
+		}
+	}
+	// Admission replicates rows into the probing cache at the width the
+	// tiering mode assigns them; the explicit pure-remote mode (zero
+	// capacity) admits nothing and must account no fill traffic. Fill bytes
+	// move only on actual admission, at the admitted entry's footprint — the
+	// row missed, so every admission here is of a new key (or is refused as
+	// unfittable, moving nothing).
+	if admit {
+		eb := s.cfg.EntryBytes(w)
+		if ok, ev := cache.admit(key(g.table, ix), w, eb); ok {
+			g.evictions += int64(ev)
+			g.fillBytes += eb
+		}
+	}
 }
 
 // nextEpoch empties the (requesting node, row) dedup set for a new call by

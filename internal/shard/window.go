@@ -75,6 +75,8 @@ type Staging struct {
 	inFlight bool      // submitted and not yet awaited
 
 	dirty []int32 // staged rows invalidated since issue (may repeat)
+	// repair[o] is Consume's scratch: the dirty fp32 rows owner o re-sends.
+	repair [][]int32
 }
 
 // add registers one fabric fetch of row from owner. Rows are staged once
@@ -299,6 +301,26 @@ func (w *Staging) Await() {
 	w.g.svc.count(false, &Stats{Exposed: time.Since(start)}) //hotline:allow detorder measured exposed-gather wall; never feeds math
 }
 
+// acquire hands out a released (or new) window, empty, keyed to table, with a
+// slot table for a plan over at most lookups rows: the accounting walk takes
+// one at the first row that needs staging.
+func (g *AsyncGatherer) acquire(table, lookups int) *Staging {
+	var w *Staging
+	g.poolMu.Lock()
+	if n := len(g.pool); n > 0 {
+		w = g.pool[n-1]
+		g.pool = g.pool[:n-1]
+	}
+	g.poolMu.Unlock()
+	if w == nil {
+		w = &Staging{g: g, perOwner: make([][]int32, len(g.queues)), repair: make([][]int32, len(g.queues))}
+		w.cond.L = &w.mu
+	}
+	w.table = table
+	w.reserve(lookups)
+	return w
+}
+
 // Release returns a consumed window to its engine's pool, reset, and takes
 // it out of the engine's open set. Callers must not touch it (or any row
 // slice obtained from Lookup) afterwards, and must not release a window whose
@@ -374,7 +396,10 @@ func (w *Staging) Consume() {
 	}
 	st := Stats{RepairRows: int64(len(w.dirty))}
 	own := svc.owners(w.table)
-	for i, r := range w.dirty {
+	for o := range w.repair {
+		w.repair[o] = w.repair[o][:0]
+	}
+	for _, r := range w.dirty {
 		if wd := w.Width(r); wd != WidthFP32 {
 			// Warm-tier staged row: re-run the fused dequantize-gather on the
 			// row's current bits — the refreshed coherent replica — instead of
@@ -388,12 +413,15 @@ func (w *Staging) Consume() {
 			st.RepairBytes += wd.RowBytes(w.dim)
 			continue
 		}
-		// Per-row fabric re-fetch from the row's owner; the one-element
-		// sub-slice of the dirty list keeps the steady-state path
-		// allocation-free.
-		wall, _ := svc.transportFetch(w.table, int(own[r]), w.dirty[i:i+1], w)
-		st.GatherWall += wall
+		w.repair[own[r]] = append(w.repair[own[r]], r)
 		st.RepairBytes += svc.Config().RowBytes
+	}
+	// One fabric re-fetch per owner, of its dirty rows in row order.
+	for owner, rows := range w.repair {
+		if len(rows) > 0 {
+			wall, _ := svc.transportFetch(w.table, owner, rows, w)
+			st.GatherWall += wall
+		}
 	}
 	svc.count(false, &st)
 }

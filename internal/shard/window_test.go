@@ -3,6 +3,7 @@ package shard
 import (
 	"math"
 	"runtime"
+	"sync/atomic"
 	"testing"
 )
 
@@ -64,6 +65,53 @@ func TestWindowDirtyRowRepair(t *testing.T) {
 		t.Fatalf("repair mode counted stale rows: %+v", stats)
 	}
 	st.Release()
+}
+
+// countingTransport is a transport that counts its fetches.
+type countingTransport struct {
+	Transport
+	fetches atomic.Int64
+}
+
+func (c *countingTransport) Fetch(table, owner int, rows []int32, st *Staging, f FetchFunc) error {
+	c.fetches.Add(1)
+	return c.Transport.Fetch(table, owner, rows, st, f)
+}
+
+// TestWindowRepairFetchesOncePerOwner: a window's dirty fp32 rows are
+// re-fetched in one call per owner — k dirty rows across m owners make m
+// fetches — and the repair accounting still counts every row.
+func TestWindowRepairFetchesOncePerOwner(t *testing.T) {
+	const rows, dim = 16, 4
+	svc := New(Config{Nodes: 4, CacheBytes: 0, RowBytes: dim * 4}, nil)
+	defer svc.Close()
+	tr := &countingTransport{Transport: NewInproc()}
+	svc.SetTransport(tr)
+	store := make([]float32, rows*dim)
+	view := func(r int32) []float32 { return store[int(r)*dim : (int(r)+1)*dim] }
+	svc.RegisterTable(0, rows, view)
+	// Node 0 requests every row it does not own: owners 1, 2 and 3.
+	w := svc.PlanGather(0, [][]int32{{1, 2, 3, 5, 6, 7, 9, 10, 11}})
+	svc.Gatherer().Submit(w)
+	dirty := []int32{9, 1, 5, 2, 1} // owner 1 three times, owner 2 once, a repeat
+	svc.MarkDirty(0, dirty)
+	for _, r := range dirty {
+		view(r)[0] = -float32(r)
+	}
+	before := tr.fetches.Load()
+	w.Consume()
+	if got := tr.fetches.Load() - before; got != 2 {
+		t.Fatalf("4 dirty rows of 2 owners repaired in %d fetches, want 2", got)
+	}
+	for _, r := range dirty {
+		if v, _ := w.Lookup(r); v[0] != -float32(r) {
+			t.Fatalf("dirty row %d not repaired: %v", r, v)
+		}
+	}
+	if st := svc.Gatherer().Stats(); st.RepairRows != 4 || st.RepairBytes != 4*dim*4 {
+		t.Fatalf("repair accounting: %d rows, %d bytes; want 4 rows, %d bytes", st.RepairRows, st.RepairBytes, 4*dim*4)
+	}
+	w.Release()
 }
 
 // TestInprocFetchReadsTheRegisteredView: the registered row view is the only
