@@ -29,7 +29,7 @@ type bagShape struct {
 
 var bagShapes = []bagShape{
 	// Kaggle (dense-local, serve-mixed): one-hot bags, below kernelWork (16 of
-	// 32 elements), so pooling and the adjoint stay on the Go loops.
+	// 32 elements), so pooling and the adjoint take the small-bag bodies.
 	{"1x16", 1, 16, 24000, 1.6},
 	// SYN-MH as sparse-inproc runs it: the kernel's own shape.
 	{"8x64", 8, 64, 24000, 1.6},

@@ -12,9 +12,10 @@
 // of rowBlock slices and summed by tensor.AddRows, and the sparse SGD update
 // is one tensor.AxpyIntoRows call with the factor -lr — AVX2 assembly where
 // the machine has it, the generic Go loops elsewhere, bit for bit the
-// one-row-at-a-time chain either way. A bag below kernelWork elements over
-// all its rows (a one-hot lookup at dim 16) stays on the Go loop,
-// tensor.AddRow, one row at a time: a property of the input, decided per bag.
+// one-row-at-a-time chain either way. A run of bags below kernelWork
+// elements over all its rows (one-hot lookups at dim 16) is one
+// tensor.AddSmallBags call, and its adjoint one tensor.AddSmallSegments call:
+// a property of the input, decided per bag.
 //
 // In the DESIGN.md layering the package sits between internal/tensor (raw
 // kernels) and internal/model (DLRM/TBSM assembly). Models hold their

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"hotline/internal/par"
@@ -11,10 +12,11 @@ import (
 	"hotline/internal/tensor"
 )
 
-// The kernels (tensor.AddRows or tensor.AddRow behind the pool and the adjoint,
-// tensor.AxpyIntoRows behind the update, the radix pair order) may reorder
-// loads, never adds: the references below are the one-row-at-a-time loops and
-// the comparison sort they replaced, and every comparison is on the bits.
+// The kernels (tensor.AddRows or a small-bag body behind the pool and the
+// adjoint, tensor.AxpyIntoRows behind the update, the radix pair order) may
+// reorder loads, never adds: the references below are the one-row-at-a-time
+// loops and the comparison sort they replaced, and every comparison is on the
+// bits.
 
 // refPool is sum pooling one lookup at a time: each output element starts at
 // +0 and adds its bag's rows in lookup order.
@@ -298,42 +300,45 @@ func TestStagedRowsArePooledFromStaging(t *testing.T) {
 	}
 }
 
-// TestSmallBagsStayOnTheGoLoop: a bag below kernelWork — Kaggle's one-hot
-// lookup at dim 16 above all — never reaches the assembly body, and one at or
-// above it does. Which loop summed a bag cannot be told from its bits, so the
-// probe hands both a caller bug they refuse in different words: source rows
-// one element narrower than the destination. The Go loop's reslice panics
-// with a runtime error; the kernel reports a short source row.
-func TestSmallBagsStayOnTheGoLoop(t *testing.T) {
-	const kernel = "tensor: AddRows source row shorter than dst"
+// TestSmallBagsTakeTheSmallBagBody: a bag below kernelWork — Kaggle's one-hot
+// lookup at dim 16 above all — is pooled by the small-bag body
+// (tensor.AddSmallBags, and tensor.AddSmallSegments for the adjoint), and one
+// at or above it by tensor.AddRows. Which body summed a bag cannot be told
+// from its bits, so the probe hands the drivers, past Forward's up-front
+// check, a bag whose rows are outside the table: the small-bag body refuses
+// them by name, and the AddRows driver fails resolving them, a runtime
+// error. Only the vector path words its refusal, so the test needs AVX2.
+func TestSmallBagsTakeTheSmallBagBody(t *testing.T) {
 	paths := map[string]func(dim, lookups int){
 		"pool": func(dim, lookups int) {
-			tab := &Table{Rows: 4, Dim: dim, W: tensor.New(4, dim-1)}
-			tab.Forward([][]int32{make([]int32, lookups)})
+			tab := &Table{Rows: 4, Dim: dim, W: tensor.New(4, dim)}
+			bag := slices.Repeat([]int32{4}, lookups)
+			tab.fwdRange(tensor.New(1, dim), [][]int32{bag}, 0, 1)
 		},
 		"adjoint": func(dim, lookups int) {
-			var a backwardArena
-			bagBackward(&a, [][]int32{make([]int32, lookups)}, tensor.New(1, dim-1), dim)
+			pairs := slices.Repeat([]int64{1}, lookups)
+			bagBackwardRange(tensor.New(1, dim), tensor.New(1, dim), pairs, []int32{0, int32(lookups)}, 0, 1)
 		},
 	}
+	probe := func(run func()) (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		run()
+		return "no panic"
+	}
+	if msg := probe(func() { tensor.AddSmallBags(make([]float32, 1), tensor.New(1, 1), [][]int32{{1}}, 2) }); !strings.HasPrefix(msg, "tensor: AddSmall") {
+		t.Skipf("the small-bag body does not word its refusal (%s): this machine runs the generic loops only", msg)
+	}
 	for name, run := range paths {
-		probe := func(dim, lookups int) (msg string) {
-			defer func() { msg = fmt.Sprint(recover()) }()
-			run(dim, lookups)
-			return "no panic"
-		}
-		if probe(64, 8) != kernel {
-			t.Skipf("%s: an 8x64 bag is not on the vector kernel: this machine runs the generic loops only", name)
-		}
 		for _, c := range []struct {
 			dim, lookups int
-			onKernel     bool
+			onAddRows    bool
 		}{
 			{16, 1, false}, {16, 2, true}, {8, 3, false}, {8, 4, true},
 			{1, kernelWork - 1, false}, {1, kernelWork, true}, {kernelWork - 1, 1, false}, {kernelWork, 1, true},
 		} {
-			if msg := probe(c.dim, c.lookups); (msg == kernel) != c.onKernel {
-				t.Errorf("%s: %d lookups at dim %d: on the kernel %v, want %v (%s)", name, c.lookups, c.dim, msg == kernel, c.onKernel, msg)
+			msg := probe(func() { run(c.dim, c.lookups) })
+			if small := strings.HasPrefix(msg, "tensor: AddSmall"); msg == "no panic" || small == c.onAddRows {
+				t.Errorf("%s: %d lookups at dim %d: on the small-bag body %v, want %v (%s)", name, c.lookups, c.dim, small, !c.onAddRows, msg)
 			}
 		}
 	}

@@ -136,9 +136,9 @@ func (s *ShardedBag) srcRow(ix int32, staged *shard.Staging) []float32 {
 }
 
 // stagedRange is Table.fwdRange reading the window's rows from its staging
-// buffer: the same sums in the same lookup order. It is one loop, not
-// fwdRange's two: srcRow's slot-table probe is a call on every row, so there
-// is no call-free loop for small bags to split off.
+// buffer: the same sums in the same lookup order. A small bag stays on the Go
+// loop, tensor.AddRow: srcRow's slot-table probe is a call on every row, so
+// there is no bag list for tensor.AddSmallBags to walk.
 //
 //hotline:hotpath
 func (s *ShardedBag) stagedRange(out *tensor.Matrix, indices [][]int32, staged *shard.Staging, lo, hi int) {

@@ -71,11 +71,13 @@ func checkIndices(indices [][]int32, rows int) (lookups int) {
 }
 
 // kernelWork is the least a bag must hold, in elements over all its rows, to
-// be summed by the vector kernel. A smaller bag — Kaggle's one-hot lookup at
-// dim 16 — is a copy's worth of work, and resolving its row into a list for
-// an assembly call costs more than the adds it saves, so the Go loop
-// (tensor.AddRow) keeps it. A property of the input, decided per bag and
-// nowhere per workload; BenchmarkBagForward's 1x16 case is the measured line.
+// be summed by tensor.AddRows, its rows resolved into a list a call at a
+// time. A smaller bag — Kaggle's one-hot lookup at dim 16 — is a copy's worth
+// of work, and a call per bag costs more than the adds it saves, so a run of
+// them is one tensor.AddSmallBags call: the whole run in one assembly body
+// where the machine has AVX2, the Go loop elsewhere. A property of the input,
+// decided per bag and nowhere per workload; BenchmarkBagForward's 1x16 case
+// is the measured line.
 const kernelWork = 32
 
 // rowBlock is the most rows a driver resolves for one kernel call: its list
@@ -91,10 +93,9 @@ const rowBlock = 32
 func kernelRows(dim int) int { return (kernelWork + dim - 1) / max(dim, 1) }
 
 // fwdRange computes output rows [lo, hi) of the pooled lookup: each output
-// element is the sum of its bag's rows in lookup order. Bags below kernelWork
-// are the Go loop's, bags at or above it the vector kernel's: addSmallBags
-// takes the range's leading small bags — all of a one-hot batch — and addBags
-// everything from the first kernel bag on.
+// element is the sum of its bag's rows in lookup order. addSmallBags takes
+// the range's leading run of bags below kernelWork — all of a one-hot batch —
+// and addBags everything from the first kernel bag on.
 //
 //hotline:hotpath
 func (t *Table) fwdRange(out *tensor.Matrix, indices [][]int32, lo, hi int) {
@@ -104,39 +105,31 @@ func (t *Table) fwdRange(out *tensor.Matrix, indices [][]int32, lo, hi int) {
 	}
 }
 
-// addSmallBags pools bags [b, hi) one row at a time, by the Go loop, up to
-// the first that holds need rows or more, and returns that bag's position
-// (hi when there is none). Its loop holds no call, so a batch of one-hot bags
-// keeps everything in registers, as it did before there was a kernel: a call
-// anywhere in the loop makes the compiler spill them, bag after bag.
+// addSmallBags pools bags [b, hi) up to the first that holds need rows or
+// more, and returns that bag's position (hi when there is none): one
+// tensor.AddSmallBags call for the whole run, never a call per bag or row.
 //
 //hotline:hotpath
 func (t *Table) addSmallBags(out *tensor.Matrix, indices [][]int32, need, b, hi int) int {
-	for ; b < hi && len(indices[b]) < need; b++ {
-		orow := out.Row(b)
-		for _, ix := range indices[b] {
-			tensor.AddRow(orow, t.W.Row(int(ix)))
-		}
-	}
-	return b
+	return b + tensor.AddSmallBags(out.Data[b*t.Dim:hi*t.Dim], t.W, indices[b:hi], need)
 }
 
 // addBags pools bags [b, hi): one of need rows or more has its rows resolved
 // into a stack block of slices and summed by tensor.AddRows with the output
-// row held in registers, a block per call; a smaller one in between is added
-// one row at a time, as in addSmallBags.
+// row held in registers, a block per call; a run of smaller ones in between
+// is one addSmallBags call. The block is this function's, not fwdRange's, so
+// a one-hot batch never zeroes it.
 //
 //hotline:hotpath
 func (t *Table) addBags(out *tensor.Matrix, indices [][]int32, need, b, hi int) {
 	var rows [rowBlock][]float32
-	for ; b < hi; b++ {
-		orow, idxs := out.Row(b), indices[b]
+	for b < hi {
+		idxs := indices[b]
 		if len(idxs) < need {
-			for _, ix := range idxs {
-				tensor.AddRow(orow, t.W.Row(int(ix)))
-			}
+			b = t.addSmallBags(out, indices, need, b, hi)
 			continue
 		}
+		orow := out.Row(b)
 		for len(idxs) > 0 {
 			c := min(len(idxs), rowBlock)
 			for q, ix := range idxs[:c] {
@@ -145,6 +138,52 @@ func (t *Table) addBags(out *tensor.Matrix, indices [][]int32, need, b, hi int) 
 			tensor.AddRows(orow, rows[:c])
 			idxs = idxs[c:]
 		}
+		b++
+	}
+}
+
+// bagBackwardRange fills gradient rows [lo, hi) from their pair segments:
+// each element is the sum of its row's output gradients in pair order, split
+// between addSmallSegments and addSegments as Table.fwdRange splits a lookup.
+//
+//hotline:hotpath
+func bagBackwardRange(grad, gradOut *tensor.Matrix, pairs []int64, starts []int32, lo, hi int) {
+	need := kernelRows(grad.Cols)
+	if i := addSmallSegments(grad, gradOut, pairs, starts, need, lo, hi); i < hi {
+		addSegments(grad, gradOut, pairs, starts, need, i, hi)
+	}
+}
+
+// addSmallSegments is Table.addSmallBags over gradient rows [i, hi): a row's
+// bag is its pair segment, the rows the output gradients at the pairs' batch
+// positions, and the call tensor.AddSmallSegments.
+//
+//hotline:hotpath
+func addSmallSegments(grad, gradOut *tensor.Matrix, pairs []int64, starts []int32, need, i, hi int) int {
+	return i + tensor.AddSmallSegments(grad.Data[i*grad.Cols:hi*grad.Cols], gradOut, pairs, starts[i:hi+1], need)
+}
+
+// addSegments is Table.addBags over gradient rows [i, hi).
+//
+//hotline:hotpath
+func addSegments(grad, gradOut *tensor.Matrix, pairs []int64, starts []int32, need, i, hi int) {
+	var rows [rowBlock][]float32
+	for i < hi {
+		seg := pairs[starts[i]:starts[i+1]]
+		if len(seg) < need {
+			i = addSmallSegments(grad, gradOut, pairs, starts, need, i, hi)
+			continue
+		}
+		g := grad.Row(i)
+		for len(seg) > 0 {
+			c := min(len(seg), rowBlock)
+			for q, p := range seg[:c] {
+				rows[q] = gradOut.Row(int(uint32(p)))
+			}
+			tensor.AddRows(g, rows[:c])
+			seg = seg[c:]
+		}
+		i++
 	}
 }
 
@@ -260,12 +299,6 @@ func (a *backwardArena) reset() { a.cur = 0 }
 // bags need this: their SparseGrads are absorbed into the primary model's
 // stash and applied through the PRIMARY tables, so the apply-time rewind
 // never fires on the shadow instance — Model.ZeroAll calls this instead.
-//
-// Its place in the file is also text layout: declared here, ahead of the
-// adjoint's drivers, it put the tensor.AddRow loops of addSmallSegments and
-// addSegments inside one 64-byte line each in PR 23's benchmark build (across
-// two, a one-hot batch reads about 30% slower). Nothing pins that; re-check
-// with the verify skill's objdump line before relying on it or moving this.
 //
 //hotline:hotpath
 func (t *Table) ResetStepScratch() { t.bw.reset() }
@@ -395,57 +428,6 @@ func bagBackward(a *backwardArena, indices [][]int32, gradOut *tensor.Matrix, di
 		})
 	}
 	return SparseGrad{Rows: rows, Grad: grad}
-}
-
-// bagBackwardRange fills gradient rows [lo, hi) from their pair segments:
-// each element is the sum of its row's output gradients in pair order, split
-// between the Go loop and the kernel as in Table.fwdRange.
-//
-//hotline:hotpath
-func bagBackwardRange(grad, gradOut *tensor.Matrix, pairs []int64, starts []int32, lo, hi int) {
-	need := kernelRows(grad.Cols)
-	if i := addSmallSegments(grad, gradOut, pairs, starts, need, lo, hi); i < hi {
-		addSegments(grad, gradOut, pairs, starts, need, i, hi)
-	}
-}
-
-// addSmallSegments is Table.addSmallBags over gradient rows [i, hi): a row's
-// bag is its pair segment, the rows the output gradients at the pairs' batch
-// positions.
-//
-//hotline:hotpath
-func addSmallSegments(grad, gradOut *tensor.Matrix, pairs []int64, starts []int32, need, i, hi int) int {
-	for ; i < hi && int(starts[i+1]-starts[i]) < need; i++ {
-		g := grad.Row(i)
-		for _, p := range pairs[starts[i]:starts[i+1]] {
-			tensor.AddRow(g, gradOut.Row(int(uint32(p))))
-		}
-	}
-	return i
-}
-
-// addSegments is Table.addBags over gradient rows [i, hi).
-//
-//hotline:hotpath
-func addSegments(grad, gradOut *tensor.Matrix, pairs []int64, starts []int32, need, i, hi int) {
-	var rows [rowBlock][]float32
-	for ; i < hi; i++ {
-		g, seg := grad.Row(i), pairs[starts[i]:starts[i+1]]
-		if len(seg) < need {
-			for _, p := range seg {
-				tensor.AddRow(g, gradOut.Row(int(uint32(p))))
-			}
-			continue
-		}
-		for len(seg) > 0 {
-			c := min(len(seg), rowBlock)
-			for q, p := range seg[:c] {
-				rows[q] = gradOut.Row(int(uint32(p)))
-			}
-			tensor.AddRows(g, rows[:c])
-			seg = seg[c:]
-		}
-	}
 }
 
 // sgdRange applies rows [lo, hi) of a sparse SGD update, w[k] -= lr·g[k], as

@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // vectorKernel says whether the AVX2 bodies run: AxpyRows and its siblings,
@@ -272,10 +273,10 @@ func add4(dst, a, b, c, d []float32) {
 }
 
 // AddRow computes dst[k] += a[k]: one term of the chain AddRows applies to a
-// whole list, as a Go loop on every machine. It is the generic path's
-// remainder, and what the embedding bag adds a small bag with: below a few
-// dozen elements a call into the assembly costs more than the adds it saves.
-// a must be at least len(dst) long.
+// whole list, as a Go loop on every machine. It is the generic paths'
+// remainder, and what the sharded bag's staged-rows loop adds a small bag
+// with, a row at a time, since that loop finds each row by a call. a must be
+// at least len(dst) long.
 //
 //hotline:hotpath
 func AddRow(dst, a []float32) {
@@ -283,6 +284,102 @@ func AddRow(dst, a []float32) {
 	for k := range dst {
 		dst[k] += a[k]
 	}
+}
+
+// AddSmallBags pools the leading small bags of a lookup into consecutive
+// rows of dst: for each b from 0, in order, while bags[b] holds fewer than
+// need indices, row b of dst (dst[b*w.Cols:][:w.Cols]) gets w.Row(ix) added
+// for every ix of bags[b] in lookup order — the AddRow chain, which starts
+// from the row's own value, so a +0 row plus -0 stays +0. It returns the
+// position of the first bag of need indices or more (len(bags) when there is
+// none), whose row and those after it it leaves alone. dst holds len(bags)
+// rows of w.Cols elements, and every index it reaches must be a row of w.
+//
+// With AVX2 it is one assembly call for the whole run of bags, the output
+// row held in registers while its rows are added and the indices checked as
+// they are read; without, the generic Go loop, also its reference. The
+// embedding bag's one-hot lookup is its shape.
+//
+//hotline:hotpath
+func AddSmallBags(dst []float32, w *Matrix, bags [][]int32, need int) int {
+	n := w.Cols
+	if len(dst) != len(bags)*n {
+		panic("tensor: AddSmallBags dst is not one row of w per bag")
+	}
+	if !vectorKernel || len(dst) == 0 || w.Rows == 0 {
+		return addSmallBagsGeneric(dst, w, bags, need)
+	}
+	data := w.Data[:w.Rows*n]
+	b := addSmallBagsAVX2(&dst[0], n, &bags[0], len(bags), &data[0], w.Rows, need)
+	if b < 0 {
+		panic("tensor: AddSmallBags index outside w")
+	}
+	return b
+}
+
+// addSmallBagsGeneric is AddSmallBags in portable Go, one row at a time. Its
+// loop holds no call: AddRow and Matrix.Row inline, so the compiler keeps the
+// loop's state in registers bag after bag.
+//
+//hotline:hotpath
+func addSmallBagsGeneric(dst []float32, w *Matrix, bags [][]int32, need int) int {
+	n := w.Cols
+	for b, bag := range bags {
+		if len(bag) >= need {
+			return b
+		}
+		orow := dst[b*n : (b+1)*n]
+		for _, ix := range bag {
+			AddRow(orow, w.Row(int(ix)))
+		}
+	}
+	return len(bags)
+}
+
+// AddSmallSegments is AddSmallBags over the adjoint's row-ordered pairs:
+// segment i is pairs[starts[i]:starts[i+1]], its bag the rows of src at the
+// pairs' low 32 bits (uint32(p), the batch position), so row i of dst gets
+// src.Row(int(uint32(p))) added for every p of the segment in order, for each
+// i from 0 while the segment holds fewer than need pairs. It returns the
+// position of the first segment of need pairs or more (len(starts)-1 when
+// there is none). dst holds len(starts)-1 rows of src.Cols elements; every
+// segment it reaches must lie inside pairs and every row it names inside src.
+// With AVX2 it is one assembly call, as AddSmallBags is.
+//
+//hotline:hotpath
+func AddSmallSegments(dst []float32, src *Matrix, pairs []int64, starts []int32, need int) int {
+	n, segs := src.Cols, max(len(starts)-1, 0)
+	if len(dst) != segs*n {
+		panic("tensor: AddSmallSegments dst is not one row of src per segment")
+	}
+	if !vectorKernel || len(dst) == 0 || src.Rows == 0 {
+		return addSmallSegmentsGeneric(dst, src, pairs, starts, need)
+	}
+	data := src.Data[:src.Rows*n]
+	i := addSmallSegmentsAVX2(&dst[0], n, &data[0], src.Rows, unsafe.SliceData(pairs), len(pairs), &starts[0], segs, need)
+	if i < 0 {
+		panic("tensor: AddSmallSegments segment or row outside its list")
+	}
+	return i
+}
+
+// addSmallSegmentsGeneric is AddSmallSegments in portable Go, one row at a
+// time, with no call in its loop either.
+//
+//hotline:hotpath
+func addSmallSegmentsGeneric(dst []float32, src *Matrix, pairs []int64, starts []int32, need int) int {
+	n := src.Cols
+	for i := 0; i+1 < len(starts); i++ {
+		seg := pairs[starts[i]:starts[i+1]]
+		if len(seg) >= need {
+			return i
+		}
+		g := dst[i*n : (i+1)*n]
+		for _, p := range seg {
+			AddRow(g, src.Row(int(uint32(p))))
+		}
+	}
+	return max(len(starts)-1, 0)
 }
 
 // AxpyIntoRows adds scaled rows to the listed rows of dst: for each i in

@@ -27,6 +27,28 @@ func axpyStridedAVX2(dst *float32, n int, b *float32, bStride int, a *float32, a
 //go:noescape
 func addRowsAVX2(dst *float32, n int, rows *[]float32, terms int) bool
 
+// addSmallBagsAVX2 is AddSmallBags for nbags >= 1 bags of rows of n >= 1
+// elements, read from the row-major rows x n matrix at w (rows >= 1), the
+// bags' output rows consecutive at dst. It returns the position of the first
+// bag of need indices or more (nbags when there is none), or -1, leaving the
+// bags before it pooled, on meeting an index outside [0, rows); it reads and
+// writes nothing outside the slices it was handed.
+//
+//go:noescape
+func addSmallBagsAVX2(dst *float32, n int, bags *[]int32, nbags int, w *float32, rows int, need int) int
+
+// addSmallSegmentsAVX2 is AddSmallSegments for segs >= 1 segments of rows of
+// n >= 1 elements, read from the row-major srcRows x n matrix at src
+// (srcRows >= 1), the segments' output rows consecutive at dst; pairs may be
+// nil when npairs is 0. It returns the position of the first segment of need
+// pairs or more (segs when there is none), or -1, leaving the segments before
+// it pooled, on meeting a segment outside [0, npairs) or running backwards or
+// a row outside [0, srcRows); it reads and writes nothing outside the slices
+// it was handed.
+//
+//go:noescape
+func addSmallSegmentsAVX2(dst *float32, n int, src *float32, srcRows int, pairs *int64, npairs int, starts *int32, segs int, need int) int
+
 // axpyIntoRowsAVX2 is AxpyIntoRows for count >= 1 rows of n >= 1 elements
 // into the row-major nrows x n matrix at dst. It reports false, leaving the
 // rows before it updated, when an at[i] is outside [0, nrows); it reads and

@@ -567,6 +567,247 @@ addbad:
 	MOVB $0, ret+32(FP)
 	RET
 
+// Register use of addSmallBagsAVX2 and addSmallSegmentsAVX2:
+//	DI the current bag's output row, R8 a row's bytes, SI the row matrix,
+//	R13 its row count, R10 the current bag's header (its start, for a
+//	segment), BX the bag's position; in a bag, R12 the end of its index list,
+//	CX minus its length, AX the byte offset of the tile in the output row and
+//	in every source row, R9 the row's bytes not yet done; in a tile's loop
+//	R11 the current index's offset from R12, counting up to zero, R14 its row
+//	at the start; Y0-Y1 the tile, Y9 a masked row, Y10 the tail's lane mask.
+//
+// A bag's rows are added 16 elements at a time, then 8, then the masked
+// tail, each tile held in registers across all the rows. The output tile is
+// loaded and added to, never replaced, so every element is the AddRow
+// chain's: its own value, then the rows in order. The bag loop's head and
+// every row loop's head sit at the start of a 64-byte line (PCALIGN), so
+// where the linker puts the function moves no loop across a line.
+
+// SMALLROW loads the next index, at R12 + R11*scale (its low 32 bits,
+// unsigned), ends the call at bad if it is not a row of the matrix, and
+// points R14 at that row.
+#define SMALLROW(scale, bad) \
+	MOVLQZX (R12)(R11*scale), R14 \
+	CMPQ    R14, R13              \
+	JAE     bad                   \
+	IMULQ   R8, R14               \
+	ADDQ    SI, R14
+
+// SMALLSTART loads the arguments both bodies share and the tail's lane mask
+// (its width is the row's, n mod 8 elements).
+#define SMALLSTART \
+	MOVQ    dst+0(FP), DI         \
+	MOVQ    n+8(FP), R8           \
+	SHLQ    $2, R8                \
+	MOVQ    R8, CX                \
+	ANDQ    $28, CX               \
+	LEAQ    tailmask<>+32(SB), DX \
+	SUBQ    CX, DX                \
+	VMOVDQU (DX), Y10             \
+	XORQ    BX, BX
+
+// func addSmallBagsAVX2(dst *float32, n int, bags *[]int32, nbags int, w *float32, rows int, need int) int
+//
+// The embedding bag's small-bag pool: for each bag b from 0 in order while
+// its length is below need, dst[b*n+j] += w[ix*n+j] for every index ix of
+// the bag, in order, and every j < n; needs n > 0, nbags > 0 and rows > 0.
+// A bag's header is three words (data, len, cap), so bag b's is at
+// bags+24b. Returns the position of the first bag of need indices or more,
+// or -1, with the bags before it pooled, on meeting an index outside
+// [0, rows): the index is checked before its row is read.
+TEXT ·addSmallBagsAVX2(SB), NOSPLIT, $0-64
+	SMALLSTART
+	MOVQ    bags+16(FP), R10
+	MOVQ    w+32(FP), SI
+	MOVQ    rows+40(FP), R13
+	PCALIGN $64
+
+bag:
+	CMPQ  BX, nbags+24(FP)
+	JGE   bagdone
+	MOVQ  8(R10), CX
+	CMPQ  CX, need+48(FP)
+	JGE   bagdone
+	TESTQ CX, CX
+	JZ    bagnext
+	MOVQ  (R10), R12
+	LEAQ  (R12)(CX*4), R12
+	NEGQ  CX
+	XORQ    AX, AX
+	MOVQ    R8, R9
+
+bagtile16:
+	CMPQ    R9, $64
+	JLT     bagtile8
+	VMOVUPS 0(DI)(AX*1), Y0
+	VMOVUPS 32(DI)(AX*1), Y1
+	MOVQ    CX, R11
+	PCALIGN $64
+
+bagrow16:
+	SMALLROW(4, bagbad)
+	VADDPS  0(R14)(AX*1), Y0, Y0
+	VADDPS  32(R14)(AX*1), Y1, Y1
+	INCQ    R11
+	JNZ     bagrow16
+	VMOVUPS Y0, 0(DI)(AX*1)
+	VMOVUPS Y1, 32(DI)(AX*1)
+	ADDQ    $64, AX
+	SUBQ    $64, R9
+	JMP     bagtile16
+
+bagtile8:
+	CMPQ    R9, $32
+	JLT     bagtail
+	VMOVUPS (DI)(AX*1), Y0
+	MOVQ    CX, R11
+	PCALIGN $64
+
+bagrow8:
+	SMALLROW(4, bagbad)
+	VADDPS  (R14)(AX*1), Y0, Y0
+	INCQ    R11
+	JNZ     bagrow8
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	SUBQ    $32, R9
+
+bagtail:
+	// One to seven elements: the masked loads read, and the masked store
+	// writes, nothing past the end of a row.
+	TESTQ      R9, R9
+	JZ         bagnext
+	VMASKMOVPS (DI)(AX*1), Y10, Y0
+	MOVQ       CX, R11
+	PCALIGN    $64
+
+bagrowtail:
+	SMALLROW(4, bagbad)
+	VMASKMOVPS (R14)(AX*1), Y10, Y9
+	VADDPS     Y9, Y0, Y0
+	INCQ       R11
+	JNZ        bagrowtail
+	VMASKMOVPS Y0, Y10, (DI)(AX*1)
+
+bagnext:
+	ADDQ $24, R10
+	ADDQ R8, DI
+	INCQ BX
+	JMP  bag
+
+bagdone:
+	VZEROUPPER
+	MOVQ BX, ret+56(FP)
+	RET
+
+bagbad:
+	VZEROUPPER
+	MOVQ $-1, ret+56(FP)
+	RET
+
+// func addSmallSegmentsAVX2(dst *float32, n int, src *float32, srcRows int, pairs *int64, npairs int, starts *int32, segs int, need int) int
+//
+// addSmallBagsAVX2 over the adjoint's pairs: segment i is pairs[starts[i]:
+// starts[i+1]], and its rows are src's at the pairs' low 32 bits (the first
+// dword of each 8-byte pair); needs n > 0, segs > 0 and srcRows > 0. Returns
+// the position of the first segment of need pairs or more, or -1, with the
+// segments before it pooled, on meeting a segment end past npairs, a segment
+// that ends before it starts, or a row outside [0, srcRows).
+TEXT ·addSmallSegmentsAVX2(SB), NOSPLIT, $0-80
+	SMALLSTART
+	MOVQ    src+16(FP), SI
+	MOVQ    srcRows+24(FP), R13
+	MOVQ    starts+48(FP), R10
+	PCALIGN $64
+
+seg:
+	CMPQ    BX, segs+56(FP)
+	JGE     segdone
+	MOVLQZX (R10), CX
+	MOVLQZX 4(R10), R11
+	CMPQ    R11, npairs+40(FP)
+	JHI     segbad
+	SUBQ    R11, CX
+	JHI     segbad
+	MOVQ    need+64(FP), R9
+	ADDQ    CX, R9
+	JLE     segdone
+	TESTQ   CX, CX
+	JZ      segnext
+	MOVQ    pairs+32(FP), R12
+	LEAQ    (R12)(R11*8), R12
+	XORQ    AX, AX
+	MOVQ    R8, R9
+
+segtile16:
+	CMPQ    R9, $64
+	JLT     segtile8
+	VMOVUPS 0(DI)(AX*1), Y0
+	VMOVUPS 32(DI)(AX*1), Y1
+	MOVQ    CX, R11
+	PCALIGN $64
+
+segrow16:
+	SMALLROW(8, segbad)
+	VADDPS  0(R14)(AX*1), Y0, Y0
+	VADDPS  32(R14)(AX*1), Y1, Y1
+	INCQ    R11
+	JNZ     segrow16
+	VMOVUPS Y0, 0(DI)(AX*1)
+	VMOVUPS Y1, 32(DI)(AX*1)
+	ADDQ    $64, AX
+	SUBQ    $64, R9
+	JMP     segtile16
+
+segtile8:
+	CMPQ    R9, $32
+	JLT     segtail
+	VMOVUPS (DI)(AX*1), Y0
+	MOVQ    CX, R11
+	PCALIGN $64
+
+segrow8:
+	SMALLROW(8, segbad)
+	VADDPS  (R14)(AX*1), Y0, Y0
+	INCQ    R11
+	JNZ     segrow8
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	SUBQ    $32, R9
+
+segtail:
+	// One to seven elements: the masked loads read, and the masked store
+	// writes, nothing past the end of a row.
+	TESTQ      R9, R9
+	JZ         segnext
+	VMASKMOVPS (DI)(AX*1), Y10, Y0
+	MOVQ       CX, R11
+	PCALIGN    $64
+
+segrowtail:
+	SMALLROW(8, segbad)
+	VMASKMOVPS (R14)(AX*1), Y10, Y9
+	VADDPS     Y9, Y0, Y0
+	INCQ       R11
+	JNZ        segrowtail
+	VMASKMOVPS Y0, Y10, (DI)(AX*1)
+
+segnext:
+	ADDQ $4, R10
+	ADDQ R8, DI
+	INCQ BX
+	JMP  seg
+
+segdone:
+	VZEROUPPER
+	MOVQ BX, ret+72(FP)
+	RET
+
+segbad:
+	VZEROUPPER
+	MOVQ $-1, ret+72(FP)
+	RET
+
 // func axpyIntoRowsAVX2(dst *float32, nrows, n int, at *int32, count int, src *float32, a float32) bool
 //
 // The sparse update's list body: for each i < count in ascending order,

@@ -16,6 +16,14 @@ func addRowsAVX2(dst *float32, n int, rows *[]float32, terms int) bool {
 	panic("tensor: no vector kernel on this architecture")
 }
 
+func addSmallBagsAVX2(dst *float32, n int, bags *[]int32, nbags int, w *float32, rows int, need int) int {
+	panic("tensor: no vector kernel on this architecture")
+}
+
+func addSmallSegmentsAVX2(dst *float32, n int, src *float32, srcRows int, pairs *int64, npairs int, starts *int32, segs int, need int) int {
+	panic("tensor: no vector kernel on this architecture")
+}
+
 func axpyIntoRowsAVX2(dst *float32, nrows, n int, at *int32, count int, src *float32, a float32) bool {
 	panic("tensor: no vector kernel on this architecture")
 }

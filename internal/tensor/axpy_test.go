@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -104,8 +105,8 @@ func sameBits(a, b float32) bool {
 // the counts around the block boundary. A canary element on either side of
 // the destination proves that neither path writes outside it. The lane
 // bodies (DotLanes, AxpyLanes), the GEMM's in-place kernel (axpyStrided), the
-// one-column body (gemvLanes) and TransposeBlock follow, each over its own
-// shapes.
+// one-column body (gemvLanes), TransposeBlock and the small-bag bodies
+// (AddSmallBags, AddSmallSegments) follow, each over its own shapes.
 func TestVectorKernelsMatchGeneric(t *testing.T) {
 	if !hasAVX2() {
 		t.Skip("no AVX2 on this machine: the generic loops are the only path")
@@ -356,6 +357,115 @@ func TestVectorKernelsMatchGeneric(t *testing.T) {
 				func(dst []float32) { TransposeBlock(dst, dstStride, src, srcStride, rows, cols) })
 		}
 	}
+
+	// AddSmallBags and AddSmallSegments, the small-bag pool and its adjoint:
+	// widths below, at and around a vector and a tile; runs of bags of every
+	// length 0 to need-1 (empty ones among them) over a matrix whose first
+	// rows are -0, denormals and infinities with NaN, pooled into rows that
+	// start at +0 or anywhere; the run reaching the end of the range or
+	// stopped by a bag of need rows, first or in the middle. Both paths must
+	// return the stop's position and leave its row and those after it alone.
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	for _, n := range []int{1, 7, 8, 9, 15, 16, 17, 31, 64} {
+		for _, need := range []int{(32 + n - 1) / n, 5} {
+			for _, stop := range []int{-1, 0, 2 * need} {
+				wild = !wild
+				const rows = 11
+				w := FromSlice(rows, n, fill(rows*n))
+				for j := range n {
+					w.Row(0)[j] = float32(math.Copysign(0, -1))
+					w.Row(1)[j] = math.SmallestNonzeroFloat32 * float32(j+1)
+					w.Row(2)[j] = []float32{inf, -inf, nan}[j%3]
+				}
+				saved := w.Clone()
+				var lens []int
+				for rep := range 3 {
+					for l := range need {
+						lens = append(lens, (l+rep)%need)
+					}
+				}
+				want := len(lens)
+				if stop >= 0 {
+					lens = slices.Insert(lens, stop, need)
+					want = stop
+				}
+				bags := make([][]int32, len(lens))
+				pairs := []int64{-1, -1, -1} // the segments start past other rows' pairs
+				starts := []int32{int32(len(pairs))}
+				for b, l := range lens {
+					bags[b] = make([]int32, l)
+					for q := range bags[b] {
+						bags[b][q] = int32(rng.Intn(rows))
+						pairs = append(pairs, int64(rng.Uint64()&^0xffffffff)|int64(bags[b][q]))
+					}
+					starts = append(starts, int32(len(pairs)))
+				}
+				start := fill(len(bags) * n)
+				for b := 0; b < len(bags); b += 2 {
+					clear(start[b*n : (b+1)*n])
+				}
+				bodies := map[string]func(dst []float32) int{
+					"AddSmallBags":     func(dst []float32) int { return AddSmallBags(dst, w, bags, need) },
+					"AddSmallSegments": func(dst []float32) int { return AddSmallSegments(dst, w, pairs, starts, need) },
+				}
+				for name, body := range bodies {
+					what := fmt.Sprintf("%s n=%d need=%d stop=%d", name, n, need, stop)
+					run(what, start, func(dst []float32) {
+						if got := body(dst); got != want {
+							t.Fatalf("%s: returned %d on the %v path, want %d", what, got, vectorKernel, want)
+						}
+						for j := want * n; j < len(dst); j++ {
+							if math.Float32bits(dst[j]) != math.Float32bits(start[j]) {
+								t.Fatalf("%s: element %d, at or past the stop, was written on the %v path", what, j, vectorKernel)
+							}
+						}
+					})
+					if at, ok := bitsEqual(w, saved); !ok {
+						t.Fatalf("%s: the row matrix was written at %d", what, at)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSmallBagBodiesRejectBadIndices: an index that is not a row of the
+// matrix, a segment that runs past the pairs or backwards and a destination
+// of the wrong size are caller bugs, reported as a panic before the row or
+// pair is read, on both paths.
+func TestSmallBagBodiesRejectBadIndices(t *testing.T) {
+	cases := map[string]func(){
+		"AddSmallBags short dst": func() { AddSmallBags(make([]float32, 17), New(3, 9), [][]int32{{1}, {0}}, 4) },
+		"AddSmallSegments segment past the pairs": func() {
+			AddSmallSegments(make([]float32, 18), New(3, 9), []int64{1, 2}, []int32{0, 1, 3}, 4)
+		},
+		"AddSmallSegments backward segment": func() {
+			AddSmallSegments(make([]float32, 18), New(3, 9), []int64{1, 2}, []int32{0, 2, 1}, 4)
+		},
+		"AddSmallSegments short dst": func() {
+			AddSmallSegments(make([]float32, 19), New(3, 9), []int64{1, 2}, []int32{0, 1, 2}, 4)
+		},
+	}
+	for _, bad := range []int32{3, -1, math.MaxInt32, math.MinInt32} {
+		cases[fmt.Sprintf("AddSmallBags index %d", bad)] = func() {
+			AddSmallBags(make([]float32, 18), New(3, 9), [][]int32{{1}, {0, bad}}, 4)
+		}
+		cases[fmt.Sprintf("AddSmallSegments row %d", bad)] = func() {
+			AddSmallSegments(make([]float32, 18), New(3, 9), []int64{1, 0, int64(uint32(bad))}, []int32{0, 1, 3}, 4)
+		}
+	}
+	onBothPaths(t, func(t *testing.T) {
+		for name, call := range cases {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: no panic", name)
+					}
+				}()
+				call()
+			}()
+		}
+	})
 }
 
 // TestLaneBodiesMatchScalarReference pins what the generic lane loops compute

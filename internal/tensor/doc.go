@@ -11,7 +11,12 @@
 // embedding bag runs on two siblings of it in the same file: AddRows is
 // AxpyRows with every factor 1 and no multiply (the pooled sum
 // and its adjoint), and AxpyIntoRows has one destination row per term
-// instead of one for all (the sparse SGD update, with the factor -lr). On
+// instead of one for all (the sparse SGD update, with the factor -lr).
+// AddSmallBags and AddSmallSegments are AddRows over a whole run of bags too
+// small for a call each (the one-hot lookup and its adjoint): one call walks
+// the bag list, checks every index before reading its row, and returns where
+// the first larger bag starts; their loop heads are aligned to 64 bytes
+// (PCALIGN), so no link address moves a loop across a cache line. On
 // amd64 with AVX2 the kernel is assembly (axpy_amd64.s): eight
 // destination elements per instruction, up to 64 of them held in registers
 // while every term of the list is added, a masked last vector. Every lane is

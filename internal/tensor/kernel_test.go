@@ -336,10 +336,14 @@ func gemmLeft(rows, cols, relu int, rng *RNG) *Matrix {
 }
 
 // benchKernel times fn at one worker (the repository benchmark's setting:
-// these measure the kernels, not the fork) and reports its MAC rate.
+// these measure the kernels, not the fork) and reports its MAC rate. One
+// untimed call comes first: a kernel's first call may size its scratch
+// (MatMulTransB packs wT), which no later call repeats, and averaged into
+// B/op it would read as a per-call allocation.
 func benchKernel(b *testing.B, macs int, fn func()) {
 	defer par.SetWorkers(par.SetWorkers(1))
 	b.ReportAllocs()
+	fn()
 	for b.Loop() {
 		fn()
 	}
