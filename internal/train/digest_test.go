@@ -13,6 +13,7 @@ import (
 	"hotline/internal/data"
 	"hotline/internal/embedding"
 	"hotline/internal/model"
+	"hotline/internal/par"
 	"hotline/internal/shard"
 )
 
@@ -90,6 +91,69 @@ var runDigests = map[string]string{
 	"tbsm/hotline/int8/sgd":                      "72fa39b259aa920aaa0e121feeb7d617f63083818f4cada074a8fb428579df0a",
 }
 
+// countDigests is the second checked-in table: one SHA-256 per sharded
+// cell's class and depth over the service's training and serve counters
+// (runDigest), so a change that moves a hit, a miss, an eviction, a window
+// or a repair fails here even where every bit of state survives it. The
+// node count is 4 in every entry. Change an entry only in a change that says
+// why.
+var countDigests = map[string]string{
+	"kaggle/baseline/fp32/adagrad/d1":               "68d66436d2804277e38a9e6a3224d280ac0babe5848b6c5a6a24870598191151",
+	"kaggle/baseline/fp32/sgd/d1":                   "68d66436d2804277e38a9e6a3224d280ac0babe5848b6c5a6a24870598191151",
+	"kaggle/baseline/hot-fp32+warm-int8/adagrad/d1": "ea51f106c46982408f3d3bacb089f80f86552ae4f5e3a9c7ddc09b7a22439492",
+	"kaggle/baseline/hot-fp32+warm-int8/sgd/d1":     "ea51f106c46982408f3d3bacb089f80f86552ae4f5e3a9c7ddc09b7a22439492",
+	"kaggle/baseline/int8/adagrad/d1":               "35c4f342ed161fa8ea48884ff6fa5e66b91d55b6fa2a8eb11e0aeb21692b3d8b",
+	"kaggle/baseline/int8/sgd/d1":                   "35c4f342ed161fa8ea48884ff6fa5e66b91d55b6fa2a8eb11e0aeb21692b3d8b",
+	"kaggle/hotline/fp32/adagrad/d1":                "68d66436d2804277e38a9e6a3224d280ac0babe5848b6c5a6a24870598191151",
+	"kaggle/hotline/fp32/adagrad/d4":                "68d66436d2804277e38a9e6a3224d280ac0babe5848b6c5a6a24870598191151",
+	"kaggle/hotline/fp32/sgd/d1":                    "68d66436d2804277e38a9e6a3224d280ac0babe5848b6c5a6a24870598191151",
+	"kaggle/hotline/fp32/sgd/d4":                    "68d66436d2804277e38a9e6a3224d280ac0babe5848b6c5a6a24870598191151",
+	"kaggle/hotline/hot-fp32+warm-int8/adagrad/d1":  "ea51f106c46982408f3d3bacb089f80f86552ae4f5e3a9c7ddc09b7a22439492",
+	"kaggle/hotline/hot-fp32+warm-int8/adagrad/d4":  "ea51f106c46982408f3d3bacb089f80f86552ae4f5e3a9c7ddc09b7a22439492",
+	"kaggle/hotline/hot-fp32+warm-int8/sgd/d1":      "ea51f106c46982408f3d3bacb089f80f86552ae4f5e3a9c7ddc09b7a22439492",
+	"kaggle/hotline/hot-fp32+warm-int8/sgd/d4":      "ea51f106c46982408f3d3bacb089f80f86552ae4f5e3a9c7ddc09b7a22439492",
+	"kaggle/hotline/int8/adagrad/d1":                "35c4f342ed161fa8ea48884ff6fa5e66b91d55b6fa2a8eb11e0aeb21692b3d8b",
+	"kaggle/hotline/int8/adagrad/d4":                "35c4f342ed161fa8ea48884ff6fa5e66b91d55b6fa2a8eb11e0aeb21692b3d8b",
+	"kaggle/hotline/int8/sgd/d1":                    "35c4f342ed161fa8ea48884ff6fa5e66b91d55b6fa2a8eb11e0aeb21692b3d8b",
+	"kaggle/hotline/int8/sgd/d4":                    "35c4f342ed161fa8ea48884ff6fa5e66b91d55b6fa2a8eb11e0aeb21692b3d8b",
+	"synmh/baseline/fp32/adagrad/d1":                "62fdb4e7e3a736f7dc60715d6ea2814fc83fbd8636db8aa17ccd4522f0024565",
+	"synmh/baseline/fp32/sgd/d1":                    "62fdb4e7e3a736f7dc60715d6ea2814fc83fbd8636db8aa17ccd4522f0024565",
+	"synmh/baseline/hot-fp32+warm-int8/adagrad/d1":  "df1c4e2c656a6712ff424c2d160ad0617910f559774928a809f52f3251db4d7a",
+	"synmh/baseline/hot-fp32+warm-int8/sgd/d1":      "df1c4e2c656a6712ff424c2d160ad0617910f559774928a809f52f3251db4d7a",
+	"synmh/baseline/int8/adagrad/d1":                "a64f1b0b5a3a668679db2274db81a77393714745488960bb9fdce1440689aa3c",
+	"synmh/baseline/int8/sgd/d1":                    "a64f1b0b5a3a668679db2274db81a77393714745488960bb9fdce1440689aa3c",
+	"synmh/hotline/fp32/adagrad/d1":                 "62864f45edf8e4ace963dff1a777a152c9b64a512c45b58b6f4cedcfd963a4d5",
+	"synmh/hotline/fp32/adagrad/d4":                 "be09f4885cdf208285e6f381e0de59df403aa0200d5570e664df9e9ac583546a",
+	"synmh/hotline/fp32/sgd/d1":                     "62864f45edf8e4ace963dff1a777a152c9b64a512c45b58b6f4cedcfd963a4d5",
+	"synmh/hotline/fp32/sgd/d4":                     "be09f4885cdf208285e6f381e0de59df403aa0200d5570e664df9e9ac583546a",
+	"synmh/hotline/hot-fp32+warm-int8/adagrad/d1":   "d34b03cf077086779232c9802c29c519298f1fd892b3bf82aea0d905cb52e8bd",
+	"synmh/hotline/hot-fp32+warm-int8/adagrad/d4":   "5a879352cb3810ed025fa0ef373cd4891c552f312e6f89a24b942163d948c8ad",
+	"synmh/hotline/hot-fp32+warm-int8/sgd/d1":       "d34b03cf077086779232c9802c29c519298f1fd892b3bf82aea0d905cb52e8bd",
+	"synmh/hotline/hot-fp32+warm-int8/sgd/d4":       "5a879352cb3810ed025fa0ef373cd4891c552f312e6f89a24b942163d948c8ad",
+	"synmh/hotline/int8/adagrad/d1":                 "17cf88a49509499afba98ed4984a863904fa3860675d3741a72d64d499e147d2",
+	"synmh/hotline/int8/adagrad/d4":                 "ecc8bf72f7ed2c9ccf8ad1268ab24b0f838d682f277b0e43810168e440d1747e",
+	"synmh/hotline/int8/sgd/d1":                     "17cf88a49509499afba98ed4984a863904fa3860675d3741a72d64d499e147d2",
+	"synmh/hotline/int8/sgd/d4":                     "ecc8bf72f7ed2c9ccf8ad1268ab24b0f838d682f277b0e43810168e440d1747e",
+	"tbsm/baseline/fp32/adagrad/d1":                 "f166b0c848871cb0be67cb84134ba2c74204eabd884211c81e0553516171a2cd",
+	"tbsm/baseline/fp32/sgd/d1":                     "f166b0c848871cb0be67cb84134ba2c74204eabd884211c81e0553516171a2cd",
+	"tbsm/baseline/hot-fp32+warm-int8/adagrad/d1":   "cd2979164af425899c66ab508e51526a4d1d305e6df5a64eb23192f29779dce4",
+	"tbsm/baseline/hot-fp32+warm-int8/sgd/d1":       "cd2979164af425899c66ab508e51526a4d1d305e6df5a64eb23192f29779dce4",
+	"tbsm/baseline/int8/adagrad/d1":                 "52c0bc5d0b3d1e0bb8f86ccbc2df27cdf99129dcbf52a49ba6720beeb8d82ad2",
+	"tbsm/baseline/int8/sgd/d1":                     "52c0bc5d0b3d1e0bb8f86ccbc2df27cdf99129dcbf52a49ba6720beeb8d82ad2",
+	"tbsm/hotline/fp32/adagrad/d1":                  "3eee2eb59bae734377528d913f391f191f52a8d27b92dfbc10fbc5e2495ebb89",
+	"tbsm/hotline/fp32/adagrad/d4":                  "8805eb536ef9f90d286ff1e2e1b6278efcb2594dadffa09f695baa277692b14e",
+	"tbsm/hotline/fp32/sgd/d1":                      "3eee2eb59bae734377528d913f391f191f52a8d27b92dfbc10fbc5e2495ebb89",
+	"tbsm/hotline/fp32/sgd/d4":                      "8805eb536ef9f90d286ff1e2e1b6278efcb2594dadffa09f695baa277692b14e",
+	"tbsm/hotline/hot-fp32+warm-int8/adagrad/d1":    "437cce00498a28ae0a8c9843d7d02b4d02cb83be7ba5ec0589fe0db4f18493ea",
+	"tbsm/hotline/hot-fp32+warm-int8/adagrad/d4":    "68c54953b0238489c02e4f5de565fb8d0bd34e32488520fface3777cc428c45c",
+	"tbsm/hotline/hot-fp32+warm-int8/sgd/d1":        "437cce00498a28ae0a8c9843d7d02b4d02cb83be7ba5ec0589fe0db4f18493ea",
+	"tbsm/hotline/hot-fp32+warm-int8/sgd/d4":        "68c54953b0238489c02e4f5de565fb8d0bd34e32488520fface3777cc428c45c",
+	"tbsm/hotline/int8/adagrad/d1":                  "6324cde83291f587e4e50622e64ebc59c7b7e0412d09ff37b7a447a20ba0578d",
+	"tbsm/hotline/int8/adagrad/d4":                  "a900895acd29c6d0b4e92418428104865e323d1a2f1f4bbe766c9ec932b48d7f",
+	"tbsm/hotline/int8/sgd/d1":                      "6324cde83291f587e4e50622e64ebc59c7b7e0412d09ff37b7a447a20ba0578d",
+	"tbsm/hotline/int8/sgd/d4":                      "a900895acd29c6d0b4e92418428104865e323d1a2f1f4bbe766c9ec932b48d7f",
+}
+
 // digestCell is one training run of the digest grid.
 type digestCell struct {
 	dataset  string
@@ -106,11 +170,21 @@ func (c digestCell) class() string {
 	return fmt.Sprintf("%s/%s/%s/%s", c.dataset, c.executor, c.quant, c.rule)
 }
 
+// countsKey names the counts a sharded cell must leave: the pipeline depth
+// moves them (windows, repairs), the node count is always 4.
+func (c digestCell) countsKey() string {
+	return fmt.Sprintf("%s/d%d", c.class(), c.depth)
+}
+
 // runDigest trains c from fixed seeds and returns the SHA-256 of every
 // state bit the run leaves: the dense parameters, every table's rows, the
 // update rule's state, and the click probabilities a shadow serves for a
-// fixed set of requests, each float32 as its four little-endian bytes.
-func runDigest(t *testing.T, c digestCell) string {
+// fixed set of requests, each float32 as its four little-endian bytes. A
+// sharded cell also returns the SHA-256 of its service's counters: the
+// training snapshot after the run and the serve snapshot after the requests,
+// wall clocks zeroed. It runs on one worker, since the counts of concurrent
+// µ-batch passes depend on scheduling (the bits do not); "" when unsharded.
+func runDigest(t *testing.T, c digestCell) (state, counts string) {
 	t.Helper()
 	const seed, steps, batch, requests = 7, 6, 100, 61
 	cfg := digestDatasets[c.dataset]()
@@ -125,6 +199,7 @@ func runDigest(t *testing.T, c digestCell) string {
 	}
 	var svc *shard.Service
 	if c.nodes > 1 {
+		defer par.SetWorkers(par.SetWorkers(1))
 		const cache = 64 << 10
 		var hot shard.HotClassifier
 		if c.quant == shard.QuantMixed {
@@ -170,7 +245,12 @@ func runDigest(t *testing.T, c digestCell) string {
 		putFloats(h, s.Data)
 	}
 	putFloats(h, model.NewShadow(m).ServePredictInto(nil, reqs))
-	return hex.EncodeToString(h.Sum(nil))
+	state = hex.EncodeToString(h.Sum(nil))
+	if svc != nil {
+		sum := sha256.Sum256(fmt.Appendf(nil, "%+v\n%+v", svc.Snapshot().WithoutWall(), svc.ServeSnapshot().WithoutWall()))
+		counts = hex.EncodeToString(sum[:])
+	}
+	return state, counts
 }
 
 // digestHotSets memoises digestHotSet per dataset.
@@ -232,15 +312,20 @@ func digestGrid() []digestCell {
 // loops (which a GOARCH=386 build takes everywhere) must each leave exactly
 // the state in runDigests. Each kernel is compared with its own reference
 // elsewhere; this catches two kernels that disagree where they meet, and a
-// change to a chain that a kernel and its reference share. -short runs every
-// third cell of the grid.
+// change to a chain that a kernel and its reference share. Each sharded
+// cell's counters must also leave the entry in countDigests. -short runs
+// every third cell of the grid.
 func TestTrainingRunDigest(t *testing.T) {
 	for i, c := range digestGrid() {
 		if testing.Short() && i%3 != 0 {
 			continue
 		}
-		if got, want := runDigest(t, c), runDigests[c.class()]; got != want {
-			t.Errorf("%s depth %d nodes %d: state digest %s, want %s", c.class(), c.depth, c.nodes, got, want)
+		state, counts := runDigest(t, c)
+		if want := runDigests[c.class()]; state != want {
+			t.Errorf("%s depth %d nodes %d: state digest %s, want %s", c.class(), c.depth, c.nodes, state, want)
+		}
+		if want := countDigests[c.countsKey()]; c.nodes > 1 && counts != want {
+			t.Errorf("%s nodes %d: counts digest %s, want %s", c.countsKey(), c.nodes, counts, want)
 		}
 	}
 }
