@@ -5,88 +5,42 @@ import (
 	"sort"
 )
 
-// hotBitmapMaxRows bounds the dense-bitmap fast path of a hot set: rows
-// below the bound live in a bitmap (grown lazily to the highest marked row,
-// at most 256 KB per table), rows above it fall back to a map. Every scaled
-// table this repository ships fits the bitmap entirely, so the per-lookup
-// probe — the classification inner loop and the shard service's admission
-// check — is a shift, a mask and a load instead of a map access.
-const hotBitmapMaxRows = 1 << 21
-
-// hotSet records one table's GPU-resident rows: a dense bitmap for the
-// affordable row range plus an overflow map for anything beyond it.
-type hotSet struct {
-	bits     []uint64
-	overflow map[int32]struct{}
-	count    int
-}
+// hotSet is one table's GPU-resident rows as a bitmap: row r is hot exactly
+// when bit r&63 of word r>>6 is set. It spans the highest marked row, so the
+// per-lookup probe — the classification inner loop and the shard service's
+// gather walk — is a shift, a mask and a load.
+type hotSet []uint64
 
 // mark adds row to the set; reports whether it was newly added.
 func (h *hotSet) mark(row int32) bool {
-	if row < hotBitmapMaxRows {
-		w, b := int(row>>6), uint64(1)<<(row&63)
-		if w >= len(h.bits) {
-			if w < cap(h.bits) {
-				// The spare capacity was zeroed by make and never written.
-				h.bits = h.bits[:w+1]
-			} else {
-				// Grow geometrically: placements mark the Zipf tail in
-				// ascending row order, and word-at-a-time growth would copy
-				// quadratically.
-				newCap := w + 1
-				if c := 2 * cap(h.bits); c > newCap {
-					newCap = c
-				}
-				grown := make([]uint64, w+1, newCap)
-				copy(grown, h.bits)
-				h.bits = grown
-			}
-		}
-		if h.bits[w]&b != 0 {
-			return false
-		}
-		h.bits[w] |= b
-		h.count++
-		return true
+	w, b := int(row>>6), uint64(1)<<(row&63)
+	if w >= len(*h) {
+		// append grows geometrically: placements mark the Zipf tail in
+		// ascending row order, and word-at-a-time growth would copy
+		// quadratically.
+		*h = append(*h, make([]uint64, w+1-len(*h))...)
 	}
-	if h.overflow == nil {
-		h.overflow = make(map[int32]struct{})
-	}
-	if _, ok := h.overflow[row]; ok {
+	if (*h)[w]&b != 0 {
 		return false
 	}
-	h.overflow[row] = struct{}{}
-	h.count++
+	(*h)[w] |= b
 	return true
 }
 
-// has reports membership. Rows under the bitmap bound never consult the
-// overflow map (they can only have been marked into the bitmap).
-func (h *hotSet) has(row int32) bool {
-	if row < hotBitmapMaxRows {
-		w := int(row >> 6)
-		return w < len(h.bits) && h.bits[w]&(uint64(1)<<(row&63)) != 0
-	}
-	_, ok := h.overflow[row]
-	return ok
+// has reports membership; a row past the bitmap is cold.
+func (h hotSet) has(row int32) bool {
+	w := uint(row) >> 6
+	return w < uint(len(h)) && h[w]&(uint64(1)<<(uint(row)&63)) != 0
 }
 
 // rows returns the members in ascending order.
-func (h *hotSet) rows() []int32 {
-	out := make([]int32, 0, h.count)
-	for w, word := range h.bits {
+func (h hotSet) rows() []int32 {
+	var out []int32
+	for w, word := range h {
 		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			out = append(out, int32(w<<6+b))
+			out = append(out, int32(w<<6+bits.TrailingZeros64(word)))
 			word &= word - 1
 		}
-	}
-	if len(h.overflow) > 0 {
-		start := len(out)
-		for r := range h.overflow {
-			out = append(out, r)
-		}
-		sort.Slice(out[start:], func(i, j int) bool { return out[start+i] < out[start+j] })
 	}
 	return out
 }
@@ -120,12 +74,12 @@ func (p *Placement) IsHot(table int, row int32) bool {
 	return p.hot[table].has(row)
 }
 
-// HotBits returns table's hot-row bitmap (shard.HotBitmap): row r below
-// 64*len(bits) is hot exactly when bit r&63 of bits[r>>6] is set, and IsHot
-// answers every row past it. The slice is the placement's own: read it, never
-// write it, and take it again after MarkHot.
+// HotBits returns table's hot-row bitmap (shard.HotClassifier): row r is hot
+// exactly when r lies inside the slice and bit r&63 of bits[r>>6] is set. The
+// slice is the placement's own: read it, never write it, and take it again
+// after MarkHot.
 func (p *Placement) HotBits(table int) []uint64 {
-	return p.hot[table].bits
+	return p.hot[table]
 }
 
 // HotRows returns the sorted hot rows of one table (deterministic iteration

@@ -8,13 +8,17 @@ import (
 )
 
 // mapHotSet is the historical map-only hot-set implementation, kept as the
-// reference the bitmap fast path must be equivalent to.
+// reference the bitmap must be equivalent to.
 type mapHotSet map[int32]struct{}
 
-// TestHotSetBitmapEquivalence drives the bitmap+overflow hot set and the
-// plain map reference with an identical mark/probe stream straddling the
-// bitmap bound, including duplicates, and checks membership, counts and
-// sorted-row enumeration stay equal.
+// farRow is a row far past every scaled table: 2^21, where the hot set once
+// switched from its bitmap to an overflow map. The bitmap now spans it.
+const farRow = 1 << 21
+
+// TestHotSetBitmapEquivalence drives the bitmap hot set and the plain map
+// reference with an identical mark/probe stream reaching past farRow,
+// including duplicates, and checks membership, counts and sorted-row
+// enumeration stay equal.
 func TestHotSetBitmapEquivalence(t *testing.T) {
 	rng := tensor.NewRNG(99)
 	var h hotSet
@@ -24,12 +28,12 @@ func TestHotSetBitmapEquivalence(t *testing.T) {
 		switch rng.Intn(4) {
 		case 0: // dense head (bitmap, low words)
 			return int32(rng.Intn(1000))
-		case 1: // mid range (bitmap, forces growth)
-			return int32(rng.Intn(hotBitmapMaxRows))
-		case 2: // exactly around the bound
-			return int32(hotBitmapMaxRows - 2 + rng.Intn(4))
-		default: // overflow range
-			return int32(hotBitmapMaxRows + rng.Intn(100000))
+		case 1: // mid range (forces growth)
+			return int32(rng.Intn(farRow))
+		case 2: // exactly around farRow
+			return int32(farRow - 2 + rng.Intn(4))
+		default: // past farRow
+			return int32(farRow + rng.Intn(100000))
 		}
 	}
 
@@ -48,9 +52,6 @@ func TestHotSetBitmapEquivalence(t *testing.T) {
 				t.Fatalf("has(%d) = %v, reference %v", r, got, want)
 			}
 		}
-	}
-	if h.count != len(ref) {
-		t.Fatalf("count %d, reference %d", h.count, len(ref))
 	}
 	rows := h.rows()
 	if len(rows) != len(ref) {
@@ -72,7 +73,7 @@ func TestPlacementBitmapSemantics(t *testing.T) {
 	p := NewPlacement(2, 8)
 	p.MarkHot(0, 3)
 	p.MarkHot(0, 3) // duplicate must not double-count
-	p.MarkHot(0, hotBitmapMaxRows+7)
+	p.MarkHot(0, farRow+7)
 	p.MarkHot(1, 100)
 
 	if n := len(p.HotRows(0)) + len(p.HotRows(1)); n != 3 {
@@ -84,13 +85,13 @@ func TestPlacementBitmapSemantics(t *testing.T) {
 	if len(p.HotRows(0)) != 2 || len(p.HotRows(1)) != 1 {
 		t.Fatalf("per-table counts = %d/%d, want 2/1", len(p.HotRows(0)), len(p.HotRows(1)))
 	}
-	if !p.IsHot(0, 3) || !p.IsHot(0, hotBitmapMaxRows+7) || !p.IsHot(1, 100) {
+	if !p.IsHot(0, 3) || !p.IsHot(0, farRow+7) || !p.IsHot(1, 100) {
 		t.Fatal("marked rows must be hot")
 	}
-	if p.IsHot(0, 4) || p.IsHot(1, hotBitmapMaxRows+7) || p.IsHot(0, 100) {
+	if p.IsHot(0, 4) || p.IsHot(1, farRow+7) || p.IsHot(0, 100) {
 		t.Fatal("unmarked rows must be cold")
 	}
-	want := []int32{3, hotBitmapMaxRows + 7}
+	want := []int32{3, farRow + 7}
 	got := p.HotRows(0)
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("HotRows(0) = %v, want %v", got, want)
@@ -98,14 +99,13 @@ func TestPlacementBitmapSemantics(t *testing.T) {
 }
 
 // The shard walk reads a Placement's hot set through its bitmap.
-var _ shard.HotBitmap = (*Placement)(nil)
+var _ shard.HotClassifier = (*Placement)(nil)
 
 // TestHotBitsMatchIsHot: every row a table's hot bitmap spans reads as IsHot
-// answers, and a hot row past the bitmap (the overflow range) is one IsHot
-// alone knows.
+// answers, and the bitmap spans the highest hot row, however far out.
 func TestHotBitsMatchIsHot(t *testing.T) {
 	p := NewPlacement(2, 8)
-	for _, r := range []int32{0, 5, 63, 64, 700, hotBitmapMaxRows + 3} {
+	for _, r := range []int32{0, 5, 63, 64, 700, farRow + 3} {
 		p.MarkHot(0, r)
 	}
 	bits := p.HotBits(0)
@@ -114,8 +114,8 @@ func TestHotBitsMatchIsHot(t *testing.T) {
 			t.Fatalf("row %d: bitmap says %v, IsHot %v", r, bit, p.IsHot(0, r))
 		}
 	}
-	if r := int32(hotBitmapMaxRows + 3); int(r>>6) < len(bits) || !p.IsHot(0, r) {
-		t.Fatalf("overflow row %d: bitmap spans %d words, IsHot %v", r, len(bits), p.IsHot(0, r))
+	if r := int32(farRow + 3); int(r>>6) >= len(bits) || !p.IsHot(0, r) {
+		t.Fatalf("row %d: bitmap spans %d words, IsHot %v", r, len(bits), p.IsHot(0, r))
 	}
 	if n := len(p.HotBits(1)); n != 0 {
 		t.Fatalf("a table with no hot row has a %d-word bitmap", n)

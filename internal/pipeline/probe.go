@@ -16,7 +16,8 @@ type Probe struct {
 	// Shard configures the service (nodes, cache budget, precision tiers);
 	// its RowBytes is the trained dataset's fp32 row.
 	Shard shard.Config
-	// Hot is the service's popularity classifier (nil: every row is hot).
+	// Hot is the service's popularity classifier, its hot set as one bitmap
+	// per table (nil: every row is hot).
 	Hot shard.HotClassifier
 	// Depth is the prefetch pipeline depth; < 1 keeps the executor's
 	// train.DefaultDepth.

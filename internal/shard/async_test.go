@@ -12,7 +12,7 @@ import (
 // view (two rows of 16).
 func planFor(t *testing.T, src RowAt) (*Service, *Staging) {
 	t.Helper()
-	s := New(Config{Nodes: 2, CacheBytes: 0, RowBytes: 64}, hotSet(0))
+	s := New(Config{Nodes: 2, CacheBytes: 0, RowBytes: 64}, hotSet())
 	s.RegisterTable(0, 2, src)
 	plan := s.PlanGather(0, [][]int32{{0, 1}, {0, 1}})
 	if plan == nil {
@@ -103,7 +103,7 @@ func TestAsyncGatherStagesRows(t *testing.T) {
 func TestAsyncGatherManyWindows(t *testing.T) {
 	// Many in-flight windows across nodes exercise the double-buffered
 	// queues; every window's staging must land fully.
-	s := New(Config{Nodes: 4, CacheBytes: 0, RowBytes: 4}, hotSet(0))
+	s := New(Config{Nodes: 4, CacheBytes: 0, RowBytes: 4}, hotSet())
 	s.RegisterTable(0, 32, flatRows(32, 1)) // row r holds r
 	g := s.Gatherer()
 	var handles []*Staging

@@ -210,7 +210,7 @@ func (rc *RequestCounter) HotAware(hot HotClassifier) *Ownership {
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	for _, k := range keys {
 		table, row := int(k>>32), int32(uint32(k))
-		if hot != nil && !hot.IsHot(table, row) {
+		if hot != nil && !hotBit(hot.HotBits(table), row) {
 			continue
 		}
 		best, c := 0, rc.counts[k]

@@ -128,7 +128,7 @@ func TestHotAwarePinsDominantRequester(t *testing.T) {
 		}
 	}
 	rc.Observe(0, idx)
-	p := rc.HotAware(hotSet(0, 8)) // only row 8 is popular
+	p := rc.HotAware(hotSet(8)) // only row 8 is popular
 	if got := p.Owner(0, 8); got != 2 {
 		t.Fatalf("hot row must follow its dominant requester: node %d", got)
 	}
@@ -158,7 +158,7 @@ func TestHotAwareReducesTrafficOnSkew(t *testing.T) {
 		}
 		return idx
 	}
-	hot := hotSet(0, 0, 1, 2, 3)
+	hot := hotSet(0, 1, 2, 3)
 	run := func(part *Ownership) Stats {
 		svc := register(New(Config{Nodes: nodes, CacheBytes: 0, RowBytes: 64, Part: part}, hot), 256, 0)
 		for it := 0; it < iters; it++ {

@@ -113,7 +113,7 @@ func TestQuantizedHitServesFusedRoundTrip(t *testing.T) {
 func TestMixedModeTiersByPopularity(t *testing.T) {
 	const dim = 16
 	qt := quantTable{dim: dim}
-	hot := hotSet(0, 1) // row 1 is hot; row 3 is warm
+	hot := hotSet(1) // row 1 is hot; row 3 is warm
 	s := New(Config{Nodes: 2, CacheBytes: 1 << 12, RowBytes: dim * 4, Quant: QuantMixed}, hot)
 	s.RegisterTable(0, 8, qt.row)
 	g := s.Gatherer()

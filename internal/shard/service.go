@@ -10,23 +10,15 @@ import (
 )
 
 // HotClassifier decides which rows count as popular and may be replicated
-// into device caches; embedding.Placement, the learned hot set, is the one
-// implementation, and also a HotBitmap, so the gather walk reads its verdicts
-// inline and asks IsHot only about rows past the bitmap. A nil classifier
-// admits every remote row (pure demand-cache mode, the admission ablation
-// baseline).
+// into device caches: the hot set as one bitmap per table.
+// embedding.Placement, the learned hot set, is the one implementation. A nil
+// classifier counts every row as hot: it admits every remote row (pure
+// demand-cache mode, the admission ablation baseline).
 type HotClassifier interface {
-	IsHot(table int, row int32) bool
-}
-
-// HotBitmap is what a HotClassifier may add so the accounting walk reads the
-// hot set inline instead of asking IsHot once per remote lookup: the set as
-// one bitmap per table. embedding.Placement implements it.
-type HotBitmap interface {
-	// HotBits returns table's hot-row bitmap: a row r below 64*len(bits) is
-	// hot exactly when bit r&63 of bits[r>>6] is set, and a row past it is
-	// answered by IsHot. The walk takes the view once per call, under the
-	// service mutex, and never writes it.
+	// HotBits returns table's hot-row bitmap: row r is hot exactly when r
+	// lies inside it and bit r&63 of bits[r>>6] is set; a row past it is
+	// cold. The walk takes the view once per call, under the service mutex,
+	// and never writes it.
 	HotBits(table int) []uint64
 }
 
@@ -317,8 +309,6 @@ func (s Stats) WithoutWall() Stats {
 type Service struct {
 	cfg Config
 	hot HotClassifier
-	// bitmap is hot's bitmap view, nil when the classifier keeps none.
-	bitmap HotBitmap
 	// part is the configured placement; only placeOwners asks it.
 	part *Ownership
 
@@ -410,7 +400,6 @@ func New(cfg Config, hot HotClassifier) *Service {
 		part = NewRoundRobin(cfg.Nodes)
 	}
 	s := &Service{cfg: cfg, hot: hot, part: part, caches: make([]*DeviceCache, cfg.Nodes), tr: NewInproc()}
-	s.bitmap, _ = hot.(HotBitmap)
 	for n := range s.caches {
 		s.caches[n] = NewDeviceCache(cfg.CacheBytes, cfg.Policy)
 	}
@@ -540,14 +529,10 @@ func (s *Service) planGather(table int, indices [][]int32, collect, serve bool) 
 	defer s.mu.Unlock()
 	own := s.tableOwners(table)
 	g.stamps, g.epoch = s.stamps, s.nextEpoch()
-	if s.bitmap != nil {
-		g.bits = s.bitmap.HotBits(table)
+	if s.hot != nil {
+		g.bits = s.hot.HotBits(table)
 	}
-	// A tiered cache serves a hit narrow exactly when the row's popularity
-	// is warm: the cold rows under QuantMixed, the hot ones under the
-	// uniform narrow modes (which admit no cold row).
 	tiered := s.cfg.Quant != QuantOff && s.cfg.CacheBytes > 0
-	warm := s.cfg.Quant != QuantMixed
 	var local, hits int64
 	nodes := s.cfg.Nodes
 	node := 0 // NodeOf(b), stepped instead of divided
@@ -567,12 +552,10 @@ func (s *Service) planGather(table int, indices [][]int32, collect, serve bool) 
 					}
 					hits++
 					if tiered {
-						hot, known := hotBit(g.bits, ix)
-						if !known {
-							hot = g.askHot(ix)
-						}
-						if hot == warm {
-							g.warmHit(ix)
+						// A hit is served at the width the mode stores the
+						// row at: the width a miss would admit it at.
+						if w, ok := s.cfg.Quant.admit(g.hot(ix)); ok && w != WidthFP32 {
+							g.warmHit(ix, w)
 						}
 					}
 					continue
@@ -605,30 +588,28 @@ type gatherWalk struct {
 	collect bool
 	stamps  []uint8
 	epoch   uint8
-	// bits is the classifier's hot bitmap of the table (HotBitmap), nil when
-	// it keeps none.
+	// bits is the classifier's hot bitmap of the table, nil without one.
 	bits []uint64
 	plan *Staging
 	// The counts the out-of-line paths add, each a Stats counter.
 	misses, quantHits, dequantRows, gatherRows, gatherBytes, fillBytes, evictions int64
 }
 
-// hotBit reads row ix's bit of a hot bitmap; known is false past the bitmap.
+// hot reports whether row ix of the walked table is popular: its bit in the
+// classifier's hot bitmap (a row past the bitmap is cold), and true for every
+// row without a classifier.
 //
 //hotline:hotpath
-func hotBit(bits []uint64, ix int32) (hot, known bool) {
-	if w := uint(ix) >> 6; w < uint(len(bits)) {
-		return bits[w]&(1<<(uint(ix)&63)) != 0, true
-	}
-	return false, false
+func (g *gatherWalk) hot(ix int32) bool {
+	return g.s.hot == nil || hotBit(g.bits, ix)
 }
 
-// askHot is the classifier's verdict on a row of the walked table past its
-// hot bitmap (hotBit): IsHot's, and true for every row without a classifier.
+// hotBit reads row ix's bit of a hot bitmap; a row past it is cold.
 //
 //hotline:hotpath
-func (g *gatherWalk) askHot(ix int32) bool {
-	return g.s.hot == nil || g.s.hot.IsHot(g.table, ix)
+func hotBit(bits []uint64, ix int32) bool {
+	w := uint(ix) >> 6
+	return w < uint(len(bits)) && bits[w]&(1<<(uint(ix)&63)) != 0
 }
 
 // planned returns the call's plan, acquiring it at the first row that needs
@@ -643,13 +624,13 @@ func (g *gatherWalk) planned() *Staging {
 }
 
 // warmHit counts a hit on a warm-tier (sub-fp32) entry, which the fused
-// dequantize-gather kernel serves at the mode's warm width at staging time.
+// dequantize-gather kernel serves at width w at staging time.
 //
 //hotline:hotpath
-func (g *gatherWalk) warmHit(ix int32) {
+func (g *gatherWalk) warmHit(ix int32, w Width) {
 	g.quantHits++
 	if g.collect {
-		if g.planned().addQuant(ix, g.s.cfg.Quant.WarmWidth()) {
+		if g.planned().addQuant(ix, w) {
 			g.dequantRows++
 		}
 	}
@@ -668,11 +649,7 @@ func (g *gatherWalk) miss(cache *DeviceCache, node, owner int, ix int32) {
 	var w Width
 	var admit bool
 	if caching {
-		hot, known := hotBit(g.bits, ix)
-		if !known {
-			hot = g.askHot(ix)
-		}
-		w, admit = s.cfg.Quant.admit(hot)
+		w, admit = s.cfg.Quant.admit(g.hot(ix))
 	}
 	// The dedup key is (requesting node, row); the table is fixed within one
 	// call.

@@ -6,20 +6,27 @@ import (
 	"time"
 )
 
-// mapClassifier marks an explicit set of rows hot.
-type mapClassifier map[uint64]struct{}
+// hotBitmap is a HotClassifier over table 0, laid out as embedding.Placement
+// keeps its hot set: bit r&63 of word r>>6 marks row r.
+type hotBitmap []uint64
 
-func (m mapClassifier) IsHot(table int, row int32) bool {
-	_, ok := m[key(table, row)]
-	return ok
+func (h hotBitmap) HotBits(table int) []uint64 {
+	if table != 0 {
+		return nil
+	}
+	return h
 }
 
-func hotSet(table int, rows ...int32) mapClassifier {
-	m := make(mapClassifier)
+// hotSet marks rows of table 0 hot; with none, every row is cold.
+func hotSet(rows ...int32) hotBitmap {
+	var h hotBitmap
 	for _, r := range rows {
-		m[key(table, r)] = struct{}{}
+		if w := int(r >> 6); w >= len(h) {
+			h = append(h, make(hotBitmap, w+1-len(h))...)
+		}
+		h[r>>6] |= 1 << (r & 63)
 	}
-	return m
+	return h
 }
 
 func cfg(nodes int, cacheRows int) Config {
@@ -110,7 +117,7 @@ func TestGatherRoutesAndAccounts(t *testing.T) {
 
 func TestGatherDedupsWithinCall(t *testing.T) {
 	// Cold (non-hot) row 1 accessed twice by node 0 in one call: one fetch.
-	s := register(New(cfg(2, 16), hotSet(0)), 2, 0) // nothing hot
+	s := register(New(cfg(2, 16), hotSet()), 2, 0) // nothing hot
 	s.RecordGather(0, [][]int32{{1, 1}})
 	st := s.Snapshot()
 	if st.CacheMisses != 2 || st.GatherRows != 1 {

@@ -236,7 +236,7 @@ func TestServiceCloseWithSocketFabric(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	svc := New(Config{Nodes: 2, CacheBytes: 0, RowBytes: 16}, hotSet(0))
+	svc := New(Config{Nodes: 2, CacheBytes: 0, RowBytes: 16}, hotSet())
 	svc.SetTransport(f.Transport)
 	if !svc.Multiproc() {
 		t.Fatal("socket fabric not marked multiproc")
@@ -361,7 +361,7 @@ func TestSocketCloseReportsLostPush(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	svc := New(Config{Nodes: 2, CacheBytes: 0, RowBytes: 16}, hotSet(0))
+	svc := New(Config{Nodes: 2, CacheBytes: 0, RowBytes: 16}, hotSet())
 	svc.SetTransport(f.Transport)
 	src := rowPattern(4)
 	svc.RegisterTable(0, 8, src)

@@ -79,22 +79,6 @@ func BenchmarkPlanGather(b *testing.B) {
 	}
 }
 
-// hotBitmap is a bitmap-backed HotClassifier over table 0, laid out as
-// embedding.Placement keeps its hot set: bit r&63 of word r>>6 marks row r.
-type hotBitmap []uint64
-
-func (h hotBitmap) IsHot(table int, row int32) bool {
-	w := int(row >> 6)
-	return table == 0 && w < len(h) && h[w]&(1<<(row&63)) != 0
-}
-
-func (h hotBitmap) HotBits(table int) []uint64 {
-	if table != 0 {
-		return nil
-	}
-	return h
-}
-
 // BenchmarkPlanGatherEvicting times the gather accounting walk under
 // eviction, at the fabric-unix workload's skew and cache share: Zipf 1.05
 // over the same table, and each node's cache 1/16 of the scaled hot budget

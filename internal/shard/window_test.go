@@ -18,7 +18,7 @@ type windowFixture struct {
 func newWindowFixture(t *testing.T, rows, dim int) *windowFixture {
 	t.Helper()
 	f := &windowFixture{}
-	f.svc = New(Config{Nodes: 2, CacheBytes: 0, RowBytes: int64(dim) * 4}, hotSet(0))
+	f.svc = New(Config{Nodes: 2, CacheBytes: 0, RowBytes: int64(dim) * 4}, hotSet())
 	f.g = f.svc.Gatherer()
 	f.store = make([][]float32, rows)
 	for r := range f.store {

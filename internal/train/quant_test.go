@@ -1,6 +1,7 @@
 package train
 
 import (
+	"slices"
 	"testing"
 
 	"hotline/internal/data"
@@ -10,10 +11,15 @@ import (
 
 // modHot is a deterministic popularity classifier for the quantized
 // determinism grid: every fourth row is "hot", so the mixed mode exercises
-// both tiers on every batch without profiling a stream.
+// both tiers on every batch without profiling a stream. Its bitmap spans
+// modHotRows rows of every table, more than any table these tests train.
 type modHot struct{}
 
-func (modHot) IsHot(_ int, row int32) bool { return row%4 == 0 }
+const modHotRows = 1 << 20
+
+var modHotBits = slices.Repeat([]uint64{0x1111111111111111}, modHotRows/64)
+
+func (modHot) HotBits(int) []uint64 { return modHotBits }
 
 // TestPipelinedQuantizedDeterminism extends the depth-k determinism
 // contract to the precision-tiered caches: for every quantized cache mode,
