@@ -45,7 +45,7 @@ func recoveryGrid(short bool) (nodes, depths []int) {
 // restart takes tens of milliseconds (or a loaded -race machine) is always
 // re-acquired well inside the budget.
 func redialRetry() shard.RetryConfig {
-	return shard.RetryConfig{MaxRedials: 40, Budget: 30 * time.Second}
+	return shard.RetryConfig{MaxRedials: 40}
 }
 
 // adoptRetry is the retry policy of the adoption scenarios: give up on the

@@ -79,10 +79,6 @@ type RetryConfig struct {
 	MaxAttempts int
 	// MaxRedials bounds dial attempts within one recovery. Default 8.
 	MaxRedials int
-	// Budget bounds one recovery's total wall clock; exhausted budget
-	// declares the peer unrecoverable (the point where shard adoption
-	// takes over). Default 30s.
-	Budget time.Duration
 	// Backoff returns the pause before redial attempt n (0-based).
 	// Default: 1ms doubling per attempt, capped at 250ms.
 	Backoff func(attempt int) time.Duration
@@ -93,15 +89,17 @@ type RetryConfig struct {
 	Resolve func(owner int) (string, error)
 }
 
+// recoveryBudget bounds one recovery's total wall clock: an exhausted budget
+// declares the peer unrecoverable (the point where shard adoption takes
+// over), however many redials MaxRedials still allows.
+const recoveryBudget = 30 * time.Second
+
 func (c RetryConfig) withDefaults() RetryConfig {
 	if c.MaxAttempts == 0 {
 		c.MaxAttempts = 3
 	}
 	if c.MaxRedials == 0 {
 		c.MaxRedials = 8
-	}
-	if c.Budget == 0 {
-		c.Budget = 30 * time.Second
 	}
 	if c.Backoff == nil {
 		c.Backoff = func(attempt int) time.Duration {
@@ -199,7 +197,7 @@ func NewResilientTransport(inner *SocketTransport, cfg RetryConfig) (*ResilientT
 	if inner == nil {
 		return nil, fmt.Errorf("%w: resilient layer needs a dialed SocketTransport", ErrFabricConfig)
 	}
-	if cfg.MaxAttempts < 0 || cfg.MaxRedials < 0 || cfg.Budget < 0 {
+	if cfg.MaxAttempts < 0 || cfg.MaxRedials < 0 {
 		return nil, fmt.Errorf("%w: negative retry bound in %+v", ErrFabricConfig, cfg)
 	}
 	cfg = cfg.withDefaults()
@@ -343,7 +341,7 @@ func (r *ResilientTransport) recoverPeer(owner int) error {
 		return nil // another flight already revived it
 	}
 	start := time.Now() //hotline:allow detorder measured recovery wall and retry budget; never feeds math
-	deadline := start.Add(r.cfg.Budget)
+	deadline := start.Add(recoveryBudget)
 	lastErr := p.lastError()
 	for attempt := 0; ; attempt++ {
 		if attempt >= r.cfg.MaxRedials || time.Now().After(deadline) { //hotline:allow detorder retry budget on the wall clock; never feeds math

@@ -81,30 +81,12 @@ type wireMsg struct {
 	text  string    // error
 }
 
-// DecodeFrame splits one length-prefixed frame off the front of b, returning
-// its payload and the remaining bytes. It never panics and never allocates:
-// a prefix above MaxFrame is rejected (ErrFrameTooLarge), anything shorter
-// than its declared length is ErrTruncatedFrame, and an empty payload —
-// which could carry no opcode — is ErrBadFrame.
-func DecodeFrame(b []byte) (payload, rest []byte, err error) {
-	if len(b) < 4 {
-		return nil, nil, fmt.Errorf("%w: %d-byte prefix", ErrTruncatedFrame, len(b))
-	}
-	n := binary.BigEndian.Uint32(b[:4])
-	if n > MaxFrame {
-		return nil, nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
-	}
-	if n == 0 {
-		return nil, nil, fmt.Errorf("%w: empty payload", ErrBadFrame)
-	}
-	if uint32(len(b)-4) < n {
-		return nil, nil, fmt.Errorf("%w: want %d payload bytes, have %d", ErrTruncatedFrame, n, len(b)-4)
-	}
-	return b[4 : 4+n], b[4+n:], nil
-}
-
-// readFrame reads one frame payload from r into buf (grown if needed),
-// applying the same bounds as DecodeFrame before allocating.
+// readFrame reads one frame payload from r into buf (grown if needed). It
+// never panics, and it checks the length prefix before allocating: a prefix
+// above MaxFrame is ErrFrameTooLarge, an empty payload — which could carry
+// no opcode — is ErrBadFrame, and a frame cut short of its prefix or its
+// declared length is ErrTruncatedFrame. A stream that ends cleanly before a
+// frame starts is io.EOF, a peer's hang-up.
 func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 	n, buf, err := readFrameLen(r, buf)
 	if err != nil {
@@ -123,6 +105,9 @@ func readFrameLen(r io.Reader, buf []byte) (uint32, []byte, error) {
 		buf = make([]byte, 4, 512)
 	}
 	if _, err := io.ReadFull(r, buf[:4]); err != nil {
+		if err == io.ErrUnexpectedEOF {
+			err = fmt.Errorf("%w: %v in the length prefix", ErrTruncatedFrame, err)
+		}
 		return 0, buf, err
 	}
 	return binary.BigEndian.Uint32(buf[:4]), buf, nil

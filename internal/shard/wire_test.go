@@ -2,7 +2,9 @@ package shard
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"math"
 	"testing"
 )
@@ -31,20 +33,9 @@ func TestWireRoundTrip(t *testing.T) {
 	for _, want := range msgs {
 		frame := frameFor(t, &want)
 
-		// The stream reader and the pure decoder must agree.
-		payload, rest, err := DecodeFrame(frame)
-		if err != nil {
-			t.Fatalf("op %d: DecodeFrame: %v", want.op, err)
-		}
-		if len(rest) != 0 {
-			t.Fatalf("op %d: %d bytes left over", want.op, len(rest))
-		}
-		streamed, err := readFrame(bytes.NewReader(frame), nil)
+		payload, err := readFrame(bytes.NewReader(frame), nil)
 		if err != nil {
 			t.Fatalf("op %d: readFrame: %v", want.op, err)
-		}
-		if !bytes.Equal(payload, streamed) {
-			t.Fatalf("op %d: DecodeFrame and readFrame disagree", want.op)
 		}
 
 		var got wireMsg
@@ -80,7 +71,7 @@ func TestDecodeFrameRejects(t *testing.T) {
 		in   []byte
 		want error
 	}{
-		{"empty", nil, ErrTruncatedFrame},
+		{"empty", nil, io.EOF}, // a clean hang-up, not a cut frame
 		{"short prefix", []byte{0, 0, 1}, ErrTruncatedFrame},
 		{"oversized", []byte{0xff, 0xff, 0xff, 0xff}, ErrFrameTooLarge},
 		{"just over max", []byte{0, 0x10, 0, 1}, ErrFrameTooLarge},
@@ -88,7 +79,7 @@ func TestDecodeFrameRejects(t *testing.T) {
 		{"truncated payload", []byte{0, 0, 0, 4, opAck}, ErrTruncatedFrame},
 	}
 	for _, c := range cases {
-		if _, _, err := DecodeFrame(c.in); !errors.Is(err, c.want) {
+		if _, err := readFrame(bytes.NewReader(c.in), nil); !errors.Is(err, c.want) {
 			t.Errorf("%s: got %v, want %v", c.name, err, c.want)
 		}
 	}
@@ -120,12 +111,13 @@ func TestDecodeMsgRejects(t *testing.T) {
 	}
 }
 
-// FuzzDecodeFrame asserts the codec's safety contract on arbitrary input:
-// DecodeFrame + decodeMsg either fail with a typed error or yield a message
-// that re-encodes to a payload decoding identically — never a panic, and
-// never an allocation beyond the bytes that actually arrived (decodeMsg
-// validates every count against the remaining payload before sizing
-// anything; the size assertions below would catch a lying header).
+// FuzzDecodeFrame asserts the codec's safety contract on arbitrary input, on
+// the reader the fabric runs: readFrame + decodeMsg either fail with a typed
+// error (io.EOF only for an empty stream) or yield a message that re-encodes
+// to a payload decoding identically — never a panic, and never an
+// allocation beyond the bytes that actually arrived (decodeMsg validates
+// every count against the remaining payload before sizing anything; the
+// size assertions below would catch a lying header).
 func FuzzDecodeFrame(f *testing.F) {
 	seed := []wireMsg{
 		{op: opHello, node: 1},
@@ -144,15 +136,18 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 5, opPush, 0, 9, 1, 0}) // lying count
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		payload, rest, err := DecodeFrame(b)
+		payload, err := readFrame(bytes.NewReader(b), nil)
 		if err != nil {
+			if err == io.EOF && len(b) == 0 {
+				return
+			}
 			if !errors.Is(err, ErrBadFrame) && !errors.Is(err, ErrFrameTooLarge) && !errors.Is(err, ErrTruncatedFrame) {
 				t.Fatalf("untyped frame error: %v", err)
 			}
 			return
 		}
-		if len(payload)+len(rest)+4 != len(b) {
-			t.Fatalf("frame split lost bytes: %d+%d+4 != %d", len(payload), len(rest), len(b))
+		if len(payload)+4 > len(b) || int(binary.BigEndian.Uint32(b)) != len(payload) {
+			t.Fatalf("read a %d-byte payload from %d bytes", len(payload), len(b))
 		}
 		var m wireMsg
 		if err := decodeMsg(payload, &m); err != nil {
