@@ -1,5 +1,12 @@
 #include "textflag.h"
 
+// Every AVX2 body's hot loops — the term, row, element and lane loops its
+// kernel benchmarks spend their time in — start with PCALIGN $64, which also
+// aligns the body to 64 bytes: each such loop head sits at the start of a
+// 64-byte line wherever the linker puts the function, so Go text added to
+// this package moves no loop across a line. CI's "Loop heads stay aligned"
+// step checks every head in the benchmark binary.
+
 // func hasAVX2() bool
 //
 // CPUID leaf 1 must report OSXSAVE and AVX, XCR0 must have the SSE and AVX
@@ -116,6 +123,7 @@ tile64:
 	VMOVUPS 192(DI)(AX*1), Y6
 	VMOVUPS 224(DI)(AX*1), Y7
 	MOVQ    R11, BX
+	PCALIGN $64
 
 term64:
 	TERM
@@ -149,6 +157,7 @@ tile32:
 	VMOVUPS 64(DI)(AX*1), Y2
 	VMOVUPS 96(DI)(AX*1), Y3
 	MOVQ    R11, BX
+	PCALIGN $64
 
 term32:
 	TERM
@@ -169,6 +178,7 @@ tile16:
 	VMOVUPS 0(DI)(AX*1), Y0
 	VMOVUPS 32(DI)(AX*1), Y1
 	MOVQ    R11, BX
+	PCALIGN $64
 
 term16:
 	TERM
@@ -184,6 +194,7 @@ tile8:
 	JZ      tail
 	VMOVUPS 0(DI)(AX*1), Y0
 	MOVQ    R11, BX
+	PCALIGN $64
 
 term8:
 	TERM
@@ -203,6 +214,7 @@ tail:
 	VMOVDQU     (DX), Y10
 	VMASKMOVPS  (DI)(AX*1), Y10, Y0
 	MOVQ        R11, BX
+	PCALIGN     $64
 
 termtail:
 	TERM
@@ -284,6 +296,7 @@ stile64:
 	VMOVUPS 192(DI)(AX*1), Y6
 	VMOVUPS 224(DI)(AX*1), Y7
 	SSTART
+	PCALIGN $64
 
 sterm64:
 	STERM(szero64)
@@ -322,6 +335,7 @@ stile32:
 	VMOVUPS 64(DI)(AX*1), Y2
 	VMOVUPS 96(DI)(AX*1), Y3
 	SSTART
+	PCALIGN $64
 
 sterm32:
 	STERM(szero32)
@@ -349,6 +363,7 @@ stile16:
 	VMOVUPS 0(DI)(AX*1), Y0
 	VMOVUPS 32(DI)(AX*1), Y1
 	SSTART
+	PCALIGN $64
 
 sterm16:
 	STERM(szero16)
@@ -371,6 +386,7 @@ stile8:
 	JZ      stail
 	VMOVUPS 0(DI)(AX*1), Y0
 	SSTART
+	PCALIGN $64
 
 sterm8:
 	STERM(szero8)
@@ -395,6 +411,7 @@ stail:
 	VMOVDQU    (DX), Y10
 	VMASKMOVPS (DI)(AX*1), Y10, Y0
 	SSTART
+	PCALIGN $64
 
 stermtail:
 	STERM(szerotail)
@@ -461,6 +478,7 @@ add64:
 	VMOVUPS 224(DI)(AX*1), Y7
 	MOVQ    SI, R9
 	MOVQ    R11, BX
+	PCALIGN $64
 
 row64:
 	ROW
@@ -494,6 +512,7 @@ add32:
 	VMOVUPS 96(DI)(AX*1), Y3
 	MOVQ    SI, R9
 	MOVQ    R11, BX
+	PCALIGN $64
 
 row32:
 	ROW
@@ -515,6 +534,7 @@ add16:
 	VMOVUPS 32(DI)(AX*1), Y1
 	MOVQ    SI, R9
 	MOVQ    R11, BX
+	PCALIGN $64
 
 row16:
 	ROW
@@ -531,6 +551,7 @@ add8:
 	VMOVUPS 0(DI)(AX*1), Y0
 	MOVQ    SI, R9
 	MOVQ    R11, BX
+	PCALIGN $64
 
 row8:
 	ROW
@@ -549,6 +570,7 @@ addtail:
 	VMASKMOVPS  (DI)(AX*1), Y10, Y0
 	MOVQ        SI, R9
 	MOVQ        R11, BX
+	PCALIGN     $64
 
 rowtail:
 	ROW
@@ -838,6 +860,7 @@ TEXT ·axpyIntoRowsAVX2(SB), NOSPLIT, $0-57
 	LEAQ         tailmask<>+32(SB), DX
 	SUBQ         CX, DX
 	VMOVDQU      (DX), Y10
+	PCALIGN      $64
 
 into:
 	MOVLQZX (R12), DX
@@ -847,6 +870,7 @@ into:
 	ADDQ    DI, DX
 	MOVQ    R8, CX
 	XORQ    AX, AX
+	PCALIGN $64
 
 into32:
 	CMPQ    CX, $32
@@ -870,6 +894,7 @@ into32:
 	ADDQ    $128, AX
 	SUBQ    $32, CX
 	JMP     into32
+	PCALIGN $64
 
 into8:
 	CMPQ    CX, $8
@@ -924,6 +949,7 @@ TEXT ·maxAbsBitsAVX2(SB), NOSPLIT, $0-20
 	VPXOR    Y1, Y1, Y1
 	VPXOR    Y2, Y2, Y2
 	VPXOR    Y3, Y3, Y3
+	PCALIGN  $64
 
 scan32:
 	CMPQ    CX, $32
@@ -939,6 +965,7 @@ scan32:
 	ADDQ    $128, SI
 	SUBQ    $32, CX
 	JMP     scan32
+	PCALIGN $64
 
 scan8:
 	CMPQ    CX, $8
@@ -1010,6 +1037,7 @@ TEXT ·roundTripI8AVX2(SB), NOSPLIT, $0-32
 	VMOVD        DX, X11
 	VPBROADCASTD X11, Y11
 	XORQ         AX, AX
+	PCALIGN      $64
 
 round32:
 	CMPQ    CX, $32
@@ -1029,6 +1057,7 @@ round32:
 	ADDQ    $128, AX
 	SUBQ    $32, CX
 	JMP     round32
+	PCALIGN $64
 
 round8:
 	CMPQ    CX, $8
@@ -1055,25 +1084,6 @@ roundtail:
 
 rounddone:
 	VZEROUPPER
-	RET
-
-// func prefetchLines(p *float32, n int)
-//
-// PREFETCHT0 on every 64-byte line from the one holding p[0] to the one
-// holding p[n-1]: a row about to be read, requested ahead of its loads so its
-// cache misses overlap other work. A prefetch is a hint — it cannot fault and
-// loads nothing into a register — and it uses no vector register.
-TEXT ·prefetchLines(SB), NOSPLIT, $0-16
-	MOVQ p+0(FP), AX
-	MOVQ n+8(FP), CX
-	LEAQ (AX)(CX*4), CX
-	ANDQ $-64, AX
-
-line:
-	PREFETCHT0 (AX)
-	ADDQ       $64, AX
-	CMPQ       AX, CX
-	JB         line
 	RET
 
 // DOT is acc += round(a * b) in eight lanes, a in Y8: the product is rounded
@@ -1119,6 +1129,7 @@ dottile:
 	MOVQ   BX, AX
 	LEAQ   (BX)(R8*4), R9
 	MOVQ   R11, CX
+	PCALIGN $64
 
 dot8:
 	VMOVUPS (SI), Y8
@@ -1164,6 +1175,7 @@ dotrest:
 	MOVQ   BX, AX
 	LEAQ   (BX)(R8*4), R9
 	MOVQ   R11, CX
+	PCALIGN $64
 
 dotn:
 	VMOVUPS (SI), Y8
@@ -1302,6 +1314,7 @@ lanetile:
 lanestart:
 	MOVQ R9, SI
 	MOVQ R11, BX
+	PCALIGN $64
 
 laneterm:
 	FACTOR
@@ -1360,6 +1373,7 @@ lanerow:
 rowstart:
 	MOVQ R9, SI
 	MOVQ R11, BX
+	PCALIGN $64
 
 rowterm:
 	FACTOR
@@ -1434,6 +1448,7 @@ trstrip:
 	MOVQ DI, R13
 	LEAQ (SI)(R9*4), BX
 	LEAQ (DI)(R8*4), DX
+	PCALIGN $64
 
 tr8:
 	VMOVUPS     (SI), X0
@@ -1546,6 +1561,7 @@ gtile64:
 	VMOVUPS 192(DI)(AX*1), Y6
 	VMOVUPS 224(DI)(AX*1), Y7
 	GSTART
+	PCALIGN $64
 
 gterm64:
 	GTERM
@@ -1578,6 +1594,7 @@ gtile32:
 	VMOVUPS 64(DI)(AX*1), Y2
 	VMOVUPS 96(DI)(AX*1), Y3
 	GSTART
+	PCALIGN $64
 
 gterm32:
 	GTERM
@@ -1598,6 +1615,7 @@ gtile16:
 	VMOVUPS 0(DI)(AX*1), Y0
 	VMOVUPS 32(DI)(AX*1), Y1
 	GSTART
+	PCALIGN $64
 
 gterm16:
 	GTERM
@@ -1613,6 +1631,7 @@ gtile8:
 	JZ      gtail
 	VMOVUPS 0(DI)(AX*1), Y0
 	GSTART
+	PCALIGN $64
 
 gterm8:
 	GTERM
@@ -1633,6 +1652,7 @@ gtail:
 	VMOVDQU    (DX), Y13
 	VMASKMOVPS (DI)(AX*1), Y13, Y0
 	GSTART
+	PCALIGN $64
 
 gtermtail:
 	GTERM
@@ -1646,4 +1666,23 @@ gtermtail:
 
 gdone:
 	VZEROUPPER
+	RET
+
+// func prefetchLines(p *float32, n int)
+//
+// PREFETCHT0 on every 64-byte line from the one holding p[0] to the one
+// holding p[n-1]: a row about to be read, requested ahead of its loads so its
+// cache misses overlap other work. A prefetch is a hint — it cannot fault and
+// loads nothing into a register — and it uses no vector register.
+TEXT ·prefetchLines(SB), NOSPLIT, $0-16
+	MOVQ p+0(FP), AX
+	MOVQ n+8(FP), CX
+	LEAQ (AX)(CX*4), CX
+	ANDQ $-64, AX
+
+line:
+	PREFETCHT0 (AX)
+	ADDQ       $64, AX
+	CMPQ       AX, CX
+	JB         line
 	RET

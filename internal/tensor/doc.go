@@ -15,9 +15,9 @@
 // AddSmallBags and AddSmallSegments are AddRows over a whole run of bags too
 // small for a call each (the one-hot lookup and its adjoint): one call walks
 // the bag list, checks every index before reading its row, and returns where
-// the first larger bag starts; their loop heads are aligned to 64 bytes
-// (PCALIGN), so no link address moves a loop across a cache line. On
-// amd64 with AVX2 the kernel is assembly (axpy_amd64.s): eight
+// the first larger bag starts. On amd64 with AVX2 the kernel is assembly
+// (axpy_amd64.s), every body's hot loop heads aligned to 64 bytes (PCALIGN),
+// so no link address moves a loop across a cache line: eight
 // destination elements per instruction, up to 64 of them held in registers
 // while every term of the list is added, a masked last vector. Every lane is
 // a different output element, and each element's own chain is untouched:
