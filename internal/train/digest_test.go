@@ -91,67 +91,125 @@ var runDigests = map[string]string{
 	"tbsm/hotline/int8/sgd":                      "72fa39b259aa920aaa0e121feeb7d617f63083818f4cada074a8fb428579df0a",
 }
 
-// countDigests is the second checked-in table: one SHA-256 per sharded
-// cell's class and depth over the service's training and serve counters
-// (runDigest), so a change that moves a hit, a miss, an eviction, a window
-// or a repair fails here even where every bit of state survives it. The
+// trainCountDigests and serveCountDigests are the counts tables: one
+// SHA-256 per sharded cell's class and depth over the service's training
+// counters and, apart, over its serve counters (runDigest), so a change that
+// moves a hit, a miss, an eviction, a window or a repair fails here even
+// where every bit of state survives it, and names the side it moved. The
 // node count is 4 in every entry. Change an entry only in a change that says
 // why.
-var countDigests = map[string]string{
-	"kaggle/baseline/fp32/adagrad/d1":               "68d66436d2804277e38a9e6a3224d280ac0babe5848b6c5a6a24870598191151",
-	"kaggle/baseline/fp32/sgd/d1":                   "68d66436d2804277e38a9e6a3224d280ac0babe5848b6c5a6a24870598191151",
-	"kaggle/baseline/hot-fp32+warm-int8/adagrad/d1": "ea51f106c46982408f3d3bacb089f80f86552ae4f5e3a9c7ddc09b7a22439492",
-	"kaggle/baseline/hot-fp32+warm-int8/sgd/d1":     "ea51f106c46982408f3d3bacb089f80f86552ae4f5e3a9c7ddc09b7a22439492",
-	"kaggle/baseline/int8/adagrad/d1":               "35c4f342ed161fa8ea48884ff6fa5e66b91d55b6fa2a8eb11e0aeb21692b3d8b",
-	"kaggle/baseline/int8/sgd/d1":                   "35c4f342ed161fa8ea48884ff6fa5e66b91d55b6fa2a8eb11e0aeb21692b3d8b",
-	"kaggle/hotline/fp32/adagrad/d1":                "68d66436d2804277e38a9e6a3224d280ac0babe5848b6c5a6a24870598191151",
-	"kaggle/hotline/fp32/adagrad/d4":                "68d66436d2804277e38a9e6a3224d280ac0babe5848b6c5a6a24870598191151",
-	"kaggle/hotline/fp32/sgd/d1":                    "68d66436d2804277e38a9e6a3224d280ac0babe5848b6c5a6a24870598191151",
-	"kaggle/hotline/fp32/sgd/d4":                    "68d66436d2804277e38a9e6a3224d280ac0babe5848b6c5a6a24870598191151",
-	"kaggle/hotline/hot-fp32+warm-int8/adagrad/d1":  "ea51f106c46982408f3d3bacb089f80f86552ae4f5e3a9c7ddc09b7a22439492",
-	"kaggle/hotline/hot-fp32+warm-int8/adagrad/d4":  "ea51f106c46982408f3d3bacb089f80f86552ae4f5e3a9c7ddc09b7a22439492",
-	"kaggle/hotline/hot-fp32+warm-int8/sgd/d1":      "ea51f106c46982408f3d3bacb089f80f86552ae4f5e3a9c7ddc09b7a22439492",
-	"kaggle/hotline/hot-fp32+warm-int8/sgd/d4":      "ea51f106c46982408f3d3bacb089f80f86552ae4f5e3a9c7ddc09b7a22439492",
-	"kaggle/hotline/int8/adagrad/d1":                "35c4f342ed161fa8ea48884ff6fa5e66b91d55b6fa2a8eb11e0aeb21692b3d8b",
-	"kaggle/hotline/int8/adagrad/d4":                "35c4f342ed161fa8ea48884ff6fa5e66b91d55b6fa2a8eb11e0aeb21692b3d8b",
-	"kaggle/hotline/int8/sgd/d1":                    "35c4f342ed161fa8ea48884ff6fa5e66b91d55b6fa2a8eb11e0aeb21692b3d8b",
-	"kaggle/hotline/int8/sgd/d4":                    "35c4f342ed161fa8ea48884ff6fa5e66b91d55b6fa2a8eb11e0aeb21692b3d8b",
-	"synmh/baseline/fp32/adagrad/d1":                "62fdb4e7e3a736f7dc60715d6ea2814fc83fbd8636db8aa17ccd4522f0024565",
-	"synmh/baseline/fp32/sgd/d1":                    "62fdb4e7e3a736f7dc60715d6ea2814fc83fbd8636db8aa17ccd4522f0024565",
-	"synmh/baseline/hot-fp32+warm-int8/adagrad/d1":  "df1c4e2c656a6712ff424c2d160ad0617910f559774928a809f52f3251db4d7a",
-	"synmh/baseline/hot-fp32+warm-int8/sgd/d1":      "df1c4e2c656a6712ff424c2d160ad0617910f559774928a809f52f3251db4d7a",
-	"synmh/baseline/int8/adagrad/d1":                "a64f1b0b5a3a668679db2274db81a77393714745488960bb9fdce1440689aa3c",
-	"synmh/baseline/int8/sgd/d1":                    "a64f1b0b5a3a668679db2274db81a77393714745488960bb9fdce1440689aa3c",
-	"synmh/hotline/fp32/adagrad/d1":                 "62864f45edf8e4ace963dff1a777a152c9b64a512c45b58b6f4cedcfd963a4d5",
-	"synmh/hotline/fp32/adagrad/d4":                 "be09f4885cdf208285e6f381e0de59df403aa0200d5570e664df9e9ac583546a",
-	"synmh/hotline/fp32/sgd/d1":                     "62864f45edf8e4ace963dff1a777a152c9b64a512c45b58b6f4cedcfd963a4d5",
-	"synmh/hotline/fp32/sgd/d4":                     "be09f4885cdf208285e6f381e0de59df403aa0200d5570e664df9e9ac583546a",
-	"synmh/hotline/hot-fp32+warm-int8/adagrad/d1":   "d34b03cf077086779232c9802c29c519298f1fd892b3bf82aea0d905cb52e8bd",
-	"synmh/hotline/hot-fp32+warm-int8/adagrad/d4":   "5a879352cb3810ed025fa0ef373cd4891c552f312e6f89a24b942163d948c8ad",
-	"synmh/hotline/hot-fp32+warm-int8/sgd/d1":       "d34b03cf077086779232c9802c29c519298f1fd892b3bf82aea0d905cb52e8bd",
-	"synmh/hotline/hot-fp32+warm-int8/sgd/d4":       "5a879352cb3810ed025fa0ef373cd4891c552f312e6f89a24b942163d948c8ad",
-	"synmh/hotline/int8/adagrad/d1":                 "17cf88a49509499afba98ed4984a863904fa3860675d3741a72d64d499e147d2",
-	"synmh/hotline/int8/adagrad/d4":                 "ecc8bf72f7ed2c9ccf8ad1268ab24b0f838d682f277b0e43810168e440d1747e",
-	"synmh/hotline/int8/sgd/d1":                     "17cf88a49509499afba98ed4984a863904fa3860675d3741a72d64d499e147d2",
-	"synmh/hotline/int8/sgd/d4":                     "ecc8bf72f7ed2c9ccf8ad1268ab24b0f838d682f277b0e43810168e440d1747e",
-	"tbsm/baseline/fp32/adagrad/d1":                 "f166b0c848871cb0be67cb84134ba2c74204eabd884211c81e0553516171a2cd",
-	"tbsm/baseline/fp32/sgd/d1":                     "f166b0c848871cb0be67cb84134ba2c74204eabd884211c81e0553516171a2cd",
-	"tbsm/baseline/hot-fp32+warm-int8/adagrad/d1":   "cd2979164af425899c66ab508e51526a4d1d305e6df5a64eb23192f29779dce4",
-	"tbsm/baseline/hot-fp32+warm-int8/sgd/d1":       "cd2979164af425899c66ab508e51526a4d1d305e6df5a64eb23192f29779dce4",
-	"tbsm/baseline/int8/adagrad/d1":                 "52c0bc5d0b3d1e0bb8f86ccbc2df27cdf99129dcbf52a49ba6720beeb8d82ad2",
-	"tbsm/baseline/int8/sgd/d1":                     "52c0bc5d0b3d1e0bb8f86ccbc2df27cdf99129dcbf52a49ba6720beeb8d82ad2",
-	"tbsm/hotline/fp32/adagrad/d1":                  "3eee2eb59bae734377528d913f391f191f52a8d27b92dfbc10fbc5e2495ebb89",
-	"tbsm/hotline/fp32/adagrad/d4":                  "8805eb536ef9f90d286ff1e2e1b6278efcb2594dadffa09f695baa277692b14e",
-	"tbsm/hotline/fp32/sgd/d1":                      "3eee2eb59bae734377528d913f391f191f52a8d27b92dfbc10fbc5e2495ebb89",
-	"tbsm/hotline/fp32/sgd/d4":                      "8805eb536ef9f90d286ff1e2e1b6278efcb2594dadffa09f695baa277692b14e",
-	"tbsm/hotline/hot-fp32+warm-int8/adagrad/d1":    "437cce00498a28ae0a8c9843d7d02b4d02cb83be7ba5ec0589fe0db4f18493ea",
-	"tbsm/hotline/hot-fp32+warm-int8/adagrad/d4":    "68c54953b0238489c02e4f5de565fb8d0bd34e32488520fface3777cc428c45c",
-	"tbsm/hotline/hot-fp32+warm-int8/sgd/d1":        "437cce00498a28ae0a8c9843d7d02b4d02cb83be7ba5ec0589fe0db4f18493ea",
-	"tbsm/hotline/hot-fp32+warm-int8/sgd/d4":        "68c54953b0238489c02e4f5de565fb8d0bd34e32488520fface3777cc428c45c",
-	"tbsm/hotline/int8/adagrad/d1":                  "6324cde83291f587e4e50622e64ebc59c7b7e0412d09ff37b7a447a20ba0578d",
-	"tbsm/hotline/int8/adagrad/d4":                  "a900895acd29c6d0b4e92418428104865e323d1a2f1f4bbe766c9ec932b48d7f",
-	"tbsm/hotline/int8/sgd/d1":                      "6324cde83291f587e4e50622e64ebc59c7b7e0412d09ff37b7a447a20ba0578d",
-	"tbsm/hotline/int8/sgd/d4":                      "a900895acd29c6d0b4e92418428104865e323d1a2f1f4bbe766c9ec932b48d7f",
+var trainCountDigests = map[string]string{
+	"kaggle/baseline/fp32/adagrad/d1":               "6d8f966eb65ed993bc3b0ad96dcd2cab5ef3f542a8f42fe909a404d12326301a",
+	"kaggle/baseline/fp32/sgd/d1":                   "6d8f966eb65ed993bc3b0ad96dcd2cab5ef3f542a8f42fe909a404d12326301a",
+	"kaggle/baseline/hot-fp32+warm-int8/adagrad/d1": "543c3ce0bea714cfabf06841fb30d6ccc100fec11a1d98adf6c6a666bb578023",
+	"kaggle/baseline/hot-fp32+warm-int8/sgd/d1":     "543c3ce0bea714cfabf06841fb30d6ccc100fec11a1d98adf6c6a666bb578023",
+	"kaggle/baseline/int8/adagrad/d1":               "2b3f7b60e6a5117c2426d21a048e47162fba6de228709573f999330b46654773",
+	"kaggle/baseline/int8/sgd/d1":                   "2b3f7b60e6a5117c2426d21a048e47162fba6de228709573f999330b46654773",
+	"kaggle/hotline/fp32/adagrad/d1":                "6d8f966eb65ed993bc3b0ad96dcd2cab5ef3f542a8f42fe909a404d12326301a",
+	"kaggle/hotline/fp32/adagrad/d4":                "6d8f966eb65ed993bc3b0ad96dcd2cab5ef3f542a8f42fe909a404d12326301a",
+	"kaggle/hotline/fp32/sgd/d1":                    "6d8f966eb65ed993bc3b0ad96dcd2cab5ef3f542a8f42fe909a404d12326301a",
+	"kaggle/hotline/fp32/sgd/d4":                    "6d8f966eb65ed993bc3b0ad96dcd2cab5ef3f542a8f42fe909a404d12326301a",
+	"kaggle/hotline/hot-fp32+warm-int8/adagrad/d1":  "543c3ce0bea714cfabf06841fb30d6ccc100fec11a1d98adf6c6a666bb578023",
+	"kaggle/hotline/hot-fp32+warm-int8/adagrad/d4":  "543c3ce0bea714cfabf06841fb30d6ccc100fec11a1d98adf6c6a666bb578023",
+	"kaggle/hotline/hot-fp32+warm-int8/sgd/d1":      "543c3ce0bea714cfabf06841fb30d6ccc100fec11a1d98adf6c6a666bb578023",
+	"kaggle/hotline/hot-fp32+warm-int8/sgd/d4":      "543c3ce0bea714cfabf06841fb30d6ccc100fec11a1d98adf6c6a666bb578023",
+	"kaggle/hotline/int8/adagrad/d1":                "2b3f7b60e6a5117c2426d21a048e47162fba6de228709573f999330b46654773",
+	"kaggle/hotline/int8/adagrad/d4":                "2b3f7b60e6a5117c2426d21a048e47162fba6de228709573f999330b46654773",
+	"kaggle/hotline/int8/sgd/d1":                    "2b3f7b60e6a5117c2426d21a048e47162fba6de228709573f999330b46654773",
+	"kaggle/hotline/int8/sgd/d4":                    "2b3f7b60e6a5117c2426d21a048e47162fba6de228709573f999330b46654773",
+	"synmh/baseline/fp32/adagrad/d1":                "9b15e2d1136e6bbf3bef97271803e66e0addf1df222aa583204803323f6d35d1",
+	"synmh/baseline/fp32/sgd/d1":                    "9b15e2d1136e6bbf3bef97271803e66e0addf1df222aa583204803323f6d35d1",
+	"synmh/baseline/hot-fp32+warm-int8/adagrad/d1":  "442cf0c1bbf790e2432596612e66537241dbd0c9c576b84b7c73f04ffb7a3083",
+	"synmh/baseline/hot-fp32+warm-int8/sgd/d1":      "442cf0c1bbf790e2432596612e66537241dbd0c9c576b84b7c73f04ffb7a3083",
+	"synmh/baseline/int8/adagrad/d1":                "c86593e98271ce8a4d693e9108ca70dcdcfcabe8269b5733fa9220cd3a5a33f6",
+	"synmh/baseline/int8/sgd/d1":                    "c86593e98271ce8a4d693e9108ca70dcdcfcabe8269b5733fa9220cd3a5a33f6",
+	"synmh/hotline/fp32/adagrad/d1":                 "4976b90e6853ef769e6f51f7c10044845b7b77bf7868b191550f07f278433adf",
+	"synmh/hotline/fp32/adagrad/d4":                 "6984e6667c092ee0c8bd170cad3df8b191ce5963b4241e91f2d3475adfa60388",
+	"synmh/hotline/fp32/sgd/d1":                     "4976b90e6853ef769e6f51f7c10044845b7b77bf7868b191550f07f278433adf",
+	"synmh/hotline/fp32/sgd/d4":                     "6984e6667c092ee0c8bd170cad3df8b191ce5963b4241e91f2d3475adfa60388",
+	"synmh/hotline/hot-fp32+warm-int8/adagrad/d1":   "345c867b170f50dee9f9f21a53cc57b3714ccf1471860d027b1dea231678e420",
+	"synmh/hotline/hot-fp32+warm-int8/adagrad/d4":   "29a15872336196d66a4f9d2d83a1d297dc5b0aa93bb2aef6acefe609db191b0e",
+	"synmh/hotline/hot-fp32+warm-int8/sgd/d1":       "345c867b170f50dee9f9f21a53cc57b3714ccf1471860d027b1dea231678e420",
+	"synmh/hotline/hot-fp32+warm-int8/sgd/d4":       "29a15872336196d66a4f9d2d83a1d297dc5b0aa93bb2aef6acefe609db191b0e",
+	"synmh/hotline/int8/adagrad/d1":                 "4fbbd17305a3e55ede958cfee882fd5b2b58217ce58bf30ff39441fb57f0c024",
+	"synmh/hotline/int8/adagrad/d4":                 "0d508bf470b7dc61f47431a685cd9d2b165ae6f2e89568292ce34f2a6e9a2002",
+	"synmh/hotline/int8/sgd/d1":                     "4fbbd17305a3e55ede958cfee882fd5b2b58217ce58bf30ff39441fb57f0c024",
+	"synmh/hotline/int8/sgd/d4":                     "0d508bf470b7dc61f47431a685cd9d2b165ae6f2e89568292ce34f2a6e9a2002",
+	"tbsm/baseline/fp32/adagrad/d1":                 "d1a2a1d7ddeed8dd175f0e85bdb08e02c0bacb55fbf092410ade88263b5678bd",
+	"tbsm/baseline/fp32/sgd/d1":                     "d1a2a1d7ddeed8dd175f0e85bdb08e02c0bacb55fbf092410ade88263b5678bd",
+	"tbsm/baseline/hot-fp32+warm-int8/adagrad/d1":   "2d3118a43e1bb08478fa33ead8c0edfbe4d502396666407ca75043c03633d88b",
+	"tbsm/baseline/hot-fp32+warm-int8/sgd/d1":       "2d3118a43e1bb08478fa33ead8c0edfbe4d502396666407ca75043c03633d88b",
+	"tbsm/baseline/int8/adagrad/d1":                 "a8e767f3a6c75ab649aa6cd236a5a9e4336f1876f6ce681f375a2038b27b7da4",
+	"tbsm/baseline/int8/sgd/d1":                     "a8e767f3a6c75ab649aa6cd236a5a9e4336f1876f6ce681f375a2038b27b7da4",
+	"tbsm/hotline/fp32/adagrad/d1":                  "ad8b1a380ccd4ebc49768d38d9f7164e4d9ba638c0a83a26eea36b03ab2d9298",
+	"tbsm/hotline/fp32/adagrad/d4":                  "3191e09b7d6d508664227347acf0f2e782c16662a4adacfa8c31f2d8b861c5a4",
+	"tbsm/hotline/fp32/sgd/d1":                      "ad8b1a380ccd4ebc49768d38d9f7164e4d9ba638c0a83a26eea36b03ab2d9298",
+	"tbsm/hotline/fp32/sgd/d4":                      "3191e09b7d6d508664227347acf0f2e782c16662a4adacfa8c31f2d8b861c5a4",
+	"tbsm/hotline/hot-fp32+warm-int8/adagrad/d1":    "4f76878f30e6a3405f27bbac828e9e24ee07a2267045efe6d94522e0e1dec5bc",
+	"tbsm/hotline/hot-fp32+warm-int8/adagrad/d4":    "c9565d65b66a8fd376b22f0766832b5f50e9edfc38c1af8f3d03c8d3aec13c7c",
+	"tbsm/hotline/hot-fp32+warm-int8/sgd/d1":        "4f76878f30e6a3405f27bbac828e9e24ee07a2267045efe6d94522e0e1dec5bc",
+	"tbsm/hotline/hot-fp32+warm-int8/sgd/d4":        "c9565d65b66a8fd376b22f0766832b5f50e9edfc38c1af8f3d03c8d3aec13c7c",
+	"tbsm/hotline/int8/adagrad/d1":                  "77b71c656b039d067968c3a7b25865de67392ef28cca519a1791687295b2a658",
+	"tbsm/hotline/int8/adagrad/d4":                  "eafb5acd69aa3c6906395ed3d62e6e12b53809e808dc532f9f9f353b0a61ceb7",
+	"tbsm/hotline/int8/sgd/d1":                      "77b71c656b039d067968c3a7b25865de67392ef28cca519a1791687295b2a658",
+	"tbsm/hotline/int8/sgd/d4":                      "eafb5acd69aa3c6906395ed3d62e6e12b53809e808dc532f9f9f353b0a61ceb7",
+}
+
+var serveCountDigests = map[string]string{
+	"kaggle/baseline/fp32/adagrad/d1":               "363e86ef27c18baebae44449c5ec6fde65f9794fc4027050190d06a1fd2c6307",
+	"kaggle/baseline/fp32/sgd/d1":                   "363e86ef27c18baebae44449c5ec6fde65f9794fc4027050190d06a1fd2c6307",
+	"kaggle/baseline/hot-fp32+warm-int8/adagrad/d1": "3df0b6c0cfd83d765fe6240fce7319dc39972e4de8e4c5b4a84001c76ae35e5c",
+	"kaggle/baseline/hot-fp32+warm-int8/sgd/d1":     "3df0b6c0cfd83d765fe6240fce7319dc39972e4de8e4c5b4a84001c76ae35e5c",
+	"kaggle/baseline/int8/adagrad/d1":               "e1fbcc0150e00e2990766a1c2544ab7a01afd3ac7ab684048a7fd12ee8a4be59",
+	"kaggle/baseline/int8/sgd/d1":                   "e1fbcc0150e00e2990766a1c2544ab7a01afd3ac7ab684048a7fd12ee8a4be59",
+	"kaggle/hotline/fp32/adagrad/d1":                "363e86ef27c18baebae44449c5ec6fde65f9794fc4027050190d06a1fd2c6307",
+	"kaggle/hotline/fp32/adagrad/d4":                "363e86ef27c18baebae44449c5ec6fde65f9794fc4027050190d06a1fd2c6307",
+	"kaggle/hotline/fp32/sgd/d1":                    "363e86ef27c18baebae44449c5ec6fde65f9794fc4027050190d06a1fd2c6307",
+	"kaggle/hotline/fp32/sgd/d4":                    "363e86ef27c18baebae44449c5ec6fde65f9794fc4027050190d06a1fd2c6307",
+	"kaggle/hotline/hot-fp32+warm-int8/adagrad/d1":  "3df0b6c0cfd83d765fe6240fce7319dc39972e4de8e4c5b4a84001c76ae35e5c",
+	"kaggle/hotline/hot-fp32+warm-int8/adagrad/d4":  "3df0b6c0cfd83d765fe6240fce7319dc39972e4de8e4c5b4a84001c76ae35e5c",
+	"kaggle/hotline/hot-fp32+warm-int8/sgd/d1":      "3df0b6c0cfd83d765fe6240fce7319dc39972e4de8e4c5b4a84001c76ae35e5c",
+	"kaggle/hotline/hot-fp32+warm-int8/sgd/d4":      "3df0b6c0cfd83d765fe6240fce7319dc39972e4de8e4c5b4a84001c76ae35e5c",
+	"kaggle/hotline/int8/adagrad/d1":                "e1fbcc0150e00e2990766a1c2544ab7a01afd3ac7ab684048a7fd12ee8a4be59",
+	"kaggle/hotline/int8/adagrad/d4":                "e1fbcc0150e00e2990766a1c2544ab7a01afd3ac7ab684048a7fd12ee8a4be59",
+	"kaggle/hotline/int8/sgd/d1":                    "e1fbcc0150e00e2990766a1c2544ab7a01afd3ac7ab684048a7fd12ee8a4be59",
+	"kaggle/hotline/int8/sgd/d4":                    "e1fbcc0150e00e2990766a1c2544ab7a01afd3ac7ab684048a7fd12ee8a4be59",
+	"synmh/baseline/fp32/adagrad/d1":                "4e8a22110f94efa8332149f92eb0d6f1cd248e092394a7d991d1d6c509129708",
+	"synmh/baseline/fp32/sgd/d1":                    "4e8a22110f94efa8332149f92eb0d6f1cd248e092394a7d991d1d6c509129708",
+	"synmh/baseline/hot-fp32+warm-int8/adagrad/d1":  "08118d2f17c674583ad9d23b5637252821572c250d9c976b70dfb95cdf427ddc",
+	"synmh/baseline/hot-fp32+warm-int8/sgd/d1":      "08118d2f17c674583ad9d23b5637252821572c250d9c976b70dfb95cdf427ddc",
+	"synmh/baseline/int8/adagrad/d1":                "16a8a98bcca10e5b2f3ee0a572c55b0ed3f968b61daa5734610f1cc998c77c10",
+	"synmh/baseline/int8/sgd/d1":                    "16a8a98bcca10e5b2f3ee0a572c55b0ed3f968b61daa5734610f1cc998c77c10",
+	"synmh/hotline/fp32/adagrad/d1":                 "4e8a22110f94efa8332149f92eb0d6f1cd248e092394a7d991d1d6c509129708",
+	"synmh/hotline/fp32/adagrad/d4":                 "1d4f2591c0f48c0b16a668d0f5cccc701b2f14093a2cad962f7f7b5c5accd573",
+	"synmh/hotline/fp32/sgd/d1":                     "4e8a22110f94efa8332149f92eb0d6f1cd248e092394a7d991d1d6c509129708",
+	"synmh/hotline/fp32/sgd/d4":                     "1d4f2591c0f48c0b16a668d0f5cccc701b2f14093a2cad962f7f7b5c5accd573",
+	"synmh/hotline/hot-fp32+warm-int8/adagrad/d1":   "39e1a26c02543ae11f815002e4f3ff378e972e14bb561244f778cc43ec0fd1c9",
+	"synmh/hotline/hot-fp32+warm-int8/adagrad/d4":   "960ae305870840e4cb90a58e3390a1c923be89acccc3990212515c81a351a15d",
+	"synmh/hotline/hot-fp32+warm-int8/sgd/d1":       "39e1a26c02543ae11f815002e4f3ff378e972e14bb561244f778cc43ec0fd1c9",
+	"synmh/hotline/hot-fp32+warm-int8/sgd/d4":       "960ae305870840e4cb90a58e3390a1c923be89acccc3990212515c81a351a15d",
+	"synmh/hotline/int8/adagrad/d1":                 "e295ce7c0a7f6e043478a609ce4f2a11ff5e4b881617597190547e79a3a92ff7",
+	"synmh/hotline/int8/adagrad/d4":                 "1dc9fa5772e4d1ff1c64a5823f9e1b3dda796c763b662535cc12371bf94da87c",
+	"synmh/hotline/int8/sgd/d1":                     "e295ce7c0a7f6e043478a609ce4f2a11ff5e4b881617597190547e79a3a92ff7",
+	"synmh/hotline/int8/sgd/d4":                     "1dc9fa5772e4d1ff1c64a5823f9e1b3dda796c763b662535cc12371bf94da87c",
+	"tbsm/baseline/fp32/adagrad/d1":                 "aaa0419aeb28f464aba1c6ef96cb171ebdc6d8efe0c039c6192732aea971203c",
+	"tbsm/baseline/fp32/sgd/d1":                     "aaa0419aeb28f464aba1c6ef96cb171ebdc6d8efe0c039c6192732aea971203c",
+	"tbsm/baseline/hot-fp32+warm-int8/adagrad/d1":   "9dc4454c60751e413be18dd2c14db93333449791092253d69eb612142e091568",
+	"tbsm/baseline/hot-fp32+warm-int8/sgd/d1":       "9dc4454c60751e413be18dd2c14db93333449791092253d69eb612142e091568",
+	"tbsm/baseline/int8/adagrad/d1":                 "93097ed086fceb9421adccc7fedf20e1a025483853ee9365c2872e44c22194f9",
+	"tbsm/baseline/int8/sgd/d1":                     "93097ed086fceb9421adccc7fedf20e1a025483853ee9365c2872e44c22194f9",
+	"tbsm/hotline/fp32/adagrad/d1":                  "0dd47202b386be5e68371988585b11b47a2d41f4cfc444d114a0c2cc3dccf79b",
+	"tbsm/hotline/fp32/adagrad/d4":                  "0dd47202b386be5e68371988585b11b47a2d41f4cfc444d114a0c2cc3dccf79b",
+	"tbsm/hotline/fp32/sgd/d1":                      "0dd47202b386be5e68371988585b11b47a2d41f4cfc444d114a0c2cc3dccf79b",
+	"tbsm/hotline/fp32/sgd/d4":                      "0dd47202b386be5e68371988585b11b47a2d41f4cfc444d114a0c2cc3dccf79b",
+	"tbsm/hotline/hot-fp32+warm-int8/adagrad/d1":    "af303e3f4da17b08023f625d08371f4738463f6738571295e16e963d25d32067",
+	"tbsm/hotline/hot-fp32+warm-int8/adagrad/d4":    "af303e3f4da17b08023f625d08371f4738463f6738571295e16e963d25d32067",
+	"tbsm/hotline/hot-fp32+warm-int8/sgd/d1":        "af303e3f4da17b08023f625d08371f4738463f6738571295e16e963d25d32067",
+	"tbsm/hotline/hot-fp32+warm-int8/sgd/d4":        "af303e3f4da17b08023f625d08371f4738463f6738571295e16e963d25d32067",
+	"tbsm/hotline/int8/adagrad/d1":                  "4b2b0c04ad50d32db0bbe987c1a3fab3cd379298eca6aae90bfdbd88bceecea5",
+	"tbsm/hotline/int8/adagrad/d4":                  "4b2b0c04ad50d32db0bbe987c1a3fab3cd379298eca6aae90bfdbd88bceecea5",
+	"tbsm/hotline/int8/sgd/d1":                      "4b2b0c04ad50d32db0bbe987c1a3fab3cd379298eca6aae90bfdbd88bceecea5",
+	"tbsm/hotline/int8/sgd/d4":                      "4b2b0c04ad50d32db0bbe987c1a3fab3cd379298eca6aae90bfdbd88bceecea5",
 }
 
 // digestCell is one training run of the digest grid.
@@ -180,11 +238,12 @@ func (c digestCell) countsKey() string {
 // state bit the run leaves: the dense parameters, every table's rows, the
 // update rule's state, and the click probabilities a shadow serves for a
 // fixed set of requests, each float32 as its four little-endian bytes. A
-// sharded cell also returns the SHA-256 of its service's counters: the
-// training snapshot after the run and the serve snapshot after the requests,
-// wall clocks zeroed. It runs on one worker, since the counts of concurrent
-// µ-batch passes depend on scheduling (the bits do not); "" when unsharded.
-func runDigest(t *testing.T, c digestCell) (state, counts string) {
+// sharded cell also returns the SHA-256 of each of its service's counter
+// blocks, wall clocks zeroed: the training snapshot after the run and the
+// serve snapshot after the requests. It runs on one worker, since the counts
+// of concurrent µ-batch passes depend on scheduling (the bits do not); ""
+// when unsharded.
+func runDigest(t *testing.T, c digestCell) (state, trainCounts, serveCounts string) {
 	t.Helper()
 	const seed, steps, batch, requests = 7, 6, 100, 61
 	cfg := digestDatasets[c.dataset]()
@@ -247,10 +306,16 @@ func runDigest(t *testing.T, c digestCell) (state, counts string) {
 	putFloats(h, model.NewShadow(m).ServePredictInto(nil, reqs))
 	state = hex.EncodeToString(h.Sum(nil))
 	if svc != nil {
-		sum := sha256.Sum256(fmt.Appendf(nil, "%+v\n%+v", svc.Snapshot().WithoutWall(), svc.ServeSnapshot().WithoutWall()))
-		counts = hex.EncodeToString(sum[:])
+		trainCounts = countsDigest(svc.Snapshot())
+		serveCounts = countsDigest(svc.ServeSnapshot())
 	}
-	return state, counts
+	return state, trainCounts, serveCounts
+}
+
+// countsDigest is the SHA-256 of one counter block, wall clocks zeroed.
+func countsDigest(st shard.Stats) string {
+	sum := sha256.Sum256(fmt.Appendf(nil, "%+v", st.WithoutWall()))
+	return hex.EncodeToString(sum[:])
 }
 
 // digestHotSets memoises digestHotSet per dataset.
@@ -313,19 +378,26 @@ func digestGrid() []digestCell {
 // the state in runDigests. Each kernel is compared with its own reference
 // elsewhere; this catches two kernels that disagree where they meet, and a
 // change to a chain that a kernel and its reference share. Each sharded
-// cell's counters must also leave the entry in countDigests. -short runs
-// every third cell of the grid.
+// cell's training and serve counters must also leave their entries in
+// trainCountDigests and serveCountDigests. -short runs every third cell of
+// the grid.
 func TestTrainingRunDigest(t *testing.T) {
 	for i, c := range digestGrid() {
 		if testing.Short() && i%3 != 0 {
 			continue
 		}
-		state, counts := runDigest(t, c)
+		state, trainCounts, serveCounts := runDigest(t, c)
 		if want := runDigests[c.class()]; state != want {
 			t.Errorf("%s depth %d nodes %d: state digest %s, want %s", c.class(), c.depth, c.nodes, state, want)
 		}
-		if want := countDigests[c.countsKey()]; c.nodes > 1 && counts != want {
-			t.Errorf("%s nodes %d: counts digest %s, want %s", c.countsKey(), c.nodes, counts, want)
+		if c.nodes == 1 {
+			continue
+		}
+		if want := trainCountDigests[c.countsKey()]; trainCounts != want {
+			t.Errorf("%s nodes %d: training counts digest %s, want %s", c.countsKey(), c.nodes, trainCounts, want)
+		}
+		if want := serveCountDigests[c.countsKey()]; serveCounts != want {
+			t.Errorf("%s nodes %d: serve counts digest %s, want %s", c.countsKey(), c.nodes, serveCounts, want)
 		}
 	}
 }
