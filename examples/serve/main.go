@@ -8,8 +8,8 @@
 //
 //  2. the load harness replays a drifting Zipf request corpus at a target
 //     QPS and reports exact latency percentiles plus the serve-side traffic
-//     counters (request traffic warms the shared device caches, booked
-//     separately from training traffic).
+//     counters (request traffic reads the device caches training warmed,
+//     writes none, and is booked separately from training traffic).
 //
 //     go run ./examples/serve
 package main

@@ -220,8 +220,9 @@ var MeasureFabric = pipeline.MeasureFabric
 // boundary. The read path never consumes prefetch windows or touches
 // backward state, so a mixed train+serve run leaves training bit-identical
 // to train-only; serve traffic is booked into the shard service's
-// serve-side counters (ShardService.ServeSnapshot) while still warming the
-// shared device caches.
+// serve-side counters (ShardService.ServeSnapshot) and only reads the
+// shared device caches — it no longer warms them — so the trainer's cache
+// counts are those of a train-only run too.
 type Server = serve.Server
 
 // NewServer wraps a model in n predict replicas (model shadows; n <= 0

@@ -12,7 +12,8 @@ type Bag interface {
 	Forward(indices [][]int32) *tensor.Matrix
 	// ServeForward is Forward on the online-inference read path: it never
 	// arms Backward and leaves the training-side state (prefetch windows,
-	// training counters) alone. Serve replicas call it on shadows.
+	// device caches, training counters) alone. Serve replicas call it on
+	// shadows.
 	ServeForward(indices [][]int32) *tensor.Matrix
 	// Backward folds the pooled output gradient back onto the rows of the
 	// last Forward call.

@@ -224,11 +224,14 @@ func (s *ShardedBag) Forward(indices [][]int32) *tensor.Matrix {
 // lookahead windows belong to the training stream and must survive a
 // concurrent predict), never arms Backward, and books its traffic into the
 // service's serve counters (ServeSnapshot) so training traffic fractions
-// stay clean. The shared device caches ARE warmed: live request traffic
-// keeps the popular rows resident for both paths, which is the serving
-// story's whole point. In one address space with untiered caches the rows
-// are read directly from the table — the accounting pass prices the fabric
-// gather; no staging copy is needed for a read that applies no delta repair.
+// stay clean. It reads the shared device caches without writing them: a hit
+// moves no recency and a miss admits nothing, so the caches keep the rows
+// the training schedule chose and the trainer's counts do not depend on
+// request traffic. (Request traffic used to warm the caches like training;
+// that coupling is gone, and no served value depended on it.) In one
+// address space with untiered caches the rows are read directly from the
+// table — the accounting pass prices the fabric gather; no staging copy is
+// needed for a read that applies no delta repair.
 //
 // The returned matrix is this instance's forward scratch. Serve replicas
 // must be shadows (ShadowBag / model.NewShadow): calling ServeForward on

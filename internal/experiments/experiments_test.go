@@ -121,7 +121,7 @@ func TestRegistryComplete(t *testing.T) {
 		"mn-scale", "mn-cache", "mn-skew", "mn-policy",
 		"mn-place", "mn-overlap", "mn-adagrad",
 		"mn-depth", "mn-syn", "mn-batch",
-		"mn-serve", "mn-qps", "mn-fabric", "mn-chaos", "mn-quant",
+		"mn-qps", "mn-fabric", "mn-chaos", "mn-quant",
 	}
 	for _, id := range extras {
 		if !have[id] {

@@ -11,14 +11,15 @@ import (
 	"hotline/internal/shard"
 )
 
-// The serving scenarios exercise the online read path the paper's target
+// The serving scenario exercises the online read path the paper's target
 // systems spend most of their life in: requests drawn from the drifting
 // Zipf corpus replayed against a sharded model through the load harness,
-// with every number measured (serve-side traffic counters, wall-clock
-// latency percentiles) rather than modelled.
+// with every number measured (wall-clock latency percentiles) rather than
+// modelled. Request traffic reads the device caches and never writes them,
+// so how drift wears down the hit rate is mn-skew's to measure, on the
+// training stream that fills them.
 
 func init() {
-	registry["mn-serve"] = regEntry{"Online serving under drift: cache churn on live request traffic", MNServe}
 	registry["mn-qps"] = regEntry{"Online serving saturation: QPS vs tail-latency knee", MNQPSKnee}
 }
 
@@ -32,7 +33,7 @@ func servingCfg() data.Config {
 	return cfg
 }
 
-// servingStack builds the 4-node sharded server the scenarios share.
+// servingStack builds the 4-node sharded server the scenario scores on.
 func servingStack(cfg data.Config, replicas int, cacheBytes int64) (*serve.Server, *shard.Service) {
 	svc := shard.New(shard.Config{
 		Nodes: 4, CacheBytes: cacheBytes, RowBytes: int64(cfg.EmbedDim) * 4,
@@ -40,53 +41,6 @@ func servingStack(cfg data.Config, replicas int, cacheBytes int64) (*serve.Serve
 	m := model.New(cfg, 1)
 	m.ShardEmbeddings(svc)
 	return serve.NewServer(m, replicas), svc
-}
-
-// MNServe serves a drifting request corpus day by day and measures the
-// cache churn live traffic causes: each day's popular head differs from the
-// previous day's, so the device caches warmed by day-d requests partially
-// miss on day d+1 and re-warm — evictions and gather traffic show the
-// turnover. All counters come from the service's serve-side snapshot; the
-// training counters stay untouched (asserted by the shard tests).
-func MNServe() *report.Table {
-	t := &report.Table{Header: []string{
-		"day", "requests", "cache hit", "gather", "a2a KB/req", "evictions"}}
-	cfg := servingCfg()
-	perDay := TrainIters()
-	const days, reqBatch = 4, 64
-	// A deliberately tight cache budget: the drifting popular head must not
-	// fit outright, so daily turnover shows up as evictions, not just as a
-	// dip in the hit rate.
-	srv, svc := servingStack(cfg, 2, 64<<10)
-	corpus := serve.BuildCorpus(cfg, days, perDay, reqBatch)
-
-	day := -1
-	var reqs int
-	flush := func() {
-		if day < 0 {
-			return
-		}
-		sv := svc.ServeSnapshot()
-		t.AddRow(fmt.Sprint(day), fmt.Sprint(reqs),
-			pct(sv.HitRate(), 1), pct(sv.GatherFrac(), 1),
-			fmt.Sprintf("%.1f", float64(sv.GatherBytes)/float64(reqs)/1024),
-			fmt.Sprint(sv.Evictions))
-	}
-	for _, req := range corpus.Requests {
-		if req.Day != day {
-			flush()
-			day, reqs = req.Day, 0
-			svc.ResetServeStats()
-		}
-		srv.Predict(req.Batch)
-		reqs++
-	}
-	flush()
-	t.Notes = "measured serve-side counters per drift day on live request traffic: " +
-		"the popular head drifts between days (Fig 9), so each day begins with a " +
-		"partially stale cache that request traffic re-warms — the within-day hit " +
-		"rate stays high while evictions count the daily turnover"
-	return t
 }
 
 // MNQPSKnee sweeps the offered request rate and reports the latency curve:

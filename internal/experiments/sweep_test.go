@@ -17,8 +17,7 @@ import (
 // legitimately vary, so the byte-identical sweep contract skips them;
 // everything structural about them is still checked — their claims (no
 // error row, no DIVERGED marker, max diff 0 on mn-fabric and mn-chaos) fail
-// TestAllExperimentsRun. mn-serve is NOT in this set: it reports only
-// traffic counters, which must stay deterministic.
+// TestAllExperimentsRun.
 var wallClockExperiments = map[string]bool{
 	"mn-overlap": true, "mn-depth": true, "mn-qps": true, "mn-fabric": true,
 	"mn-chaos": true,

@@ -208,7 +208,8 @@ func (m *Model) Forward(b *data.Batch) *tensor.Matrix { return m.forward(b, fals
 
 // forward is the shared forward pass. With serve set it takes the read-only
 // inference path: embedding lookups go through ServeForward (serve-side
-// traffic accounting, no prefetch-window interaction) and the batch is not
+// traffic accounting, no prefetch-window interaction, no device-cache
+// write) and the batch is not
 // cached for Backward — a serve pass between a train Forward and its
 // Backward on DIFFERENT instances of the same weights perturbs nothing.
 // Dense-layer activations are still instance scratch either way, so serve

@@ -28,19 +28,29 @@ func shard4(cfg data.Config, q shard.QuantMode) *shard.Service {
 }
 
 // warmServer builds a one-replica server over a 4-node sharded model and one
-// batch-32 request, predicted once so the caches and the replica's scratch
-// hold their steady state.
+// batch-32 request. A request reads the device caches and writes none, so
+// the request's rows enter them the way training's learning phase puts rows
+// there (Service.Preload); the request is then predicted once so the
+// replica's scratch holds its steady state, in which every remote lookup
+// hits.
 func warmServer(q shard.QuantMode) (*Server, *data.Batch, []float32) {
 	cfg := scaledKaggle()
 	m := model.New(cfg, 1)
-	m.ShardEmbeddings(shard4(cfg, q))
+	svc := shard4(cfg, q)
+	m.ShardEmbeddings(svc)
 	srv := NewServer(m, 1)
 	batch := data.NewGenerator(cfg).NextBatch(32)
+	for t, bags := range batch.Sparse {
+		for _, bag := range bags {
+			svc.Preload(t, bag)
+		}
+	}
 	return srv, batch, srv.Predict(batch)
 }
 
 // BenchmarkServePredict measures one online prediction (batch 32) through the
-// read-only serving path on a warmed 4-node sharded server, at one worker.
+// read-only serving path on a 4-node sharded server whose caches hold the
+// request's rows, at one worker.
 func BenchmarkServePredict(b *testing.B) {
 	defer par.SetWorkers(par.SetWorkers(1))
 	srv, batch, probs := warmServer(shard.QuantOff)

@@ -17,7 +17,8 @@ type Request struct {
 // batches for each of Days consecutive drift days, in day order. Playing it
 // front to back walks the server through exactly the popularity churn the
 // evolving-skew experiments train under — the popular head of each table
-// drifts between days, so the device caches must re-warm on live traffic.
+// drifts between days, so requests meet caches that training filled for an
+// earlier day's head until training re-warms them.
 type Corpus struct {
 	Days     int
 	Requests []Request

@@ -15,9 +15,10 @@
 //     and its step must update through a train.Trainer or
 //     model.Model.TrainStep (they bracket; hand-written weight writes are
 //     not ordered against requests). Predictions take the bags' read-only
-//     ServeForward path — no scatter, no prefetch-window interaction, serve
-//     traffic booked separately — so a mixed train+serve run leaves training
-//     bit-identical to a train-only run.
+//     ServeForward path — no scatter, no prefetch-window interaction, no
+//     device-cache write, serve traffic booked separately — so a mixed
+//     train+serve run leaves training bit-identical to a train-only run, its
+//     cache counts included.
 //
 //   - Corpus is a deterministic request stream drawn from the Zipf/drifting
 //     generator (internal/data), one slice of batches per simulated day, so

@@ -65,7 +65,8 @@ func TestServeDeterministic(t *testing.T) {
 }
 
 // TestServeTrafficAccounting: request traffic lands in the service's serve
-// counters only, warms the shared caches, and never scatters.
+// counters only, never scatters, and writes no cache — a replay of the same
+// requests counts exactly what the first pass counted.
 func TestServeTrafficAccounting(t *testing.T) {
 	cfg := testCfg()
 	svc := testSvc(cfg, 4)
@@ -77,18 +78,21 @@ func TestServeTrafficAccounting(t *testing.T) {
 		s.Predict(req.Batch)
 	}
 	sv := svc.ServeSnapshot()
-	if sv.Lookups == 0 || sv.ScatterRows != 0 || sv.ScatterBytes != 0 {
+	if sv.Lookups == 0 || sv.CacheMisses == 0 || sv.ScatterRows != 0 || sv.ScatterBytes != 0 {
 		t.Fatalf("serve snapshot: %+v", sv)
 	}
-	if st := svc.Snapshot(); st.Lookups != 0 {
+	if sv.FillBytes != 0 || sv.Evictions != 0 || svc.CacheEntries() != 0 {
+		t.Fatalf("serve traffic wrote the caches: %+v, %d entries", sv, svc.CacheEntries())
+	}
+	if st := svc.Snapshot(); st != (shard.Stats{Nodes: 4}) {
 		t.Fatalf("serve traffic leaked into training counters: %+v", st)
 	}
-	cold := sv.CacheHits
+	first := sv.WithoutWall()
 	for _, req := range c.Requests {
 		s.Predict(req.Batch)
 	}
-	if sv = svc.ServeSnapshot(); sv.CacheHits <= cold {
-		t.Fatalf("replay must hit the warmed caches: %d -> %d", cold, sv.CacheHits)
+	if again := svc.ServeSnapshot().WithoutWall().Sub(first); again != first {
+		t.Fatalf("a replay must count what the first pass did:\n got %+v\nwant %+v", again, first)
 	}
 }
 

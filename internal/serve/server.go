@@ -22,10 +22,11 @@ import (
 // one update and every answer is bit-equal to the read-path prediction at
 // some step boundary. Serving cannot perturb training: replica lookups take
 // the bags' ServeForward path, which never consumes a prefetch window,
-// never arms backward state, and books its traffic into the shard service's
-// serve counters. The shared device caches ARE warmed by request traffic —
-// that coupling is the serving story, and it changes accounting only, never
-// values.
+// never arms backward state, never writes the shard service's device
+// caches (a request reads what training cached; it admits, evicts and
+// reorders nothing), and books its traffic into the service's serve
+// counters. Requests once warmed the shared caches; that changed accounting
+// only, never values, and it is gone.
 type Server struct {
 	// trainMu admits one Train closure at a time.
 	trainMu  sync.Mutex

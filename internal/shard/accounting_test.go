@@ -74,9 +74,15 @@ func TestDeviceCacheResetZeroAlloc(t *testing.T) {
 }
 
 // TestServeGatherAccounting covers the read-path counters: serve traffic
-// lands in ServeSnapshot (never the training snapshot), warms the shared
-// caches, and has no scatter side.
+// lands in ServeSnapshot (never the training snapshot), has no scatter side,
+// and reads the shared caches without writing them — a serve walk leaves
+// every cache's entries and LRU victim order exactly as it found them.
 func TestServeGatherAccounting(t *testing.T) {
+	t.Run("counters", serveGatherCounters)
+	t.Run("victim-order", serveWalkLeavesVictimOrder)
+}
+
+func serveGatherCounters(t *testing.T) {
 	s := register(New(cfg(2, 8), nil), 2, 0)
 	s.RecordServeGather(0, [][]int32{{0, 1}, {0, 1}})
 
@@ -84,22 +90,30 @@ func TestServeGatherAccounting(t *testing.T) {
 		t.Fatalf("serve traffic leaked into the training snapshot: %+v", st)
 	}
 	sv := s.ServeSnapshot()
-	if sv.Lookups != 4 || sv.Local != 2 || sv.GatherRows != 2 {
+	if sv.Lookups != 4 || sv.Local != 2 || sv.CacheMisses != 2 || sv.GatherRows != 2 {
 		t.Fatalf("serve snapshot: %+v", sv)
 	}
 	if sv.ScatterRows != 0 || sv.ScatterBytes != 0 {
 		t.Fatalf("read path must never scatter: %+v", sv)
 	}
+	if sv.FillBytes != 0 || sv.Evictions != 0 || s.CacheEntries() != 0 {
+		t.Fatalf("a serve miss must admit nothing: %+v, %d entries", sv, s.CacheEntries())
+	}
 
-	// Serve traffic warmed the shared caches: the same rows now hit, on
-	// both the serve path and the training path.
+	// The caches stayed cold: a second serve walk misses again, and so does
+	// training.
 	s.RecordServeGather(0, [][]int32{{0, 1}, {0, 1}})
-	if sv = s.ServeSnapshot(); sv.CacheHits != 2 {
-		t.Fatalf("serve re-access must hit the warmed cache: %+v", sv)
+	if sv = s.ServeSnapshot(); sv.CacheHits != 0 || sv.CacheMisses != 4 {
+		t.Fatalf("serve re-access must miss the unwritten caches: %+v", sv)
 	}
 	s.RecordGather(0, [][]int32{{0, 1}, {0, 1}})
-	if st := s.Snapshot(); st.CacheHits != 2 {
-		t.Fatalf("training must see serve-warmed caches: %+v", st)
+	if st := s.Snapshot(); st.CacheMisses != 2 || st.CacheHits != 0 {
+		t.Fatalf("training must not see serve-admitted rows: %+v", st)
+	}
+	// Training admitted them; now serve hits what training warmed.
+	s.RecordServeGather(0, [][]int32{{0, 1}, {0, 1}})
+	if sv = s.ServeSnapshot(); sv.CacheHits != 2 {
+		t.Fatalf("serve must hit the training-warmed caches: %+v", sv)
 	}
 
 	countEverything(t, s)
@@ -111,12 +125,38 @@ func TestServeGatherAccounting(t *testing.T) {
 	if st := s.Snapshot(); st != train {
 		t.Fatalf("ResetServeStats must keep training counters:\n got %+v\nwant %+v", st, train)
 	}
-	if sv.Nodes != 2 {
-		// Nodes is stamped on snapshot like the training side.
-		sv = s.ServeSnapshot()
-		if sv.Nodes != 2 {
-			t.Fatalf("serve snapshot nodes = %d", sv.Nodes)
-		}
+}
+
+// serveWalkLeavesVictimOrder: a serve hit moves no recency and a serve miss
+// evicts nothing. Node 0's two-row LRU cache holds rows 1 (oldest) and 3; a
+// serve walk hits row 1 and misses row 5. The next training admission must
+// still evict row 1 — had the serve hit been a use, it would evict 3 — and a
+// twin service that never served must count exactly the same.
+func serveWalkLeavesVictimOrder(t *testing.T) {
+	warm := [][]int32{{1, 3}} // position 0 is node 0; odd rows are node 1's
+	served, twin := register(New(cfg(2, 2), nil), 6, 0), register(New(cfg(2, 2), nil), 6, 0)
+	for _, s := range []*Service{served, twin} {
+		s.RecordGather(0, warm)
+	}
+	served.RecordServeGather(0, [][]int32{{1, 5}})
+	if sv := served.ServeSnapshot(); sv.CacheHits != 1 || sv.CacheMisses != 1 || sv.GatherRows != 1 {
+		t.Fatalf("serve walk counts: %+v", sv)
+	}
+	if c := served.caches[0]; c.Len() != 2 || !c.Contains(key(0, 1)) || !c.Contains(key(0, 3)) || c.Contains(key(0, 5)) {
+		t.Fatal("the serve walk changed node 0's entries")
+	}
+	for _, s := range []*Service{served, twin} {
+		s.ResetStats()
+		s.RecordGather(0, [][]int32{{5}}) // admits 5, evicting the LRU victim
+		s.RecordGather(0, [][]int32{{3}})
+		s.RecordGather(0, [][]int32{{1}})
+	}
+	st := served.Snapshot()
+	if st.Evictions != 2 || st.CacheHits != 1 || st.CacheMisses != 2 {
+		t.Fatalf("row 1 must stay the victim after a serve hit on it: %+v", st)
+	}
+	if tw := twin.Snapshot(); st != tw {
+		t.Fatalf("serving moved the training counts:\n got %+v\nwant %+v", st, tw)
 	}
 }
 

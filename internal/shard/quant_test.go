@@ -164,40 +164,51 @@ func TestQuantModeValidation(t *testing.T) {
 	}
 }
 
-// TestServePathServesQuantized: the read-only serve path routes warm-tier
-// hits through the fused kernel too, with counters in the serve snapshot.
+// TestServePathServesQuantized: a quantized serve read stages the fused
+// round trip, hit or miss. A serve miss is never admitted, yet it is staged
+// at the width a training miss would admit the row at; once training has
+// admitted the row, the serve hit is staged the same way. Counters land in
+// the serve snapshot.
 func TestServePathServesQuantized(t *testing.T) {
 	const dim = 16
 	qt := quantTable{dim: dim}
 	s := New(Config{Nodes: 2, CacheBytes: 1 << 12, RowBytes: dim * 4, Quant: QuantINT8}, nil)
 	s.RegisterTable(0, 8, qt.row)
 	idx := [][]int32{{1}}
-
-	st := s.PlanServeGather(0, idx) // miss: admits int8
-	s.ServeGatherSync(st)
-	st.Release()
-	st = s.PlanServeGather(0, idx) // warm hit
-	s.ServeGatherSync(st)
-	v, ok := st.Lookup(1)
-	if !ok || st.Width(1) != WidthINT8 {
-		t.Fatalf("serve quant hit not staged quantized (ok=%v width=%v)", ok, st.Width(1))
-	}
 	want := make([]float32, dim)
 	tensor.RoundTripI8(want, qt.row(1))
-	for k := range v {
-		if v[k] != want[k] {
-			t.Fatalf("serve elem %d = %g, want %g", k, v[k], want[k])
+	read := func(what string) {
+		t.Helper()
+		st := s.PlanServeGather(0, idx)
+		if st == nil {
+			t.Fatalf("%s: nothing staged", what)
+		}
+		defer st.Release()
+		s.ServeGatherSync(st)
+		v, ok := st.Lookup(1)
+		if !ok || st.Width(1) != WidthINT8 {
+			t.Fatalf("%s not staged quantized (ok=%v width=%v)", what, ok, st.Width(1))
+		}
+		for k := range v {
+			if v[k] != want[k] {
+				t.Fatalf("%s elem %d = %g, want %g", what, k, v[k], want[k])
+			}
 		}
 	}
-	st.Release()
 
+	read("serve miss")
+	if sv := s.ServeSnapshot(); sv.CacheMisses != 1 || sv.DequantRows != 1 || sv.FillBytes != 0 || s.CacheEntries() != 0 {
+		t.Fatalf("serve miss: %+v, %d entries; want staged quantized and admitted nowhere", sv, s.CacheEntries())
+	}
+	s.RecordGather(0, idx) // training admits the row at int8
+	read("serve warm hit")
 	sv := s.ServeSnapshot()
 	if sv.QuantHits != 1 || sv.DequantRows != 2 {
-		t.Fatalf("serve counters: quantHits=%d dequantRows=%d, want 1/2 (the fill stages quantized too)",
+		t.Fatalf("serve counters: quantHits=%d dequantRows=%d, want 1/2 (the miss stages quantized too)",
 			sv.QuantHits, sv.DequantRows)
 	}
-	if tr := s.Snapshot(); tr.QuantHits != 0 {
-		t.Fatal("serve quant traffic leaked into the training snapshot")
+	if tr := s.Snapshot(); tr.QuantHits != 0 || tr.CacheMisses != 1 {
+		t.Fatalf("serve quant traffic leaked into the training snapshot: %+v", tr)
 	}
 }
 

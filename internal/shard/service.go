@@ -327,8 +327,8 @@ type Service struct {
 	statsMu sync.Mutex
 	stats   Stats // training: the walks, the walls, the engine, recovery
 	// serveStats accounts the read-only inference path separately from the
-	// training counters: Serve gathers move real fabric bytes and warm the
-	// shared device caches, but never scatter gradients, so folding them
+	// training counters: serve gathers move real fabric bytes but never
+	// scatter gradients and never write the device caches, so folding them
 	// into the training snapshot would skew every training-side fraction.
 	serveStats Stats
 
@@ -469,10 +469,12 @@ func (s *Service) RecordGather(table int, indices [][]int32) {
 }
 
 // RecordServeGather is RecordGather for the read-only inference path: the
-// same shard routing, device-cache probing and popularity-gated admission —
-// live serve traffic warms the shared caches exactly like training traffic
-// — but the counters land in the serve snapshot (ServeSnapshot), training
-// fractions stay untouched, and there is never a matching scatter.
+// same shard routing, device-cache probing and gather dedup, but a read of
+// the caches — a hit moves no recency, a miss admits nothing, so nothing is
+// evicted and no fill moves. The caches hold what the training schedule put
+// there and the trainer's counts do not depend on how requests interleave
+// with its steps. The counters land in the serve snapshot (ServeSnapshot),
+// and there is never a matching scatter.
 func (s *Service) RecordServeGather(table int, indices [][]int32) {
 	s.planGather(table, indices, false, true)
 }
@@ -490,15 +492,17 @@ func (s *Service) PlanGather(table int, indices [][]int32) *Staging {
 }
 
 // PlanServeGather is PlanGather for the read-only inference path: the same
-// accounting as RecordServeGather (serve counters, shared cache state) plus
+// accounting as RecordServeGather (serve counters, caches only read) plus
 // the window ServeGatherSync fills to actually move the remote rows.
 func (s *Service) PlanServeGather(table int, indices [][]int32) *Staging {
 	return s.planGather(table, indices, true, true)
 }
 
 // planGather is the shared accounting walk behind RecordGather /
-// RecordServeGather / PlanGather. serve selects the serve-side counter set;
-// cache state is shared between the two paths by design.
+// RecordServeGather / PlanGather. serve selects the serve-side counter set
+// and makes the walk a read of the caches: a hit is counted without its use,
+// a miss is counted, deduplicated and staged as training's would be, but
+// never admitted. Only training traffic writes the caches.
 //
 // The common case is one straight loop: a local row, and a remote row its
 // node's cache holds, cost a routing load, an index load and (a hit) the
@@ -514,10 +518,11 @@ func (s *Service) PlanServeGather(table int, indices [][]int32) *Staging {
 // pipeline depth bit-identical to batch-by-batch stepping in quantized mode:
 // plan order may legally differ between the synchronous and lookahead
 // executors, so a value that depended on WHEN a row was admitted would
-// diverge. Untiered caches serve every hit exact, so only a miss asks the
-// classifier.
+// diverge; for the same reason a serve miss, which is never admitted, is
+// staged at exactly the width a training miss would admit the row at.
+// Untiered caches serve every hit exact, so only a miss asks the classifier.
 func (s *Service) planGather(table int, indices [][]int32, collect, serve bool) *Staging {
-	g := gatherWalk{s: s, table: table, collect: collect}
+	g := gatherWalk{s: s, table: table, collect: collect, serve: serve}
 	// The call's counts fold in once, after s.mu is released: deferred calls
 	// run last first.
 	var st Stats
@@ -547,8 +552,11 @@ func (s *Service) planGather(table int, indices [][]int32, collect, serve bool) 
 			}
 			if uint(ix) < uint(len(cix)) {
 				if i := cix[ix] - 1; i >= 0 {
-					if !cache.mark(i) { // DeviceCache.use, its common case inline
-						cache.useSlow(i)
+					// A serve read moves no recency.
+					if !serve {
+						if !cache.mark(i) { // DeviceCache.use, its common case inline
+							cache.useSlow(i)
+						}
 					}
 					hits++
 					if tiered {
@@ -586,8 +594,10 @@ type gatherWalk struct {
 	table   int
 	lookups int
 	collect bool
-	stamps  []uint8
-	epoch   uint8
+	// serve is set on the read-only inference walk: a miss is never admitted.
+	serve  bool
+	stamps []uint8
+	epoch  uint8
 	// bits is the classifier's hot bitmap of the table, nil without one.
 	bits []uint64
 	plan *Staging
@@ -638,8 +648,8 @@ func (g *gatherWalk) warmHit(ix int32, w Width) {
 
 // miss accounts a remote lookup the requesting node's cache does not hold: a
 // fabric fetch once per distinct (requesting node, row) in the call, staged
-// in the plan, and the admission of the row into the cache at the width the
-// tiering mode assigns it.
+// in the plan, and — on a training walk — the admission of the row into the
+// cache at the width the tiering mode assigns it.
 //
 //hotline:hotpath
 func (g *gatherWalk) miss(cache *DeviceCache, node, owner int, ix int32) {
@@ -676,8 +686,8 @@ func (g *gatherWalk) miss(cache *DeviceCache, node, owner int, ix int32) {
 	// capacity) admits nothing and must account no fill traffic. Fill bytes
 	// move only on actual admission, at the admitted entry's footprint — the
 	// row missed, so every admission here is of a new key (or is refused as
-	// unfittable, moving nothing).
-	if admit {
+	// unfittable, moving nothing). A serve walk admits nothing.
+	if admit && !g.serve {
 		eb := s.cfg.EntryBytes(w)
 		if ok, ev := cache.admit(key(g.table, ix), w, eb); ok {
 			g.evictions += int64(ev)
@@ -831,7 +841,8 @@ func (s *Service) Snapshot() Stats {
 
 // ServeSnapshot returns the read-only inference path's counters (with
 // Nodes filled in): every Serve/Predict gather routed through
-// RecordServeGather, separate from the training snapshot.
+// RecordServeGather, separate from the training snapshot. Serve walks admit
+// nothing, so its FillBytes and Evictions stay zero.
 func (s *Service) ServeSnapshot() Stats {
 	s.statsMu.Lock()
 	st := s.serveStats

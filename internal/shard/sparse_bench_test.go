@@ -11,7 +11,7 @@ import (
 // One table of the benchmark's sparse-inproc workload, as the accounting
 // walks see it: 256 bags x 8 lookups, Zipf 1.6 over 24 000 rows, 4 nodes, a
 // cache that holds every row. go test -run '^$' -bench
-// 'BenchmarkPlanGather|BenchmarkRecordScatter|BenchmarkDeviceCacheLookup'
+// 'BenchmarkPlanGather|BenchmarkServeGather|BenchmarkRecordScatter|BenchmarkDeviceCacheLookup'
 // -cpu 1 ./internal/shard/
 const (
 	sparseRows    = 24000
@@ -80,48 +80,94 @@ func BenchmarkPlanGather(b *testing.B) {
 }
 
 // BenchmarkPlanGatherEvicting times the gather accounting walk under
-// eviction, at the fabric-unix workload's skew and cache share: Zipf 1.05
-// over the same table, and each node's cache 1/16 of the scaled hot budget
-// (a fifth of the rows, data.ScaledHotBudget), so most remote misses admit a
-// row and evict others, and every call builds a plan (released unfilled).
-// QuantOff admits every remote row (no classifier). QuantMixed asks a
-// bitmap-backed classifier whose hot set, the most popular rows, fills half
-// the budget at fp32 (as fabric-unix learns it) and admits every other row
-// into the int8 warm tier.
+// eviction, at the fabric-unix workload's skew and cache share (see
+// evictingService): most remote misses admit a row and evict others, and
+// every call builds a plan (released unfilled).
 func BenchmarkPlanGatherEvicting(b *testing.B) {
-	const cacheBytes = sparseRows / 5 / 16 * sparseDim * 4
 	for _, mode := range []struct {
 		name string
 		q    QuantMode
 	}{{"QuantOff", QuantOff}, {"QuantMixed", QuantMixed}} {
 		b.Run(mode.name, func(b *testing.B) {
-			batches := zipfBatches(5, 1.05)
-			var hot HotClassifier
-			if mode.q == QuantMixed {
-				h := make(hotBitmap, (sparseRows+63)/64)
-				for rank := range cacheBytes / 2 / (sparseDim * 4) {
-					r := rankRow(rank)
-					h[r>>6] |= 1 << (r & 63)
-				}
-				hot = h
-			}
-			s := New(Config{Nodes: sparseNodes, CacheBytes: cacheBytes, RowBytes: sparseDim * 4, Quant: mode.q}, hot)
-			b.Cleanup(func() { s.Close() })
-			s.RegisterTable(0, sparseRows, flatRows(sparseRows, sparseDim))
-			for range 4 {
-				for _, idx := range batches {
-					s.PlanGather(0, idx).Release()
-				}
-			}
-			if s.Snapshot().Evictions == 0 {
-				b.Fatal("the warm-up never evicted")
-			}
+			s, batches := evictingService(b, mode.q)
 			i := 0
 			for b.Loop() {
 				s.PlanGather(0, batches[i%sparseBatches]).Release()
 				i++
 			}
 		})
+	}
+}
+
+// evictingService is a service at the fabric-unix workload's skew and cache
+// share: Zipf 1.05 over the sparse table, and each node's cache 1/16 of the
+// scaled hot budget (a fifth of the rows, data.ScaledHotBudget), warmed by
+// four training passes over the batches it returns. QuantOff admits every
+// remote row (no classifier). QuantMixed asks a bitmap-backed classifier
+// whose hot set, the most popular rows, fills half the budget at fp32 (as
+// fabric-unix learns it) and admits every other row into the int8 warm tier.
+func evictingService(b *testing.B, q QuantMode) (*Service, [][][]int32) {
+	b.Helper()
+	const cacheBytes = sparseRows / 5 / 16 * sparseDim * 4
+	batches := zipfBatches(5, 1.05)
+	var hot HotClassifier
+	if q == QuantMixed {
+		h := make(hotBitmap, (sparseRows+63)/64)
+		for rank := range cacheBytes / 2 / (sparseDim * 4) {
+			r := rankRow(rank)
+			h[r>>6] |= 1 << (r & 63)
+		}
+		hot = h
+	}
+	s := New(Config{Nodes: sparseNodes, CacheBytes: cacheBytes, RowBytes: sparseDim * 4, Quant: q}, hot)
+	b.Cleanup(func() { s.Close() })
+	s.RegisterTable(0, sparseRows, flatRows(sparseRows, sparseDim))
+	for range 4 {
+		for _, idx := range batches {
+			s.PlanGather(0, idx).Release()
+		}
+	}
+	if s.Snapshot().Evictions == 0 {
+		b.Fatal("the warm-up never evicted")
+	}
+	return s, batches
+}
+
+// BenchmarkServeGather times the serve walk, a read of the caches training
+// warmed: RecordServeGather at the sparse-inproc shape, where every remote
+// row hits, and PlanServeGather at BenchmarkPlanGatherEvicting/QuantMixed's
+// shape, the fabric-unix serve read, whose misses are staged (released
+// unfilled) and admitted nowhere. Each fails when its walk wrote a cache.
+func BenchmarkServeGather(b *testing.B) {
+	b.Run("RecordServeGather", func(b *testing.B) {
+		batches := zipfBatches(3, sparseZipf)
+		s := sparseService(b, batches)
+		i := 0
+		for b.Loop() {
+			s.RecordServeGather(0, batches[i%sparseBatches])
+			i++
+		}
+		if sv := s.ServeSnapshot(); sv.CacheMisses != 0 {
+			b.Fatalf("steady-state serve walk missed %d rows", sv.CacheMisses)
+		}
+		servedReadOnly(b, s)
+	})
+	b.Run("PlanServeGather", func(b *testing.B) {
+		s, batches := evictingService(b, QuantMixed)
+		i := 0
+		for b.Loop() {
+			s.PlanServeGather(0, batches[i%sparseBatches]).Release()
+			i++
+		}
+		servedReadOnly(b, s)
+	})
+}
+
+// servedReadOnly fails b when the serve walks on s admitted or evicted a row.
+func servedReadOnly(b *testing.B, s *Service) {
+	b.Helper()
+	if sv := s.ServeSnapshot(); sv.FillBytes != 0 || sv.Evictions != 0 {
+		b.Fatalf("the serve walk wrote the caches: fill %d bytes, %d evictions", sv.FillBytes, sv.Evictions)
 	}
 }
 

@@ -156,60 +156,60 @@ var trainCountDigests = map[string]string{
 }
 
 var serveCountDigests = map[string]string{
-	"kaggle/baseline/fp32/adagrad/d1":               "363e86ef27c18baebae44449c5ec6fde65f9794fc4027050190d06a1fd2c6307",
-	"kaggle/baseline/fp32/sgd/d1":                   "363e86ef27c18baebae44449c5ec6fde65f9794fc4027050190d06a1fd2c6307",
-	"kaggle/baseline/hot-fp32+warm-int8/adagrad/d1": "3df0b6c0cfd83d765fe6240fce7319dc39972e4de8e4c5b4a84001c76ae35e5c",
-	"kaggle/baseline/hot-fp32+warm-int8/sgd/d1":     "3df0b6c0cfd83d765fe6240fce7319dc39972e4de8e4c5b4a84001c76ae35e5c",
-	"kaggle/baseline/int8/adagrad/d1":               "e1fbcc0150e00e2990766a1c2544ab7a01afd3ac7ab684048a7fd12ee8a4be59",
-	"kaggle/baseline/int8/sgd/d1":                   "e1fbcc0150e00e2990766a1c2544ab7a01afd3ac7ab684048a7fd12ee8a4be59",
-	"kaggle/hotline/fp32/adagrad/d1":                "363e86ef27c18baebae44449c5ec6fde65f9794fc4027050190d06a1fd2c6307",
-	"kaggle/hotline/fp32/adagrad/d4":                "363e86ef27c18baebae44449c5ec6fde65f9794fc4027050190d06a1fd2c6307",
-	"kaggle/hotline/fp32/sgd/d1":                    "363e86ef27c18baebae44449c5ec6fde65f9794fc4027050190d06a1fd2c6307",
-	"kaggle/hotline/fp32/sgd/d4":                    "363e86ef27c18baebae44449c5ec6fde65f9794fc4027050190d06a1fd2c6307",
-	"kaggle/hotline/hot-fp32+warm-int8/adagrad/d1":  "3df0b6c0cfd83d765fe6240fce7319dc39972e4de8e4c5b4a84001c76ae35e5c",
-	"kaggle/hotline/hot-fp32+warm-int8/adagrad/d4":  "3df0b6c0cfd83d765fe6240fce7319dc39972e4de8e4c5b4a84001c76ae35e5c",
-	"kaggle/hotline/hot-fp32+warm-int8/sgd/d1":      "3df0b6c0cfd83d765fe6240fce7319dc39972e4de8e4c5b4a84001c76ae35e5c",
-	"kaggle/hotline/hot-fp32+warm-int8/sgd/d4":      "3df0b6c0cfd83d765fe6240fce7319dc39972e4de8e4c5b4a84001c76ae35e5c",
-	"kaggle/hotline/int8/adagrad/d1":                "e1fbcc0150e00e2990766a1c2544ab7a01afd3ac7ab684048a7fd12ee8a4be59",
-	"kaggle/hotline/int8/adagrad/d4":                "e1fbcc0150e00e2990766a1c2544ab7a01afd3ac7ab684048a7fd12ee8a4be59",
-	"kaggle/hotline/int8/sgd/d1":                    "e1fbcc0150e00e2990766a1c2544ab7a01afd3ac7ab684048a7fd12ee8a4be59",
-	"kaggle/hotline/int8/sgd/d4":                    "e1fbcc0150e00e2990766a1c2544ab7a01afd3ac7ab684048a7fd12ee8a4be59",
-	"synmh/baseline/fp32/adagrad/d1":                "4e8a22110f94efa8332149f92eb0d6f1cd248e092394a7d991d1d6c509129708",
-	"synmh/baseline/fp32/sgd/d1":                    "4e8a22110f94efa8332149f92eb0d6f1cd248e092394a7d991d1d6c509129708",
-	"synmh/baseline/hot-fp32+warm-int8/adagrad/d1":  "08118d2f17c674583ad9d23b5637252821572c250d9c976b70dfb95cdf427ddc",
-	"synmh/baseline/hot-fp32+warm-int8/sgd/d1":      "08118d2f17c674583ad9d23b5637252821572c250d9c976b70dfb95cdf427ddc",
-	"synmh/baseline/int8/adagrad/d1":                "16a8a98bcca10e5b2f3ee0a572c55b0ed3f968b61daa5734610f1cc998c77c10",
-	"synmh/baseline/int8/sgd/d1":                    "16a8a98bcca10e5b2f3ee0a572c55b0ed3f968b61daa5734610f1cc998c77c10",
-	"synmh/hotline/fp32/adagrad/d1":                 "4e8a22110f94efa8332149f92eb0d6f1cd248e092394a7d991d1d6c509129708",
-	"synmh/hotline/fp32/adagrad/d4":                 "1d4f2591c0f48c0b16a668d0f5cccc701b2f14093a2cad962f7f7b5c5accd573",
-	"synmh/hotline/fp32/sgd/d1":                     "4e8a22110f94efa8332149f92eb0d6f1cd248e092394a7d991d1d6c509129708",
-	"synmh/hotline/fp32/sgd/d4":                     "1d4f2591c0f48c0b16a668d0f5cccc701b2f14093a2cad962f7f7b5c5accd573",
-	"synmh/hotline/hot-fp32+warm-int8/adagrad/d1":   "39e1a26c02543ae11f815002e4f3ff378e972e14bb561244f778cc43ec0fd1c9",
-	"synmh/hotline/hot-fp32+warm-int8/adagrad/d4":   "960ae305870840e4cb90a58e3390a1c923be89acccc3990212515c81a351a15d",
-	"synmh/hotline/hot-fp32+warm-int8/sgd/d1":       "39e1a26c02543ae11f815002e4f3ff378e972e14bb561244f778cc43ec0fd1c9",
-	"synmh/hotline/hot-fp32+warm-int8/sgd/d4":       "960ae305870840e4cb90a58e3390a1c923be89acccc3990212515c81a351a15d",
-	"synmh/hotline/int8/adagrad/d1":                 "e295ce7c0a7f6e043478a609ce4f2a11ff5e4b881617597190547e79a3a92ff7",
-	"synmh/hotline/int8/adagrad/d4":                 "1dc9fa5772e4d1ff1c64a5823f9e1b3dda796c763b662535cc12371bf94da87c",
-	"synmh/hotline/int8/sgd/d1":                     "e295ce7c0a7f6e043478a609ce4f2a11ff5e4b881617597190547e79a3a92ff7",
-	"synmh/hotline/int8/sgd/d4":                     "1dc9fa5772e4d1ff1c64a5823f9e1b3dda796c763b662535cc12371bf94da87c",
-	"tbsm/baseline/fp32/adagrad/d1":                 "aaa0419aeb28f464aba1c6ef96cb171ebdc6d8efe0c039c6192732aea971203c",
-	"tbsm/baseline/fp32/sgd/d1":                     "aaa0419aeb28f464aba1c6ef96cb171ebdc6d8efe0c039c6192732aea971203c",
-	"tbsm/baseline/hot-fp32+warm-int8/adagrad/d1":   "9dc4454c60751e413be18dd2c14db93333449791092253d69eb612142e091568",
-	"tbsm/baseline/hot-fp32+warm-int8/sgd/d1":       "9dc4454c60751e413be18dd2c14db93333449791092253d69eb612142e091568",
-	"tbsm/baseline/int8/adagrad/d1":                 "93097ed086fceb9421adccc7fedf20e1a025483853ee9365c2872e44c22194f9",
-	"tbsm/baseline/int8/sgd/d1":                     "93097ed086fceb9421adccc7fedf20e1a025483853ee9365c2872e44c22194f9",
-	"tbsm/hotline/fp32/adagrad/d1":                  "0dd47202b386be5e68371988585b11b47a2d41f4cfc444d114a0c2cc3dccf79b",
-	"tbsm/hotline/fp32/adagrad/d4":                  "0dd47202b386be5e68371988585b11b47a2d41f4cfc444d114a0c2cc3dccf79b",
-	"tbsm/hotline/fp32/sgd/d1":                      "0dd47202b386be5e68371988585b11b47a2d41f4cfc444d114a0c2cc3dccf79b",
-	"tbsm/hotline/fp32/sgd/d4":                      "0dd47202b386be5e68371988585b11b47a2d41f4cfc444d114a0c2cc3dccf79b",
-	"tbsm/hotline/hot-fp32+warm-int8/adagrad/d1":    "af303e3f4da17b08023f625d08371f4738463f6738571295e16e963d25d32067",
-	"tbsm/hotline/hot-fp32+warm-int8/adagrad/d4":    "af303e3f4da17b08023f625d08371f4738463f6738571295e16e963d25d32067",
-	"tbsm/hotline/hot-fp32+warm-int8/sgd/d1":        "af303e3f4da17b08023f625d08371f4738463f6738571295e16e963d25d32067",
-	"tbsm/hotline/hot-fp32+warm-int8/sgd/d4":        "af303e3f4da17b08023f625d08371f4738463f6738571295e16e963d25d32067",
-	"tbsm/hotline/int8/adagrad/d1":                  "4b2b0c04ad50d32db0bbe987c1a3fab3cd379298eca6aae90bfdbd88bceecea5",
-	"tbsm/hotline/int8/adagrad/d4":                  "4b2b0c04ad50d32db0bbe987c1a3fab3cd379298eca6aae90bfdbd88bceecea5",
-	"tbsm/hotline/int8/sgd/d1":                      "4b2b0c04ad50d32db0bbe987c1a3fab3cd379298eca6aae90bfdbd88bceecea5",
-	"tbsm/hotline/int8/sgd/d4":                      "4b2b0c04ad50d32db0bbe987c1a3fab3cd379298eca6aae90bfdbd88bceecea5",
+	"kaggle/baseline/fp32/adagrad/d1":               "75937aac3f764bd426fdfdfc33fe20614038a763989d5fb7b00eeb6b9c450ae4",
+	"kaggle/baseline/fp32/sgd/d1":                   "75937aac3f764bd426fdfdfc33fe20614038a763989d5fb7b00eeb6b9c450ae4",
+	"kaggle/baseline/hot-fp32+warm-int8/adagrad/d1": "73c8e8c6db3378d7ee22705b8f2e617428c1a9cc4aa4a712712713b11889d21a",
+	"kaggle/baseline/hot-fp32+warm-int8/sgd/d1":     "73c8e8c6db3378d7ee22705b8f2e617428c1a9cc4aa4a712712713b11889d21a",
+	"kaggle/baseline/int8/adagrad/d1":               "72238812bc1a69a5c106a63b50cc055c487dc61ab95d998d4b9d1aab09b11600",
+	"kaggle/baseline/int8/sgd/d1":                   "72238812bc1a69a5c106a63b50cc055c487dc61ab95d998d4b9d1aab09b11600",
+	"kaggle/hotline/fp32/adagrad/d1":                "75937aac3f764bd426fdfdfc33fe20614038a763989d5fb7b00eeb6b9c450ae4",
+	"kaggle/hotline/fp32/adagrad/d4":                "75937aac3f764bd426fdfdfc33fe20614038a763989d5fb7b00eeb6b9c450ae4",
+	"kaggle/hotline/fp32/sgd/d1":                    "75937aac3f764bd426fdfdfc33fe20614038a763989d5fb7b00eeb6b9c450ae4",
+	"kaggle/hotline/fp32/sgd/d4":                    "75937aac3f764bd426fdfdfc33fe20614038a763989d5fb7b00eeb6b9c450ae4",
+	"kaggle/hotline/hot-fp32+warm-int8/adagrad/d1":  "73c8e8c6db3378d7ee22705b8f2e617428c1a9cc4aa4a712712713b11889d21a",
+	"kaggle/hotline/hot-fp32+warm-int8/adagrad/d4":  "73c8e8c6db3378d7ee22705b8f2e617428c1a9cc4aa4a712712713b11889d21a",
+	"kaggle/hotline/hot-fp32+warm-int8/sgd/d1":      "73c8e8c6db3378d7ee22705b8f2e617428c1a9cc4aa4a712712713b11889d21a",
+	"kaggle/hotline/hot-fp32+warm-int8/sgd/d4":      "73c8e8c6db3378d7ee22705b8f2e617428c1a9cc4aa4a712712713b11889d21a",
+	"kaggle/hotline/int8/adagrad/d1":                "72238812bc1a69a5c106a63b50cc055c487dc61ab95d998d4b9d1aab09b11600",
+	"kaggle/hotline/int8/adagrad/d4":                "72238812bc1a69a5c106a63b50cc055c487dc61ab95d998d4b9d1aab09b11600",
+	"kaggle/hotline/int8/sgd/d1":                    "72238812bc1a69a5c106a63b50cc055c487dc61ab95d998d4b9d1aab09b11600",
+	"kaggle/hotline/int8/sgd/d4":                    "72238812bc1a69a5c106a63b50cc055c487dc61ab95d998d4b9d1aab09b11600",
+	"synmh/baseline/fp32/adagrad/d1":                "fb24dd348fbeb18e625efa9a89d0a81f643b0ae6033db4c236e09b71eb299d92",
+	"synmh/baseline/fp32/sgd/d1":                    "fb24dd348fbeb18e625efa9a89d0a81f643b0ae6033db4c236e09b71eb299d92",
+	"synmh/baseline/hot-fp32+warm-int8/adagrad/d1":  "f8127093a611dbdfac90ca0e5faa0678f1c837f5bc6ea036ed62bf970bccc3ed",
+	"synmh/baseline/hot-fp32+warm-int8/sgd/d1":      "f8127093a611dbdfac90ca0e5faa0678f1c837f5bc6ea036ed62bf970bccc3ed",
+	"synmh/baseline/int8/adagrad/d1":                "85367a6857bd06ad62a33124bd9aeadaad02b2f6ee03c29a2d9f4e1ff1f7b77b",
+	"synmh/baseline/int8/sgd/d1":                    "85367a6857bd06ad62a33124bd9aeadaad02b2f6ee03c29a2d9f4e1ff1f7b77b",
+	"synmh/hotline/fp32/adagrad/d1":                 "c392060c2993779d03e82ded0963b8bdcde3c076a2e3110b1f74826d1c5a445d",
+	"synmh/hotline/fp32/adagrad/d4":                 "b17faee6c8bf82e1e5d2d06dd05383d2f8b266ac59fd55ba63d9d2ed57aa0cd8",
+	"synmh/hotline/fp32/sgd/d1":                     "c392060c2993779d03e82ded0963b8bdcde3c076a2e3110b1f74826d1c5a445d",
+	"synmh/hotline/fp32/sgd/d4":                     "b17faee6c8bf82e1e5d2d06dd05383d2f8b266ac59fd55ba63d9d2ed57aa0cd8",
+	"synmh/hotline/hot-fp32+warm-int8/adagrad/d1":   "20df7bda429ea8c0c1b469764f3fd8a6dce30e0e0ed3a1e4da9ff3d8faf141de",
+	"synmh/hotline/hot-fp32+warm-int8/adagrad/d4":   "5372d386824d797821c75880c9188d5a61f8096a6ec78309358c66ad38ed41e4",
+	"synmh/hotline/hot-fp32+warm-int8/sgd/d1":       "20df7bda429ea8c0c1b469764f3fd8a6dce30e0e0ed3a1e4da9ff3d8faf141de",
+	"synmh/hotline/hot-fp32+warm-int8/sgd/d4":       "5372d386824d797821c75880c9188d5a61f8096a6ec78309358c66ad38ed41e4",
+	"synmh/hotline/int8/adagrad/d1":                 "a9c20b956444684b5628a3eb6be802edc972b5f92625fc701c7466fbea479d5e",
+	"synmh/hotline/int8/adagrad/d4":                 "a20675ca612bb78de338f2e8998c59999e266c84e25b1f58822ec3caa383a187",
+	"synmh/hotline/int8/sgd/d1":                     "a9c20b956444684b5628a3eb6be802edc972b5f92625fc701c7466fbea479d5e",
+	"synmh/hotline/int8/sgd/d4":                     "a20675ca612bb78de338f2e8998c59999e266c84e25b1f58822ec3caa383a187",
+	"tbsm/baseline/fp32/adagrad/d1":                 "790bbf89033ffc7dbb465a0644fa0b20c3742be13c8085625dab148e4112ab50",
+	"tbsm/baseline/fp32/sgd/d1":                     "790bbf89033ffc7dbb465a0644fa0b20c3742be13c8085625dab148e4112ab50",
+	"tbsm/baseline/hot-fp32+warm-int8/adagrad/d1":   "13e28a6da9e18fae18717b4fe91351019ece2d35d733fa34ed53f03a89afbe0a",
+	"tbsm/baseline/hot-fp32+warm-int8/sgd/d1":       "13e28a6da9e18fae18717b4fe91351019ece2d35d733fa34ed53f03a89afbe0a",
+	"tbsm/baseline/int8/adagrad/d1":                 "8a72b4615da54c82c49cf62b7b568b0bc5ceb32058b378d8129bd02ce879ee8d",
+	"tbsm/baseline/int8/sgd/d1":                     "8a72b4615da54c82c49cf62b7b568b0bc5ceb32058b378d8129bd02ce879ee8d",
+	"tbsm/hotline/fp32/adagrad/d1":                  "e82b6acc2099469ac31b4e166a14a42ff8e3e1f146bf4811f687fcfe6373d9d3",
+	"tbsm/hotline/fp32/adagrad/d4":                  "e82b6acc2099469ac31b4e166a14a42ff8e3e1f146bf4811f687fcfe6373d9d3",
+	"tbsm/hotline/fp32/sgd/d1":                      "e82b6acc2099469ac31b4e166a14a42ff8e3e1f146bf4811f687fcfe6373d9d3",
+	"tbsm/hotline/fp32/sgd/d4":                      "e82b6acc2099469ac31b4e166a14a42ff8e3e1f146bf4811f687fcfe6373d9d3",
+	"tbsm/hotline/hot-fp32+warm-int8/adagrad/d1":    "39f883f3e57190d041339c66259c25919d1c16347b9003c4e072c7e3a7980cb8",
+	"tbsm/hotline/hot-fp32+warm-int8/adagrad/d4":    "39f883f3e57190d041339c66259c25919d1c16347b9003c4e072c7e3a7980cb8",
+	"tbsm/hotline/hot-fp32+warm-int8/sgd/d1":        "39f883f3e57190d041339c66259c25919d1c16347b9003c4e072c7e3a7980cb8",
+	"tbsm/hotline/hot-fp32+warm-int8/sgd/d4":        "39f883f3e57190d041339c66259c25919d1c16347b9003c4e072c7e3a7980cb8",
+	"tbsm/hotline/int8/adagrad/d1":                  "a95b6a323319d69cddfbbfb0bebfa09e9fa9005308dc653fd42bd0703c271e3a",
+	"tbsm/hotline/int8/adagrad/d4":                  "a95b6a323319d69cddfbbfb0bebfa09e9fa9005308dc653fd42bd0703c271e3a",
+	"tbsm/hotline/int8/sgd/d1":                      "a95b6a323319d69cddfbbfb0bebfa09e9fa9005308dc653fd42bd0703c271e3a",
+	"tbsm/hotline/int8/sgd/d4":                      "a95b6a323319d69cddfbbfb0bebfa09e9fa9005308dc653fd42bd0703c271e3a",
 }
 
 // digestCell is one training run of the digest grid.

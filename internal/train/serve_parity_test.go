@@ -6,6 +6,7 @@ import (
 
 	"hotline/internal/data"
 	"hotline/internal/model"
+	"hotline/internal/par"
 	"hotline/internal/serve"
 	"hotline/internal/shard"
 )
@@ -16,12 +17,17 @@ import (
 // BETWEEN pipelined steps, while cross-iteration prefetch windows are open
 // — must leave training state bit-identical to the train-only run. This is
 // the end-to-end guarantee behind ServeForward's contract: no prefetch
-// window consumed, no backward state armed, no parameter touched.
+// window consumed, no backward state armed, no parameter touched, no device
+// cache written. The last is checked on the counts: at one worker (the
+// counts of concurrent µ-batch passes depend on scheduling) the mixed run's
+// training counters equal the train-only run's exactly, so no request turned
+// a training miss into a hit or evicted a row training had warmed.
 func TestMixedServeTrainingParity(t *testing.T) {
+	defer par.SetWorkers(par.SetWorkers(1))
 	cfg := tinyCfg()
 	const seed, batch, iters = 21, 48, 10
 
-	run := func(mixed bool) (*model.Model, []float64) {
+	run := func(mixed bool) (*model.Model, []float64, shard.Stats) {
 		svc := shard.New(shard.Config{
 			Nodes: 4, CacheBytes: 32 << 10, RowBytes: int64(cfg.EmbedDim) * 4,
 		}, nil)
@@ -67,11 +73,11 @@ func TestMixedServeTrainingParity(t *testing.T) {
 				t.Fatalf("server answered only %d requests", reqs)
 			}
 		}
-		return tr.Model(), losses
+		return tr.Model(), losses, svc.Snapshot().WithoutWall()
 	}
 
-	mTrain, lossTrain := run(false)
-	mMixed, lossMixed := run(true)
+	mTrain, lossTrain, countsTrain := run(false)
+	mMixed, lossMixed, countsMixed := run(true)
 	for i := range lossTrain {
 		if lossTrain[i] != lossMixed[i] {
 			t.Fatalf("iter %d: loss %g (train-only) vs %g (mixed)", i, lossTrain[i], lossMixed[i])
@@ -79,5 +85,8 @@ func TestMixedServeTrainingParity(t *testing.T) {
 	}
 	if d := model.MaxStateDiff(mTrain, mMixed); d != 0 {
 		t.Fatalf("mixed train+serve perturbed training state: max diff %g", d)
+	}
+	if countsMixed != countsTrain {
+		t.Fatalf("serving moved the training counters:\n mixed %+v\n train %+v", countsMixed, countsTrain)
 	}
 }
