@@ -63,7 +63,7 @@ func main() {
 		iters, reqs, samples, parity)
 
 	// Load harness: open-loop replay at a fixed rate.
-	svcMix.ResetServeStats()
+	before := svcMix.ServeSnapshot()
 	trainLookups := svcMix.Snapshot().Lookups
 	rep := hotline.RunLoad(srv, corpus, hotline.LoadConfig{QPS: 100, Requests: 64, Players: 2})
 	fmt.Printf("\nload run: %d requests at %g QPS -> %.0f req/s achieved in %v\n",
@@ -71,7 +71,7 @@ func main() {
 	fmt.Printf("latency  p50 %v  p90 %v  p99 %v  p999 %v\n",
 		rep.Latency.P50.Round(time.Microsecond), rep.Latency.P90.Round(time.Microsecond),
 		rep.Latency.P99.Round(time.Microsecond), rep.Latency.P999.Round(time.Microsecond))
-	sv := svcMix.ServeSnapshot()
+	sv := svcMix.ServeSnapshot().Sub(before)
 	fmt.Printf("serve traffic: %.1f%% cache hit, %.1f%% gathered (training counters untouched: %d -> %d lookups)\n",
 		100*sv.HitRate(), 100*sv.GatherFrac(),
 		trainLookups, svcMix.Snapshot().Lookups)

@@ -34,7 +34,6 @@ func main() {
 			Nodes:      nodes,
 			CacheBytes: hotline.DefaultShardCacheBytes(cfg),
 			RowBytes:   int64(cfg.EmbedDim) * 4,
-			Policy:     hotline.CacheSRRIP,
 		}, nil)
 		tr := hotline.NewHotlineShardedTrainer(hotline.NewModel(cfg, seed), 0.1, svc)
 		g := hotline.NewGenerator(cfg)

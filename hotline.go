@@ -123,17 +123,13 @@ var MaxModelStateDiff = model.MaxStateDiff
 // --- sharded embedding service --------------------------------------------
 
 // ShardConfig sizes a sharded embedding service: node count, per-node
-// device-cache budget, row footprint and eviction policy.
+// device-cache budget, row footprint, precision tiering and placement.
 type ShardConfig = shard.Config
 
 // ShardService partitions embedding rows across simulated nodes with
 // bounded per-node hot-entry device caches, and accounts every gather and
 // gradient scatter the topology incurs.
 type ShardService = shard.Service
-
-// CacheSRRIP selects the SRRIP/CLOCK device-cache eviction policy in
-// ShardConfig.Policy and ShardProbe.Policy (the zero value is exact LRU).
-const CacheSRRIP = shard.PolicySRRIP
 
 // NewShardService builds a sharded embedding service. The classifier
 // decides which rows may replicate into device caches (nil admits all).
@@ -157,11 +153,11 @@ func NewHotlineShardedTrainer(m *Model, lr float32, svc *ShardService) *train.Ho
 type ShardMeasurement = pipeline.ShardMeasurement
 
 // ShardProbe configures a MeasureShard measurement: node count, cache
-// budget, batch size, eviction policy and ownership placement.
+// budget, batch size, ownership placement and precision tiering.
 type ShardProbe = pipeline.ShardProbe
 
 // MeasureShard replays a real access stream against a sharded service under
-// the probe's eviction policy and ownership placement (round-robin,
+// the probe's ownership placement (round-robin,
 // capacity-weighted, hot-aware) and returns steady-state measurements
 // (memoised per full probe identity).
 var MeasureShard = pipeline.MeasureShard

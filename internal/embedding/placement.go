@@ -1,8 +1,9 @@
 package embedding
 
 import (
+	"cmp"
 	"math/bits"
-	"sort"
+	"slices"
 )
 
 // hotSet is one table's GPU-resident rows as a bitmap: row r is hot exactly
@@ -100,16 +101,15 @@ type AccessCount struct {
 // consumed. This models both Hotline's learning phase output and FAE's
 // offline profiler output.
 func PlacementFromCounts(counts []AccessCount, numTables, dim int, budgetBytes int64) *Placement {
-	sorted := make([]AccessCount, len(counts))
-	copy(sorted, counts)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Count != sorted[j].Count {
-			return sorted[i].Count > sorted[j].Count
+	sorted := slices.Clone(counts)
+	slices.SortFunc(sorted, func(a, b AccessCount) int {
+		if a.Count != b.Count {
+			return cmp.Compare(b.Count, a.Count)
 		}
-		if sorted[i].Table != sorted[j].Table {
-			return sorted[i].Table < sorted[j].Table
+		if a.Table != b.Table {
+			return cmp.Compare(a.Table, b.Table)
 		}
-		return sorted[i].Row < sorted[j].Row
+		return cmp.Compare(a.Row, b.Row)
 	})
 	p := NewPlacement(numTables, dim)
 	rowBytes := int64(dim) * 4

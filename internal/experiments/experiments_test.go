@@ -118,7 +118,7 @@ func TestRegistryComplete(t *testing.T) {
 	// plus the design-choice ablations and multi-node sharding scenarios
 	extras := []string{
 		"abl-eal", "abl-feistel", "abl-overlap", "abl-sampling",
-		"mn-scale", "mn-cache", "mn-skew", "mn-policy",
+		"mn-scale", "mn-cache", "mn-skew",
 		"mn-place", "mn-overlap", "mn-adagrad",
 		"mn-depth", "mn-syn", "mn-batch",
 		"mn-qps", "mn-fabric", "mn-chaos", "mn-quant",

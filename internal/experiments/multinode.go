@@ -21,7 +21,6 @@ func init() {
 	registry["mn-scale"] = regEntry{"Multi-node sharded embeddings: node-count scaling (measured)", MNScale}
 	registry["mn-cache"] = regEntry{"Multi-node sharded embeddings: device-cache size ablation", MNCacheSize}
 	registry["mn-skew"] = regEntry{"Multi-node sharded embeddings: static vs evolving skew", MNEvolvingSkew}
-	registry["mn-policy"] = regEntry{"Multi-node sharded embeddings: LRU vs SRRIP cache eviction", MNCachePolicy}
 }
 
 // mnBatch is the per-iteration mini-batch the scenarios replay.
@@ -135,25 +134,5 @@ func MNEvolvingSkew() *report.Table {
 	}
 	t.Notes = "paper Fig 9: popular embeddings drift within days; a day-0 hot set " +
 		"decays, which is why Hotline re-samples 5% of batches instead of profiling offline"
-	return t
-}
-
-// MNCachePolicy compares LRU against SRRIP eviction under cache pressure
-// (a quarter of the hot-set budget, 4 nodes): SRRIP's re-reference
-// prediction resists the Zipf tail scanning through the cache.
-func MNCachePolicy() *report.Table {
-	t := &report.Table{Header: []string{
-		"policy", "cache hit", "gather", "evictions", "a2a KB/iter"}}
-	cfg := data.CriteoKaggle()
-	for _, pol := range []shard.Policy{shard.PolicyLRU, shard.PolicySRRIP} {
-		m := pipeline.MeasureShard(cfg, pipeline.ShardProbe{
-			Nodes: 4, CacheBytes: pipeline.DefaultShardCacheBytes(cfg) / 4, Batch: mnBatch, Policy: pol})
-		t.AddRow(pol.String(),
-			pct(m.HitRate, 1), pct(m.GatherFrac, 1),
-			fmt.Sprint(m.Evictions),
-			fmt.Sprintf("%.1f", float64(m.A2ABytesPerIter)/1024))
-	}
-	t.Notes = "same replacement-policy question as the EAL (Fig 15), asked of the " +
-		"device cache: re-reference prediction vs strict recency under a Zipf tail"
 	return t
 }

@@ -69,7 +69,6 @@ var experimentDigests = map[string]string{
 	"mn-adagrad":   "bc1ff08bfab4fc4d1e79cbf88a1ec737d951a008c4bb8f80d00f66ea0723561d",
 	"mn-cache":     "31d3bd583b4565cade55c7053b2055b2af4ab25311ea58fadb88d451d784ac3e",
 	"mn-place":     "ed8fd7ceecd8079917ac50ddc380cf1a94be34e102adeb2deac22a6f99adea04",
-	"mn-policy":    "83d99cc238954f41779d21dd4d11ee3f8166522d60801737629e8ad49c38e79f",
 	"mn-quant":     "9301cf223e1c4e68ebbd6fa874262abdde6d18037295df6a408670d8fee2d11e",
 	"mn-skew":      "c2f23fa4b704a3caff7617b11f437dd322fbb185a6d79190233013f7c5645556",
 	"tab1":         "3b07cb057ca1be53cccc532e9da3d817944b0d2fbcbe45600e425345c13a39b2",

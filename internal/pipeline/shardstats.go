@@ -19,10 +19,6 @@ import (
 type ShardMeasurement struct {
 	Nodes             int
 	CacheBytesPerNode int64
-	// Policy is the device-cache eviction policy the measurement ran under
-	// (part of the memo identity — a policy ablation must never read stats
-	// measured under a different policy).
-	Policy shard.Policy
 	// Placement names the row-ownership policy the measurement ran under
 	// (round-robin, capacity-weighted, hot-aware).
 	Placement string
@@ -93,8 +89,6 @@ type ShardProbe struct {
 	CacheBytes int64
 	// Batch is the replayed mini-batch size.
 	Batch int
-	// Policy selects the device-cache eviction policy.
-	Policy shard.Policy
 	// Placement selects the row-ownership policy.
 	Placement shard.PlacementKind
 	// HBMBytes are the real per-node HBM byte budgets PlaceCapacity
@@ -121,7 +115,7 @@ const measureIters = 4
 const measureWarmup = 2
 
 // MeasureShard replays a real access stream against a sharded service under
-// the probe's eviction policy and ownership placement (round-robin,
+// the probe's ownership placement (round-robin,
 // capacity-weighted from per-node HBM budgets, or hot-aware — popular rows
 // pinned to their dominant requesting node, counted over the same stream
 // the measurement replays): it profiles an epoch, builds the access-aware
@@ -133,8 +127,8 @@ const measureWarmup = 2
 // maxShardBatch, so probes that differ only above the cap share one entry.
 func MeasureShard(cfg data.Config, p ShardProbe) ShardMeasurement {
 	p.Batch = min(p.Batch, maxShardBatch)
-	key := fmt.Sprintf("%s/%d/%d/%d/%s/%s/%v/%s",
-		cfg.Name, p.Nodes, p.CacheBytes, p.Batch, p.Policy, p.Placement, p.HBMBytes, p.Quant)
+	key := fmt.Sprintf("%s/%d/%d/%d/%s/%v/%s",
+		cfg.Name, p.Nodes, p.CacheBytes, p.Batch, p.Placement, p.HBMBytes, p.Quant)
 	return shardStats.get(key, func() ShardMeasurement { return measureShard(cfg, p) })
 }
 
@@ -154,7 +148,7 @@ func measureShard(cfg data.Config, p ShardProbe) ShardMeasurement {
 	part := buildOwnership(probe, p, placement)
 	svc := shard.New(shard.Config{
 		Nodes: p.Nodes, CacheBytes: p.CacheBytes, RowBytes: int64(probe.EmbedDim) * 4,
-		Policy: p.Policy, Part: part, Quant: p.Quant,
+		Part: part, Quant: p.Quant,
 	}, placement)
 	// Declare the tables (an accounting replay: no window is ever filled,
 	// so there is no row view), then replicate the learned hot set (bounded
@@ -184,7 +178,6 @@ func measureShard(cfg data.Config, p ShardProbe) ShardMeasurement {
 	m := ShardMeasurement{
 		Nodes:             p.Nodes,
 		CacheBytesPerNode: p.CacheBytes,
-		Policy:            p.Policy,
 		Placement:         p.Placement.String(),
 		HitRate:           st.HitRate(),
 		LocalFrac:         st.LocalFrac(),

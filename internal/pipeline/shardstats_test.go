@@ -51,29 +51,6 @@ func TestMeasureShardCachePressure(t *testing.T) {
 	}
 }
 
-// TestMeasureShardPolicyKeyed is the regression test for the memo-key
-// bug: the eviction policy is part of the measurement identity, so a
-// policy-ablation caller can never read stats measured under a different
-// policy. Under cache pressure LRU and SRRIP behave differently, and each
-// policy's memoised result must be stable across repeated calls in either
-// order.
-func TestMeasureShardPolicyKeyed(t *testing.T) {
-	cfg := data.CriteoKaggle()
-	cache := DefaultShardCacheBytes(cfg) / 16
-	srrip := MeasureShard(cfg, ShardProbe{Nodes: 4, CacheBytes: cache, Batch: 1024, Policy: shard.PolicySRRIP})
-	lru := MeasureShard(cfg, ShardProbe{Nodes: 4, CacheBytes: cache, Batch: 1024, Policy: shard.PolicyLRU})
-	if lru.Policy != shard.PolicyLRU || srrip.Policy != shard.PolicySRRIP {
-		t.Fatalf("measurements must record their policy: %v / %v", lru.Policy, srrip.Policy)
-	}
-	if lru == srrip {
-		t.Fatal("under pressure, LRU and SRRIP measurements must differ; " +
-			"identical results mean the memo ignored the policy")
-	}
-	if again := MeasureShard(cfg, ShardProbe{Nodes: 4, CacheBytes: cache, Batch: 1024, Policy: shard.PolicySRRIP}); again != srrip {
-		t.Fatal("repeated SRRIP call returned a different (cross-policy) memo entry")
-	}
-}
-
 // TestMeasureShardKeysTheReplayedBatch: the replayed batch is capped, so
 // two probes that differ only above the cap replay the same stream and must
 // share one memo entry instead of measuring it twice.

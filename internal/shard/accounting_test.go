@@ -1,6 +1,9 @@
 package shard
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // TestPreloadRepeatedNoDoubleCount is the regression test for the fill
 // double-count: re-preloading rows that are already resident refreshes
@@ -43,33 +46,28 @@ func TestPreloadRefreshKeepsRecency(t *testing.T) {
 	}
 }
 
-// TestDeviceCacheResetZeroAlloc gates the Reset fix: reset-heavy
-// measurement loops must not reallocate the index or the slot table.
-func TestDeviceCacheResetZeroAlloc(t *testing.T) {
-	c := newCache(64, PolicyLRU)
-	for k := uint64(0); k < 64; k++ {
-		c.Insert(k, WidthFP32, 1)
+// TestPreloadKeepsTheLatestSuffix: Preload admits rows in the order given,
+// so a bounded cache keeps the most recently preloaded rows it does not own.
+// Two nodes with 3-row caches get rows 1…11: node 0 (owner of the even rows)
+// keeps 7, 9 and 11, node 1 keeps 6, 8 and 10.
+func TestPreloadKeepsTheLatestSuffix(t *testing.T) {
+	s := register(New(cfg(2, 3), nil), 12, 0)
+	defer s.Close()
+	var rows []int32
+	for r := int32(1); r <= 11; r++ {
+		rows = append(rows, r)
 	}
-	if n := testing.AllocsPerRun(100, func() {
-		c.Reset()
-		c.Insert(1, WidthFP32, 1)
-		c.Insert(2, WidthFP32, 1)
-	}); n != 0 {
-		t.Fatalf("Reset+refill allocates %v/op; want 0", n)
-	}
-	c.Reset()
-	if c.Len() != 0 || c.Contains(1) {
-		t.Fatal("Reset must drop contents")
-	}
-	if c.UsedBytes() != 0 {
-		t.Fatal("Reset must free every byte")
-	}
-	// The cache must still behave after an in-place reset.
-	c.Insert(7, WidthFP32, 1)
-	_, hit7 := c.Lookup(7)
-	_, hit8 := c.Lookup(8)
-	if !hit7 || hit8 {
-		t.Fatal("cache broken after Reset")
+	s.Preload(0, rows)
+	for n, want := range [][]int32{{7, 9, 11}, {6, 8, 10}} {
+		var kept []int32
+		for r := int32(0); r < 12; r++ {
+			if s.caches[n].Contains(key(0, r)) {
+				kept = append(kept, r)
+			}
+		}
+		if !slices.Equal(kept, want) {
+			t.Errorf("node %d's cache keeps rows %v after preloading 1…11, want %v", n, kept, want)
+		}
 	}
 }
 
@@ -114,16 +112,6 @@ func serveGatherCounters(t *testing.T) {
 	s.RecordServeGather(0, [][]int32{{0, 1}, {0, 1}})
 	if sv = s.ServeSnapshot(); sv.CacheHits != 2 {
 		t.Fatalf("serve must hit the training-warmed caches: %+v", sv)
-	}
-
-	countEverything(t, s)
-	train := s.Snapshot()
-	s.ResetServeStats()
-	if sv = s.ServeSnapshot(); sv != (Stats{Nodes: 2}) {
-		t.Fatalf("ResetServeStats must zero serve counters: %+v", sv)
-	}
-	if st := s.Snapshot(); st != train {
-		t.Fatalf("ResetServeStats must keep training counters:\n got %+v\nwant %+v", st, train)
 	}
 }
 

@@ -2,65 +2,36 @@ package shard
 
 import "fmt"
 
-// Policy selects a device cache's eviction policy.
-type Policy uint8
-
-const (
-	// PolicyLRU evicts the least-recently-used entry (exact recency list).
-	PolicyLRU Policy = iota
-	// PolicySRRIP evicts by 2-bit re-reference prediction with CLOCK-style
-	// victim search — the hardware-friendly policy the accelerator's EAL
-	// uses, here applied to cached rows rather than tracked identifiers.
-	PolicySRRIP
-)
-
-// String names the policy for reports.
-func (p Policy) String() string {
-	if p == PolicySRRIP {
-		return "SRRIP"
-	}
-	return "LRU"
-}
-
-const cacheRRPVMax = 3 // 2-bit RRPV
-
-// lruBatch is how many uses an LRU cache defers before it folds them into its
+// lruBatch is how many uses a cache defers before it folds them into its
 // recency list (DeviceCache.flush) — 4 KB of slot indices per cache — and how
 // many uses without an eviction return a cache that evicted to deferring.
 const lruBatch = 1024
 
-// detached is the prev and next link of a slot that is not on the LRU
-// recency list: one admitted since the last flush, and every SRRIP slot
-// (SRRIP keeps no list).
+// detached is the prev and next link of a slot that is not on the recency
+// list: one admitted since the last flush.
 const detached = -2
 
-// cacheSlot is one cached row's metadata. Slots form both the SRRIP ring
-// and the LRU recency list (prev/next are slot indices; 32 bits hold any slot
-// count a byte budget can reach, and the narrower links pay for most of the
-// dense index's bytes). A dead (recycled) slot is marked by bytes == 0 — every
-// live entry occupies at least one byte — so the CLOCK sweep can skip holes
-// left by multi-entry evictions. state is the policy's replacement state:
-// SRRIP's 2-bit re-reference prediction value, or LRU's mark — lruUsed while
-// the slot has a use the recency list has not taken in (DeviceCache), else 0.
+// cacheSlot is one cached row's metadata. Slots form the recency list
+// (prev/next are slot indices; 32 bits hold any slot count a byte budget can
+// reach, and the narrower links pay for most of the dense index's bytes). A
+// recycled slot is zeroed. used is the slot's mark: set while the slot has a
+// use the recency list has not taken in (DeviceCache).
 type cacheSlot struct {
 	key        uint64
-	state      uint8
+	used       bool
 	width      Width
 	bytes      int32
 	prev, next int32
 }
 
-// lruUsed is an LRU slot's state while it has a deferred use.
-const lruUsed = 1
-
 // DeviceCache is one node's bounded hot-entry cache: a byte budget of row
-// entries with LRU or SRRIP eviction. Entries are variable-width — hot rows
-// at fp32, warm rows at a narrow width (Width) — so the capacity is
-// denominated in HBM bytes end-to-end, matching how placement reasons
-// (NewCapacityWeightedHBM). It stores identifiers, widths and footprints
-// only — the simulated payload derives from the shard storage through the
-// fused dequantize-gather kernel. It keeps no event counters: Lookup and
-// Insert return what happened, and the Service counts each hit, miss and
+// entries with exact least-recently-used (LRU) eviction. Entries are
+// variable-width — hot rows at fp32, warm rows at a narrow width (Width) — so
+// the capacity is denominated in HBM bytes end-to-end, matching how
+// placement reasons (NewCapacityWeightedHBM). It stores identifiers, widths
+// and footprints only — the simulated payload derives from the shard storage
+// through the fused dequantize-gather kernel. It keeps no event counters: Insert and
+// admit return what happened, and the Service counts each hit, miss and
 // eviction once, in Stats. The zero-budget cache is valid and misses every
 // probe.
 //
@@ -71,9 +42,9 @@ const lruUsed = 1
 // (SizeTable), and nothing grows it after that: the Service's walks admit
 // only rows of registered tables, which lie inside their index.
 //
-// LRU is exact, and only an eviction reads its order, so a cache that is not
-// evicting defers its uses: a use — a hit, a same-width refresh, an
-// admission — marks the slot (lruUsed) and appends it to a fixed batch
+// The recency order is exact, and only an eviction reads it, so a cache that
+// is not evicting defers its uses: a use — a hit, a same-width refresh, an
+// admission — marks the slot (used) and appends it to a fixed batch
 // instead of relinking the recency list. A flush, when the batch fills
 // and before an eviction, walks the batch newest first and moves each marked
 // slot to the front once, at its last use, clearing its mark: the list is
@@ -82,39 +53,34 @@ const lruUsed = 1
 // and an append. A cache that evicts reads its list at every admission, and
 // there the batch's second pass costs more than the moves it merges, so an
 // eviction also switches the cache to moving each use at once, until
-// lruBatch uses pass without one. Memory stays flat: the batch, and the mark
-// takes the state byte SRRIP keeps its prediction in. SRRIP keeps no list and
-// defers nothing.
+// lruBatch uses pass without one. Memory stays flat: the batch, and a mark
+// byte that the slot's 24 bytes have room for.
 type DeviceCache struct {
-	policy    Policy
 	capBytes  int64
 	usedBytes int64
 	index     [][]int32 // index[table][row] = slot + 1; 0 = absent
 	slots     []cacheSlot
 	freeSlots []int32 // recycled slot indices (holes in slots)
-	// LRU recency list endpoints (slot indices, -1 when empty).
+	// Recency list endpoints (slot indices, -1 when empty).
 	head, tail int32
-	// batch[:nBatch] are the LRU uses since the last flush, oldest first (a
-	// slot again at each use). Its length is lruBatch while the cache defers
-	// and 0 while it moves uses at once; it is nil for SRRIP.
+	// batch[:nBatch] are the uses since the last flush, oldest first (a slot
+	// again at each use). Its length is lruBatch while the cache defers and
+	// 0 while it moves uses at once; it is nil for a zero-budget cache.
 	batch  []int32
 	nBatch int
-	// quiet counts an undeferred LRU cache's uses since its last eviction.
+	// quiet counts an undeferred cache's uses since its last eviction.
 	quiet int
 	// used is the number of live entries.
 	used int
-	// hand is the SRRIP CLOCK pointer (an index into slots; sweeps skip
-	// dead slots).
-	hand int32
 }
 
 // NewDeviceCache returns a cache with a budget of capBytes of row storage.
-func NewDeviceCache(capBytes int64, policy Policy) *DeviceCache {
+func NewDeviceCache(capBytes int64) *DeviceCache {
 	if capBytes < 0 {
 		panic(fmt.Sprintf("shard: negative cache capacity %d bytes", capBytes))
 	}
-	c := &DeviceCache{policy: policy, capBytes: capBytes, head: -1, tail: -1}
-	if policy == PolicyLRU && capBytes > 0 {
+	c := &DeviceCache{capBytes: capBytes, head: -1, tail: -1}
+	if capBytes > 0 {
 		c.batch = make([]int32, lruBatch)
 	}
 	return c
@@ -171,15 +137,12 @@ func (c *DeviceCache) tableIndex(table int) []int32 {
 // CapacityBytes returns the byte budget.
 func (c *DeviceCache) CapacityBytes() int64 { return c.capBytes }
 
-// UsedBytes returns the bytes currently held by live entries.
-func (c *DeviceCache) UsedBytes() int64 { return c.usedBytes }
-
 // Len returns the number of cached entries.
 func (c *DeviceCache) Len() int { return c.used }
 
-// Occupancy returns UsedBytes/CapacityBytes (0 for a zero-budget cache) —
-// the byte-denominated fill fraction, identical in meaning whatever mix of
-// entry widths the budget holds.
+// Occupancy returns the bytes live entries hold over CapacityBytes (0 for a
+// zero-budget cache) — the byte-denominated fill fraction, identical in
+// meaning whatever mix of entry widths the budget holds.
 func (c *DeviceCache) Occupancy() float64 {
 	if c.capBytes == 0 {
 		return 0
@@ -192,23 +155,8 @@ func (c *DeviceCache) Occupancy() float64 {
 //hotline:hotpath
 func (c *DeviceCache) Contains(key uint64) bool { return c.slotOf(key) >= 0 }
 
-// Lookup probes the cache, updates replacement state, and reports whether
-// key hit and the hit entry's storage width. It never admits: admission is a
-// separate policy decision made by the Service (the popularity classifier
-// picks the tier).
-//
-//hotline:hotpath
-func (c *DeviceCache) Lookup(key uint64) (Width, bool) {
-	i := c.slotOf(key)
-	if i < 0 {
-		return WidthFP32, false
-	}
-	c.use(i)
-	return c.slots[i].width, true
-}
-
-// use records a use of live slot i: SRRIP marks it near re-reference; LRU
-// defers it (mark) or moves the slot to the list's front at once.
+// use records a use of live slot i: it defers it (mark) or moves the slot to
+// the list's front at once.
 //
 //hotline:hotpath
 func (c *DeviceCache) use(i int32) {
@@ -217,10 +165,9 @@ func (c *DeviceCache) use(i int32) {
 	}
 }
 
-// mark is use's common case, small enough to inline: an LRU use deferred
-// into a batch with room. It reports false, doing nothing, on a full batch,
-// an LRU cache that does not defer, or an SRRIP cache, where the caller calls
-// useSlow.
+// mark is use's common case, small enough to inline: a use deferred into a
+// batch with room. It reports false, doing nothing, on a full batch or a
+// cache that does not defer, where the caller calls useSlow.
 //
 //hotline:hotpath
 func (c *DeviceCache) mark(i int32) bool {
@@ -230,19 +177,15 @@ func (c *DeviceCache) mark(i int32) bool {
 	}
 	c.batch[n] = i
 	c.nBatch = n + 1
-	c.slots[i].state = lruUsed
+	c.slots[i].used = true
 	return true
 }
 
-// useSlow is use past mark: SRRIP's use, a full batch's flush, or an LRU
-// cache that moves uses at once moving slot i to the list's front.
+// useSlow is use past mark: a full batch's flush, or a cache that moves uses
+// at once moving slot i to the list's front.
 //
 //hotline:hotpath
 func (c *DeviceCache) useSlow(i int32) {
-	if c.policy == PolicySRRIP {
-		c.slots[i].state = 0
-		return
-	}
 	if len(c.batch) > 0 { // the batch is full
 		c.flush()
 		c.mark(i)
@@ -267,8 +210,8 @@ func (c *DeviceCache) useSlow(i int32) {
 }
 
 // Insert admits key as an entry of `bytes` bytes stored at width, evicting
-// per the policy until it fits — a wide fp32 admission may displace several
-// narrow warm-tier entries. Inserting a present key at its current width
+// the least recently used entries until it fits — a wide fp32 admission may
+// displace several narrow warm-tier entries. Inserting a present key at its current width
 // only refreshes its replacement state; at a different width it is
 // re-admitted (the old entry is dropped uncounted, the fresh one may evict).
 // Returns whether the key was admitted (false only when it cannot fit the
@@ -308,7 +251,7 @@ func (c *DeviceCache) admit(key uint64, width Width, bytes int64) (admitted bool
 			c.batch = c.batch[:0]
 		}
 		for c.usedBytes+bytes > c.capBytes && c.used > 0 {
-			c.removeSlot(c.victim())
+			c.removeSlot(c.tail) // the list holds every use: none is deferred now
 			evictions++
 		}
 	}
@@ -319,9 +262,7 @@ func (c *DeviceCache) admit(key uint64, width Width, bytes int64) (admitted bool
 	s.key, s.width, s.bytes = key, width, int32(bytes)
 	s.prev, s.next = detached, detached
 	c.setSlot(key, i)
-	if c.policy == PolicySRRIP {
-		s.state = cacheRRPVMax - 1 // SRRIP admits at long re-reference
-	} else if !c.mark(i) { // an LRU admission is a use
+	if !c.mark(i) { // an admission is a use
 		c.useSlow(i)
 	}
 	c.usedBytes += bytes
@@ -351,58 +292,9 @@ func (c *DeviceCache) removeSlot(i int32) {
 		c.unlink(i)
 	}
 	c.usedBytes -= int64(c.slots[i].bytes)
-	c.slots[i] = cacheSlot{}             // bytes == 0 marks the slot dead, and it is unmarked
+	c.slots[i] = cacheSlot{}             // unmarked, off the list
 	c.freeSlots = append(c.freeSlots, i) //hotline:allow hotalloc free list is bounded by the widest/narrowest entry ratio and recycles
 	c.used--
-}
-
-// victim selects the slot to evict. LRU takes the recency-list tail (admit
-// has flushed the deferred uses); SRRIP sweeps the CLOCK hand for a distant
-// (state == cacheRRPVMax) entry, aging entries it passes — the amortised-O(1)
-// equivalent of SRRIP's "age all, rescan" loop.
-// Callers guarantee at least one live entry. Dead slots (recycled holes) are
-// skipped without aging.
-//
-//hotline:hotpath
-func (c *DeviceCache) victim() int32 {
-	if c.policy == PolicyLRU {
-		return c.tail
-	}
-	for {
-		i := c.hand
-		c.hand++
-		if int(c.hand) >= len(c.slots) {
-			c.hand = 0
-		}
-		if c.slots[i].bytes == 0 {
-			continue
-		}
-		if c.slots[i].state >= cacheRRPVMax {
-			return i
-		}
-		c.slots[i].state++
-	}
-}
-
-// Reset drops all contents. The index and slot arrays are retained: the
-// live entries' index cells are zeroed in place (work proportional to the
-// contents, not to the tables), so reset-heavy measurement loops stay
-// allocation-free — TestDeviceCacheResetZeroAlloc gates this.
-//
-//hotline:hotpath
-func (c *DeviceCache) Reset() {
-	for i := range c.slots {
-		if c.slots[i].bytes != 0 {
-			c.setSlot(c.slots[i].key, -1)
-		}
-	}
-	c.slots = c.slots[:0]
-	c.freeSlots = c.freeSlots[:0]
-	c.head, c.tail, c.used, c.hand = -1, -1, 0, 0
-	c.usedBytes = 0
-	if c.batch != nil {
-		c.batch, c.nBatch = c.batch[:lruBatch], 0
-	}
 }
 
 // --- intrusive LRU recency list ------------------------------------------
@@ -418,10 +310,10 @@ func (c *DeviceCache) flush() {
 	for j := c.nBatch - 1; j >= 0; j-- {
 		i := c.batch[j]
 		s := &c.slots[i]
-		if s.state != lruUsed {
+		if !s.used {
 			continue
 		}
-		s.state = 0
+		s.used = false
 		if s.prev != detached {
 			c.unlink(i)
 		}

@@ -7,10 +7,21 @@ import "testing"
 // replacement-policy tests keep their shape.
 func ins(c *DeviceCache, k uint64) (bool, int) { return c.Insert(k, WidthFP32, 1) }
 
-func hit(c *DeviceCache, k uint64) bool { _, ok := c.Lookup(k); return ok }
+// probe is a walk's probe of one key: the index load and, on a hit, a use.
+// It reports the hit entry's width and whether key hit.
+func probe(c *DeviceCache, k uint64) (Width, bool) {
+	i := c.slotOf(k)
+	if i < 0 {
+		return WidthFP32, false
+	}
+	c.use(i)
+	return c.slots[i].width, true
+}
+
+func hit(c *DeviceCache, k uint64) bool { _, ok := probe(c, k); return ok }
 
 func TestLRUEvictsLeastRecent(t *testing.T) {
-	c := newCache(2, PolicyLRU)
+	c := newCache(2)
 	ins(c, 1)
 	ins(c, 2)
 	if !hit(c, 1) { // 1 becomes most recent
@@ -25,37 +36,13 @@ func TestLRUEvictsLeastRecent(t *testing.T) {
 	if !c.Contains(1) || !c.Contains(3) {
 		t.Fatal("1 and 3 must survive")
 	}
-	if c.Len() != 2 || c.UsedBytes() != 2 {
-		t.Fatalf("len %d used %d, want 2/2", c.Len(), c.UsedBytes())
-	}
-}
-
-func TestSRRIPKeepsReReferencedEntries(t *testing.T) {
-	c := newCache(4, PolicySRRIP)
-	for k := uint64(1); k <= 4; k++ {
-		ins(c, k)
-	}
-	// Promote 1 and 2 to near re-reference; scan keys 10..17 through.
-	c.Lookup(1)
-	c.Lookup(2)
-	evicts := 0
-	for k := uint64(10); k < 18; k++ {
-		_, ev := ins(c, k)
-		evicts += ev
-	}
-	// The re-referenced entries should have outlived at least the first
-	// wave of scan insertions (scan resistance vs LRU, which would have
-	// dropped everything).
-	if evicts != 8 {
-		t.Fatalf("evicts = %d want 8", evicts)
-	}
-	if c.Len() != 4 {
-		t.Fatalf("len = %d want 4", c.Len())
+	if c.Len() != 2 || c.usedBytes != 2 {
+		t.Fatalf("len %d used %d, want 2/2", c.Len(), c.usedBytes)
 	}
 }
 
 func TestZeroCapacityCacheAlwaysMisses(t *testing.T) {
-	c := newCache(0, PolicyLRU)
+	c := newCache(0)
 	if ok, _ := ins(c, 1); ok {
 		t.Fatal("zero-capacity insert must be a no-op")
 	}
@@ -68,7 +55,7 @@ func TestZeroCapacityCacheAlwaysMisses(t *testing.T) {
 }
 
 func TestInsertExistingRefreshes(t *testing.T) {
-	c := newCache(2, PolicyLRU)
+	c := newCache(2)
 	ins(c, 1)
 	ins(c, 2)
 	ins(c, 1) // refresh, not duplicate
@@ -81,28 +68,13 @@ func TestInsertExistingRefreshes(t *testing.T) {
 	}
 }
 
-func TestCacheReset(t *testing.T) {
-	c := newCache(4, PolicySRRIP)
-	for k := uint64(0); k < 8; k++ {
-		ins(c, k)
-	}
-	c.Reset()
-	if c.Len() != 0 || c.UsedBytes() != 0 || hit(c, 7) {
-		t.Fatal("reset must clear contents")
-	}
-	ins(c, 42)
-	if !c.Contains(42) {
-		t.Fatal("cache must be usable after reset")
-	}
-}
-
-// TestCacheHitMissCounters: Lookup reports a hit and a miss, and the
+// TestCacheHitMissCounters: a probe reports a hit and a miss, and the
 // Service counts each cache event once, in its Stats.
 func TestCacheHitMissCounters(t *testing.T) {
-	c := newCache(8, PolicyLRU)
+	c := newCache(8)
 	ins(c, 5)
 	if !hit(c, 5) || hit(c, 6) {
-		t.Fatal("Lookup must report 5 as a hit and 6 as a miss")
+		t.Fatal("a probe must report 5 as a hit and 6 as a miss")
 	}
 
 	s := register(New(cfg(2, 8), nil), 2, 0)
@@ -121,8 +93,8 @@ func TestCacheHitMissCounters(t *testing.T) {
 func TestByteBudgetHoldsMoreNarrowRows(t *testing.T) {
 	const dim = 32
 	budget := WidthFP32.RowBytes(dim) * 64 // exactly 64 fp32 rows
-	fp32 := newCache(budget, PolicyLRU)
-	i8 := newCache(budget, PolicyLRU)
+	fp32 := newCache(budget)
+	i8 := newCache(budget)
 	for k := uint64(0); k < 10_000; k++ {
 		fp32.Insert(k, WidthFP32, WidthFP32.RowBytes(dim))
 		i8.Insert(k, WidthINT8, WidthINT8.RowBytes(dim))
@@ -139,8 +111,8 @@ func TestByteBudgetHoldsMoreNarrowRows(t *testing.T) {
 	if occ := i8.Occupancy(); occ < 0.95 || occ > 1 {
 		t.Fatalf("full int8 cache occupancy = %g, want ~1 (same byte semantics)", occ)
 	}
-	if fp32.UsedBytes() > budget || i8.UsedBytes() > budget {
-		t.Fatalf("budget overrun: fp32 %d, int8 %d, budget %d", fp32.UsedBytes(), i8.UsedBytes(), budget)
+	if fp32.usedBytes > budget || i8.usedBytes > budget {
+		t.Fatalf("budget overrun: fp32 %d, int8 %d, budget %d", fp32.usedBytes, i8.usedBytes, budget)
 	}
 }
 
@@ -149,7 +121,7 @@ func TestByteBudgetHoldsMoreNarrowRows(t *testing.T) {
 func TestWideInsertEvictsSeveralNarrow(t *testing.T) {
 	const dim = 16
 	budget := WidthINT8.RowBytes(dim) * 8 // 8 int8 rows, 160 bytes
-	c := newCache(budget, PolicyLRU)
+	c := newCache(budget)
 	for k := uint64(0); k < 8; k++ {
 		c.Insert(k, WidthINT8, WidthINT8.RowBytes(dim))
 	}
@@ -160,8 +132,8 @@ func TestWideInsertEvictsSeveralNarrow(t *testing.T) {
 	if c.Len() != 8-ev+1 {
 		t.Fatalf("len %d after %d evictions from 8 rows and one admission", c.Len(), ev)
 	}
-	if c.UsedBytes() > budget {
-		t.Fatalf("used %d > budget %d after mixed-width eviction", c.UsedBytes(), budget)
+	if c.usedBytes > budget {
+		t.Fatalf("used %d > budget %d after mixed-width eviction", c.usedBytes, budget)
 	}
 	if !c.Contains(100) {
 		t.Fatal("wide entry must be admitted")
@@ -171,7 +143,7 @@ func TestWideInsertEvictsSeveralNarrow(t *testing.T) {
 // TestUnfittableEntryRefused: an entry wider than the whole budget is
 // refused without evicting anything.
 func TestUnfittableEntryRefused(t *testing.T) {
-	c := newCache(16, PolicyLRU)
+	c := newCache(16)
 	ins(c, 1)
 	if ok, ev := c.Insert(2, WidthFP32, 64); ok || ev != 0 {
 		t.Fatalf("unfittable insert: admitted=%v evictions=%d, want refusal", ok, ev)
@@ -186,9 +158,9 @@ func TestUnfittableEntryRefused(t *testing.T) {
 // replacement as an eviction.
 func TestWidthChangeReadmits(t *testing.T) {
 	const dim = 8
-	c := newCache(WidthFP32.RowBytes(dim)*4, PolicyLRU)
+	c := newCache(WidthFP32.RowBytes(dim) * 4)
 	c.Insert(7, WidthINT8, WidthINT8.RowBytes(dim))
-	before := c.UsedBytes()
+	before := c.usedBytes
 	_, ev := c.Insert(7, WidthFP32, WidthFP32.RowBytes(dim))
 	if c.Len() != 1 {
 		t.Fatalf("len = %d want 1 after width change", c.Len())
@@ -196,11 +168,11 @@ func TestWidthChangeReadmits(t *testing.T) {
 	if ev != 0 {
 		t.Fatalf("width change counted %d evictions, want 0", ev)
 	}
-	if c.UsedBytes() == before {
+	if c.usedBytes == before {
 		t.Fatal("usedBytes must track the new width")
 	}
-	if w, ok := c.Lookup(7); !ok || w != WidthFP32 {
-		t.Fatalf("Lookup(7) = (%v, %v), want fp32 hit", w, ok)
+	if w, ok := probe(c, 7); !ok || w != WidthFP32 {
+		t.Fatalf("probe(7) = (%v, %v), want fp32 hit", w, ok)
 	}
 }
 
@@ -208,18 +180,18 @@ func TestWidthChangeReadmits(t *testing.T) {
 // width, fp32 hits report fp32, and the Service counts a warm-tier hit once
 // as a QuantHit.
 func TestLookupReportsWidthAndQuantHits(t *testing.T) {
-	c := newCache(1024, PolicyLRU)
+	c := newCache(1024)
 	c.Insert(1, WidthFP32, 64)
 	c.Insert(2, WidthINT8, 20)
 	c.Insert(3, WidthFP16, 32)
-	if w, ok := c.Lookup(2); !ok || w != WidthINT8 {
-		t.Fatalf("Lookup(2) = (%v, %v)", w, ok)
+	if w, ok := probe(c, 2); !ok || w != WidthINT8 {
+		t.Fatalf("probe(2) = (%v, %v)", w, ok)
 	}
-	if w, ok := c.Lookup(3); !ok || w != WidthFP16 {
-		t.Fatalf("Lookup(3) = (%v, %v)", w, ok)
+	if w, ok := probe(c, 3); !ok || w != WidthFP16 {
+		t.Fatalf("probe(3) = (%v, %v)", w, ok)
 	}
-	if w, ok := c.Lookup(1); !ok || w != WidthFP32 {
-		t.Fatalf("Lookup(1) = (%v, %v)", w, ok)
+	if w, ok := probe(c, 1); !ok || w != WidthFP32 {
+		t.Fatalf("probe(1) = (%v, %v)", w, ok)
 	}
 
 	s := register(New(Config{Nodes: 2, CacheBytes: 1 << 12, RowBytes: 64, Quant: QuantINT8}, nil), 2, 0)
@@ -228,40 +200,5 @@ func TestLookupReportsWidthAndQuantHits(t *testing.T) {
 	s.RecordGather(0, idx)
 	if st := s.Snapshot(); st.QuantHits != 1 || st.CacheHits != 1 {
 		t.Fatalf("quantHits=%d hits=%d, want 1/1", st.QuantHits, st.CacheHits)
-	}
-}
-
-// TestSRRIPSweepSkipsRecycledSlots: mixed-width eviction leaves holes in the
-// slot table; the CLOCK sweep must keep terminating and selecting victims.
-func TestSRRIPSweepSkipsRecycledSlots(t *testing.T) {
-	const dim = 16
-	budget := WidthINT8.RowBytes(dim) * 12
-	c := newCache(budget, PolicySRRIP)
-	for k := uint64(0); k < 12; k++ {
-		c.Insert(k, WidthINT8, WidthINT8.RowBytes(dim))
-	}
-	// Wide inserts punch multi-slot holes; follow with narrow refills.
-	for round := uint64(0); round < 20; round++ {
-		c.Insert(100+round, WidthFP32, WidthFP32.RowBytes(dim))
-		c.Insert(200+round, WidthINT8, WidthINT8.RowBytes(dim))
-	}
-	if c.UsedBytes() > budget {
-		t.Fatalf("used %d > budget %d", c.UsedBytes(), budget)
-	}
-	if c.Len() == 0 {
-		t.Fatal("cache must still hold entries")
-	}
-	// Every resident key must still hit.
-	hits := 0
-	for k := uint64(0); k < 300; k++ {
-		if c.Contains(k) {
-			if !hit(c, k) {
-				t.Fatalf("resident key %d must hit", k)
-			}
-			hits++
-		}
-	}
-	if hits != c.Len() {
-		t.Fatalf("resident sweep found %d keys, Len reports %d", hits, c.Len())
 	}
 }

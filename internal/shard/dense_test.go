@@ -11,17 +11,16 @@ import (
 )
 
 // mapCache is the device cache as it was before the dense index: the same
-// slot table, free list, recency list and CLOCK hand behind a Go map. It is
-// the model TestDeviceCacheMatchesMapModel holds the dense-indexed cache to.
+// slot table, free list and recency list behind a Go map, every use moved at
+// once. It is the model TestDeviceCacheMatchesMapModel holds the
+// dense-indexed cache to.
 type mapCache struct {
-	policy    Policy
 	capBytes  int64
 	usedBytes int64
 	index     map[uint64]int
 	slots     []cacheSlot
 	free      []int
 	lru       []int // slot ids, most recent first
-	hand      int
 
 	// evicts and quantHits are the model's own tallies, kept to show the
 	// random sequence reached both; victims lists the keys evicted, in order.
@@ -29,15 +28,11 @@ type mapCache struct {
 	victims           []uint64
 }
 
-func newMapCache(capBytes int64, policy Policy) *mapCache {
-	return &mapCache{policy: policy, capBytes: capBytes, index: make(map[uint64]int)}
+func newMapCache(capBytes int64) *mapCache {
+	return &mapCache{capBytes: capBytes, index: make(map[uint64]int)}
 }
 
 func (c *mapCache) touch(i int) {
-	if c.policy == PolicySRRIP {
-		c.slots[i].state = 0
-		return
-	}
 	c.lru = slices.Insert(slices.DeleteFunc(c.lru, func(s int) bool { return s == i }), 0, i)
 }
 
@@ -61,25 +56,6 @@ func (c *mapCache) remove(i int) {
 	c.free = append(c.free, i)
 }
 
-func (c *mapCache) victim() int {
-	if c.policy == PolicyLRU {
-		return c.lru[len(c.lru)-1]
-	}
-	for {
-		i := c.hand
-		if c.hand++; c.hand >= len(c.slots) {
-			c.hand = 0
-		}
-		if c.slots[i].bytes == 0 {
-			continue
-		}
-		if c.slots[i].state >= cacheRRPVMax {
-			return i
-		}
-		c.slots[i].state++
-	}
-}
-
 func (c *mapCache) insert(key uint64, width Width, bytes int64) (bool, int) {
 	if c.capBytes == 0 || bytes <= 0 || bytes > c.capBytes {
 		return false, 0
@@ -93,7 +69,7 @@ func (c *mapCache) insert(key uint64, width Width, bytes int64) (bool, int) {
 	}
 	evictions := 0
 	for c.usedBytes+bytes > c.capBytes && len(c.index) > 0 {
-		v := c.victim()
+		v := c.lru[len(c.lru)-1]
 		c.victims = append(c.victims, c.slots[v].key)
 		c.remove(v)
 		c.evicts++
@@ -106,24 +82,22 @@ func (c *mapCache) insert(key uint64, width Width, bytes int64) (bool, int) {
 		c.slots = append(c.slots, cacheSlot{})
 		i = len(c.slots) - 1
 	}
-	c.slots[i] = cacheSlot{key: key, state: cacheRRPVMax - 1, width: width, bytes: int32(bytes)}
+	c.slots[i] = cacheSlot{key: key, width: width, bytes: int32(bytes)}
 	c.index[key] = i
 	c.lru = slices.Insert(c.lru, 0, i)
 	c.usedBytes += bytes
 	return true, evictions
 }
 
-func (c *mapCache) reset() { *c = *newMapCache(c.capBytes, c.policy) }
-
 // TestDeviceCacheMatchesMapModel drives the dense-indexed cache and the
-// map-backed model with the same random Lookup / Insert / width-change /
-// Reset sequence, under both policies, and requires, operation by operation,
-// the same Lookup and Insert results, victims (the resident set is compared
-// after every admission), entry count and bytes held. Keys span three
-// tables, each sized up front as registration sizes it. A second phase
-// alternates runs of hits and refreshes on resident keys, each longer than an
-// LRU cache's batch of deferred uses (so the cache returns to deferring and
-// flushes a full batch), with bursts of admissions that evict.
+// map-backed model with the same random probe / Insert / width-change
+// sequence and requires, operation by operation, the same probe and Insert
+// results, victims (the resident set is compared after every admission),
+// entry count and bytes held. Keys span three tables, each sized up front as
+// registration sizes it. A second phase alternates runs of hits and
+// refreshes on resident keys, each longer than the cache's batch of deferred
+// uses (so the cache returns to deferring and flushes a full batch), with
+// bursts of admissions that evict.
 func TestDeviceCacheMatchesMapModel(t *testing.T) {
 	const dim, universe = 16, 96
 	widths := []Width{WidthFP32, WidthFP16, WidthINT8}
@@ -131,100 +105,93 @@ func TestDeviceCacheMatchesMapModel(t *testing.T) {
 	for i := range keys {
 		keys[i] = key(i%3, int32(i/3*7)) // rows 0,7,14,…: the index has gaps
 	}
-	for _, policy := range []Policy{PolicyLRU, PolicySRRIP} {
-		rng := tensor.NewRNG(uint64(11 + policy))
-		budget := 12 * WidthFP32.RowBytes(dim)
-		c, m := NewDeviceCache(budget, policy), newMapCache(budget, policy)
-		for tb := range 3 {
-			c.SizeTable(tb, universe/3*7)
-		}
-		resident := func(where string, step int) {
-			t.Helper()
-			for _, k := range keys {
-				_, want := m.index[k]
-				if c.Contains(k) != want {
-					t.Fatalf("%v step %d (%s): key %x resident = %v, model says %v (model victims so far %x)",
-						policy, step, where, k, !want, want, m.victims)
-				}
+	rng := tensor.NewRNG(11)
+	budget := 12 * WidthFP32.RowBytes(dim)
+	c, m := NewDeviceCache(budget), newMapCache(budget)
+	for tb := range 3 {
+		c.SizeTable(tb, universe/3*7)
+	}
+	resident := func(where string, step int) {
+		t.Helper()
+		for _, k := range keys {
+			_, want := m.index[k]
+			if c.Contains(k) != want {
+				t.Fatalf("step %d (%s): key %x resident = %v, model says %v (model victims so far %x)",
+					step, where, k, !want, want, m.victims)
 			}
 		}
-		lookup := func(step int, k uint64) {
-			t.Helper()
-			gw, gh := c.Lookup(k)
-			ww, wh := m.lookup(k)
-			if gw != ww || gh != wh {
-				t.Fatalf("%v step %d: Lookup(%x) = (%v, %v), model (%v, %v)", policy, step, k, gw, gh, ww, wh)
+	}
+	lookup := func(step int, k uint64) {
+		t.Helper()
+		gw, gh := probe(c, k)
+		ww, wh := m.lookup(k)
+		if gw != ww || gh != wh {
+			t.Fatalf("step %d: probe(%x) = (%v, %v), model (%v, %v)", step, k, gw, gh, ww, wh)
+		}
+	}
+	insert := func(step int, k uint64, w Width) {
+		t.Helper()
+		gok, gev := c.Insert(k, w, w.RowBytes(dim))
+		wok, wev := m.insert(k, w, w.RowBytes(dim))
+		if gok != wok || gev != wev {
+			t.Fatalf("step %d: Insert(%x, %v) = (%v, %d evictions), model (%v, %d)", step, k, w, gok, gev, wok, wev)
+		}
+		resident("after insert", step)
+	}
+	held := func(step int) {
+		t.Helper()
+		if c.usedBytes != m.usedBytes || c.Len() != len(m.index) {
+			t.Fatalf("step %d: cache holds %d entries in %d bytes, model %d in %d", step,
+				c.Len(), c.usedBytes, len(m.index), m.usedBytes)
+		}
+	}
+	for step := 0; step < 20000; step++ {
+		k := keys[rng.Intn(universe)]
+		if rng.Intn(100) < 55 {
+			lookup(step, k)
+		} else {
+			// A key's width is usually a function of the key, so most
+			// re-inserts refresh; one in eight moves it to another tier.
+			w := widths[int(k)%len(widths)]
+			if rng.Intn(8) == 0 {
+				w = widths[rng.Intn(len(widths))]
+			}
+			insert(step, k, w)
+		}
+		held(step)
+	}
+	if m.evicts == 0 || m.quantHits == 0 {
+		t.Fatalf("the sequence never evicted (%d) or hit a narrow entry (%d)", m.evicts, m.quantHits)
+	}
+
+	evicts := m.evicts
+	step := 20000
+	for range 12 {
+		var hold []uint64
+		for _, k := range keys {
+			if _, ok := m.index[k]; ok {
+				hold = append(hold, k)
 			}
 		}
-		insert := func(step int, k uint64, w Width) {
-			t.Helper()
-			gok, gev := c.Insert(k, w, w.RowBytes(dim))
-			wok, wev := m.insert(k, w, w.RowBytes(dim))
-			if gok != wok || gev != wev {
-				t.Fatalf("%v step %d: Insert(%x, %v) = (%v, %d evictions), model (%v, %d)", policy, step, k, w, gok, gev, wok, wev)
-			}
-			resident("after insert", step)
-		}
-		held := func(step int) {
-			t.Helper()
-			if c.UsedBytes() != m.usedBytes || c.Len() != len(m.index) {
-				t.Fatalf("%v step %d: cache holds %d entries in %d bytes, model %d in %d", policy, step,
-					c.Len(), c.UsedBytes(), len(m.index), m.usedBytes)
-			}
-		}
-		for step := 0; step < 20000; step++ {
-			k := keys[rng.Intn(universe)]
-			switch op := rng.Intn(100); {
-			case op < 55:
+		for range 3*lruBatch + 17 {
+			k := hold[rng.Intn(len(hold))]
+			if rng.Intn(4) == 0 {
+				insert(step, k, m.slots[m.index[k]].width) // a same-width refresh
+			} else {
 				lookup(step, k)
-			case op < 99:
-				// A key's width is usually a function of the key, so most
-				// re-inserts refresh; one in eight moves it to another tier.
-				w := widths[int(k)%len(widths)]
-				if rng.Intn(8) == 0 {
-					w = widths[rng.Intn(len(widths))]
-				}
-				insert(step, k, w)
-			default:
-				c.Reset()
-				m.reset()
-				resident("after reset", step)
 			}
 			held(step)
+			step++
 		}
-		if m.evicts == 0 || m.quantHits == 0 {
-			t.Fatalf("%v: the sequence never evicted (%d) or hit a narrow entry (%d)", policy, m.evicts, m.quantHits)
+		for range 1 + rng.Intn(6) {
+			k := keys[rng.Intn(universe)]
+			insert(step, k, widths[int(k)%len(widths)])
+			held(step)
+			step++
 		}
-
-		evicts := m.evicts
-		step := 20000
-		for range 12 {
-			var hold []uint64
-			for _, k := range keys {
-				if _, ok := m.index[k]; ok {
-					hold = append(hold, k)
-				}
-			}
-			for range 3*lruBatch + 17 {
-				k := hold[rng.Intn(len(hold))]
-				if rng.Intn(4) == 0 {
-					insert(step, k, m.slots[m.index[k]].width) // a same-width refresh
-				} else {
-					lookup(step, k)
-				}
-				held(step)
-				step++
-			}
-			for range 1 + rng.Intn(6) {
-				k := keys[rng.Intn(universe)]
-				insert(step, k, widths[int(k)%len(widths)])
-				held(step)
-				step++
-			}
-		}
-		if m.evicts == evicts {
-			t.Fatalf("%v: the hit runs' bursts never evicted", policy)
-		}
+	}
+	if m.evicts == evicts {
+		t.Fatal("the hit runs' bursts never evicted")
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package shard is the sharded embedding service: it partitions embedding
 // table rows across N simulated nodes under a pluggable ownership policy,
 // replicates popularity-classified entries into a bounded per-node device
-// cache (LRU or SRRIP eviction), accounts the deterministic all-to-all
+// cache (exact LRU eviction), accounts the deterministic all-to-all
 // gather/scatter traffic that non-resident rows incur, and can execute
 // that traffic asynchronously so gathers overlap with compute.
 //

@@ -33,8 +33,6 @@ type Config struct {
 	CacheBytes int64
 	// RowBytes is one embedding row's footprint (EmbedDim * 4 for float32).
 	RowBytes int64
-	// Policy selects the device-cache eviction policy (default LRU).
-	Policy Policy
 	// Quant selects the device caches' precision tiering (default QuantOff:
 	// every cached row is fp32 and training is bit-identical to the
 	// untiered cache). See QuantMode.
@@ -401,7 +399,7 @@ func New(cfg Config, hot HotClassifier) *Service {
 	}
 	s := &Service{cfg: cfg, hot: hot, part: part, caches: make([]*DeviceCache, cfg.Nodes), tr: NewInproc()}
 	for n := range s.caches {
-		s.caches[n] = NewDeviceCache(cfg.CacheBytes, cfg.Policy)
+		s.caches[n] = NewDeviceCache(cfg.CacheBytes)
 	}
 	s.gather = newAsyncGatherer(s)
 	return s
@@ -856,14 +854,6 @@ func (s *Service) ServeSnapshot() Stats {
 func (s *Service) ResetStats() {
 	s.statsMu.Lock()
 	s.stats = Stats{}
-	s.statsMu.Unlock()
-}
-
-// ResetServeStats zeroes the serve-path counters, keeping cache contents
-// and the training counters (per-day serve windows under drift).
-func (s *Service) ResetServeStats() {
-	s.statsMu.Lock()
-	s.serveStats = Stats{}
 	s.statsMu.Unlock()
 }
 

@@ -44,8 +44,8 @@ func register(s *Service, rows int, tables ...int) *Service {
 
 // newCache is NewDeviceCache with table 0's index sized, as the Service sizes
 // a registered table's, for the rows the cache tests key (below 10 000).
-func newCache(capBytes int64, policy Policy) *DeviceCache {
-	c := NewDeviceCache(capBytes, policy)
+func newCache(capBytes int64) *DeviceCache {
+	c := NewDeviceCache(capBytes)
 	c.SizeTable(0, 10_000)
 	return c
 }
@@ -272,7 +272,7 @@ func TestDeterministicReplay(t *testing.T) {
 	// Identical access streams on identical services produce identical
 	// counters and cache contents, including under a tight cache.
 	run := func() Stats {
-		s := register(New(Config{Nodes: 4, CacheBytes: 4 * 64, RowBytes: 64, Policy: PolicySRRIP}, nil), 64, 0)
+		s := register(New(Config{Nodes: 4, CacheBytes: 4 * 64, RowBytes: 64}, nil), 64, 0)
 		for i := 0; i < 50; i++ {
 			idx := make([][]int32, 8)
 			for b := range idx {

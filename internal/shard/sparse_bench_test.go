@@ -11,7 +11,7 @@ import (
 // One table of the benchmark's sparse-inproc workload, as the accounting
 // walks see it: 256 bags x 8 lookups, Zipf 1.6 over 24 000 rows, 4 nodes, a
 // cache that holds every row. go test -run '^$' -bench
-// 'BenchmarkPlanGather|BenchmarkServeGather|BenchmarkRecordScatter|BenchmarkDeviceCacheLookup'
+// 'BenchmarkPlanGather|BenchmarkServeGather|BenchmarkRecordScatter'
 // -cpu 1 ./internal/shard/
 const (
 	sparseRows    = 24000
@@ -178,26 +178,6 @@ func BenchmarkRecordScatter(b *testing.B) {
 	i := 0
 	for b.Loop() {
 		s.RecordScatter(0, batches[i%sparseBatches])
-		i++
-	}
-}
-
-// BenchmarkDeviceCacheLookup times one step's worth of hit probes (2 048)
-// against one node's full LRU cache.
-func BenchmarkDeviceCacheLookup(b *testing.B) {
-	batches := zipfBatches(3, sparseZipf)
-	c := NewDeviceCache(sparseRows*sparseDim*4, PolicyLRU)
-	c.SizeTable(0, sparseRows)
-	for r := int32(0); r < sparseRows; r++ {
-		c.Insert(key(0, r), WidthFP32, sparseDim*4)
-	}
-	i := 0
-	for b.Loop() {
-		for _, bag := range batches[i%sparseBatches] {
-			for _, ix := range bag {
-				c.Lookup(key(0, ix))
-			}
-		}
 		i++
 	}
 }
