@@ -4,6 +4,9 @@
 // percentiles. Optionally it trains concurrently on the same weights
 // (-train), exercising the mixed train+serve path the parity tests pin
 // down, or sweeps the offered rate to find the saturation knee (-sweep).
+// Requests only read the device caches: a -train run fills them as it
+// trains, and a serve-only run first preloads the hot set learned from one
+// profiled epoch.
 //
 // Usage:
 //
@@ -23,6 +26,8 @@ import (
 	"time"
 
 	"hotline"
+	"hotline/internal/data"
+	"hotline/internal/embedding"
 )
 
 func main() {
@@ -55,12 +60,20 @@ func main() {
 	svc := hotline.NewShardService(hotline.ShardConfig{
 		Nodes: *nodes, CacheBytes: 1 << 20, RowBytes: int64(cfg.EmbedDim) * 4,
 	}, nil)
-	// The sharded trainer shards the model itself; serve-only runs shard here.
+	// The sharded trainer shards the model itself and fills the caches as it
+	// trains. Serve-only runs shard here and preload the learned hot set, as
+	// the learning phase does: a request writes no cache, so without it every
+	// remote read would miss.
 	var tr hotline.Trainer
 	if *doTrain {
 		tr = hotline.NewHotlineShardedTrainer(m, float32(*lr), svc)
 	} else {
 		m.ShardEmbeddings(svc)
+		prof := data.ProfileEpoch(data.NewGenerator(cfg), 512)
+		hot := embedding.PlacementFromCounts(prof.Counts(), cfg.NumTables, cfg.EmbedDim, svc.Config().CacheBytes)
+		for t := 0; t < cfg.NumTables; t++ {
+			svc.Preload(t, hot.HotRows(t))
+		}
 	}
 	srv := hotline.NewServer(m, *replicas)
 	corpus := hotline.BuildServeCorpus(cfg, *days, *perDay, *reqBatch)
