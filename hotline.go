@@ -157,9 +157,9 @@ type ShardMeasurement = pipeline.ShardMeasurement
 type ShardProbe = pipeline.ShardProbe
 
 // MeasureShard replays a real access stream against a sharded service under
-// the probe's ownership placement (round-robin,
-// capacity-weighted, hot-aware) and returns steady-state measurements
-// (memoised per full probe identity).
+// the probe's ownership placement (round-robin, capacity-weighted,
+// hot-aware) and returns steady-state measurements (memoised per full probe
+// identity).
 var MeasureShard = pipeline.MeasureShard
 
 // NewShardedWorkload assembles a workload whose timing models consume

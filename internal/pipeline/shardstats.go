@@ -115,14 +115,13 @@ const measureIters = 4
 const measureWarmup = 2
 
 // MeasureShard replays a real access stream against a sharded service under
-// the probe's ownership placement (round-robin,
-// capacity-weighted from per-node HBM budgets, or hot-aware — popular rows
-// pinned to their dominant requesting node, counted over the same stream
-// the measurement replays): it profiles an epoch, builds the access-aware
-// placement (the EAL-learned hot set), preloads the hot rows into the
-// per-node device caches, streams warm-up batches, then measures
-// steady-state cache hit-rates and gather/scatter volumes over several
-// iterations. Results are memoised per full probe identity and
+// the probe's ownership placement (round-robin, capacity-weighted from
+// per-node HBM budgets, or hot-aware — popular rows pinned to their dominant
+// requesting node, counted over the same stream the measurement replays):
+// it profiles an epoch, builds the access-aware placement (the EAL-learned
+// hot set), preloads the hot rows into the per-node device caches, streams
+// warm-up batches, then measures steady-state cache hit-rates and
+// gather/scatter volumes over several iterations. Results are memoised per full probe identity and
 // deterministic for any concurrency. The replayed batch is capped at
 // maxShardBatch, so probes that differ only above the cap share one entry.
 func MeasureShard(cfg data.Config, p ShardProbe) ShardMeasurement {

@@ -30,10 +30,10 @@ type cacheSlot struct {
 // the capacity is denominated in HBM bytes end-to-end, matching how
 // placement reasons (NewCapacityWeightedHBM). It stores identifiers, widths
 // and footprints only — the simulated payload derives from the shard storage
-// through the fused dequantize-gather kernel. It keeps no event counters: Insert and
-// admit return what happened, and the Service counts each hit, miss and
-// eviction once, in Stats. The zero-budget cache is valid and misses every
-// probe.
+// through the fused dequantize-gather kernel. It keeps no event counters:
+// Insert and admit return what happened, and the Service counts each hit,
+// miss and eviction once, in Stats. The zero-budget cache is valid and misses
+// every probe.
 //
 // Keys are the service's (table << 32 | row) packing, and the key → slot
 // index is dense: one []int32 per table, indexed by row, holding the slot
@@ -211,8 +211,8 @@ func (c *DeviceCache) useSlow(i int32) {
 
 // Insert admits key as an entry of `bytes` bytes stored at width, evicting
 // the least recently used entries until it fits — a wide fp32 admission may
-// displace several narrow warm-tier entries. Inserting a present key at its current width
-// only refreshes its replacement state; at a different width it is
+// displace several narrow warm-tier entries. Inserting a present key at its
+// current width only refreshes its recency; at a different width it is
 // re-admitted (the old entry is dropped uncounted, the fresh one may evict).
 // Returns whether the key was admitted (false only when it cannot fit the
 // whole budget) and how many evictions the admission caused.
