@@ -1,7 +1,7 @@
 // Command hotline-bench regenerates the paper's tables and figures, the
 // design-choice ablations (abl-*), and the multi-node sharded-embedding
 // scenarios (mn-*: node-count scaling, cache-size ablation, evolving skew,
-// eviction policy — all measured against real shard and cache state).
+// ownership placement — all measured against real shard and cache state).
 //
 // Experiments fan out over a bounded worker pool (one worker per core by
 // default) and the tables print in stable id order; -json additionally

@@ -70,10 +70,7 @@ func main() {
 	} else {
 		m.ShardEmbeddings(svc)
 		prof := data.ProfileEpoch(data.NewGenerator(cfg), 512)
-		hot := embedding.PlacementFromCounts(prof.Counts(), cfg.NumTables, cfg.EmbedDim, svc.Config().CacheBytes)
-		for t := 0; t < cfg.NumTables; t++ {
-			svc.Preload(t, hot.HotRows(t))
-		}
+		svc.Relearn(embedding.PlacementFromCounts(prof.Counts(), cfg.NumTables, cfg.EmbedDim, svc.Config().CacheBytes))
 	}
 	srv := hotline.NewServer(m, *replicas)
 	corpus := hotline.BuildServeCorpus(cfg, *days, *perDay, *reqBatch)

@@ -2,6 +2,7 @@ package embedding
 
 import (
 	"cmp"
+	"iter"
 	"math/bits"
 	"slices"
 )
@@ -52,9 +53,18 @@ func (h hotSet) rows() []int32 {
 // when every row it touches, across all tables, is hot (the rule
 // data.PopularInputFraction and the accelerator's Classify apply).
 type Placement struct {
-	hot      []hotSet // per table: set of GPU-resident rows
+	hot []hotSet // per table: set of GPU-resident rows
+	// order lists every hot (table, row) in the order MarkHot first marked
+	// it: rank order, most popular first, for PlacementFromCounts.
+	order    []hotRow
 	Dim      int
 	HotBytes int64
+}
+
+// hotRow is one entry of a Placement's mark order.
+type hotRow struct {
+	table int32
+	row   int32
 }
 
 // NewPlacement returns an all-CPU placement for numTables tables of the
@@ -66,6 +76,7 @@ func NewPlacement(numTables, dim int) *Placement {
 // MarkHot places row of table on the GPU tier.
 func (p *Placement) MarkHot(table int, row int32) {
 	if p.hot[table].mark(row) {
+		p.order = append(p.order, hotRow{int32(table), row})
 		p.HotBytes += int64(p.Dim) * 4
 	}
 }
@@ -89,6 +100,19 @@ func (p *Placement) HotRows(table int) []int32 {
 	return p.hot[table].rows()
 }
 
+// Ranked yields every hot (table, row) in the order MarkHot first marked it
+// (shard.HotClassifier): for PlacementFromCounts, rank order, most popular
+// first — the order a service's swap admits the set in.
+func (p *Placement) Ranked() iter.Seq2[int, int32] {
+	return func(yield func(int, int32) bool) {
+		for _, h := range p.order {
+			if !yield(int(h.table), h.row) {
+				return
+			}
+		}
+	}
+}
+
 // AccessCount is a (table, row) access-frequency record.
 type AccessCount struct {
 	Table int
@@ -99,18 +123,15 @@ type AccessCount struct {
 // PlacementFromCounts builds the access-aware layout: rows are ranked by
 // access count globally and marked hot greedily until budgetBytes of HBM is
 // consumed. This models both Hotline's learning phase output and FAE's
-// offline profiler output.
+// offline profiler output. Counts already in rank order — as
+// data.AccessProfile.Counts returns them — are read as they are; others are
+// ranked on a copy.
 func PlacementFromCounts(counts []AccessCount, numTables, dim int, budgetBytes int64) *Placement {
-	sorted := slices.Clone(counts)
-	slices.SortFunc(sorted, func(a, b AccessCount) int {
-		if a.Count != b.Count {
-			return cmp.Compare(b.Count, a.Count)
-		}
-		if a.Table != b.Table {
-			return cmp.Compare(a.Table, b.Table)
-		}
-		return cmp.Compare(a.Row, b.Row)
-	})
+	sorted := counts
+	if !slices.IsSortedFunc(counts, byRank) {
+		sorted = slices.Clone(counts)
+		slices.SortFunc(sorted, byRank)
+	}
 	p := NewPlacement(numTables, dim)
 	rowBytes := int64(dim) * 4
 	for _, c := range sorted {
@@ -120,4 +141,15 @@ func PlacementFromCounts(counts []AccessCount, numTables, dim int, budgetBytes i
 		p.MarkHot(c.Table, c.Row)
 	}
 	return p
+}
+
+// byRank orders access counts by count descending, then by table and row.
+func byRank(a, b AccessCount) int {
+	if a.Count != b.Count {
+		return cmp.Compare(b.Count, a.Count)
+	}
+	if a.Table != b.Table {
+		return cmp.Compare(a.Table, b.Table)
+	}
+	return cmp.Compare(a.Row, b.Row)
 }

@@ -1,6 +1,7 @@
 package embedding
 
 import (
+	"slices"
 	"testing"
 
 	"hotline/internal/shard"
@@ -119,5 +120,64 @@ func TestHotBitsMatchIsHot(t *testing.T) {
 	}
 	if n := len(p.HotBits(1)); n != 0 {
 		t.Fatalf("a table with no hot row has a %d-word bitmap", n)
+	}
+}
+
+// TestPlacementFromCountsRankedOrShuffled: counts already in rank order (as
+// data.AccessProfile.Counts returns them) and the same counts shuffled give
+// bit-identical placements — every table's bitmap, the rank order and the
+// bytes — and the shuffled input is left as it was given. Ties in count
+// break by table, then row.
+func TestPlacementFromCountsRankedOrShuffled(t *testing.T) {
+	const tables, dim = 3, 8
+	rng := tensor.NewRNG(17)
+	var counts []AccessCount
+	for tb := range tables {
+		for r := range int32(500) {
+			counts = append(counts, AccessCount{Table: tb, Row: r * 3, Count: int64(rng.Intn(40))})
+		}
+	}
+	shuffled := make([]AccessCount, len(counts))
+	for i, j := range rng.Perm(len(counts)) {
+		shuffled[i] = counts[j]
+	}
+	given := slices.Clone(shuffled)
+	ranked := slices.Clone(counts)
+	slices.SortFunc(ranked, byRank)
+	if slices.IsSortedFunc(shuffled, byRank) {
+		t.Fatal("the shuffle left the counts in rank order")
+	}
+
+	budget := int64(300 * dim * 4)
+	want, got := PlacementFromCounts(ranked, tables, dim, budget), PlacementFromCounts(shuffled, tables, dim, budget)
+	if got.HotBytes != want.HotBytes || want.HotBytes != budget {
+		t.Fatalf("hot bytes %d from shuffled counts, %d from ranked, budget %d", got.HotBytes, want.HotBytes, budget)
+	}
+	for tb := range tables {
+		if !slices.Equal(got.HotBits(tb), want.HotBits(tb)) {
+			t.Fatalf("table %d: the shuffled counts marked another hot set", tb)
+		}
+	}
+	type entry struct {
+		table int
+		row   int32
+	}
+	var gotOrder, wantOrder []entry
+	for tb, r := range got.Ranked() {
+		gotOrder = append(gotOrder, entry{tb, r})
+	}
+	for tb, r := range want.Ranked() {
+		wantOrder = append(wantOrder, entry{tb, r})
+	}
+	if !slices.Equal(gotOrder, wantOrder) {
+		t.Fatal("the shuffled counts ranked the hot set in another order")
+	}
+	for i, e := range wantOrder {
+		if c := ranked[i]; c.Table != e.table || c.Row != e.row {
+			t.Fatalf("rank %d is (%d, %d), want the %d-th ranked count (%d, %d)", i, e.table, e.row, i, c.Table, c.Row)
+		}
+	}
+	if !slices.Equal(shuffled, given) {
+		t.Fatal("PlacementFromCounts reordered its input")
 	}
 }

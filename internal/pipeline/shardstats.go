@@ -53,9 +53,6 @@ type ShardMeasurement struct {
 	// nodes — at a fixed byte budget the narrow warm tiers hold 2-4x more
 	// rows than fp32, which is what moves HitRate and the all-to-all bytes.
 	CacheRows int
-	// Evictions counts device-cache displacements during the measured
-	// window (cache-pressure indicator for the ablations).
-	Evictions int64
 	// OverlapMeasured reports that a functional overlap run (the
 	// mn-overlap / mn-depth scenarios) measured ExposedFrac; the zero
 	// value means unmeasured, so the timing models keep their analytic
@@ -119,7 +116,7 @@ const measureWarmup = 2
 // per-node HBM budgets, or hot-aware — popular rows pinned to their dominant
 // requesting node, counted over the same stream the measurement replays):
 // it profiles an epoch, builds the access-aware placement (the EAL-learned
-// hot set), preloads the hot rows into the per-node device caches, streams
+// hot set), installs it in the per-node device caches (Service.Relearn), streams
 // warm-up batches, then measures steady-state cache hit-rates and
 // gather/scatter volumes over several iterations. Results are memoised per full probe identity and
 // deterministic for any concurrency. The replayed batch is capped at
@@ -148,14 +145,14 @@ func measureShard(cfg data.Config, p ShardProbe) ShardMeasurement {
 	svc := shard.New(shard.Config{
 		Nodes: p.Nodes, CacheBytes: p.CacheBytes, RowBytes: int64(probe.EmbedDim) * 4,
 		Part: part, Quant: p.Quant,
-	}, placement)
+	}, nil)
 	// Declare the tables (an accounting replay: no window is ever filled,
-	// so there is no row view), then replicate the learned hot set (bounded
-	// caches keep what fits).
+	// so there is no row view), then install and replicate the learned hot
+	// set (bounded caches keep its most popular rows).
 	for t := 0; t < probe.NumTables; t++ {
 		svc.RegisterTable(t, probe.ScaledRowsPerTable[t], nil)
-		svc.Preload(t, placement.HotRows(t))
 	}
+	svc.Relearn(placement)
 
 	gen := data.NewGenerator(probe)
 	iteration := func() {
@@ -185,7 +182,6 @@ func measureShard(cfg data.Config, p ShardProbe) ShardMeasurement {
 		ScatterFrac:       st.ScatterFrac(),
 		A2ABytesPerIter:   st.A2ABytes() / measureIters,
 		CacheOccupancy:    svc.CacheOccupancy(),
-		Evictions:         st.Evictions,
 		Quant:             p.Quant.String(),
 		CacheRows:         svc.CacheEntries(),
 	}
@@ -281,8 +277,8 @@ func MeasureOverlap(cfg data.Config, nodes, depth int) float64 {
 
 // NewShardedWorkload assembles a workload whose timing models consume
 // measured sharding statistics (sys.Nodes simulated nodes, the scaled
-// hot-set budget of device cache per node, LRU caches over round-robin
-// ownership) instead of the analytic popularity fractions. The
+// hot-set budget of device cache per node, caches holding the learned hot
+// set over round-robin ownership) instead of the analytic popularity fractions. The
 // exposed-gather fraction is measured too (MeasureOverlap at
 // train.DefaultDepth), so every mn-* scenario prices overlap from
 // measurement instead of the analytic overlap schedule.

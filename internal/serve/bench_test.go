@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hotline/internal/data"
+	"hotline/internal/embedding"
 	"hotline/internal/model"
 	"hotline/internal/par"
 	"hotline/internal/shard"
@@ -30,9 +31,9 @@ func shard4(cfg data.Config, q shard.QuantMode) *shard.Service {
 // warmServer builds a one-replica server over a 4-node sharded model and one
 // batch-32 request. A request reads the device caches and writes none, so
 // the request's rows enter them the way training's learning phase puts rows
-// there (Service.Preload); the request is then predicted once so the
-// replica's scratch holds its steady state, in which every remote lookup
-// hits.
+// there: as the hot set a swap installs (Service.Relearn). The request is
+// then predicted once so the replica's scratch holds its steady state, in
+// which every remote lookup hits.
 func warmServer(q shard.QuantMode) (*Server, *data.Batch, []float32) {
 	cfg := scaledKaggle()
 	m := model.New(cfg, 1)
@@ -40,11 +41,15 @@ func warmServer(q shard.QuantMode) (*Server, *data.Batch, []float32) {
 	m.ShardEmbeddings(svc)
 	srv := NewServer(m, 1)
 	batch := data.NewGenerator(cfg).NextBatch(32)
+	hot := embedding.NewPlacement(cfg.NumTables, cfg.EmbedDim)
 	for t, bags := range batch.Sparse {
 		for _, bag := range bags {
-			svc.Preload(t, bag)
+			for _, row := range bag {
+				hot.MarkHot(t, row)
+			}
 		}
 	}
+	svc.Relearn(hot)
 	return srv, batch, srv.Predict(batch)
 }
 

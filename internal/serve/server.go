@@ -23,8 +23,8 @@ import (
 // some step boundary. Serving cannot perturb training: replica lookups take
 // the bags' ServeForward path, which never consumes a prefetch window,
 // never arms backward state, never writes the shard service's device
-// caches (a request reads what training cached; it admits, evicts and
-// reorders nothing), and books its traffic into the service's serve
+// caches (a request reads what training cached; it admits and removes
+// nothing), and books its traffic into the service's serve
 // counters. Requests once warmed the shared caches; that changed accounting
 // only, never values, and it is gone.
 type Server struct {

@@ -3,62 +3,123 @@ package shard
 import (
 	"slices"
 	"testing"
+
+	"hotline/internal/tensor"
 )
 
 // TestPreloadRepeatedNoDoubleCount is the regression test for the fill
-// double-count: re-preloading rows that are already resident refreshes
-// their replacement state but moves no bytes, so FillBytes must count
-// actual admissions only.
+// double-count: swapping to the set already installed finds every row
+// resident and moves no bytes, so FillBytes counts actual admissions only.
 func TestPreloadRepeatedNoDoubleCount(t *testing.T) {
 	s := register(New(cfg(4, 8), nil), 3, 0)
-	s.Preload(0, []int32{0, 1})
+	s.Relearn(ranked{rows: []int32{0, 1}})
 	first := s.Snapshot().FillBytes
 	if want := int64(6 * 64); first != want { // 2 rows x 3 non-owner caches
 		t.Fatalf("first preload fill = %d want %d", first, want)
 	}
 	// The regression: a second identical preload used to double the fill
 	// traffic even though every row was already resident.
-	s.Preload(0, []int32{0, 1})
+	s.Relearn(ranked{rows: []int32{0, 1}})
 	if again := s.Snapshot().FillBytes; again != first {
 		t.Fatalf("repeated preload must not re-account fill: %d -> %d", first, again)
 	}
 	// A genuinely new row still pays its replication traffic.
-	s.Preload(0, []int32{2})
-	if st := s.Snapshot(); st.FillBytes != first+3*64 {
+	s.Relearn(ranked{rows: []int32{0, 1, 2}})
+	if st := s.Snapshot(); st.FillBytes != first+3*64 || st.Evictions != 0 {
 		t.Fatalf("new row fill: %+v", st)
 	}
 }
 
-// TestPreloadRefreshKeepsRecency checks the refresh half of the fix: the
-// repeated preload still touches replacement state (the row stays at the
-// recency front) even though it accounts nothing.
-func TestPreloadRefreshKeepsRecency(t *testing.T) {
-	s := register(New(cfg(2, 2), nil), 6, 0) // 2-row caches on 2 nodes
-	// Node 0's cache (non-owner of odd rows under round-robin): preload
-	// rows 1 and 3, refresh 1, then preload 5 — LRU must evict 3, not 1.
-	s.Preload(0, []int32{1, 3})
-	s.Preload(0, []int32{1})
-	s.Preload(0, []int32{5})
+// TestRelearnSwapsTheHotSet: a swap removes the cached rows that left the
+// hot set, counting each, admits the rows that came in, counting their
+// bytes, and a swap to the installed set moves nothing. Two nodes with
+// 4-row caches: node 0 caches the odd rows it does not own, node 1 the even.
+func TestRelearnSwapsTheHotSet(t *testing.T) {
+	s := register(New(cfg(2, 4), nil), 8, 0)
+	s.Relearn(ranked{rows: []int32{1, 2, 3}})
+	if st := s.Snapshot(); st.FillBytes != 3*64 || st.Evictions != 0 || s.CacheEntries() != 3 {
+		t.Fatalf("install: %+v, %d entries", st, s.CacheEntries())
+	}
 	s.ResetStats()
-	s.RecordGather(0, [][]int32{{1}}) // node 0 probes row 1
-	if st := s.Snapshot(); st.CacheHits != 1 {
-		t.Fatalf("refreshed row must survive the eviction: %+v", st)
+	s.Relearn(ranked{rows: []int32{1, 2, 3}})
+	if st := s.Snapshot(); st != (Stats{Nodes: 2}) || s.CacheEntries() != 3 {
+		t.Fatalf("a swap to the same set moved %+v, %d entries", st, s.CacheEntries())
+	}
+	// Row 1 leaves and row 5 comes in, both on node 0.
+	s.Relearn(ranked{rows: []int32{2, 3, 5}})
+	if st := s.Snapshot(); st.Evictions != 1 || st.FillBytes != 64 {
+		t.Fatalf("swap: evictions %d fill %d, want 1 and 64", st.Evictions, st.FillBytes)
+	}
+	c := s.caches[0]
+	if c.Contains(key(0, 1)) || !c.Contains(key(0, 3)) || !c.Contains(key(0, 5)) || !s.caches[1].Contains(key(0, 2)) {
+		t.Fatal("the swap left the wrong rows cached")
+	}
+	// A training miss on the row that left is not admitted again: under
+	// QuantOff a cold row never enters.
+	s.ResetStats()
+	s.RecordGather(0, [][]int32{{1, 3, 5}})
+	if st := s.Snapshot(); st.CacheHits != 2 || st.CacheMisses != 1 || st.FillBytes != 0 || c.Contains(key(0, 1)) {
+		t.Fatalf("walk after the swap: %+v", st)
 	}
 }
 
-// TestPreloadKeepsTheLatestSuffix: Preload admits rows in the order given,
-// so a bounded cache keeps the most recently preloaded rows it does not own.
-// Two nodes with 3-row caches get rows 1…11: node 0 (owner of the even rows)
-// keeps 7, 9 and 11, node 1 keeps 6, 8 and 10.
-func TestPreloadKeepsTheLatestSuffix(t *testing.T) {
+// TestWidthChangeReadmits: under QuantMixed a swap that turns a cached warm
+// row hot removes its int8 entry, counting the removal, and admits it at
+// fp32, counting the fill; the next hit is served exact. A window planned
+// before the swap keeps the width it was staged at, so its value is still the
+// int8 round trip.
+func TestWidthChangeReadmits(t *testing.T) {
+	const dim = 16
+	qt := quantTable{dim: dim}
+	s := New(Config{Nodes: 2, CacheBytes: 1 << 12, RowBytes: dim * 4, Quant: QuantMixed}, hotSet())
+	defer s.Close()
+	s.RegisterTable(0, 8, qt.row)
+	idx := [][]int32{{1}} // batch position 0 = node 0; row 1 owned by node 1
+	s.RecordGather(0, idx)  // admits the cold row into the warm tier
+	inflight := s.PlanGather(0, idx)
+	if inflight == nil {
+		t.Fatal("the warm hit must stage row 1")
+	}
+	s.ResetStats()
+	s.Relearn(ranked{rows: []int32{1}})
+	if st := s.Snapshot(); st.Evictions != 1 || st.FillBytes != WidthFP32.RowBytes(dim) {
+		t.Fatalf("re-tier: evictions %d fill %d, want 1 and %d", st.Evictions, st.FillBytes, WidthFP32.RowBytes(dim))
+	}
+	if w, ok := probe(s.caches[0], key(0, 1)); !ok || w != WidthFP32 {
+		t.Fatalf("row 1 cached as (%v, %v), want fp32", w, ok)
+	}
+
+	s.Gatherer().GatherSync(inflight)
+	if w := inflight.Width(1); w != WidthINT8 {
+		t.Fatalf("the in-flight window served row 1 at %v, want int8", w)
+	}
+	v, _ := inflight.Lookup(1)
+	want := make([]float32, dim)
+	tensor.RoundTripI8(want, qt.row(1))
+	if !slices.Equal(v, want) {
+		t.Fatalf("the in-flight window's row 1 = %v, want its int8 round trip %v", v, want)
+	}
+	inflight.Release()
+
+	s.ResetStats()
+	if w := s.PlanGather(0, idx); w != nil {
+		t.Fatalf("an fp32 hit staged %d rows", w.Rows())
+	}
+	if st := s.Snapshot(); st.CacheHits != 1 || st.QuantHits != 0 {
+		t.Fatalf("the re-tiered row must hit exact: %+v", st)
+	}
+}
+
+// TestRelearnKeepsTheHeadOfTheList: a swap admits the hot rows in rank
+// order, so a cache too small for the set keeps the most popular rows it does
+// not own, whatever their row ids. Two nodes with 3-row caches get eleven
+// rows: node 0 (owner of the even rows) keeps the first three odd ones, node
+// 1 the first three even ones.
+func TestRelearnKeepsTheHeadOfTheList(t *testing.T) {
 	s := register(New(cfg(2, 3), nil), 12, 0)
 	defer s.Close()
-	var rows []int32
-	for r := int32(1); r <= 11; r++ {
-		rows = append(rows, r)
-	}
-	s.Preload(0, rows)
-	for n, want := range [][]int32{{7, 9, 11}, {6, 8, 10}} {
+	s.Relearn(ranked{rows: []int32{9, 4, 1, 10, 7, 2, 11, 6, 3, 8, 5}})
+	for n, want := range [][]int32{{1, 7, 9}, {2, 4, 10}} {
 		var kept []int32
 		for r := int32(0); r < 12; r++ {
 			if s.caches[n].Contains(key(0, r)) {
@@ -66,7 +127,7 @@ func TestPreloadKeepsTheLatestSuffix(t *testing.T) {
 			}
 		}
 		if !slices.Equal(kept, want) {
-			t.Errorf("node %d's cache keeps rows %v after preloading 1…11, want %v", n, kept, want)
+			t.Errorf("node %d's cache keeps rows %v, want %v", n, kept, want)
 		}
 	}
 }
@@ -74,10 +135,10 @@ func TestPreloadKeepsTheLatestSuffix(t *testing.T) {
 // TestServeGatherAccounting covers the read-path counters: serve traffic
 // lands in ServeSnapshot (never the training snapshot), has no scatter side,
 // and reads the shared caches without writing them — a serve walk leaves
-// every cache's entries and LRU victim order exactly as it found them.
+// every cache's entries exactly as it found them.
 func TestServeGatherAccounting(t *testing.T) {
 	t.Run("counters", serveGatherCounters)
-	t.Run("victim-order", serveWalkLeavesVictimOrder)
+	t.Run("contents", serveWalkLeavesContents)
 }
 
 func serveGatherCounters(t *testing.T) {
@@ -115,12 +176,11 @@ func serveGatherCounters(t *testing.T) {
 	}
 }
 
-// serveWalkLeavesVictimOrder: a serve hit moves no recency and a serve miss
-// evicts nothing. Node 0's two-row LRU cache holds rows 1 (oldest) and 3; a
-// serve walk hits row 1 and misses row 5. The next training admission must
-// still evict row 1 — had the serve hit been a use, it would evict 3 — and a
-// twin service that never served must count exactly the same.
-func serveWalkLeavesVictimOrder(t *testing.T) {
+// serveWalkLeavesContents: a serve walk admits nothing and removes nothing.
+// Node 0's two-row cache is full with rows 1 and 3; a serve walk hits row 1
+// and misses row 5. The cache's contents are unchanged, and a twin service
+// that never served counts exactly the same training walks after it.
+func serveWalkLeavesContents(t *testing.T) {
 	warm := [][]int32{{1, 3}} // position 0 is node 0; odd rows are node 1's
 	served, twin := register(New(cfg(2, 2), nil), 6, 0), register(New(cfg(2, 2), nil), 6, 0)
 	for _, s := range []*Service{served, twin} {
@@ -135,13 +195,13 @@ func serveWalkLeavesVictimOrder(t *testing.T) {
 	}
 	for _, s := range []*Service{served, twin} {
 		s.ResetStats()
-		s.RecordGather(0, [][]int32{{5}}) // admits 5, evicting the LRU victim
+		s.RecordGather(0, [][]int32{{5}}) // the full cache refuses 5
 		s.RecordGather(0, [][]int32{{3}})
 		s.RecordGather(0, [][]int32{{1}})
 	}
 	st := served.Snapshot()
-	if st.Evictions != 2 || st.CacheHits != 1 || st.CacheMisses != 2 {
-		t.Fatalf("row 1 must stay the victim after a serve hit on it: %+v", st)
+	if st.Evictions != 0 || st.FillBytes != 0 || st.CacheHits != 2 || st.CacheMisses != 1 {
+		t.Fatalf("training after a serve walk: %+v", st)
 	}
 	if tw := twin.Snapshot(); st != tw {
 		t.Fatalf("serving moved the training counts:\n got %+v\nwant %+v", st, tw)

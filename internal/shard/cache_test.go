@@ -3,47 +3,24 @@ package shard
 import "testing"
 
 // ins admits a 1-byte fp32-width entry: with uniform unit entries a byte
-// budget of N behaves exactly like the old N-entry cache, so the legacy
-// replacement-policy tests keep their shape.
-func ins(c *DeviceCache, k uint64) (bool, int) { return c.Insert(k, WidthFP32, 1) }
+// budget of N holds exactly N entries.
+func ins(c *DeviceCache, k uint64) bool { return c.admit(k, WidthFP32, 1) }
 
-// probe is a walk's probe of one key: the index load and, on a hit, a use.
-// It reports the hit entry's width and whether key hit.
+// probe is a walk's probe of one key: the index load. It reports the hit
+// entry's width and whether key hit.
 func probe(c *DeviceCache, k uint64) (Width, bool) {
 	i := c.slotOf(k)
 	if i < 0 {
 		return WidthFP32, false
 	}
-	c.use(i)
 	return c.slots[i].width, true
 }
 
 func hit(c *DeviceCache, k uint64) bool { _, ok := probe(c, k); return ok }
 
-func TestLRUEvictsLeastRecent(t *testing.T) {
-	c := newCache(2)
-	ins(c, 1)
-	ins(c, 2)
-	if !hit(c, 1) { // 1 becomes most recent
-		t.Fatal("1 must be cached")
-	}
-	if _, ev := ins(c, 3); ev != 1 {
-		t.Fatalf("full cache must evict once, evicted %d", ev)
-	}
-	if c.Contains(2) {
-		t.Fatal("LRU victim must be 2")
-	}
-	if !c.Contains(1) || !c.Contains(3) {
-		t.Fatal("1 and 3 must survive")
-	}
-	if c.Len() != 2 || c.usedBytes != 2 {
-		t.Fatalf("len %d used %d, want 2/2", c.Len(), c.usedBytes)
-	}
-}
-
 func TestZeroCapacityCacheAlwaysMisses(t *testing.T) {
 	c := newCache(0)
-	if ok, _ := ins(c, 1); ok {
+	if ins(c, 1) {
 		t.Fatal("zero-capacity insert must be a no-op")
 	}
 	if hit(c, 1) {
@@ -51,20 +28,6 @@ func TestZeroCapacityCacheAlwaysMisses(t *testing.T) {
 	}
 	if c.Len() != 0 || c.Occupancy() != 0 {
 		t.Fatalf("len=%d occ=%g", c.Len(), c.Occupancy())
-	}
-}
-
-func TestInsertExistingRefreshes(t *testing.T) {
-	c := newCache(2)
-	ins(c, 1)
-	ins(c, 2)
-	ins(c, 1) // refresh, not duplicate
-	if c.Len() != 2 {
-		t.Fatalf("len = %d want 2", c.Len())
-	}
-	ins(c, 3) // evicts 2 (1 was refreshed)
-	if c.Contains(2) || !c.Contains(1) {
-		t.Fatal("refresh must update recency")
 	}
 }
 
@@ -96,8 +59,8 @@ func TestByteBudgetHoldsMoreNarrowRows(t *testing.T) {
 	fp32 := newCache(budget)
 	i8 := newCache(budget)
 	for k := uint64(0); k < 10_000; k++ {
-		fp32.Insert(k, WidthFP32, WidthFP32.RowBytes(dim))
-		i8.Insert(k, WidthINT8, WidthINT8.RowBytes(dim))
+		fp32.admit(k, WidthFP32, WidthFP32.RowBytes(dim))
+		i8.admit(k, WidthINT8, WidthINT8.RowBytes(dim))
 	}
 	if fp32.Len() != 64 {
 		t.Fatalf("fp32 rows held = %d, want 64", fp32.Len())
@@ -116,27 +79,36 @@ func TestByteBudgetHoldsMoreNarrowRows(t *testing.T) {
 	}
 }
 
-// TestWideInsertEvictsSeveralNarrow checks evict-until-fits accounting: one
-// fp32 admission into a cache packed with int8 rows displaces several.
-func TestWideInsertEvictsSeveralNarrow(t *testing.T) {
+// TestWideAdmissionIsRefused: an admission that does not fit the free bytes
+// is refused and displaces nothing — an fp32 row into a cache packed with
+// int8 rows, and one into a cache whose free bytes hold a narrow row but not
+// a wide one — while a narrow row that fits is still admitted.
+func TestWideAdmissionIsRefused(t *testing.T) {
 	const dim = 16
 	budget := WidthINT8.RowBytes(dim) * 8 // 8 int8 rows, 160 bytes
 	c := newCache(budget)
+	for k := uint64(0); k < 7; k++ {
+		if !c.admit(k, WidthINT8, WidthINT8.RowBytes(dim)) {
+			t.Fatalf("int8 row %d must fit", k)
+		}
+	}
+	// 20 bytes free: the 64-byte fp32 row does not fit, an int8 row does.
+	if c.admit(100, WidthFP32, WidthFP32.RowBytes(dim)) {
+		t.Fatal("a wide row must be refused when the free bytes are too few")
+	}
+	if !c.admit(7, WidthINT8, WidthINT8.RowBytes(dim)) {
+		t.Fatal("a narrow row that fits the free bytes must be admitted")
+	}
+	if c.admit(101, WidthFP32, WidthFP32.RowBytes(dim)) {
+		t.Fatal("a full cache must refuse a wide row")
+	}
+	if c.Len() != 8 || c.usedBytes != budget || c.Contains(100) || c.Contains(101) {
+		t.Fatalf("len %d, used %d of %d: the refusals changed the cache", c.Len(), c.usedBytes, budget)
+	}
 	for k := uint64(0); k < 8; k++ {
-		c.Insert(k, WidthINT8, WidthINT8.RowBytes(dim))
-	}
-	_, ev := c.Insert(100, WidthFP32, WidthFP32.RowBytes(dim)) // 64 bytes > 3 int8 rows
-	if ev < 2 {
-		t.Fatalf("wide insert evicted %d narrow rows, want >= 2", ev)
-	}
-	if c.Len() != 8-ev+1 {
-		t.Fatalf("len %d after %d evictions from 8 rows and one admission", c.Len(), ev)
-	}
-	if c.usedBytes > budget {
-		t.Fatalf("used %d > budget %d after mixed-width eviction", c.usedBytes, budget)
-	}
-	if !c.Contains(100) {
-		t.Fatal("wide entry must be admitted")
+		if !c.Contains(k) {
+			t.Fatalf("int8 row %d was displaced", k)
+		}
 	}
 }
 
@@ -145,34 +117,11 @@ func TestWideInsertEvictsSeveralNarrow(t *testing.T) {
 func TestUnfittableEntryRefused(t *testing.T) {
 	c := newCache(16)
 	ins(c, 1)
-	if ok, ev := c.Insert(2, WidthFP32, 64); ok || ev != 0 {
-		t.Fatalf("unfittable insert: admitted=%v evictions=%d, want refusal", ok, ev)
+	if c.admit(2, WidthFP32, 64) {
+		t.Fatal("unfittable insert admitted, want refusal")
 	}
 	if !c.Contains(1) {
 		t.Fatal("refused insert must not disturb residents")
-	}
-}
-
-// TestWidthChangeReadmits: re-inserting a resident key at a different width
-// replaces the entry (new width served on the next hit) without counting the
-// replacement as an eviction.
-func TestWidthChangeReadmits(t *testing.T) {
-	const dim = 8
-	c := newCache(WidthFP32.RowBytes(dim) * 4)
-	c.Insert(7, WidthINT8, WidthINT8.RowBytes(dim))
-	before := c.usedBytes
-	_, ev := c.Insert(7, WidthFP32, WidthFP32.RowBytes(dim))
-	if c.Len() != 1 {
-		t.Fatalf("len = %d want 1 after width change", c.Len())
-	}
-	if ev != 0 {
-		t.Fatalf("width change counted %d evictions, want 0", ev)
-	}
-	if c.usedBytes == before {
-		t.Fatal("usedBytes must track the new width")
-	}
-	if w, ok := probe(c, 7); !ok || w != WidthFP32 {
-		t.Fatalf("probe(7) = (%v, %v), want fp32 hit", w, ok)
 	}
 }
 
@@ -181,9 +130,9 @@ func TestWidthChangeReadmits(t *testing.T) {
 // as a QuantHit.
 func TestLookupReportsWidthAndQuantHits(t *testing.T) {
 	c := newCache(1024)
-	c.Insert(1, WidthFP32, 64)
-	c.Insert(2, WidthINT8, 20)
-	c.Insert(3, WidthFP16, 32)
+	c.admit(1, WidthFP32, 64)
+	c.admit(2, WidthINT8, 20)
+	c.admit(3, WidthFP16, 32)
 	if w, ok := probe(c, 2); !ok || w != WidthINT8 {
 		t.Fatalf("probe(2) = (%v, %v)", w, ok)
 	}

@@ -10,94 +10,58 @@ import (
 	"hotline/internal/tensor"
 )
 
-// mapCache is the device cache as it was before the dense index: the same
-// slot table, free list and recency list behind a Go map, every use moved at
-// once. It is the model TestDeviceCacheMatchesMapModel holds the
-// dense-indexed cache to.
+// mapCache is the device cache as a free-space model: a Go map from key to
+// width and footprint, and a byte total. It is the model
+// TestDeviceCacheMatchesMapModel holds the dense-indexed cache to.
 type mapCache struct {
 	capBytes  int64
 	usedBytes int64
-	index     map[uint64]int
-	slots     []cacheSlot
-	free      []int
-	lru       []int // slot ids, most recent first
+	index     map[uint64]cacheSlot
 
-	// evicts and quantHits are the model's own tallies, kept to show the
-	// random sequence reached both; victims lists the keys evicted, in order.
-	evicts, quantHits int64
-	victims           []uint64
+	// refusals and quantHits are the model's own tallies, kept to show the
+	// random sequence reached both.
+	refusals, quantHits int64
 }
 
 func newMapCache(capBytes int64) *mapCache {
-	return &mapCache{capBytes: capBytes, index: make(map[uint64]int)}
-}
-
-func (c *mapCache) touch(i int) {
-	c.lru = slices.Insert(slices.DeleteFunc(c.lru, func(s int) bool { return s == i }), 0, i)
+	return &mapCache{capBytes: capBytes, index: make(map[uint64]cacheSlot)}
 }
 
 func (c *mapCache) lookup(key uint64) (Width, bool) {
-	i, ok := c.index[key]
+	e, ok := c.index[key]
 	if !ok {
 		return WidthFP32, false
 	}
-	if c.slots[i].width != WidthFP32 {
+	if e.width != WidthFP32 {
 		c.quantHits++
 	}
-	c.touch(i)
-	return c.slots[i].width, true
+	return e.width, true
 }
 
-func (c *mapCache) remove(i int) {
-	delete(c.index, c.slots[i].key)
-	c.lru = slices.DeleteFunc(c.lru, func(s int) bool { return s == i })
-	c.usedBytes -= int64(c.slots[i].bytes)
-	c.slots[i] = cacheSlot{}
-	c.free = append(c.free, i)
-}
-
-func (c *mapCache) insert(key uint64, width Width, bytes int64) (bool, int) {
-	if c.capBytes == 0 || bytes <= 0 || bytes > c.capBytes {
-		return false, 0
+// admit caches an absent key when it fits the free bytes.
+func (c *mapCache) admit(key uint64, width Width, bytes int64) bool {
+	if c.usedBytes+bytes > c.capBytes {
+		c.refusals++
+		return false
 	}
-	if i, ok := c.index[key]; ok {
-		if c.slots[i].width == width {
-			c.touch(i)
-			return true, 0
-		}
-		c.remove(i)
-	}
-	evictions := 0
-	for c.usedBytes+bytes > c.capBytes && len(c.index) > 0 {
-		v := c.lru[len(c.lru)-1]
-		c.victims = append(c.victims, c.slots[v].key)
-		c.remove(v)
-		c.evicts++
-		evictions++
-	}
-	var i int
-	if n := len(c.free); n > 0 {
-		i, c.free = c.free[n-1], c.free[:n-1]
-	} else {
-		c.slots = append(c.slots, cacheSlot{})
-		i = len(c.slots) - 1
-	}
-	c.slots[i] = cacheSlot{key: key, width: width, bytes: int32(bytes)}
-	c.index[key] = i
-	c.lru = slices.Insert(c.lru, 0, i)
+	c.index[key] = cacheSlot{key: key, width: width, bytes: int32(bytes)}
 	c.usedBytes += bytes
-	return true, evictions
+	return true
+}
+
+func (c *mapCache) remove(key uint64) {
+	c.usedBytes -= int64(c.index[key].bytes)
+	delete(c.index, key)
 }
 
 // TestDeviceCacheMatchesMapModel drives the dense-indexed cache and the
-// map-backed model with the same random probe / Insert / width-change
-// sequence and requires, operation by operation, the same probe and Insert
-// results, victims (the resident set is compared after every admission),
-// entry count and bytes held. Keys span three tables, each sized up front as
-// registration sizes it. A second phase alternates runs of hits and
-// refreshes on resident keys, each longer than the cache's batch of deferred
-// uses (so the cache returns to deferring and flushes a full batch), with
-// bursts of admissions that evict.
+// free-space model with the same random probe / admission / removal
+// sequence and requires, operation by operation, the same probe and
+// admission results, the same resident set (compared after every admission
+// and removal), entry count and bytes held. An admission is of an absent key,
+// as the walk's miss and Relearn make it; a removal is of a resident one, as
+// Relearn makes it, and recycles its slot. Keys span three tables, each sized
+// up front as registration sizes it.
 func TestDeviceCacheMatchesMapModel(t *testing.T) {
 	const dim, universe = 16, 96
 	widths := []Width{WidthFP32, WidthFP16, WidthINT8}
@@ -116,82 +80,44 @@ func TestDeviceCacheMatchesMapModel(t *testing.T) {
 		for _, k := range keys {
 			_, want := m.index[k]
 			if c.Contains(k) != want {
-				t.Fatalf("step %d (%s): key %x resident = %v, model says %v (model victims so far %x)",
-					step, where, k, !want, want, m.victims)
+				t.Fatalf("step %d (%s): key %x resident = %v, model says %v", step, where, k, !want, want)
 			}
 		}
 	}
-	lookup := func(step int, k uint64) {
-		t.Helper()
-		gw, gh := probe(c, k)
-		ww, wh := m.lookup(k)
-		if gw != ww || gh != wh {
-			t.Fatalf("step %d: probe(%x) = (%v, %v), model (%v, %v)", step, k, gw, gh, ww, wh)
+	removals := 0
+	for step := 0; step < 20000; step++ {
+		k := keys[rng.Intn(universe)]
+		switch _, in := m.index[k]; {
+		case rng.Intn(100) < 55:
+			gw, gh := probe(c, k)
+			if ww, wh := m.lookup(k); gw != ww || gh != wh {
+				t.Fatalf("step %d: probe(%x) = (%v, %v), model (%v, %v)", step, k, gw, gh, ww, wh)
+			}
+		case in:
+			c.removeSlot(c.slotOf(k))
+			m.remove(k)
+			removals++
+			resident("after removal", step)
+		default:
+			// A key's width is usually a function of the key; one admission
+			// in eight takes another tier, as a swap re-tiers a row.
+			w := widths[int(k)%len(widths)]
+			if rng.Intn(8) == 0 {
+				w = widths[rng.Intn(len(widths))]
+			}
+			if got, want := c.admit(k, w, w.RowBytes(dim)), m.admit(k, w, w.RowBytes(dim)); got != want {
+				t.Fatalf("step %d: admit(%x, %v) = %v, model %v", step, k, w, got, want)
+			}
+			resident("after admission", step)
 		}
-	}
-	insert := func(step int, k uint64, w Width) {
-		t.Helper()
-		gok, gev := c.Insert(k, w, w.RowBytes(dim))
-		wok, wev := m.insert(k, w, w.RowBytes(dim))
-		if gok != wok || gev != wev {
-			t.Fatalf("step %d: Insert(%x, %v) = (%v, %d evictions), model (%v, %d)", step, k, w, gok, gev, wok, wev)
-		}
-		resident("after insert", step)
-	}
-	held := func(step int) {
-		t.Helper()
 		if c.usedBytes != m.usedBytes || c.Len() != len(m.index) {
 			t.Fatalf("step %d: cache holds %d entries in %d bytes, model %d in %d", step,
 				c.Len(), c.usedBytes, len(m.index), m.usedBytes)
 		}
 	}
-	for step := 0; step < 20000; step++ {
-		k := keys[rng.Intn(universe)]
-		if rng.Intn(100) < 55 {
-			lookup(step, k)
-		} else {
-			// A key's width is usually a function of the key, so most
-			// re-inserts refresh; one in eight moves it to another tier.
-			w := widths[int(k)%len(widths)]
-			if rng.Intn(8) == 0 {
-				w = widths[rng.Intn(len(widths))]
-			}
-			insert(step, k, w)
-		}
-		held(step)
-	}
-	if m.evicts == 0 || m.quantHits == 0 {
-		t.Fatalf("the sequence never evicted (%d) or hit a narrow entry (%d)", m.evicts, m.quantHits)
-	}
-
-	evicts := m.evicts
-	step := 20000
-	for range 12 {
-		var hold []uint64
-		for _, k := range keys {
-			if _, ok := m.index[k]; ok {
-				hold = append(hold, k)
-			}
-		}
-		for range 3*lruBatch + 17 {
-			k := hold[rng.Intn(len(hold))]
-			if rng.Intn(4) == 0 {
-				insert(step, k, m.slots[m.index[k]].width) // a same-width refresh
-			} else {
-				lookup(step, k)
-			}
-			held(step)
-			step++
-		}
-		for range 1 + rng.Intn(6) {
-			k := keys[rng.Intn(universe)]
-			insert(step, k, widths[int(k)%len(widths)])
-			held(step)
-			step++
-		}
-	}
-	if m.evicts == evicts {
-		t.Fatal("the hit runs' bursts never evicted")
+	if m.refusals == 0 || m.quantHits == 0 || removals == 0 {
+		t.Fatalf("the sequence never refused (%d), hit a narrow entry (%d) or removed (%d)",
+			m.refusals, m.quantHits, removals)
 	}
 }
 
@@ -270,8 +196,8 @@ func sparseStep(s *Service, table int, idx [][]int32) {
 
 // TestAccountingSteadyStateZeroAlloc: with the table registered, the gather
 // and scatter accounting walks — routing array, cache index, slot table,
-// dedup stamps, window pool — allocate nothing, whether rows hit or are
-// evicted and re-admitted every step.
+// dedup stamps, window pool — allocate nothing, whether rows hit or a full
+// cache refuses them every step.
 func TestAccountingSteadyStateZeroAlloc(t *testing.T) {
 	const rows = 512
 	for _, cacheRows := range []int64{rows, 8} {
@@ -359,7 +285,7 @@ func TestUnregisteredTableWalkPanics(t *testing.T) {
 		{"RecordGather", func() { s.RecordGather(2, idx) }},
 		{"PlanGather", func() { s.PlanGather(2, idx) }},
 		{"RecordScatter", func() { s.RecordScatter(2, idx) }},
-		{"Preload", func() { s.Preload(2, idx[0]) }},
+		{"Relearn", func() { s.Relearn(ranked{table: 2, rows: idx[0]}) }},
 		{"Owner", func() { s.Owner(2, 1) }},
 	} {
 		func() {

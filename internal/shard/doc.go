@@ -1,7 +1,8 @@
 // Package shard is the sharded embedding service: it partitions embedding
 // table rows across N simulated nodes under a pluggable ownership policy,
 // replicates popularity-classified entries into a bounded per-node device
-// cache (exact LRU eviction), accounts the deterministic all-to-all
+// cache (admitting into free bytes; a row leaves only when the learned hot
+// set changes, Service.Relearn), accounts the deterministic all-to-all
 // gather/scatter traffic that non-resident rows incur, and can execute
 // that traffic asynchronously so gathers overlap with compute.
 //
@@ -28,7 +29,7 @@
 // HotAware pins), shrinking both gather and gradient-scatter volume. Remote lookups first probe the requesting
 // node's device cache; misses are gathered over the fabric once per
 // iteration (intra-batch dedup) and popularity-classified rows are
-// admitted into the cache on the way through. A zero cache budget is the
+// admitted into the cache's free bytes on the way through. A zero cache budget is the
 // explicit pure-remote mode: no admissions and no fill traffic.
 //
 // The unit of fabric work is one window (Staging): PlanGather performs the

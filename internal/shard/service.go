@@ -10,9 +10,9 @@ import (
 )
 
 // HotClassifier decides which rows count as popular and may be replicated
-// into device caches: the hot set as one bitmap per table.
-// embedding.Placement, the learned hot set, is the one implementation. A nil
-// classifier counts every row as hot: it admits every remote row (pure
+// into device caches: the hot set as one bitmap per table, plus its rank
+// order. embedding.Placement, the learned hot set, is the one implementation.
+// A nil classifier counts every row as hot: it admits every remote row (pure
 // demand-cache mode, the admission ablation baseline).
 type HotClassifier interface {
 	// HotBits returns table's hot-row bitmap: row r is hot exactly when r
@@ -20,6 +20,10 @@ type HotClassifier interface {
 	// cold. The walk takes the view once per call, under the service mutex,
 	// and never writes it.
 	HotBits(table int) []uint64
+	// Ranked yields every hot (table, row), most popular first: the order
+	// Relearn admits them in, so a cache too small for the whole set keeps
+	// its head.
+	Ranked() iter.Seq2[int, int32]
 }
 
 // Config sizes a sharded embedding service.
@@ -110,7 +114,8 @@ type Stats struct {
 	ScatterRows, ScatterBytes int64
 	// FillBytes counts replication traffic admitted into device caches.
 	FillBytes int64
-	// Evictions counts device-cache displacements across all nodes.
+	// Evictions counts the rows Relearn removed from the device caches
+	// across all nodes: an admission never displaces an entry.
 	Evictions int64
 	// StaleServeRows counts serve-path rows answered from the coordinator's
 	// warmed mirror while their owner peer was unreachable (graceful serve
@@ -306,6 +311,7 @@ func (s Stats) WithoutWall() Stats {
 // math — depends on scheduling.
 type Service struct {
 	cfg Config
+	// hot is the learned hot set; Relearn swaps it under mu.
 	hot HotClassifier
 	// part is the configured placement; only placeOwners asks it.
 	part *Ownership
@@ -468,10 +474,9 @@ func (s *Service) RecordGather(table int, indices [][]int32) {
 
 // RecordServeGather is RecordGather for the read-only inference path: the
 // same shard routing, device-cache probing and gather dedup, but a read of
-// the caches — a hit moves no recency, a miss admits nothing, so nothing is
-// evicted and no fill moves. The caches hold what the training schedule put
-// there and the trainer's counts do not depend on how requests interleave
-// with its steps. The counters land in the serve snapshot (ServeSnapshot),
+// the caches — a miss admits nothing, so no fill moves. The caches hold what
+// the training schedule put there and the trainer's counts do not depend on
+// how requests interleave with its steps. The counters land in the serve snapshot (ServeSnapshot),
 // and there is never a matching scatter.
 func (s *Service) RecordServeGather(table int, indices [][]int32) {
 	s.planGather(table, indices, false, true)
@@ -498,15 +503,15 @@ func (s *Service) PlanServeGather(table int, indices [][]int32) *Staging {
 
 // planGather is the shared accounting walk behind RecordGather /
 // RecordServeGather / PlanGather. serve selects the serve-side counter set
-// and makes the walk a read of the caches: a hit is counted without its use,
-// a miss is counted, deduplicated and staged as training's would be, but
-// never admitted. Only training traffic writes the caches.
+// and makes the walk a read of the caches: a miss is counted, deduplicated
+// and staged as training's would be, but never admitted. Only training
+// traffic and Relearn write the caches.
 //
 // The common case is one straight loop: a local row, and a remote row its
-// node's cache holds, cost a routing load, an index load and (a hit) the
-// cache's deferred use, with the call's counts kept in locals. A miss and a
-// warm-tier hit — plans, stamps, admission, eviction — run out of line
-// (gatherWalk), and the plan stays nil until a row needs staging.
+// node's cache holds, cost a routing load and an index load, with the call's
+// counts kept in locals. A miss and a warm-tier hit — plans, stamps,
+// admission — run out of line (gatherWalk), and the plan stays nil until a
+// row needs staging.
 //
 // The serving width is a pure policy function of the row (QuantMode.admit),
 // never of cache residency: a narrow-tier row is served through the fused
@@ -549,13 +554,7 @@ func (s *Service) planGather(table int, indices [][]int32, collect, serve bool) 
 				continue
 			}
 			if uint(ix) < uint(len(cix)) {
-				if i := cix[ix] - 1; i >= 0 {
-					// A serve read moves no recency.
-					if !serve {
-						if !cache.mark(i) { // DeviceCache.use, its common case inline
-							cache.useSlow(i)
-						}
-					}
+				if cix[ix] != 0 {
 					hits++
 					if tiered {
 						// A hit is served at the width the mode stores the
@@ -576,7 +575,7 @@ func (s *Service) planGather(table int, indices [][]int32, collect, serve bool) 
 	st = Stats{
 		Lookups: int64(g.lookups), Local: local, CacheHits: hits, CacheMisses: g.misses,
 		QuantHits: g.quantHits, DequantRows: g.dequantRows, GatherRows: g.gatherRows,
-		GatherBytes: g.gatherBytes, FillBytes: g.fillBytes, Evictions: g.evictions,
+		GatherBytes: g.gatherBytes, FillBytes: g.fillBytes,
 	}
 	if g.plan != nil {
 		g.plan.sizeBuffer(s.cfg.Dim())
@@ -600,7 +599,7 @@ type gatherWalk struct {
 	bits []uint64
 	plan *Staging
 	// The counts the out-of-line paths add, each a Stats counter.
-	misses, quantHits, dequantRows, gatherRows, gatherBytes, fillBytes, evictions int64
+	misses, quantHits, dequantRows, gatherRows, gatherBytes, fillBytes int64
 }
 
 // hot reports whether row ix of the walked table is popular: its bit in the
@@ -679,16 +678,14 @@ func (g *gatherWalk) miss(cache *DeviceCache, node, owner int, ix int32) {
 			}
 		}
 	}
-	// Admission replicates rows into the probing cache at the width the
-	// tiering mode assigns them; the explicit pure-remote mode (zero
+	// Admission replicates rows into the probing cache's free bytes at the
+	// width the tiering mode assigns them; the explicit pure-remote mode (zero
 	// capacity) admits nothing and must account no fill traffic. Fill bytes
 	// move only on actual admission, at the admitted entry's footprint — the
-	// row missed, so every admission here is of a new key (or is refused as
-	// unfittable, moving nothing). A serve walk admits nothing.
+	// row missed, so every admission here is of a new key, or is refused for
+	// want of free bytes, moving nothing. A serve walk admits nothing.
 	if admit && !g.serve {
-		eb := s.cfg.EntryBytes(w)
-		if ok, ev := cache.admit(key(g.table, ix), w, eb); ok {
-			g.evictions += int64(ev)
+		if eb := s.cfg.EntryBytes(w); cache.admit(key(g.table, ix), w, eb) {
 			g.fillBytes += eb
 		}
 	}
@@ -777,32 +774,47 @@ func (s *Service) RecordScatter(table int, indices [][]int32) {
 	st.ScatterRows, st.ScatterBytes = sent, sent*rowBytes
 }
 
-// Preload replicates the given rows of one table into every non-owner
-// node's device cache (the learning-phase bulk replication), accounting the
-// fill traffic. Rows are admitted in the given order, so a bounded cache
-// deterministically keeps the most recently preloaded suffix. Fill traffic
-// counts actual admissions only: re-preloading an already-resident row just
-// refreshes its replacement state and moves no bytes across the fabric.
-func (s *Service) Preload(table int, rows []int32) {
+// Relearn swaps the service to a new learned hot set at a step boundary —
+// the learning phase's periodic re-sample — and is the only way a row leaves
+// a device cache:
+//   - it installs hot (nil counts every row hot: pure demand caching);
+//   - it removes every cached row whose hot bit, and so whose width or
+//     admission, the new set changes, counting each in Stats.Evictions;
+//   - it admits every hot row a non-owner cache does not hold, at the hot
+//     tier's width and in hot's rank order while the entry fits, counting its
+//     bytes in Stats.FillBytes: a cache too small for the set keeps its head.
+//
+// Swapping to the set in place moves nothing. A window already planned keeps
+// the widths it was staged at, so its values do not change.
+func (s *Service) Relearn(hot HotClassifier) {
 	var st Stats
 	defer s.count(false, &st) // after s.mu is released
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Preloaded rows are the learning phase's popular set, so they enter at
-	// the hot tier's width (fp32 under QuantOff and QuantMixed).
-	w := s.cfg.Quant.hotWidth()
-	eb := s.cfg.EntryBytes(w)
-	own := s.tableOwners(table)
-	for _, ix := range rows {
-		owner, k := int(own[ix]), key(table, ix)
-		for n, cache := range s.caches {
-			if n == owner || cache.CapacityBytes() == 0 {
+	s.hot = hot
+	q := s.cfg.Quant
+	for _, cache := range s.caches {
+		for i := range cache.slots {
+			e := cache.slots[i]
+			if e.bytes == 0 { // a free slot
 				continue
 			}
-			resident := cache.Contains(k)
-			ok, ev := cache.Insert(k, w, eb)
-			st.Evictions += int64(ev)
-			if ok && !resident {
+			row := int32(uint32(e.key))
+			if w, ok := q.admit(hot == nil || hotBit(hot.HotBits(int(e.key>>32)), row)); !ok || w != e.width {
+				cache.removeSlot(int32(i))
+				st.Evictions++
+			}
+		}
+	}
+	if hot == nil {
+		return
+	}
+	w := q.hotWidth()
+	eb := s.cfg.EntryBytes(w)
+	for table, row := range hot.Ranked() {
+		owner, k := int(s.tableOwners(table)[row]), key(table, row)
+		for n, cache := range s.caches {
+			if n != owner && !cache.Contains(k) && cache.admit(k, w, eb) {
 				st.FillBytes += eb
 			}
 		}
@@ -840,7 +852,7 @@ func (s *Service) Snapshot() Stats {
 // ServeSnapshot returns the read-only inference path's counters (with
 // Nodes filled in): every Serve/Predict gather routed through
 // RecordServeGather, separate from the training snapshot. Serve walks admit
-// nothing, so its FillBytes and Evictions stay zero.
+// and remove nothing, so its FillBytes and Evictions stay zero.
 func (s *Service) ServeSnapshot() Stats {
 	s.statsMu.Lock()
 	st := s.serveStats

@@ -1,13 +1,15 @@
 package shard
 
 import (
+	"iter"
 	"reflect"
 	"testing"
 	"time"
 )
 
 // hotBitmap is a HotClassifier over table 0, laid out as embedding.Placement
-// keeps its hot set: bit r&63 of word r>>6 marks row r.
+// keeps its hot set: bit r&63 of word r>>6 marks row r. Its rank order is
+// row order.
 type hotBitmap []uint64
 
 func (h hotBitmap) HotBits(table int) []uint64 {
@@ -15,6 +17,40 @@ func (h hotBitmap) HotBits(table int) []uint64 {
 		return nil
 	}
 	return h
+}
+
+func (h hotBitmap) Ranked() iter.Seq2[int, int32] {
+	return func(yield func(int, int32) bool) {
+		for r := range int32(64 * len(h)) {
+			if hotBit(h, r) && !yield(0, r) {
+				return
+			}
+		}
+	}
+}
+
+// ranked is a HotClassifier over one table whose hot set is rows, most
+// popular first.
+type ranked struct {
+	table int
+	rows  []int32
+}
+
+func (h ranked) HotBits(table int) []uint64 {
+	if table != h.table {
+		return nil
+	}
+	return hotSet(h.rows...)
+}
+
+func (h ranked) Ranked() iter.Seq2[int, int32] {
+	return func(yield func(int, int32) bool) {
+		for _, r := range h.rows {
+			if !yield(h.table, r) {
+				return
+			}
+		}
+	}
 }
 
 // hotSet marks rows of table 0 hot; with none, every row is cold.
@@ -143,7 +179,7 @@ func TestScatterDedupsPerNode(t *testing.T) {
 
 func TestPreloadFillsNonOwners(t *testing.T) {
 	s := register(New(cfg(4, 8), nil), 2, 0)
-	s.Preload(0, []int32{0, 1})
+	s.Relearn(ranked{rows: []int32{0, 1}})
 	st := s.Snapshot()
 	// Each row replicates to 3 non-owner caches.
 	if st.FillBytes != 6*64 {

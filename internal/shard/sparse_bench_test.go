@@ -79,34 +79,36 @@ func BenchmarkPlanGather(b *testing.B) {
 	}
 }
 
-// BenchmarkPlanGatherEvicting times the gather accounting walk under
-// eviction, at the fabric-unix workload's skew and cache share (see
-// evictingService): most remote misses admit a row and evict others, and
-// every call builds a plan (released unfilled).
-func BenchmarkPlanGatherEvicting(b *testing.B) {
+// BenchmarkPlanGatherFull times the gather accounting walk on full caches
+// that refuse admissions, at the fabric-unix workload's skew and cache share
+// (see fullService): most remote misses are refused, and a call that misses
+// builds a plan (released unfilled).
+func BenchmarkPlanGatherFull(b *testing.B) {
 	for _, mode := range []struct {
 		name string
 		q    QuantMode
 	}{{"QuantOff", QuantOff}, {"QuantMixed", QuantMixed}} {
 		b.Run(mode.name, func(b *testing.B) {
-			s, batches := evictingService(b, mode.q)
+			s, batches := fullService(b, mode.q)
 			i := 0
 			for b.Loop() {
-				s.PlanGather(0, batches[i%sparseBatches]).Release()
+				release(s.PlanGather(0, batches[i%sparseBatches]))
 				i++
 			}
 		})
 	}
 }
 
-// evictingService is a service at the fabric-unix workload's skew and cache
+// fullService is a service at the fabric-unix workload's skew and cache
 // share: Zipf 1.05 over the sparse table, and each node's cache 1/16 of the
-// scaled hot budget (a fifth of the rows, data.ScaledHotBudget), warmed by
+// scaled hot budget (a fifth of the rows, data.ScaledHotBudget), filled by
 // four training passes over the batches it returns. QuantOff admits every
 // remote row (no classifier). QuantMixed asks a bitmap-backed classifier
 // whose hot set, the most popular rows, fills half the budget at fp32 (as
 // fabric-unix learns it) and admits every other row into the int8 warm tier.
-func evictingService(b *testing.B, q QuantMode) (*Service, [][][]int32) {
+// It fails b unless the warm-up filled every cache — no entry of the warm
+// width fits — and refused an admission.
+func fullService(b *testing.B, q QuantMode) (*Service, [][][]int32) {
 	b.Helper()
 	const cacheBytes = sparseRows / 5 / 16 * sparseDim * 4
 	batches := zipfBatches(5, 1.05)
@@ -124,18 +126,25 @@ func evictingService(b *testing.B, q QuantMode) (*Service, [][][]int32) {
 	s.RegisterTable(0, sparseRows, flatRows(sparseRows, sparseDim))
 	for range 4 {
 		for _, idx := range batches {
-			s.PlanGather(0, idx).Release()
+			release(s.PlanGather(0, idx))
 		}
 	}
-	if s.Snapshot().Evictions == 0 {
-		b.Fatal("the warm-up never evicted")
+	for n, c := range s.caches {
+		if free := c.capBytes - c.usedBytes; free >= s.cfg.EntryBytes(q.WarmWidth()) {
+			b.Fatalf("the warm-up left %d bytes of node %d's cache free", free, n)
+		}
+	}
+	// Every miss asks for an admission, and none leaves: a miss that added no
+	// entry was refused.
+	if st := s.Snapshot(); st.CacheMisses <= int64(s.CacheEntries()) {
+		b.Fatalf("the warm-up refused no admission: %d misses, %d entries", st.CacheMisses, s.CacheEntries())
 	}
 	return s, batches
 }
 
 // BenchmarkServeGather times the serve walk, a read of the caches training
 // warmed: RecordServeGather at the sparse-inproc shape, where every remote
-// row hits, and PlanServeGather at BenchmarkPlanGatherEvicting/QuantMixed's
+// row hits, and PlanServeGather at BenchmarkPlanGatherFull/QuantMixed's
 // shape, the fabric-unix serve read, whose misses are staged (released
 // unfilled) and admitted nowhere. Each fails when its walk wrote a cache.
 func BenchmarkServeGather(b *testing.B) {
@@ -153,17 +162,25 @@ func BenchmarkServeGather(b *testing.B) {
 		servedReadOnly(b, s)
 	})
 	b.Run("PlanServeGather", func(b *testing.B) {
-		s, batches := evictingService(b, QuantMixed)
+		s, batches := fullService(b, QuantMixed)
 		i := 0
 		for b.Loop() {
-			s.PlanServeGather(0, batches[i%sparseBatches]).Release()
+			release(s.PlanServeGather(0, batches[i%sparseBatches]))
 			i++
 		}
 		servedReadOnly(b, s)
 	})
 }
 
-// servedReadOnly fails b when the serve walks on s admitted or evicted a row.
+// release releases a plan, if the call built one: a batch whose rows the
+// cache all holds builds none.
+func release(w *Staging) {
+	if w != nil {
+		w.Release()
+	}
+}
+
+// servedReadOnly fails b when the serve walks on s admitted or removed a row.
 func servedReadOnly(b *testing.B, s *Service) {
 	b.Helper()
 	if sv := s.ServeSnapshot(); sv.FillBytes != 0 || sv.Evictions != 0 {

@@ -1,6 +1,7 @@
 package train
 
 import (
+	"iter"
 	"slices"
 	"testing"
 
@@ -20,6 +21,9 @@ const modHotRows = 1 << 20
 var modHotBits = slices.Repeat([]uint64{0x1111111111111111}, modHotRows/64)
 
 func (modHot) HotBits(int) []uint64 { return modHotBits }
+
+// Ranked yields nothing: no test swaps modHot's set into a service.
+func (modHot) Ranked() iter.Seq2[int, int32] { return func(func(int, int32) bool) {} }
 
 // TestPipelinedQuantizedDeterminism extends the depth-k determinism
 // contract to the precision-tiered caches: for every quantized cache mode,

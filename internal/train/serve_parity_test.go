@@ -21,7 +21,7 @@ import (
 // cache written. The last is checked on the counts: at one worker (the
 // counts of concurrent µ-batch passes depend on scheduling) the mixed run's
 // training counters equal the train-only run's exactly, so no request turned
-// a training miss into a hit or evicted a row training had warmed.
+// a training miss into a hit or took the room of a row training admits.
 func TestMixedServeTrainingParity(t *testing.T) {
 	defer par.SetWorkers(par.SetWorkers(1))
 	cfg := tinyCfg()
