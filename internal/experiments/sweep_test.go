@@ -67,10 +67,10 @@ var experimentDigests = map[string]string{
 	"fig8":         "553afea6171998ab48784d448dd9f0544e02ca39ba7b5c620bd27b6c065fa61f",
 	"fig9":         "0cbaa08c3ff41abbfda84f088d2879593d3d48ddfd9597de323a4544f054da32",
 	"mn-adagrad":   "bc1ff08bfab4fc4d1e79cbf88a1ec737d951a008c4bb8f80d00f66ea0723561d",
-	"mn-cache":     "31d3bd583b4565cade55c7053b2055b2af4ab25311ea58fadb88d451d784ac3e",
-	"mn-place":     "ed8fd7ceecd8079917ac50ddc380cf1a94be34e102adeb2deac22a6f99adea04",
+	"mn-cache":     "973c5a3858c1ea5c555825e1a732ef25c94c08d6e16c7c06c1728b5e3b543f9e",
+	"mn-place":     "e4abf37e7a001ed351cbf5c390cc716c986d0fd246050f05aa0a69fb109defeb",
 	"mn-quant":     "9301cf223e1c4e68ebbd6fa874262abdde6d18037295df6a408670d8fee2d11e",
-	"mn-skew":      "c2f23fa4b704a3caff7617b11f437dd322fbb185a6d79190233013f7c5645556",
+	"mn-skew":      "b8518e5ce2310ccea7f9d090cb094a74a5f2ae28efdda84e0861a3afe7ab4433",
 	"tab1":         "3b07cb057ca1be53cccc532e9da3d817944b0d2fbcbe45600e425345c13a39b2",
 	"tab2":         "e6faa787677e284759751e7a47d768474d1f1c7cfe4e3f96f78656f0e6b81c99",
 	"tab5":         "70e5d99907b3841afb8ef8aebe201d5f3725fcb8b17b063073bd15389dfbc29c",

@@ -99,16 +99,16 @@ var runDigests = map[string]string{
 // node count is 4 in every entry. Change an entry only in a change that says
 // why.
 var trainCountDigests = map[string]string{
-	"kaggle/baseline/fp32/adagrad/d1":               "6d8f966eb65ed993bc3b0ad96dcd2cab5ef3f542a8f42fe909a404d12326301a",
-	"kaggle/baseline/fp32/sgd/d1":                   "6d8f966eb65ed993bc3b0ad96dcd2cab5ef3f542a8f42fe909a404d12326301a",
+	"kaggle/baseline/fp32/adagrad/d1":               "c2d89def77f2abce565500cf4e08b2a8db0d0d3ce83feda205d4e4fb665da70a",
+	"kaggle/baseline/fp32/sgd/d1":                   "c2d89def77f2abce565500cf4e08b2a8db0d0d3ce83feda205d4e4fb665da70a",
 	"kaggle/baseline/hot-fp32+warm-int8/adagrad/d1": "543c3ce0bea714cfabf06841fb30d6ccc100fec11a1d98adf6c6a666bb578023",
 	"kaggle/baseline/hot-fp32+warm-int8/sgd/d1":     "543c3ce0bea714cfabf06841fb30d6ccc100fec11a1d98adf6c6a666bb578023",
 	"kaggle/baseline/int8/adagrad/d1":               "2b3f7b60e6a5117c2426d21a048e47162fba6de228709573f999330b46654773",
 	"kaggle/baseline/int8/sgd/d1":                   "2b3f7b60e6a5117c2426d21a048e47162fba6de228709573f999330b46654773",
-	"kaggle/hotline/fp32/adagrad/d1":                "6d8f966eb65ed993bc3b0ad96dcd2cab5ef3f542a8f42fe909a404d12326301a",
-	"kaggle/hotline/fp32/adagrad/d4":                "6d8f966eb65ed993bc3b0ad96dcd2cab5ef3f542a8f42fe909a404d12326301a",
-	"kaggle/hotline/fp32/sgd/d1":                    "6d8f966eb65ed993bc3b0ad96dcd2cab5ef3f542a8f42fe909a404d12326301a",
-	"kaggle/hotline/fp32/sgd/d4":                    "6d8f966eb65ed993bc3b0ad96dcd2cab5ef3f542a8f42fe909a404d12326301a",
+	"kaggle/hotline/fp32/adagrad/d1":                "c2d89def77f2abce565500cf4e08b2a8db0d0d3ce83feda205d4e4fb665da70a",
+	"kaggle/hotline/fp32/adagrad/d4":                "c2d89def77f2abce565500cf4e08b2a8db0d0d3ce83feda205d4e4fb665da70a",
+	"kaggle/hotline/fp32/sgd/d1":                    "c2d89def77f2abce565500cf4e08b2a8db0d0d3ce83feda205d4e4fb665da70a",
+	"kaggle/hotline/fp32/sgd/d4":                    "c2d89def77f2abce565500cf4e08b2a8db0d0d3ce83feda205d4e4fb665da70a",
 	"kaggle/hotline/hot-fp32+warm-int8/adagrad/d1":  "543c3ce0bea714cfabf06841fb30d6ccc100fec11a1d98adf6c6a666bb578023",
 	"kaggle/hotline/hot-fp32+warm-int8/adagrad/d4":  "543c3ce0bea714cfabf06841fb30d6ccc100fec11a1d98adf6c6a666bb578023",
 	"kaggle/hotline/hot-fp32+warm-int8/sgd/d1":      "543c3ce0bea714cfabf06841fb30d6ccc100fec11a1d98adf6c6a666bb578023",
@@ -117,24 +117,24 @@ var trainCountDigests = map[string]string{
 	"kaggle/hotline/int8/adagrad/d4":                "2b3f7b60e6a5117c2426d21a048e47162fba6de228709573f999330b46654773",
 	"kaggle/hotline/int8/sgd/d1":                    "2b3f7b60e6a5117c2426d21a048e47162fba6de228709573f999330b46654773",
 	"kaggle/hotline/int8/sgd/d4":                    "2b3f7b60e6a5117c2426d21a048e47162fba6de228709573f999330b46654773",
-	"synmh/baseline/fp32/adagrad/d1":                "9b15e2d1136e6bbf3bef97271803e66e0addf1df222aa583204803323f6d35d1",
-	"synmh/baseline/fp32/sgd/d1":                    "9b15e2d1136e6bbf3bef97271803e66e0addf1df222aa583204803323f6d35d1",
-	"synmh/baseline/hot-fp32+warm-int8/adagrad/d1":  "442cf0c1bbf790e2432596612e66537241dbd0c9c576b84b7c73f04ffb7a3083",
-	"synmh/baseline/hot-fp32+warm-int8/sgd/d1":      "442cf0c1bbf790e2432596612e66537241dbd0c9c576b84b7c73f04ffb7a3083",
-	"synmh/baseline/int8/adagrad/d1":                "c86593e98271ce8a4d693e9108ca70dcdcfcabe8269b5733fa9220cd3a5a33f6",
-	"synmh/baseline/int8/sgd/d1":                    "c86593e98271ce8a4d693e9108ca70dcdcfcabe8269b5733fa9220cd3a5a33f6",
-	"synmh/hotline/fp32/adagrad/d1":                 "4976b90e6853ef769e6f51f7c10044845b7b77bf7868b191550f07f278433adf",
-	"synmh/hotline/fp32/adagrad/d4":                 "6984e6667c092ee0c8bd170cad3df8b191ce5963b4241e91f2d3475adfa60388",
-	"synmh/hotline/fp32/sgd/d1":                     "4976b90e6853ef769e6f51f7c10044845b7b77bf7868b191550f07f278433adf",
-	"synmh/hotline/fp32/sgd/d4":                     "6984e6667c092ee0c8bd170cad3df8b191ce5963b4241e91f2d3475adfa60388",
-	"synmh/hotline/hot-fp32+warm-int8/adagrad/d1":   "345c867b170f50dee9f9f21a53cc57b3714ccf1471860d027b1dea231678e420",
-	"synmh/hotline/hot-fp32+warm-int8/adagrad/d4":   "29a15872336196d66a4f9d2d83a1d297dc5b0aa93bb2aef6acefe609db191b0e",
-	"synmh/hotline/hot-fp32+warm-int8/sgd/d1":       "345c867b170f50dee9f9f21a53cc57b3714ccf1471860d027b1dea231678e420",
-	"synmh/hotline/hot-fp32+warm-int8/sgd/d4":       "29a15872336196d66a4f9d2d83a1d297dc5b0aa93bb2aef6acefe609db191b0e",
-	"synmh/hotline/int8/adagrad/d1":                 "4fbbd17305a3e55ede958cfee882fd5b2b58217ce58bf30ff39441fb57f0c024",
-	"synmh/hotline/int8/adagrad/d4":                 "0d508bf470b7dc61f47431a685cd9d2b165ae6f2e89568292ce34f2a6e9a2002",
-	"synmh/hotline/int8/sgd/d1":                     "4fbbd17305a3e55ede958cfee882fd5b2b58217ce58bf30ff39441fb57f0c024",
-	"synmh/hotline/int8/sgd/d4":                     "0d508bf470b7dc61f47431a685cd9d2b165ae6f2e89568292ce34f2a6e9a2002",
+	"synmh/baseline/fp32/adagrad/d1":                "40ead7373ef654bfe9043a52cae812a0bd87aece8e15b78541e60d847265f1e6",
+	"synmh/baseline/fp32/sgd/d1":                    "40ead7373ef654bfe9043a52cae812a0bd87aece8e15b78541e60d847265f1e6",
+	"synmh/baseline/hot-fp32+warm-int8/adagrad/d1":  "6d9b579eeaf4da0ed68717930a7cd194f342eb8354d5079ae2a4801491d0ec9f",
+	"synmh/baseline/hot-fp32+warm-int8/sgd/d1":      "6d9b579eeaf4da0ed68717930a7cd194f342eb8354d5079ae2a4801491d0ec9f",
+	"synmh/baseline/int8/adagrad/d1":                "ca6eab053d9d5859ae45ce918da6578e0a2ad05a608141d0eecf654f6bb722d0",
+	"synmh/baseline/int8/sgd/d1":                    "ca6eab053d9d5859ae45ce918da6578e0a2ad05a608141d0eecf654f6bb722d0",
+	"synmh/hotline/fp32/adagrad/d1":                 "73ba85e0c9e9d5f34c33def49d29e3a1a849fe71f3666b5776b10259bb34f47d",
+	"synmh/hotline/fp32/adagrad/d4":                 "5f34ab6af55ca62c4ce6b4664a831cd92b42124877a1172f1ed214231a78d0fd",
+	"synmh/hotline/fp32/sgd/d1":                     "73ba85e0c9e9d5f34c33def49d29e3a1a849fe71f3666b5776b10259bb34f47d",
+	"synmh/hotline/fp32/sgd/d4":                     "5f34ab6af55ca62c4ce6b4664a831cd92b42124877a1172f1ed214231a78d0fd",
+	"synmh/hotline/hot-fp32+warm-int8/adagrad/d1":   "c0e5a4445e21ca3603aa8da9aefe952e0791c617d1e41b957cf097b6ca095646",
+	"synmh/hotline/hot-fp32+warm-int8/adagrad/d4":   "bfde220bf8a72f0c2a433c9b2e55591f7220026f59f3086012b86e74dd3f18e1",
+	"synmh/hotline/hot-fp32+warm-int8/sgd/d1":       "c0e5a4445e21ca3603aa8da9aefe952e0791c617d1e41b957cf097b6ca095646",
+	"synmh/hotline/hot-fp32+warm-int8/sgd/d4":       "bfde220bf8a72f0c2a433c9b2e55591f7220026f59f3086012b86e74dd3f18e1",
+	"synmh/hotline/int8/adagrad/d1":                 "02e5e73e810e3ae029f922fe37f488c8914bb1eb440bd030c06de8ee739f3f64",
+	"synmh/hotline/int8/adagrad/d4":                 "6c34daa55d9d47918e3c60474310b93d28efa58a6fe4c9decaccb8777d068050",
+	"synmh/hotline/int8/sgd/d1":                     "02e5e73e810e3ae029f922fe37f488c8914bb1eb440bd030c06de8ee739f3f64",
+	"synmh/hotline/int8/sgd/d4":                     "6c34daa55d9d47918e3c60474310b93d28efa58a6fe4c9decaccb8777d068050",
 	"tbsm/baseline/fp32/adagrad/d1":                 "d1a2a1d7ddeed8dd175f0e85bdb08e02c0bacb55fbf092410ade88263b5678bd",
 	"tbsm/baseline/fp32/sgd/d1":                     "d1a2a1d7ddeed8dd175f0e85bdb08e02c0bacb55fbf092410ade88263b5678bd",
 	"tbsm/baseline/hot-fp32+warm-int8/adagrad/d1":   "2d3118a43e1bb08478fa33ead8c0edfbe4d502396666407ca75043c03633d88b",
@@ -156,16 +156,16 @@ var trainCountDigests = map[string]string{
 }
 
 var serveCountDigests = map[string]string{
-	"kaggle/baseline/fp32/adagrad/d1":               "75937aac3f764bd426fdfdfc33fe20614038a763989d5fb7b00eeb6b9c450ae4",
-	"kaggle/baseline/fp32/sgd/d1":                   "75937aac3f764bd426fdfdfc33fe20614038a763989d5fb7b00eeb6b9c450ae4",
+	"kaggle/baseline/fp32/adagrad/d1":               "aa55106e481ef369b782bfffa57cd08d7a8ad983ba46b8944afc3a6275206e81",
+	"kaggle/baseline/fp32/sgd/d1":                   "aa55106e481ef369b782bfffa57cd08d7a8ad983ba46b8944afc3a6275206e81",
 	"kaggle/baseline/hot-fp32+warm-int8/adagrad/d1": "73c8e8c6db3378d7ee22705b8f2e617428c1a9cc4aa4a712712713b11889d21a",
 	"kaggle/baseline/hot-fp32+warm-int8/sgd/d1":     "73c8e8c6db3378d7ee22705b8f2e617428c1a9cc4aa4a712712713b11889d21a",
 	"kaggle/baseline/int8/adagrad/d1":               "72238812bc1a69a5c106a63b50cc055c487dc61ab95d998d4b9d1aab09b11600",
 	"kaggle/baseline/int8/sgd/d1":                   "72238812bc1a69a5c106a63b50cc055c487dc61ab95d998d4b9d1aab09b11600",
-	"kaggle/hotline/fp32/adagrad/d1":                "75937aac3f764bd426fdfdfc33fe20614038a763989d5fb7b00eeb6b9c450ae4",
-	"kaggle/hotline/fp32/adagrad/d4":                "75937aac3f764bd426fdfdfc33fe20614038a763989d5fb7b00eeb6b9c450ae4",
-	"kaggle/hotline/fp32/sgd/d1":                    "75937aac3f764bd426fdfdfc33fe20614038a763989d5fb7b00eeb6b9c450ae4",
-	"kaggle/hotline/fp32/sgd/d4":                    "75937aac3f764bd426fdfdfc33fe20614038a763989d5fb7b00eeb6b9c450ae4",
+	"kaggle/hotline/fp32/adagrad/d1":                "aa55106e481ef369b782bfffa57cd08d7a8ad983ba46b8944afc3a6275206e81",
+	"kaggle/hotline/fp32/adagrad/d4":                "aa55106e481ef369b782bfffa57cd08d7a8ad983ba46b8944afc3a6275206e81",
+	"kaggle/hotline/fp32/sgd/d1":                    "aa55106e481ef369b782bfffa57cd08d7a8ad983ba46b8944afc3a6275206e81",
+	"kaggle/hotline/fp32/sgd/d4":                    "aa55106e481ef369b782bfffa57cd08d7a8ad983ba46b8944afc3a6275206e81",
 	"kaggle/hotline/hot-fp32+warm-int8/adagrad/d1":  "73c8e8c6db3378d7ee22705b8f2e617428c1a9cc4aa4a712712713b11889d21a",
 	"kaggle/hotline/hot-fp32+warm-int8/adagrad/d4":  "73c8e8c6db3378d7ee22705b8f2e617428c1a9cc4aa4a712712713b11889d21a",
 	"kaggle/hotline/hot-fp32+warm-int8/sgd/d1":      "73c8e8c6db3378d7ee22705b8f2e617428c1a9cc4aa4a712712713b11889d21a",
@@ -174,24 +174,24 @@ var serveCountDigests = map[string]string{
 	"kaggle/hotline/int8/adagrad/d4":                "72238812bc1a69a5c106a63b50cc055c487dc61ab95d998d4b9d1aab09b11600",
 	"kaggle/hotline/int8/sgd/d1":                    "72238812bc1a69a5c106a63b50cc055c487dc61ab95d998d4b9d1aab09b11600",
 	"kaggle/hotline/int8/sgd/d4":                    "72238812bc1a69a5c106a63b50cc055c487dc61ab95d998d4b9d1aab09b11600",
-	"synmh/baseline/fp32/adagrad/d1":                "fb24dd348fbeb18e625efa9a89d0a81f643b0ae6033db4c236e09b71eb299d92",
-	"synmh/baseline/fp32/sgd/d1":                    "fb24dd348fbeb18e625efa9a89d0a81f643b0ae6033db4c236e09b71eb299d92",
-	"synmh/baseline/hot-fp32+warm-int8/adagrad/d1":  "f8127093a611dbdfac90ca0e5faa0678f1c837f5bc6ea036ed62bf970bccc3ed",
-	"synmh/baseline/hot-fp32+warm-int8/sgd/d1":      "f8127093a611dbdfac90ca0e5faa0678f1c837f5bc6ea036ed62bf970bccc3ed",
-	"synmh/baseline/int8/adagrad/d1":                "85367a6857bd06ad62a33124bd9aeadaad02b2f6ee03c29a2d9f4e1ff1f7b77b",
-	"synmh/baseline/int8/sgd/d1":                    "85367a6857bd06ad62a33124bd9aeadaad02b2f6ee03c29a2d9f4e1ff1f7b77b",
-	"synmh/hotline/fp32/adagrad/d1":                 "c392060c2993779d03e82ded0963b8bdcde3c076a2e3110b1f74826d1c5a445d",
-	"synmh/hotline/fp32/adagrad/d4":                 "b17faee6c8bf82e1e5d2d06dd05383d2f8b266ac59fd55ba63d9d2ed57aa0cd8",
-	"synmh/hotline/fp32/sgd/d1":                     "c392060c2993779d03e82ded0963b8bdcde3c076a2e3110b1f74826d1c5a445d",
-	"synmh/hotline/fp32/sgd/d4":                     "b17faee6c8bf82e1e5d2d06dd05383d2f8b266ac59fd55ba63d9d2ed57aa0cd8",
-	"synmh/hotline/hot-fp32+warm-int8/adagrad/d1":   "20df7bda429ea8c0c1b469764f3fd8a6dce30e0e0ed3a1e4da9ff3d8faf141de",
-	"synmh/hotline/hot-fp32+warm-int8/adagrad/d4":   "5372d386824d797821c75880c9188d5a61f8096a6ec78309358c66ad38ed41e4",
-	"synmh/hotline/hot-fp32+warm-int8/sgd/d1":       "20df7bda429ea8c0c1b469764f3fd8a6dce30e0e0ed3a1e4da9ff3d8faf141de",
-	"synmh/hotline/hot-fp32+warm-int8/sgd/d4":       "5372d386824d797821c75880c9188d5a61f8096a6ec78309358c66ad38ed41e4",
-	"synmh/hotline/int8/adagrad/d1":                 "a9c20b956444684b5628a3eb6be802edc972b5f92625fc701c7466fbea479d5e",
-	"synmh/hotline/int8/adagrad/d4":                 "a20675ca612bb78de338f2e8998c59999e266c84e25b1f58822ec3caa383a187",
-	"synmh/hotline/int8/sgd/d1":                     "a9c20b956444684b5628a3eb6be802edc972b5f92625fc701c7466fbea479d5e",
-	"synmh/hotline/int8/sgd/d4":                     "a20675ca612bb78de338f2e8998c59999e266c84e25b1f58822ec3caa383a187",
+	"synmh/baseline/fp32/adagrad/d1":                "3ac52d850647735a896a1a152d4c4676533dccc2c79b19d14d57c8ffd64959ec",
+	"synmh/baseline/fp32/sgd/d1":                    "3ac52d850647735a896a1a152d4c4676533dccc2c79b19d14d57c8ffd64959ec",
+	"synmh/baseline/hot-fp32+warm-int8/adagrad/d1":  "7f37898bd7444d9d0901d86d82efd9e34c15409ec9561bb8c218281cd06442c8",
+	"synmh/baseline/hot-fp32+warm-int8/sgd/d1":      "7f37898bd7444d9d0901d86d82efd9e34c15409ec9561bb8c218281cd06442c8",
+	"synmh/baseline/int8/adagrad/d1":                "18c41ea0756913bc0b52b28423d1c1ef2db22daa5ace5d0c24750620941d26b2",
+	"synmh/baseline/int8/sgd/d1":                    "18c41ea0756913bc0b52b28423d1c1ef2db22daa5ace5d0c24750620941d26b2",
+	"synmh/hotline/fp32/adagrad/d1":                 "3ac52d850647735a896a1a152d4c4676533dccc2c79b19d14d57c8ffd64959ec",
+	"synmh/hotline/fp32/adagrad/d4":                 "3ac52d850647735a896a1a152d4c4676533dccc2c79b19d14d57c8ffd64959ec",
+	"synmh/hotline/fp32/sgd/d1":                     "3ac52d850647735a896a1a152d4c4676533dccc2c79b19d14d57c8ffd64959ec",
+	"synmh/hotline/fp32/sgd/d4":                     "3ac52d850647735a896a1a152d4c4676533dccc2c79b19d14d57c8ffd64959ec",
+	"synmh/hotline/hot-fp32+warm-int8/adagrad/d1":   "7f37898bd7444d9d0901d86d82efd9e34c15409ec9561bb8c218281cd06442c8",
+	"synmh/hotline/hot-fp32+warm-int8/adagrad/d4":   "7f37898bd7444d9d0901d86d82efd9e34c15409ec9561bb8c218281cd06442c8",
+	"synmh/hotline/hot-fp32+warm-int8/sgd/d1":       "7f37898bd7444d9d0901d86d82efd9e34c15409ec9561bb8c218281cd06442c8",
+	"synmh/hotline/hot-fp32+warm-int8/sgd/d4":       "7f37898bd7444d9d0901d86d82efd9e34c15409ec9561bb8c218281cd06442c8",
+	"synmh/hotline/int8/adagrad/d1":                 "18c41ea0756913bc0b52b28423d1c1ef2db22daa5ace5d0c24750620941d26b2",
+	"synmh/hotline/int8/adagrad/d4":                 "64a19206e10b7ce2b57e6beded5c5f94881780d7b305aa1be4453a9d7e07e35c",
+	"synmh/hotline/int8/sgd/d1":                     "18c41ea0756913bc0b52b28423d1c1ef2db22daa5ace5d0c24750620941d26b2",
+	"synmh/hotline/int8/sgd/d4":                     "64a19206e10b7ce2b57e6beded5c5f94881780d7b305aa1be4453a9d7e07e35c",
 	"tbsm/baseline/fp32/adagrad/d1":                 "790bbf89033ffc7dbb465a0644fa0b20c3742be13c8085625dab148e4112ab50",
 	"tbsm/baseline/fp32/sgd/d1":                     "790bbf89033ffc7dbb465a0644fa0b20c3742be13c8085625dab148e4112ab50",
 	"tbsm/baseline/hot-fp32+warm-int8/adagrad/d1":   "13e28a6da9e18fae18717b4fe91351019ece2d35d733fa34ed53f03a89afbe0a",
