@@ -127,6 +127,15 @@ type AccessCount struct {
 // data.AccessProfile.Counts returns them — are read as they are; others are
 // ranked on a copy.
 func PlacementFromCounts(counts []AccessCount, numTables, dim int, budgetBytes int64) *Placement {
+	byRank := func(a, b AccessCount) int {
+		if a.Count != b.Count {
+			return cmp.Compare(b.Count, a.Count)
+		}
+		if a.Table != b.Table {
+			return cmp.Compare(a.Table, b.Table)
+		}
+		return cmp.Compare(a.Row, b.Row)
+	}
 	sorted := counts
 	if !slices.IsSortedFunc(counts, byRank) {
 		sorted = slices.Clone(counts)
@@ -134,6 +143,8 @@ func PlacementFromCounts(counts []AccessCount, numTables, dim int, budgetBytes i
 	}
 	p := NewPlacement(numTables, dim)
 	rowBytes := int64(dim) * 4
+	// The set holds at most what the budget pays for.
+	p.order = make([]hotRow, 0, min(len(sorted), int(max(budgetBytes, 0)/rowBytes)))
 	for _, c := range sorted {
 		if p.HotBytes+rowBytes > budgetBytes {
 			break
@@ -141,15 +152,4 @@ func PlacementFromCounts(counts []AccessCount, numTables, dim int, budgetBytes i
 		p.MarkHot(c.Table, c.Row)
 	}
 	return p
-}
-
-// byRank orders access counts by count descending, then by table and row.
-func byRank(a, b AccessCount) int {
-	if a.Count != b.Count {
-		return cmp.Compare(b.Count, a.Count)
-	}
-	if a.Table != b.Table {
-		return cmp.Compare(a.Table, b.Table)
-	}
-	return cmp.Compare(a.Row, b.Row)
 }

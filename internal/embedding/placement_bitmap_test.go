@@ -1,6 +1,7 @@
 package embedding
 
 import (
+	"cmp"
 	"slices"
 	"testing"
 
@@ -142,6 +143,15 @@ func TestPlacementFromCountsRankedOrShuffled(t *testing.T) {
 		shuffled[i] = counts[j]
 	}
 	given := slices.Clone(shuffled)
+	byRank := func(a, b AccessCount) int {
+		if a.Count != b.Count {
+			return cmp.Compare(b.Count, a.Count)
+		}
+		if a.Table != b.Table {
+			return cmp.Compare(a.Table, b.Table)
+		}
+		return cmp.Compare(a.Row, b.Row)
+	}
 	ranked := slices.Clone(counts)
 	slices.SortFunc(ranked, byRank)
 	if slices.IsSortedFunc(shuffled, byRank) {

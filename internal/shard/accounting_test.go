@@ -74,8 +74,8 @@ func TestWidthChangeReadmits(t *testing.T) {
 	s := New(Config{Nodes: 2, CacheBytes: 1 << 12, RowBytes: dim * 4, Quant: QuantMixed}, hotSet())
 	defer s.Close()
 	s.RegisterTable(0, 8, qt.row)
-	idx := [][]int32{{1}} // batch position 0 = node 0; row 1 owned by node 1
-	s.RecordGather(0, idx)  // admits the cold row into the warm tier
+	idx := [][]int32{{1}}  // batch position 0 = node 0; row 1 owned by node 1
+	s.RecordGather(0, idx) // admits the cold row into the warm tier
 	inflight := s.PlanGather(0, idx)
 	if inflight == nil {
 		t.Fatal("the warm hit must stage row 1")

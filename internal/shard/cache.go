@@ -1,7 +1,5 @@
 package shard
 
-import "fmt"
-
 // cacheSlot is one cached row's metadata. A recycled slot is zeroed, so a
 // slot of zero bytes is free.
 type cacheSlot struct {
@@ -37,16 +35,6 @@ type DeviceCache struct {
 	index     [][]int32 // index[table][row] = slot + 1; 0 = absent
 	slots     []cacheSlot
 	freeSlots []int32 // recycled slot indices (holes in slots)
-	// used is the number of live entries.
-	used int
-}
-
-// NewDeviceCache returns a cache with a budget of capBytes of row storage.
-func NewDeviceCache(capBytes int64) *DeviceCache {
-	if capBytes < 0 {
-		panic(fmt.Sprintf("shard: negative cache capacity %d bytes", capBytes))
-	}
-	return &DeviceCache{capBytes: capBytes}
 }
 
 // SizeTable sizes one table's index for rows rows, so no probe or admission
@@ -101,7 +89,7 @@ func (c *DeviceCache) tableIndex(table int) []int32 {
 func (c *DeviceCache) CapacityBytes() int64 { return c.capBytes }
 
 // Len returns the number of cached entries.
-func (c *DeviceCache) Len() int { return c.used }
+func (c *DeviceCache) Len() int { return len(c.slots) - len(c.freeSlots) }
 
 // Occupancy returns the bytes live entries hold over CapacityBytes (0 for a
 // zero-budget cache) — the byte-denominated fill fraction, identical in
@@ -136,7 +124,6 @@ func (c *DeviceCache) admit(key uint64, width Width, bytes int64) bool {
 	s.key, s.width, s.bytes = key, width, int32(bytes)
 	c.setSlot(key, i)
 	c.usedBytes += bytes
-	c.used++
 	return true
 }
 
@@ -159,5 +146,4 @@ func (c *DeviceCache) removeSlot(i int32) {
 	c.usedBytes -= int64(c.slots[i].bytes)
 	c.slots[i] = cacheSlot{}
 	c.freeSlots = append(c.freeSlots, i)
-	c.used--
 }

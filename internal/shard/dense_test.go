@@ -71,7 +71,7 @@ func TestDeviceCacheMatchesMapModel(t *testing.T) {
 	}
 	rng := tensor.NewRNG(11)
 	budget := 12 * WidthFP32.RowBytes(dim)
-	c, m := NewDeviceCache(budget), newMapCache(budget)
+	c, m := &DeviceCache{capBytes: budget}, newMapCache(budget)
 	for tb := range 3 {
 		c.SizeTable(tb, universe/3*7)
 	}

@@ -405,7 +405,7 @@ func New(cfg Config, hot HotClassifier) *Service {
 	}
 	s := &Service{cfg: cfg, hot: hot, part: part, caches: make([]*DeviceCache, cfg.Nodes), tr: NewInproc()}
 	for n := range s.caches {
-		s.caches[n] = NewDeviceCache(cfg.CacheBytes)
+		s.caches[n] = &DeviceCache{capBytes: cfg.CacheBytes}
 	}
 	s.gather = newAsyncGatherer(s)
 	return s
@@ -541,7 +541,7 @@ func (s *Service) planGather(table int, indices [][]int32, collect, serve bool) 
 		g.bits = s.hot.HotBits(table)
 	}
 	tiered := s.cfg.Quant != QuantOff && s.cfg.CacheBytes > 0
-	var local, hits int64
+	var hits int64
 	nodes := s.cfg.Nodes
 	node := 0 // NodeOf(b), stepped instead of divided
 	for _, bag := range indices {
@@ -550,7 +550,6 @@ func (s *Service) planGather(table int, indices [][]int32, collect, serve bool) 
 		for _, ix := range bag {
 			owner := int(own[ix])
 			if owner == node {
-				local++
 				continue
 			}
 			if uint(ix) < uint(len(cix)) {
@@ -572,11 +571,11 @@ func (s *Service) planGather(table int, indices [][]int32, collect, serve bool) 
 			node = 0
 		}
 	}
-	st = Stats{
-		Lookups: int64(g.lookups), Local: local, CacheHits: hits, CacheMisses: g.misses,
-		QuantHits: g.quantHits, DequantRows: g.dequantRows, GatherRows: g.gatherRows,
-		GatherBytes: g.gatherBytes, FillBytes: g.fillBytes,
-	}
+	// Every lookup a remote row's probe did not count is a local one.
+	st.Lookups, st.CacheHits, st.CacheMisses = int64(g.lookups), hits, g.misses
+	st.Local = st.Lookups - hits - g.misses
+	st.QuantHits, st.DequantRows, st.GatherRows = g.quantHits, g.dequantRows, g.gatherRows
+	st.GatherBytes, st.FillBytes = g.gatherBytes, g.fillBytes
 	if g.plan != nil {
 		g.plan.sizeBuffer(s.cfg.Dim())
 		g.plan.src = s.tables[table].src
@@ -652,10 +651,9 @@ func (g *gatherWalk) warmHit(ix int32, w Width) {
 func (g *gatherWalk) miss(cache *DeviceCache, node, owner int, ix int32) {
 	s := g.s
 	g.misses++
-	caching := s.cfg.CacheBytes > 0
 	var w Width
 	var admit bool
-	if caching {
+	if s.cfg.CacheBytes > 0 {
 		w, admit = s.cfg.Quant.admit(g.hot(ix))
 	}
 	// The dedup key is (requesting node, row); the table is fixed within one

@@ -78,10 +78,10 @@ func register(s *Service, rows int, tables ...int) *Service {
 	return s
 }
 
-// newCache is NewDeviceCache with table 0's index sized, as the Service sizes
-// a registered table's, for the rows the cache tests key (below 10 000).
+// newCache is a cache of capBytes with table 0's index sized, as the Service
+// sizes a registered table's, for the rows the cache tests key (below 10 000).
 func newCache(capBytes int64) *DeviceCache {
-	c := NewDeviceCache(capBytes)
+	c := &DeviceCache{capBytes: capBytes}
 	c.SizeTable(0, 10_000)
 	return c
 }
