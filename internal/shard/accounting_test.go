@@ -2,6 +2,7 @@ package shard
 
 import (
 	"slices"
+	"sync"
 	"testing"
 
 	"hotline/internal/tensor"
@@ -60,6 +61,75 @@ func TestRelearnSwapsTheHotSet(t *testing.T) {
 	s.RecordGather(0, [][]int32{{1, 3, 5}})
 	if st := s.Snapshot(); st.CacheHits != 2 || st.CacheMisses != 1 || st.FillBytes != 0 || c.Contains(key(0, 1)) {
 		t.Fatalf("walk after the swap: %+v", st)
+	}
+}
+
+// TestRelearnBesideTheWalks: swaps run while training and serve walks plan
+// on other goroutines (run it under -race): every walk reads one installed
+// set whole, so after the last swap every entry has the width that set gives
+// its row, and the hot rows are cached as a swap on a quiet service caches
+// them.
+func TestRelearnBesideTheWalks(t *testing.T) {
+	const rows = 64
+	sets := []ranked{{rows: []int32{1, 3, 5, 7, 9}}, {rows: []int32{9, 11, 13, 2, 4}}}
+	s := register(New(Config{Nodes: 2, CacheBytes: 1 << 12, RowBytes: 64, Quant: QuantMixed}, nil), rows, 0)
+	defer s.Close()
+	idx := make([][]int32, 16)
+	for b := range idx {
+		idx[b] = []int32{int32(b), int32(b + 16), int32(b * 3 % rows)}
+	}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for _, serve := range []bool{false, true} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				plan := s.PlanGather
+				if serve {
+					plan = s.PlanServeGather
+				}
+				if w := plan(0, idx); w != nil {
+					w.Release()
+				}
+			}
+		}()
+	}
+	for i := range 200 {
+		s.Relearn(sets[i%2])
+	}
+	close(stop)
+	wg.Wait()
+
+	// The last swap installed sets[1], and every entry is at the width that
+	// set gives its row: no walk admitted a row at the width of a set it did
+	// not read whole. The budget holds every row the walks touch, so the
+	// hot rows are cached as on a quiet service that only swapped.
+	hot := sets[1].HotBits(0)
+	for n, c := range s.caches {
+		for _, e := range c.slots {
+			if e.bytes == 0 {
+				continue
+			}
+			if w, _ := QuantMixed.admit(hotBit(hot, int32(uint32(e.key)))); w != e.width {
+				t.Errorf("node %d caches row %d at %v, the installed set gives %v", n, uint32(e.key), e.width, w)
+			}
+		}
+	}
+	quiet := register(New(Config{Nodes: 2, CacheBytes: 1 << 12, RowBytes: 64, Quant: QuantMixed}, nil), rows, 0)
+	defer quiet.Close()
+	quiet.Relearn(sets[1])
+	for n := range s.caches {
+		for _, r := range sets[1].rows {
+			if got, want := s.caches[n].Contains(key(0, r)), quiet.caches[n].Contains(key(0, r)); got != want {
+				t.Errorf("node %d row %d cached %v after the swaps beside walks, %v on a quiet service", n, r, got, want)
+			}
+		}
 	}
 }
 
