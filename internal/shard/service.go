@@ -768,14 +768,13 @@ func (s *Service) RecordScatter(table int, indices [][]int32) {
 	var sent int64
 	node := 0 // NodeOf(b), stepped instead of divided
 	for _, bag := range indices {
+		cells := stamps[node:]
 		for _, ix := range bag {
-			if int(own[ix]) == node {
-				continue
-			}
-			if cell := &stamps[int(ix)*nodes+node]; *cell != epoch {
-				*cell = epoch
-				sent++
-			}
+			// No branch, as in planGather: a local row's cell is stamped
+			// too, and no walk of this epoch reads it.
+			cell := &cells[int(ix)*nodes]
+			sent += int64(b2i(int(own[ix]) != node) & b2i(*cell != epoch))
+			*cell = epoch
 		}
 		if node++; node == nodes {
 			node = 0
