@@ -225,9 +225,8 @@ func (s *ShardedBag) Forward(indices [][]int32) *tensor.Matrix {
 // concurrent predict), never arms Backward, and books its traffic into the
 // service's serve counters (ServeSnapshot) so training traffic fractions
 // stay clean. It reads the shared device caches without writing them: a miss
-// admits nothing, so the caches keep the rows
-// the training schedule chose and the trainer's counts do not depend on
-// request traffic. (Request traffic used to warm the caches like training;
+// admits nothing, so the caches keep the rows the training schedule chose
+// and the trainer's counts do not depend on request traffic. (Request traffic used to warm the caches like training;
 // that coupling is gone, and no served value depended on it.) In one
 // address space with untiered caches the rows are read directly from the
 // table — the accounting pass prices the fabric gather; no staging copy is

@@ -116,8 +116,8 @@ const measureWarmup = 2
 // per-node HBM budgets, or hot-aware — popular rows pinned to their dominant
 // requesting node, counted over the same stream the measurement replays):
 // it profiles an epoch, builds the access-aware placement (the EAL-learned
-// hot set), installs it in the per-node device caches (Service.Relearn), streams
-// warm-up batches, then measures steady-state cache hit-rates and
+// hot set), installs it in the per-node device caches (Service.Relearn),
+// streams warm-up batches, then measures steady-state cache hit-rates and
 // gather/scatter volumes over several iterations. Results are memoised per full probe identity and
 // deterministic for any concurrency. The replayed batch is capped at
 // maxShardBatch, so probes that differ only above the cap share one entry.
@@ -278,8 +278,8 @@ func MeasureOverlap(cfg data.Config, nodes, depth int) float64 {
 // NewShardedWorkload assembles a workload whose timing models consume
 // measured sharding statistics (sys.Nodes simulated nodes, the scaled
 // hot-set budget of device cache per node, caches holding the learned hot
-// set over round-robin ownership) instead of the analytic popularity fractions. The
-// exposed-gather fraction is measured too (MeasureOverlap at
+// set over round-robin ownership) instead of the analytic popularity
+// fractions. The exposed-gather fraction is measured too (MeasureOverlap at
 // train.DefaultDepth), so every mn-* scenario prices overlap from
 // measurement instead of the analytic overlap schedule.
 func NewShardedWorkload(cfg data.Config, batch int, sys cost.System) Workload {

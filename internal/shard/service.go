@@ -476,8 +476,8 @@ func (s *Service) RecordGather(table int, indices [][]int32) {
 // same shard routing, device-cache probing and gather dedup, but a read of
 // the caches — a miss admits nothing, so no fill moves. The caches hold what
 // the training schedule put there and the trainer's counts do not depend on
-// how requests interleave with its steps. The counters land in the serve snapshot (ServeSnapshot),
-// and there is never a matching scatter.
+// how requests interleave with its steps. The counters land in the serve
+// snapshot (ServeSnapshot), and there is never a matching scatter.
 func (s *Service) RecordServeGather(table int, indices [][]int32) {
 	s.planGather(table, indices, false, true)
 }
@@ -793,7 +793,7 @@ func (s *Service) RecordScatter(table int, indices [][]int32) {
 //     tier's width and in hot's rank order while the entry fits, counting its
 //     bytes in Stats.FillBytes: a cache too small for the set keeps its head.
 //
-// Swapping to the set in place moves nothing. A window already planned keeps
+// Swapping to the installed set moves nothing. A window already planned keeps
 // the widths it was staged at, so its values do not change.
 func (s *Service) Relearn(hot HotClassifier) {
 	var st Stats
